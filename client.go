@@ -1000,30 +1000,13 @@ func (c *Client) PipelineStats(op Op) PipelineStats {
 	}
 }
 
-// LastMissExecuted reports whether the most recent miss's offload
-// chain executed on the server NIC (response NOOPs delivered — the key
-// is genuinely absent) as opposed to never running (dead connection).
-// Meaningful when read from within a miss callback.
-func (c *Client) LastMissExecuted() bool { return c.get.lastRan }
-
-// LastSetExecuted reports whether the most recent failed set's offload
-// chain executed on the server NIC (a genuine claim refusal — the
-// bucket was taken) as opposed to never running (dead connection).
-// Meaningful when read from within a failed-set callback.
-func (c *Client) LastSetExecuted() bool { return c.set.lastRan }
-
-// LastDeleteExecuted reports whether the most recent failed delete's
-// offload chain executed on the server NIC (a genuine claim refusal —
-// the key was absent or already tombstoned) as opposed to never
-// running (dead connection). Meaningful inside a failed-delete
-// callback.
-func (c *Client) LastDeleteExecuted() bool { return c.del.lastRan }
-
-// LastProbeExecuted reports whether the most recent failed probe's
-// offload chain executed on the server NIC (a genuine conditional miss
-// — the bucket does not hold the probed key) as opposed to never
-// running (dead connection). Meaningful inside a failed-probe callback.
-func (c *Client) LastProbeExecuted() bool { return c.prb.lastRan }
+// LastExecuted reports whether the most recent failed request on op's
+// pipeline had its offload chain execute on the server NIC — a genuine
+// miss (get: key absent), claim refusal (set: bucket taken; delete: key
+// absent or already tombstoned) or conditional miss (probe: the bucket
+// does not hold the key) — as opposed to never running (dead
+// connection). Meaningful when read from within the failure callback.
+func (c *Client) LastExecuted(op Op) bool { return c.pipe(op).lastRan }
 
 // EnableProvenance allocates the per-slot latency receipts on every
 // pipeline and starts stamping phase ledgers on each issued request.
@@ -1043,7 +1026,7 @@ func (c *Client) OnReceipt(fn func(Op, *telemetry.Receipt)) { c.rcptHook = fn }
 
 // LastReceipt returns the phase ledger of the most recently completed
 // request on op's pipeline, or nil when provenance is off or the
-// request failed without ever reaching a slot. Like LastMissExecuted,
+// request failed without ever reaching a slot. Like LastExecuted,
 // it is meaningful only when read from within the op's callback; the
 // receipt is overwritten when its slot reissues.
 func (c *Client) LastReceipt(op Op) *telemetry.Receipt { return c.pipe(op).lastRcpt }
@@ -1216,7 +1199,8 @@ func (c *Client) Set(key uint64, value []byte) (Duration, bool) {
 // NIC probes. Spilled residents only a CPU scan can reach — and keys
 // that are absent outright — cannot be claimed from here.
 func (c *Client) deleteClaim(key uint64) (core.DeleteClaim, bool) {
-	return deleteClaimForTable(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
+	addr, ok := residentBucket(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
+	return core.DeleteClaim{BucketAddr: addr}, ok
 }
 
 // DeleteAsync issues one offloaded delete of key, computing the bucket
@@ -1305,14 +1289,15 @@ func (c *Client) Delete(key uint64) (Duration, bool) {
 // cannot be probed from here — the repair layer's host-side comparison
 // covers those.
 func (c *Client) probeTarget(key uint64) (core.ProbeTarget, bool) {
-	return probeTargetForTable(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
+	addr, ok := residentBucket(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
+	return core.ProbeTarget{BucketAddr: addr}, ok
 }
 
 // ProbeAsync issues one offloaded version probe of key, computing the
 // target bucket from the bound table, and returns immediately; cb runs
 // with the replica's version word when the NIC's response lands, or
 // ok=false after MissTimeout (key absent at the probed bucket, or dead
-// connection — LastProbeExecuted tells them apart). Probes beyond the
+// connection — LastExecuted(OpProbe) tells them apart). Probes beyond the
 // pipeline window queue client-side; call Flush after posting a batch.
 func (c *Client) ProbeAsync(key uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	if c.table == nil {

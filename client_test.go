@@ -366,7 +366,7 @@ func TestClientSetClaimRefused(t *testing.T) {
 		coreSetClaim(bucket, 0, 777), 1,
 		func(_ Duration, ok bool) {
 			doneOK = ok
-			executed = cli.LastSetExecuted()
+			executed = cli.LastExecuted(OpSet)
 		})
 	cli.Flush()
 	tb.Run()
@@ -548,7 +548,7 @@ func TestClientDeleteRefused(t *testing.T) {
 	done := false
 	cli.DeleteAsyncClaim(777, core.DeleteClaim{BucketAddr: bucket}, 1,
 		func(_ Duration, ok bool) {
-			acked, executed, done = ok, cli.LastDeleteExecuted(), true
+			acked, executed, done = ok, cli.LastExecuted(OpDelete), true
 		})
 	cli.Flush()
 	tb.Run()
@@ -705,7 +705,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 
 	// A stale target (key deleted between computing the target and the
 	// chain running): conditional miss on a live NIC.
-	target, okT := probeTargetForTable(table.Table(), LookupSeq, key)
+	target, okT := cli.probeTarget(key)
 	if !okT {
 		t.Fatal("no probe target for a resident key")
 	}
@@ -715,7 +715,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	var executed, answered bool
 	done := false
 	cli.ProbeAsyncTarget(key, target, func(_ uint64, _ Duration, ok bool) {
-		answered, executed, done = ok, cli.LastProbeExecuted(), true
+		answered, executed, done = ok, cli.LastExecuted(OpProbe), true
 	})
 	cli.Flush()
 	tb.Run()

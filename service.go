@@ -94,16 +94,9 @@ type ServiceConfig struct {
 
 	HullParent bool // crashed processes keep their RDMA resources (Fig 16)
 
-	SuspectAfter int      // consecutive timeouts before dodging a shard (0 = 4)
-	SuspectFor   Duration // circuit-breaker window (0 = 25ms)
-
-	Buckets      uint64 // hopscotch buckets per shard
-	MaxValLen    uint64 // largest value a get can return
-	MissTimeout  Duration
-	VirtualNodes int // ring points per shard
-
-	ServerMem uint64 // simulated bytes per server node
-	ClientMem uint64 // simulated bytes per client node
+	Buckets     uint64 // hopscotch buckets per shard
+	MaxValLen   uint64 // largest value a get can return or a set can store
+	MissTimeout Duration
 
 	// SegmentSize is the extent arena's segment granularity per shard
 	// (0 = a power-of-two multiple of MaxValLen; see NewServiceWith).
@@ -150,37 +143,20 @@ type ServiceConfig struct {
 	NoRepair bool
 
 	// AdaptiveWindow puts every client pipeline under AIMD congestion
-	// control instead of the fixed Pipeline-deep window: grow additively
-	// on clean acks, cut multiplicatively on timeout and on the ECN-like
-	// backlog watermark the NIC stamps into completions. Off, windows
+	// control instead of the fixed Pipeline-deep window: start at
+	// adaptiveWindowStart, grow additively on clean acks, cut by
+	// DefaultWindowBeta on timeout and on the ECN-like backlog watermark
+	// (DefaultEcnBacklog) the NIC stamps into completions. Off, windows
 	// are pinned to Pipeline (the pre-adaptive fixed-K behavior).
 	AdaptiveWindow bool
-	// WindowBeta is the multiplicative-decrease factor (0 = 0.5).
-	WindowBeta float64
-	// WindowStart is the adaptive window's initial size (0 = 16, capped
-	// at Pipeline). Starting at the full Pipeline depth would open with
-	// a thundering herd the AIMD loop then has to pay for in timeouts;
-	// starting modestly lets additive increase probe up to the knee.
-	WindowStart int
-	// WindowEcnBacklog marks acks whose completion-stamped PU backlog
-	// exceeds it as congestion (0 = DefaultEcnBacklog; negative disables
-	// ECN cuts, leaving timeouts as the only loss signal).
-	WindowEcnBacklog Duration
 
 	// Admission enables server-side admission control: a shard whose
-	// NIC backlog watermark exceeds AdmitBacklog (or whose clients have
-	// AdmitQueue requests queued) is overloaded — new gets defer to
-	// other replica owners or shed outright, and writes shed with a
-	// typed *ErrOverload when too few owners can admit them. Clients
-	// back off on the signal instead of stacking more timeouts onto a
-	// saturated NIC.
+	// NIC backlog watermark exceeds DefaultAdmitBacklog is overloaded —
+	// new gets defer to other replica owners or shed outright, and
+	// writes shed with a typed *ErrOverload when too few owners can
+	// admit them. Clients back off on the signal instead of stacking
+	// more timeouts onto a saturated NIC.
 	Admission bool
-	// AdmitBacklog is the PU backlog watermark above which a shard
-	// stops admitting new requests (0 = DefaultAdmitBacklog).
-	AdmitBacklog Duration
-	// AdmitQueue, when nonzero, also marks a shard overloaded once its
-	// clients' waiting queues hold this many requests in total.
-	AdmitQueue int
 
 	// MigrateEvery is the background migrator's tick period during a
 	// live resharding (AddShard/DrainShard): each tick copies and seals
@@ -195,50 +171,31 @@ type ServiceConfig struct {
 	// seals, not in one global flag flip at the end (0 = 64).
 	MigrateSegments int
 
-	// Tracer, when set, records per-op trace spans through every layer
-	// (service fan-out, client slots, WRs on NIC PUs) for trace-event
-	// JSON export. Nil disables tracing at zero cost.
-	Tracer *telemetry.Tracer
-	// Trace makes the service build its own tracer on its testbed's
-	// engine — the usual way to enable tracing, since the engine does
-	// not exist until NewServiceWith constructs it. Retrieve it with
-	// Tracer() after construction. Ignored when Tracer is already set.
+	// Trace makes the service record per-op trace spans through every
+	// layer (service fan-out, client slots, WRs on NIC PUs) for
+	// trace-event JSON export, on a tracer built on its testbed's engine
+	// (which does not exist until NewServiceWith constructs it).
+	// Retrieve it with Tracer() after construction. Off, tracing costs
+	// nothing.
 	Trace bool
 
 	// Sentinel enables the always-on SLO sentinel + flight recorder
 	// (service_sentinel.go): a bounded ring tracer replaces the
-	// grow-forever tracer (built automatically when neither Tracer nor
-	// Trace is set), registry snapshots land in a fixed metric-sample
-	// ring on an activity-armed tick, and burn-rate SLO rules evaluate
-	// each tick. A firing rule snapshots a deterministic incident
-	// bundle; read them back with Incidents() and Stats().Anomalies.
+	// grow-forever tracer (built automatically when Trace is off),
+	// registry snapshots land in a fixed metric-sample ring on an
+	// activity-armed DefaultSentinelEvery tick, and burn-rate SLO rules
+	// evaluate each tick. A firing rule snapshots a deterministic
+	// incident bundle (at most DefaultMaxIncidents are kept); read them
+	// back with Incidents() and Stats().Anomalies.
 	Sentinel bool
-	// SentinelEvery is the sentinel's sample-and-evaluate tick period
-	// (0 = DefaultSentinelEvery). Ticks arm on op activity and disarm
-	// when the metrics stop moving, so an idle service leaves the
-	// engine drainable.
-	SentinelEvery Duration
-	// RecorderEvents sizes the flight-recorder trace-event ring
-	// (0 = telemetry.DefaultRingEvents). Only used when the sentinel
-	// builds its own ring tracer.
-	RecorderEvents int
-	// RecorderSamples sizes the metric-sample ring (0 = enough ticks
-	// to cover the widest rule's slow window, with margin).
-	RecorderSamples int
 	// SentinelRules overrides the rule set (nil = DefaultSLORules()).
 	SentinelRules []telemetry.Rule
-	// MaxIncidents caps retained incident bundles and recorded
-	// anomalies (0 = DefaultMaxIncidents).
-	MaxIncidents int
 	// SlowGetLat is the fleet latency-burn threshold: gets slower than
 	// this count toward the "latency" SLO (0 = DefaultSlowGetLat).
 	SlowGetLat Duration
 	// SentinelDir, when set, writes each incident bundle to
 	// INCIDENT_<seq>_<class>.json in that directory as it fires.
 	SentinelDir string
-	// OnAnomaly, when set, runs on every anomaly right after its
-	// incident bundle is captured.
-	OnAnomaly func(telemetry.Anomaly)
 
 	// Provenance enables per-op latency receipts: every get/set/delete
 	// (and probe) accumulates a fixed-size phase ledger — window wait,
@@ -248,9 +205,6 @@ type ServiceConfig struct {
 	// top-N slowest-receipt heap; read them with Provenance() and
 	// Stats().Provenance. Off, every receipt path is a nil check.
 	Provenance bool
-	// TailReceipts caps the retained slowest receipts per op class
-	// (0 = telemetry.DefaultTailReceipts). Fixed memory.
-	TailReceipts int
 	// Profile enables the virtual-time profiler: every grant on a
 	// server NIC resource (PU, fetch unit, link, PCIe, atomic unit) is
 	// attributed to (op class, shard, resource) with queue-wait and
@@ -272,11 +226,22 @@ func DefaultServiceConfig(nShards, clientsPerShard int) ServiceConfig {
 		Buckets:         1 << 15,
 		MaxValLen:       4096,
 		MissTimeout:     DefaultMissTimeout,
-		VirtualNodes:    shard.DefaultVirtualNodes,
-		ServerMem:       1 << 27,
-		ClientMem:       1 << 23,
 	}
 }
+
+// Simulated memory per service node: servers hold the table, the value
+// arena and every connection's chain rings; clients only per-slot
+// buffers.
+const (
+	serviceServerMem = 1 << 27
+	serviceClientMem = 1 << 23
+)
+
+// adaptiveWindowStart is an adaptive window's initial size (capped at
+// Pipeline). Starting at the full Pipeline depth would open with a
+// thundering herd the AIMD loop then has to pay for in timeouts;
+// starting modestly lets additive increase probe up to the knee.
+const adaptiveWindowStart = 16
 
 // serviceShard is one server node: a hash table plus its connected
 // pipelined clients.
@@ -388,42 +353,27 @@ func (sh *serviceShard) suspect(now sim.Time) bool { return now < sh.suspectUnti
 
 // noteOwnerMiss records one unexecuted-chain timeout against sh — the
 // crash symptom, as opposed to an executed miss — and transitions the
-// shard to suspected after SuspectAfter consecutive ones. Every
+// shard to suspected after DefaultSuspectAfter consecutive ones. Every
 // healthy-to-suspected transition increments svc/suspects, the SLO
 // sentinel's crash signal: one transition per suspicion epoch, not one
 // per timeout.
 func (s *Service) noteOwnerMiss(sh *serviceShard) {
 	sh.consecMiss++
-	if sh.consecMiss >= s.cfg.SuspectAfter {
+	if sh.consecMiss >= DefaultSuspectAfter {
 		now := s.tb.Now()
 		if !sh.suspect(now) {
 			s.suspects.Inc()
 		}
-		sh.suspectUntil = now + s.cfg.SuspectFor
+		sh.suspectUntil = now + DefaultSuspectFor
 	}
 }
 
 // overloaded reports whether admission control should refuse new work
 // on sh: its NIC's PU backlog watermark is past the admission
-// threshold, or (when AdmitQueue is set) its client connections have
-// piled up too many queued requests. Always false with Admission off.
+// threshold. Always false with Admission off.
 func (s *Service) overloaded(sh *serviceShard) bool {
-	if !s.cfg.Admission {
-		return false
-	}
-	if sh.srv.node.Dev.BacklogWatermark(s.tb.Now()) > sim.Time(s.cfg.AdmitBacklog) {
-		return true
-	}
-	if s.cfg.AdmitQueue > 0 {
-		q := 0
-		for _, cli := range sh.clients {
-			q += cli.PipelineStats(OpGet).Queued
-		}
-		if q >= s.cfg.AdmitQueue {
-			return true
-		}
-	}
-	return false
+	return s.cfg.Admission &&
+		sh.srv.node.Dev.BacklogWatermark(s.tb.Now()) > DefaultAdmitBacklog
 }
 
 // Service is a sharded key-value service served entirely by NICs: a
@@ -696,21 +646,6 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.MissTimeout == 0 {
 		cfg.MissTimeout = def.MissTimeout
 	}
-	if cfg.VirtualNodes == 0 {
-		cfg.VirtualNodes = def.VirtualNodes
-	}
-	if cfg.ServerMem == 0 {
-		cfg.ServerMem = def.ServerMem
-	}
-	if cfg.ClientMem == 0 {
-		cfg.ClientMem = def.ClientMem
-	}
-	if cfg.SuspectAfter == 0 {
-		cfg.SuspectAfter = DefaultSuspectAfter
-	}
-	if cfg.SuspectFor == 0 {
-		cfg.SuspectFor = DefaultSuspectFor
-	}
 	if cfg.HotKeyTrack == 0 && (cfg.ReadPolicy == ReadHotSpread || cfg.HotKeyCache > 0) {
 		cfg.HotKeyTrack = shard.DefaultHotKeys
 	}
@@ -732,12 +667,6 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.AntiEntropySegments == 0 {
 		cfg.AntiEntropySegments = DefaultAntiEntropySegments
 	}
-	if cfg.AdmitBacklog == 0 {
-		cfg.AdmitBacklog = DefaultAdmitBacklog
-	}
-	if cfg.AdaptiveWindow && cfg.WindowStart == 0 {
-		cfg.WindowStart = 16
-	}
 	if cfg.MigrateEvery == 0 {
 		cfg.MigrateEvery = DefaultMigrateEvery
 	}
@@ -747,33 +676,23 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.MigrateSegments < 1 {
 		cfg.MigrateSegments = DefaultMigrateSegments
 	}
-	if cfg.WindowStart > cfg.Pipeline {
-		cfg.WindowStart = cfg.Pipeline
-	}
-	if cfg.SentinelEvery == 0 {
-		cfg.SentinelEvery = DefaultSentinelEvery
-	}
 	if cfg.SlowGetLat == 0 {
 		cfg.SlowGetLat = DefaultSlowGetLat
 	}
-	if cfg.MaxIncidents == 0 {
-		cfg.MaxIncidents = DefaultMaxIncidents
-	}
 
-	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(cfg.VirtualNodes),
+	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(shard.DefaultVirtualNodes),
 		shards: make(map[string]*serviceShard), nextSeq: make(map[uint64]uint64),
-		unsettled: make(map[uint64]int), repq: repair.NewQueue(), tr: cfg.Tracer}
-	if cfg.Trace && s.tr == nil {
+		unsettled: make(map[uint64]int), repq: repair.NewQueue()}
+	if cfg.Trace {
 		s.tr = telemetry.NewTracer(s.tb.clu.Eng)
-	}
-	if cfg.Sentinel && s.tr == nil {
+	} else if cfg.Sentinel {
 		// Free-by-default tracing: the sentinel's trace window is a
 		// fixed-memory ring, so it runs permanently without the
 		// grow-forever cost that made full tracing opt-in.
-		s.tr = telemetry.NewRingTracer(s.tb.clu.Eng, cfg.RecorderEvents)
+		s.tr = telemetry.NewRingTracer(s.tb.clu.Eng, telemetry.DefaultRingEvents)
 	}
 	if cfg.Provenance {
-		s.prov = telemetry.NewProvenance(cfg.TailReceipts)
+		s.prov = telemetry.NewProvenance(telemetry.DefaultTailReceipts)
 	}
 	if cfg.Profile {
 		s.profiler = telemetry.NewProfiler()
@@ -805,7 +724,7 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 func (s *Service) buildShard(id string) *serviceShard {
 	cfg := s.cfg
 	nc := fabric.DefaultNodeConfig(id)
-	nc.MemSize = cfg.ServerMem
+	nc.MemSize = serviceServerMem
 	node := s.tb.clu.AddNode(nc)
 	node.Dev.SetTracer(s.tr)
 	if s.profiler != nil {
@@ -823,7 +742,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 	sh.initMetrics(s.reg)
 	for c := 0; c < cfg.ClientsPerShard; c++ {
 		cc := fabric.DefaultNodeConfig(fmt.Sprintf("%s-client%d", id, c))
-		cc.MemSize = cfg.ClientMem
+		cc.MemSize = serviceClientMem
 		cn := s.tb.clu.AddNode(cc)
 		cn.Dev.SetTracer(s.tr)
 		sh.cnodes = append(sh.cnodes, cn)
@@ -850,8 +769,7 @@ func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node) *Client {
 		})
 	}
 	if s.cfg.AdaptiveWindow {
-		cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: s.cfg.WindowStart,
-			Beta: s.cfg.WindowBeta, EcnBacklog: s.cfg.WindowEcnBacklog})
+		cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: adaptiveWindowStart})
 	}
 	return cli
 }
@@ -902,6 +820,29 @@ func (s *Service) Set(key uint64, value []byte) error {
 		return fmt.Errorf("redn: set(%#x) never completed", key)
 	}
 	return err
+}
+
+// Delete removes key from its replica owners through the fabric delete
+// path, blocking until the W-of-N quorum acknowledges — the
+// convenience wrapper mirroring Set. It reports whether the key was
+// present on some owner AND the quorum acknowledged the delete; a
+// quorum failure (the key may survive on live owners) returns false,
+// never success.
+func (s *Service) Delete(key uint64) bool {
+	key &= hopscotch.KeyMask
+	existed := false
+	for _, id := range s.owners(key) {
+		if _, _, ok := s.shards[id].table.table.Lookup(key); ok {
+			existed = true
+			break
+		}
+	}
+	var derr error
+	done := false
+	s.DeleteAsync(key, func(_ Duration, err error) { derr, done = err, true })
+	s.Flush()
+	s.tb.stepUntil(&done)
+	return existed && derr == nil
 }
 
 // MaxKicks bounds the cuckoo relocation walk of a Set.
@@ -1295,7 +1236,7 @@ func (s *Service) tryGet(key, valLen uint64, order []*serviceShard, i int, spent
 			cb(val, lat, true)
 			return
 		}
-		if cli.LastMissExecuted() {
+		if cli.LastExecuted(OpGet) {
 			// The chain ran and found nothing: the key is absent, the
 			// NIC is alive. Liveness proof, not a crash symptom.
 			sh.consecMiss = 0

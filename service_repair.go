@@ -3,6 +3,7 @@ package redn
 import (
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/hopscotch"
 	"repro/internal/repair"
 	"repro/internal/sim"
@@ -191,10 +192,7 @@ func (s *Service) DropHints() int {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
-			h := sh.hints[k]
-			delete(sh.hints, k)
-			sh.hintsDropped.Inc()
-			s.settleHint(h)
+			s.retireHint(sh, sh.hints[k], sh.hintsDropped)
 			n++
 		}
 	}
@@ -236,7 +234,7 @@ func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*ser
 		return
 	}
 	servedVer, _, _ := s.ownerState(served, key)
-	target, fabricOK := probeTargetForTable(partner.table.table, partner.mode, key)
+	bucket, fabricOK := residentBucket(partner.table.table, partner.mode, key)
 	if !fabricOK {
 		// The key is not at a NIC-addressable bucket on the partner
 		// (absent, tombstoned, or spilled): the probe chain cannot ask,
@@ -249,7 +247,7 @@ func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*ser
 	cli := partner.setClient(key)
 	pop := s.tr.OpBegin("probe", key)
 	s.tr.SetOp(pop)
-	cli.ProbeAsyncTarget(key, target, func(ver uint64, _ Duration, ok bool) {
+	cli.ProbeAsyncTarget(key, core.ProbeTarget{BucketAddr: bucket}, func(ver uint64, _ Duration, ok bool) {
 		s.tr.OpEnd(pop, "probe")
 		if ok {
 			partner.consecMiss = 0
@@ -260,7 +258,7 @@ func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*ser
 			}
 			return
 		}
-		if cli.LastProbeExecuted() {
+		if cli.LastExecuted(OpProbe) {
 			// The chain ran and the conditional missed: the bucket moved
 			// between computing the target and the probe landing (a
 			// racing write or relocation). Fall back to the host view.
@@ -367,80 +365,104 @@ func (s *Service) requeueRepair(sh *serviceShard, r *repair.Record) {
 	s.armRepair()
 }
 
-// applyRepair rolls one owner forward to the winning state of its key.
-// The winning state is re-derived under the owner's per-key write slot
-// — not from the record — so a repair can never undo a write that
-// landed while the record was queued: roll forward, never roll back.
+// applyRepair rolls one owner forward to the winning state of its key
+// through converge — the record is a claim that someone lags, not a
+// payload — keeping only the repair queue's own counters and retry
+// policy.
 func (s *Service) applyRepair(r *repair.Record) {
 	sh, ok := s.shards[r.Owner]
 	if !ok {
 		return
 	}
-	key := r.Key
-	if s.unsettled[key] > 0 {
+	if s.unsettled[r.Key] > 0 {
 		// A write is in flight: its own fan-out converges the owners
 		// (or queues hints/repairs of its own). Try again later.
 		s.requeueRepair(sh, r)
 		return
 	}
+	s.converge(sh, r.Key, func(out convergeOutcome) {
+		switch out {
+		case convergeCaughtUp:
+			sh.repairsSuperseded.Inc()
+		case convergeApplied:
+			sh.repairsApplied.Inc()
+		default:
+			s.requeueRepair(sh, r)
+		}
+	})
+}
+
+// convergeOutcome is how one converge call resolved.
+type convergeOutcome int
+
+const (
+	// convergeCaughtUp: nothing to do — the owner already holds the
+	// winning state (a newer write, a drained hint, or an earlier
+	// converge landed first), or the winner's copy vanished under a
+	// racing delete whose tombstone will win the next derivation.
+	convergeCaughtUp convergeOutcome = iota
+	convergeApplied                  // the owner was rolled forward
+	convergeFailed                   // unreachable, rejecting, or unreadable: the caller's retry policy decides
+)
+
+// converge rolls owner sh forward to the winning state of key — the one
+// loop behind the repair queue and the resharding migrator. The winning
+// state is re-derived under the owner's per-key write slot, not taken
+// from whatever evidence prompted the call, so a converge can never
+// undo a write that landed while it was queued: roll forward, never
+// roll back. The winner's bytes are read at that moment and applied
+// through the ordinary owner apply path (fabric chain or host RPC,
+// modeled cost and all). done runs exactly once, before the slot is
+// released.
+func (s *Service) converge(sh *serviceShard, key uint64, done func(convergeOutcome)) {
 	s.withKeySlot(sh, key, func() {
+		finish := func(out convergeOutcome) {
+			done(out)
+			s.setNext(sh, key)
+		}
 		winVer, winDel, winner, has := s.winningState(key)
 		cur, _, curOK := s.ownerState(sh, key)
 		if !has || winVer == 0 || (curOK && cur >= winVer) {
-			// Nothing to do: the owner caught up (a newer write, a
-			// drained hint, or an earlier repair landed first).
-			sh.repairsSuperseded.Inc()
-			s.setNext(sh, key)
+			finish(convergeCaughtUp)
 			return
 		}
-		finish := func(st ownerWriteStatus) {
-			switch st {
-			case ownerApplied:
-				sh.repairsApplied.Inc()
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, winVer)
-				}
-				if winDel {
-					sh.noteDeleted(key, winVer)
-				} else {
-					sh.noteApplied(key, winVer)
-				}
-				s.dropHint(sh, key, winVer)
-				// Satellite fix: a value cached from the stale owner
-				// before this repair (legal while the write settled)
-				// must not outlive convergence — bump the epoch so
-				// in-flight gets cannot re-admit it either.
-				if s.cache != nil {
-					s.setEpoch[key]++
-					delete(s.cache, key)
-				}
-			default:
-				s.requeueRepair(sh, r)
+		m := &mutation{key: key, seq: winVer, del: winDel}
+		if !winDel {
+			// Capture the winning bytes under the slot: the winner's table
+			// cannot be repointed for this key while we hold it only if the
+			// winner IS this shard — for cross-owner reads the callers keep
+			// racing writes out (the repair queue defers while the key is
+			// unsettled; a migration copy losing the race re-derives a
+			// newer winner next time), and compaction relocations preserve
+			// bytes.
+			va, vl, live := winner.table.table.Lookup(key)
+			if !live {
+				finish(convergeCaughtUp)
+				return
 			}
-			s.setNext(sh, key)
+			val, err := winner.srv.node.Mem.Read(va, vl)
+			if err != nil {
+				finish(convergeFailed)
+				return
+			}
+			m.val = val
 		}
-		if winDel {
-			s.ownerDeleteNow(sh, key, winVer, 0, finish)
-			return
-		}
-		// Capture the winning bytes under the slot: the winner's table
-		// cannot be repointed for this key while we hold it only if the
-		// winner IS this shard — for cross-owner reads the unsettled
-		// check above keeps writes out, and compaction relocations
-		// preserve bytes.
-		va, vl, liveOK := winner.table.table.Lookup(key)
-		if !liveOK {
-			sh.repairsSuperseded.Inc()
-			s.setNext(sh, key)
-			return
-		}
-		val, err := winner.srv.node.Mem.Read(va, vl)
-		if err != nil {
-			s.requeueRepair(sh, r)
-			s.setNext(sh, key)
-			return
-		}
-		s.ownerSetNow(sh, key, val, winVer, 0, finish)
+		s.ownerApplyNow(sh, m, 0, func(st ownerWriteStatus) {
+			if st != ownerApplied {
+				finish(convergeFailed)
+				return
+			}
+			s.noteOwnerApplied(sh, m)
+			// A value cached from the stale owner before this converge
+			// (legal while the write settled, or read from a pre-change
+			// owner) must not outlive convergence — bump the epoch so
+			// in-flight gets cannot re-admit it either.
+			if s.cache != nil {
+				s.setEpoch[key]++
+				delete(s.cache, key)
+			}
+			finish(convergeApplied)
+		})
 	})
 }
 

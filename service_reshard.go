@@ -462,7 +462,7 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 	// wedged on a hint queued before the ownership change. Dual-write
 	// only covers ops issued after the migration started; older fan-outs
 	// never targeted the replacement owners, so the copy must proceed.
-	// That is safe: migrateCopy re-derives the winning state under the
+	// That is safe: converge re-derives the winning state under the
 	// owner's per-key slot and never rolls a replica backward.
 	winVer, _, _, has := s.winningState(key)
 	if !has || winVer == 0 {
@@ -520,63 +520,16 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 }
 
 // migrateCopy rolls one post-change owner forward to its key's winning
-// state, through the ordinary owner write path at modeled fabric cost.
-// The winning state is re-derived under the owner's per-key write slot
-// — exactly applyRepair's discipline — so a copy can never undo a
-// dual write that landed while it was queued: forward, never back.
+// state through converge, at modeled fabric cost; re-derived under the
+// owner's per-key slot, a copy can never undo a dual write that landed
+// while it was queued. Caught up while queued (a dual write, a drained
+// hint, or a repair landed first) is success, not a failure.
 func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) {
-	s.withKeySlot(sh, key, func() {
-		winVer, winDel, winner, has := s.winningState(key)
-		cur, _, curOK := s.ownerState(sh, key)
-		if !has || winVer == 0 || (curOK && cur >= winVer) {
-			// Caught up while queued: a dual write, a drained hint, or a
-			// repair landed first.
-			s.setNext(sh, key)
-			done(true)
-			return
+	s.converge(sh, key, func(out convergeOutcome) {
+		if out == convergeApplied {
+			s.migKeysMoved.Inc()
 		}
-		finish := func(st ownerWriteStatus) {
-			ok := st == ownerApplied
-			if ok {
-				s.migKeysMoved.Inc()
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, winVer)
-				}
-				if winDel {
-					sh.noteDeleted(key, winVer)
-				} else {
-					sh.noteApplied(key, winVer)
-				}
-				s.dropHint(sh, key, winVer)
-				// A value cached from a pre-change owner must not outlive
-				// the move.
-				if s.cache != nil {
-					s.setEpoch[key]++
-					delete(s.cache, key)
-				}
-			}
-			s.setNext(sh, key)
-			done(ok)
-		}
-		if winDel {
-			s.ownerDeleteNow(sh, key, winVer, 0, finish)
-			return
-		}
-		va, vl, liveOK := winner.table.table.Lookup(key)
-		if !liveOK {
-			// The winner's copy vanished under us (a racing delete whose
-			// tombstone will win the next derivation). Not a failure.
-			s.setNext(sh, key)
-			done(true)
-			return
-		}
-		val, err := winner.srv.node.Mem.Read(va, vl)
-		if err != nil {
-			s.setNext(sh, key)
-			done(false)
-			return
-		}
-		s.ownerSetNow(sh, key, val, winVer, 0, finish)
+		done(out != convergeFailed)
 	})
 }
 
@@ -688,7 +641,7 @@ func (s *Service) redirectHints(from *serviceShard) {
 			to.hintsDropped.Inc()
 			s.settleHint(cur)
 		}
-		to.hints[k] = &hint{key: k, seq: h.seq, val: h.val, del: h.del, op: h.op}
+		to.hints[k] = &hint{mutation: h.mutation, op: h.op}
 		to.hintsQueued.Inc()
 		s.migHintsRedirected.Inc()
 		touched[to.id] = true

@@ -127,23 +127,21 @@ func (s *Service) initSentinel() {
 	if rules == nil {
 		rules = DefaultSLORules()
 	}
-	samples := s.cfg.RecorderSamples
-	if samples <= 0 {
-		// Cover the widest rule's slow window with headroom, so
-		// coverage-gated evaluation starts as soon as it validly can.
-		var slow sim.Time
-		for _, r := range rules {
-			if r.Slow > slow {
-				slow = r.Slow
-			}
-		}
-		samples = int(slow/s.cfg.SentinelEvery) + 14
-		if samples < telemetry.DefaultRingSamples {
-			samples = telemetry.DefaultRingSamples
+	// Size the metric-sample ring to cover the widest rule's slow window
+	// with headroom, so coverage-gated evaluation starts as soon as it
+	// validly can.
+	var slow sim.Time
+	for _, r := range rules {
+		if r.Slow > slow {
+			slow = r.Slow
 		}
 	}
+	samples := int(slow/DefaultSentinelEvery) + 14
+	if samples < telemetry.DefaultRingSamples {
+		samples = telemetry.DefaultRingSamples
+	}
 	sen.rec = telemetry.NewRecorder(s.tb.clu.Eng, s.reg, samples)
-	sen.slo = telemetry.NewSLO(sen.rec, rules, s.cfg.MaxIncidents)
+	sen.slo = telemetry.NewSLO(sen.rec, rules, DefaultMaxIncidents)
 }
 
 // fleetGetLat merges every shard's get-latency histogram into the
@@ -157,7 +155,7 @@ func (s *Service) fleetGetLat() *sim.LatencyStats {
 	return &sen.fleetLat
 }
 
-// sentinelKick arms one sentinel tick SentinelEvery from now unless
+// sentinelKick arms one sentinel tick DefaultSentinelEvery from now unless
 // one is already pending — the activity-armed pattern shared with
 // armMigration/armCompaction. Called from the op entry points; cheap
 // enough (two loads and a branch) for every hot path, and a no-op
@@ -168,7 +166,7 @@ func (s *Service) sentinelKick() {
 		return
 	}
 	sen.armed = true
-	s.tb.clu.Eng.After(s.cfg.SentinelEvery, func() {
+	s.tb.clu.Eng.After(DefaultSentinelEvery, func() {
 		sen.armed = false
 		s.sentinelTick()
 	})
@@ -217,25 +215,23 @@ func (sen *sentinel) moving() bool {
 // INCIDENT_<seq>_<class>.json as they fire.
 func (s *Service) captureIncident(a telemetry.Anomaly) {
 	sen := s.sen
-	if len(sen.incidents) < s.cfg.MaxIncidents {
-		inc := telemetry.BuildIncident(len(sen.incidents)+1, a, sen.rec, s.tr, s.resourceReport())
-		if s.prov != nil && a.Class == "latency" {
-			// Latency incidents carry their own explanation: the phase
-			// decomposition at capture time says which leg of the
-			// critical path the burn came from.
-			inc.Provenance = s.prov.DecomposeAll()
-		}
-		sen.incidents = append(sen.incidents, inc)
-		if dir := s.cfg.SentinelDir; dir != "" {
-			name := fmt.Sprintf("INCIDENT_%d_%s.json", inc.Seq, a.Class)
-			if f, err := os.Create(filepath.Join(dir, name)); err == nil {
-				inc.WriteJSON(f)
-				f.Close()
-			}
-		}
+	if len(sen.incidents) >= DefaultMaxIncidents {
+		return
 	}
-	if s.cfg.OnAnomaly != nil {
-		s.cfg.OnAnomaly(a)
+	inc := telemetry.BuildIncident(len(sen.incidents)+1, a, sen.rec, s.tr, s.resourceReport())
+	if s.prov != nil && a.Class == "latency" {
+		// Latency incidents carry their own explanation: the phase
+		// decomposition at capture time says which leg of the
+		// critical path the burn came from.
+		inc.Provenance = s.prov.DecomposeAll()
+	}
+	sen.incidents = append(sen.incidents, inc)
+	if dir := s.cfg.SentinelDir; dir != "" {
+		name := fmt.Sprintf("INCIDENT_%d_%s.json", inc.Seq, a.Class)
+		if f, err := os.Create(filepath.Join(dir, name)); err == nil {
+			inc.WriteJSON(f)
+			f.Close()
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/repair"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -498,6 +499,117 @@ func TestServiceSetRollsForward(t *testing.T) {
 	}
 }
 
+// Regression: Service.Set never checked len(value) against MaxValLen,
+// so an oversized value panicked inside the first owner leg's client —
+// after the coordinator had issued a sequence number, counted the key
+// unsettled and written the cache through. A caller that recovered was
+// left with a key that could never be cache-admitted, compacted or
+// repaired again. The write is refused at admission with a typed error,
+// before any coordinator state is touched.
+func TestServiceSetRejectsOversizedValue(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 2, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq, Replicas: 2,
+		Buckets: 1 << 12, MaxValLen: 64,
+	})
+	const key = 7
+	if err := s.Set(key, make([]byte, 65)); !errors.Is(err, ErrValueTooLarge) {
+		t.Fatalf("oversized set returned %v, want ErrValueTooLarge", err)
+	}
+	if len(s.unsettled) != 0 || len(s.nextSeq) != 0 {
+		t.Fatalf("refused set touched coordinator state: unsettled=%v nextSeq=%v", s.unsettled, s.nextSeq)
+	}
+	if st := s.Stats(); st.SetOps != 0 || st.FabricSets+st.HostSets != 0 {
+		t.Fatalf("refused set reached the fan-out: %d ops, %d owner writes", st.SetOps, st.FabricSets+st.HostSets)
+	}
+	// The key is not poisoned: a value at the limit goes through.
+	if err := s.Set(key, Value(key, 64)); err != nil {
+		t.Fatalf("in-range set after a refusal: %v", err)
+	}
+	if v, _, ok := s.Get(key, 64); !ok || !bytes.Equal(v, Value(key, 64)) {
+		t.Fatal("in-range set after a refusal did not read back")
+	}
+	if len(s.unsettled) != 0 {
+		t.Fatalf("key left unsettled: %v", s.unsettled)
+	}
+}
+
+// Roll forward, never back: converge re-derives the winning state when
+// it reaches the owner's per-key slot, not when it was queued. A repair
+// AND a migration copy are parked on a lagging owner's slot behind an
+// in-flight newer write; when their turn comes the owner is already
+// past the state they were queued to deliver, and neither may touch it.
+func TestServiceConvergeNeverRollsBack(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+		Replicas: 3, WriteQuorum: 2, Buckets: 1 << 12,
+	})
+	const key = 41
+	if err := s.Set(key, Value(key+1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	// Make one owner lag: it is down for seq 2 and its hint is lost.
+	lagID := s.Owners(key)[2]
+	s.CrashShard(crashIdx(t, s, lagID), failure.ProcessCrash, s.Now()+sim.Millisecond)
+	s.Testbed().RunFor(2 * sim.Millisecond)
+	if err := s.Set(key, Value(key+2, 64)); err != nil {
+		t.Fatal(err)
+	}
+	s.Testbed().RunFor(sim.Millisecond) // the dead owner's leg times out into a hint
+	if s.DropHints() != 1 {
+		t.Fatal("the down owner's hint was not queued")
+	}
+	s.Testbed().RunFor(4 * sim.Second) // recovery; nothing heals the laggard
+	lag := s.shards[lagID]
+	if v, ok := ownerValue(t, s, lagID, key); !ok || !bytes.Equal(v, Value(key+1, 64)) {
+		t.Fatal("setup: the recovered owner does not lag at seq 1")
+	}
+	var applied []uint64
+	s.applyHook = func(id string, _, seq uint64) {
+		if id == lagID {
+			applied = append(applied, seq)
+		}
+	}
+
+	// Seq 3 holds the (owner, key) slot, in flight on the fabric; the
+	// repair and the copy queue behind it still believing seq 2 wins.
+	newer := &mutation{key: key, seq: 3, val: Value(key+3, 64)}
+	s.nextSeq[key] = newer.seq
+	s.withKeySlot(lag, key, func() {
+		s.ownerApplyNow(lag, newer, 0, func(st ownerWriteStatus) {
+			if st != ownerApplied {
+				t.Errorf("newer write on the lagging owner: status %d", st)
+			}
+			s.noteOwnerApplied(lag, newer)
+			s.setNext(lag, key)
+		})
+	})
+	s.applyRepair(&repair.Record{Owner: lagID, Key: key, Seq: 2})
+	copied, copyOK := false, false
+	s.migrateCopy(key, lag, func(ok bool) { copied, copyOK = true, ok })
+	if parked := len(lag.inflightSet[key]); parked != 2 {
+		t.Fatalf("%d converges parked behind the in-flight write, want 2", parked)
+	}
+	s.Run()
+
+	if v, ok := ownerValue(t, s, lagID, key); !ok || !bytes.Equal(v, newer.val) {
+		t.Fatal("a parked converge rolled the owner back off the newer write")
+	}
+	if len(applied) != 1 || applied[0] != newer.seq {
+		t.Fatalf("owner applied seqs %v, want only the newer write's [3]", applied)
+	}
+	if !copied || !copyOK {
+		t.Fatalf("migration copy done=%v ok=%v, want caught-up success", copied, copyOK)
+	}
+	st := s.Stats()
+	if st.RepairsSuperseded != 1 || st.RepairsApplied != 0 || st.MigKeysMoved != 0 {
+		t.Fatalf("repairs superseded/applied %d/%d, copies moved %d; want 1/0/0",
+			st.RepairsSuperseded, st.RepairsApplied, st.MigKeysMoved)
+	}
+	if _, busy := lag.inflightSet[key]; busy {
+		t.Fatal("the per-key slot was never released")
+	}
+}
+
 // A set racing an in-flight get must not let the get's (stale)
 // response be admitted to the cache afterward.
 func TestServiceCacheAdmissionSetRace(t *testing.T) {
@@ -785,7 +897,9 @@ func runLinearizableHistory(t *testing.T, withRepair bool) {
 }
 
 // Crash-during-write: inject a NodeCrash while a quorum write is in
-// flight to one of its owners.
+// flight to one of its owners — once with the write carrying a value,
+// once a tombstone: the one write engine must hand off, fail and replay
+// either identically.
 //
 //	(a) W<N: the surviving owners acknowledge, the hint replays exactly
 //	    once on reconnect;
@@ -794,6 +908,16 @@ func runLinearizableHistory(t *testing.T, withRepair bool) {
 //	    hint twice — it stays queued and lands once, after the second
 //	    recovery.
 func TestServiceCrashDuringWriteQuorum(t *testing.T) {
+	for _, del := range []bool{false, true} {
+		name := "value"
+		if del {
+			name = "tombstone"
+		}
+		t.Run(name, func(t *testing.T) { crashDuringWriteQuorum(t, del) })
+	}
+}
+
+func crashDuringWriteQuorum(t *testing.T, del bool) {
 	setup := func(quorum int) (*Service, uint64, int) {
 		s := NewServiceWith(ServiceConfig{
 			Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
@@ -804,13 +928,26 @@ func TestServiceCrashDuringWriteQuorum(t *testing.T) {
 			t.Fatal(err)
 		}
 		victim := s.Owners(key)[1] // crash a non-primary owner
-		idx := 0
-		for i := 0; i < s.NumShards(); i++ {
-			if s.ShardID(i) == victim {
-				idx = i
-			}
+		return s, key, crashIdx(t, s, victim)
+	}
+	// write issues the scenario's mutation: the value f(key+gen), or the
+	// tombstone.
+	write := func(s *Service, key, gen uint64, cb func(lat Duration, err error)) {
+		if del {
+			s.DeleteAsync(key, cb)
+		} else {
+			s.SetAsync(key, Value(key+gen, 64), cb)
 		}
-		return s, key, idx
+		s.Flush()
+	}
+	// handedOff reports whether the recovered owner holds the mutation:
+	// the new bytes, or nothing at all.
+	handedOff := func(s *Service, key, gen uint64) bool {
+		v, ok := ownerValue(t, s, s.Owners(key)[1], key)
+		if del {
+			return !ok
+		}
+		return ok && bytes.Equal(v, Value(key+gen, 64))
 	}
 
 	// (a) W=1 of 2: quorum acks despite the crash; handoff replays once.
@@ -818,8 +955,7 @@ func TestServiceCrashDuringWriteQuorum(t *testing.T) {
 	s.CrashShard(idx, failure.ProcessCrash, s.Now()+sim.Microsecond)
 	var aerr error
 	done := false
-	s.SetAsync(key, Value(key+1, 64), func(_ Duration, err error) { aerr, done = err, true })
-	s.Flush()
+	write(s, key, 1, func(_ Duration, err error) { aerr, done = err, true })
 	s.Testbed().RunFor(sim.Millisecond) // crash lands mid-quorum; timeout fails the dead owner
 	if !done {
 		t.Fatal("W<N write did not complete while one owner was crashing")
@@ -831,12 +967,15 @@ func TestServiceCrashDuringWriteQuorum(t *testing.T) {
 	if st.HintsQueued != 1 || st.HintsApplied != 0 {
 		t.Fatalf("hints queued/applied %d/%d mid-crash, want 1/0", st.HintsQueued, st.HintsApplied)
 	}
+	if handedOff(s, key, 1) {
+		t.Fatal("dead owner's table changed while its host was down")
+	}
 	s.Testbed().RunFor(4 * sim.Second)
 	st = s.Stats()
 	if st.HintsApplied != 1 || st.HintsPending != 0 {
 		t.Fatalf("hint replayed %d times (pending %d), want exactly once", st.HintsApplied, st.HintsPending)
 	}
-	if v, ok := ownerValue(t, s, s.Owners(key)[1], key); !ok || !bytes.Equal(v, Value(key+1, 64)) {
+	if !handedOff(s, key, 1) {
 		t.Fatal("recovered owner missing the handed-off write")
 	}
 
@@ -845,8 +984,7 @@ func TestServiceCrashDuringWriteQuorum(t *testing.T) {
 	s.CrashShard(idx, failure.ProcessCrash, s.Now()+sim.Microsecond)
 	var berr error
 	done = false
-	s.SetAsync(key, Value(key+2, 64), func(_ Duration, err error) { berr, done = err, true })
-	s.Flush()
+	write(s, key, 2, func(_ Duration, err error) { berr, done = err, true })
 	s.Testbed().RunFor(sim.Millisecond)
 	if !done {
 		t.Fatal("W=N write never completed")
@@ -862,8 +1000,7 @@ func TestServiceCrashDuringWriteQuorum(t *testing.T) {
 	crashAt := s.Now() + sim.Microsecond
 	s.CrashShard(idx, failure.ProcessCrash, crashAt)
 	done = false
-	s.SetAsync(key, Value(key+3, 64), func(_ Duration, err error) { done = true })
-	s.Flush()
+	write(s, key, 3, func(_ Duration, err error) { done = true })
 	// The first recovery's OnUp fires the drain; refreeze 1us later,
 	// before the drain's chain can ack.
 	recoverAt := crashAt + 2250*sim.Millisecond
@@ -881,7 +1018,7 @@ func TestServiceCrashDuringWriteQuorum(t *testing.T) {
 	if st.HintsApplied != 1 || st.HintsPending != 0 {
 		t.Fatalf("hint applied %d times after a double crash, want exactly once", st.HintsApplied)
 	}
-	if v, ok := ownerValue(t, s, s.Owners(key)[1], key); !ok || !bytes.Equal(v, Value(key+3, 64)) {
+	if !handedOff(s, key, 3) {
 		t.Fatal("double-crashed owner missing the handed-off write")
 	}
 	if st.Shards[idx].Rebuilds != 2 {

@@ -13,29 +13,37 @@ import (
 
 // The fabric write path.
 //
-// A Service set fans out to the key's LookupN replica owners. On each
-// owner the coordinator computes a bucket claim from its view of that
-// owner's table — overwrite in place when the key already sits at a
-// candidate bucket, claim the first empty candidate otherwise — and
-// issues it through the owner's Client.SetAsync pipeline, where the
-// NIC's CAS-claim chain (core.SetOffload) installs the key and
-// repoints the bucket at the staged value. Keys that need cuckoo-kick
-// relocation (both candidates taken) or that live in spilled
-// neighborhood slots fall back to the host CPU at a modeled two-sided
-// RPC cost; a claim refused by the CAS (a racing writer won the
-// bucket) rolls forward on the host the same way.
+// A Service write is one mutation — a key, its per-key quorum sequence,
+// and either the value a set stores or the tombstone a delete leaves —
+// fanned out to the key's LookupN replica owners. Sets and deletes are
+// the same state machine; "value or tombstone" only picks the chain an
+// owner runs. For a value the coordinator computes a bucket claim from
+// its view of that owner's table — overwrite in place when the key
+// already sits at a candidate bucket, claim the first empty candidate
+// otherwise — and issues it through the owner's Client.SetAsync
+// pipeline, where the NIC's CAS-claim chain (core.SetOffload) installs
+// the key and repoints the bucket at the staged value. For a tombstone
+// it claims the key's resident bucket with the NIC delete chain
+// (core.DeleteOffload — CAS tombstone, conditional unlink of the value
+// extent onto the owner's to-free ring, conditional ack). Keys that
+// need cuckoo-kick relocation (both candidates taken) or that live in
+// spilled neighborhood slots fall back to the host CPU at a modeled
+// two-sided RPC cost; a claim refused by the CAS (a racing writer won
+// the bucket) rolls forward on the host the same way.
 //
 // The write acknowledges to the caller once W = WriteQuorum owners
 // have applied it. Owners that fail — frozen NIC, host down, suspected
-// dead — receive a handoff hint instead: the newest value that owner
-// is missing, keyed by the write's per-key sequence number. Hints
-// drain when the owner proves reachable again (crash recovery's OnUp,
-// or a successful get through it) and are applied exactly once; a
-// newer write to the same key supersedes a pending hint, so a drain
-// can never resurrect a stale value. Quorum failures (more than N-W
-// owners down) surface as *QuorumError, with the owners that did
-// apply left in place and the missing ones rolled forward via hints —
-// never rolled back.
+// dead — receive a handoff hint instead: the newest mutation that owner
+// is missing. Hints drain when the owner proves reachable again (crash
+// recovery's OnUp, or a successful get through it) and are applied
+// exactly once; a newer write to the same key supersedes a pending
+// hint, so a drain can never resurrect a stale value — and because a
+// tombstone hint lives in the same per-key slot and sequence order as
+// value hints, a recovering owner can never resurrect a key deleted
+// while it was down. Quorum failures (more than N-W owners down)
+// surface as *QuorumError, with the owners that did apply left in
+// place and the missing ones rolled forward via hints — never rolled
+// back.
 //
 // Same-key writes are serialized per owner (inflightSet): the
 // coordinator is the single write path, so per-key order is issue
@@ -47,12 +55,23 @@ import (
 // claim chain avoids.
 const HostSetLat = 2500 * sim.Nanosecond
 
+// HostDeleteLat models a delete that must involve the owner's CPU: a
+// two-sided RPC plus the neighborhood scan and tombstone — the same
+// cost shape as HostSetLat.
+const HostDeleteLat = HostSetLat
+
 // ErrReservedKey reports a write or delete of a key in the reserved
 // pending/tombstone id space (hopscotch.PendingBit set): the fabric
 // claim machinery depends on those words never being resident keys, so
 // the async paths reject them exactly as the tables' host-side inserts
 // do.
 var ErrReservedKey = errors.New("redn: key uses the reserved pending/tombstone id space")
+
+// ErrValueTooLarge reports a set whose value exceeds the service's
+// MaxValLen: the per-slot staging buffers every owner connection stages
+// values through are sized for it, so the write is refused at admission,
+// before any owner — or any coordinator state — sees it.
+var ErrValueTooLarge = errors.New("redn: value exceeds the service's MaxValLen")
 
 // QuorumError reports a write that could not reach its W-of-N quorum.
 // Replicas that did apply are rolled forward via hinted handoff; the
@@ -103,35 +122,46 @@ func (s *Service) admitWrite(key uint64, cb func(lat Duration, err error)) bool 
 		return true
 	}
 	s.shedWrites.Inc()
-	err := &ErrOverload{Key: key, Admit: admit, Need: s.cfg.WriteQuorum}
+	s.rejectWrite(cb, &ErrOverload{Key: key, Admit: admit, Need: s.cfg.WriteQuorum})
+	return false
+}
+
+// rejectWrite schedules a refused write's typed error onto cb — from
+// the simulation, never synchronously, like every other completion.
+func (s *Service) rejectWrite(cb func(lat Duration, err error), err error) {
 	s.tb.clu.Eng.After(0, func() {
 		if cb != nil {
 			cb(0, err)
 		}
 	})
-	return false
 }
 
-// hint is one queued handoff write: the newest value — or tombstone —
-// an unreachable owner is missing. A delete hint (del=true) carries no
-// bytes; by living in the same per-key slot and sequence order as
-// value hints, it supersedes any older value hint for the key, and a
-// drain replays it as a delete — so a recovering owner can never
-// resurrect a key deleted while it was down.
-type hint struct {
+// mutation is one write as every owner applies it: key at quorum
+// sequence seq becomes val — or, when del, a tombstone. It is what the
+// fan-out hands each owner leg, what a hint parks for a down owner, and
+// what repair and migration re-derive from the winning replica;
+// allocated once per write and shared by pointer, never copied per leg.
+type mutation struct {
 	key, seq uint64
 	val      []byte
 	del      bool
+}
+
+// hint is one queued handoff write: the newest mutation an unreachable
+// owner is missing. Tombstones and values share the per-key slot and
+// its sequence order, so a delete hint supersedes any older value hint
+// and a drain replays it as a delete.
+type hint struct {
+	*mutation
 	op       *setOp
 	draining bool
 	settled  bool
 }
 
-// setOp tracks one client-visible write (or delete: del=true) across
-// its owner fan-out.
+// setOp tracks one client-visible write — its mutation and the quorum
+// accounting across its owner fan-out.
 type setOp struct {
-	key, seq     uint64
-	del          bool
+	mutation
 	need, owners int
 	acks, fails  int
 	start        sim.Time
@@ -277,108 +307,136 @@ func (op *setOp) settleOne(s *Service) {
 // issue time, so a reader of this coordinator observes its own writes
 // immediately and a racing get can never install a stale cache entry.
 func (s *Service) SetAsync(key uint64, value []byte, cb func(lat Duration, err error)) {
+	s.writeAsync(key, value, false, cb)
+}
+
+// DeleteAsync removes key from its replica owners through the fabric
+// and returns immediately; cb runs when the W-of-N quorum has
+// tombstoned it (err == nil) or can no longer be reached (err is a
+// *QuorumError). Deletes have real modeled latency — a NIC tombstone
+// chain per owner — and pipeline like sets; call Flush after posting a
+// batch. The client-side hot-value cache entry is invalidated and the
+// key's write epoch bumped at issue time, so no reader of this
+// coordinator can see the deleted value from the cache afterward, and
+// no in-flight get can re-admit it.
+func (s *Service) DeleteAsync(key uint64, cb func(lat Duration, err error)) {
+	s.writeAsync(key, nil, true, cb)
+}
+
+// writeAsync is the one W-of-N write state machine behind SetAsync and
+// DeleteAsync: admit, issue the key's next sequence, update the cache,
+// then fan the mutation out over the key's owners.
+func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Duration, err error)) {
 	key &= hopscotch.KeyMask
 	s.sentinelKick()
+	// Admission: every refusal is scheduled onto cb before any
+	// coordinator state is touched, so a refused write leaves no
+	// sequence number, unsettled count or cache entry behind.
 	if key&hopscotch.PendingBit != 0 || key == 0 {
 		// The reserved id space (pending/tombstone words) would void the
 		// claim chain's published/unpublished distinction, and key 0's
 		// control word is the empty-bucket marker; reject both on the
 		// fabric path exactly as the tables do on the host path.
-		s.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, ErrReservedKey)
-			}
-		})
+		s.rejectWrite(cb, ErrReservedKey)
+		return
+	}
+	if uint64(len(value)) > s.cfg.MaxValLen {
+		s.rejectWrite(cb, ErrValueTooLarge)
 		return
 	}
 	if !s.admitWrite(key, cb) {
 		return
 	}
-	s.setOps.Inc()
+	ops, class := s.setOps, uint8(telemetry.ClassSet)
+	if del {
+		ops, class = s.delOps, telemetry.ClassDel
+	}
+	ops.Inc()
 	s.nextSeq[key]++
-	seq := s.nextSeq[key]
 	s.unsettled[key]++
 	if s.cache != nil {
 		s.setEpoch[key]++
-		if _, ok := s.cache[key]; ok {
+		if del {
+			delete(s.cache, key)
+		} else if _, ok := s.cache[key]; ok {
 			s.cache[key] = append([]byte(nil), value...)
 		}
 	}
 	owners := s.owners(key)
-	extras := s.dualWriteExtras(owners, key)
-	op := &setOp{key: key, seq: seq, need: s.cfg.WriteQuorum, owners: len(owners),
-		start: s.tb.Now(), cb: cb, settleLeft: len(owners) + len(extras),
-		traceOp: s.tr.OpBegin("set", key)}
+	// Dual-write extras (resharding handover) ride the same fan-out as
+	// auxiliary legs: the quorum is counted over the post-change owners
+	// exclusively — a departing owner's outcome only settles, so it can
+	// neither ack a write the new owners lost nor fail one they hold. No
+	// hint on failure either: the new owners are the write's future, and
+	// the dual-read fallback such a leg serves reaches them first.
+	legs := append(owners, s.dualWriteExtras(owners, key)...)
+	op := &setOp{mutation: mutation{key: key, seq: s.nextSeq[key], del: del,
+		val: append([]byte(nil), value...)},
+		need: s.cfg.WriteQuorum, owners: len(owners), start: s.tb.Now(), cb: cb,
+		settleLeft: len(legs)}
+	op.traceOp = s.tr.OpBegin(op.traceName(), key)
 	if s.prov != nil {
 		op.rcpt = &telemetry.Receipt{}
-		op.rcpt.Reset(op.traceOp, telemetry.ClassSet, op.start)
+		op.rcpt.Reset(op.traceOp, class, op.start)
 		op.rcpt.Legs = uint8(len(owners))
 	}
-	val := append([]byte(nil), value...)
-	for idx, id := range owners {
+	for idx, id := range legs {
 		sh := s.shards[id]
-		legID := op.traceOp<<4 | uint64(idx)
-		if s.tr.Enabled() {
-			s.tr.AsyncBegin("leg", legID, "leg:"+sh.id, op.traceOp)
+		votes := idx < len(owners)
+		legID, track := op.traceOp<<4|uint64(idx), "leg:"
+		if !votes {
+			track = "aux:"
 		}
-		s.ownerSet(sh, key, val, seq, op.traceOp, func(st ownerWriteStatus) {
+		if s.tr.Enabled() {
+			s.tr.AsyncBegin("leg", legID, track+sh.id, op.traceOp)
+		}
+		s.ownerApply(sh, &op.mutation, op.traceOp, func(st ownerWriteStatus) {
 			if s.tr.Enabled() {
-				s.tr.AsyncEnd("leg", legID, "leg:"+sh.id, op.traceOp)
+				s.tr.AsyncEnd("leg", legID, track+sh.id, op.traceOp)
 			}
-			switch st {
-			case ownerApplied:
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, seq)
-				}
-				sh.noteApplied(key, seq)
-				s.dropHint(sh, key, seq)
+			if st == ownerApplied {
+				s.noteOwnerApplied(sh, &op.mutation)
+			}
+			switch {
+			case !votes:
+				op.settleOne(s)
+			case st == ownerApplied:
 				if op.rcpt != nil {
 					op.rcpt.Leg = uint8(idx)
 				}
 				op.ack(s)
 				op.settleOne(s)
-			case ownerUnreachable:
-				s.queueHint(sh, key, val, false, seq, op)
+			case st == ownerUnreachable:
+				s.queueHint(sh, op)
 				op.fail(s)
-			case ownerRejected:
-				// Definitive refusal — but no longer a silent divergence:
-				// the repair queue records the laggard so read-repair or
-				// anti-entropy rolls it forward once capacity frees
-				// (pre-repair, a rejected owner simply stayed stale until
-				// the next overwrite).
-				s.queueRepair(sh, key, seq)
+			default:
+				// ownerRejected: a definitive refusal — but not a silent
+				// divergence: the repair queue records the laggard so
+				// read-repair or anti-entropy rolls it forward once
+				// capacity frees. (Deletes have no capacity to run out of;
+				// they never land here.)
+				s.queueRepair(sh, op.key, op.seq)
 				op.fail(s)
 				op.settleOne(s)
 			}
 		})
 	}
-	for idx, id := range extras {
-		sh := s.shards[id]
-		legID := op.traceOp<<4 | uint64(len(owners)+idx)
-		if s.tr.Enabled() {
-			s.tr.AsyncBegin("leg", legID, "aux:"+sh.id, op.traceOp)
-		}
-		s.ownerSet(sh, key, val, seq, op.traceOp, func(st ownerWriteStatus) {
-			if s.tr.Enabled() {
-				s.tr.AsyncEnd("leg", legID, "aux:"+sh.id, op.traceOp)
-			}
-			// Auxiliary dual-write leg (resharding handover): the quorum
-			// is counted over the post-change owners exclusively — a
-			// departing owner's outcome only settles, so it can neither
-			// ack a write the new owners lost nor fail one they hold. No
-			// hint on failure either: the new owners are the write's
-			// future, and the dual-read fallback this leg serves reaches
-			// them first.
-			if st == ownerApplied {
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, seq)
-				}
-				sh.noteApplied(key, seq)
-				s.dropHint(sh, key, seq)
-			}
-			op.settleOne(s)
-		})
+}
+
+// noteOwnerApplied is the bookkeeping every successful owner apply —
+// fan-out leg, drained hint, repair or migration copy — owes: the
+// per-replica apply log (tests), the owner's tombstone version, and
+// retiring any pending hint the apply made redundant.
+func (s *Service) noteOwnerApplied(sh *serviceShard, m *mutation) {
+	if s.applyHook != nil {
+		s.applyHook(sh.id, m.key, m.seq)
 	}
+	if m.del {
+		sh.noteDeleted(m.key, m.seq)
+	} else {
+		sh.noteApplied(m.key, m.seq)
+	}
+	s.dropHint(sh, m.key, m.seq)
 }
 
 // withKeySlot serializes same-key work on one owner: run executes
@@ -393,16 +451,18 @@ func (s *Service) withKeySlot(sh *serviceShard, key uint64, run func()) {
 	run()
 }
 
-// ownerSet applies one write on one owner, serializing same-key writes
-// so per-key order survives the pipelined fabric. done always runs
+// ownerApply applies one mutation on one owner, serializing same-key
+// writes and deletes through the (owner, key) slot so per-key order
+// survives the pipelined fabric — a delete can never overtake, or be
+// overtaken by, a write to the same key. done always runs
 // asynchronously (from the simulation).
-func (s *Service) ownerSet(sh *serviceShard, key uint64, val []byte, ver uint64, top uint64, done func(st ownerWriteStatus)) {
+func (s *Service) ownerApply(sh *serviceShard, m *mutation, top uint64, done func(st ownerWriteStatus)) {
 	s.armCompaction(sh)
 	s.armAntiEntropy()
-	s.withKeySlot(sh, key, func() {
-		s.ownerSetNow(sh, key, val, ver, top, func(st ownerWriteStatus) {
+	s.withKeySlot(sh, m.key, func() {
+		s.ownerApplyNow(sh, m, top, func(st ownerWriteStatus) {
 			done(st)
-			s.setNext(sh, key)
+			s.setNext(sh, m.key)
 		})
 	})
 }
@@ -432,58 +492,92 @@ const (
 	ownerRejected
 )
 
-// ownerSetNow routes one owner write: fabric claim chain when the key
-// can be claimed at a candidate bucket, host CPU otherwise, handoff
-// failure when neither can run. ver is the write's quorum sequence,
-// published into the bucket's version word by whichever path applies.
-func (s *Service) ownerSetNow(sh *serviceShard, key uint64, val []byte, ver uint64, top uint64, done func(st ownerWriteStatus)) {
-	now := s.tb.Now()
-	if sh.suspect(now) {
+// ownerApplyNow routes one owner apply, the caller holding the (owner,
+// key) slot: the NIC chain when the fabric can carry it — the CAS-claim
+// set chain at a claimable candidate bucket for a value, the tombstone
+// chain at the key's resident bucket for a delete — the host CPU
+// otherwise, a trivial ack for a delete the owner never had the key
+// for, handoff failure when neither can run. m.seq is published into
+// the bucket's version word by whichever path applies.
+func (s *Service) ownerApplyNow(sh *serviceShard, m *mutation, top uint64, done func(st ownerWriteStatus)) {
+	eng := s.tb.clu.Eng
+	if sh.suspect(s.tb.Now()) {
 		// Circuit breaker: don't burn a MissTimeout per write on a
 		// shard the read path already declared dead.
-		s.tb.clu.Eng.After(0, func() { done(ownerUnreachable) })
+		eng.After(0, func() { done(ownerUnreachable) })
 		return
 	}
-	claim, fabric := sh.claimFor(key)
+	t := sh.table.table
+	var (
+		claim  core.SetClaim // a tombstone claims by BucketAddr alone
+		fabric bool
+	)
+	if m.del {
+		claim.BucketAddr, fabric = residentBucket(t, sh.mode, m.key)
+	} else {
+		claim, fabric = claimForTable(t, sh.mode, m.key)
+	}
+	// The key's current extent, captured under the per-key write slot.
+	// An acked fabric set repoints the bucket at the chain's staging
+	// extent and retires this one on the ack, after the read-grace
+	// period; a delete that finds nothing resident has nothing to do.
+	oldVa, _, resident := t.Lookup(m.key)
 	if !fabric {
-		if sh.hostDown {
-			s.tb.clu.Eng.After(0, func() { done(ownerUnreachable) })
+		if m.del && !resident {
+			// Nothing to retire here: the owner is already at the
+			// delete's end state. Applied, at a zero-cost hop.
+			eng.After(0, func() {
+				sh.dels.Inc()
+				s.clearLegReceipt() // no measurable leg to adopt
+				done(ownerApplied)
+			})
 			return
 		}
-		s.hostSet(sh, key, val, ver, done)
+		if sh.hostDown {
+			eng.After(0, func() { done(ownerUnreachable) })
+			return
+		}
+		s.hostApply(sh, m, done)
 		return
 	}
-	sh.fabricSets.Inc()
-	// An acked fabric set repoints the bucket at the chain's staging
-	// extent; the old extent — captured here, under the per-key write
-	// slot — is retired on the ack, after the read-grace period.
-	oldVa, _, hadOld := sh.table.table.Lookup(key)
-	cli := sh.setClient(key)
-	s.tr.SetOp(top)
-	cli.SetAsyncClaim(key, val, claim, ver, func(_ Duration, ok bool) {
+	cli := sh.setClient(m.key)
+	ack := func(_ Duration, ok bool) {
+		op, applied := OpSet, sh.sets
+		if m.del {
+			op, applied = OpDelete, sh.dels
+		}
 		if ok {
 			sh.consecMiss = 0
 			sh.suspectUntil = 0
-			sh.sets.Inc()
-			if hadOld {
+			applied.Inc()
+			if !m.del && resident {
 				sh.retireExtent(oldVa)
 			}
-			s.noteLegReceipt(cli.LastReceipt(OpSet))
+			s.noteLegReceipt(cli.LastReceipt(op))
 			done(ownerApplied)
 			return
 		}
-		if !cli.LastSetExecuted() {
+		if !cli.LastExecuted(op) {
 			// The chain never ran: dead NIC, count toward suspicion.
 			s.noteOwnerMiss(sh)
 		}
-		// Claim refused (a racing writer took the bucket) or the NIC is
-		// gone: roll forward on the CPU if the host is up.
+		// Claim refused (a racing writer or relocation took the bucket,
+		// or the key is already gone) or the NIC is dead: roll forward
+		// on the CPU if the host is up.
 		if sh.hostDown {
 			done(ownerUnreachable)
 			return
 		}
-		s.hostSet(sh, key, val, ver, done)
-	})
+		s.hostApply(sh, m, done)
+	}
+	s.tr.SetOp(top)
+	if m.del {
+		sh.fabricDels.Inc()
+		cli.DeleteAsyncClaim(m.key, core.DeleteClaim{BucketAddr: claim.BucketAddr}, m.seq, ack)
+	} else {
+		sh.fabricSets.Inc()
+		cli.SetAsyncClaim(m.key, m.val, claim, m.seq, ack)
+	}
 	s.tr.SetOp(0)
 	// Writes issued from completion callbacks run outside the caller's
 	// batch; kick them directly, like get retries.
@@ -496,33 +590,52 @@ func (sh *serviceShard) setClient(key uint64) *Client {
 	return sh.clients[int(key)%len(sh.clients)]
 }
 
+// probeReach is how many of a key's candidate buckets a lookup mode's
+// offload chains interrogate: single-probe lookups read H1 only, so
+// anything placed at H2 would be acknowledged yet permanently
+// unreadable.
+func probeReach(mode LookupMode) int {
+	if mode == LookupSingle {
+		return 1
+	}
+	return 2
+}
+
+// residentBucket finds the NIC-addressable bucket holding key: the
+// candidate bucket, within the lookup mode's probe reach, whose entry is
+// key. It is the only bucket an overwrite claim, a delete chain or a
+// version probe can target; ok=false means the key is absent,
+// tombstoned, or spilled into a neighborhood slot only the host's scan
+// reaches. Shared by the service router and the standalone client so
+// the two views cannot drift.
+func residentBucket(t *hopscotch.Table, mode LookupMode, key uint64) (addr uint64, ok bool) {
+	for fn := 0; fn < probeReach(mode); fn++ {
+		b := t.Hash(key, fn)
+		if k, _, _, ok := t.EntryAt(b); ok && k == key {
+			return t.BucketAddr(b), true
+		}
+	}
+	return 0, false
+}
+
 // claimForTable computes key's bucket claim against a table, honoring
 // the lookup mode's probe reach. The bool result reports whether the
 // fabric can carry this write: false means only the host can run it —
 // cuckoo-kick relocation (all reachable candidates taken), or the key
 // lives in a spilled neighborhood slot the NIC cannot address (a NIC
 // claim would install an unreadable duplicate). Shared by the service
-// router and the standalone client so the two views cannot drift.
+// router and the standalone client, like residentBucket.
 func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetClaim, bool) {
 	kc := core.ClaimCtrl(key)
-	probes := 2
-	if mode == LookupSingle {
-		// Single-probe lookups read H1 only; a claim at H2 would be
-		// acknowledged yet permanently unreadable.
-		probes = 1
-	}
-	for fn := 0; fn < probes; fn++ {
-		b := t.Hash(key, fn)
-		if k, _, _, ok := t.EntryAt(b); ok && k == key {
-			return core.SetClaim{BucketAddr: t.BucketAddr(b), Expect: kc, New: kc}, true
-		}
+	if addr, ok := residentBucket(t, mode, key); ok {
+		return core.SetClaim{BucketAddr: addr, Expect: kc, New: kc}, true
 	}
 	if _, _, ok := t.Lookup(key); ok {
 		// Resident but not at a reachable candidate bucket: only the
 		// CPU's neighborhood scan can update it.
 		return core.SetClaim{}, false
 	}
-	for fn := 0; fn < probes; fn++ {
+	for fn := 0; fn < probeReach(mode); fn++ {
 		b := t.Hash(key, fn)
 		if _, _, _, ok := t.EntryAt(b); !ok {
 			// A free candidate is either genuinely empty (CAS against
@@ -545,82 +658,47 @@ func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetCla
 	return core.SetClaim{}, false
 }
 
-// claimFor computes key's bucket claim from the owner's table.
-func (sh *serviceShard) claimFor(key uint64) (core.SetClaim, bool) {
-	return claimForTable(sh.table.table, sh.mode, key)
-}
-
-// deleteClaimForTable computes key's delete claim against a table,
-// honoring the lookup mode's probe reach. The bool result reports
-// whether the fabric can carry the delete: the key must sit at a
-// candidate bucket the NIC addresses — spilled residents (and keys not
-// present at all) are the host's business. Shared by the service
-// router and the standalone client, like claimForTable.
-func deleteClaimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.DeleteClaim, bool) {
-	probes := 2
-	if mode == LookupSingle {
-		probes = 1
+// hostApply applies one mutation on the owner's host CPU at the modeled
+// two-sided RPC cost: the kick path and spilled residents, and the
+// roll-forward path for refused claims. Deleting an absent key is still
+// applied — the owner is at the end state either way.
+func (s *Service) hostApply(sh *serviceShard, m *mutation, done func(st ownerWriteStatus)) {
+	lat := HostSetLat
+	if m.del {
+		lat = HostDeleteLat
+		sh.hostDels.Inc()
+	} else {
+		sh.hostSets.Inc()
 	}
-	for fn := 0; fn < probes; fn++ {
-		b := t.Hash(key, fn)
-		if k, _, _, ok := t.EntryAt(b); ok && k == key {
-			return core.DeleteClaim{BucketAddr: t.BucketAddr(b)}, true
-		}
-	}
-	return core.DeleteClaim{}, false
-}
-
-// probeTargetForTable computes key's version-probe target against a
-// table, honoring the lookup mode's probe reach: the candidate bucket
-// holding the key, which is the only bucket the NIC probe chain can
-// interrogate. Spilled residents, tombstones and absent keys are the
-// repair layer's host-side comparison. Shared by the service router and
-// the standalone client, like claimForTable.
-func probeTargetForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.ProbeTarget, bool) {
-	probes := 2
-	if mode == LookupSingle {
-		probes = 1
-	}
-	for fn := 0; fn < probes; fn++ {
-		b := t.Hash(key, fn)
-		if k, _, _, ok := t.EntryAt(b); ok && k == key {
-			return core.ProbeTarget{BucketAddr: t.BucketAddr(b)}, true
-		}
-	}
-	return core.ProbeTarget{}, false
-}
-
-// hostSet applies one owner write on the host CPU at the modeled
-// two-sided RPC cost: the kick path, and the roll-forward path for
-// refused claims.
-func (s *Service) hostSet(sh *serviceShard, key uint64, val []byte, ver uint64, done func(st ownerWriteStatus)) {
-	sh.hostSets.Inc()
-	s.tb.clu.Eng.After(HostSetLat, func() {
+	s.tb.clu.Eng.After(lat, func() {
 		if sh.hostDown {
 			// Crashed while the RPC was in flight.
 			done(ownerUnreachable)
 			return
 		}
-		if err := sh.set(key, val, ver); err != nil {
+		if m.del {
+			sh.del(m.key, m.seq)
+			sh.dels.Inc()
+		} else if err := sh.set(m.key, m.val, m.seq); err != nil {
 			// The table itself refused (kick walk and neighborhoods
 			// exhausted): a definitive rejection, not unavailability.
 			done(ownerRejected)
 			return
 		}
-		s.noteHostLeg(HostSetLat)
+		s.noteHostLeg(lat)
 		done(ownerApplied)
 	})
 }
 
-// queueHint records the newest value (or tombstone: del=true) an
-// unreachable owner is missing. An older pending hint for the same key
-// is superseded (its write is settled — a newer value stands in for
-// it); an incoming write older than the pending hint settles
-// immediately. Because supersession is purely by sequence number, a
-// tombstone hint replaces any older value hint — and a value hint
-// newer than a pending tombstone replaces it just as correctly (the
-// delete happened-before the new write).
-func (s *Service) queueHint(sh *serviceShard, key uint64, val []byte, del bool, seq uint64, op *setOp) {
+// queueHint records op's mutation as the newest state an unreachable
+// owner is missing. An older pending hint for the same key is
+// superseded (its write is settled — a newer value stands in for it);
+// an incoming write older than the pending hint settles immediately.
+// Because supersession is purely by sequence number, a tombstone hint
+// replaces any older value hint — and a value hint newer than a pending
+// tombstone replaces it just as correctly (the delete happened-before
+// the new write).
+func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 	// A leg can resolve after its target left the service entirely (a
 	// drain completed while the write was in flight): there is no owner
 	// to hand off to, and the new owners carry the write — just settle.
@@ -633,14 +711,14 @@ func (s *Service) queueHint(sh *serviceShard, key uint64, val []byte, del bool, 
 	// primary: the draining owner will be gone before it could drain
 	// them, and an acked write must survive its departure.
 	if s.draining(sh.id) {
-		if to := s.redirectTarget(key, sh); to != nil {
+		if to := s.redirectTarget(op.key, sh); to != nil {
 			s.migHintsRedirected.Inc()
-			s.queueHint(to, key, val, del, seq, op)
+			s.queueHint(to, op)
 			return
 		}
 	}
-	if cur, ok := sh.hints[key]; ok {
-		if cur.seq >= seq {
+	if cur, ok := sh.hints[op.key]; ok {
+		if cur.seq >= op.seq {
 			sh.hintsDropped.Inc()
 			op.settleOne(s)
 			return
@@ -648,7 +726,7 @@ func (s *Service) queueHint(sh *serviceShard, key uint64, val []byte, del bool, 
 		sh.hintsDropped.Inc()
 		s.settleHint(cur)
 	}
-	sh.hints[key] = &hint{key: key, seq: seq, val: val, del: del, op: op}
+	sh.hints[op.key] = &hint{mutation: &op.mutation, op: op}
 	sh.hintsQueued.Inc()
 	if s.tr.Enabled() {
 		s.tr.Instant("coordinator", "hint:"+sh.id, op.traceOp)
@@ -659,10 +737,19 @@ func (s *Service) queueHint(sh *serviceShard, key uint64, val []byte, del bool, 
 // newer (or equal) write to the same owner.
 func (s *Service) dropHint(sh *serviceShard, key, seq uint64) {
 	if cur, ok := sh.hints[key]; ok && cur.seq <= seq {
-		delete(sh.hints, key)
-		sh.hintsDropped.Inc()
-		s.settleHint(cur)
+		s.retireHint(sh, cur, sh.hintsDropped)
 	}
+}
+
+// retireHint takes h off sh's queue — if it still stands there —
+// counting it on c (applied or dropped) and settling its write.
+func (s *Service) retireHint(sh *serviceShard, h *hint, c *telemetry.Counter) {
+	if sh.hints[h.key] != h {
+		return
+	}
+	delete(sh.hints, h.key)
+	c.Inc()
+	s.settleHint(h)
 }
 
 // settleHint settles a hint's originating write exactly once.
@@ -690,7 +777,8 @@ func (s *Service) drainHints(sh *serviceShard) {
 	}
 }
 
-// drainHint replays one hint through the ordinary owner write path.
+// drainHint replays one hint's own mutation — its bytes are the only
+// copy when the quorum failed — through the ordinary owner apply path.
 // On failure (the owner died again mid-drain) the hint stays queued
 // for the next recovery — it is applied exactly once, when a drain
 // finally succeeds. Staleness is re-checked when the drain actually
@@ -705,7 +793,7 @@ func (s *Service) drainHint(sh *serviceShard, key uint64) {
 	}
 	h.draining = true
 	s.withKeySlot(sh, key, func() {
-		if cur, still := sh.hints[key]; !still || cur != h {
+		if sh.hints[key] != h {
 			// Dropped or replaced while queued: a newer write already
 			// reached this owner (or superseded the hint). Skip, and
 			// pick up whatever hint stands now.
@@ -714,38 +802,18 @@ func (s *Service) drainHint(sh *serviceShard, key uint64) {
 			s.drainHint(sh, key)
 			return
 		}
-		apply := func(done func(st ownerWriteStatus)) {
-			if h.del {
-				s.ownerDeleteNow(sh, key, h.seq, 0, done)
-			} else {
-				s.ownerSetNow(sh, key, h.val, h.seq, 0, done)
-			}
-		}
-		apply(func(st ownerWriteStatus) {
+		s.ownerApplyNow(sh, h.mutation, 0, func(st ownerWriteStatus) {
 			h.draining = false
 			switch st {
 			case ownerApplied:
-				if s.applyHook != nil {
-					s.applyHook(sh.id, key, h.seq)
-				}
-				if h.del {
-					sh.noteDeleted(key, h.seq)
-				} else {
-					sh.noteApplied(key, h.seq)
-				}
-				if cur, still := sh.hints[key]; still && cur == h {
-					delete(sh.hints, key)
-					sh.hintsApplied.Inc()
-					s.settleHint(h)
-				}
+				// Retire the hint as applied first: left in place, the
+				// shared bookkeeping's dropHint would count it superseded.
+				s.retireHint(sh, h, sh.hintsApplied)
+				s.noteOwnerApplied(sh, h.mutation)
 			case ownerRejected:
 				// The recovered table refused the replay (capacity):
 				// retrying forever would spin, so retire the hint.
-				if cur, still := sh.hints[key]; still && cur == h {
-					delete(sh.hints, key)
-					sh.hintsDropped.Inc()
-					s.settleHint(h)
-				}
+				s.retireHint(sh, h, sh.hintsDropped)
 			}
 			s.setNext(sh, key)
 			if st == ownerApplied {
