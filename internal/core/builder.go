@@ -22,8 +22,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/mem"
 	"repro/internal/rnic"
 	"repro/internal/wqe"
@@ -41,6 +39,41 @@ type Builder struct {
 	// expected internal completions per CQN, advanced as signaled WQEs
 	// and RECVs are posted.
 	expect map[uint32]uint64
+
+	// lists holds one ring of RECV scatter lists per receive CQN.
+	lists map[uint32]recvLists
+}
+
+// recvLists is the ring of scatter lists behind one receive queue's
+// posted RECVs, one MaxScatter-entry slot per RECV: list memory is
+// reused as RECVs complete instead of being bump-allocated per Arm.
+// A list must stay put until the NIC has consumed its RECV. RECVs
+// complete in posting order and the builder numbers them (expect), so
+// the RECVs still outstanding are those numbered above the queue's
+// completion count, and a ring with at least that many slots never
+// hands out a slot that is still live. A ring found too small is left
+// to its outstanding RECVs and replaced by one twice the size, so a
+// queue's list memory stops growing once it has seen its deepest
+// backlog (which PostRecv bounds by the RQ depth).
+type recvLists struct {
+	base, slots uint64
+}
+
+const recvListBytes = wqe.MaxScatter * wqe.ScatterEntrySize
+
+// listSlot returns the list slot for the RECV numbered target on cq's
+// receive queue.
+func (b *Builder) listSlot(cq *rnic.CQ, target uint64) uint64 {
+	ring := b.lists[cq.CQN()]
+	if outstanding := target - cq.Count(); outstanding > ring.slots {
+		ring.slots = max(2*ring.slots, 16)
+		for ring.slots < outstanding {
+			ring.slots *= 2
+		}
+		ring.base = b.Dev.Mem().Alloc(ring.slots*recvListBytes, 8)
+		b.lists[cq.CQN()] = ring
+	}
+	return ring.base + target%ring.slots*recvListBytes
 }
 
 // NewBuilder creates a builder with a fresh control queue on port 0.
@@ -60,6 +93,7 @@ func NewBuilderOnPort(dev *rnic.Device, ctrlDepth, port int) *Builder {
 		Dev:    dev,
 		Port:   port,
 		expect: make(map[uint32]uint64),
+		lists:  make(map[uint32]recvLists),
 	}
 	b.Ctrl = dev.NewLoopbackQP(rnic.QPConfig{SQDepth: ctrlDepth, RQDepth: 1, Port: port})
 	return b
@@ -149,22 +183,20 @@ func (b *Builder) WaitStep(ref StepRef) StepRef {
 	return b.WaitCQ(ref.QP.SendCQ(), ref.target)
 }
 
-// ExpectRecv posts a RECV on qp with the given scatter entries (written
-// to freshly allocated list memory) and returns the WAIT target for its
+// ExpectRecv posts a RECV on qp with the given scatter entries (encoded
+// into the queue's list ring) and returns the WAIT target for its
 // arrival. RedN triggers chains with WaitRecv after this.
 func (b *Builder) ExpectRecv(qp *rnic.QP, id uint64, entries []wqe.ScatterEntry) uint64 {
+	cq := qp.RecvCQ()
+	b.expect[cq.CQN()]++
+	target := b.expect[cq.CQN()]
 	var addr uint64
 	if len(entries) > 0 {
-		raw := make([]byte, len(entries)*wqe.ScatterEntrySize)
-		wqe.EncodeScatter(raw, entries)
-		addr = b.Dev.Mem().Alloc(uint64(len(raw)), 8)
-		if err := b.Dev.Mem().Write(addr, raw); err != nil {
-			panic(fmt.Sprintf("core: scatter list write: %v", err))
-		}
+		addr = b.listSlot(cq, target)
+		wqe.EncodeScatter(b.Dev.Mem().Raw()[addr:addr+recvListBytes], entries)
 	}
 	qp.PostRecv(id, addr, len(entries), true)
-	b.expect[qp.RecvCQ().CQN()]++
-	return b.expect[qp.RecvCQ().CQN()]
+	return target
 }
 
 // WaitRecv appends a WAIT for the recvTarget returned by ExpectRecv.

@@ -57,8 +57,9 @@ type CQ struct {
 	dev *Device
 	cqn uint32
 
-	count   uint64 // NIC-internal completion count (monotonic)
-	waiters []cqWaiter
+	count     uint64 // NIC-internal completion count (monotonic)
+	waiters   []cqWaiter
+	advanceFn func() // advance, bound once: every completion schedules it
 
 	entries   []CQE // delivered, not yet polled
 	onDeliver []func(CQE)

@@ -46,6 +46,11 @@ type Device struct {
 
 	frozen bool // OS/process failure model: true only if teardown ran
 
+	// freeRuns is the free list of per-WR run records (run.go);
+	// runsMade counts the records ever created for it.
+	freeRuns []*wrRun
+	runsMade int
+
 	// backlogged lists QPs with receiver-not-ready arrivals queued —
 	// the congestion the BacklogWatermark ECN signal reports. Kept as
 	// an incrementally maintained set so the watermark never scans the
@@ -110,6 +115,7 @@ func (d *Device) AtomicUnit() *sim.Resource { return d.atomicUnit }
 // NewCQ creates a completion queue.
 func (d *Device) NewCQ() *CQ {
 	c := &CQ{dev: d, cqn: uint32(len(d.cqs))}
+	c.advanceFn = c.advance
 	d.cqs = append(d.cqs, c)
 	return c
 }
@@ -159,8 +165,10 @@ func (d *Device) NewQP(cfg QPConfig) *QP {
 	}
 	sqBase := d.mem.Alloc(uint64(cfg.SQDepth)*64, 64)
 	rqBase := d.mem.Alloc(uint64(cfg.RQDepth)*64, 64)
-	q.sq = &WorkQueue{qp: q, base: sqBase, capacity: uint64(cfg.SQDepth), managed: cfg.Managed,
+	w := &WorkQueue{qp: q, base: sqBase, capacity: uint64(cfg.SQDepth), managed: cfg.Managed,
 		lastFetchDone: -(1 << 60)} // pipeline starts cold
+	w.stepFn, w.advanceFn, w.kickFn, w.hostEnableFn = w.step, w.advance, w.kick, w.hostEnable
+	q.sq = w
 	q.rq = &recvQueue{qp: q, base: rqBase, capacity: uint64(cfg.RQDepth)}
 	d.qps = append(d.qps, q)
 	return q
@@ -190,9 +198,8 @@ func (d *Device) Unfreeze() {
 	d.frozen = false
 	for _, q := range d.qps {
 		q.sq.kick()
-		if len(q.pendingArrivals) > 0 {
-			a := q.popArrival()
-			d.eng.After(0, func() { q.consumeRecv(a) })
+		if q.pendingArrivals.Len() > 0 {
+			q.consumeRecv(q.popArrival(), true)
 		}
 	}
 }
@@ -291,7 +298,7 @@ func (d *Device) BacklogWatermark(now sim.Time) sim.Time {
 	}
 	horizon(d.atomicUnit)
 	for _, q := range d.backlogged {
-		if b := now - q.pendingArrivals[0].queuedAt; b > max {
+		if b := now - q.pendingArrivals.Peek().queuedAt; b > max {
 			max = b
 		}
 	}

@@ -11,7 +11,16 @@ func (w *WorkQueue) kick() {
 		return
 	}
 	w.active = true
-	w.qp.dev.eng.After(0, w.step)
+	w.qp.dev.eng.After(0, w.stepFn)
+}
+
+// hostEnable applies the oldest pending EnableSQFromHost. Doorbells
+// all take the same time, so they land in the order they were rung.
+func (w *WorkQueue) hostEnable() {
+	if limit := w.hostLimits.Pop(); limit > w.fetchLimit {
+		w.fetchLimit = limit
+	}
+	w.kick()
 }
 
 // bound returns the absolute index below which execution may proceed.
@@ -44,42 +53,20 @@ func (w *WorkQueue) step() {
 		t := w.qp.limiter.Admit()
 		w.admitted = true
 		if t > dev.eng.Now() {
-			dev.eng.At(t, w.step)
+			dev.eng.At(t, w.stepFn)
 			return
 		}
 	}
 
 	if w.managed {
-		w.fetchManagedAndExec()
+		// One serialized on-demand fetch through the port's shared
+		// fetch unit; the WR's run record carries it from here.
+		fs, end := w.qp.port.fetchUnit.Acquire(dev.prof.FetchManaged)
+		w.qp.grant(dev, w.qp.port.fetchUnit, dev.eng.Now(), fs, end)
+		dev.takeRun(w.qp, w.consumer).sched(end, stageFetched)
 		return
 	}
 	w.fetchStreamAndExec()
-}
-
-// fetchManagedAndExec performs one serialized on-demand fetch through
-// the port's shared fetch unit, then executes. The WQE snapshot is
-// taken when the fetch completes, so modifications made before the
-// ENABLE-granted fetch are observed — the property RedN's
-// doorbell-ordered self-modifying code depends on.
-func (w *WorkQueue) fetchManagedAndExec() {
-	dev := w.qp.dev
-	idx := w.consumer
-	fs, end := w.qp.port.fetchUnit.Acquire(dev.prof.FetchManaged)
-	w.qp.grant(dev, w.qp.port.fetchUnit, dev.eng.Now(), fs, end)
-	dev.eng.At(end, func() {
-		if w.errored || dev.frozen {
-			w.active = false
-			return
-		}
-		var snap wqe.WQE
-		var buf [wqe.Size]byte
-		if err := dev.mem.ReadInto(w.SlotAddr(idx), buf[:]); err != nil {
-			w.fail(idx, wqe.WQE{}, StatusLocalProtErr)
-			return
-		}
-		snap.Decode(buf[:])
-		w.exec(idx, snap)
-	})
 }
 
 // fetchStreamAndExec services unmanaged queues: the NIC prefetches
@@ -93,18 +80,16 @@ func (w *WorkQueue) fetchStreamAndExec() {
 	dev := w.qp.dev
 	now := dev.eng.Now()
 	// Top up the prefetch buffer (snapshots taken now).
-	for len(w.buf) < dev.prof.PrefetchWindow {
-		idx := w.consumer + uint64(len(w.buf))
+	for w.buf.Len() < dev.prof.PrefetchWindow {
+		idx := w.consumer + uint64(w.buf.Len())
 		if idx >= w.bound() {
 			break
 		}
 		var buf [wqe.Size]byte
 		if err := dev.mem.ReadInto(w.SlotAddr(idx), buf[:]); err != nil {
-			w.fail(idx, wqe.WQE{}, StatusLocalProtErr)
+			w.fail(dev.takeRun(w.qp, idx), StatusLocalProtErr)
 			return
 		}
-		var snap wqe.WQE
-		snap.Decode(buf[:])
 		var ready sim.Time
 		if w.lastFetchDone+dev.prof.FetchLatency >= now {
 			// Stream is hot: next delivery pipelines behind the last.
@@ -116,15 +101,19 @@ func (w *WorkQueue) fetchStreamAndExec() {
 			ready = now + dev.prof.FetchLatency
 		}
 		w.lastFetchDone = ready
-		w.buf = append(w.buf, fetchedWQE{idx: idx, w: snap, ready: ready})
+		f := w.buf.Push()
+		f.idx, f.ready = idx, ready
+		f.w.Decode(buf[:])
 	}
-	next := w.buf[0]
+	next := w.buf.Peek()
 	if next.ready > now {
-		dev.eng.At(next.ready, w.step)
+		dev.eng.At(next.ready, w.stepFn)
 		return
 	}
-	w.buf = w.buf[1:]
-	w.exec(next.idx, next.w)
+	r := dev.takeRun(w.qp, next.idx)
+	r.v = next.w
+	w.buf.Pop()
+	w.exec(r)
 }
 
 // advance moves past the executed WQE and continues the loop.
@@ -132,15 +121,15 @@ func (w *WorkQueue) advance() {
 	w.consumer++
 	w.executed++
 	w.admitted = false
-	w.qp.dev.eng.After(0, w.step)
+	w.qp.dev.eng.After(0, w.stepFn)
 }
 
-// fail completes a WQE with an error status and freezes the queue,
+// fail completes a WR with an error status and freezes the queue,
 // matching verbs semantics (the QP transitions to the error state).
-func (w *WorkQueue) fail(idx uint64, v wqe.WQE, st Status) {
+func (w *WorkQueue) fail(r *wrRun, st Status) {
 	w.errored = true
 	w.active = false
-	w.complete(v, st, true)
+	w.complete(r, st, true)
 }
 
 // complete schedules completion effects: WAIT-visible counter advance
@@ -148,19 +137,18 @@ func (w *WorkQueue) fail(idx uint64, v wqe.WQE, st Status) {
 // produce neither (unless forced by an error) — which is exactly how
 // RedN's break construct stops a loop: it rewrites the next iteration's
 // final WR to drop its signaled flag, so the WAIT gating the following
-// iteration never fires.
-func (w *WorkQueue) complete(v wqe.WQE, st Status, force bool) {
-	if !v.Signaled() && !force {
+// iteration never fires. Either way the run record is done with its
+// data stages: it goes back to the free list here, or after delivering
+// the CQE.
+func (w *WorkQueue) complete(r *wrRun, st Status, force bool) {
+	if !r.v.Signaled() && !force {
+		r.release()
 		return
 	}
 	dev := w.qp.dev
-	cq := w.qp.scq
-	dev.eng.After(dev.prof.CQInternal, cq.advance)
-	dev.eng.After(dev.prof.CQEDeliver, func() {
-		now := dev.eng.Now()
-		cq.deliver(CQE{WRID: v.ID, QPN: w.qp.qpn, Op: v.Op, Status: st, Len: v.Len, At: now,
-			Backlog: dev.BacklogWatermark(now)})
-	})
+	r.st = st
+	dev.eng.After(dev.prof.CQInternal, w.qp.scq.advanceFn)
+	r.sched(dev.eng.Now()+dev.prof.CQEDeliver, stageDeliver)
 }
 
 // traceWR records one WR's PU occupancy span on the owning device's
@@ -197,70 +185,106 @@ func (w *WorkQueue) puSpan(op wqe.Opcode, start, end sim.Time) {
 	w.qp.grant(w.qp.dev, w.qp.pu, w.qp.dev.eng.Now(), start, end)
 }
 
-// exec dispatches one WQE. The queue advances to the next WQE when the
-// verb has been issued (PU occupancy end); the verb's completion runs
-// asynchronously, so independent verbs pipeline within a queue, while
-// WAIT provides completion ordering when programs need it.
-func (w *WorkQueue) exec(idx uint64, v wqe.WQE) {
+// exec dispatches one fetched WQE. The queue advances to the next WQE
+// when the verb has been issued (PU occupancy end); the verb's later
+// stages (run.go) run asynchronously, so independent verbs pipeline
+// within a queue, while WAIT provides completion ordering when programs
+// need it.
+func (w *WorkQueue) exec(r *wrRun) {
 	dev := w.qp.dev
-	prof := dev.prof
-	switch v.Op {
+	prof := &dev.prof
+	switch r.v.Op {
 	case wqe.OpNoop:
 		// NOOPs never touch the wire; they complete locally.
-		start, end := w.qp.pu.Acquire(prof.NoopOccupancy)
-		w.puSpan(v.Op, start, end)
-		dev.eng.At(end, func() {
-			w.complete(v, StatusOK, false)
-			w.advance()
-		})
+		w.issueLocal(r, prof.NoopOccupancy)
 
 	case wqe.OpWait:
-		cq := dev.CQByNum(v.Peer)
-		if cq == nil {
-			w.fail(idx, v, StatusBadOpcode)
+		if dev.CQByNum(r.v.Peer) == nil {
+			w.fail(r, StatusBadOpcode)
 			return
 		}
-		start, end := w.qp.pu.Acquire(prof.SyncOccupancy)
-		w.puSpan(v.Op, start, end)
-		dev.eng.At(end, func() {
-			cq.waitFor(v.Count, func() {
-				w.complete(v, StatusOK, false)
-				w.advance()
-			})
-		})
+		w.issueLocal(r, prof.SyncOccupancy)
 
 	case wqe.OpEnable:
-		target := dev.QPByNum(v.Peer)
-		if target == nil {
-			w.fail(idx, v, StatusBadOpcode)
+		if dev.QPByNum(r.v.Peer) == nil {
+			w.fail(r, StatusBadOpcode)
 			return
 		}
-		start, end := w.qp.pu.Acquire(prof.SyncOccupancy)
-		w.puSpan(v.Op, start, end)
-		dev.eng.At(end, func() {
-			if v.Count > target.sq.fetchLimit {
-				target.sq.fetchLimit = v.Count
-			}
-			target.sq.kick()
-			w.complete(v, StatusOK, false)
-			w.advance()
-		})
-
-	case wqe.OpWrite, wqe.OpWriteImm:
-		w.execWrite(idx, v)
-
-	case wqe.OpRead:
-		w.execRead(idx, v)
-
-	case wqe.OpCAS, wqe.OpAdd, wqe.OpMax, wqe.OpMin:
-		w.execAtomic(idx, v)
+		w.issueLocal(r, prof.SyncOccupancy)
 
 	case wqe.OpSend:
-		w.execSend(idx, v)
+		if w.qp.remote == nil {
+			w.fail(r, StatusBadOpcode)
+			return
+		}
+		w.issueData(r, prof.CopyOccupancy)
+
+	case wqe.OpWrite, wqe.OpWriteImm, wqe.OpRead, wqe.OpMax, wqe.OpMin:
+		// Vendor Calc verbs (MAX/MIN) are copy-class: full 63 M/s
+		// throughput (Table 3).
+		w.issueData(r, prof.CopyOccupancy)
+
+	case wqe.OpCAS, wqe.OpAdd:
+		// True atomics hold their PU for the long AtomicOccupancy (the
+		// PCIe synchronization cost that caps CAS throughput at
+		// ~8.4 M/s) but the request hits the wire after the ordinary
+		// issue time, so latency stays ~1.8 us (Fig 7).
+		w.issueData(r, prof.AtomicOccupancy)
 
 	default:
 		// OpRecv in a send queue, or garbage written over an opcode.
-		w.fail(idx, v, StatusBadOpcode)
+		w.fail(r, StatusBadOpcode)
+	}
+}
+
+// issueLocal occupies the PU for a verb that completes on this NIC
+// (NOOP, WAIT, ENABLE); its effect and the queue's advance happen
+// together when the occupancy ends.
+func (w *WorkQueue) issueLocal(r *wrRun, occ sim.Time) {
+	start, end := w.qp.pu.Acquire(occ)
+	w.puSpan(r.v.Op, start, end)
+	r.sched(end, stageIssued)
+}
+
+// issueData occupies the PU for a verb that leaves the NIC: the queue
+// moves on when the occupancy ends, while the request travels to the
+// responder on its own.
+func (w *WorkQueue) issueData(r *wrRun, occ sim.Time) {
+	q, dev := w.qp, w.qp.dev
+	prof := &dev.prof
+	v := &r.v
+	start, end := q.pu.Acquire(occ)
+	w.puSpan(v.Op, start, end)
+	dev.eng.At(end, w.advanceFn)
+	r.n = int(v.Len)
+
+	switch v.Op {
+	case wqe.OpRead:
+		// Request travels to the responder (header only).
+		r.sched(end+q.oneWay, stageAtResponder)
+
+	case wqe.OpCAS, wqe.OpAdd, wqe.OpMax, wqe.OpMin:
+		r.sched(start+prof.CopyOccupancy+q.oneWay, stageAtResponder)
+
+	default:
+		// WRITE and SEND gather their payload at the requester first.
+		t := end
+		if v.Inline() {
+			if r.n > 8 {
+				r.n = 8
+			}
+			r.loadInline(r.n)
+		} else {
+			gs, ge := dev.pcie.TransferAt(t, r.n)
+			q.grant(dev, &dev.pcie.Resource, t, gs, ge)
+			t = ge + prof.GatherLatency
+			if err := r.load(dev.mem, v.Src, v.Len); err != nil {
+				r.st = StatusLocalProtErr
+				r.sched(t, stageFailed)
+				return
+			}
+		}
+		r.sched(q.wireDelay(t, r.n), stageAtResponder)
 	}
 }
 
@@ -285,322 +309,25 @@ func (q *QP) wireDelay(t sim.Time, n int) sim.Time {
 	return end + q.oneWay
 }
 
-func (w *WorkQueue) execWrite(idx uint64, v wqe.WQE) {
-	dev := w.qp.dev
-	prof := dev.prof
-	rdev := w.qp.remoteDev()
-	n := int(v.Len)
-
-	start, end := w.qp.pu.Acquire(prof.CopyOccupancy)
-	w.puSpan(v.Op, start, end)
-	dev.eng.At(end, w.advance)
-
-	// Gather payload at the requester.
-	var payload []byte
-	t := end
-	if v.Inline() {
-		if n > 8 {
-			n = 8
-		}
-		var buf [8]byte
-		tmp := wqe.WQE{Cmp: v.Cmp}
-		full := tmp.Bytes()
-		copy(buf[:], full[wqe.OffCmp:wqe.OffCmp+8])
-		payload = buf[8-n:]
-	} else {
-		gs, ge := dev.pcie.TransferAt(t, n)
-		w.qp.grant(dev, &dev.pcie.Resource, t, gs, ge)
-		t = ge + prof.GatherLatency
-		p, err := dev.mem.Read(v.Src, v.Len)
-		if err != nil {
-			dev.eng.At(t, func() { w.fail(idx, v, StatusLocalProtErr) })
-			return
-		}
-		payload = p
-	}
-
-	t = w.qp.wireDelay(t, n)
-
-	dev.eng.At(t, func() {
-		ws, we := rdev.pcie.TransferAt(dev.eng.Now(), n)
-		w.qp.grant(rdev, &rdev.pcie.Resource, dev.eng.Now(), ws, we)
-		applied := we + prof.RemoteWriteLatency
-		dev.eng.At(applied, func() {
-			if err := rdev.mem.Write(v.Dst, payload); err != nil {
-				w.fail(idx, v, StatusRemoteAccessErr)
-				return
-			}
-			done := dev.eng.Now() + w.qp.oneWay // ack
-			dev.eng.At(done, func() { w.complete(v, StatusOK, false) })
-		})
-	})
-}
-
-func (w *WorkQueue) execRead(idx uint64, v wqe.WQE) {
-	dev := w.qp.dev
-	prof := dev.prof
-	rdev := w.qp.remoteDev()
-	n := int(v.Len)
-
-	start, end := w.qp.pu.Acquire(prof.CopyOccupancy)
-	w.puSpan(v.Op, start, end)
-	dev.eng.At(end, w.advance)
-
-	// Request travels to the responder (header only).
-	t := end + w.qp.oneWay
-	dev.eng.At(t, func() {
-		// Responder DMA-reads the payload.
-		rs, re := rdev.pcie.TransferAt(dev.eng.Now(), n)
-		w.qp.grant(rdev, &rdev.pcie.Resource, dev.eng.Now(), rs, re)
-		readDone := re + prof.RemoteReadLatency
-		dev.eng.At(readDone, func() {
-			payload, err := rdev.mem.Read(v.Src, v.Len)
-			if err != nil {
-				w.fail(idx, v, StatusRemoteAccessErr)
-				return
-			}
-			// Payload returns over the wire, then scatters locally.
-			back := w.qp.wireDelay(dev.eng.Now(), n)
-			dev.eng.At(back, func() {
-				ss, se := dev.pcie.TransferAt(dev.eng.Now(), n)
-				w.qp.grant(dev, &dev.pcie.Resource, dev.eng.Now(), ss, se)
-				applied := se + prof.ScatterLatency
-				dev.eng.At(applied, func() {
-					if v.Flags&wqe.FlagScatterDst != 0 {
-						// Multi-SGE response: Dst is a scatter list of
-						// Count entries.
-						raw, err := dev.mem.Read(v.Dst, v.Count*wqe.ScatterEntrySize)
-						if err != nil {
-							w.fail(idx, v, StatusLocalProtErr)
-							return
-						}
-						rest := payload
-						for _, e := range wqe.DecodeScatter(raw, int(v.Count)) {
-							if len(rest) == 0 {
-								break
-							}
-							k := e.Len
-							if k > uint64(len(rest)) {
-								k = uint64(len(rest))
-							}
-							if err := dev.mem.Write(e.Addr, rest[:k]); err != nil {
-								w.fail(idx, v, StatusLocalProtErr)
-								return
-							}
-							rest = rest[k:]
-						}
-						w.complete(v, StatusOK, false)
-						return
-					}
-					if err := dev.mem.Write(v.Dst, payload); err != nil {
-						w.fail(idx, v, StatusLocalProtErr)
-						return
-					}
-					w.complete(v, StatusOK, false)
-				})
-			})
-		})
-	})
-}
-
-func (w *WorkQueue) execAtomic(idx uint64, v wqe.WQE) {
-	dev := w.qp.dev
-	prof := dev.prof
-	rdev := w.qp.remoteDev()
-
-	// True atomics (CAS/ADD) hold their PU for the long AtomicOccupancy
-	// (the PCIe synchronization cost that caps CAS throughput at
-	// ~8.4 M/s) but the request hits the wire after the ordinary issue
-	// time, so latency stays ~1.8 us (Fig 7). Vendor Calc verbs
-	// (MAX/MIN) are copy-class: full 63 M/s throughput (Table 3).
-	occ := prof.AtomicOccupancy
-	if v.Op == wqe.OpMax || v.Op == wqe.OpMin {
-		occ = prof.CopyOccupancy
-	}
-	start, end := w.qp.pu.Acquire(occ)
-	w.puSpan(v.Op, start, end)
-	issue := start + prof.CopyOccupancy
-	dev.eng.At(end, w.advance)
-
-	t := issue + w.qp.oneWay
-	dev.eng.At(t, func() {
-		// CAS/ADD serialize through the responder's atomic unit; Calc
-		// verbs execute on the ordinary datapath (Table 3: MAX runs at
-		// full copy-verb rate).
-		var ae sim.Time
-		if v.Op == wqe.OpMax || v.Op == wqe.OpMin {
-			ae = dev.eng.Now() + prof.AtomicUnitLatency
-		} else {
-			as, ao := rdev.atomicUnit.Acquire(prof.AtomicUnitOccupancy)
-			w.qp.grant(rdev, rdev.atomicUnit, dev.eng.Now(), as, ao)
-			ae = ao + (prof.AtomicUnitLatency - prof.AtomicUnitOccupancy)
-		}
-		dev.eng.At(ae, func() {
-			var old uint64
-			var err error
-			switch v.Op {
-			case wqe.OpCAS:
-				old, err = rdev.mem.CompareAndSwap(v.Dst, v.Cmp, v.Swap)
-			case wqe.OpAdd:
-				old, err = rdev.mem.FetchAdd(v.Dst, v.Cmp)
-			case wqe.OpMax:
-				old, err = rdev.mem.Max(v.Dst, v.Cmp)
-			case wqe.OpMin:
-				old, err = rdev.mem.Min(v.Dst, v.Cmp)
-			}
-			if err != nil {
-				w.fail(idx, v, StatusRemoteAccessErr)
-				return
-			}
-			done := dev.eng.Now() + w.qp.oneWay + prof.ResultLatency
-			dev.eng.At(done, func() {
-				if v.Src != 0 {
-					if err := dev.mem.PutU64(v.Src, old); err != nil {
-						w.fail(idx, v, StatusLocalProtErr)
-						return
-					}
-				}
-				w.complete(v, StatusOK, false)
-			})
-		})
-	})
-}
-
-// arrival is a SEND in flight toward a peer's receive queue.
+// arrival is a SEND waiting for its peer to post a RECV
+// (receiver-not-ready, simplified to an unbounded queue).
 type arrival struct {
-	payload  []byte
-	srcQPN   uint32
-	ack      func()   // runs when the responder has consumed the message
-	queuedAt sim.Time // when the arrival joined pendingArrivals (receiver-not-ready)
+	from     *wrRun   // the sender's parked record; its payload is the message
+	queuedAt sim.Time // when the arrival joined pendingArrivals
 }
 
-func (w *WorkQueue) execSend(idx uint64, v wqe.WQE) {
-	dev := w.qp.dev
-	prof := dev.prof
-	peer := w.qp.remote
-	if peer == nil {
-		w.fail(idx, v, StatusBadOpcode)
-		return
-	}
-	n := int(v.Len)
-
-	start, end := w.qp.pu.Acquire(prof.CopyOccupancy)
-	w.puSpan(v.Op, start, end)
-	dev.eng.At(end, w.advance)
-
-	t := end
-	var payload []byte
-	if v.Inline() {
-		tmp := wqe.WQE{Cmp: v.Cmp}
-		full := tmp.Bytes()
-		if n > 8 {
-			n = 8
-		}
-		payload = full[wqe.OffCmp+8-n : wqe.OffCmp+8]
-	} else {
-		gs, ge := dev.pcie.TransferAt(t, n)
-		w.qp.grant(dev, &dev.pcie.Resource, t, gs, ge)
-		t = ge + prof.GatherLatency
-		p, err := dev.mem.Read(v.Src, v.Len)
-		if err != nil {
-			dev.eng.At(t, func() { w.fail(idx, v, StatusLocalProtErr) })
-			return
-		}
-		payload = p
-	}
-
-	t = w.qp.wireDelay(t, n)
-	dev.eng.At(t, func() {
-		a := arrival{
-			payload: payload,
-			srcQPN:  w.qp.qpn,
-			ack: func() {
-				done := dev.eng.Now() + w.qp.oneWay
-				dev.eng.At(done, func() { w.complete(v, StatusOK, false) })
-			},
-		}
-		peer.handleArrival(a)
-	})
-}
-
-// handleArrival matches an incoming SEND with a posted RECV, scattering
-// the payload per the RECV's scatter list. RECV WQEs and scatter lists
-// are read fresh from host memory at consume time, so offloads may
-// rewrite them between messages. If no RECV is posted the message waits
-// (receiver-not-ready retry, simplified to an unbounded queue).
-func (q *QP) handleArrival(a arrival) {
+// handleArrival matches an incoming SEND with a posted RECV, or queues
+// it until one is posted.
+func (q *QP) handleArrival(from *wrRun) {
 	if q.dev.frozen {
 		return // silently dropped; peers observe a hang, as with real dead hosts
 	}
 	if q.rq.consumer >= q.rq.producer {
-		a.queuedAt = q.dev.eng.Now()
-		if len(q.pendingArrivals) == 0 {
+		if q.pendingArrivals.Len() == 0 {
 			q.dev.backlogged = append(q.dev.backlogged, q)
 		}
-		q.pendingArrivals = append(q.pendingArrivals, a)
+		*q.pendingArrivals.Push() = arrival{from: from, queuedAt: q.dev.eng.Now()}
 		return
 	}
-	q.consumeRecv(a)
-}
-
-func (q *QP) consumeRecv(a arrival) {
-	dev := q.dev
-	prof := dev.prof
-	idx := q.rq.consumer
-	q.rq.consumer++
-
-	// On-demand fetch of the RECV WQE through the port fetch unit.
-	fs, fe := q.port.fetchUnit.Acquire(prof.FetchManaged)
-	q.grant(dev, q.port.fetchUnit, dev.eng.Now(), fs, fe)
-	dev.eng.At(fe, func() {
-		var buf [wqe.Size]byte
-		if err := dev.mem.ReadInto(q.rq.SlotAddr(idx), buf[:]); err != nil {
-			return
-		}
-		var r wqe.WQE
-		r.Decode(buf[:])
-
-		// Scatter the payload.
-		nEntries := int(r.Len)
-		var entries []wqe.ScatterEntry
-		if nEntries > 0 {
-			raw, err := dev.mem.Read(r.Src, uint64(nEntries*wqe.ScatterEntrySize))
-			if err != nil {
-				return
-			}
-			entries = wqe.DecodeScatter(raw, nEntries)
-		}
-		ws, we := dev.pcie.TransferAt(dev.eng.Now(), len(a.payload))
-		q.grant(dev, &dev.pcie.Resource, dev.eng.Now(), ws, we)
-		applied := we + prof.RemoteWriteLatency
-		dev.eng.At(applied, func() {
-			rest := a.payload
-			for _, e := range entries {
-				if len(rest) == 0 {
-					break
-				}
-				n := e.Len
-				if n > uint64(len(rest)) {
-					n = uint64(len(rest))
-				}
-				if err := dev.mem.Write(e.Addr, rest[:n]); err != nil {
-					return
-				}
-				rest = rest[n:]
-			}
-			// Receive completion: internal counter for WAIT triggers,
-			// then host-visible CQE.
-			cq := q.rcq
-			dev.eng.After(prof.CQInternal, cq.advance)
-			if r.Signaled() {
-				dev.eng.After(prof.CQEDeliver, func() {
-					cq.deliver(CQE{WRID: r.ID, QPN: q.qpn, Op: wqe.OpRecv, Status: StatusOK,
-						Len: uint64(len(a.payload)), At: dev.eng.Now()})
-				})
-			}
-			if a.ack != nil {
-				a.ack()
-			}
-		})
-	})
+	q.consumeRecv(from, false)
 }

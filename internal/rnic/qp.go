@@ -3,6 +3,7 @@ package rnic
 import (
 	"fmt"
 
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wqe"
@@ -38,7 +39,7 @@ type QP struct {
 
 	limiter *sim.RateLimiter
 
-	pendingArrivals []arrival
+	pendingArrivals ring.Queue[arrival]
 
 	// traceOp attributes WR spans executed from this QP to a client
 	// op id. Per-slot chain/ctrl/response QPs are retagged at each
@@ -127,18 +128,14 @@ func (q *QP) PostSend(w wqe.WQE) uint64 {
 // RingSQ rings the doorbell: after the MMIO delay the NIC begins (or
 // continues) consuming posted SQ WQEs.
 func (q *QP) RingSQ() {
-	q.dev.eng.After(q.dev.prof.Doorbell, q.sq.kick)
+	q.dev.eng.After(q.dev.prof.Doorbell, q.sq.kickFn)
 }
 
 // EnableSQFromHost raises a managed SQ's fetch limit from host software
 // (used during offload setup; at runtime ENABLE verbs do this).
 func (q *QP) EnableSQFromHost(limit uint64) {
-	q.dev.eng.After(q.dev.prof.Doorbell, func() {
-		if limit > q.sq.fetchLimit {
-			q.sq.fetchLimit = limit
-		}
-		q.sq.kick()
-	})
+	*q.sq.hostLimits.Push() = limit
+	q.dev.eng.After(q.dev.prof.Doorbell, q.sq.hostEnableFn)
 }
 
 // PostRecv posts a receive WQE whose scatter list (count entries of
@@ -153,6 +150,10 @@ func (q *QP) PostRecv(id uint64, scatterAddr uint64, count int, signaled bool) u
 	if signaled {
 		fl = wqe.FlagSignaled
 	}
+	if int64(q.rq.producer-q.rq.consumer) >= int64(q.rq.capacity) {
+		panic(fmt.Sprintf("rnic: RQ ring overflow on QP %d (depth %d, %d outstanding) — size rings to the offloaded program",
+			q.qpn, q.rq.capacity, q.rq.producer-q.rq.consumer))
+	}
 	w := wqe.WQE{Op: wqe.OpRecv, ID: id, Src: scatterAddr, Len: uint64(count), Flags: fl}
 	idx := q.rq.producer
 	addr := q.rq.SlotAddr(idx)
@@ -163,9 +164,8 @@ func (q *QP) PostRecv(id uint64, scatterAddr uint64, count int, signaled bool) u
 	}
 	q.rq.producer++
 	// A newly posted RECV may satisfy queued arrivals.
-	if len(q.pendingArrivals) > 0 {
-		a := q.popArrival()
-		q.dev.eng.After(0, func() { q.consumeRecv(a) })
+	if q.pendingArrivals.Len() > 0 {
+		q.consumeRecv(q.popArrival(), true)
 	}
 	return idx
 }
@@ -173,10 +173,9 @@ func (q *QP) PostRecv(id uint64, scatterAddr uint64, count int, signaled bool) u
 // popArrival dequeues the oldest receiver-not-ready arrival and, when
 // the queue empties, drops the QP from the device's backlogged set
 // (the ECN watermark's scan list).
-func (q *QP) popArrival() arrival {
-	a := q.pendingArrivals[0]
-	q.pendingArrivals = q.pendingArrivals[1:]
-	if len(q.pendingArrivals) == 0 {
+func (q *QP) popArrival() *wrRun {
+	a := q.pendingArrivals.Pop()
+	if q.pendingArrivals.Len() == 0 {
 		bl := q.dev.backlogged
 		for i, b := range bl {
 			if b == q {
@@ -185,7 +184,7 @@ func (q *QP) popArrival() arrival {
 			}
 		}
 	}
-	return a
+	return a.from
 }
 
 // SQSlotAddr returns the host-memory address of the SQ WQE at the given
@@ -208,9 +207,18 @@ type WorkQueue struct {
 	active  bool
 	errored bool
 
-	// Unmanaged prefetch pipeline: snapshots awaiting execution.
-	buf           []fetchedWQE
+	// Unmanaged prefetch pipeline: snapshots awaiting execution, at
+	// most PrefetchWindow of them.
+	buf           ring.Queue[fetchedWQE]
 	lastFetchDone sim.Time
+
+	// hostLimits holds the fetch limits of EnableSQFromHost doorbells
+	// still in flight.
+	hostLimits ring.Queue[uint64]
+
+	// The loop's continuations, bound once so that scheduling one on
+	// the engine allocates nothing.
+	stepFn, advanceFn, kickFn, hostEnableFn func()
 
 	admitted bool // rate-limiter token already consumed for next WQE
 

@@ -1,0 +1,30 @@
+//go:build !race
+
+package sim
+
+import "testing"
+
+// TestEngineScheduleRunZeroAllocs pins the engine's own cost: once its
+// queues have grown, scheduling an event and running it allocates
+// nothing, on the heap or in the same-instant lane.
+func TestEngineScheduleRunZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	var tick func()
+	left := 0
+	tick = func() {
+		if left--; left > 0 {
+			e.After(Time(left%3), tick) // 0 takes the lane
+		}
+	}
+	burst := func() {
+		left = 1024
+		for i := 0; i < 64; i++ {
+			e.After(Time(i), tick)
+		}
+		e.Run()
+	}
+	burst()
+	if got := testing.AllocsPerRun(20, burst); got != 0 {
+		t.Fatalf("%v allocations per 1087-event burst, want 0", got)
+	}
+}
