@@ -193,7 +193,12 @@ func (b *Builder) ExpectRecv(qp *rnic.QP, id uint64, entries []wqe.ScatterEntry)
 	var addr uint64
 	if len(entries) > 0 {
 		addr = b.listSlot(cq, target)
-		wqe.EncodeScatter(b.Dev.Mem().Raw()[addr:addr+recvListBytes], entries)
+		var list [recvListBytes]byte
+		n := len(entries) * wqe.ScatterEntrySize
+		wqe.EncodeScatter(list[:], entries)
+		if err := b.Dev.Mem().Write(addr, list[:n]); err != nil {
+			panic(err) // listSlot addresses come from Alloc
+		}
 	}
 	qp.PostRecv(id, addr, len(entries), true)
 	return target

@@ -7,6 +7,7 @@ import "testing"
 // grows without bound, deletes are fabric-real, and the lifecycle
 // machinery costs the mixed workload almost nothing.
 func TestChurnGate(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("churn timeline run")
 	}

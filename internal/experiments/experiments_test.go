@@ -17,6 +17,7 @@ func within(t *testing.T, name string, got, want, tol float64) {
 }
 
 func TestFig7Calibration(t *testing.T) {
+	t.Parallel()
 	r := Fig7()
 	within(t, "NOOP", r.Metrics["NOOP"], 1.21, 0.15)
 	within(t, "WRITE", r.Metrics["WRITE"], 1.6, 0.15)
@@ -25,6 +26,7 @@ func TestFig7Calibration(t *testing.T) {
 }
 
 func TestFig8Slopes(t *testing.T) {
+	t.Parallel()
 	r := Fig8()
 	within(t, "wq slope", r.Metrics["slope_wq"], 0.17, 0.2)
 	within(t, "completion slope", r.Metrics["slope_completion"], 0.19, 0.25)
@@ -37,6 +39,7 @@ func TestFig8Slopes(t *testing.T) {
 }
 
 func TestTable1Scaling(t *testing.T) {
+	t.Parallel()
 	r := Table1()
 	within(t, "CX-3", r.Metrics["ConnectX-3"], 15e6, 0.2)
 	within(t, "CX-5", r.Metrics["ConnectX-5"], 63e6, 0.2)
@@ -44,6 +47,7 @@ func TestTable1Scaling(t *testing.T) {
 }
 
 func TestTable3Throughput(t *testing.T) {
+	t.Parallel()
 	r := Table3()
 	within(t, "CAS", r.Metrics["CAS"], 8.4e6, 0.2)
 	within(t, "WRITE", r.Metrics["WRITE"], 63e6, 0.2)
@@ -60,12 +64,14 @@ func TestTable3Throughput(t *testing.T) {
 }
 
 func TestTable5Median(t *testing.T) {
+	t.Parallel()
 	r := Table5()
 	within(t, "64B median", r.Metrics["median_64B_us"], 5.7, 0.25)
 	within(t, "4KB median", r.Metrics["median_4096B_us"], 6.7, 0.25)
 }
 
 func TestResultPrinting(t *testing.T) {
+	t.Parallel()
 	r := Table2()
 	var buf bytes.Buffer
 	r.Print(&buf)
@@ -75,6 +81,7 @@ func TestResultPrinting(t *testing.T) {
 }
 
 func TestByIDAndIDs(t *testing.T) {
+	t.Parallel()
 	for _, id := range []string{"table2", "TABLE2", "fig8"} {
 		if ByID(id) == nil {
 			t.Fatalf("ByID(%q) = nil", id)

@@ -11,6 +11,7 @@ import (
 // bootstrap + rebuild window, while replicas (ProcessCrash or OSPanic)
 // and hull parents ride through with zero full-outage buckets.
 func TestFailoverOutageBuckets(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("failover run in -short mode")
 	}

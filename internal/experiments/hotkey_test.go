@@ -8,6 +8,7 @@ import "testing"
 // the read-primary baseline measured in the same run. (Measured
 // headroom is ~3.2x; 2x is the floor.)
 func TestHotKeySpeedup(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("hot-key run in -short mode")
 	}

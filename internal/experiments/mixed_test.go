@@ -11,6 +11,7 @@ import (
 // writes with hinted handoff keep the write path available through a
 // crash that blacks out write-all.
 func TestMixedWorkloadGate(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("mixed timeline run")
 	}

@@ -8,6 +8,7 @@ import "testing"
 // fixed-K client demonstrably collapses — and the congestion machinery
 // (ECN marks, window cuts, admission sheds) actually engaged.
 func TestOverloadGate(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("overload sweep run")
 	}

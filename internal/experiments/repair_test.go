@@ -9,6 +9,7 @@ import "testing"
 // least 0.9x the repair-free baseline while probing every hit. The
 // pre-repair baseline provably does NOT converge.
 func TestRepairGate(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("repair timeline run")
 	}

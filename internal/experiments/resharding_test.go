@@ -11,6 +11,7 @@ import (
 // buckets, and every acknowledged key readable at its post-migration
 // owners.
 func TestReshardingGate(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("resharding timeline run")
 	}

@@ -10,6 +10,7 @@ import (
 // the single-server blocking path on the same workload. (Measured
 // headroom is ~16x; 4x is the floor.)
 func TestScaleOutSpeedup(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("scale-out run in -short mode")
 	}

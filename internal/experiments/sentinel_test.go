@@ -14,6 +14,7 @@ import (
 // first bundle of a seeded run is byte-deterministic, and the recorder
 // is free in virtual time.
 func TestSentinelGate(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("sentinel fault-injection run")
 	}
@@ -47,6 +48,7 @@ func TestSentinelGate(t *testing.T) {
 // anomaly with evidence, metric timelines aligned with sample times,
 // a bottleneck line, and a balanced non-empty trace window.
 func TestSentinelCrashBundle(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("sentinel fault-injection run")
 	}

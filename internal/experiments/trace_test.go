@@ -27,6 +27,7 @@ type traceEvent struct {
 // through map iteration or float formatting. CI runs this under -race
 // alongside the rest of the package.
 func TestTraceDeterministicBytes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("trace runs in -short mode")
 	}
@@ -50,6 +51,7 @@ func TestTraceDeterministicBytes(t *testing.T) {
 // spans on NIC PUs attributed to real op ids, quorum legs for writes,
 // and balanced async begin/end events throughout.
 func TestTraceSpanTreesComplete(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("trace runs in -short mode")
 	}
@@ -154,6 +156,7 @@ func TestTraceSpanTreesComplete(t *testing.T) {
 // a chain PU or the port's WQE-fetch stage — is the busiest resource,
 // and the report surfaces it by name.
 func TestBottleneckNamesNICResource(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("trace runs in -short mode")
 	}

@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 )
 
 // Perm is an MR access-permission bitmask.
@@ -59,6 +60,15 @@ func (e *AccessError) Error() string {
 // Memory is one node's simulated physical memory plus its MR table and
 // a bump allocator. Address 0 is reserved as invalid; allocations start
 // at one page.
+//
+// Where the platform allows, buf is an anonymous private mapping taken
+// from the OS (backing_unix.go), not Go heap: a node then costs the
+// host only the pages its programs touch, and the mapping is returned
+// when the Memory is collected. Two rules keep that safe. No slice of
+// buf leaves this package — accessors copy in and out — so nothing can
+// outlive the mapping. And every method that dereferences buf ends with
+// runtime.KeepAlive(m), so the cleanup cannot unmap under an access
+// whose last use of m was loading the slice header.
 type Memory struct {
 	buf     []byte
 	regions []*Region
@@ -68,9 +78,16 @@ type Memory struct {
 
 const pageSize = 4096
 
-// New returns a memory of the given size in bytes.
+// New returns a zeroed memory of the given size in bytes.
 func New(size uint64) *Memory {
-	return &Memory{buf: make([]byte, size), nextKey: 1, next: pageSize}
+	m := &Memory{nextKey: 1, next: pageSize}
+	if buf, err := mapAnon(size); err == nil {
+		m.buf = buf
+		runtime.AddCleanup(m, unmapAnon, buf)
+	} else {
+		m.buf = make([]byte, size)
+	}
+	return m
 }
 
 // Size returns total memory size in bytes.
@@ -149,14 +166,19 @@ func (m *Memory) CheckRemote(addr, n uint64, rkey uint32, perm Perm, op string) 
 	return &AccessError{Addr: addr, Len: n, Op: op, Why: "no covering region"}
 }
 
+// bounds is inlined into every accessor, and the accessors into their
+// callers; it builds its error in one place because a second literal
+// costs the three inliner-budget units the accessors' KeepAlive needs
+// (go build -gcflags=-m=2 prints each cost against the budget of 80).
 func (m *Memory) bounds(addr, n uint64, op string) error {
-	if addr == 0 {
-		return &AccessError{Addr: addr, Len: n, Op: op, Why: "nil address"}
+	why := "out of bounds"
+	switch {
+	case addr == 0:
+		why = "nil address"
+	case addr+n >= addr && addr+n <= uint64(len(m.buf)):
+		return nil
 	}
-	if addr+n < addr || addr+n > uint64(len(m.buf)) {
-		return &AccessError{Addr: addr, Len: n, Op: op, Why: "out of bounds"}
-	}
-	return nil
+	return &AccessError{Addr: addr, Len: n, Op: op, Why: why}
 }
 
 // Read copies n bytes at addr into a fresh slice.
@@ -166,6 +188,7 @@ func (m *Memory) Read(addr, n uint64) ([]byte, error) {
 	}
 	out := make([]byte, n)
 	copy(out, m.buf[addr:addr+n])
+	runtime.KeepAlive(m)
 	return out, nil
 }
 
@@ -176,6 +199,7 @@ func (m *Memory) ReadInto(addr uint64, dst []byte) error {
 		return err
 	}
 	copy(dst, m.buf[addr:addr+n])
+	runtime.KeepAlive(m)
 	return nil
 }
 
@@ -186,6 +210,7 @@ func (m *Memory) Write(addr uint64, src []byte) error {
 		return err
 	}
 	copy(m.buf[addr:addr+n], src)
+	runtime.KeepAlive(m)
 	return nil
 }
 
@@ -194,7 +219,9 @@ func (m *Memory) U64(addr uint64) (uint64, error) {
 	if err := m.bounds(addr, 8, "read"); err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint64(m.buf[addr : addr+8]), nil
+	v := binary.BigEndian.Uint64(m.buf[addr : addr+8])
+	runtime.KeepAlive(m)
+	return v, nil
 }
 
 // PutU64 writes a big-endian uint64 at addr.
@@ -203,6 +230,7 @@ func (m *Memory) PutU64(addr uint64, v uint64) error {
 		return err
 	}
 	binary.BigEndian.PutUint64(m.buf[addr:addr+8], v)
+	runtime.KeepAlive(m)
 	return nil
 }
 
@@ -263,8 +291,3 @@ func (m *Memory) Min(addr, v uint64) (uint64, error) {
 	}
 	return cur, nil
 }
-
-// Raw exposes the underlying buffer for zero-copy substrate code (hash
-// tables laying out buckets). Offload programs must go through the
-// accessors; Raw is for data-structure setup only.
-func (m *Memory) Raw() []byte { return m.buf }

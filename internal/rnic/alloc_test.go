@@ -17,10 +17,8 @@ func TestSteadyStateWRsAllocateNothing(t *testing.T) {
 		cq.SetAutoDrain(true)
 	}
 	src, dst := cli.Mem().Alloc(64, 8), srv.Mem().Alloc(64, 8)
-	slist := cli.Mem().Alloc(2*wqe.ScatterEntrySize, 8)
-	wqe.EncodeScatter(cli.Mem().Raw()[slist:], []wqe.ScatterEntry{{Addr: src, Len: 32}, {Addr: src + 32, Len: 32}})
-	rlist := srv.Mem().Alloc(wqe.ScatterEntrySize, 8)
-	wqe.EncodeScatter(srv.Mem().Raw()[rlist:], []wqe.ScatterEntry{{Addr: dst, Len: 8}})
+	slist := putScatter(cli.Mem(), wqe.ScatterEntry{Addr: src, Len: 32}, wqe.ScatterEntry{Addr: src + 32, Len: 32})
+	rlist := putScatter(srv.Mem(), wqe.ScatterEntry{Addr: dst, Len: 8})
 
 	const batch = 16
 	for _, tc := range []struct {

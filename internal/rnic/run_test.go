@@ -28,12 +28,21 @@ func runsHome(t *testing.T, devs ...*Device) {
 	}
 }
 
+// putScatter allocates a scatter list in m holding entries and returns
+// its address.
+func putScatter(m *mem.Memory, entries ...wqe.ScatterEntry) uint64 {
+	list := make([]byte, len(entries)*wqe.ScatterEntrySize)
+	wqe.EncodeScatter(list, entries)
+	addr := m.Alloc(uint64(len(list)), 8)
+	if err := m.Write(addr, list); err != nil {
+		panic(err)
+	}
+	return addr
+}
+
 // postRecvList posts a one-entry RECV on q scattering into dst.
 func postRecvList(q *QP, id, dst uint64) {
-	m := q.dev.mem
-	slist := m.Alloc(wqe.ScatterEntrySize, 8)
-	wqe.EncodeScatter(m.Raw()[slist:], []wqe.ScatterEntry{{Addr: dst, Len: 8}})
-	q.PostRecv(id, slist, 1, true)
+	q.PostRecv(id, putScatter(q.dev.mem, wqe.ScatterEntry{Addr: dst, Len: 8}), 1, true)
 }
 
 func TestRunRecordsReturnAtQuiesce(t *testing.T) {
@@ -41,8 +50,7 @@ func TestRunRecordsReturnAtQuiesce(t *testing.T) {
 	cli.SetLabel("cli")
 	srv.SetLabel("srv")
 	src, dst := cli.Mem().Alloc(64, 8), srv.Mem().Alloc(64, 8)
-	slist := cli.Mem().Alloc(2*wqe.ScatterEntrySize, 8)
-	wqe.EncodeScatter(cli.Mem().Raw()[slist:], []wqe.ScatterEntry{{Addr: src, Len: 8}, {Addr: src + 8, Len: 8}})
+	slist := putScatter(cli.Mem(), wqe.ScatterEntry{Addr: src, Len: 8}, wqe.ScatterEntry{Addr: src + 8, Len: 8})
 
 	// Every verb, signaled and not, twice over so records are reused.
 	for round := 0; round < 2; round++ {

@@ -1,6 +1,9 @@
 package shard
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // A skewed stream's dominant keys must all be tracked, with counts in
 // rank order.
@@ -68,6 +71,81 @@ func TestHotKeysDeterministicTieBreak(t *testing.T) {
 		evicted, ev := h.Touch(100)
 		if !ev || evicted != 3 {
 			t.Fatalf("trial %d: evicted %d, want smallest tied key 3", trial, evicted)
+		}
+	}
+}
+
+// scanHotKeys is the tracker as it was first written — one map, and a
+// linear scan for the (min count, smallest key) victim. It is the
+// reference the heap must agree with, eviction for eviction.
+type scanHotKeys struct {
+	k      int
+	counts map[uint64]uint64
+}
+
+func (h *scanHotKeys) Touch(key uint64) (evicted uint64, wasEvicted bool) {
+	if _, ok := h.counts[key]; ok {
+		h.counts[key]++
+		return 0, false
+	}
+	if len(h.counts) < h.k {
+		h.counts[key] = 1
+		return 0, false
+	}
+	var minKey, minCount uint64
+	first := true
+	for k, c := range h.counts {
+		if first || c < minCount || (c == minCount && k < minKey) {
+			minKey, minCount, first = k, c, false
+		}
+	}
+	delete(h.counts, minKey)
+	h.counts[key] = minCount + 1
+	return minKey, true
+}
+
+// The heap must pick the victim the scan picks on every touch — the
+// cache hit ratio and every virtual-time fingerprint of a cached run
+// hang on which keys are admitted — and agree on every count.
+func TestHotKeysMatchesLinearScan(t *testing.T) {
+	const touches = 50_000
+	streams := []struct {
+		name string
+		over func(*rand.Rand) func() uint64
+	}{
+		{"zipf", func(r *rand.Rand) func() uint64 { return rand.NewZipf(r, 1.1, 1, 10_000).Uint64 }},
+		{"uniform", func(r *rand.Rand) func() uint64 { return func() uint64 { return uint64(r.Intn(3000)) } }},
+	}
+	for _, stream := range streams {
+		name := stream.name
+		for _, k := range []int{1, 8, 64, 1024} {
+			next := stream.over(rand.New(rand.NewSource(int64(k))))
+			h, ref := NewHotKeys(k), &scanHotKeys{k: k, counts: map[uint64]uint64{}}
+			evictions := 0
+			for i := 0; i < touches; i++ {
+				key := next()
+				gotKey, got := h.Touch(key)
+				wantKey, want := ref.Touch(key)
+				if got != want || gotKey != wantKey {
+					t.Fatalf("%s k=%d touch %d of key %d: evicted %d (%v), scan evicts %d (%v)",
+						name, k, i, key, gotKey, got, wantKey, want)
+				}
+				if got {
+					evictions++
+				}
+			}
+			if h.Len() != len(ref.counts) {
+				t.Fatalf("%s k=%d: %d tracked, scan tracks %d", name, k, h.Len(), len(ref.counts))
+			}
+			for key, c := range ref.counts {
+				if h.Count(key) != c {
+					t.Fatalf("%s k=%d: count(%d) = %d, scan has %d", name, k, key, h.Count(key), c)
+				}
+			}
+			if evictions == 0 {
+				t.Fatalf("%s k=%d: stream never evicted; the comparison is vacuous", name, k)
+			}
+			t.Logf("%s k=%d: %d evictions agree", name, k, evictions)
 		}
 	}
 }
