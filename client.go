@@ -7,6 +7,7 @@ import (
 	"repro/internal/extent"
 	"repro/internal/fabric"
 	"repro/internal/hopscotch"
+	"repro/internal/ring"
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -147,17 +148,35 @@ type Client struct {
 	rcptHook func(Op, *telemetry.Receipt)
 }
 
-// pipeReq is one in-flight (or queued) request on any pipeline. The
-// per-op payload fields are a union; only the issuing shim's fields are
-// set.
+// pipeReq is one queued or in-flight request on any pipeline: a pooled
+// record, taken from its pipeline's free list by the issuing shim
+// (opPipeline.take) and returned once the request has been delivered
+// AND its deadline event has run. The deadline pins the record because
+// the engine cannot cancel an event: a get acked after 5 us still has
+// its MissTimeout event queued 195 us out, and a record handed to the
+// next request before then would have that request failed by this
+// one's deadline. The two deadline continuations are method values
+// bound once, when the record is made, so arming one allocates nothing.
 type pipeReq struct {
-	key    uint64
-	slot   int
-	seq    uint64 // issue sequence (window-epoch guard for AIMD cuts)
-	start  sim.Time
-	done   bool
-	issued bool
-	op     uint64 // trace op id (0 = untraced)
+	reqState
+
+	p         *opPipeline
+	timeoutFn func() // an issued request's deadline
+	expireFn  func() // failLater's deadline: the request never got a slot
+}
+
+// reqState is what one request's life writes; take zeroes it. The
+// per-op payload fields are a union; only the issuing shim's are set.
+type reqState struct {
+	live  bool // taken from the free list and not yet returned
+	timed bool // the deadline event has run
+
+	key   uint64
+	slot  int
+	seq   uint64 // issue sequence (window-epoch guard for AIMD cuts)
+	start sim.Time
+	done  bool
+	op    uint64 // trace op id (0 = untraced)
 
 	// Provenance stamps: when the request entered the pipeline and
 	// whether it queued for window headroom (vs a free slot). The
@@ -258,9 +277,11 @@ type opPipeline struct {
 	qp      *rnic.QP
 
 	free    []int
-	slots   []*pipeReq // in-flight request per slot (nil = free)
-	waiting []*pipeReq // no free slot (or window headroom) yet
-	dirty   bool       // posted WRs awaiting a doorbell
+	slots   []*pipeReq           // in-flight request per slot (nil = free)
+	waiting ring.Queue[*pipeReq] // no free slot (or window headroom) yet
+	dirty   bool                 // posted WRs awaiting a doorbell
+
+	reqs recordPool[pipeReq]
 
 	// Chain-execution accounting: every response WQE is signaled, so
 	// each executed instance delivers exactly respPer completions on
@@ -333,6 +354,58 @@ func newPipeline(c *Client, op Op, name string, depth int) *opPipeline {
 	return p
 }
 
+// recordPool is a LIFO free list of op records and the number ever
+// made: after a quiesce every record made is back on the list. The
+// pipelines keep one of request records, the Service one per kind of op
+// record (DESIGN.md §4, "Op records").
+type recordPool[T any] struct {
+	free []*T
+	made int
+}
+
+// take hands out a free record, or a new zero one (fresh) for the
+// caller to bind continuations on.
+func (p *recordPool[T]) take() (r *T, fresh bool) {
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+		return r, false
+	}
+	p.made++
+	return new(T), true
+}
+
+func (p *recordPool[T]) put(r *T) { p.free = append(p.free, r) }
+
+// take hands out a zeroed request record for the issuing shim to fill
+// and submit.
+func (p *opPipeline) take() *pipeReq {
+	req, fresh := p.reqs.take()
+	if fresh {
+		req.p = p
+		req.timeoutFn, req.expireFn = req.timeout, req.expire
+	}
+	req.live = true
+	return req
+}
+
+// release zeroes the request's state — dropping the callbacks and value
+// it referenced — and returns the record to its pipeline.
+func (req *pipeReq) release() {
+	req.mustBeLive()
+	req.reqState = reqState{}
+	req.p.reqs.put(req)
+}
+
+// mustBeLive panics when a continuation reaches a record that is back
+// on the free list: whatever ran would have read the next request's
+// fields, or none.
+func (req *pipeReq) mustBeLive() {
+	if !req.live {
+		panic("redn: " + req.p.name + " request record used after its release")
+	}
+}
+
 // pending returns how many signaled response completions the slot's
 // armed instances still owe.
 func (p *opPipeline) pending(slot int) uint64 {
@@ -345,6 +418,7 @@ func (p *opPipeline) pending(slot int) uint64 {
 // fails after the miss deadline (the elapsed time a real client would
 // wait on an unresponsive server before giving up).
 func (p *opPipeline) submit(req *pipeReq) {
+	req.mustBeLive()
 	req.submit = p.c.tb.clu.Eng.Now()
 	if len(p.free) == 0 || p.inFlight >= p.win.size() {
 		req.winFull = p.inFlight >= p.win.size()
@@ -353,36 +427,41 @@ func (p *opPipeline) submit(req *pipeReq) {
 			p.failLater(req)
 			return
 		}
-		p.waiting = append(p.waiting, req)
+		*p.waiting.Push() = req
 		return
 	}
 	p.issue(req)
 }
 
-// failLater completes req as failed one MissTimeout from now unless it
-// got issued or completed in the meantime (a slot was reclaimed).
+// failLater completes req as failed one MissTimeout from now. Only a
+// request that is in no queue gets here (submit found every slot
+// quarantined, or finish emptied the waiting queue into it), so it can
+// neither issue nor complete in the meantime and this deadline is the
+// only event it will ever have.
 func (p *opPipeline) failLater(req *pipeReq) {
-	c := p.c
-	c.tb.clu.Eng.After(c.MissTimeout, func() {
-		if req.done || req.issued {
-			return
-		}
-		req.done = true
-		p.fails++
-		p.lastRan = false // never even reached a slot
-		p.lastRcpt = nil  // never issued: no receipt
-		p.deliver(req, c.MissTimeout, false, false)
-	})
+	p.c.tb.clu.Eng.After(p.c.MissTimeout, req.expireFn)
+}
+
+// expire is failLater's deadline.
+func (req *pipeReq) expire() {
+	req.mustBeLive()
+	p := req.p
+	req.done = true
+	p.fails++
+	p.lastRan = false // never even reached a slot
+	p.lastRcpt = nil  // never issued: no receipt
+	p.deliver(req, p.c.MissTimeout, false, false)
+	req.release()
 }
 
 // issue arms one offload instance on a free slot and posts its WRs
 // (doorbell-less; Flush kicks them).
 func (p *opPipeline) issue(req *pipeReq) {
+	req.mustBeLive()
 	c := p.c
 	slot := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	req.slot = slot
-	req.issued = true
 	p.slots[slot] = req
 	p.armCount[slot]++
 	p.issued++
@@ -408,7 +487,7 @@ func (p *opPipeline) issue(req *pipeReq) {
 	}
 	p.post(req)
 	p.dirty = true
-	c.tb.clu.Eng.After(c.MissTimeout, func() { p.onTimeout(req) })
+	c.tb.clu.Eng.After(c.MissTimeout, req.timeoutFn)
 }
 
 // onAck completes slot's in-flight request at time at. A key mismatch
@@ -425,13 +504,18 @@ func (p *opPipeline) onAck(slot int, key uint64, at, backlog sim.Time) {
 	p.finish(req, at-req.start, true, backlog)
 }
 
-// onTimeout completes req as failed if it is still outstanding. The
-// reported latency is exactly the configured timeout — the elapsed
-// time a real client would have waited before giving up.
-func (p *opPipeline) onTimeout(req *pipeReq) {
-	if req.done || p.slots[req.slot] != req {
+// timeout is an issued request's deadline: it completes the request as
+// failed if it is still outstanding — the reported latency is exactly
+// the configured timeout, the elapsed time a real client would have
+// waited before giving up — and otherwise only unpins the record.
+func (req *pipeReq) timeout() {
+	req.mustBeLive()
+	req.timed = true
+	if req.done {
+		req.release()
 		return
 	}
+	p := req.p
 	p.fails++
 	p.finish(req, p.c.MissTimeout, false, 0)
 }
@@ -446,6 +530,7 @@ func (p *opPipeline) onTimeout(req *pipeReq) {
 // chain rings. A confirmed ack always frees the slot — the WRITE
 // proves the chain ran.
 func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Time) {
+	req.mustBeLive()
 	req.done = true
 	c := p.c
 	if c.tr.Enabled() {
@@ -461,10 +546,9 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 		if p.nWedged == p.depth {
 			// Nothing will ever free a slot: fail the queue rather
 			// than strand it.
-			for _, w := range p.waiting {
-				p.failLater(w)
+			for p.waiting.Len() > 0 {
+				p.failLater(p.waiting.Pop())
 			}
-			p.waiting = nil
 		}
 	} else {
 		if !ok {
@@ -501,6 +585,9 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 	p.deliver(req, lat, ok, true)
 	p.pump()
 	c.Flush()
+	if req.timed {
+		req.release()
+	}
 }
 
 // reclaim returns a quarantined slot to service once its backlog
@@ -521,13 +608,8 @@ func (p *opPipeline) reclaim(slot int) {
 // pump issues queued requests while free slots and window headroom
 // remain.
 func (p *opPipeline) pump() {
-	for len(p.waiting) > 0 && len(p.free) > 0 && p.inFlight < p.win.size() {
-		next := p.waiting[0]
-		p.waiting = p.waiting[1:]
-		if next.done {
-			continue
-		}
-		p.issue(next)
+	for p.waiting.Len() > 0 && len(p.free) > 0 && p.inFlight < p.win.size() {
+		p.issue(p.waiting.Pop())
 	}
 }
 
@@ -994,7 +1076,7 @@ func (c *Client) PipelineStats(op Op) PipelineStats {
 	p := c.pipe(op)
 	return PipelineStats{
 		InFlight: p.inFlight,
-		Queued:   len(p.waiting),
+		Queued:   p.waiting.Len(),
 		Wedged:   p.nWedged,
 		Window:   p.win.size(),
 	}
@@ -1067,7 +1149,9 @@ func (c *Client) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, 
 	if valLen > c.maxVal {
 		panic(fmt.Sprintf("redn: valLen %d exceeds client max %d", valLen, c.maxVal))
 	}
-	c.get.submit(&pipeReq{key: key & hopscotch.KeyMask, valLen: valLen, getCB: cb, op: c.tr.Op()})
+	req := c.get.take()
+	req.key, req.valLen, req.getCB, req.op = key&hopscotch.KeyMask, valLen, cb, c.tr.Op()
+	c.get.submit(req)
 }
 
 // Get performs one offloaded get of up to valLen bytes, advancing the
@@ -1155,23 +1239,25 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 		}
 	}
 	c.nextVer[k]++
-	c.setAsyncReq(&pipeReq{key: k, val: value, sclaim: claim, ver: c.nextVer[k],
-		ackCB: cb, lifecycle: true})
+	c.setAsyncReq(k, value, claim, c.nextVer[k], cb, true)
 }
 
 // SetAsyncClaim is SetAsync with an explicit, caller-computed bucket
 // claim and version — the service layer's entry point (its router owns
 // placement and the quorum sequence the version publishes).
 func (c *Client) SetAsyncClaim(key uint64, value []byte, claim core.SetClaim, ver uint64, cb func(lat Duration, ok bool)) {
-	c.setAsyncReq(&pipeReq{key: key & hopscotch.KeyMask, val: value, sclaim: claim, ver: ver, ackCB: cb})
+	c.setAsyncReq(key&hopscotch.KeyMask, value, claim, ver, cb, false)
 }
 
-// setAsyncReq routes one set request into the pipeline.
-func (c *Client) setAsyncReq(req *pipeReq) {
-	req.op = c.tr.Op()
-	if uint64(len(req.val)) > c.maxVal {
-		panic(fmt.Sprintf("redn: value %d exceeds client max %d", len(req.val), c.maxVal))
+// setAsyncReq routes one set request into the pipeline. lifecycle marks
+// the standalone path, where the client retires superseded extents.
+func (c *Client) setAsyncReq(key uint64, value []byte, claim core.SetClaim, ver uint64, cb func(lat Duration, ok bool), lifecycle bool) {
+	if uint64(len(value)) > c.maxVal {
+		panic(fmt.Sprintf("redn: value %d exceeds client max %d", len(value), c.maxVal))
 	}
+	req := c.set.take()
+	req.key, req.val, req.sclaim, req.ver, req.ackCB = key, value, claim, ver, cb
+	req.lifecycle, req.op = lifecycle, c.tr.Op()
 	c.set.submit(req)
 }
 
@@ -1237,7 +1323,9 @@ func (c *Client) DeleteAsync(key uint64, cb func(lat Duration, ok bool)) {
 // DeleteAsyncClaim is DeleteAsync with an explicit, caller-computed
 // bucket claim and tombstone version — the service layer's entry point.
 func (c *Client) DeleteAsyncClaim(key uint64, claim core.DeleteClaim, ver uint64, cb func(lat Duration, ok bool)) {
-	c.del.submit(&pipeReq{key: key & hopscotch.KeyMask, dclaim: claim, ver: ver, ackCB: cb, op: c.tr.Op()})
+	req := c.del.take()
+	req.key, req.dclaim, req.ver, req.ackCB, req.op = key&hopscotch.KeyMask, claim, ver, cb, c.tr.Op()
+	c.del.submit(req)
 }
 
 // DrainFreed drains this connection's to-free ring into the server's
@@ -1318,7 +1406,9 @@ func (c *Client) ProbeAsync(key uint64, cb func(ver uint64, lat Duration, ok boo
 // ProbeAsyncTarget is ProbeAsync with an explicit, caller-computed
 // probe target — the service layer's entry point.
 func (c *Client) ProbeAsyncTarget(key uint64, target core.ProbeTarget, cb func(ver uint64, lat Duration, ok bool)) {
-	c.prb.submit(&pipeReq{key: key & hopscotch.KeyMask, target: target, prbCB: cb, op: c.tr.Op()})
+	req := c.prb.take()
+	req.key, req.target, req.prbCB, req.op = key&hopscotch.KeyMask, target, cb, c.tr.Op()
+	c.prb.submit(req)
 }
 
 // Probe performs one offloaded version probe, advancing the simulation

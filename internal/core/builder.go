@@ -22,6 +22,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"repro/internal/mem"
 	"repro/internal/rnic"
 	"repro/internal/wqe"
@@ -228,4 +230,20 @@ func (b *Builder) BumpExpected(cq *rnic.CQ, n uint64) { b.expect[cq.CQN()] += n 
 func (b *Builder) RegisterCodeRegion(qp *rnic.QP) (*mem.Region, error) {
 	wq := qp.SQ()
 	return b.Dev.Mem().Register(wq.Base(), wq.Capacity()*wqe.Size, mem.RemoteAll)
+}
+
+// triggerBuf is the buffer an offload context builds its trigger
+// payloads in. A context serves one request at a time and its client
+// copies the payload into registered memory before asking for the next,
+// so one buffer per context, overwritten by every TriggerPayload, takes
+// the allocation out of the per-op path.
+type triggerBuf []byte
+
+func (t *triggerBuf) fill(fields ...uint64) []byte {
+	buf := (*t)[:0]
+	for _, f := range fields {
+		buf = binary.BigEndian.AppendUint64(buf, f)
+	}
+	*t = buf
+	return buf
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
@@ -107,6 +105,7 @@ type DeleteOffload struct {
 	args [argsRing]uint64
 
 	armed uint64
+	trig  triggerBuf
 }
 
 // SetTraceOp tags this context's private rings (control, chain,
@@ -234,26 +233,22 @@ func DeleteWRsPerOp() (data, sync int) { return 10, 18 }
 
 // TriggerPayload builds the client SEND payload for a delete of key at
 // claim with version ver, acking 8 bytes into the client-side ackAddr.
-// Field order matches Arm's scatter list.
+// Field order matches Arm's scatter list. The result is the context's
+// own buffer, overwritten by its next TriggerPayload.
 func (o *DeleteOffload) TriggerPayload(key uint64, claim DeleteClaim, ver, ackAddr uint64) []byte {
 	k := key & hopscotch.KeyMask
 	occupant := wqe.MakeCtrl(wqe.OpNoop, k)
 	pending := hopscotch.PendingCtrl(k)
 	armed := wqe.MakeCtrl(wqe.OpWrite, k)
-	fields := []uint64{
+	return o.trig.fill(
 		occupant, pending, claim.BucketAddr, // claim CAS
 		claim.BucketAddr, // readback source
 		pending, armed,   // conditional arm of the unlink WRITE
-		claim.BucketAddr,                             // unlink source: [keyCtrl, valAddr, valLen]
-		ver, claim.BucketAddr + hopscotch.OffVersion, // version stamp
+		claim.BucketAddr,                           // unlink source: [keyCtrl, valAddr, valLen]
+		ver, claim.BucketAddr+hopscotch.OffVersion, // version stamp
 		pending, hopscotch.Tombstone, claim.BucketAddr, // tombstone CAS
 		ackAddr, 8, // ack destination and length
-	}
-	out := make([]byte, len(fields)*8)
-	for i, f := range fields {
-		binary.BigEndian.PutUint64(out[i*8:], f)
-	}
-	return out
+	)
 }
 
 // DeletePool is a pool of K independent delete contexts sharing one

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
 	"repro/internal/telemetry"
@@ -77,6 +75,7 @@ type LookupOffload struct {
 	ctrlB *rnic.QP // second control queue (parallel)
 
 	armed uint64
+	trig  triggerBuf
 }
 
 // SetTraceOp tags this context's private rings (control, chain,
@@ -319,24 +318,17 @@ func (o *LookupOffload) WRsPerGet() (data, sync int) {
 
 // TriggerPayload builds the client SEND payload for a get of key,
 // requesting length valLen into the client-side buffer respAddr. The
-// field order matches Arm's scatter lists.
+// field order matches Arm's scatter lists. The result is the context's
+// own buffer, overwritten by its next TriggerPayload.
 func (o *LookupOffload) TriggerPayload(key, valLen, respAddr uint64) []byte {
 	xc := wqe.MakeCtrl(wqe.OpNoop, key&hopscotch.KeyMask)
 	xw := wqe.MakeCtrl(wqe.OpWrite, key&hopscotch.KeyMask)
 	h1 := o.Table.HashAddr(key, 0)
 	h2 := o.Table.HashAddr(key, 1)
-	var fields []uint64
-	switch o.Mode {
-	case LookupSingle:
-		fields = []uint64{xc, xw, h1, valLen, respAddr}
-	default:
-		fields = []uint64{xc, xw, h1, xc, xw, h2, valLen, respAddr, valLen, respAddr}
+	if o.Mode == LookupSingle {
+		return o.trig.fill(xc, xw, h1, valLen, respAddr)
 	}
-	out := make([]byte, len(fields)*8)
-	for i, f := range fields {
-		binary.BigEndian.PutUint64(out[i*8:], f)
-	}
-	return out
+	return o.trig.fill(xc, xw, h1, xc, xw, h2, valLen, respAddr, valLen, respAddr)
 }
 
 // withCtrl returns a shallow copy of the builder that emits control

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
 	"repro/internal/telemetry"
@@ -61,6 +59,7 @@ type ProbeOffload struct {
 	w2 *rnic.QP // managed chain ring: read + conditional
 
 	armed uint64
+	trig  triggerBuf
 }
 
 // SetTraceOp tags this context's private rings (control, chain,
@@ -145,21 +144,18 @@ func ProbeWRsPerOp() (data, sync int) { return 4, 6 }
 
 // TriggerPayload builds the client SEND payload for a probe of key at
 // target, answering 8 bytes (the bucket's version word) into the
-// client-side respAddr. Field order matches Arm's scatter list.
+// client-side respAddr. Field order matches Arm's scatter list. The
+// result is the context's own buffer, overwritten by its next
+// TriggerPayload.
 func (o *ProbeOffload) TriggerPayload(key uint64, target ProbeTarget, respAddr uint64) []byte {
 	k := key & hopscotch.KeyMask
-	fields := []uint64{
+	return o.trig.fill(
 		wqe.MakeCtrl(wqe.OpNoop, k),  // expected occupant
 		wqe.MakeCtrl(wqe.OpWrite, k), // armed response word
 		target.BucketAddr,
-		target.BucketAddr + hopscotch.OffVersion, // response source
+		target.BucketAddr+hopscotch.OffVersion, // response source
 		respAddr,
-	}
-	out := make([]byte, len(fields)*8)
-	for i, f := range fields {
-		binary.BigEndian.PutUint64(out[i*8:], f)
-	}
-	return out
+	)
 }
 
 // ProbePool is a pool of K independent probe contexts sharing one

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
@@ -126,6 +124,7 @@ type SetOffload struct {
 	args [argsRing]uint64
 
 	armed   uint64
+	trig    triggerBuf
 	staging uint64 // staging extent of the most recently armed instance
 }
 
@@ -288,26 +287,22 @@ func SetWRsPerOp() (data, sync int) { return 8, 14 }
 // The publish CAS's operands derive from the claim: it swaps claim.New
 // for the published NOOP|key — a real transition for fresh claims, a
 // harmless self-swap for overwrites. ver lands in the bucket's version
-// word through the same WRITE as the repoint.
+// word through the same WRITE as the repoint. The result is the
+// context's own buffer, overwritten by its next TriggerPayload.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	xc := wqe.MakeCtrl(wqe.OpNoop, key&hopscotch.KeyMask)
 	xw := wqe.MakeCtrl(wqe.OpWrite, key&hopscotch.KeyMask)
-	fields := []uint64{
+	return o.trig.fill(
 		claim.Expect, claim.New, claim.BucketAddr, // claim CAS
 		claim.BucketAddr, // readback source
 		// The conditional flip compares against whatever word a
 		// successful claim left in the bucket — NOOP|key for overwrites,
 		// the pending word for fresh claims — and arms the WRITE.
 		claim.New, xw,
-		claim.BucketAddr + hopscotch.OffValAddr, valLen, ver, // bucket repoint + version
+		claim.BucketAddr+hopscotch.OffValAddr, valLen, ver, // bucket repoint + version
 		claim.New, xc, claim.BucketAddr, // publish CAS
 		ackAddr, 8, // ack destination and length
-	}
-	out := make([]byte, len(fields)*8)
-	for i, f := range fields {
-		binary.BigEndian.PutUint64(out[i*8:], f)
-	}
-	return out
+	)
 }
 
 // SetPool is a pool of K independent set contexts sharing one client

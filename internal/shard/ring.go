@@ -9,6 +9,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -33,6 +34,16 @@ type Ring struct {
 	nodes  []string
 	live   map[string]bool
 	points []point // sorted by hash
+
+	// The owner table: for every ring point, the first depth distinct
+	// nodes clockwise from it, depth entries per point, as node ids and
+	// as indexes into nodes. It is built by the first lookup after a
+	// membership change and never written again — a change drops it and
+	// the next lookup builds a fresh one — so LookupN hands out
+	// sub-slices of it and a Clone shares it.
+	depth    int
+	ownerIDs []string
+	ownerIdx []int32
 }
 
 // NewRing creates an empty ring with the given number of virtual nodes
@@ -82,6 +93,7 @@ func (r *Ring) AddNode(id string) error {
 		r.points = append(r.points, point{hash: splitmix64(base + uint64(v)*0xC2B2AE3D27D4EB4F), node: idx})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	r.ownerIDs, r.ownerIdx = nil, nil
 	return nil
 }
 
@@ -116,6 +128,7 @@ func (r *Ring) RemoveNode(id string) error {
 	}
 	r.points = kept
 	r.nodes = append(r.nodes[:idx], r.nodes[idx+1:]...)
+	r.ownerIDs, r.ownerIdx = nil, nil
 	return nil
 }
 
@@ -133,6 +146,7 @@ func (r *Ring) Clone() *Ring {
 		nodes:  append([]string(nil), r.nodes...),
 		live:   make(map[string]bool, len(r.live)),
 		points: append([]point(nil), r.points...),
+		depth:  r.depth, ownerIDs: r.ownerIDs, ownerIdx: r.ownerIdx,
 	}
 	for id, v := range r.live {
 		c.live[id] = v
@@ -165,29 +179,60 @@ func (r *Ring) Lookup(key uint64) (string, error) {
 // LookupN returns the first n distinct nodes clockwise from key —
 // replica-aware placement: the primary followed by n-1 backup owners,
 // each on a different physical node. n is clamped to the live node
-// count; an empty ring returns ErrEmptyRing. Distinctness is keyed by
-// node id, not index-table slot, so it cannot be fooled by any future
-// slot-reuse scheme.
+// count; an empty ring returns ErrEmptyRing. The result is a read-only
+// view of the owner table, good until the next membership change; its
+// capacity equals its length, so appending to it copies.
 func (r *Ring) LookupN(key uint64, n int) ([]string, error) {
+	at, n, err := r.ownersAt(key, n)
+	if err != nil {
+		return nil, err
+	}
+	return r.ownerIDs[at : at+n : at+n], nil
+}
+
+// LookupNodes is LookupN by position: the same owners as indexes into
+// Nodes(), for callers that keep per-node state in a slice of their own.
+func (r *Ring) LookupNodes(key uint64, n int) ([]int32, error) {
+	at, n, err := r.ownersAt(key, n)
+	if err != nil {
+		return nil, err
+	}
+	return r.ownerIdx[at : at+n : at+n], nil
+}
+
+// ownersAt locates key's row of the owner table, (re)building the table
+// when a membership change dropped it or n asks for a deeper one.
+func (r *Ring) ownersAt(key uint64, n int) (at, clamped int, err error) {
 	if len(r.points) == 0 {
-		return nil, ErrEmptyRing
+		return 0, 0, ErrEmptyRing
 	}
-	if n > len(r.live) {
-		n = len(r.live)
+	if n > len(r.nodes) {
+		n = len(r.nodes)
 	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	i := r.successor(KeyPoint(key))
-	for len(out) < n {
-		id := r.nodes[r.points[i].node]
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+	if r.ownerIDs == nil || n > r.depth {
+		r.buildOwners(max(n, min(r.depth, len(r.nodes))))
+	}
+	return r.successor(KeyPoint(key)) * r.depth, n, nil
+}
+
+// buildOwners fills a fresh owner table depth entries deep by walking
+// clockwise from every point. Distinctness is by slot in nodes, which
+// RemoveNode keeps free of duplicates and tombstones.
+func (r *Ring) buildOwners(depth int) {
+	ids := make([]string, len(r.points)*depth)
+	idx := make([]int32, len(r.points)*depth)
+	for p := range r.points {
+		row := idx[p*depth : p*depth : (p+1)*depth]
+		for i := p; len(row) < depth; i++ {
+			if i == len(r.points) {
+				i = 0
+			}
+			node := int32(r.points[i].node)
+			if !slices.Contains(row, node) {
+				ids[p*depth+len(row)] = r.nodes[node]
+				row = append(row, node)
+			}
 		}
-		i++
-		if i == len(r.points) {
-			i = 0
-		}
 	}
-	return out, nil
+	r.depth, r.ownerIDs, r.ownerIdx = depth, ids, idx
 }

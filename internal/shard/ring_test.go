@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -455,5 +456,133 @@ func TestLookupNDistinctNodesProperty(t *testing.T) {
 				check(size - 1)
 			}
 		}
+	}
+}
+
+// walkLookupN is LookupN as it was before the owner table: walk the
+// circle from key's successor collecting distinct node ids. Kept as the
+// reference the table is compared against.
+func walkLookupN(r *Ring, key uint64, n int) ([]string, error) {
+	if len(r.points) == 0 {
+		return nil, ErrEmptyRing
+	}
+	if n > len(r.live) {
+		n = len(r.live)
+	}
+	out := make([]string, 0, n)
+	seen := make(map[string]bool, n)
+	i := r.successor(KeyPoint(key))
+	for len(out) < n {
+		id := r.nodes[r.points[i].node]
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, id)
+		}
+		i++
+		if i == len(r.points) {
+			i = 0
+		}
+	}
+	return out, nil
+}
+
+// checkOwnerTable compares LookupN and LookupNodes with the walk over
+// nKeys seeded keys for n in {1, 2, 3, len+1}.
+func checkOwnerTable(t *testing.T, r *Ring, rng *rand.Rand, nKeys int, when string) {
+	t.Helper()
+	nodes := r.Nodes()
+	for _, n := range []int{1, 2, 3, r.Len() + 1} {
+		for i := 0; i < nKeys; i++ {
+			k := rng.Uint64()
+			want, werr := walkLookupN(r, k, n)
+			got, gerr := r.LookupN(k, n)
+			if werr != gerr {
+				t.Fatalf("%s: LookupN(%#x, %d) error %v, walk says %v", when, k, n, gerr, werr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: LookupN(%#x, %d) = %v, walk says %v", when, k, n, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%s: LookupN(%#x, %d) has cap %d over len %d: an append would write into the table",
+					when, k, n, cap(got), len(got))
+			}
+			idx, err := r.LookupNodes(k, n)
+			if err != gerr || len(idx) != len(want) || cap(idx) != len(idx) {
+				t.Fatalf("%s: LookupNodes(%#x, %d) = %v, %v; want %d owners", when, k, n, idx, err, len(want))
+			}
+			for j, ni := range idx {
+				if nodes[ni] != want[j] {
+					t.Fatalf("%s: LookupNodes(%#x, %d)[%d] names %q, walk says %q", when, k, n, j, nodes[ni], want[j])
+				}
+			}
+		}
+	}
+}
+
+func TestOwnerTableMatchesWalk(t *testing.T) {
+	const nKeys = 10000
+	rng := rand.New(rand.NewSource(17))
+	r := NewRing(32)
+	checkOwnerTable(t, r, rng, 1, "empty ring")
+	next := 0
+	var snapshots []*Ring
+	for step := 0; step < 24; step++ {
+		live := r.Nodes()
+		switch {
+		case len(live) < 2 || (len(live) < 9 && rng.Intn(3) > 0):
+			id := fmt.Sprintf("n%d", next)
+			if next > 3 && rng.Intn(4) == 0 {
+				id = fmt.Sprintf("n%d", rng.Intn(next)) // maybe a re-add
+			}
+			if r.AddNode(id) == nil {
+				next++
+			}
+		default:
+			if err := r.RemoveNode(live[rng.Intn(len(live))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkOwnerTable(t, r, rng, nKeys, fmt.Sprintf("step %d (%v)", step, r.Nodes()))
+		if step%6 == 0 {
+			snapshots = append(snapshots, r.Clone())
+		}
+	}
+	// A clone answered from the table it shared at Clone time; the
+	// parent's later changes must not show through it, nor its through
+	// the parent.
+	for i, c := range snapshots {
+		checkOwnerTable(t, c, rng, nKeys, fmt.Sprintf("clone %d (%v)", i, c.Nodes()))
+		if err := c.AddNode("late"); err != nil {
+			t.Fatal(err)
+		}
+		checkOwnerTable(t, c, rng, nKeys/10, fmt.Sprintf("clone %d after its own AddNode", i))
+	}
+	checkOwnerTable(t, r, rng, nKeys, "parent after the clones changed")
+}
+
+func TestLookupNResultIsReadOnlyView(t *testing.T) {
+	r := NewRing(0)
+	for i := 0; i < 5; i++ {
+		r.AddNode(fmt.Sprintf("s%d", i))
+	}
+	const key = 12345
+	before := append([]string(nil), mustLookupN(t, r, key, 3)...)
+	two := mustLookupN(t, r, key, 2)
+	grown := append(two, "intruder")
+	if &grown[0] == &two[0] {
+		t.Fatal("append to a LookupN result wrote in place")
+	}
+	if after := mustLookupN(t, r, key, 3); !slices.Equal(after, before) {
+		t.Fatalf("owner table changed under an append: %v, was %v", after, before)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := r.LookupN(key, 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.LookupNodes(key, 3); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("LookupN + LookupNodes allocate %.1f times per call, want 0", allocs)
 	}
 }

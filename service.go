@@ -2,6 +2,7 @@ package redn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/extent"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/hopscotch"
 	"repro/internal/repair"
+	"repro/internal/ring"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -253,6 +255,7 @@ type serviceShard struct {
 	clients []*Client
 	cnodes  []*fabric.Node // client nodes, kept for reconnection
 	rr      int            // round-robin client cursor
+	ringIdx int32          // position in the ring's node table (-1: not on the ring)
 
 	// Crash-detection state, driven purely by observed timeouts.
 	hostDown     bool     // host-side service (kick-path sets) unavailable
@@ -264,7 +267,7 @@ type serviceShard struct {
 	// same-key writes AND deletes so per-key order survives the
 	// pipelined fabric.
 	hints       map[uint64]*hint
-	inflightSet map[uint64][]func()
+	inflightSet map[uint64]ring.Queue[func()]
 
 	// tombVer records the newest delete sequence THIS owner applied per
 	// key — coordinator metadata standing in for scanning tombstoned
@@ -278,6 +281,12 @@ type serviceShard struct {
 	// under NoReclaim it keeps accounting but never reuses memory
 	// (extent.SetNoReclaim), so every allocation path is uniform.
 	arena *extent.Arena
+	// retiring holds the extents cooling off before they return to the
+	// arena, oldest first; freeRetired, bound once, frees the oldest.
+	// Every cool-off is the same ExtentGraceLat, so the events fire in
+	// the order the extents were queued.
+	retiring    ring.Queue[uint64]
+	freeRetired func()
 
 	// Per-shard counters live in the service's metrics registry under
 	// "<id>/<name>"; Stats() reads them back instead of hand-plumbed
@@ -334,7 +343,8 @@ const ExtentGraceLat = 10 * sim.Microsecond
 // period. Extents that were never published to a bucket (refused-claim
 // staging) skip the grace and free directly.
 func (sh *serviceShard) retireExtent(addr uint64) {
-	sh.srv.tb.clu.Eng.After(ExtentGraceLat, func() { sh.arena.Free(addr) })
+	*sh.retiring.Push() = addr
+	sh.srv.tb.clu.Eng.After(ExtentGraceLat, sh.freeRetired)
 }
 
 // inflight sums outstanding and queued gets across the shard's client
@@ -391,6 +401,15 @@ type Service struct {
 	ring   *shard.Ring
 	shards map[string]*serviceShard
 	order  []*serviceShard // insertion order for deterministic iteration
+	// ringShards resolves the ring's node table (shard.Ring.Nodes order,
+	// what LookupNodes indexes) to shards; ringChanged refreshes it on
+	// every membership change, so routing an op does no map lookup.
+	ringShards []*serviceShard
+
+	// Pooled op records (DESIGN.md §4, "Op records").
+	gets recordPool[getOp]
+	sets recordPool[setOp]
+	runs recordPool[ownerRun]
 
 	hot      *shard.HotKeys    // top-k access tracker (hot routing / cache admission)
 	cache    map[uint64][]byte // client-side hot-value cache
@@ -425,8 +444,16 @@ type Service struct {
 	aeArmed     bool
 	aeCursor    int
 	aeCleanRun  int // consecutive sweeps that found no divergence
-	probeTick   uint64
-	probeCursor int
+	// Sweep scratch, reused by every sweep: the root's and the partner's
+	// binned scans, the per-segment dedup set, and the findings of the
+	// sweep whose digest charge is elapsing (aeSettling).
+	aeRoot, aePartner aeBins
+	aeSeen            map[uint64]struct{}
+	aeFound           []aeFound
+	aeSettling        bool
+	aeSettleFn        func()
+	probeTick         uint64
+	probeCursor       int
 
 	// Live-resharding state (service_reshard.go): the active migration
 	// (nil while membership is stable), its tick arm, the monotonically
@@ -682,7 +709,9 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 
 	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(shard.DefaultVirtualNodes),
 		shards: make(map[string]*serviceShard), nextSeq: make(map[uint64]uint64),
-		unsettled: make(map[uint64]int), repq: repair.NewQueue()}
+		unsettled: make(map[uint64]int), repq: repair.NewQueue(),
+		aeSeen: make(map[uint64]struct{})}
+	s.aeSettleFn = s.aeSettled
 	if cfg.Trace {
 		s.tr = telemetry.NewTracer(s.tb.clu.Eng)
 	} else if cfg.Sentinel {
@@ -714,8 +743,24 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 		s.shards[id] = sh
 		s.order = append(s.order, sh)
 	}
+	s.ringChanged()
 	s.initSentinel()
 	return s
+}
+
+// ringChanged re-resolves the ring's node table to shards after a
+// membership change. A shard that left the ring but not yet the service
+// (a drain in progress) has ringIdx -1.
+func (s *Service) ringChanged() {
+	for _, sh := range s.order {
+		sh.ringIdx = -1
+	}
+	s.ringShards = s.ringShards[:0]
+	for i, id := range s.ring.Nodes() {
+		sh := s.shards[id]
+		sh.ringIdx = int32(i)
+		s.ringShards = append(s.ringShards, sh)
+	}
 }
 
 // buildShard constructs one server shard — fabric node, arena, table,
@@ -736,9 +781,10 @@ func (s *Service) buildShard(id string) *serviceShard {
 	srv.arena = extent.NewArena(node.Mem, cfg.SegmentSize)
 	srv.arena.SetNoReclaim(cfg.NoReclaim)
 	sh := &serviceShard{id: id, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
-		arena: srv.arena,
-		hints: make(map[uint64]*hint), inflightSet: make(map[uint64][]func()),
+		arena: srv.arena, ringIdx: -1,
+		hints: make(map[uint64]*hint), inflightSet: make(map[uint64]ring.Queue[func()]),
 		tombVer: make(map[uint64]uint64)}
+	sh.freeRetired = func() { sh.arena.Free(sh.retiring.Pop()) }
 	sh.initMetrics(s.reg)
 	for c := 0; c < cfg.ClientsPerShard; c++ {
 		cc := fabric.DefaultNodeConfig(fmt.Sprintf("%s-client%d", id, c))
@@ -783,9 +829,10 @@ func (s *Service) Run() { s.tb.Run() }
 // NumShards returns the shard count.
 func (s *Service) NumShards() int { return len(s.order) }
 
-// owners returns key's replica owner shards, primary first. Only an
-// empty ring has no owners, and DrainShard refuses to empty it — nil
-// keeps a regression from panicking the simulation.
+// owners returns key's replica owner shards, primary first, as a
+// read-only view of the ring's owner table (appending to it copies).
+// Only an empty ring has no owners, and DrainShard refuses to empty it —
+// nil keeps a regression from panicking the simulation.
 func (s *Service) owners(key uint64) []string {
 	ids, err := s.ring.LookupN(key, s.cfg.Replicas)
 	if err != nil {
@@ -794,9 +841,20 @@ func (s *Service) owners(key uint64) []string {
 	return ids
 }
 
-// Owners exposes key's replica owner shard ids, primary first.
+// ownerNodes is owners for the op path: the same owners as indexes into
+// ringShards.
+func (s *Service) ownerNodes(key uint64) []int32 {
+	nodes, err := s.ring.LookupNodes(key, s.cfg.Replicas)
+	if err != nil {
+		return nil
+	}
+	return nodes
+}
+
+// Owners exposes key's replica owner shard ids, primary first. The
+// result is a fresh copy the caller may keep and modify.
 func (s *Service) Owners(key uint64) []string {
-	return s.owners(key & hopscotch.KeyMask)
+	return append([]string(nil), s.owners(key&hopscotch.KeyMask)...)
 }
 
 // ShardID returns the id of the i-th shard.
@@ -990,29 +1048,30 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 	return nil
 }
 
-// readOrder returns key's replica owners in the order gets should try
-// them: the configured read policy picks the preferred owner, then
-// suspected-dead shards are moved to the back (they remain last-resort
-// failover targets — and the first get after a suspect window expires
-// doubles as the circuit breaker's probe).
-func (s *Service) readOrder(key uint64) []*serviceShard {
-	ids := s.owners(key)
+// readOrder fills g.order with key's replica owners in the order the
+// get should try them: the configured read policy picks the preferred
+// owner, then suspected-dead shards are moved to the back (they remain
+// last-resort failover targets — and the first get after a suspect
+// window expires doubles as the circuit breaker's probe).
+func (s *Service) readOrder(g *getOp) {
+	key := g.key
+	nodes := s.ownerNodes(key)
 	rot := 0
-	if len(ids) > 1 {
+	if len(nodes) > 1 {
 		switch s.cfg.ReadPolicy {
 		case ReadRoundRobin:
-			rot = s.rrSpread % len(ids)
+			rot = s.rrSpread % len(nodes)
 			s.rrSpread++
 		case ReadHotSpread:
 			if s.hot != nil && s.hot.Tracked(key) {
-				rot = s.rrSpread % len(ids)
+				rot = s.rrSpread % len(nodes)
 				s.rrSpread++
 			}
 		}
 	}
-	shs := make([]*serviceShard, len(ids))
-	for i := range ids {
-		shs[i] = s.shards[ids[(i+rot)%len(ids)]]
+	shs := g.order[:0]
+	for i := range nodes {
+		shs = append(shs, s.ringShards[nodes[(i+rot)%len(nodes)]])
 	}
 	if len(shs) > 1 {
 		if s.cfg.ReadPolicy == ReadLeastInflight {
@@ -1037,7 +1096,7 @@ func (s *Service) readOrder(key uint64) []*serviceShard {
 			}
 		}
 		if nLive > 0 && nLive < len(shs) {
-			ordered := make([]*serviceShard, 0, len(shs))
+			ordered := g.spare[:0]
 			for _, sh := range shs {
 				if !sh.suspect(now) {
 					ordered = append(ordered, sh)
@@ -1048,30 +1107,21 @@ func (s *Service) readOrder(key uint64) []*serviceShard {
 					ordered = append(ordered, sh)
 				}
 			}
-			shs = ordered
+			shs, g.spare = ordered, shs
 		}
 	}
 	// Dual-read during a resharding: a key whose bucket segment has not
 	// sealed may still live only at its pre-change owners — append them
 	// as last-resort attempts so no get goes dark mid-migration.
 	if m := s.mig; m != nil && m.keyUnsealed(key) {
+		cur := len(shs)
 		for _, id := range m.oldOwners(key) {
-			dup := false
-			for _, have := range ids {
-				if have == id {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			if osh, ok := s.shards[id]; ok {
+			if osh, ok := s.shards[id]; ok && !slices.Contains(shs[:cur], osh) {
 				shs = append(shs, osh)
 			}
 		}
 	}
-	return shs
+	g.order = shs
 }
 
 // Get performs one blocking get (routing + offloaded lookup),
@@ -1113,39 +1163,29 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 			delete(s.cache, evicted)
 		}
 	}
-	op := s.tr.OpBegin("get", key)
-	var epoch uint64
+	g := s.takeGet(key, valLen, s.tr.OpBegin("get", key), cb)
 	if s.cache != nil {
 		if v, ok := s.cache[key]; ok && uint64(len(v)) >= valLen {
 			s.cacheHits.Inc()
 			s.hits.Inc()
-			val := v[:valLen]
-			s.tb.clu.Eng.After(CacheHitLat, func() {
-				s.tr.Instant("coordinator", "cache-hit", op)
-				s.tr.OpEnd(op, "get")
-				if s.prov != nil {
-					r := &s.rcptScratch
-					r.Reset(op, telemetry.ClassGet, s.tb.Now()-CacheHitLat)
-					r.AddPhase(telemetry.PhaseCache, CacheHitLat)
-					r.Total = CacheHitLat
-					s.prov.Record(r)
-				}
-				cb(val, CacheHitLat, true)
-			})
+			g.val = v[:valLen]
+			g.next = getCacheHit
+			s.tb.clu.Eng.After(CacheHitLat, g.cacheHitFn)
 			return
 		}
-		epoch = s.setEpoch[key]
+		g.epoch = s.setEpoch[key]
 	}
-	order := s.readOrder(key)
-	if len(order) == 0 {
+	s.readOrder(g)
+	if len(g.order) == 0 {
 		// Empty ring: nothing owns the key. Unreachable while DrainShard
 		// refuses to drain the last shard; kept as a miss, not a panic.
 		s.misses.Inc()
-		s.tr.OpEnd(op, "get")
+		s.tr.OpEnd(g.op, "get")
+		g.release()
 		s.tb.clu.Eng.After(0, func() { cb(nil, 0, false) })
 		return
 	}
-	s.tryGet(key, valLen, order, 0, 0, s.tb.Now(), epoch, s.cacheGen, op, cb)
+	s.tryGet(g)
 }
 
 // recordGetReceipt folds the final attempt's client receipt into the
@@ -1177,97 +1217,234 @@ func (s *Service) recordGetReceipt(cli *Client, began sim.Time) {
 	s.prov.Record(r)
 }
 
-// tryGet issues attempt i of a get against its policy-ordered owners,
-// accumulating per-attempt latency so a failover's cost (the timeout
-// spent discovering the dead owner) lands in the reported latency.
-// epoch is the key's write epoch at issue time; it gates cache
-// admission against sets that raced the read. gen is the service cache
-// generation at issue time; it gates admission against ownership
-// changes that raced the read (a resharding started mid-flight).
-func (s *Service) tryGet(key, valLen uint64, order []*serviceShard, i int, spent Duration,
-	began sim.Time, epoch, gen uint64, op uint64, cb func(val []byte, lat Duration, ok bool)) {
-	sh := order[i]
-	if s.overloaded(sh) {
-		if i+1 < len(order) {
-			// Defer: some other replica owner may still have headroom.
-			s.deferredGets.Inc()
-			s.tryGet(key, valLen, order, i+1, spent, began, epoch, gen, op, cb)
+// getStage names the one continuation a get record has outstanding.
+type getStage uint8
+
+const (
+	getFree     getStage = iota // on the service's free list
+	getRouting                  // taken; being dispatched synchronously
+	getCacheHit                 // the cache-hit latency is elapsing
+	getShed                     // the zero-cost hop that delivers a shed
+	getAttempt                  // a client get is in flight on order[i]
+	getProbe                    // answered; a read-repair probe is in flight
+)
+
+// getOp is one service-level get from GetAsync to its last
+// continuation: what tryGet's per-attempt closures and the read-repair
+// probe's callback would capture, in one pooled record. Its four
+// continuations are method values bound once, when the record is made;
+// next names the single one outstanding, so a continuation reaching a
+// record that was released — or released and taken again — panics. The
+// record goes back when the caller has its answer, or, when that answer
+// started a read-repair probe, when the probe has answered too.
+type getOp struct {
+	s    *Service
+	next getStage
+
+	key, valLen uint64
+	cb          func(val []byte, lat Duration, ok bool)
+	op          uint64   // trace op id
+	began       sim.Time // when the op entered the coordinator
+	val         []byte   // cache hit: the cached bytes to deliver
+
+	// epoch is the key's write epoch at issue time; it gates cache
+	// admission against sets that raced the read. gen is the service
+	// cache generation at issue time; it gates admission against
+	// ownership changes that raced the read (a resharding started
+	// mid-flight).
+	epoch, gen uint64
+
+	// order is the policy-ordered owners to try (spare is readOrder's
+	// scratch for reordering them), i the attempt in flight, cli the
+	// connection it is on, spent the latency of the attempts before it —
+	// so a failover's cost (the timeout spent discovering the dead
+	// owner) lands in the reported latency.
+	order, spare []*serviceShard
+	i            int
+	cli          *Client
+	spent        Duration
+
+	// The read-repair probe a hit started: the owner asked, over which
+	// connection, the version the serving owner holds, the probe's trace
+	// op id.
+	partner   *serviceShard
+	pcli      *Client
+	servedVer uint64
+	pop       uint64
+
+	cacheHitFn, shedFn func()
+	attemptFn          func(val []byte, lat Duration, ok bool)
+	probeFn            func(ver uint64, lat Duration, ok bool)
+}
+
+// takeGet hands out a get record in the routing stage.
+func (s *Service) takeGet(key, valLen, op uint64, cb func(val []byte, lat Duration, ok bool)) *getOp {
+	g, fresh := s.gets.take()
+	if fresh {
+		g.s = s
+		g.cacheHitFn, g.shedFn, g.attemptFn, g.probeFn = g.cacheHit, g.shed, g.attempted, g.probed
+	}
+	g.next = getRouting
+	g.key, g.valLen, g.op, g.cb = key, valLen, op, cb
+	g.began, g.epoch, g.gen = s.tb.Now(), 0, s.cacheGen
+	g.i, g.spent = 0, 0
+	return g
+}
+
+// release returns the record to the service, dropping what it
+// referenced.
+func (g *getOp) release() {
+	if g.next == getFree {
+		panic("redn: get record released twice")
+	}
+	g.next = getFree
+	g.cb, g.val, g.cli, g.partner, g.pcli = nil, nil, nil, nil, nil
+	g.s.gets.put(g)
+}
+
+// enter asserts that stage is the continuation this record is waiting
+// for, and puts it back in the routing stage.
+func (g *getOp) enter(stage getStage) {
+	if g.next != stage {
+		panic(fmt.Sprintf("redn: get continuation %d ran on a record expecting %d", stage, g.next))
+	}
+	g.next = getRouting
+}
+
+// cacheHit delivers a get served from the client-side cache.
+func (g *getOp) cacheHit() {
+	g.enter(getCacheHit)
+	s := g.s
+	s.tr.Instant("coordinator", "cache-hit", g.op)
+	s.tr.OpEnd(g.op, "get")
+	if s.prov != nil {
+		r := &s.rcptScratch
+		r.Reset(g.op, telemetry.ClassGet, s.tb.Now()-CacheHitLat)
+		r.AddPhase(telemetry.PhaseCache, CacheHitLat)
+		r.Total = CacheHitLat
+		s.prov.Record(r)
+	}
+	cb, val := g.cb, g.val
+	g.release()
+	cb(val, CacheHitLat, true)
+}
+
+// shed delivers a get every owner was too loaded to admit.
+func (g *getOp) shed() {
+	g.enter(getShed)
+	cb, spent := g.cb, g.spent
+	g.release()
+	cb(nil, spent, false)
+}
+
+// tryGet issues attempt g.i of a get against its policy-ordered owners,
+// skipping owners admission control has closed.
+func (s *Service) tryGet(g *getOp) {
+	if g.next != getRouting {
+		panic(fmt.Sprintf("redn: get record routed in stage %d", g.next))
+	}
+	sh := g.order[g.i]
+	for s.overloaded(sh) {
+		if g.i+1 == len(g.order) {
+			// Every owner is saturated: shed instead of stacking a request
+			// that would only time out and burn more PU cycles re-running.
+			s.shedGets.Inc()
+			if s.tr.Enabled() {
+				s.tr.Instant(sh.id, "shed:get", g.op)
+			}
+			s.tr.OpEnd(g.op, "get")
+			g.next = getShed
+			s.tb.clu.Eng.After(0, g.shedFn)
 			return
 		}
-		// Every owner is saturated: shed instead of stacking a request
-		// that would only time out and burn more PU cycles re-running.
-		s.shedGets.Inc()
-		if s.tr.Enabled() {
-			s.tr.Instant(sh.id, "shed:get", op)
-		}
-		s.tr.OpEnd(op, "get")
-		s.tb.clu.Eng.After(0, func() { cb(nil, spent, false) })
-		return
+		// Defer: some other replica owner may still have headroom.
+		s.deferredGets.Inc()
+		g.i++
+		sh = g.order[g.i]
 	}
 	sh.gets.Inc()
-	cli := sh.clients[sh.rr%len(sh.clients)]
+	g.cli = sh.clients[sh.rr%len(sh.clients)]
 	sh.rr++
 	if s.tr.Enabled() {
-		s.tr.AsyncBegin("attempt", op<<4|uint64(i), "try:"+sh.id, op)
+		s.tr.AsyncBegin("attempt", g.op<<4|uint64(g.i), "try:"+sh.id, g.op)
 	}
-	s.tr.SetOp(op)
-	cli.GetAsync(key, valLen, func(val []byte, lat Duration, ok bool) {
-		lat += spent
-		if s.tr.Enabled() {
-			s.tr.AsyncEnd("attempt", op<<4|uint64(i), "try:"+sh.id, op)
-		}
-		if ok {
-			sh.consecMiss = 0
-			sh.suspectUntil = 0
-			s.hits.Inc()
-			sh.getLat.Add(lat)
-			s.maybeCache(key, valLen, val, epoch, gen)
-			// A hit proves the shard live: if handoff hints piled up
-			// behind a false suspicion, deliver them now.
-			if len(sh.hints) > 0 && !sh.hostDown {
-				s.drainHints(sh)
-			}
-			// Read-repair: a replicated hit also interrogates one other
-			// owner's version word through the NIC probe chain; skew
-			// enqueues a roll-forward (service_repair.go).
-			s.maybeReadRepair(key, sh, order)
-			s.tr.OpEnd(op, "get")
-			s.recordGetReceipt(cli, began)
-			cb(val, lat, true)
-			return
-		}
-		if cli.LastExecuted(OpGet) {
-			// The chain ran and found nothing: the key is absent, the
-			// NIC is alive. Liveness proof, not a crash symptom.
-			sh.consecMiss = 0
-			sh.suspectUntil = 0
-		} else {
-			s.noteOwnerMiss(sh)
-		}
-		if i+1 < len(order) {
-			s.retries.Inc()
-			s.tryGet(key, valLen, order, i+1, lat, began, epoch, gen, op, cb)
-			return
-		}
-		s.misses.Inc()
-		s.tr.OpEnd(op, "get")
-		s.recordGetReceipt(cli, began)
-		// Miss-path read-repair: a miss on every owner is itself a
-		// version report ("I hold nothing the NIC can reach"). If the
-		// coordinator's view says some owner does hold the key — a
-		// spilled resident offloaded probes cannot reach, or a replica
-		// the others are missing — repair the laggards; reads of
-		// genuinely absent keys no-op.
-		if s.cfg.ReadRepair && s.repairEnabled() && len(order) > 1 {
-			s.scheduleSkewRepair(key)
-		}
-		cb(val, lat, false)
-	})
+	s.tr.SetOp(g.op)
+	g.next = getAttempt
+	g.cli.GetAsync(g.key, g.valLen, g.attemptFn)
 	s.tr.SetOp(0)
-	if i > 0 {
+	if g.i > 0 {
 		// Retries run outside the caller's batch; kick them directly.
-		cli.Flush()
+		g.cli.Flush()
 	}
+}
+
+// attempted is the client callback of attempt g.i: a hit answers the
+// caller (and may start a read-repair probe), a miss fails over to the
+// next owner or, on the last one, answers with the miss.
+func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
+	g.enter(getAttempt)
+	s, sh, cli := g.s, g.order[g.i], g.cli
+	lat += g.spent
+	if s.tr.Enabled() {
+		s.tr.AsyncEnd("attempt", g.op<<4|uint64(g.i), "try:"+sh.id, g.op)
+	}
+	if ok {
+		sh.consecMiss = 0
+		sh.suspectUntil = 0
+		s.hits.Inc()
+		sh.getLat.Add(lat)
+		s.maybeCache(g.key, g.valLen, val, g.epoch, g.gen)
+		// A hit proves the shard live: if handoff hints piled up
+		// behind a false suspicion, deliver them now.
+		if len(sh.hints) > 0 && !sh.hostDown {
+			s.drainHints(sh)
+		}
+		// Read-repair: a replicated hit also interrogates one other
+		// owner's version word through the NIC probe chain; skew
+		// enqueues a roll-forward (service_repair.go). The probe keeps
+		// the record until it answers.
+		probing := s.maybeReadRepair(g, sh)
+		s.tr.OpEnd(g.op, "get")
+		s.recordGetReceipt(cli, g.began)
+		cb := g.cb
+		if probing {
+			g.cb = nil
+		} else {
+			g.release()
+		}
+		cb(val, lat, true)
+		return
+	}
+	if cli.LastExecuted(OpGet) {
+		// The chain ran and found nothing: the key is absent, the
+		// NIC is alive. Liveness proof, not a crash symptom.
+		sh.consecMiss = 0
+		sh.suspectUntil = 0
+	} else {
+		s.noteOwnerMiss(sh)
+	}
+	if g.i+1 < len(g.order) {
+		s.retries.Inc()
+		g.i++
+		g.spent = lat
+		s.tryGet(g)
+		return
+	}
+	s.misses.Inc()
+	s.tr.OpEnd(g.op, "get")
+	s.recordGetReceipt(cli, g.began)
+	// Miss-path read-repair: a miss on every owner is itself a
+	// version report ("I hold nothing the NIC can reach"). If the
+	// coordinator's view says some owner does hold the key — a
+	// spilled resident offloaded probes cannot reach, or a replica
+	// the others are missing — repair the laggards; reads of
+	// genuinely absent keys no-op.
+	if s.cfg.ReadRepair && s.repairEnabled() && len(g.order) > 1 {
+		s.scheduleSkewRepair(g.key)
+	}
+	cb := g.cb
+	g.release()
+	cb(val, lat, false)
 }
 
 // maybeCache admits a sufficiently hot value to the client-side cache,

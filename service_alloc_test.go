@@ -1,0 +1,96 @@
+//go:build !race
+
+package redn
+
+import "testing"
+
+// TestSteadyStateOpsAllocate pins what an op costs the host above the
+// NIC once the record pools, rings and maps have grown: a fabric get
+// the one copy of the value it hands its caller, a cache hit nothing,
+// a replicated set one extent record per owner it lands on.
+func TestSteadyStateOpsAllocate(t *testing.T) {
+	const valLen = 48
+	warm := func(run func()) {
+		for i := 0; i < 64; i++ {
+			run()
+		}
+	}
+
+	t.Run("r=1 fabric get", func(t *testing.T) {
+		s := NewServiceWith(ServiceConfig{
+			Shards: 2, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+			Buckets: 1 << 12, MaxValLen: 64})
+		keys := preloadKeys(t, s, 16)
+		hits, i := 0, 0
+		cb := func(_ []byte, _ Duration, ok bool) {
+			if ok {
+				hits++
+			}
+		}
+		run := func() {
+			s.GetAsync(keys[i%len(keys)], valLen, cb)
+			i++
+			s.Flush()
+			s.Run()
+		}
+		warm(run)
+		if got := testing.AllocsPerRun(200, run); got > 1 {
+			t.Errorf("%v allocations per fabric get, want at most 1 (the caller's copy of the value)", got)
+		}
+		if hits != i {
+			t.Fatalf("%d of %d gets hit", hits, i)
+		}
+		recordsHome(t, s)
+	})
+
+	t.Run("cache hit", func(t *testing.T) {
+		s := NewServiceWith(ServiceConfig{
+			Shards: 2, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+			HotKeyCache: 4, Buckets: 1 << 12, MaxValLen: 64})
+		keys := preloadKeys(t, s, 4)
+		cb := func([]byte, Duration, bool) {}
+		run := func() {
+			s.GetAsync(keys[0], valLen, cb)
+			s.Flush()
+			s.Run()
+		}
+		warm(run) // admitted after cacheAdmitCount accesses
+		before := s.Stats().CacheHits
+		if got := testing.AllocsPerRun(200, run); got != 0 {
+			t.Errorf("%v allocations per cache hit, want 0", got)
+		}
+		if hits := s.Stats().CacheHits - before; hits != 201 {
+			t.Fatalf("%d of 201 gets were cache hits", hits)
+		}
+	})
+
+	t.Run("r=3 W=2 set", func(t *testing.T) {
+		s := NewServiceWith(ServiceConfig{
+			Shards: 4, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+			Replicas: 3, WriteQuorum: 2, Buckets: 1 << 12, MaxValLen: 64})
+		keys := preloadKeys(t, s, 16)
+		acks, i := 0, 0
+		val := Value(7, valLen)
+		cb := func(_ Duration, err error) {
+			if err == nil {
+				acks++
+			}
+		}
+		run := func() {
+			s.SetAsync(keys[i%len(keys)], val, cb)
+			i++
+			s.Flush()
+			s.Run()
+		}
+		warm(run)
+		// One extent record per owner the value lands on (internal/extent
+		// allocates its bookkeeping per extent); nothing per leg above it.
+		if got := testing.AllocsPerRun(200, run); got > 3 {
+			t.Errorf("%v allocations per r=3 set, want at most 3 (one extent record per owner)", got)
+		}
+		if acks != i {
+			t.Fatalf("%d of %d sets acknowledged", acks, i)
+		}
+		recordsHome(t, s)
+	})
+}

@@ -1,6 +1,7 @@
 package redn
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -49,11 +50,12 @@ import (
 //     scans the shard's table once, bins resident (key, version) pairs
 //     into AntiEntropySegments Merkle-style leaf digests per co-owner
 //     (order-independent sums — see internal/repair), scans each
-//     partner the same way, and walks keys only inside segments whose
-//     digests disagree, at a modeled per-segment digest cost. Divergent
-//     keys — including keys one side is missing entirely, which break
-//     the digest by absence — are enqueued at the winning version.
-//     This bounds staleness for keys no client ever reads.
+//     partner for the residents it co-owns with the root, and walks
+//     keys only inside segments whose digests disagree, at a modeled
+//     per-segment digest cost. Divergent keys — including keys one side
+//     is missing entirely, which break the digest by absence — are
+//     enqueued at the winning version. This bounds staleness for keys
+//     no client ever reads.
 //
 // Repairs that roll an owner forward also bump the key's client-cache
 // epoch and invalidate its cached value: a pre-repair value admitted
@@ -203,15 +205,17 @@ func (s *Service) DropHints() int {
 
 // maybeReadRepair runs on every replicated hit: every ProbeEvery-th
 // one interrogates one rotating other owner's version word through the
-// NIC probe chain and enqueues a repair on skew. served is the owner
-// that answered the get; order is the get's policy-ordered owner list.
-func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*serviceShard) {
+// NIC probe chain and enqueues a repair on skew. g is the get that hit,
+// served the owner that answered it. It reports whether a probe went
+// out: the probe's callback is g's, so g must outlive it.
+func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
+	order, key := g.order, g.key
 	if !s.cfg.ReadRepair || !s.repairEnabled() || len(order) < 2 {
-		return
+		return false
 	}
 	s.probeTick++
 	if s.cfg.ProbeEvery > 1 && s.probeTick%uint64(s.cfg.ProbeEvery) != 0 {
-		return
+		return false
 	}
 	// Rotate among the owners that did not serve this hit. During a
 	// resharding the order can carry pre-change fallback extras; probing
@@ -231,7 +235,7 @@ func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*ser
 		break
 	}
 	if partner == nil || partner.suspect(s.tb.Now()) {
-		return
+		return false
 	}
 	servedVer, _, _ := s.ownerState(served, key)
 	bucket, fabricOK := residentBucket(partner.table.table, partner.mode, key)
@@ -241,33 +245,41 @@ func (s *Service) maybeReadRepair(key uint64, served *serviceShard, order []*ser
 		// so compare coordinator-side — the same view the write router
 		// computes claims from.
 		s.compareVersions(partner, key, servedVer)
-		return
+		return false
 	}
 	s.probes.Inc()
-	cli := partner.setClient(key)
-	pop := s.tr.OpBegin("probe", key)
-	s.tr.SetOp(pop)
-	cli.ProbeAsyncTarget(key, core.ProbeTarget{BucketAddr: bucket}, func(ver uint64, _ Duration, ok bool) {
-		s.tr.OpEnd(pop, "probe")
-		if ok {
-			partner.consecMiss = 0
-			partner.suspectUntil = 0
-			if ver != servedVer {
-				s.probeSkews.Inc()
-				s.scheduleSkewRepair(key)
-			}
-			return
-		}
-		if cli.LastExecuted(OpProbe) {
-			// The chain ran and the conditional missed: the bucket moved
-			// between computing the target and the probe landing (a
-			// racing write or relocation). Fall back to the host view.
-			s.compareVersions(partner, key, servedVer)
-		}
-		// Never executed: dead NIC — the suspect machinery owns that.
-	})
+	g.partner, g.pcli, g.servedVer = partner, partner.setClient(key), servedVer
+	g.pop = s.tr.OpBegin("probe", key)
+	s.tr.SetOp(g.pop)
+	g.next = getProbe
+	g.pcli.ProbeAsyncTarget(key, core.ProbeTarget{BucketAddr: bucket}, g.probeFn)
 	s.tr.SetOp(0)
-	cli.Flush()
+	g.pcli.Flush()
+	return true
+}
+
+// probed is the read-repair probe's answer: the get record's last
+// continuation.
+func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
+	g.enter(getProbe)
+	s, partner, key := g.s, g.partner, g.key
+	s.tr.OpEnd(g.pop, "probe")
+	switch {
+	case ok:
+		partner.consecMiss = 0
+		partner.suspectUntil = 0
+		if ver != g.servedVer {
+			s.probeSkews.Inc()
+			s.scheduleSkewRepair(key)
+		}
+	case g.pcli.LastExecuted(OpProbe):
+		// The chain ran and the conditional missed: the bucket moved
+		// between computing the target and the probe landing (a
+		// racing write or relocation). Fall back to the host view.
+		s.compareVersions(partner, key, g.servedVer)
+	}
+	// Never executed: dead NIC — the suspect machinery owns that.
+	g.release()
 }
 
 // compareVersions is the host-side fallback comparison for keys the
@@ -487,47 +499,96 @@ func (s *Service) armAntiEntropy() {
 	})
 }
 
-// aeEntry is one resident (key, version) pair binned during a sweep
-// scan.
-type aeEntry struct {
-	key, ver uint64
+// aeBins is one table scan's residents binned for a sweep: per bin an
+// order-independent digest and the bin's (key, version) entries in
+// bucket order, as a list threaded through one flat slice. The service
+// keeps two, the sweep root's and the partner's, and resets them per
+// scan, so a sweep allocates only while a scan is larger than any
+// before it.
+type aeBins struct {
+	dig        []repair.Digest
+	head, tail []int32 // per bin: first and last entry (-1: the bin is empty)
+	ents       []aeEntry
 }
 
-// aeScan walks a shard's table ONCE and bins every resident into
-// per-co-owner, segment-indexed digests and key lists (an entry
-// replicated across k other owners lands in k bins). Segment identity
-// is the key's PRIMARY hash bucket divided into segs ranges —
-// identical geometry on every shard (tables share bucket counts and
-// hash functions), so the same key bins to the same segment everywhere
-// no matter which candidate bucket or neighborhood slot it occupies.
-func (s *Service) aeScan(sh *serviceShard, segs int) (map[string]map[uint64]repair.Digest, map[string]map[uint64][]aeEntry) {
+// aeEntry is one resident (key, version) pair; next is the bin's
+// following entry (-1: the last).
+type aeEntry struct {
+	key, ver uint64
+	next     int32
+}
+
+// reset empties the bins and sizes them for n.
+func (b *aeBins) reset(n int) {
+	if cap(b.dig) < n {
+		b.dig, b.head, b.tail = make([]repair.Digest, n), make([]int32, n), make([]int32, n)
+	}
+	b.dig, b.head, b.tail = b.dig[:n], b.head[:n], b.tail[:n]
+	clear(b.dig)
+	for i := range b.head {
+		b.head[i], b.tail[i] = -1, -1
+	}
+	b.ents = b.ents[:0]
+}
+
+func (b *aeBins) add(bin int, key, ver uint64) {
+	b.dig[bin].Add(key, ver)
+	at := int32(len(b.ents))
+	b.ents = append(b.ents, aeEntry{key: key, ver: ver, next: -1})
+	if last := b.tail[bin]; last >= 0 {
+		b.ents[last].next = at
+	} else {
+		b.head[bin] = at
+	}
+	b.tail[bin] = at
+}
+
+// aeFound is one divergence a sweep found: owner lags key at seq.
+type aeFound struct {
+	owner *serviceShard
+	key   uint64
+	seq   uint64
+}
+
+// aeScan walks sh's table ONCE and bins its residents by segment.
+// Segment identity is the key's PRIMARY hash bucket divided into segs
+// ranges — identical geometry on every shard (tables share bucket counts
+// and hash functions), so the same key bins to the same segment
+// everywhere no matter which candidate bucket or neighborhood slot it
+// occupies. With only nil (the sweep's root) an entry lands in one bin
+// per other owner of its key, bin = owner's ring position * segs +
+// segment; otherwise (a partner) only entries co-owned by only are
+// binned, bin = segment — the pair being diffed is all the sweep reads
+// of a partner's scan.
+func (s *Service) aeScan(sh *serviceShard, segs int, only *serviceShard, b *aeBins) {
 	t := sh.table.table
 	n := t.NumBuckets()
 	segW := (n + uint64(segs) - 1) / uint64(segs)
-	digs := make(map[string]map[uint64]repair.Digest)
-	keys := make(map[string]map[uint64][]aeEntry)
+	if only == nil {
+		b.reset(len(s.ringShards) * segs)
+	} else {
+		b.reset(segs)
+	}
 	for i := uint64(0); i < n; i++ {
 		key, _, _, ok := t.EntryAt(i)
 		if !ok {
 			continue
 		}
-		seg := t.Hash(key, 0) / segW
+		seg := int(t.Hash(key, 0) / segW)
+		owners := s.ownerNodes(key)
+		if only != nil {
+			if slices.Contains(owners, only.ringIdx) {
+				b.add(seg, key, t.VersionAt(i))
+			}
+			continue
+		}
 		ver := t.VersionAt(i)
-		for _, id := range s.owners(key) {
-			if id == sh.id {
-				continue
+		for _, ni := range owners {
+			if ni != sh.ringIdx {
+				b.add(int(ni)*segs+seg, key, ver)
 			}
-			if digs[id] == nil {
-				digs[id] = make(map[uint64]repair.Digest)
-				keys[id] = make(map[uint64][]aeEntry)
-			}
-			d := digs[id][seg]
-			d.Add(key, ver)
-			digs[id][seg] = d
-			keys[id][seg] = append(keys[id][seg], aeEntry{key: key, ver: ver})
 		}
 	}
-	return digs, keys
 }
 
 // sweepShard runs one anti-entropy pass rooted at sh: against every
@@ -535,9 +596,9 @@ func (s *Service) aeScan(sh *serviceShard, segs int) (map[string]map[uint64]repa
 // exactly one root per rotation; the clean-rotation arming guarantees
 // every pair is still covered before sweeps go idle), diff per-segment
 // digests and compare versions key by key inside flagged segments,
-// enqueueing repairs for whichever side lags. Each involved table is
-// scanned exactly once per sweep. The pass is charged
-// AESegmentDigestLat per digest pair compared by deferring its
+// enqueueing repairs for whichever side lags. The root's table is
+// scanned once per sweep, each partner's once for the pair. The pass is
+// charged AESegmentDigestLat per digest pair compared by deferring its
 // enqueues, modeling the host scan time; the repairs themselves then
 // pay the ordinary owner write costs through the queue.
 func (s *Service) sweepShard(sh *serviceShard) {
@@ -556,84 +617,100 @@ func (s *Service) sweepShard(sh *serviceShard) {
 	s.aePasses.Inc()
 	segs := s.cfg.AntiEntropySegments
 	segsCompared := 0
-	type found struct {
-		owner *serviceShard
-		key   uint64
-		seq   uint64
+	// The findings wait out the digest charge in the service's scratch;
+	// a sweep that starts while an earlier one is still being charged
+	// (AntiEntropyEvery shorter than a charge) gets a list of its own.
+	var found []aeFound
+	if !s.aeSettling {
+		found = s.aeFound[:0]
 	}
-	var repairs []found
-	rootDigs, rootKeys := s.aeScan(sh, segs)
+	root, part := &s.aeRoot, &s.aePartner
+	s.aeScan(sh, segs, nil, root)
 	for _, partner := range s.order {
 		if partner == sh || partner.hostDown || partner.id <= sh.id || s.draining(partner.id) {
 			continue
 		}
-		digA, keysA := rootDigs[partner.id], rootKeys[partner.id]
-		pDigs, pKeys := s.aeScan(partner, segs)
-		digB, keysB := pDigs[sh.id], pKeys[sh.id]
-		// Union of segments either side populated, in order.
-		segSet := make(map[uint64]struct{}, len(digA)+len(digB))
-		for g := range digA {
-			segSet[g] = struct{}{}
-		}
-		for g := range digB {
-			segSet[g] = struct{}{}
-		}
-		ordered := make([]uint64, 0, len(segSet))
-		for g := range segSet {
-			ordered = append(ordered, g)
-		}
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-		for _, g := range ordered {
+		s.aeScan(partner, segs, sh, part)
+		base := int(partner.ringIdx) * segs
+		// Segments either side populated, in order.
+		for g := 0; g < segs; g++ {
+			if root.head[base+g] < 0 && part.head[g] < 0 {
+				continue
+			}
 			segsCompared++
-			if digA[g] == digB[g] {
+			if root.dig[base+g] == part.dig[g] {
 				continue
 			}
 			s.aeSegsDiffed.Inc()
-			// Per-key walk of the flagged segment: union both sides'
-			// keys, dedup, compare owner states.
-			seen := make(map[uint64]struct{})
-			for _, list := range [][]aeEntry{keysA[g], keysB[g]} {
-				for _, e := range list {
-					if _, dup := seen[e.key]; dup {
-						continue
-					}
-					seen[e.key] = struct{}{}
-					if s.unsettled[e.key] > 0 {
-						continue // an in-flight write explains the skew
-					}
-					s.aeKeysChecked.Inc()
-					va, _, aok := s.ownerState(sh, e.key)
-					vb, _, bok := s.ownerState(partner, e.key)
-					switch {
-					case aok && (!bok || vb < va):
-						repairs = append(repairs, found{owner: partner, key: e.key, seq: va})
-					case bok && (!aok || va < vb):
-						repairs = append(repairs, found{owner: sh, key: e.key, seq: vb})
-					}
-				}
-			}
+			// Per-key walk of the flagged segment: the root's keys then
+			// the partner's, dedup, compare owner states.
+			clear(s.aeSeen)
+			found = s.aeWalk(sh, partner, root, root.head[base+g], found)
+			found = s.aeWalk(sh, partner, part, part.head[g], found)
 		}
 	}
-	// Charge the digest scan, then enqueue what it found. A divergent
-	// sweep resets the clean-rotation counter; sweeps continue until
-	// every shard has been swept clean in a row, then go idle until the
-	// next write, repair or recovery re-arms them.
-	s.tb.clu.Eng.After(Duration(segsCompared)*AESegmentDigestLat, func() {
-		if len(repairs) > 0 {
-			s.aeCleanRun = 0
-		} else {
-			s.aeCleanRun++
+	// Charge the digest scan, then enqueue what it found.
+	charge := Duration(segsCompared) * AESegmentDigestLat
+	if s.aeSettling {
+		s.tb.clu.Eng.After(charge, func() { s.aeSettle(found) })
+		return
+	}
+	s.aeFound, s.aeSettling = found, true
+	s.tb.clu.Eng.After(charge, s.aeSettleFn)
+}
+
+// aeWalk compares the root's and the partner's state of every key of
+// one bin (b's list from at) not seen yet in this segment, appending
+// whichever side lags to found.
+func (s *Service) aeWalk(sh, partner *serviceShard, b *aeBins, at int32, found []aeFound) []aeFound {
+	for ; at >= 0; at = b.ents[at].next {
+		key := b.ents[at].key
+		if _, dup := s.aeSeen[key]; dup {
+			continue
 		}
-		for _, f := range repairs {
-			// Count only records this sweep actually created: re-finding
-			// a key whose repair is already queued (in backoff, say) is
-			// not a new discovery.
-			if s.queueRepair(f.owner, f.key, f.seq) {
-				f.owner.aeRepairs.Inc()
-			}
+		s.aeSeen[key] = struct{}{}
+		if s.unsettled[key] > 0 {
+			continue // an in-flight write explains the skew
 		}
-		if s.aeCleanRun < len(s.order) {
-			s.armAntiEntropy()
+		s.aeKeysChecked.Inc()
+		va, _, aok := s.ownerState(sh, key)
+		vb, _, bok := s.ownerState(partner, key)
+		switch {
+		case aok && (!bok || vb < va):
+			found = append(found, aeFound{owner: partner, key: key, seq: va})
+		case bok && (!aok || va < vb):
+			found = append(found, aeFound{owner: sh, key: key, seq: vb})
 		}
-	})
+	}
+	return found
+}
+
+// aeSettled is the digest charge of the sweep that owns the service's
+// findings scratch.
+func (s *Service) aeSettled() {
+	s.aeSettling = false
+	s.aeSettle(s.aeFound)
+}
+
+// aeSettle enqueues what a sweep found once its digest charge has
+// elapsed. A divergent sweep resets the clean-rotation counter; sweeps
+// continue until every shard has been swept clean in a row, then go idle
+// until the next write, repair or recovery re-arms them.
+func (s *Service) aeSettle(found []aeFound) {
+	if len(found) > 0 {
+		s.aeCleanRun = 0
+	} else {
+		s.aeCleanRun++
+	}
+	for _, f := range found {
+		// Count only records this sweep actually created: re-finding
+		// a key whose repair is already queued (in backoff, say) is
+		// not a new discovery.
+		if s.queueRepair(f.owner, f.key, f.seq) {
+			f.owner.aeRepairs.Inc()
+		}
+	}
+	if s.aeCleanRun < len(s.order) {
+		s.armAntiEntropy()
+	}
 }

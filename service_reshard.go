@@ -3,6 +3,7 @@ package redn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hopscotch"
@@ -208,25 +209,17 @@ func (s *Service) stateOwners(key uint64) []string {
 // reach while key's bucket segment is unsealed. They become auxiliary
 // legs: counted for settlement only, never toward the quorum — the
 // post-change owners alone decide the write's fate.
-func (s *Service) dualWriteExtras(cur []string, key uint64) []string {
+func (s *Service) dualWriteExtras(cur []int32, key uint64) []*serviceShard {
 	m := s.mig
 	if m == nil || !m.keyUnsealed(key) {
 		return nil
 	}
-	var extra []string
+	var extra []*serviceShard
 	for _, id := range m.oldOwners(key) {
-		dup := false
-		for _, have := range cur {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if _, ok := s.shards[id]; ok {
-			extra = append(extra, id)
+		// A current owner is on the ring at one of cur's positions; a
+		// draining target is off it (ringIdx -1).
+		if sh, ok := s.shards[id]; ok && !slices.Contains(cur, sh.ringIdx) {
+			extra = append(extra, sh)
 		}
 	}
 	return extra
@@ -270,6 +263,7 @@ func (s *Service) AddShard(id string) error {
 	}
 	s.shards[id] = sh
 	s.order = append(s.order, sh)
+	s.ringChanged()
 	s.startMigration(old, id, true)
 	return nil
 }
@@ -299,6 +293,7 @@ func (s *Service) DrainShard(id string) error {
 	if err := s.ring.RemoveNode(id); err != nil {
 		return err
 	}
+	s.ringChanged()
 	s.startMigration(old, id, false)
 	// Hints already parked on the departing shard move to the new
 	// owners now; hints queued mid-drain redirect at queueHint, and

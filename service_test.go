@@ -586,8 +586,8 @@ func TestServiceConvergeNeverRollsBack(t *testing.T) {
 	s.applyRepair(&repair.Record{Owner: lagID, Key: key, Seq: 2})
 	copied, copyOK := false, false
 	s.migrateCopy(key, lag, func(ok bool) { copied, copyOK = true, ok })
-	if parked := len(lag.inflightSet[key]); parked != 2 {
-		t.Fatalf("%d converges parked behind the in-flight write, want 2", parked)
+	if q := lag.inflightSet[key]; q.Len() != 2 {
+		t.Fatalf("%d converges parked behind the in-flight write, want 2", q.Len())
 	}
 	s.Run()
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hopscotch"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -159,9 +160,15 @@ type hint struct {
 }
 
 // setOp tracks one client-visible write — its mutation and the quorum
-// accounting across its owner fan-out.
+// accounting across its owner fan-out. It is a pooled record: writeAsync
+// takes one (the value is copied into its reusable buffer) and it goes
+// back when the last owner has settled — settleLeft reaches 0, which a
+// hint can hold off across a whole outage — and nothing is still
+// replaying its mutation (pins). Accounting on a released record
+// panics.
 type setOp struct {
 	mutation
+	live         bool
 	need, owners int
 	acks, fails  int
 	start        sim.Time
@@ -169,6 +176,14 @@ type setOp struct {
 	done         bool
 	settleLeft   int
 	traceOp      uint64
+
+	// pins counts continuations that still read the record after its
+	// last settle may have happened: a leg's own completion while it
+	// runs (its hint can settle before its fail is counted), and a hint
+	// drain in flight (DropHints or a redirect can retire the hint under
+	// it, and the drain still applies, or falls back to the host with,
+	// this mutation).
+	pins int
 
 	// Latency provenance (nil with it off): the op's phase ledger. At
 	// the quorum-completing ack the critical leg's receipt is adopted
@@ -178,6 +193,40 @@ type setOp struct {
 	// the straggler gap it spent waiting on its slowest counted leg.
 	rcpt      *telemetry.Receipt
 	lastAckAt sim.Time
+}
+
+// takeSet hands out a zeroed write record; its value buffer keeps its
+// capacity.
+func (s *Service) takeSet() *setOp {
+	op, _ := s.sets.take()
+	val := op.val[:0]
+	*op = setOp{live: true}
+	op.val = val
+	return op
+}
+
+// mustBeLive panics when quorum accounting reaches a released record:
+// it would count toward whichever write holds the record now.
+func (op *setOp) mustBeLive() {
+	if !op.live {
+		panic("redn: write record used after its release")
+	}
+}
+
+// unpin drops one pin; the record goes back to the service once every
+// owner has settled and nothing pins it.
+func (op *setOp) unpin(s *Service) {
+	op.pins--
+	op.releaseIfDone(s)
+}
+
+func (op *setOp) releaseIfDone(s *Service) {
+	if op.settleLeft != 0 || op.pins != 0 {
+		return
+	}
+	op.live = false
+	op.cb = nil
+	s.sets.put(op)
 }
 
 // traceName is the op span name this write opened under: deletes and
@@ -191,6 +240,7 @@ func (op *setOp) traceName() string {
 }
 
 func (op *setOp) ack(s *Service) {
+	op.mustBeLive()
 	op.acks++
 	now := s.tb.Now()
 	if !op.done && op.acks >= op.need {
@@ -223,6 +273,7 @@ func (op *setOp) ack(s *Service) {
 }
 
 func (op *setOp) fail(s *Service) {
+	op.mustBeLive()
 	op.fails++
 	if !op.done && op.fails > op.owners-op.need {
 		op.done = true
@@ -286,6 +337,7 @@ func (s *Service) clearLegReceipt() { s.legValid = false }
 // write's value can no longer appear anywhere it has not already, and
 // the key becomes cache-admissible again.
 func (op *setOp) settleOne(s *Service) {
+	op.mustBeLive()
 	op.settleLeft--
 	if op.settleLeft != 0 {
 		return
@@ -296,6 +348,7 @@ func (op *setOp) settleOne(s *Service) {
 	if s.settleHook != nil {
 		s.settleHook(op.key, op.seq)
 	}
+	op.releaseIfDone(s)
 }
 
 // SetAsync stores key -> value on its replica owners through the
@@ -362,65 +415,93 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 			s.cache[key] = append([]byte(nil), value...)
 		}
 	}
-	owners := s.owners(key)
+	op := s.takeSet()
+	op.key, op.seq, op.del = key, s.nextSeq[key], del
+	op.val = append(op.val, value...)
+	op.need, op.start, op.cb = s.cfg.WriteQuorum, s.tb.Now(), cb
+	op.traceOp = s.tr.OpBegin(op.traceName(), key)
 	// Dual-write extras (resharding handover) ride the same fan-out as
 	// auxiliary legs: the quorum is counted over the post-change owners
 	// exclusively — a departing owner's outcome only settles, so it can
 	// neither ack a write the new owners lost nor fail one they hold. No
 	// hint on failure either: the new owners are the write's future, and
 	// the dual-read fallback such a leg serves reaches them first.
-	legs := append(owners, s.dualWriteExtras(owners, key)...)
-	op := &setOp{mutation: mutation{key: key, seq: s.nextSeq[key], del: del,
-		val: append([]byte(nil), value...)},
-		need: s.cfg.WriteQuorum, owners: len(owners), start: s.tb.Now(), cb: cb,
-		settleLeft: len(legs)}
-	op.traceOp = s.tr.OpBegin(op.traceName(), key)
+	owners := s.ownerNodes(key)
+	extras := s.dualWriteExtras(owners, key)
+	op.owners, op.settleLeft = len(owners), len(owners)+len(extras)
 	if s.prov != nil {
 		op.rcpt = &telemetry.Receipt{}
 		op.rcpt.Reset(op.traceOp, class, op.start)
 		op.rcpt.Legs = uint8(len(owners))
 	}
-	for idx, id := range legs {
-		sh := s.shards[id]
-		votes := idx < len(owners)
-		legID, track := op.traceOp<<4|uint64(idx), "leg:"
-		if !votes {
-			track = "aux:"
-		}
-		if s.tr.Enabled() {
-			s.tr.AsyncBegin("leg", legID, track+sh.id, op.traceOp)
-		}
-		s.ownerApply(sh, &op.mutation, op.traceOp, func(st ownerWriteStatus) {
-			if s.tr.Enabled() {
-				s.tr.AsyncEnd("leg", legID, track+sh.id, op.traceOp)
-			}
-			if st == ownerApplied {
-				s.noteOwnerApplied(sh, &op.mutation)
-			}
-			switch {
-			case !votes:
-				op.settleOne(s)
-			case st == ownerApplied:
-				if op.rcpt != nil {
-					op.rcpt.Leg = uint8(idx)
-				}
-				op.ack(s)
-				op.settleOne(s)
-			case st == ownerUnreachable:
-				s.queueHint(sh, op)
-				op.fail(s)
-			default:
-				// ownerRejected: a definitive refusal — but not a silent
-				// divergence: the repair queue records the laggard so
-				// read-repair or anti-entropy rolls it forward once
-				// capacity frees. (Deletes have no capacity to run out of;
-				// they never land here.)
-				s.queueRepair(sh, op.key, op.seq)
-				op.fail(s)
-				op.settleOne(s)
-			}
-		})
+	for idx, ni := range owners {
+		s.startLeg(op, s.ringShards[ni], idx, true)
 	}
+	for i, sh := range extras {
+		s.startLeg(op, sh, len(owners)+i, false)
+	}
+}
+
+// startLeg starts one owner leg of op's fan-out: the apply queues for
+// the (owner, key) write slot, so per-key order survives the pipelined
+// fabric — a delete can never overtake, or be overtaken by, a write to
+// the same key — and resolves into legDone.
+func (s *Service) startLeg(op *setOp, sh *serviceShard, idx int, votes bool) {
+	if s.tr.Enabled() {
+		s.tr.AsyncBegin("leg", op.traceOp<<4|uint64(idx), legTrack(votes)+sh.id, op.traceOp)
+	}
+	r := s.takeRun(sh, &op.mutation, op.traceOp)
+	r.done = r.legFn
+	r.op, r.idx, r.votes, r.slotted = op, idx, votes, true
+	s.armCompaction(sh)
+	s.armAntiEntropy()
+	r.next = runSlot
+	s.withKeySlot(sh, op.key, r.slotFn)
+}
+
+// legTrack is the trace track prefix of a voting or auxiliary leg.
+func legTrack(votes bool) string {
+	if votes {
+		return "leg:"
+	}
+	return "aux:"
+}
+
+// legDone resolves one leg of a fan-out into the write's quorum
+// accounting.
+func (r *ownerRun) legDone(st ownerWriteStatus) {
+	s, sh, op := r.s, r.sh, r.op
+	// The leg's hint can settle the write before its failure is counted.
+	op.pins++
+	if s.tr.Enabled() {
+		s.tr.AsyncEnd("leg", op.traceOp<<4|uint64(r.idx), legTrack(r.votes)+sh.id, op.traceOp)
+	}
+	if st == ownerApplied {
+		s.noteOwnerApplied(sh, &op.mutation)
+	}
+	switch {
+	case !r.votes:
+		op.settleOne(s)
+	case st == ownerApplied:
+		if op.rcpt != nil {
+			op.rcpt.Leg = uint8(r.idx)
+		}
+		op.ack(s)
+		op.settleOne(s)
+	case st == ownerUnreachable:
+		s.queueHint(sh, op)
+		op.fail(s)
+	default:
+		// ownerRejected: a definitive refusal — but not a silent
+		// divergence: the repair queue records the laggard so
+		// read-repair or anti-entropy rolls it forward once
+		// capacity frees. (Deletes have no capacity to run out of;
+		// they never land here.)
+		s.queueRepair(sh, op.key, op.seq)
+		op.fail(s)
+		op.settleOne(s)
+	}
+	op.unpin(s)
 }
 
 // noteOwnerApplied is the bookkeeping every successful owner apply —
@@ -444,35 +525,20 @@ func (s *Service) noteOwnerApplied(sh *serviceShard, m *mutation) {
 // behind the in-flight write. Every run must end by calling setNext.
 func (s *Service) withKeySlot(sh *serviceShard, key uint64, run func()) {
 	if q, busy := sh.inflightSet[key]; busy {
-		sh.inflightSet[key] = append(q, run)
+		*q.Push() = run
+		sh.inflightSet[key] = q
 		return
 	}
-	sh.inflightSet[key] = nil
+	sh.inflightSet[key] = ring.Queue[func()]{}
 	run()
-}
-
-// ownerApply applies one mutation on one owner, serializing same-key
-// writes and deletes through the (owner, key) slot so per-key order
-// survives the pipelined fabric — a delete can never overtake, or be
-// overtaken by, a write to the same key. done always runs
-// asynchronously (from the simulation).
-func (s *Service) ownerApply(sh *serviceShard, m *mutation, top uint64, done func(st ownerWriteStatus)) {
-	s.armCompaction(sh)
-	s.armAntiEntropy()
-	s.withKeySlot(sh, m.key, func() {
-		s.ownerApplyNow(sh, m, top, func(st ownerWriteStatus) {
-			done(st)
-			s.setNext(sh, m.key)
-		})
-	})
 }
 
 // setNext releases the per-(owner,key) write slot and issues the next
 // queued same-key write, if any.
 func (s *Service) setNext(sh *serviceShard, key uint64) {
-	if q := sh.inflightSet[key]; len(q) > 0 {
-		next := q[0]
-		sh.inflightSet[key] = q[1:]
+	if q := sh.inflightSet[key]; q.Len() > 0 {
+		next := q.Pop()
+		sh.inflightSet[key] = q
 		next()
 		return
 	}
@@ -492,19 +558,116 @@ const (
 	ownerRejected
 )
 
+// runStage names the one continuation an owner-apply record has
+// outstanding.
+type runStage uint8
+
+const (
+	runFree runStage = iota // on the service's free list
+	runExec                 // taken; being dispatched synchronously
+	runSlot                 // queued for the (owner, key) write slot
+	runHop                  // a zero-cost hop delivers an outcome decided at dispatch
+	runAck                  // the NIC chain is in flight
+	runHost                 // the host RPC's modeled latency is elapsing
+)
+
+// ownerRun is one owner-level apply in flight — a fan-out leg, a hint
+// drain or a converge: what ownerApplyNow's continuations would capture,
+// in one pooled record. The continuations are method values bound once,
+// when the record is made; next names the single one outstanding, so a
+// continuation reaching a record that was released — or released and
+// taken again — panics. The record goes back when done has run.
+type ownerRun struct {
+	s    *Service
+	next runStage
+
+	sh   *serviceShard
+	m    *mutation
+	top  uint64 // trace op id the apply's WRs attribute to
+	done func(ownerWriteStatus)
+	// slotted: the run holds the (owner, key) write slot and releases
+	// it after done. (Drains and converges release it themselves.)
+	slotted bool
+
+	cli      *Client          // connection the NIC chain is on
+	oldVa    uint64           // the key's extent before this apply
+	resident bool             // oldVa is valid
+	st       ownerWriteStatus // runHop: the outcome to deliver
+	absent   bool             // runHop: a delete of a key this owner never had
+	hostLat  Duration         // runHost: the RPC's modeled latency
+
+	// A fan-out leg: the write it is a leg of, its position, whether it
+	// votes in the quorum.
+	op    *setOp
+	idx   int
+	votes bool
+
+	slotFn, hopFn, hostFn func()
+	ackFn                 func(lat Duration, ok bool)
+	legFn                 func(ownerWriteStatus)
+}
+
+// takeRun hands out an owner-apply record in the dispatch stage.
+func (s *Service) takeRun(sh *serviceShard, m *mutation, top uint64) *ownerRun {
+	r, fresh := s.runs.take()
+	if fresh {
+		r.s = s
+		r.slotFn, r.hopFn, r.hostFn, r.ackFn, r.legFn = r.granted, r.hopped, r.hosted, r.acked, r.legDone
+	}
+	r.next = runExec
+	r.sh, r.m, r.top = sh, m, top
+	r.slotted, r.absent = false, false
+	return r
+}
+
+// enter asserts that stage is the continuation this record is waiting
+// for, and puts it back in the dispatch stage.
+func (r *ownerRun) enter(stage runStage) {
+	if r.next != stage {
+		panic(fmt.Sprintf("redn: owner-apply continuation %d ran on a record expecting %d", stage, r.next))
+	}
+	r.next = runExec
+}
+
+// finish reports the apply's outcome, returns the record and, for a run
+// that holds the (owner, key) slot, passes the slot on.
+func (r *ownerRun) finish(st ownerWriteStatus) {
+	s, sh, key, slotted := r.s, r.sh, r.m.key, r.slotted
+	r.done(st)
+	r.next = runFree
+	r.sh, r.m, r.done, r.cli, r.op = nil, nil, nil, nil, nil
+	s.runs.put(r)
+	if slotted {
+		s.setNext(sh, key)
+	}
+}
+
+// granted runs when the (owner, key) write slot is the run's.
+func (r *ownerRun) granted() {
+	r.enter(runSlot)
+	r.apply()
+}
+
 // ownerApplyNow routes one owner apply, the caller holding the (owner,
 // key) slot: the NIC chain when the fabric can carry it — the CAS-claim
 // set chain at a claimable candidate bucket for a value, the tombstone
 // chain at the key's resident bucket for a delete — the host CPU
 // otherwise, a trivial ack for a delete the owner never had the key
 // for, handoff failure when neither can run. m.seq is published into
-// the bucket's version word by whichever path applies.
+// the bucket's version word by whichever path applies. done always runs
+// asynchronously (from the simulation).
 func (s *Service) ownerApplyNow(sh *serviceShard, m *mutation, top uint64, done func(st ownerWriteStatus)) {
-	eng := s.tb.clu.Eng
+	r := s.takeRun(sh, m, top)
+	r.done = done
+	r.apply()
+}
+
+func (r *ownerRun) apply() {
+	s, sh, m := r.s, r.sh, r.m
 	if sh.suspect(s.tb.Now()) {
 		// Circuit breaker: don't burn a MissTimeout per write on a
 		// shard the read path already declared dead.
-		eng.After(0, func() { done(ownerUnreachable) })
+		r.hop(ownerUnreachable)
 		return
 	}
 	t := sh.table.table
@@ -521,67 +684,124 @@ func (s *Service) ownerApplyNow(sh *serviceShard, m *mutation, top uint64, done 
 	// An acked fabric set repoints the bucket at the chain's staging
 	// extent and retires this one on the ack, after the read-grace
 	// period; a delete that finds nothing resident has nothing to do.
-	oldVa, _, resident := t.Lookup(m.key)
+	r.oldVa, _, r.resident = t.Lookup(m.key)
 	if !fabric {
-		if m.del && !resident {
+		if m.del && !r.resident {
 			// Nothing to retire here: the owner is already at the
 			// delete's end state. Applied, at a zero-cost hop.
-			eng.After(0, func() {
-				sh.dels.Inc()
-				s.clearLegReceipt() // no measurable leg to adopt
-				done(ownerApplied)
-			})
+			r.absent = true
+			r.hop(ownerApplied)
 			return
 		}
 		if sh.hostDown {
-			eng.After(0, func() { done(ownerUnreachable) })
+			r.hop(ownerUnreachable)
 			return
 		}
-		s.hostApply(sh, m, done)
+		r.host()
 		return
 	}
-	cli := sh.setClient(m.key)
-	ack := func(_ Duration, ok bool) {
-		op, applied := OpSet, sh.sets
-		if m.del {
-			op, applied = OpDelete, sh.dels
-		}
-		if ok {
-			sh.consecMiss = 0
-			sh.suspectUntil = 0
-			applied.Inc()
-			if !m.del && resident {
-				sh.retireExtent(oldVa)
-			}
-			s.noteLegReceipt(cli.LastReceipt(op))
-			done(ownerApplied)
-			return
-		}
-		if !cli.LastExecuted(op) {
-			// The chain never ran: dead NIC, count toward suspicion.
-			s.noteOwnerMiss(sh)
-		}
-		// Claim refused (a racing writer or relocation took the bucket,
-		// or the key is already gone) or the NIC is dead: roll forward
-		// on the CPU if the host is up.
-		if sh.hostDown {
-			done(ownerUnreachable)
-			return
-		}
-		s.hostApply(sh, m, done)
-	}
-	s.tr.SetOp(top)
+	r.cli = sh.setClient(m.key)
+	s.tr.SetOp(r.top)
+	r.next = runAck
 	if m.del {
 		sh.fabricDels.Inc()
-		cli.DeleteAsyncClaim(m.key, core.DeleteClaim{BucketAddr: claim.BucketAddr}, m.seq, ack)
+		r.cli.DeleteAsyncClaim(m.key, core.DeleteClaim{BucketAddr: claim.BucketAddr}, m.seq, r.ackFn)
 	} else {
 		sh.fabricSets.Inc()
-		cli.SetAsyncClaim(m.key, m.val, claim, m.seq, ack)
+		r.cli.SetAsyncClaim(m.key, m.val, claim, m.seq, r.ackFn)
 	}
 	s.tr.SetOp(0)
 	// Writes issued from completion callbacks run outside the caller's
 	// batch; kick them directly, like get retries.
-	cli.Flush()
+	r.cli.Flush()
+}
+
+// hop delivers an outcome decided at dispatch one zero-cost hop later,
+// so done never runs synchronously.
+func (r *ownerRun) hop(st ownerWriteStatus) {
+	r.st = st
+	r.next = runHop
+	r.s.tb.clu.Eng.After(0, r.hopFn)
+}
+
+func (r *ownerRun) hopped() {
+	r.enter(runHop)
+	if r.absent {
+		r.sh.dels.Inc()
+		r.s.clearLegReceipt() // no measurable leg to adopt
+	}
+	r.finish(r.st)
+}
+
+// acked is the NIC chain's completion: its ack, its refusal or its
+// timeout.
+func (r *ownerRun) acked(_ Duration, ok bool) {
+	r.enter(runAck)
+	s, sh, m, cli := r.s, r.sh, r.m, r.cli
+	op, applied := OpSet, sh.sets
+	if m.del {
+		op, applied = OpDelete, sh.dels
+	}
+	if ok {
+		sh.consecMiss = 0
+		sh.suspectUntil = 0
+		applied.Inc()
+		if !m.del && r.resident {
+			sh.retireExtent(r.oldVa)
+		}
+		s.noteLegReceipt(cli.LastReceipt(op))
+		r.finish(ownerApplied)
+		return
+	}
+	if !cli.LastExecuted(op) {
+		// The chain never ran: dead NIC, count toward suspicion.
+		s.noteOwnerMiss(sh)
+	}
+	// Claim refused (a racing writer or relocation took the bucket,
+	// or the key is already gone) or the NIC is dead: roll forward
+	// on the CPU if the host is up.
+	if sh.hostDown {
+		r.finish(ownerUnreachable)
+		return
+	}
+	r.host()
+}
+
+// host applies the mutation on the owner's host CPU at the modeled
+// two-sided RPC cost: the kick path and spilled residents, and the
+// roll-forward path for refused claims. Deleting an absent key is still
+// applied — the owner is at the end state either way.
+func (r *ownerRun) host() {
+	r.hostLat = HostSetLat
+	if r.m.del {
+		r.hostLat = HostDeleteLat
+		r.sh.hostDels.Inc()
+	} else {
+		r.sh.hostSets.Inc()
+	}
+	r.next = runHost
+	r.s.tb.clu.Eng.After(r.hostLat, r.hostFn)
+}
+
+func (r *ownerRun) hosted() {
+	r.enter(runHost)
+	sh, m := r.sh, r.m
+	if sh.hostDown {
+		// Crashed while the RPC was in flight.
+		r.finish(ownerUnreachable)
+		return
+	}
+	if m.del {
+		sh.del(m.key, m.seq)
+		sh.dels.Inc()
+	} else if err := sh.set(m.key, m.val, m.seq); err != nil {
+		// The table itself refused (kick walk and neighborhoods
+		// exhausted): a definitive rejection, not unavailability.
+		r.finish(ownerRejected)
+		return
+	}
+	r.s.noteHostLeg(r.hostLat)
+	r.finish(ownerApplied)
 }
 
 // setClient picks the owner connection a key's writes always use —
@@ -656,38 +876,6 @@ func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetCla
 		}
 	}
 	return core.SetClaim{}, false
-}
-
-// hostApply applies one mutation on the owner's host CPU at the modeled
-// two-sided RPC cost: the kick path and spilled residents, and the
-// roll-forward path for refused claims. Deleting an absent key is still
-// applied — the owner is at the end state either way.
-func (s *Service) hostApply(sh *serviceShard, m *mutation, done func(st ownerWriteStatus)) {
-	lat := HostSetLat
-	if m.del {
-		lat = HostDeleteLat
-		sh.hostDels.Inc()
-	} else {
-		sh.hostSets.Inc()
-	}
-	s.tb.clu.Eng.After(lat, func() {
-		if sh.hostDown {
-			// Crashed while the RPC was in flight.
-			done(ownerUnreachable)
-			return
-		}
-		if m.del {
-			sh.del(m.key, m.seq)
-			sh.dels.Inc()
-		} else if err := sh.set(m.key, m.val, m.seq); err != nil {
-			// The table itself refused (kick walk and neighborhoods
-			// exhausted): a definitive rejection, not unavailability.
-			done(ownerRejected)
-			return
-		}
-		s.noteHostLeg(lat)
-		done(ownerApplied)
-	})
 }
 
 // queueHint records op's mutation as the newest state an unreachable
@@ -792,12 +980,17 @@ func (s *Service) drainHint(sh *serviceShard, key uint64) {
 		return
 	}
 	h.draining = true
+	// The replay reads the write's mutation until it resolves, whatever
+	// happens to the hint meanwhile (DropHints, a redirect).
+	op := h.op
+	op.pins++
 	s.withKeySlot(sh, key, func() {
 		if sh.hints[key] != h {
 			// Dropped or replaced while queued: a newer write already
 			// reached this owner (or superseded the hint). Skip, and
 			// pick up whatever hint stands now.
 			h.draining = false
+			op.unpin(s)
 			s.setNext(sh, key)
 			s.drainHint(sh, key)
 			return
@@ -815,6 +1008,7 @@ func (s *Service) drainHint(sh *serviceShard, key uint64) {
 				// retrying forever would spin, so retire the hint.
 				s.retireHint(sh, h, sh.hintsDropped)
 			}
+			op.unpin(s)
 			s.setNext(sh, key)
 			if st == ownerApplied {
 				s.drainHint(sh, key)
