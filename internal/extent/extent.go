@@ -23,7 +23,7 @@ package extent
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -62,6 +62,7 @@ type Arena struct {
 	free   []*segment // fully-dead segments awaiting reuse
 
 	byAddr map[uint64]*record
+	spare  []*record // records of freed extents, reused by Alloc
 
 	liveBytes uint64
 	peakLive  uint64 // high-water live bytes
@@ -140,7 +141,13 @@ func (a *Arena) Alloc(size, cookie uint64) uint64 {
 	s := a.active
 	addr := s.base + s.fill
 	s.fill += size
-	r := &record{addr: addr, size: size, cookie: cookie, seg: s}
+	var r *record
+	if n := len(a.spare); n > 0 {
+		r, a.spare = a.spare[n-1], a.spare[:n-1]
+	} else {
+		r = new(record)
+	}
+	*r = record{addr: addr, size: size, cookie: cookie, seg: s}
 	s.extents[addr] = r
 	s.live += size
 	a.byAddr[addr] = r
@@ -181,26 +188,28 @@ func (a *Arena) Free(addr uint64) error {
 // cursor instead — otherwise its dead prefix would be unusable until
 // the segment happened to seal.
 func (a *Arena) release(r *record) {
+	seg := r.seg
 	delete(a.byAddr, r.addr)
-	delete(r.seg.extents, r.addr)
-	r.seg.live -= r.size
+	delete(seg.extents, r.addr)
+	seg.live -= r.size
 	a.liveBytes -= r.size
 	a.frees++
-	if a.noReclaim || r.seg.live != 0 {
+	a.spare = append(a.spare, r) // r is the next Alloc's from here on
+	if a.noReclaim || seg.live != 0 {
 		return
 	}
-	if r.seg == a.active {
-		r.seg.fill = 0
+	if seg == a.active {
+		seg.fill = 0
 		return
 	}
 	for i, s := range a.sealed {
-		if s == r.seg {
+		if s == seg {
 			a.sealed = append(a.sealed[:i], a.sealed[i+1:]...)
 			break
 		}
 	}
-	r.seg.fill = 0
-	a.free = append(a.free, r.seg)
+	seg.fill = 0
+	a.free = append(a.free, seg)
 }
 
 // Size returns the allocated capacity of the live extent at addr (its
@@ -249,17 +258,23 @@ func (a *Arena) CompactBelow(threshold float64, relocate func(cookie, addr, size
 		}
 	}
 	for _, s := range victims {
-		recs := make([]*record, 0, len(s.extents))
-		for _, r := range s.extents {
-			recs = append(recs, r)
+		// Addresses, not records: relocate allocates, and may free, so a
+		// record snapshotted here could be another extent's by its turn.
+		addrs := make([]uint64, 0, len(s.extents))
+		for addr := range s.extents {
+			addrs = append(addrs, addr)
 		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].addr < recs[j].addr })
-		for _, r := range recs {
-			if relocate(r.cookie, r.addr, r.size) {
+		slices.Sort(addrs)
+		for _, addr := range addrs {
+			r := s.extents[addr]
+			if r == nil {
+				continue // freed under an earlier relocate
+			}
+			if size := r.size; relocate(r.cookie, addr, size) {
 				moved++
-				bytes += r.size
+				bytes += size
 				a.compactMoves++
-				a.compactBytes += r.size
+				a.compactBytes += size
 				a.release(r)
 			}
 		}

@@ -120,6 +120,86 @@ func TestArenaCompactBelow(t *testing.T) {
 	}
 }
 
+// A freed extent's record serves the next Alloc, and answers only for
+// the extent it describes now.
+func TestArenaRecordReuse(t *testing.T) {
+	a := NewArena(mem.New(1<<20), 256)
+	x, y := a.Alloc(64, 1), a.Alloc(64, 2)
+	rx := a.byAddr[x]
+	if err := a.Free(x); err != nil {
+		t.Fatal(err)
+	}
+	z := a.Alloc(24, 3)
+	if a.byAddr[z] != rx || len(a.spare) != 0 {
+		t.Fatalf("Alloc after Free made a new record (spare %d)", len(a.spare))
+	}
+	if a.Live(x) || a.Free(x) == nil {
+		t.Fatalf("%#x still answers after its record moved to %#x", x, z)
+	}
+	if c, _ := a.Cookie(z); c != 3 {
+		t.Fatalf("cookie of reused record %d, want 3", c)
+	}
+	if sz, _ := a.Size(z); sz != 24 {
+		t.Fatalf("size of reused record %d, want 24", sz)
+	}
+	if c, ok := a.Cookie(y); !ok || c != 2 {
+		t.Fatalf("neighbour extent disturbed: cookie %d/%v", c, ok)
+	}
+	// Churn at a fixed live set makes no further records.
+	seen := map[*record]bool{a.byAddr[y]: true, a.byAddr[z]: true}
+	for i := 0; i < 1000; i++ {
+		n := a.Alloc(64, uint64(i))
+		if err := a.Free(z); err != nil {
+			t.Fatal(err)
+		}
+		z = n
+		seen[a.byAddr[n]] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("%d records made for a live set of 2 (+1 in hand-over), want 3", len(seen))
+	}
+	if a.LiveBytes() != 128 || a.Stats().LiveExtents != 2 {
+		t.Fatalf("live %d bytes / %d extents, want 128 / 2", a.LiveBytes(), a.Stats().LiveExtents)
+	}
+}
+
+// A relocation that frees another survivor of the segment being
+// evacuated: compaction must not surface the freed extent, whose record
+// is by then the relocated copy's.
+func TestArenaCompactBelowSkipsExtentsFreedUnderIt(t *testing.T) {
+	a := NewArena(mem.New(1<<20), 256)
+	var seg1 [4]uint64
+	for i := range seg1 {
+		seg1[i] = a.Alloc(64, uint64(i+1))
+	}
+	a.Alloc(64, 99) // seals the first segment
+	if err := a.Free(seg1[3]); err != nil {
+		t.Fatal(err)
+	}
+	var surfaced []uint64
+	n, bytes := a.CompactBelow(0.8, func(cookie, addr, size uint64) bool {
+		surfaced = append(surfaced, addr)
+		if addr == seg1[0] {
+			if err := a.Free(seg1[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Alloc(size, cookie)
+		return true
+	})
+	if n != 2 || bytes != 128 || len(surfaced) != 2 || surfaced[0] != seg1[0] || surfaced[1] != seg1[2] {
+		t.Fatalf("moved %d extents / %d bytes, surfaced %#x; want extents 0 and 2 of %#x", n, bytes, surfaced, seg1)
+	}
+	if st := a.Stats(); st.LiveExtents != 3 || st.LiveBytes != 192 || st.FreeSegments != 1 {
+		t.Fatalf("after compaction: %d extents, %d bytes, %d free segments; want 3, 192, 1", st.LiveExtents, st.LiveBytes, st.FreeSegments)
+	}
+	for _, ad := range seg1 {
+		if a.Live(ad) {
+			t.Fatalf("old extent %#x still live", ad)
+		}
+	}
+}
+
 // Property: under a randomized alloc/free/compact interleaving the
 // arena never double-frees, never hands a live extent's bytes to a new
 // allocation, keeps live-byte accounting exact, and keeps its
@@ -174,7 +254,23 @@ func TestArenaPropertyRandomized(t *testing.T) {
 				if !ok {
 					t.Fatalf("step %d: compaction surfaced non-live extent %#x", step, addr)
 				}
+				if rng.Intn(8) == 0 { // a relocation that retires some other extent
+					for ad, e := range live {
+						if ad == addr {
+							continue
+						}
+						if err := a.Free(ad); err != nil {
+							t.Fatalf("step %d: free of live extent %#x under compaction failed: %v", step, ad, err)
+						}
+						delete(live, ad)
+						liveBytes -= e.size
+						break
+					}
+				}
 				nad := a.Alloc(size, cookie)
+				if overlaps(nad, size) {
+					t.Fatalf("step %d: relocation target %#x+%d overlaps a live extent", step, nad, size)
+				}
 				delete(live, addr)
 				live[nad] = ext{nad, e.size}
 				return true

@@ -6,14 +6,16 @@ import "testing"
 
 // TestEngineScheduleRunZeroAllocs pins the engine's own cost: once its
 // queues have grown, scheduling an event and running it allocates
-// nothing, on the heap or in the same-instant lane.
+// nothing: in the same-instant lane, in the wheel, or in the overflow
+// heap on the far side of the horizon.
 func TestEngineScheduleRunZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	var tick func()
 	left := 0
+	delays := [...]Time{0, 1, 2, wheelSlots - 1, wheelSlots, 3 * wheelSlots}
 	tick = func() {
 		if left--; left > 0 {
-			e.After(Time(left%3), tick) // 0 takes the lane
+			e.After(delays[left%len(delays)], tick)
 		}
 	}
 	burst := func() {

@@ -7,7 +7,8 @@ import "testing"
 // TestSteadyStateOpsAllocate pins what an op costs the host above the
 // NIC once the record pools, rings and maps have grown: a fabric get
 // the one copy of the value it hands its caller, a cache hit nothing,
-// a replicated set one extent record per owner it lands on.
+// a replicated set nothing (its extents' records come back from the
+// extents it retires).
 func TestSteadyStateOpsAllocate(t *testing.T) {
 	const valLen = 48
 	warm := func(run func()) {
@@ -83,10 +84,10 @@ func TestSteadyStateOpsAllocate(t *testing.T) {
 			s.Run()
 		}
 		warm(run)
-		// One extent record per owner the value lands on (internal/extent
-		// allocates its bookkeeping per extent); nothing per leg above it.
-		if got := testing.AllocsPerRun(200, run); got > 3 {
-			t.Errorf("%v allocations per r=3 set, want at most 3 (one extent record per owner)", got)
+		// Each owner's new extent takes the record of the extent the
+		// previous overwrite retired (internal/extent); nothing per leg.
+		if got := testing.AllocsPerRun(200, run); got != 0 {
+			t.Errorf("%v allocations per r=3 set, want 0", got)
 		}
 		if acks != i {
 			t.Fatalf("%d of %d sets acknowledged", acks, i)
