@@ -285,7 +285,7 @@ type opPipeline struct {
 
 	// Chain-execution accounting: every response WQE is signaled, so
 	// each executed instance delivers exactly respPer completions on
-	// its slot's response QP(s) — ack (WRITE) or refusal (NOOP) alike.
+	// its slot's response QP(s) — answer (WRITE) or miss (NOOP) alike.
 	// armCount-vs-execSeen is how the client detects a dead server NIC
 	// (a frozen device drops trigger SENDs; the armed chain never runs)
 	// without any out-of-band signal: a timed-out slot whose instance
@@ -325,11 +325,13 @@ type opPipeline struct {
 	trTracks []string // per-slot trace track names, precomputed
 
 	// Per-op hooks: post arms the slot's offload context and posts its
-	// WRs (doorbell-less); deliver runs the typed callback, reading any
-	// completion payload from client memory (slotValid false = the
-	// request never reached a slot); release runs op-specific lifecycle
-	// after the slot decision (executed = the armed chain ran).
+	// WRs (doorbell-less); verdict reads whether the answer that just
+	// landed says applied (nil = every answer does); deliver runs the
+	// typed callback, reading any completion payload from client memory
+	// (slotValid false = the request never reached a slot); release runs
+	// op lifecycle after the slot decision (executed = the chain ran).
 	post    func(req *pipeReq)
+	verdict func(req *pipeReq) bool
 	deliver func(req *pipeReq, lat Duration, ok, slotValid bool)
 	release func(req *pipeReq, ok, executed bool)
 }
@@ -492,16 +494,17 @@ func (p *opPipeline) issue(req *pipeReq) {
 
 // onAck completes slot's in-flight request at time at. A key mismatch
 // means the WRITE belongs to an instance whose request already timed
-// out and whose slot was reissued — dropped. (A same-key straggler is
-// indistinguishable and completes the current request; its response
-// bytes are the same value, so only the latency attribution blurs.)
+// out and whose slot was reissued — dropped, whatever it left in the
+// slot's buffer: a QP's WRITEs land in order, so the current instance's
+// own bytes replace it before its completion gets here. (A same-key
+// straggler is indistinguishable and completes the current request.)
+// A write chain's answer may be a refusal, which fails the request now.
 func (p *opPipeline) onAck(slot int, key uint64, at, backlog sim.Time) {
 	req := p.slots[slot]
 	if req == nil || req.key != key {
 		return
 	}
-	p.acks++
-	p.finish(req, at-req.start, true, backlog)
+	p.finish(req, at-req.start, p.verdict == nil || p.verdict(req), backlog)
 }
 
 // timeout is an issued request's deadline: it completes the request as
@@ -515,19 +518,17 @@ func (req *pipeReq) timeout() {
 		req.release()
 		return
 	}
-	p := req.p
-	p.fails++
-	p.finish(req, p.c.MissTimeout, false, 0)
+	req.p.finish(req, req.p.c.MissTimeout, false, 0)
 }
 
 // finish releases req's slot, feeds the congestion window, runs the
 // op's release hook and callback, and refills the pipeline from the
 // waiting queue (self-flushing: the driver may never call Flush
 // again). A slot timing out with its armed instance still unexecuted
-// (no response completions delivered, ack or refusal) is quarantined
+// (no response completions delivered, answer or miss) is quarantined
 // rather than re-armed: the server NIC dropped the trigger, and
 // stacking fresh instances on the dead context would overflow its
-// chain rings. A confirmed ack always frees the slot — the WRITE
+// chain rings. A confirmed answer always frees the slot — the WRITE
 // proves the chain ran.
 func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Time) {
 	req.mustBeLive()
@@ -539,8 +540,13 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 	p.slots[req.slot] = nil
 	p.inFlight--
 	executed := p.pending(req.slot) < p.respPer
+	if ok {
+		p.acks++
+	} else {
+		p.fails++
+		p.lastRan = executed
+	}
 	if !ok && !executed {
-		p.lastRan = false
 		p.wedged[req.slot] = true
 		p.nWedged++
 		if p.nWedged == p.depth {
@@ -551,16 +557,13 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 			}
 		}
 	} else {
-		if !ok {
-			p.lastRan = true
-		}
 		p.free = append(p.free, req.slot)
 	}
-	// Window control: a timeout is a loss, an ECN-marked ack is
-	// congestion news one RTT earlier; either cuts once per epoch. A
-	// clean ack grows the window.
-	if !ok || p.win.marked(backlog) {
-		if p.win.cut(req.seq, p.seq, ok) && c.tr.Enabled() {
+	// Window control: a timeout (req.timed: only the deadline's call sets
+	// it) is a loss, an ECN-marked answer congestion news one RTT earlier;
+	// either cuts once per epoch. A clean answer, ack or refusal, grows it.
+	if req.timed || p.win.marked(backlog) {
+		if p.win.cut(req.seq, p.seq, !req.timed) && c.tr.Enabled() {
 			c.tr.Instant(c.trLabel, "wcut:"+p.name, req.op)
 		}
 	} else {
@@ -571,7 +574,7 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 		// span minus the doorbell-batching delay Flush stamped, so the
 		// phases partition submit->finish exactly.
 		r := &p.rcpts[req.slot]
-		r.Censored = !ok
+		r.Censored = req.timed
 		r.AddPhase(telemetry.PhaseFabric, lat-r.Phases[telemetry.PhaseDoorbell])
 		r.Total = r.PhaseSum()
 		p.lastRcpt = r
@@ -963,11 +966,19 @@ func (c *Client) wireHooks() {
 			Len: uint64(len(req.val))})
 		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.strig[req.slot], Len: uint64(len(payload))})
 	}
-	c.set.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
+	// A write chain's ack carries the verdict: WRITE|key iff it applied.
+	applied := func(ack []uint64) func(req *pipeReq) bool {
+		return func(req *pipeReq) bool {
+			v, _ := c.node.Mem.U64(ack[req.slot])
+			return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
+		}
+	}
+	acked := func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.ackCB != nil {
 			req.ackCB(lat, ok)
 		}
 	}
+	c.set.verdict, c.set.deliver = applied(c.sack), acked
 	c.set.release = func(req *pipeReq, ok, executed bool) {
 		if !ok && executed {
 			// The chain ran and refused the claim: the staged bytes can
@@ -1002,11 +1013,7 @@ func (c *Client) wireHooks() {
 		c.node.Mem.Write(c.dtrig[req.slot], payload)
 		c.del.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.dtrig[req.slot], Len: uint64(len(payload))})
 	}
-	c.del.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
-		if req.ackCB != nil {
-			req.ackCB(lat, ok)
-		}
-	}
+	c.del.verdict, c.del.deliver = applied(c.dack), acked
 	c.del.release = func(req *pipeReq, ok, executed bool) {
 		if ok {
 			// The unlink just retired the bucket's extent through the
@@ -1195,11 +1202,12 @@ func (c *Client) setClaim(key uint64) (core.SetClaim, bool) {
 
 // SetAsync issues one offloaded set of value under key, computing the
 // bucket claim from the bound table, and returns immediately; cb runs
-// when the NIC's ack lands or MissTimeout expires. Sets beyond the
-// pipeline window queue client-side. Call Flush to ring the doorbell
-// after posting a batch. A key whose candidate buckets are both taken
-// by other keys fails immediately (ok=false after a zero-cost hop):
-// relocation is host work, not a NIC claim.
+// when the NIC's ack lands (ok is its verdict: false for a refused
+// claim) or, on a dead connection, MissTimeout expires. Sets beyond the
+// pipeline window queue client-side; call Flush after posting a batch.
+// A key whose candidate buckets are both taken by other keys fails
+// immediately (ok=false after a zero-cost hop): relocation is host
+// work, not a NIC claim.
 func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Set")
@@ -1262,8 +1270,8 @@ func (c *Client) setAsyncReq(key uint64, value []byte, claim core.SetClaim, ver 
 }
 
 // Set performs one offloaded set, advancing the simulation until the
-// ack lands (or MissTimeout for refused claims). It returns the
-// observed latency and whether the NIC acknowledged the write.
+// ack lands (or MissTimeout on a dead connection). It returns the
+// observed latency and whether the NIC applied the write.
 func (c *Client) Set(key uint64, value []byte) (Duration, bool) {
 	var (
 		lat  Duration
@@ -1291,7 +1299,8 @@ func (c *Client) deleteClaim(key uint64) (core.DeleteClaim, bool) {
 
 // DeleteAsync issues one offloaded delete of key, computing the bucket
 // claim from the bound table, and returns immediately; cb runs when
-// the NIC's ack lands or MissTimeout expires. Deletes beyond the
+// the NIC's ack lands (ok is its verdict: false for a refused claim)
+// or, on a dead connection, MissTimeout expires. Deletes beyond the
 // pipeline window queue client-side; call Flush after posting a batch.
 // A key that is not at a NIC-reachable candidate bucket fails after a
 // zero-cost hop: retiring spilled residents is host work.
@@ -1353,8 +1362,8 @@ func (c *Client) DrainFreed() int {
 }
 
 // Delete performs one offloaded delete, advancing the simulation until
-// the ack lands (or MissTimeout for refused claims). It returns the
-// observed latency and whether the NIC acknowledged the retirement.
+// the ack lands (or MissTimeout on a dead connection). It returns the
+// observed latency and whether the NIC applied the retirement.
 func (c *Client) Delete(key uint64) (Duration, bool) {
 	var (
 		lat  Duration

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/wqe"
 )
 
 // A 16-deep pipelined client must land every in-flight get in its own
@@ -334,14 +335,18 @@ func TestClientSetOverwrite(t *testing.T) {
 }
 
 // A claim whose CAS expectation is stale must be refused by the NIC —
-// the bucket keeps its resident — and surface as ok=false, with the
-// chain counted as executed (a refusal is not a dead connection).
+// the bucket keeps its resident — and surface as ok=false one fabric
+// round trip later (the ack carries the verdict; nothing waits out the
+// miss deadline), with the chain counted as executed (a refusal is not
+// a dead connection) and its receipt an observed latency, not a
+// censored one.
 func TestClientSetClaimRefused(t *testing.T) {
 	tb := NewTestbed()
 	srv := tb.NewServer()
 	table := srv.NewHashTable(1024)
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
+	cli.EnableProvenance()
 
 	const key = 5
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {
@@ -360,13 +365,17 @@ func TestClientSetClaimRefused(t *testing.T) {
 		t.Fatal("key not at a candidate bucket")
 	}
 	var executed bool
+	var refusedLat Duration
 	doneOK := true
 	cli.SetAsyncClaim(777, Value(777, 64),
 		// Claim key's bucket for key 777 expecting it empty.
 		coreSetClaim(bucket, 0, 777), 1,
-		func(_ Duration, ok bool) {
-			doneOK = ok
+		func(lat Duration, ok bool) {
+			doneOK, refusedLat = ok, lat
 			executed = cli.LastExecuted(OpSet)
+			if r := cli.LastReceipt(OpSet); r.Censored || r.Total != lat || r.Total != r.PhaseSum() {
+				t.Errorf("refusal receipt %+v, want uncensored with Total == PhaseSum == %v", r, lat)
+			}
 		})
 	cli.Flush()
 	tb.Run()
@@ -375,6 +384,12 @@ func TestClientSetClaimRefused(t *testing.T) {
 	}
 	if !executed {
 		t.Fatal("refused claim reported as never-executed (would trip the crash detector)")
+	}
+	if refusedLat <= 0 || refusedLat >= 20*sim.Microsecond {
+		t.Fatalf("refusal took %v, want one fabric round trip", refusedLat)
+	}
+	if st := cli.Stats(); st.SetFails != 1 || st.SetsWedged != 0 {
+		t.Fatalf("refusal counted as %d fails, %d wedged slots; want 1, 0", st.SetFails, st.SetsWedged)
 	}
 	// The resident survived the refused claim, bit-exact.
 	val, _, ok := cli.Get(key, 64)
@@ -545,10 +560,11 @@ func TestClientDeleteRefused(t *testing.T) {
 	// A delete claim for key 777 against key 5's bucket: the claim CAS
 	// expects NOOP|777 and must fail against NOOP|5.
 	var executed, acked bool
+	var refusedLat Duration
 	done := false
 	cli.DeleteAsyncClaim(777, core.DeleteClaim{BucketAddr: bucket}, 1,
-		func(_ Duration, ok bool) {
-			acked, executed, done = ok, cli.LastExecuted(OpDelete), true
+		func(lat Duration, ok bool) {
+			acked, executed, done, refusedLat = ok, cli.LastExecuted(OpDelete), true, lat
 		})
 	cli.Flush()
 	tb.Run()
@@ -560,6 +576,9 @@ func TestClientDeleteRefused(t *testing.T) {
 	}
 	if !executed {
 		t.Fatal("refused delete reported as never-executed (would trip the crash detector)")
+	}
+	if refusedLat <= 0 || refusedLat >= 20*sim.Microsecond {
+		t.Fatalf("refusal took %v, want one fabric round trip", refusedLat)
 	}
 	// The resident survived, bit-exact, and a double delete of the now
 	// genuinely-deleted key is refused by the tombstone.
@@ -618,13 +637,16 @@ func TestClientDeletePipelineOverlaps(t *testing.T) {
 }
 
 // A refused set claim hands its staging extent straight back to the
-// arena; churning refusals must not grow the arena.
+// arena; churning refusals must not grow the arena. Nor do they shrink
+// an adaptive window: a refusal is an answer that says nothing about
+// load, and counts toward additive increase like an ack.
 func TestClientRefusedSetReleasesStaging(t *testing.T) {
 	tb := NewTestbed()
 	srv := tb.NewServer()
 	table := srv.NewHashTable(1024)
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
+	cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: 2, EcnBacklog: -1})
 
 	const key = 5
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {
@@ -655,6 +677,113 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 	}
 	if got := srv.Arena().LiveBytes(); got != live {
 		t.Fatalf("arena grew %d -> %d live bytes across 20 refused claims", live, got)
+	}
+	if cuts, w := cli.Stats().WindowCuts, cli.PipelineStats(OpSet).Window; cuts != 0 || w != 4 {
+		t.Fatalf("%d window cuts, window %d after 20 refusals from start 2; want 0 cuts and the full depth 4", cuts, w)
+	}
+}
+
+// Silence still means a dead NIC: a frozen server drops the trigger, no
+// ack ever comes, and a set or delete fails at exactly the miss
+// deadline with its chain unexecuted and its slot quarantined.
+func TestClientWritesTimeOutOnFrozenServer(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(1024)
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 2)
+	cli.Bind(table)
+	cli.MissTimeout = 50 * sim.Microsecond
+	const key = 5
+	if _, ok := cli.Set(key, Value(key, 64)); !ok {
+		t.Fatal("setup set failed")
+	}
+	srv.Node().Dev.Freeze()
+	check := func(op Op) func(Duration, bool) {
+		return func(lat Duration, ok bool) {
+			if ok || lat != cli.MissTimeout || cli.LastExecuted(op) {
+				t.Errorf("op %d on a frozen NIC: ok=%v lat=%v executed=%v, want a %v timeout of an unexecuted chain",
+					op, ok, lat, cli.LastExecuted(op), cli.MissTimeout)
+			}
+		}
+	}
+	cli.SetAsync(key, Value(key+1, 64), check(OpSet))
+	cli.DeleteAsync(key, check(OpDelete))
+	cli.Flush()
+	tb.Run()
+	if st := cli.Stats(); st.SetFails != 1 || st.DelFails != 1 || st.SetsWedged != 1 || st.DelsWedged != 1 {
+		t.Fatalf("fails %d/%d wedged %d/%d (set/del), want 1/1 and 1/1", st.SetFails, st.DelFails, st.SetsWedged, st.DelsWedged)
+	}
+}
+
+// An ack completes the request it answers and no other. A set whose
+// deadline ran first still executes; its late ack reclaims the slot but
+// completes nothing. An ack stamped with another key — whatever it left
+// in the slot's ack buffer — is dropped, and the request in flight reads
+// its own verdict: acks on one QP land in order, so its own word has
+// replaced the straggler's by the time its completion is delivered.
+func TestClientStragglerAckCompletesNothing(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(1024)
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 1)
+	cli.Bind(table)
+
+	// A deadline shorter than the chain: the set times out unexecuted.
+	cli.MissTimeout = 3 * sim.Microsecond
+	results := make(map[uint64]int)
+	cli.SetAsync(1, Value(1, 64), func(lat Duration, ok bool) {
+		results[1]++
+		if ok || lat != 3*sim.Microsecond || cli.LastExecuted(OpSet) {
+			t.Errorf("short-deadline set: ok=%v lat=%v executed=%v", ok, lat, cli.LastExecuted(OpSet))
+		}
+	})
+	cli.Flush()
+	tb.RunFor(4 * sim.Microsecond)
+	if results[1] != 1 || cli.Stats().SetsWedged != 1 {
+		t.Fatalf("short-deadline set: %d callbacks, %d wedged slots; want 1 and 1", results[1], cli.Stats().SetsWedged)
+	}
+	// The straggler's ack lands: nothing completes, the slot is back in
+	// service with the straggler's verdict still in its ack buffer, and
+	// the next request on it gets its own answer.
+	cli.MissTimeout = DefaultMissTimeout
+	tb.RunFor(20 * sim.Microsecond)
+	if w, _ := cli.node.Mem.U64(cli.sack[0]); w != wqe.MakeCtrl(wqe.OpWrite, 1) || cli.Stats().SetsWedged != 0 {
+		t.Fatalf("after the straggler: ack buffer %#x, %d wedged slots; want WRITE|1 and 0", w, cli.Stats().SetsWedged)
+	}
+	cli.SetAsync(2, Value(2, 64), func(_ Duration, ok bool) {
+		results[2]++
+		if !ok {
+			t.Error("set behind a straggler failed")
+		}
+	})
+	cli.Flush()
+	tb.Run()
+	if results[1] != 1 || results[2] != 1 {
+		t.Fatalf("callbacks per key %v, want one each", results)
+	}
+	if st := cli.Stats(); st.SetAcks != 1 || st.SetFails != 1 || st.SetsWedged != 0 {
+		t.Fatalf("acks %d fails %d wedged %d, want 1/1/0", st.SetAcks, st.SetFails, st.SetsWedged)
+	}
+	// The straggler ran to the end: both keys are installed.
+	for _, k := range []uint64{1, 2} {
+		if v, _, ok := cli.Get(k, 64); !ok || !bytes.Equal(v, Value(k, 64)) {
+			t.Fatalf("key %d not installed", k)
+		}
+	}
+
+	// A foreign ack arriving while a request is in flight: an "applied"
+	// word for key 9 in the slot's buffer, completion stamped key 9.
+	done, acked := false, false
+	cli.SetAsync(3, Value(3, 64), func(_ Duration, ok bool) { done, acked = true, ok })
+	cli.Flush()
+	cli.node.Mem.PutU64(cli.sack[0], wqe.MakeCtrl(wqe.OpWrite, 9))
+	cli.set.onAck(0, 9, tb.Now(), 0)
+	if done || cli.PipelineStats(OpSet).InFlight != 1 {
+		t.Fatal("an ack for another key completed the request in flight")
+	}
+	tb.Run()
+	if !done || !acked {
+		t.Fatalf("request in flight after a foreign ack: done=%v ok=%v, want its own applied verdict", done, acked)
 	}
 }
 

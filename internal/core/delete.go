@@ -18,29 +18,30 @@ import (
 //
 //	RECV      scatter claim/cond operands + bucket addr + ack addrs
 //	claimCAS  bucket.keyCtrl: NOOP|key -> PENDING|key (the delete claim)
-//	readBack  READ bucket.keyCtrl -> unlink.ctrl      (observe the claim)
-//	condCAS   unlink.ctrl: PENDING|key -> WRITE|key   (arm iff claimed)
+//	          old bucket word -> unlink.ctrl          (the CAS's own result)
+//	condCAS   unlink.ctrl: NOOP|key -> WRITE|key      (arm iff claimed)
 //	unlink    WRITE bucket.[keyCtrl,valAddr,valLen] -> to-free ring slot
 //	verRead   READ unlink.ctrl -> verWr.ctrl          (copy the verdict)
 //	verWr     WRITE 8B version -> bucket.version      (iff claimed)
 //	tombCAS   bucket.keyCtrl: PENDING|key -> TOMBSTONE (finalize)
-//	ackRead   READ unlink.ctrl -> ack.ctrl            (propagate verdict)
-//	ack       WRITE 8B -> client ack buffer           (iff claimed)
+//	ack       WRITE unlink.ctrl -> client ack buffer  (the verdict)
 //
 // The claim parks the bucket on the per-key PENDING word
 // (hopscotch.PendingCtrl) — the same claimed-but-unpublished marker
 // fresh set claims use, and for the same reason: a lookup chain's
 // probe READ injects bucket words verbatim into its response WQE, so
 // the parked word must stay an inert NOOP or a concurrent get would
-// execute it and serve the extent being retired. readBack lands the
-// bucket word in the unlink WQE and condCAS flips it to an executable
-// WRITE exactly when it is this chain's pending word — the set chain's
-// conditional idiom. A failed claim (key absent, already tombstoned,
-// or a racing writer) leaves an unmatchable word and the chain falls
-// through: no unlink, no ack, and the client times out, the same
-// no-negative-acknowledgement discipline as gets and sets. Concurrent
-// gets during the pending window miss — they linearize after the
-// delete.
+// execute it and serve the extent being retired. The claim's result
+// buffer is the unlink WQE's control word, so the bucket's OLD word
+// lands there, and condCAS flips it to an executable WRITE exactly when
+// it is the live occupant NOOP|key — when the claim succeeded — the set
+// chain's conditional idiom, safe for the same reason: every word a
+// bucket can hold has the NOOP opcode (hopscotch's "inert under
+// injection" rule). A failed claim (key absent, already tombstoned, or
+// a racing writer) leaves that inert word in place and the chain falls
+// through to its ack: no unlink, no version stamp, a refusal the client
+// reads one round trip later. Gets during the pending window miss —
+// they linearize after the delete.
 //
 // The unlink WRITE copies the bucket's first three words — the claimed
 // (pending) key word plus [valAddr, valLen] — onto a slot of the
@@ -64,7 +65,8 @@ import (
 // conditionally armed exactly like the unlink — verRead copies
 // unlink.ctrl (WRITE|key iff the claim succeeded, an inert NOOP-family
 // word otherwise) onto verWr's control word — so a failed claim stamps
-// nothing.
+// nothing. The ack is the set chain's: an unconditional WRITE of
+// unlink's control word — WRITE|key, or the word that refused the claim.
 
 // DeleteClaim names the bucket a delete claims. The CAS operands are
 // derived from the key: Expect is NOOP|key (the live occupant), the
@@ -87,8 +89,7 @@ type DeleteOffload struct {
 	// its RQ receives delete SENDs, shared by every slot of the pool.
 	Trig *rnic.QP
 	// Resp is the slot's dedicated managed QP back to the client for
-	// the conditional ack (per-slot: an ENABLE grants every earlier
-	// WQE on a ring).
+	// the ack (per-slot: an ENABLE grants every earlier WQE on a ring).
 	Resp *rnic.QP
 
 	// Ring is the to-free ring unlink WRITEs target; slotBase is this
@@ -96,7 +97,7 @@ type DeleteOffload struct {
 	Ring     *extent.FreeRing
 	slotBase uint64
 
-	w2 *rnic.QP // managed chain ring: claim, readback, tombstone, ack read
+	w2 *rnic.QP // managed chain ring: claim, conditional arm, verdict copy, tombstone
 	w3 *rnic.QP // managed ring for the unlink + version WRITEs
 
 	// args is a small rotating ring of 8-byte version words (one per
@@ -141,8 +142,8 @@ func (o *DeleteOffload) SetReceipt(r *telemetry.Receipt) {
 }
 
 // deleteChainWQEs is the busiest-ring WQE budget of one instance (w2):
-// claim, readback, conditional arm, verdict copy, tombstone, ack read.
-const deleteChainWQEs = 6
+// claim, conditional arm, verdict copy, tombstone.
+const deleteChainWQEs = 4
 
 // NewDeleteOffload builds one delete context over ring slots
 // [slotBase, slotBase+deleteRingSlots) of ring.
@@ -169,37 +170,27 @@ func (o *DeleteOffload) Arm() {
 	args := o.args[aslot]
 
 	// unlink copies the bucket's [keyCtrl, valAddr, valLen] onto the
-	// ring slot; readBack injects its control word, so it posts as an
-	// inert NOOP.
+	// ring slot. Its control word is the claim's result buffer (the
+	// bucket's old word, a NOOP whatever it held) and the ack's payload.
 	unlink := b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Dst: ringSlot, Len: 24,
 		Flags: wqe.FlagSignaled})
+	verdict := unlink.FieldAddr(wqe.OffCtrl)
 	// verWr stamps the delete's version (scattered into args) onto the
 	// bucket's version word; verRead arms it with the unlink's verdict,
 	// so it fires only on a successful claim.
 	verWr := b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: args, Len: 8,
 		Flags: wqe.FlagSignaled})
-	// The ack's 8-byte payload is the ring slot's first word — any
-	// server-resident token works; the key stamped in the CQE id field
-	// is what the client demultiplexes on.
-	ack := b.Post(o.Resp, wqe.WQE{Op: wqe.OpNoop, Src: ringSlot, Flags: wqe.FlagSignaled})
-	claim := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
-	readBack := b.Post(o.w2, wqe.WQE{Op: wqe.OpRead,
-		Dst: unlink.FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
-	condCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS,
-		Dst: unlink.FieldAddr(wqe.OffCtrl), Flags: wqe.FlagSignaled})
-	verRead := b.Post(o.w2, wqe.WQE{Op: wqe.OpRead,
-		Src: unlink.FieldAddr(wqe.OffCtrl),
+	ack := b.Post(o.Resp, wqe.WQE{Op: wqe.OpNoop, Src: verdict, Flags: wqe.FlagSignaled})
+	claim := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Src: verdict, Flags: wqe.FlagSignaled})
+	condCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Dst: verdict, Flags: wqe.FlagSignaled})
+	verRead := b.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Src: verdict,
 		Dst: verWr.FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
 	tomb := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
-	ackRead := b.Post(o.w2, wqe.WQE{Op: wqe.OpRead,
-		Src: unlink.FieldAddr(wqe.OffCtrl),
-		Dst: ack.FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
 
 	recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
 		{Addr: claim.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: readBack.FieldAddr(wqe.OffSrc), Len: 8},
 		{Addr: condCAS.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: condCAS.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: unlink.FieldAddr(wqe.OffSrc), Len: 8},
@@ -208,11 +199,12 @@ func (o *DeleteOffload) Arm() {
 		{Addr: tomb.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: tomb.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: tomb.FieldAddr(wqe.OffDst), Len: 8},
+		{Addr: ack.FieldAddr(wqe.OffCtrl), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffDst), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffLen), Len: 8},
 	})
 	b.WaitRecv(o.Trig, recvTarget)
-	for _, step := range []StepRef{claim, readBack, condCAS, unlink, verRead, verWr, tomb, ackRead} {
+	for _, step := range []StepRef{claim, condCAS, unlink, verRead, verWr, tomb} {
 		b.Enable(step)
 		b.WaitStep(step)
 	}
@@ -224,17 +216,16 @@ func (o *DeleteOffload) Arm() {
 func (o *DeleteOffload) Armed() uint64 { return o.armed }
 
 // DeleteWRsPerOp reports the work requests one armed delete posts —
-// the retirement path's Table 2-style budget: RECV + 9 data verbs
-// (claim, observe, arm, move, verdict copy, version stamp, finalize,
-// verdict, ack) and the WAIT/ENABLE verbs sequencing them. Two verbs
-// past the set chain: the price of stamping a tombstone's version
-// conditionally.
-func DeleteWRsPerOp() (data, sync int) { return 10, 18 }
+// the retirement path's Table 2-style budget: RECV + 7 data verbs
+// (claim, arm, move, verdict copy, version stamp, finalize, ack) and
+// the WAIT/ENABLE verbs sequencing them. Two verbs past the set chain:
+// the price of stamping a tombstone's version conditionally.
+func DeleteWRsPerOp() (data, sync int) { return 8, 14 }
 
 // TriggerPayload builds the client SEND payload for a delete of key at
-// claim with version ver, acking 8 bytes into the client-side ackAddr.
-// Field order matches Arm's scatter list. The result is the context's
-// own buffer, overwritten by its next TriggerPayload.
+// claim with version ver, acking the 8-byte verdict into the client-side
+// ackAddr. Field order matches Arm's scatter list. The result is the
+// context's own buffer, overwritten by its next TriggerPayload.
 func (o *DeleteOffload) TriggerPayload(key uint64, claim DeleteClaim, ver, ackAddr uint64) []byte {
 	k := key & hopscotch.KeyMask
 	occupant := wqe.MakeCtrl(wqe.OpNoop, k)
@@ -242,12 +233,11 @@ func (o *DeleteOffload) TriggerPayload(key uint64, claim DeleteClaim, ver, ackAd
 	armed := wqe.MakeCtrl(wqe.OpWrite, k)
 	return o.trig.fill(
 		occupant, pending, claim.BucketAddr, // claim CAS
-		claim.BucketAddr, // readback source
-		pending, armed,   // conditional arm of the unlink WRITE
+		occupant, armed, // conditional arm: the word a successful claim REPLACED
 		claim.BucketAddr,                           // unlink source: [keyCtrl, valAddr, valLen]
 		ver, claim.BucketAddr+hopscotch.OffVersion, // version stamp
 		pending, hopscotch.Tombstone, claim.BucketAddr, // tombstone CAS
-		ackAddr, 8, // ack destination and length
+		armed, ackAddr, 8, // ack control word, destination and length
 	)
 }
 

@@ -26,6 +26,10 @@ const (
 	// LookupSingle probes only H1(x) — the no-collision case (Fig 10).
 	LookupSingle LookupMode = iota
 	// LookupSeq probes H1 then H2 sequentially in one chain (RedN-Seq).
+	// Both probes always run: an early exit after a probe-1 hit was sized
+	// and rejected (CHANGES.md, PR 21) — a run-time decision costs >= 2
+	// managed WQEs (the prefetched control queue's ENABLEs cannot be
+	// rewritten) and a stalled WAIT, to save <= 1 fetch on hits only.
 	LookupSeq
 	// LookupParallel probes H1 and H2 on independent WQs pinned to
 	// different NIC PUs (RedN-Parallel); costs an extra response QP,

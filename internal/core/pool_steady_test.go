@@ -120,11 +120,11 @@ func newPoolRig(t testing.TB) *poolRig {
 	for i := range resp {
 		slot := i
 		resp[i].SendCQ().OnDeliver(func(e rnic.CQE) {
-			if e.Op == wqe.OpWrite {
+			ki := g.keyOf[slot]
+			if v, _ := g.cli.Mem().U64(g.ack[slot]); v == wqe.MakeCtrl(wqe.OpWrite, g.keys[ki]) {
 				g.setAcks++
 				// The bucket points at this set's staging extent now;
 				// retire the one an earlier set left there.
-				ki := g.keyOf[slot]
 				if old, ok := g.installed[ki]; ok {
 					if err := g.arena.Free(old); err != nil {
 						t.Fatal(err)

@@ -16,25 +16,36 @@ import (
 // value bytes in a server-side staging extent, then a SEND whose
 // payload is scattered into a pre-armed chain. The chain claims the
 // key's bucket with a CAS against the bucket's key/control word — the
-// cuckoo table's bucket layout *is* a WQE control word, so one 64-bit
+// hopscotch table's bucket layout *is* a WQE control word, so one 64-bit
 // CAS simultaneously checks the expected occupant and installs the new
 // key — and only on a successful claim does it repoint the bucket at
-// the staged value and WRITE an acknowledgement back to the client.
-// The host CPU never runs; like the lookup, a set has no negative
-// acknowledgement (a failed claim leaves the ack WQE a NOOP and the
-// client times out).
+// the staged value. The host CPU never runs, and the chain always
+// answers: a refused claim costs the client a round trip, not a timeout.
 //
 // Chain shape, per armed instance (managed rings, ctrl-sequenced):
 //
 //	RECV      scatter claim/cond operands + bucket addrs + value len
 //	claimCAS  bucket.keyCtrl: Expect -> New      (the bucket claim)
-//	readBack  READ bucket.keyCtrl -> valWr.ctrl  (observe the claim)
-//	condCAS   valWr.ctrl: NOOP|key -> WRITE|key  (flip iff claimed)
+//	          old bucket word -> valWr.ctrl      (the CAS's own result)
+//	condCAS   valWr.ctrl: Expect -> WRITE|key    (flip iff claimed)
 //	valWr     WRITE [stagingAddr, valLen, version]
 //	          -> bucket.[valAddr, valLen, version]
 //	pubCAS    bucket.keyCtrl: New -> NOOP|key    (publish, fresh claims)
-//	ackRead   READ valWr.ctrl -> ack.ctrl        (propagate the verdict)
-//	ack       WRITE 8B -> client ack buffer      (iff the bucket is ours)
+//	ack       WRITE valWr.ctrl -> client ack buffer (the verdict)
+//
+// An RDMA CAS returns the word it found, and the chain asks for nothing
+// more: the claim's result buffer is valWr's control word, so the claim
+// succeeded exactly when that word is now claim.Expect, and condCAS
+// compares against Expect to flip valWr into a WRITE. (Stricter than
+// checking that the bucket holds New afterwards: a fresh claim that
+// lost to a straggler's leftover PENDING|key finds New there and did
+// not install it.) A refused claim leaves the bucket's old word as
+// valWr's control word, safe only because every word a bucket can hold
+// — zero, tombstone, pending, resident NOOP|key — has the NOOP opcode
+// (hopscotch's "inert under injection" rule): valWr runs as a NOOP. The
+// ack is an unconditional WRITE (its control word, WRITE|key, comes with
+// the trigger) of valWr's control word as it stands after pubCAS:
+// WRITE|key for an applied set, else the word that refused the claim.
 //
 // The claim word New depends on the claim kind. An overwrite of a
 // resident key claims NOOP|key -> NOOP|key: the bucket stays readable
@@ -50,13 +61,7 @@ import (
 // conditional) and the pubCAS verb publishes NOOP|key only after valWr
 // has landed the new pointer. For overwrites pubCAS degenerates to
 // NOOP|key -> NOOP|key, a harmless self-swap, so one chain shape
-// serves both. condCAS likewise compares against claim.New, covering
-// both claim kinds with one injected operand.
-//
-// The ack needs no CAS of its own: after condCAS, valWr's control word
-// is WRITE|key exactly when the claim succeeded, so one READ of those
-// 8 bytes onto the ack's control word flips the ack and stamps the key
-// into its id field in a single verb.
+// serves both.
 //
 // Values live in per-instance staging extents carved from the server's
 // extent arena (log-structured writes: an overwrite installs a fresh
@@ -70,11 +75,11 @@ import (
 // claim it: Expect is the bucket's current key/control word (0 for an
 // empty bucket, the tombstone for a reclaimed one, NOOP|key for an
 // overwrite) and New the word installed on success — NOOP|key for
-// overwrites, the intermediate WRITE|key (ClaimPendingCtrl) for fresh
+// overwrites, the NOOP-opcode pending word (ClaimPendingCtrl) for fresh
 // claims, published to NOOP|key by the chain's pubCAS only after the
 // value pointer is in place. The caller computes it from its view of
-// the table — a stale view fails the CAS harmlessly and the set times
-// out.
+// the table — a stale view fails the CAS harmlessly and the ack says
+// so.
 type SetClaim struct {
 	BucketAddr uint64
 	Expect     uint64
@@ -106,8 +111,8 @@ type SetOffload struct {
 	// RQ receives set SENDs, shared by every slot of the pool.
 	Trig *rnic.QP
 	// Resp is the slot's dedicated managed QP back to the client; the
-	// conditional ack WRITE lives on its ring (per-slot, because an
-	// ENABLE grants every earlier WQE on a ring).
+	// ack WRITE lives on its ring (per-slot, because an ENABLE grants
+	// every earlier WQE on a ring).
 	Resp *rnic.QP
 	// MaxVal sizes the per-instance staging extents.
 	MaxVal uint64
@@ -115,7 +120,7 @@ type SetOffload struct {
 	// falls back to leak-forever bump allocation.
 	Arena *extent.Arena
 
-	w2 *rnic.QP // managed chain ring: claim, readback, conditionals
+	w2 *rnic.QP // managed chain ring: claim, conditional flip, publish
 	w3 *rnic.QP // managed ring for the bucket-pointer WRITE
 
 	// args is a small rotating ring of scatter-target buffers (one per
@@ -182,8 +187,8 @@ func NewSetOffload(b *Builder, trig, resp *rnic.QP, maxVal uint64, arena *extent
 }
 
 // setChainWQEs is the busiest-ring WQE budget of one instance (w2):
-// claim, readback, conditional flip, publish, ack read.
-const setChainWQEs = 5
+// claim, conditional flip, publish.
+const setChainWQEs = 3
 
 // Arm posts one set instance and returns the staging extent the
 // client's value WRITE must target. cookie tags the extent in the
@@ -218,25 +223,18 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 	m.PutU64(args, staging)
 
 	valWr := b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: args, Len: 24, Flags: wqe.FlagSignaled})
-	// The ack's 8-byte payload is the staging address from args —
-	// any server-resident token works; the CQE's key-stamped id field
-	// is what the client demultiplexes on.
-	ack := b.Post(o.Resp, wqe.WQE{Op: wqe.OpNoop, Src: args, Flags: wqe.FlagSignaled})
-	claim := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
-	readBack := b.Post(o.w2, wqe.WQE{Op: wqe.OpRead,
-		Dst: valWr.FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
-	condCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS,
-		Dst: valWr.FieldAddr(wqe.OffCtrl), Flags: wqe.FlagSignaled})
+	// valWr's control word is the claim's result buffer (the bucket's old
+	// word, a NOOP whatever it held) and then the ack's payload.
+	verdict := valWr.FieldAddr(wqe.OffCtrl)
+	ack := b.Post(o.Resp, wqe.WQE{Op: wqe.OpNoop, Src: verdict, Flags: wqe.FlagSignaled})
+	claim := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Src: verdict, Flags: wqe.FlagSignaled})
+	condCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Dst: verdict, Flags: wqe.FlagSignaled})
 	pubCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
-	ackRead := b.Post(o.w2, wqe.WQE{Op: wqe.OpRead,
-		Src: valWr.FieldAddr(wqe.OffCtrl),
-		Dst: ack.FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
 
 	recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
 		{Addr: claim.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: readBack.FieldAddr(wqe.OffSrc), Len: 8},
 		{Addr: condCAS.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: condCAS.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: valWr.FieldAddr(wqe.OffDst), Len: 8},
@@ -245,11 +243,12 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 		{Addr: pubCAS.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: pubCAS.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: pubCAS.FieldAddr(wqe.OffDst), Len: 8},
+		{Addr: ack.FieldAddr(wqe.OffCtrl), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffDst), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffLen), Len: 8},
 	})
 	b.WaitRecv(o.Trig, recvTarget)
-	for _, step := range []StepRef{claim, readBack, condCAS, valWr, pubCAS, ackRead} {
+	for _, step := range []StepRef{claim, condCAS, valWr, pubCAS} {
 		b.Enable(step)
 		b.WaitStep(step)
 	}
@@ -262,9 +261,9 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 func (o *SetOffload) Armed() uint64 { return o.armed }
 
 // ReleaseStaging retires the most recently armed instance's staging
-// extent back to the arena — the client calls it when the chain
-// definitively refused the claim (the bucket was taken), at which
-// point the staged bytes can never become the bucket's value. Slots
+// extent back to the arena — the client calls it when the chain's ack
+// reports a refused claim (the bucket was taken), at which point the
+// staged bytes can never become the bucket's value. Slots
 // that time out WITHOUT executing keep their extent: a straggling
 // chain could still repoint the bucket at it, so reclaiming would risk
 // handing live bytes to the next set (those rare extents leak instead,
@@ -277,31 +276,29 @@ func (o *SetOffload) ReleaseStaging() {
 }
 
 // SetWRsPerOp reports the work requests one armed set posts — the
-// write path's Table 2-style budget: RECV + 7 data verbs, and the WAIT
-// and ENABLE verbs sequencing them.
-func SetWRsPerOp() (data, sync int) { return 8, 14 }
+// write path's Table 2-style budget: RECV + 5 data verbs (claim, flip,
+// repoint, publish, ack), and the WAIT and ENABLE verbs sequencing them.
+func SetWRsPerOp() (data, sync int) { return 6, 10 }
 
 // TriggerPayload builds the client SEND payload for a set of key under
-// claim, writing valLen staged bytes at version ver and acking 8 bytes
-// into the client-side ackAddr. Field order matches Arm's scatter list.
-// The publish CAS's operands derive from the claim: it swaps claim.New
-// for the published NOOP|key — a real transition for fresh claims, a
-// harmless self-swap for overwrites. ver lands in the bucket's version
-// word through the same WRITE as the repoint. The result is the
-// context's own buffer, overwritten by its next TriggerPayload.
+// claim, writing valLen staged bytes at version ver and acking the
+// 8-byte verdict into the client-side ackAddr. Field order matches
+// Arm's scatter list. The publish CAS's operands derive from the claim:
+// it swaps claim.New for the published NOOP|key — a real transition for
+// fresh claims, a harmless self-swap for overwrites. ver lands in the
+// bucket's version word through the same WRITE as the repoint. The
+// result is the context's own buffer, overwritten by the next call.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	xc := wqe.MakeCtrl(wqe.OpNoop, key&hopscotch.KeyMask)
 	xw := wqe.MakeCtrl(wqe.OpWrite, key&hopscotch.KeyMask)
 	return o.trig.fill(
 		claim.Expect, claim.New, claim.BucketAddr, // claim CAS
-		claim.BucketAddr, // readback source
-		// The conditional flip compares against whatever word a
-		// successful claim left in the bucket — NOOP|key for overwrites,
-		// the pending word for fresh claims — and arms the WRITE.
-		claim.New, xw,
+		// The conditional flip compares against the word a successful
+		// claim REPLACED (the CAS returned it onto valWr) and arms the WRITE.
+		claim.Expect, xw,
 		claim.BucketAddr+hopscotch.OffValAddr, valLen, ver, // bucket repoint + version
 		claim.New, xc, claim.BucketAddr, // publish CAS
-		ackAddr, 8, // ack destination and length
+		xw, ackAddr, 8, // ack control word, destination and length
 	)
 }
 
@@ -318,7 +315,7 @@ type SetPool struct {
 
 // NewSetPool builds K = len(resp) set contexts over the trig
 // connection. resp are server-side managed QPs connected back to the
-// client, one per context, carrying the conditional acks. arena
+// client, one per context, carrying the acks. arena
 // supplies staging extents for every context (nil: bump allocation).
 func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena *extent.Arena) *SetPool {
 	if len(resp) == 0 {

@@ -160,6 +160,6 @@ func churnRun(requests int) *Result {
 			st.ArenaPeak/1024, st.ArenaLive/1024, lst.ArenaPeak/1024),
 		fmt.Sprintf("compaction moved %d extents (%d KiB); to-free ring returned %d extents (%d stale)",
 			st.CompactMoves, st.CompactBytes/1024, st.GCFreed, st.GCStale),
-		"deletes travel the NIC tombstone chain (claim CAS -> conditional unlink -> tombstone -> conditional ack); del p50 is fabric-real, asserted like set p50")
+		"deletes travel the NIC tombstone chain (claim CAS -> conditional unlink -> tombstone -> verdict ack); del p50 is fabric-real, asserted like set p50")
 	return r
 }

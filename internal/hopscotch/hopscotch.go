@@ -49,6 +49,8 @@ const KeyMask = wqe.IDMask
 // chain's probe READ copies the bucket word VERBATIM onto its response
 // WQE's control field, so any non-NOOP opcode in a bucket would arm
 // the response and serve whatever stale pointer the bucket carries.
+// Write chains inject too: a claim CAS returns the bucket's old word onto
+// the WQE the claim guards, where a refused claim leaves it to execute.
 // Inert-under-injection is the safety invariant of every bucket word.
 const PendingBit = uint64(1) << 47
 

@@ -222,6 +222,35 @@ func TestOverwriteSkipsEarlierHole(t *testing.T) {
 	}
 }
 
+// Inert under injection: whatever a table leaves in a bucket's key slot
+// — never written, resident, tombstoned — and the word a fabric chain
+// parks there decode as NOOPs. Lookup probes and write-chain claims
+// both drop these words onto WQE control fields and let them execute.
+func TestBucketWordsAreNoops(t *testing.T) {
+	tbl, m := newTable(t, 64)
+	for k := uint64(1); k <= 40; k++ {
+		if err := tbl.Insert(k, k*16, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(1); k <= 40; k += 3 {
+		tbl.Remove(k)
+	}
+	words := []uint64{Tombstone, PendingCtrl(7), PendingCtrl(KeyMask)}
+	for i := uint64(0); i < tbl.NumBuckets(); i++ {
+		w, err := m.U64(tbl.BucketAddr(i) + OffKeyCtrl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words = append(words, w)
+	}
+	for _, w := range words {
+		if op, _ := wqe.SplitCtrl(w); op != wqe.OpNoop {
+			t.Fatalf("bucket word %#x decodes as %v", w, op)
+		}
+	}
+}
+
 // The reserved tombstone id is not a usable key anywhere keys enter.
 func TestTombstoneIDRejectedEverywhere(t *testing.T) {
 	tbl, _ := newTable(t, 16)

@@ -424,6 +424,125 @@ func TestServiceAbsentKeysDoNotSuspect(t *testing.T) {
 	}
 }
 
+// A delete of a key an owner does not hold asks nothing of that owner —
+// it is at the delete's end state already — so it applies there whether
+// or not the crash detector's breaker is open, and records the
+// tombstone version. Hinting it instead would leave, once the hint is
+// lost, a version skew between two absent replicas that neither probes
+// nor anti-entropy scans (both read residents) can ever see.
+func TestServiceAbsentDeleteAppliesUnderSuspicion(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 2, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq, Replicas: 2,
+	})
+	const key = 21
+	if err := s.Set(key, Value(key, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Delete(key) {
+		t.Fatal("setup delete failed")
+	}
+	s.Run()
+	owners := s.Owners(key)
+	s.shards[owners[1]].suspectUntil = s.Now() + 10*sim.Second
+	var err error
+	done := false
+	s.DeleteAsync(key, func(_ Duration, e error) { err, done = e, true })
+	s.Flush()
+	s.Run()
+	if !done || err != nil {
+		t.Fatalf("delete of an absent key with a suspected owner: done=%v err=%v", done, err)
+	}
+	if st := s.Stats(); st.HintsQueued != 0 {
+		t.Fatalf("%d hints queued for a delete the owner had nothing to do for", st.HintsQueued)
+	}
+	for _, id := range owners {
+		if v, del, ok := s.ownerState(s.shards[id], key); !ok || !del || v != s.nextSeq[key] {
+			t.Fatalf("owner %s holds version %d (tombstone=%v, any=%v), want the tombstone at %d", id, v, del, ok, s.nextSeq[key])
+		}
+	}
+}
+
+// A refused claim is an answer, not silence: a write stream whose every
+// claim loses its bucket to a racing host writer — each set finds its
+// candidate bucket taken, each delete finds its key already gone —
+// rolls forward on the host one round trip later, never waits out a
+// miss deadline, and never moves the crash detector on the live shard.
+func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 1, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq, Replicas: 1,
+	})
+	sh := s.order[0]
+	ht := sh.table.Table()
+	write := func(key uint64, del bool, race func()) {
+		t.Helper()
+		var lat Duration
+		var err error
+		done := false
+		cb := func(l Duration, e error) { lat, err, done = l, e, true }
+		if del {
+			s.DeleteAsync(key, cb)
+		} else {
+			s.SetAsync(key, Value(key, 64), cb)
+		}
+		s.Flush()
+		// The claim is computed and its chain posted; the race lands
+		// before the trigger crosses the wire.
+		race()
+		s.Testbed().RunFor(DefaultMissTimeout / 2)
+		if !done || err != nil || lat >= 20*sim.Microsecond {
+			t.Fatalf("write of key %d (del=%v): done=%v err=%v lat=%v, want applied within a round trip and a host RPC",
+				key, del, done, err, lat)
+		}
+	}
+	const n = 3 * DefaultSuspectAfter
+	foreign := uint64(1) << 32
+	for i := uint64(0); i < n; i++ {
+		key := 1000 + i
+		claim, fabric := claimForTable(ht, sh.mode, key)
+		if !fabric || claim.Expect != 0 {
+			t.Fatalf("key %d: want a fresh fabric claim of an empty bucket, got %+v fabric=%v", key, claim, fabric)
+		}
+		write(key, false, func() {
+			// A host insert of some other key whose first candidate is the
+			// bucket just claimed.
+			for ; ht.BucketAddr(ht.Hash(foreign, 0)) != claim.BucketAddr; foreign++ {
+			}
+			if err := sh.set(foreign, Value(foreign, 64), 1); err != nil {
+				t.Fatal(err)
+			}
+			foreign++
+		})
+		if v, ok := ownerValue(t, s, sh.id, key); !ok || !bytes.Equal(v, Value(key, 64)) {
+			t.Fatalf("key %d not applied by the host roll-forward", key)
+		}
+	}
+	for i := uint64(0); i < n; i++ {
+		key := 1000 + i
+		if _, fabric := residentBucket(ht, sh.mode, key); !fabric {
+			continue // spilled by the race above: a host delete from the start
+		}
+		write(key, true, func() { sh.del(key, 1) })
+		if _, ok := ownerValue(t, s, sh.id, key); ok {
+			t.Fatalf("key %d survived its delete", key)
+		}
+	}
+	st := s.Stats()
+	if st.FabricSets != n || st.HostSets != n {
+		t.Fatalf("%d fabric sets, %d host sets; want every one of %d claims issued, refused and rolled forward", st.FabricSets, st.HostSets, n)
+	}
+	if st.FabricDeletes == 0 || st.HostDeletes != st.FabricDeletes {
+		t.Fatalf("%d fabric deletes, %d host deletes; want every claim refused and rolled forward", st.FabricDeletes, st.HostDeletes)
+	}
+	if sh.consecMiss != 0 || sh.suspectUntil != 0 {
+		t.Fatalf("refusals moved the crash detector: consecMiss=%d suspectUntil=%v", sh.consecMiss, sh.suspectUntil)
+	}
+	for _, c := range sh.clients {
+		if cs := c.Stats(); cs.SetAcks != 0 || cs.DelAcks != 0 || cs.SetsWedged+cs.DelsWedged != 0 {
+			t.Fatalf("client saw %d set acks, %d delete acks, %d wedged slots; want none", cs.SetAcks, cs.DelAcks, cs.SetsWedged+cs.DelsWedged)
+		}
+	}
+}
+
 // ownerValue reads key's bytes straight out of one owner's table (the
 // CPU-visible ground truth, bypassing the fabric).
 func ownerValue(t *testing.T, s *Service, id string, key uint64) ([]byte, bool) {

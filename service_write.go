@@ -26,11 +26,11 @@ import (
 // the key and repoints the bucket at the staged value. For a tombstone
 // it claims the key's resident bucket with the NIC delete chain
 // (core.DeleteOffload — CAS tombstone, conditional unlink of the value
-// extent onto the owner's to-free ring, conditional ack). Keys that
-// need cuckoo-kick relocation (both candidates taken) or that live in
-// spilled neighborhood slots fall back to the host CPU at a modeled
-// two-sided RPC cost; a claim refused by the CAS (a racing writer won
-// the bucket) rolls forward on the host the same way.
+// extent onto the owner's to-free ring, ack). Keys that need cuckoo-kick
+// relocation (both candidates taken) or that live in spilled
+// neighborhood slots fall back to the host CPU at a modeled two-sided
+// RPC cost; a claim refused by the CAS (a racing writer won the bucket)
+// says so in its ack and rolls forward on the host the same way.
 //
 // The write acknowledges to the caller once W = WriteQuorum owners
 // have applied it. Owners that fail — frozen NIC, host down, suspected
@@ -664,12 +664,6 @@ func (s *Service) ownerApplyNow(sh *serviceShard, m *mutation, top uint64, done 
 
 func (r *ownerRun) apply() {
 	s, sh, m := r.s, r.sh, r.m
-	if sh.suspect(s.tb.Now()) {
-		// Circuit breaker: don't burn a MissTimeout per write on a
-		// shard the read path already declared dead.
-		r.hop(ownerUnreachable)
-		return
-	}
 	t := sh.table.table
 	var (
 		claim  core.SetClaim // a tombstone claims by BucketAddr alone
@@ -685,14 +679,20 @@ func (r *ownerRun) apply() {
 	// extent and retires this one on the ack, after the read-grace
 	// period; a delete that finds nothing resident has nothing to do.
 	r.oldVa, _, r.resident = t.Lookup(m.key)
+	if m.del && !r.resident {
+		// Nothing to retire here: the owner is already at the delete's
+		// end state. Applied, at a zero-cost hop.
+		r.absent = true
+		r.hop(ownerApplied)
+		return
+	}
+	if sh.suspect(s.tb.Now()) {
+		// Circuit breaker: don't burn a MissTimeout per write on a
+		// shard the read path already declared dead.
+		r.hop(ownerUnreachable)
+		return
+	}
 	if !fabric {
-		if m.del && !r.resident {
-			// Nothing to retire here: the owner is already at the
-			// delete's end state. Applied, at a zero-cost hop.
-			r.absent = true
-			r.hop(ownerApplied)
-			return
-		}
 		if sh.hostDown {
 			r.hop(ownerUnreachable)
 			return
