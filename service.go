@@ -58,9 +58,12 @@ const cacheAdmitCount = 8
 
 // DefaultSuspectAfter and DefaultSuspectFor shape crash detection:
 // after DefaultSuspectAfter consecutive timeouts a shard is presumed
-// dead and gets are routed to other replica owners for
-// DefaultSuspectFor, after which the next get doubles as a probe (a
-// half-open circuit breaker).
+// dead and its circuit breaker opens — gets go to other replica owners
+// and writes hint — until something proves it alive. Every
+// DefaultSuspectFor the breaker goes half-open: the next routing
+// decision that steers an op around the shard sends it one dedicated
+// liveness probe, whose answer closes the breaker and whose timeout
+// re-arms the window. User ops never pay for the probing.
 const (
 	DefaultSuspectAfter = 4
 	DefaultSuspectFor   = 25 * sim.Millisecond
@@ -249,6 +252,7 @@ const adaptiveWindowStart = 16
 // pipelined clients.
 type serviceShard struct {
 	id      string
+	svc     *Service // the owning service, for callbacks bound to the shard
 	srv     *Server
 	table   *HashTable
 	mode    LookupMode
@@ -260,7 +264,10 @@ type serviceShard struct {
 	// Crash-detection state, driven purely by observed timeouts.
 	hostDown     bool     // host-side service (kick-path sets) unavailable
 	consecMiss   int      // timeouts since the last confirmed hit
-	suspectUntil sim.Time // while Now < this, gets prefer other owners
+	suspectUntil sim.Time // nonzero while the breaker is open; once passed, probeLapsed probes
+	probing      bool     // the liveness probe is in flight on probeCli
+	probeCli     *Client
+	probeFn      func(val []byte, lat Duration, ok bool) // probed, bound once
 
 	// Write-path state: hints hold the newest value (or tombstone) each
 	// down owner is missing (hinted handoff), inflightSet serializes
@@ -358,23 +365,58 @@ func (sh *serviceShard) inflight() int {
 	return n
 }
 
-// suspect reports whether the shard is currently presumed dead.
-func (sh *serviceShard) suspect(now sim.Time) bool { return now < sh.suspectUntil }
+// down reports whether the shard's circuit breaker is open: it is
+// presumed dead until a hit, an executed miss, an acked write, a probe
+// answer or a reconnect proves otherwise.
+func (sh *serviceShard) down() bool { return sh.suspectUntil != 0 }
+
+// markLive closes the breaker: sh just proved itself alive.
+func (sh *serviceShard) markLive() { sh.consecMiss, sh.suspectUntil = 0, 0 }
 
 // noteOwnerMiss records one unexecuted-chain timeout against sh — the
-// crash symptom, as opposed to an executed miss — and transitions the
-// shard to suspected after DefaultSuspectAfter consecutive ones. Every
-// healthy-to-suspected transition increments svc/suspects, the SLO
-// sentinel's crash signal: one transition per suspicion epoch, not one
-// per timeout.
+// crash symptom, as opposed to an executed miss — and opens the breaker
+// after DefaultSuspectAfter consecutive ones; a timeout while it is
+// open re-arms the window. Only the healthy-to-suspected transition
+// increments svc/suspects, the SLO sentinel's crash signal: one count
+// per outage, however many probes it takes to see the shard back.
 func (s *Service) noteOwnerMiss(sh *serviceShard) {
 	sh.consecMiss++
 	if sh.consecMiss >= DefaultSuspectAfter {
-		now := s.tb.Now()
-		if !sh.suspect(now) {
+		if !sh.down() {
 			s.suspects.Inc()
 		}
-		sh.suspectUntil = now + DefaultSuspectFor
+		sh.suspectUntil = s.tb.Now() + DefaultSuspectFor
+	}
+}
+
+// probeLapsed runs where an op is steered around a down shard: once the
+// suspect window has lapsed, and unless a probe is already in flight, it
+// sends the shard's liveness probe — an 8-byte get of key on the next
+// connection. The op that asked stays on live owners.
+func (s *Service) probeLapsed(sh *serviceShard, key uint64) {
+	if sh.probing || s.tb.Now() < sh.suspectUntil {
+		return
+	}
+	sh.probing = true
+	sh.probeCli = sh.clients[sh.rr%len(sh.clients)]
+	sh.rr++
+	sh.probeCli.GetAsync(key, 8, sh.probeFn)
+	sh.probeCli.Flush()
+}
+
+// probed is the liveness probe's answer: a hit or an executed miss
+// closes the breaker and hands off the hints that piled up behind it;
+// silence re-arms the window.
+func (sh *serviceShard) probed(_ []byte, _ Duration, ok bool) {
+	s, cli := sh.svc, sh.probeCli
+	sh.probing, sh.probeCli = false, nil
+	if !ok && !cli.LastExecuted(OpGet) {
+		s.noteOwnerMiss(sh)
+		return
+	}
+	sh.markLive()
+	if len(sh.hints) > 0 && !sh.hostDown {
+		s.drainHints(sh)
 	}
 }
 
@@ -780,11 +822,12 @@ func (s *Service) buildShard(id string) *serviceShard {
 	srv := &Server{tb: s.tb, node: node, builder: core.NewBuilder(node.Dev, 1<<16)}
 	srv.arena = extent.NewArena(node.Mem, cfg.SegmentSize)
 	srv.arena.SetNoReclaim(cfg.NoReclaim)
-	sh := &serviceShard{id: id, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
+	sh := &serviceShard{id: id, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
 		arena: srv.arena, ringIdx: -1,
 		hints: make(map[uint64]*hint), inflightSet: make(map[uint64]ring.Queue[func()]),
 		tombVer: make(map[uint64]uint64)}
 	sh.freeRetired = func() { sh.arena.Free(sh.retiring.Pop()) }
+	sh.probeFn = sh.probed
 	sh.initMetrics(s.reg)
 	for c := 0; c < cfg.ClientsPerShard; c++ {
 		cc := fabric.DefaultNodeConfig(fmt.Sprintf("%s-client%d", id, c))
@@ -1050,9 +1093,9 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 
 // readOrder fills g.order with key's replica owners in the order the
 // get should try them: the configured read policy picks the preferred
-// owner, then suspected-dead shards are moved to the back (they remain
-// last-resort failover targets — and the first get after a suspect
-// window expires doubles as the circuit breaker's probe).
+// owner, then down shards are moved to the back (they remain last-resort
+// failover targets) and, their suspect window lapsed, sent a liveness
+// probe. When every owner is down the get itself is the probe.
 func (s *Service) readOrder(g *getOp) {
 	key := g.key
 	nodes := s.ownerNodes(key)
@@ -1087,23 +1130,23 @@ func (s *Service) readOrder(g *getOp) {
 				shs[0] = first
 			}
 		}
-		// Stable-partition live shards ahead of suspected-dead ones.
-		now := s.tb.Now()
+		// Stable-partition live shards ahead of down ones.
 		nLive := 0
 		for _, sh := range shs {
-			if !sh.suspect(now) {
+			if !sh.down() {
 				nLive++
 			}
 		}
 		if nLive > 0 && nLive < len(shs) {
 			ordered := g.spare[:0]
 			for _, sh := range shs {
-				if !sh.suspect(now) {
+				if !sh.down() {
 					ordered = append(ordered, sh)
 				}
 			}
 			for _, sh := range shs {
-				if sh.suspect(now) {
+				if sh.down() {
+					s.probeLapsed(sh, key)
 					ordered = append(ordered, sh)
 				}
 			}
@@ -1150,9 +1193,10 @@ func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 // lands or every candidate owner has timed out. The read policy picks
 // which replica owner serves it; a timeout fails the get over to the
 // next owner (counting toward that shard's suspect threshold), so with
-// Replicas > 1 a crashed shard degrades gets to one extra MissTimeout
-// rather than losing them. Tracked hot keys may be answered from the
-// client-side cache with no NIC involvement at all. Gets beyond a
+// Replicas > 1 a crashed shard costs the gets that reach it before its
+// circuit breaker opens one extra MissTimeout rather than their answers,
+// and the gets after that nothing. Tracked hot keys may be answered from
+// the client-side cache with no NIC involvement at all. Gets beyond a
 // client's pipeline depth queue client-side. Call Flush after posting
 // a batch — same-shard gets posted between flushes share one doorbell.
 func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
@@ -1389,8 +1433,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		s.tr.AsyncEnd("attempt", g.op<<4|uint64(g.i), "try:"+sh.id, g.op)
 	}
 	if ok {
-		sh.consecMiss = 0
-		sh.suspectUntil = 0
+		sh.markLive()
 		s.hits.Inc()
 		sh.getLat.Add(lat)
 		s.maybeCache(g.key, g.valLen, val, g.epoch, g.gen)
@@ -1418,8 +1461,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	if cli.LastExecuted(OpGet) {
 		// The chain ran and found nothing: the key is absent, the
 		// NIC is alive. Liveness proof, not a crash symptom.
-		sh.consecMiss = 0
-		sh.suspectUntil = 0
+		sh.markLive()
 	} else {
 		s.noteOwnerMiss(sh)
 	}
@@ -1523,8 +1565,7 @@ func (s *Service) reconnect(sh *serviceShard) {
 		sh.clients = append(sh.clients, s.newShardClient(sh, cn))
 	}
 	// The rebuilt connections announce the shard is back.
-	sh.consecMiss = 0
-	sh.suspectUntil = 0
+	sh.markLive()
 }
 
 // Flush rings every client doorbell with posted-but-unkicked triggers.

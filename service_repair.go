@@ -234,7 +234,11 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 		partner = cand
 		break
 	}
-	if partner == nil || partner.suspect(s.tb.Now()) {
+	if partner == nil {
+		return false
+	}
+	if partner.down() {
+		s.probeLapsed(partner, key)
 		return false
 	}
 	servedVer, _, _ := s.ownerState(served, key)
@@ -266,8 +270,7 @@ func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 	s.tr.OpEnd(g.pop, "probe")
 	switch {
 	case ok:
-		partner.consecMiss = 0
-		partner.suspectUntil = 0
+		partner.markLive()
 		if ver != g.servedVer {
 			s.probeSkews.Inc()
 			s.scheduleSkewRepair(key)

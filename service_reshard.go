@@ -641,9 +641,8 @@ func (s *Service) redirectHints(from *serviceShard) {
 		s.migHintsRedirected.Inc()
 		touched[to.id] = true
 	}
-	now := s.tb.Now()
 	for _, sh := range s.order {
-		if touched[sh.id] && !sh.hostDown && !sh.suspect(now) {
+		if touched[sh.id] && !sh.hostDown && !sh.down() {
 			s.drainHints(sh)
 		}
 	}

@@ -686,9 +686,11 @@ func (r *ownerRun) apply() {
 		r.hop(ownerApplied)
 		return
 	}
-	if sh.suspect(s.tb.Now()) {
-		// Circuit breaker: don't burn a MissTimeout per write on a
-		// shard the read path already declared dead.
+	if sh.down() {
+		// Circuit breaker: don't burn a MissTimeout per write, or wedge
+		// a set slot, on a shard already declared dead. The write hints;
+		// a lapsed window sends the shard its probe instead.
+		s.probeLapsed(sh, m.key)
 		r.hop(ownerUnreachable)
 		return
 	}
@@ -743,8 +745,7 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 		op, applied = OpDelete, sh.dels
 	}
 	if ok {
-		sh.consecMiss = 0
-		sh.suspectUntil = 0
+		sh.markLive()
 		applied.Inc()
 		if !m.del && r.resident {
 			sh.retireExtent(r.oldVa)
