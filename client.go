@@ -92,10 +92,11 @@ type PipelineStats struct {
 type Client struct {
 	tb    *Testbed
 	node  *fabric.Node
-	pool  *core.LookupPool
-	spool *core.SetPool
-	dpool *core.DeletePool
-	ppool *core.ProbePool
+	mode  LookupMode
+	gets  *core.Pool[*core.LookupOffload]
+	sets  *core.Pool[*core.SetOffload]
+	dels  *core.Pool[*core.DeleteOffload]
+	prbs  *core.Pool[*core.ProbeOffload]
 	table *HashTable
 	arena *extent.Arena // server arena freed extents return to
 
@@ -112,12 +113,6 @@ type Client struct {
 	// doorbell order (get, set, del, probe).
 	get, set, del, prb *opPipeline
 	pipes              [4]*opPipeline
-
-	// Per-slot buffers, per path.
-	trig, resp        []uint64 // get: trigger + response
-	strig, sval, sack []uint64 // set: trigger + value staging + ack
-	dtrig, dack       []uint64 // delete: trigger + ack
-	ptrig, presp      []uint64 // probe: trigger + version landing
 
 	// prevVal tracks, per key, the extent the bucket held after this
 	// client's last acknowledged standalone set — freed exactly once
@@ -189,9 +184,8 @@ type reqState struct {
 	getCB  func(val []byte, lat Duration, ok bool) // get
 	val    []byte                                  // set
 	sclaim core.SetClaim                           // set
-	dclaim core.DeleteClaim                        // delete
+	bucket uint64                                  // delete/probe: the bucket claimed or probed
 	ver    uint64                                  // set/delete version
-	target core.ProbeTarget                        // probe
 	prbCB  func(ver uint64, lat Duration, ok bool) // probe
 	ackCB  func(lat Duration, ok bool)             // set/delete
 
@@ -265,16 +259,23 @@ func (a *aimdWindow) marked(backlog sim.Time) bool {
 // opPipeline is the one pipeline implementation behind all four async
 // paths: slot free list, client-side waiting queue, doorbell batching,
 // per-slot armed-vs-executed wedge accounting, and the congestion
-// window. Per-op behavior — WR construction, completion payload,
-// post-release lifecycle — lives in the three hook closures.
+// window. Per-op behavior — arming the chain, completion payload,
+// post-release lifecycle — lives in the hook closures.
 type opPipeline struct {
 	c    *Client
 	op   Op
-	name string // trace names: "get", "set", "del", "probe"
+	name string // trace and profiler class names: "get", "set", "del", "probe"
 
 	depth   int
 	respPer uint64 // signaled response completions per executed instance
 	qp      *rnic.QP
+
+	// Per slot: the server-side offload context, and the client buffers
+	// its chain reads and writes — the trigger payload, the response
+	// landing (get value, write ack, probe version) and, on the set path,
+	// the value the chain stages.
+	ctxs            []slotCtx
+	trig, resp, val []uint64
 
 	free    []int
 	slots   []*pipeReq           // in-flight request per slot (nil = free)
@@ -324,20 +325,38 @@ type opPipeline struct {
 
 	trTracks []string // per-slot trace track names, precomputed
 
-	// Per-op hooks: post arms the slot's offload context and posts its
-	// WRs (doorbell-less); verdict reads whether the answer that just
-	// landed says applied (nil = every answer does); deliver runs the
-	// typed callback, reading any completion payload from client memory
-	// (slotValid false = the request never reached a slot); release runs
-	// op lifecycle after the slot decision (executed = the chain ran).
-	post    func(req *pipeReq)
+	// Per-op hooks: arm arms the slot's offload context, posts any WR
+	// that must precede the trigger SEND and returns the trigger payload;
+	// verdict reads whether the answer that just landed says applied (nil
+	// = every answer does); deliver runs the typed callback, reading any
+	// completion payload from client memory (slotValid false = the
+	// request never reached a slot); release runs op lifecycle after the
+	// slot decision (executed = the chain ran).
+	arm     func(req *pipeReq) []byte
 	verdict func(req *pipeReq) bool
 	deliver func(req *pipeReq, lat Duration, ok, slotValid bool)
 	release func(req *pipeReq, ok, executed bool)
 }
 
-// newPipeline builds the op-agnostic skeleton; the caller wires qp,
-// respPer and the hooks.
+// slotCtx is what a pipeline asks of a slot's server-side context
+// beyond arming it: trace, receipt and profiler tagging.
+type slotCtx interface {
+	SetTraceOp(op uint64)
+	SetReceipt(r *telemetry.Receipt)
+	SetProfClass(class string)
+}
+
+// slotCtxs lists a pool's contexts by slot.
+func slotCtxs[C slotCtx](pool *core.Pool[C]) []slotCtx {
+	ctxs := make([]slotCtx, len(pool.Ctxs))
+	for i, ctx := range pool.Ctxs {
+		ctxs[i] = ctx
+	}
+	return ctxs
+}
+
+// newPipeline builds the op-agnostic skeleton; the caller wires the
+// connection, the slots and the hooks.
 func newPipeline(c *Client, op Op, name string, depth int) *opPipeline {
 	p := &opPipeline{
 		c: c, op: op, name: name, depth: depth, respPer: 1,
@@ -490,6 +509,22 @@ func (p *opPipeline) issue(req *pipeReq) {
 	p.post(req)
 	p.dirty = true
 	c.tb.clu.Eng.After(c.MissTimeout, req.timeoutFn)
+}
+
+// post tags the slot's context for tracing and provenance, arms it
+// through the op's hook, and posts the trigger SEND (doorbell-less).
+func (p *opPipeline) post(req *pipeReq) {
+	ctx := p.ctxs[req.slot]
+	if p.c.tr.Enabled() {
+		ctx.SetTraceOp(req.op)
+	}
+	if p.rcpts != nil {
+		ctx.SetReceipt(&p.rcpts[req.slot])
+	}
+	payload := p.arm(req)
+	trig := p.trig[req.slot]
+	p.c.node.Mem.Write(trig, payload)
+	p.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: trig, Len: uint64(len(payload))})
 }
 
 // onAck completes slot's in-flight request at time at. A key mismatch
@@ -764,15 +799,9 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode, depth int, maxVal uint64, arena *extent.Arena) *Client {
 	// Trigger connections: client SQ paces SENDs, server RQ holds one
 	// pre-posted RECV per armed instance.
-	srvRQ := 2048
-	if d := 4 * depth; d > srvRQ {
-		srvRQ = d
-	}
-	cliSQ := 1024
-	if d := 4 * depth; d > cliSQ {
-		cliSQ = d
-	}
-	c := &Client{tb: t, node: node,
+	srvRQ := max(2048, 4*depth)
+	cliSQ := max(1024, 4*depth)
+	c := &Client{tb: t, node: node, mode: mode,
 		MissTimeout: DefaultMissTimeout,
 		depth:       depth,
 		maxVal:      maxVal,
@@ -786,155 +815,94 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 	c.del = newPipeline(c, OpDelete, "del", depth)
 	c.prb = newPipeline(c, OpProbe, "probe", depth)
 	c.pipes = [4]*opPipeline{c.get, c.set, c.del, c.prb}
+	if mode != LookupSingle {
+		c.get.respPer = 2 // seq probes two buckets, parallel answers on two QPs
+	}
 
-	// ---- get path ----
-	cliQP, srvQP := t.clu.Connect(node, srv.node,
-		rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-		rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
-	c.get.qp = cliQP
-	c.get.respPer = 2 // seq probes two buckets, parallel answers on two QPs
-	if mode == LookupSingle {
-		c.get.respPer = 1
-	}
-	// Per-slot buffers and per-context response QPs.
-	resp := make([]*rnic.QP, depth)
-	var resp2 []*rnic.QP
-	if mode == LookupParallel {
-		resp2 = make([]*rnic.QP, depth)
-	}
-	for i := 0; i < depth; i++ {
-		c.trig = append(c.trig, node.Mem.Alloc(128, 8))
-		c.resp = append(c.resp, node.Mem.Alloc(maxVal, 64))
-		_, resp[i] = t.clu.Connect(node, srv.node,
-			rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-		if resp2 != nil {
-			_, resp2[i] = t.clu.Connect(node, srv.node,
+	for _, p := range c.pipes {
+		// Each path is a connection of its own, so each trigger RQ's
+		// arrival counter sequences its pool alone.
+		cliQP, srvQP := t.clu.Connect(node, srv.node,
+			rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
+			rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
+		srvQP.RecvCQ().SetAutoDrain(true)
+		srvQP.SendCQ().SetAutoDrain(true)
+		p.qp = cliQP
+		// Per-slot buffers and per-context response QPs. A get answers
+		// with the value (parallel mode on two QPs); the others with 8
+		// bytes: the write verdict or the probed version.
+		resp := make([]*rnic.QP, depth)
+		var resp2 []*rnic.QP
+		if p.op == OpGet && mode == LookupParallel {
+			resp2 = make([]*rnic.QP, depth)
+		}
+		connect := func() *rnic.QP {
+			_, q := t.clu.Connect(node, srv.node,
 				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
 				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
+			return q
 		}
-	}
-	c.pool = core.NewLookupPool(srv.builder, srvQP, resp, resp2, nil, mode)
-	srvQP.RecvCQ().SetAutoDrain(true)
-	srvQP.SendCQ().SetAutoDrain(true)
-	for i, ctx := range c.pool.Ctxs {
-		c.get.subscribe(i, ctx.Resp)
-		if resp2 != nil {
-			c.get.subscribe(i, resp2[i])
+		for i := range resp {
+			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
+			switch p.op {
+			case OpGet:
+				p.resp = append(p.resp, node.Mem.Alloc(maxVal, 64))
+			case OpSet:
+				p.val = append(p.val, node.Mem.Alloc(maxVal, 64))
+				fallthrough
+			default:
+				p.resp = append(p.resp, node.Mem.Alloc(8, 8))
+			}
+			resp[i] = connect()
+			if resp2 != nil {
+				resp2[i] = connect()
+			}
 		}
+		switch p.op {
+		case OpGet:
+			c.gets = core.NewLookupPool(srv.builder, srvQP, resp, resp2, nil, mode)
+			p.ctxs = slotCtxs(c.gets)
+		case OpSet:
+			c.sets = core.NewSetPool(srv.builder, srvQP, resp, maxVal, arena)
+			p.ctxs = slotCtxs(c.sets)
+		case OpDelete:
+			c.dels = core.NewDeletePool(srv.builder, srvQP, resp)
+			p.ctxs = slotCtxs(c.dels)
+		case OpProbe:
+			c.prbs = core.NewProbePool(srv.builder, srvQP, resp)
+			p.ctxs = slotCtxs(c.prbs)
+		}
+		for i := range resp {
+			p.subscribe(i, resp[i])
+			if resp2 != nil {
+				p.subscribe(i, resp2[i])
+			}
+		}
+		// Profiler attribution: each pool's contexts (and their shared
+		// trigger QP) serve exactly one op class, so the tagging is
+		// static. The client-side trigger QP executes the staging WRITEs
+		// and SENDs whose remote grants (server PCIe) should attribute to
+		// the class too. Costs nothing until a Device has a profiler
+		// attached.
+		for _, ctx := range p.ctxs {
+			ctx.SetProfClass(p.name)
+		}
+		cliQP.SetProfClass(p.name)
 	}
-
-	// Write path: a second connection with its own trigger RQ (so set
-	// and get arrival counters sequence independently), per-slot ack
-	// QPs, and a pool of set contexts.
-	cliSetQP, srvSetQP := t.clu.Connect(node, srv.node,
-		rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-		rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
-	c.set.qp = cliSetQP
-	srvSetQP.RecvCQ().SetAutoDrain(true)
-	srvSetQP.SendCQ().SetAutoDrain(true)
-	sresp := make([]*rnic.QP, depth)
-	for i := 0; i < depth; i++ {
-		c.strig = append(c.strig, node.Mem.Alloc(128, 8))
-		c.sval = append(c.sval, node.Mem.Alloc(maxVal, 64))
-		c.sack = append(c.sack, node.Mem.Alloc(8, 8))
-		_, sresp[i] = t.clu.Connect(node, srv.node,
-			rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-	}
-	c.spool = core.NewSetPool(srv.builder, srvSetQP, sresp, maxVal, c.arena)
-	for i := range c.spool.Ctxs {
-		c.set.subscribe(i, sresp[i])
-	}
-
-	// Delete path: a third connection with its own trigger RQ (arrival
-	// counters sequence each path independently), per-slot ack QPs, and
-	// a pool of delete contexts over a shared to-free ring.
-	cliDelQP, srvDelQP := t.clu.Connect(node, srv.node,
-		rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-		rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
-	c.del.qp = cliDelQP
-	srvDelQP.RecvCQ().SetAutoDrain(true)
-	srvDelQP.SendCQ().SetAutoDrain(true)
-	dresp := make([]*rnic.QP, depth)
-	for i := 0; i < depth; i++ {
-		c.dtrig = append(c.dtrig, node.Mem.Alloc(128, 8))
-		c.dack = append(c.dack, node.Mem.Alloc(8, 8))
-		_, dresp[i] = t.clu.Connect(node, srv.node,
-			rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-	}
-	c.dpool = core.NewDeletePool(srv.builder, srvDelQP, dresp)
-	for i := range c.dpool.Ctxs {
-		c.del.subscribe(i, dresp[i])
-	}
-
-	// Probe path: a fourth connection with its own trigger RQ, per-slot
-	// response QPs, and a pool of version-probe contexts — the repair
-	// subsystem's version interrogation (see internal/core/probe.go).
-	cliPrbQP, srvPrbQP := t.clu.Connect(node, srv.node,
-		rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-		rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
-	c.prb.qp = cliPrbQP
-	srvPrbQP.RecvCQ().SetAutoDrain(true)
-	srvPrbQP.SendCQ().SetAutoDrain(true)
-	presp := make([]*rnic.QP, depth)
-	for i := 0; i < depth; i++ {
-		c.ptrig = append(c.ptrig, node.Mem.Alloc(64, 8))
-		c.presp = append(c.presp, node.Mem.Alloc(8, 8))
-		_, presp[i] = t.clu.Connect(node, srv.node,
-			rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-	}
-	c.ppool = core.NewProbePool(srv.builder, srvPrbQP, presp)
-	for i := range c.ppool.Ctxs {
-		c.prb.subscribe(i, presp[i])
-	}
-
-	// Profiler attribution: each pool's contexts (and their shared
-	// trigger QP) serve exactly one op class, so the tagging is static.
-	// The client-side trigger QPs execute the staging WRITEs and SENDs
-	// whose remote grants (server PCIe) should attribute to the class
-	// too. Costs nothing until a Device has a profiler attached.
-	for _, ctx := range c.pool.Ctxs {
-		ctx.SetProfClass("get")
-	}
-	for _, ctx := range c.spool.Ctxs {
-		ctx.SetProfClass("set")
-	}
-	for _, ctx := range c.dpool.Ctxs {
-		ctx.SetProfClass("del")
-	}
-	for _, ctx := range c.ppool.Ctxs {
-		ctx.SetProfClass("probe")
-	}
-	cliQP.SetProfClass("get")
-	cliSetQP.SetProfClass("set")
-	cliDelQP.SetProfClass("del")
-	cliPrbQP.SetProfClass("probe")
-
 	c.wireHooks()
 	return c
 }
 
-// wireHooks installs the per-op closures: WR construction on issue,
-// completion payload on delivery, and post-release lifecycle.
+// wireHooks installs the per-op closures: arming on issue, completion
+// payload on delivery, and post-release lifecycle.
 func (c *Client) wireHooks() {
 	// ---- get ----
-	c.get.post = func(req *pipeReq) {
-		ctx := c.pool.Ctxs[req.slot]
-		if c.tr.Enabled() {
-			ctx.SetTraceOp(req.op)
-		}
-		if c.get.rcpts != nil {
-			ctx.SetReceipt(&c.get.rcpts[req.slot])
-		}
+	c.get.arm = func(req *pipeReq) []byte {
+		ctx, resp := c.gets.Ctxs[req.slot], c.get.resp[req.slot]
 		ctx.Arm()
-		payload := ctx.TriggerPayload(req.key, req.valLen, c.resp[req.slot])
-		c.node.Mem.Write(c.trig[req.slot], payload)
 		// Clear the response slot so misses are observable.
-		c.node.Mem.Write(c.resp[req.slot], c.zero[:req.valLen])
-		c.get.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.trig[req.slot], Len: uint64(len(payload))})
+		c.node.Mem.Write(resp, c.zero[:req.valLen])
+		return ctx.TriggerPayload(req.key, req.valLen, resp)
 	}
 	c.get.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.getCB == nil {
@@ -942,50 +910,40 @@ func (c *Client) wireHooks() {
 		}
 		var val []byte
 		if slotValid {
-			val, _ = c.node.Mem.Read(c.resp[req.slot], req.valLen)
+			val, _ = c.node.Mem.Read(c.get.resp[req.slot], req.valLen)
 		}
 		req.getCB(val, lat, ok)
 	}
 
 	// ---- set ----
-	c.set.post = func(req *pipeReq) {
-		ctx := c.spool.Ctxs[req.slot]
-		if c.tr.Enabled() {
-			ctx.SetTraceOp(req.op)
-		}
-		if c.set.rcpts != nil {
-			ctx.SetReceipt(&c.set.rcpts[req.slot])
-		}
+	c.set.arm = func(req *pipeReq) []byte {
+		ctx, val := c.sets.Ctxs[req.slot], c.set.val[req.slot]
 		req.staging = ctx.Arm(req.key)
-		c.node.Mem.Write(c.sval[req.slot], req.val)
-		payload := ctx.TriggerPayload(req.key, req.sclaim, uint64(len(req.val)), req.ver, c.sack[req.slot])
-		c.node.Mem.Write(c.strig[req.slot], payload)
+		c.node.Mem.Write(val, req.val)
 		// Same QP, in order: the value lands in staging before the
 		// trigger SEND fires the claim chain.
-		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: c.sval[req.slot], Dst: req.staging,
+		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: val, Dst: req.staging,
 			Len: uint64(len(req.val))})
-		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.strig[req.slot], Len: uint64(len(payload))})
+		return ctx.TriggerPayload(req.key, req.sclaim, uint64(len(req.val)), req.ver, c.set.resp[req.slot])
 	}
 	// A write chain's ack carries the verdict: WRITE|key iff it applied.
-	applied := func(ack []uint64) func(req *pipeReq) bool {
-		return func(req *pipeReq) bool {
-			v, _ := c.node.Mem.U64(ack[req.slot])
-			return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
-		}
+	applied := func(req *pipeReq) bool {
+		v, _ := c.node.Mem.U64(req.p.resp[req.slot])
+		return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
 	}
 	acked := func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.ackCB != nil {
 			req.ackCB(lat, ok)
 		}
 	}
-	c.set.verdict, c.set.deliver = applied(c.sack), acked
+	c.set.verdict, c.set.deliver = applied, acked
 	c.set.release = func(req *pipeReq, ok, executed bool) {
 		if !ok && executed {
 			// The chain ran and refused the claim: the staged bytes can
 			// never become the bucket's value, so retire the extent.
 			// (An unexecuted chain keeps its staging — a straggler could
 			// still repoint the bucket at it.)
-			c.spool.Ctxs[req.slot].ReleaseStaging()
+			c.sets.Ctxs[req.slot].ReleaseStaging()
 		}
 		if ok && req.lifecycle && c.arena != nil {
 			// This ack's staging is the bucket's value now; the extent
@@ -1000,20 +958,12 @@ func (c *Client) wireHooks() {
 	}
 
 	// ---- delete ----
-	c.del.post = func(req *pipeReq) {
-		ctx := c.dpool.Ctxs[req.slot]
-		if c.tr.Enabled() {
-			ctx.SetTraceOp(req.op)
-		}
-		if c.del.rcpts != nil {
-			ctx.SetReceipt(&c.del.rcpts[req.slot])
-		}
+	c.del.arm = func(req *pipeReq) []byte {
+		ctx := c.dels.Ctxs[req.slot]
 		ctx.Arm()
-		payload := ctx.TriggerPayload(req.key, req.dclaim, req.ver, c.dack[req.slot])
-		c.node.Mem.Write(c.dtrig[req.slot], payload)
-		c.del.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.dtrig[req.slot], Len: uint64(len(payload))})
+		return ctx.TriggerPayload(req.key, req.bucket, req.ver, c.del.resp[req.slot])
 	}
-	c.del.verdict, c.del.deliver = applied(c.dack), acked
+	c.del.verdict, c.del.deliver = applied, acked
 	c.del.release = func(req *pipeReq, ok, executed bool) {
 		if ok {
 			// The unlink just retired the bucket's extent through the
@@ -1029,19 +979,11 @@ func (c *Client) wireHooks() {
 	}
 
 	// ---- probe ----
-	c.prb.post = func(req *pipeReq) {
-		ctx := c.ppool.Ctxs[req.slot]
-		if c.tr.Enabled() {
-			ctx.SetTraceOp(req.op)
-		}
-		if c.prb.rcpts != nil {
-			ctx.SetReceipt(&c.prb.rcpts[req.slot])
-		}
+	c.prb.arm = func(req *pipeReq) []byte {
+		ctx, resp := c.prbs.Ctxs[req.slot], c.prb.resp[req.slot]
 		ctx.Arm()
-		payload := ctx.TriggerPayload(req.key, req.target, c.presp[req.slot])
-		c.node.Mem.Write(c.ptrig[req.slot], payload)
-		c.node.Mem.PutU64(c.presp[req.slot], 0)
-		c.prb.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: c.ptrig[req.slot], Len: uint64(len(payload))})
+		c.node.Mem.PutU64(resp, 0)
+		return ctx.TriggerPayload(req.key, req.bucket, resp)
 	}
 	c.prb.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.prbCB == nil {
@@ -1049,7 +991,7 @@ func (c *Client) wireHooks() {
 		}
 		var ver uint64
 		if ok && slotValid {
-			ver, _ = c.node.Mem.U64(c.presp[req.slot])
+			ver, _ = c.node.Mem.U64(c.prb.resp[req.slot])
 		}
 		req.prbCB(ver, lat, ok)
 	}
@@ -1057,7 +999,9 @@ func (c *Client) wireHooks() {
 
 // Bind points the client's gets at a server hash table.
 func (c *Client) Bind(h *HashTable) {
-	c.pool.SetTable(h.table)
+	for _, ctx := range c.gets.Ctxs {
+		ctx.Table = h.table
+	}
 	c.table = h
 }
 
@@ -1197,7 +1141,24 @@ func (c *Client) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 // and spilled residents only a CPU scan can reach, cannot be claimed
 // from here — that is the host's path.
 func (c *Client) setClaim(key uint64) (core.SetClaim, bool) {
-	return claimForTable(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
+	return claimForTable(c.table.table, c.mode, key&hopscotch.KeyMask)
+}
+
+// reservedKey reports keys in the reserved id space: pending and
+// tombstone words must never be resident keys, and key 0's control word
+// IS the empty-bucket marker.
+func reservedKey(key uint64) bool {
+	return key&hopscotch.PendingBit != 0 || key&hopscotch.KeyMask == 0
+}
+
+// refuse fails a write the client cannot claim from here after a
+// zero-cost hop: callbacks never run synchronously.
+func (c *Client) refuse(cb func(lat Duration, ok bool)) {
+	c.tb.clu.Eng.After(0, func() {
+		if cb != nil {
+			cb(0, false)
+		}
+	})
 }
 
 // SetAsync issues one offloaded set of value under key, computing the
@@ -1212,24 +1173,13 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 	if c.table == nil {
 		panic("redn: Bind a table before Set")
 	}
-	if key&hopscotch.PendingBit != 0 || key&hopscotch.KeyMask == 0 {
-		// Reserved id space: pending/tombstone words must never be
-		// resident keys, and key 0's control word IS the empty-bucket
-		// marker.
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, false)
-			}
-		})
+	if reservedKey(key) {
+		c.refuse(cb)
 		return
 	}
 	claim, ok := c.setClaim(key)
 	if !ok {
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, false)
-			}
-		})
+		c.refuse(cb)
 		return
 	}
 	// An acknowledged overwrite repoints the bucket at the new staging
@@ -1288,13 +1238,12 @@ func (c *Client) Set(key uint64, value []byte) (Duration, bool) {
 
 // ---- delete path ----
 
-// deleteClaim computes the delete claim for key against the client's
-// view of the bound table: the key must sit at a candidate bucket the
-// NIC probes. Spilled residents only a CPU scan can reach — and keys
-// that are absent outright — cannot be claimed from here.
-func (c *Client) deleteClaim(key uint64) (core.DeleteClaim, bool) {
-	addr, ok := residentBucket(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
-	return core.DeleteClaim{BucketAddr: addr}, ok
+// residentBucket returns the candidate bucket holding key in the
+// client's view of the bound table — the bucket a delete claims and a
+// probe interrogates. Spilled residents only a CPU scan can reach, and
+// keys absent outright, have none.
+func (c *Client) residentBucket(key uint64) (uint64, bool) {
+	return residentBucket(c.table.table, c.mode, key&hopscotch.KeyMask)
 }
 
 // DeleteAsync issues one offloaded delete of key, computing the bucket
@@ -1308,32 +1257,24 @@ func (c *Client) DeleteAsync(key uint64, cb func(lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Delete")
 	}
-	if key&hopscotch.PendingBit != 0 || key&hopscotch.KeyMask == 0 {
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, false)
-			}
-		})
+	if reservedKey(key) {
+		c.refuse(cb)
 		return
 	}
-	claim, ok := c.deleteClaim(key)
+	bucket, ok := c.residentBucket(key)
 	if !ok {
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, false)
-			}
-		})
+		c.refuse(cb)
 		return
 	}
 	c.nextVer[key&hopscotch.KeyMask]++
-	c.DeleteAsyncClaim(key, claim, c.nextVer[key&hopscotch.KeyMask], cb)
+	c.DeleteAsyncClaim(key, bucket, c.nextVer[key&hopscotch.KeyMask], cb)
 }
 
 // DeleteAsyncClaim is DeleteAsync with an explicit, caller-computed
-// bucket claim and tombstone version — the service layer's entry point.
-func (c *Client) DeleteAsyncClaim(key uint64, claim core.DeleteClaim, ver uint64, cb func(lat Duration, ok bool)) {
+// bucket and tombstone version — the service layer's entry point.
+func (c *Client) DeleteAsyncClaim(key, bucket, ver uint64, cb func(lat Duration, ok bool)) {
 	req := c.del.take()
-	req.key, req.dclaim, req.ver, req.ackCB, req.op = key&hopscotch.KeyMask, claim, ver, cb, c.tr.Op()
+	req.key, req.bucket, req.ver, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, ver, cb, c.tr.Op()
 	c.del.submit(req)
 }
 
@@ -1344,7 +1285,7 @@ func (c *Client) DeleteAsyncClaim(key uint64, claim core.DeleteClaim, ver uint64
 // already gone (a straggling chain double-unlinked during its claim
 // window) are counted and skipped.
 func (c *Client) DrainFreed() int {
-	return c.dpool.Ring.Drain(func(tag, addr, size uint64) {
+	return c.dels.Ctxs[0].Ring.Drain(func(tag, addr, size uint64) {
 		// The tag is the pending word the delete chain claimed; the
 		// extent is freed only while the arena still attributes the
 		// address to that key — a straggler's double-deposit of an
@@ -1380,16 +1321,6 @@ func (c *Client) Delete(key uint64) (Duration, bool) {
 
 // ---- probe path ----
 
-// probeTarget computes the probe target for key against the client's
-// view of the bound table: the candidate bucket that holds the key.
-// Keys not at a NIC-reachable candidate (spilled, tombstoned, absent)
-// cannot be probed from here — the repair layer's host-side comparison
-// covers those.
-func (c *Client) probeTarget(key uint64) (core.ProbeTarget, bool) {
-	addr, ok := residentBucket(c.table.table, c.pool.Mode, key&hopscotch.KeyMask)
-	return core.ProbeTarget{BucketAddr: addr}, ok
-}
-
 // ProbeAsync issues one offloaded version probe of key, computing the
 // target bucket from the bound table, and returns immediately; cb runs
 // with the replica's version word when the NIC's response lands, or
@@ -1400,7 +1331,10 @@ func (c *Client) ProbeAsync(key uint64, cb func(ver uint64, lat Duration, ok boo
 	if c.table == nil {
 		panic("redn: Bind a table before Probe")
 	}
-	target, ok := c.probeTarget(key)
+	// Keys not at a NIC-reachable candidate (spilled, tombstoned,
+	// absent) cannot be probed from here — the repair layer's host-side
+	// comparison covers those.
+	bucket, ok := c.residentBucket(key)
 	if !ok {
 		c.tb.clu.Eng.After(0, func() {
 			if cb != nil {
@@ -1409,14 +1343,14 @@ func (c *Client) ProbeAsync(key uint64, cb func(ver uint64, lat Duration, ok boo
 		})
 		return
 	}
-	c.ProbeAsyncTarget(key, target, cb)
+	c.ProbeAsyncTarget(key, bucket, cb)
 }
 
 // ProbeAsyncTarget is ProbeAsync with an explicit, caller-computed
-// probe target — the service layer's entry point.
-func (c *Client) ProbeAsyncTarget(key uint64, target core.ProbeTarget, cb func(ver uint64, lat Duration, ok bool)) {
+// bucket — the service layer's entry point.
+func (c *Client) ProbeAsyncTarget(key, bucket uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	req := c.prb.take()
-	req.key, req.target, req.prbCB, req.op = key&hopscotch.KeyMask, target, cb, c.tr.Op()
+	req.key, req.bucket, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, cb, c.tr.Op()
 	c.prb.submit(req)
 }
 

@@ -562,7 +562,7 @@ func TestClientDeleteRefused(t *testing.T) {
 	var executed, acked bool
 	var refusedLat Duration
 	done := false
-	cli.DeleteAsyncClaim(777, core.DeleteClaim{BucketAddr: bucket}, 1,
+	cli.DeleteAsyncClaim(777, bucket, 1,
 		func(lat Duration, ok bool) {
 			acked, executed, done, refusedLat = ok, cli.LastExecuted(OpDelete), true, lat
 		})
@@ -747,7 +747,7 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	// the next request on it gets its own answer.
 	cli.MissTimeout = DefaultMissTimeout
 	tb.RunFor(20 * sim.Microsecond)
-	if w, _ := cli.node.Mem.U64(cli.sack[0]); w != wqe.MakeCtrl(wqe.OpWrite, 1) || cli.Stats().SetsWedged != 0 {
+	if w, _ := cli.node.Mem.U64(cli.set.resp[0]); w != wqe.MakeCtrl(wqe.OpWrite, 1) || cli.Stats().SetsWedged != 0 {
 		t.Fatalf("after the straggler: ack buffer %#x, %d wedged slots; want WRITE|1 and 0", w, cli.Stats().SetsWedged)
 	}
 	cli.SetAsync(2, Value(2, 64), func(_ Duration, ok bool) {
@@ -776,7 +776,7 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	done, acked := false, false
 	cli.SetAsync(3, Value(3, 64), func(_ Duration, ok bool) { done, acked = true, ok })
 	cli.Flush()
-	cli.node.Mem.PutU64(cli.sack[0], wqe.MakeCtrl(wqe.OpWrite, 9))
+	cli.node.Mem.PutU64(cli.set.resp[0], wqe.MakeCtrl(wqe.OpWrite, 9))
 	cli.set.onAck(0, 9, tb.Now(), 0)
 	if done || cli.PipelineStats(OpSet).InFlight != 1 {
 		t.Fatal("an ack for another key completed the request in flight")
@@ -834,7 +834,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 
 	// A stale target (key deleted between computing the target and the
 	// chain running): conditional miss on a live NIC.
-	target, okT := cli.probeTarget(key)
+	target, okT := cli.residentBucket(key)
 	if !okT {
 		t.Fatal("no probe target for a resident key")
 	}

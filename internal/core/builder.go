@@ -127,11 +127,19 @@ func (b *Builder) NewQPOnPU(depth, pu int) *rnic.QP {
 // SubBuilder returns a builder emitting control verbs on a fresh
 // unmanaged control queue (optionally PU-placed) while sharing this
 // builder's expected-completion bookkeeping. Independent chain contexts
-// (core.LookupPool) sequence through sub-builders so one context's
-// WAITs never block another's, yet RECV arrival targets on a shared
-// trigger queue stay globally consistent.
+// (a Pool's) sequence through sub-builders so one context's WAITs never
+// block another's, yet RECV arrival targets on a shared trigger queue
+// stay globally consistent.
 func (b *Builder) SubBuilder(ctrlDepth, pu int) *Builder {
 	return b.withCtrl(b.NewQPOnPU(ctrlDepth, pu))
+}
+
+// withCtrl returns a shallow copy of the builder that emits control
+// verbs on ctrl instead, sharing completion bookkeeping.
+func (b *Builder) withCtrl(ctrl *rnic.QP) *Builder {
+	nb := *b
+	nb.Ctrl = ctrl
+	return &nb
 }
 
 // StepRef identifies a posted WQE so later verbs can target its bytes.

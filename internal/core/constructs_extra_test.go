@@ -113,13 +113,3 @@ func TestBuilderPortAffinity(t *testing.T) {
 		t.Fatal("port 0 charged for port-1 work")
 	}
 }
-
-func TestLookupWRBudget(t *testing.T) {
-	h, o, _, _ := setupLookup(t, LookupSingle)
-	o.Arm()
-	data, sync := o.WRsPerGet()
-	if data != 4 || sync != 6 {
-		t.Fatalf("single-probe budget %d/%d, want 4 data + 6 sync", data, sync)
-	}
-	_ = h
-}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
-	"repro/internal/telemetry"
 	"repro/internal/wqe"
 )
 
@@ -68,32 +67,17 @@ import (
 // nothing. The ack is the set chain's: an unconditional WRITE of
 // unlink's control word — WRITE|key, or the word that refused the claim.
 
-// DeleteClaim names the bucket a delete claims. The CAS operands are
-// derived from the key: Expect is NOOP|key (the live occupant), the
-// intermediate claim word the per-key pending marker, and the final
-// word the shared tombstone.
-type DeleteClaim struct {
-	BucketAddr uint64
-}
-
 // deleteRingSlots is the per-context depth of the to-free ring: one
 // delete is in flight per context, so a few slots absorb stragglers
 // until the next drain.
 const deleteRingSlots = 8
 
 // DeleteOffload is an armed conditional-delete offload for one request
-// slot of a client connection's delete path.
+// slot of a client connection's delete path; its Resp carries the ack.
 type DeleteOffload struct {
-	B *Builder
-	// Trig is the server side of the connection's delete-trigger QP;
-	// its RQ receives delete SENDs, shared by every slot of the pool.
-	Trig *rnic.QP
-	// Resp is the slot's dedicated managed QP back to the client for
-	// the ack (per-slot: an ENABLE grants every earlier WQE on a ring).
-	Resp *rnic.QP
-
-	// Ring is the to-free ring unlink WRITEs target; slotBase is this
-	// context's first slot within it.
+	chain
+	// Ring is the to-free ring unlink WRITEs target, shared by the pool;
+	// slotBase is this context's first slot within it.
 	Ring     *extent.FreeRing
 	slotBase uint64
 
@@ -104,55 +88,26 @@ type DeleteOffload struct {
 	// in-flight-or-straggling instance), the verWr source — same idiom
 	// as the set chain's args buffers.
 	args [argsRing]uint64
-
-	armed uint64
-	trig  triggerBuf
 }
 
-// SetTraceOp tags this context's private rings (control, chain,
-// unlink, response) so the next armed instance's WRs attribute to op
-// in traces; the shared trigger QP stays untagged.
-func (o *DeleteOffload) SetTraceOp(op uint64) {
-	o.B.Ctrl.SetTraceOp(op)
-	o.w2.SetTraceOp(op)
-	o.w3.SetTraceOp(op)
-	o.Resp.SetTraceOp(op)
+// NewDeletePool builds K = len(resp) delete contexts over the trig
+// connection, carving one to-free ring in the server's memory and
+// partitioning it across the contexts.
+func NewDeletePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*DeleteOffload] {
+	ring := extent.NewFreeRing(b.Dev.Mem(), deleteRingSlots*len(resp))
+	return newPool(b, trig, resp, func(i int, cb *Builder, r *rnic.QP) *DeleteOffload {
+		return newDeleteOffload(cb, trig, r, ring, uint64(i)*deleteRingSlots)
+	})
 }
 
-// SetProfClass tags every QP this context executes WRs through
-// (including the shared trigger QP — it serves only this op class)
-// for profiler attribution. Static; call once at wiring.
-func (o *DeleteOffload) SetProfClass(class string) {
-	o.B.Ctrl.SetProfClass(class)
-	o.w2.SetProfClass(class)
-	o.w3.SetProfClass(class)
-	o.Resp.SetProfClass(class)
-	if o.Trig != nil {
-		o.Trig.SetProfClass(class)
-	}
-}
-
-// SetReceipt rides a latency receipt on this context's private rings
-// (the same set SetTraceOp tags). nil clears.
-func (o *DeleteOffload) SetReceipt(r *telemetry.Receipt) {
-	o.B.Ctrl.SetReceipt(r)
-	o.w2.SetReceipt(r)
-	o.w3.SetReceipt(r)
-	o.Resp.SetReceipt(r)
-}
-
-// deleteChainWQEs is the busiest-ring WQE budget of one instance (w2):
-// claim, conditional arm, verdict copy, tombstone.
-const deleteChainWQEs = 4
-
-// NewDeleteOffload builds one delete context over ring slots
+// newDeleteOffload builds one delete context over ring slots
 // [slotBase, slotBase+deleteRingSlots) of ring.
-func NewDeleteOffload(b *Builder, trig, resp *rnic.QP, ring *extent.FreeRing, slotBase uint64) *DeleteOffload {
-	o := &DeleteOffload{B: b, Trig: trig, Resp: resp, Ring: ring, slotBase: slotBase,
-		w2: b.NewManagedQPOnPU(2*deleteChainWQEs+4, -1),
-		w3: b.NewManagedQPOnPU(16, -1)} // unlink + verWr per instance
-	o.w2.SendCQ().SetAutoDrain(true)
-	o.w3.SendCQ().SetAutoDrain(true)
+func newDeleteOffload(b *Builder, trig, resp *rnic.QP, ring *extent.FreeRing, slotBase uint64) *DeleteOffload {
+	o := &DeleteOffload{chain: newChain(b, trig, resp), Ring: ring, slotBase: slotBase}
+	// w2 holds four WQEs per instance (claim, conditional arm, verdict
+	// copy, tombstone), w3 two (unlink, verWr); ring wrap needs 2x.
+	o.w2 = o.ring(2*4+4, -1)
+	o.w3 = o.ring(16, -1)
 	return o
 }
 
@@ -160,10 +115,9 @@ func NewDeleteOffload(b *Builder, trig, resp *rnic.QP, ring *extent.FreeRing, sl
 // the registered code region over RDMA (§3.5), exactly like sets.
 func (o *DeleteOffload) Arm() {
 	b := o.B
-	o.armed++
 	m := b.Dev.Mem()
-	ringSlot := o.Ring.SlotAddr(o.slotBase + (o.armed-1)%deleteRingSlots)
-	aslot := (o.armed - 1) % argsRing
+	ringSlot := o.Ring.SlotAddr(o.slotBase + o.armed%deleteRingSlots)
+	aslot := o.armed % argsRing
 	if o.args[aslot] == 0 {
 		o.args[aslot] = m.Alloc(8, 8)
 	}
@@ -187,7 +141,7 @@ func (o *DeleteOffload) Arm() {
 		Dst: verWr.FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
 	tomb := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
 
-	recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
+	o.fire([]wqe.ScatterEntry{
 		{Addr: claim.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffDst), Len: 8},
@@ -202,76 +156,27 @@ func (o *DeleteOffload) Arm() {
 		{Addr: ack.FieldAddr(wqe.OffCtrl), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffDst), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffLen), Len: 8},
-	})
-	b.WaitRecv(o.Trig, recvTarget)
-	for _, step := range []StepRef{claim, condCAS, unlink, verRead, verWr, tomb} {
-		b.Enable(step)
-		b.WaitStep(step)
-	}
-	b.Enable(ack)
-	b.Ctrl.RingSQ()
+	}, []StepRef{claim, condCAS, unlink, verRead, verWr, tomb, ack})
 }
 
-// Armed returns the number of delete instances armed so far.
-func (o *DeleteOffload) Armed() uint64 { return o.armed }
-
-// DeleteWRsPerOp reports the work requests one armed delete posts —
-// the retirement path's Table 2-style budget: RECV + 7 data verbs
-// (claim, arm, move, verdict copy, version stamp, finalize, ack) and
-// the WAIT/ENABLE verbs sequencing them. Two verbs past the set chain:
-// the price of stamping a tombstone's version conditionally.
-func DeleteWRsPerOp() (data, sync int) { return 8, 14 }
-
-// TriggerPayload builds the client SEND payload for a delete of key at
-// claim with version ver, acking the 8-byte verdict into the client-side
-// ackAddr. Field order matches Arm's scatter list. The result is the
-// context's own buffer, overwritten by its next TriggerPayload.
-func (o *DeleteOffload) TriggerPayload(key uint64, claim DeleteClaim, ver, ackAddr uint64) []byte {
+// TriggerPayload builds the client SEND payload for a delete of key in
+// the bucket at bucket with version ver, acking the 8-byte verdict into
+// the client-side ackAddr. The claim's CAS operands derive from the key:
+// it expects NOOP|key (the live occupant), parks the per-key pending
+// word, and the final word is the shared tombstone. Field order matches
+// Arm's scatter list. The result is the context's own buffer,
+// overwritten by its next TriggerPayload.
+func (o *DeleteOffload) TriggerPayload(key, bucket, ver, ackAddr uint64) []byte {
 	k := key & hopscotch.KeyMask
 	occupant := wqe.MakeCtrl(wqe.OpNoop, k)
 	pending := hopscotch.PendingCtrl(k)
 	armed := wqe.MakeCtrl(wqe.OpWrite, k)
 	return o.trig.fill(
-		occupant, pending, claim.BucketAddr, // claim CAS
+		occupant, pending, bucket, // claim CAS
 		occupant, armed, // conditional arm: the word a successful claim REPLACED
-		claim.BucketAddr,                           // unlink source: [keyCtrl, valAddr, valLen]
-		ver, claim.BucketAddr+hopscotch.OffVersion, // version stamp
-		pending, hopscotch.Tombstone, claim.BucketAddr, // tombstone CAS
+		bucket,                           // unlink source: [keyCtrl, valAddr, valLen]
+		ver, bucket+hopscotch.OffVersion, // version stamp
+		pending, hopscotch.Tombstone, bucket, // tombstone CAS
 		armed, ackAddr, 8, // ack control word, destination and length
 	)
 }
-
-// DeletePool is a pool of K independent delete contexts sharing one
-// client connection's trigger RQ, mirroring SetPool: per-slot private
-// control queues and chain rings spread over the port's PUs, WAITs
-// targeting absolute arrival counts of the shared trigger CQ, and one
-// shared to-free ring partitioned across contexts.
-type DeletePool struct {
-	Trig *rnic.QP
-	Ctxs []*DeleteOffload
-	Ring *extent.FreeRing
-}
-
-// NewDeletePool builds K = len(resp) delete contexts over the trig
-// connection, carving a to-free ring in the server's memory.
-func NewDeletePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *DeletePool {
-	if len(resp) == 0 {
-		panic("core: DeletePool needs at least one response QP")
-	}
-	ring := extent.NewFreeRing(b.Dev.Mem(), deleteRingSlots*len(resp))
-	p := &DeletePool{Trig: trig, Ring: ring}
-	const ctrlDepth = 64
-	for i := range resp {
-		cb := b.SubBuilder(ctrlDepth, -1)
-		p.Ctxs = append(p.Ctxs, NewDeleteOffload(cb, trig, resp[i], ring,
-			uint64(i)*deleteRingSlots))
-	}
-	return p
-}
-
-// Depth returns the number of contexts (max overlapping deletes).
-func (p *DeletePool) Depth() int { return len(p.Ctxs) }
-
-// Arm arms one instance on context i. Triggers must go out in global
-// arm order — arrival order sequences the shared trigger CQ.
-func (p *DeletePool) Arm(i int) { p.Ctxs[i].Arm() }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
-	"repro/internal/telemetry"
 	"repro/internal/wqe"
 )
 
@@ -58,138 +59,80 @@ type GetIndex interface {
 
 // LookupOffload is an armed hash-get offload for one client connection.
 type LookupOffload struct {
-	B     *Builder
+	chain
 	Mode  LookupMode
 	Table GetIndex
-
-	// Trig is the server side of the client connection: its RQ
-	// receives triggers, its (managed) SQ holds response WQEs.
-	Trig *rnic.QP
-	// Resp, when set, holds response WQEs on a dedicated managed QP
-	// instead of Trig's SQ. Pool contexts need this: response rings
-	// must not be shared between independently sequenced chains, or
-	// one context's ENABLE (which grants every earlier WQE on the
-	// ring) would prematurely release another's un-CASed response.
-	Resp *rnic.QP
 	// Resp2 is the second response QP for LookupParallel (nil otherwise).
 	Resp2 *rnic.QP
 
-	w2    *rnic.QP // managed chain queue, bucket 1
-	w2b   *rnic.QP // managed chain queue, bucket 2 (parallel)
-	ctrlB *rnic.QP // second control queue (parallel)
-
-	armed uint64
-	trig  triggerBuf
+	w2  *rnic.QP // managed chain queue, bucket 1
+	w2b *rnic.QP // managed chain queue, bucket 2 (LookupSeq: w2 itself)
 }
 
-// SetTraceOp tags this context's private rings (control, chain,
-// response) so the WRs of the instance armed next attribute to op in
-// traces. The shared trigger QP stays untagged: its batched SENDs
-// interleave ops.
-func (o *LookupOffload) SetTraceOp(op uint64) {
-	o.B.Ctrl.SetTraceOp(op)
-	o.w2.SetTraceOp(op)
-	if o.w2b != nil && o.w2b != o.w2 {
-		o.w2b.SetTraceOp(op)
-	}
-	if o.ctrlB != nil {
-		o.ctrlB.SetTraceOp(op)
-	}
-	if o.Resp != nil {
-		o.Resp.SetTraceOp(op)
-	}
-	if o.Resp2 != nil {
-		o.Resp2.SetTraceOp(op)
-	}
-}
-
-// SetProfClass tags every QP this context executes WRs through —
-// including the shared trigger QP, which serves only this op class —
-// for profiler attribution. Static; call once at wiring.
-func (o *LookupOffload) SetProfClass(class string) {
-	o.B.Ctrl.SetProfClass(class)
-	o.w2.SetProfClass(class)
-	if o.w2b != nil && o.w2b != o.w2 {
-		o.w2b.SetProfClass(class)
-	}
-	if o.ctrlB != nil {
-		o.ctrlB.SetProfClass(class)
-	}
-	if o.Resp != nil {
-		o.Resp.SetProfClass(class)
-	}
-	if o.Resp2 != nil {
-		o.Resp2.SetProfClass(class)
-	}
-	if o.Trig != nil {
-		o.Trig.SetProfClass(class)
-	}
-}
-
-// SetReceipt rides a latency receipt on this context's private rings
-// (the same set SetTraceOp tags) so the next armed instance's resource
-// grants fold into it. nil clears.
-func (o *LookupOffload) SetReceipt(r *telemetry.Receipt) {
-	o.B.Ctrl.SetReceipt(r)
-	o.w2.SetReceipt(r)
-	if o.w2b != nil && o.w2b != o.w2 {
-		o.w2b.SetReceipt(r)
-	}
-	if o.ctrlB != nil {
-		o.ctrlB.SetReceipt(r)
-	}
-	if o.Resp != nil {
-		o.Resp.SetReceipt(r)
-	}
-	if o.Resp2 != nil {
-		o.Resp2.SetReceipt(r)
-	}
-}
-
-// NewLookupOffload builds the offload. trig must be the server-side QP
-// of a client connection with a managed SQ. resp2 (parallel mode only)
-// is a second server-side client-connected managed QP. chainDepth sizes
-// the internal chain rings: it must cover the instances outstanding at
-// once (rings wrap as requests complete; pre-arming N instances up
-// front needs chainDepth >= 2N).
+// NewLookupOffload builds a standalone offload, answering on trig's SQ.
+// trig must be the server-side QP of a client connection with a managed
+// SQ. resp2 (parallel mode only) is a second server-side
+// client-connected managed QP. chainDepth sizes the internal chain
+// rings: it must cover the instances outstanding at once (rings wrap as
+// requests complete; pre-arming N instances up front needs chainDepth
+// >= 2N).
 func NewLookupOffload(b *Builder, trig *rnic.QP, resp2 *rnic.QP, table GetIndex, mode LookupMode, chainDepth int) *LookupOffload {
 	if chainDepth <= 0 {
 		chainDepth = 4096
 	}
-	o := &LookupOffload{B: b, Mode: mode, Table: table, Trig: trig, Resp2: resp2,
-		w2: b.NewManagedQP(chainDepth)}
-	if mode == LookupParallel {
+	return newLookupOffload(b, trig, nil, resp2, table, mode, chainDepth, 2*chainDepth, 0)
+}
+
+// NewLookupPool builds K = len(resp) get contexts over the trig
+// connection. resp (and resp2, parallel mode only) are server-side
+// managed QPs, each connected back to the client, one per context.
+func NewLookupPool(b *Builder, trig *rnic.QP, resp, resp2 []*rnic.QP, table GetIndex, mode LookupMode) *Pool[*LookupOffload] {
+	if mode == LookupParallel && len(resp2) != len(resp) {
+		panic(fmt.Sprintf("core: parallel pool needs resp2 per context (%d != %d)", len(resp2), len(resp)))
+	}
+	// Each context serves one get at a time, so rings stay small: a
+	// chain ring holds one instance's probes — READ+CAS per probe, both
+	// probes on one ring for LookupSeq — and ring wrap needs 2x.
+	chainDepth := 2*2 + 8
+	if mode == LookupSeq {
+		chainDepth = 2*4 + 8
+	}
+	return newPool(b, trig, resp, func(i int, cb *Builder, r *rnic.QP) *LookupOffload {
+		var r2 *rnic.QP
+		if mode == LookupParallel {
+			r2 = resp2[i]
+		}
+		return newLookupOffload(cb, trig, r, r2, table, mode, chainDepth, poolCtrlDepth, -1)
+	})
+}
+
+// newLookupOffload places the chain rings (and, for LookupParallel, the
+// second control queue) on PU pu, -1 round-robining.
+func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table GetIndex, mode LookupMode, chainDepth, ctrlDepth, pu int) *LookupOffload {
+	o := &LookupOffload{chain: newChain(b, trig, resp), Mode: mode, Table: table, Resp2: resp2}
+	o.w2 = o.ring(chainDepth, pu)
+	switch mode {
+	case LookupSeq:
+		o.w2b = o.w2
+	case LookupParallel:
 		if resp2 == nil {
 			panic("core: parallel lookup needs a second response QP")
 		}
-		o.w2b = b.NewManagedQP(chainDepth)
-		o.ctrlB = b.NewQP(2 * chainDepth)
-	} else if mode == LookupSeq {
-		o.w2b = o.w2
+		o.w2b = o.ring(chainDepth, pu)
+		o.b2 = b.withCtrl(b.NewQPOnPU(ctrlDepth, pu))
+		o.tag(o.b2.Ctrl)
+	}
+	if resp2 != nil {
+		o.tag(resp2)
 	}
 	return o
 }
 
-// resp1 returns the queue holding probe-1 (and, for LookupSeq,
-// probe-2) response WQEs.
-func (o *LookupOffload) resp1() *rnic.QP {
-	if o.Resp != nil {
-		return o.Resp
-	}
-	return o.Trig
-}
-
-// probeChain posts one bucket probe: a READ (src injected) copying the
-// bucket's [keyCtrl, valAddr] onto the response WQE's [ctrl, src], and
-// the conditional CAS (operands injected). It returns the refs needed
-// for the RECV scatter list and the ctrl sequencing.
-type probeRefs struct {
-	read StepRef // Src <- bucket address
-	cas  StepRef // Cmp <- NOOP|x, Swap <- WRITE|x
-	resp StepRef // Len, Dst <- client-provided
-}
-
-func (o *LookupOffload) postProbe(chainQP, respQP *rnic.QP) probeRefs {
+// postProbe posts one bucket probe: the response WQE, a READ (src
+// injected) copying the bucket's [keyCtrl, valAddr] onto the response's
+// [ctrl, src], and the conditional CAS (operands injected). The steps
+// come back in sequencing order: read, cas, resp.
+func (o *LookupOffload) postProbe(chainQP, respQP *rnic.QP) [3]StepRef {
 	b := o.B
 	resp := b.Post(respQP, wqe.WQE{Op: wqe.OpNoop, Flags: wqe.FlagSignaled})
 	read := b.Post(chainQP, wqe.WQE{
@@ -203,16 +146,7 @@ func (o *LookupOffload) postProbe(chainQP, respQP *rnic.QP) probeRefs {
 		Dst:   resp.FieldAddr(wqe.OffCtrl),
 		Flags: wqe.FlagSignaled,
 	})
-	return probeRefs{read: read, cas: cas, resp: resp}
-}
-
-// sequence emits the ctrl verbs ordering one probe after recv/previous.
-func (o *LookupOffload) sequence(ctrl *Builder, p probeRefs) {
-	ctrl.Enable(p.read)
-	ctrl.WaitStep(p.read)
-	ctrl.Enable(p.cas)
-	ctrl.WaitStep(p.cas)
-	ctrl.Enable(p.resp)
+	return [3]StepRef{read, cas, resp}
 }
 
 // Arm posts one request instance. Each armed instance serves exactly
@@ -220,103 +154,52 @@ func (o *LookupOffload) sequence(ctrl *Builder, p probeRefs) {
 // pre-arm many instances ahead of time — pre-arming is what lets the
 // offload keep serving across host crashes (§5.6).
 func (o *LookupOffload) Arm() {
-	b := o.B
-	o.armed++
-	switch o.Mode {
-	case LookupSingle:
-		p := o.postProbe(o.w2, o.resp1())
-		recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
-			{Addr: p.cas.FieldAddr(wqe.OffCmp), Len: 8},
-			{Addr: p.cas.FieldAddr(wqe.OffSwap), Len: 8},
-			{Addr: p.read.FieldAddr(wqe.OffSrc), Len: 8},
-			{Addr: p.resp.FieldAddr(wqe.OffLen), Len: 8},
-			{Addr: p.resp.FieldAddr(wqe.OffDst), Len: 8},
-		})
-		b.WaitRecv(o.Trig, recvTarget)
-		o.sequence(b, p)
-
-	case LookupSeq:
-		p1 := o.postProbe(o.w2, o.resp1())
-		p2 := o.postProbe(o.w2b, o.resp1())
-		recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
-			{Addr: p1.cas.FieldAddr(wqe.OffCmp), Len: 8},
-			{Addr: p1.cas.FieldAddr(wqe.OffSwap), Len: 8},
-			{Addr: p1.read.FieldAddr(wqe.OffSrc), Len: 8},
-			{Addr: p2.cas.FieldAddr(wqe.OffCmp), Len: 8},
-			{Addr: p2.cas.FieldAddr(wqe.OffSwap), Len: 8},
-			{Addr: p2.read.FieldAddr(wqe.OffSrc), Len: 8},
-			{Addr: p1.resp.FieldAddr(wqe.OffLen), Len: 8},
-			{Addr: p1.resp.FieldAddr(wqe.OffDst), Len: 8},
-			{Addr: p2.resp.FieldAddr(wqe.OffLen), Len: 8},
-			{Addr: p2.resp.FieldAddr(wqe.OffDst), Len: 8},
-		})
-		b.WaitRecv(o.Trig, recvTarget)
-		o.sequence(b, p1)
-		o.sequence(b, p2)
-
-	case LookupParallel:
-		p1 := o.postProbe(o.w2, o.resp1())
-		p2 := o.postProbe(o.w2b, o.Resp2)
-		recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
-			{Addr: p1.cas.FieldAddr(wqe.OffCmp), Len: 8},
-			{Addr: p1.cas.FieldAddr(wqe.OffSwap), Len: 8},
-			{Addr: p1.read.FieldAddr(wqe.OffSrc), Len: 8},
-			{Addr: p2.cas.FieldAddr(wqe.OffCmp), Len: 8},
-			{Addr: p2.cas.FieldAddr(wqe.OffSwap), Len: 8},
-			{Addr: p2.read.FieldAddr(wqe.OffSrc), Len: 8},
-			{Addr: p1.resp.FieldAddr(wqe.OffLen), Len: 8},
-			{Addr: p1.resp.FieldAddr(wqe.OffDst), Len: 8},
-			{Addr: p2.resp.FieldAddr(wqe.OffLen), Len: 8},
-			{Addr: p2.resp.FieldAddr(wqe.OffDst), Len: 8},
-		})
-		// Both control chains fire off the same arrival.
-		b.WaitRecv(o.Trig, recvTarget)
-		o.sequence(b, p1)
-		bb := b.withCtrl(o.ctrlB)
-		bb.WaitRecv(o.Trig, recvTarget)
-		o.sequence(bb, p2)
+	resp := o.Resp
+	if resp == nil {
+		resp = o.Trig
 	}
-	// Newly posted control verbs need a doorbell if the ctrl queue has
-	// gone idle since the last request (kicking an active queue is a
-	// no-op).
-	b.Ctrl.RingSQ()
-	if o.ctrlB != nil {
-		o.ctrlB.RingSQ()
+	p1 := o.postProbe(o.w2, resp)
+	read1, cas1, resp1 := p1[0], p1[1], p1[2]
+	if o.Mode == LookupSingle {
+		o.fire([]wqe.ScatterEntry{
+			{Addr: cas1.FieldAddr(wqe.OffCmp), Len: 8},
+			{Addr: cas1.FieldAddr(wqe.OffSwap), Len: 8},
+			{Addr: read1.FieldAddr(wqe.OffSrc), Len: 8},
+			{Addr: resp1.FieldAddr(wqe.OffLen), Len: 8},
+			{Addr: resp1.FieldAddr(wqe.OffDst), Len: 8},
+		}, p1[:])
+		return
 	}
-}
-
-// Armed returns the number of request instances armed so far. Each
-// instance serves exactly one get; the difference between Armed and the
-// gets completed is the offload's in-flight window.
-func (o *LookupOffload) Armed() uint64 { return o.armed }
-
-// ChainWQEsPerGet reports how many WQEs one armed instance posts on
-// the busiest internal chain ring — the per-instance budget behind
-// chain-ring sizing (a ring holding N overlapping instances needs 2N
-// times this, since rings wrap only after requests complete).
-func ChainWQEsPerGet(mode LookupMode) int {
-	if mode == LookupSeq {
-		return 4 // both probes (READ+CAS each) share one chain ring
+	if o.Mode == LookupParallel {
+		resp = o.Resp2
 	}
-	return 2 // READ+CAS per ring; parallel splits probes across rings
+	p2 := o.postProbe(o.w2b, resp)
+	read2, cas2, resp2 := p2[0], p2[1], p2[2]
+	scatter := []wqe.ScatterEntry{
+		{Addr: cas1.FieldAddr(wqe.OffCmp), Len: 8},
+		{Addr: cas1.FieldAddr(wqe.OffSwap), Len: 8},
+		{Addr: read1.FieldAddr(wqe.OffSrc), Len: 8},
+		{Addr: cas2.FieldAddr(wqe.OffCmp), Len: 8},
+		{Addr: cas2.FieldAddr(wqe.OffSwap), Len: 8},
+		{Addr: read2.FieldAddr(wqe.OffSrc), Len: 8},
+		{Addr: resp1.FieldAddr(wqe.OffLen), Len: 8},
+		{Addr: resp1.FieldAddr(wqe.OffDst), Len: 8},
+		{Addr: resp2.FieldAddr(wqe.OffLen), Len: 8},
+		{Addr: resp2.FieldAddr(wqe.OffDst), Len: 8},
+	}
+	if o.Mode == LookupSeq {
+		o.fire(scatter, []StepRef{read1, cas1, resp1, read2, cas2, resp2})
+		return
+	}
+	// Both control chains fire off the same arrival.
+	o.fire(scatter, p1[:], p2[:])
 }
 
 // Run starts the control queue(s). Call once after the first Arm.
 func (o *LookupOffload) Run() {
 	o.B.Run()
-	if o.ctrlB != nil {
-		o.ctrlB.RingSQ()
-	}
-}
-
-// WRsPerGet reports the work requests posted per armed get, the cost
-// accounting behind Table 2 and the §5.3 WR-budget discussion.
-func (o *LookupOffload) WRsPerGet() (data, sync int) {
-	switch o.Mode {
-	case LookupSingle:
-		return 4, 6 // RECV+READ+CAS+resp; WAIT + 2x(ENABLE,WAIT) + ENABLE
-	default:
-		return 7, 11
+	if o.b2 != nil {
+		o.b2.Ctrl.RingSQ()
 	}
 }
 
@@ -333,13 +216,4 @@ func (o *LookupOffload) TriggerPayload(key, valLen, respAddr uint64) []byte {
 		return o.trig.fill(xc, xw, h1, valLen, respAddr)
 	}
 	return o.trig.fill(xc, xw, h1, xc, xw, h2, valLen, respAddr, valLen, respAddr)
-}
-
-// withCtrl returns a shallow copy of the builder that emits control
-// verbs on ctrl instead, sharing completion bookkeeping — used for the
-// parallel lookup's second chain.
-func (b *Builder) withCtrl(ctrl *rnic.QP) *Builder {
-	nb := *b
-	nb.Ctrl = ctrl
-	return &nb
 }

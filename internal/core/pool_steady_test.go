@@ -23,7 +23,7 @@ const (
 )
 
 // poolRig is one server with a populated table and a client driving a
-// LookupPool and a SetPool over it, rigDepth chains at a time, the way
+// lookup Pool and a set Pool over it, rigDepth chains at a time, the way
 // redn.Client wires them.
 type poolRig struct {
 	eng      *sim.Engine
@@ -32,12 +32,12 @@ type poolRig struct {
 	keys     []uint64 // keys resident in one of their candidate buckets
 	buckets  []uint64 // bucket address holding keys[i]
 
-	gets    *LookupPool
+	gets    *Pool[*LookupOffload]
 	getQP   *rnic.QP
 	getDone int
 	getHits int
 
-	sets      *SetPool
+	sets      *Pool[*SetOffload]
 	setQP     *rnic.QP
 	setDone   int
 	setAcks   int

@@ -17,7 +17,7 @@ func newProbeHarness(t *testing.T) (*harness, *hopscotch.Table, *ProbeOffload, *
 	table := hopscotch.New(h.srv.Mem(), 256, 0)
 	cliQP, srvQP := h.connect(64)
 	_, respQP := h.connect(16)
-	o := NewProbeOffload(h.b, srvQP, respQP)
+	o := newProbeOffload(h.b, srvQP, respQP)
 	srvQP.RecvCQ().SetAutoDrain(true)
 	srvQP.SendCQ().SetAutoDrain(true)
 	respQP.SendCQ().SetAutoDrain(true)
@@ -32,7 +32,7 @@ func doProbe(t *testing.T, h *harness, o *ProbeOffload, cliQP *rnic.QP, key, buc
 	h.cli.Mem().PutU64(respAddr, 0xDEAD)
 	o.Arm()
 	o.B.Run()
-	payload := o.TriggerPayload(key, ProbeTarget{BucketAddr: bucketAddr}, respAddr)
+	payload := o.TriggerPayload(key, bucketAddr, respAddr)
 	buf := h.cli.Mem().Alloc(uint64(len(payload)), 8)
 	h.cli.Mem().Write(buf, payload)
 
@@ -98,24 +98,4 @@ func TestProbeOffloadConditionalMiss(t *testing.T) {
 	if _, answered = doProbe(t, h, o, cliQP, key, table.BucketAddr(b)); answered {
 		t.Fatal("probe of a tombstoned bucket was answered")
 	}
-}
-
-// The probe chain's WR budget is what the repair subsystem's cost story
-// claims: 4 data + 6 sync per armed instance.
-func TestProbeWRBudget(t *testing.T) {
-	h, _, o, _ := newProbeHarness(t)
-	ctrlBefore := o.B.Ctrl.SQ().Producer()
-	chainBefore := o.w2.SQ().Producer()
-	respBefore := o.Resp.SQ().Producer()
-	o.Arm()
-	// One RECV per instance on the shared trigger RQ, plus the chain
-	// and response verbs.
-	data := 1 + int(o.w2.SQ().Producer()-chainBefore) +
-		int(o.Resp.SQ().Producer()-respBefore)
-	sync := int(o.B.Ctrl.SQ().Producer() - ctrlBefore)
-	wantData, wantSync := ProbeWRsPerOp()
-	if data != wantData || sync != wantSync {
-		t.Fatalf("probe WRs = %d data + %d sync, want %d + %d", data, sync, wantData, wantSync)
-	}
-	_ = h
 }

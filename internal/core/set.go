@@ -4,7 +4,6 @@ import (
 	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
-	"repro/internal/telemetry"
 	"repro/internal/wqe"
 )
 
@@ -104,16 +103,9 @@ func ClaimPendingCtrl(key uint64) uint64 {
 }
 
 // SetOffload is an armed conditional-put offload for one request slot
-// of a client connection's set path.
+// of a client connection's set path; its Resp carries the ack WRITE.
 type SetOffload struct {
-	B *Builder
-	// Trig is the server side of the connection's set-trigger QP; its
-	// RQ receives set SENDs, shared by every slot of the pool.
-	Trig *rnic.QP
-	// Resp is the slot's dedicated managed QP back to the client; the
-	// ack WRITE lives on its ring (per-slot, because an ENABLE grants
-	// every earlier WQE on a ring).
-	Resp *rnic.QP
+	chain
 	// MaxVal sizes the per-instance staging extents.
 	MaxVal uint64
 	// Arena, when set, supplies (and reclaims) staging extents; nil
@@ -128,41 +120,7 @@ type SetOffload struct {
 	// memory per set.
 	args [argsRing]uint64
 
-	armed   uint64
-	trig    triggerBuf
 	staging uint64 // staging extent of the most recently armed instance
-}
-
-// SetTraceOp tags this context's private rings (control, chain,
-// pointer-write, response) so the next armed instance's WRs attribute
-// to op in traces; the shared trigger QP stays untagged.
-func (o *SetOffload) SetTraceOp(op uint64) {
-	o.B.Ctrl.SetTraceOp(op)
-	o.w2.SetTraceOp(op)
-	o.w3.SetTraceOp(op)
-	o.Resp.SetTraceOp(op)
-}
-
-// SetProfClass tags every QP this context executes WRs through
-// (including the shared trigger QP — it serves only this op class)
-// for profiler attribution. Static; call once at wiring.
-func (o *SetOffload) SetProfClass(class string) {
-	o.B.Ctrl.SetProfClass(class)
-	o.w2.SetProfClass(class)
-	o.w3.SetProfClass(class)
-	o.Resp.SetProfClass(class)
-	if o.Trig != nil {
-		o.Trig.SetProfClass(class)
-	}
-}
-
-// SetReceipt rides a latency receipt on this context's private rings
-// (the same set SetTraceOp tags). nil clears.
-func (o *SetOffload) SetReceipt(r *telemetry.Receipt) {
-	o.B.Ctrl.SetReceipt(r)
-	o.w2.SetReceipt(r)
-	o.w3.SetReceipt(r)
-	o.Resp.SetReceipt(r)
 }
 
 // argsRing is the depth of the per-context args-buffer rotation: one
@@ -170,25 +128,23 @@ func (o *SetOffload) SetReceipt(r *telemetry.Receipt) {
 // stragglers from timed-out instances.
 const argsRing = 8
 
-// NewSetOffload builds one set context. trig is the server-side QP of
-// the client's set connection (managed RQ); resp a server-side managed
-// QP connected back to the client for the ack. arena supplies staging
-// extents (nil: bump allocation).
-func NewSetOffload(b *Builder, trig, resp *rnic.QP, maxVal uint64, arena *extent.Arena) *SetOffload {
-	// Per-slot rings hold one in-flight instance (ring wrap needs 2x).
-	o := &SetOffload{B: b, Trig: trig, Resp: resp, MaxVal: maxVal, Arena: arena,
-		w2: b.NewManagedQPOnPU(2*setChainWQEs+4, -1),
-		w3: b.NewManagedQPOnPU(8, -1)}
-	// Chain verbs are posted signaled to gate the WAITs; nothing polls
-	// their CQs, so drain at delivery.
-	o.w2.SendCQ().SetAutoDrain(true)
-	o.w3.SendCQ().SetAutoDrain(true)
-	return o
+// NewSetPool builds K = len(resp) set contexts over the trig
+// connection; resp carry the acks. arena supplies staging extents for
+// every context (nil: bump allocation).
+func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena *extent.Arena) *Pool[*SetOffload] {
+	return newPool(b, trig, resp, func(_ int, cb *Builder, r *rnic.QP) *SetOffload {
+		return newSetOffload(cb, trig, r, maxVal, arena)
+	})
 }
 
-// setChainWQEs is the busiest-ring WQE budget of one instance (w2):
-// claim, conditional flip, publish.
-const setChainWQEs = 3
+func newSetOffload(b *Builder, trig, resp *rnic.QP, maxVal uint64, arena *extent.Arena) *SetOffload {
+	o := &SetOffload{chain: newChain(b, trig, resp), MaxVal: maxVal, Arena: arena}
+	// Rings hold one in-flight instance (ring wrap needs 2x); w2 is the
+	// busiest, with three WQEs per instance.
+	o.w2 = o.ring(2*3+4, -1)
+	o.w3 = o.ring(8, -1)
+	return o
+}
 
 // Arm posts one set instance and returns the staging extent the
 // client's value WRITE must target. cookie tags the extent in the
@@ -199,7 +155,6 @@ const setChainWQEs = 3
 // survives host failures that leave the NIC alive.
 func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 	b := o.B
-	o.armed++
 	m := b.Dev.Mem()
 	if o.Arena != nil {
 		staging = o.Arena.Alloc(o.MaxVal, cookie)
@@ -215,7 +170,7 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 	// probe chain can never observe the new version with the old extent.
 	// Buffers rotate through a fixed ring — one live instance per
 	// context — instead of growing server memory per set.
-	slot := (o.armed - 1) % argsRing
+	slot := o.armed % argsRing
 	if o.args[slot] == 0 {
 		o.args[slot] = m.Alloc(24, 8)
 	}
@@ -231,7 +186,7 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 	condCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Dst: verdict, Flags: wqe.FlagSignaled})
 	pubCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
 
-	recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
+	o.fire([]wqe.ScatterEntry{
 		{Addr: claim.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffDst), Len: 8},
@@ -246,19 +201,9 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 		{Addr: ack.FieldAddr(wqe.OffCtrl), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffDst), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffLen), Len: 8},
-	})
-	b.WaitRecv(o.Trig, recvTarget)
-	for _, step := range []StepRef{claim, condCAS, valWr, pubCAS} {
-		b.Enable(step)
-		b.WaitStep(step)
-	}
-	b.Enable(ack)
-	b.Ctrl.RingSQ()
+	}, []StepRef{claim, condCAS, valWr, pubCAS, ack})
 	return staging
 }
-
-// Armed returns the number of set instances armed so far.
-func (o *SetOffload) Armed() uint64 { return o.armed }
 
 // ReleaseStaging retires the most recently armed instance's staging
 // extent back to the arena — the client calls it when the chain's ack
@@ -274,11 +219,6 @@ func (o *SetOffload) ReleaseStaging() {
 	}
 	o.staging = 0
 }
-
-// SetWRsPerOp reports the work requests one armed set posts — the
-// write path's Table 2-style budget: RECV + 5 data verbs (claim, flip,
-// repoint, publish, ack), and the WAIT and ENABLE verbs sequencing them.
-func SetWRsPerOp() (data, sync int) { return 6, 10 }
 
 // TriggerPayload builds the client SEND payload for a set of key under
 // claim, writing valLen staged bytes at version ver and acking the
@@ -301,39 +241,3 @@ func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ack
 		xw, ackAddr, 8, // ack control word, destination and length
 	)
 }
-
-// SetPool is a pool of K independent set contexts sharing one client
-// connection's trigger RQ — the server-side substrate of the pipelined
-// write path, mirroring LookupPool: per-slot private control queues
-// and chain rings spread over the port's PUs, WAITs targeting absolute
-// arrival counts of the shared trigger CQ so the j-th armed chain
-// fires on the j-th set SEND regardless of which slot owns it.
-type SetPool struct {
-	Trig *rnic.QP
-	Ctxs []*SetOffload
-}
-
-// NewSetPool builds K = len(resp) set contexts over the trig
-// connection. resp are server-side managed QPs connected back to the
-// client, one per context, carrying the acks. arena
-// supplies staging extents for every context (nil: bump allocation).
-func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena *extent.Arena) *SetPool {
-	if len(resp) == 0 {
-		panic("core: SetPool needs at least one response QP")
-	}
-	p := &SetPool{Trig: trig}
-	const ctrlDepth = 64
-	for i := range resp {
-		cb := b.SubBuilder(ctrlDepth, -1)
-		p.Ctxs = append(p.Ctxs, NewSetOffload(cb, trig, resp[i], maxVal, arena))
-	}
-	return p
-}
-
-// Depth returns the number of contexts (max overlapping sets).
-func (p *SetPool) Depth() int { return len(p.Ctxs) }
-
-// Arm arms one instance on context i and returns its staging extent.
-// As with LookupPool, the caller must send triggers in global arm
-// order — arrival order sequences the shared trigger CQ.
-func (p *SetPool) Arm(i int, cookie uint64) (staging uint64) { return p.Ctxs[i].Arm(cookie) }

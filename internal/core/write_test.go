@@ -36,7 +36,7 @@ func newWriteHarness(t *testing.T) *writeHarness {
 	}
 	var srvQP, respQP *rnic.QP
 	h.setQP, srvQP, respQP = wire()
-	h.set = NewSetOffload(h.b, srvQP, respQP, writeValLen, nil)
+	h.set = newSetOffload(h.b, srvQP, respQP, writeValLen, nil)
 	h.delQP, srvQP, respQP = wire()
 	h.del = NewDeletePool(h.b, srvQP, []*rnic.QP{respQP}).Ctxs[0]
 	h.trig, h.ack = h.cli.Mem().Alloc(128, 8), h.cli.Mem().Alloc(8, 8)
@@ -90,7 +90,7 @@ func (h *writeHarness) doDelete(t *testing.T, key, ver uint64) chainRun {
 	t.Helper()
 	h.del.Arm()
 	return h.fire(t, h.delQP, h.del.Resp, h.del.w3, key,
-		h.del.TriggerPayload(key, DeleteClaim{BucketAddr: h.bucket(key)}, ver, h.ack))
+		h.del.TriggerPayload(key, h.bucket(key), ver, h.ack))
 }
 
 func (h *writeHarness) bucket(key uint64) uint64 {
@@ -240,32 +240,5 @@ func TestDeleteChainVerdicts(t *testing.T) {
 				t.Fatalf("unlink, verWr executed as %v under bucket word %#x, want two NOOPs", run.conds, before[0])
 			}
 		})
-	}
-}
-
-// The write chains' WR budgets are what is posted: count one armed
-// instance's producer deltas on every ring, plus its RECV.
-func TestWriteWRBudgets(t *testing.T) {
-	h := newWriteHarness(t)
-	count := func(arm func(), ctrl *rnic.QP, rings ...*rnic.QP) (data, sync int) {
-		before := make([]uint64, len(rings))
-		for i, q := range rings {
-			before[i] = q.SQ().Producer()
-		}
-		ctrlBefore := ctrl.SQ().Producer()
-		arm()
-		data = 1 // the RECV on the shared trigger RQ
-		for i, q := range rings {
-			data += int(q.SQ().Producer() - before[i])
-		}
-		return data, int(ctrl.SQ().Producer() - ctrlBefore)
-	}
-	data, sync := count(func() { h.set.Arm(1) }, h.set.B.Ctrl, h.set.w2, h.set.w3, h.set.Resp)
-	if wantData, wantSync := SetWRsPerOp(); data != wantData || sync != wantSync {
-		t.Fatalf("set WRs = %d data + %d sync, want %d + %d", data, sync, wantData, wantSync)
-	}
-	data, sync = count(h.del.Arm, h.del.B.Ctrl, h.del.w2, h.del.w3, h.del.Resp)
-	if wantData, wantSync := DeleteWRsPerOp(); data != wantData || sync != wantSync {
-		t.Fatalf("delete WRs = %d data + %d sync, want %d + %d", data, sync, wantData, wantSync)
 	}
 }

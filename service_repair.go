@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/hopscotch"
 	"repro/internal/repair"
 	"repro/internal/sim"
@@ -256,7 +255,7 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 	g.pop = s.tr.OpBegin("probe", key)
 	s.tr.SetOp(g.pop)
 	g.next = getProbe
-	g.pcli.ProbeAsyncTarget(key, core.ProbeTarget{BucketAddr: bucket}, g.probeFn)
+	g.pcli.ProbeAsyncTarget(key, bucket, g.probeFn)
 	s.tr.SetOp(0)
 	g.pcli.Flush()
 	return true

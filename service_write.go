@@ -707,7 +707,7 @@ func (r *ownerRun) apply() {
 	r.next = runAck
 	if m.del {
 		sh.fabricDels.Inc()
-		r.cli.DeleteAsyncClaim(m.key, core.DeleteClaim{BucketAddr: claim.BucketAddr}, m.seq, r.ackFn)
+		r.cli.DeleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.ackFn)
 	} else {
 		sh.fabricSets.Inc()
 		r.cli.SetAsyncClaim(m.key, m.val, claim, m.seq, r.ackFn)
