@@ -1173,12 +1173,8 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 	if c.table == nil {
 		panic("redn: Bind a table before Set")
 	}
-	if reservedKey(key) {
-		c.refuse(cb)
-		return
-	}
 	claim, ok := c.setClaim(key)
-	if !ok {
+	if !ok || reservedKey(key) {
 		c.refuse(cb)
 		return
 	}
@@ -1257,12 +1253,8 @@ func (c *Client) DeleteAsync(key uint64, cb func(lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Delete")
 	}
-	if reservedKey(key) {
-		c.refuse(cb)
-		return
-	}
 	bucket, ok := c.residentBucket(key)
-	if !ok {
+	if !ok || reservedKey(key) {
 		c.refuse(cb)
 		return
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/rnic"
 	"repro/internal/telemetry"
 	"repro/internal/wqe"
@@ -153,7 +151,7 @@ const poolCtrlDepth = 64
 // contexts share b's completion bookkeeping and device.
 func newPool[C any](b *Builder, trig *rnic.QP, resp []*rnic.QP, ctx func(i int, b *Builder, resp *rnic.QP) C) *Pool[C] {
 	if len(resp) == 0 {
-		panic(fmt.Sprintf("core: a %T pool needs at least one response QP", *new(C)))
+		panic("core: a pool needs at least one response QP")
 	}
 	p := &Pool[C]{Trig: trig, Ctxs: make([]C, len(resp))}
 	for i, r := range resp {
