@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hopscotch"
@@ -14,32 +16,45 @@ import (
 // 2 style). Arming must also post only on QPs in the context's tagged
 // ring set: a ring missing from it would silently drop its WRs' trace
 // spans and receipt folds.
-func TestProgramShapes(t *testing.T) {
-	shapes := []struct {
-		name       string
-		data, sync int
-		build      func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func())
-	}{
-		{"get single", 4, 6, lookupShape(LookupSingle)},
-		{"get seq", 7, 11, lookupShape(LookupSeq)},
-		// Each of the two control queues WAITs on the trigger.
-		{"get parallel", 7, 12, lookupShape(LookupParallel)},
-		{"set", 6, 10, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-			o := NewSetPool(h.b, trig, resp[:1], 64, nil).Ctxs[0]
-			return &o.chain, func() { o.Arm(1) }
-		}},
-		// Two verbs past the set chain: the price of stamping a
-		// tombstone's version conditionally.
-		{"delete", 8, 14, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-			o := NewDeletePool(h.b, trig, resp[:1]).Ctxs[0]
-			return &o.chain, o.Arm
-		}},
-		{"probe", 4, 6, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-			o := NewProbePool(h.b, trig, resp[:1]).Ctxs[0]
-			return &o.chain, o.Arm
-		}},
-	}
-	for _, sh := range shapes {
+func TestProgramShapes(t *testing.T) { checkShapes(t, "") }
+
+// The per-class budgets, each its own rows of the same measured table.
+func TestLookupWRBudget(t *testing.T) { checkShapes(t, "get") }
+func TestWriteWRBudgets(t *testing.T) { checkShapes(t, "set", "delete") }
+func TestProbeWRBudget(t *testing.T)  { checkShapes(t, "probe") }
+
+var programShapes = []struct {
+	name       string
+	data, sync int
+	build      func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func())
+}{
+	{"get single", 4, 6, lookupShape(LookupSingle)},
+	{"get seq", 7, 11, lookupShape(LookupSeq)},
+	// Each of the two control queues WAITs on the trigger.
+	{"get parallel", 7, 12, lookupShape(LookupParallel)},
+	{"set", 6, 10, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
+		o := NewSetPool(h.b, trig, resp[:1], 64, nil).Ctxs[0]
+		return &o.chain, func() { o.Arm(1) }
+	}},
+	// Two verbs past the set chain: the price of stamping a
+	// tombstone's version conditionally.
+	{"delete", 8, 14, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
+		o := NewDeletePool(h.b, trig, resp[:1]).Ctxs[0]
+		return &o.chain, o.Arm
+	}},
+	{"probe", 4, 6, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
+		o := NewProbePool(h.b, trig, resp[:1]).Ctxs[0]
+		return &o.chain, o.Arm
+	}},
+}
+
+// checkShapes measures the rows of programShapes whose names start with
+// one of prefixes; "" selects them all.
+func checkShapes(t *testing.T, prefixes ...string) {
+	for _, sh := range programShapes {
+		if !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(sh.name, p) }) {
+			continue
+		}
 		t.Run(sh.name, func(t *testing.T) {
 			h := newHarness(t)
 			_, trig := h.connect(64)
