@@ -1218,6 +1218,9 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 			return
 		}
 		g.epoch = s.setEpoch[key]
+		// Issued behind an unsettled write, this read may hit an owner
+		// that has not applied it and answer after it settles: no admission.
+		g.admit = s.unsettled[key] == 0
 	}
 	s.readOrder(g)
 	if len(g.order) == 0 {
@@ -1295,8 +1298,10 @@ type getOp struct {
 	// admission against sets that raced the read. gen is the service
 	// cache generation at issue time; it gates admission against
 	// ownership changes that raced the read (a resharding started
-	// mid-flight).
+	// mid-flight). admit is false when a write to the key was unsettled
+	// at issue time.
 	epoch, gen uint64
+	admit      bool
 
 	// order is the policy-ordered owners to try (spare is readOrder's
 	// scratch for reordering them), i the attempt in flight, cli the
@@ -1330,7 +1335,7 @@ func (s *Service) takeGet(key, valLen, op uint64, cb func(val []byte, lat Durati
 	}
 	g.next = getRouting
 	g.key, g.valLen, g.op, g.cb = key, valLen, op, cb
-	g.began, g.epoch, g.gen = s.tb.Now(), 0, s.cacheGen
+	g.began, g.epoch, g.gen, g.admit = s.tb.Now(), 0, s.cacheGen, false
 	g.i, g.spent = 0, 0
 	return g
 }
@@ -1436,7 +1441,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		sh.markLive()
 		s.hits.Inc()
 		sh.getLat.Add(lat)
-		s.maybeCache(g.key, g.valLen, val, g.epoch, g.gen)
+		s.maybeCache(g, val)
 		// A hit proves the shard live: if handoff hints piled up
 		// behind a false suspicion, deliver them now.
 		if len(sh.hints) > 0 && !sh.hostDown {
@@ -1489,20 +1494,21 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	cb(val, lat, false)
 }
 
-// maybeCache admits a sufficiently hot value to the client-side cache,
-// unless a set raced the read (the key's write epoch moved since the
-// get was issued — admitting would install a stale value that
-// write-through could never fix).
-func (s *Service) maybeCache(key, valLen uint64, val []byte, epoch, gen uint64) {
-	if s.cache == nil || s.hot == nil || uint64(len(val)) < valLen {
+// maybeCache admits a sufficiently hot value g read to the client-side
+// cache, unless a set raced the read (one was unsettled when the get was
+// issued, or the key's write epoch moved since — admitting would install
+// a stale value that write-through could never fix).
+func (s *Service) maybeCache(g *getOp, val []byte) {
+	key := g.key
+	if s.cache == nil || s.hot == nil || uint64(len(val)) < g.valLen {
 		return
 	}
-	if s.setEpoch[key] != epoch {
+	if !g.admit || s.setEpoch[key] != g.epoch {
 		return
 	}
 	// A resharding started (or finished) while this get was in flight:
 	// the value may have been read from an owner that just lost the key.
-	if gen != s.cacheGen {
+	if g.gen != s.cacheGen {
 		return
 	}
 	// While any write to the key is unsettled, this read may have come

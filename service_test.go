@@ -1652,6 +1652,60 @@ func TestServiceRepairInvalidatesStaleCache(t *testing.T) {
 	}
 }
 
+// A get issued while a write to its key is unsettled can read the old
+// value from an owner that has not applied the write yet, and answer
+// after the write has settled everywhere. The write epoch it recorded at
+// issue still matches and nothing is unsettled any more, so only the
+// issue-time state can refuse the admission: admitted, the old value
+// would serve every later get until the next write. Each delay issues
+// the get at a different point of the write's fan-out; at least one
+// must reproduce the late stale answer.
+func TestServiceCacheRefusesReadsIssuedMidWrite(t *testing.T) {
+	const key, valLen = 7, 48
+	v1, v2 := Value(1, valLen), Value(2, valLen)
+	raced := 0
+	for d := Duration(0); d <= 4*sim.Microsecond; d += 250 * sim.Nanosecond {
+		s := NewServiceWith(ServiceConfig{
+			Shards: 3, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
+			Replicas: 3, WriteQuorum: 2, ReadPolicy: ReadPrimary, HotKeyCache: 8,
+			Buckets: 1 << 12, MaxValLen: 64,
+		})
+		if err := s.Set(key, v1); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		// Hot, but not cached: the next qualifying read admits.
+		for i := 0; i < 2*cacheAdmitCount; i++ {
+			s.Get(key, valLen)
+		}
+		delete(s.cache, key)
+		var settled, answered sim.Time
+		var got []byte
+		s.settleHook = func(_, _ uint64) { settled = s.Now() }
+		s.SetAsync(key, v2, func(Duration, error) {})
+		s.Flush()
+		s.tb.clu.Eng.After(d, func() {
+			s.GetAsync(key, valLen, func(val []byte, _ Duration, _ bool) {
+				got, answered = append([]byte(nil), val...), s.Now()
+			})
+			s.Flush()
+		})
+		s.Run()
+		if bytes.Equal(got, v1) && answered > settled {
+			raced++
+		}
+		if v, cached := s.cache[key]; cached && !bytes.Equal(v, v2) {
+			t.Fatalf("get issued %v into the write cached the overwritten value", d)
+		}
+		if val, _, ok := s.Get(key, valLen); !ok || !bytes.Equal(val, v2) {
+			t.Fatalf("get issued %v into the write: a later get read stale bytes (ok=%v)", d, ok)
+		}
+	}
+	if raced == 0 {
+		t.Fatal("no get read the old value and answered after the write settled — test lost its race")
+	}
+}
+
 // Anti-entropy alone — zero reads, no read-repair, hints lost — must
 // converge crash-era divergence: the sweeper's segment digests find
 // the keys the dead owner missed and roll it forward.
