@@ -9,8 +9,8 @@ import (
 // chain is what every trigger-driven offload context shares: the
 // builder it sequences through, the connection whose SENDs trigger it,
 // the queue it answers on, and the context's tagged ring set. Each
-// offload embeds one and keeps only its program — the verbs its Arm
-// posts, its scatter list and its TriggerPayload.
+// offload embeds one and keeps only its program — the verbs it posts
+// (from Arm; a set's from TriggerPayload), its scatter list, its payload.
 type chain struct {
 	B *Builder
 	// Trig is the server side of the client connection: its RQ receives

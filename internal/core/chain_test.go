@@ -32,10 +32,9 @@ var programShapes = []struct {
 	{"get seq", 7, 11, lookupShape(LookupSeq)},
 	// Each of the two control queues WAITs on the trigger.
 	{"get parallel", 7, 12, lookupShape(LookupParallel)},
-	{"set", 6, 10, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-		o := NewSetPool(h.b, trig, resp[:1], 64, nil).Ctxs[0]
-		return &o.chain, func() { o.Arm(1) }
-	}},
+	// An overwrite's claim installs the published word itself: no pubCAS.
+	{"set overwrite", 5, 8, setShape(SetClaim{BucketAddr: 0x1000, Expect: ClaimCtrl(1), New: ClaimCtrl(1)})},
+	{"set fresh", 6, 10, setShape(SetClaim{BucketAddr: 0x1000, New: ClaimPendingCtrl(1)})},
 	// Two verbs past the set chain: the price of stamping a
 	// tombstone's version conditionally.
 	{"delete", 8, 14, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
@@ -110,5 +109,17 @@ func lookupShape(mode LookupMode) func(h *harness, trig *rnic.QP, resp []*rnic.Q
 		table := hopscotch.New(h.srv.Mem(), 256, 0)
 		o := NewLookupPool(h.b, trig, resp[:1], resp2, table, mode).Ctxs[0]
 		return &o.chain, o.Arm
+	}
+}
+
+// setShape builds one pooled set context. Arm only reserves the staging
+// extent; TriggerPayload posts the instance in the shape claim selects.
+func setShape(claim SetClaim) func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
+	return func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
+		o := NewSetPool(h.b, trig, resp[:1], 64, nil).Ctxs[0]
+		return &o.chain, func() {
+			o.Arm(1)
+			o.TriggerPayload(1, claim, 8, 1, 0)
+		}
 	}
 }

@@ -13,15 +13,14 @@ import (
 // same self-modifying machinery runs a conditional *put*. A client set
 // is two work requests on one connection: an RDMA WRITE landing the
 // value bytes in a server-side staging extent, then a SEND whose
-// payload is scattered into a pre-armed chain. The chain claims the
-// key's bucket with a CAS against the bucket's key/control word — the
-// hopscotch table's bucket layout *is* a WQE control word, so one 64-bit
-// CAS simultaneously checks the expected occupant and installs the new
-// key — and only on a successful claim does it repoint the bucket at
-// the staged value. The host CPU never runs, and the chain always
-// answers: a refused claim costs the client a round trip, not a timeout.
+// payload is scattered into the armed chain. The chain claims the key's
+// bucket with a CAS against its key/control word — the hopscotch bucket
+// layout *is* a WQE control word, so one 64-bit CAS checks the expected
+// occupant and installs the new key — and only on a successful claim
+// repoints the bucket at the staged value. The host CPU never runs, and
+// the chain always answers: a refusal costs a round trip, not a timeout.
 //
-// Chain shape, per armed instance (managed rings, ctrl-sequenced):
+// Chain shape, per instance (managed rings, ctrl-sequenced):
 //
 //	RECV      scatter claim/cond operands + bucket addrs + value len
 //	claimCAS  bucket.keyCtrl: Expect -> New      (the bucket claim)
@@ -29,56 +28,42 @@ import (
 //	condCAS   valWr.ctrl: Expect -> WRITE|key    (flip iff claimed)
 //	valWr     WRITE [stagingAddr, valLen, version]
 //	          -> bucket.[valAddr, valLen, version]
-//	pubCAS    bucket.keyCtrl: New -> NOOP|key    (publish, fresh claims)
+//	pubCAS    bucket.keyCtrl: New -> NOOP|key    (fresh claims only)
 //	ack       WRITE valWr.ctrl -> client ack buffer (the verdict)
 //
-// An RDMA CAS returns the word it found, and the chain asks for nothing
-// more: the claim's result buffer is valWr's control word, so the claim
+// The claim's result buffer is valWr's control word, so the claim
 // succeeded exactly when that word is now claim.Expect, and condCAS
 // compares against Expect to flip valWr into a WRITE. (Stricter than
-// checking that the bucket holds New afterwards: a fresh claim that
-// lost to a straggler's leftover PENDING|key finds New there and did
-// not install it.) A refused claim leaves the bucket's old word as
-// valWr's control word, safe only because every word a bucket can hold
-// — zero, tombstone, pending, resident NOOP|key — has the NOOP opcode
+// checking that the bucket holds New afterwards: a fresh claim that lost
+// to a straggler's leftover PENDING|key finds New there and did not
+// install it.) A refused claim leaves the bucket's old word as valWr's
+// control word, safe only because every word a bucket can hold — zero,
+// tombstone, pending, resident NOOP|key — has the NOOP opcode
 // (hopscotch's "inert under injection" rule): valWr runs as a NOOP. The
-// ack is an unconditional WRITE (its control word, WRITE|key, comes with
-// the trigger) of valWr's control word as it stands after pubCAS:
-// WRITE|key for an applied set, else the word that refused the claim.
+// ack WRITEs valWr's control word as it stands last: WRITE|key for an
+// applied set, else the word that refused the claim.
 //
-// The claim word New depends on the claim kind. An overwrite of a
-// resident key claims NOOP|key -> NOOP|key: the bucket stays readable
-// throughout, and a concurrent lookup that lands mid-chain serves the
-// old value (it linearizes before the overwrite). A FRESH claim — an
-// empty or tombstoned bucket — must not do that: the bucket's
-// [valAddr, valLen] words still carry whatever extent the previous
-// occupant (or its delete) left behind, so making the bucket readable
-// before the repoint would let a concurrent lookup serve resurrected
-// bytes through the stale pointer. Fresh claims therefore install the
-// PENDING word (hopscotch.PendingCtrl: a NOOP with a reserved id bit —
-// inert if a lookup's probe READ injects it, matched by no lookup's
-// conditional) and the pubCAS verb publishes NOOP|key only after valWr
-// has landed the new pointer. For overwrites pubCAS degenerates to
-// NOOP|key -> NOOP|key, a harmless self-swap, so one chain shape
-// serves both.
+// The claim word New decides the shape. An overwrite of a resident key
+// claims NOOP|key -> NOOP|key: the bucket stays readable throughout (a
+// lookup landing mid-chain serves the old value, linearizing before the
+// overwrite), and no pubCAS is posted — it would swap NOOP|key for
+// itself. A FRESH claim (an empty or tombstoned bucket) must not be
+// readable before the repoint: its [valAddr, valLen] words still carry
+// the previous occupant's extent, which a concurrent lookup would serve.
+// It installs the PENDING word (hopscotch.PendingCtrl: a NOOP with a
+// reserved id bit — inert if a probe READ injects it, matched by no
+// lookup) and pubCAS publishes NOOP|key after valWr has landed.
 //
-// Values live in per-instance staging extents carved from the server's
-// extent arena (log-structured writes: an overwrite installs a fresh
-// extent and the coordinator retires the old one through the arena;
-// compaction evacuates sparse segments — see internal/extent and the
-// delete chain in delete.go). Without an arena the offload falls back
-// to the raw bump allocator, which leaks every overwrite — the
-// pre-lifecycle behavior, kept for standalone core tests.
+// Values live in staging extents from the server's extent arena (see
+// internal/extent and delete.go); without one, the raw bump allocator
+// leaks every overwrite — kept for standalone core tests.
 
 // SetClaim names the bucket a set claims and the CAS operands that
-// claim it: Expect is the bucket's current key/control word (0 for an
-// empty bucket, the tombstone for a reclaimed one, NOOP|key for an
-// overwrite) and New the word installed on success — NOOP|key for
-// overwrites, the NOOP-opcode pending word (ClaimPendingCtrl) for fresh
-// claims, published to NOOP|key by the chain's pubCAS only after the
-// value pointer is in place. The caller computes it from its view of
-// the table — a stale view fails the CAS harmlessly and the ack says
-// so.
+// claim it: Expect is the bucket's current key/control word (0, the
+// tombstone, or NOOP|key for an overwrite) and New the word installed on
+// success — NOOP|key for an overwrite, the pending word (ClaimPendingCtrl)
+// for a fresh claim, which pubCAS publishes. The caller computes it from
+// its view of the table; a stale view fails the CAS and the ack says so.
 type SetClaim struct {
 	BucketAddr uint64
 	Expect     uint64
@@ -146,36 +131,40 @@ func newSetOffload(b *Builder, trig, resp *rnic.QP, maxVal uint64, arena *extent
 	return o
 }
 
-// Arm posts one set instance and returns the staging extent the
-// client's value WRITE must target. cookie tags the extent in the
-// arena (the service passes the key, which compaction later surfaces
-// to find the owning bucket). Each instance serves exactly one set;
-// re-arming models the client rewriting the registered code region
-// over RDMA (§3.5), so the set path — like pre-armed lookups —
-// survives host failures that leave the NIC alive.
+// Arm reserves the staging extent of one set instance, the target of the
+// client's value WRITE; cookie tags it in the arena (the service passes
+// the key, which compaction surfaces to find the bucket). TriggerPayload,
+// the first call that sees the claim, posts the instance. Re-arming
+// models the client rewriting the registered code region over RDMA
+// (§3.5), so sets survive host failures that leave the NIC alive.
 func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
-	b := o.B
-	m := b.Dev.Mem()
 	if o.Arena != nil {
 		staging = o.Arena.Alloc(o.MaxVal, cookie)
 	} else {
-		staging = m.Alloc(o.MaxVal, 8)
+		staging = o.B.Dev.Mem().Alloc(o.MaxVal, 8)
 	}
 	o.staging = staging
+	return staging
+}
+
+// post posts and fires the armed instance, with pubCAS iff fresh. Its
+// scatter list puts pubCAS's operands last, so an overwrite's trigger
+// payload is a prefix of a fresh claim's.
+func (o *SetOffload) post(fresh bool) {
+	b := o.B
+	m := b.Dev.Mem()
 	// args holds the 24 bytes valWr copies over the bucket's
-	// [valAddr, valLen, version]: the staging address (known now) plus
-	// the value length and the write's version, both scattered in by the
-	// trigger. Landing the version in the same WRITE as the repoint
-	// keeps [pointer, length, version] a single atomic publication — a
-	// probe chain can never observe the new version with the old extent.
-	// Buffers rotate through a fixed ring — one live instance per
-	// context — instead of growing server memory per set.
+	// [valAddr, valLen, version]: the staging address plus the value
+	// length and the write's version, both scattered in by the trigger.
+	// Landing the version in the same WRITE as the repoint keeps
+	// [pointer, length, version] a single atomic publication — a probe
+	// chain can never observe the new version with the old extent.
 	slot := o.armed % argsRing
 	if o.args[slot] == 0 {
 		o.args[slot] = m.Alloc(24, 8)
 	}
 	args := o.args[slot]
-	m.PutU64(args, staging)
+	m.PutU64(args, o.staging)
 
 	valWr := b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: args, Len: 24, Flags: wqe.FlagSignaled})
 	// valWr's control word is the claim's result buffer (the bucket's old
@@ -184,9 +173,8 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 	ack := b.Post(o.Resp, wqe.WQE{Op: wqe.OpNoop, Src: verdict, Flags: wqe.FlagSignaled})
 	claim := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Src: verdict, Flags: wqe.FlagSignaled})
 	condCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Dst: verdict, Flags: wqe.FlagSignaled})
-	pubCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
 
-	o.fire([]wqe.ScatterEntry{
+	scatter := [14]wqe.ScatterEntry{
 		{Addr: claim.FieldAddr(wqe.OffCmp), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffSwap), Len: 8},
 		{Addr: claim.FieldAddr(wqe.OffDst), Len: 8},
@@ -195,14 +183,19 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 		{Addr: valWr.FieldAddr(wqe.OffDst), Len: 8},
 		{Addr: args + 8, Len: 8},
 		{Addr: args + 16, Len: 8},
-		{Addr: pubCAS.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: pubCAS.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: pubCAS.FieldAddr(wqe.OffDst), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffCtrl), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffDst), Len: 8},
 		{Addr: ack.FieldAddr(wqe.OffLen), Len: 8},
-	}, []StepRef{claim, condCAS, valWr, pubCAS, ack})
-	return staging
+	}
+	steps, nsc, ns := [5]StepRef{claim, condCAS, valWr, ack}, 11, 4
+	if fresh {
+		pubCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
+		scatter[11] = wqe.ScatterEntry{Addr: pubCAS.FieldAddr(wqe.OffCmp), Len: 8}
+		scatter[12] = wqe.ScatterEntry{Addr: pubCAS.FieldAddr(wqe.OffSwap), Len: 8}
+		scatter[13] = wqe.ScatterEntry{Addr: pubCAS.FieldAddr(wqe.OffDst), Len: 8}
+		steps[3], steps[4], nsc, ns = pubCAS, ack, 14, 5
+	}
+	o.fire(scatter[:nsc], steps[:ns])
 }
 
 // ReleaseStaging retires the most recently armed instance's staging
@@ -220,24 +213,29 @@ func (o *SetOffload) ReleaseStaging() {
 	o.staging = 0
 }
 
-// TriggerPayload builds the client SEND payload for a set of key under
-// claim, writing valLen staged bytes at version ver and acking the
-// 8-byte verdict into the client-side ackAddr. Field order matches
-// Arm's scatter list. The publish CAS's operands derive from the claim:
-// it swaps claim.New for the published NOOP|key — a real transition for
-// fresh claims, a harmless self-swap for overwrites. ver lands in the
-// bucket's version word through the same WRITE as the repoint. The
-// result is the context's own buffer, overwritten by the next call.
+// TriggerPayload posts and fires the instance Arm reserved — a set of key
+// under claim, landing valLen staged bytes and version ver in one WRITE
+// and acking the verdict into the client-side ackAddr — and returns the
+// SEND payload that drives it, in post's scatter order. A claim that
+// installs NOOP|key (a resident overwrite) runs without pubCAS; a fresh
+// one's pubCAS swaps claim.New for NOOP|key. The result is the context's
+// own buffer, overwritten by the next call.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
-	xc := wqe.MakeCtrl(wqe.OpNoop, key&hopscotch.KeyMask)
+	xc := ClaimCtrl(key)
 	xw := wqe.MakeCtrl(wqe.OpWrite, key&hopscotch.KeyMask)
-	return o.trig.fill(
+	fresh := claim.New != xc
+	o.post(fresh)
+	f := [14]uint64{
 		claim.Expect, claim.New, claim.BucketAddr, // claim CAS
 		// The conditional flip compares against the word a successful
 		// claim REPLACED (the CAS returned it onto valWr) and arms the WRITE.
 		claim.Expect, xw,
-		claim.BucketAddr+hopscotch.OffValAddr, valLen, ver, // bucket repoint + version
-		claim.New, xc, claim.BucketAddr, // publish CAS
+		claim.BucketAddr + hopscotch.OffValAddr, valLen, ver, // bucket repoint + version
 		xw, ackAddr, 8, // ack control word, destination and length
-	)
+		claim.New, xc, claim.BucketAddr, // publish CAS (fresh claims)
+	}
+	if !fresh {
+		return o.trig.fill(f[:11]...)
+	}
+	return o.trig.fill(f[:]...)
 }

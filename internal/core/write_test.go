@@ -129,7 +129,10 @@ func bucketStates(key uint64) map[string][4]uint64 {
 // when the bucket held claim.Expect, in which case the bucket ends
 // published and repointed at the staging extent and the ack carries
 // WRITE|key; refused otherwise, the ack carrying the word that was in
-// the way and the pointer words untouched.
+// the way and the pointer words untouched. Every bucket word meets both
+// shapes: an overwrite (no pubCAS) and a fresh claim. A refused
+// overwrite posts nothing that could write the bucket, so it must leave
+// all four words as they were.
 func TestSetChainVerdicts(t *testing.T) {
 	const key = 42
 	pending, resident := ClaimPendingCtrl(key), ClaimCtrl(key)
@@ -151,6 +154,9 @@ func TestSetChainVerdicts(t *testing.T) {
 		{"fresh claim of a taken bucket", "foreign", 0, pending, false},
 		{"overwrite of a deleted key", "tombstone", resident, resident, false},
 		{"overwrite of a vanished key", "empty", resident, resident, false},
+		{"overwrite of a key mid-claim", "pending", resident, resident, false},
+		{"overwrite of a taken bucket", "foreign", resident, resident, false},
+		{"fresh claim of a resident key", "resident", 0, pending, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -182,6 +188,9 @@ func TestSetChainVerdicts(t *testing.T) {
 			}
 			if after[1] != before[1] || after[2] != before[2] || after[3] != before[3] {
 				t.Fatalf("refused claim moved the bucket's pointer words: %#x -> %#x", before, after)
+			}
+			if c.install == resident && after != before {
+				t.Fatalf("refused overwrite changed the bucket: %#x -> %#x", before, after)
 			}
 			if len(run.conds) != 1 || run.conds[0] != wqe.OpNoop {
 				t.Fatalf("valWr executed as %v under bucket word %#x, want one NOOP", run.conds, before[0])

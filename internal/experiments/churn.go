@@ -134,20 +134,32 @@ func churnRun(requests int) *Result {
 	r.metric("gc_stale", float64(st.GCStale))
 	r.metric("fabric_deletes", float64(st.FabricDeletes))
 	r.metric("host_deletes", float64(st.HostDeletes))
-	// Throughput parity against the delete-free baseline. Gets are the
-	// same fraction of both mixes, so gets/s compares directly; sets
-	// are HALF the churn mix (deletes take the other half of the write
-	// slots), so sets compare by latency and by total operation rate,
-	// not by sets/s.
+	opsPerSec := func(rep workload.LoadReport) float64 {
+		if rep.Elapsed <= 0 {
+			return 0
+		}
+		return float64(rep.Gets+rep.Sets+rep.Dels) / rep.Elapsed.Seconds()
+	}
+	// What the lifecycle machinery costs, like for like: the arena run
+	// against the leak-forever run on the identical op stream, where
+	// reclamation and compaction are the only difference.
+	if leak.GetsPerSec > 0 {
+		r.metric("lifecycle_get_ratio", churn.GetsPerSec/leak.GetsPerSec)
+	}
+	if lo := opsPerSec(leak); lo > 0 {
+		r.metric("lifecycle_ops_ratio", opsPerSec(churn)/lo)
+	}
+	// The churn mix against the delete-free one, reported: gets are the
+	// same fraction of both mixes, so gets/s compares directly; sets are
+	// HALF the churn mix (deletes take the other half of the write
+	// slots), so sets compare by latency and by total operation rate.
+	// Not a lifecycle cost: the mixes differ, and an overwrite is a
+	// cheaper chain than a delete or a fresh claim.
 	if base.GetsPerSec > 0 {
 		r.metric("churn_get_ratio", churn.GetsPerSec/base.GetsPerSec)
 	}
-	if base.Elapsed > 0 && churn.Elapsed > 0 {
-		baseOps := float64(base.Gets+base.Sets) / base.Elapsed.Seconds()
-		churnOps := float64(churn.Gets+churn.Sets+churn.Dels) / churn.Elapsed.Seconds()
-		if baseOps > 0 {
-			r.metric("churn_ops_ratio", churnOps/baseOps)
-		}
+	if bo := opsPerSec(base); bo > 0 {
+		r.metric("churn_ops_ratio", opsPerSec(churn)/bo)
 	}
 	if base.SetP50 > 0 {
 		r.metric("churn_set_p50_ratio", float64(churn.SetP50)/float64(base.SetP50))

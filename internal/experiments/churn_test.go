@@ -41,14 +41,15 @@ func TestChurnGate(t *testing.T) {
 	if de := r.Metrics["churn_del_errs"]; de != 0 {
 		t.Fatalf("%.0f deletes failed their quorum on a healthy cluster", de)
 	}
-	// The lifecycle machinery must not tax the mixed workload: gets
-	// (same fraction of both mixes) and total operation rate within 10%
-	// of the delete-free baseline, and set latency not inflated.
-	if gr := r.Metrics["churn_get_ratio"]; gr < 0.9 {
-		t.Fatalf("churn gets at %.2fx the delete-free baseline, want >= 0.9", gr)
+	// The lifecycle machinery must not tax the mix: gets and total
+	// operation rate within 1% of the leak-forever run on the identical
+	// op stream (reclamation and compaction are the only difference),
+	// and set latency not inflated against the delete-free baseline.
+	if gr := r.Metrics["lifecycle_get_ratio"]; gr < 0.99 {
+		t.Fatalf("churn gets at %.4fx the leak-forever run, want >= 0.99", gr)
 	}
-	if or := r.Metrics["churn_ops_ratio"]; or < 0.9 {
-		t.Fatalf("churn total ops at %.2fx the delete-free baseline, want >= 0.9", or)
+	if or := r.Metrics["lifecycle_ops_ratio"]; or < 0.99 {
+		t.Fatalf("churn total ops at %.4fx the leak-forever run, want >= 0.99", or)
 	}
 	if pr := r.Metrics["churn_set_p50_ratio"]; pr > 1.25 {
 		t.Fatalf("churn set p50 %.2fx the delete-free baseline, want <= 1.25", pr)

@@ -14,7 +14,7 @@ import (
 // history below: op, key, verdict and virtual completion time. Virtual
 // time is deterministic for a seed, so any change that moves one WR,
 // one QP's PU placement or one event's order moves this value.
-const exactHistoryHash = 0xe7e5c11244303c3b
+const exactHistoryHash = 0xd80b4fea9e97805b
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {
