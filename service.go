@@ -1495,9 +1495,12 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 }
 
 // maybeCache admits a sufficiently hot value g read to the client-side
-// cache, unless a set raced the read (one was unsettled when the get was
-// issued, or the key's write epoch moved since — admitting would install
-// a stale value that write-through could never fix).
+// cache, unless a write raced the read: one was unsettled when the get
+// was issued (the read may have come from an owner that had not applied
+// it), or one was issued since (the key's write epoch moved). Either way
+// admitting would install a stale value that write-through could never
+// fix. Together the two cover every write still unsettled at completion:
+// a write bumps the epoch in the same step that counts it unsettled.
 func (s *Service) maybeCache(g *getOp, val []byte) {
 	key := g.key
 	if s.cache == nil || s.hot == nil || uint64(len(val)) < g.valLen {
@@ -1509,12 +1512,6 @@ func (s *Service) maybeCache(g *getOp, val []byte) {
 	// A resharding started (or finished) while this get was in flight:
 	// the value may have been read from an owner that just lost the key.
 	if g.gen != s.cacheGen {
-		return
-	}
-	// While any write to the key is unsettled, this read may have come
-	// from a replica that has not applied it yet — admitting it would
-	// let the stale bytes outlive the replication lag.
-	if s.unsettled[key] > 0 {
 		return
 	}
 	if _, ok := s.cache[key]; ok {
