@@ -4,9 +4,11 @@ import "testing"
 
 // The hot-key acceptance property: on the 8-shard Zipfian (s = 1.1)
 // workload that capped PR 1's scale-out, replica-read spreading plus
-// the client-side hot-key cache must at least double throughput over
-// the read-primary baseline measured in the same run. (Measured
-// headroom is ~3.2x; 2x is the floor.)
+// the client-side hot-key cache must more than triple throughput over
+// the read-primary baseline measured in the same run. (Measured 3.52x
+// at 8 000 requests, with 0.52 of gets served by the cache. A tracker
+// the size of the cache, with hot-spread judging hotness after the
+// get's own access, gave 3.18x and 0.42.)
 func TestHotKeySpeedup(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -19,15 +21,16 @@ func TestHotKeySpeedup(t *testing.T) {
 	if baseline <= 0 || spread <= 0 || cached <= 0 {
 		t.Fatalf("missing metrics: baseline=%v spread=%v cached=%v", baseline, spread, cached)
 	}
-	if x := cached / baseline; x < 2 {
-		t.Fatalf("hot-spread+cache speedup %.2fx, want >= 2x (baseline %.0f/s, cached %.0f/s)",
+	t.Logf("cached/baseline %.2fx, cache hit fraction %.3f", cached/baseline, r.Metrics["cache_hit_fraction"])
+	if x := cached / baseline; x < 3.3 {
+		t.Fatalf("hot-spread+cache speedup %.2fx, want >= 3.3x (baseline %.0f/s, cached %.0f/s)",
 			x, baseline, cached)
 	}
 	// Spreading alone must already relieve the hot shard.
 	if x := spread / baseline; x < 1.1 {
 		t.Fatalf("round-robin replica reads %.2fx baseline, want >= 1.1x", x)
 	}
-	if f := r.Metrics["cache_hit_fraction"]; f < 0.2 || f > 0.95 {
+	if f := r.Metrics["cache_hit_fraction"]; f < 0.48 || f > 0.95 {
 		t.Fatalf("cache hit fraction %.2f outside plausible Zipfian range", f)
 	}
 }

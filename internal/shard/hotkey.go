@@ -8,13 +8,16 @@ package shard
 // plus one (the classic overestimate that guarantees every key with
 // true frequency above min is tracked).
 //
-// k runs to the thousands (the benchmark tracks 1024 keys) and under
-// a uniform or long-tailed stream most accesses miss, so the counters
-// are indexed by a min-heap on (count, key): the victim is the root, a
-// miss costs O(log k) and a hit one sift. A counter stays in its slot
-// of ents while its key is tracked and records its own heap index, so a
-// sift writes two arrays and the map is touched once per hit, three
-// times per eviction. Not safe for concurrent use; the simulation
+// A cached value lives only while its key holds a counter, and k
+// counters keep only keys above ~1/k of the stream, so the service sizes
+// the sketch from its cache: four counters per cache entry. k runs to
+// the thousands (the benchmark's 1024-entry cache tracks 4096 keys),
+// and under a uniform or long-tailed stream most accesses miss, so the
+// counters are indexed by a min-heap on (count, key): the victim is the
+// root, a miss costs O(log k) and a hit one sift. A counter stays in its
+// slot of ents while its key is tracked and records its own heap index,
+// so a sift writes two arrays and the map is touched once per hit,
+// three times per eviction. Not safe for concurrent use; the simulation
 // engine is single-threaded.
 type HotKeys struct {
 	k    int

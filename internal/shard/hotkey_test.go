@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -147,5 +148,56 @@ func TestHotKeysMatchesLinearScan(t *testing.T) {
 			}
 			t.Logf("%s k=%d: %d evictions agree", name, k, evictions)
 		}
+	}
+}
+
+// The service sizes its tracker at four counters per cache entry
+// because a k-counter sketch keeps only keys above ~1/k of the stream: a
+// sketch the size of the cache loses half the hot set the cache should
+// hold, and a cached value lives only while its key holds a counter.
+// On a Zipf 1.1 stream over 10 K keys, 4·1024 counters track all of
+// the true top-1024 and 1024 counters under 60 % of it (0.504 measured;
+// 2·1024 hold 0.818).
+func TestHotKeysSizedForTopC(t *testing.T) {
+	const (
+		draws = 400_000
+		keys  = 10_000
+		top   = 1024
+	)
+	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, keys-1)
+	stream := make([]uint64, draws)
+	freq := make(map[uint64]int, keys)
+	for i := range stream {
+		stream[i] = z.Uint64()
+		freq[stream[i]]++
+	}
+	ranked := make([]uint64, 0, len(freq))
+	for k := range freq {
+		ranked = append(ranked, k)
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		a, b := ranked[i], ranked[j]
+		return freq[a] > freq[b] || (freq[a] == freq[b] && a < b)
+	})
+	held := func(k int) float64 {
+		h := NewHotKeys(k)
+		for _, key := range stream {
+			h.Touch(key)
+		}
+		n := 0
+		for _, key := range ranked[:top] {
+			if h.Tracked(key) {
+				n++
+			}
+		}
+		return float64(n) / top
+	}
+	if f := held(4 * top); f != 1 {
+		t.Fatalf("a %d-counter sketch holds %.3f of the true top-%d, want all of it", 4*top, f, top)
+	}
+	if f := held(top); f >= 0.6 {
+		t.Fatalf("a %d-counter sketch holds %.3f of the true top-%d, want under 0.6", top, f, top)
+	} else {
+		t.Logf("a %d-counter sketch holds %.3f of the true top-%d", top, f, top)
 	}
 }

@@ -216,7 +216,9 @@ func TestServiceReadSpreading(t *testing.T) {
 }
 
 // Hot-spread routes only tracked-hot keys off their primary; a
-// once-touched cold key stays put.
+// once-touched cold key stays put. Hotness is judged before the get's
+// own access: judged after it, every key would be tracked and
+// hot-spread would be round-robin.
 func TestServiceHotSpreadColdStaysPrimary(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 4, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
@@ -232,17 +234,25 @@ func TestServiceHotSpreadColdStaysPrimary(t *testing.T) {
 		}
 	}
 	const hot = 7
+	gets := map[uint64]uint64{}
 	for i := 0; i < 400; i++ {
 		k := keys[i%len(keys)]
 		if i%2 == 1 {
 			k = hot
 		}
+		gets[k]++
 		s.GetAsync(k, 64, func(_ []byte, _ Duration, _ bool) {})
 	}
 	s.Flush()
 	s.Run()
-	// The hot key's three owners all served it; total spread across the
-	// cluster stays bounded (cold keys kept primary routing).
+	// Primary routing predicts each shard's cold gets exactly; whatever
+	// a shard served beyond that is the hot key's.
+	cold := map[string]uint64{}
+	for k, n := range gets {
+		if k != hot {
+			cold[s.Owners(k)[0]] += n
+		}
+	}
 	hotOwners := map[string]bool{}
 	for _, id := range s.Owners(hot) {
 		hotOwners[id] = true
@@ -250,10 +260,26 @@ func TestServiceHotSpreadColdStaysPrimary(t *testing.T) {
 	if len(hotOwners) != 3 {
 		t.Fatalf("hot key has %d owners, want 3", len(hotOwners))
 	}
+	var hotServed uint64
 	for _, sh := range s.Stats().Shards {
-		if hotOwners[sh.ID] && sh.Gets < 40 {
-			t.Fatalf("hot owner %s served only %d gets; hot key not spread", sh.ID, sh.Gets)
+		if sh.Gets < cold[sh.ID] {
+			t.Fatalf("%s served %d gets, fewer than the %d cold gets it is primary for; cold keys left their primary",
+				sh.ID, sh.Gets, cold[sh.ID])
 		}
+		extra := sh.Gets - cold[sh.ID]
+		if !hotOwners[sh.ID] && extra != 0 {
+			t.Fatalf("%s owns no replica of the hot key but served %d gets beyond its %d cold ones",
+				sh.ID, extra, cold[sh.ID])
+		}
+		// The hot key's gets split about evenly over its three owners.
+		if hotOwners[sh.ID] && (extra < gets[hot]/3-5 || extra > gets[hot]/3+5) {
+			t.Fatalf("hot owner %s served %d of the hot key's %d gets, want about a third (cold %d)",
+				sh.ID, extra, gets[hot], cold[sh.ID])
+		}
+		hotServed += extra
+	}
+	if hotServed != gets[hot] {
+		t.Fatalf("shards served %d gets beyond their cold ones, want the hot key's %d", hotServed, gets[hot])
 	}
 }
 
