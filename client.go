@@ -270,11 +270,11 @@ type opPipeline struct {
 	respPer uint64 // signaled response completions per executed instance
 	qp      *rnic.QP
 
-	// Per slot: the server-side offload context, and the client buffers
-	// its chain reads and writes — the trigger payload, the response
-	// landing (get value, write ack, probe version) and, on the set path,
-	// the value the chain stages.
-	ctxs            []slotCtx
+	// The server-side offload contexts, one per slot, and per slot the
+	// client buffers its chain reads and writes — the trigger payload,
+	// the response landing (get value, write ack, probe version) and, on
+	// the set path, the value the chain stages.
+	pool            slotPool
 	trig, resp, val []uint64
 
 	free    []int
@@ -323,36 +323,29 @@ type opPipeline struct {
 	posted   []*pipeReq
 	lastRcpt *telemetry.Receipt
 
-	trTracks []string // per-slot trace track names, precomputed
+	// Trace track names, built once when a tracer is attached: one per
+	// slot, plus the doorbell and window-cut instant tracks.
+	trTracks          []string
+	trDoorbell, trCut string
 
-	// Per-op hooks: arm arms the slot's offload context, posts any WR
-	// that must precede the trigger SEND and returns the trigger payload;
-	// verdict reads whether the answer that just landed says applied (nil
-	// = every answer does); deliver runs the typed callback, reading any
-	// completion payload from client memory (slotValid false = the
-	// request never reached a slot); release runs op lifecycle after the
-	// slot decision (executed = the chain ran).
-	arm     func(req *pipeReq) []byte
+	// Per-op hooks: arm arms the slot's offload context to answer into
+	// resp, posts any WR that must precede the trigger SEND and returns
+	// the trigger payload; verdict reads whether the answer that just
+	// landed says applied (nil = every answer does); deliver runs the
+	// typed callback, reading any completion payload from client memory
+	// (slotValid false = the request never reached a slot); release runs
+	// op lifecycle after the slot decision (executed = the chain ran).
+	arm     func(req *pipeReq, resp uint64) []byte
 	verdict func(req *pipeReq) bool
 	deliver func(req *pipeReq, lat Duration, ok, slotValid bool)
 	release func(req *pipeReq, ok, executed bool)
 }
 
-// slotCtx is what a pipeline asks of a slot's server-side context
-// beyond arming it: trace, receipt and profiler tagging.
-type slotCtx interface {
-	SetTraceOp(op uint64)
-	SetReceipt(r *telemetry.Receipt)
+// slotPool is what a pipeline asks of its server-side core.Pool beyond
+// arming a slot's context: trace, receipt and profiler tagging.
+type slotPool interface {
+	Tag(slot int, op uint64, r *telemetry.Receipt)
 	SetProfClass(class string)
-}
-
-// slotCtxs lists a pool's contexts by slot.
-func slotCtxs[C slotCtx](pool *core.Pool[C]) []slotCtx {
-	ctxs := make([]slotCtx, len(pool.Ctxs))
-	for i, ctx := range pool.Ctxs {
-		ctxs[i] = ctx
-	}
-	return ctxs
 }
 
 // newPipeline builds the op-agnostic skeleton; the caller wires the
@@ -514,14 +507,12 @@ func (p *opPipeline) issue(req *pipeReq) {
 // post tags the slot's context for tracing and provenance, arms it
 // through the op's hook, and posts the trigger SEND (doorbell-less).
 func (p *opPipeline) post(req *pipeReq) {
-	ctx := p.ctxs[req.slot]
-	if p.c.tr.Enabled() {
-		ctx.SetTraceOp(req.op)
-	}
 	if p.rcpts != nil {
-		ctx.SetReceipt(&p.rcpts[req.slot])
+		p.pool.Tag(req.slot, req.op, &p.rcpts[req.slot])
+	} else if p.c.tr.Enabled() {
+		p.pool.Tag(req.slot, req.op, nil)
 	}
-	payload := p.arm(req)
+	payload := p.arm(req, p.resp[req.slot])
 	trig := p.trig[req.slot]
 	p.c.node.Mem.Write(trig, payload)
 	p.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: trig, Len: uint64(len(payload))})
@@ -599,7 +590,7 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 	// either cuts once per epoch. A clean answer, ack or refusal, grows it.
 	if req.timed || p.win.marked(backlog) {
 		if p.win.cut(req.seq, p.seq, !req.timed) && c.tr.Enabled() {
-			c.tr.Instant(c.trLabel, "wcut:"+p.name, req.op)
+			c.tr.Instant(c.trLabel, p.trCut, req.op)
 		}
 	} else {
 		p.win.onAck()
@@ -717,6 +708,7 @@ func (c *Client) SetTracer(tr *telemetry.Tracer, label string) {
 	}
 	for _, p := range c.pipes {
 		p.trTracks = make([]string, c.depth)
+		p.trDoorbell, p.trCut = "doorbell:"+p.name, "wcut:"+p.name
 		for i := 0; i < c.depth; i++ {
 			p.trTracks[i] = fmt.Sprintf("%s/slot%d", p.name, i)
 		}
@@ -861,16 +853,16 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 		switch p.op {
 		case OpGet:
 			c.gets = core.NewLookupPool(srv.builder, srvQP, resp, resp2, nil, mode)
-			p.ctxs = slotCtxs(c.gets)
+			p.pool = c.gets
 		case OpSet:
 			c.sets = core.NewSetPool(srv.builder, srvQP, resp, maxVal, arena)
-			p.ctxs = slotCtxs(c.sets)
+			p.pool = c.sets
 		case OpDelete:
 			c.dels = core.NewDeletePool(srv.builder, srvQP, resp)
-			p.ctxs = slotCtxs(c.dels)
+			p.pool = c.dels
 		case OpProbe:
 			c.prbs = core.NewProbePool(srv.builder, srvQP, resp)
-			p.ctxs = slotCtxs(c.prbs)
+			p.pool = c.prbs
 		}
 		for i := range resp {
 			p.subscribe(i, resp[i])
@@ -884,9 +876,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 		// and SENDs whose remote grants (server PCIe) should attribute to
 		// the class too. Costs nothing until a Device has a profiler
 		// attached.
-		for _, ctx := range p.ctxs {
-			ctx.SetProfClass(p.name)
-		}
+		p.pool.SetProfClass(p.name)
 		cliQP.SetProfClass(p.name)
 	}
 	c.wireHooks()
@@ -897,12 +887,10 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 // payload on delivery, and post-release lifecycle.
 func (c *Client) wireHooks() {
 	// ---- get ----
-	c.get.arm = func(req *pipeReq) []byte {
-		ctx, resp := c.gets.Ctxs[req.slot], c.get.resp[req.slot]
-		ctx.Arm()
-		// Clear the response slot so misses are observable.
-		c.node.Mem.Write(resp, c.zero[:req.valLen])
-		return ctx.TriggerPayload(req.key, req.valLen, resp)
+	c.get.arm = func(req *pipeReq, resp uint64) []byte {
+		c.node.Mem.Write(resp, c.zero[:req.valLen]) // so misses are observable
+		c.gets.Ctxs[req.slot].Arm()
+		return c.gets.Ctxs[req.slot].TriggerPayload(req.key, req.valLen, resp)
 	}
 	c.get.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.getCB == nil {
@@ -916,7 +904,7 @@ func (c *Client) wireHooks() {
 	}
 
 	// ---- set ----
-	c.set.arm = func(req *pipeReq) []byte {
+	c.set.arm = func(req *pipeReq, ack uint64) []byte {
 		ctx, val := c.sets.Ctxs[req.slot], c.set.val[req.slot]
 		req.staging = ctx.Arm(req.key)
 		c.node.Mem.Write(val, req.val)
@@ -924,7 +912,7 @@ func (c *Client) wireHooks() {
 		// trigger SEND fires the claim chain.
 		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: val, Dst: req.staging,
 			Len: uint64(len(req.val))})
-		return ctx.TriggerPayload(req.key, req.sclaim, uint64(len(req.val)), req.ver, c.set.resp[req.slot])
+		return ctx.TriggerPayload(req.key, req.sclaim, uint64(len(req.val)), req.ver, ack)
 	}
 	// A write chain's ack carries the verdict: WRITE|key iff it applied.
 	applied := func(req *pipeReq) bool {
@@ -958,10 +946,9 @@ func (c *Client) wireHooks() {
 	}
 
 	// ---- delete ----
-	c.del.arm = func(req *pipeReq) []byte {
-		ctx := c.dels.Ctxs[req.slot]
-		ctx.Arm()
-		return ctx.TriggerPayload(req.key, req.bucket, req.ver, c.del.resp[req.slot])
+	c.del.arm = func(req *pipeReq, ack uint64) []byte {
+		c.dels.Ctxs[req.slot].Arm()
+		return c.dels.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, req.ver, ack)
 	}
 	c.del.verdict, c.del.deliver = applied, acked
 	c.del.release = func(req *pipeReq, ok, executed bool) {
@@ -979,11 +966,10 @@ func (c *Client) wireHooks() {
 	}
 
 	// ---- probe ----
-	c.prb.arm = func(req *pipeReq) []byte {
-		ctx, resp := c.prbs.Ctxs[req.slot], c.prb.resp[req.slot]
-		ctx.Arm()
+	c.prb.arm = func(req *pipeReq, resp uint64) []byte {
 		c.node.Mem.PutU64(resp, 0)
-		return ctx.TriggerPayload(req.key, req.bucket, resp)
+		c.prbs.Ctxs[req.slot].Arm()
+		return c.prbs.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, resp)
 	}
 	c.prb.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
 		if req.prbCB == nil {
@@ -1082,7 +1068,7 @@ func (c *Client) Flush() {
 			}
 			p.qp.RingSQ()
 			if c.tr.Enabled() {
-				c.tr.Instant(c.trLabel, "doorbell:"+p.name, 0)
+				c.tr.Instant(c.trLabel, p.trDoorbell, 0)
 			}
 		}
 	}
@@ -1219,14 +1205,14 @@ func (c *Client) setAsyncReq(key uint64, value []byte, claim core.SetClaim, ver 
 // ack lands (or MissTimeout on a dead connection). It returns the
 // observed latency and whether the NIC applied the write.
 func (c *Client) Set(key uint64, value []byte) (Duration, bool) {
-	var (
-		lat  Duration
-		ok   bool
-		done bool
-	)
-	c.SetAsync(key, value, func(l Duration, acked bool) {
-		lat, ok, done = l, acked, true
-	})
+	return c.awaitAck(func(cb func(Duration, bool)) { c.SetAsync(key, value, cb) })
+}
+
+// awaitAck issues one write through issue and advances the simulation
+// until its callback runs.
+func (c *Client) awaitAck(issue func(cb func(lat Duration, ok bool))) (lat Duration, ok bool) {
+	done := false
+	issue(func(l Duration, acked bool) { lat, ok, done = l, acked, true })
 	c.Flush()
 	c.tb.stepUntil(&done)
 	return lat, ok
@@ -1298,17 +1284,7 @@ func (c *Client) DrainFreed() int {
 // the ack lands (or MissTimeout on a dead connection). It returns the
 // observed latency and whether the NIC applied the retirement.
 func (c *Client) Delete(key uint64) (Duration, bool) {
-	var (
-		lat  Duration
-		ok   bool
-		done bool
-	)
-	c.DeleteAsync(key, func(l Duration, acked bool) {
-		lat, ok, done = l, acked, true
-	})
-	c.Flush()
-	c.tb.stepUntil(&done)
-	return lat, ok
+	return c.awaitAck(func(cb func(Duration, bool)) { c.DeleteAsync(key, cb) })
 }
 
 // ---- probe path ----

@@ -22,8 +22,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"repro/internal/mem"
 	"repro/internal/rnic"
 	"repro/internal/wqe"
@@ -106,32 +104,20 @@ func (b *Builder) NewManagedQP(depth int) *rnic.QP {
 	return b.Dev.NewLoopbackQP(rnic.QPConfig{SQDepth: depth, RQDepth: 1, Managed: true, Port: b.Port})
 }
 
-// NewManagedQPOnPU is NewManagedQP with explicit PU placement (-1 lets
-// the port round-robin; pool contexts use it to spread chains over the
-// NIC's processing units, the Table 3/4 throughput-scaling idiom).
-func (b *Builder) NewManagedQPOnPU(depth, pu int) *rnic.QP {
-	return b.Dev.NewLoopbackQP(rnic.QPConfig{SQDepth: depth, RQDepth: 1, Managed: true, Port: b.Port, PU: pu})
-}
-
 // NewQP allocates an unmanaged loopback queue (for verbs that are
 // never modified after posting, e.g. standalone atomics).
 func (b *Builder) NewQP(depth int) *rnic.QP {
 	return b.Dev.NewLoopbackQP(rnic.QPConfig{SQDepth: depth, RQDepth: 1, Port: b.Port})
 }
 
-// NewQPOnPU is NewQP with explicit PU placement (-1 round-robins).
-func (b *Builder) NewQPOnPU(depth, pu int) *rnic.QP {
-	return b.Dev.NewLoopbackQP(rnic.QPConfig{SQDepth: depth, RQDepth: 1, Port: b.Port, PU: pu})
-}
-
-// SubBuilder returns a builder emitting control verbs on a fresh
-// unmanaged control queue (optionally PU-placed) while sharing this
+// subBuilder returns a builder emitting control verbs on a fresh
+// unmanaged control queue on PU pu (-1 round-robins) while sharing this
 // builder's expected-completion bookkeeping. Independent chain contexts
 // (a Pool's) sequence through sub-builders so one context's WAITs never
 // block another's, yet RECV arrival targets on a shared trigger queue
 // stay globally consistent.
-func (b *Builder) SubBuilder(ctrlDepth, pu int) *Builder {
-	return b.withCtrl(b.NewQPOnPU(ctrlDepth, pu))
+func (b *Builder) subBuilder(ctrlDepth, pu int) *Builder {
+	return b.withCtrl(b.Dev.NewLoopbackQP(rnic.QPConfig{SQDepth: ctrlDepth, RQDepth: 1, Port: b.Port, PU: pu}))
 }
 
 // withCtrl returns a shallow copy of the builder that emits control
@@ -228,30 +214,10 @@ func (b *Builder) Run() { b.Ctrl.RingSQ() }
 // (useful for composing custom WAIT counts).
 func (b *Builder) Expected(cq *rnic.CQ) uint64 { return b.expect[cq.CQN()] }
 
-// BumpExpected advances the expected-completion counter for cq by n,
-// for completions generated outside Post (e.g. recycled iterations).
-func (b *Builder) BumpExpected(cq *rnic.CQ, n uint64) { b.expect[cq.CQN()] += n }
-
 // RegisterCodeRegion registers a QP's ring memory for RDMA access, as
 // RedN does for code regions (§3.5): WQE self-modification requires the
 // rings to be remotely addressable, protected by rkeys.
 func (b *Builder) RegisterCodeRegion(qp *rnic.QP) (*mem.Region, error) {
 	wq := qp.SQ()
 	return b.Dev.Mem().Register(wq.Base(), wq.Capacity()*wqe.Size, mem.RemoteAll)
-}
-
-// triggerBuf is the buffer an offload context builds its trigger
-// payloads in. A context serves one request at a time and its client
-// copies the payload into registered memory before asking for the next,
-// so one buffer per context, overwritten by every TriggerPayload, takes
-// the allocation out of the per-op path.
-type triggerBuf []byte
-
-func (t *triggerBuf) fill(fields ...uint64) []byte {
-	buf := (*t)[:0]
-	for _, f := range fields {
-		buf = binary.BigEndian.AppendUint64(buf, f)
-	}
-	*t = buf
-	return buf
 }

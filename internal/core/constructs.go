@@ -37,17 +37,29 @@ const OperandMask = wqe.IDMask
 // WAIT that orders the CAS after its inputs (e.g. WaitRecv when the
 // client injects x or y).
 func (b *Builder) If(casQP *rnic.QP, target StepRef, y uint64, swapOp wqe.Opcode) IfResult {
-	cas := b.Post(casQP, wqe.WQE{
-		Op:    wqe.OpCAS,
-		Dst:   target.FieldAddr(wqe.OffCtrl),
-		Cmp:   wqe.MakeCtrl(wqe.OpNoop, y&OperandMask),
-		Swap:  wqe.MakeCtrl(swapOp, y&OperandMask),
-		Flags: wqe.FlagSignaled,
-	})
-	b.Enable(cas)    // doorbell order: fetch the CAS only now (operands final)
+	return b.ifThen(casQP, target, y, swapOp, true)
+}
+
+// ifThen is If, optionally skipping the CAS's own ENABLE (when an
+// earlier staging ENABLE grants it instead).
+func (b *Builder) ifThen(casQP *rnic.QP, target StepRef, y uint64, swapOp wqe.Opcode, enableCAS bool) IfResult {
+	cas := b.cond(casQP, target.FieldAddr(wqe.OffCtrl),
+		wqe.MakeCtrl(wqe.OpNoop, y&OperandMask), wqe.MakeCtrl(swapOp, y&OperandMask), 0)
+	if enableCAS {
+		b.Enable(cas) // doorbell order: fetch the CAS only now (operands final)
+	}
 	b.WaitStep(cas)  // completion order: CAS effects visible
 	b.Enable(target) // fetch the (possibly rewritten) target
 	return IfResult{CAS: cas, Target: target}
+}
+
+// cond posts the conditional itself: a signaled CAS on q comparing the
+// word at dst with cmp and, on a match, swapping in swap, the word it
+// found landing at ret (0: nowhere). Offloads aim it at a NOOP's control
+// word or at a bucket's key word (a NOOP too, by hopscotch's layout) and
+// leave the operands their trigger injects zero.
+func (b *Builder) cond(q *rnic.QP, dst, cmp, swap, ret uint64) StepRef {
+	return b.Post(q, wqe.WQE{Op: wqe.OpCAS, Src: ret, Dst: dst, Cmp: cmp, Swap: swap, Flags: wqe.FlagSignaled})
 }
 
 // IfChain compares an operand wider than 48 bits, one CAS per 48-bit
@@ -96,13 +108,8 @@ func (b *Builder) IfChain(casQP *rnic.QP, stageQPs []*rnic.QP, target StepRef,
 			Peer:  casQP.QPN(),
 			Count: casBase + uint64(i) + 2, // grants CAS_{i+1}
 		})
-		cas := b.Post(casQP, wqe.WQE{
-			Op:    wqe.OpCAS,
-			Dst:   s.FieldAddr(wqe.OffCtrl),
-			Cmp:   wqe.MakeCtrl(wqe.OpNoop, ySegs[i]&OperandMask),
-			Swap:  wqe.MakeCtrl(wqe.OpEnable, ySegs[i]&OperandMask),
-			Flags: wqe.FlagSignaled,
-		})
+		cas := b.cond(casQP, s.FieldAddr(wqe.OffCtrl),
+			wqe.MakeCtrl(wqe.OpNoop, ySegs[i]&OperandMask), wqe.MakeCtrl(wqe.OpEnable, ySegs[i]&OperandMask), 0)
 		if i == 0 {
 			b.Enable(cas) // first CAS enabled by the program; rest by stages
 		}
@@ -113,27 +120,9 @@ func (b *Builder) IfChain(casQP *rnic.QP, stageQPs []*rnic.QP, target StepRef,
 	// Final segment: ordinary If on the real target. Its CAS is the
 	// n-th on casQP, granted by stage n-2's ENABLE (or the initial
 	// Enable when n == 1). If posts and waits it.
-	final := b.ifWithoutEnable(casQP, target, ySegs[n-1], swapOp, n == 1)
+	final := b.ifThen(casQP, target, ySegs[n-1], swapOp, n == 1)
 	stages = append(stages, final)
 	return stages
-}
-
-// ifWithoutEnable is If, optionally skipping the CAS's own ENABLE
-// (when an earlier staging ENABLE grants it instead).
-func (b *Builder) ifWithoutEnable(casQP *rnic.QP, target StepRef, y uint64, swapOp wqe.Opcode, enableCAS bool) IfResult {
-	cas := b.Post(casQP, wqe.WQE{
-		Op:    wqe.OpCAS,
-		Dst:   target.FieldAddr(wqe.OffCtrl),
-		Cmp:   wqe.MakeCtrl(wqe.OpNoop, y&OperandMask),
-		Swap:  wqe.MakeCtrl(swapOp, y&OperandMask),
-		Flags: wqe.FlagSignaled,
-	})
-	if enableCAS {
-		b.Enable(cas)
-	}
-	b.WaitStep(cas)
-	b.Enable(target)
-	return IfResult{CAS: cas, Target: target}
 }
 
 // PostBreak posts the break construct (§3.4, Fig 6): a NOOP that, once

@@ -84,10 +84,30 @@ type DeleteOffload struct {
 	w2 *rnic.QP // managed chain ring: claim, conditional arm, verdict copy, tombstone
 	w3 *rnic.QP // managed ring for the unlink + version WRITEs
 
-	// args is a small rotating ring of 8-byte version words (one per
-	// in-flight-or-straggling instance), the verWr source — same idiom
-	// as the set chain's args buffers.
-	args [argsRing]uint64
+	args [argsRing]uint64 // the instances' version words (chain.argsBuf)
+}
+
+// A delete's steps after the claim and its conditional, in sequencing
+// order.
+const (
+	dlUnlink = iota + wCond + 1
+	dlVerRead
+	dlVerWr
+	dlTomb
+	dlAck
+)
+
+// deleteLayout is the delete's trigger layout. The claim expects
+// NOOP|key (the live occupant) and installs the per-key pending word
+// (opNew), which the tombstone CAS then retires.
+var deleteLayout = []slot{
+	{wClaim, wqe.OffCmp, opNoop}, {wClaim, wqe.OffSwap, opNew}, {wClaim, wqe.OffDst, opBucket},
+	// The conditional arm compares against the word a successful claim REPLACED.
+	{wCond, wqe.OffCmp, opNoop}, {wCond, wqe.OffSwap, opWrite},
+	{dlUnlink, wqe.OffSrc, opBucket}, // [keyCtrl, valAddr, valLen]
+	{argsWord, 0, opVer}, {dlVerWr, wqe.OffDst, opVerAddr},
+	{dlTomb, wqe.OffCmp, opNew}, {dlTomb, wqe.OffSwap, opTomb}, {dlTomb, wqe.OffDst, opBucket},
+	{dlAck, wqe.OffCtrl, opWrite}, {dlAck, wqe.OffDst, opResp}, {dlAck, wqe.OffLen, opAckLen},
 }
 
 // NewDeletePool builds K = len(resp) delete contexts over the trig
@@ -115,68 +135,28 @@ func newDeleteOffload(b *Builder, trig, resp *rnic.QP, ring *extent.FreeRing, sl
 // the registered code region over RDMA (§3.5), exactly like sets.
 func (o *DeleteOffload) Arm() {
 	b := o.B
-	m := b.Dev.Mem()
 	ringSlot := o.Ring.SlotAddr(o.slotBase + o.armed%deleteRingSlots)
-	aslot := o.armed % argsRing
-	if o.args[aslot] == 0 {
-		o.args[aslot] = m.Alloc(8, 8)
-	}
-	args := o.args[aslot]
-
-	// unlink copies the bucket's [keyCtrl, valAddr, valLen] onto the
-	// ring slot. Its control word is the claim's result buffer (the
-	// bucket's old word, a NOOP whatever it held) and the ack's payload.
-	unlink := b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Dst: ringSlot, Len: 24,
-		Flags: wqe.FlagSignaled})
-	verdict := unlink.FieldAddr(wqe.OffCtrl)
-	// verWr stamps the delete's version (scattered into args) onto the
-	// bucket's version word; verRead arms it with the unlink's verdict,
-	// so it fires only on a successful claim.
-	verWr := b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: args, Len: 8,
-		Flags: wqe.FlagSignaled})
-	ack := b.Post(o.Resp, wqe.WQE{Op: wqe.OpNoop, Src: verdict, Flags: wqe.FlagSignaled})
-	claim := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Src: verdict, Flags: wqe.FlagSignaled})
-	condCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Dst: verdict, Flags: wqe.FlagSignaled})
-	verRead := b.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Src: verdict,
-		Dst: verWr.FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
-	tomb := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
-
-	o.fire([]wqe.ScatterEntry{
-		{Addr: claim.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: claim.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: claim.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: condCAS.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: condCAS.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: unlink.FieldAddr(wqe.OffSrc), Len: 8},
-		{Addr: args, Len: 8},
-		{Addr: verWr.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: tomb.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: tomb.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: tomb.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: ack.FieldAddr(wqe.OffCtrl), Len: 8},
-		{Addr: ack.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: ack.FieldAddr(wqe.OffLen), Len: 8},
-	}, []StepRef{claim, condCAS, unlink, verRead, verWr, tomb, ack})
+	// unlink copies the bucket's [keyCtrl, valAddr, valLen] onto the ring
+	// slot; its control word is the verdict (see claim). verWr stamps the
+	// delete's version (scattered into args) onto the bucket's version
+	// word; verRead arms it with the verdict, so it fires only on a
+	// successful claim.
+	in := instance{args: o.argsBuf(&o.args, 8)}
+	s := &in.steps
+	s[dlUnlink] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Dst: ringSlot, Len: 24, Flags: wqe.FlagSignaled})
+	s[dlVerWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 8, Flags: wqe.FlagSignaled})
+	o.claim(&in, o.w2, dlUnlink, dlAck)
+	s[dlVerRead] = b.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Src: s[dlUnlink].FieldAddr(wqe.OffCtrl),
+		Dst: s[dlVerWr].FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
+	s[dlTomb] = b.cond(o.w2, 0, 0, 0, 0)
+	o.fire(deleteLayout, &in, s[:dlAck+1])
 }
 
 // TriggerPayload builds the client SEND payload for a delete of key in
 // the bucket at bucket with version ver, acking the 8-byte verdict into
-// the client-side ackAddr. The claim's CAS operands derive from the key:
-// it expects NOOP|key (the live occupant), parks the per-key pending
-// word, and the final word is the shared tombstone. Field order matches
-// Arm's scatter list. The result is the context's own buffer,
+// the client-side ackAddr. The result is the context's own buffer,
 // overwritten by its next TriggerPayload.
 func (o *DeleteOffload) TriggerPayload(key, bucket, ver, ackAddr uint64) []byte {
-	k := key & hopscotch.KeyMask
-	occupant := wqe.MakeCtrl(wqe.OpNoop, k)
-	pending := hopscotch.PendingCtrl(k)
-	armed := wqe.MakeCtrl(wqe.OpWrite, k)
-	return o.trig.fill(
-		occupant, pending, bucket, // claim CAS
-		occupant, armed, // conditional arm: the word a successful claim REPLACED
-		bucket,                           // unlink source: [keyCtrl, valAddr, valLen]
-		ver, bucket+hopscotch.OffVersion, // version stamp
-		pending, hopscotch.Tombstone, bucket, // tombstone CAS
-		armed, ackAddr, 8, // ack control word, destination and length
-	)
+	return o.payload(deleteLayout, key, operands{opNew: hopscotch.PendingCtrl(key), opBucket: bucket,
+		opVerAddr: bucket + hopscotch.OffVersion, opVer: ver, opResp: ackAddr})
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
-	"repro/internal/list"
 	"repro/internal/rnic"
 	"repro/internal/wqe"
 )
@@ -27,8 +24,7 @@ import (
 // which is why it has higher latency despite executing fewer WRs — the
 // Fig 13 trade-off.
 type ListWalkOffload struct {
-	B     *Builder
-	Trig  *rnic.QP
+	chain
 	Iters int
 	Break bool
 
@@ -51,7 +47,7 @@ type ListWalkOffload struct {
 // where WQ sizes equal the offloaded program.
 func NewListWalkOffload(b *Builder, trig *rnic.QP, iters int, withBreak bool, respAddr, valLen uint64) *ListWalkOffload {
 	o := &ListWalkOffload{
-		B: b, Trig: trig, Iters: iters, Break: withBreak,
+		chain: newChain(b, trig, nil), Iters: iters, Break: withBreak,
 		wChase:   b.NewManagedQP(iters + 1),
 		wOps:     b.NewManagedQP(8*iters + 8),
 		wPrep:    b.NewManagedQP(8*iters + 8),
@@ -64,6 +60,18 @@ func NewListWalkOffload(b *Builder, trig *rnic.QP, iters int, withBreak bool, re
 	}
 	o.arm()
 	return o
+}
+
+// The list walk's steps the trigger feeds, and its trigger layout: the
+// first conditional's operands (forwarding copies hand them on to the
+// later iterations) and the head node, the first READ's source.
+const (
+	lwCAS = iota
+	lwRead
+)
+
+var listWalkLayout = []slot{
+	{lwCAS, wqe.OffCmp, opNoop}, {lwCAS, wqe.OffSwap, opWrite}, {lwRead, wqe.OffSrc, opBucket},
 }
 
 func (o *ListWalkOffload) arm() {
@@ -116,12 +124,9 @@ func (o *ListWalkOffload) arm() {
 		m.PutU64(cpXs[i].FieldAddr(wqe.OffDst), cass[i].FieldAddr(wqe.OffCmp))
 	}
 
-	// Trigger: inject CAS operands and N0.
-	recvTarget := b.ExpectRecv(o.Trig, 1, []wqe.ScatterEntry{
-		{Addr: cass[0].FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: cass[0].FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: reads[0].FieldAddr(wqe.OffSrc), Len: 8},
-	})
+	var in instance
+	in.steps[lwCAS], in.steps[lwRead] = cass[0], reads[0]
+	recvTarget := o.recv(listWalkLayout, &in)
 
 	if !o.Break {
 		// Chase chain (ctrl A): each READ enabled as its predecessor's
@@ -198,19 +203,6 @@ func (o *ListWalkOffload) arm() {
 	b.Ctrl.RingSQ()
 }
 
-// WRCounts reports the posted data and sync work-request budgets, the
-// accounting behind Fig 13's WR annotation.
-func (o *ListWalkOffload) WRCounts() (data, sync uint64) {
-	data = o.wChase.SQ().Producer() + o.wOps.SQ().Producer() +
-		o.wPrep.SQ().Producer() + o.wBrk.SQ().Producer() +
-		o.wCond2.SQ().Producer() + o.Trig.SQ().Producer()
-	sync = o.B.Ctrl.SQ().Producer()
-	if o.ctrlB != nil {
-		sync += o.ctrlB.SQ().Producer()
-	}
-	return
-}
-
 // ExecutedWRs reports how many WRs actually ran — with breaks, far
 // fewer than posted once the key is found.
 func (o *ListWalkOffload) ExecutedWRs() uint64 {
@@ -224,16 +216,8 @@ func (o *ListWalkOffload) ExecutedWRs() uint64 {
 }
 
 // TriggerPayload builds the client SEND for a walk looking up key,
-// starting at list head n0.
+// starting at list head n0. The result is the offload's own buffer,
+// overwritten by its next TriggerPayload.
 func (o *ListWalkOffload) TriggerPayload(key, n0 uint64) []byte {
-	fields := []uint64{
-		wqe.MakeCtrl(wqe.OpNoop, key&list.KeyMask),
-		wqe.MakeCtrl(wqe.OpWrite, key&list.KeyMask),
-		n0,
-	}
-	out := make([]byte, len(fields)*8)
-	for i, f := range fields {
-		binary.BigEndian.PutUint64(out[i*8:], f)
-	}
-	return out
+	return o.payload(listWalkLayout, key, operands{opBucket: n0})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/hopscotch"
 	"repro/internal/rnic"
 	"repro/internal/wqe"
 )
@@ -119,7 +118,7 @@ func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table GetIndex, mo
 			panic("core: parallel lookup needs a second response QP")
 		}
 		o.w2b = o.ring(chainDepth, pu)
-		o.b2 = b.withCtrl(b.NewQPOnPU(ctrlDepth, pu))
+		o.b2 = b.subBuilder(ctrlDepth, pu)
 		o.tag(o.b2.Ctrl)
 	}
 	if resp2 != nil {
@@ -128,71 +127,41 @@ func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table GetIndex, mo
 	return o
 }
 
-// postProbe posts one bucket probe: the response WQE, a READ (src
-// injected) copying the bucket's [keyCtrl, valAddr] onto the response's
-// [ctrl, src], and the conditional CAS (operands injected). The steps
-// come back in sequencing order: read, cas, resp.
-func (o *LookupOffload) postProbe(chainQP, respQP *rnic.QP) [3]StepRef {
-	b := o.B
-	resp := b.Post(respQP, wqe.WQE{Op: wqe.OpNoop, Flags: wqe.FlagSignaled})
-	read := b.Post(chainQP, wqe.WQE{
-		Op:    wqe.OpRead,
-		Dst:   resp.FieldAddr(wqe.OffCtrl),
-		Len:   16, // [keyCtrl, valAddr] -> [ctrl, src]
-		Flags: wqe.FlagSignaled,
-	})
-	cas := b.Post(chainQP, wqe.WQE{
-		Op:    wqe.OpCAS,
-		Dst:   resp.FieldAddr(wqe.OffCtrl),
-		Flags: wqe.FlagSignaled,
-	})
-	return [3]StepRef{read, cas, resp}
+// lookupLayout is the get's trigger layout: each probe's conditional
+// operands and bucket, then each response's length and destination. A
+// LookupSingle instance posts no second probe, so its trigger is the
+// first probe's three slots and the first response's two.
+var lookupLayout = []slot{
+	{pCAS, wqe.OffCmp, opNoop}, {pCAS, wqe.OffSwap, opWrite}, {pRead, wqe.OffSrc, opBucket},
+	{probe2 + pCAS, wqe.OffCmp, opNoop}, {probe2 + pCAS, wqe.OffSwap, opWrite}, {probe2 + pRead, wqe.OffSrc, opBucket2},
+	{pResp, wqe.OffLen, opLen}, {pResp, wqe.OffDst, opResp},
+	{probe2 + pResp, wqe.OffLen, opLen}, {probe2 + pResp, wqe.OffDst, opResp},
 }
 
-// Arm posts one request instance. Each armed instance serves exactly
-// one get; servers re-arm from completion callbacks (unrolled mode) or
-// pre-arm many instances ahead of time — pre-arming is what lets the
-// offload keep serving across host crashes (§5.6).
+// Arm posts one request instance: a probe per candidate bucket, each
+// READ copying the bucket's [keyCtrl, valAddr] onto its response's
+// [ctrl, src]. Each armed instance serves exactly one get; servers
+// re-arm from completion callbacks (unrolled mode) or pre-arm many
+// instances ahead of time — pre-arming is what lets the offload keep
+// serving across host crashes (§5.6).
 func (o *LookupOffload) Arm() {
 	resp := o.Resp
 	if resp == nil {
 		resp = o.Trig
 	}
-	p1 := o.postProbe(o.w2, resp)
-	read1, cas1, resp1 := p1[0], p1[1], p1[2]
-	if o.Mode == LookupSingle {
-		o.fire([]wqe.ScatterEntry{
-			{Addr: cas1.FieldAddr(wqe.OffCmp), Len: 8},
-			{Addr: cas1.FieldAddr(wqe.OffSwap), Len: 8},
-			{Addr: read1.FieldAddr(wqe.OffSrc), Len: 8},
-			{Addr: resp1.FieldAddr(wqe.OffLen), Len: 8},
-			{Addr: resp1.FieldAddr(wqe.OffDst), Len: 8},
-		}, p1[:])
-		return
+	var in instance
+	o.inject(&in, pRead, o.w2, resp, 16, 0)
+	switch o.Mode {
+	case LookupSingle:
+		o.fire(lookupLayout, &in, in.steps[:probe2])
+	case LookupSeq:
+		o.inject(&in, probe2, o.w2b, resp, 16, 0)
+		o.fire(lookupLayout, &in, in.steps[:2*probe2])
+	default:
+		// Both control chains fire off the same arrival.
+		o.inject(&in, probe2, o.w2b, o.Resp2, 16, 0)
+		o.fire(lookupLayout, &in, in.steps[:probe2], in.steps[probe2:2*probe2])
 	}
-	if o.Mode == LookupParallel {
-		resp = o.Resp2
-	}
-	p2 := o.postProbe(o.w2b, resp)
-	read2, cas2, resp2 := p2[0], p2[1], p2[2]
-	scatter := []wqe.ScatterEntry{
-		{Addr: cas1.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: cas1.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: read1.FieldAddr(wqe.OffSrc), Len: 8},
-		{Addr: cas2.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: cas2.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: read2.FieldAddr(wqe.OffSrc), Len: 8},
-		{Addr: resp1.FieldAddr(wqe.OffLen), Len: 8},
-		{Addr: resp1.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: resp2.FieldAddr(wqe.OffLen), Len: 8},
-		{Addr: resp2.FieldAddr(wqe.OffDst), Len: 8},
-	}
-	if o.Mode == LookupSeq {
-		o.fire(scatter, []StepRef{read1, cas1, resp1, read2, cas2, resp2})
-		return
-	}
-	// Both control chains fire off the same arrival.
-	o.fire(scatter, p1[:], p2[:])
 }
 
 // Run starts the control queue(s). Call once after the first Arm.
@@ -205,15 +174,9 @@ func (o *LookupOffload) Run() {
 
 // TriggerPayload builds the client SEND payload for a get of key,
 // requesting length valLen into the client-side buffer respAddr. The
-// field order matches Arm's scatter lists. The result is the context's
-// own buffer, overwritten by its next TriggerPayload.
+// result is the context's own buffer, overwritten by its next
+// TriggerPayload.
 func (o *LookupOffload) TriggerPayload(key, valLen, respAddr uint64) []byte {
-	xc := wqe.MakeCtrl(wqe.OpNoop, key&hopscotch.KeyMask)
-	xw := wqe.MakeCtrl(wqe.OpWrite, key&hopscotch.KeyMask)
-	h1 := o.Table.HashAddr(key, 0)
-	h2 := o.Table.HashAddr(key, 1)
-	if o.Mode == LookupSingle {
-		return o.trig.fill(xc, xw, h1, valLen, respAddr)
-	}
-	return o.trig.fill(xc, xw, h1, xc, xw, h2, valLen, respAddr, valLen, respAddr)
+	return o.payload(lookupLayout, key, operands{opBucket: o.Table.HashAddr(key, 0), opBucket2: o.Table.HashAddr(key, 1),
+		opLen: valLen, opResp: respAddr})
 }

@@ -43,6 +43,22 @@ type ProbeOffload struct {
 	w2 *rnic.QP // managed chain ring: read + conditional
 }
 
+// A probe's steps, in sequencing order (see chain.inject); a lookup's
+// second probe follows its first at probe2.
+const (
+	pRead = iota
+	pCAS
+	pResp
+	probe2
+)
+
+// probeLayout is the version probe's trigger layout.
+var probeLayout = []slot{
+	{pCAS, wqe.OffCmp, opNoop}, {pCAS, wqe.OffSwap, opWrite}, // flip iff the occupant is key
+	{pRead, wqe.OffSrc, opBucket},
+	{pResp, wqe.OffSrc, opVerAddr}, {pResp, wqe.OffDst, opResp},
+}
+
 // NewProbePool builds K = len(resp) probe contexts over the trig
 // connection; resp carry the version responses.
 func NewProbePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*ProbeOffload] {
@@ -62,20 +78,9 @@ func newProbeOffload(b *Builder, trig, resp *rnic.QP) *ProbeOffload {
 // chains — so probes, too, survive host failures that leave the NIC
 // alive.
 func (o *ProbeOffload) Arm() {
-	b := o.B
-	resp := b.Post(o.Resp, wqe.WQE{Op: wqe.OpNoop, Len: 8, Flags: wqe.FlagSignaled})
-	read := b.Post(o.w2, wqe.WQE{Op: wqe.OpRead,
-		Dst: resp.FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
-	cas := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS,
-		Dst: resp.FieldAddr(wqe.OffCtrl), Flags: wqe.FlagSignaled})
-
-	o.fire([]wqe.ScatterEntry{
-		{Addr: cas.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: cas.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: read.FieldAddr(wqe.OffSrc), Len: 8},
-		{Addr: resp.FieldAddr(wqe.OffSrc), Len: 8},
-		{Addr: resp.FieldAddr(wqe.OffDst), Len: 8},
-	}, []StepRef{read, cas, resp})
+	var in instance
+	o.inject(&in, pRead, o.w2, o.Resp, 8, 8)
+	o.fire(probeLayout, &in, in.steps[:probe2])
 }
 
 // TriggerPayload builds the client SEND payload for a probe of key in
@@ -83,15 +88,9 @@ func (o *ProbeOffload) Arm() {
 // into the client-side respAddr. The coordinator computes the bucket
 // from its view of the replica's table, exactly as set and delete
 // claims are computed; a stale view fails the CAS harmlessly and the
-// probe times out. Field order matches Arm's scatter list. The result
-// is the context's own buffer, overwritten by its next TriggerPayload.
+// probe times out. The result is the context's own buffer, overwritten
+// by its next TriggerPayload.
 func (o *ProbeOffload) TriggerPayload(key, bucket, respAddr uint64) []byte {
-	k := key & hopscotch.KeyMask
-	return o.trig.fill(
-		wqe.MakeCtrl(wqe.OpNoop, k),  // expected occupant
-		wqe.MakeCtrl(wqe.OpWrite, k), // armed response word
-		bucket,
-		bucket+hopscotch.OffVersion, // response source
-		respAddr,
-	)
+	return o.payload(probeLayout, key, operands{opBucket: bucket, opVerAddr: bucket + hopscotch.OffVersion,
+		opResp: respAddr})
 }

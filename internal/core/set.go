@@ -100,18 +100,32 @@ type SetOffload struct {
 	w2 *rnic.QP // managed chain ring: claim, conditional flip, publish
 	w3 *rnic.QP // managed ring for the bucket-pointer WRITE
 
-	// args is a small rotating ring of scatter-target buffers (one per
-	// in-flight-or-straggling instance) so arming does not grow server
-	// memory per set.
-	args [argsRing]uint64
-
-	staging uint64 // staging extent of the most recently armed instance
+	args    [argsRing]uint64 // the instances' args buffers (chain.argsBuf)
+	staging uint64           // staging extent of the most recently armed instance
 }
 
-// argsRing is the depth of the per-context args-buffer rotation: one
-// instance is in flight per context, so anything past a couple covers
-// stragglers from timed-out instances.
-const argsRing = 8
+// A set's steps after the claim and its conditional, in sequencing
+// order. The publish CAS is the template's one optional step: posted
+// only when the claim is fresh.
+const (
+	stValWr = iota + wCond + 1
+	stPub
+	stAck
+)
+
+// setLayout is the set's trigger layout. The publish CAS's slots come
+// last, so an overwrite's payload is a prefix of a fresh claim's.
+var setLayout = []slot{
+	{wClaim, wqe.OffCmp, opExpect}, {wClaim, wqe.OffSwap, opNew}, {wClaim, wqe.OffDst, opBucket},
+	// The conditional flip compares against the word a successful claim
+	// REPLACED (the CAS returned it onto valWr) and arms the WRITE.
+	{wCond, wqe.OffCmp, opExpect}, {wCond, wqe.OffSwap, opWrite},
+	// valWr's destination, the bucket's pointer words, and the value
+	// length and version that follow the staging address in args.
+	{stValWr, wqe.OffDst, opValAddr}, {argsWord, 8, opLen}, {argsWord, 16, opVer},
+	{stAck, wqe.OffCtrl, opWrite}, {stAck, wqe.OffDst, opResp}, {stAck, wqe.OffLen, opAckLen},
+	{stPub, wqe.OffCmp, opNew}, {stPub, wqe.OffSwap, opNoop}, {stPub, wqe.OffDst, opBucket},
+}
 
 // NewSetPool builds K = len(resp) set contexts over the trig
 // connection; resp carry the acks. arena supplies staging extents for
@@ -147,55 +161,23 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 	return staging
 }
 
-// post posts and fires the armed instance, with pubCAS iff fresh. Its
-// scatter list puts pubCAS's operands last, so an overwrite's trigger
-// payload is a prefix of a fresh claim's.
+// post posts and fires the armed instance, with the publish CAS iff
+// fresh. Its args buffer holds the 24 bytes valWr copies over the
+// bucket's [valAddr, valLen, version]: the staging address plus the
+// value length and the write's version, both scattered in by the
+// trigger. Landing the version in the same WRITE as the repoint keeps
+// [pointer, length, version] a single atomic publication — a probe
+// chain can never observe the new version with the old extent.
 func (o *SetOffload) post(fresh bool) {
 	b := o.B
-	m := b.Dev.Mem()
-	// args holds the 24 bytes valWr copies over the bucket's
-	// [valAddr, valLen, version]: the staging address plus the value
-	// length and the write's version, both scattered in by the trigger.
-	// Landing the version in the same WRITE as the repoint keeps
-	// [pointer, length, version] a single atomic publication — a probe
-	// chain can never observe the new version with the old extent.
-	slot := o.armed % argsRing
-	if o.args[slot] == 0 {
-		o.args[slot] = m.Alloc(24, 8)
-	}
-	args := o.args[slot]
-	m.PutU64(args, o.staging)
-
-	valWr := b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: args, Len: 24, Flags: wqe.FlagSignaled})
-	// valWr's control word is the claim's result buffer (the bucket's old
-	// word, a NOOP whatever it held) and then the ack's payload.
-	verdict := valWr.FieldAddr(wqe.OffCtrl)
-	ack := b.Post(o.Resp, wqe.WQE{Op: wqe.OpNoop, Src: verdict, Flags: wqe.FlagSignaled})
-	claim := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Src: verdict, Flags: wqe.FlagSignaled})
-	condCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Dst: verdict, Flags: wqe.FlagSignaled})
-
-	scatter := [14]wqe.ScatterEntry{
-		{Addr: claim.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: claim.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: claim.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: condCAS.FieldAddr(wqe.OffCmp), Len: 8},
-		{Addr: condCAS.FieldAddr(wqe.OffSwap), Len: 8},
-		{Addr: valWr.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: args + 8, Len: 8},
-		{Addr: args + 16, Len: 8},
-		{Addr: ack.FieldAddr(wqe.OffCtrl), Len: 8},
-		{Addr: ack.FieldAddr(wqe.OffDst), Len: 8},
-		{Addr: ack.FieldAddr(wqe.OffLen), Len: 8},
-	}
-	steps, nsc, ns := [5]StepRef{claim, condCAS, valWr, ack}, 11, 4
+	in := instance{args: o.argsBuf(&o.args, 24)}
+	b.Dev.Mem().PutU64(in.args, o.staging)
+	in.steps[stValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 24, Flags: wqe.FlagSignaled})
+	o.claim(&in, o.w2, stValWr, stAck)
 	if fresh {
-		pubCAS := b.Post(o.w2, wqe.WQE{Op: wqe.OpCAS, Flags: wqe.FlagSignaled})
-		scatter[11] = wqe.ScatterEntry{Addr: pubCAS.FieldAddr(wqe.OffCmp), Len: 8}
-		scatter[12] = wqe.ScatterEntry{Addr: pubCAS.FieldAddr(wqe.OffSwap), Len: 8}
-		scatter[13] = wqe.ScatterEntry{Addr: pubCAS.FieldAddr(wqe.OffDst), Len: 8}
-		steps[3], steps[4], nsc, ns = pubCAS, ack, 14, 5
+		in.steps[stPub] = b.cond(o.w2, 0, 0, 0, 0)
 	}
-	o.fire(scatter[:nsc], steps[:ns])
+	o.fire(setLayout, &in, in.steps[:stAck+1])
 }
 
 // ReleaseStaging retires the most recently armed instance's staging
@@ -216,26 +198,12 @@ func (o *SetOffload) ReleaseStaging() {
 // TriggerPayload posts and fires the instance Arm reserved — a set of key
 // under claim, landing valLen staged bytes and version ver in one WRITE
 // and acking the verdict into the client-side ackAddr — and returns the
-// SEND payload that drives it, in post's scatter order. A claim that
-// installs NOOP|key (a resident overwrite) runs without pubCAS; a fresh
-// one's pubCAS swaps claim.New for NOOP|key. The result is the context's
-// own buffer, overwritten by the next call.
+// SEND payload that drives it. A claim that installs NOOP|key (a
+// resident overwrite) runs without the publish CAS; a fresh one's swaps
+// claim.New for NOOP|key. The result is the context's own buffer,
+// overwritten by the next call.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
-	xc := ClaimCtrl(key)
-	xw := wqe.MakeCtrl(wqe.OpWrite, key&hopscotch.KeyMask)
-	fresh := claim.New != xc
-	o.post(fresh)
-	f := [14]uint64{
-		claim.Expect, claim.New, claim.BucketAddr, // claim CAS
-		// The conditional flip compares against the word a successful
-		// claim REPLACED (the CAS returned it onto valWr) and arms the WRITE.
-		claim.Expect, xw,
-		claim.BucketAddr + hopscotch.OffValAddr, valLen, ver, // bucket repoint + version
-		xw, ackAddr, 8, // ack control word, destination and length
-		claim.New, xc, claim.BucketAddr, // publish CAS (fresh claims)
-	}
-	if !fresh {
-		return o.trig.fill(f[:11]...)
-	}
-	return o.trig.fill(f[:]...)
+	o.post(claim.New != ClaimCtrl(key))
+	return o.payload(setLayout, key, operands{opExpect: claim.Expect, opNew: claim.New, opBucket: claim.BucketAddr,
+		opValAddr: claim.BucketAddr + hopscotch.OffValAddr, opLen: valLen, opVer: ver, opResp: ackAddr})
 }

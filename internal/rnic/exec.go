@@ -157,7 +157,7 @@ func (w *WorkQueue) complete(r *wrRun, st Status, force bool) {
 func (w *WorkQueue) traceWR(op wqe.Opcode, start, end sim.Time) {
 	d := w.qp.dev
 	if d.tracer.Enabled() {
-		d.tracer.Exec(d.label, d.relabel(w.qp.pu.Name()), op.String(), start, end, w.qp.traceOp)
+		d.tracer.Exec(d.label, d.resName(w.qp.pu), op.String(), start, end, w.qp.traceOp)
 	}
 }
 

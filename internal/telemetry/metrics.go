@@ -1,7 +1,8 @@
 package telemetry
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -49,6 +50,7 @@ type Registry struct {
 	gauges       []Gauge
 	hists        map[string]*sim.LatencyStats
 	histNames    []string
+	histSubs     [][5]string // each histogram's sub-metric names, built once
 }
 
 // NewRegistry returns an empty registry.
@@ -102,6 +104,8 @@ func (r *Registry) Histogram(name string) *sim.LatencyStats {
 	h := &sim.LatencyStats{}
 	r.hists[name] = h
 	r.histNames = append(r.histNames, name)
+	r.histSubs = append(r.histSubs, [5]string{
+		name + ".n", name + ".avg_ns", name + ".p50_ns", name + ".p99_ns", name + ".max_ns"})
 	return h
 }
 
@@ -132,16 +136,16 @@ func (r *Registry) SnapshotAppend(buf []Metric) []Metric {
 	for _, g := range r.gauges {
 		out = append(out, Metric{Name: g.Name, Kind: "gauge", Value: g.Sample()})
 	}
-	for _, name := range r.histNames {
-		h := r.hists[name]
+	for i, name := range r.histNames {
+		h, sub := r.hists[name], &r.histSubs[i]
 		out = append(out,
-			Metric{Name: name + ".n", Kind: "hist", Value: float64(h.N())},
-			Metric{Name: name + ".avg_ns", Kind: "hist", Value: float64(h.Avg())},
-			Metric{Name: name + ".p50_ns", Kind: "hist", Value: float64(h.Median())},
-			Metric{Name: name + ".p99_ns", Kind: "hist", Value: float64(h.P99())},
-			Metric{Name: name + ".max_ns", Kind: "hist", Value: float64(h.Max())},
+			Metric{Name: sub[0], Kind: "hist", Value: float64(h.N())},
+			Metric{Name: sub[1], Kind: "hist", Value: float64(h.Avg())},
+			Metric{Name: sub[2], Kind: "hist", Value: float64(h.Median())},
+			Metric{Name: sub[3], Kind: "hist", Value: float64(h.P99())},
+			Metric{Name: sub[4], Kind: "hist", Value: float64(h.Max())},
 		)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Metric) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }

@@ -62,7 +62,7 @@ type Tracer struct {
 
 	procIDs   map[string]int32
 	procNames []string
-	thrIDs    map[string]int32
+	thrIDs    map[thrKey]int32
 	thrNames  []string
 	thrProcs  []int32
 }
@@ -72,7 +72,7 @@ func NewTracer(eng *sim.Engine) *Tracer {
 	return &Tracer{
 		eng:     eng,
 		procIDs: make(map[string]int32),
-		thrIDs:  make(map[string]int32),
+		thrIDs:  make(map[thrKey]int32),
 	}
 }
 
@@ -149,9 +149,13 @@ func (t *Tracer) proc(name string) int32 {
 	return id
 }
 
+// thrKey names one track of one process; a struct key, so looking a
+// track up builds no string.
+type thrKey struct{ proc, track string }
+
 func (t *Tracer) thread(proc, track string) (int32, int32) {
 	pid := t.proc(proc)
-	key := proc + "\x00" + track
+	key := thrKey{proc, track}
 	if id, ok := t.thrIDs[key]; ok {
 		return pid, id
 	}

@@ -274,6 +274,11 @@ type serviceShard struct {
 	rr      int            // round-robin client cursor
 	ringIdx int32          // position in the ring's node table (-1: not on the ring)
 
+	// The shard's coordinator-side trace track names, built once at
+	// wiring so a traced op concatenates nothing: get attempts, voting
+	// and auxiliary write legs, hint and repair instants.
+	trTry, trLeg, trAux, trHint, trRepair string
+
 	// Crash-detection state, driven purely by observed timeouts.
 	hostDown     bool     // host-side service (kick-path sets) unavailable
 	consecMiss   int      // timeouts since the last confirmed hit
@@ -838,7 +843,9 @@ func (s *Service) buildShard(id string) *serviceShard {
 	sh := &serviceShard{id: id, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
 		arena: srv.arena, ringIdx: -1,
 		hints: make(map[uint64]*hint), inflightSet: make(map[uint64]ring.Queue[func()]),
-		tombVer: make(map[uint64]uint64)}
+		tombVer: make(map[uint64]uint64),
+		trTry:   "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
+		trHint: "hint:" + id, trRepair: "repair:" + id}
 	sh.freeRetired = func() { sh.arena.Free(sh.retiring.Pop()) }
 	sh.probeFn = sh.probed
 	sh.initMetrics(s.reg)
@@ -1434,7 +1441,7 @@ func (s *Service) tryGet(g *getOp) {
 	g.cli = sh.clients[sh.rr%len(sh.clients)]
 	sh.rr++
 	if s.tr.Enabled() {
-		s.tr.AsyncBegin("attempt", g.op<<4|uint64(g.i), "try:"+sh.id, g.op)
+		s.tr.AsyncBegin("attempt", g.op<<4|uint64(g.i), sh.trTry, g.op)
 	}
 	s.tr.SetOp(g.op)
 	g.next = getAttempt
@@ -1454,7 +1461,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	s, sh, cli := g.s, g.order[g.i], g.cli
 	lat += g.spent
 	if s.tr.Enabled() {
-		s.tr.AsyncEnd("attempt", g.op<<4|uint64(g.i), "try:"+sh.id, g.op)
+		s.tr.AsyncEnd("attempt", g.op<<4|uint64(g.i), sh.trTry, g.op)
 	}
 	if ok {
 		sh.markLive()

@@ -95,3 +95,56 @@ func TestSteadyStateOpsAllocate(t *testing.T) {
 		recordsHome(t, s)
 	})
 }
+
+// TestSinksOnOpsAllocate pins what turning every telemetry sink on —
+// the sentinel's ring tracer and flight recorder, provenance receipts,
+// the profiler — adds to an op's host allocations over the same op
+// with sinks off: at most one, which is the flight recorder's sample
+// ring still growing its slots (one tick per op here). Trace track
+// names and histogram sub-metric names are built once, at wiring, and
+// a traced WR's PU name comes from the device's cache, so a traced op
+// builds no strings.
+func TestSinksOnOpsAllocate(t *testing.T) {
+	const valLen = 48
+	// allocs grows s's pools, rings and maps with 64 ops, then returns
+	// the allocations of one more.
+	allocs := func(cfg ServiceConfig, op func(s *Service, key uint64)) float64 {
+		s := NewServiceWith(cfg)
+		keys := preloadKeys(t, s, 16)
+		i := 0
+		run := func() {
+			op(s, keys[i%len(keys)])
+			i++
+			s.Flush()
+			s.Run()
+		}
+		for j := 0; j < 64; j++ {
+			run()
+		}
+		return testing.AllocsPerRun(200, run)
+	}
+	getCB := func([]byte, Duration, bool) {}
+	setCB := func(Duration, error) {}
+	val := Value(7, valLen)
+	for _, tc := range []struct {
+		name string
+		cfg  ServiceConfig
+		op   func(s *Service, key uint64)
+	}{
+		{"r=1 fabric get", ServiceConfig{Shards: 2, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+			Buckets: 1 << 12, MaxValLen: 64},
+			func(s *Service, key uint64) { s.GetAsync(key, valLen, getCB) }},
+		{"r=3 W=2 set", ServiceConfig{Shards: 4, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+			Replicas: 3, WriteQuorum: 2, Buckets: 1 << 12, MaxValLen: 64},
+			func(s *Service, key uint64) { s.SetAsync(key, val, setCB) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			off := allocs(tc.cfg, tc.op)
+			on := tc.cfg
+			on.Sentinel, on.Provenance, on.Profile = true, true, true
+			if got := allocs(on, tc.op); got > off+1 {
+				t.Errorf("%v allocations per op with every sink on, %v off: want at most one more", got, off)
+			}
+		})
+	}
+}

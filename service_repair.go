@@ -332,7 +332,7 @@ func (s *Service) queueRepair(sh *serviceShard, key, seq uint64) bool {
 	if fresh {
 		sh.repairsQueued.Inc()
 		if s.tr.Enabled() {
-			s.tr.Instant("coordinator", "repair:"+sh.id, 0)
+			s.tr.Instant("coordinator", sh.trRepair, 0)
 		}
 	}
 	// Fresh evidence of divergence: make the sweeper run a full clean

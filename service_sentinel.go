@@ -90,6 +90,7 @@ type sentinel struct {
 	rec       *telemetry.Recorder
 	slo       *telemetry.SLO
 	armed     bool
+	tickFn    func() // the armed tick, bound once
 	incidents []*telemetry.Incident
 
 	// fleetLat is the merge scratch for fleet-wide get percentiles:
@@ -113,6 +114,10 @@ func (s *Service) initSentinel() {
 	}
 	sen := &sentinel{}
 	s.sen = sen
+	sen.tickFn = func() {
+		sen.armed = false
+		s.sentinelTick()
+	}
 	// Fleet-wide latency SLO inputs: per-shard get histograms merged
 	// into one distribution each sample (sim.LatencyStats.Merge).
 	// fleet/get_slow is cumulative and monotone — a delta-able slow-op
@@ -166,10 +171,7 @@ func (s *Service) sentinelKick() {
 		return
 	}
 	sen.armed = true
-	s.tb.clu.Eng.After(DefaultSentinelEvery, func() {
-		sen.armed = false
-		s.sentinelTick()
-	})
+	s.tb.clu.Eng.After(DefaultSentinelEvery, sen.tickFn)
 }
 
 // sentinelTick records one metric sample, evaluates the SLO rules,

@@ -448,7 +448,7 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 // the same key — and resolves into legDone.
 func (s *Service) startLeg(op *setOp, sh *serviceShard, idx int, votes bool) {
 	if s.tr.Enabled() {
-		s.tr.AsyncBegin("leg", op.traceOp<<4|uint64(idx), legTrack(votes)+sh.id, op.traceOp)
+		s.tr.AsyncBegin("leg", op.traceOp<<4|uint64(idx), sh.legTrack(votes), op.traceOp)
 	}
 	r := s.takeRun(sh, &op.mutation, op.traceOp)
 	r.done = r.legFn
@@ -459,12 +459,12 @@ func (s *Service) startLeg(op *setOp, sh *serviceShard, idx int, votes bool) {
 	s.withKeySlot(sh, op.key, r.slotFn)
 }
 
-// legTrack is the trace track prefix of a voting or auxiliary leg.
-func legTrack(votes bool) string {
+// legTrack is the shard's trace track for a voting or auxiliary leg.
+func (sh *serviceShard) legTrack(votes bool) string {
 	if votes {
-		return "leg:"
+		return sh.trLeg
 	}
-	return "aux:"
+	return sh.trAux
 }
 
 // legDone resolves one leg of a fan-out into the write's quorum
@@ -474,7 +474,7 @@ func (r *ownerRun) legDone(st ownerWriteStatus) {
 	// The leg's hint can settle the write before its failure is counted.
 	op.pins++
 	if s.tr.Enabled() {
-		s.tr.AsyncEnd("leg", op.traceOp<<4|uint64(r.idx), legTrack(r.votes)+sh.id, op.traceOp)
+		s.tr.AsyncEnd("leg", op.traceOp<<4|uint64(r.idx), sh.legTrack(r.votes), op.traceOp)
 	}
 	if st == ownerApplied {
 		s.noteOwnerApplied(sh, &op.mutation)
@@ -918,7 +918,7 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 	sh.hints[op.key] = &hint{mutation: &op.mutation, op: op}
 	sh.hintsQueued.Inc()
 	if s.tr.Enabled() {
-		s.tr.Instant("coordinator", "hint:"+sh.id, op.traceOp)
+		s.tr.Instant("coordinator", sh.trHint, op.traceOp)
 	}
 }
 
