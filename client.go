@@ -21,49 +21,49 @@ import (
 // paper's client.
 const DefaultMissTimeout = 200 * sim.Microsecond
 
-// DefaultMaxValLen bounds the value size one get can return; it sizes
+// defaultMaxValLen bounds the value size one get can return; it sizes
 // the client's per-request response buffers.
-const DefaultMaxValLen = 1 << 17
+const defaultMaxValLen = 1 << 17
 
-// DefaultEcnBacklog is the completion-stamped PU backlog above which an
+// defaultEcnBacklog is the completion-stamped PU backlog above which an
 // ack counts as a congestion signal: far enough under MissTimeout that
 // an adaptive window cuts on marks long before requests start dying.
-const DefaultEcnBacklog = 25 * sim.Microsecond
+const defaultEcnBacklog = 25 * sim.Microsecond
 
-// DefaultWindowBeta is the multiplicative-decrease factor an adaptive
+// defaultWindowBeta is the multiplicative-decrease factor an adaptive
 // window applies on timeout or ECN mark.
-const DefaultWindowBeta = 0.5
+const defaultWindowBeta = 0.5
 
-// Op names one of the client's four offload pipelines.
-type Op uint8
+// pipeOp names one of the client's four offload pipelines.
+type pipeOp uint8
 
 // The client's offload pipelines.
 const (
-	OpGet Op = iota
-	OpSet
-	OpDelete
-	OpProbe
+	pipeGet pipeOp = iota
+	pipeSet
+	pipeDelete
+	pipeProbe
 )
 
-func (o Op) String() string {
+func (o pipeOp) String() string {
 	switch o {
-	case OpGet:
+	case pipeGet:
 		return "get"
-	case OpSet:
+	case pipeSet:
 		return "set"
-	case OpDelete:
+	case pipeDelete:
 		return "del"
-	case OpProbe:
+	case pipeProbe:
 		return "probe"
 	default:
-		return fmt.Sprintf("Op(%d)", uint8(o))
+		return fmt.Sprintf("pipeOp(%d)", uint8(o))
 	}
 }
 
-// PipelineStats is a point-in-time snapshot of one pipeline's
+// pipelineStats is a point-in-time snapshot of one pipeline's
 // occupancy. InFlight and Wedged are disjoint: a quarantined slot is
 // neither free nor carrying a live request.
-type PipelineStats struct {
+type pipelineStats struct {
 	InFlight int // slots occupied by live requests
 	Queued   int // requests waiting client-side for a slot or window
 	Wedged   int // quarantined slots (armed chain never executed)
@@ -86,9 +86,10 @@ type PipelineStats struct {
 //
 // How many of the depth slots a pipeline may occupy at once is its
 // congestion window. Pinned (the default) it equals depth — the fixed-K
-// pipeline. ConfigureWindow enables AIMD: grow by 1/w per clean ack,
-// cut multiplicatively on timeout and on the ECN-like backlog watermark
-// the NIC stamps into completions, floor 1, one cut per window epoch.
+// pipeline. Under ServiceConfig.AdaptiveWindow it is AIMD: grow by 1/w
+// per clean ack, cut multiplicatively on timeout and on the ECN-like
+// backlog watermark the NIC stamps into completions, floor 1, one cut
+// per window epoch.
 type Client struct {
 	tb    *Testbed
 	node  *fabric.Node
@@ -108,8 +109,8 @@ type Client struct {
 	maxVal uint64
 	zero   []byte // reusable zero source for clearing response slots
 
-	// The four pipelines behind GetAsync/SetAsync/DeleteAsync/ProbeAsync
-	// — one implementation, per-op hooks. pipes indexes them by Op in
+	// The four pipelines behind GetAsync/SetAsync/DeleteAsync/probeAsync
+	// — one implementation, per-op hooks. pipes indexes them by pipeOp in
 	// doorbell order (get, set, del, probe).
 	get, set, del, prb *opPipeline
 	pipes              [4]*opPipeline
@@ -120,7 +121,7 @@ type Client struct {
 	// "old value" snapshots cannot do this: two pipelined same-key
 	// overwrites would capture the same extent and free it twice.
 	// Only the SetAsync/DeleteAsync lifecycle path populates it; the
-	// Service drives SetAsyncClaim and owns extent lifecycle itself.
+	// Service drives setAsyncClaim and owns extent lifecycle itself.
 	prevVal map[uint64]uint64
 
 	// nextVer issues versions for the standalone SetAsync/DeleteAsync
@@ -135,12 +136,6 @@ type Client struct {
 
 	tr      *telemetry.Tracer
 	trLabel string
-
-	// rcptHook, when set (with provenance enabled), observes every
-	// finalized receipt synchronously before its delivery callback.
-	// The service records probe receipts through it; get/set/delete
-	// receipts fold at the coordinator instead.
-	rcptHook func(Op, *telemetry.Receipt)
 }
 
 // pipeReq is one queued or in-flight request on any pipeline: a pooled
@@ -263,7 +258,7 @@ func (a *aimdWindow) marked(backlog sim.Time) bool {
 // post-release lifecycle — lives in the hook closures.
 type opPipeline struct {
 	c    *Client
-	op   Op
+	op   pipeOp
 	name string // trace and profiler class names: "get", "set", "del", "probe"
 
 	depth   int
@@ -350,7 +345,7 @@ type slotPool interface {
 
 // newPipeline builds the op-agnostic skeleton; the caller wires the
 // connection, the slots and the hooks.
-func newPipeline(c *Client, op Op, name string, depth int) *opPipeline {
+func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
 	p := &opPipeline{
 		c: c, op: op, name: name, depth: depth, respPer: 1,
 		slots:    make([]*pipeReq, depth),
@@ -359,7 +354,7 @@ func newPipeline(c *Client, op Op, name string, depth int) *opPipeline {
 		wedged:   make([]bool, depth),
 		win: aimdWindow{
 			w: float64(depth), depth: float64(depth),
-			beta: DefaultWindowBeta, ecn: DefaultEcnBacklog,
+			beta: defaultWindowBeta, ecn: defaultEcnBacklog,
 		},
 	}
 	for i := 0; i < depth; i++ {
@@ -604,9 +599,6 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 		r.AddPhase(telemetry.PhaseFabric, lat-r.Phases[telemetry.PhaseDoorbell])
 		r.Total = r.PhaseSum()
 		p.lastRcpt = r
-		if c.rcptHook != nil {
-			c.rcptHook(p.op, r)
-		}
 	}
 	if p.release != nil {
 		p.release(req, ok, executed)
@@ -659,31 +651,31 @@ func (p *opPipeline) subscribe(slot int, respQP *rnic.QP) {
 	})
 }
 
-// WindowConfig tunes the pipelines' AIMD congestion windows.
-type WindowConfig struct {
+// windowConfig tunes the pipelines' AIMD congestion windows.
+type windowConfig struct {
 	// Adaptive enables AIMD; false pins every window to the pipeline
 	// depth (the fixed-K behavior).
 	Adaptive bool
 	// Start is the initial window in slots (0 or out of range = depth).
 	Start int
-	// Beta is the multiplicative-decrease factor (0 = DefaultWindowBeta).
+	// Beta is the multiplicative-decrease factor (0 = defaultWindowBeta).
 	Beta float64
 	// EcnBacklog marks acks whose completion-stamped backlog exceeds it
-	// as congestion (0 = DefaultEcnBacklog; negative disables ECN cuts,
+	// as congestion (0 = defaultEcnBacklog; negative disables ECN cuts,
 	// leaving timeouts as the only loss signal).
 	EcnBacklog Duration
 }
 
-// ConfigureWindow applies cfg to all four pipelines. The default is
+// configureWindow applies cfg to all four pipelines. The default is
 // pinned: a window fixed at the pipeline depth.
-func (c *Client) ConfigureWindow(cfg WindowConfig) {
+func (c *Client) configureWindow(cfg windowConfig) {
 	beta := cfg.Beta
 	if beta == 0 {
-		beta = DefaultWindowBeta
+		beta = defaultWindowBeta
 	}
 	ecn := cfg.EcnBacklog
 	if ecn == 0 {
-		ecn = DefaultEcnBacklog
+		ecn = defaultEcnBacklog
 	}
 	start := cfg.Start
 	if start <= 0 || start > c.depth {
@@ -697,10 +689,10 @@ func (c *Client) ConfigureWindow(cfg WindowConfig) {
 	}
 }
 
-// SetTracer attaches a tracer for slot-occupancy spans, doorbell and
+// setTracer attaches a tracer for slot-occupancy spans, doorbell and
 // window-cut instants, labeling this client's tracks (typically the
 // node name).
-func (c *Client) SetTracer(tr *telemetry.Tracer, label string) {
+func (c *Client) setTracer(tr *telemetry.Tracer, label string) {
 	c.tr = tr
 	c.trLabel = label
 	if !tr.Enabled() {
@@ -780,7 +772,7 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 	}
 	t.n++
 	node := t.clu.AddNode(fabric.DefaultNodeConfig(fmt.Sprintf("client%d", t.n)))
-	return newClientOnNode(t, node, srv, mode, depth, DefaultMaxValLen, srv.Arena())
+	return newClientOnNode(t, node, srv, mode, depth, defaultMaxValLen, srv.valueArena())
 }
 
 // newClientOnNode wires the four connections, the offload context pools
@@ -802,13 +794,13 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 		prevVal:     make(map[uint64]uint64),
 		nextVer:     make(map[uint64]uint64),
 	}
-	c.get = newPipeline(c, OpGet, "get", depth)
-	c.set = newPipeline(c, OpSet, "set", depth)
-	c.del = newPipeline(c, OpDelete, "del", depth)
-	c.prb = newPipeline(c, OpProbe, "probe", depth)
+	c.get = newPipeline(c, pipeGet, "get", depth)
+	c.set = newPipeline(c, pipeSet, "set", depth)
+	c.del = newPipeline(c, pipeDelete, "del", depth)
+	c.prb = newPipeline(c, pipeProbe, "probe", depth)
 	c.pipes = [4]*opPipeline{c.get, c.set, c.del, c.prb}
 	if mode != LookupSingle {
-		c.get.respPer = 2 // seq probes two buckets, parallel answers on two QPs
+		c.get.respPer = 2 // seq probes two buckets
 	}
 
 	for _, p := range c.pipes {
@@ -821,54 +813,40 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 		srvQP.SendCQ().SetAutoDrain(true)
 		p.qp = cliQP
 		// Per-slot buffers and per-context response QPs. A get answers
-		// with the value (parallel mode on two QPs); the others with 8
-		// bytes: the write verdict or the probed version.
+		// with the value; the others with 8 bytes: the write verdict or
+		// the probed version.
 		resp := make([]*rnic.QP, depth)
-		var resp2 []*rnic.QP
-		if p.op == OpGet && mode == LookupParallel {
-			resp2 = make([]*rnic.QP, depth)
-		}
-		connect := func() *rnic.QP {
-			_, q := t.clu.Connect(node, srv.node,
-				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
-			return q
-		}
 		for i := range resp {
 			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
 			switch p.op {
-			case OpGet:
+			case pipeGet:
 				p.resp = append(p.resp, node.Mem.Alloc(maxVal, 64))
-			case OpSet:
+			case pipeSet:
 				p.val = append(p.val, node.Mem.Alloc(maxVal, 64))
 				fallthrough
 			default:
 				p.resp = append(p.resp, node.Mem.Alloc(8, 8))
 			}
-			resp[i] = connect()
-			if resp2 != nil {
-				resp2[i] = connect()
-			}
+			_, resp[i] = t.clu.Connect(node, srv.node,
+				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
+				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
 		}
 		switch p.op {
-		case OpGet:
-			c.gets = core.NewLookupPool(srv.builder, srvQP, resp, resp2, nil, mode)
+		case pipeGet:
+			c.gets = core.NewLookupPool(srv.builder, srvQP, resp, nil, nil, mode)
 			p.pool = c.gets
-		case OpSet:
+		case pipeSet:
 			c.sets = core.NewSetPool(srv.builder, srvQP, resp, maxVal, arena)
 			p.pool = c.sets
-		case OpDelete:
+		case pipeDelete:
 			c.dels = core.NewDeletePool(srv.builder, srvQP, resp)
 			p.pool = c.dels
-		case OpProbe:
+		case pipeProbe:
 			c.prbs = core.NewProbePool(srv.builder, srvQP, resp)
 			p.pool = c.prbs
 		}
-		for i := range resp {
-			p.subscribe(i, resp[i])
-			if resp2 != nil {
-				p.subscribe(i, resp2[i])
-			}
+		for i, q := range resp {
+			p.subscribe(i, q)
 		}
 		// Profiler attribution: each pool's contexts (and their shared
 		// trigger QP) serve exactly one op class, so the tagging is
@@ -939,7 +917,7 @@ func (c *Client) wireHooks() {
 			// it after the read grace (an in-flight get may hold its
 			// pointer).
 			if prev, tracked := c.prevVal[req.key]; tracked && prev != req.staging {
-				c.tb.clu.Eng.After(ExtentGraceLat, func() { c.arena.Free(prev) })
+				c.tb.clu.Eng.After(extentGraceLat, func() { c.arena.Free(prev) })
 			}
 			c.prevVal[req.key] = req.staging
 		}
@@ -962,7 +940,7 @@ func (c *Client) wireHooks() {
 		// from a timed-out delete deposits into a ring slot that a later
 		// re-arm of the same context would otherwise overwrite, losing
 		// the extent.
-		c.DrainFreed()
+		c.drainFreed()
 	}
 
 	// ---- probe ----
@@ -991,27 +969,19 @@ func (c *Client) Bind(h *HashTable) {
 	c.table = h
 }
 
-// Node exposes the client's simulated node.
-func (c *Client) Node() *fabric.Node { return c.node }
-
-// Depth returns the pipeline depth (max requests in flight per op).
-func (c *Client) Depth() int { return c.depth }
-
-// pipe maps an Op to its pipeline (OpGet for unknown values).
-func (c *Client) pipe(op Op) *opPipeline {
+// pipe maps a pipeOp to its pipeline (pipeGet for unknown values).
+func (c *Client) pipe(op pipeOp) *opPipeline {
 	if int(op) < len(c.pipes) {
 		return c.pipes[op]
 	}
 	return c.get
 }
 
-// PipelineStats snapshots one pipeline's occupancy and window. Unlike
-// the deprecated per-op accessors it reports in-flight and wedged
-// slots disjointly from an explicit counter rather than deriving one
-// from the other.
-func (c *Client) PipelineStats(op Op) PipelineStats {
+// pipelineStats snapshots one pipeline's occupancy and window, counting
+// in-flight and wedged slots disjointly from explicit counters.
+func (c *Client) pipelineStats(op pipeOp) pipelineStats {
 	p := c.pipe(op)
-	return PipelineStats{
+	return pipelineStats{
 		InFlight: p.inFlight,
 		Queued:   p.waiting.Len(),
 		Wedged:   p.nWedged,
@@ -1019,18 +989,18 @@ func (c *Client) PipelineStats(op Op) PipelineStats {
 	}
 }
 
-// LastExecuted reports whether the most recent failed request on op's
+// lastExecuted reports whether the most recent failed request on op's
 // pipeline had its offload chain execute on the server NIC — a genuine
 // miss (get: key absent), claim refusal (set: bucket taken; delete: key
 // absent or already tombstoned) or conditional miss (probe: the bucket
 // does not hold the key) — as opposed to never running (dead
 // connection). Meaningful when read from within the failure callback.
-func (c *Client) LastExecuted(op Op) bool { return c.pipe(op).lastRan }
+func (c *Client) lastExecuted(op pipeOp) bool { return c.pipe(op).lastRan }
 
-// EnableProvenance allocates the per-slot latency receipts on every
+// enableProvenance allocates the per-slot latency receipts on every
 // pipeline and starts stamping phase ledgers on each issued request.
 // Disabled clients pay nothing: the receipt paths are a nil check.
-func (c *Client) EnableProvenance() {
+func (c *Client) enableProvenance() {
 	for _, p := range c.pipes {
 		if p.rcpts == nil {
 			p.rcpts = make([]telemetry.Receipt, c.depth)
@@ -1038,17 +1008,12 @@ func (c *Client) EnableProvenance() {
 	}
 }
 
-// OnReceipt installs a hook observing every finalized receipt
-// synchronously, just before the op's delivery callback. Requires
-// EnableProvenance.
-func (c *Client) OnReceipt(fn func(Op, *telemetry.Receipt)) { c.rcptHook = fn }
-
-// LastReceipt returns the phase ledger of the most recently completed
+// lastReceipt returns the phase ledger of the most recently completed
 // request on op's pipeline, or nil when provenance is off or the
-// request failed without ever reaching a slot. Like LastExecuted,
+// request failed without ever reaching a slot. Like lastExecuted,
 // it is meaningful only when read from within the op's callback; the
 // receipt is overwritten when its slot reissues.
-func (c *Client) LastReceipt(op Op) *telemetry.Receipt { return c.pipe(op).lastRcpt }
+func (c *Client) lastReceipt(op pipeOp) *telemetry.Receipt { return c.pipe(op).lastRcpt }
 
 // Flush rings the send doorbells once for every request posted since
 // the last flush — the client-side batching that lets a burst of
@@ -1169,7 +1134,7 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 	// the per-key prevVal chain (exactly once, in ack order — see
 	// prevVal). Seed the chain with the table's current extent so the
 	// first overwrite retires the preloaded value. (Service writes pass
-	// SetAsyncClaim directly — their coordinator owns the lifecycle.)
+	// setAsyncClaim directly — their coordinator owns the lifecycle.)
 	k := key & hopscotch.KeyMask
 	if c.arena != nil {
 		if _, tracked := c.prevVal[k]; !tracked {
@@ -1182,10 +1147,10 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 	c.setAsyncReq(k, value, claim, c.nextVer[k], cb, true)
 }
 
-// SetAsyncClaim is SetAsync with an explicit, caller-computed bucket
+// setAsyncClaim is SetAsync with an explicit, caller-computed bucket
 // claim and version — the service layer's entry point (its router owns
 // placement and the quorum sequence the version publishes).
-func (c *Client) SetAsyncClaim(key uint64, value []byte, claim core.SetClaim, ver uint64, cb func(lat Duration, ok bool)) {
+func (c *Client) setAsyncClaim(key uint64, value []byte, claim core.SetClaim, ver uint64, cb func(lat Duration, ok bool)) {
 	c.setAsyncReq(key&hopscotch.KeyMask, value, claim, ver, cb, false)
 }
 
@@ -1245,24 +1210,24 @@ func (c *Client) DeleteAsync(key uint64, cb func(lat Duration, ok bool)) {
 		return
 	}
 	c.nextVer[key&hopscotch.KeyMask]++
-	c.DeleteAsyncClaim(key, bucket, c.nextVer[key&hopscotch.KeyMask], cb)
+	c.deleteAsyncClaim(key, bucket, c.nextVer[key&hopscotch.KeyMask], cb)
 }
 
-// DeleteAsyncClaim is DeleteAsync with an explicit, caller-computed
+// deleteAsyncClaim is DeleteAsync with an explicit, caller-computed
 // bucket and tombstone version — the service layer's entry point.
-func (c *Client) DeleteAsyncClaim(key, bucket, ver uint64, cb func(lat Duration, ok bool)) {
+func (c *Client) deleteAsyncClaim(key, bucket, ver uint64, cb func(lat Duration, ok bool)) {
 	req := c.del.take()
 	req.key, req.bucket, req.ver, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, ver, cb, c.tr.Op()
 	c.del.submit(req)
 }
 
-// DrainFreed drains this connection's to-free ring into the server's
+// drainFreed drains this connection's to-free ring into the server's
 // arena: each entry a delete chain unlinked is returned exactly once,
 // after the read grace (a get that probed the bucket just before the
 // tombstone may still hold the pointer); entries whose extent is
 // already gone (a straggling chain double-unlinked during its claim
 // window) are counted and skipped.
-func (c *Client) DrainFreed() int {
+func (c *Client) drainFreed() int {
 	return c.dels.Ctxs[0].Ring.Drain(func(tag, addr, size uint64) {
 		// The tag is the pending word the delete chain claimed; the
 		// extent is freed only while the arena still attributes the
@@ -1272,7 +1237,7 @@ func (c *Client) DrainFreed() int {
 		if c.arena != nil {
 			if cookie, live := c.arena.Cookie(addr); live && cookie == key {
 				c.gcFreed++
-				c.tb.clu.Eng.After(ExtentGraceLat, func() { c.arena.Free(addr) })
+				c.tb.clu.Eng.After(extentGraceLat, func() { c.arena.Free(addr) })
 				return
 			}
 		}
@@ -1289,13 +1254,13 @@ func (c *Client) Delete(key uint64) (Duration, bool) {
 
 // ---- probe path ----
 
-// ProbeAsync issues one offloaded version probe of key, computing the
+// probeAsync issues one offloaded version probe of key, computing the
 // target bucket from the bound table, and returns immediately; cb runs
 // with the replica's version word when the NIC's response lands, or
 // ok=false after MissTimeout (key absent at the probed bucket, or dead
-// connection — LastExecuted(OpProbe) tells them apart). Probes beyond the
+// connection — lastExecuted(pipeProbe) tells them apart). Probes beyond the
 // pipeline window queue client-side; call Flush after posting a batch.
-func (c *Client) ProbeAsync(key uint64, cb func(ver uint64, lat Duration, ok bool)) {
+func (c *Client) probeAsync(key uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Probe")
 	}
@@ -1311,29 +1276,29 @@ func (c *Client) ProbeAsync(key uint64, cb func(ver uint64, lat Duration, ok boo
 		})
 		return
 	}
-	c.ProbeAsyncTarget(key, bucket, cb)
+	c.probeAsyncTarget(key, bucket, cb)
 }
 
-// ProbeAsyncTarget is ProbeAsync with an explicit, caller-computed
+// probeAsyncTarget is probeAsync with an explicit, caller-computed
 // bucket — the service layer's entry point.
-func (c *Client) ProbeAsyncTarget(key, bucket uint64, cb func(ver uint64, lat Duration, ok bool)) {
+func (c *Client) probeAsyncTarget(key, bucket uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	req := c.prb.take()
 	req.key, req.bucket, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, cb, c.tr.Op()
 	c.prb.submit(req)
 }
 
-// Probe performs one offloaded version probe, advancing the simulation
+// probe performs one offloaded version probe, advancing the simulation
 // until the response lands (or MissTimeout for conditional misses). It
 // returns the replica's version word, the observed latency, and whether
 // the NIC answered.
-func (c *Client) Probe(key uint64) (uint64, Duration, bool) {
+func (c *Client) probe(key uint64) (uint64, Duration, bool) {
 	var (
 		ver  uint64
 		lat  Duration
 		ok   bool
 		done bool
 	)
-	c.ProbeAsync(key, func(v uint64, l Duration, answered bool) {
+	c.probeAsync(key, func(v uint64, l Duration, answered bool) {
 		ver, lat, ok, done = v, l, answered, true
 	})
 	c.Flush()

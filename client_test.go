@@ -49,7 +49,7 @@ func TestPipelinedClientDemux(t *testing.T) {
 	if done != 32 {
 		t.Fatalf("completed %d of 32 gets", done)
 	}
-	if st := cli.PipelineStats(OpGet); st.InFlight != 0 {
+	if st := cli.pipelineStats(pipeGet); st.InFlight != 0 {
 		t.Fatalf("%d gets still in flight after drain", st.InFlight)
 	}
 	if cli.get.maxInFlight != 16 {
@@ -224,7 +224,7 @@ func TestClientWedgesOnFrozenServer(t *testing.T) {
 		t.Fatal("get missed on a healthy server")
 	}
 
-	srv.Node().Dev.Freeze()
+	srv.node.Dev.Freeze()
 	// Far more gets than slots: every present key now times out, slots
 	// wedge one by one, and the overflow fails fast instead of queueing
 	// forever. No ring overflow panic may occur.
@@ -245,9 +245,9 @@ func TestClientWedgesOnFrozenServer(t *testing.T) {
 	if results != 64 {
 		t.Fatalf("%d of 64 gets completed against a frozen NIC", results)
 	}
-	st := cli.PipelineStats(OpGet)
-	if st.Wedged != cli.Depth() {
-		t.Fatalf("%d of %d slots wedged; the dead connection was re-armed", st.Wedged, cli.Depth())
+	st := cli.pipelineStats(pipeGet)
+	if st.Wedged != cli.depth {
+		t.Fatalf("%d of %d slots wedged; the dead connection was re-armed", st.Wedged, cli.depth)
 	}
 	if st.InFlight != 0 || st.Queued != 0 {
 		t.Fatalf("stranded requests: inflight=%d queued=%d", st.InFlight, st.Queued)
@@ -270,7 +270,7 @@ func TestClientMissesDoNotWedge(t *testing.T) {
 			t.Fatal("absent key found")
 		}
 	}
-	if w := cli.PipelineStats(OpGet).Wedged; w != 0 {
+	if w := cli.pipelineStats(pipeGet).Wedged; w != 0 {
 		t.Fatalf("%d slots wedged by ordinary misses", w)
 	}
 	// And the connection still serves hits.
@@ -346,7 +346,7 @@ func TestClientSetClaimRefused(t *testing.T) {
 	table := srv.NewHashTable(1024)
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
-	cli.EnableProvenance()
+	cli.enableProvenance()
 
 	const key = 5
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {
@@ -367,13 +367,13 @@ func TestClientSetClaimRefused(t *testing.T) {
 	var executed bool
 	var refusedLat Duration
 	doneOK := true
-	cli.SetAsyncClaim(777, Value(777, 64),
+	cli.setAsyncClaim(777, Value(777, 64),
 		// Claim key's bucket for key 777 expecting it empty.
 		coreSetClaim(bucket, 0, 777), 1,
 		func(lat Duration, ok bool) {
 			doneOK, refusedLat = ok, lat
-			executed = cli.LastExecuted(OpSet)
-			if r := cli.LastReceipt(OpSet); r.Censored || r.Total != lat || r.Total != r.PhaseSum() {
+			executed = cli.lastExecuted(pipeSet)
+			if r := cli.lastReceipt(pipeSet); r.Censored || r.Total != lat || r.Total != r.PhaseSum() {
 				t.Errorf("refusal receipt %+v, want uncensored with Total == PhaseSum == %v", r, lat)
 			}
 		})
@@ -488,7 +488,7 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 			t.Fatalf("set(%d) failed", k)
 		}
 	}
-	liveBefore := srv.Arena().LiveBytes()
+	liveBefore := srv.valueArena().LiveBytes()
 	for k := uint64(1); k <= 16; k++ {
 		lat, ok := cli.Delete(k)
 		if !ok {
@@ -523,7 +523,7 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 	if st := cli.Stats(); st.GCFreed != 16 || st.GCStale != 0 {
 		t.Fatalf("gc freed=%d stale=%d, want 16/0", st.GCFreed, st.GCStale)
 	}
-	if live := srv.Arena().LiveBytes(); live >= liveBefore {
+	if live := srv.valueArena().LiveBytes(); live >= liveBefore {
 		t.Fatalf("arena live bytes %d did not drop from %d after deletes", live, liveBefore)
 	}
 }
@@ -562,9 +562,9 @@ func TestClientDeleteRefused(t *testing.T) {
 	var executed, acked bool
 	var refusedLat Duration
 	done := false
-	cli.DeleteAsyncClaim(777, bucket, 1,
+	cli.deleteAsyncClaim(777, bucket, 1,
 		func(lat Duration, ok bool) {
-			acked, executed, done, refusedLat = ok, cli.LastExecuted(OpDelete), true, lat
+			acked, executed, done, refusedLat = ok, cli.lastExecuted(pipeDelete), true, lat
 		})
 	cli.Flush()
 	tb.Run()
@@ -646,7 +646,7 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 	table := srv.NewHashTable(1024)
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
-	cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: 2, EcnBacklog: -1})
+	cli.configureWindow(windowConfig{Adaptive: true, Start: 2, EcnBacklog: -1})
 
 	const key = 5
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {
@@ -659,10 +659,10 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 			bucket = ht.BucketAddr(ht.Hash(key, fn))
 		}
 	}
-	live := srv.Arena().LiveBytes()
+	live := srv.valueArena().LiveBytes()
 	for i := 0; i < 20; i++ {
 		done := false
-		cli.SetAsyncClaim(777, Value(777, 64), coreSetClaim(bucket, 0, 777), 1,
+		cli.setAsyncClaim(777, Value(777, 64), coreSetClaim(bucket, 0, 777), 1,
 			func(_ Duration, ok bool) {
 				if ok {
 					t.Error("stale claim acknowledged")
@@ -675,10 +675,10 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 			t.Fatal("refused set never completed")
 		}
 	}
-	if got := srv.Arena().LiveBytes(); got != live {
+	if got := srv.valueArena().LiveBytes(); got != live {
 		t.Fatalf("arena grew %d -> %d live bytes across 20 refused claims", live, got)
 	}
-	if cuts, w := cli.Stats().WindowCuts, cli.PipelineStats(OpSet).Window; cuts != 0 || w != 4 {
+	if cuts, w := cli.Stats().WindowCuts, cli.pipelineStats(pipeSet).Window; cuts != 0 || w != 4 {
 		t.Fatalf("%d window cuts, window %d after 20 refusals from start 2; want 0 cuts and the full depth 4", cuts, w)
 	}
 }
@@ -697,17 +697,17 @@ func TestClientWritesTimeOutOnFrozenServer(t *testing.T) {
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {
 		t.Fatal("setup set failed")
 	}
-	srv.Node().Dev.Freeze()
-	check := func(op Op) func(Duration, bool) {
+	srv.node.Dev.Freeze()
+	check := func(op pipeOp) func(Duration, bool) {
 		return func(lat Duration, ok bool) {
-			if ok || lat != cli.MissTimeout || cli.LastExecuted(op) {
+			if ok || lat != cli.MissTimeout || cli.lastExecuted(op) {
 				t.Errorf("op %d on a frozen NIC: ok=%v lat=%v executed=%v, want a %v timeout of an unexecuted chain",
-					op, ok, lat, cli.LastExecuted(op), cli.MissTimeout)
+					op, ok, lat, cli.lastExecuted(op), cli.MissTimeout)
 			}
 		}
 	}
-	cli.SetAsync(key, Value(key+1, 64), check(OpSet))
-	cli.DeleteAsync(key, check(OpDelete))
+	cli.SetAsync(key, Value(key+1, 64), check(pipeSet))
+	cli.DeleteAsync(key, check(pipeDelete))
 	cli.Flush()
 	tb.Run()
 	if st := cli.Stats(); st.SetFails != 1 || st.DelFails != 1 || st.SetsWedged != 1 || st.DelsWedged != 1 {
@@ -733,8 +733,8 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	results := make(map[uint64]int)
 	cli.SetAsync(1, Value(1, 64), func(lat Duration, ok bool) {
 		results[1]++
-		if ok || lat != 3*sim.Microsecond || cli.LastExecuted(OpSet) {
-			t.Errorf("short-deadline set: ok=%v lat=%v executed=%v", ok, lat, cli.LastExecuted(OpSet))
+		if ok || lat != 3*sim.Microsecond || cli.lastExecuted(pipeSet) {
+			t.Errorf("short-deadline set: ok=%v lat=%v executed=%v", ok, lat, cli.lastExecuted(pipeSet))
 		}
 	})
 	cli.Flush()
@@ -778,7 +778,7 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	cli.Flush()
 	cli.node.Mem.PutU64(cli.set.resp[0], wqe.MakeCtrl(wqe.OpWrite, 9))
 	cli.set.onAck(0, 9, tb.Now(), 0)
-	if done || cli.PipelineStats(OpSet).InFlight != 1 {
+	if done || cli.pipelineStats(pipeSet).InFlight != 1 {
 		t.Fatal("an ack for another key completed the request in flight")
 	}
 	tb.Run()
@@ -788,7 +788,7 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 }
 
 // The probe path end to end: fabric sets publish monotonically
-// increasing versions into their buckets, ProbeAsync reads them back
+// increasing versions into their buckets, probeAsync reads them back
 // through the NIC chain in one round trip, and a probe of an absent key
 // times out with its chain executed (a genuine conditional miss, not a
 // dead connection).
@@ -803,7 +803,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {
 		t.Fatal("set failed")
 	}
-	ver, lat, ok := cli.Probe(key)
+	ver, lat, ok := cli.probe(key)
 	if !ok {
 		t.Fatal("probe of a resident key missed")
 	}
@@ -818,7 +818,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	if _, ok := cli.Set(key, Value(key+1, 64)); !ok {
 		t.Fatal("overwrite failed")
 	}
-	if ver, _, ok = cli.Probe(key); !ok || ver != 2 {
+	if ver, _, ok = cli.probe(key); !ok || ver != 2 {
 		t.Fatalf("probe after overwrite = %d,%v want 2,true", ver, ok)
 	}
 	// Ground truth: the bucket's version word matches what probes see.
@@ -828,7 +828,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 
 	// An absent key: the probe target cannot even be computed — the
 	// client fails it after a zero-cost hop.
-	if _, _, ok := cli.Probe(9999); ok {
+	if _, _, ok := cli.probe(9999); ok {
 		t.Fatal("probe of an absent key answered")
 	}
 
@@ -843,8 +843,8 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	}
 	var executed, answered bool
 	done := false
-	cli.ProbeAsyncTarget(key, target, func(_ uint64, _ Duration, ok bool) {
-		answered, executed, done = ok, cli.LastExecuted(OpProbe), true
+	cli.probeAsyncTarget(key, target, func(_ uint64, _ Duration, ok bool) {
+		answered, executed, done = ok, cli.lastExecuted(pipeProbe), true
 	})
 	cli.Flush()
 	tb.Run()

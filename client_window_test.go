@@ -10,7 +10,7 @@ import (
 // From w=1 the cap is reached after ~(depth^2-1)/2 acks — the quadratic
 // ramp that makes AIMD gentle near its operating point.
 func TestAIMDWindowGrowth(t *testing.T) {
-	a := aimdWindow{adaptive: true, w: 1, depth: 16, beta: DefaultWindowBeta, ecn: DefaultEcnBacklog}
+	a := aimdWindow{adaptive: true, w: 1, depth: 16, beta: defaultWindowBeta, ecn: defaultEcnBacklog}
 	prev := a.w
 	acks := 0
 	for a.size() < 16 {
@@ -41,7 +41,7 @@ func TestAIMDWindowGrowth(t *testing.T) {
 // cannot re-cut), beta per cut, floor at one slot, and ECN-vs-timeout
 // attribution in the counters.
 func TestAIMDWindowCutEpochAndFloor(t *testing.T) {
-	a := aimdWindow{adaptive: true, w: 16, depth: 16, beta: 0.5, ecn: DefaultEcnBacklog}
+	a := aimdWindow{adaptive: true, w: 16, depth: 16, beta: 0.5, ecn: defaultEcnBacklog}
 	if !a.cut(1, 10, false) {
 		t.Fatal("first loss did not cut")
 	}
@@ -81,7 +81,7 @@ func TestAIMDWindowCutEpochAndFloor(t *testing.T) {
 // A pinned window (the default) is the fixed-K pipeline: size is always
 // depth and every congestion signal is ignored.
 func TestPinnedWindowIgnoresSignals(t *testing.T) {
-	a := aimdWindow{w: 16, depth: 16, beta: 0.5, ecn: DefaultEcnBacklog}
+	a := aimdWindow{w: 16, depth: 16, beta: 0.5, ecn: defaultEcnBacklog}
 	if a.size() != 16 {
 		t.Fatalf("pinned size %d, want depth 16", a.size())
 	}
@@ -133,7 +133,7 @@ func TestWindowConvergesFromUndersizedStart(t *testing.T) {
 	// Negative EcnBacklog isolates additive increase from this run's
 	// incidental fetch-unit backlog; only timeouts could cut, and every
 	// key is present.
-	cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: 1, EcnBacklog: -1})
+	cli.configureWindow(windowConfig{Adaptive: true, Start: 1, EcnBacklog: -1})
 
 	hits := 0
 	for i := 0; i < 400; i++ {
@@ -149,7 +149,7 @@ func TestWindowConvergesFromUndersizedStart(t *testing.T) {
 	if hits != 400 {
 		t.Fatalf("%d of 400 gets hit on present keys", hits)
 	}
-	if st := cli.PipelineStats(OpGet); st.Window != 16 {
+	if st := cli.pipelineStats(pipeGet); st.Window != 16 {
 		t.Fatalf("window %d after 400 clean acks from start 1, want the depth 16", st.Window)
 	}
 	if cs := cli.Stats(); cs.WindowCuts != 0 {
@@ -171,7 +171,7 @@ func TestWindowConvergesFromOversizedStart(t *testing.T) {
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 8)
 	cli.Bind(table)
 	cli.MissTimeout = 50 * sim.Microsecond
-	cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: 8, EcnBacklog: -1})
+	cli.configureWindow(windowConfig{Adaptive: true, Start: 8, EcnBacklog: -1})
 
 	misses := 0
 	for i := 0; i < 60; i++ {
@@ -187,13 +187,13 @@ func TestWindowConvergesFromOversizedStart(t *testing.T) {
 	if misses != 60 {
 		t.Fatalf("%d of 60 absent-key gets missed", misses)
 	}
-	st := cli.PipelineStats(OpGet)
+	st := cli.pipelineStats(pipeGet)
 	if st.Window != 1 {
 		t.Fatalf("window %d after sustained timeouts from start 8, want the floor 1", st.Window)
 	}
 	cs := cli.Stats()
 	if cs.WindowCuts < 3 {
-		t.Fatalf("%d cuts while converging 8 -> 1 at beta %.1f, want >= 3", cs.WindowCuts, DefaultWindowBeta)
+		t.Fatalf("%d cuts while converging 8 -> 1 at beta %.1f, want >= 3", cs.WindowCuts, defaultWindowBeta)
 	}
 	if cs.EcnCuts != 0 {
 		t.Fatalf("%d ECN cuts with ECN disabled; cuts must be timeout-attributed", cs.EcnCuts)
@@ -225,11 +225,11 @@ func TestPipelineStatsDisjointAccounting(t *testing.T) {
 	if _, _, ok := cli.Get(1, 64); !ok {
 		t.Fatal("get missed on a healthy server")
 	}
-	if st := cli.PipelineStats(OpGet); st.InFlight != 0 || st.Wedged != 0 {
+	if st := cli.pipelineStats(pipeGet); st.InFlight != 0 || st.Wedged != 0 {
 		t.Fatalf("idle pipeline reports inflight=%d wedged=%d", st.InFlight, st.Wedged)
 	}
 
-	srv.Node().Dev.Freeze()
+	srv.node.Dev.Freeze()
 	for i := 0; i < 32; i++ {
 		cli.GetAsync(uint64(i%8+1), 64, func(_ []byte, _ Duration, ok bool) {
 			if ok {
@@ -237,7 +237,7 @@ func TestPipelineStatsDisjointAccounting(t *testing.T) {
 			}
 			// The historically broken property: a wedged slot counted as
 			// in flight too, so the sum exceeded the depth.
-			if st := cli.PipelineStats(OpGet); st.InFlight+st.Wedged > 4 {
+			if st := cli.pipelineStats(pipeGet); st.InFlight+st.Wedged > 4 {
 				t.Errorf("inflight %d + wedged %d exceeds depth 4 — overlapping accounting",
 					st.InFlight, st.Wedged)
 			}
@@ -246,7 +246,7 @@ func TestPipelineStatsDisjointAccounting(t *testing.T) {
 	cli.Flush()
 	tb.Run()
 
-	st := cli.PipelineStats(OpGet)
+	st := cli.pipelineStats(pipeGet)
 	if st.Wedged != 4 || st.InFlight != 0 || st.Queued != 0 {
 		t.Fatalf("after wedging all slots: inflight=%d queued=%d wedged=%d, want 0/0/4",
 			st.InFlight, st.Queued, st.Wedged)
@@ -262,7 +262,7 @@ func TestPipelineStatsDisjointAccounting(t *testing.T) {
 // workload is bit-identical run to run — counters and summed hit
 // latency alike.
 func TestPinnedWindowDeterminism(t *testing.T) {
-	run := func(cfg *WindowConfig) (ClientStats, Duration) {
+	run := func(cfg *windowConfig) (ClientStats, Duration) {
 		tb := NewTestbed()
 		srv := tb.NewServer()
 		table := srv.NewHashTable(1024)
@@ -274,7 +274,7 @@ func TestPinnedWindowDeterminism(t *testing.T) {
 		cli := tb.NewPipelinedClient(srv, LookupSeq, 8)
 		cli.Bind(table)
 		if cfg != nil {
-			cli.ConfigureWindow(*cfg)
+			cli.configureWindow(*cfg)
 		}
 		var total Duration
 		for i := 0; i < 200; i++ {
@@ -288,16 +288,16 @@ func TestPinnedWindowDeterminism(t *testing.T) {
 		}
 		cli.Flush()
 		tb.Run()
-		if st := cli.PipelineStats(OpGet); st.Window != 8 {
+		if st := cli.pipelineStats(pipeGet); st.Window != 8 {
 			t.Fatalf("pinned window %d, want depth 8", st.Window)
 		}
 		return cli.Stats(), total
 	}
 
 	base, latBase := run(nil)
-	explicit, latExplicit := run(&WindowConfig{})
+	explicit, latExplicit := run(&windowConfig{})
 	// Start/Beta are window-shape knobs; pinned windows ignore them.
-	knobs, latKnobs := run(&WindowConfig{Adaptive: false, Start: 3, Beta: 0.9})
+	knobs, latKnobs := run(&windowConfig{Adaptive: false, Start: 3, Beta: 0.9})
 
 	if base != explicit || latBase != latExplicit {
 		t.Fatalf("explicit pinned config diverged from default:\n%+v lat %v\n%+v lat %v",

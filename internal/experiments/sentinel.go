@@ -271,7 +271,6 @@ func sentinelMigrationRun() (*redn.Service, workload.OpenLoopReport) {
 		MaxValLen:       256,
 		MigrateEvery:    200 * sim.Microsecond,
 		MigrateBatch:    1,
-		MigrateSegments: 64,
 		Sentinel:        true,
 	})
 	keys := sentinelKeys(s, 2000)

@@ -118,6 +118,22 @@ func TestProvenancePhaseSumIdentity(t *testing.T) {
 	}
 }
 
+// Every read-repair probe the service issues records exactly one
+// receipt: the probe's completion hands its client ledger to provenance
+// once, alongside the get and write receipts the coordinator folds.
+func TestProvenanceRecordsEveryProbe(t *testing.T) {
+	s := provenanceService(true, false)
+	runProvenanceMix(s)
+	s.Run()
+	probes := s.Stats().Probes
+	if probes == 0 {
+		t.Fatal("the mix issued no read-repair probes")
+	}
+	if got := s.Provenance().Count(telemetry.ClassProbe); got != probes {
+		t.Fatalf("%d probe receipts recorded for %d probes issued", got, probes)
+	}
+}
+
 // The virtual-time profiler's attribution is complete: summed
 // execution nanoseconds across all (class, resource) cells equal the
 // resource report's summed busy time exactly (the run is unwindowed —
@@ -253,8 +269,8 @@ func TestLatencyIncidentCarriesProvenance(t *testing.T) {
 		Buckets: 1 << 12, MaxValLen: 256,
 		Provenance: true,
 		Sentinel:   true,
-		SlowGetLat: 1, // every served get breaches the SLO
-		SentinelRules: []telemetry.Rule{{
+		slowGetLat: 1, // every served get breaches the SLO
+		sentinelRules: []telemetry.Rule{{
 			Name: "latency-burn", Class: "latency",
 			Metrics:   []string{"fleet/get_slow"},
 			Threshold: 10, Fast: DefaultSLOFast, Slow: DefaultSLOSlow,

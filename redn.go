@@ -51,11 +51,12 @@ import (
 // LookupMode re-exports the offload's collision strategies.
 type LookupMode = core.LookupMode
 
-// Lookup modes (see §5.2 of the paper).
+// Lookup modes (see §5.2 of the paper). Clients and services probe one
+// bucket or both in sequence; the parallel mode is internal/core's, and
+// only the Fig 11 reproduction drives it.
 const (
-	LookupSingle   = core.LookupSingle
-	LookupSeq      = core.LookupSeq
-	LookupParallel = core.LookupParallel
+	LookupSingle = core.LookupSingle
+	LookupSeq    = core.LookupSeq
 )
 
 // Duration is virtual time in nanoseconds.
@@ -112,24 +113,17 @@ func (t *Testbed) NewServer() *Server {
 	return &Server{tb: t, node: node, builder: core.NewBuilder(node.Dev, 1<<16)}
 }
 
-// Builder exposes the server's RedN program builder for custom
-// offloads (conditionals, loops, mov chains).
-func (s *Server) Builder() *core.Builder { return s.builder }
-
-// Arena returns the server's value-extent arena, created on first use.
-// Every value the server stores — preloads, host-path writes, and the
-// staging extents fabric set chains repoint buckets at — is carved
+// valueArena returns the server's value-extent arena, created on first
+// use. Every value the server stores — preloads, host-path writes, and
+// the staging extents fabric set chains repoint buckets at — is carved
 // from it, so overwrites and deletes can retire their old extents
 // instead of leaking them.
-func (s *Server) Arena() *extent.Arena {
+func (s *Server) valueArena() *extent.Arena {
 	if s.arena == nil {
 		s.arena = extent.NewArena(s.node.Mem, 0)
 	}
 	return s.arena
 }
-
-// Node exposes the underlying simulated node.
-func (s *Server) Node() *fabric.Node { return s.node }
 
 // HashTable is a Hopscotch table in server memory, the value store
 // behind offloaded gets.
@@ -148,7 +142,7 @@ func (s *Server) NewHashTable(nBuckets uint64) *HashTable {
 // place).
 func (h *HashTable) Set(key uint64, value []byte) error {
 	m := h.srv.node.Mem
-	a := h.srv.Arena()
+	a := h.srv.valueArena()
 	n := uint64(len(value))
 	oldVa, _, hadOld := h.table.Lookup(key)
 	if hadOld {

@@ -48,10 +48,10 @@ func (p ReadPolicy) String() string {
 	return "primary"
 }
 
-// CacheHitLat is the virtual cost of serving a get from the client's
+// cacheHitLat is the virtual cost of serving a get from the client's
 // local hot-key cache: a hash probe and a short copy in client memory,
 // no NIC involved.
-const CacheHitLat = 150 * sim.Nanosecond
+const cacheHitLat = 150 * sim.Nanosecond
 
 // cacheAdmitCount is the estimated access count a hot key needs before
 // its value is admitted to the client-side cache. It is the sketch's
@@ -69,26 +69,26 @@ const cacheAdmitCount = 8
 // 0.85 for a cache pinned to the true top-C.
 const hotTrackPerEntry = 4
 
-// DefaultSuspectAfter and DefaultSuspectFor shape crash detection:
-// after DefaultSuspectAfter consecutive timeouts a shard is presumed
+// defaultSuspectAfter and defaultSuspectFor shape crash detection:
+// after defaultSuspectAfter consecutive timeouts a shard is presumed
 // dead and its circuit breaker opens — gets go to other replica owners
 // and writes hint — until something proves it alive. Every
-// DefaultSuspectFor the breaker goes half-open: the next routing
+// defaultSuspectFor the breaker goes half-open: the next routing
 // decision that steers an op around the shard sends it one dedicated
 // liveness probe, whose answer closes the breaker and whose timeout
 // re-arms the window. User ops never pay for the probing.
 const (
-	DefaultSuspectAfter = 4
-	DefaultSuspectFor   = 25 * sim.Millisecond
+	defaultSuspectAfter = 4
+	defaultSuspectFor   = 25 * sim.Millisecond
 )
 
-// DefaultAdmitBacklog is the NIC backlog watermark above which an
+// defaultAdmitBacklog is the NIC backlog watermark above which an
 // admission-controlled shard stops accepting new requests. It sits
-// well above DefaultEcnBacklog (the AIMD cut point) so window-controlled
+// well above defaultEcnBacklog (the AIMD cut point) so window-controlled
 // clients rarely trip it — admission is the safety net for open-loop
 // offered load that outruns what backoff alone can absorb, while
 // staying under DefaultMissTimeout so shedding beats timing out.
-const DefaultAdmitBacklog = 100 * sim.Microsecond
+const defaultAdmitBacklog = 100 * sim.Microsecond
 
 // ServiceConfig sizes a sharded RedN KV service.
 type ServiceConfig struct {
@@ -107,8 +107,8 @@ type ServiceConfig struct {
 	WriteQuorum int
 
 	ReadPolicy  ReadPolicy // which replica owner serves a get
-	HotKeyTrack int        // least top-k tracker size (0 = 64 when hot routing/caching is on)
-	HotKeyCache int        // client-side hot-value cache entries (0 = disabled); the tracker keeps 4 counters per entry
+	HotKeyTrack int        // least top-k tracker size (0 = 64 when hot routing/caching is on); the tracker keeps max(HotKeyTrack, 4*HotKeyCache) counters
+	HotKeyCache int        // client-side hot-value cache entries (0 = disabled)
 
 	HullParent bool // crashed processes keep their RDMA resources (Fig 16)
 
@@ -140,11 +140,6 @@ type ServiceConfig struct {
 	ReadRepair bool
 	// ProbeEvery probes every n-th replicated hit (0 or 1 = every hit).
 	ProbeEvery int
-	// RepairEvery is the repair queue's service tick: pending records
-	// are applied in batches on this period, activity-armed like the
-	// compactor (0 = 50us). The queue is live whenever Replicas > 1 —
-	// capacity-rejected owners land in it even with ReadRepair off.
-	RepairEvery Duration
 	// AntiEntropyEvery, when nonzero, runs the background anti-entropy
 	// sweeper: each tick scans one shard (rotating), diffs Merkle-style
 	// segment digests against every co-owner, and enqueues repairs for
@@ -161,15 +156,15 @@ type ServiceConfig struct {
 	NoRepair bool
 
 	// AdaptiveWindow puts every client pipeline under AIMD congestion
-	// control instead of the fixed Pipeline-deep window: start at
-	// adaptiveWindowStart, grow additively on clean acks, cut by
-	// DefaultWindowBeta on timeout and on the ECN-like backlog watermark
-	// (DefaultEcnBacklog) the NIC stamps into completions. Off, windows
-	// are pinned to Pipeline (the pre-adaptive fixed-K behavior).
+	// control instead of the fixed Pipeline-deep window: start at 16
+	// slots (at most Pipeline), grow additively on clean acks, halve on
+	// timeout and on the ECN-like backlog watermark (25us of PU backlog)
+	// the NIC stamps into completions. Off, windows are pinned to
+	// Pipeline (the pre-adaptive fixed-K behavior).
 	AdaptiveWindow bool
 
 	// Admission enables server-side admission control: a shard whose
-	// NIC backlog watermark exceeds DefaultAdmitBacklog is overloaded —
+	// NIC backlog watermark exceeds 100us is overloaded —
 	// new gets defer to other replica owners or shed outright, and
 	// writes shed with a typed *ErrOverload when too few owners can
 	// admit them. Clients back off on the signal instead of stacking
@@ -183,11 +178,6 @@ type ServiceConfig struct {
 	// MigrateBatch is how many bucket segments one migrator tick starts
 	// (0 = 4).
 	MigrateBatch int
-	// MigrateSegments divides the keyspace (by primary hash bucket,
-	// the anti-entropy sweeper's geometry) into this many segments for
-	// migration sealing: dual-read/dual-write stops per segment as it
-	// seals, not in one global flag flip at the end (0 = 64).
-	MigrateSegments int
 
 	// Trace makes the service record per-op trace spans through every
 	// layer (service fan-out, client slots, WRs on NIC PUs) for
@@ -203,17 +193,9 @@ type ServiceConfig struct {
 	// registry snapshots land in a fixed metric-sample ring on an
 	// activity-armed DefaultSentinelEvery tick, and burn-rate SLO rules
 	// evaluate each tick. A firing rule snapshots a deterministic
-	// incident bundle (at most DefaultMaxIncidents are kept); read them
-	// back with Incidents() and Stats().Anomalies.
+	// incident bundle (at most 16 are kept); read them back with
+	// Incidents() and Stats().Anomalies.
 	Sentinel bool
-	// SentinelRules overrides the rule set (nil = DefaultSLORules()).
-	SentinelRules []telemetry.Rule
-	// SlowGetLat is the fleet latency-burn threshold: gets slower than
-	// this count toward the "latency" SLO (0 = DefaultSlowGetLat).
-	SlowGetLat Duration
-	// SentinelDir, when set, writes each incident bundle to
-	// INCIDENT_<seq>_<class>.json in that directory as it fires.
-	SentinelDir string
 
 	// Provenance enables per-op latency receipts: every get/set/delete
 	// (and probe) accumulates a fixed-size phase ledger — window wait,
@@ -229,12 +211,25 @@ type ServiceConfig struct {
 	// execution split, exported as folded stacks for flamegraphs.
 	// Retrieve with Profiler(). Off, the grant path is a nil check.
 	Profile bool
+
+	// Test hooks, each left at its default outside the package's tests.
+	// repairEvery is the repair queue's service tick: pending records
+	// are applied in batches on this period, activity-armed like the
+	// compactor (0 = defaultRepairEvery). The queue is live whenever
+	// Replicas > 1 — capacity-rejected owners land in it even with
+	// ReadRepair off. sentinelRules overrides the sentinel's rule set
+	// (nil = defaultSLORules()), and slowGetLat its fleet latency-burn
+	// threshold: gets slower than this count toward the "latency" SLO
+	// (0 = defaultSlowGetLat).
+	repairEvery   Duration
+	sentinelRules []telemetry.Rule
+	slowGetLat    Duration
 }
 
-// DefaultServiceConfig returns the production-shaped defaults: 16-deep
+// defaultServiceConfig returns the production-shaped defaults: 16-deep
 // pipelines, sequential two-bucket probing (writes may place keys in
 // either candidate bucket), 4 KiB values.
-func DefaultServiceConfig(nShards, clientsPerShard int) ServiceConfig {
+func defaultServiceConfig(nShards, clientsPerShard int) ServiceConfig {
 	return ServiceConfig{
 		Shards:          nShards,
 		ClientsPerShard: clientsPerShard,
@@ -308,7 +303,7 @@ type serviceShard struct {
 	arena *extent.Arena
 	// retiring holds the extents cooling off before they return to the
 	// arena, oldest first; freeRetired, bound once, frees the oldest.
-	// Every cool-off is the same ExtentGraceLat, so the events fire in
+	// Every cool-off is the same extentGraceLat, so the events fire in
 	// the order the extents were queued.
 	retiring    ring.Queue[uint64]
 	freeRetired func()
@@ -354,7 +349,7 @@ func (sh *serviceShard) initMetrics(reg *telemetry.Registry) {
 	sh.getLat = reg.Histogram(sh.id + "/get_lat")
 }
 
-// ExtentGraceLat is how long a superseded or deleted value extent
+// extentGraceLat is how long a superseded or deleted value extent
 // cools before returning to the arena. A lookup chain that probed the
 // bucket just before it was repointed still holds the old extent
 // pointer in its response WQE; the response WRITE executes within the
@@ -362,14 +357,14 @@ func (sh *serviceShard) initMetrics(reg *telemetry.Registry) {
 // keeps arena reuse from handing those bytes to another key while a
 // reader is mid-flight. Chains the NIC never received don't probe at
 // all, so nothing outlives the grace.
-const ExtentGraceLat = 10 * sim.Microsecond
+const extentGraceLat = 10 * sim.Microsecond
 
 // retireExtent returns addr to the shard's arena after the read-grace
 // period. Extents that were never published to a bucket (refused-claim
 // staging) skip the grace and free directly.
 func (sh *serviceShard) retireExtent(addr uint64) {
 	*sh.retiring.Push() = addr
-	sh.srv.tb.clu.Eng.After(ExtentGraceLat, sh.freeRetired)
+	sh.srv.tb.clu.Eng.After(extentGraceLat, sh.freeRetired)
 }
 
 // inflight sums outstanding and queued gets across the shard's client
@@ -377,7 +372,7 @@ func (sh *serviceShard) retireExtent(addr uint64) {
 func (sh *serviceShard) inflight() int {
 	n := 0
 	for _, cli := range sh.clients {
-		st := cli.PipelineStats(OpGet)
+		st := cli.pipelineStats(pipeGet)
 		n += st.InFlight + st.Queued
 	}
 	return n
@@ -393,17 +388,17 @@ func (sh *serviceShard) markLive() { sh.consecMiss, sh.suspectUntil = 0, 0 }
 
 // noteOwnerMiss records one unexecuted-chain timeout against sh — the
 // crash symptom, as opposed to an executed miss — and opens the breaker
-// after DefaultSuspectAfter consecutive ones; a timeout while it is
+// after defaultSuspectAfter consecutive ones; a timeout while it is
 // open re-arms the window. Only the healthy-to-suspected transition
 // increments svc/suspects, the SLO sentinel's crash signal: one count
 // per outage, however many probes it takes to see the shard back.
 func (s *Service) noteOwnerMiss(sh *serviceShard) {
 	sh.consecMiss++
-	if sh.consecMiss >= DefaultSuspectAfter {
+	if sh.consecMiss >= defaultSuspectAfter {
 		if !sh.down() {
 			s.suspects.Inc()
 		}
-		sh.suspectUntil = s.tb.Now() + DefaultSuspectFor
+		sh.suspectUntil = s.tb.Now() + defaultSuspectFor
 	}
 }
 
@@ -428,7 +423,7 @@ func (s *Service) probeLapsed(sh *serviceShard, key uint64) {
 func (sh *serviceShard) probed(_ []byte, _ Duration, ok bool) {
 	s, cli := sh.svc, sh.probeCli
 	sh.probing, sh.probeCli = false, nil
-	if !ok && !cli.LastExecuted(OpGet) {
+	if !ok && !cli.lastExecuted(pipeGet) {
 		s.noteOwnerMiss(sh)
 		return
 	}
@@ -443,7 +438,7 @@ func (sh *serviceShard) probed(_ []byte, _ Duration, ok bool) {
 // threshold. Always false with Admission off.
 func (s *Service) overloaded(sh *serviceShard) bool {
 	return s.cfg.Admission &&
-		sh.srv.node.Dev.BacklogWatermark(s.tb.Now()) > DefaultAdmitBacklog
+		sh.srv.node.Dev.BacklogWatermark(s.tb.Now()) > defaultAdmitBacklog
 }
 
 // Service is a sharded key-value service served entirely by NICs: a
@@ -614,8 +609,8 @@ func (s *Service) initMetrics() {
 		n := 0
 		for _, sh := range s.order {
 			for _, cli := range sh.clients {
-				for _, op := range []Op{OpGet, OpSet, OpDelete, OpProbe} {
-					n += cli.PipelineStats(op).InFlight
+				for _, op := range []pipeOp{pipeGet, pipeSet, pipeDelete, pipeProbe} {
+					n += cli.pipelineStats(op).InFlight
 				}
 			}
 		}
@@ -628,7 +623,7 @@ func (s *Service) initMetrics() {
 		n := 0
 		for _, sh := range s.order {
 			for _, cli := range sh.clients {
-				n += cli.PipelineStats(OpGet).Window
+				n += cli.pipelineStats(pipeGet).Window
 			}
 		}
 		return float64(n)
@@ -657,7 +652,7 @@ func (s *Service) initMetrics() {
 	// node count and a pulse of unsealed migration segments decaying to
 	// zero as the migrator seals them.
 	s.reg.Gauge("svc/ring_nodes", func() float64 { return float64(s.ring.Len()) })
-	s.reg.Gauge("svc/migrating_buckets", func() float64 { return float64(s.MigratingBuckets()) })
+	s.reg.Gauge("svc/migrating_buckets", func() float64 { return float64(s.migratingBuckets()) })
 	// window_cuts / ecn_cuts surface the AIMD cut totals the client
 	// pipelines already account — monotone except across a reconnect
 	// (rebuilt connections restart at zero; the SLO engine clamps
@@ -700,12 +695,12 @@ func (s *Service) Profiler() *telemetry.Profiler { return s.profiler }
 // NewService builds a service of nShards server nodes, each serving
 // clientsPerShard pipelined client connections, with default sizing.
 func NewService(nShards, clientsPerShard int) *Service {
-	return NewServiceWith(DefaultServiceConfig(nShards, clientsPerShard))
+	return NewServiceWith(defaultServiceConfig(nShards, clientsPerShard))
 }
 
 // NewServiceWith builds a service from an explicit configuration.
 func NewServiceWith(cfg ServiceConfig) *Service {
-	def := DefaultServiceConfig(cfg.Shards, cfg.ClientsPerShard)
+	def := defaultServiceConfig(cfg.Shards, cfg.ClientsPerShard)
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -748,23 +743,20 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.ProbeEvery < 1 {
 		cfg.ProbeEvery = 1
 	}
-	if cfg.RepairEvery == 0 {
-		cfg.RepairEvery = DefaultRepairEvery
+	if cfg.repairEvery == 0 {
+		cfg.repairEvery = defaultRepairEvery
 	}
 	if cfg.AntiEntropySegments == 0 {
-		cfg.AntiEntropySegments = DefaultAntiEntropySegments
+		cfg.AntiEntropySegments = defaultAntiEntropySegments
 	}
 	if cfg.MigrateEvery == 0 {
-		cfg.MigrateEvery = DefaultMigrateEvery
+		cfg.MigrateEvery = defaultMigrateEvery
 	}
 	if cfg.MigrateBatch < 1 {
-		cfg.MigrateBatch = DefaultMigrateBatch
+		cfg.MigrateBatch = defaultMigrateBatch
 	}
-	if cfg.MigrateSegments < 1 {
-		cfg.MigrateSegments = DefaultMigrateSegments
-	}
-	if cfg.SlowGetLat == 0 {
-		cfg.SlowGetLat = DefaultSlowGetLat
+	if cfg.slowGetLat == 0 {
+		cfg.slowGetLat = defaultSlowGetLat
 	}
 
 	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(shard.DefaultVirtualNodes),
@@ -865,20 +857,12 @@ func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node) *Client {
 	cli := newClientOnNode(s.tb, cn, sh.srv, s.cfg.Mode, s.cfg.Pipeline, s.cfg.MaxValLen, sh.arena)
 	cli.MissTimeout = s.cfg.MissTimeout
 	cli.Bind(sh.table)
-	cli.SetTracer(s.tr, cn.Name)
+	cli.setTracer(s.tr, cn.Name)
 	if s.prov != nil {
-		cli.EnableProvenance()
-		// Probes finalize at the client (no coordinator stitching), so
-		// they record straight off the hook; get/set/delete receipts
-		// fold at the coordinator with quorum and retry legs added.
-		cli.OnReceipt(func(op Op, r *telemetry.Receipt) {
-			if op == OpProbe {
-				s.prov.Record(r)
-			}
-		})
+		cli.enableProvenance()
 	}
 	if s.cfg.AdaptiveWindow {
-		cli.ConfigureWindow(WindowConfig{Adaptive: true, Start: adaptiveWindowStart})
+		cli.configureWindow(windowConfig{Adaptive: true, Start: adaptiveWindowStart})
 	}
 	return cli
 }
@@ -966,8 +950,8 @@ func (s *Service) Delete(key uint64) bool {
 	return existed && derr == nil
 }
 
-// MaxKicks bounds the cuckoo relocation walk of a Set.
-const MaxKicks = 16
+// maxKicks bounds the cuckoo relocation walk of a Set.
+const maxKicks = 16
 
 func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 	sh.sets.Inc()
@@ -1026,7 +1010,7 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 
 // place stores key at one of its candidate buckets, relocating
 // residents cuckoo-style (each resident moves to its other candidate)
-// up to MaxKicks deep before spilling into a neighborhood slot.
+// up to maxKicks deep before spilling into a neighborhood slot.
 //
 // LookupSingle offloads probe only H1, so single-mode shards place at
 // the first candidate or spill — relocation is impossible when a key
@@ -1071,7 +1055,7 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 		if placed {
 			return nil
 		}
-		if kick == MaxKicks {
+		if kick == maxKicks {
 			break
 		}
 		// Evict the resident of the fn-th candidate and re-place it at
@@ -1239,7 +1223,7 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 			s.hits.Inc()
 			g.val = v[:valLen]
 			g.next = getCacheHit
-			s.tb.clu.Eng.After(CacheHitLat, g.cacheHitFn)
+			s.tb.clu.Eng.After(cacheHitLat, g.cacheHitFn)
 			return
 		}
 		g.epoch = s.setEpoch[key]
@@ -1266,14 +1250,14 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 // — earlier failed attempts, their timeouts, admission deferrals — is
 // the retry phase, so the phases still partition the client-observed
 // latency exactly. cli is the client whose callback is running (its
-// LastReceipt is this attempt's ledger).
+// lastReceipt is this attempt's ledger).
 func (s *Service) recordGetReceipt(cli *Client, began sim.Time) {
 	if s.prov == nil {
 		return
 	}
 	now := s.tb.Now()
 	r := &s.rcptScratch
-	if cr := cli.LastReceipt(OpGet); cr != nil {
+	if cr := cli.lastReceipt(pipeGet); cr != nil {
 		*r = *cr
 	} else {
 		// Failed without reaching a slot (dead connection): the whole
@@ -1394,14 +1378,14 @@ func (g *getOp) cacheHit() {
 	s.tr.OpEnd(g.op, "get")
 	if s.prov != nil {
 		r := &s.rcptScratch
-		r.Reset(g.op, telemetry.ClassGet, s.tb.Now()-CacheHitLat)
-		r.AddPhase(telemetry.PhaseCache, CacheHitLat)
-		r.Total = CacheHitLat
+		r.Reset(g.op, telemetry.ClassGet, s.tb.Now()-cacheHitLat)
+		r.AddPhase(telemetry.PhaseCache, cacheHitLat)
+		r.Total = cacheHitLat
 		s.prov.Record(r)
 	}
 	cb, val := g.cb, g.val
 	g.release()
-	cb(val, CacheHitLat, true)
+	cb(val, cacheHitLat, true)
 }
 
 // shed delivers a get every owner was too loaded to admit.
@@ -1489,7 +1473,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		cb(val, lat, true)
 		return
 	}
-	if cli.LastExecuted(OpGet) {
+	if cli.lastExecuted(pipeGet) {
 		// The chain ran and found nothing: the key is absent, the
 		// NIC is alive. Liveness proof, not a crash symptom.
 		sh.markLive()
@@ -1753,7 +1737,7 @@ func (s *Service) Stats() ServiceStats {
 		AEKeysChecked: s.aeKeysChecked.Value(),
 		DeferredGets:  s.deferredGets.Value(),
 		ShedGets:      s.shedGets.Value(), ShedWrites: s.shedWrites.Value(),
-		Migrations: len(s.migLog), MigratingBuckets: s.MigratingBuckets(),
+		Migrations: len(s.migLog), MigratingBuckets: s.migratingBuckets(),
 		MigKeysMoved: s.migKeysMoved.Value(), MigKeysSkipped: s.migKeysSkipped.Value(),
 		MigSegsSealed: s.migSegsSealed.Value(), MigCopyFails: s.migCopyFails.Value(),
 		MigHintsRedirected: s.migHintsRedirected.Value()}

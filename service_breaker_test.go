@@ -8,11 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// The circuit breaker's contract: once DefaultSuspectAfter unexecuted
+// The circuit breaker's contract: once defaultSuspectAfter unexecuted
 // timeouts open a shard's breaker, user ops stop paying MissTimeout for
 // it — gets go to live owners, writes hint — and a dedicated liveness
 // probe, at most one in flight per shard and one per lapsed
-// DefaultSuspectFor window, is the only request that waits on the dead
+// defaultSuspectFor window, is the only request that waits on the dead
 // NIC until something proves it alive.
 
 const (
@@ -112,7 +112,7 @@ func stepUntil(s *Service, until sim.Time, each func()) {
 func getsInFlight(sh *serviceShard) int {
 	n := 0
 	for _, cli := range sh.clients {
-		n += cli.PipelineStats(OpGet).InFlight
+		n += cli.pipelineStats(pipeGet).InFlight
 	}
 	return n
 }
@@ -160,7 +160,7 @@ func runProcessCrash(t *testing.T) processCrashRun {
 
 // Under an r=3 round-robin process crash, the gets that pay a
 // MissTimeout are the ones that found the shard dead before its breaker
-// opened: at most DefaultSuspectAfter plus those already in flight at
+// opened: at most defaultSuspectAfter plus those already in flight at
 // the trip. No get issued while the breaker is open waits on the dead
 // NIC — not when its window lapses either.
 func TestServiceBreakerSparesUserGets(t *testing.T) {
@@ -183,8 +183,8 @@ func TestServiceBreakerSparesUserGets(t *testing.T) {
 	if slow == 0 {
 		t.Fatal("no get paid the detection timeout: the crash was never observed")
 	}
-	if limit := DefaultSuspectAfter + r.inFlightAtTrip; slow > limit {
-		t.Fatalf("%d gets took >= MissTimeout, want <= %d (DefaultSuspectAfter + %d in flight at the trip)",
+	if limit := defaultSuspectAfter + r.inFlightAtTrip; slow > limit {
+		t.Fatalf("%d gets took >= MissTimeout, want <= %d (defaultSuspectAfter + %d in flight at the trip)",
 			slow, limit, r.inFlightAtTrip)
 	}
 	if openIssued < len(r.load.gets)/2 {
@@ -194,20 +194,20 @@ func TestServiceBreakerSparesUserGets(t *testing.T) {
 }
 
 // The breaker's probing costs one dedicated get per lapsed window —
-// about outage / DefaultSuspectFor of them — never more than one in
+// about outage / defaultSuspectFor of them — never more than one in
 // flight on the shard, and the outage counts once in svc/suspects
 // however many windows it spans.
 func TestServiceBreakerProbesOncePerWindow(t *testing.T) {
 	r := runProcessCrash(t)
 	outage := kv.BootstrapTime + kv.RebuildTime
-	most := int(outage / DefaultSuspectFor)
+	most := int(outage / defaultSuspectFor)
 	// Each window re-arms from its probe's timeout, and the probe waits
 	// for the next routing decision: a window lasts up to
-	// DefaultSuspectFor + MissTimeout + breakerGap.
-	least := int(outage / (DefaultSuspectFor + r.s.cfg.MissTimeout + breakerGap))
+	// defaultSuspectFor + MissTimeout + breakerGap.
+	least := int(outage / (defaultSuspectFor + r.s.cfg.MissTimeout + breakerGap))
 	if r.probes < least-1 || r.probes > most {
 		t.Fatalf("%d liveness probes over a %v outage, want %d..%d (one per %v window)",
-			r.probes, outage, least-1, most, DefaultSuspectFor)
+			r.probes, outage, least-1, most, defaultSuspectFor)
 	}
 	if r.maxOpenInFlight > 1 {
 		t.Fatalf("%d gets in flight on the down shard, want at most its one probe", r.maxOpenInFlight)
@@ -235,7 +235,7 @@ func TestServiceBreakerProbeClearsThawedNIC(t *testing.T) {
 		t.Fatal("frozen NIC did not open the breaker")
 	}
 	// Thaw in the middle of the third window: two probes have timed out.
-	stepUntil(s, s.Now()+2*DefaultSuspectFor+DefaultSuspectFor/2, func() {})
+	stepUntil(s, s.Now()+2*defaultSuspectFor+defaultSuspectFor/2, func() {})
 	if !sh.down() {
 		t.Fatal("breaker closed while the NIC was still frozen")
 	}
@@ -246,7 +246,7 @@ func TestServiceBreakerProbeClearsThawedNIC(t *testing.T) {
 	thawAt := s.Now()
 	gets := sh.gets.Value()
 	var clearedAt sim.Time
-	stepUntil(s, thawAt+2*DefaultSuspectFor, func() {
+	stepUntil(s, thawAt+2*defaultSuspectFor, func() {
 		if clearedAt == 0 && !sh.down() {
 			clearedAt = s.Now()
 		}
@@ -255,7 +255,7 @@ func TestServiceBreakerProbeClearsThawedNIC(t *testing.T) {
 	if clearedAt == 0 {
 		t.Fatal("the thawed NIC was never found alive")
 	}
-	if limit := DefaultSuspectFor + s.cfg.MissTimeout; clearedAt-thawAt > limit {
+	if limit := defaultSuspectFor + s.cfg.MissTimeout; clearedAt-thawAt > limit {
 		t.Fatalf("breaker closed %v after the thaw, want within %v", clearedAt-thawAt, limit)
 	}
 	if sh.gets.Value() == gets {
@@ -275,7 +275,7 @@ func TestServiceBreakerWritesHint(t *testing.T) {
 	load := startBreakerLoad(s, keys, sh)
 	stepUntil(s, s.Now()+5*sim.Millisecond, func() {})
 	load.stop = true
-	s.Testbed().RunFor(DefaultSuspectFor)
+	s.Testbed().RunFor(defaultSuspectFor)
 	if !sh.down() || s.Now() < sh.suspectUntil {
 		t.Fatalf("setup: want a lapsed window on an open breaker (down=%v until=%v now=%v)",
 			sh.down(), sh.suspectUntil, s.Now())

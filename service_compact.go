@@ -15,9 +15,9 @@ import "repro/internal/sim"
 // and the unsettled count are the safety interlocks), so a chain armed
 // against a pre-compaction bucket view can never orphan a moved value.
 
-// CompactExtentLat models evacuating one live extent during a
+// compactExtentLat models evacuating one live extent during a
 // compaction pass: a host memcpy plus the bucket repoint.
-const CompactExtentLat = 500 * sim.Nanosecond
+const compactExtentLat = 500 * sim.Nanosecond
 
 // armCompaction schedules one compaction tick CompactEvery from now,
 // unless one is already pending. Ticks are armed by write and delete
@@ -40,7 +40,7 @@ func (s *Service) armCompaction(sh *serviceShard) {
 // to-free ring entries, then evacuate every sealed segment below the
 // liveness threshold. Each relocation copies the live bytes into a
 // fresh right-sized extent and repoints the key's bucket; the pass is
-// charged CompactExtentLat per moved extent by pushing the next tick
+// charged compactExtentLat per moved extent by pushing the next tick
 // out, modeling the host CPU time it burned. Keys with any write or
 // delete in flight are skipped — the per-key write slot and the
 // unsettled count are the interlocks that keep compaction from racing
@@ -51,7 +51,7 @@ func (s *Service) compactShard(sh *serviceShard) {
 		return
 	}
 	for _, cli := range sh.clients {
-		cli.DrainFreed()
+		cli.drainFreed()
 	}
 	sh.compactPasses.Inc()
 	t := sh.table.table
@@ -114,7 +114,7 @@ func (s *Service) compactShard(sh *serviceShard) {
 	// The pass burned host CPU proportional to what it moved; the next
 	// tick (armed by subsequent write activity) slips by that much.
 	if moved > 0 {
-		s.tb.clu.Eng.After(Duration(moved)*CompactExtentLat, func() {
+		s.tb.clu.Eng.After(Duration(moved)*compactExtentLat, func() {
 			s.armCompaction(sh)
 		})
 	}

@@ -18,7 +18,7 @@ const exactHistoryHash = 0xd80b4fea9e97805b
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {
-	op  Op
+	op  pipeOp
 	key uint64
 	ok  bool
 	at  sim.Time
@@ -53,7 +53,7 @@ func runServiceHistory(t *testing.T, seed int64, done func(historyOp)) *Service 
 	)
 	rng := workload.Rng(seed)
 	val := func(key uint64) []byte { return Value(key*1_000_000+uint64(rng.Intn(1000)), valLen) }
-	record := func(op Op, key uint64, ok bool) { done(historyOp{op, key, ok, s.Now()}) }
+	record := func(op pipeOp, key uint64, ok bool) { done(historyOp{op, key, ok, s.Now()}) }
 
 	for k := uint64(1); k <= nKeys; k++ {
 		if err := s.Set(k, val(k)); err != nil {
@@ -73,7 +73,7 @@ func runServiceHistory(t *testing.T, seed int64, done func(historyOp)) *Service 
 			t.Fatalf("key %d: no fabric claim on an idle table", key)
 		}
 		fin := false
-		s.SetAsync(key, val(key), func(_ Duration, err error) { record(OpSet, key, err == nil); fin = true })
+		s.SetAsync(key, val(key), func(_ Duration, err error) { record(pipeSet, key, err == nil); fin = true })
 		s.Flush()
 		for ; ht.BucketAddr(ht.Hash(foreign, 0)) != claim.BucketAddr; foreign++ {
 		}
@@ -84,7 +84,7 @@ func runServiceHistory(t *testing.T, seed int64, done func(historyOp)) *Service 
 		s.tb.stepUntil(&fin)
 
 		fin = false
-		s.DeleteAsync(key, func(_ Duration, err error) { record(OpDelete, key, err == nil); fin = true })
+		s.DeleteAsync(key, func(_ Duration, err error) { record(pipeDelete, key, err == nil); fin = true })
 		s.Flush()
 		sh.del(key, 1)
 		s.tb.stepUntil(&fin)
@@ -113,11 +113,11 @@ func runServiceHistory(t *testing.T, seed int64, done func(historyOp)) *Service 
 		key := uint64(rng.Intn(nKeys+nAbsent) + 1)
 		switch r := rng.Intn(10); {
 		case r == 0 && key <= nKeys:
-			s.DeleteAsync(key, func(_ Duration, err error) { record(OpDelete, key, err == nil); worker(); s.Flush() })
+			s.DeleteAsync(key, func(_ Duration, err error) { record(pipeDelete, key, err == nil); worker(); s.Flush() })
 		case r <= 3 && key <= nKeys:
-			s.SetAsync(key, val(key), func(_ Duration, err error) { record(OpSet, key, err == nil); worker(); s.Flush() })
+			s.SetAsync(key, val(key), func(_ Duration, err error) { record(pipeSet, key, err == nil); worker(); s.Flush() })
 		default:
-			s.GetAsync(key, valLen, func(_ []byte, _ Duration, ok bool) { record(OpGet, key, ok); worker(); s.Flush() })
+			s.GetAsync(key, valLen, func(_ []byte, _ Duration, ok bool) { record(pipeGet, key, ok); worker(); s.Flush() })
 		}
 	}
 	for i := 0; i < workers; i++ {

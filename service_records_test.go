@@ -310,14 +310,14 @@ func TestOpRecordsReturnAcrossMigration(t *testing.T) {
 	if err := s.AddShard("shard3"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Resharding() {
+	if !s.resharding() {
 		t.Fatal("setup: the join finished before any load")
 	}
 	made := s.runs.made
 	if done := churn(s, keys, 16, 2000); done != 2000 {
 		t.Fatalf("%d of 2000 ops completed across the join", done)
 	}
-	if s.Resharding() {
+	if s.resharding() {
 		t.Fatal("join never finished")
 	}
 	recordsHome(t, s)
@@ -331,7 +331,7 @@ func TestOpRecordsReturnAcrossMigration(t *testing.T) {
 	if done := churn(s, keys, 16, 2000); done != 2000 {
 		t.Fatalf("%d of 2000 ops completed across the drain", done)
 	}
-	if s.Resharding() || s.NumShards() != 3 {
+	if s.resharding() || s.NumShards() != 3 {
 		t.Fatal("drain never finished")
 	}
 	recordsHome(t, s, gone.clients...)

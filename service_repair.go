@@ -34,14 +34,14 @@ import (
 //     the host nothing at all.
 //
 //  2. The repair queue (repairTick/applyRepair): pending records,
-//     activity-armed on RepairEvery ticks. Applying a record re-derives
+//     activity-armed on repairEvery ticks. Applying a record re-derives
 //     the winning state among the key's owners at apply time — newest
 //     version wins, value or tombstone — and rolls the laggard FORWARD
 //     through the ordinary owner write path (fabric claim chain or host
 //     RPC, modeled cost and all), never backward: a record is a claim
 //     that someone lags, not a payload. Unreachable or still-rejecting
 //     owners retry under exponential backoff, bounded by
-//     RepairMaxAttempts so a permanently full owner cannot spin the
+//     repairMaxAttempts so a permanently full owner cannot spin the
 //     queue (a later sweep or probe re-enqueues when the world
 //     changes).
 //
@@ -61,31 +61,31 @@ import (
 // from the stale owner (legal while the write was settling) must not
 // outlive convergence.
 
-// DefaultRepairEvery is the repair queue's activity-armed tick period.
-const DefaultRepairEvery = 50 * sim.Microsecond
+// defaultRepairEvery is the repair queue's activity-armed tick period.
+const defaultRepairEvery = 50 * sim.Microsecond
 
-// DefaultAntiEntropySegments is the per-shard digest segment count.
-const DefaultAntiEntropySegments = 64
+// defaultAntiEntropySegments is the per-shard digest segment count.
+const defaultAntiEntropySegments = 64
 
-// RepairMaxAttempts bounds delivery attempts per repair record; a
+// repairMaxAttempts bounds delivery attempts per repair record; a
 // record that keeps failing (owner down, capacity still exhausted) is
 // dropped — and re-created by the next probe or sweep that still sees
 // the divergence, with a fresh attempt budget.
-const RepairMaxAttempts = 8
+const repairMaxAttempts = 8
 
 // repairBatch is how many due records one tick applies.
 const repairBatch = 32
 
-// AESegmentDigestLat models computing and comparing one segment digest
+// aeSegmentDigestLat models computing and comparing one segment digest
 // pair during an anti-entropy sweep (a linear scan of the segment's
 // buckets on both hosts, amortized).
-const AESegmentDigestLat = 300 * sim.Nanosecond
+const aeSegmentDigestLat = 300 * sim.Nanosecond
 
 // repairBackoff returns the retry gate for a record's n-th failure:
 // exponential from the configured tick period, so retries always span
-// multiple ticks no matter how RepairEvery is tuned.
+// multiple ticks no matter how repairEvery is tuned.
 func (s *Service) repairBackoff(n int) Duration {
-	d := s.cfg.RepairEvery
+	d := s.cfg.repairEvery
 	for i := 0; i < n && d < 10*sim.Millisecond; i++ {
 		d *= 2
 	}
@@ -255,7 +255,7 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 	g.pop = s.tr.OpBegin("probe", key)
 	s.tr.SetOp(g.pop)
 	g.next = getProbe
-	g.pcli.ProbeAsyncTarget(key, bucket, g.probeFn)
+	g.pcli.probeAsyncTarget(key, bucket, g.probeFn)
 	s.tr.SetOp(0)
 	g.pcli.Flush()
 	return true
@@ -266,6 +266,12 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 	g.enter(getProbe)
 	s, partner, key := g.s, g.partner, g.key
+	// A probe finalizes at the client (no coordinator stitching), so its
+	// receipt (nil with provenance off) records as it stands; get and
+	// write receipts fold at the coordinator with retry and quorum legs.
+	if r := g.pcli.lastReceipt(pipeProbe); r != nil {
+		s.prov.Record(r)
+	}
 	s.tr.OpEnd(g.pop, "probe")
 	switch {
 	case ok:
@@ -274,7 +280,7 @@ func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 			s.probeSkews.Inc()
 			s.scheduleSkewRepair(key)
 		}
-	case g.pcli.LastExecuted(OpProbe):
+	case g.pcli.lastExecuted(pipeProbe):
 		// The chain ran and the conditional missed: the bucket moved
 		// between computing the target and the probe landing (a
 		// racing write or relocation). Fall back to the host view.
@@ -351,7 +357,7 @@ func (s *Service) armRepair() {
 		return
 	}
 	s.repairArmed = true
-	s.tb.clu.Eng.After(s.cfg.RepairEvery, func() {
+	s.tb.clu.Eng.After(s.cfg.repairEvery, func() {
 		s.repairArmed = false
 		s.repairTick()
 	})
@@ -368,10 +374,10 @@ func (s *Service) repairTick() {
 }
 
 // requeueRepair puts a failed record back under exponential backoff,
-// dropping it after RepairMaxAttempts.
+// dropping it after repairMaxAttempts.
 func (s *Service) requeueRepair(sh *serviceShard, r *repair.Record) {
 	r.Attempts++
-	if r.Attempts >= RepairMaxAttempts {
+	if r.Attempts >= repairMaxAttempts {
 		sh.repairsDropped.Inc()
 		return
 	}
@@ -600,7 +606,7 @@ func (s *Service) aeScan(sh *serviceShard, segs int, only *serviceShard, b *aeBi
 // digests and compare versions key by key inside flagged segments,
 // enqueueing repairs for whichever side lags. The root's table is
 // scanned once per sweep, each partner's once for the pair. The pass is
-// charged AESegmentDigestLat per digest pair compared by deferring its
+// charged aeSegmentDigestLat per digest pair compared by deferring its
 // enqueues, modeling the host scan time; the repairs themselves then
 // pay the ordinary owner write costs through the queue.
 func (s *Service) sweepShard(sh *serviceShard) {
@@ -652,7 +658,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 		}
 	}
 	// Charge the digest scan, then enqueue what it found.
-	charge := Duration(segsCompared) * AESegmentDigestLat
+	charge := Duration(segsCompared) * aeSegmentDigestLat
 	if s.aeSettling {
 		s.tb.clu.Eng.After(charge, func() { s.aeSettle(found) })
 		return

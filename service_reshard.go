@@ -26,7 +26,7 @@ import (
 //
 //   - A background migrator. Moving keys are binned into bucket
 //     segments (the anti-entropy sweeper's geometry: the key's primary
-//     hash bucket divided into MigrateSegments ranges — identical on
+//     hash bucket divided into migrateSegments ranges — identical on
 //     every shard). Each MigrateEvery tick copies a batch of segments:
 //     for each moving key the winning state — newest version across
 //     old AND new owners, value or tombstone — is written to every
@@ -62,14 +62,17 @@ import (
 //     it to the repair queue) still converges through the same
 //     roll-forward machinery that heals crash divergence.
 
-// DefaultMigrateEvery is the migrator's tick period.
-const DefaultMigrateEvery = 20 * sim.Microsecond
+// defaultMigrateEvery is the migrator's tick period.
+const defaultMigrateEvery = 20 * sim.Microsecond
 
-// DefaultMigrateBatch is how many bucket segments one tick starts.
-const DefaultMigrateBatch = 4
+// defaultMigrateBatch is how many bucket segments one tick starts.
+const defaultMigrateBatch = 4
 
-// DefaultMigrateSegments is the keyspace division for sealing.
-const DefaultMigrateSegments = 64
+// migrateSegments divides the keyspace (by primary hash bucket, the
+// anti-entropy sweeper's geometry) into this many segments for
+// migration sealing: dual-read/dual-write stops per segment as it
+// seals, not in one global flag flip at the end.
+const migrateSegments = 64
 
 // migrateMaxAttempts bounds per-key copy attempts before the migrator
 // hands the key to the repair queue and seals over it.
@@ -143,18 +146,18 @@ func (m *migration) oldOwners(key uint64) []string {
 	return ids
 }
 
-// Resharding reports whether a migration is active.
-func (s *Service) Resharding() bool { return s.mig != nil }
+// resharding reports whether a migration is active.
+func (s *Service) resharding() bool { return s.mig != nil }
 
 // Migrations returns the completed-resharding log.
 func (s *Service) Migrations() []MigrationSummary {
 	return append([]MigrationSummary(nil), s.migLog...)
 }
 
-// MigratingBuckets returns the active migration's unsealed bucket
+// migratingBuckets returns the active migration's unsealed bucket
 // segment count (0 when membership is stable) — the drain-to-zero
 // gauge the resharding timeline plots.
-func (s *Service) MigratingBuckets() int {
+func (s *Service) migratingBuckets() int {
 	if s.mig == nil {
 		return 0
 	}
@@ -309,7 +312,7 @@ func (s *Service) startMigration(old *shard.Ring, target string, join bool) {
 	s.migEpoch++
 	geom := s.order[0].table.table
 	n := geom.NumBuckets()
-	segs := uint64(s.cfg.MigrateSegments)
+	segs := uint64(migrateSegments)
 	m := &migration{epoch: s.migEpoch, join: join, target: target, oldRing: old,
 		replicas: s.cfg.Replicas, started: s.tb.Now(), geom: geom,
 		segW:    (n + segs - 1) / segs,

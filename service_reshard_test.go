@@ -30,14 +30,14 @@ func TestServiceAddShardMigratesKeys(t *testing.T) {
 	if err := s.AddShard("shard3"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Resharding() {
+	if !s.resharding() {
 		t.Fatal("no active migration after AddShard")
 	}
-	if s.MigratingBuckets() == 0 {
+	if s.migratingBuckets() == 0 {
 		t.Fatal("a 3->4 join left no unsealed segments")
 	}
 	s.Run()
-	if s.Resharding() {
+	if s.resharding() {
 		t.Fatal("migration never finished")
 	}
 	if got := s.NumShards(); got != 4 {
@@ -110,7 +110,7 @@ func TestServiceDrainShardZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	if s.Resharding() {
+	if s.resharding() {
 		t.Fatal("drain migration never finished")
 	}
 	if got := s.NumShards(); got != 3 {

@@ -1,10 +1,6 @@
 package redn
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -36,14 +32,14 @@ const (
 	DefaultSentinelEvery = 50 * sim.Microsecond
 	DefaultSLOFast       = 500 * sim.Microsecond
 	DefaultSLOSlow       = 2500 * sim.Microsecond
-	// DefaultSlowGetLat is the fleet latency SLO: a served get slower
+	// defaultSlowGetLat is the fleet latency SLO: a served get slower
 	// than this is a "slow op" for the latency-burn rule.
-	DefaultSlowGetLat = sim.Millisecond
-	// DefaultMaxIncidents bounds retained incident bundles.
-	DefaultMaxIncidents = 16
+	defaultSlowGetLat = sim.Millisecond
+	// defaultMaxIncidents bounds retained incident bundles.
+	defaultMaxIncidents = 16
 )
 
-// DefaultSLORules is the anomaly taxonomy the sentinel watches out of
+// defaultSLORules is the anomaly taxonomy the sentinel watches out of
 // the box. Classes: "crash" (suspicion transitions from timeout
 // bursts), "overload" (admission sheds/deferrals and AIMD window-cut
 // storms), "write-availability" (quorum failures), "outage" (workload
@@ -52,7 +48,7 @@ const (
 // (backlog with no segments sealing — stuck, not busy), "latency"
 // (fleet-wide slow-get burn over the merged per-shard histograms), and
 // "repair-backlog" (hint + repair queues sustained deep).
-func DefaultSLORules() []telemetry.Rule {
+func defaultSLORules() []telemetry.Rule {
 	return []telemetry.Rule{
 		{Name: "crash-suspects", Class: "crash",
 			Metrics:   []string{"svc/suspects"},
@@ -123,14 +119,14 @@ func (s *Service) initSentinel() {
 	// fleet/get_slow is cumulative and monotone — a delta-able slow-op
 	// counter; fleet/get_p99_us is the merged tail for timelines.
 	s.reg.Gauge("fleet/get_slow", func() float64 {
-		return float64(s.fleetGetLat().CountAbove(s.cfg.SlowGetLat))
+		return float64(s.fleetGetLat().CountAbove(s.cfg.slowGetLat))
 	})
 	s.reg.Gauge("fleet/get_p99_us", func() float64 {
 		return float64(s.fleetGetLat().P99()) / float64(sim.Microsecond)
 	})
-	rules := s.cfg.SentinelRules
+	rules := s.cfg.sentinelRules
 	if rules == nil {
-		rules = DefaultSLORules()
+		rules = defaultSLORules()
 	}
 	// Size the metric-sample ring to cover the widest rule's slow window
 	// with headroom, so coverage-gated evaluation starts as soon as it
@@ -146,7 +142,7 @@ func (s *Service) initSentinel() {
 		samples = telemetry.DefaultRingSamples
 	}
 	sen.rec = telemetry.NewRecorder(s.tb.clu.Eng, s.reg, samples)
-	sen.slo = telemetry.NewSLO(sen.rec, rules, DefaultMaxIncidents)
+	sen.slo = telemetry.NewSLO(sen.rec, rules, defaultMaxIncidents)
 }
 
 // fleetGetLat merges every shard's get-latency histogram into the
@@ -213,11 +209,10 @@ func (sen *sentinel) moving() bool {
 // captureIncident freezes the flight recorder into a bundle for one
 // firing anomaly: the trace window (balanced for export), the metric
 // timelines, the resource report, and the burn evidence. Bundles are
-// kept in memory (Incidents()) and, with SentinelDir set, written as
-// INCIDENT_<seq>_<class>.json as they fire.
+// kept in memory (Incidents()).
 func (s *Service) captureIncident(a telemetry.Anomaly) {
 	sen := s.sen
-	if len(sen.incidents) >= DefaultMaxIncidents {
+	if len(sen.incidents) >= defaultMaxIncidents {
 		return
 	}
 	inc := telemetry.BuildIncident(len(sen.incidents)+1, a, sen.rec, s.tr, s.resourceReport())
@@ -228,13 +223,6 @@ func (s *Service) captureIncident(a telemetry.Anomaly) {
 		inc.Provenance = s.prov.DecomposeAll()
 	}
 	sen.incidents = append(sen.incidents, inc)
-	if dir := s.cfg.SentinelDir; dir != "" {
-		name := fmt.Sprintf("INCIDENT_%d_%s.json", inc.Seq, a.Class)
-		if f, err := os.Create(filepath.Join(dir, name)); err == nil {
-			inc.WriteJSON(f)
-			f.Close()
-		}
-	}
 }
 
 // Incidents returns the captured incident bundles, oldest first (nil
@@ -244,14 +232,6 @@ func (s *Service) Incidents() []*telemetry.Incident {
 		return nil
 	}
 	return s.sen.incidents
-}
-
-// Recorder exposes the sentinel's metric-sample ring (nil when off).
-func (s *Service) Recorder() *telemetry.Recorder {
-	if s.sen == nil {
-		return nil
-	}
-	return s.sen.rec
 }
 
 // FeedWorkloadBucket feeds one closed open-loop timeline bucket into

@@ -435,7 +435,7 @@ func TestServiceAbsentKeysDoNotSuspect(t *testing.T) {
 	if err := s.Set(1, Value(1, 64)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3*DefaultSuspectAfter; i++ {
+	for i := 0; i < 3*defaultSuspectAfter; i++ {
 		if _, _, ok := s.Get(100000+uint64(i), 64); ok {
 			t.Fatal("absent key found")
 		}
@@ -520,7 +520,7 @@ func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
 				key, del, done, err, lat)
 		}
 	}
-	const n = 3 * DefaultSuspectAfter
+	const n = 3 * defaultSuspectAfter
 	foreign := uint64(1) << 32
 	for i := uint64(0); i < n; i++ {
 		key := 1000 + i
@@ -1231,13 +1231,13 @@ func TestServicePlacementProperty(t *testing.T) {
 	}
 
 	// Phase 1: light load (<50% of 64 buckets) — kicks may run, spills
-	// must not: MaxKicks is never exhausted with this much slack.
+	// must not: maxKicks is never exhausted with this much slack.
 	for i := 0; i < 300; i++ {
 		op(i, 28)
 	}
 	checkModel(300)
 	if st := s.Stats(); st.Spills != 0 {
-		t.Fatalf("%d spills at <50%% load — spilling without exhausting MaxKicks", st.Spills)
+		t.Fatalf("%d spills at <50%% load — spilling without exhausting maxKicks", st.Spills)
 	}
 
 	// Phase 2: overload (up to 140% of capacity) — spills are now the
@@ -1619,7 +1619,7 @@ func TestServiceRepairInvalidatesStaleCache(t *testing.T) {
 		// A slow repair tick guarantees the stale value is admitted to
 		// the cache BEFORE the repair converges the owner — the exact
 		// ordering the epoch bump exists for.
-		RepairEvery: 5 * sim.Millisecond,
+		repairEvery: 5 * sim.Millisecond,
 	})
 	const key = 99
 	if err := s.Set(key, Value(key, 64)); err != nil {

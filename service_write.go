@@ -50,16 +50,16 @@ import (
 // coordinator is the single write path, so per-key order is issue
 // order everywhere, which is what the sequence numbers certify.
 
-// HostSetLat models the cost of a write that must involve the owner's
+// hostSetLat models the cost of a write that must involve the owner's
 // CPU: a two-sided RPC (SEND + handler + response) plus the insert
 // itself — the §5.4 "writes stay on the CPU path" cost the fabric
 // claim chain avoids.
-const HostSetLat = 2500 * sim.Nanosecond
+const hostSetLat = 2500 * sim.Nanosecond
 
-// HostDeleteLat models a delete that must involve the owner's CPU: a
+// hostDeleteLat models a delete that must involve the owner's CPU: a
 // two-sided RPC plus the neighborhood scan and tombstone — the same
-// cost shape as HostSetLat.
-const HostDeleteLat = HostSetLat
+// cost shape as hostSetLat.
+const hostDeleteLat = hostSetLat
 
 // ErrReservedKey reports a write or delete of a key in the reserved
 // pending/tombstone id space (hopscotch.PendingBit set): the fabric
@@ -707,10 +707,10 @@ func (r *ownerRun) apply() {
 	r.next = runAck
 	if m.del {
 		sh.fabricDels.Inc()
-		r.cli.DeleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.ackFn)
+		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.ackFn)
 	} else {
 		sh.fabricSets.Inc()
-		r.cli.SetAsyncClaim(m.key, m.val, claim, m.seq, r.ackFn)
+		r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.ackFn)
 	}
 	s.tr.SetOp(0)
 	// Writes issued from completion callbacks run outside the caller's
@@ -740,9 +740,9 @@ func (r *ownerRun) hopped() {
 func (r *ownerRun) acked(_ Duration, ok bool) {
 	r.enter(runAck)
 	s, sh, m, cli := r.s, r.sh, r.m, r.cli
-	op, applied := OpSet, sh.sets
+	op, applied := pipeSet, sh.sets
 	if m.del {
-		op, applied = OpDelete, sh.dels
+		op, applied = pipeDelete, sh.dels
 	}
 	if ok {
 		sh.markLive()
@@ -750,11 +750,11 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 		if !m.del && r.resident {
 			sh.retireExtent(r.oldVa)
 		}
-		s.noteLegReceipt(cli.LastReceipt(op))
+		s.noteLegReceipt(cli.lastReceipt(op))
 		r.finish(ownerApplied)
 		return
 	}
-	if !cli.LastExecuted(op) {
+	if !cli.lastExecuted(op) {
 		// The chain never ran: dead NIC, count toward suspicion.
 		s.noteOwnerMiss(sh)
 	}
@@ -773,9 +773,9 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 // roll-forward path for refused claims. Deleting an absent key is still
 // applied — the owner is at the end state either way.
 func (r *ownerRun) host() {
-	r.hostLat = HostSetLat
+	r.hostLat = hostSetLat
 	if r.m.del {
-		r.hostLat = HostDeleteLat
+		r.hostLat = hostDeleteLat
 		r.sh.hostDels.Inc()
 	} else {
 		r.sh.hostSets.Inc()
