@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/hopscotch"
 	"repro/internal/rnic"
 	"repro/internal/wqe"
 )
@@ -48,19 +49,14 @@ func (m LookupMode) String() string {
 	}
 }
 
-// GetIndex is the hash-table geometry the offload and its clients need:
-// candidate bucket addresses per key. Both hopscotch.Table (FaRM-style,
-// §5.2) and cuckoo.Table (Memcached/MemC3, §5.4) implement it with the
-// same bucket byte layout, so one offload serves both.
-type GetIndex interface {
-	HashAddr(key uint64, fn int) uint64
-}
-
 // LookupOffload is an armed hash-get offload for one client connection.
 type LookupOffload struct {
 	chain
-	Mode  LookupMode
-	Table GetIndex
+	Mode LookupMode
+	// Table supplies each key's candidate bucket addresses. The §5.4
+	// Memcached index is the same table with a neighborhood of 1 (a
+	// two-choice cuckoo table), so one offload serves both.
+	Table *hopscotch.Table
 	// Resp2 is the second response QP for LookupParallel (nil otherwise).
 	Resp2 *rnic.QP
 
@@ -75,7 +71,7 @@ type LookupOffload struct {
 // rings: it must cover the instances outstanding at once (rings wrap as
 // requests complete; pre-arming N instances up front needs chainDepth
 // >= 2N).
-func NewLookupOffload(b *Builder, trig *rnic.QP, resp2 *rnic.QP, table GetIndex, mode LookupMode, chainDepth int) *LookupOffload {
+func NewLookupOffload(b *Builder, trig *rnic.QP, resp2 *rnic.QP, table *hopscotch.Table, mode LookupMode, chainDepth int) *LookupOffload {
 	if chainDepth <= 0 {
 		chainDepth = 4096
 	}
@@ -85,7 +81,7 @@ func NewLookupOffload(b *Builder, trig *rnic.QP, resp2 *rnic.QP, table GetIndex,
 // NewLookupPool builds K = len(resp) get contexts over the trig
 // connection. resp (and resp2, parallel mode only) are server-side
 // managed QPs, each connected back to the client, one per context.
-func NewLookupPool(b *Builder, trig *rnic.QP, resp, resp2 []*rnic.QP, table GetIndex, mode LookupMode) *Pool[*LookupOffload] {
+func NewLookupPool(b *Builder, trig *rnic.QP, resp, resp2 []*rnic.QP, table *hopscotch.Table, mode LookupMode) *Pool[*LookupOffload] {
 	if mode == LookupParallel && len(resp2) != len(resp) {
 		panic(fmt.Sprintf("core: parallel pool needs resp2 per context (%d != %d)", len(resp2), len(resp)))
 	}
@@ -107,7 +103,7 @@ func NewLookupPool(b *Builder, trig *rnic.QP, resp, resp2 []*rnic.QP, table GetI
 
 // newLookupOffload places the chain rings (and, for LookupParallel, the
 // second control queue) on PU pu, -1 round-robining.
-func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table GetIndex, mode LookupMode, chainDepth, ctrlDepth, pu int) *LookupOffload {
+func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table *hopscotch.Table, mode LookupMode, chainDepth, ctrlDepth, pu int) *LookupOffload {
 	o := &LookupOffload{chain: newChain(b, trig, resp), Mode: mode, Table: table, Resp2: resp2}
 	o.w2 = o.ring(chainDepth, pu)
 	switch mode {

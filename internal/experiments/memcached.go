@@ -5,23 +5,65 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/cuckoo"
 	"repro/internal/fabric"
 	"repro/internal/failure"
+	"repro/internal/hopscotch"
 	"repro/internal/host"
-	"repro/internal/kv"
+	"repro/internal/mem"
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/wqe"
 )
 
-// memcachedBench wires a kv.Store (cuckoo index, as in MemC3-based
-// Memcached) with RedN, one-sided and two-sided(VMA) access paths.
+// memcachedStore is the Memcached-like server of §5.4: a two-choice
+// cuckoo index (MemC3 style; a hopscotch table with a neighborhood of
+// 1) over values in the server's memory, its big-endian buckets laid
+// out for the RedN offload to inject. up gates host-side service; a
+// crash flips it through failure.NodeCrash's OnDown and OnUp.
+type memcachedStore struct {
+	mem   *mem.Memory
+	table *hopscotch.Table
+	up    bool
+}
+
+func newMemcachedStore(node *fabric.Node, nBuckets uint64) *memcachedStore {
+	return &memcachedStore{mem: node.Mem, table: hopscotch.New(node.Mem, nBuckets, 1), up: true}
+}
+
+// Set stores key -> value: an overwrite reuses the old value's space
+// when the new bytes fit, and a new key is placed by the kick walk.
+func (s *memcachedStore) Set(key uint64, value []byte) error {
+	n := uint64(len(value))
+	va, vl, ok := s.table.Lookup(key)
+	if !ok || n > vl {
+		va = s.mem.Alloc(n, 8)
+	}
+	if err := s.mem.Write(va, value); err != nil {
+		return err
+	}
+	if ok {
+		return s.table.Insert(key, va, n)
+	}
+	_, err := s.table.Place(key, va, n, 0)
+	return err
+}
+
+// Lookup is the host-CPU index lookup the two-sided servers run; it
+// misses while the serving process is down.
+func (s *memcachedStore) Lookup(key uint64) (valAddr, valLen uint64, ok bool) {
+	if !s.up {
+		return 0, 0, false
+	}
+	return s.table.Lookup(key)
+}
+
+// memcachedBench wires a memcachedStore with RedN, one-sided and
+// two-sided(VMA) access paths.
 type memcachedBench struct {
 	clu      *fabric.Cluster
 	cli, srv *fabric.Node
-	store    *kv.Store
+	store    *memcachedStore
 	keys     []uint64
 
 	off  *core.LookupOffload
@@ -43,7 +85,7 @@ func newMemcachedBenchB(vma bool, twoMode host.CompletionMode, nKeys int, valSiz
 	if buckets == 0 {
 		buckets = uint64(nKeys * 4)
 	}
-	mb.store = kv.New(mb.srv, buckets)
+	mb.store = newMemcachedStore(mb.srv, buckets)
 	for i := 1; i <= nKeys; i++ {
 		key := uint64(i)
 		if err := mb.store.Set(key, workload.Value(key, int(valSize))); err != nil {
@@ -52,8 +94,7 @@ func newMemcachedBenchB(vma bool, twoMode host.CompletionMode, nKeys int, valSiz
 		mb.keys = append(mb.keys, key)
 	}
 
-	// RedN offload over the store's cuckoo table (same bucket ABI as
-	// hopscotch, so the same offload serves it). Sequential two-bucket
+	// RedN offload over the store's cuckoo table. Sequential two-bucket
 	// probing posts 2 responses + 11 control verbs per armed instance;
 	// rings are sized for preArm instances posted up front.
 	b := core.NewBuilder(mb.srv.Dev, 12*preArm+64)
@@ -62,7 +103,7 @@ func newMemcachedBenchB(vma bool, twoMode host.CompletionMode, nKeys int, valSiz
 		rnic.QPConfig{SQDepth: 2*preArm + 8, RQDepth: preArm + 8, Managed: true})
 	// Sequential two-bucket probing: cuckoo inserts may place keys in
 	// either candidate bucket.
-	mb.off = core.NewLookupOffload(b, srvQP, nil, mb.store.Table, core.LookupSeq, 4*preArm+16)
+	mb.off = core.NewLookupOffload(b, srvQP, nil, mb.store.table, core.LookupSeq, 4*preArm+16)
 	for i := 0; i < preArm; i++ {
 		mb.off.Arm()
 	}
@@ -87,9 +128,9 @@ func newMemcachedBenchB(vma bool, twoMode host.CompletionMode, nKeys int, valSiz
 // table: READ candidate bucket(s), then READ the value.
 func (mb *memcachedBench) oneSidedCuckooGet(key, valLen uint64, done func(sim.Time)) {
 	start := mb.clu.Eng.Now()
-	table := mb.store.Table
+	table := mb.store.table
 	m := mb.cli.Mem
-	scratch := m.Alloc(cuckoo.BucketSize, 8)
+	scratch := m.Alloc(hopscotch.BucketSize, 8)
 	onCQE := func(fn func()) {
 		fired := false
 		mb.osQP.SendCQ().OnDeliver(func(rnic.CQE) {
@@ -127,7 +168,7 @@ func (mb *memcachedBench) oneSidedCuckooGet(key, valLen uint64, done func(sim.Ti
 			})
 		})
 		mb.osQP.PostSend(wqe.WQE{Op: wqe.OpRead, Src: table.HashAddr(key, fn), Dst: scratch,
-			Len: cuckoo.BucketSize, Flags: wqe.FlagSignaled})
+			Len: hopscotch.BucketSize, Flags: wqe.FlagSignaled})
 		mb.osQP.RingSQ()
 	}
 	probe(0)
@@ -211,7 +252,9 @@ func contentionRun(writers int, rednReader bool) (avg, p99 sim.Time) {
 	sets := workload.DisjointKeySets(writers+1, keysPerWriter)
 	for w := 0; w < writers; w++ {
 		for _, k := range sets[w] {
-			mb.store.Set(k, workload.Value(k, valSize))
+			if err := mb.store.Set(k, workload.Value(k, valSize)); err != nil {
+				panic(err)
+			}
 		}
 		stream := &workload.Sequential{Keys: sets[w]}
 		tsCli, tsSrv := mb.clu.Connect(mb.cli, mb.srv,
@@ -221,8 +264,10 @@ func contentionRun(writers int, rednReader bool) (avg, p99 sim.Time) {
 			Lookup: func(k uint64) (uint64, uint64, bool) {
 				// A set: overwrite the value (CPU cost carried by the
 				// RPC service time) and ack with 8 bytes.
-				mb.store.Set(k, workload.Value(k, valSize))
-				return mb.store.Table.Base(), 8, true
+				if err := mb.store.Set(k, workload.Value(k, valSize)); err != nil {
+					panic(err)
+				}
+				return mb.store.table.Base(), 8, true
 			}, Mode: host.Polling}
 		server.Start(1 << 15)
 		wc := baseline.NewTwoSidedClient(mb.clu.Eng, tsCli)
@@ -240,7 +285,9 @@ func contentionRun(writers int, rednReader bool) (avg, p99 sim.Time) {
 	// RedN gets bypass it entirely.
 	readerKeys := sets[writers][:64]
 	for _, k := range readerKeys {
-		mb.store.Set(k, workload.Value(k, valSize))
+		if err := mb.store.Set(k, workload.Value(k, valSize)); err != nil {
+			panic(err)
+		}
 	}
 	var get func(k uint64, done func(sim.Time))
 	if rednReader {
@@ -293,7 +340,6 @@ func Fig16() *Result {
 		const valSize = 64
 		preArm := int(duration/gap) + 16
 		mb := newMemcachedBench(false, host.Polling, 16, valSize, preArm)
-		mb.store.HullParent = redn
 
 		record := func() {
 			idx := int(mb.clu.Eng.Now() / bucket)
@@ -326,7 +372,12 @@ func Fig16() *Result {
 			}
 			issue()
 		}
-		failure.InjectAt(mb.clu.Eng, mb.store, failure.ProcessCrash, 5*sim.Second)
+		// RedN's RDMA resources live in a hull parent; vanilla's die
+		// with the process.
+		failure.NodeCrash{Node: mb.srv, Kind: failure.ProcessCrash, HullParent: redn,
+			OnDown: func() { mb.store.up = false },
+			OnUp:   func() { mb.store.up = true },
+		}.InjectAt(mb.clu.Eng, 5*sim.Second)
 		mb.clu.Eng.RunUntil(duration)
 
 		// Normalize to the steady-state bucket rate.

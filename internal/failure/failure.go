@@ -6,8 +6,14 @@ package failure
 
 import (
 	"repro/internal/fabric"
-	"repro/internal/kv"
 	"repro/internal/sim"
+)
+
+// Recovery timing from Fig 16: a restarted Memcached takes ~1 s to
+// bootstrap and ~1.25 s more to rebuild metadata and hash tables.
+const (
+	BootstrapTime = 1 * sim.Second
+	RebuildTime   = 1250 * sim.Millisecond
 )
 
 // Component is one row of Table 6.
@@ -49,31 +55,18 @@ func (k Kind) String() string {
 	return "os-panic"
 }
 
-// InjectAt schedules a failure of the store at time t.
-func InjectAt(eng *sim.Engine, s *kv.Store, k Kind, t sim.Time) {
-	eng.At(t, func() {
-		switch k {
-		case ProcessCrash:
-			s.Crash(eng)
-		case OSPanic:
-			// The OS is gone: CPU service stops and never restarts in
-			// the experiment window; RDMA resources are NOT freed (the
-			// NIC is decoupled from the host OS).
-			s.Node.CPU.Crash()
-		}
-	})
-}
-
 // NodeCrash describes a §5.6 failure of one serving node, independent
-// of what that node serves — the injection path the sharded service
-// uses (kv.Store keeps its own Crash lifecycle for the Fig 16 bench).
+// of what that node serves: the sharded service and the Fig 16
+// Memcached both crash through it, flipping their own host-side
+// service flags from OnDown and OnUp.
 //
 // ProcessCrash kills the serving process: host-side service stops, and
-// unless a hull parent owns the RDMA resources the OS reclaims them,
-// freezing every NIC queue. The OS restarts the process immediately;
-// after kv.BootstrapTime the host is back and after kv.RebuildTime
-// more the rebuilt service (and, without a hull parent, the re-created
-// RDMA resources) is available again — then OnUp fires.
+// unless a hull parent owns the RDMA resources (the paper's fork
+// trick) the OS reclaims them, freezing every NIC queue. The OS
+// restarts the process immediately; after BootstrapTime the host is
+// back and after RebuildTime more the rebuilt service (and, without a
+// hull parent, the re-created RDMA resources) is available again —
+// then OnUp fires.
 //
 // OSPanic freezes the whole host: CPU service never returns within the
 // experiment window, but nothing frees the RDMA resources, so the NIC
@@ -99,9 +92,9 @@ func (c NodeCrash) InjectAt(eng *sim.Engine, t sim.Time) {
 			if !c.HullParent {
 				c.Node.Dev.Freeze()
 			}
-			eng.After(kv.BootstrapTime, func() {
+			eng.After(BootstrapTime, func() {
 				c.Node.CPU.Restart()
-				eng.After(kv.RebuildTime, func() {
+				eng.After(RebuildTime, func() {
 					if !c.HullParent {
 						c.Node.Dev.Unfreeze()
 					}

@@ -1,10 +1,10 @@
 package failure
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/kv"
 	"repro/internal/sim"
 )
 
@@ -48,102 +48,52 @@ func TestTable6Invariants(t *testing.T) {
 	}
 }
 
-func storeOnCluster() (*fabric.Cluster, *kv.Store) {
-	clu := fabric.NewCluster()
-	node := clu.AddNode(fabric.DefaultNodeConfig("srv"))
-	return clu, kv.New(node, 256)
-}
-
-// InjectAt(ProcessCrash) must follow the Fig 16 lifecycle: down at t,
-// host back after bootstrap, service (and the NIC, without a hull
-// parent) back after the rebuild.
-func TestInjectAtProcessCrash(t *testing.T) {
-	clu, s := storeOnCluster()
-	s.Set(1, []byte("v"))
-	const at = 1 * sim.Second
-	InjectAt(clu.Eng, s, ProcessCrash, at)
-
-	clu.Eng.RunUntil(at + sim.Millisecond)
-	if s.Up() || !s.Node.CPU.Crashed() || !s.Node.Dev.Frozen() {
-		t.Fatal("crash not applied: store up, CPU alive, or NIC unfrozen")
-	}
-	clu.Eng.RunUntil(at + kv.BootstrapTime + sim.Millisecond)
-	if s.Node.CPU.Crashed() {
-		t.Fatal("CPU not restarted after bootstrap")
-	}
-	if s.Up() {
-		t.Fatal("store serving before the hash-table rebuild")
-	}
-	clu.Eng.RunUntil(at + kv.BootstrapTime + kv.RebuildTime + sim.Millisecond)
-	if !s.Up() || s.Node.Dev.Frozen() {
-		t.Fatal("store or NIC still down after rebuild")
-	}
-	if _, ok := s.Get(1); !ok {
-		t.Fatal("key lost across restart")
-	}
-}
-
-// A hull parent keeps the NIC serving through the process crash.
-func TestInjectAtProcessCrashHullParent(t *testing.T) {
-	clu, s := storeOnCluster()
-	s.HullParent = true
-	InjectAt(clu.Eng, s, ProcessCrash, sim.Second)
-	clu.Eng.RunUntil(sim.Second + sim.Millisecond)
-	if s.Node.Dev.Frozen() {
-		t.Fatal("hull parent's NIC frozen by the child's crash")
-	}
-	if s.Up() {
-		t.Fatal("host-side service survived a process crash")
-	}
-}
-
-// InjectAt(OSPanic): the host is gone for good, the NIC is not.
-func TestInjectAtOSPanic(t *testing.T) {
-	clu, s := storeOnCluster()
-	InjectAt(clu.Eng, s, OSPanic, sim.Second)
-	clu.Eng.RunUntil(10 * sim.Second)
-	if !s.Node.CPU.Crashed() {
-		t.Fatal("CPU recovered from a kernel panic")
-	}
-	if s.Node.Dev.Frozen() {
-		t.Fatal("OS panic froze the NIC; nothing frees RDMA resources")
-	}
-}
-
-// NodeCrash drives the same lifecycle for arbitrary nodes, with
-// OnDown/OnUp hooks bracketing host-service loss.
+// NodeCrash's lifecycle for each kind, with and without a hull parent,
+// seen 1 ms after the crash, after bootstrap and after the rebuild:
+// whether the CPU is down, the NIC frozen and host service up. OnDown
+// fires at the crash and OnUp exactly at bootstrap + rebuild, or never
+// after an OS panic.
 func TestNodeCrashLifecycle(t *testing.T) {
-	clu := fabric.NewCluster()
-	node := clu.AddNode(fabric.DefaultNodeConfig("srv"))
-	var downAt, upAt sim.Time
-	NodeCrash{
-		Node:   node,
-		Kind:   ProcessCrash,
-		OnDown: func() { downAt = clu.Eng.Now() },
-		OnUp:   func() { upAt = clu.Eng.Now() },
-	}.InjectAt(clu.Eng, 2*sim.Second)
-	clu.Eng.Run()
-	if downAt != 2*sim.Second {
-		t.Fatalf("OnDown at %v, want 2s", downAt)
-	}
-	if want := 2*sim.Second + kv.BootstrapTime + kv.RebuildTime; upAt != want {
-		t.Fatalf("OnUp at %v, want %v", upAt, want)
-	}
-	if node.Dev.Frozen() || node.CPU.Crashed() {
-		t.Fatal("node not recovered")
-	}
-
-	// OSPanic never fires OnUp.
-	clu2 := fabric.NewCluster()
-	n2 := clu2.AddNode(fabric.DefaultNodeConfig("srv2"))
-	up := false
-	NodeCrash{Node: n2, Kind: OSPanic, OnUp: func() { up = true }}.InjectAt(clu2.Eng, sim.Second)
-	clu2.Eng.Run()
-	if up {
-		t.Fatal("OnUp fired for an OS panic")
-	}
-	if n2.Dev.Frozen() {
-		t.Fatal("OS panic froze the NIC")
+	type state struct{ cpuDown, frozen, up bool }
+	const at = 2 * sim.Second
+	checks := []sim.Time{at + sim.Millisecond, at + BootstrapTime + sim.Millisecond,
+		at + BootstrapTime + RebuildTime + sim.Millisecond}
+	panicked := [3]state{{true, false, false}, {true, false, false}, {true, false, false}}
+	for _, tc := range []struct {
+		kind Kind
+		hull bool
+		want [3]state
+	}{
+		{ProcessCrash, false, [3]state{{true, true, false}, {false, true, false}, {false, false, true}}},
+		{ProcessCrash, true, [3]state{{true, false, false}, {false, false, false}, {false, false, true}}},
+		{OSPanic, false, panicked},
+		{OSPanic, true, panicked},
+	} {
+		t.Run(fmt.Sprintf("%v/hull=%v", tc.kind, tc.hull), func(t *testing.T) {
+			clu := fabric.NewCluster()
+			node := clu.AddNode(fabric.DefaultNodeConfig("srv"))
+			up := true
+			var downAt, upAt sim.Time
+			NodeCrash{
+				Node:       node,
+				Kind:       tc.kind,
+				HullParent: tc.hull,
+				OnDown:     func() { up, downAt = false, clu.Eng.Now() },
+				OnUp:       func() { up, upAt = true, clu.Eng.Now() },
+			}.InjectAt(clu.Eng, at)
+			for i, when := range checks {
+				clu.Eng.RunUntil(when)
+				if got := (state{node.CPU.Crashed(), node.Dev.Frozen(), up}); got != tc.want[i] {
+					t.Fatalf("at %v: %+v, want %+v", when, got, tc.want[i])
+				}
+			}
+			if downAt != at {
+				t.Fatalf("OnDown at %v, want %v", downAt, at)
+			}
+			if want := at + BootstrapTime + RebuildTime; tc.kind == ProcessCrash && upAt != want {
+				t.Fatalf("OnUp at %v, want %v", upAt, want)
+			}
+		})
 	}
 }
 

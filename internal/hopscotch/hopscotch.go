@@ -200,29 +200,20 @@ func (t *Table) VersionAt(i uint64) uint64 {
 	return v
 }
 
-// SetVersionAt stamps bucket i's version word.
-func (t *Table) SetVersionAt(i, ver uint64) error {
+// setVersionAt stamps bucket i's version word.
+func (t *Table) setVersionAt(i, ver uint64) error {
 	return t.mem.PutU64(t.BucketAddr(i)+OffVersion, ver)
 }
 
-// VersionOf returns the version word of key's bucket, scanning both
-// candidate neighborhoods like Lookup (ok=false when absent).
+// VersionOf returns the version word of key's bucket (ok=false when
+// absent).
 func (t *Table) VersionOf(key uint64) (uint64, bool) {
-	for fn := 0; fn < t.hashes; fn++ {
-		h := t.hash(key, fn)
-		for d := 0; d < t.neighborhood; d++ {
-			addr := t.BucketAddr(h + uint64(d))
-			ctrl, err := t.mem.U64(addr + OffKeyCtrl)
-			if err != nil || ctrl == 0 || ctrl == Tombstone {
-				continue
-			}
-			if _, k := wqe.SplitCtrl(ctrl); k == key&KeyMask {
-				v, _ := t.mem.U64(addr + OffVersion)
-				return v, true
-			}
-		}
+	addr, _, ok := t.find(key)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	v, _ := t.mem.U64(addr + OffVersion)
+	return v, true
 }
 
 // storeBucket writes key -> (valAddr, valLen) at addr, maintaining the
@@ -312,7 +303,7 @@ func (t *Table) InsertAtV(key, valAddr, valLen, ver uint64, fn, d int) error {
 	if err := t.InsertAt(key, valAddr, valLen, fn, d); err != nil {
 		return err
 	}
-	return t.SetVersionAt(t.hash(key, fn)+uint64(d), ver)
+	return t.setVersionAt(t.hash(key, fn)+uint64(d), ver)
 }
 
 // WriteBucket stores key -> (valAddr, valLen) directly into bucket i,
@@ -330,13 +321,82 @@ func (t *Table) WriteBucket(i, key, valAddr, valLen uint64) error {
 	return t.storeBucket(t.BucketAddr(i), key, valAddr, valLen)
 }
 
-// WriteBucketV is WriteBucket stamping ver into the bucket's version
-// word — the restore primitive for versioned rollbacks.
-func (t *Table) WriteBucketV(i, key, valAddr, valLen, ver uint64) error {
+// writeBucketV is WriteBucket stamping ver into the bucket's version
+// word — the restore primitive for Place's versioned rollback.
+func (t *Table) writeBucketV(i, key, valAddr, valLen, ver uint64) error {
 	if err := t.WriteBucket(i, key, valAddr, valLen); err != nil {
 		return err
 	}
-	return t.SetVersionAt(i, ver)
+	return t.setVersionAt(i, ver)
+}
+
+// maxKicks bounds Place's cuckoo relocation walk.
+const maxKicks = 16
+
+// Place stores key at one of its candidate buckets, relocating
+// residents cuckoo-style (each moves to its other candidate) up to
+// maxKicks deep, then spills the last evictee into a neighborhood slot:
+// spilled reports that entry, which host Lookup finds but a NIC's
+// exact-bucket probes miss. With a neighborhood of 1 nothing can spill,
+// so Place is two-choice cuckoo placement. An error rolls the walk
+// back: no resident is lost.
+func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, err error) {
+	// The kick walk records every displacement so a failed spill can be
+	// rolled back: without the trail, an exhausted walk whose final
+	// neighborhood insert also fails would lose the last evictee — a
+	// previously acknowledged resident — forever. Versions travel with
+	// their entries: an evictee's version moves (and rolls back) along
+	// with its key and extent pointer.
+	type move struct {
+		bucket          uint64 // bucket index the evictee was taken from
+		kk, va, vl, ver uint64
+	}
+	var trail []move
+	curKey, curVa, curVl, curVer := key, valAddr, valLen, ver
+	fn := 0
+	for kick := 0; ; kick++ {
+		// A free (or same-key) candidate bucket ends the walk.
+		for _, f := range []int{0, 1} {
+			b := t.Hash(curKey, f)
+			if k, _, _, ok := t.EntryAt(b); !ok || k == curKey {
+				return false, t.InsertAtV(curKey, curVa, curVl, curVer, f, 0)
+			}
+		}
+		if kick == maxKicks {
+			break
+		}
+		// Evict the resident of the fn-th candidate and re-place it at
+		// its own alternate candidate on the next iteration.
+		b := t.Hash(curKey, fn)
+		vk, vva, vvl, _ := t.EntryAt(b)
+		vver := t.VersionAt(b)
+		trail = append(trail, move{bucket: b, kk: vk, va: vva, vl: vvl, ver: vver})
+		if err := t.InsertAtV(curKey, curVa, curVl, curVer, fn, 0); err != nil {
+			return false, err
+		}
+		curKey, curVa, curVl, curVer = vk, vva, vvl, vver
+		if t.Hash(curKey, 0) == b {
+			fn = 1
+		} else {
+			fn = 0
+		}
+	}
+	// Walk exhausted: spill the last evictee into a neighborhood slot.
+	if err := t.InsertV(curKey, curVa, curVl, curVer); err != nil {
+		// No room even in the neighborhoods: undo the walk — each
+		// kicked resident goes back to exactly the bucket it was taken
+		// from (by recorded index, not by hash: an evictee may have
+		// been a spilled resident living at neither of its candidate
+		// buckets) — and fail without losing anyone.
+		for i := len(trail) - 1; i >= 0; i-- {
+			m := trail[i]
+			if rerr := t.writeBucketV(m.bucket, m.kk, m.va, m.vl, m.ver); rerr != nil {
+				return false, rerr
+			}
+		}
+		return false, err
+	}
+	return true, nil
 }
 
 // EntryAt reports the entry stored in bucket i (ok=false when empty or
@@ -382,30 +442,21 @@ func (t *Table) RemoveV(key, ver uint64) (valAddr, valLen uint64, ok bool) {
 }
 
 func (t *Table) remove(key, ver uint64, stamp bool) (valAddr, valLen uint64, ok bool) {
-	for fn := 0; fn < t.hashes; fn++ {
-		h := t.hash(key, fn)
-		for d := 0; d < t.neighborhood; d++ {
-			addr := t.BucketAddr(h + uint64(d))
-			ctrl, _ := t.mem.U64(addr + OffKeyCtrl)
-			if ctrl == 0 || ctrl == Tombstone {
-				continue
-			}
-			if _, k := wqe.SplitCtrl(ctrl); k == key&KeyMask {
-				valAddr, _ = t.mem.U64(addr + OffValAddr)
-				valLen, _ = t.mem.U64(addr + OffValLen)
-				t.mem.PutU64(addr+OffKeyCtrl, Tombstone)
-				t.mem.PutU64(addr+OffValAddr, 0)
-				t.mem.PutU64(addr+OffValLen, 0)
-				if stamp {
-					t.mem.PutU64(addr+OffVersion, ver)
-				}
-				t.entries--
-				t.tombstones++
-				return valAddr, valLen, true
-			}
-		}
+	addr, _, ok := t.find(key)
+	if !ok {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	valAddr, _ = t.mem.U64(addr + OffValAddr)
+	valLen, _ = t.mem.U64(addr + OffValLen)
+	t.mem.PutU64(addr+OffKeyCtrl, Tombstone)
+	t.mem.PutU64(addr+OffValAddr, 0)
+	t.mem.PutU64(addr+OffValLen, 0)
+	if stamp {
+		t.mem.PutU64(addr+OffVersion, ver)
+	}
+	t.entries--
+	t.tombstones++
+	return valAddr, valLen, true
 }
 
 // Delete removes key if present (tombstoning its bucket).
@@ -414,9 +465,15 @@ func (t *Table) Delete(key uint64) bool {
 	return ok
 }
 
-// Lookup is the host-CPU lookup used by two-sided baselines: scan both
-// candidate neighborhoods for key.
-func (t *Table) Lookup(key uint64) (valAddr, valLen uint64, ok bool) {
+// find returns the address of key's bucket and which candidate (0 or
+// 1) holds it, scanning both candidate neighborhoods; fn is -1 when
+// the key is absent. Keys in the reserved id space never match: their
+// control words are the tombstone and pending markers, so comparing
+// them would phantom-hit a deleted or claimed bucket.
+func (t *Table) find(key uint64) (addr uint64, fn int, ok bool) {
+	if key&PendingBit != 0 {
+		return 0, -1, false
+	}
 	for fn := 0; fn < t.hashes; fn++ {
 		h := t.hash(key, fn)
 		for d := 0; d < t.neighborhood; d++ {
@@ -426,31 +483,29 @@ func (t *Table) Lookup(key uint64) (valAddr, valLen uint64, ok bool) {
 				continue
 			}
 			if _, k := wqe.SplitCtrl(ctrl); k == key&KeyMask {
-				va, _ := t.mem.U64(addr + OffValAddr)
-				vl, _ := t.mem.U64(addr + OffValLen)
-				return va, vl, true
+				return addr, fn, true
 			}
 		}
 	}
-	return 0, 0, false
+	return 0, -1, false
+}
+
+// Lookup is the host-CPU lookup used by two-sided baselines: scan both
+// candidate neighborhoods for key.
+func (t *Table) Lookup(key uint64) (valAddr, valLen uint64, ok bool) {
+	addr, _, ok := t.find(key)
+	if !ok {
+		return 0, 0, false
+	}
+	valAddr, _ = t.mem.U64(addr + OffValAddr)
+	valLen, _ = t.mem.U64(addr + OffValLen)
+	return valAddr, valLen, true
 }
 
 // LookupBucket reports which candidate bucket (0-based hash function
 // index) holds key, or -1. One-sided readers use it to model FaRM's
 // neighborhood scan.
 func (t *Table) LookupBucket(key uint64) int {
-	for fn := 0; fn < t.hashes; fn++ {
-		h := t.hash(key, fn)
-		for d := 0; d < t.neighborhood; d++ {
-			addr := t.BucketAddr(h + uint64(d))
-			ctrl, err := t.mem.U64(addr + OffKeyCtrl)
-			if err != nil || ctrl == 0 {
-				continue
-			}
-			if _, k := wqe.SplitCtrl(ctrl); k == key&KeyMask {
-				return fn
-			}
-		}
-	}
-	return -1
+	_, fn, _ := t.find(key)
+	return fn
 }

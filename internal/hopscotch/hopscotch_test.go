@@ -1,6 +1,9 @@
 package hopscotch
 
 import (
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -315,7 +318,7 @@ func TestVersionWord(t *testing.T) {
 	}
 }
 
-// InsertAtV / WriteBucketV stamp the exact bucket they place into.
+// InsertAtV / writeBucketV stamp the exact bucket they place into.
 func TestVersionDirectPlacement(t *testing.T) {
 	tbl, _ := newTable(t, 64)
 	if err := tbl.InsertAtV(5, 0x100, 8, 3, 1, 0); err != nil {
@@ -324,10 +327,216 @@ func TestVersionDirectPlacement(t *testing.T) {
 	if v := tbl.VersionAt(tbl.Hash(5, 1)); v != 3 {
 		t.Fatalf("InsertAtV version = %d, want 3", v)
 	}
-	if err := tbl.WriteBucketV(17, 9, 0x200, 8, 4); err != nil {
+	if err := tbl.writeBucketV(17, 9, 0x200, 8, 4); err != nil {
 		t.Fatal(err)
 	}
 	if v := tbl.VersionAt(17); v != 4 {
-		t.Fatalf("WriteBucketV version = %d, want 4", v)
+		t.Fatalf("writeBucketV version = %d, want 4", v)
 	}
+}
+
+// Keys in the reserved id space miss on every host lookup. On a bucket
+// holding the tombstone word (NOOP|TombstoneID) or a pending word
+// (NOOP|(key|PendingBit)), comparing a reserved key's id would hit.
+func TestReservedKeysMiss(t *testing.T) {
+	tbl, m := newTable(t, 64)
+	miss := func(key uint64) {
+		t.Helper()
+		if _, _, ok := tbl.Lookup(key); ok {
+			t.Fatalf("Lookup(%#x) hit", key)
+		}
+		if fn := tbl.LookupBucket(key); fn != -1 {
+			t.Fatalf("LookupBucket(%#x) = %d, want -1", key, fn)
+		}
+		if _, ok := tbl.VersionOf(key); ok {
+			t.Fatalf("VersionOf(%#x) hit", key)
+		}
+	}
+	// A tombstone in the tombstone id's own first candidate bucket.
+	h := tbl.Hash(TombstoneID, 0)
+	k := uint64(1)
+	for tbl.Hash(k, 0) != h {
+		k++
+	}
+	if err := tbl.InsertAt(k, 0x1000, 8, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := tbl.Remove(k); !ok {
+		t.Fatal("remove failed")
+	}
+	miss(TombstoneID)
+
+	// A claimed-but-unpublished bucket where k|PendingBit hashes.
+	const key = 9
+	b := tbl.Hash(key|PendingBit, 0)
+	if err := m.PutU64(tbl.BucketAddr(b)+OffKeyCtrl, PendingCtrl(key)); err != nil {
+		t.Fatal(err)
+	}
+	miss(key | PendingBit)
+
+	if err := tbl.Insert(key, 0x2000, 8); err != nil {
+		t.Fatal(err)
+	}
+	if va, _, ok := tbl.Lookup(key); !ok || va != 0x2000 {
+		t.Fatalf("valid key: Lookup = %#x,%v", va, ok)
+	}
+}
+
+// newCuckoo is a two-choice cuckoo table: with a neighborhood of 1,
+// Place has no slot to spill into.
+func newCuckoo(t testing.TB, buckets uint64) (*Table, *mem.Memory) {
+	t.Helper()
+	m := mem.New(1 << 20)
+	return New(m, buckets, 1), m
+}
+
+// bothTaken reports that key's two candidate buckets hold other keys:
+// plain two-choice insertion has no slot for it.
+func bothTaken(tbl *Table, key uint64) bool {
+	for fn := 0; fn < 2; fn++ {
+		if k, _, _, ok := tbl.EntryAt(tbl.Hash(key, fn)); !ok || k == key {
+			return false
+		}
+	}
+	return true
+}
+
+// Place relocates residents where plain two-choice insertion fails.
+// Every placed key keeps its extent and its version through the kicks,
+// and an overwrite stays in the key's bucket.
+func TestPlaceDisplacement(t *testing.T) {
+	tbl, _ := newCuckoo(t, 32)
+	var keys []uint64
+	kicked := false
+	for k := uint64(1); k <= 200; k++ {
+		taken := bothTaken(tbl, k)
+		if spilled, err := tbl.Place(k, k*8, 8, k*10); err != nil {
+			break
+		} else if spilled {
+			t.Fatalf("key %d spilled with a neighborhood of 1", k)
+		}
+		kicked = kicked || taken
+		keys = append(keys, k)
+	}
+	if !kicked {
+		t.Fatal("no placement needed a kick — test shape is wrong")
+	}
+	if len(keys) < 12 { // single-slot cuckoo tops out near 50% load
+		t.Fatalf("only %d keys before full", len(keys))
+	}
+	for _, k := range keys {
+		va, _, ok := tbl.Lookup(k)
+		ver, _ := tbl.VersionOf(k)
+		if !ok || va != k*8 || ver != k*10 {
+			t.Fatalf("key %d: (%#x, v%d, %v), want (%#x, v%d)", k, va, ver, ok, k*8, k*10)
+		}
+	}
+	if tbl.Len() != len(keys) {
+		t.Fatalf("len %d, want %d", tbl.Len(), len(keys))
+	}
+	k := keys[len(keys)-1]
+	before := tbl.LookupBucket(k)
+	if _, err := tbl.Place(k, 0x9000, 16, 1); err != nil {
+		t.Fatal(err)
+	}
+	if va, vl, _ := tbl.Lookup(k); va != 0x9000 || vl != 16 || tbl.LookupBucket(k) != before {
+		t.Fatalf("overwrite: (%#x, %d) in bucket %d, want (0x9000, 16) in %d", va, vl, tbl.LookupBucket(k), before)
+	}
+}
+
+// Random sets and deletes on a small table: an acknowledged key is
+// never lost, and a Place that finds the table full rolls its walk
+// back — every bucket word, versions included, is as it was.
+func TestPlaceFullTableRollsBack(t *testing.T) {
+	tbl, m := newCuckoo(t, 32)
+	words := func() []uint64 {
+		w := make([]uint64, 0, tbl.Size()/8)
+		for off := uint64(0); off < tbl.Size(); off += 8 {
+			v, _ := m.U64(tbl.Base() + off)
+			w = append(w, v)
+		}
+		return w
+	}
+	type ent struct{ va, ver uint64 }
+	model := map[uint64]ent{}
+	rng := rand.New(rand.NewSource(11))
+	fulls := 0
+	for i := 0; i < 4000; i++ {
+		key := uint64(rng.Intn(64) + 1)
+		va, ver := uint64(0x1000+i*8), uint64(i+1)
+		_, present := model[key]
+		switch {
+		case rng.Intn(10) >= 7:
+			if _, _, ok := tbl.Remove(key); ok != present {
+				t.Fatalf("step %d: Remove(%d) = %v, model says %v", i, key, ok, present)
+			}
+			delete(model, key)
+		case present:
+			if err := tbl.InsertV(key, va, 8, ver); err != nil {
+				t.Fatalf("step %d: overwrite: %v", i, err)
+			}
+			model[key] = ent{va, ver}
+		default:
+			before := words()
+			if _, err := tbl.Place(key, va, 8, ver); err == nil {
+				model[key] = ent{va, ver}
+			} else if !errors.Is(err, ErrFull) {
+				t.Fatalf("step %d: %v", i, err)
+			} else if fulls++; !slices.Equal(before, words()) {
+				t.Fatalf("step %d: a refused Place changed bucket memory", i)
+			}
+		}
+		for k, e := range model {
+			va, _, ok := tbl.Lookup(k)
+			ver, _ := tbl.VersionOf(k)
+			if !ok || va != e.va || ver != e.ver {
+				t.Fatalf("step %d: key %d is (%#x, v%d, %v), want (%#x, v%d)", i, k, va, ver, ok, e.va, e.ver)
+			}
+		}
+	}
+	if fulls == 0 {
+		t.Fatal("no walk ran dry — table too large to exercise rollback")
+	}
+}
+
+// A kick walk that reaches a tombstoned bucket reclaims it: the evictee
+// lands there instead of displacing further.
+func TestPlaceReclaimsTombstones(t *testing.T) {
+	tbl, _ := newCuckoo(t, 64)
+	for k := uint64(1); k <= 24; k++ {
+		if _, err := tbl.Place(k, k*8, 8, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// x's first candidate holds r, whose other candidate (not one of
+	// x's) holds a: tombstone a, and x's walk kicks r into its slot.
+	for x := uint64(1000); x < 100000; x++ {
+		if !bothTaken(tbl, x) {
+			continue
+		}
+		b0 := tbl.Hash(x, 0)
+		r, _, _, _ := tbl.EntryAt(b0)
+		alt := tbl.Hash(r, 0)
+		if alt == b0 {
+			alt = tbl.Hash(r, 1)
+		}
+		a, _, _, ok := tbl.EntryAt(alt)
+		if alt == b0 || alt == tbl.Hash(x, 1) || !ok {
+			continue
+		}
+		if _, _, ok := tbl.Remove(a); !ok || tbl.Tombstones() != 1 {
+			t.Fatalf("remove(%d) = %v, tombstones %d", a, ok, tbl.Tombstones())
+		}
+		if spilled, err := tbl.Place(x, 0x5000, 8, 0); err != nil || spilled {
+			t.Fatalf("place: spilled=%v err=%v", spilled, err)
+		}
+		if k, _, _, _ := tbl.EntryAt(alt); k != r || tbl.Tombstones() != 0 {
+			t.Fatalf("bucket %d holds %d with %d tombstones, want %d reclaimed", alt, k, tbl.Tombstones(), r)
+		}
+		if k, _, _, _ := tbl.EntryAt(b0); k != x || tbl.Len() != 24 {
+			t.Fatalf("bucket %d holds %d, len %d; want %d, 24", b0, k, tbl.Len(), x)
+		}
+		return
+	}
+	t.Fatal("no key's walk reaches a removable resident")
 }

@@ -25,8 +25,8 @@
 // Beyond the paper, Service scales both offloaded paths out: a
 // consistent-hash ring shards keys across N server NICs, each client
 // connection keeps K gets and K sets in flight over pools of
-// independent offload contexts, and writes claim their cuckoo bucket
-// with a NIC-side CAS on every replica owner (W-of-N quorum, hinted
+// independent offload contexts, and writes claim their candidate
+// bucket with a NIC-side CAS on every replica owner (W-of-N quorum, hinted
 // handoff across crashes):
 //
 //	s := redn.NewService(8, 2) // 8 shards, 2 pipelined clients each

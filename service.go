@@ -950,9 +950,6 @@ func (s *Service) Delete(key uint64) bool {
 	return existed && derr == nil
 }
 
-// maxKicks bounds the cuckoo relocation walk of a Set.
-const maxKicks = 16
-
 func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 	sh.sets.Inc()
 	t := sh.table.table
@@ -1008,9 +1005,8 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 	return true
 }
 
-// place stores key at one of its candidate buckets, relocating
-// residents cuckoo-style (each resident moves to its other candidate)
-// up to maxKicks deep before spilling into a neighborhood slot.
+// place stores key at one of its candidate buckets through the
+// table's kick walk (hopscotch.Table.Place).
 //
 // LookupSingle offloads probe only H1, so single-mode shards place at
 // the first candidate or spill — relocation is impossible when a key
@@ -1026,73 +1022,11 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 		sh.spills.Inc()
 		return t.InsertV(key, valAddr, valLen, ver)
 	}
-	// The kick walk records every displacement so a failed spill can be
-	// rolled back: without the trail, an exhausted walk whose final
-	// neighborhood insert also fails would lose the last evictee — a
-	// previously acknowledged resident — forever. Versions travel with
-	// their entries: an evictee's version moves (and rolls back) along
-	// with its key and extent pointer.
-	type move struct {
-		bucket          uint64 // bucket index the evictee was taken from
-		kk, va, vl, ver uint64
+	spilled, err := t.Place(key, valAddr, valLen, ver)
+	if spilled {
+		sh.spills.Inc()
 	}
-	var trail []move
-	curKey, curVa, curVl, curVer := key, valAddr, valLen, ver
-	fn := 0
-	for kick := 0; ; kick++ {
-		// A free (or same-key) candidate bucket ends the walk.
-		placed := false
-		for _, f := range []int{0, 1} {
-			b := t.Hash(curKey, f)
-			if k, _, _, ok := t.EntryAt(b); !ok || k == curKey {
-				if err := t.InsertAtV(curKey, curVa, curVl, curVer, f, 0); err != nil {
-					return err
-				}
-				placed = true
-				break
-			}
-		}
-		if placed {
-			return nil
-		}
-		if kick == maxKicks {
-			break
-		}
-		// Evict the resident of the fn-th candidate and re-place it at
-		// its own alternate candidate on the next iteration.
-		b := t.Hash(curKey, fn)
-		vk, vva, vvl, _ := t.EntryAt(b)
-		vver := t.VersionAt(b)
-		trail = append(trail, move{bucket: b, kk: vk, va: vva, vl: vvl, ver: vver})
-		if err := t.InsertAtV(curKey, curVa, curVl, curVer, fn, 0); err != nil {
-			return err
-		}
-		curKey, curVa, curVl, curVer = vk, vva, vvl, vver
-		if t.Hash(curKey, 0) == b {
-			fn = 1
-		} else {
-			fn = 0
-		}
-	}
-	// Walk exhausted: spill the last evictee into a neighborhood slot.
-	// It stays CPU-visible (host Lookup scans neighborhoods) but the
-	// NIC's exact-bucket probes will miss it.
-	if err := t.InsertV(curKey, curVa, curVl, curVer); err != nil {
-		// No room even in the neighborhoods: undo the walk — each
-		// kicked resident goes back to exactly the bucket it was taken
-		// from (by recorded index, not by hash: an evictee may have
-		// been a spilled resident living at neither of its candidate
-		// buckets) — and fail the set without losing anyone.
-		for i := len(trail) - 1; i >= 0; i-- {
-			m := trail[i]
-			if rerr := t.WriteBucketV(m.bucket, m.kk, m.va, m.vl, m.ver); rerr != nil {
-				return rerr
-			}
-		}
-		return err
-	}
-	sh.spills.Inc()
-	return nil
+	return err
 }
 
 // readOrder fills g.order with key's replica owners in the order the

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/failure"
-	"repro/internal/kv"
 	"repro/internal/sim"
 )
 
@@ -136,7 +135,7 @@ func runProcessCrash(t *testing.T) processCrashRun {
 	s.CrashShard(0, failure.ProcessCrash, crashAt)
 	r := processCrashRun{s: s, load: startBreakerLoad(s, keys, sh)}
 	probing := false
-	stepUntil(s, crashAt+kv.BootstrapTime+kv.RebuildTime+10*sim.Millisecond, func() {
+	stepUntil(s, crashAt+failure.BootstrapTime+failure.RebuildTime+10*sim.Millisecond, func() {
 		if sh.down() && r.tripAt == 0 {
 			r.tripAt, r.inFlightAtTrip = s.Now(), r.load.inFlight()
 		}
@@ -199,7 +198,7 @@ func TestServiceBreakerSparesUserGets(t *testing.T) {
 // however many windows it spans.
 func TestServiceBreakerProbesOncePerWindow(t *testing.T) {
 	r := runProcessCrash(t)
-	outage := kv.BootstrapTime + kv.RebuildTime
+	outage := failure.BootstrapTime + failure.RebuildTime
 	most := int(outage / defaultSuspectFor)
 	// Each window re-arms from its probe's timeout, and the probe waits
 	// for the next routing decision: a window lasts up to

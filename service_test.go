@@ -919,7 +919,7 @@ func runLinearizableHistory(t *testing.T, withRepair bool) {
 	s.CrashShard(0, failure.ProcessCrash, crashAt)
 	if withRepair {
 		// Lose every hint the crash accumulated, right before recovery
-		// would have drained them (kv.BootstrapTime + kv.RebuildTime
+		// would have drained them (failure.BootstrapTime + failure.RebuildTime
 		// after the crash): convergence must come from the repair
 		// subsystem, not handoff. The drop must find hints to drop, or
 		// a recovery-timing drift has silently degraded this test to
@@ -1231,13 +1231,13 @@ func TestServicePlacementProperty(t *testing.T) {
 	}
 
 	// Phase 1: light load (<50% of 64 buckets) — kicks may run, spills
-	// must not: maxKicks is never exhausted with this much slack.
+	// must not: the kick walk never runs dry with this much slack.
 	for i := 0; i < 300; i++ {
 		op(i, 28)
 	}
 	checkModel(300)
 	if st := s.Stats(); st.Spills != 0 {
-		t.Fatalf("%d spills at <50%% load — spilling without exhausting maxKicks", st.Spills)
+		t.Fatalf("%d spills at <50%% load — spilling without a walk running dry", st.Spills)
 	}
 
 	// Phase 2: overload (up to 140% of capacity) — spills are now the
