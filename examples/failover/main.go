@@ -12,8 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/failure"
-	"repro/internal/hopscotch"
 	"repro/internal/host"
+	"repro/internal/kv"
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -28,19 +28,12 @@ func run(hullParent bool) []float64 {
 	clu := fabric.NewCluster()
 	cli := clu.AddNode(fabric.DefaultNodeConfig("client"))
 	srv := clu.AddNode(fabric.DefaultNodeConfig("server"))
-	// Memcached's index: a two-choice cuckoo table, which is a
-	// hopscotch table with a neighborhood of 1.
-	table := hopscotch.New(srv.Mem, 256, 1)
+	store := kv.New(srv, 256)
 	for k := uint64(1); k <= 16; k++ {
-		va := srv.Mem.Alloc(64, 8)
-		if err := srv.Mem.Write(va, workload.Value(k, 64)); err != nil {
-			panic(err)
-		}
-		if _, err := table.Place(k, va, 64, 0); err != nil {
+		if err := store.Set(k, workload.Value(k, 64)); err != nil {
 			panic(err)
 		}
 	}
-	up := true // host-side service, lost from the crash to the rebuild
 
 	counts := make([]float64, int(duration/bucket))
 	record := func() {
@@ -56,7 +49,7 @@ func run(hullParent bool) []float64 {
 		cliQP, srvQP := clu.Connect(cli, srv,
 			rnic.QPConfig{SQDepth: 256, RQDepth: 8},
 			rnic.QPConfig{SQDepth: 2*preArm + 8, RQDepth: preArm + 8, Managed: true})
-		off := core.NewLookupOffload(b, srvQP, nil, table, core.LookupSeq, 4*preArm+16)
+		off := core.NewLookupOffload(b, srvQP, nil, store.Table, core.LookupSeq, 4*preArm+16)
 		for i := 0; i < preArm; i++ {
 			off.Arm()
 		}
@@ -88,14 +81,8 @@ func run(hullParent bool) []float64 {
 		tsCli, tsSrv := clu.Connect(cli, srv,
 			rnic.QPConfig{SQDepth: 1 << 14, RQDepth: 8},
 			rnic.QPConfig{SQDepth: 1 << 14, RQDepth: 1 << 14})
-		lookup := func(k uint64) (uint64, uint64, bool) {
-			if !up {
-				return 0, 0, false
-			}
-			return table.Lookup(k)
-		}
 		server := &baseline.TwoSidedServer{Eng: clu.Eng, CPU: srv.CPU, QP: tsSrv,
-			Lookup: lookup, Mode: host.Polling}
+			Lookup: store.Lookup, Mode: host.Polling}
 		server.Start(1 << 14)
 		c := baseline.NewTwoSidedClient(clu.Eng, tsCli)
 		i := 0
@@ -111,10 +98,7 @@ func run(hullParent bool) []float64 {
 		issue()
 	}
 
-	failure.NodeCrash{Node: srv, Kind: failure.ProcessCrash, HullParent: hullParent,
-		OnDown: func() { up = false },
-		OnUp:   func() { up = true },
-	}.InjectAt(clu.Eng, 4*sim.Second)
+	store.Crash(failure.ProcessCrash, hullParent).InjectAt(clu.Eng, 4*sim.Second)
 	clu.Eng.RunUntil(duration)
 
 	peak := counts[2]

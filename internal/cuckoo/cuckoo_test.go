@@ -1,21 +1,51 @@
-package cuckoo
+// Package cuckoo_test checks the two-choice cuckoo index of §5.4
+// (MemC3 style), which is a hopscotch table with a neighborhood of 1:
+// every key lives in one of its two candidate buckets, and Place kicks
+// residents to their other candidate to make room. The Memcached
+// figures and the failover example index their values this way.
+package cuckoo_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hopscotch"
 	"repro/internal/mem"
 	"repro/internal/wqe"
 )
 
-func newTable(buckets uint64) *Table {
-	return New(mem.New(1<<22), buckets)
+func newTable(buckets uint64) (*hopscotch.Table, *mem.Memory) {
+	m := mem.New(1 << 22)
+	return hopscotch.New(m, buckets, 1), m
+}
+
+// kicks reports that plain two-choice insertion has no slot for key:
+// both its candidate buckets hold other keys, so Place must displace.
+func kicks(tbl *hopscotch.Table, key uint64) bool {
+	for fn := 0; fn < 2; fn++ {
+		if k, _, _, ok := tbl.EntryAt(tbl.Hash(key, fn)); !ok || k == key {
+			return false
+		}
+	}
+	return true
+}
+
+// tombstoneBucket finds which candidate bucket of key holds a
+// tombstone (exactly one after the key's delete).
+func tombstoneBucket(tbl *hopscotch.Table, key uint64) uint64 {
+	for fn := 0; fn < 2; fn++ {
+		if b := tbl.Hash(key, fn); tbl.TombstoneAt(b) {
+			return b
+		}
+	}
+	return tbl.Hash(key, 0)
 }
 
 func TestInsertLookupDelete(t *testing.T) {
-	tbl := newTable(256)
-	if err := tbl.Insert(42, 0x1000, 64); err != nil {
+	tbl, _ := newTable(256)
+	if _, err := tbl.Place(42, 0x1000, 64, 0); err != nil {
 		t.Fatal(err)
 	}
 	va, vl, ok := tbl.Lookup(42)
@@ -31,27 +61,31 @@ func TestInsertLookupDelete(t *testing.T) {
 }
 
 func TestOverwriteInPlace(t *testing.T) {
-	tbl := newTable(64)
-	tbl.Insert(7, 0x1000, 8)
+	tbl, _ := newTable(64)
+	tbl.Place(7, 0x1000, 8, 0)
 	before := tbl.LookupBucket(7)
 	tbl.Insert(7, 0x2000, 16)
 	va, vl, _ := tbl.Lookup(7)
 	if va != 0x2000 || vl != 16 {
 		t.Fatalf("overwrite: %#x %d", va, vl)
 	}
-	if tbl.LookupBucket(7) != before {
+	if tbl.LookupBucket(7) != before || tbl.Len() != 1 {
 		t.Fatal("overwrite moved the key (would break armed offloads)")
 	}
 }
 
 func TestDisplacement(t *testing.T) {
 	// Fill a small table beyond direct placement: displacement must
-	// preserve every inserted key.
-	tbl := newTable(32)
+	// preserve every inserted key, and nothing spills.
+	tbl, _ := newTable(32)
 	var keys []uint64
 	for k := uint64(1); k <= 200; k++ {
-		if err := tbl.Insert(k, k*8, 8); err != nil {
+		spilled, err := tbl.Place(k, k*8, 8, 0)
+		if err != nil {
 			break
+		}
+		if spilled {
+			t.Fatalf("key %d spilled with a neighborhood of 1", k)
 		}
 		keys = append(keys, k)
 	}
@@ -67,10 +101,10 @@ func TestDisplacement(t *testing.T) {
 }
 
 func TestFullTable(t *testing.T) {
-	tbl := newTable(2)
+	tbl, _ := newTable(2)
 	sawFull := false
 	for k := uint64(1); k <= 100; k++ {
-		if err := tbl.Insert(k, k, 8); err == ErrFull {
+		if _, err := tbl.Place(k, k, 8, 0); errors.Is(err, hopscotch.ErrFull) {
 			sawFull = true
 			break
 		}
@@ -80,33 +114,33 @@ func TestFullTable(t *testing.T) {
 	}
 }
 
+// The index's buckets are the layout the RedN lookup injects: the key
+// in a NOOP control word and the value pointer in the src field.
 func TestBucketABIMatchesHopscotch(t *testing.T) {
-	m := mem.New(1 << 20)
-	tbl := New(m, 64)
-	tbl.Insert(9, 0x500, 32)
-	fn := tbl.LookupBucket(9)
-	addr := tbl.HashAddr(9, fn)
-	kc, _ := m.U64(addr + OffKeyCtrl)
+	tbl, m := newTable(64)
+	tbl.Place(9, 0x500, 32, 0)
+	addr := tbl.HashAddr(9, tbl.LookupBucket(9))
+	kc, _ := m.U64(addr + hopscotch.OffKeyCtrl)
 	if kc != wqe.MakeCtrl(wqe.OpNoop, 9) {
 		t.Fatalf("keyCtrl %#x", kc)
 	}
-	va, _ := m.U64(addr + OffValAddr)
+	va, _ := m.U64(addr + hopscotch.OffValAddr)
 	if va != 0x500 {
 		t.Fatalf("valAddr %#x", va)
 	}
 }
 
 func TestWideKeyRejected(t *testing.T) {
-	tbl := newTable(64)
-	if err := tbl.Insert(1<<48, 1, 1); err == nil {
+	tbl, _ := newTable(64)
+	if _, err := tbl.Place(1<<48, 1, 1, 0); err == nil {
 		t.Fatal("49-bit key accepted")
 	}
 }
 
-// Property: inserted keys remain retrievable with their latest values.
+// Property: placed keys remain retrievable with their latest values.
 func TestCuckooProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
-		tbl := newTable(4096)
+		tbl, _ := newTable(4096)
 		seen := map[uint64]uint64{}
 		for i, r := range raw {
 			if i >= 150 {
@@ -114,7 +148,13 @@ func TestCuckooProperty(t *testing.T) {
 			}
 			k := uint64(r%0xFFFFF) + 1
 			v := uint64(i + 1)
-			if err := tbl.Insert(k, v, 8); err != nil {
+			var err error
+			if _, ok := seen[k]; ok {
+				err = tbl.Insert(k, v, 8)
+			} else {
+				_, err = tbl.Place(k, v, 8, 0)
+			}
+			if err != nil {
 				return true
 			}
 			seen[k] = v
@@ -132,13 +172,13 @@ func TestCuckooProperty(t *testing.T) {
 	}
 }
 
-// Property: random interleaved Insert/Delete/Lookup sequences never
-// lose an acknowledged key, ErrFull always rolls back cleanly (every
-// resident survives, bit-exact), and the Fulls counter grows exactly
-// when MaxKicks was exhausted — never on a successful placement.
+// Property: random interleaved set/delete/lookup sequences, sets placed
+// the way the Memcached store does (overwrite in place, new keys by
+// Place), never lose an acknowledged key, and ErrFull rolls back
+// cleanly: every resident survives, bit-exact.
 func TestCuckooPropertyRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tbl := newTable(128) // small table: displacement chains exhaust for real
+	tbl, _ := newTable(128) // small table: displacement chains exhaust for real
 	type ent struct{ va, vl uint64 }
 	model := map[uint64]ent{}
 
@@ -157,25 +197,29 @@ func TestCuckooPropertyRandomOps(t *testing.T) {
 		}
 	}
 
+	fulls, kicked := 0, 0
 	for i := 0; i < 4000; i++ {
 		key := uint64(rng.Intn(200) + 1)
 		switch op := rng.Intn(10); {
 		case op < 6: // insert/overwrite
 			va, vl := uint64(0x1000+i*8), uint64(rng.Intn(100)+1)
-			fullsBefore := tbl.Fulls()
-			err := tbl.Insert(key, va, vl)
-			if err == nil {
-				if tbl.Fulls() != fullsBefore {
-					t.Fatalf("step %d: Fulls grew on a successful insert", i)
+			if _, acked := model[key]; acked {
+				if err := tbl.Insert(key, va, vl); err != nil {
+					t.Fatalf("step %d: overwrite: %v", i, err)
 				}
 				model[key] = ent{va, vl}
+				break
+			}
+			if kicks(tbl, key) {
+				kicked++
+			}
+			if _, err := tbl.Place(key, va, vl, 0); err == nil {
+				model[key] = ent{va, vl}
 			} else {
-				if err != ErrFull {
+				if !errors.Is(err, hopscotch.ErrFull) {
 					t.Fatalf("step %d: unexpected insert error %v", i, err)
 				}
-				if tbl.Fulls() != fullsBefore+1 {
-					t.Fatalf("step %d: ErrFull without a Fulls increment", i)
-				}
+				fulls++
 				// Rollback must leave every acked key untouched.
 				checkAll(i)
 			}
@@ -193,49 +237,43 @@ func TestCuckooPropertyRandomOps(t *testing.T) {
 		}
 	}
 	checkAll(4000)
-	if tbl.Fulls() == 0 {
+	if fulls == 0 {
 		t.Fatal("run never exhausted a displacement chain — table too large to exercise rollback")
 	}
-	if tbl.Kicks() == 0 {
+	if kicked == 0 {
 		t.Fatal("run never displaced a resident — no cuckoo behavior exercised")
 	}
 }
 
 // Deletes leave tombstones that no longer count toward occupancy: a
-// saturated neighborhood whose resident is deleted accepts a new key
-// by reclaiming the tombstone slot — both on direct placement and via
-// the kick walk.
+// new key whose candidate is the tombstoned bucket reclaims it.
 func TestTombstoneReclaim(t *testing.T) {
-	tbl := newTable(64)
-	if err := tbl.Insert(1, 0x1000, 8); err != nil {
+	tbl, _ := newTable(64)
+	if _, err := tbl.Place(1, 0x1000, 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !tbl.Delete(1) {
 		t.Fatal("delete of resident failed")
 	}
-	st := tbl.Stats()
-	if st.Tombstones != 1 || st.Entries != 0 {
-		t.Fatalf("after delete: %+v, want 1 tombstone / 0 entries", st)
+	if tbl.Tombstones() != 1 || tbl.Len() != 0 {
+		t.Fatalf("after delete: %d tombstones / %d entries, want 1 / 0", tbl.Tombstones(), tbl.Len())
 	}
 	// Lookup must not see through the tombstone.
 	if _, _, ok := tbl.Lookup(1); ok {
 		t.Fatal("lookup found a tombstoned key")
 	}
 	// A new key whose first candidate is exactly the tombstoned bucket
-	// reclaims it (Insert placed key 1 at its first candidate, and
-	// Delete tombstoned it there).
+	// reclaims it (Place put key 1 at its first candidate, and Delete
+	// tombstoned it there).
+	b := tombstoneBucket(tbl, 1)
 	var k uint64
-	for k = 100; ; k++ {
-		if tbl.Hash(k, 0) == tbl.Hash(1, 0) {
-			break
-		}
+	for k = 100; tbl.Hash(k, 0) != b; k++ {
 	}
-	if err := tbl.Insert(k, 0x2000, 8); err != nil {
+	if _, err := tbl.Place(k, 0x2000, 8, 0); err != nil {
 		t.Fatal(err)
 	}
-	st = tbl.Stats()
-	if st.Tombstones != 0 || st.Reclaims != 1 {
-		t.Fatalf("after reinsert: %+v, want 0 tombstones / 1 reclaim", st)
+	if got, _, _, _ := tbl.EntryAt(b); got != k || tbl.Tombstones() != 0 {
+		t.Fatalf("after reinsert: bucket holds %d with %d tombstones, want %d reclaimed", got, tbl.Tombstones(), k)
 	}
 }
 
@@ -243,12 +281,12 @@ func TestTombstoneReclaim(t *testing.T) {
 // keys: the kick walk treats tombstoned buckets as free instead of
 // displacing through them forever.
 func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
-	tbl := newTable(32)
-	n := tbl.nBuckets
+	tbl, _ := newTable(32)
+	n := tbl.NumBuckets()
 	// Saturate until full.
 	var resident []uint64
 	for k := uint64(1); uint64(len(resident)) < n && k < 100000; k++ {
-		if tbl.Insert(k, k*16, 8) == nil {
+		if _, err := tbl.Place(k, k*16, 8, 0); err == nil {
 			resident = append(resident, k)
 		}
 	}
@@ -264,47 +302,48 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 		}
 	}
 	deleted := (len(resident) + 1) / 2
-	if got := int(tbl.Stats().Tombstones); got != deleted {
+	if got := tbl.Tombstones(); got != deleted {
 		t.Fatalf("tombstones %d, want %d", got, deleted)
 	}
-	// New inserts reclaim the tombstone slack; at least half of the
+	// New keys reclaim the tombstone slack; at least half of the
 	// deleted capacity must be reusable (both-candidates-tombstoned
 	// collisions can strand a few).
 	placed := 0
 	for k := uint64(200000); k < 300000 && placed < deleted; k++ {
-		if tbl.Insert(k, k*16, 8) == nil {
+		if _, err := tbl.Place(k, k*16, 8, 0); err == nil {
 			placed++
 		}
 	}
 	if placed < deleted/2 {
 		t.Fatalf("reclaimed only %d of %d tombstoned slots", placed, deleted)
 	}
-	if tbl.Stats().Reclaims == 0 {
-		t.Fatal("no reclaim was counted")
+	if tbl.Tombstones() >= deleted {
+		t.Fatal("no tombstone was reclaimed")
 	}
 }
 
 // The reserved tombstone id is not a usable key.
 func TestTombstoneIDRejected(t *testing.T) {
-	tbl := newTable(16)
-	if err := tbl.Insert(TombstoneID, 0x1000, 8); err == nil {
+	tbl, _ := newTable(16)
+	if _, err := tbl.Place(hopscotch.TombstoneID, 0x1000, 8, 0); err == nil {
 		t.Fatal("insert of the reserved tombstone id succeeded")
 	}
 }
 
 // Versions move with their entries: a kick walk that displaces a
-// resident carries its version to the new bucket, a rolled-back walk
-// restores every version, and DeleteV stamps the tombstone.
+// resident carries its version to the new bucket, and RemoveV stamps
+// the tombstone.
 func TestVersionRidesKicks(t *testing.T) {
-	tbl := newTable(64)
-	stored := uint64(0)
+	tbl, _ := newTable(64)
+	stored, kicked := uint64(0), false
 	for k := uint64(1); k <= 40; k++ {
-		if err := tbl.InsertV(k, 0x1000+k*64, 64, k*10); err != nil {
+		kicked = kicked || kicks(tbl, k)
+		if _, err := tbl.Place(k, 0x1000+k*64, 64, k*10); err != nil {
 			break // table full: versions of everything placed so far still hold
 		}
 		stored = k
 	}
-	if tbl.Kicks() == 0 {
+	if !kicked {
 		t.Fatal("load produced no kicks — test shape is wrong")
 	}
 	for k := uint64(1); k <= stored; k++ {
@@ -312,33 +351,20 @@ func TestVersionRidesKicks(t *testing.T) {
 			t.Fatalf("key %d version = %d,%v want %d", k, v, ok, k*10)
 		}
 	}
-	if !tbl.DeleteV(7, 99) {
+	if _, _, ok := tbl.RemoveV(7, 99); !ok {
 		t.Fatal("delete failed")
 	}
-	addr := tbl.HashAddr(7, tombstoneCandidate(tbl, 7))
-	if v, _ := tbl.mem.U64(addr + OffVersion); v != 99 {
+	if v := tbl.VersionAt(tombstoneBucket(tbl, 7)); v != 99 {
 		t.Fatalf("tombstone version = %d, want 99", v)
 	}
 }
 
-// tombstoneCandidate finds which candidate bucket of key holds a
-// tombstone (test helper; exactly one after a successful DeleteV).
-func tombstoneCandidate(tbl *Table, key uint64) int {
-	for fn := 0; fn < 2; fn++ {
-		if kc, _ := tbl.mem.U64(tbl.HashAddr(key, fn) + OffKeyCtrl); kc == Tombstone {
-			return fn
-		}
-	}
-	return 0
-}
-
 // Plain (unversioned) Insert and Delete must preserve the bucket's
-// version word — the same contract as hopscotch: an unversioned
-// relocation or overwrite can never regress a version a versioned
-// path already published.
+// version word: an unversioned overwrite or delete can never regress a
+// version a versioned path already published.
 func TestVersionPreservedByUnversionedOps(t *testing.T) {
-	tbl := newTable(256)
-	if err := tbl.InsertV(42, 0x1000, 64, 7); err != nil {
+	tbl, _ := newTable(256)
+	if _, err := tbl.Place(42, 0x1000, 64, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Insert(42, 0x2000, 64); err != nil {
@@ -350,8 +376,7 @@ func TestVersionPreservedByUnversionedOps(t *testing.T) {
 	if !tbl.Delete(42) {
 		t.Fatal("delete failed")
 	}
-	addr := tbl.HashAddr(42, tombstoneCandidate(tbl, 42))
-	if v, _ := tbl.mem.U64(addr + OffVersion); v != 7 {
+	if v := tbl.VersionAt(tombstoneBucket(tbl, 42)); v != 7 {
 		t.Fatalf("plain Delete clobbered the tombstone version: %d, want 7", v)
 	}
 }

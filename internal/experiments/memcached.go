@@ -9,61 +9,19 @@ import (
 	"repro/internal/failure"
 	"repro/internal/hopscotch"
 	"repro/internal/host"
-	"repro/internal/mem"
+	"repro/internal/kv"
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/wqe"
 )
 
-// memcachedStore is the Memcached-like server of §5.4: a two-choice
-// cuckoo index (MemC3 style; a hopscotch table with a neighborhood of
-// 1) over values in the server's memory, its big-endian buckets laid
-// out for the RedN offload to inject. up gates host-side service; a
-// crash flips it through failure.NodeCrash's OnDown and OnUp.
-type memcachedStore struct {
-	mem   *mem.Memory
-	table *hopscotch.Table
-	up    bool
-}
-
-func newMemcachedStore(node *fabric.Node, nBuckets uint64) *memcachedStore {
-	return &memcachedStore{mem: node.Mem, table: hopscotch.New(node.Mem, nBuckets, 1), up: true}
-}
-
-// Set stores key -> value: an overwrite reuses the old value's space
-// when the new bytes fit, and a new key is placed by the kick walk.
-func (s *memcachedStore) Set(key uint64, value []byte) error {
-	n := uint64(len(value))
-	va, vl, ok := s.table.Lookup(key)
-	if !ok || n > vl {
-		va = s.mem.Alloc(n, 8)
-	}
-	if err := s.mem.Write(va, value); err != nil {
-		return err
-	}
-	if ok {
-		return s.table.Insert(key, va, n)
-	}
-	_, err := s.table.Place(key, va, n, 0)
-	return err
-}
-
-// Lookup is the host-CPU index lookup the two-sided servers run; it
-// misses while the serving process is down.
-func (s *memcachedStore) Lookup(key uint64) (valAddr, valLen uint64, ok bool) {
-	if !s.up {
-		return 0, 0, false
-	}
-	return s.table.Lookup(key)
-}
-
-// memcachedBench wires a memcachedStore with RedN, one-sided and
+// memcachedBench wires a kv.Store with RedN, one-sided and
 // two-sided(VMA) access paths.
 type memcachedBench struct {
 	clu      *fabric.Cluster
 	cli, srv *fabric.Node
-	store    *memcachedStore
+	store    *kv.Store
 	keys     []uint64
 
 	off  *core.LookupOffload
@@ -85,7 +43,7 @@ func newMemcachedBenchB(vma bool, twoMode host.CompletionMode, nKeys int, valSiz
 	if buckets == 0 {
 		buckets = uint64(nKeys * 4)
 	}
-	mb.store = newMemcachedStore(mb.srv, buckets)
+	mb.store = kv.New(mb.srv, buckets)
 	for i := 1; i <= nKeys; i++ {
 		key := uint64(i)
 		if err := mb.store.Set(key, workload.Value(key, int(valSize))); err != nil {
@@ -103,7 +61,7 @@ func newMemcachedBenchB(vma bool, twoMode host.CompletionMode, nKeys int, valSiz
 		rnic.QPConfig{SQDepth: 2*preArm + 8, RQDepth: preArm + 8, Managed: true})
 	// Sequential two-bucket probing: cuckoo inserts may place keys in
 	// either candidate bucket.
-	mb.off = core.NewLookupOffload(b, srvQP, nil, mb.store.table, core.LookupSeq, 4*preArm+16)
+	mb.off = core.NewLookupOffload(b, srvQP, nil, mb.store.Table, core.LookupSeq, 4*preArm+16)
 	for i := 0; i < preArm; i++ {
 		mb.off.Arm()
 	}
@@ -128,7 +86,7 @@ func newMemcachedBenchB(vma bool, twoMode host.CompletionMode, nKeys int, valSiz
 // table: READ candidate bucket(s), then READ the value.
 func (mb *memcachedBench) oneSidedCuckooGet(key, valLen uint64, done func(sim.Time)) {
 	start := mb.clu.Eng.Now()
-	table := mb.store.table
+	table := mb.store.Table
 	m := mb.cli.Mem
 	scratch := m.Alloc(hopscotch.BucketSize, 8)
 	onCQE := func(fn func()) {
@@ -267,7 +225,7 @@ func contentionRun(writers int, rednReader bool) (avg, p99 sim.Time) {
 				if err := mb.store.Set(k, workload.Value(k, valSize)); err != nil {
 					panic(err)
 				}
-				return mb.store.table.Base(), 8, true
+				return mb.store.Table.Base(), 8, true
 			}, Mode: host.Polling}
 		server.Start(1 << 15)
 		wc := baseline.NewTwoSidedClient(mb.clu.Eng, tsCli)
@@ -374,10 +332,7 @@ func Fig16() *Result {
 		}
 		// RedN's RDMA resources live in a hull parent; vanilla's die
 		// with the process.
-		failure.NodeCrash{Node: mb.srv, Kind: failure.ProcessCrash, HullParent: redn,
-			OnDown: func() { mb.store.up = false },
-			OnUp:   func() { mb.store.up = true },
-		}.InjectAt(mb.clu.Eng, 5*sim.Second)
+		mb.store.Crash(failure.ProcessCrash, redn).InjectAt(mb.clu.Eng, 5*sim.Second)
 		mb.clu.Eng.RunUntil(duration)
 
 		// Normalize to the steady-state bucket rate.

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"strconv"
 	"testing"
-
-	"repro/internal/fabric"
-	"repro/internal/workload"
 )
 
 // The §5.4–§5.6 Memcached figures keep the paper's shape: RedN beats
@@ -46,34 +42,5 @@ func TestMemcachedFigures(t *testing.T) {
 	}
 	if n := m["vanilla_down_buckets"]; n < 4 {
 		t.Errorf("fig16 vanilla_down_buckets = %v, want >= 4", n)
-	}
-}
-
-// A set overwrites in place when the new value fits, and host lookups
-// miss while the store is down.
-func TestMemcachedStore(t *testing.T) {
-	clu := fabric.NewCluster()
-	node := clu.AddNode(fabric.DefaultNodeConfig("memcached"))
-	s := newMemcachedStore(node, 1024)
-	if err := s.Set(1, workload.Value(1, 64)); err != nil {
-		t.Fatal(err)
-	}
-	a1, _, _ := s.Lookup(1)
-	if err := s.Set(1, workload.Value(2, 64)); err != nil {
-		t.Fatal(err)
-	}
-	a2, vl, ok := s.Lookup(1)
-	if !ok || a1 != a2 {
-		t.Fatalf("same-size overwrite moved the value %#x -> %#x", a1, a2)
-	}
-	if got, _ := node.Mem.Read(a2, vl); !bytes.Equal(got, workload.Value(2, 64)) {
-		t.Fatal("overwrite content")
-	}
-	if _, _, ok := s.Lookup(2); ok {
-		t.Fatal("phantom key")
-	}
-	s.up = false
-	if _, _, ok := s.Lookup(1); ok {
-		t.Fatal("lookup served while down")
 	}
 }

@@ -1,7 +1,6 @@
 package failure
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
@@ -48,52 +47,85 @@ func TestTable6Invariants(t *testing.T) {
 	}
 }
 
-// NodeCrash's lifecycle for each kind, with and without a hull parent,
-// seen 1 ms after the crash, after bootstrap and after the rebuild:
-// whether the CPU is down, the NIC frozen and host service up. OnDown
-// fires at the crash and OnUp exactly at bootstrap + rebuild, or never
-// after an OS panic.
+// nodeState is a crashed node seen from outside: whether its CPU is
+// down, its NIC frozen, and host service up as OnDown/OnUp leave it.
+type nodeState struct{ cpuDown, frozen, up bool }
+
+const crashAt = 2 * sim.Second
+
+// crash injects a crash of kind at crashAt into a fresh node and
+// returns the node's state 1 ms after the crash, after bootstrap and
+// after the rebuild, and when OnDown and OnUp fired (0: never).
+func crash(kind Kind, hull bool) (states [3]nodeState, downAt, upAt sim.Time) {
+	clu := fabric.NewCluster()
+	node := clu.AddNode(fabric.DefaultNodeConfig("srv"))
+	up := true
+	NodeCrash{
+		Node:       node,
+		Kind:       kind,
+		HullParent: hull,
+		OnDown:     func() { up, downAt = false, clu.Eng.Now() },
+		OnUp:       func() { up, upAt = true, clu.Eng.Now() },
+	}.InjectAt(clu.Eng, crashAt)
+	for i, when := range []sim.Time{crashAt + sim.Millisecond, crashAt + BootstrapTime + sim.Millisecond,
+		crashAt + BootstrapTime + RebuildTime + sim.Millisecond} {
+		clu.Eng.RunUntil(when)
+		states[i] = nodeState{node.CPU.Crashed(), node.Dev.Frozen(), up}
+	}
+	return states, downAt, upAt
+}
+
+func checkStates(t *testing.T, kind Kind, hull bool, want [3]nodeState) {
+	t.Helper()
+	got, _, _ := crash(kind, hull)
+	for i, phase := range []string{"after the crash", "after bootstrap", "after the rebuild"} {
+		if got[i] != want[i] {
+			t.Errorf("%v hull=%v %s: %+v, want %+v", kind, hull, phase, got[i], want[i])
+		}
+	}
+}
+
+// A process crash follows the Fig 16 lifecycle: down at the crash,
+// the CPU back after bootstrap, service and the NIC (which the OS froze
+// with the process's RDMA resources) back after the rebuild.
+func TestInjectAtProcessCrash(t *testing.T) {
+	checkStates(t, ProcessCrash, false,
+		[3]nodeState{{true, true, false}, {false, true, false}, {false, false, true}})
+}
+
+// A hull parent keeps the NIC serving through the process crash; host
+// service still waits for the rebuild.
+func TestInjectAtProcessCrashHullParent(t *testing.T) {
+	checkStates(t, ProcessCrash, true,
+		[3]nodeState{{true, false, false}, {false, false, false}, {false, false, true}})
+}
+
+// An OS panic: the host is gone for good, the NIC is not, with or
+// without a hull parent.
+func TestInjectAtOSPanic(t *testing.T) {
+	panicked := [3]nodeState{{true, false, false}, {true, false, false}, {true, false, false}}
+	checkStates(t, OSPanic, false, panicked)
+	checkStates(t, OSPanic, true, panicked)
+}
+
+// OnDown fires at the crash and OnUp exactly at bootstrap + rebuild,
+// or never after an OS panic, for each kind with and without a hull
+// parent.
 func TestNodeCrashLifecycle(t *testing.T) {
-	type state struct{ cpuDown, frozen, up bool }
-	const at = 2 * sim.Second
-	checks := []sim.Time{at + sim.Millisecond, at + BootstrapTime + sim.Millisecond,
-		at + BootstrapTime + RebuildTime + sim.Millisecond}
-	panicked := [3]state{{true, false, false}, {true, false, false}, {true, false, false}}
-	for _, tc := range []struct {
-		kind Kind
-		hull bool
-		want [3]state
-	}{
-		{ProcessCrash, false, [3]state{{true, true, false}, {false, true, false}, {false, false, true}}},
-		{ProcessCrash, true, [3]state{{true, false, false}, {false, false, false}, {false, false, true}}},
-		{OSPanic, false, panicked},
-		{OSPanic, true, panicked},
-	} {
-		t.Run(fmt.Sprintf("%v/hull=%v", tc.kind, tc.hull), func(t *testing.T) {
-			clu := fabric.NewCluster()
-			node := clu.AddNode(fabric.DefaultNodeConfig("srv"))
-			up := true
-			var downAt, upAt sim.Time
-			NodeCrash{
-				Node:       node,
-				Kind:       tc.kind,
-				HullParent: tc.hull,
-				OnDown:     func() { up, downAt = false, clu.Eng.Now() },
-				OnUp:       func() { up, upAt = true, clu.Eng.Now() },
-			}.InjectAt(clu.Eng, at)
-			for i, when := range checks {
-				clu.Eng.RunUntil(when)
-				if got := (state{node.CPU.Crashed(), node.Dev.Frozen(), up}); got != tc.want[i] {
-					t.Fatalf("at %v: %+v, want %+v", when, got, tc.want[i])
-				}
+	for _, kind := range []Kind{ProcessCrash, OSPanic} {
+		for _, hull := range []bool{false, true} {
+			_, downAt, upAt := crash(kind, hull)
+			if downAt != crashAt {
+				t.Errorf("%v hull=%v: OnDown at %v, want %v", kind, hull, downAt, crashAt)
 			}
-			if downAt != at {
-				t.Fatalf("OnDown at %v, want %v", downAt, at)
+			want := crashAt + BootstrapTime + RebuildTime
+			if kind == OSPanic {
+				want = 0
 			}
-			if want := at + BootstrapTime + RebuildTime; tc.kind == ProcessCrash && upAt != want {
-				t.Fatalf("OnUp at %v, want %v", upAt, want)
+			if upAt != want {
+				t.Errorf("%v hull=%v: OnUp at %v, want %v", kind, hull, upAt, want)
 			}
-		})
+		}
 	}
 }
 

@@ -1,128 +1,60 @@
-// Package kv implements the Memcached-like key-value store of §5.4:
-// a cuckoo-hash index (MemC3 style) over a value arena in simulated
-// host memory, with big-endian bucket fields so the RedN offload can
-// inject them into WQEs directly — the paper's ~700-line Memcached
-// modification, reproduced.
-//
-// The store serves gets three ways: through the host CPU (two-sided
-// baselines), through client-driven one-sided READs, and through the
-// RedN NIC offload (no CPU at all). Its crash/restart lifecycle models
-// §5.6: a vanilla instance loses its RDMA resources on a process crash
-// and must bootstrap and rebuild its hash table; a hull-parent
-// instance keeps the NIC serving throughout.
+// Package kv is the Memcached-like server of §5.4: a two-choice cuckoo
+// index (MemC3 style; a hopscotch table with a neighborhood of 1) over
+// values in the server's memory, its big-endian buckets laid out for
+// the RedN offload to inject. It has no crash lifecycle of its own:
+// Crash wires the node's failure.NodeCrash to the host-side service.
 package kv
 
 import (
-	"fmt"
-
-	"repro/internal/cuckoo"
 	"repro/internal/fabric"
-	"repro/internal/sim"
+	"repro/internal/failure"
+	"repro/internal/hopscotch"
 )
 
-// Recovery timing from Fig 16: a restarted Memcached takes ~1 s to
-// bootstrap and ~1.25 s more to rebuild metadata and hash tables.
-const (
-	BootstrapTime = 1 * sim.Second
-	RebuildTime   = 1250 * sim.Millisecond
-)
-
-// Store is the Memcached-like server.
+// Store is one server's index and values. up gates host-side service.
 type Store struct {
-	Node  *fabric.Node
-	Table *cuckoo.Table
-
-	// HullParent mirrors the paper's fork trick: RDMA resources are
-	// owned by an empty parent process, so a crash of the serving
-	// child does not free the NIC's queues.
-	HullParent bool
-
-	down    bool
-	downAt  sim.Time
-	upAt    sim.Time
-	rebuilt bool
-
-	sets, gets uint64
+	Table *hopscotch.Table
+	node  *fabric.Node
+	up    bool
 }
 
-// New creates a store with a table of nBuckets on node.
+// New builds a store whose nBuckets-bucket index lives in node's memory.
 func New(node *fabric.Node, nBuckets uint64) *Store {
-	return &Store{Node: node, Table: cuckoo.New(node.Mem, nBuckets), rebuilt: true}
+	return &Store{Table: hopscotch.New(node.Mem, nBuckets, 1), node: node, up: true}
 }
 
-// Set stores key -> value, allocating arena space (overwrites reuse
-// the existing allocation when the size fits).
+// Set stores key -> value: an overwrite reuses the old value's space
+// when the new bytes fit, and a new key is placed by the kick walk.
 func (s *Store) Set(key uint64, value []byte) error {
-	if s.down || !s.rebuilt {
-		return fmt.Errorf("kv: store down")
+	n := uint64(len(value))
+	va, vl, ok := s.Table.Lookup(key)
+	if !ok || n > vl {
+		va = s.node.Mem.Alloc(n, 8)
 	}
-	s.sets++
-	if va, vl, ok := s.Table.Lookup(key); ok && uint64(len(value)) <= vl {
-		if err := s.Node.Mem.Write(va, value); err != nil {
-			return err
-		}
-		return s.Table.Insert(key, va, uint64(len(value)))
-	}
-	addr := s.Node.Mem.Alloc(uint64(len(value)), 8)
-	if err := s.Node.Mem.Write(addr, value); err != nil {
+	if err := s.node.Mem.Write(va, value); err != nil {
 		return err
 	}
-	return s.Table.Insert(key, addr, uint64(len(value)))
+	if ok {
+		return s.Table.Insert(key, va, n)
+	}
+	_, err := s.Table.Place(key, va, n, 0)
+	return err
 }
 
-// Get resolves key through the host CPU path.
-func (s *Store) Get(key uint64) ([]byte, bool) {
-	if s.down || !s.rebuilt {
-		return nil, false
-	}
-	s.gets++
-	va, vl, ok := s.Table.Lookup(key)
-	if !ok {
-		return nil, false
-	}
-	out, err := s.Node.Mem.Read(va, vl)
-	return out, err == nil
-}
-
-// Lookup exposes the index for baseline servers.
-func (s *Store) Lookup(key uint64) (uint64, uint64, bool) {
-	if s.down || !s.rebuilt {
+// Lookup is the host-CPU index lookup the two-sided servers run; it
+// misses while the serving process is down.
+func (s *Store) Lookup(key uint64) (valAddr, valLen uint64, ok bool) {
+	if !s.up {
 		return 0, 0, false
 	}
 	return s.Table.Lookup(key)
 }
 
-// Up reports whether CPU-side service is available.
-func (s *Store) Up() bool { return !s.down && s.rebuilt }
-
-// Stats returns set/get counters.
-func (s *Store) Stats() (sets, gets uint64) { return s.sets, s.gets }
-
-// Crash kills the serving process at the current simulated time. The
-// OS restarts it immediately (as in Fig 16); bootstrap and hash-table
-// rebuild delays gate CPU-side service availability. Without a hull
-// parent, the OS also reclaims the process's RDMA resources, freezing
-// every NIC queue — the reason vanilla Memcached's offload (and even
-// plain RDMA service) dies with the process.
-func (s *Store) Crash(eng *sim.Engine) {
-	s.down = true
-	s.rebuilt = false
-	s.downAt = eng.Now()
-	s.Node.CPU.Crash()
-	if !s.HullParent {
-		s.Node.Dev.Freeze()
+// Crash is a crash of the store's node whose OnDown and OnUp stop and
+// restore host-side service.
+func (s *Store) Crash(kind failure.Kind, hullParent bool) failure.NodeCrash {
+	return failure.NodeCrash{Node: s.node, Kind: kind, HullParent: hullParent,
+		OnDown: func() { s.up = false },
+		OnUp:   func() { s.up = true },
 	}
-	eng.After(BootstrapTime, func() {
-		s.down = false
-		s.upAt = eng.Now()
-		s.Node.CPU.Restart()
-		eng.After(RebuildTime, func() {
-			s.rebuilt = true
-			if !s.HullParent {
-				// The restarted process has recreated its RDMA
-				// resources; remote service resumes.
-				s.Node.Dev.Unfreeze()
-			}
-		})
-	})
 }
