@@ -96,77 +96,40 @@ func mops(r float64) string { return fmt.Sprintf("%.2f", r/1e6) }
 // kops formats an ops/sec rate in thousands.
 func kops(r float64) string { return fmt.Sprintf("%.0fK", r/1e3) }
 
-// All runs every experiment: the paper's tables and figures in paper
-// order, then the beyond-paper scale-out scenario.
-func All() []*Result {
-	return []*Result{
-		Table1(), Table2(), Table3(), Fig7(), Fig8(),
-		Fig10(), Fig11(), Table4(), Table5(),
-		Fig13(), Fig14(), Fig15(), Fig16(), Table6(),
-		ScaleOut(), HotKey(), Failover(), MixedWorkload(), Churn(), Repair(),
-		Overload(), Resharding(), Sentinel(),
-	}
+// catalog lists every experiment in IDs order: the paper's tables and
+// figures, then the beyond-paper scenarios.
+var catalog = [...]struct {
+	id  string
+	run func() *Result
+}{
+	{"table1", Table1}, {"table2", Table2}, {"table3", Table3},
+	{"table4", Table4}, {"table5", Table5}, {"table6", Table6},
+	{"fig7", Fig7}, {"fig8", Fig8}, {"fig10", Fig10}, {"fig11", Fig11},
+	{"fig13", Fig13}, {"fig14", Fig14}, {"fig15", Fig15}, {"fig16", Fig16},
+	{"scaleout", ScaleOut}, {"hotkey", HotKey}, {"failover", Failover},
+	{"mixed", MixedWorkload}, {"churn", Churn}, {"repair", Repair},
+	{"overload", Overload}, {"resharding", Resharding}, {"sentinel", Sentinel},
 }
 
-// ByID runs one experiment by its identifier, or nil if unknown.
+// ByID runs one experiment by its identifier (any case), or nil if
+// unknown.
 func ByID(id string) *Result {
-	switch strings.ToLower(id) {
-	case "table1":
-		return Table1()
-	case "table2":
-		return Table2()
-	case "table3":
-		return Table3()
-	case "table4":
-		return Table4()
-	case "table5":
-		return Table5()
-	case "table6":
-		return Table6()
-	case "fig7":
-		return Fig7()
-	case "fig8":
-		return Fig8()
-	case "fig10":
-		return Fig10()
-	case "fig11":
-		return Fig11()
-	case "fig13":
-		return Fig13()
-	case "fig14":
-		return Fig14()
-	case "fig15":
-		return Fig15()
-	case "fig16":
-		return Fig16()
-	case "scaleout":
-		return ScaleOut()
-	case "hotkey":
-		return HotKey()
-	case "failover":
-		return Failover()
-	case "mixed":
-		return MixedWorkload()
-	case "churn":
-		return Churn()
-	case "repair":
-		return Repair()
-	case "overload":
-		return Overload()
-	case "resharding":
-		return Resharding()
-	case "sentinel":
-		return Sentinel()
+	id = strings.ToLower(id)
+	for _, e := range catalog {
+		if e.id == id {
+			return e.run()
+		}
 	}
 	return nil
 }
 
 // IDs lists the available experiment identifiers.
 func IDs() []string {
-	return []string{"table1", "table2", "table3", "table4", "table5", "table6",
-		"fig7", "fig8", "fig10", "fig11", "fig13", "fig14", "fig15", "fig16",
-		"scaleout", "hotkey", "failover", "mixed", "churn", "repair", "overload",
-		"resharding", "sentinel"}
+	ids := make([]string, len(catalog))
+	for i, e := range catalog {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // ---- shared harness helpers ----

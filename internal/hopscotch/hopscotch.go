@@ -337,10 +337,15 @@ const maxKicks = 16
 // residents cuckoo-style (each moves to its other candidate) up to
 // maxKicks deep, then spills the last evictee into a neighborhood slot:
 // spilled reports that entry, which host Lookup finds but a NIC's
-// exact-bucket probes miss. With a neighborhood of 1 nothing can spill,
-// so Place is two-choice cuckoo placement. An error rolls the walk
-// back: no resident is lost.
+// exact-bucket probes miss. A key already resident anywhere, a spilled
+// one included, is overwritten in its own slot and reports no new
+// spill. With a neighborhood of 1 nothing can spill, so Place is
+// two-choice cuckoo placement. An error rolls the walk back: no
+// resident is lost.
 func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, err error) {
+	if _, _, ok := t.find(key); ok {
+		return false, t.InsertV(key, valAddr, valLen, ver) // overwrites where it lives
+	}
 	// The kick walk records every displacement so a failed spill can be
 	// rolled back: without the trail, an exhausted walk whose final
 	// neighborhood insert also fails would lose the last evictee — a
@@ -355,10 +360,9 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, err error
 	curKey, curVa, curVl, curVer := key, valAddr, valLen, ver
 	fn := 0
 	for kick := 0; ; kick++ {
-		// A free (or same-key) candidate bucket ends the walk.
+		// A free candidate bucket ends the walk.
 		for _, f := range []int{0, 1} {
-			b := t.Hash(curKey, f)
-			if k, _, _, ok := t.EntryAt(b); !ok || k == curKey {
+			if _, _, _, ok := t.EntryAt(t.Hash(curKey, f)); !ok {
 				return false, t.InsertAtV(curKey, curVa, curVl, curVer, f, 0)
 			}
 		}

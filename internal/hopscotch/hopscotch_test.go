@@ -540,3 +540,31 @@ func TestPlaceReclaimsTombstones(t *testing.T) {
 	}
 	t.Fatal("no key's walk reaches a removable resident")
 }
+
+// A key spilled into a neighborhood slot is overwritten where it lives:
+// Place must not take a free candidate bucket for a second copy and
+// leave the spilled one pointing at the extent the caller retires.
+func TestPlaceOverwritesSpilledResident(t *testing.T) {
+	tbl, _ := newTable(t, 64)
+	const key = 42
+	if err := tbl.InsertAtV(key, 0x1000, 8, 1, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	spilled, err := tbl.Place(key, 0x2000, 16, 2)
+	if err != nil || spilled {
+		t.Fatalf("place: spilled=%v err=%v", spilled, err)
+	}
+	var holders []uint64
+	for i := uint64(0); i < tbl.NumBuckets(); i++ {
+		if k, _, _, ok := tbl.EntryAt(i); ok && k == key {
+			holders = append(holders, i)
+		}
+	}
+	if want := (tbl.Hash(key, 0) + 2) % tbl.NumBuckets(); len(holders) != 1 || holders[0] != want {
+		t.Fatalf("key held by buckets %v, want only %d", holders, want)
+	}
+	va, vl, _ := tbl.Lookup(key)
+	if ver, _ := tbl.VersionOf(key); va != 0x2000 || vl != 16 || ver != 2 || tbl.Len() != 1 {
+		t.Fatalf("entry (%#x, %d, v%d), len %d; want (0x2000, 16, v2), len 1", va, vl, ver, tbl.Len())
+	}
+}

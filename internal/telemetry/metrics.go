@@ -8,21 +8,23 @@ import (
 )
 
 // Counter is a monotonically increasing uint64. A nil *Counter is a
-// valid no-op sink, so subsystems can hold counters unconditionally
-// and callers that never registered one pay nothing.
-type Counter struct{ v uint64 }
+// valid no-op sink. Any uint64 word converts to one, so a subsystem can
+// keep its counters as plain fields of its own stats struct and
+// register their addresses (Registry.Bind): the registry reads the very
+// words the subsystem increments.
+type Counter uint64
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.v++
+		*c++
 	}
 }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
-		c.v += n
+		*c += Counter(n)
 	}
 }
 
@@ -31,7 +33,7 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	return uint64(*c)
 }
 
 // Gauge is a named sampled value backed by a closure, so queue depths
@@ -70,10 +72,26 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{}
-	r.counters[name] = c
-	r.counterNames = append(r.counterNames, name)
+	c := new(Counter)
+	r.Bind(name, c)
 	return c
+}
+
+// Bind registers the word c under name, so the registry snapshots a
+// counter its owner stores and increments itself. Rebinding a name
+// hands its count on to c (a shard rejoining under a drained shard's
+// id continues its counters), so a name's count never falls.
+// No-op on a nil registry.
+func (r *Registry) Bind(name string, c *Counter) {
+	if r == nil {
+		return
+	}
+	if old, ok := r.counters[name]; ok {
+		*c = *old
+	} else {
+		r.counterNames = append(r.counterNames, name)
+	}
+	r.counters[name] = c
 }
 
 // Gauge registers a sampled gauge. No-op on a nil registry.

@@ -160,6 +160,24 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// Bind registers a word its owner increments; rebinding a name (a
+// shard rejoining under a drained id) hands the count on, so the
+// snapshot never falls.
+func TestRegistryBind(t *testing.T) {
+	r := NewRegistry()
+	var old, cur uint64
+	r.Bind("shard0/sets", (*Counter)(&old))
+	old += 3
+	if r.Snapshot()[0].Value != 3 {
+		t.Fatalf("bound word not read in place: %v", r.Snapshot())
+	}
+	r.Bind("shard0/sets", (*Counter)(&cur))
+	cur++
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Value != 4 || cur != 4 {
+		t.Fatalf("rebind: snapshot %v, word %d; want one counter at 4", snap, cur)
+	}
+}
+
 func TestBottleneck(t *testing.T) {
 	rs := []ResourceUtil{
 		{Name: "shard0/port0/pu0", Util: 0.42},

@@ -2,6 +2,7 @@ package redn
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"repro/internal/core"
@@ -308,22 +309,11 @@ type serviceShard struct {
 	retiring    ring.Queue[uint64]
 	freeRetired func()
 
-	// Per-shard counters live in the service's metrics registry under
-	// "<id>/<name>"; Stats() reads them back instead of hand-plumbed
-	// uint64 fields.
-	sets, spills, gets *telemetry.Counter
-	rebuilds           *telemetry.Counter // client reconnects after process crashes
-
-	fabricSets, hostSets                    *telemetry.Counter
-	dels, fabricDels, hostDels              *telemetry.Counter
-	hintsQueued, hintsApplied, hintsDropped *telemetry.Counter
-	compactPasses, compactSkips             *telemetry.Counter
-	compactMoved, compactMovedBytes         *telemetry.Counter
-	compactArmed                            bool
-
-	repairsQueued, repairsApplied     *telemetry.Counter
-	repairsSuperseded, repairsDropped *telemetry.Counter
-	aeRepairs                         *telemetry.Counter // repairs the sweeper enqueued for this owner
+	// stats holds the shard's counters (the ShardStats fields tagged
+	// `metric`), which the registry reads in place; Stats() copies the
+	// struct and fills in the rest.
+	stats        ShardStats
+	compactArmed bool
 
 	// getLat accumulates hit latency for gets this shard served (a
 	// failover hit carries the timeouts spent discovering dead owners).
@@ -332,20 +322,15 @@ type serviceShard struct {
 	getLat *sim.LatencyStats
 }
 
-// initMetrics registers the shard's counters under its id.
+// initMetrics registers the shard's counters under its id: each
+// ShardStats field tagged `metric`, by address.
 func (sh *serviceShard) initMetrics(reg *telemetry.Registry) {
-	c := func(name string) *telemetry.Counter { return reg.Counter(sh.id + "/" + name) }
-	sh.sets, sh.spills, sh.gets = c("sets"), c("spills"), c("gets")
-	sh.rebuilds = c("rebuilds")
-	sh.fabricSets, sh.hostSets = c("fabric_sets"), c("host_sets")
-	sh.dels, sh.fabricDels, sh.hostDels = c("dels"), c("fabric_dels"), c("host_dels")
-	sh.hintsQueued, sh.hintsApplied, sh.hintsDropped =
-		c("hints_queued"), c("hints_applied"), c("hints_dropped")
-	sh.compactPasses, sh.compactSkips = c("compact_passes"), c("compact_skips")
-	sh.compactMoved, sh.compactMovedBytes = c("compact_moved"), c("compact_moved_bytes")
-	sh.repairsQueued, sh.repairsApplied = c("repairs_queued"), c("repairs_applied")
-	sh.repairsSuperseded, sh.repairsDropped = c("repairs_superseded"), c("repairs_dropped")
-	sh.aeRepairs = c("ae_repairs")
+	v := reflect.ValueOf(&sh.stats).Elem()
+	for i := range v.NumField() {
+		if name, ok := v.Type().Field(i).Tag.Lookup("metric"); ok {
+			reg.Bind(sh.id+"/"+name, (*telemetry.Counter)(v.Field(i).Addr().Interface().(*uint64)))
+		}
+	}
 	sh.getLat = reg.Histogram(sh.id + "/get_lat")
 }
 
@@ -396,7 +381,7 @@ func (s *Service) noteOwnerMiss(sh *serviceShard) {
 	sh.consecMiss++
 	if sh.consecMiss >= defaultSuspectAfter {
 		if !sh.down() {
-			s.suspects.Inc()
+			s.suspects++
 		}
 		sh.suspectUntil = s.tb.Now() + defaultSuspectFor
 	}
@@ -521,33 +506,18 @@ type Service struct {
 	cacheGen uint64
 	migLog   []MigrationSummary
 
-	// Service-level counters live in reg under "svc/<name>".
-	hits, misses        *telemetry.Counter
-	retries, cacheHits  *telemetry.Counter
-	setOps, quorumFails *telemetry.Counter
-	delOps              *telemetry.Counter
-
-	probes, probeSkews     *telemetry.Counter
-	aePasses, aeSegsDiffed *telemetry.Counter
-	aeKeysChecked          *telemetry.Counter
-
-	// Admission-control counters: gets routed past an overloaded owner,
-	// and gets/writes refused outright because no owner could admit them.
-	deferredGets         *telemetry.Counter
-	shedGets, shedWrites *telemetry.Counter
-
-	// suspects counts healthy-to-suspected transitions across the fleet
-	// — the sentinel's crash signal (a timeout burst that trips the
-	// consecutive-miss threshold on some owner).
-	suspects *telemetry.Counter
-
-	// Resharding counters: owner copies the migrator applied, moving
-	// keys already converged when their turn came, sealed segments,
-	// copies abandoned to the repair queue, and hints redirected off a
-	// draining shard.
-	migKeysMoved, migKeysSkipped *telemetry.Counter
-	migSegsSealed, migCopyFails  *telemetry.Counter
-	migHintsRedirected           *telemetry.Counter
+	// Service-level counters, which reg reads in place as "svc/<name>"
+	// (initMetrics) and Stats copies out; ServiceStats documents each.
+	hits, misses, retries, cacheHits uint64
+	setOps, delOps, quorumFails      uint64
+	probes, probeSkews               uint64
+	aePasses, aeSegsDiffed           uint64
+	aeKeysChecked                    uint64
+	deferredGets, shedGets           uint64
+	shedWrites, suspects             uint64
+	migKeysMoved, migKeysSkipped     uint64
+	migSegsSealed, migCopyFails      uint64
+	migHintsRedirected               uint64
 
 	reg *telemetry.Registry // metrics registry (counters, queue-depth gauges)
 	tr  *telemetry.Tracer   // nil = tracing disabled
@@ -582,20 +552,22 @@ type Service struct {
 // gauges.
 func (s *Service) initMetrics() {
 	s.reg = telemetry.NewRegistry()
-	c := func(name string) *telemetry.Counter { return s.reg.Counter("svc/" + name) }
-	s.hits, s.misses = c("hits"), c("misses")
-	s.retries, s.cacheHits = c("retries"), c("cache_hits")
-	s.setOps, s.quorumFails = c("set_ops"), c("quorum_fails")
-	s.delOps = c("del_ops")
-	s.probes, s.probeSkews = c("probes"), c("probe_skews")
-	s.aePasses, s.aeSegsDiffed = c("ae_passes"), c("ae_segs_diffed")
-	s.aeKeysChecked = c("ae_keys_checked")
-	s.deferredGets = c("deferred_gets")
-	s.shedGets, s.shedWrites = c("shed_gets"), c("shed_writes")
-	s.suspects = c("suspects")
-	s.migKeysMoved, s.migKeysSkipped = c("mig_keys_moved"), c("mig_keys_skipped")
-	s.migSegsSealed, s.migCopyFails = c("mig_segs_sealed"), c("mig_copy_fails")
-	s.migHintsRedirected = c("mig_hints_redirected")
+	for _, c := range []struct {
+		name string
+		word *uint64
+	}{
+		{"hits", &s.hits}, {"misses", &s.misses}, {"retries", &s.retries}, {"cache_hits", &s.cacheHits},
+		{"set_ops", &s.setOps}, {"del_ops", &s.delOps}, {"quorum_fails", &s.quorumFails},
+		{"probes", &s.probes}, {"probe_skews", &s.probeSkews},
+		{"ae_passes", &s.aePasses}, {"ae_segs_diffed", &s.aeSegsDiffed}, {"ae_keys_checked", &s.aeKeysChecked},
+		{"deferred_gets", &s.deferredGets}, {"shed_gets", &s.shedGets}, {"shed_writes", &s.shedWrites},
+		{"suspects", &s.suspects},
+		{"mig_keys_moved", &s.migKeysMoved}, {"mig_keys_skipped", &s.migKeysSkipped},
+		{"mig_segs_sealed", &s.migSegsSealed}, {"mig_copy_fails", &s.migCopyFails},
+		{"mig_hints_redirected", &s.migHintsRedirected},
+	} {
+		s.reg.Bind("svc/"+c.name, (*telemetry.Counter)(c.word))
+	}
 
 	s.reg.Gauge("svc/hints_pending", func() float64 {
 		n := 0
@@ -832,7 +804,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 	srv := &Server{tb: s.tb, node: node, builder: core.NewBuilder(node.Dev, 1<<16)}
 	srv.arena = extent.NewArena(node.Mem, cfg.SegmentSize)
 	srv.arena.SetNoReclaim(cfg.NoReclaim)
-	sh := &serviceShard{id: id, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
+	sh := &serviceShard{id: id, stats: ShardStats{ID: id}, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
 		arena: srv.arena, ringIdx: -1,
 		hints: make(map[uint64]*hint), inflightSet: make(map[uint64]ring.Queue[func()]),
 		tombVer: make(map[uint64]uint64),
@@ -951,7 +923,7 @@ func (s *Service) Delete(key uint64) bool {
 }
 
 func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
-	sh.sets.Inc()
+	sh.stats.Sets++
 	t := sh.table.table
 	m := sh.srv.node.Mem
 	n := uint64(len(value))
@@ -1016,15 +988,19 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 	t := sh.table.table
 	if sh.mode == LookupSingle {
-		if k, _, _, ok := t.EntryAt(t.Hash(key, 0)); !ok || k == key {
+		// A resident key, spilled or not, is overwritten where it lives.
+		if _, _, resident := t.Lookup(key); resident {
+			return t.InsertV(key, valAddr, valLen, ver)
+		}
+		if _, _, _, ok := t.EntryAt(t.Hash(key, 0)); !ok {
 			return t.InsertAtV(key, valAddr, valLen, ver, 0, 0)
 		}
-		sh.spills.Inc()
+		sh.stats.Spills++
 		return t.InsertV(key, valAddr, valLen, ver)
 	}
 	spilled, err := t.Place(key, valAddr, valLen, ver)
 	if spilled {
-		sh.spills.Inc()
+		sh.stats.Spills++
 	}
 	return err
 }
@@ -1153,8 +1129,8 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 	g.hot = hot
 	if s.cache != nil {
 		if v, ok := s.cache[key]; ok && uint64(len(v)) >= valLen {
-			s.cacheHits.Inc()
-			s.hits.Inc()
+			s.cacheHits++
+			s.hits++
 			g.val = v[:valLen]
 			g.next = getCacheHit
 			s.tb.clu.Eng.After(cacheHitLat, g.cacheHitFn)
@@ -1169,7 +1145,7 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 	if len(g.order) == 0 {
 		// Empty ring: nothing owns the key. Unreachable while DrainShard
 		// refuses to drain the last shard; kept as a miss, not a panic.
-		s.misses.Inc()
+		s.misses++
 		s.tr.OpEnd(g.op, "get")
 		g.release()
 		s.tb.clu.Eng.After(0, func() { cb(nil, 0, false) })
@@ -1341,7 +1317,7 @@ func (s *Service) tryGet(g *getOp) {
 		if g.i+1 == len(g.order) {
 			// Every owner is saturated: shed instead of stacking a request
 			// that would only time out and burn more PU cycles re-running.
-			s.shedGets.Inc()
+			s.shedGets++
 			if s.tr.Enabled() {
 				s.tr.Instant(sh.id, "shed:get", g.op)
 			}
@@ -1351,11 +1327,11 @@ func (s *Service) tryGet(g *getOp) {
 			return
 		}
 		// Defer: some other replica owner may still have headroom.
-		s.deferredGets.Inc()
+		s.deferredGets++
 		g.i++
 		sh = g.order[g.i]
 	}
-	sh.gets.Inc()
+	sh.stats.Gets++
 	g.cli = sh.clients[sh.rr%len(sh.clients)]
 	sh.rr++
 	if s.tr.Enabled() {
@@ -1383,7 +1359,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	}
 	if ok {
 		sh.markLive()
-		s.hits.Inc()
+		s.hits++
 		sh.getLat.Add(lat)
 		s.maybeCache(g, val)
 		// A hit proves the shard live: if handoff hints piled up
@@ -1415,13 +1391,13 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		s.noteOwnerMiss(sh)
 	}
 	if g.i+1 < len(g.order) {
-		s.retries.Inc()
+		s.retries++
 		g.i++
 		g.spent = lat
 		s.tryGet(g)
 		return
 	}
-	s.misses.Inc()
+	s.misses++
 	s.tr.OpEnd(g.op, "get")
 	s.recordGetReceipt(cli, g.began)
 	// Miss-path read-repair: a miss on every owner is itself a
@@ -1506,7 +1482,7 @@ func (s *Service) CrashShard(i int, k failure.Kind, at Duration) {
 // time out (and fail over) normally; the old connection state is
 // simply abandoned, as with real RC QPs in error state.
 func (s *Service) reconnect(sh *serviceShard) {
-	sh.rebuilds.Inc()
+	sh.stats.Rebuilds++
 	sh.clients = sh.clients[:0]
 	for _, cn := range sh.cnodes {
 		sh.clients = append(sh.clients, s.newShardClient(sh, cn))
@@ -1524,48 +1500,64 @@ func (s *Service) Flush() {
 	}
 }
 
-// ShardStats is one shard's counters.
+// ShardStats is one shard's counters. ServiceStats embeds a ShardStats
+// as the fleet row: every uint64 field summed over the shards.
 type ShardStats struct {
-	ID       string
-	Sets     uint64 // owner writes applied (fabric acks + host path + drained hints)
-	Spills   uint64 // keys resident but NIC-unreachable
-	Gets     uint64 // get attempts routed here (failover retries included)
-	Rebuilds uint64 // client reconnects after process crashes
+	ID string
 
-	FabricSets   uint64 // owner writes attempted through the NIC claim chain
-	HostSets     uint64 // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)
-	HintsPending uint64 // handoff hints currently queued for this owner
-	HintsQueued  uint64 // hints ever queued
-	HintsApplied uint64 // hints delivered on reconnect (exactly once each)
-	HintsDropped uint64 // hints superseded by a newer write before draining
+	// The shard counts these itself; the registry reads each in place
+	// as "<id>/<tag>".
+	Sets              uint64 `metric:"sets"`                // owner writes applied (fabric acks + host path + drained hints)
+	Spills            uint64 `metric:"spills"`              // keys resident but NIC-unreachable
+	Gets              uint64 `metric:"gets"`                // get attempts routed here (failover retries included)
+	Rebuilds          uint64 `metric:"rebuilds"`            // client reconnects after process crashes
+	FabricSets        uint64 `metric:"fabric_sets"`         // owner writes attempted through the NIC claim chain
+	HostSets          uint64 `metric:"host_sets"`           // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)
+	HintsQueued       uint64 `metric:"hints_queued"`        // hints ever queued
+	HintsApplied      uint64 `metric:"hints_applied"`       // hints delivered on reconnect (exactly once each)
+	HintsDropped      uint64 `metric:"hints_dropped"`       // hints superseded by a newer write before draining
+	Deletes           uint64 `metric:"dels"`                // owner deletes applied (fabric + host + trivial absents)
+	FabricDeletes     uint64 `metric:"fabric_dels"`         // owner deletes attempted through the NIC tombstone chain
+	HostDeletes       uint64 `metric:"host_dels"`           // owner deletes that fell back to the host CPU
+	CompactPasses     uint64 `metric:"compact_passes"`      // compaction ticks that ran on this shard
+	CompactMoves      uint64 `metric:"compact_moved"`       // extents relocated by compaction
+	CompactBytes      uint64 `metric:"compact_moved_bytes"` // capacity bytes relocated by compaction
+	CompactSkips      uint64 `metric:"compact_skips"`       // relocations declined (busy keys, stale records)
+	RepairsQueued     uint64 `metric:"repairs_queued"`      // repair records enqueued for this owner
+	RepairsApplied    uint64 `metric:"repairs_applied"`     // repairs that rolled this owner forward
+	RepairsSuperseded uint64 `metric:"repairs_superseded"`  // repairs satisfied before applying (owner caught up)
+	RepairsDropped    uint64 `metric:"repairs_dropped"`     // repairs abandoned after bounded retries
+	AERepairs         uint64 `metric:"ae_repairs"`          // repairs the anti-entropy sweeper found for this owner
 
-	Deletes       uint64 // owner deletes applied (fabric + host + trivial absents)
-	FabricDeletes uint64 // owner deletes attempted through the NIC tombstone chain
-	HostDeletes   uint64 // owner deletes that fell back to the host CPU
+	// Stats reads these off the shard's hints, client connections and
+	// arena.
+	HintsPending  uint64 // handoff hints currently queued for this owner
 	GCFreed       uint64 // to-free ring extents returned to the arena
 	GCStale       uint64 // ring entries whose extent was already gone
-	CompactPasses uint64 // compaction ticks that ran on this shard
-	CompactMoves  uint64 // extents relocated by compaction
-	CompactBytes  uint64 // capacity bytes relocated by compaction
-	CompactSkips  uint64 // relocations declined (busy keys, stale records)
-
-	RepairsQueued     uint64 // repair records enqueued for this owner
-	RepairsApplied    uint64 // repairs that rolled this owner forward
-	RepairsSuperseded uint64 // repairs satisfied before applying (owner caught up)
-	RepairsDropped    uint64 // repairs abandoned after bounded retries
-	AERepairs         uint64 // repairs the anti-entropy sweeper found for this owner
-	ArenaLive         uint64 // live extent bytes in the shard's arena
-	ArenaPeakLive     uint64 // high-water live bytes (working-set size)
-	ArenaFoot         uint64 // bytes of server memory the arena holds
-	ArenaPeak         uint64 // high-water arena footprint
+	WindowCuts    uint64 // AIMD multiplicative decreases on the shard's client pipelines
+	EcnCuts       uint64 // the subset triggered by ECN backlog marks
+	ArenaLive     uint64 // live extent bytes in the shard's arena
+	ArenaPeakLive uint64 // high-water live bytes (working-set size)
+	ArenaFoot     uint64 // bytes of server memory the arena holds
+	ArenaPeak     uint64 // high-water arena footprint
 }
 
-// ServiceStats aggregates service counters.
+// add sums o into st field by field.
+func (st *ShardStats) add(o *ShardStats) {
+	a, b := reflect.ValueOf(st).Elem(), reflect.ValueOf(o).Elem()
+	for i := range a.NumField() {
+		if f := a.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(f.Uint() + b.Field(i).Uint())
+		}
+	}
+}
+
+// ServiceStats aggregates service counters. Its embedded ShardStats is
+// the fleet row, the sum of Shards (its ID is empty).
 type ServiceStats struct {
-	Shards      []ShardStats
-	Sets        uint64
-	Spills      uint64
-	Gets        uint64
+	ShardStats
+	Shards []ShardStats
+
 	Hits        uint64
 	Misses      uint64
 	Retries     uint64 // failover attempts beyond each get's first owner
@@ -1575,31 +1567,11 @@ type ServiceStats struct {
 	DeferredGets uint64 // gets routed past an overloaded owner (admission)
 	ShedGets     uint64 // gets refused: every owner overloaded
 	ShedWrites   uint64 // writes/deletes refused with ErrOverload
-	WindowCuts   uint64 // AIMD multiplicative decreases, all pipelines
-	EcnCuts      uint64 // the subset triggered by ECN backlog marks
+	Suspects     uint64 // healthy-to-suspected transitions: breaker openings, the sentinel's crash signal
 
-	SetOps       uint64 // client-visible writes issued (before replication fan-out)
-	DelOps       uint64 // client-visible deletes issued
-	QuorumFails  uint64 // writes/deletes that failed their W-of-N quorum
-	FabricSets   uint64
-	HostSets     uint64
-	HintsPending uint64
-	HintsQueued  uint64
-	HintsApplied uint64
-	HintsDropped uint64
-
-	Deletes       uint64
-	FabricDeletes uint64
-	HostDeletes   uint64
-	GCFreed       uint64
-	GCStale       uint64
-	CompactPasses uint64
-	CompactMoves  uint64
-	CompactBytes  uint64
-	ArenaLive     uint64 // live extent bytes across all shard arenas
-	ArenaPeakLive uint64 // summed high-water live bytes
-	ArenaFoot     uint64 // arena footprint across all shards
-	ArenaPeak     uint64 // summed high-water footprints
+	SetOps      uint64 // client-visible writes issued (before replication fan-out)
+	DelOps      uint64 // client-visible deletes issued
+	QuorumFails uint64 // writes/deletes that failed their W-of-N quorum
 
 	Migrations         int    // completed reshardings (joins + drains)
 	MigratingBuckets   int    // unsealed bucket segments of the active migration
@@ -1609,17 +1581,12 @@ type ServiceStats struct {
 	MigCopyFails       uint64 // migrator copies abandoned to the repair queue
 	MigHintsRedirected uint64 // hints redirected off a draining shard
 
-	Probes            uint64 // version probes issued on replicated hits
-	ProbeSkews        uint64 // probes (and host fallbacks) that found version skew
-	RepairsQueued     uint64
-	RepairsApplied    uint64
-	RepairsSuperseded uint64
-	RepairsDropped    uint64
-	RepairsPending    uint64 // records still in the queue
-	AEPasses          uint64 // anti-entropy sweep ticks that ran
-	AESegsDiffed      uint64 // segments whose digests disagreed
-	AEKeysChecked     uint64 // per-key comparisons inside flagged segments
-	AERepairs         uint64 // repairs the sweeper enqueued
+	Probes         uint64 // version probes issued on replicated hits
+	ProbeSkews     uint64 // probes (and host fallbacks) that found version skew
+	RepairsPending uint64 // records still in the queue
+	AEPasses       uint64 // anti-entropy sweep ticks that ran
+	AESegsDiffed   uint64 // segments whose digests disagreed
+	AEKeysChecked  uint64 // per-key comparisons inside flagged segments
 
 	// Resources lists every serialized NIC unit across the shard
 	// fleet (PUs, fetch units, links, PCIe, atomic units) with its
@@ -1642,7 +1609,6 @@ type ServiceStats struct {
 	Anomalies []telemetry.Anomaly
 }
 
-// Stats snapshots the service counters.
 // MarkUtilization starts the utilization measurement window: Stats
 // reports each NIC resource's busy fraction since the last mark (or
 // since t=0 if never marked). Call it after preloading a service so
@@ -1661,74 +1627,34 @@ func (s *Service) MarkUtilization() {
 	s.utilMark = now
 }
 
+// Stats snapshots the service counters: it copies the service's and
+// each shard's stored counters, derives the rest, and sums the shard
+// rows into the fleet row.
 func (s *Service) Stats() ServiceStats {
-	out := ServiceStats{Hits: s.hits.Value(), Misses: s.misses.Value(),
-		Retries: s.retries.Value(), CacheHits: s.cacheHits.Value(),
-		SetOps: s.setOps.Value(), DelOps: s.delOps.Value(), QuorumFails: s.quorumFails.Value(),
-		Probes: s.probes.Value(), ProbeSkews: s.probeSkews.Value(),
-		RepairsPending: uint64(s.repq.Len()),
-		AEPasses:       s.aePasses.Value(), AESegsDiffed: s.aeSegsDiffed.Value(),
-		AEKeysChecked: s.aeKeysChecked.Value(),
-		DeferredGets:  s.deferredGets.Value(),
-		ShedGets:      s.shedGets.Value(), ShedWrites: s.shedWrites.Value(),
+	out := ServiceStats{Hits: s.hits, Misses: s.misses, Retries: s.retries, CacheHits: s.cacheHits,
+		DeferredGets: s.deferredGets, ShedGets: s.shedGets, ShedWrites: s.shedWrites, Suspects: s.suspects,
+		SetOps: s.setOps, DelOps: s.delOps, QuorumFails: s.quorumFails,
 		Migrations: len(s.migLog), MigratingBuckets: s.migratingBuckets(),
-		MigKeysMoved: s.migKeysMoved.Value(), MigKeysSkipped: s.migKeysSkipped.Value(),
-		MigSegsSealed: s.migSegsSealed.Value(), MigCopyFails: s.migCopyFails.Value(),
-		MigHintsRedirected: s.migHintsRedirected.Value()}
+		MigKeysMoved: s.migKeysMoved, MigKeysSkipped: s.migKeysSkipped,
+		MigSegsSealed: s.migSegsSealed, MigCopyFails: s.migCopyFails, MigHintsRedirected: s.migHintsRedirected,
+		Probes: s.probes, ProbeSkews: s.probeSkews, RepairsPending: uint64(s.repq.Len()),
+		AEPasses: s.aePasses, AESegsDiffed: s.aeSegsDiffed, AEKeysChecked: s.aeKeysChecked}
 	for _, sh := range s.order {
-		ss := ShardStats{ID: sh.id, Sets: sh.sets.Value(), Spills: sh.spills.Value(),
-			Gets: sh.gets.Value(), Rebuilds: sh.rebuilds.Value(),
-			FabricSets: sh.fabricSets.Value(), HostSets: sh.hostSets.Value(),
-			HintsPending: uint64(len(sh.hints)), HintsQueued: sh.hintsQueued.Value(),
-			HintsApplied: sh.hintsApplied.Value(), HintsDropped: sh.hintsDropped.Value(),
-			Deletes: sh.dels.Value(), FabricDeletes: sh.fabricDels.Value(), HostDeletes: sh.hostDels.Value(),
-			CompactPasses: sh.compactPasses.Value(), CompactSkips: sh.compactSkips.Value(),
-			CompactMoves: sh.compactMoved.Value(), CompactBytes: sh.compactMovedBytes.Value(),
-			RepairsQueued: sh.repairsQueued.Value(), RepairsApplied: sh.repairsApplied.Value(),
-			RepairsSuperseded: sh.repairsSuperseded.Value(), RepairsDropped: sh.repairsDropped.Value(),
-			AERepairs: sh.aeRepairs.Value()}
+		ss := sh.stats
+		ss.HintsPending = uint64(len(sh.hints))
 		for _, cli := range sh.clients {
 			cs := cli.Stats()
 			ss.GCFreed += cs.GCFreed
 			ss.GCStale += cs.GCStale
-			if cs.MaxInFlight > out.MaxInFlight {
-				out.MaxInFlight = cs.MaxInFlight
-			}
-			out.WindowCuts += cs.WindowCuts
-			out.EcnCuts += cs.EcnCuts
+			ss.WindowCuts += cs.WindowCuts
+			ss.EcnCuts += cs.EcnCuts
+			out.MaxInFlight = max(out.MaxInFlight, cs.MaxInFlight)
 		}
 		ast := sh.arena.Stats()
-		ss.ArenaLive = ast.LiveBytes
-		ss.ArenaPeakLive = ast.PeakLive
-		ss.ArenaFoot = ast.Footprint
-		ss.ArenaPeak = ast.Peak
+		ss.ArenaLive, ss.ArenaPeakLive = ast.LiveBytes, ast.PeakLive
+		ss.ArenaFoot, ss.ArenaPeak = ast.Footprint, ast.Peak
 		out.Shards = append(out.Shards, ss)
-		out.Sets += ss.Sets
-		out.Spills += ss.Spills
-		out.Gets += ss.Gets
-		out.FabricSets += ss.FabricSets
-		out.HostSets += ss.HostSets
-		out.HintsPending += ss.HintsPending
-		out.HintsQueued += ss.HintsQueued
-		out.HintsApplied += ss.HintsApplied
-		out.HintsDropped += ss.HintsDropped
-		out.Deletes += ss.Deletes
-		out.FabricDeletes += ss.FabricDeletes
-		out.HostDeletes += ss.HostDeletes
-		out.GCFreed += ss.GCFreed
-		out.GCStale += ss.GCStale
-		out.CompactPasses += ss.CompactPasses
-		out.CompactMoves += ss.CompactMoves
-		out.CompactBytes += ss.CompactBytes
-		out.ArenaLive += ss.ArenaLive
-		out.ArenaPeakLive += ss.ArenaPeakLive
-		out.ArenaFoot += ss.ArenaFoot
-		out.ArenaPeak += ss.ArenaPeak
-		out.RepairsQueued += ss.RepairsQueued
-		out.RepairsApplied += ss.RepairsApplied
-		out.RepairsSuperseded += ss.RepairsSuperseded
-		out.RepairsDropped += ss.RepairsDropped
-		out.AERepairs += ss.AERepairs
+		out.add(&ss)
 	}
 	out.Resources = s.resourceReport()
 	if bn, ok := telemetry.Bottleneck(out.Resources); ok {

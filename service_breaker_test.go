@@ -211,7 +211,7 @@ func TestServiceBreakerProbesOncePerWindow(t *testing.T) {
 	if r.maxOpenInFlight > 1 {
 		t.Fatalf("%d gets in flight on the down shard, want at most its one probe", r.maxOpenInFlight)
 	}
-	if n := r.s.suspects.Value(); n != 1 {
+	if n := r.s.suspects; n != 1 {
 		t.Fatalf("svc/suspects = %d after one outage, want 1", n)
 	}
 }
@@ -243,7 +243,7 @@ func TestServiceBreakerProbeClearsThawedNIC(t *testing.T) {
 	}
 	dev.Unfreeze()
 	thawAt := s.Now()
-	gets := sh.gets.Value()
+	gets := sh.stats.Gets
 	var clearedAt sim.Time
 	stepUntil(s, thawAt+2*defaultSuspectFor, func() {
 		if clearedAt == 0 && !sh.down() {
@@ -257,7 +257,7 @@ func TestServiceBreakerProbeClearsThawedNIC(t *testing.T) {
 	if limit := defaultSuspectFor + s.cfg.MissTimeout; clearedAt-thawAt > limit {
 		t.Fatalf("breaker closed %v after the thaw, want within %v", clearedAt-thawAt, limit)
 	}
-	if sh.gets.Value() == gets {
+	if sh.stats.Gets == gets {
 		t.Fatal("the thawed shard served no gets after its breaker closed")
 	}
 }
@@ -285,7 +285,7 @@ func TestServiceBreakerWritesHint(t *testing.T) {
 		}
 		return n
 	}
-	wedged0, fabric0, hinted0 := wedged(), sh.fabricSets.Value(), sh.hintsQueued.Value()
+	wedged0, fabric0, hinted0 := wedged(), sh.stats.FabricSets, sh.stats.HintsQueued
 	for i, k := range keys[:16] {
 		if err := s.Set(k, Value(k+1, 64)); err != nil {
 			t.Fatalf("set %d with one of three owners down: %v", k, err)
@@ -297,10 +297,10 @@ func TestServiceBreakerWritesHint(t *testing.T) {
 	if n := wedged() - wedged0; n != 0 {
 		t.Fatalf("%d set slots wedged on the down shard", n)
 	}
-	if n := sh.fabricSets.Value() - fabric0; n != 0 {
+	if n := sh.stats.FabricSets - fabric0; n != 0 {
 		t.Fatalf("%d set chains armed on the down shard", n)
 	}
-	if n := sh.hintsQueued.Value() - hinted0; n != 16 {
+	if n := sh.stats.HintsQueued - hinted0; n != 16 {
 		t.Fatalf("%d hints queued for the down shard, want 16", n)
 	}
 }

@@ -53,7 +53,7 @@ func (s *Service) compactShard(sh *serviceShard) {
 	for _, cli := range sh.clients {
 		cli.drainFreed()
 	}
-	sh.compactPasses.Inc()
+	sh.stats.CompactPasses++
 	t := sh.table.table
 	m := sh.srv.node.Mem
 	moved := 0
@@ -65,15 +65,15 @@ func (s *Service) compactShard(sh *serviceShard) {
 				// control word is the empty-bucket marker and the fabric
 				// entrypoints reject it), so a zero cookie only ever
 				// marks arena allocations made without an owner.
-				sh.compactSkips.Inc()
+				sh.stats.CompactSkips++
 				return false
 			}
 			if _, busy := sh.inflightSet[key]; busy {
-				sh.compactSkips.Inc()
+				sh.stats.CompactSkips++
 				return false
 			}
 			if s.unsettled[key] > 0 {
-				sh.compactSkips.Inc()
+				sh.stats.CompactSkips++
 				return false
 			}
 			va, vl, ok := t.Lookup(key)
@@ -81,23 +81,23 @@ func (s *Service) compactShard(sh *serviceShard) {
 				// The record went stale (a wedged set's staging, or a
 				// straggler's husk): unreferenced, but not provably
 				// dead — leave it.
-				sh.compactSkips.Inc()
+				sh.stats.CompactSkips++
 				return false
 			}
 			bytes, err := m.Read(va, vl)
 			if err != nil {
-				sh.compactSkips.Inc()
+				sh.stats.CompactSkips++
 				return false
 			}
 			newAddr := sh.arena.Alloc(vl, key)
 			if err := m.Write(newAddr, bytes); err != nil {
 				sh.arena.Free(newAddr)
-				sh.compactSkips.Inc()
+				sh.stats.CompactSkips++
 				return false
 			}
 			if err := t.Insert(key, newAddr, vl); err != nil {
 				sh.arena.Free(newAddr)
-				sh.compactSkips.Inc()
+				sh.stats.CompactSkips++
 				return false
 			}
 			// Moved — but decline the arena's immediate release: a
@@ -105,8 +105,8 @@ func (s *Service) compactShard(sh *serviceShard) {
 			// hold the old pointer, so the extent cools for the read
 			// grace before returning. The next pass skips the stale
 			// record (va != addr) until the deferred free lands.
-			sh.compactMoved.Inc()
-			sh.compactMovedBytes.Add(size)
+			sh.stats.CompactMoves++
+			sh.stats.CompactBytes += size
 			sh.retireExtent(addr)
 			moved++
 			return false

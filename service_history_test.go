@@ -3,6 +3,8 @@ package redn
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/failure"
@@ -159,5 +161,69 @@ func TestServiceExactHistory(t *testing.T) {
 	}
 	if got := h.Sum64(); got != exactHistoryHash {
 		t.Fatalf("history of %d completions hashes to %#016x, want %#016x", n, got, uint64(exactHistoryHash))
+	}
+}
+
+// The service stores each counter once: the registry and Stats() read
+// the same words. After a faulted history every svc/* and shardN/*
+// registry counter equals its ServiceStats or ShardStats field, and the
+// fleet row equals the sum of the shard rows. Both checks walk the
+// structs by reflection, so a field added later is covered.
+func TestServiceStatsOneStoreTwoViews(t *testing.T) {
+	s := runServiceHistory(t, 2, func(historyOp) {})
+	st := s.Stats()
+	rows := map[string]reflect.Value{"svc": reflect.ValueOf(st)}
+	for _, ss := range st.Shards {
+		rows[ss.ID] = reflect.ValueOf(ss)
+	}
+	// field finds the counter name's field in row: the one tagged
+	// `metric:"name"`, else the one named name in camel case.
+	field := func(row reflect.Value, name string) (reflect.Value, bool) {
+		typ := row.Type()
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if f.Tag.Get("metric") == name || strings.EqualFold(f.Name, strings.ReplaceAll(name, "_", "")) {
+				return row.Field(i), true
+			}
+		}
+		return reflect.Value{}, false
+	}
+	var checked int
+	var total float64
+	for _, m := range s.Metrics().Snapshot() {
+		if m.Kind != "counter" {
+			continue
+		}
+		rowID, name, _ := strings.Cut(m.Name, "/")
+		row, ok := rows[rowID]
+		if !ok {
+			t.Fatalf("counter %s: no stats row %q", m.Name, rowID)
+		}
+		f, ok := field(row, name)
+		if !ok {
+			t.Fatalf("counter %s: no stats field", m.Name)
+		}
+		if got := float64(f.Uint()); got != m.Value {
+			t.Errorf("counter %s = %v, stats field %d", m.Name, m.Value, f.Uint())
+		}
+		checked++
+		total += m.Value
+	}
+	if want := 21 + 21*len(st.Shards); checked != want || total == 0 {
+		t.Fatalf("checked %d counters summing to %v, want %d and a nonzero sum", checked, total, want)
+	}
+
+	fleet, typ := reflect.ValueOf(st.ShardStats), reflect.TypeOf(st.ShardStats)
+	for i := range typ.NumField() {
+		if typ.Field(i).Type.Kind() != reflect.Uint64 {
+			continue
+		}
+		var sum uint64
+		for _, ss := range st.Shards {
+			sum += reflect.ValueOf(ss).Field(i).Uint()
+		}
+		if got := fleet.Field(i).Uint(); got != sum {
+			t.Errorf("fleet %s = %d, shards sum to %d", typ.Field(i).Name, got, sum)
+		}
 	}
 }

@@ -153,6 +153,22 @@ func (s *Service) winningState(key uint64) (ver uint64, del bool, winner *servic
 	return ver, del, winner, ok
 }
 
+// laggingOwners calls fn for every current owner of key whose state
+// lags winVer, the newest version any owner holds (winningState). A
+// key no owner holds versioned state for has no laggards.
+func (s *Service) laggingOwners(key uint64, fn func(sh *serviceShard, winVer uint64)) {
+	winVer, _, _, ok := s.winningState(key)
+	if !ok || winVer == 0 {
+		return
+	}
+	for _, id := range s.owners(key) {
+		sh := s.shards[id]
+		if v, _, has := s.ownerState(sh, key); !has || v < winVer {
+			fn(sh, winVer)
+		}
+	}
+}
+
 // StaleOwners reports how many (owner, key) replicas across keys lag
 // the newest version any owner holds — the divergence metric the
 // repair experiment tracks over time. Zero means every replica of
@@ -160,16 +176,7 @@ func (s *Service) winningState(key uint64) (ver uint64, del bool, winner *servic
 func (s *Service) StaleOwners(keys []uint64) int {
 	stale := 0
 	for _, key := range keys {
-		key &= hopscotch.KeyMask
-		winVer, _, _, ok := s.winningState(key)
-		if !ok || winVer == 0 {
-			continue
-		}
-		for _, id := range s.owners(key) {
-			if v, _, has := s.ownerState(s.shards[id], key); !has || v < winVer {
-				stale++
-			}
-		}
+		s.laggingOwners(key&hopscotch.KeyMask, func(*serviceShard, uint64) { stale++ })
 	}
 	return stale
 }
@@ -193,7 +200,7 @@ func (s *Service) DropHints() int {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
-			s.retireHint(sh, sh.hints[k], sh.hintsDropped)
+			s.retireHint(sh, sh.hints[k], &sh.stats.HintsDropped)
 			n++
 		}
 	}
@@ -250,7 +257,7 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 		s.compareVersions(partner, key, servedVer)
 		return false
 	}
-	s.probes.Inc()
+	s.probes++
 	g.partner, g.pcli, g.servedVer = partner, partner.setClient(key), servedVer
 	g.pop = s.tr.OpBegin("probe", key)
 	s.tr.SetOp(g.pop)
@@ -277,7 +284,7 @@ func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 	case ok:
 		partner.markLive()
 		if ver != g.servedVer {
-			s.probeSkews.Inc()
+			s.probeSkews++
 			s.scheduleSkewRepair(key)
 		}
 	case g.pcli.lastExecuted(pipeProbe):
@@ -298,7 +305,7 @@ func (s *Service) compareVersions(partner *serviceShard, key, servedVer uint64) 
 		return // neither side holds versioned state
 	}
 	if !ok || pv != servedVer {
-		s.probeSkews.Inc()
+		s.probeSkews++
 		s.scheduleSkewRepair(key)
 	}
 }
@@ -311,16 +318,13 @@ func (s *Service) scheduleSkewRepair(key uint64) {
 	if s.unsettled[key] > 0 {
 		return
 	}
-	winVer, _, _, ok := s.winningState(key)
-	if !ok || winVer == 0 {
-		return
-	}
-	for _, id := range s.owners(key) {
-		sh := s.shards[id]
-		if v, _, has := s.ownerState(sh, key); !has || v < winVer {
-			s.queueRepair(sh, key, winVer)
-		}
-	}
+	s.repairLagging(key)
+}
+
+// repairLagging enqueues a repair for every owner of key lagging the
+// winning version.
+func (s *Service) repairLagging(key uint64) {
+	s.laggingOwners(key, func(sh *serviceShard, winVer uint64) { s.queueRepair(sh, key, winVer) })
 }
 
 // ---- the repair queue ----
@@ -336,7 +340,7 @@ func (s *Service) queueRepair(sh *serviceShard, key, seq uint64) bool {
 	}
 	fresh := s.repq.Push(sh.id, key, seq)
 	if fresh {
-		sh.repairsQueued.Inc()
+		sh.stats.RepairsQueued++
 		if s.tr.Enabled() {
 			s.tr.Instant("coordinator", sh.trRepair, 0)
 		}
@@ -378,7 +382,7 @@ func (s *Service) repairTick() {
 func (s *Service) requeueRepair(sh *serviceShard, r *repair.Record) {
 	r.Attempts++
 	if r.Attempts >= repairMaxAttempts {
-		sh.repairsDropped.Inc()
+		sh.stats.RepairsDropped++
 		return
 	}
 	s.repq.Requeue(r, s.tb.Now()+s.repairBackoff(r.Attempts))
@@ -403,9 +407,9 @@ func (s *Service) applyRepair(r *repair.Record) {
 	s.converge(sh, r.Key, func(out convergeOutcome) {
 		switch out {
 		case convergeCaughtUp:
-			sh.repairsSuperseded.Inc()
+			sh.stats.RepairsSuperseded++
 		case convergeApplied:
-			sh.repairsApplied.Inc()
+			sh.stats.RepairsApplied++
 		default:
 			s.requeueRepair(sh, r)
 		}
@@ -622,7 +626,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 		}
 		return
 	}
-	s.aePasses.Inc()
+	s.aePasses++
 	segs := s.cfg.AntiEntropySegments
 	segsCompared := 0
 	// The findings wait out the digest charge in the service's scratch;
@@ -649,7 +653,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 			if root.dig[base+g] == part.dig[g] {
 				continue
 			}
-			s.aeSegsDiffed.Inc()
+			s.aeSegsDiffed++
 			// Per-key walk of the flagged segment: the root's keys then
 			// the partner's, dedup, compare owner states.
 			clear(s.aeSeen)
@@ -680,7 +684,7 @@ func (s *Service) aeWalk(sh, partner *serviceShard, b *aeBins, at int32, found [
 		if s.unsettled[key] > 0 {
 			continue // an in-flight write explains the skew
 		}
-		s.aeKeysChecked.Inc()
+		s.aeKeysChecked++
 		va, _, aok := s.ownerState(sh, key)
 		vb, _, bok := s.ownerState(partner, key)
 		switch {
@@ -715,7 +719,7 @@ func (s *Service) aeSettle(found []aeFound) {
 		// a key whose repair is already queued (in backoff, say) is
 		// not a new discovery.
 		if s.queueRepair(f.owner, f.key, f.seq) {
-			f.owner.aeRepairs.Inc()
+			f.owner.stats.AERepairs++
 		}
 	}
 	if s.aeCleanRun < len(s.order) {

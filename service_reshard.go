@@ -462,21 +462,10 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 	// never targeted the replacement owners, so the copy must proceed.
 	// That is safe: converge re-derives the winning state under the
 	// owner's per-key slot and never rolls a replica backward.
-	winVer, _, _, has := s.winningState(key)
-	if !has || winVer == 0 {
-		s.migKeysSkipped.Inc()
-		done()
-		return
-	}
 	var lagging []*serviceShard
-	for _, id := range s.owners(key) {
-		sh := s.shards[id]
-		if v, _, hasV := s.ownerState(sh, key); !hasV || v < winVer {
-			lagging = append(lagging, sh)
-		}
-	}
+	s.laggingOwners(key, func(sh *serviceShard, _ uint64) { lagging = append(lagging, sh) })
 	if len(lagging) == 0 {
-		s.migKeysSkipped.Inc()
+		s.migKeysSkipped++
 		done()
 		return
 	}
@@ -501,15 +490,8 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 			})
 			return
 		}
-		s.migCopyFails.Inc()
-		if wv, _, _, ok := s.winningState(key); ok && wv > 0 {
-			for _, id := range s.owners(key) {
-				sh := s.shards[id]
-				if v, _, hasV := s.ownerState(sh, key); !hasV || v < wv {
-					s.queueRepair(sh, key, wv)
-				}
-			}
-		}
+		s.migCopyFails++
+		s.repairLagging(key)
 		done()
 	}
 	for _, sh := range lagging {
@@ -525,7 +507,7 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) {
 	s.converge(sh, key, func(out convergeOutcome) {
 		if out == convergeApplied {
-			s.migKeysMoved.Inc()
+			s.migKeysMoved++
 		}
 		done(out != convergeFailed)
 	})
@@ -544,7 +526,7 @@ func (s *Service) sealSegment(m *migration, seg uint64) {
 	m.inFlight--
 	m.sealed[seg] = true
 	m.sealedN++
-	s.migSegsSealed.Inc()
+	s.migSegsSealed++
 	for _, key := range m.segKeys[seg] {
 		if s.unsettled[key] > 0 {
 			continue
@@ -632,16 +614,16 @@ func (s *Service) redirectHints(from *serviceShard) {
 		}
 		if cur, ok := to.hints[k]; ok {
 			if cur.seq >= h.seq {
-				to.hintsDropped.Inc()
+				to.stats.HintsDropped++
 				s.settleHint(h)
 				continue
 			}
-			to.hintsDropped.Inc()
+			to.stats.HintsDropped++
 			s.settleHint(cur)
 		}
 		to.hints[k] = &hint{mutation: h.mutation, op: h.op}
-		to.hintsQueued.Inc()
-		s.migHintsRedirected.Inc()
+		to.stats.HintsQueued++
+		s.migHintsRedirected++
 		touched[to.id] = true
 	}
 	for _, sh := range s.order {

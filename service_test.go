@@ -1317,6 +1317,39 @@ func TestServicePlaceRollbackRestoresSpilledEvictee(t *testing.T) {
 	}
 }
 
+// A host set that grows a spilled resident past its extent overwrites
+// the resident where it lives, in either lookup mode: taking a free
+// candidate would leave a second copy behind, the spilled one pointing
+// at the extent the set retires.
+func TestServiceSetGrowsSpilledResidentInPlace(t *testing.T) {
+	for _, mode := range []LookupMode{LookupSeq, LookupSingle} {
+		s := NewServiceWith(ServiceConfig{Shards: 1, ClientsPerShard: 1, Mode: mode, Buckets: 64, MaxValLen: 64})
+		sh := s.order[0]
+		tb := sh.table.Table()
+		const key = 42
+		if err := tb.InsertAtV(key, sh.arena.Alloc(8, key), 8, 1, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		want := Value(key, 48)
+		if err := sh.set(key, want, 2); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		copies := 0
+		for i := range tb.NumBuckets() {
+			if k, _, _, ok := tb.EntryAt(i); ok && k == key {
+				copies++
+			}
+		}
+		va, vl, _ := tb.Lookup(key)
+		got, _ := sh.srv.node.Mem.Read(va, vl)
+		if copies != 1 || !bytes.Equal(got, want) || s.Stats().Spills != 0 {
+			t.Fatalf("mode %v: %d copies, value ok %v, %d spills; want 1 copy, the new value, 0 spills",
+				mode, copies, bytes.Equal(got, want), s.Stats().Spills)
+		}
+	}
+}
+
 // ---- extent lifecycle / delete suite ----
 
 // Fabric deletes round-trip end to end: quorum-acked with real

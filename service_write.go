@@ -122,7 +122,7 @@ func (s *Service) admitWrite(key uint64, cb func(lat Duration, err error)) bool 
 	if admit >= s.cfg.WriteQuorum {
 		return true
 	}
-	s.shedWrites.Inc()
+	s.shedWrites++
 	s.rejectWrite(cb, &ErrOverload{Key: key, Admit: admit, Need: s.cfg.WriteQuorum})
 	return false
 }
@@ -278,7 +278,7 @@ func (op *setOp) fail(s *Service) {
 	if !op.done && op.fails > op.owners-op.need {
 		op.done = true
 		s.tr.OpEnd(op.traceOp, op.traceName())
-		s.quorumFails.Inc()
+		s.quorumFails++
 		now := s.tb.Now()
 		if op.rcpt != nil {
 			// Quorum dead: no critical leg to adopt — the whole span
@@ -400,11 +400,11 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 	if !s.admitWrite(key, cb) {
 		return
 	}
-	ops, class := s.setOps, uint8(telemetry.ClassSet)
+	ops, class := &s.setOps, uint8(telemetry.ClassSet)
 	if del {
-		ops, class = s.delOps, telemetry.ClassDel
+		ops, class = &s.delOps, telemetry.ClassDel
 	}
-	ops.Inc()
+	*ops++
 	s.nextSeq[key]++
 	s.unsettled[key]++
 	if s.cache != nil {
@@ -706,10 +706,10 @@ func (r *ownerRun) apply() {
 	s.tr.SetOp(r.top)
 	r.next = runAck
 	if m.del {
-		sh.fabricDels.Inc()
+		sh.stats.FabricDeletes++
 		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.ackFn)
 	} else {
-		sh.fabricSets.Inc()
+		sh.stats.FabricSets++
 		r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.ackFn)
 	}
 	s.tr.SetOp(0)
@@ -729,7 +729,7 @@ func (r *ownerRun) hop(st ownerWriteStatus) {
 func (r *ownerRun) hopped() {
 	r.enter(runHop)
 	if r.absent {
-		r.sh.dels.Inc()
+		r.sh.stats.Deletes++
 		r.s.clearLegReceipt() // no measurable leg to adopt
 	}
 	r.finish(r.st)
@@ -740,13 +740,13 @@ func (r *ownerRun) hopped() {
 func (r *ownerRun) acked(_ Duration, ok bool) {
 	r.enter(runAck)
 	s, sh, m, cli := r.s, r.sh, r.m, r.cli
-	op, applied := pipeSet, sh.sets
+	op, applied := pipeSet, &sh.stats.Sets
 	if m.del {
-		op, applied = pipeDelete, sh.dels
+		op, applied = pipeDelete, &sh.stats.Deletes
 	}
 	if ok {
 		sh.markLive()
-		applied.Inc()
+		*applied++
 		if !m.del && r.resident {
 			sh.retireExtent(r.oldVa)
 		}
@@ -776,9 +776,9 @@ func (r *ownerRun) host() {
 	r.hostLat = hostSetLat
 	if r.m.del {
 		r.hostLat = hostDeleteLat
-		r.sh.hostDels.Inc()
+		r.sh.stats.HostDeletes++
 	} else {
-		r.sh.hostSets.Inc()
+		r.sh.stats.HostSets++
 	}
 	r.next = runHost
 	r.s.tb.clu.Eng.After(r.hostLat, r.hostFn)
@@ -794,7 +794,7 @@ func (r *ownerRun) hosted() {
 	}
 	if m.del {
 		sh.del(m.key, m.seq)
-		sh.dels.Inc()
+		sh.stats.Deletes++
 	} else if err := sh.set(m.key, m.val, m.seq); err != nil {
 		// The table itself refused (kick walk and neighborhoods
 		// exhausted): a definitive rejection, not unavailability.
@@ -892,7 +892,7 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 	// drain completed while the write was in flight): there is no owner
 	// to hand off to, and the new owners carry the write — just settle.
 	if s.shards[sh.id] != sh {
-		sh.hintsDropped.Inc()
+		sh.stats.HintsDropped++
 		op.settleOne(s)
 		return
 	}
@@ -901,22 +901,22 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 	// them, and an acked write must survive its departure.
 	if s.draining(sh.id) {
 		if to := s.redirectTarget(op.key, sh); to != nil {
-			s.migHintsRedirected.Inc()
+			s.migHintsRedirected++
 			s.queueHint(to, op)
 			return
 		}
 	}
 	if cur, ok := sh.hints[op.key]; ok {
 		if cur.seq >= op.seq {
-			sh.hintsDropped.Inc()
+			sh.stats.HintsDropped++
 			op.settleOne(s)
 			return
 		}
-		sh.hintsDropped.Inc()
+		sh.stats.HintsDropped++
 		s.settleHint(cur)
 	}
 	sh.hints[op.key] = &hint{mutation: &op.mutation, op: op}
-	sh.hintsQueued.Inc()
+	sh.stats.HintsQueued++
 	if s.tr.Enabled() {
 		s.tr.Instant("coordinator", sh.trHint, op.traceOp)
 	}
@@ -926,18 +926,18 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 // newer (or equal) write to the same owner.
 func (s *Service) dropHint(sh *serviceShard, key, seq uint64) {
 	if cur, ok := sh.hints[key]; ok && cur.seq <= seq {
-		s.retireHint(sh, cur, sh.hintsDropped)
+		s.retireHint(sh, cur, &sh.stats.HintsDropped)
 	}
 }
 
 // retireHint takes h off sh's queue — if it still stands there —
 // counting it on c (applied or dropped) and settling its write.
-func (s *Service) retireHint(sh *serviceShard, h *hint, c *telemetry.Counter) {
+func (s *Service) retireHint(sh *serviceShard, h *hint, c *uint64) {
 	if sh.hints[h.key] != h {
 		return
 	}
 	delete(sh.hints, h.key)
-	c.Inc()
+	*c++
 	s.settleHint(h)
 }
 
@@ -1002,12 +1002,12 @@ func (s *Service) drainHint(sh *serviceShard, key uint64) {
 			case ownerApplied:
 				// Retire the hint as applied first: left in place, the
 				// shared bookkeeping's dropHint would count it superseded.
-				s.retireHint(sh, h, sh.hintsApplied)
+				s.retireHint(sh, h, &sh.stats.HintsApplied)
 				s.noteOwnerApplied(sh, h.mutation)
 			case ownerRejected:
 				// The recovered table refused the replay (capacity):
 				// retrying forever would spin, so retire the hint.
-				s.retireHint(sh, h, sh.hintsDropped)
+				s.retireHint(sh, h, &sh.stats.HintsDropped)
 			}
 			op.unpin(s)
 			s.setNext(sh, key)
