@@ -265,11 +265,11 @@ type opPipeline struct {
 	respPer uint64 // signaled response completions per executed instance
 	qp      *rnic.QP
 
-	// The server-side offload contexts, one per slot, and per slot the
-	// client buffers its chain reads and writes — the trigger payload,
-	// the response landing (get value, write ack, probe version) and, on
-	// the set path, the value the chain stages.
-	pool            slotPool
+	// The op contexts of the server-side offload contexts, one per slot,
+	// and per slot the client buffers its chain reads and writes — the
+	// trigger payload, the response landing (get value, write ack, probe
+	// version) and, on the set path, the value the chain stages.
+	ctxs            []*telemetry.OpContext
 	trig, resp, val []uint64
 
 	free    []int
@@ -334,13 +334,6 @@ type opPipeline struct {
 	verdict func(req *pipeReq) bool
 	deliver func(req *pipeReq, lat Duration, ok, slotValid bool)
 	release func(req *pipeReq, ok, executed bool)
-}
-
-// slotPool is what a pipeline asks of its server-side core.Pool beyond
-// arming a slot's context: trace, receipt and profiler tagging.
-type slotPool interface {
-	Tag(slot int, op uint64, r *telemetry.Receipt)
-	SetProfClass(class string)
 }
 
 // newPipeline builds the op-agnostic skeleton; the caller wires the
@@ -499,14 +492,10 @@ func (p *opPipeline) issue(req *pipeReq) {
 	c.tb.clu.Eng.After(c.MissTimeout, req.timeoutFn)
 }
 
-// post tags the slot's context for tracing and provenance, arms it
+// post retags the slot's op context with the op for tracing, arms it
 // through the op's hook, and posts the trigger SEND (doorbell-less).
 func (p *opPipeline) post(req *pipeReq) {
-	if p.rcpts != nil {
-		p.pool.Tag(req.slot, req.op, &p.rcpts[req.slot])
-	} else if p.c.tr.Enabled() {
-		p.pool.Tag(req.slot, req.op, nil)
-	}
+	p.ctxs[req.slot].Op = req.op
 	payload := p.arm(req, p.resp[req.slot])
 	trig := p.trig[req.slot]
 	p.c.node.Mem.Write(trig, payload)
@@ -831,31 +820,36 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
 				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
 		}
+		var slotCtx func(slot int) *telemetry.OpContext
 		switch p.op {
 		case pipeGet:
 			c.gets = core.NewLookupPool(srv.builder, srvQP, resp, nil, nil, mode)
-			p.pool = c.gets
+			slotCtx = c.gets.Context
 		case pipeSet:
 			c.sets = core.NewSetPool(srv.builder, srvQP, resp, maxVal, arena)
-			p.pool = c.sets
+			slotCtx = c.sets.Context
 		case pipeDelete:
 			c.dels = core.NewDeletePool(srv.builder, srvQP, resp)
-			p.pool = c.dels
+			slotCtx = c.dels.Context
 		case pipeProbe:
 			c.prbs = core.NewProbePool(srv.builder, srvQP, resp)
-			p.pool = c.prbs
+			slotCtx = c.prbs.Context
 		}
+		// Profiler attribution: each pool's contexts serve exactly one
+		// op class, so the class is static; post retags the op. The
+		// shared server trigger QP and the client-side one (which
+		// executes the staging WRITEs and SENDs whose remote grants, on
+		// server PCIe, count too) carry the class alone: their batched
+		// SENDs interleave ops.
 		for i, q := range resp {
 			p.subscribe(i, q)
+			ctx := slotCtx(i)
+			ctx.Class = p.name
+			p.ctxs = append(p.ctxs, ctx)
 		}
-		// Profiler attribution: each pool's contexts (and their shared
-		// trigger QP) serve exactly one op class, so the tagging is
-		// static. The client-side trigger QP executes the staging WRITEs
-		// and SENDs whose remote grants (server PCIe) should attribute to
-		// the class too. Costs nothing until a Device has a profiler
-		// attached.
-		p.pool.SetProfClass(p.name)
-		cliQP.SetProfClass(p.name)
+		trigCtx := &telemetry.OpContext{Class: p.name}
+		srvQP.SetContext(trigCtx)
+		cliQP.SetContext(trigCtx)
 	}
 	c.wireHooks()
 	return c
@@ -998,12 +992,17 @@ func (c *Client) pipelineStats(op pipeOp) pipelineStats {
 func (c *Client) lastExecuted(op pipeOp) bool { return c.pipe(op).lastRan }
 
 // enableProvenance allocates the per-slot latency receipts on every
-// pipeline and starts stamping phase ledgers on each issued request.
+// pipeline, rides each on its slot's op context (so the NIC folds the
+// slot's resource grants into it), and starts stamping phase ledgers
+// on each issued request.
 // Disabled clients pay nothing: the receipt paths are a nil check.
 func (c *Client) enableProvenance() {
 	for _, p := range c.pipes {
 		if p.rcpts == nil {
 			p.rcpts = make([]telemetry.Receipt, c.depth)
+			for i, ctx := range p.ctxs {
+				ctx.Receipt = &p.rcpts[i]
+			}
 		}
 	}
 }
@@ -1045,6 +1044,12 @@ func (c *Client) Flush() {
 // window queue client-side until a slot frees. Call Flush to ring the
 // doorbell after posting a batch.
 func (c *Client) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
+	c.getAsync(key, valLen, 0, cb)
+}
+
+// getAsync is GetAsync with the trace op id the get's WRs attribute to
+// — the service layer's entry point (0 = unattributed).
+func (c *Client) getAsync(key, valLen, op uint64, cb func(val []byte, lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Get")
 	}
@@ -1052,7 +1057,7 @@ func (c *Client) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, 
 		panic(fmt.Sprintf("redn: valLen %d exceeds client max %d", valLen, c.maxVal))
 	}
 	req := c.get.take()
-	req.key, req.valLen, req.getCB, req.op = key&hopscotch.KeyMask, valLen, cb, c.tr.Op()
+	req.key, req.valLen, req.getCB, req.op = key&hopscotch.KeyMask, valLen, cb, op
 	c.get.submit(req)
 }
 
@@ -1144,25 +1149,26 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 		}
 	}
 	c.nextVer[k]++
-	c.setAsyncReq(k, value, claim, c.nextVer[k], cb, true)
+	c.setAsyncReq(k, value, claim, c.nextVer[k], 0, cb, true)
 }
 
 // setAsyncClaim is SetAsync with an explicit, caller-computed bucket
-// claim and version — the service layer's entry point (its router owns
-// placement and the quorum sequence the version publishes).
-func (c *Client) setAsyncClaim(key uint64, value []byte, claim core.SetClaim, ver uint64, cb func(lat Duration, ok bool)) {
-	c.setAsyncReq(key&hopscotch.KeyMask, value, claim, ver, cb, false)
+// claim and version and the trace op id its WRs attribute to — the
+// service layer's entry point (its router owns placement and the
+// quorum sequence the version publishes).
+func (c *Client) setAsyncClaim(key uint64, value []byte, claim core.SetClaim, ver, op uint64, cb func(lat Duration, ok bool)) {
+	c.setAsyncReq(key&hopscotch.KeyMask, value, claim, ver, op, cb, false)
 }
 
 // setAsyncReq routes one set request into the pipeline. lifecycle marks
 // the standalone path, where the client retires superseded extents.
-func (c *Client) setAsyncReq(key uint64, value []byte, claim core.SetClaim, ver uint64, cb func(lat Duration, ok bool), lifecycle bool) {
+func (c *Client) setAsyncReq(key uint64, value []byte, claim core.SetClaim, ver, op uint64, cb func(lat Duration, ok bool), lifecycle bool) {
 	if uint64(len(value)) > c.maxVal {
 		panic(fmt.Sprintf("redn: value %d exceeds client max %d", len(value), c.maxVal))
 	}
 	req := c.set.take()
 	req.key, req.val, req.sclaim, req.ver, req.ackCB = key, value, claim, ver, cb
-	req.lifecycle, req.op = lifecycle, c.tr.Op()
+	req.lifecycle, req.op = lifecycle, op
 	c.set.submit(req)
 }
 
@@ -1210,14 +1216,15 @@ func (c *Client) DeleteAsync(key uint64, cb func(lat Duration, ok bool)) {
 		return
 	}
 	c.nextVer[key&hopscotch.KeyMask]++
-	c.deleteAsyncClaim(key, bucket, c.nextVer[key&hopscotch.KeyMask], cb)
+	c.deleteAsyncClaim(key, bucket, c.nextVer[key&hopscotch.KeyMask], 0, cb)
 }
 
 // deleteAsyncClaim is DeleteAsync with an explicit, caller-computed
-// bucket and tombstone version — the service layer's entry point.
-func (c *Client) deleteAsyncClaim(key, bucket, ver uint64, cb func(lat Duration, ok bool)) {
+// bucket and tombstone version and the trace op id its WRs attribute
+// to — the service layer's entry point.
+func (c *Client) deleteAsyncClaim(key, bucket, ver, op uint64, cb func(lat Duration, ok bool)) {
 	req := c.del.take()
-	req.key, req.bucket, req.ver, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, ver, cb, c.tr.Op()
+	req.key, req.bucket, req.ver, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, ver, cb, op
 	c.del.submit(req)
 }
 
@@ -1276,14 +1283,15 @@ func (c *Client) probeAsync(key uint64, cb func(ver uint64, lat Duration, ok boo
 		})
 		return
 	}
-	c.probeAsyncTarget(key, bucket, cb)
+	c.probeAsyncTarget(key, bucket, 0, cb)
 }
 
 // probeAsyncTarget is probeAsync with an explicit, caller-computed
-// bucket — the service layer's entry point.
-func (c *Client) probeAsyncTarget(key, bucket uint64, cb func(ver uint64, lat Duration, ok bool)) {
+// bucket and the trace op id its WRs attribute to — the service
+// layer's entry point.
+func (c *Client) probeAsyncTarget(key, bucket, op uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	req := c.prb.take()
-	req.key, req.bucket, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, cb, c.tr.Op()
+	req.key, req.bucket, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, cb, op
 	c.prb.submit(req)
 }
 

@@ -369,7 +369,7 @@ func TestClientSetClaimRefused(t *testing.T) {
 	doneOK := true
 	cli.setAsyncClaim(777, Value(777, 64),
 		// Claim key's bucket for key 777 expecting it empty.
-		coreSetClaim(bucket, 0, 777), 1,
+		coreSetClaim(bucket, 0, 777), 1, 0,
 		func(lat Duration, ok bool) {
 			doneOK, refusedLat = ok, lat
 			executed = cli.lastExecuted(pipeSet)
@@ -562,7 +562,7 @@ func TestClientDeleteRefused(t *testing.T) {
 	var executed, acked bool
 	var refusedLat Duration
 	done := false
-	cli.deleteAsyncClaim(777, bucket, 1,
+	cli.deleteAsyncClaim(777, bucket, 1, 0,
 		func(lat Duration, ok bool) {
 			acked, executed, done, refusedLat = ok, cli.lastExecuted(pipeDelete), true, lat
 		})
@@ -662,7 +662,7 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 	live := srv.valueArena().LiveBytes()
 	for i := 0; i < 20; i++ {
 		done := false
-		cli.setAsyncClaim(777, Value(777, 64), coreSetClaim(bucket, 0, 777), 1,
+		cli.setAsyncClaim(777, Value(777, 64), coreSetClaim(bucket, 0, 777), 1, 0,
 			func(_ Duration, ok bool) {
 				if ok {
 					t.Error("stale claim acknowledged")
@@ -843,7 +843,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	}
 	var executed, answered bool
 	done := false
-	cli.probeAsyncTarget(key, target, func(_ uint64, _ Duration, ok bool) {
+	cli.probeAsyncTarget(key, target, 0, func(_ uint64, _ Duration, ok bool) {
 		answered, executed, done = ok, cli.lastExecuted(pipeProbe), true
 	})
 	cli.Flush()

@@ -6,10 +6,10 @@
 //   - the tape, head and state are words in host memory;
 //   - reading the current cell is an indirect mov (a WRITE patches a
 //     READ's source from the head register — Appendix A);
-//   - rule dispatch is four RedN conditionals: small WRITEs assemble
-//     (state, symbol) into each conditional's operand field, and the
-//     matching CAS flips its target NOOP into an ENABLE that grants
-//     that rule's body block;
+//   - rule dispatch is one RedN conditional per rule (four for BB-2):
+//     small WRITEs assemble (state, symbol) into each conditional's
+//     operand field, and the matching CAS flips its target NOOP into
+//     an ENABLE that grants that rule's body block;
 //   - a rule body writes the new symbol through the head pointer
 //     (indirect store), moves the head with an ADD, installs the next
 //     state inline, and re-triggers the step barrier with an ENABLE.
@@ -45,14 +45,19 @@ const (
 )
 
 // BB-2 busy beaver: halts after 6 steps with four 1s on the tape.
-var rules = []rule{
+var bb2 = []rule{
 	{stateA, 0, 1, cell, stateB},
 	{stateA, 1, 1, ^uint64(cell) + 1, stateB},
 	{stateB, 0, 1, ^uint64(cell) + 1, stateA},
 	{stateB, 1, 1, cell, halt},
 }
 
+// machine runs one rule table on a simulated RNIC. The table must be
+// total over the states it reaches: a step with no matching rule never
+// completes.
 type machine struct {
+	rules []rule
+
 	clu *fabric.Cluster
 	srv *fabric.Node
 	b   *core.Builder
@@ -65,11 +70,11 @@ type machine struct {
 	step uint64
 }
 
-func newMachine() *machine {
+func newMachine(rules []rule) *machine {
 	clu := fabric.NewCluster()
 	srv := clu.AddNode(fabric.DefaultNodeConfig("tm"))
 	b := core.NewBuilder(srv.Dev, 1<<16)
-	m := &machine{clu: clu, srv: srv, b: b, cells: 32}
+	m := &machine{rules: rules, clu: clu, srv: srv, b: b, cells: 32}
 
 	m.tape = srv.Mem.Alloc(uint64(m.cells)*cell, 8)
 	m.headReg = srv.Mem.Alloc(8, 8)
@@ -112,16 +117,16 @@ func (m *machine) armStep() {
 	// 2. Rule-body queues are fresh each step: bodies of rules that do
 	// not fire stay posted-but-never-granted, and must not be swept up
 	// by a later step's ENABLE.
-	qR := make([]*rnic.QP, len(rules))
-	for r := range rules {
+	qR := make([]*rnic.QP, len(m.rules))
+	for r := range m.rules {
 		qR[r] = b.NewManagedQP(8)
 	}
 
 	// Dispatch targets: one NOOP per rule, pre-loaded to become an
 	// ENABLE granting that rule's body. Operand = (state<<8 | symbol),
 	// assembled into the id field by two 1-byte WRITEs.
-	targets := make([]core.StepRef, len(rules))
-	for r := range rules {
+	targets := make([]core.StepRef, len(m.rules))
+	for r := range m.rules {
 		targets[r] = b.Post(m.qT, wqe.WQE{Op: wqe.OpNoop,
 			Peer: qR[r].QPN(), Count: 6})
 	}
@@ -143,14 +148,14 @@ func (m *machine) armStep() {
 
 	// 3. One conditional per rule: y = state<<8 | sym; a match turns
 	// the target into the ENABLE granting the rule body.
-	for r, ru := range rules {
+	for r, ru := range m.rules {
 		b.If(m.qCAS, targets[r], ru.s<<8|ru.sym, wqe.OpEnable)
 	}
 
 	// 4. Rule bodies (granted only by their rule's ENABLE target):
 	// indirect store *head = out (patch + in-queue WAIT + store), move
 	// the head, install the next state, re-trigger the step barrier.
-	for r, ru := range rules {
+	for r, ru := range m.rules {
 		q := qR[r]
 		storeIdx := q.SQ().Producer() + 2 // after patch + wait
 		patchBody := b.Post(q, wqe.WQE{Op: wqe.OpWrite, Src: m.headReg,
@@ -192,7 +197,7 @@ func (m *machine) tapeString() string {
 }
 
 func main() {
-	m := newMachine()
+	m := newMachine(bb2)
 	fmt.Println("2-state busy beaver, every transition executed by RDMA verbs:")
 	fmt.Printf("  start: state=A tape=[%s]\n", m.tapeString())
 

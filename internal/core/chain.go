@@ -19,7 +19,7 @@ type Program interface{ base() *chain }
 
 // chain is the generic arm/trigger path every Program shares: the
 // builder it sequences through, the connection whose SENDs trigger it,
-// the queue it answers on, and the context's tagged ring set.
+// the queue it answers on, and the op context its queues share.
 type chain struct {
 	B *Builder
 	// Trig is the server side of the client connection: its RQ receives
@@ -39,11 +39,12 @@ type chain struct {
 	armed uint64
 	trig  []byte // the trigger payload, rebuilt by every TriggerPayload
 
-	// rings is the tagged ring set: every QP whose WRs belong to this
+	// op is the op context of every QP whose WRs belong to this
 	// context alone — control queues, chain rings, response QPs. The
-	// shared trigger QP is not in it: its batched SENDs interleave ops.
-	rings  [6]*rnic.QP
-	nrings uint8
+	// shared trigger QP is not among them: its batched SENDs interleave
+	// ops. Allocated once by newChain, so its address survives the
+	// chain's copy into the program that embeds it.
+	op *telemetry.OpContext
 
 	// posted has bit i set when the instance armed last posted step i:
 	// which of the layout's slots its trigger fills.
@@ -91,7 +92,7 @@ const (
 type operands [numOps]uint64
 
 func newChain(b *Builder, trig, resp *rnic.QP) chain {
-	c := chain{B: b, Trig: trig, Resp: resp}
+	c := chain{B: b, Trig: trig, Resp: resp, op: &telemetry.OpContext{}}
 	c.tag(b.Ctrl)
 	if resp != nil {
 		c.tag(resp)
@@ -101,11 +102,8 @@ func newChain(b *Builder, trig, resp *rnic.QP) chain {
 
 func (c *chain) base() *chain { return c }
 
-// tag adds q to the context's ring set.
-func (c *chain) tag(q *rnic.QP) {
-	c.rings[c.nrings] = q
-	c.nrings++
-}
+// tag points q at the context's op context.
+func (c *chain) tag(q *rnic.QP) { q.SetContext(c.op) }
 
 // ring allocates a managed chain ring on PU pu and tags it. A pool
 // context passes -1, round-robining its rings over the port's PUs (the
@@ -291,25 +289,6 @@ func newPool[C Program](b *Builder, trig *rnic.QP, resp []*rnic.QP, ctx func(i i
 	return p
 }
 
-// Tag attributes the instance armed next on slot's context: its WRs
-// trace to op, and its resource grants fold into r (nil: none).
-func (p *Pool[C]) Tag(slot int, op uint64, r *telemetry.Receipt) {
-	c := p.Ctxs[slot].base()
-	for _, q := range c.rings[:c.nrings] {
-		q.SetTraceOp(op)
-		q.SetReceipt(r)
-	}
-}
-
-// SetProfClass tags every QP the pool executes WRs through — its
-// contexts' rings and the shared trigger QP, which serves only this op
-// class — for profiler attribution. Static; call once at wiring.
-func (p *Pool[C]) SetProfClass(class string) {
-	for _, ctx := range p.Ctxs {
-		c := ctx.base()
-		for _, q := range c.rings[:c.nrings] {
-			q.SetProfClass(class)
-		}
-	}
-	p.Trig.SetProfClass(class)
-}
+// Context returns slot's op context: what the instance armed next on
+// it attributes its WR spans, resource grants and receipt to.
+func (p *Pool[C]) Context(slot int) *telemetry.OpContext { return p.Ctxs[slot].base().op }

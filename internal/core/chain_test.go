@@ -13,9 +13,9 @@ import (
 // requests — the RECV on the shared trigger RQ plus the data verbs on
 // its rings (data), and the WAIT/ENABLE verbs on its control queues
 // (sync) — against the literal table the cost accounting quotes (Table
-// 2 style). Arming must also post only on QPs in the context's tagged
-// ring set: a ring missing from it would silently drop its WRs' trace
-// spans and receipt folds.
+// 2 style). Arming must also post only on QPs that carry the context's
+// op context: a ring left out would silently drop its WRs' trace spans,
+// profiler class and receipt folds.
 func TestProgramShapes(t *testing.T) { checkShapes(t, "") }
 
 // The per-class budgets, each its own rows of the same measured table.
@@ -78,12 +78,8 @@ func checkShapes(t *testing.T, prefixes ...string) {
 				if moved == 0 {
 					continue
 				}
-				tagged := false
-				for _, r := range c.rings[:c.nrings] {
-					tagged = tagged || r == q
-				}
-				if !tagged {
-					t.Errorf("arming posted %d WRs on QP %d, which is not in the tagged ring set", moved, q.QPN())
+				if q.Context() != c.op {
+					t.Errorf("arming posted %d WRs on QP %d, which does not carry the context's op context", moved, q.QPN())
 				}
 				if q == c.B.Ctrl || (c.b2 != nil && q == c.b2.Ctrl) {
 					sync += moved

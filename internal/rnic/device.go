@@ -162,6 +162,7 @@ func (d *Device) NewQP(cfg QPConfig) *QP {
 		pu:   port.pus[pu],
 		scq:  d.NewCQ(),
 		rcq:  d.NewCQ(),
+		ctx:  &unattributed,
 	}
 	sqBase := d.mem.Alloc(uint64(cfg.SQDepth)*64, 64)
 	rqBase := d.mem.Alloc(uint64(cfg.RQDepth)*64, 64)

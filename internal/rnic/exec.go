@@ -152,30 +152,32 @@ func (w *WorkQueue) complete(r *wrRun, st Status, force bool) {
 }
 
 // traceWR records one WR's PU occupancy span on the owning device's
-// tracer, attributed to the op tagged on this QP (0 = unattributed,
+// tracer, attributed to the op of this QP's context (0 = unattributed,
 // e.g. batched SENDs on a shared trigger QP).
 func (w *WorkQueue) traceWR(op wqe.Opcode, start, end sim.Time) {
 	d := w.qp.dev
 	if d.tracer.Enabled() {
-		d.tracer.Exec(d.label, d.resName(w.qp.pu), op.String(), start, end, w.qp.traceOp)
+		d.tracer.Exec(d.label, d.resName(w.qp.pu), op.String(), start, end, w.qp.ctx.Op)
 	}
 }
 
 // grant attributes one resource acquisition — wait behind the
 // reservation horizon [ready, start), execution [start, end) — to the
-// profiler of the device owning the resource and to the receipt of
-// the op riding this QP. owner may differ from q's device: one-sided
-// verbs acquire the responder's PCIe and atomic units. The disabled
-// path is two loads and a branch, no allocation.
+// profiler of the device owning the resource, under the class of this
+// QP's context, and to the receipt riding that context. owner may
+// differ from q's device: one-sided verbs acquire the responder's PCIe
+// and atomic units. The disabled path is three loads and a branch, no
+// allocation.
 func (q *QP) grant(owner *Device, r *sim.Resource, ready, start, end sim.Time) {
-	if owner.profiler == nil && q.rcpt == nil {
+	c := q.ctx
+	if owner.profiler == nil && c.Receipt == nil {
 		return
 	}
 	name := owner.resName(r)
 	if owner.profiler != nil {
-		owner.profiler.Grant(q.profClass, name, start-ready, end-start)
+		owner.profiler.Grant(c.Class, name, start-ready, end-start)
 	}
-	q.rcpt.AddRes(name, start-ready, end-start)
+	c.Receipt.AddRes(name, start-ready, end-start)
 }
 
 // puSpan traces one WR's PU occupancy and attributes the grant. The

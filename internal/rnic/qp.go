@@ -41,36 +41,23 @@ type QP struct {
 
 	pendingArrivals ring.Queue[arrival]
 
-	// traceOp attributes WR spans executed from this QP to a client
-	// op id. Per-slot chain/ctrl/response QPs are retagged at each
-	// Arm; shared trigger QPs stay 0 (their batched SENDs interleave
-	// ops and cannot be attributed).
-	traceOp uint64
-
-	// profClass attributes this QP's resource grants to an op class
-	// for the virtual-time profiler. Static: each private chain,
-	// trigger or response QP serves exactly one op class, so it is
-	// tagged once at wiring ("" folds into "other").
-	profClass string
-
-	// rcpt is the latency receipt of the op currently executing
-	// through this QP; grants fold their queue-wait/exec into it.
-	// Retagged per op alongside traceOp; nil = no receipt riding.
-	rcpt *telemetry.Receipt
+	// ctx is the op context this QP's work attributes to: WR spans
+	// trace to its op id, resource grants fold into its class and its
+	// receipt. Every QP of one offload context shares one, so retagging
+	// the context retags them all; unattributed by default.
+	ctx *telemetry.OpContext
 }
 
-// SetTraceOp tags WRs subsequently executed from this QP with op for
-// trace attribution (0 clears).
-func (q *QP) SetTraceOp(op uint64) { q.traceOp = op }
+// unattributed is the context of every QP not given one: op 0, class
+// "other", no receipt. Nothing writes it.
+var unattributed telemetry.OpContext
 
-// SetProfClass tags this QP's resource grants with an op class for
-// profiler attribution. Set once at wiring.
-func (q *QP) SetProfClass(class string) { q.profClass = class }
+// SetContext points this QP at the op context its work attributes to.
+// Call once at wiring; the context's owner retags it per op.
+func (q *QP) SetContext(c *telemetry.OpContext) { q.ctx = c }
 
-// SetReceipt attaches the latency receipt of the op about to execute
-// through this QP (nil clears). Like SetTraceOp, per-slot QPs are
-// retagged at each arm; shared trigger QPs stay nil.
-func (q *QP) SetReceipt(r *telemetry.Receipt) { q.rcpt = r }
+// Context returns the op context this QP's work attributes to.
+func (q *QP) Context() *telemetry.OpContext { return q.ctx }
 
 // QPN returns the queue-pair number.
 func (q *QP) QPN() uint32 { return q.qpn }

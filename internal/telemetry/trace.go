@@ -58,7 +58,6 @@ type Tracer struct {
 	head   int    // ring mode: index of the oldest event once wrapped
 	shed   uint64 // ring mode: events overwritten so far
 	nextOp uint64
-	curOp  uint64
 
 	procIDs   map[string]int32
 	procNames []string
@@ -242,23 +241,18 @@ func (t *Tracer) Exec(proc, track, name string, start, end sim.Time, op uint64) 
 	})
 }
 
-// SetOp stashes the current op id so a lower layer invoked
-// synchronously (the sim is single-threaded) can pick it up with Op
-// without threading it through every signature. Callers must reset to
-// 0 after the synchronous call chain returns.
-func (t *Tracer) SetOp(op uint64) {
-	if t == nil {
-		return
-	}
-	t.curOp = op
-}
-
-// Op returns the id stashed by SetOp (0 when disabled or unset).
-func (t *Tracer) Op() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.curOp
+// OpContext is the identity an op's work carries down to the NIC: the
+// trace op id its WR spans attribute to, the profiler class its
+// resource grants fold into ("" folds into "other"), and the latency
+// receipt those grants also fold into (nil = none riding). One context
+// covers every queue that runs one offload's chain: each QP points at
+// its context from wiring on, a pipeline slot's context is retagged per
+// op, and a shared trigger QP's stays class-only because its batched
+// SENDs interleave ops.
+type OpContext struct {
+	Op      uint64
+	Class   string
+	Receipt *Receipt
 }
 
 // Len returns the number of recorded events.

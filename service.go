@@ -1337,10 +1337,8 @@ func (s *Service) tryGet(g *getOp) {
 	if s.tr.Enabled() {
 		s.tr.AsyncBegin("attempt", g.op<<4|uint64(g.i), sh.trTry, g.op)
 	}
-	s.tr.SetOp(g.op)
 	g.next = getAttempt
-	g.cli.GetAsync(g.key, g.valLen, g.attemptFn)
-	s.tr.SetOp(0)
+	g.cli.getAsync(g.key, g.valLen, g.op, g.attemptFn)
 	if g.i > 0 {
 		// Retries run outside the caller's batch; kick them directly.
 		g.cli.Flush()

@@ -260,10 +260,8 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 	s.probes++
 	g.partner, g.pcli, g.servedVer = partner, partner.setClient(key), servedVer
 	g.pop = s.tr.OpBegin("probe", key)
-	s.tr.SetOp(g.pop)
 	g.next = getProbe
-	g.pcli.probeAsyncTarget(key, bucket, g.probeFn)
-	s.tr.SetOp(0)
+	g.pcli.probeAsyncTarget(key, bucket, g.pop, g.probeFn)
 	g.pcli.Flush()
 	return true
 }

@@ -703,16 +703,14 @@ func (r *ownerRun) apply() {
 		return
 	}
 	r.cli = sh.setClient(m.key)
-	s.tr.SetOp(r.top)
 	r.next = runAck
 	if m.del {
 		sh.stats.FabricDeletes++
-		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.ackFn)
+		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.top, r.ackFn)
 	} else {
 		sh.stats.FabricSets++
-		r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.ackFn)
+		r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.top, r.ackFn)
 	}
-	s.tr.SetOp(0)
 	// Writes issued from completion callbacks run outside the caller's
 	// batch; kick them directly, like get retries.
 	r.cli.Flush()
