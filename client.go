@@ -105,9 +105,9 @@ type Client struct {
 	// request completes as a miss/failure. Mutable between requests.
 	MissTimeout Duration
 
-	depth  int
-	maxVal uint64
-	zero   []byte // reusable zero source for clearing response slots
+	depth   int
+	maxVal  uint64
+	getVals []byte // depth × maxVal: a get slot's piece lends its callback the value
 
 	// The four pipelines behind GetAsync/SetAsync/DeleteAsync/probeAsync
 	// — one implementation, per-op hooks. pipes indexes them by pipeOp in
@@ -327,12 +327,11 @@ type opPipeline struct {
 	// resp, posts any WR that must precede the trigger SEND and returns
 	// the trigger payload; verdict reads whether the answer that just
 	// landed says applied (nil = every answer does); deliver runs the
-	// typed callback, reading any completion payload from client memory
-	// (slotValid false = the request never reached a slot); release runs
-	// op lifecycle after the slot decision (executed = the chain ran).
+	// typed callback with an answer's payload read from client memory;
+	// release runs op lifecycle once the slot is decided (executed = chain ran).
 	arm     func(req *pipeReq, resp uint64) []byte
 	verdict func(req *pipeReq) bool
-	deliver func(req *pipeReq, lat Duration, ok, slotValid bool)
+	deliver func(req *pipeReq, lat Duration, ok bool)
 	release func(req *pipeReq, ok, executed bool)
 }
 
@@ -452,7 +451,7 @@ func (req *pipeReq) expire() {
 	p.fails++
 	p.lastRan = false // never even reached a slot
 	p.lastRcpt = nil  // never issued: no receipt
-	p.deliver(req, p.c.MissTimeout, false, false)
+	p.deliver(req, p.c.MissTimeout, false)
 	req.release()
 }
 
@@ -592,7 +591,7 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 	if p.release != nil {
 		p.release(req, ok, executed)
 	}
-	p.deliver(req, lat, ok, true)
+	p.deliver(req, lat, ok)
 	p.pump()
 	c.Flush()
 	if req.timed {
@@ -778,7 +777,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 		MissTimeout: DefaultMissTimeout,
 		depth:       depth,
 		maxVal:      maxVal,
-		zero:        make([]byte, maxVal),
+		getVals:     make([]byte, uint64(depth)*maxVal),
 		arena:       arena,
 		prevVal:     make(map[uint64]uint64),
 		nextVer:     make(map[uint64]uint64),
@@ -860,17 +859,17 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 func (c *Client) wireHooks() {
 	// ---- get ----
 	c.get.arm = func(req *pipeReq, resp uint64) []byte {
-		c.node.Mem.Write(resp, c.zero[:req.valLen]) // so misses are observable
 		c.gets.Ctxs[req.slot].Arm()
 		return c.gets.Ctxs[req.slot].TriggerPayload(req.key, req.valLen, resp)
 	}
-	c.get.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
+	c.get.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		if req.getCB == nil {
 			return
 		}
-		var val []byte
-		if slotValid {
-			val, _ = c.node.Mem.Read(c.get.resp[req.slot], req.valLen)
+		var val []byte // a miss has no value
+		if ok {
+			val = c.getVals[uint64(req.slot)*c.maxVal:][:req.valLen:req.valLen]
+			c.node.Mem.ReadInto(c.get.resp[req.slot], val)
 		}
 		req.getCB(val, lat, ok)
 	}
@@ -891,7 +890,7 @@ func (c *Client) wireHooks() {
 		v, _ := c.node.Mem.U64(req.p.resp[req.slot])
 		return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
 	}
-	acked := func(req *pipeReq, lat Duration, ok, slotValid bool) {
+	acked := func(req *pipeReq, lat Duration, ok bool) {
 		if req.ackCB != nil {
 			req.ackCB(lat, ok)
 		}
@@ -943,12 +942,12 @@ func (c *Client) wireHooks() {
 		c.prbs.Ctxs[req.slot].Arm()
 		return c.prbs.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, resp)
 	}
-	c.prb.deliver = func(req *pipeReq, lat Duration, ok, slotValid bool) {
+	c.prb.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		if req.prbCB == nil {
 			return
 		}
 		var ver uint64
-		if ok && slotValid {
+		if ok {
 			ver, _ = c.node.Mem.U64(c.prb.resp[req.slot])
 		}
 		req.prbCB(ver, lat, ok)
@@ -1040,9 +1039,10 @@ func (c *Client) Flush() {
 
 // GetAsync issues one offloaded get of up to valLen bytes and returns
 // immediately; cb runs (from the simulation, never synchronously) when
-// the response lands or MissTimeout expires. Gets beyond the pipeline
-// window queue client-side until a slot frees. Call Flush to ring the
-// doorbell after posting a batch.
+// the response lands or MissTimeout expires; a miss delivers a nil val.
+// val is valid until cb returns; copy it to keep it. Gets beyond the
+// pipeline window queue client-side until a slot frees. Call Flush to
+// ring the doorbell after posting a batch.
 func (c *Client) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
 	c.getAsync(key, valLen, 0, cb)
 }
@@ -1063,7 +1063,7 @@ func (c *Client) getAsync(key, valLen, op uint64, cb func(val []byte, lat Durati
 
 // Get performs one offloaded get of up to valLen bytes, advancing the
 // simulation until the response lands (or MissTimeout for misses). It
-// returns the value bytes, the observed latency, and whether the key
+// returns a copy of the value, the observed latency, and whether the key
 // was found. On an idle client it advances exactly one MissTimeout
 // window (the paper's blocking client); with other gets already in
 // flight it keeps running until this request itself completes.
@@ -1075,7 +1075,7 @@ func (c *Client) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 		done bool
 	)
 	c.GetAsync(key, valLen, func(v []byte, l Duration, hit bool) {
-		out, lat, ok, done = v, l, hit, true
+		out, lat, ok, done = append([]byte(nil), v...), l, hit, true
 	})
 	c.Flush()
 	eng := c.tb.clu.Eng

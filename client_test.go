@@ -57,6 +57,72 @@ func TestPipelinedClientDemux(t *testing.T) {
 	}
 }
 
+// A fabric get lends its callback the bytes in its slot's own piece of
+// the client's value buffer: K gets in flight on K slots each see their
+// own key, and since no slot is reissued, each piece still holds its key
+// after the last callback. The blocking Gets, whose answers outlive any
+// callback, hand back copies that later gets on the same slots leave
+// alone.
+func TestGetValueIsBorrowedGetIsOwned(t *testing.T) {
+	const k, valLen = 8, 64
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(4096)
+	for key := uint64(1); key <= 64; key++ {
+		if err := table.Set(key, Value(key, valLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli := tb.NewPipelinedClient(srv, LookupSingle, k)
+	cli.Bind(table)
+	lent := make([][]byte, k+1)
+	for key := uint64(1); key <= k; key++ {
+		cli.GetAsync(key, valLen, func(val []byte, _ Duration, ok bool) {
+			if !ok || !bytes.Equal(val, Value(key, valLen)) {
+				t.Errorf("get(%d) delivered %x", key, val)
+			}
+			lent[key] = val
+		})
+	}
+	cli.Flush()
+	tb.Run()
+	if cli.get.maxInFlight != k {
+		t.Fatalf("%d gets in flight at once, want %d on distinct slots", cli.get.maxInFlight, k)
+	}
+	for key := uint64(1); key <= k; key++ {
+		if !bytes.Equal(lent[key], Value(key, valLen)) {
+			t.Errorf("slot piece of get(%d) now holds %x: slots share a buffer", key, lent[key])
+		}
+	}
+
+	owned, _, ok := cli.Get(1, valLen)
+	s := NewServiceWith(ServiceConfig{Shards: 1, ClientsPerShard: 1, Pipeline: 2,
+		Buckets: 1 << 10, MaxValLen: valLen})
+	for key := uint64(1); key <= 33; key++ {
+		if err := s.Set(key, Value(key, valLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svcOwned, _, svcOK := s.Get(1, valLen)
+	if !ok || !svcOK {
+		t.Fatal("blocking get of a present key missed")
+	}
+	for key := uint64(2); key <= 33; key++ {
+		cli.GetAsync(key, valLen, func([]byte, Duration, bool) {})
+		s.GetAsync(key, valLen, func([]byte, Duration, bool) {})
+	}
+	cli.Flush()
+	s.Flush()
+	tb.Run()
+	s.Run()
+	if !bytes.Equal(owned, Value(1, valLen)) {
+		t.Errorf("Client.Get's value changed to %x under later gets", owned)
+	}
+	if !bytes.Equal(svcOwned, Value(1, valLen)) {
+		t.Errorf("Service.Get's value changed to %x under later gets", svcOwned)
+	}
+}
+
 // Pipelining must overlap request latencies: 32 gets 16-deep should
 // finish in far less virtual time than 32 blocking gets.
 func TestPipelineOverlapsLatency(t *testing.T) {
@@ -488,7 +554,7 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 			t.Fatalf("set(%d) failed", k)
 		}
 	}
-	liveBefore := srv.valueArena().LiveBytes()
+	liveBefore := srv.valueArena().Stats().LiveBytes
 	for k := uint64(1); k <= 16; k++ {
 		lat, ok := cli.Delete(k)
 		if !ok {
@@ -523,7 +589,7 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 	if st := cli.Stats(); st.GCFreed != 16 || st.GCStale != 0 {
 		t.Fatalf("gc freed=%d stale=%d, want 16/0", st.GCFreed, st.GCStale)
 	}
-	if live := srv.valueArena().LiveBytes(); live >= liveBefore {
+	if live := srv.valueArena().Stats().LiveBytes; live >= liveBefore {
 		t.Fatalf("arena live bytes %d did not drop from %d after deletes", live, liveBefore)
 	}
 }
@@ -659,7 +725,7 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 			bucket = ht.BucketAddr(ht.Hash(key, fn))
 		}
 	}
-	live := srv.valueArena().LiveBytes()
+	live := srv.valueArena().Stats().LiveBytes
 	for i := 0; i < 20; i++ {
 		done := false
 		cli.setAsyncClaim(777, Value(777, 64), coreSetClaim(bucket, 0, 777), 1, 0,
@@ -675,7 +741,7 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 			t.Fatal("refused set never completed")
 		}
 	}
-	if got := srv.valueArena().LiveBytes(); got != live {
+	if got := srv.valueArena().Stats().LiveBytes; got != live {
 		t.Fatalf("arena grew %d -> %d live bytes across 20 refused claims", live, got)
 	}
 	if cuts, w := cli.Stats().WindowCuts, cli.pipelineStats(pipeSet).Window; cuts != 0 || w != 4 {

@@ -39,9 +39,6 @@ type segment struct {
 	size uint64
 	fill uint64 // bump cursor within the segment
 	live uint64 // bytes of live extents
-	// extents maps extent base -> record, for the extents still live
-	// in this segment.
-	extents map[uint64]*record
 }
 
 // record is one live extent.
@@ -61,8 +58,8 @@ type Arena struct {
 	sealed []*segment // full (or retired-from-active) segments
 	free   []*segment // fully-dead segments awaiting reuse
 
-	byAddr map[uint64]*record
-	spare  []*record // records of freed extents, reused by Alloc
+	byAddr map[uint64]*record // the one index of live extents
+	spare  []*record          // records of freed extents, reused by Alloc
 
 	liveBytes uint64
 	peakLive  uint64 // high-water live bytes
@@ -101,8 +98,7 @@ func (a *Arena) newSegment(size uint64) *segment {
 	if size < a.segSize {
 		size = a.segSize
 	}
-	s := &segment{base: a.mem.Alloc(size, 8), size: size,
-		extents: make(map[uint64]*record)}
+	s := &segment{base: a.mem.Alloc(size, 8), size: size}
 	a.footprint += size
 	if a.footprint > a.peak {
 		a.peak = a.footprint
@@ -148,7 +144,6 @@ func (a *Arena) Alloc(size, cookie uint64) uint64 {
 		r = new(record)
 	}
 	*r = record{addr: addr, size: size, cookie: cookie, seg: s}
-	s.extents[addr] = r
 	s.live += size
 	a.byAddr[addr] = r
 	a.liveBytes += size
@@ -190,7 +185,6 @@ func (a *Arena) Free(addr uint64) error {
 func (a *Arena) release(r *record) {
 	seg := r.seg
 	delete(a.byAddr, r.addr)
-	delete(seg.extents, r.addr)
 	seg.live -= r.size
 	a.liveBytes -= r.size
 	a.frees++
@@ -231,9 +225,6 @@ func (a *Arena) Cookie(addr uint64) (uint64, bool) {
 	return r.cookie, true
 }
 
-// Live reports whether addr is the base of a live extent.
-func (a *Arena) Live(addr uint64) bool { _, ok := a.byAddr[addr]; return ok }
-
 // CompactBelow evacuates every sealed segment whose live fraction is
 // strictly below threshold. For each survivor extent it calls relocate
 // with the extent's cookie, base and capacity; relocate moves the
@@ -251,32 +242,37 @@ func (a *Arena) CompactBelow(threshold float64, relocate func(cookie, addr, size
 	// Victims snapshot first: relocation allocates, and fresh
 	// allocations must never land in a segment being emptied (the
 	// active segment and free-list segments are never victims).
-	var victims []*segment
+	turn := make(map[*segment]uint64) // victim -> its place in sealed order
 	for _, s := range a.sealed {
 		if float64(s.live) < threshold*float64(s.size) {
-			victims = append(victims, s)
+			turn[s] = uint64(len(turn))
 		}
 	}
-	for _, s := range victims {
-		// Addresses, not records: relocate allocates, and may free, so a
-		// record snapshotted here could be another extent's by its turn.
-		addrs := make([]uint64, 0, len(s.extents))
-		for addr := range s.extents {
-			addrs = append(addrs, addr)
+	if len(turn) == 0 {
+		return 0, 0
+	}
+	// Survivors as (turn, addr): victims in sealed order, ascending
+	// address within each. Addresses, not records: relocate allocates,
+	// and may free, so a record snapshotted here could be another
+	// extent's by its turn.
+	var todo [][2]uint64
+	for addr, r := range a.byAddr {
+		if i, ok := turn[r.seg]; ok {
+			todo = append(todo, [2]uint64{i, addr})
 		}
-		slices.Sort(addrs)
-		for _, addr := range addrs {
-			r := s.extents[addr]
-			if r == nil {
-				continue // freed under an earlier relocate
-			}
-			if size := r.size; relocate(r.cookie, addr, size) {
-				moved++
-				bytes += size
-				a.compactMoves++
-				a.compactBytes += size
-				a.release(r)
-			}
+	}
+	slices.SortFunc(todo, func(x, y [2]uint64) int { return slices.Compare(x[:], y[:]) })
+	for _, v := range todo {
+		r := a.byAddr[v[1]]
+		if r == nil {
+			continue // freed under an earlier relocate
+		}
+		if size := r.size; relocate(r.cookie, r.addr, size) {
+			moved++
+			bytes += size
+			a.compactMoves++
+			a.compactBytes += size
+			a.release(r)
 		}
 	}
 	return moved, bytes
@@ -323,12 +319,6 @@ func (a *Arena) Stats() Stats {
 		CompactBytes: a.compactBytes,
 	}
 }
-
-// LiveBytes returns the bytes held by live extents.
-func (a *Arena) LiveBytes() uint64 { return a.liveBytes }
-
-// Footprint returns the bytes of node memory the arena holds.
-func (a *Arena) Footprint() uint64 { return a.footprint }
 
 // FreeRing is the to-free ring a NIC delete chain unlinks value
 // extents onto: N slots of [tag, addr, len] triples in server memory.

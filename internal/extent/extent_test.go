@@ -2,6 +2,7 @@ package extent
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -17,7 +18,7 @@ func TestArenaAllocFreeRecycle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		addrs = append(addrs, a.Alloc(64, uint64(i)))
 	}
-	if got := a.LiveBytes(); got != 256 {
+	if got := a.Stats().LiveBytes; got != 256 {
 		t.Fatalf("live bytes %d, want 256", got)
 	}
 	// Start a second segment so the first seals.
@@ -107,7 +108,7 @@ func TestArenaCompactBelow(t *testing.T) {
 		t.Fatalf("compaction moved %d extents / %d bytes, want 2/128", n, bytes)
 	}
 	for _, ad := range keep {
-		if a.Live(ad) {
+		if _, live := a.Size(ad); live {
 			t.Fatalf("old extent %#x still live after relocation", ad)
 		}
 	}
@@ -133,7 +134,7 @@ func TestArenaRecordReuse(t *testing.T) {
 	if a.byAddr[z] != rx || len(a.spare) != 0 {
 		t.Fatalf("Alloc after Free made a new record (spare %d)", len(a.spare))
 	}
-	if a.Live(x) || a.Free(x) == nil {
+	if _, live := a.Size(x); live || a.Free(x) == nil {
 		t.Fatalf("%#x still answers after its record moved to %#x", x, z)
 	}
 	if c, _ := a.Cookie(z); c != 3 {
@@ -158,8 +159,8 @@ func TestArenaRecordReuse(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("%d records made for a live set of 2 (+1 in hand-over), want 3", len(seen))
 	}
-	if a.LiveBytes() != 128 || a.Stats().LiveExtents != 2 {
-		t.Fatalf("live %d bytes / %d extents, want 128 / 2", a.LiveBytes(), a.Stats().LiveExtents)
+	if a.Stats().LiveBytes != 128 || a.Stats().LiveExtents != 2 {
+		t.Fatalf("live %d bytes / %d extents, want 128 / 2", a.Stats().LiveBytes, a.Stats().LiveExtents)
 	}
 }
 
@@ -194,7 +195,7 @@ func TestArenaCompactBelowSkipsExtentsFreedUnderIt(t *testing.T) {
 		t.Fatalf("after compaction: %d extents, %d bytes, %d free segments; want 3, 192, 1", st.LiveExtents, st.LiveBytes, st.FreeSegments)
 	}
 	for _, ad := range seg1 {
-		if a.Live(ad) {
+		if _, live := a.Size(ad); live {
 			t.Fatalf("old extent %#x still live", ad)
 		}
 	}
@@ -276,8 +277,8 @@ func TestArenaPropertyRandomized(t *testing.T) {
 				return true
 			})
 		}
-		if a.LiveBytes() != liveBytes {
-			t.Fatalf("step %d: arena live bytes %d, model %d", step, a.LiveBytes(), liveBytes)
+		if a.Stats().LiveBytes != liveBytes {
+			t.Fatalf("step %d: arena live bytes %d, model %d", step, a.Stats().LiveBytes, liveBytes)
 		}
 		if a.Stats().LiveExtents != len(live) {
 			t.Fatalf("step %d: arena live extents %d, model %d", step, a.Stats().LiveExtents, len(live))
@@ -286,8 +287,43 @@ func TestArenaPropertyRandomized(t *testing.T) {
 	// With steady-state churn (allocs roughly balancing frees plus
 	// periodic compaction) the footprint must stay within a small
 	// multiple of the live set, not track cumulative allocations.
-	if fp, lb := a.Footprint(), a.LiveBytes(); lb > 0 && fp > 8*lb+16*1024 {
-		t.Fatalf("footprint %d unbounded relative to %d live bytes", fp, lb)
+	if st := a.Stats(); st.LiveBytes > 0 && st.Footprint > 8*st.LiveBytes+16*1024 {
+		t.Fatalf("footprint %d unbounded relative to %d live bytes", st.Footprint, st.LiveBytes)
+	}
+}
+
+// The order CompactBelow hands survivors to relocate: victims in the
+// order they sealed, ascending address within each. The history below
+// recycles segments, so its three victims sealed at 0x1500, 0x1200 and
+// 0x1000 — not in address order. The pin was taken before the arena
+// dropped its per-segment index; relocation order must not have moved.
+func TestArenaCompactionOrder(t *testing.T) {
+	a := NewArena(mem.New(1<<20), 256)
+	rng := rand.New(rand.NewSource(1))
+	var live []uint64
+	for i := 0; i < 300; i++ {
+		live = append(live, a.Alloc(uint64(8*(1+rng.Intn(8))), uint64(i+1)))
+		for len(live) > 16 || (len(live) > 4 && rng.Intn(3) == 0) {
+			j := rng.Intn(len(live))
+			if err := a.Free(live[j]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:j], live[j+1:]...)
+		}
+	}
+	var got [][2]uint64
+	a.CompactBelow(0.5, func(cookie, addr, size uint64) bool {
+		got = append(got, [2]uint64{cookie, addr})
+		a.Alloc(size, cookie)
+		return true
+	})
+	want := [][2]uint64{
+		{264, 0x1570},
+		{274, 0x1200}, {279, 0x12b8},
+		{286, 0x1030}, {287, 0x1038}, {288, 0x1068}, {289, 0x1080},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("relocation order (cookie, addr)\n got  %#x\n want %#x", got, want)
 	}
 }
 

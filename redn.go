@@ -31,6 +31,8 @@
 //
 //	s := redn.NewService(8, 2) // 8 shards, 2 pipelined clients each
 //	s.Set(42, []byte("hello")) // fabric write: CAS claim + staged value
+//	// val is valid until cb returns; copy it to keep it. A cache hit
+//	// hands out the cache's own slice, which must not be modified.
 //	s.GetAsync(42, 5, func(val []byte, lat redn.Duration, ok bool) { ... })
 //	s.SetAsync(42, []byte("world"), func(lat redn.Duration, err error) { ... })
 //	s.Flush()

@@ -1082,7 +1082,8 @@ func (s *Service) readOrder(g *getOp) {
 }
 
 // Get performs one blocking get (routing + offloaded lookup),
-// advancing the simulation until the response lands or times out.
+// advancing the simulation until the response lands or times out. The
+// value it returns is the caller's own copy.
 func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 	var (
 		out  []byte
@@ -1091,7 +1092,7 @@ func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 		done bool
 	)
 	s.GetAsync(key, valLen, func(v []byte, l Duration, hit bool) {
-		out, lat, ok, done = v, l, hit, true
+		out, lat, ok, done = append([]byte(nil), v...), l, hit, true
 	})
 	s.Flush()
 	eng := s.tb.clu.Eng
@@ -1110,7 +1111,9 @@ func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 // Replicas > 1 a crashed shard costs the gets that reach it before its
 // circuit breaker opens one extra MissTimeout rather than their answers,
 // and the gets after that nothing. Tracked hot keys may be answered from
-// the client-side cache with no NIC involvement at all. Gets beyond a
+// the client-side cache with no NIC involvement at all. val is valid
+// until cb returns; copy it to keep it. A cache hit hands out the
+// cache's own slice, which must not be modified. Gets beyond a
 // client's pipeline depth queue client-side. Call Flush after posting
 // a batch — same-shard gets posted between flushes share one doorbell.
 func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
