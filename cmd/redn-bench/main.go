@@ -1,15 +1,13 @@
 // Command redn-bench regenerates the paper's tables and figures on the
-// simulated testbed, plus the beyond-paper scale-out scenario.
+// simulated testbed, plus the beyond-paper service scenarios (failover,
+// mixed, churn, repair, overload, resharding, sentinel). The service's
+// throughput in both clocks is bench/run.sh's to measure.
 //
 // Usage:
 //
 //	redn-bench                      # run everything
 //	redn-bench fig10                # run one experiment
 //	redn-bench -json fig10 fig11    # machine-readable results
-//	redn-bench -scale-requests 1000000 scaleout
-//	redn-bench -churn 100000        # churn with an explicit op count
-//	redn-bench -repair 50000        # repair with an explicit read count
-//	redn-bench -reshard 20000       # resharding with an explicit op count
 //	redn-bench -trace out.json      # trace a mixed run (Perfetto-loadable)
 //	redn-bench -watch incident.json # crash a shard under the SLO sentinel and dump its incident bundle
 //	redn-bench -profile out.folded  # profile a mixed run (folded stacks, flamegraph-loadable)
@@ -28,11 +26,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
-	scaleReq := flag.Int("scale-requests", 0, "request count per scaleout configuration (0 = default)")
-	churnReq := flag.Int("churn", 0, "request count for the churn experiment (0 = default; longer runs sharpen the leak-baseline divergence)")
-	repairReq := flag.Int("repair", 0, "read count for the repair experiment's convergence phase (0 = default)")
-	overloadReq := flag.Int("overload", 0, "per-point request budget for the overload sweep (0 = default; longer points sharpen the goodput fractions)")
-	reshardReq := flag.Int("reshard", 0, "open-loop op count for the resharding timeline (0 = default; longer runs widen the steady windows around the join and drain)")
 	tracePath := flag.String("trace", "", "run a traced mixed workload and write Chrome trace-event JSON (load in Perfetto) to this path")
 	watchPath := flag.String("watch", "", "run the sentinel's crash scenario and write the incident bundle it captures to this path")
 	profilePath := flag.String("profile", "", "run a profiled mixed workload and write the virtual-time profile (folded stacks, flamegraph-loadable) to this path")
@@ -126,21 +119,7 @@ func main() {
 	runOne := func(id string) *experiments.Result {
 		fmt.Fprintf(os.Stderr, "running %-8s ...", id)
 		start := time.Now()
-		var r *experiments.Result
-		switch {
-		case id == "scaleout" && *scaleReq > 0:
-			r = experiments.ScaleOutN(*scaleReq)
-		case id == "churn" && *churnReq > 0:
-			r = experiments.ChurnN(*churnReq)
-		case id == "repair" && *repairReq > 0:
-			r = experiments.RepairN(*repairReq)
-		case id == "overload" && *overloadReq > 0:
-			r = experiments.OverloadN(*overloadReq)
-		case id == "resharding" && *reshardReq > 0:
-			r = experiments.ReshardingN(*reshardReq)
-		default:
-			r = experiments.ByID(id)
-		}
+		r := experiments.ByID(id)
 		fmt.Fprintf(os.Stderr, " done in %.1fs\n", time.Since(start).Seconds())
 		return r
 	}

@@ -26,13 +26,6 @@ func Churn() *Result {
 	return churnRun(24000)
 }
 
-// ChurnN is Churn with an explicit closed-loop request count
-// (redn-bench -churn): longer runs sharpen the leak baseline's
-// divergence while the arena's ratio stays flat.
-func ChurnN(requests int) *Result {
-	return churnRun(requests)
-}
-
 // churnKeys is the fixed live-set size per run: small relative to the
 // write volume, because that disproportion is exactly what churn means
 // — the leak baseline's footprint tracks cumulative writes while the

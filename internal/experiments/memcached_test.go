@@ -21,14 +21,14 @@ func TestMemcachedFigures(t *testing.T) {
 		}
 		return v
 	}
-	for _, row := range Fig14().Rows {
+	for _, row := range result("fig14").Rows {
 		redn, one, two := cell(row, 0), cell(row, 1), cell(row, 2)
 		if !(redn < one && one < two) {
 			t.Errorf("fig14 %s: RedN %.2f, one-sided %.2f, two-sided %.2f us; want increasing", row.Label, redn, one, two)
 		}
 	}
 
-	m := Fig15().Metrics
+	m := result("fig15").Metrics
 	if f := m["isolation_factor"]; f < 35 {
 		t.Errorf("fig15 isolation_factor = %.1f, want >= 35", f)
 	}
@@ -36,7 +36,7 @@ func TestMemcachedFigures(t *testing.T) {
 		t.Errorf("fig15 redn_p99_us = %.2f, want < 10", p99)
 	}
 
-	m = Fig16().Metrics
+	m = result("fig16").Metrics
 	if n := m["redn_down_buckets"]; n != 0 {
 		t.Errorf("fig16 redn_down_buckets = %v, want 0", n)
 	}

@@ -37,13 +37,6 @@ func Overload() *Result {
 	return overloadRun(6000)
 }
 
-// OverloadN is Overload with an explicit per-point request budget
-// (redn-bench -overload): the calibration run and the open-loop
-// duration both scale with it.
-func OverloadN(requests int) *Result {
-	return overloadRun(requests)
-}
-
 // overloadKeys is the preloaded key-set size: small enough to preload
 // quickly, large enough that per-(owner,key) write serialization never
 // shapes a pure-get sweep.

@@ -30,12 +30,6 @@ func Repair() *Result {
 	return repairRun(12000)
 }
 
-// RepairN is Repair with an explicit closed-loop request count for the
-// read-repair phase (redn-bench -repair).
-func RepairN(requests int) *Result {
-	return repairRun(requests)
-}
-
 // repairGeom is the divergence testbed: a small ring whose capacity the
 // fill phase can genuinely exhaust.
 const (

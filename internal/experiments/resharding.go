@@ -24,17 +24,6 @@ func Resharding() *Result {
 		1500*sim.Millisecond, 3500*sim.Millisecond)
 }
 
-// ReshardingN is the benchmark entry point: the same join+drain
-// timeline compressed or stretched to roughly n open-loop operations.
-func ReshardingN(n int) *Result {
-	gap := 200 * sim.Microsecond
-	duration := sim.Time(n) * gap
-	if duration < 800*sim.Millisecond {
-		duration = 800 * sim.Millisecond
-	}
-	return reshardingRun(duration, duration/24, gap, duration/4, duration*5/8)
-}
-
 // reshardKeys is the preloaded key-set size.
 const reshardKeys = 4000
 

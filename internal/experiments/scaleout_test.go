@@ -3,7 +3,52 @@ package experiments
 import (
 	"regexp"
 	"testing"
+
+	"repro"
+	"repro/internal/workload"
 )
+
+// closedLoop builds the service cfg describes (cfg sets only what a
+// comparison varies), preloads keys 1..10 000 with 64 B values, and
+// drives requests gets through a closed loop as deep as all its
+// pipelines together: uniform keys, or Zipfian (s = 1.1) when zipf.
+// bench/'s read_uniform and hot_zipf_cached record this testbed's
+// throughput in both clocks; the speedup tests keep the floors that
+// sharding, pipelining, replica reads and the hot-key cache must clear.
+func closedLoop(cfg redn.ServiceConfig, zipf bool, requests int) (workload.LoadReport, redn.ServiceStats) {
+	keys := make([]uint64, 10000)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	cfg.Mode = redn.LookupSeq
+	cfg.Buckets = 1 << 16
+	cfg.MaxValLen = 256
+	s := redn.NewServiceWith(cfg)
+	for _, k := range keys {
+		if err := s.Set(k, redn.Value(k, 64)); err != nil {
+			panic(err)
+		}
+	}
+	// Utilization window starts after the host-path preload, so the
+	// bottleneck report reflects the measured workload.
+	s.MarkUtilization()
+	var stream workload.KeyStream = &workload.Uniform{Keys: keys, Rng: workload.Rng(1)}
+	if zipf {
+		stream = workload.NewZipfian(keys, workload.DefaultZipfS, workload.Rng(1))
+	}
+	rep := workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
+		Requests: requests,
+		Window:   cfg.Shards * cfg.ClientsPerShard * cfg.Pipeline,
+		Keys:     stream,
+		ValLen:   64,
+	})
+	return rep, s.Stats()
+}
+
+// sharded is the 8-shard service of 2x16-deep pipelined clients.
+func sharded() redn.ServiceConfig {
+	return redn.ServiceConfig{Shards: 8, ClientsPerShard: 2, Pipeline: 16}
+}
 
 // The scale-out acceptance property: 8 shards of 16-deep pipelined
 // clients must sustain at least 4x the aggregate gets/virtual-second of
@@ -14,9 +59,10 @@ func TestScaleOutSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-out run in -short mode")
 	}
-	r := ScaleOutN(8000)
-	blocking := r.Metrics["blocking_gets_per_sec"]
-	shard8 := r.Metrics["shard8_gets_per_sec"]
+	block, _ := closedLoop(redn.ServiceConfig{Shards: 1, ClientsPerShard: 1, Pipeline: 1}, false, 8000)
+	uni, st := closedLoop(sharded(), false, 8000)
+	zip, _ := closedLoop(sharded(), true, 8000)
+	blocking, shard8 := block.GetsPerSec, uni.GetsPerSec
 	if blocking <= 0 || shard8 <= 0 {
 		t.Fatalf("missing metrics: blocking=%v shard8=%v", blocking, shard8)
 	}
@@ -24,26 +70,16 @@ func TestScaleOutSpeedup(t *testing.T) {
 		t.Fatalf("8-shard pipelined speedup %.1fx, want >= 4x (blocking %.0f/s, sharded %.0f/s)",
 			speedup, blocking, shard8)
 	}
-	if r.Metrics["zipf8_gets_per_sec"] <= 0 {
-		t.Fatal("zipfian metric missing")
-	}
-	if _, ok := r.Metrics["speedup_8shard"]; !ok {
-		t.Fatal("speedup metric missing")
+	if zip.GetsPerSec <= 0 {
+		t.Fatal("zipfian throughput missing")
 	}
 	// The bottleneck report must surface the saturated NIC resource for
 	// the 8-shard run by name.
-	if r.Metrics["shard8_bottleneck_util"] <= 0 {
-		t.Fatal("bottleneck utilization metric missing or zero")
+	if st.Bottleneck.Util <= 0 {
+		t.Fatal("bottleneck utilization missing or zero")
 	}
-	re := regexp.MustCompile(`8-shard uniform bottleneck: shard\d+/port\d+/(fetch|pu\d+) \d+% busy`)
-	found := false
-	for _, n := range r.Notes {
-		if re.MatchString(n) {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("no bottleneck note naming a NIC resource in %q", r.Notes)
+	re := regexp.MustCompile(`^shard\d+/port\d+/(fetch|pu\d+) \d+% busy`)
+	if b := st.Bottleneck.String(); !re.MatchString(b) {
+		t.Fatalf("8-shard uniform bottleneck %q names no NIC resource", b)
 	}
 }
