@@ -290,6 +290,12 @@ type serviceShard struct {
 	hints       map[uint64]*hint
 	inflightSet map[uint64]ring.Queue[func()]
 
+	// Hint drain: hinted keys wait in drainQ, front first, for one of
+	// the shard's drain lanes — one per write slot of its clients —
+	// and idle is the stack of lanes free to take one.
+	drainQ []uint64
+	idle   []*drainLane
+
 	// tombVer records the newest delete sequence THIS owner applied per
 	// key — coordinator metadata standing in for scanning tombstoned
 	// buckets, whose version words lose their key identity once the
@@ -413,9 +419,7 @@ func (sh *serviceShard) probed(_ []byte, _ Duration, ok bool) {
 		return
 	}
 	sh.markLive()
-	if len(sh.hints) > 0 && !sh.hostDown {
-		s.drainHints(sh)
-	}
+	s.drainHints(sh)
 }
 
 // overloaded reports whether admission control should refuse new work
@@ -812,6 +816,13 @@ func (s *Service) buildShard(id string) *serviceShard {
 		trHint: "hint:" + id, trRepair: "repair:" + id}
 	sh.freeRetired = func() { sh.arena.Free(sh.retiring.Pop()) }
 	sh.probeFn = sh.probed
+	lanes := make([]drainLane, cfg.ClientsPerShard*cfg.Pipeline)
+	sh.idle = make([]*drainLane, len(lanes))
+	for i := range lanes {
+		l := &lanes[i]
+		l.sh, l.slotFn, l.doneFn = sh, l.granted, l.done
+		sh.idle[i] = l
+	}
 	sh.initMetrics(s.reg)
 	for c := 0; c < cfg.ClientsPerShard; c++ {
 		cc := fabric.DefaultNodeConfig(fmt.Sprintf("%s-client%d", id, c))
@@ -1365,9 +1376,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		s.maybeCache(g, val)
 		// A hit proves the shard live: if handoff hints piled up
 		// behind a false suspicion, deliver them now.
-		if len(sh.hints) > 0 && !sh.hostDown {
-			s.drainHints(sh)
-		}
+		s.drainHints(sh)
 		// Read-repair: a replicated hit also interrogates one other
 		// owner's version word through the NIC probe chain; skew
 		// enqueues a roll-forward (service_repair.go). The probe keeps

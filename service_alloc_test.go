@@ -2,7 +2,10 @@
 
 package redn
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestSteadyStateOpsAllocate pins what an op costs the host above the
 // NIC once the record pools, rings and maps have grown: nothing for a
@@ -146,5 +149,35 @@ func TestSinksOnOpsAllocate(t *testing.T) {
 				t.Errorf("%v allocations per op with every sink on, %v off: want at most one more", got, off)
 			}
 		})
+	}
+}
+
+// TestHintDrainAllocatesNothingPerHint pins what a recovery's hint
+// drain costs the host: the same objects for 1 024 hints as for 256.
+// The drain lanes and their continuations are made with the shard, and
+// the owner-apply and request records they borrow are bounded by the
+// owner's write slots; what remains is the rebuilt connections. (A
+// drain of fewer hints than one MissTimeout's worth of replays ends
+// before the rebuilt set pipelines, whose request records stay pinned
+// until their deadline, have made their full count.)
+func TestHintDrainAllocatesNothingPerHint(t *testing.T) {
+	mallocs := func(n int) uint64 {
+		s, _, up := hintedOutage(t, n, 4)
+		s.Testbed().Engine().RunUntil(up - 1)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s.Run()
+		runtime.ReadMemStats(&after)
+		if st := s.Stats(); st.HintsApplied != uint64(n) || st.HintsPending != 0 {
+			t.Fatalf("%d of %d hints applied, %d pending", st.HintsApplied, n, st.HintsPending)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := mallocs(256), mallocs(1024)
+	// A few objects of slack for the runtime's own.
+	if large > small+16 {
+		t.Errorf("recovery from 1024 hints allocated %d objects, from 256 %d: the drain allocates per hint",
+			large, small)
 	}
 }

@@ -35,6 +35,13 @@ func recordsHome(t *testing.T, s *Service, old ...*Client) {
 		}
 	}
 	if len(s.runs.free) != s.runs.made {
+		for _, sh := range s.order {
+			t.Logf("%s inflightSet %d hostDown %v down %v", sh.id, len(sh.inflightSet), sh.hostDown, sh.down())
+			for _, c := range sh.clients {
+				st := c.pipelineStats(pipeSet)
+				t.Logf("  %+v", st)
+			}
+		}
 		t.Fatalf("%d of %d owner-apply records back on the free list", len(s.runs.free), s.runs.made)
 	}
 	for _, r := range s.runs.free {
@@ -473,4 +480,182 @@ func TestReleasedOpRecordsPanic(t *testing.T) {
 	}
 	s.Run()
 	mustPanic("a stale attempt on a re-taken, re-released record", "get continuation", func() { g.attemptFn(nil, 0, false) })
+}
+
+// rewriteKeys runs users closed loops that set the keys, in order, to
+// Value(key+delta, 48), and returns at once.
+func rewriteKeys(s *Service, keys []uint64, users int, delta uint64) {
+	i := 0
+	var user func()
+	user = func() {
+		if i == len(keys) {
+			return
+		}
+		k := keys[i]
+		i++
+		s.SetAsync(k, Value(k+delta, 48), func(Duration, error) {
+			user()
+			s.Flush()
+		})
+	}
+	for u := 0; u < users; u++ {
+		user()
+	}
+	s.Flush()
+}
+
+// hintedOutage preloads n keys on three r=3 shards, each served by two
+// 4-deep client connections (eight write slots per owner), crashes the
+// first shard, and rewrites every key to Value(key+1) through users
+// closed loops while it is down, so n hints wait for it. A write waits
+// for all three owners (W=3), so with all of them up a user never has
+// more than one write's legs in flight; while one is down its writes
+// fail, and hint all the same. It returns once the hints are queued,
+// with the owner and the virtual time its host comes back.
+func hintedOutage(t *testing.T, n, users int) (*Service, *serviceShard, sim.Time) {
+	t.Helper()
+	s := NewServiceWith(ServiceConfig{
+		Shards: 3, ClientsPerShard: 2, Pipeline: 4, Mode: LookupSeq,
+		Replicas: 3, WriteQuorum: 3, Buckets: 1 << 12, MaxValLen: 64})
+	keys := preloadKeys(t, s, n)
+	victim := s.order[0]
+	crashAt := s.Now() + sim.Microsecond
+	s.CrashShard(0, failure.ProcessCrash, crashAt)
+	s.Testbed().RunFor(10 * sim.Microsecond)
+	// With the breaker open the owner's legs hint at once, not after a
+	// MissTimeout each; the reconnect at recovery closes it.
+	victim.suspectUntil = s.Now() + 10*sim.Second
+	rewriteKeys(s, keys, users, 1)
+	s.Testbed().RunFor(sim.Second)
+	if len(victim.hints) != n || !victim.hostDown {
+		t.Fatalf("setup: %d of %d hints wait for the owner (down: %v)", len(victim.hints), n, victim.hostDown)
+	}
+	return s, victim, crashAt + failure.BootstrapTime + failure.RebuildTime
+}
+
+// A recovery drains its hints through the owner's drain lanes — one
+// per write slot of its clients — not all at once: however many hints
+// the outage left, the drain holds no more owner applies, and puts no
+// more requests in the rebuilt set pipelines, than the owner has write
+// slots, beside what the users themselves have in flight. The users
+// rewrite the hinted keys during the drain, so some hints are
+// superseded in the queue and some replays meet a newer write at the
+// key's write slot; every key still ends at its newest value.
+func TestHintDrainIsBounded(t *testing.T) {
+	const n, users = 256, 4
+	s, victim, up := hintedOutage(t, n, users)
+	lanes := s.cfg.ClientsPerShard * s.cfg.Pipeline
+	if len(victim.idle) != lanes || lanes != 8 {
+		t.Fatalf("setup: %d idle drain lanes, want all %d of 8", len(victim.idle), lanes)
+	}
+	old := append([]*Client(nil), victim.clients...)
+	// Count the owner-apply records the recovery makes. The outage's
+	// writes failed while their live legs still ran, so its users grew
+	// the pool past what they hold with every owner up.
+	if len(s.runs.free) != s.runs.made {
+		t.Fatalf("setup: %d of %d owner-apply records home before the recovery", len(s.runs.free), s.runs.made)
+	}
+	s.runs = recordPool[ownerRun]{}
+	eng := s.Testbed().Engine()
+	eng.RunUntil(up)
+	if victim.hostDown || len(victim.hints) == 0 {
+		t.Fatalf("setup: at recovery the owner is down=%v with %d hints", victim.hostDown, len(victim.hints))
+	}
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(n - i)
+	}
+	rewriteKeys(s, keys, users, 2)
+	busy, held := 0, 0
+	for eng.Pending() > 0 {
+		busy = max(busy, lanes-len(victim.idle))
+		h := 0
+		for _, cli := range victim.clients {
+			st := cli.pipelineStats(pipeSet)
+			h += st.InFlight + st.Queued
+		}
+		held = max(held, h)
+		eng.RunUntil(eng.Now() + sim.Microsecond)
+	}
+	st := s.Stats().Shards[0]
+	if busy == 0 || busy > lanes {
+		t.Fatalf("at most %d drain lanes were busy at once, want 1 to %d", busy, lanes)
+	}
+	if s.runs.made > lanes+3*users {
+		t.Fatalf("the recovery made %d owner-apply records: more than %d lanes and %d users need",
+			s.runs.made, lanes, users)
+	}
+	if held > lanes+users {
+		t.Fatalf("the rebuilt set pipelines held %d requests at once: more than %d lanes and %d users",
+			held, lanes, users)
+	}
+	if st.HintsApplied == 0 || st.HintsDropped == 0 || st.HintsQueued != st.HintsApplied+st.HintsDropped ||
+		len(victim.hints) != 0 {
+		t.Fatalf("hints: %d queued, %d applied, %d dropped, %d pending", st.HintsQueued, st.HintsApplied,
+			st.HintsDropped, len(victim.hints))
+	}
+	for _, k := range keys {
+		if v, ok := ownerValue(t, s, victim.id, k); !ok || !bytes.Equal(v, Value(k+2, 48)) {
+			t.Fatalf("key %d: the recovered owner does not hold its newest value", k)
+		}
+	}
+	recordsHome(t, s, old...)
+}
+
+// A second crash mid-drain leaves the hints not yet applied queued on
+// the owner — none lost, none applied twice — and the next recovery
+// drains them.
+func TestHintDrainSurvivesSecondCrash(t *testing.T) {
+	const n = 400
+	s, victim, up := hintedOutage(t, n, 4)
+	old := append([]*Client(nil), victim.clients...)
+	applied := map[uint64]int{}
+	s.applyHook = func(id string, key, seq uint64) {
+		if id == victim.id {
+			applied[key]++
+		}
+	}
+	eng := s.Testbed().Engine()
+	eng.RunUntil(up)
+	for len(applied) == 0 {
+		eng.RunUntil(eng.Now() + sim.Microsecond)
+	}
+	old = append(old, victim.clients...)
+	s.CrashShard(0, failure.ProcessCrash, s.Now())
+	eng.RunUntil(s.Now() + sim.Microsecond)
+	if !victim.hostDown || len(victim.hints) < 100 {
+		t.Fatalf("setup: the second crash found %d hints queued (down: %v), want >= 100",
+			len(victim.hints), victim.hostDown)
+	}
+	// Through the second outage: the replays in flight fail, and nothing
+	// else starts.
+	eng.RunUntil(s.Now() + 100*sim.Millisecond)
+	st := s.Stats().Shards[0]
+	if len(victim.idle) != s.cfg.ClientsPerShard*s.cfg.Pipeline {
+		t.Fatalf("%d drain lanes still busy with the owner down", s.cfg.ClientsPerShard*s.cfg.Pipeline-len(victim.idle))
+	}
+	if int(st.HintsApplied)+len(victim.hints) != n || st.HintsDropped != 0 {
+		t.Fatalf("mid-outage: %d applied + %d pending of %d hints (%d dropped)",
+			st.HintsApplied, len(victim.hints), n, st.HintsDropped)
+	}
+	for k, c := range applied {
+		if c != 1 || victim.hints[k] != nil {
+			t.Fatalf("key %d: applied %d times, still pending: %v", k, c, victim.hints[k] != nil)
+		}
+	}
+	s.Run()
+	st = s.Stats().Shards[0]
+	if st.Rebuilds != 2 || st.HintsApplied != n || len(victim.hints) != 0 || len(applied) != n {
+		t.Fatalf("after the second recovery: %d rebuilds, %d of %d hints applied to %d keys, %d pending",
+			st.Rebuilds, st.HintsApplied, n, len(applied), len(victim.hints))
+	}
+	for k, c := range applied {
+		if c != 1 {
+			t.Fatalf("key %d applied %d times", k, c)
+		}
+		if v, ok := ownerValue(t, s, victim.id, k); !ok || !bytes.Equal(v, Value(k+1, 48)) {
+			t.Fatalf("key %d: the recovered owner does not hold the hinted value", k)
+		}
+	}
+	recordsHome(t, s, old...)
 }

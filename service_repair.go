@@ -2,7 +2,6 @@ package redn
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/hopscotch"
 	"repro/internal/repair"
@@ -191,15 +190,7 @@ func (s *Service) StaleOwners(keys []uint64) int {
 func (s *Service) DropHints() int {
 	n := 0
 	for _, sh := range s.order {
-		if len(sh.hints) == 0 {
-			continue
-		}
-		keys := make([]uint64, 0, len(sh.hints))
-		for k := range sh.hints {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
+		for _, k := range sortedHintKeys(nil, sh.hints, false) {
 			s.retireHint(sh, sh.hints[k], &sh.stats.HintsDropped)
 			n++
 		}

@@ -590,7 +590,7 @@ func (s *Service) finishMigration(m *migration) {
 // redirectHints moves every hint parked on from to each key's new
 // primary. Each redirected hint is a FRESH struct carrying the same
 // op, key, sequence and payload: the original may be mid-drain on
-// from, and drainHint's identity checks key off from's map — moving
+// from, and a drain lane's identity checks key off from's map — moving
 // the struct itself would wedge its callbacks. Settlement transfers
 // with the op pointer: the new hint settles the originating write when
 // it drains or is superseded, exactly once.
@@ -598,13 +598,8 @@ func (s *Service) redirectHints(from *serviceShard) {
 	if len(from.hints) == 0 {
 		return
 	}
-	keys := make([]uint64, 0, len(from.hints))
-	for k := range from.hints {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	touched := make(map[string]bool)
-	for _, k := range keys {
+	for _, k := range sortedHintKeys(nil, from.hints, false) {
 		h := from.hints[k]
 		delete(from.hints, k)
 		to := s.redirectTarget(k, from)
@@ -612,6 +607,7 @@ func (s *Service) redirectHints(from *serviceShard) {
 			s.settleHint(h)
 			continue
 		}
+		queued := false
 		if cur, ok := to.hints[k]; ok {
 			if cur.seq >= h.seq {
 				to.stats.HintsDropped++
@@ -620,14 +616,15 @@ func (s *Service) redirectHints(from *serviceShard) {
 			}
 			to.stats.HintsDropped++
 			s.settleHint(cur)
+			queued = cur.queued
 		}
-		to.hints[k] = &hint{mutation: h.mutation, op: h.op}
+		to.hints[k] = &hint{mutation: h.mutation, op: h.op, queued: queued}
 		to.stats.HintsQueued++
 		s.migHintsRedirected++
 		touched[to.id] = true
 	}
 	for _, sh := range s.order {
-		if touched[sh.id] && !sh.hostDown && !sh.down() {
+		if touched[sh.id] && !sh.down() {
 			s.drainHints(sh)
 		}
 	}

@@ -3,7 +3,7 @@ package redn
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hopscotch"
@@ -151,10 +151,13 @@ type mutation struct {
 // hint is one queued handoff write: the newest mutation an unreachable
 // owner is missing. Tombstones and values share the per-key slot and
 // its sequence order, so a delete hint supersedes any older value hint
-// and a drain replays it as a delete.
+// and a drain replays it as a delete. queued: the key waits in the
+// shard's drain queue or a drain lane holds it; draining: a lane is
+// replaying this hint.
 type hint struct {
 	*mutation
 	op       *setOp
+	queued   bool
 	draining bool
 	settled  bool
 }
@@ -904,6 +907,7 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 			return
 		}
 	}
+	queued := false
 	if cur, ok := sh.hints[op.key]; ok {
 		if cur.seq >= op.seq {
 			sh.stats.HintsDropped++
@@ -912,8 +916,9 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 		}
 		sh.stats.HintsDropped++
 		s.settleHint(cur)
+		queued = cur.queued // the key keeps its place in the drain
 	}
-	sh.hints[op.key] = &hint{mutation: &op.mutation, op: op}
+	sh.hints[op.key] = &hint{mutation: &op.mutation, op: op, queued: queued}
 	sh.stats.HintsQueued++
 	if s.tr.Enabled() {
 		s.tr.Instant("coordinator", sh.trHint, op.traceOp)
@@ -948,70 +953,128 @@ func (s *Service) settleHint(h *hint) {
 	h.op.settleOne(s)
 }
 
-// drainHints hands off every pending hint to a reachable owner, in
-// key order for determinism.
-func (s *Service) drainHints(sh *serviceShard) {
-	if len(sh.hints) == 0 {
-		return
-	}
-	keys := make([]uint64, 0, len(sh.hints))
-	for k := range sh.hints {
+// sortedHintKeys appends the keys of hints — only those not yet
+// queued for a drain, when fresh — to keys in key order, growing keys
+// at most once.
+func sortedHintKeys(keys []uint64, hints map[uint64]*hint, fresh bool) []uint64 {
+	start := len(keys)
+	for k, h := range hints {
+		if fresh && h.queued {
+			continue
+		}
+		if len(keys) == cap(keys) {
+			keys = slices.Grow(keys, len(hints))
+		}
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		s.drainHint(sh, k)
+	slices.Sort(keys[start:])
+	return keys
+}
+
+// drainHints hands off sh's pending hints once its host is up: the
+// ones not yet queued join the shard's drain queue in key order, and
+// idle drain lanes take keys off its front.
+func (s *Service) drainHints(sh *serviceShard) {
+	if len(sh.hints) == 0 || sh.hostDown {
+		return
+	}
+	start := len(sh.drainQ)
+	sh.drainQ = sortedHintKeys(sh.drainQ, sh.hints, true)
+	for _, k := range sh.drainQ[start:] {
+		sh.hints[k].queued = true
+	}
+	s.pumpDrain(sh)
+}
+
+// pumpDrain sets idle lanes to work on the drain queue while sh's host
+// is up. A key whose hint is gone (applied, dropped, redirected) or
+// already replaying on another lane is skipped.
+func (s *Service) pumpDrain(sh *serviceShard) {
+	for len(sh.idle) > 0 && len(sh.drainQ) > 0 && !sh.hostDown {
+		h := sh.hints[sh.drainQ[0]]
+		sh.drainQ = sh.drainQ[1:]
+		if h != nil && !h.draining {
+			l := sh.idle[len(sh.idle)-1]
+			sh.idle = sh.idle[:len(sh.idle)-1]
+			l.replay(h)
+		}
 	}
 }
 
-// drainHint replays one hint's own mutation — its bytes are the only
-// copy when the quorum failed — through the ordinary owner apply path.
-// On failure (the owner died again mid-drain) the hint stays queued
-// for the next recovery — it is applied exactly once, when a drain
-// finally succeeds. Staleness is re-checked when the drain actually
-// reaches the owner's per-key write slot: a drain queued behind an
-// in-flight newer write for the same key must never replay the old
-// value over it. On success, a hint queued while this one was in
-// flight (a newer failed write) drains immediately after.
-func (s *Service) drainHint(sh *serviceShard, key uint64) {
-	h, ok := sh.hints[key]
-	if !ok || h.draining {
+// drainLane replays handoff hints to a recovered owner, one at a time,
+// through the ordinary owner apply path. A shard has one lane per write
+// slot of its clients, so a recovery holds as many owner applies as
+// its set pipelines carry at once, however long the outage was, and a
+// user write to the owner queues behind them, not behind the backlog.
+// The continuations are bound once, at wiring.
+type drainLane struct {
+	sh     *serviceShard
+	h      *hint // the hint being replayed; nil while idle
+	slotFn func()
+	doneFn func(ownerWriteStatus)
+}
+
+// replay takes h and queues for its (owner, key) write slot. The
+// replay reads the write's mutation until it resolves — its bytes are
+// the only copy when the quorum failed — whatever happens to the hint
+// meanwhile (DropHints, a redirect).
+func (l *drainLane) replay(h *hint) {
+	l.h = h
+	h.queued, h.draining = true, true
+	h.op.pins++
+	l.sh.svc.withKeySlot(l.sh, h.key, l.slotFn)
+}
+
+// granted runs with the write slot held. Staleness is re-checked here:
+// a hint dropped or replaced while the lane queued — a newer write
+// reached this owner, or superseded the hint — is skipped, so a replay
+// never runs an old value over a newer write.
+func (l *drainLane) granted() {
+	s, sh, h := l.sh.svc, l.sh, l.h
+	if sh.hints[h.key] != h {
+		l.release(true)
 		return
 	}
-	h.draining = true
-	// The replay reads the write's mutation until it resolves, whatever
-	// happens to the hint meanwhile (DropHints, a redirect).
-	op := h.op
-	op.pins++
-	s.withKeySlot(sh, key, func() {
-		if sh.hints[key] != h {
-			// Dropped or replaced while queued: a newer write already
-			// reached this owner (or superseded the hint). Skip, and
-			// pick up whatever hint stands now.
-			h.draining = false
-			op.unpin(s)
-			s.setNext(sh, key)
-			s.drainHint(sh, key)
+	s.ownerApplyNow(sh, h.mutation, 0, l.doneFn)
+}
+
+// done resolves the replay. Applied, the hint retires as applied first
+// — left in place, the shared bookkeeping's dropHint would count it
+// superseded. Rejected (the recovered table refused it for capacity),
+// it retires as dropped: retrying forever would spin. Unreachable (the
+// owner died again mid-drain), it stays queued for the next recovery
+// and is applied exactly once, when a replay finally succeeds.
+func (l *drainLane) done(st ownerWriteStatus) {
+	s, sh, h := l.sh.svc, l.sh, l.h
+	switch st {
+	case ownerApplied:
+		s.retireHint(sh, h, &sh.stats.HintsApplied)
+		s.noteOwnerApplied(sh, h.mutation)
+	case ownerRejected:
+		s.retireHint(sh, h, &sh.stats.HintsDropped)
+	}
+	l.release(st != ownerUnreachable)
+}
+
+// release ends the lane's replay and passes the write slot on. With
+// the owner reachable the lane moves on to the key's next hint — one
+// queued while this replay was in flight — or goes idle and pumps the
+// queue. With it unreachable the lane goes idle and the key's hint
+// waits for the next drainHints, as does the rest of the queue.
+func (l *drainLane) release(reachable bool) {
+	s, sh, h, key := l.sh.svc, l.sh, l.h, l.h.key
+	h.draining, l.h = false, nil
+	h.op.unpin(s)
+	s.setNext(sh, key)
+	if next := sh.hints[key]; next != nil && !next.draining {
+		if reachable {
+			l.replay(next)
 			return
 		}
-		s.ownerApplyNow(sh, h.mutation, 0, func(st ownerWriteStatus) {
-			h.draining = false
-			switch st {
-			case ownerApplied:
-				// Retire the hint as applied first: left in place, the
-				// shared bookkeeping's dropHint would count it superseded.
-				s.retireHint(sh, h, &sh.stats.HintsApplied)
-				s.noteOwnerApplied(sh, h.mutation)
-			case ownerRejected:
-				// The recovered table refused the replay (capacity):
-				// retrying forever would spin, so retire the hint.
-				s.retireHint(sh, h, &sh.stats.HintsDropped)
-			}
-			op.unpin(s)
-			s.setNext(sh, key)
-			if st == ownerApplied {
-				s.drainHint(sh, key)
-			}
-		})
-	})
+		next.queued = false
+	}
+	sh.idle = append(sh.idle, l)
+	if reachable {
+		s.pumpDrain(sh)
+	}
 }
