@@ -199,6 +199,7 @@ type reqState struct {
 type aimdWindow struct {
 	adaptive bool
 	w        float64
+	start    float64 // the window a pipeline opens (and reopens after a reset) at
 	depth    float64
 	beta     float64
 	ecn      sim.Time // ack backlog above this marks congestion; <0 disables
@@ -345,7 +346,7 @@ func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
 		execSeen: make([]uint64, depth),
 		wedged:   make([]bool, depth),
 		win: aimdWindow{
-			w: float64(depth), depth: float64(depth),
+			w: float64(depth), start: float64(depth), depth: float64(depth),
 			beta: defaultWindowBeta, ecn: defaultEcnBacklog,
 		},
 	}
@@ -540,14 +541,8 @@ func (req *pipeReq) timeout() {
 // chain rings. A confirmed answer always frees the slot — the WRITE
 // proves the chain ran.
 func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Time) {
-	req.mustBeLive()
-	req.done = true
 	c := p.c
-	if c.tr.Enabled() {
-		c.tr.Exec(c.trLabel, p.trTracks[req.slot], "slot", req.start, c.tb.clu.Eng.Now(), req.op)
-	}
-	p.slots[req.slot] = nil
-	p.inFlight--
+	p.vacate(req)
 	executed := p.pending(req.slot) < p.respPer
 	if ok {
 		p.acks++
@@ -578,6 +573,29 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 	} else {
 		p.win.onAck()
 	}
+	p.conclude(req, lat, ok, executed)
+	p.pump()
+	c.Flush()
+	if req.timed {
+		req.release()
+	}
+}
+
+// vacate takes the decided req off its slot.
+func (p *opPipeline) vacate(req *pipeReq) {
+	req.mustBeLive()
+	req.done = true
+	c := p.c
+	if c.tr.Enabled() {
+		c.tr.Exec(c.trLabel, p.trTracks[req.slot], "slot", req.start, c.tb.clu.Eng.Now(), req.op)
+	}
+	p.slots[req.slot] = nil
+	p.inFlight--
+}
+
+// conclude finalizes the vacated req's receipt, then runs the op's
+// release hook and its callback.
+func (p *opPipeline) conclude(req *pipeReq, lat Duration, ok, executed bool) {
 	if p.rcpts != nil {
 		// Finalize the receipt: the fabric phase is the post->completion
 		// span minus the doorbell-batching delay Flush stamped, so the
@@ -592,11 +610,44 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 		p.release(req, ok, executed)
 	}
 	p.deliver(req, lat, ok)
-	p.pump()
-	c.Flush()
-	if req.timed {
-		req.release()
+}
+
+// restart puts the pipeline back to its opening state once its
+// connection has been reset: no instance armed or owed on any slot,
+// nothing quarantined, nothing awaiting a doorbell, the window at its
+// start value (its cut counts stay). Slots still holding requests stay
+// theirs until flush fails them.
+func (p *opPipeline) restart() {
+	p.free = p.free[:0]
+	for slot, req := range p.slots {
+		p.armCount[slot], p.execSeen[slot], p.wedged[slot] = 0, 0, false
+		if req == nil {
+			p.free = append(p.free, slot)
+		}
 	}
+	p.nWedged = 0
+	p.posted, p.dirty = p.posted[:0], false
+	p.win.w = p.win.start
+}
+
+// flush fails the requests issued up to sequence cut, as a reset
+// connection's flush-error completions do: none ran, each completes
+// once, now, and its slot is free again. A request a callback submits
+// meanwhile is after cut, on the reset connection, and stays; so do the
+// queued ones, which pump then issues on it.
+func (p *opPipeline) flush(cut uint64) {
+	now := p.c.tb.clu.Eng.Now()
+	for _, req := range p.slots {
+		if req == nil || req.seq > cut {
+			continue
+		}
+		p.vacate(req)
+		p.fails++
+		p.lastRan = false
+		p.free = append(p.free, req.slot)
+		p.conclude(req, now-req.start, false, false)
+	}
+	p.pump()
 }
 
 // reclaim returns a quarantined slot to service once its backlog
@@ -671,7 +722,7 @@ func (c *Client) configureWindow(cfg windowConfig) {
 	}
 	for _, p := range c.pipes {
 		p.win.adaptive = cfg.Adaptive
-		p.win.w = float64(start)
+		p.win.w, p.win.start = float64(start), float64(start)
 		p.win.beta = beta
 		p.win.ecn = ecn
 	}
@@ -952,6 +1003,41 @@ func (c *Client) wireHooks() {
 		}
 		req.prbCB(ver, lat, ok)
 	}
+}
+
+// reset re-establishes the client's connections in place after the
+// server restarted with its NIC state reclaimed (a ProcessCrash without
+// a hull parent), the way an RC client moves its QPs through RESET back
+// to ready to send: the client's trigger QPs and the server's queues
+// (core Pool.Reset) are reset — the client ends of the response
+// connections only take one-sided WRITEs — and every pipeline restarts.
+// No instance armed before survives it, so the staging extent of every
+// set slot whose instance never ran goes back to the arena, and every
+// request in flight fails at once as never executed. Queues, buffers,
+// CQ subscriptions and PU placement are kept: a reset allocates nothing.
+func (c *Client) reset() {
+	var cut [len(c.pipes)]uint64
+	for _, p := range c.pipes {
+		p.qp.Reset()
+	}
+	c.gets.Reset()
+	c.sets.Reset()
+	c.dels.Reset()
+	c.prbs.Reset()
+	for slot, ctx := range c.sets.Ctxs {
+		if c.set.pending(slot) >= c.set.respPer {
+			ctx.ReleaseStaging()
+		}
+	}
+	for i, p := range c.pipes {
+		cut[i] = p.seq
+		p.restart()
+	}
+	// Callbacks run only now, on a client that is whole again.
+	for i, p := range c.pipes {
+		p.flush(cut[i])
+	}
+	c.Flush()
 }
 
 // Bind points the client's gets at a server hash table.

@@ -961,3 +961,68 @@ func TestClientDeleteStampsTombstoneVersion(t *testing.T) {
 		t.Fatalf("tombstone version = %d, want 2", v)
 	}
 }
+
+// A reset returns the staging extent of every set whose chain it
+// killed before the chain could land it, and keeps the one a crash cut
+// short after its value WRITE landed: that extent is the bucket's value
+// now, and the reset connection serves it.
+func TestClientResetReturnsUnlandedStaging(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(1024)
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 2)
+	cli.Bind(table)
+	for k := uint64(1); k <= 2; k++ {
+		if _, ok := cli.Set(k, Value(k, 64)); !ok {
+			t.Fatalf("setup set %d failed", k)
+		}
+	}
+	staging := func(key uint64) uint64 {
+		for _, req := range cli.set.slots {
+			if req != nil && req.key == key {
+				return req.staging
+			}
+		}
+		t.Fatalf("no set of %d in flight", key)
+		return 0
+	}
+	failed := 0
+	cb := func(_ Duration, ok bool) {
+		if !ok {
+			failed++
+		}
+	}
+	// Key 1's chain freezes the instant its value WRITE repoints the
+	// bucket, before its ack; key 2's trigger is dropped by the frozen NIC.
+	cli.SetAsync(1, Value(11, 64), cb)
+	cli.Flush()
+	landed := staging(1)
+	for end := tb.Now() + 20*sim.Microsecond; ; tb.RunFor(sim.Nanosecond) {
+		if va, _, _ := table.Table().Lookup(1); va == landed {
+			break
+		}
+		if tb.Now() > end {
+			t.Fatal("setup: the set's value WRITE never landed")
+		}
+	}
+	srv.node.Dev.Freeze()
+	cli.SetAsync(2, Value(12, 64), cb)
+	cli.Flush()
+	dropped := staging(2)
+	tb.RunFor(10 * sim.Microsecond)
+	srv.node.Dev.Unfreeze()
+	cli.reset()
+	arena := srv.valueArena()
+	if _, live := arena.Cookie(landed); !live || failed != 2 {
+		t.Fatalf("the landed set's extent live=%v, %d of 2 sets failed at the reset", live, failed)
+	}
+	if _, live := arena.Cookie(dropped); live {
+		t.Fatal("the dropped set's staging extent was not returned")
+	}
+	tb.Run()
+	for k, want := range map[uint64][]byte{1: Value(11, 64), 2: Value(2, 64)} {
+		if v, _, ok := cli.Get(k, 64); !ok || !bytes.Equal(v, want) {
+			t.Fatalf("get %d after the reset: ok=%v", k, ok)
+		}
+	}
+}

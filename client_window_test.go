@@ -1,6 +1,7 @@
 package redn
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/sim"
@@ -309,5 +310,70 @@ func TestPinnedWindowDeterminism(t *testing.T) {
 	}
 	if base.WindowCuts != 0 || base.EcnCuts != 0 {
 		t.Fatalf("pinned run recorded cuts: %d/%d", base.WindowCuts, base.EcnCuts)
+	}
+}
+
+// A reset — the reconnect after a server restart — fails each request
+// in flight exactly once, at once, as never executed; frees every slot
+// the dead NIC wedged; and restarts the window at its start value with
+// its cut count kept. The connection then serves again.
+func TestClientResetRestartsPipelines(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(1024)
+	for k := uint64(1); k <= 8; k++ {
+		if err := table.Set(k, Value(k, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
+	cli.Bind(table)
+	cli.MissTimeout = 50 * sim.Microsecond
+	cli.configureWindow(windowConfig{Adaptive: true, Start: 4, EcnBacklog: -1})
+	fails, ran := 0, 0
+	cb := func(_ []byte, _ Duration, ok bool) {
+		if ok {
+			t.Error("hit from a frozen NIC")
+		}
+		fails++
+		if cli.lastExecuted(pipeGet) {
+			ran++
+		}
+	}
+	get := func(n int) {
+		for i := 0; i < n; i++ {
+			cli.GetAsync(uint64(i+1), 64, cb)
+		}
+		cli.Flush()
+	}
+
+	srv.node.Dev.Freeze()
+	get(2) // they time out, wedge their slots and cut the window
+	tb.Run()
+	get(2) // in flight at the reset
+	tb.RunFor(10 * sim.Microsecond)
+	st := cli.pipelineStats(pipeGet)
+	cuts := cli.Stats().WindowCuts
+	if fails != 2 || st.Wedged != 2 || st.InFlight != 2 || cuts == 0 {
+		t.Fatalf("setup: %d failed, %d wedged, %d in flight, %d cuts", fails, st.Wedged, st.InFlight, cuts)
+	}
+	srv.node.Dev.Unfreeze()
+	cli.reset()
+	st = cli.pipelineStats(pipeGet)
+	if fails != 4 || ran != 0 {
+		t.Fatalf("the reset failed %d of the 2 requests in flight (%d as executed)", fails-2, ran)
+	}
+	if st.Wedged != 0 || st.InFlight != 0 || len(cli.get.free) != 4 || st.Window != 4 || cli.Stats().WindowCuts != cuts {
+		t.Fatalf("after the reset: %d wedged, %d in flight, %d free, window %d, %d cuts (%d before)",
+			st.Wedged, st.InFlight, len(cli.get.free), st.Window, cli.Stats().WindowCuts, cuts)
+	}
+	tb.Run() // the flushed requests' deadlines complete nothing twice
+	if fails != 4 {
+		t.Fatalf("%d completions for 4 requests", fails)
+	}
+	for k := uint64(1); k <= 8; k++ {
+		if v, _, ok := cli.Get(k, 64); !ok || !bytes.Equal(v, Value(k, 64)) {
+			t.Fatalf("get %d after the reset: ok=%v", k, ok)
+		}
 	}
 }

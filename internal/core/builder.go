@@ -128,6 +128,18 @@ func (b *Builder) withCtrl(ctrl *rnic.QP) *Builder {
 	return &nb
 }
 
+// reset resets q and realigns the expected counts of its CQs (the
+// builder's, and every sub-builder's, since they share them) with what
+// those CQs will settle at.
+func (b *Builder) reset(q *rnic.QP) {
+	q.Reset()
+	for _, cq := range [2]*rnic.CQ{q.SendCQ(), q.RecvCQ()} {
+		if _, ok := b.expect[cq.CQN()]; ok {
+			b.expect[cq.CQN()] = cq.Settled()
+		}
+	}
+}
+
 // StepRef identifies a posted WQE so later verbs can target its bytes.
 type StepRef struct {
 	QP  *rnic.QP

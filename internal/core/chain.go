@@ -43,8 +43,10 @@ type chain struct {
 	// context alone — control queues, chain rings, response QPs. The
 	// shared trigger QP is not among them: its batched SENDs interleave
 	// ops. Allocated once by newChain, so its address survives the
-	// chain's copy into the program that embeds it.
-	op *telemetry.OpContext
+	// chain's copy into the program that embeds it. qps lists those
+	// queues, for a reset.
+	op  *telemetry.OpContext
+	qps []*rnic.QP
 
 	// posted has bit i set when the instance armed last posted step i:
 	// which of the layout's slots its trigger fills.
@@ -92,7 +94,8 @@ const (
 type operands [numOps]uint64
 
 func newChain(b *Builder, trig, resp *rnic.QP) chain {
-	c := chain{B: b, Trig: trig, Resp: resp, op: &telemetry.OpContext{}}
+	// A context has four queues but for a parallel lookup's six.
+	c := chain{B: b, Trig: trig, Resp: resp, op: &telemetry.OpContext{}, qps: make([]*rnic.QP, 0, 4)}
 	c.tag(b.Ctrl)
 	if resp != nil {
 		c.tag(resp)
@@ -102,8 +105,12 @@ func newChain(b *Builder, trig, resp *rnic.QP) chain {
 
 func (c *chain) base() *chain { return c }
 
-// tag points q at the context's op context.
-func (c *chain) tag(q *rnic.QP) { q.SetContext(c.op) }
+// tag points q at the context's op context and counts it among the
+// context's queues.
+func (c *chain) tag(q *rnic.QP) {
+	q.SetContext(c.op)
+	c.qps = append(c.qps, q)
+}
 
 // ring allocates a managed chain ring on PU pu and tags it. A pool
 // context passes -1, round-robining its rings over the port's PUs (the
@@ -122,17 +129,14 @@ func (c *chain) ring(depth, pu int) *rnic.QP {
 // stragglers from timed-out instances.
 const argsRing = 8
 
+// newArgs carves a context's ring of argsRing n-byte args buffers, one
+// per in-flight-or-straggling instance, when the context is built:
+// arming never grows server memory.
+func (c *chain) newArgs(n uint64) uint64 { return c.B.Dev.Mem().Alloc(argsRing*n, 8) }
+
 // argsBuf returns the n-byte args buffer of the instance about to be
-// armed, from the context's rotating ring of them (one per
-// in-flight-or-straggling instance, so arming does not grow server
-// memory per op).
-func (c *chain) argsBuf(ring *[argsRing]uint64, n uint64) uint64 {
-	i := c.armed % argsRing
-	if ring[i] == 0 {
-		ring[i] = c.B.Dev.Mem().Alloc(n, 8)
-	}
-	return ring[i]
-}
+// armed, from the ring newArgs carved at base.
+func (c *chain) argsBuf(base, n uint64) uint64 { return base + c.armed%argsRing*n }
 
 // inject posts the lookup idiom (Fig 9) as in's steps at, at+1, at+2 —
 // read, cas, resp: the response NOOP on resp (respLen bytes unless the
@@ -287,6 +291,23 @@ func newPool[C Program](b *Builder, trig *rnic.QP, resp []*rnic.QP, ctx func(i i
 		p.Ctxs[i] = ctx(i, b.subBuilder(poolCtrlDepth, -1), r)
 	}
 	return p
+}
+
+// Reset realigns the pool with its connection after the server
+// restarted: the shared trigger QP and every queue of every context are
+// reset (rnic QP.Reset), dropping whatever instances they held, and the
+// builder's expected counts restart from what their CQs will settle at,
+// so the next instance armed on any context fires on the next trigger
+// SEND again. Ring memory, queues and PU placement are kept: a reset
+// allocates nothing.
+func (p *Pool[C]) Reset() {
+	b := p.Ctxs[0].base().B
+	b.reset(p.Trig)
+	for _, ctx := range p.Ctxs {
+		for _, q := range ctx.base().qps {
+			b.reset(q)
+		}
+	}
 }
 
 // Context returns slot's op context: what the instance armed next on

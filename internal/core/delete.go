@@ -84,7 +84,7 @@ type DeleteOffload struct {
 	w2 *rnic.QP // managed chain ring: claim, conditional arm, verdict copy, tombstone
 	w3 *rnic.QP // managed ring for the unlink + version WRITEs
 
-	args [argsRing]uint64 // the instances' version words (chain.argsBuf)
+	args uint64 // the instances' version words (chain.argsBuf)
 }
 
 // A delete's steps after the claim and its conditional, in sequencing
@@ -124,6 +124,7 @@ func NewDeletePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*DeleteOffl
 // [slotBase, slotBase+deleteRingSlots) of ring.
 func newDeleteOffload(b *Builder, trig, resp *rnic.QP, ring *extent.FreeRing, slotBase uint64) *DeleteOffload {
 	o := &DeleteOffload{chain: newChain(b, trig, resp), Ring: ring, slotBase: slotBase}
+	o.args = o.newArgs(8)
 	// w2 holds four WQEs per instance (claim, conditional arm, verdict
 	// copy, tombstone), w3 two (unlink, verWr); ring wrap needs 2x.
 	o.w2 = o.ring(2*4+4, -1)
@@ -141,7 +142,7 @@ func (o *DeleteOffload) Arm() {
 	// delete's version (scattered into args) onto the bucket's version
 	// word; verRead arms it with the verdict, so it fires only on a
 	// successful claim.
-	in := instance{args: o.argsBuf(&o.args, 8)}
+	in := instance{args: o.argsBuf(o.args, 8)}
 	s := &in.steps
 	s[dlUnlink] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Dst: ringSlot, Len: 24, Flags: wqe.FlagSignaled})
 	s[dlVerWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 8, Flags: wqe.FlagSignaled})

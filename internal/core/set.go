@@ -100,8 +100,10 @@ type SetOffload struct {
 	w2 *rnic.QP // managed chain ring: claim, conditional flip, publish
 	w3 *rnic.QP // managed ring for the bucket-pointer WRITE
 
-	args    [argsRing]uint64 // the instances' args buffers (chain.argsBuf)
-	staging uint64           // staging extent of the most recently armed instance
+	args    uint64 // the instances' args buffers (chain.argsBuf)
+	staging uint64 // staging extent of the most recently armed instance
+	key     uint64 // that instance's key and claim
+	claimed SetClaim
 }
 
 // A set's steps after the claim and its conditional, in sequencing
@@ -138,6 +140,7 @@ func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena
 
 func newSetOffload(b *Builder, trig, resp *rnic.QP, maxVal uint64, arena *extent.Arena) *SetOffload {
 	o := &SetOffload{chain: newChain(b, trig, resp), MaxVal: maxVal, Arena: arena}
+	o.args = o.newArgs(24)
 	// Rings hold one in-flight instance (ring wrap needs 2x); w2 is the
 	// busiest, with three WQEs per instance.
 	o.w2 = o.ring(2*3+4, -1)
@@ -170,7 +173,7 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 // chain can never observe the new version with the old extent.
 func (o *SetOffload) post(fresh bool) {
 	b := o.B
-	in := instance{args: o.argsBuf(&o.args, 24)}
+	in := instance{args: o.argsBuf(o.args, 24)}
 	b.Dev.Mem().PutU64(in.args, o.staging)
 	in.steps[stValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 24, Flags: wqe.FlagSignaled})
 	o.claim(&in, o.w2, stValWr, stAck)
@@ -181,18 +184,29 @@ func (o *SetOffload) post(fresh bool) {
 }
 
 // ReleaseStaging retires the most recently armed instance's staging
-// extent back to the arena — the client calls it when the chain's ack
-// reports a refused claim (the bucket was taken), at which point the
-// staged bytes can never become the bucket's value. Slots
-// that time out WITHOUT executing keep their extent: a straggling
-// chain could still repoint the bucket at it, so reclaiming would risk
-// handing live bytes to the next set (those rare extents leak instead,
-// bounded by wedge events).
+// extent back to the arena once the staged bytes can no longer become
+// the bucket's value: the chain's ack reported a refused claim (the
+// bucket was taken), or the connection was reset (Pool.Reset) before the
+// chain ran. A chain a reset cut short after its value WRITE landed has
+// already made the extent the bucket's value, so an extent the claimed
+// bucket names under the key's word stays. Slots that merely time out
+// WITHOUT executing keep their extent: a straggling chain could still
+// repoint the bucket at it.
 func (o *SetOffload) ReleaseStaging() {
-	if o.Arena != nil && o.staging != 0 {
+	if o.Arena != nil && o.staging != 0 && !o.landed() {
 		o.Arena.Free(o.staging)
 	}
 	o.staging = 0
+}
+
+// landed reports whether the armed instance's value WRITE repointed
+// its claimed bucket at the staging extent: the bucket names the
+// extent and holds the word the claim installed or the published key.
+func (o *SetOffload) landed() bool {
+	m, b := o.B.Dev.Mem(), o.claimed.BucketAddr
+	ctrl, _ := m.U64(b + hopscotch.OffKeyCtrl)
+	va, _ := m.U64(b + hopscotch.OffValAddr)
+	return va == o.staging && (ctrl == o.claimed.New || ctrl == ClaimCtrl(o.key))
 }
 
 // TriggerPayload posts and fires the instance Arm reserved — a set of key
@@ -203,6 +217,7 @@ func (o *SetOffload) ReleaseStaging() {
 // claim.New for NOOP|key. The result is the context's own buffer,
 // overwritten by the next call.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
+	o.key, o.claimed = key, claim
 	o.post(claim.New != ClaimCtrl(key))
 	return o.payload(setLayout, key, operands{opExpect: claim.Expect, opNew: claim.New, opBucket: claim.BucketAddr,
 		opValAddr: claim.BucketAddr + hopscotch.OffValAddr, opLen: valLen, opVer: ver, opResp: ackAddr})

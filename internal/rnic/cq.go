@@ -58,6 +58,7 @@ type CQ struct {
 	cqn uint32
 
 	count     uint64 // NIC-internal completion count (monotonic)
+	due       uint64 // completions scheduled whose count advance is still ahead
 	waiters   []cqWaiter
 	advanceFn func() // advance, bound once: every completion schedules it
 
@@ -66,9 +67,10 @@ type CQ struct {
 	autoDrain bool
 }
 
+// cqWaiter is a WAIT verb parked until the count reaches target.
 type cqWaiter struct {
 	target uint64
-	fn     func()
+	r      *wrRun
 }
 
 // CQN returns the completion queue number.
@@ -77,9 +79,22 @@ func (c *CQ) CQN() uint32 { return c.cqn }
 // Count returns the NIC-internal completion count.
 func (c *CQ) Count() uint64 { return c.count }
 
+// Settled returns the count the CQ reaches once every completion
+// already under way has advanced it: what a builder realigns its
+// expected counts to after resetting the queues behind it.
+func (c *CQ) Settled() uint64 { return c.count + c.due }
+
+// completed schedules the internal count advance of one completion,
+// CQInternal from now.
+func (c *CQ) completed() {
+	c.due++
+	c.dev.eng.After(c.dev.prof.CQInternal, c.advanceFn)
+}
+
 // advance increments the internal counter and fires any WAIT verbs
 // whose targets are now satisfied.
 func (c *CQ) advance() {
+	c.due--
 	c.count++
 	if len(c.waiters) == 0 {
 		return
@@ -87,7 +102,7 @@ func (c *CQ) advance() {
 	rest := c.waiters[:0]
 	for _, w := range c.waiters {
 		if c.count >= w.target {
-			w.fn()
+			w.r.waited()
 		} else {
 			rest = append(rest, w)
 		}
@@ -95,14 +110,25 @@ func (c *CQ) advance() {
 	c.waiters = rest
 }
 
-// waitFor invokes fn once the internal count reaches target (possibly
-// immediately).
-func (c *CQ) waitFor(target uint64, fn func()) {
+// waitFor resumes the WAIT r once the internal count reaches target:
+// now, or parked on the CQ as its queue's loop continuation.
+func (c *CQ) waitFor(target uint64, r *wrRun) {
 	if c.count >= target {
-		fn()
+		r.waited()
 		return
 	}
-	c.waiters = append(c.waiters, cqWaiter{target: target, fn: fn})
+	r.q.sq.wait = r
+	c.waiters = append(c.waiters, cqWaiter{target: target, r: r})
+}
+
+// unwait takes the parked WAIT r off the CQ.
+func (c *CQ) unwait(r *wrRun) {
+	for i, w := range c.waiters {
+		if w.r == r {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			return
+		}
+	}
 }
 
 // deliver appends a host-visible CQE and notifies subscribers.

@@ -167,13 +167,17 @@ func (d *Device) NewQP(cfg QPConfig) *QP {
 	sqBase := d.mem.Alloc(uint64(cfg.SQDepth)*64, 64)
 	rqBase := d.mem.Alloc(uint64(cfg.RQDepth)*64, 64)
 	w := &WorkQueue{qp: q, base: sqBase, capacity: uint64(cfg.SQDepth), managed: cfg.Managed,
-		lastFetchDone: -(1 << 60)} // pipeline starts cold
+		lastFetchDone: coldFetch}
 	w.stepFn, w.advanceFn, w.kickFn, w.hostEnableFn = w.step, w.advance, w.kick, w.hostEnable
 	q.sq = w
 	q.rq = &recvQueue{qp: q, base: rqBase, capacity: uint64(cfg.RQDepth)}
 	d.qps = append(d.qps, q)
 	return q
 }
+
+// coldFetch is a fresh queue's last prefetch delivery: far enough in
+// the past that its first fetch pays the cold FetchLatency.
+const coldFetch sim.Time = -(1 << 60)
 
 // NewLoopbackQP creates a QP connected to a sibling QP on the same
 // device with zero wire latency. RedN's self-modifying chains use
@@ -193,8 +197,10 @@ func (d *Device) NewLoopbackQP(cfg QPConfig) *QP {
 func (d *Device) Freeze() { d.frozen = true }
 
 // Unfreeze restores service after the restarted process has recreated
-// its RDMA resources (fresh registrations and re-posted queues; the
-// simulator reuses the same ring state).
+// its RDMA resources: every queue resumes where the freeze stopped it.
+// A host that re-establishes its connections resets their QPs
+// (QP.Reset) rather than creating new ones, so the QP table stays the
+// size it was.
 func (d *Device) Unfreeze() {
 	d.frozen = false
 	for _, q := range d.qps {

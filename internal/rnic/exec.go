@@ -15,8 +15,12 @@ func (w *WorkQueue) kick() {
 }
 
 // hostEnable applies the oldest pending EnableSQFromHost. Doorbells
-// all take the same time, so they land in the order they were rung.
+// all take the same time, so they land in the order they were rung; one
+// whose limit a Reset discarded finds none.
 func (w *WorkQueue) hostEnable() {
+	if w.hostLimits.Len() == 0 {
+		return
+	}
 	if limit := w.hostLimits.Pop(); limit > w.fetchLimit {
 		w.fetchLimit = limit
 	}
@@ -36,9 +40,11 @@ func (w *WorkQueue) bound() uint64 {
 }
 
 // step is the per-WQ execution loop. Exactly one step chain is active
-// per queue (guarded by w.active).
+// per queue (guarded by w.active). A step a Reset orphaned reads only
+// the queue's current state, so it simply carries on as the new loop.
 func (w *WorkQueue) step() {
 	dev := w.qp.dev
+	w.stale = false
 	if w.errored || dev.frozen {
 		w.active = false
 		return
@@ -87,7 +93,7 @@ func (w *WorkQueue) fetchStreamAndExec() {
 		}
 		var buf [wqe.Size]byte
 		if err := dev.mem.ReadInto(w.SlotAddr(idx), buf[:]); err != nil {
-			w.fail(dev.takeRun(w.qp, idx), StatusLocalProtErr)
+			w.halt(dev.takeRun(w.qp, idx), StatusLocalProtErr)
 			return
 		}
 		var ready sim.Time
@@ -116,20 +122,32 @@ func (w *WorkQueue) fetchStreamAndExec() {
 	w.exec(r)
 }
 
-// advance moves past the executed WQE and continues the loop.
+// advance moves past the executed WQE and continues the loop. One a
+// Reset orphaned moves past nothing: that WQE went with the reset.
 func (w *WorkQueue) advance() {
-	w.consumer++
-	w.executed++
+	if w.stale {
+		w.stale = false
+	} else {
+		w.consumer++
+		w.executed++
+	}
 	w.admitted = false
 	w.qp.dev.eng.After(0, w.stepFn)
 }
 
 // fail completes a WR with an error status and freezes the queue,
-// matching verbs semantics (the QP transitions to the error state).
+// matching verbs semantics (the QP transitions to the error state). A
+// WR failing in a later stage leaves the loop to stop at its next step.
 func (w *WorkQueue) fail(r *wrRun, st Status) {
 	w.errored = true
-	w.active = false
 	w.complete(r, st, true)
+}
+
+// halt is fail for a WR the loop itself is dispatching: the loop stops
+// here.
+func (w *WorkQueue) halt(r *wrRun, st Status) {
+	w.active = false
+	w.fail(r, st)
 }
 
 // complete schedules completion effects: WAIT-visible counter advance
@@ -147,7 +165,7 @@ func (w *WorkQueue) complete(r *wrRun, st Status, force bool) {
 	}
 	dev := w.qp.dev
 	r.st = st
-	dev.eng.After(dev.prof.CQInternal, w.qp.scq.advanceFn)
+	w.qp.scq.completed()
 	r.sched(dev.eng.Now()+dev.prof.CQEDeliver, stageDeliver)
 }
 
@@ -202,21 +220,21 @@ func (w *WorkQueue) exec(r *wrRun) {
 
 	case wqe.OpWait:
 		if dev.CQByNum(r.v.Peer) == nil {
-			w.fail(r, StatusBadOpcode)
+			w.halt(r, StatusBadOpcode)
 			return
 		}
 		w.issueLocal(r, prof.SyncOccupancy)
 
 	case wqe.OpEnable:
 		if dev.QPByNum(r.v.Peer) == nil {
-			w.fail(r, StatusBadOpcode)
+			w.halt(r, StatusBadOpcode)
 			return
 		}
 		w.issueLocal(r, prof.SyncOccupancy)
 
 	case wqe.OpSend:
 		if w.qp.remote == nil {
-			w.fail(r, StatusBadOpcode)
+			w.halt(r, StatusBadOpcode)
 			return
 		}
 		w.issueData(r, prof.CopyOccupancy)
@@ -235,7 +253,7 @@ func (w *WorkQueue) exec(r *wrRun) {
 
 	default:
 		// OpRecv in a send queue, or garbage written over an opcode.
-		w.fail(r, StatusBadOpcode)
+		w.halt(r, StatusBadOpcode)
 	}
 }
 
@@ -322,7 +340,10 @@ type arrival struct {
 // it until one is posted.
 func (q *QP) handleArrival(from *wrRun) {
 	if q.dev.frozen {
-		return // silently dropped; peers observe a hang, as with real dead hosts
+		// Silently dropped; peers observe a hang, as with real dead
+		// hosts. The sender's record goes back to its free list.
+		from.release()
+		return
 	}
 	if q.rq.consumer >= q.rq.producer {
 		if q.pendingArrivals.Len() == 0 {

@@ -41,6 +41,10 @@ type QP struct {
 
 	pendingArrivals ring.Queue[arrival]
 
+	// epoch counts resets; a run record carries the epoch of its
+	// taking, so a WR of an older incarnation is told apart (run.go).
+	epoch uint32
+
 	// ctx is the op context this QP's work attributes to: WR spans
 	// trace to its op id, resource grants fold into its class and its
 	// receipt. Every QP of one offload context shares one, so retagging
@@ -174,6 +178,43 @@ func (q *QP) popArrival() *wrRun {
 	return a.from
 }
 
+// Reset moves q through RESET back to ready to send, the way an RC
+// endpoint is re-established after its peer restarted: both rings lose
+// their posted WQEs and their indices, queued arrivals are dropped, the
+// managed fetch limit (and any host ENABLE still in flight) returns to
+// zero and the error state clears. A WR of the old incarnation still in
+// flight is dropped at its next stage without effect — no memory
+// access, no completion — and its run record goes back to the free
+// list. The QPN, port, PU, CQs, ring memory and peer are kept, so a
+// reset allocates nothing. CQ counts are not rewound: a completion
+// already under way still lands (CQ.Settled).
+func (q *QP) Reset() {
+	q.epoch++
+	w := q.sq
+	if r := w.wait; r != nil {
+		// A WAIT holds the loop until its CQ reaches a count that may
+		// now never come: take it off the CQ.
+		q.dev.CQByNum(r.v.Peer).unwait(r)
+		w.wait = nil
+		w.active = false
+		r.release()
+	}
+	w.stale = w.active
+	w.producer, w.consumer, w.fetchLimit = 0, 0, 0
+	w.errored, w.admitted = false, false
+	w.lastFetchDone = coldFetch
+	for w.buf.Len() > 0 {
+		w.buf.Pop()
+	}
+	for w.hostLimits.Len() > 0 {
+		w.hostLimits.Pop()
+	}
+	q.rq.producer, q.rq.consumer = 0, 0
+	for q.pendingArrivals.Len() > 0 {
+		q.popArrival().release()
+	}
+}
+
 // SQSlotAddr returns the host-memory address of the SQ WQE at the given
 // absolute index (ring indices wrap modulo capacity). RedN programs use
 // this to build CAS/WRITE targets aimed at posted work requests.
@@ -191,8 +232,15 @@ type WorkQueue struct {
 	consumer   uint64 // absolute index of next WQE to execute
 	fetchLimit uint64 // managed mode: execution allowed below this index
 
+	// active is set while the execution loop runs: exactly one of its
+	// continuations is then outstanding — a step or advance event, or
+	// the run record of a fetch, a local issue or a WAIT (parked on its
+	// CQ as wait). stale marks that continuation as one a Reset
+	// orphaned.
 	active  bool
 	errored bool
+	stale   bool
+	wait    *wrRun
 
 	// Unmanaged prefetch pipeline: snapshots awaiting execution, at
 	// most PrefetchWindow of them.

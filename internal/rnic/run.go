@@ -14,7 +14,8 @@ import (
 // a slot in a CQ's waiter list, or a SEND parked on its receiver — and
 // r.next says which, so a continuation that fires on a record that was
 // released (or released and taken again) panics instead of silently
-// shifting a timestamp.
+// shifting a timestamp. One that fires after its queue pair was reset
+// drops the WR (drop).
 type stage uint8
 
 const (
@@ -50,10 +51,11 @@ func (s stage) String() string { return stageNames[s] }
 // values bound once, when the record is first made, so scheduling a
 // stage allocates nothing.
 type wrRun struct {
-	q    *QP     // the queue pair running the WR (the receiver's, for a RECV)
-	idx  uint64  // absolute ring index of the WQE
-	v    wqe.WQE // the WQE as fetched
-	next stage
+	q     *QP     // the queue pair running the WR (the receiver's, for a RECV)
+	idx   uint64  // absolute ring index of the WQE
+	v     wqe.WQE // the WQE as fetched
+	next  stage
+	epoch uint32 // q's epoch when the record was taken
 
 	n       int    // payload bytes on the wire
 	payload []byte // the bytes in flight, a view of buf
@@ -96,14 +98,13 @@ func (d *Device) takeRun(q *QP, idx uint64) *wrRun {
 		r = newRun()
 		d.runsMade++
 	}
-	r.q, r.idx, r.v, r.st, r.next = q, idx, wqe.WQE{}, StatusOK, stageExec
+	r.q, r.idx, r.v, r.st, r.next, r.epoch = q, idx, wqe.WQE{}, StatusOK, stageExec, q.epoch
 	return r
 }
 
 // release returns the record to its device. Every path that ends a WR
-// without scheduling a further stage releases; a message dropped by a
-// frozen receiver never acks, so its sender's record is simply lost to
-// the garbage collector.
+// without scheduling a further stage releases — a message a frozen
+// receiver drops included: its sender never hears back.
 func (r *wrRun) release() {
 	if r.next == stageFree {
 		panic("rnic: run record released twice")
@@ -114,11 +115,42 @@ func (r *wrRun) release() {
 	d.freeRuns = append(d.freeRuns, r)
 }
 
-// enter asserts that s is the continuation this record is waiting for.
-func (r *wrRun) enter(s stage) {
+// enter asserts that s is the continuation this record is waiting for
+// and reports whether the WR is still live; one whose queue pair was
+// reset since it was taken is dropped instead.
+func (r *wrRun) enter(s stage) bool {
+	if r.next != s || r.stale() {
+		return r.misfire(s)
+	}
+	return true
+}
+
+// misfire is enter's rare case, kept out of line so enter inlines.
+func (r *wrRun) misfire(s stage) bool {
 	if r.next != s {
 		panic(fmt.Sprintf("rnic: stage %v ran on a run record expecting %v", s, r.next))
 	}
+	r.drop()
+	return false
+}
+
+// stale reports whether r's queue pair was reset since r was taken.
+func (r *wrRun) stale() bool { return r.epoch != r.q.epoch }
+
+// drop ends a WR of a reset queue pair's old incarnation where it
+// stands, with no effect. A fetch or a local issue held its queue's
+// loop: the loop restarts on the reset queue. A RECV's sender, parked
+// on it, is released too.
+func (r *wrRun) drop() {
+	if r.next == stageFetched || r.next == stageIssued || r.next == stageWaited {
+		w := r.q.sq
+		w.stale, w.active = false, false
+		w.kick()
+	}
+	if r.from != nil {
+		r.from.release()
+	}
+	r.release()
 }
 
 // sched makes s the record's outstanding continuation, due at t.
@@ -188,7 +220,9 @@ func (r *wrRun) scatter(m *mem.Memory, payload []byte) error {
 // ENABLE-granted fetch are observed — the property RedN's
 // doorbell-ordered self-modifying code depends on.
 func (r *wrRun) fetched() {
-	r.enter(stageFetched)
+	if !r.enter(stageFetched) {
+		return
+	}
 	w, dev := r.q.sq, r.q.dev
 	if w.errored || dev.frozen {
 		w.active = false
@@ -197,7 +231,7 @@ func (r *wrRun) fetched() {
 	}
 	var buf [wqe.Size]byte
 	if err := dev.mem.ReadInto(w.SlotAddr(r.idx), buf[:]); err != nil {
-		w.fail(r, StatusLocalProtErr)
+		w.halt(r, StatusLocalProtErr)
 		return
 	}
 	r.v.Decode(buf[:])
@@ -206,12 +240,14 @@ func (r *wrRun) fetched() {
 
 // issued runs at the end of a NOOP/WAIT/ENABLE's PU occupancy.
 func (r *wrRun) issued() {
-	r.enter(stageIssued)
+	if !r.enter(stageIssued) {
+		return
+	}
 	w, dev := r.q.sq, r.q.dev
 	switch r.v.Op {
 	case wqe.OpWait:
 		r.next = stageWaited
-		dev.CQByNum(r.v.Peer).waitFor(r.v.Count, r.fns[stageWaited])
+		dev.CQByNum(r.v.Peer).waitFor(r.v.Count, r)
 		return
 	case wqe.OpEnable:
 		target := dev.QPByNum(r.v.Peer)
@@ -226,15 +262,20 @@ func (r *wrRun) issued() {
 
 // waited runs when the CQ a WAIT watches reaches its target count.
 func (r *wrRun) waited() {
-	r.enter(stageWaited)
 	w := r.q.sq
+	w.wait = nil
+	if !r.enter(stageWaited) {
+		return
+	}
 	w.complete(r, StatusOK, false)
 	w.advance()
 }
 
 // atResponder runs when the request reaches the peer.
 func (r *wrRun) atResponder() {
-	r.enter(stageAtResponder)
+	if !r.enter(stageAtResponder) {
+		return
+	}
 	q, dev := r.q, r.q.dev
 	prof, now := &dev.prof, dev.eng.Now()
 	switch r.v.Op {
@@ -272,7 +313,9 @@ func (r *wrRun) atResponder() {
 
 // applied runs when the responder's memory access takes effect.
 func (r *wrRun) applied() {
-	r.enter(stageApplied)
+	if !r.enter(stageApplied) {
+		return
+	}
 	q, dev := r.q, r.q.dev
 	w, rmem, now := q.sq, q.remoteDev().mem, dev.eng.Now()
 	v := &r.v
@@ -314,14 +357,18 @@ func (r *wrRun) applied() {
 
 // ackSend is the receiver telling a parked SEND it was consumed.
 func (r *wrRun) ackSend() {
-	r.enter(stageParked)
+	if !r.enter(stageParked) {
+		return
+	}
 	r.sched(r.q.dev.eng.Now()+r.q.oneWay, stageAcked)
 }
 
 // acked runs when the response (ack, READ payload or atomic result) is
 // back at the requester.
 func (r *wrRun) acked() {
-	r.enter(stageAcked)
+	if !r.enter(stageAcked) {
+		return
+	}
 	q, dev := r.q, r.q.dev
 	w := q.sq
 	switch r.v.Op {
@@ -344,7 +391,9 @@ func (r *wrRun) acked() {
 
 // landed runs when a READ's response has been DMA-written locally.
 func (r *wrRun) landed() {
-	r.enter(stageLanded)
+	if !r.enter(stageLanded) {
+		return
+	}
 	w, m := r.q.sq, r.q.dev.mem
 	v := &r.v
 	var err error
@@ -366,14 +415,18 @@ func (r *wrRun) landed() {
 // failed surfaces an error found while gathering, at the time the
 // gather would have finished.
 func (r *wrRun) failed() {
-	r.enter(stageFailed)
+	if !r.enter(stageFailed) {
+		return
+	}
 	r.q.sq.fail(r, r.st)
 }
 
 // deliver makes the completion host-visible; it is a signaled (or
 // failed) WR's last stage.
 func (r *wrRun) deliver() {
-	r.enter(stageDeliver)
+	if !r.enter(stageDeliver) {
+		return
+	}
 	q, dev := r.q, r.q.dev
 	now := dev.eng.Now()
 	q.scq.deliver(CQE{WRID: r.v.ID, QPN: q.qpn, Op: r.v.Op, Status: r.st, Len: r.v.Len, At: now,
@@ -402,7 +455,15 @@ func (q *QP) consumeRecv(from *wrRun, deferred bool) {
 // recvStart claims the RECV WQE and fetches it on demand through the
 // port fetch unit.
 func (r *wrRun) recvStart() {
-	r.enter(stageRecvStart)
+	if !r.enter(stageRecvStart) {
+		return
+	}
+	if r.from.stale() {
+		// The sender was reset while its message queued here: it is
+		// gone before it claims a RECV.
+		r.drop()
+		return
+	}
 	q, dev := r.q, r.q.dev
 	r.idx = q.rq.consumer
 	q.rq.consumer++
@@ -415,7 +476,9 @@ func (r *wrRun) recvStart() {
 // the payload toward host memory. A RECV the NIC cannot read drops the
 // message: the sender never hears back.
 func (r *wrRun) recvFetched() {
-	r.enter(stageRecvFetched)
+	if !r.enter(stageRecvFetched) {
+		return
+	}
 	q, dev := r.q, r.q.dev
 	var buf [wqe.Size]byte
 	if err := dev.mem.ReadInto(q.rq.SlotAddr(r.idx), buf[:]); err != nil {
@@ -441,13 +504,15 @@ func (r *wrRun) recvFetched() {
 // counter for WAIT triggers, then the host-visible CQE) and acks the
 // sender, whose buffer held the payload until now.
 func (r *wrRun) recvApplied() {
-	r.enter(stageRecvApplied)
+	if !r.enter(stageRecvApplied) {
+		return
+	}
 	q, dev := r.q, r.q.dev
 	if err := r.scatter(dev.mem, r.from.payload); err != nil {
 		r.release()
 		return
 	}
-	dev.eng.After(dev.prof.CQInternal, q.rcq.advanceFn)
+	q.rcq.completed()
 	signaled := r.v.Signaled()
 	if signaled {
 		r.sched(dev.eng.Now()+dev.prof.CQEDeliver, stageRecvDeliver)
@@ -460,7 +525,9 @@ func (r *wrRun) recvApplied() {
 }
 
 func (r *wrRun) recvDeliver() {
-	r.enter(stageRecvDeliver)
+	if !r.enter(stageRecvDeliver) {
+		return
+	}
 	q := r.q
 	q.rcq.deliver(CQE{WRID: r.v.ID, QPN: q.qpn, Op: wqe.OpRecv, Status: StatusOK,
 		Len: uint64(r.n), At: q.dev.eng.Now()})

@@ -246,3 +246,175 @@ func TestRecvRingOverflowPanics(t *testing.T) {
 		qp.PostRecv(uint64(i), 0, 0, true)
 	}
 }
+
+// TestQPReset drives connections through resets with work at every
+// point of its life: a WRITE and a SEND caught mid-flight neither land
+// nor complete; a WAIT parked on a CQ is taken off it; a queue whose
+// loop was between two WQEs, past an error, or waiting on a managed
+// fetch, resumes on the reset ring without skipping or replaying a WQE; a completion
+// already under way still lands, as CQ.Settled says; and the reset
+// queues — same QPN, same PU — take twice their depth of fresh work
+// without overflowing. Freezing and resetting over and over leaves the
+// device's QP table (what Unfreeze walks) the size it was, and every
+// run record home.
+func TestQPReset(t *testing.T) {
+	eng, cli, srv, qp, sqp := testPair(t)
+	cli.SetLabel("cli")
+	srv.SetLabel("srv")
+	src := cli.Mem().Alloc(64, 8)
+	dst, rdst := srv.Mem().Alloc(64, 8), srv.Mem().Alloc(8, 8)
+	cli.Mem().PutU64(src, 0x5eed)
+	ctrl := srv.NewLoopbackQP(QPConfig{})
+	qpn, pu := qp.QPN(), qp.pu
+	// until steps the engine a nanosecond at a time to the instant cond
+	// first holds.
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for end := eng.Now() + 10*sim.Microsecond; !cond(); eng.RunUntil(eng.Now() + sim.Nanosecond) {
+			if eng.Now() > end {
+				t.Fatalf("setup: %s never happened", what)
+			}
+		}
+	}
+	inFlight := func(d *Device) int { return d.runsMade - len(d.freeRuns) }
+
+	// In flight across the reset: a WRITE and a SEND from the client,
+	// and a WAIT on the server for a RECV that will never complete.
+	postRecvList(sqp, 1, rdst)
+	ctrl.PostSend(wqe.WQE{Op: wqe.OpWait, Peer: sqp.RecvCQ().CQN(), Count: 1})
+	ctrl.RingSQ()
+	qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: src, Dst: dst, Len: 64, Flags: wqe.FlagSignaled})
+	qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: src, Len: 8, Flags: wqe.FlagSignaled})
+	qp.RingSQ()
+	until("the WRITE and the SEND in flight", func() bool { return inFlight(cli) == 2 })
+	if len(sqp.RecvCQ().waiters) != 1 {
+		t.Fatal("setup: the WAIT is not parked at the reset")
+	}
+	for _, q := range []*QP{qp, sqp, ctrl} {
+		q.Reset()
+	}
+	eng.Run()
+	if v, _ := srv.Mem().U64(dst); v != 0 {
+		t.Fatalf("the WRITE landed across the reset: %#x", v)
+	}
+	if v, _ := srv.Mem().U64(rdst); v != 0 || sqp.RecvCQ().Count() != 0 {
+		t.Fatalf("the SEND landed across the reset: %#x, %d RECVs completed", v, sqp.RecvCQ().Count())
+	}
+	if n := qp.SendCQ().Pending(); n != 0 || qp.SendCQ().Count() != 0 {
+		t.Fatalf("%d completions delivered across the reset", n)
+	}
+	if len(sqp.RecvCQ().waiters) != 0 || ctrl.sq.active {
+		t.Fatal("the parked WAIT still holds its queue")
+	}
+	if qp.QPN() != qpn || qp.pu != pu {
+		t.Fatalf("the reset moved the QP: QPN %d -> %d", qpn, qp.QPN())
+	}
+
+	// Reset between two WQEs — the WRITE issued, its queue's advance
+	// still ahead — then one fresh NOOP: it runs, once, as WQE 0.
+	qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: src, Dst: dst, Len: 64})
+	qp.RingSQ()
+	until("the WRITE issued", func() bool { return inFlight(cli) == 1 })
+	qp.Reset()
+	qp.PostSend(wqe.WQE{Op: wqe.OpNoop, Flags: wqe.FlagSignaled})
+	qp.RingSQ()
+	eng.Run()
+	if v, _ := srv.Mem().U64(dst); v != 0 || qp.SendCQ().Pending() != 1 || qp.SQ().Consumer() != 1 {
+		t.Fatalf("after a reset mid-loop: WRITE landed %#x, %d completions, consumer %d",
+			v, qp.SendCQ().Pending(), qp.SQ().Consumer())
+	}
+	qp.SendCQ().Poll(1)
+
+	// Reset an errored queue whose loop is still running: a WRITE to an
+	// address the responder does not have fails while the WRITEs behind
+	// it hold the loop. After the reset one fresh NOOP runs exactly once.
+	qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: src, Dst: 1 << 40, Len: 8})
+	for i := 0; i < 64; i++ {
+		qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: src, Dst: dst + 8, Len: 8})
+	}
+	qp.RingSQ()
+	until("the WRITE's failure", func() bool { return qp.SQ().Errored() })
+	qp.Reset()
+	qp.PostSend(wqe.WQE{Op: wqe.OpNoop, Flags: wqe.FlagSignaled})
+	qp.RingSQ()
+	eng.Run()
+	if n := qp.SendCQ().Pending(); n != 1 || qp.SQ().Consumer() != 1 {
+		t.Fatalf("after resetting an errored queue: %d completions, consumer %d", n, qp.SQ().Consumer())
+	}
+	qp.SendCQ().Poll(1)
+
+	// Reset while a managed fetch holds the loop: the fetched WQE is gone
+	// and the next ENABLE runs the fresh one.
+	m := srv.NewLoopbackQP(QPConfig{Managed: true})
+	mdst := srv.Mem().Alloc(8, 8)
+	m.PostSend(wqe.WQE{Op: wqe.OpWrite, Dst: mdst, Len: 8, Cmp: 1, Flags: wqe.FlagInline})
+	m.EnableSQFromHost(1)
+	busy := inFlight(srv)
+	until("the managed fetch", func() bool { return inFlight(srv) > busy })
+	m.Reset()
+	eng.Run()
+	if v, _ := srv.Mem().U64(mdst); v != 0 || m.sq.active {
+		t.Fatalf("the fetched WRITE ran across the reset (%#x) or holds the loop", v)
+	}
+	m.PostSend(wqe.WQE{Op: wqe.OpWrite, Dst: mdst, Len: 8, Cmp: 2, Flags: wqe.FlagInline})
+	m.EnableSQFromHost(1)
+	eng.Run()
+	if v, _ := srv.Mem().U64(mdst); v != 2 {
+		t.Fatalf("the reset managed queue ran %#x, want the fresh WRITE's 2", v)
+	}
+
+	// A completion under way at the reset still advances the CQ: Settled
+	// counts it before it lands.
+	ctrl.PostSend(wqe.WQE{Op: wqe.OpNoop, Flags: wqe.FlagSignaled})
+	ctrl.RingSQ()
+	scq := ctrl.SendCQ()
+	until("the NOOP's completion", func() bool { return scq.due > 0 })
+	ctrl.Reset()
+	settled := scq.Settled()
+	eng.Run()
+	if settled != scq.Count() || settled != 1 {
+		t.Fatalf("the CQ settled at %d, counts %d", settled, scq.Count())
+	}
+
+	// Twice the ring's depth of fresh work, in two full rings.
+	depth := int(qp.SQ().Capacity())
+	for round := 0; round < 2; round++ {
+		for i := 0; i < depth; i++ {
+			qp.PostSend(wqe.WQE{Op: wqe.OpNoop, Flags: wqe.FlagSignaled})
+		}
+		qp.RingSQ()
+		eng.Run()
+	}
+	if n := qp.SendCQ().Pending(); n != 2*depth {
+		t.Fatalf("%d of %d fresh WQEs completed after the reset", n, 2*depth)
+	}
+	// The reset connection carries a SEND into a fresh RECV, and the
+	// server's reset control queue sequences on it again.
+	postRecvList(sqp, 2, rdst)
+	ctrl.PostSend(wqe.WQE{Op: wqe.OpWait, Peer: sqp.RecvCQ().CQN(), Count: sqp.RecvCQ().Settled() + 1})
+	ctrl.PostSend(wqe.WQE{Op: wqe.OpNoop, Flags: wqe.FlagSignaled})
+	ctrl.RingSQ()
+	qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: src, Len: 8})
+	qp.RingSQ()
+	eng.Run()
+	if v, _ := srv.Mem().U64(rdst); v != 0x5eed || scq.Count() != 2 {
+		t.Fatalf("after the reset the SEND landed %#x and the WAIT's NOOP completed %d times", v, scq.Count()-1)
+	}
+
+	// Crash cycles: frozen, a SEND lost to the frozen NIC, thawed, reset.
+	qps := len(srv.qps)
+	for c := 0; c < 5; c++ {
+		srv.Freeze()
+		qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: src, Len: 8})
+		qp.RingSQ()
+		eng.Run()
+		srv.Unfreeze()
+		qp.Reset()
+		sqp.Reset()
+		eng.Run()
+	}
+	if len(srv.qps) != qps {
+		t.Fatalf("crash cycles grew the QP table from %d to %d", qps, len(srv.qps))
+	}
+	runsHome(t, cli, srv) // the SENDs the frozen NIC dropped included
+}

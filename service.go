@@ -266,9 +266,8 @@ type serviceShard struct {
 	table   *HashTable
 	mode    LookupMode
 	clients []*Client
-	cnodes  []*fabric.Node // client nodes, kept for reconnection
-	rr      int            // round-robin client cursor
-	ringIdx int32          // position in the ring's node table (-1: not on the ring)
+	rr      int   // round-robin client cursor
+	ringIdx int32 // position in the ring's node table (-1: not on the ring)
 
 	// The shard's coordinator-side trace track names, built once at
 	// wiring so a traced op concatenates nothing: get attempts, voting
@@ -630,9 +629,8 @@ func (s *Service) initMetrics() {
 	s.reg.Gauge("svc/ring_nodes", func() float64 { return float64(s.ring.Len()) })
 	s.reg.Gauge("svc/migrating_buckets", func() float64 { return float64(s.migratingBuckets()) })
 	// window_cuts / ecn_cuts surface the AIMD cut totals the client
-	// pipelines already account — monotone except across a reconnect
-	// (rebuilt connections restart at zero; the SLO engine clamps
-	// negative deltas).
+	// pipelines already account; a reconnect keeps them, so both are
+	// monotone.
 	s.reg.Gauge("svc/window_cuts", func() float64 {
 		var n uint64
 		for _, sh := range s.order {
@@ -829,7 +827,6 @@ func (s *Service) buildShard(id string) *serviceShard {
 		cc.MemSize = serviceClientMem
 		cn := s.tb.clu.AddNode(cc)
 		cn.Dev.SetTracer(s.tr)
-		sh.cnodes = append(sh.cnodes, cn)
 		sh.clients = append(sh.clients, s.newShardClient(sh, cn))
 	}
 	return sh
@@ -1456,9 +1453,9 @@ func (s *Service) maybeCache(g *getOp, val []byte) {
 // CrashShard schedules a §5.6 failure of the i-th shard at absolute
 // virtual time at. A ProcessCrash without a hull parent freezes the
 // shard's NIC (the OS reclaims the process's RDMA resources); since a
-// frozen NIC drops trigger SENDs, the old connections are dead even
-// after the restarted process returns, so recovery rebuilds the
-// shard's client connections — exactly the reconnect a real client
+// frozen NIC drops trigger SENDs, the old connections are out of step
+// even after the restarted process returns, so recovery resets the
+// shard's client connections in place — the reconnect a real client
 // performs against a restarted server. With HullParent (or under
 // OSPanic, which never frees RDMA resources) the NIC keeps serving
 // pre-armed chains throughout and only host-side sets are lost.
@@ -1487,17 +1484,17 @@ func (s *Service) CrashShard(i int, k failure.Kind, at Duration) {
 	}.InjectAt(s.tb.clu.Eng, at)
 }
 
-// reconnect replaces sh's client connections after a process crash
-// killed the old ones. In-flight gets on the old connections still
-// time out (and fail over) normally; the old connection state is
-// simply abandoned, as with real RC QPs in error state.
+// reconnect re-establishes sh's client connections after a process
+// crash desequenced them, by resetting each in place (Client.reset):
+// requests still in flight on them fail at once and fail over like any
+// unexecuted timeout, and the shard's node memory, QPs and PU placement
+// stay as they were.
 func (s *Service) reconnect(sh *serviceShard) {
 	sh.stats.Rebuilds++
-	sh.clients = sh.clients[:0]
-	for _, cn := range sh.cnodes {
-		sh.clients = append(sh.clients, s.newShardClient(sh, cn))
+	for _, cli := range sh.clients {
+		cli.reset()
 	}
-	// The rebuilt connections announce the shard is back.
+	// The reset connections announce the shard is back.
 	sh.markLive()
 }
 

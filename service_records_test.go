@@ -10,9 +10,9 @@ import (
 )
 
 // recordsHome fails unless every op record the service — and every
-// client connection it has, plus the abandoned ones in old — ever made
-// is back on its free list in its released state: where a quiesced
-// service must leave them.
+// client connection it has, plus those in old of shards that left it —
+// ever made is back on its free list in its released state: where a
+// quiesced service must leave them.
 func recordsHome(t *testing.T, s *Service, old ...*Client) {
 	t.Helper()
 	if s.gets.made+s.sets.made+s.runs.made == 0 {
@@ -149,7 +149,7 @@ func TestOpRecordsReturnAtQuiesce(t *testing.T) {
 
 // Through a crash: writes hint while the owner is down, the hints drain
 // at recovery — one of them dropped by DropHints while its replay is in
-// flight — and the connections the crash killed are abandoned with
+// flight — and the connections the crash desequenced are reset with
 // requests on them.
 func TestOpRecordsReturnAcrossCrashAndHints(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
@@ -159,7 +159,6 @@ func TestOpRecordsReturnAcrossCrashAndHints(t *testing.T) {
 		Buckets:          1 << 12, MaxValLen: 64})
 	keys := preloadKeys(t, s, 48)
 	victim := s.order[0]
-	old := append([]*Client(nil), victim.clients...)
 	s.CrashShard(0, failure.ProcessCrash, s.Now()+200*sim.Microsecond)
 
 	// Load across the crash and into the outage: the victim's legs time
@@ -238,7 +237,7 @@ func TestOpRecordsReturnAcrossCrashAndHints(t *testing.T) {
 		t.Fatalf("crash did not run its course: %d hints queued, %d pending, %d rebuilds",
 			st.HintsQueued, st.HintsPending, st.Shards[0].Rebuilds)
 	}
-	recordsHome(t, s, old...)
+	recordsHome(t, s)
 	// And once more with the hints left to drain.
 	s.CrashShard(1, failure.ProcessCrash, s.Now()+200*sim.Microsecond)
 	issued, done = 0, 0
@@ -250,7 +249,7 @@ func TestOpRecordsReturnAcrossCrashAndHints(t *testing.T) {
 	if st := s.Stats(); done != total || st.HintsApplied == 0 || st.HintsPending != 0 {
 		t.Fatalf("second crash: %d of %d ops, %d hints applied, %d pending", done, total, st.HintsApplied, st.HintsPending)
 	}
-	recordsHome(t, s, old...)
+	recordsHome(t, s)
 }
 
 // A leg's hint can settle its write before the leg's failure is counted:
@@ -536,7 +535,7 @@ func hintedOutage(t *testing.T, n, users int) (*Service, *serviceShard, sim.Time
 // A recovery drains its hints through the owner's drain lanes — one
 // per write slot of its clients — not all at once: however many hints
 // the outage left, the drain holds no more owner applies, and puts no
-// more requests in the rebuilt set pipelines, than the owner has write
+// more requests in the reset set pipelines, than the owner has write
 // slots, beside what the users themselves have in flight. The users
 // rewrite the hinted keys during the drain, so some hints are
 // superseded in the queue and some replays meet a newer write at the
@@ -548,7 +547,6 @@ func TestHintDrainIsBounded(t *testing.T) {
 	if len(victim.idle) != lanes || lanes != 8 {
 		t.Fatalf("setup: %d idle drain lanes, want all %d of 8", len(victim.idle), lanes)
 	}
-	old := append([]*Client(nil), victim.clients...)
 	// Count the owner-apply records the recovery makes. The outage's
 	// writes failed while their live legs still ran, so its users grew
 	// the pool past what they hold with every owner up.
@@ -586,7 +584,7 @@ func TestHintDrainIsBounded(t *testing.T) {
 			s.runs.made, lanes, users)
 	}
 	if held > lanes+users {
-		t.Fatalf("the rebuilt set pipelines held %d requests at once: more than %d lanes and %d users",
+		t.Fatalf("the reset set pipelines held %d requests at once: more than %d lanes and %d users",
 			held, lanes, users)
 	}
 	if st.HintsApplied == 0 || st.HintsDropped == 0 || st.HintsQueued != st.HintsApplied+st.HintsDropped ||
@@ -599,7 +597,7 @@ func TestHintDrainIsBounded(t *testing.T) {
 			t.Fatalf("key %d: the recovered owner does not hold its newest value", k)
 		}
 	}
-	recordsHome(t, s, old...)
+	recordsHome(t, s)
 }
 
 // A second crash mid-drain leaves the hints not yet applied queued on
@@ -608,7 +606,6 @@ func TestHintDrainIsBounded(t *testing.T) {
 func TestHintDrainSurvivesSecondCrash(t *testing.T) {
 	const n = 400
 	s, victim, up := hintedOutage(t, n, 4)
-	old := append([]*Client(nil), victim.clients...)
 	applied := map[uint64]int{}
 	s.applyHook = func(id string, key, seq uint64) {
 		if id == victim.id {
@@ -620,7 +617,6 @@ func TestHintDrainSurvivesSecondCrash(t *testing.T) {
 	for len(applied) == 0 {
 		eng.RunUntil(eng.Now() + sim.Microsecond)
 	}
-	old = append(old, victim.clients...)
 	s.CrashShard(0, failure.ProcessCrash, s.Now())
 	eng.RunUntil(s.Now() + sim.Microsecond)
 	if !victim.hostDown || len(victim.hints) < 100 {
@@ -657,5 +653,127 @@ func TestHintDrainSurvivesSecondCrash(t *testing.T) {
 			t.Fatalf("key %d: the recovered owner does not hold the hinted value", k)
 		}
 	}
-	recordsHome(t, s, old...)
+	recordsHome(t, s)
+}
+
+// residentBytes sums the arena extents sh's table names: what its arena
+// holds live once a quiesce has returned every retired extent.
+func residentBytes(sh *serviceShard) uint64 {
+	t := sh.table.Table()
+	var n uint64
+	for i := uint64(0); i < t.NumBuckets(); i++ {
+		if _, va, _, ok := t.EntryAt(i); ok {
+			size, _ := sh.arena.Size(va)
+			n += size
+		}
+	}
+	return n
+}
+
+// A restarted shard's connections are reset in place, not rebuilt:
+// through 40 process crashes of one shard — each with a set and a get
+// of every key issued as it goes down, and again once it is back — the
+// shard's server node and both its client nodes allocate no node
+// memory after the first recovery, its NIC's QP table stays the size it
+// was, and its arena holds exactly the extents its table names: the
+// staging extents of the set slots the crash wedged went back.
+func TestServiceReconnectReusesConnections(t *testing.T) {
+	const cycles = 40
+	// Segments small enough that the arena reaches its working set in
+	// the first cycle.
+	s := NewServiceWith(ServiceConfig{
+		Shards: 4, ClientsPerShard: 2, Pipeline: 16, Mode: LookupSeq,
+		Replicas: 3, WriteQuorum: 2, Buckets: 1 << 12, MaxValLen: 64, SegmentSize: 1 << 12})
+	keys := preloadKeys(t, s, 64)
+	sh := s.order[0]
+	failed, r := 0, 0
+	// round sets every key to its next value and gets it.
+	round := func() {
+		r++
+		for _, k := range keys {
+			s.SetAsync(k, Value(k+uint64(r), 48), func(_ Duration, err error) {
+				if err != nil {
+					failed++
+				}
+			})
+			s.GetAsync(k, 48, func(_ []byte, _ Duration, ok bool) {
+				if !ok {
+					failed++
+				}
+			})
+		}
+		s.Flush()
+	}
+	type cursors [3]uint64
+	cursorsNow := func() (c cursors) {
+		c[0] = sh.srv.node.Mem.Alloc(0, 1)
+		for i, cli := range sh.clients {
+			c[1+i] = cli.node.Mem.Alloc(0, 1)
+		}
+		return c
+	}
+	qps := func() (n uint32) {
+		for sh.srv.node.Dev.QPByNum(n) != nil {
+			n++
+		}
+		return n
+	}
+	// A few rounds first take the arena to its working set of segments.
+	for i := 0; i < 4; i++ {
+		round()
+		s.Run()
+	}
+	var flat cursors
+	var nQP uint32
+	for c := 1; c <= cycles; c++ {
+		// The NIC freezes at a different point of the round's first
+		// chains each cycle — WAITs parked on triggers it will drop,
+		// chains cut short mid-way — and later ones wedge.
+		s.CrashShard(0, failure.ProcessCrash, s.Now()+sim.Time(c*347%9000)*sim.Nanosecond)
+		round()
+		s.Run() // through the recovery and the hint drain
+		// One at a time, each get is answered by its first owner: no
+		// context of the reset connections waits on a trigger from
+		// before the crash.
+		retries := s.Stats().Retries
+		for _, k := range keys {
+			if _, _, ok := s.Get(k, 48); !ok {
+				t.Fatalf("cycle %d: get %d missed", c, k)
+			}
+		}
+		if n := s.Stats().Retries - retries; n != 0 {
+			t.Fatalf("cycle %d: %d gets retried on the recovered shard's connections", c, n)
+		}
+		round()
+		s.Run()
+		if failed != 0 {
+			t.Fatalf("cycle %d: %d ops failed", c, failed)
+		}
+		if live, res := sh.arena.Stats().LiveBytes, residentBytes(sh); live != res {
+			t.Fatalf("cycle %d: arena holds %d live bytes, its table names %d", c, live, res)
+		}
+		for _, cli := range sh.clients {
+			for _, p := range cli.pipes {
+				if p.inFlight != 0 || p.nWedged != 0 || len(p.free) != p.depth {
+					t.Fatalf("cycle %d: %s %s pipeline quiesced with %d in flight, %d wedged, %d of %d free",
+						c, cli.node.Name, p.name, p.inFlight, p.nWedged, len(p.free), p.depth)
+				}
+			}
+		}
+		if c == 1 {
+			flat, nQP = cursorsNow(), qps()
+			continue
+		}
+		if now := cursorsNow(); now != flat {
+			t.Fatalf("cycle %d: node memory cursors moved from %v to %v", c, flat, now)
+		}
+		if n := qps(); n != nQP {
+			t.Fatalf("cycle %d: the shard's NIC has %d QPs, %d after the first recovery", c, n, nQP)
+		}
+	}
+	st := s.Stats()
+	if st.Shards[0].Rebuilds != cycles || st.HintsApplied == 0 {
+		t.Fatalf("%d reconnects for %d crashes, %d hints applied", st.Shards[0].Rebuilds, cycles, st.HintsApplied)
+	}
+	recordsHome(t, s)
 }
