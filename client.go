@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/extent"
 	"repro/internal/fabric"
 	"repro/internal/hopscotch"
 	"repro/internal/ring"
@@ -99,7 +98,7 @@ type Client struct {
 	dels  *core.Pool[*core.DeleteOffload]
 	prbs  *core.Pool[*core.ProbeOffload]
 	table *HashTable
-	arena *extent.Arena // server arena freed extents return to
+	srv   *Server // its arena supplies staging extents; its retire queue takes superseded ones
 
 	// MissTimeout is the per-request deadline after which an unanswered
 	// request completes as a miss/failure. Mutable between requests.
@@ -167,6 +166,7 @@ type reqState struct {
 	start sim.Time
 	done  bool
 	op    uint64 // trace op id (0 = untraced)
+	mark  uint64 // get: its issue mark in the server's retire queue
 
 	// Provenance stamps: when the request entered the pipeline and
 	// whether it queued for window headroom (vs a free slot). The
@@ -811,15 +811,14 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 	}
 	t.n++
 	node := t.clu.AddNode(fabric.DefaultNodeConfig(fmt.Sprintf("client%d", t.n)))
-	return newClientOnNode(t, node, srv, mode, depth, defaultMaxValLen, srv.valueArena())
+	return newClientOnNode(t, node, srv, mode, depth, defaultMaxValLen)
 }
 
 // newClientOnNode wires the four connections, the offload context pools
 // and the demultiplexers; the Service uses it to place clients on its
-// own nodes. arena supplies (and reclaims) the server-side value
-// extents this connection's writes stage into; nil reproduces the
-// leak-forever bump allocator.
-func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode, depth int, maxVal uint64, arena *extent.Arena) *Client {
+// own nodes. The server's arena supplies (and reclaims) the value
+// extents this connection's writes stage into.
+func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode, depth int, maxVal uint64) *Client {
 	// Trigger connections: client SQ paces SENDs, server RQ holds one
 	// pre-posted RECV per armed instance.
 	srvRQ := max(2048, 4*depth)
@@ -829,7 +828,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 		depth:       depth,
 		maxVal:      maxVal,
 		getVals:     make([]byte, uint64(depth)*maxVal),
-		arena:       arena,
+		srv:         srv,
 		prevVal:     make(map[uint64]uint64),
 		nextVer:     make(map[uint64]uint64),
 	}
@@ -876,7 +875,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 			c.gets = core.NewLookupPool(srv.builder, srvQP, resp, nil, nil, mode)
 			slotCtx = c.gets.Context
 		case pipeSet:
-			c.sets = core.NewSetPool(srv.builder, srvQP, resp, maxVal, arena)
+			c.sets = core.NewSetPool(srv.builder, srvQP, resp, maxVal, srv.valueArena())
 			slotCtx = c.sets.Context
 		case pipeDelete:
 			c.dels = core.NewDeletePool(srv.builder, srvQP, resp)
@@ -909,7 +908,10 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 // payload on delivery, and post-release lifecycle.
 func (c *Client) wireHooks() {
 	// ---- get ----
+	// A get holds an issue mark of the server's retire queue from its
+	// arming to its release, so no extent it may gather from is reused.
 	c.get.arm = func(req *pipeReq, resp uint64) []byte {
+		req.mark = c.srv.retire.enter()
 		c.gets.Ctxs[req.slot].Arm()
 		return c.gets.Ctxs[req.slot].TriggerPayload(req.key, req.valLen, resp)
 	}
@@ -924,6 +926,7 @@ func (c *Client) wireHooks() {
 		}
 		req.getCB(val, lat, ok)
 	}
+	c.get.release = func(req *pipeReq, _, _ bool) { c.srv.retire.exit(req.mark) }
 
 	// ---- set ----
 	c.set.arm = func(req *pipeReq, ack uint64) []byte {
@@ -955,13 +958,12 @@ func (c *Client) wireHooks() {
 			// still repoint the bucket at it.)
 			c.sets.Ctxs[req.slot].ReleaseStaging()
 		}
-		if ok && req.lifecycle && c.arena != nil {
+		if ok && req.lifecycle {
 			// This ack's staging is the bucket's value now; the extent
 			// the previous same-key ack installed is superseded — retire
-			// it after the read grace (an in-flight get may hold its
-			// pointer).
+			// it (a get in flight may hold its pointer).
 			if prev, tracked := c.prevVal[req.key]; tracked && prev != req.staging {
-				c.tb.clu.Eng.After(extentGraceLat, func() { c.arena.Free(prev) })
+				c.srv.retire.push(prev)
 			}
 			c.prevVal[req.key] = req.staging
 		}
@@ -1227,11 +1229,9 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 	// first overwrite retires the preloaded value. (Service writes pass
 	// setAsyncClaim directly — their coordinator owns the lifecycle.)
 	k := key & hopscotch.KeyMask
-	if c.arena != nil {
-		if _, tracked := c.prevVal[k]; !tracked {
-			if va, _, ok := c.table.table.Lookup(k); ok {
-				c.prevVal[k] = va
-			}
+	if _, tracked := c.prevVal[k]; !tracked {
+		if va, _, ok := c.table.table.Lookup(k); ok {
+			c.prevVal[k] = va
 		}
 	}
 	c.nextVer[k]++
@@ -1315,11 +1315,11 @@ func (c *Client) deleteAsyncClaim(key, bucket, ver, op uint64, cb func(lat Durat
 }
 
 // drainFreed drains this connection's to-free ring into the server's
-// arena: each entry a delete chain unlinked is returned exactly once,
-// after the read grace (a get that probed the bucket just before the
-// tombstone may still hold the pointer); entries whose extent is
-// already gone (a straggling chain double-unlinked during its claim
-// window) are counted and skipped.
+// retire queue: each entry a delete chain unlinked is retired exactly
+// once (a get that probed the bucket just before the tombstone may
+// still hold the pointer); entries whose extent is already gone (a
+// straggling chain double-unlinked during its claim window) are counted
+// and skipped.
 func (c *Client) drainFreed() int {
 	return c.dels.Ctxs[0].Ring.Drain(func(tag, addr, size uint64) {
 		// The tag is the pending word the delete chain claimed; the
@@ -1327,12 +1327,10 @@ func (c *Client) drainFreed() int {
 		// address to that key — a straggler's double-deposit of an
 		// address recycled to another key is stale, not a free.
 		key := tag & hopscotch.KeyMask &^ hopscotch.PendingBit
-		if c.arena != nil {
-			if cookie, live := c.arena.Cookie(addr); live && cookie == key {
-				c.gcFreed++
-				c.tb.clu.Eng.After(extentGraceLat, func() { c.arena.Free(addr) })
-				return
-			}
+		if cookie, live := c.srv.arena.Cookie(addr); live && cookie == key {
+			c.gcFreed++
+			c.srv.retire.push(addr)
+			return
 		}
 		c.gcStale++
 	})

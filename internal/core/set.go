@@ -150,7 +150,7 @@ func newSetOffload(b *Builder, trig, resp *rnic.QP, maxVal uint64, arena *extent
 
 // Arm reserves the staging extent of one set instance, the target of the
 // client's value WRITE; cookie tags it in the arena (the service passes
-// the key, which compaction surfaces to find the bucket). TriggerPayload,
+// the key, which the to-free ring's drain checks). TriggerPayload,
 // the first call that sees the claim, posts the instance. Re-arming
 // models the client rewriting the registered code region over RDMA
 // (§3.5), so sets survive host failures that leave the NIC alive.

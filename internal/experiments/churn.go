@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -13,11 +12,11 @@ import (
 // every set stages a fresh extent and every delete retires one through
 // the NIC tombstone chain and the to-free ring.
 //
-//  1. Footprint — with the log-structured arena (free-list reuse +
-//     background compaction) the server-side memory footprint stays a
-//     small multiple of the live-set bytes no matter how long the churn
-//     runs. The same workload on the pre-lifecycle leak-forever
-//     allocator (NoReclaim) grows without bound.
+//  1. Footprint — with the extent arena (each retired extent reused
+//     as soon as no get can still read it) the server-side memory
+//     footprint stays within a chunk of the live-set bytes no matter
+//     how long the churn runs. The same workload on the pre-lifecycle
+//     leak-forever allocator (NoReclaim) grows without bound.
 //  2. Throughput — deletes ride the same pipelined fabric as sets
 //     (real modeled latency, del p50 asserted fabric-real), and the
 //     lifecycle machinery costs gets/sets almost nothing against a
@@ -36,7 +35,7 @@ const churnKeys = 1000
 // request count (tests use a shorter run than the headline).
 func churnRun(requests int) *Result {
 	r := &Result{ID: "churn",
-		Title:  "Overwrite+delete churn: extent arena + compaction versus the leak-forever allocator",
+		Title:  "Overwrite+delete churn: extent arena versus the leak-forever allocator",
 		Header: []string{"gets/s", "sets/s", "dels/s", "del p50", "foot/live", "(us)"}}
 
 	keys := make([]uint64, churnKeys)
@@ -46,16 +45,13 @@ func churnRun(requests int) *Result {
 
 	run := func(noReclaim bool, deleteEvery int) (workload.LoadReport, redn.ServiceStats) {
 		s := redn.NewServiceWith(redn.ServiceConfig{
-			Shards:           8,
-			ClientsPerShard:  2,
-			Pipeline:         16,
-			Mode:             redn.LookupSeq,
-			Buckets:          1 << 16,
-			MaxValLen:        256,
-			SegmentSize:      8 << 10,
-			CompactEvery:     250 * sim.Microsecond,
-			CompactThreshold: 0.6,
-			NoReclaim:        noReclaim,
+			Shards:          8,
+			ClientsPerShard: 2,
+			Pipeline:        16,
+			Mode:            redn.LookupSeq,
+			Buckets:         1 << 16,
+			MaxValLen:       256,
+			NoReclaim:       noReclaim,
 		})
 		for _, k := range keys {
 			if err := s.Set(k, redn.Value(k, 64)); err != nil {
@@ -75,9 +71,8 @@ func churnRun(requests int) *Result {
 
 	// foot/live compares the arena's (monotone) footprint against the
 	// high-water live bytes — the working-set size. End-of-run live is
-	// the wrong denominator: deletes and compaction right-sizing shrink
-	// it, while the free list keeps recycled segments on hand by
-	// design.
+	// the wrong denominator: deletes shrink it, while the free stacks
+	// keep retired extents on hand by design.
 	ratio := func(st redn.ServiceStats) float64 {
 		if st.ArenaPeakLive == 0 {
 			return 0
@@ -95,7 +90,7 @@ func churnRun(requests int) *Result {
 	// The headline: churn with the full lifecycle subsystem.
 	churn, st := run(false, 6)
 	r.Rows = append(r.Rows, Row{
-		Label: "8 shards, +17% deletes, arena + compaction",
+		Label: "8 shards, +17% deletes, extent arena",
 		Cells: []string{kops(churn.GetsPerSec), kops(churn.SetsPerSec), kops(churn.DelsPerSec),
 			us(churn.DelP50), fmt.Sprintf("%.2f", ratio(st)), ""}})
 
@@ -118,11 +113,6 @@ func churnRun(requests int) *Result {
 	r.metric("churn_peak_live_bytes", float64(st.ArenaPeakLive))
 	r.metric("leak_footprint_ratio", ratio(lst))
 	r.metric("leak_peak_arena_bytes", float64(lst.ArenaPeak))
-	r.metric("compact_moves", float64(st.CompactMoves))
-	r.metric("compact_copied_kb", float64(st.CompactBytes)/1024)
-	if churn.Elapsed > 0 {
-		r.metric("compact_copy_kb_per_sec", float64(st.CompactBytes)/1024/churn.Elapsed.Seconds())
-	}
 	r.metric("gc_freed", float64(st.GCFreed))
 	r.metric("gc_stale", float64(st.GCStale))
 	r.metric("fabric_deletes", float64(st.FabricDeletes))
@@ -135,7 +125,7 @@ func churnRun(requests int) *Result {
 	}
 	// What the lifecycle machinery costs, like for like: the arena run
 	// against the leak-forever run on the identical op stream, where
-	// reclamation and compaction are the only difference.
+	// reclamation is the only difference.
 	if leak.GetsPerSec > 0 {
 		r.metric("lifecycle_get_ratio", churn.GetsPerSec/leak.GetsPerSec)
 	}
@@ -160,11 +150,10 @@ func churnRun(requests int) *Result {
 
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("uniform %dK-key 64B closed loop; every 3rd op a set, every 6th a delete (delete checked first): ~17%% dels, ~17%% sets", churnKeys/1000),
-		"foot/live = arena footprint over peak live bytes (the working set); the arena bounds it via segment reuse + compaction below a 60% liveness threshold every 250us",
+		"foot/live = arena footprint over peak live bytes (the working set); the arena bounds it by reusing each retired extent once no get can still read it",
 		fmt.Sprintf("arena: peak %d KiB vs %d KiB live; leak-forever peak %d KiB and still growing linearly with writes",
 			st.ArenaPeak/1024, st.ArenaLive/1024, lst.ArenaPeak/1024),
-		fmt.Sprintf("compaction moved %d extents (%d KiB); to-free ring returned %d extents (%d stale)",
-			st.CompactMoves, st.CompactBytes/1024, st.GCFreed, st.GCStale),
+		fmt.Sprintf("to-free ring returned %d extents (%d stale)", st.GCFreed, st.GCStale),
 		"deletes travel the NIC tombstone chain (claim CAS -> conditional unlink -> tombstone -> verdict ack); del p50 is fabric-real, asserted like set p50")
 	return r
 }

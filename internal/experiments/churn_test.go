@@ -43,8 +43,8 @@ func TestChurnGate(t *testing.T) {
 	}
 	// The lifecycle machinery must not tax the mix: gets and total
 	// operation rate within 1% of the leak-forever run on the identical
-	// op stream (reclamation and compaction are the only difference),
-	// and set latency not inflated against the delete-free baseline.
+	// op stream (reclamation is the only difference), and set latency
+	// not inflated against the delete-free baseline.
 	if gr := r.Metrics["lifecycle_get_ratio"]; gr < 0.99 {
 		t.Fatalf("churn gets at %.4fx the leak-forever run, want >= 0.99", gr)
 	}
@@ -54,10 +54,7 @@ func TestChurnGate(t *testing.T) {
 	if pr := r.Metrics["churn_set_p50_ratio"]; pr > 1.25 {
 		t.Fatalf("churn set p50 %.2fx the delete-free baseline, want <= 1.25", pr)
 	}
-	// Compaction and the to-free ring both actually ran.
-	if r.Metrics["compact_moves"] == 0 {
-		t.Fatal("compaction never relocated an extent")
-	}
+	// The to-free ring actually ran.
 	if r.Metrics["gc_freed"] == 0 {
 		t.Fatal("the to-free ring never returned an extent")
 	}

@@ -8,14 +8,14 @@ import (
 	"repro/internal/mem"
 )
 
-// An Alloc/Free churn that keeps carving fresh segments makes one Go
-// object per segment, the segment itself: a live extent is indexed once,
-// in a map that stays as large as the live set. (The sealed list's
-// doubling amortizes below one object per run.) noReclaim keeps every
-// filled segment from being reused, so each run carves afresh.
+// An Alloc/Free churn that keeps carving fresh chunks makes one Go
+// object per chunk, the records of its extents: an extent is indexed
+// once, and under noReclaim a freed one is forgotten, so the index
+// stays as large as the live set. noReclaim keeps every freed extent
+// from being reused, so each run carves afresh.
 func TestArenaChurnAllocs(t *testing.T) {
-	const segSize, extent = 4096, 64
-	a := NewArena(mem.New(64<<20), segSize)
+	const chunk, extent = 4096, 64
+	a := NewArena(mem.New(64<<20), chunk)
 	a.SetNoReclaim(true)
 	var ring [8]uint64 // a live set of eight extents, oldest freed first
 	for i := range ring {
@@ -24,7 +24,7 @@ func TestArenaChurnAllocs(t *testing.T) {
 	n := uint64(len(ring))
 	carves := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		for range segSize / extent {
+		for range chunk / extent {
 			i := n % uint64(len(ring))
 			if err := a.Free(ring[i]); err != nil {
 				t.Fatal(err)
@@ -34,10 +34,37 @@ func TestArenaChurnAllocs(t *testing.T) {
 		}
 		carves++
 	})
-	if st := a.Stats(); st.Segments < carves {
-		t.Fatalf("%d segments after %d runs: the churn did not carve one per run", st.Segments, carves)
+	if st := a.Stats(); st.Footprint < uint64(carves)*chunk {
+		t.Fatalf("footprint %d after %d runs: the churn did not carve a chunk per run", st.Footprint, carves)
 	}
 	if allocs > 1 {
-		t.Fatalf("%.0f allocations per fresh segment, want at most 1", allocs)
+		t.Fatalf("%.0f allocations per fresh chunk, want at most 1", allocs)
+	}
+}
+
+// Steady-state reuse allocates nothing: a churn over a fixed live set
+// of two sizes frees onto and allocates off the free stacks alone.
+func TestArenaReuseAllocates(t *testing.T) {
+	a := NewArena(mem.New(64<<20), 0)
+	var ring [64]uint64
+	for i := range ring {
+		ring[i] = a.Alloc(uint64(64+64*(i%2)), uint64(i+1))
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		for range len(ring) {
+			i := n % len(ring)
+			if err := a.Free(ring[i]); err != nil {
+				t.Fatal(err)
+			}
+			ring[i] = a.Alloc(uint64(64+64*(i%2)), uint64(n))
+			n++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per churn run at a fixed live set, want 0", allocs)
+	}
+	if st := a.Stats(); st.Footprint != 2*defaultChunk {
+		t.Fatalf("footprint %d, want one chunk per size (%d)", st.Footprint, 2*defaultChunk)
 	}
 }

@@ -1,20 +1,18 @@
 // Package extent is the value-extent lifecycle layer under the fabric
-// write path: a log-structured, segment-based allocator over a node's
-// simulated memory, plus the to-free ring NIC delete chains unlink
-// retired extents onto.
+// write path: an allocator of value extents over a node's simulated
+// memory, plus the to-free ring NIC delete chains unlink retired
+// extents onto.
 //
 // The raw mem.Memory bump allocator can only grow, so every overwrite
 // and every delete used to leak its old value extent — fine for the
 // paper's fixed-key experiments, fatal for a churn workload. The arena
-// instead carves memory into fixed-size segments and bump-allocates
-// extents within the active segment (log-structured writes: a set
-// never mutates a live extent, it installs a fresh one). Frees only
-// decrement the owning segment's live-byte count; a segment whose live
-// bytes reach zero is recycled whole onto a free list, and segments
-// stuck below a liveness threshold are evacuated by a host-side
-// compactor (CompactBelow) that relocates the survivors and recycles
-// the husk. Arena footprint is therefore bounded by live bytes times
-// the inverse liveness threshold, not by write volume.
+// instead reuses memory one extent at a time: a freed extent goes on a
+// free stack for its size and is the next Alloc of that size; a size
+// carves a fresh chunk of node memory only when its stack is empty.
+// The memory an arena holds is therefore each size's peak live bytes
+// rounded up to a chunk, not the write volume. When an extent may be
+// freed — no reader still holding its pointer — is the caller's
+// business (the root package's retire queue).
 //
 // Everything runs in virtual time on the single-threaded simulation
 // engine; the arena needs no locking, only exact accounting — which
@@ -23,53 +21,45 @@ package extent
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/mem"
 )
 
-// DefaultSegmentSize is the default segment granularity. Big enough to
-// amortize per-segment bookkeeping over hundreds of typical values,
-// small enough that one mostly-dead segment holds back little memory.
-const DefaultSegmentSize = 64 << 10
+// defaultChunk is the default carve, a page: it amortizes a carve over
+// the small values that dominate, and a size's half-used chunk holds
+// back little memory.
+const defaultChunk = 4 << 10
 
-// segment is one contiguous carve of node memory.
-type segment struct {
-	base uint64
-	size uint64
-	fill uint64 // bump cursor within the segment
-	live uint64 // bytes of live extents
-}
-
-// record is one live extent.
+// record is one extent: live, or free on its size's stack.
 type record struct {
 	addr   uint64
 	size   uint64
 	cookie uint64
-	seg    *segment
+	live   bool
+}
+
+// class is the extents of one size: the freed ones, most recently
+// freed last, and the uncarved rest of the size's current chunk — its
+// next address and a record for each extent still to carve.
+type class struct {
+	free []*record
+	next uint64
+	recs []record
 }
 
 // Arena is a node's value-extent allocator.
 type Arena struct {
-	mem     *mem.Memory
-	segSize uint64
+	mem   *mem.Memory
+	chunk uint64
 
-	active *segment   // current fill target (never a compaction victim)
-	sealed []*segment // full (or retired-from-active) segments
-	free   []*segment // fully-dead segments awaiting reuse
-
-	byAddr map[uint64]*record // the one index of live extents
-	spare  []*record          // records of freed extents, reused by Alloc
+	byAddr  map[uint64]*record // every extent carved (live or free), indexed once
+	classes map[uint64]*class  // by extent size
 
 	liveBytes uint64
 	peakLive  uint64 // high-water live bytes
-	footprint uint64 // bytes held in segments (live, sealed, and free)
-	peak      uint64
+	footprint uint64 // bytes carved from node memory; never returned
 
-	allocs, frees, recycles uint64
-	compactMoves            uint64
-	compactBytes            uint64
-	compactions             uint64
+	allocs, frees uint64
 
 	// noReclaim keeps the accounting but never reuses memory —
 	// reproducing the pre-lifecycle leak-forever allocator so
@@ -77,246 +67,126 @@ type Arena struct {
 	noReclaim bool
 }
 
-// NewArena builds an arena over m with the given segment size
-// (0 selects DefaultSegmentSize).
-func NewArena(m *mem.Memory, segSize uint64) *Arena {
-	if segSize == 0 {
-		segSize = DefaultSegmentSize
+// NewArena builds an arena over m that carves chunk bytes at a time
+// for each size (0 selects 4 KiB; a size larger than the chunk carves
+// one extent at a time).
+func NewArena(m *mem.Memory, chunk uint64) *Arena {
+	if chunk == 0 {
+		chunk = defaultChunk
 	}
-	return &Arena{mem: m, segSize: segSize, byAddr: make(map[uint64]*record)}
+	return &Arena{mem: m, chunk: chunk, byAddr: make(map[uint64]*record), classes: make(map[uint64]*class)}
 }
 
 // SetNoReclaim switches the arena into leak-forever mode: frees still
-// account (live bytes stay truthful) but segments are never recycled
-// and compaction is a no-op, so the footprint tracks cumulative
-// allocation — the pre-lifecycle behavior the churn experiment
-// baselines against.
+// account (live bytes stay truthful) but a freed extent is forgotten,
+// never reused, so the footprint tracks cumulative allocation — the
+// pre-lifecycle behavior the churn experiment baselines against.
 func (a *Arena) SetNoReclaim(v bool) { a.noReclaim = v }
 
-// newSegment carves a fresh segment of at least size bytes from memory.
-func (a *Arena) newSegment(size uint64) *segment {
-	if size < a.segSize {
-		size = a.segSize
-	}
-	s := &segment{base: a.mem.Alloc(size, 8), size: size}
-	a.footprint += size
-	if a.footprint > a.peak {
-		a.peak = a.footprint
-	}
-	return s
-}
-
-// take returns a segment with room for size bytes: the first free
-// segment that fits, or a fresh carve.
-func (a *Arena) take(size uint64) *segment {
-	for i, s := range a.free {
-		if s.size >= size {
-			a.free = append(a.free[:i], a.free[i+1:]...)
-			a.recycles++
-			return s
-		}
-	}
-	return a.newSegment(size)
-}
-
 // Alloc reserves size bytes (8-aligned) for a value extent and returns
-// its base address. cookie is an opaque owner tag (the service stores
-// the key) surfaced again at compaction time.
+// its base address: the most recently freed extent of that size, or a
+// fresh one from the size's chunk. cookie is an opaque owner tag (the
+// service stores the key).
 func (a *Arena) Alloc(size, cookie uint64) uint64 {
 	if size == 0 {
 		size = 8
 	}
 	size = (size + 7) &^ 7
-	if a.active == nil || a.active.fill+size > a.active.size {
-		if a.active != nil {
-			// Retire the active segment; it may already be fully dead.
-			a.seal(a.active)
-		}
-		a.active = a.take(size)
+	c := a.classes[size]
+	if c == nil {
+		c = new(class)
+		a.classes[size] = c
 	}
-	s := a.active
-	addr := s.base + s.fill
-	s.fill += size
 	var r *record
-	if n := len(a.spare); n > 0 {
-		r, a.spare = a.spare[n-1], a.spare[:n-1]
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
 	} else {
-		r = new(record)
+		r = a.carve(c, size)
 	}
-	*r = record{addr: addr, size: size, cookie: cookie, seg: s}
-	s.live += size
-	a.byAddr[addr] = r
+	r.cookie, r.live = cookie, true
 	a.liveBytes += size
 	if a.liveBytes > a.peakLive {
 		a.peakLive = a.liveBytes
 	}
 	a.allocs++
-	return addr
+	return r.addr
 }
 
-// seal moves a segment out of the active role, recycling it at once
-// when nothing in it is live (never under noReclaim: the leak baseline
-// must not quietly reuse memory).
-func (a *Arena) seal(s *segment) {
-	if s.live == 0 && !a.noReclaim {
-		s.fill = 0
-		a.free = append(a.free, s)
-		return
+// carve makes the next extent of c's chunk, carving a fresh chunk (and
+// its records, one Go object) when the current one is used up.
+func (a *Arena) carve(c *class, size uint64) *record {
+	if len(c.recs) == 0 {
+		n := max(1, a.chunk/size)
+		c.next = a.mem.Alloc(n*size, 8)
+		c.recs = make([]record, n)
+		a.footprint += n * size
 	}
-	a.sealed = append(a.sealed, s)
+	r := &c.recs[0]
+	c.recs = c.recs[1:]
+	*r = record{addr: c.next, size: size}
+	c.next += size
+	a.byAddr[r.addr] = r
+	return r
 }
 
-// Free retires the extent at addr. Freeing an address that is not a
-// live extent base is an error — the double-free/bad-free signal the
-// property tests assert on.
+// Free returns the extent at addr to the arena. Freeing an address
+// that is not a live extent base is an error — the double-free/bad-free
+// signal the property tests assert on.
 func (a *Arena) Free(addr uint64) error {
-	r, ok := a.byAddr[addr]
+	r, ok := a.live(addr)
 	if !ok {
 		return fmt.Errorf("extent: free of %#x: not a live extent", addr)
 	}
-	a.release(r)
+	r.live = false
+	a.liveBytes -= r.size
+	a.frees++
+	if a.noReclaim {
+		delete(a.byAddr, addr)
+		return nil
+	}
+	c := a.classes[r.size]
+	c.free = append(c.free, r)
 	return nil
 }
 
-// release drops one live record and recycles its segment when it was
-// the last survivor. An active segment that empties rewinds its fill
-// cursor instead — otherwise its dead prefix would be unusable until
-// the segment happened to seal.
-func (a *Arena) release(r *record) {
-	seg := r.seg
-	delete(a.byAddr, r.addr)
-	seg.live -= r.size
-	a.liveBytes -= r.size
-	a.frees++
-	a.spare = append(a.spare, r) // r is the next Alloc's from here on
-	if a.noReclaim || seg.live != 0 {
-		return
-	}
-	if seg == a.active {
-		seg.fill = 0
-		return
-	}
-	for i, s := range a.sealed {
-		if s == seg {
-			a.sealed = append(a.sealed[:i], a.sealed[i+1:]...)
-			break
-		}
-	}
-	seg.fill = 0
-	a.free = append(a.free, seg)
+// live returns the record of the live extent at addr.
+func (a *Arena) live(addr uint64) (*record, bool) {
+	r, ok := a.byAddr[addr]
+	return r, ok && r.live
 }
 
 // Size returns the allocated capacity of the live extent at addr (its
 // rounded Alloc size, not the value length stored in it).
 func (a *Arena) Size(addr uint64) (uint64, bool) {
-	r, ok := a.byAddr[addr]
-	if !ok {
-		return 0, false
+	if r, ok := a.live(addr); ok {
+		return r.size, true
 	}
-	return r.size, true
+	return 0, false
 }
 
 // Cookie returns the owner tag of the live extent at addr.
 func (a *Arena) Cookie(addr uint64) (uint64, bool) {
-	r, ok := a.byAddr[addr]
-	if !ok {
-		return 0, false
+	if r, ok := a.live(addr); ok {
+		return r.cookie, true
 	}
-	return r.cookie, true
-}
-
-// CompactBelow evacuates every sealed segment whose live fraction is
-// strictly below threshold. For each survivor extent it calls relocate
-// with the extent's cookie, base and capacity; relocate moves the
-// bytes (typically Alloc + copy + repoint the hash bucket) and reports
-// whether it did. Moved extents are retired here — the relocate
-// callback must NOT Free the old extent itself. Extents the callback
-// declines (an in-flight write holds the key, say) stay put, and their
-// segment survives until a later pass. Returns the extents moved and
-// the bytes they occupied.
-func (a *Arena) CompactBelow(threshold float64, relocate func(cookie, addr, size uint64) bool) (moved int, bytes uint64) {
-	if a.noReclaim {
-		return 0, 0
-	}
-	a.compactions++
-	// Victims snapshot first: relocation allocates, and fresh
-	// allocations must never land in a segment being emptied (the
-	// active segment and free-list segments are never victims).
-	turn := make(map[*segment]uint64) // victim -> its place in sealed order
-	for _, s := range a.sealed {
-		if float64(s.live) < threshold*float64(s.size) {
-			turn[s] = uint64(len(turn))
-		}
-	}
-	if len(turn) == 0 {
-		return 0, 0
-	}
-	// Survivors as (turn, addr): victims in sealed order, ascending
-	// address within each. Addresses, not records: relocate allocates,
-	// and may free, so a record snapshotted here could be another
-	// extent's by its turn.
-	var todo [][2]uint64
-	for addr, r := range a.byAddr {
-		if i, ok := turn[r.seg]; ok {
-			todo = append(todo, [2]uint64{i, addr})
-		}
-	}
-	slices.SortFunc(todo, func(x, y [2]uint64) int { return slices.Compare(x[:], y[:]) })
-	for _, v := range todo {
-		r := a.byAddr[v[1]]
-		if r == nil {
-			continue // freed under an earlier relocate
-		}
-		if size := r.size; relocate(r.cookie, r.addr, size) {
-			moved++
-			bytes += size
-			a.compactMoves++
-			a.compactBytes += size
-			a.release(r)
-		}
-	}
-	return moved, bytes
+	return 0, false
 }
 
 // Stats is an arena accounting snapshot.
 type Stats struct {
-	SegmentSize  uint64
-	Segments     int    // segments held, free-list included
-	FreeSegments int    // fully-dead segments awaiting reuse
-	LiveExtents  int    // live extent count
-	LiveBytes    uint64 // bytes in live extents (allocated capacity)
-	PeakLive     uint64 // high-water live bytes — the working-set size
-	Footprint    uint64 // bytes carved from node memory for segments
-	Peak         uint64 // high-water footprint
-	Allocs       uint64
-	Frees        uint64
-	Recycles     uint64 // segment reuses off the free list
-	Compactions  uint64 // CompactBelow passes
-	CompactMoves uint64 // extents relocated by compaction
-	CompactBytes uint64 // capacity bytes relocated by compaction
+	LiveExtents int    // live extent count
+	LiveBytes   uint64 // bytes in live extents (allocated capacity)
+	PeakLive    uint64 // high-water live bytes — the working-set size
+	Footprint   uint64 // bytes carved from node memory (its own high water: never returned)
 }
 
 // Stats snapshots the arena counters.
 func (a *Arena) Stats() Stats {
-	n := len(a.sealed) + len(a.free)
-	if a.active != nil {
-		n++
-	}
 	return Stats{
-		SegmentSize:  a.segSize,
-		Segments:     n,
-		FreeSegments: len(a.free),
-		LiveExtents:  len(a.byAddr),
-		LiveBytes:    a.liveBytes,
-		PeakLive:     a.peakLive,
-		Footprint:    a.footprint,
-		Peak:         a.peak,
-		Allocs:       a.allocs,
-		Frees:        a.frees,
-		Recycles:     a.recycles,
-		Compactions:  a.compactions,
-		CompactMoves: a.compactMoves,
-		CompactBytes: a.compactBytes,
+		LiveExtents: int(a.allocs - a.frees),
+		LiveBytes:   a.liveBytes,
+		PeakLive:    a.peakLive,
+		Footprint:   a.footprint,
 	}
 }
 

@@ -2,53 +2,43 @@ package extent
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/mem"
 )
 
+// Freed extents are the next allocations of their size, most recently
+// freed first, and absorb them with no new carve.
 func TestArenaAllocFreeRecycle(t *testing.T) {
-	m := mem.New(1 << 20)
-	a := NewArena(m, 256)
-
-	// Fill one segment exactly, then free it all: the segment must be
-	// recycled, not leaked, and the next fill must reuse it.
+	a := NewArena(mem.New(1<<20), 256)
 	var addrs []uint64
 	for i := 0; i < 4; i++ {
 		addrs = append(addrs, a.Alloc(64, uint64(i)))
 	}
-	if got := a.Stats().LiveBytes; got != 256 {
-		t.Fatalf("live bytes %d, want 256", got)
-	}
-	// Start a second segment so the first seals.
-	extra := a.Alloc(64, 99)
-	if a.Stats().Segments != 2 {
-		t.Fatalf("segments %d, want 2", a.Stats().Segments)
+	before := a.Stats().Footprint
+	if before != 256 {
+		t.Fatalf("footprint %d after filling one chunk, want 256", before)
 	}
 	for _, ad := range addrs {
 		if err := a.Free(ad); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := a.Stats()
-	if st.FreeSegments != 1 {
-		t.Fatalf("free segments %d, want 1 after emptying a sealed segment", st.FreeSegments)
+	for i := 3; i >= 0; i-- {
+		if got := a.Alloc(64, uint64(100+i)); got != addrs[i] {
+			t.Fatalf("Alloc reused %#x, want the most recently freed %#x", got, addrs[i])
+		}
 	}
-	before := st.Footprint
-	// Refill: the free segment must absorb the allocations with no new
-	// carve.
-	for i := 0; i < 7; i++ {
-		a.Alloc(64, uint64(100+i))
+	if st := a.Stats(); st.Footprint != before || st.LiveBytes != 256 {
+		t.Fatalf("footprint %d live %d after refilling from the free stack, want %d / 256", st.Footprint, st.LiveBytes, before)
 	}
-	st = a.Stats()
-	if st.Footprint != before {
-		t.Fatalf("footprint grew %d -> %d despite a free segment", before, st.Footprint)
+	// Another size never takes a freed extent of this one.
+	if err := a.Free(addrs[0]); err != nil {
+		t.Fatal(err)
 	}
-	if st.Recycles == 0 {
-		t.Fatal("free segment was never recycled")
+	if got := a.Alloc(32, 7); got == addrs[0] {
+		t.Fatalf("a 32-byte Alloc took the freed 64-byte extent %#x", got)
 	}
-	_ = extra
 }
 
 func TestArenaDoubleFreeAndBadFree(t *testing.T) {
@@ -78,51 +68,8 @@ func TestArenaOversizeAlloc(t *testing.T) {
 	}
 }
 
-func TestArenaCompactBelow(t *testing.T) {
-	m := mem.New(1 << 20)
-	a := NewArena(m, 256)
-	// Two sealed segments, each kept alive by one 64B extent out of 4.
-	var keep, drop []uint64
-	for s := 0; s < 2; s++ {
-		for i := 0; i < 4; i++ {
-			ad := a.Alloc(64, uint64(s*4+i))
-			if i == 0 {
-				keep = append(keep, ad)
-			} else {
-				drop = append(drop, ad)
-			}
-		}
-	}
-	a.Alloc(64, 999) // third segment becomes active; first two seal
-	for _, ad := range drop {
-		if err := a.Free(ad); err != nil {
-			t.Fatal(err)
-		}
-	}
-	moved := map[uint64]uint64{} // cookie -> new addr
-	n, bytes := a.CompactBelow(0.5, func(cookie, addr, size uint64) bool {
-		moved[cookie] = a.Alloc(size, cookie)
-		return true
-	})
-	if n != 2 || bytes != 128 {
-		t.Fatalf("compaction moved %d extents / %d bytes, want 2/128", n, bytes)
-	}
-	for _, ad := range keep {
-		if _, live := a.Size(ad); live {
-			t.Fatalf("old extent %#x still live after relocation", ad)
-		}
-	}
-	st := a.Stats()
-	if st.FreeSegments < 2 {
-		t.Fatalf("evacuated segments not recycled (free %d)", st.FreeSegments)
-	}
-	if st.LiveExtents != 1+len(moved) {
-		t.Fatalf("live extents %d, want %d", st.LiveExtents, 1+len(moved))
-	}
-}
-
-// A freed extent's record serves the next Alloc, and answers only for
-// the extent it describes now.
+// A freed extent's record serves the next Alloc of its size, and
+// answers only while its extent is live.
 func TestArenaRecordReuse(t *testing.T) {
 	a := NewArena(mem.New(1<<20), 256)
 	x, y := a.Alloc(64, 1), a.Alloc(64, 2)
@@ -130,200 +77,112 @@ func TestArenaRecordReuse(t *testing.T) {
 	if err := a.Free(x); err != nil {
 		t.Fatal(err)
 	}
-	z := a.Alloc(24, 3)
-	if a.byAddr[z] != rx || len(a.spare) != 0 {
-		t.Fatalf("Alloc after Free made a new record (spare %d)", len(a.spare))
-	}
 	if _, live := a.Size(x); live || a.Free(x) == nil {
-		t.Fatalf("%#x still answers after its record moved to %#x", x, z)
+		t.Fatalf("%#x still answers after its free", x)
+	}
+	z := a.Alloc(64, 3)
+	if z != x || a.byAddr[z] != rx {
+		t.Fatalf("Alloc after Free made a new record (%#x, want %#x)", z, x)
 	}
 	if c, _ := a.Cookie(z); c != 3 {
 		t.Fatalf("cookie of reused record %d, want 3", c)
 	}
-	if sz, _ := a.Size(z); sz != 24 {
-		t.Fatalf("size of reused record %d, want 24", sz)
+	if sz, _ := a.Size(z); sz != 64 {
+		t.Fatalf("size of reused record %d, want 64", sz)
 	}
 	if c, ok := a.Cookie(y); !ok || c != 2 {
 		t.Fatalf("neighbour extent disturbed: cookie %d/%v", c, ok)
 	}
 	// Churn at a fixed live set makes no further records.
-	seen := map[*record]bool{a.byAddr[y]: true, a.byAddr[z]: true}
 	for i := 0; i < 1000; i++ {
 		n := a.Alloc(64, uint64(i))
 		if err := a.Free(z); err != nil {
 			t.Fatal(err)
 		}
 		z = n
-		seen[a.byAddr[n]] = true
 	}
-	if len(seen) != 3 {
-		t.Fatalf("%d records made for a live set of 2 (+1 in hand-over), want 3", len(seen))
+	if len(a.byAddr) != 3 {
+		t.Fatalf("%d records made for a live set of 2 (+1 in hand-over), want 3", len(a.byAddr))
 	}
 	if a.Stats().LiveBytes != 128 || a.Stats().LiveExtents != 2 {
 		t.Fatalf("live %d bytes / %d extents, want 128 / 2", a.Stats().LiveBytes, a.Stats().LiveExtents)
 	}
 }
 
-// A relocation that frees another survivor of the segment being
-// evacuated: compaction must not surface the freed extent, whose record
-// is by then the relocated copy's.
-func TestArenaCompactBelowSkipsExtentsFreedUnderIt(t *testing.T) {
-	a := NewArena(mem.New(1<<20), 256)
-	var seg1 [4]uint64
-	for i := range seg1 {
-		seg1[i] = a.Alloc(64, uint64(i+1))
-	}
-	a.Alloc(64, 99) // seals the first segment
-	if err := a.Free(seg1[3]); err != nil {
-		t.Fatal(err)
-	}
-	var surfaced []uint64
-	n, bytes := a.CompactBelow(0.8, func(cookie, addr, size uint64) bool {
-		surfaced = append(surfaced, addr)
-		if addr == seg1[0] {
-			if err := a.Free(seg1[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a.Alloc(size, cookie)
-		return true
-	})
-	if n != 2 || bytes != 128 || len(surfaced) != 2 || surfaced[0] != seg1[0] || surfaced[1] != seg1[2] {
-		t.Fatalf("moved %d extents / %d bytes, surfaced %#x; want extents 0 and 2 of %#x", n, bytes, surfaced, seg1)
-	}
-	if st := a.Stats(); st.LiveExtents != 3 || st.LiveBytes != 192 || st.FreeSegments != 1 {
-		t.Fatalf("after compaction: %d extents, %d bytes, %d free segments; want 3, 192, 1", st.LiveExtents, st.LiveBytes, st.FreeSegments)
-	}
-	for _, ad := range seg1 {
-		if _, live := a.Size(ad); live {
-			t.Fatalf("old extent %#x still live", ad)
-		}
-	}
-}
-
-// Property: under a randomized alloc/free/compact interleaving the
-// arena never double-frees, never hands a live extent's bytes to a new
-// allocation, keeps live-byte accounting exact, and keeps its
-// footprint bounded once frees keep pace with allocations.
+// Property: random Alloc/Free histories over three sizes, checked
+// against a model. No address is live twice, Free of an address that
+// is not live errors, live accounting is exact, and the footprint stays
+// within each size's peak live bytes rounded up to a chunk. The same
+// history on a NoReclaim arena never hands out an address twice.
 func TestArenaPropertyRandomized(t *testing.T) {
-	m := mem.New(64 << 20)
-	a := NewArena(m, 1024)
-	rng := rand.New(rand.NewSource(7))
-
-	type ext struct{ addr, size uint64 }
-	live := map[uint64]ext{} // model: addr -> extent
-	overlaps := func(ad, sz uint64) bool {
-		for _, e := range live {
-			if ad < e.addr+e.size && e.addr < ad+sz {
-				return true
-			}
-		}
-		return false
-	}
-	liveBytes := uint64(0)
-
-	for step := 0; step < 6000; step++ {
-		switch r := rng.Intn(10); {
-		case r < 5: // alloc
-			sz := uint64(8 * (1 + rng.Intn(32)))
-			ad := a.Alloc(sz, uint64(step))
-			rounded := (sz + 7) &^ 7
-			if overlaps(ad, rounded) {
-				t.Fatalf("step %d: alloc %#x+%d overlaps a live extent", step, ad, rounded)
-			}
-			live[ad] = ext{ad, rounded}
-			liveBytes += rounded
-		case r < 9: // free a random live extent
-			for ad, e := range live {
-				if err := a.Free(ad); err != nil {
-					t.Fatalf("step %d: free of live extent %#x failed: %v", step, ad, err)
-				}
-				// A second free of the same extent must fail.
-				if err := a.Free(ad); err == nil {
-					t.Fatalf("step %d: double free of %#x accepted", step, ad)
-				}
-				delete(live, ad)
-				liveBytes -= e.size
-				break
-			}
-		default: // compact, relocating into fresh extents
-			a.CompactBelow(0.7, func(cookie, addr, size uint64) bool {
-				if rng.Intn(4) == 0 {
-					return false // model a declined (busy) relocation
-				}
-				e, ok := live[addr]
-				if !ok {
-					t.Fatalf("step %d: compaction surfaced non-live extent %#x", step, addr)
-				}
-				if rng.Intn(8) == 0 { // a relocation that retires some other extent
-					for ad, e := range live {
-						if ad == addr {
-							continue
+	const chunk = 1024
+	sizes := []uint64{24, 64, 200}
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, noReclaim := range []bool{false, true} {
+			a := NewArena(mem.New(64<<20), chunk)
+			a.SetNoReclaim(noReclaim)
+			rng := rand.New(rand.NewSource(seed))
+			live := map[uint64]uint64{}   // model: addr -> size
+			ever := map[uint64]bool{}     // every address handed out
+			liveOf := map[uint64]uint64{} // per size: live bytes
+			peakOf := map[uint64]uint64{} // per size: peak live bytes
+			var liveBytes uint64
+			var order []uint64 // live addresses, for picking one at random
+			for step := 0; step < 3000; step++ {
+				if len(order) == 0 || rng.Intn(100) < 52 {
+					sz := sizes[rng.Intn(len(sizes))]
+					ad := a.Alloc(sz, uint64(step))
+					for la, ls := range live {
+						if ad < la+ls && la < ad+sz {
+							t.Fatalf("seed %d step %d: alloc %#x+%d overlaps live %#x+%d", seed, step, ad, sz, la, ls)
 						}
-						if err := a.Free(ad); err != nil {
-							t.Fatalf("step %d: free of live extent %#x under compaction failed: %v", step, ad, err)
-						}
-						delete(live, ad)
-						liveBytes -= e.size
-						break
 					}
+					if noReclaim && ever[ad] {
+						t.Fatalf("seed %d step %d: NoReclaim reused %#x", seed, step, ad)
+					}
+					ever[ad] = true
+					live[ad] = sz
+					order = append(order, ad)
+					liveBytes += sz
+					liveOf[sz] += sz
+					peakOf[sz] = max(peakOf[sz], liveOf[sz])
+				} else {
+					i := rng.Intn(len(order))
+					ad := order[i]
+					order[i] = order[len(order)-1]
+					order = order[:len(order)-1]
+					if err := a.Free(ad); err != nil {
+						t.Fatalf("seed %d step %d: free of live %#x: %v", seed, step, ad, err)
+					}
+					if a.Free(ad) == nil {
+						t.Fatalf("seed %d step %d: double free of %#x accepted", seed, step, ad)
+					}
+					sz := live[ad]
+					delete(live, ad)
+					liveBytes -= sz
+					liveOf[sz] -= sz
 				}
-				nad := a.Alloc(size, cookie)
-				if overlaps(nad, size) {
-					t.Fatalf("step %d: relocation target %#x+%d overlaps a live extent", step, nad, size)
+				if bad := uint64(8 * (1 + rng.Intn(1<<20))); live[bad] == 0 && a.Free(bad) == nil {
+					t.Fatalf("seed %d step %d: free of non-live %#x accepted", seed, step, bad)
 				}
-				delete(live, addr)
-				live[nad] = ext{nad, e.size}
-				return true
-			})
-		}
-		if a.Stats().LiveBytes != liveBytes {
-			t.Fatalf("step %d: arena live bytes %d, model %d", step, a.Stats().LiveBytes, liveBytes)
-		}
-		if a.Stats().LiveExtents != len(live) {
-			t.Fatalf("step %d: arena live extents %d, model %d", step, a.Stats().LiveExtents, len(live))
-		}
-	}
-	// With steady-state churn (allocs roughly balancing frees plus
-	// periodic compaction) the footprint must stay within a small
-	// multiple of the live set, not track cumulative allocations.
-	if st := a.Stats(); st.LiveBytes > 0 && st.Footprint > 8*st.LiveBytes+16*1024 {
-		t.Fatalf("footprint %d unbounded relative to %d live bytes", st.Footprint, st.LiveBytes)
-	}
-}
-
-// The order CompactBelow hands survivors to relocate: victims in the
-// order they sealed, ascending address within each. The history below
-// recycles segments, so its three victims sealed at 0x1500, 0x1200 and
-// 0x1000 — not in address order. The pin was taken before the arena
-// dropped its per-segment index; relocation order must not have moved.
-func TestArenaCompactionOrder(t *testing.T) {
-	a := NewArena(mem.New(1<<20), 256)
-	rng := rand.New(rand.NewSource(1))
-	var live []uint64
-	for i := 0; i < 300; i++ {
-		live = append(live, a.Alloc(uint64(8*(1+rng.Intn(8))), uint64(i+1)))
-		for len(live) > 16 || (len(live) > 4 && rng.Intn(3) == 0) {
-			j := rng.Intn(len(live))
-			if err := a.Free(live[j]); err != nil {
-				t.Fatal(err)
+				st := a.Stats()
+				if st.LiveBytes != liveBytes || st.LiveExtents != len(live) {
+					t.Fatalf("seed %d step %d: arena live %d bytes / %d extents, model %d / %d",
+						seed, step, st.LiveBytes, st.LiveExtents, liveBytes, len(live))
+				}
+				if noReclaim {
+					continue
+				}
+				var bound uint64
+				for _, sz := range sizes {
+					per := chunk / sz * sz
+					bound += (peakOf[sz] + per - 1) / per * per
+				}
+				if st.Footprint > bound {
+					t.Fatalf("seed %d step %d: footprint %d over the per-size peak live rounded up to a chunk (%d)", seed, step, st.Footprint, bound)
+				}
 			}
-			live = append(live[:j], live[j+1:]...)
 		}
-	}
-	var got [][2]uint64
-	a.CompactBelow(0.5, func(cookie, addr, size uint64) bool {
-		got = append(got, [2]uint64{cookie, addr})
-		a.Alloc(size, cookie)
-		return true
-	})
-	want := [][2]uint64{
-		{264, 0x1570},
-		{274, 0x1200}, {279, 0x12b8},
-		{286, 0x1030}, {287, 0x1038}, {288, 0x1068}, {289, 0x1080},
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("relocation order (cookie, addr)\n got  %#x\n want %#x", got, want)
 	}
 }
 

@@ -218,8 +218,8 @@ func (t *Table) VersionOf(key uint64) (uint64, bool) {
 
 // storeBucket writes key -> (valAddr, valLen) at addr, maintaining the
 // entry and tombstone accounting against the slot's previous state.
-// The version word is left untouched: unversioned writes (compaction
-// relocations, raw test plumbing) must not regress a version a fabric
+// The version word is left untouched: unversioned writes (standalone
+// host sets, raw test plumbing) must not regress a version a fabric
 // chain already published — versioned paths go through the *V variants.
 func (t *Table) storeBucket(addr, key, valAddr, valLen uint64) error {
 	prev, _ := t.mem.U64(addr + OffKeyCtrl)

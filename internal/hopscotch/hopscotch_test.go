@@ -269,7 +269,7 @@ func TestTombstoneIDRejectedEverywhere(t *testing.T) {
 }
 
 // Version words ride every versioned mutation: InsertV stamps, plain
-// Insert (compaction's relocation path) preserves, RemoveV carries the
+// Insert (the standalone host path) preserves, RemoveV carries the
 // delete's sequence onto the tombstone, and direct-placement variants
 // stamp their buckets.
 func TestVersionWord(t *testing.T) {
@@ -280,8 +280,8 @@ func TestVersionWord(t *testing.T) {
 	if v, ok := tbl.VersionOf(42); !ok || v != 7 {
 		t.Fatalf("VersionOf = %d,%v want 7,true", v, ok)
 	}
-	// An unversioned overwrite (the compactor relocating the extent)
-	// must not regress the version.
+	// An unversioned overwrite (a standalone host set) must not regress
+	// the version.
 	if err := tbl.Insert(42, 0x2000, 64); err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,7 @@ import (
 	"repro/internal/extent"
 	"repro/internal/fabric"
 	"repro/internal/hopscotch"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -106,6 +107,7 @@ type Server struct {
 	node    *fabric.Node
 	builder *core.Builder
 	arena   *extent.Arena
+	retire  retireQueue // the arena's retired extents, waiting out their readers
 }
 
 // NewServer adds a server node (ConnectX-5, one port by default).
@@ -123,8 +125,73 @@ func (t *Testbed) NewServer() *Server {
 func (s *Server) valueArena() *extent.Arena {
 	if s.arena == nil {
 		s.arena = extent.NewArena(s.node.Mem, 0)
+		s.retire.arena = s.arena
 	}
 	return s.arena
+}
+
+// retireQueue returns a server's superseded and deleted value extents
+// to its arena once no get can still read them. A get's chain reads the
+// bucket's value pointer and gathers the value through it later, so an
+// extent unlinked at some instant may still be read by any get issued
+// on the server's clients before that instant, and by none issued
+// after: every retire follows its repoint (the ack of a fabric write,
+// the same instant for a host write). Each get takes the next issue
+// mark when it issues and gives it back when it finishes — its answer,
+// its miss or its timeout; a timed-out slot stays quarantined until its
+// instance has run, so a late gather lands in a buffer nobody reads. An
+// extent retired at mark m is freed once every get issued before m has
+// finished.
+type retireQueue struct {
+	arena  *extent.Arena
+	issued uint64 // marks handed out: the next get's mark
+	oldest uint64 // every get issued before this mark has finished
+	// done flags the finished marks in [oldest, issued), at mark mod
+	// len(done), a power of two.
+	done []bool
+	q    ring.Queue[retiree]
+}
+
+// retiree is an extent retired at mark.
+type retiree struct{ mark, addr uint64 }
+
+// enter hands an issuing get its mark.
+func (rq *retireQueue) enter() uint64 {
+	if rq.issued-rq.oldest == uint64(len(rq.done)) {
+		done := make([]bool, max(64, 2*len(rq.done)))
+		for m := rq.oldest; m < rq.issued; m++ {
+			done[m&uint64(len(done)-1)] = rq.done[m&uint64(len(rq.done)-1)]
+		}
+		rq.done = done
+	}
+	rq.done[rq.issued&uint64(len(rq.done)-1)] = false
+	rq.issued++
+	return rq.issued - 1
+}
+
+// exit finishes the get holding mark and frees every retired extent no
+// unfinished get can read.
+func (rq *retireQueue) exit(mark uint64) {
+	mask := uint64(len(rq.done) - 1)
+	rq.done[mark&mask] = true
+	for rq.oldest < rq.issued && rq.done[rq.oldest&mask] {
+		rq.oldest++
+	}
+	for rq.q.Len() > 0 && rq.q.Peek().mark <= rq.oldest {
+		rq.arena.Free(rq.q.Pop().addr)
+	}
+}
+
+// push retires the extent at addr: freed now when no get is in flight,
+// otherwise once every get in flight now has finished. An address the
+// arena does not hold as live (tests plant extents it never issued) is
+// dropped when its turn comes.
+func (rq *retireQueue) push(addr uint64) {
+	if rq.oldest == rq.issued {
+		rq.arena.Free(addr)
+		return
+	}
+	*rq.q.Push() = retiree{rq.issued, addr}
 }
 
 // HashTable is a Hopscotch table in server memory, the value store
@@ -159,11 +226,14 @@ func (h *HashTable) Set(key uint64, value []byte) error {
 	if err := m.Write(addr, value); err != nil {
 		return err
 	}
-	if hadOld {
-		// Tolerated failure: tests plant extents the arena never issued.
-		a.Free(oldVa)
+	if err := h.table.Insert(key, addr, n); err != nil {
+		a.Free(addr) // never published: no reader can hold it
+		return err
 	}
-	return h.table.Insert(key, addr, n)
+	if hadOld {
+		h.srv.retire.push(oldVa)
+	}
+	return nil
 }
 
 // Table exposes the underlying hopscotch table.

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/extent"
 	"repro/internal/fabric"
 	"repro/internal/failure"
 	"repro/internal/hopscotch"
@@ -117,20 +116,11 @@ type ServiceConfig struct {
 	MaxValLen   uint64 // largest value a get can return or a set can store
 	MissTimeout Duration
 
-	// SegmentSize is the extent arena's segment granularity per shard
-	// (0 = a power-of-two multiple of MaxValLen; see NewServiceWith).
-	SegmentSize uint64
-	// CompactEvery, when nonzero, runs a background compaction pass per
-	// shard on that period: sealed segments whose live fraction is
-	// below CompactThreshold are evacuated at modeled host copy cost.
-	CompactEvery Duration
-	// CompactThreshold is the live fraction below which a segment is
-	// evacuated (0 = 0.5).
-	CompactThreshold float64
 	// NoReclaim puts every shard arena in leak-forever mode: frees
 	// still account (live bytes stay truthful) but memory is never
-	// reused and compaction is a no-op — reproducing the pre-lifecycle
-	// allocator. Only the churn experiment's baseline should want this.
+	// reused — reproducing the pre-lifecycle allocator. Only the churn
+	// experiment's baseline should want this. Otherwise a retired
+	// extent is reused as soon as no get can still read it.
 	NoReclaim bool
 
 	// ReadRepair enables version probes on replicated gets: every
@@ -145,7 +135,7 @@ type ServiceConfig struct {
 	// sweeper: each tick scans one shard (rotating), diffs Merkle-style
 	// segment digests against every co-owner, and enqueues repairs for
 	// divergent keys — bounding staleness even for keys no client ever
-	// reads. Activity-armed like the compactor.
+	// reads. Activity-armed like the repair queue.
 	AntiEntropyEvery Duration
 	// AntiEntropySegments is the per-shard digest segment count over
 	// which sweeps summarize bucket versions (0 = 64).
@@ -216,9 +206,9 @@ type ServiceConfig struct {
 	// Test hooks, each left at its default outside the package's tests.
 	// repairEvery is the repair queue's service tick: pending records
 	// are applied in batches on this period, activity-armed like the
-	// compactor (0 = defaultRepairEvery). The queue is live whenever
-	// Replicas > 1 — capacity-rejected owners land in it even with
-	// ReadRepair off. sentinelRules overrides the sentinel's rule set
+	// anti-entropy sweeper (0 = defaultRepairEvery). The queue is live
+	// whenever Replicas > 1 — capacity-rejected owners land in it even
+	// with ReadRepair off. sentinelRules overrides the sentinel's rule set
 	// (nil = defaultSLORules()), and slowGetLat its fleet latency-burn
 	// threshold: gets slower than this count toward the "latency" SLO
 	// (0 = defaultSlowGetLat).
@@ -303,22 +293,10 @@ type serviceShard struct {
 	// replica instead of conflating deletion with a missed write.
 	tombVer map[uint64]uint64
 
-	// arena is the shard's value-extent allocator — always present;
-	// under NoReclaim it keeps accounting but never reuses memory
-	// (extent.SetNoReclaim), so every allocation path is uniform.
-	arena *extent.Arena
-	// retiring holds the extents cooling off before they return to the
-	// arena, oldest first; freeRetired, bound once, frees the oldest.
-	// Every cool-off is the same extentGraceLat, so the events fire in
-	// the order the extents were queued.
-	retiring    ring.Queue[uint64]
-	freeRetired func()
-
 	// stats holds the shard's counters (the ShardStats fields tagged
 	// `metric`), which the registry reads in place; Stats() copies the
 	// struct and fills in the rest.
-	stats        ShardStats
-	compactArmed bool
+	stats ShardStats
 
 	// getLat accumulates hit latency for gets this shard served (a
 	// failover hit carries the timeouts spent discovering dead owners).
@@ -337,24 +315,6 @@ func (sh *serviceShard) initMetrics(reg *telemetry.Registry) {
 		}
 	}
 	sh.getLat = reg.Histogram(sh.id + "/get_lat")
-}
-
-// extentGraceLat is how long a superseded or deleted value extent
-// cools before returning to the arena. A lookup chain that probed the
-// bucket just before it was repointed still holds the old extent
-// pointer in its response WQE; the response WRITE executes within the
-// chain's own span (well under this grace), so deferring the free
-// keeps arena reuse from handing those bytes to another key while a
-// reader is mid-flight. Chains the NIC never received don't probe at
-// all, so nothing outlives the grace.
-const extentGraceLat = 10 * sim.Microsecond
-
-// retireExtent returns addr to the shard's arena after the read-grace
-// period. Extents that were never published to a bucket (refused-claim
-// staging) skip the grace and free directly.
-func (sh *serviceShard) retireExtent(addr uint64) {
-	*sh.retiring.Push() = addr
-	sh.srv.tb.clu.Eng.After(extentGraceLat, sh.freeRetired)
 }
 
 // inflight sums outstanding and queued gets across the shard's client
@@ -618,7 +578,7 @@ func (s *Service) initMetrics() {
 	s.reg.Gauge("svc/arena_live_bytes", func() float64 {
 		var n uint64
 		for _, sh := range s.order {
-			n += sh.arena.Stats().LiveBytes
+			n += sh.srv.arena.Stats().LiveBytes
 		}
 		return float64(n)
 	})
@@ -704,15 +664,6 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	}
 	if cfg.HotKeyTrack == 0 && (cfg.ReadPolicy == ReadHotSpread || cfg.HotKeyCache > 0) {
 		cfg.HotKeyTrack = shard.DefaultHotKeys
-	}
-	if cfg.SegmentSize == 0 {
-		cfg.SegmentSize = 16 * cfg.MaxValLen
-		if cfg.SegmentSize < extent.DefaultSegmentSize {
-			cfg.SegmentSize = extent.DefaultSegmentSize
-		}
-	}
-	if cfg.CompactThreshold == 0 {
-		cfg.CompactThreshold = 0.5
 	}
 	if cfg.ProbeEvery < 1 {
 		cfg.ProbeEvery = 1
@@ -804,15 +755,13 @@ func (s *Service) buildShard(id string) *serviceShard {
 		node.Dev.SetProfiler(s.profiler)
 	}
 	srv := &Server{tb: s.tb, node: node, builder: core.NewBuilder(node.Dev, 1<<16)}
-	srv.arena = extent.NewArena(node.Mem, cfg.SegmentSize)
-	srv.arena.SetNoReclaim(cfg.NoReclaim)
+	srv.valueArena().SetNoReclaim(cfg.NoReclaim)
 	sh := &serviceShard{id: id, stats: ShardStats{ID: id}, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
-		arena: srv.arena, ringIdx: -1,
-		hints: make(map[uint64]*hint), inflightSet: make(map[uint64]ring.Queue[func()]),
+		ringIdx: -1,
+		hints:   make(map[uint64]*hint), inflightSet: make(map[uint64]ring.Queue[func()]),
 		tombVer: make(map[uint64]uint64),
 		trTry:   "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
 		trHint: "hint:" + id, trRepair: "repair:" + id}
-	sh.freeRetired = func() { sh.arena.Free(sh.retiring.Pop()) }
 	sh.probeFn = sh.probed
 	lanes := make([]drainLane, cfg.ClientsPerShard*cfg.Pipeline)
 	sh.idle = make([]*drainLane, len(lanes))
@@ -834,7 +783,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 
 // newShardClient wires one pipelined client connection to sh's server.
 func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node) *Client {
-	cli := newClientOnNode(s.tb, cn, sh.srv, s.cfg.Mode, s.cfg.Pipeline, s.cfg.MaxValLen, sh.arena)
+	cli := newClientOnNode(s.tb, cn, sh.srv, s.cfg.Mode, s.cfg.Pipeline, s.cfg.MaxValLen)
 	cli.MissTimeout = s.cfg.MissTimeout
 	cli.Bind(sh.table)
 	cli.setTracer(s.tr, cn.Name)
@@ -942,7 +891,7 @@ func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 	// bucket length for extents the arena does not own).
 	if hadOld {
 		fit := oldVl
-		if cap, live := sh.arena.Size(oldVa); live {
+		if cap, live := sh.srv.arena.Size(oldVa); live {
 			fit = cap
 		}
 		if n <= fit {
@@ -953,7 +902,7 @@ func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 		}
 	}
 
-	addr := sh.arena.Alloc(n, key)
+	addr := sh.srv.arena.Alloc(n, key)
 	if err := m.Write(addr, value); err != nil {
 		return err
 	}
@@ -961,18 +910,18 @@ func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 		// The table refused: the key keeps its old extent (or stays
 		// absent); the orphaned new one was never published — free it
 		// directly, no reader can hold it.
-		sh.arena.Free(addr)
+		sh.srv.arena.Free(addr)
 		return err
 	}
 	if hadOld {
-		sh.retireExtent(oldVa)
+		sh.srv.retire.push(oldVa)
 	}
 	return nil
 }
 
 // del removes key on the host CPU — the retirement path for spilled
 // residents the NIC delete chain cannot address, and the roll-forward
-// for refused delete claims. The freed extent returns to the arena
+// for refused delete claims. The freed extent goes to the retire queue
 // directly (no to-free ring hop: the CPU already holds the pointer).
 // ver stamps the tombstone's version word (the delete's quorum
 // sequence).
@@ -981,7 +930,7 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 	if !ok {
 		return false
 	}
-	sh.retireExtent(va)
+	sh.srv.retire.push(va)
 	return true
 }
 
@@ -1514,27 +1463,23 @@ type ShardStats struct {
 
 	// The shard counts these itself; the registry reads each in place
 	// as "<id>/<tag>".
-	Sets              uint64 `metric:"sets"`                // owner writes applied (fabric acks + host path + drained hints)
-	Spills            uint64 `metric:"spills"`              // keys resident but NIC-unreachable
-	Gets              uint64 `metric:"gets"`                // get attempts routed here (failover retries included)
-	Rebuilds          uint64 `metric:"rebuilds"`            // client reconnects after process crashes
-	FabricSets        uint64 `metric:"fabric_sets"`         // owner writes attempted through the NIC claim chain
-	HostSets          uint64 `metric:"host_sets"`           // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)
-	HintsQueued       uint64 `metric:"hints_queued"`        // hints ever queued
-	HintsApplied      uint64 `metric:"hints_applied"`       // hints delivered on reconnect (exactly once each)
-	HintsDropped      uint64 `metric:"hints_dropped"`       // hints superseded by a newer write before draining
-	Deletes           uint64 `metric:"dels"`                // owner deletes applied (fabric + host + trivial absents)
-	FabricDeletes     uint64 `metric:"fabric_dels"`         // owner deletes attempted through the NIC tombstone chain
-	HostDeletes       uint64 `metric:"host_dels"`           // owner deletes that fell back to the host CPU
-	CompactPasses     uint64 `metric:"compact_passes"`      // compaction ticks that ran on this shard
-	CompactMoves      uint64 `metric:"compact_moved"`       // extents relocated by compaction
-	CompactBytes      uint64 `metric:"compact_moved_bytes"` // capacity bytes relocated by compaction
-	CompactSkips      uint64 `metric:"compact_skips"`       // relocations declined (busy keys, stale records)
-	RepairsQueued     uint64 `metric:"repairs_queued"`      // repair records enqueued for this owner
-	RepairsApplied    uint64 `metric:"repairs_applied"`     // repairs that rolled this owner forward
-	RepairsSuperseded uint64 `metric:"repairs_superseded"`  // repairs satisfied before applying (owner caught up)
-	RepairsDropped    uint64 `metric:"repairs_dropped"`     // repairs abandoned after bounded retries
-	AERepairs         uint64 `metric:"ae_repairs"`          // repairs the anti-entropy sweeper found for this owner
+	Sets              uint64 `metric:"sets"`               // owner writes applied (fabric acks + host path + drained hints)
+	Spills            uint64 `metric:"spills"`             // keys resident but NIC-unreachable
+	Gets              uint64 `metric:"gets"`               // get attempts routed here (failover retries included)
+	Rebuilds          uint64 `metric:"rebuilds"`           // client reconnects after process crashes
+	FabricSets        uint64 `metric:"fabric_sets"`        // owner writes attempted through the NIC claim chain
+	HostSets          uint64 `metric:"host_sets"`          // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)
+	HintsQueued       uint64 `metric:"hints_queued"`       // hints ever queued
+	HintsApplied      uint64 `metric:"hints_applied"`      // hints delivered on reconnect (exactly once each)
+	HintsDropped      uint64 `metric:"hints_dropped"`      // hints superseded by a newer write before draining
+	Deletes           uint64 `metric:"dels"`               // owner deletes applied (fabric + host + trivial absents)
+	FabricDeletes     uint64 `metric:"fabric_dels"`        // owner deletes attempted through the NIC tombstone chain
+	HostDeletes       uint64 `metric:"host_dels"`          // owner deletes that fell back to the host CPU
+	RepairsQueued     uint64 `metric:"repairs_queued"`     // repair records enqueued for this owner
+	RepairsApplied    uint64 `metric:"repairs_applied"`    // repairs that rolled this owner forward
+	RepairsSuperseded uint64 `metric:"repairs_superseded"` // repairs satisfied before applying (owner caught up)
+	RepairsDropped    uint64 `metric:"repairs_dropped"`    // repairs abandoned after bounded retries
+	AERepairs         uint64 `metric:"ae_repairs"`         // repairs the anti-entropy sweeper found for this owner
 
 	// Stats reads these off the shard's hints, client connections and
 	// arena.
@@ -1546,7 +1491,11 @@ type ShardStats struct {
 	ArenaLive     uint64 // live extent bytes in the shard's arena
 	ArenaPeakLive uint64 // high-water live bytes (working-set size)
 	ArenaFoot     uint64 // bytes of server memory the arena holds
-	ArenaPeak     uint64 // high-water arena footprint
+	ArenaPeak     uint64 // high-water arena footprint (the footprint: the arena never returns memory)
+
+	// CompactMoves is always 0: the arena reuses each extent in place,
+	// so nothing is ever relocated. The benchmark still reads it.
+	CompactMoves uint64
 }
 
 // add sums o into st field by field.
@@ -1657,9 +1606,9 @@ func (s *Service) Stats() ServiceStats {
 			ss.EcnCuts += cs.EcnCuts
 			out.MaxInFlight = max(out.MaxInFlight, cs.MaxInFlight)
 		}
-		ast := sh.arena.Stats()
+		ast := sh.srv.arena.Stats()
 		ss.ArenaLive, ss.ArenaPeakLive = ast.LiveBytes, ast.PeakLive
-		ss.ArenaFoot, ss.ArenaPeak = ast.Footprint, ast.Peak
+		ss.ArenaFoot, ss.ArenaPeak = ast.Footprint, ast.Footprint
 		out.Shards = append(out.Shards, ss)
 		out.add(&ss)
 	}

@@ -663,7 +663,7 @@ func residentBytes(sh *serviceShard) uint64 {
 	var n uint64
 	for i := uint64(0); i < t.NumBuckets(); i++ {
 		if _, va, _, ok := t.EntryAt(i); ok {
-			size, _ := sh.arena.Size(va)
+			size, _ := sh.srv.arena.Size(va)
 			n += size
 		}
 	}
@@ -679,11 +679,9 @@ func residentBytes(sh *serviceShard) uint64 {
 // staging extents of the set slots the crash wedged went back.
 func TestServiceReconnectReusesConnections(t *testing.T) {
 	const cycles = 40
-	// Segments small enough that the arena reaches its working set in
-	// the first cycle.
 	s := NewServiceWith(ServiceConfig{
 		Shards: 4, ClientsPerShard: 2, Pipeline: 16, Mode: LookupSeq,
-		Replicas: 3, WriteQuorum: 2, Buckets: 1 << 12, MaxValLen: 64, SegmentSize: 1 << 12})
+		Replicas: 3, WriteQuorum: 2, Buckets: 1 << 12, MaxValLen: 64})
 	keys := preloadKeys(t, s, 64)
 	sh := s.order[0]
 	failed, r := 0, 0
@@ -718,7 +716,7 @@ func TestServiceReconnectReusesConnections(t *testing.T) {
 		}
 		return n
 	}
-	// A few rounds first take the arena to its working set of segments.
+	// A few rounds first take the arena to its working set.
 	for i := 0; i < 4; i++ {
 		round()
 		s.Run()
@@ -749,7 +747,7 @@ func TestServiceReconnectReusesConnections(t *testing.T) {
 		if failed != 0 {
 			t.Fatalf("cycle %d: %d ops failed", c, failed)
 		}
-		if live, res := sh.arena.Stats().LiveBytes, residentBytes(sh); live != res {
+		if live, res := sh.srv.arena.Stats().LiveBytes, residentBytes(sh); live != res {
 			t.Fatalf("cycle %d: arena holds %d live bytes, its table names %d", c, live, res)
 		}
 		for _, cli := range sh.clients {

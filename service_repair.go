@@ -343,7 +343,7 @@ func (s *Service) queueRepair(sh *serviceShard, key, seq uint64) bool {
 }
 
 // armRepair schedules the next repair tick unless one is pending or
-// the queue is empty — activity-armed like the compactor, so an idle
+// the queue is empty — activity-armed like the migrator, so an idle
 // converged service leaves the engine drainable.
 func (s *Service) armRepair() {
 	if s.repairArmed || s.repq.Len() == 0 {
@@ -446,8 +446,7 @@ func (s *Service) converge(sh *serviceShard, key uint64, done func(convergeOutco
 			// winner IS this shard — for cross-owner reads the callers keep
 			// racing writes out (the repair queue defers while the key is
 			// unsettled; a migration copy losing the race re-derives a
-			// newer winner next time), and compaction relocations preserve
-			// bytes.
+			// newer winner next time).
 			va, vl, live := winner.table.table.Lookup(key)
 			if !live {
 				finish(convergeCaughtUp)
@@ -484,7 +483,7 @@ func (s *Service) converge(sh *serviceShard, key uint64, done func(convergeOutco
 // armAntiEntropy schedules one sweep tick AntiEntropyEvery from now,
 // unless one is already pending — armed by write, delete, repair and
 // recovery activity rather than free-running, exactly like the
-// compactor, so an idle service leaves the simulation drainable. Once
+// repair queue, so an idle service leaves the simulation drainable. Once
 // armed, sweeps keep rotating until a full clean rotation (every shard
 // swept with no divergence found) and then go back to sleep.
 func (s *Service) armAntiEntropy() {

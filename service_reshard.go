@@ -395,8 +395,8 @@ func (s *Service) ownershipChanged(m *migration, key uint64) bool {
 }
 
 // armMigration schedules the next migrator tick unless one is pending
-// or no segments remain — activity-armed like the compactor and the
-// repair queue, so the engine stays drainable once sealing completes.
+// or no segments remain — activity-armed like the repair queue, so
+// the engine stays drainable once sealing completes.
 func (s *Service) armMigration() {
 	m := s.mig
 	if m == nil || s.migArmed || len(m.pending) == 0 {

@@ -299,8 +299,7 @@ func TestServiceLinearizableReshardHistory(t *testing.T) {
 		Shards: 4, ClientsPerShard: 2, Pipeline: 8, Mode: LookupSeq,
 		Replicas: 3, WriteQuorum: 2, ReadPolicy: ReadRoundRobin, HotKeyCache: 8,
 		Buckets: 1 << 12, MaxValLen: 64,
-		ReadRepair: true, AntiEntropyEvery: 300 * sim.Microsecond, AntiEntropySegments: 16,
-		CompactEvery: 250 * sim.Microsecond, SegmentSize: 1 << 10})
+		ReadRepair: true, AntiEntropyEvery: 300 * sim.Microsecond, AntiEntropySegments: 16})
 	const nKeys = 8
 	const valLen = 48
 

@@ -21,7 +21,7 @@ import (
 // The tick is armed by op arrivals (GetAsync / SetAsync / DeleteAsync
 // / migrator ticks / workload bucket feeds) and re-arms itself only
 // while the metrics are still moving, mirroring armMigration and
-// armCompaction: an idle service leaves the simulation engine
+// armRepair: an idle service leaves the simulation engine
 // drainable, under sustained load the effect is a periodic sampler.
 
 // Sentinel timing defaults: sample every DefaultSentinelEvery; rules
@@ -158,7 +158,7 @@ func (s *Service) fleetGetLat() *sim.LatencyStats {
 
 // sentinelKick arms one sentinel tick DefaultSentinelEvery from now unless
 // one is already pending — the activity-armed pattern shared with
-// armMigration/armCompaction. Called from the op entry points; cheap
+// armMigration/armRepair. Called from the op entry points; cheap
 // enough (two loads and a branch) for every hot path, and a no-op
 // with the sentinel off.
 func (s *Service) sentinelKick() {

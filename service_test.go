@@ -648,8 +648,8 @@ func TestServiceSetRollsForward(t *testing.T) {
 // so an oversized value panicked inside the first owner leg's client —
 // after the coordinator had issued a sequence number, counted the key
 // unsettled and written the cache through. A caller that recovered was
-// left with a key that could never be cache-admitted, compacted or
-// repaired again. The write is refused at admission with a typed error,
+// left with a key that could never be cache-admitted or repaired
+// again. The write is refused at admission with a typed error,
 // before any coordinator state is touched.
 func TestServiceSetRejectsOversizedValue(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
@@ -791,8 +791,9 @@ func TestServiceCacheAdmissionSetRace(t *testing.T) {
 // hook), no later read may return an older value; a read may observe
 // "absent" only when a delete could explain it. Replica lag and hinted
 // handoff are allowed to serve stale states only while the newer
-// write/delete is still unsettled; the client cache AND the background
-// compactor are in the loop. A shard crashes and recovers mid-run.
+// write/delete is still unsettled; the client cache is in the loop,
+// and retired extents are reused underneath the readers. A shard
+// crashes and recovers mid-run.
 func TestServiceLinearizableMixedHistory(t *testing.T) {
 	runLinearizableHistory(t, false)
 }
@@ -813,10 +814,6 @@ func runLinearizableHistory(t *testing.T, withRepair bool) {
 		Shards: 3, ClientsPerShard: 2, Pipeline: 8, Mode: LookupSeq,
 		Replicas: 3, WriteQuorum: 2, ReadPolicy: ReadRoundRobin, HotKeyCache: 8,
 		Buckets: 1 << 12, MaxValLen: 64,
-		// Compaction churns the arena underneath the history: relocated
-		// extents must never corrupt or resurrect anything. Small
-		// segments (16 extents each) keep it genuinely busy.
-		CompactEvery: 250 * sim.Microsecond, SegmentSize: 1 << 10,
 	}
 	if withRepair {
 		cfg.ReadRepair = true
@@ -1002,8 +999,7 @@ func runLinearizableHistory(t *testing.T, withRepair bool) {
 	// The crash must actually have exercised the handoff machinery (or,
 	// in the repair variant, the repair machinery standing in for the
 	// hints it dropped), and the history must have exercised the
-	// lifecycle subsystem: fabric deletes retiring extents and the
-	// compactor relocating live ones underneath the readers.
+	// lifecycle subsystem: fabric deletes retiring extents.
 	st := s.Stats()
 	if st.HintsQueued == 0 {
 		t.Fatal("history never queued a handoff hint")
@@ -1035,9 +1031,6 @@ func runLinearizableHistory(t *testing.T, withRepair bool) {
 	}
 	if st.DelOps == 0 || st.Deletes == 0 {
 		t.Fatalf("history issued %d deletes, applied %d — deletes not in the loop", st.DelOps, st.Deletes)
-	}
-	if st.CompactPasses == 0 || st.CompactMoves == 0 {
-		t.Fatalf("compaction not in the loop (passes %d, moves %d)", st.CompactPasses, st.CompactMoves)
 	}
 }
 
@@ -1327,7 +1320,7 @@ func TestServiceSetGrowsSpilledResidentInPlace(t *testing.T) {
 		sh := s.order[0]
 		tb := sh.table.Table()
 		const key = 42
-		if err := tb.InsertAtV(key, sh.arena.Alloc(8, key), 8, 1, 0, 2); err != nil {
+		if err := tb.InsertAtV(key, sh.srv.arena.Alloc(8, key), 8, 1, 0, 2); err != nil {
 			t.Fatal(err)
 		}
 		want := Value(key, 48)
@@ -1497,63 +1490,62 @@ func TestServiceDeleteHintSupersedesValueHint(t *testing.T) {
 	}
 }
 
-// Background compaction keeps the arena bounded under churn and moves
-// values without corrupting them, while skipping keys with writes in
-// flight.
-func TestServiceCompactionBoundsArena(t *testing.T) {
+// The arena's footprint tracks the live bytes under sustained
+// overwrites with gets in flight: each retired extent is reused as soon
+// as no get can still read it, so no shard holds more than a quarter
+// over its peak live bytes plus the one chunk its size carves at a
+// time. Every key still reads back its latest bytes through the NIC.
+func TestServiceArenaTracksLive(t *testing.T) {
+	const (
+		nKeys  = 4096
+		valLen = 64
+		chunk  = 4 << 10 // the arena's default carve
+	)
 	s := NewServiceWith(ServiceConfig{
-		Shards: 1, ClientsPerShard: 2, Pipeline: 8, Mode: LookupSeq,
-		Buckets: 1 << 12, MaxValLen: 256,
-		CompactEvery: 5 * sim.Millisecond, SegmentSize: 8 << 10,
+		Shards: 4, ClientsPerShard: 2, Pipeline: 16, Mode: LookupSeq,
+		Replicas: 3, WriteQuorum: 2, Buckets: 1 << 13, MaxValLen: valLen,
 	})
-	const nKeys = 200
 	keys := make([]uint64, nKeys)
+	last := make(map[uint64][]byte, nKeys)
+	failed := 0
+	set := func(k uint64, v []byte) {
+		last[k] = v
+		s.SetAsync(k, v, func(_ Duration, err error) {
+			if err != nil {
+				failed++
+			}
+		})
+	}
 	for i := range keys {
 		keys[i] = uint64(i + 1)
-		if err := s.Set(keys[i], Value(keys[i], 64)); err != nil {
-			t.Fatal(err)
-		}
+		set(keys[i], Value(keys[i], valLen))
 	}
-	// Sustained churn: overwrite and delete/reinsert across many
-	// compaction ticks.
-	rng := workload.Rng(5)
-	for round := 0; round < 40; round++ {
-		for i := 0; i < 50; i++ {
-			k := keys[rng.Intn(nKeys)]
-			if rng.Intn(4) == 0 {
-				s.Delete(k)
-				if err := s.Set(k, Value(k+uint64(round)<<24, 64)); err != nil {
-					t.Fatal(err)
-				}
-			} else if err := s.Set(k, Value(k*7+uint64(round), 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Testbed().RunFor(2 * sim.Millisecond)
-	}
+	s.Flush()
 	s.Run()
-	st := s.Stats()
-	if st.CompactPasses == 0 || st.CompactMoves == 0 {
-		t.Fatalf("compaction never ran/moved (passes=%d moves=%d)", st.CompactPasses, st.CompactMoves)
-	}
-	if st.ArenaLive == 0 {
-		t.Fatal("no live bytes tracked")
-	}
-	if st.ArenaFoot > 4*st.ArenaLive+2*(8<<10) {
-		t.Fatalf("arena footprint %d unbounded vs %d live bytes despite compaction",
-			st.ArenaFoot, st.ArenaLive)
-	}
-	// Every key still reads back its latest bytes through the NIC.
-	sh := s.order[0]
-	for _, k := range keys {
-		va, vl, ok := sh.table.Table().Lookup(k)
-		if !ok {
-			continue // deleted in the final round and re-set under a mangled key
+	// Uniform overwrites, eight per key, each beside a get.
+	rng := workload.Rng(5)
+	for round := 0; round < 8*nKeys/256; round++ {
+		for i := 0; i < 256; i++ {
+			k := keys[rng.Intn(nKeys)]
+			set(k, Value(k*7+uint64(round), valLen))
+			s.GetAsync(keys[rng.Intn(nKeys)], valLen, func([]byte, Duration, bool) {})
 		}
-		want, _ := sh.srv.node.Mem.Read(va, vl)
-		got, _, okGet := s.Get(k, vl)
-		if okGet && !bytes.Equal(got, want) {
-			t.Fatalf("key %d bytes diverged after compaction", k)
+		s.Flush()
+		s.Run()
+	}
+	if failed != 0 {
+		t.Fatalf("%d sets failed on a healthy cluster", failed)
+	}
+	st := s.Stats()
+	for _, sh := range st.Shards {
+		if sh.ArenaPeakLive == 0 || sh.ArenaPeak > sh.ArenaPeakLive*5/4+chunk {
+			t.Fatalf("shard %s: arena footprint %d against %d peak live bytes", sh.ID, sh.ArenaPeak, sh.ArenaPeakLive)
+		}
+	}
+	for _, k := range keys {
+		got, _, ok := s.Get(k, valLen)
+		if !ok || !bytes.Equal(got, last[k]) {
+			t.Fatalf("key %d read back %x (hit %v), want its last value", k, got, ok)
 		}
 	}
 }

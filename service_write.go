@@ -456,7 +456,6 @@ func (s *Service) startLeg(op *setOp, sh *serviceShard, idx int, votes bool) {
 	r := s.takeRun(sh, &op.mutation, op.traceOp)
 	r.done = r.legFn
 	r.op, r.idx, r.votes, r.slotted = op, idx, votes, true
-	s.armCompaction(sh)
 	s.armAntiEntropy()
 	r.next = runSlot
 	s.withKeySlot(sh, op.key, r.slotFn)
@@ -679,8 +678,9 @@ func (r *ownerRun) apply() {
 	}
 	// The key's current extent, captured under the per-key write slot.
 	// An acked fabric set repoints the bucket at the chain's staging
-	// extent and retires this one on the ack, after the read-grace
-	// period; a delete that finds nothing resident has nothing to do.
+	// extent and retires this one on the ack, to be freed once no get
+	// can still read it; a delete that finds nothing resident has
+	// nothing to do.
 	r.oldVa, _, r.resident = t.Lookup(m.key)
 	if m.del && !r.resident {
 		// Nothing to retire here: the owner is already at the delete's
@@ -749,7 +749,7 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 		sh.markLive()
 		*applied++
 		if !m.del && r.resident {
-			sh.retireExtent(r.oldVa)
+			sh.srv.retire.push(r.oldVa)
 		}
 		s.noteLegReceipt(cli.lastReceipt(op))
 		r.finish(ownerApplied)
