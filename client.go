@@ -852,7 +852,8 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 		p.qp = cliQP
 		// Per-slot buffers and per-context response QPs. A get answers
 		// with the value; the others with 8 bytes: the write verdict or
-		// the probed version.
+		// the probed version. A get's or probe's READ rewrites its
+		// answer, so its queue is managed; a write's ack is final.
 		resp := make([]*rnic.QP, depth)
 		for i := range resp {
 			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
@@ -867,7 +868,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 			}
 			_, resp[i] = t.clu.Connect(node, srv.node,
 				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
+				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: p.op == pipeGet || p.op == pipeProbe, PU: -1})
 		}
 		var slotCtx func(slot int) *telemetry.OpContext
 		switch p.op {
@@ -971,7 +972,6 @@ func (c *Client) wireHooks() {
 
 	// ---- delete ----
 	c.del.arm = func(req *pipeReq, ack uint64) []byte {
-		c.dels.Ctxs[req.slot].Arm()
 		return c.dels.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, req.ver, ack)
 	}
 	c.del.verdict, c.del.deliver = applied, acked
@@ -992,7 +992,6 @@ func (c *Client) wireHooks() {
 	// ---- probe ----
 	c.prb.arm = func(req *pipeReq, resp uint64) []byte {
 		c.node.Mem.PutU64(resp, 0)
-		c.prbs.Ctxs[req.slot].Arm()
 		return c.prbs.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, resp)
 	}
 	c.prb.deliver = func(req *pipeReq, lat Duration, ok bool) {

@@ -19,6 +19,12 @@
 // unrolled (host re-arms each iteration) or recycled (the ring wraps
 // and ADD verbs advance the WAIT/ENABLE counts, §3.4) — the recycled
 // form needs no CPU at all and survives host crashes (§5.6).
+//
+// Gating: a step runs once its predecessor in sequencing order has
+// completed. A managed step's control lane ENABLEs it behind a WAIT for
+// the predecessor; an unmanaged step (a WQE final when posted, fetched in
+// WQ order: 0.17–0.19 µs/WR against 0.54, Fig 8) waits behind a WAIT for
+// the predecessor on its own queue.
 package core
 
 import (
@@ -189,6 +195,14 @@ func (b *Builder) WaitStep(ref StepRef) StepRef {
 		panic("core: WaitStep on a step that was not posted signaled")
 	}
 	return b.WaitCQ(ref.QP.SendCQ(), ref.target)
+}
+
+// after posts w on q to follow prev (signaled) by the package's gating rule.
+func (b *Builder) after(prev StepRef, q *rnic.QP, w wqe.WQE) StepRef {
+	if !q.SQ().Managed() {
+		b.Post(q, wqe.WQE{Op: wqe.OpWait, Peer: prev.QP.SendCQ().CQN(), Count: prev.target})
+	}
+	return b.Post(q, w)
 }
 
 // ExpectRecv posts a RECV on qp with the given scatter entries (encoded

@@ -25,11 +25,11 @@ type chain struct {
 	// Trig is the server side of the client connection: its RQ receives
 	// the trigger SENDs (shared by every context of a pool).
 	Trig *rnic.QP
-	// Resp is the context's dedicated managed QP back to the client,
-	// holding its response WQEs. Pool contexts need their own: an ENABLE
-	// grants every earlier WQE on its ring, so two contexts sharing a
-	// response ring could release each other's responses. A standalone
-	// lookup leaves it nil and answers on Trig's SQ.
+	// Resp is the context's own QP back to the client, holding its
+	// response WQEs (unmanaged if they are final when posted). Pool
+	// contexts need their own: an ENABLE grants every earlier WQE on its
+	// ring, so two contexts sharing one could release each other's
+	// responses. A standalone lookup leaves it nil and answers on Trig's SQ.
 	Resp *rnic.QP
 
 	// b2 sequences a second control queue firing off the same arrival
@@ -78,7 +78,6 @@ const (
 	opNoop    = iota // NOOP|key: the resident word a conditional expects
 	opWrite          // WRITE|key: the verb it arms, and an applied write's verdict
 	opTomb           // hopscotch.Tombstone: the word a delete leaves
-	opAckLen         // 8: a write verdict's length
 	opExpect         // the bucket word a set claim expects
 	opNew            // the word a claim installs
 	opBucket         // the bucket's address (a lookup's first candidate; a list's head)
@@ -159,16 +158,25 @@ const (
 )
 
 // claim posts the write programs' shared core around in's step v, whose
-// control word is the verdict: the ack on Resp (step ack), which WRITEs
-// that word to the client; the claim CAS on q, whose result buffer it
-// is (the bucket's old word, a NOOP whatever it held); and the
+// control word is the verdict: the claim CAS on q, whose result buffer
+// it is (the bucket's old word, a NOOP whatever it held), and the
 // conditional that arms v iff the claim replaced the word it expected.
 // Every operand but the verdict's address is the trigger's.
-func (c *chain) claim(in *instance, q *rnic.QP, v, ack int) {
+func (c *chain) claim(in *instance, q *rnic.QP, v int) {
 	verdict := in.steps[v].FieldAddr(wqe.OffCtrl)
-	in.steps[ack] = c.B.Post(c.Resp, wqe.WQE{Op: wqe.OpNoop, Src: verdict, Flags: wqe.FlagSignaled})
 	in.steps[wClaim] = c.B.cond(q, 0, 0, 0, verdict)
 	in.steps[wCond] = c.B.cond(q, verdict, 0, 0, 0)
+}
+
+// ack posts in's last step, at: the ack on Resp, WRITEing the verdict
+// (step v's control word) to ackAddr under id key, after the step before.
+func (c *chain) ack(in *instance, at, v int, key, ackAddr uint64) {
+	prev := at - 1
+	for in.steps[prev].QP == nil {
+		prev--
+	}
+	in.steps[at] = c.B.after(in.steps[prev], c.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask,
+		Src: in.steps[v].FieldAddr(wqe.OffCtrl), Dst: ackAddr, Len: 8, Flags: wqe.FlagSignaled})
 }
 
 // recv posts the RECV that scatters the next trigger's payload onto in,
@@ -204,11 +212,10 @@ func (c *chain) fills(s slot) bool {
 
 // fire triggers in, just posted: it posts in's RECV, then runs each lane
 // on its own control queue (B's, then b2's): a WAIT on the trigger's
-// arrival, and an ENABLE+WAIT for every posted step except a response —
-// a WQE on a queue facing the client, which nothing on the NIC waits
-// for — which gets an ENABLE only. Last it rings the control doorbells:
-// newly posted verbs need one if the queue has gone idle since the last
-// request (kicking an active queue is a no-op).
+// arrival and an ENABLE+WAIT per posted managed step — an ENABLE only for
+// a response, which nothing on the NIC waits for. Last it rings the
+// doorbells (an unmanaged step's queue's first): newly posted verbs need
+// one if the queue has gone idle (kicking an active queue is a no-op).
 func (c *chain) fire(layout []slot, in *instance, lanes ...[]StepRef) {
 	recv := c.recv(layout, in)
 	ctrls := [2]*Builder{c.B, c.b2}
@@ -216,12 +223,15 @@ func (c *chain) fire(layout []slot, in *instance, lanes ...[]StepRef) {
 		b := ctrls[i]
 		b.WaitRecv(c.Trig, recv)
 		for _, s := range steps {
-			if s.QP == nil {
-				continue
-			}
-			b.Enable(s)
-			if s.QP.Remote().Device() == b.Dev {
-				b.WaitStep(s)
+			switch {
+			case s.QP == nil:
+			case !s.QP.SQ().Managed():
+				s.QP.RingSQ() // it waits on its own queue (Builder.after)
+			default:
+				b.Enable(s)
+				if s.QP.Remote().Device() == b.Dev {
+					b.WaitStep(s)
+				}
 			}
 		}
 	}
@@ -239,7 +249,7 @@ func (c *chain) fire(layout []slot, in *instance, lanes ...[]StepRef) {
 func (c *chain) payload(layout []slot, key uint64, v operands) []byte {
 	k := key & hopscotch.KeyMask
 	v[opNoop], v[opWrite] = wqe.MakeCtrl(wqe.OpNoop, k), wqe.MakeCtrl(wqe.OpWrite, k)
-	v[opTomb], v[opAckLen] = hopscotch.Tombstone, 8
+	v[opTomb] = hopscotch.Tombstone
 	buf := c.trig[:0]
 	for _, s := range layout {
 		if c.fills(s) {
@@ -279,9 +289,9 @@ type Pool[C Program] struct {
 const poolCtrlDepth = 64
 
 // newPool builds K = len(resp) contexts over the trig connection, one
-// per server-side managed response QP (each connected back to the
-// client), each on a sub-builder with its own control queue. All
-// contexts share b's completion bookkeeping and device.
+// per server-side response QP (each connected back to the client),
+// each on a sub-builder with its own control queue. All contexts share
+// b's completion bookkeeping and device.
 func newPool[C Program](b *Builder, trig *rnic.QP, resp []*rnic.QP, ctx func(i int, b *Builder, resp *rnic.QP) C) *Pool[C] {
 	if len(resp) == 0 {
 		panic("core: a pool needs at least one response QP")

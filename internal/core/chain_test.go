@@ -7,15 +7,21 @@ import (
 
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
+	"repro/internal/sim"
+	"repro/internal/wqe"
 )
 
 // Every offload program's shape, measured: one armed instance's work
-// requests — the RECV on the shared trigger RQ plus the data verbs on
-// its rings (data), and the WAIT/ENABLE verbs on its control queues
-// (sync) — against the literal table the cost accounting quotes (Table
-// 2 style). Arming must also post only on QPs that carry the context's
-// op context: a ring left out would silently drop its WRs' trace spans,
-// profiler class and receipt folds.
+// requests — the RECV on the shared trigger RQ plus the verbs on its
+// rings and response queue (data), and the WAIT/ENABLE verbs, on its
+// control queues or ahead of an unmanaged step (sync) — and, once a
+// trigger SEND has run it, the managed fetches it took from the port's
+// serialized fetch unit (the RECV's included), against the literal
+// table the cost accounting quotes (Table 2 style). The fetch column is
+// what the port-fetch throughput law prices an op at. Arming must also
+// post only on QPs that carry the context's op context: a ring left out
+// would silently drop its WRs' trace spans, profiler class and receipt
+// folds.
 func TestProgramShapes(t *testing.T) { checkShapes(t, "") }
 
 // The per-class budgets, each its own rows of the same measured table.
@@ -23,28 +29,51 @@ func TestLookupWRBudget(t *testing.T) { checkShapes(t, "get") }
 func TestWriteWRBudgets(t *testing.T) { checkShapes(t, "set", "delete") }
 func TestProbeWRBudget(t *testing.T)  { checkShapes(t, "probe") }
 
+// A shape's build wires one pooled context of its program, its response
+// QPs as the client wires them, and returns the context and a func that
+// arms one instance and returns its trigger payload.
+type shapeBuild func(h *shapeRig) (*chain, func() []byte)
+
 var programShapes = []struct {
-	name       string
-	data, sync int
-	build      func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func())
+	name                string
+	data, sync, fetches int
+	build               shapeBuild
 }{
-	{"get single", 4, 6, lookupShape(LookupSingle)},
-	{"get seq", 7, 11, lookupShape(LookupSeq)},
+	{"get single", 4, 6, 4, lookupShape(LookupSingle)},
+	{"get seq", 7, 11, 7, lookupShape(LookupSeq)},
 	// Each of the two control queues WAITs on the trigger.
-	{"get parallel", 7, 12, lookupShape(LookupParallel)},
-	// An overwrite's claim installs the published word itself: no pubCAS.
-	{"set overwrite", 5, 8, setShape(SetClaim{BucketAddr: 0x1000, Expect: ClaimCtrl(1), New: ClaimCtrl(1)})},
-	{"set fresh", 6, 10, setShape(SetClaim{BucketAddr: 0x1000, New: ClaimPendingCtrl(1)})},
+	{"get parallel", 7, 12, 7, lookupShape(LookupParallel)},
+	// An overwrite's claim installs the published word itself: no
+	// pubCAS. The ack is fetched from an unmanaged queue behind its own
+	// WAIT, so of the five data WRs four are managed fetches.
+	{"set overwrite", 5, 8, 4, setShape(true)},
+	{"set fresh", 6, 10, 5, setShape(false)},
 	// Two verbs past the set chain: the price of stamping a
 	// tombstone's version conditionally.
-	{"delete", 8, 14, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-		o := NewDeletePool(h.b, trig, resp[:1]).Ctxs[0]
-		return &o.chain, o.Arm
+	{"delete", 8, 14, 7, func(h *shapeRig) (*chain, func() []byte) {
+		o := NewDeletePool(h.b, h.trig, h.resp(false)).Ctxs[0]
+		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, 1, h.buf) }
 	}},
-	{"probe", 4, 6, func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-		o := NewProbePool(h.b, trig, resp[:1]).Ctxs[0]
-		return &o.chain, o.Arm
+	{"probe", 4, 6, 4, func(h *shapeRig) (*chain, func() []byte) {
+		o := NewProbePool(h.b, h.trig, h.resp(true)).Ctxs[0]
+		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, h.buf) }
 	}},
+}
+
+// shapeRig is the harness a shape is measured on: a trigger connection,
+// a table whose key 1 is resident, and a client buffer for answers.
+type shapeRig struct {
+	*harness
+	cliTrig, trig *rnic.QP
+	table         *hopscotch.Table
+	bucket        uint64 // key 1's bucket
+	buf           uint64 // client-side answer buffer
+}
+
+// resp connects one response QP, managed or not, as a pool's list.
+func (h *shapeRig) resp(managed bool) []*rnic.QP {
+	_, q := h.connectAs(16, managed)
+	return []*rnic.QP{q}
 }
 
 // checkShapes measures the rows of programShapes whose names start with
@@ -55,11 +84,15 @@ func checkShapes(t *testing.T, prefixes ...string) {
 			continue
 		}
 		t.Run(sh.name, func(t *testing.T) {
-			h := newHarness(t)
-			_, trig := h.connect(64)
-			_, r1 := h.connect(16)
-			_, r2 := h.connect(16)
-			c, arm := sh.build(h, trig, []*rnic.QP{r1, r2})
+			h := &shapeRig{harness: newHarness(t)}
+			h.cliTrig, h.trig = h.connect(64)
+			h.table = hopscotch.New(h.srv.Mem(), 256, 0)
+			if err := h.table.InsertAt(1, h.srv.Mem().Alloc(64, 8), 64, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			h.bucket = h.table.BucketAddr(h.table.Hash(1, 0))
+			h.buf = h.cli.Mem().Alloc(64, 8)
+			c, arm := sh.build(h)
 
 			var qps []*rnic.QP
 			for n := uint32(0); h.srv.QPByNum(n) != nil; n++ {
@@ -69,53 +102,86 @@ func checkShapes(t *testing.T, prefixes ...string) {
 			for i, q := range qps {
 				before[i] = q.SQ().Producer()
 			}
-			recvs := c.B.Expected(trig.RecvCQ())
-			arm()
+			recvs := c.B.Expected(h.trig.RecvCQ())
+			payload := arm()
 
-			data, sync := int(c.B.Expected(trig.RecvCQ())-recvs), 0
+			data, sync := int(c.B.Expected(h.trig.RecvCQ())-recvs), 0
 			for i, q := range qps {
-				moved := int(q.SQ().Producer() - before[i])
+				moved := q.SQ().Producer() - before[i]
 				if moved == 0 {
 					continue
 				}
 				if q.Context() != c.op {
 					t.Errorf("arming posted %d WRs on QP %d, which does not carry the context's op context", moved, q.QPN())
 				}
-				if q == c.B.Ctrl || (c.b2 != nil && q == c.b2.Ctrl) {
-					sync += moved
-				} else {
-					data += moved
+				for idx := before[i]; idx < q.SQ().Producer(); idx++ {
+					if op := postedOp(t, h.srv, q, idx); op == wqe.OpWait || op == wqe.OpEnable {
+						sync++
+					} else {
+						data++
+					}
 				}
 			}
-			if data != sh.data || sync != sh.sync {
-				t.Fatalf("%d data + %d sync WRs, want %d + %d", data, sync, sh.data, sh.sync)
+
+			fetch := h.srv.Ports()[0].FetchUnit()
+			grants := fetch.Grants()
+			src := h.cli.Mem().Alloc(uint64(len(payload)), 8)
+			if err := h.cli.Mem().Write(src, payload); err != nil {
+				t.Fatal(err)
+			}
+			h.cliTrig.PostSend(wqe.WQE{Op: wqe.OpSend, Src: src, Len: uint64(len(payload))})
+			h.cliTrig.RingSQ()
+			h.eng.RunUntil(h.eng.Now() + 400*sim.Microsecond)
+			fetches := int(fetch.Grants() - grants)
+
+			if data != sh.data || sync != sh.sync || fetches != sh.fetches {
+				t.Fatalf("%d data + %d sync WRs, %d managed fetches; want %d + %d, %d",
+					data, sync, fetches, sh.data, sh.sync, sh.fetches)
 			}
 		})
 	}
 }
 
-// lookupShape builds one pooled get context in mode; parallel takes the
+// postedOp decodes the opcode of the WQE posted at idx on q's SQ.
+func postedOp(t *testing.T, dev *rnic.Device, q *rnic.QP, idx uint64) wqe.Opcode {
+	var buf [wqe.Size]byte
+	if err := dev.Mem().ReadInto(q.SQSlotAddr(idx), buf[:]); err != nil {
+		t.Fatal(err)
+	}
+	var w wqe.WQE
+	w.Decode(buf[:])
+	return w.Op
+}
+
+// lookupShape builds one pooled get context in mode; parallel takes a
 // second response QP.
-func lookupShape(mode LookupMode) func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-	return func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
+func lookupShape(mode LookupMode) shapeBuild {
+	return func(h *shapeRig) (*chain, func() []byte) {
 		var resp2 []*rnic.QP
 		if mode == LookupParallel {
-			resp2 = resp[1:2]
+			resp2 = h.resp(true)
 		}
-		table := hopscotch.New(h.srv.Mem(), 256, 0)
-		o := NewLookupPool(h.b, trig, resp[:1], resp2, table, mode).Ctxs[0]
-		return &o.chain, o.Arm
+		o := NewLookupPool(h.b, h.trig, h.resp(true), resp2, h.table, mode).Ctxs[0]
+		return &o.chain, func() []byte {
+			o.Arm()
+			return o.TriggerPayload(1, 64, h.buf)
+		}
 	}
 }
 
 // setShape builds one pooled set context. Arm only reserves the staging
-// extent; TriggerPayload posts the instance in the shape claim selects.
-func setShape(claim SetClaim) func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-	return func(h *harness, trig *rnic.QP, resp []*rnic.QP) (*chain, func()) {
-		o := NewSetPool(h.b, trig, resp[:1], 64, nil).Ctxs[0]
-		return &o.chain, func() {
+// extent; TriggerPayload posts the instance in the shape its claim
+// selects: an overwrite of the resident key 1, or a fresh claim.
+func setShape(overwrite bool) shapeBuild {
+	return func(h *shapeRig) (*chain, func() []byte) {
+		o := NewSetPool(h.b, h.trig, h.resp(false), 64, nil).Ctxs[0]
+		claim := SetClaim{BucketAddr: h.bucket, New: ClaimPendingCtrl(1)}
+		if overwrite {
+			claim.Expect, claim.New = ClaimCtrl(1), ClaimCtrl(1)
+		}
+		return &o.chain, func() []byte {
 			o.Arm(1)
-			o.TriggerPayload(1, claim, 8, 1, 0)
+			return o.TriggerPayload(1, claim, 8, 1, h.buf)
 		}
 	}
 }

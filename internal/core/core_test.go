@@ -28,9 +28,14 @@ func newHarness(t testing.TB) *harness {
 
 // connect creates a client<->server QP pair; the server SQ is managed
 // so response WQEs can be rewritten.
-func (h *harness) connect(depth int) (cliQP, srvQP *rnic.QP) {
+func (h *harness) connect(depth int) (cliQP, srvQP *rnic.QP) { return h.connectAs(depth, true) }
+
+// connectAs is connect with the server SQ managed or not. The client
+// wires a get's or probe's response queue managed and a set's or
+// delete's, whose ack is final when posted, unmanaged.
+func (h *harness) connectAs(depth int, managed bool) (cliQP, srvQP *rnic.QP) {
 	cliQP = h.cli.NewQP(rnic.QPConfig{SQDepth: depth, RQDepth: depth})
-	srvQP = h.srv.NewQP(rnic.QPConfig{SQDepth: depth, RQDepth: depth, Managed: true})
+	srvQP = h.srv.NewQP(rnic.QPConfig{SQDepth: depth, RQDepth: depth, Managed: managed})
 	cliQP.Connect(srvQP, h.srv.Profile().OneWay)
 	return
 }

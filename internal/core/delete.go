@@ -13,9 +13,9 @@ import (
 // fabric writers: take the key out of the table, hand its value extent
 // to the allocator, and tell the client — and RedN's self-modifying
 // machinery covers all three without the host CPU. A client delete is
-// one SEND whose payload is scattered into a pre-armed chain:
+// one SEND whose payload is scattered into a chain posted for it:
 //
-//	RECV      scatter claim/cond operands + bucket addr + ack addrs
+//	RECV      scatter claim/cond operands + bucket addr + version
 //	claimCAS  bucket.keyCtrl: NOOP|key -> PENDING|key (the delete claim)
 //	          old bucket word -> unlink.ctrl          (the CAS's own result)
 //	condCAS   unlink.ctrl: NOOP|key -> WRITE|key      (arm iff claimed)
@@ -23,6 +23,7 @@ import (
 //	verRead   READ unlink.ctrl -> verWr.ctrl          (copy the verdict)
 //	verWr     WRITE 8B version -> bucket.version      (iff claimed)
 //	tombCAS   bucket.keyCtrl: PENDING|key -> TOMBSTONE (finalize)
+//	WAIT      tombCAS                                 (on the ack's queue)
 //	ack       WRITE unlink.ctrl -> client ack buffer  (the verdict)
 //
 // The claim parks the bucket on the per-key PENDING word
@@ -47,14 +48,9 @@ import (
 // server's to-free ring before tombCAS retires the bucket; the host GC
 // drains the ring into the extent arena at its leisure, using the key
 // word to verify the extent still belongs to the deleted key before
-// freeing (a straggler's double-deposit of a since-recycled address is
-// dropped as stale).
-//
-// One hazard survives: a straggling chain from a delete the client
-// already timed out can deposit the same extent a newer chain just
-// deposited. The drain's key-word verification makes the duplicate a
-// counted stale no-op — whether the address is already gone or has
-// been recycled to another key — not corruption.
+// freeing. So a straggling chain from a timed-out delete that deposits
+// an extent a newer chain already deposited is a counted stale no-op —
+// whether the address is already gone or recycled to another key.
 //
 // verRead/verWr stamp the delete's version (the coordinator's quorum
 // sequence, scattered into a per-instance args word) onto the bucket's
@@ -65,7 +61,8 @@ import (
 // unlink.ctrl (WRITE|key iff the claim succeeded, an inert NOOP-family
 // word otherwise) onto verWr's control word — so a failed claim stamps
 // nothing. The ack is the set chain's: an unconditional WRITE of
-// unlink's control word — WRITE|key, or the word that refused the claim.
+// unlink's control word — WRITE|key, or the word that refused the claim
+// — posted whole, so TriggerPayload posts the instance, as the set's.
 
 // deleteRingSlots is the per-context depth of the to-free ring: one
 // delete is in flight per context, so a few slots absorb stragglers
@@ -107,34 +104,31 @@ var deleteLayout = []slot{
 	{dlUnlink, wqe.OffSrc, opBucket}, // [keyCtrl, valAddr, valLen]
 	{argsWord, 0, opVer}, {dlVerWr, wqe.OffDst, opVerAddr},
 	{dlTomb, wqe.OffCmp, opNew}, {dlTomb, wqe.OffSwap, opTomb}, {dlTomb, wqe.OffDst, opBucket},
-	{dlAck, wqe.OffCtrl, opWrite}, {dlAck, wqe.OffDst, opResp}, {dlAck, wqe.OffLen, opAckLen},
 }
 
 // NewDeletePool builds K = len(resp) delete contexts over the trig
 // connection, carving one to-free ring in the server's memory and
-// partitioning it across the contexts.
+// giving context i its slots [i, i+1) × deleteRingSlots.
 func NewDeletePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*DeleteOffload] {
 	ring := extent.NewFreeRing(b.Dev.Mem(), deleteRingSlots*len(resp))
 	return newPool(b, trig, resp, func(i int, cb *Builder, r *rnic.QP) *DeleteOffload {
-		return newDeleteOffload(cb, trig, r, ring, uint64(i)*deleteRingSlots)
+		o := &DeleteOffload{chain: newChain(cb, trig, r), Ring: ring, slotBase: uint64(i) * deleteRingSlots}
+		o.args = o.newArgs(8)
+		// w2 holds claim, conditional arm, verdict copy and tombstone,
+		// w3 unlink and verWr; ring wrap needs 2x.
+		o.w2 = o.ring(2*4+4, -1)
+		o.w3 = o.ring(16, -1)
+		return o
 	})
 }
 
-// newDeleteOffload builds one delete context over ring slots
-// [slotBase, slotBase+deleteRingSlots) of ring.
-func newDeleteOffload(b *Builder, trig, resp *rnic.QP, ring *extent.FreeRing, slotBase uint64) *DeleteOffload {
-	o := &DeleteOffload{chain: newChain(b, trig, resp), Ring: ring, slotBase: slotBase}
-	o.args = o.newArgs(8)
-	// w2 holds four WQEs per instance (claim, conditional arm, verdict
-	// copy, tombstone), w3 two (unlink, verWr); ring wrap needs 2x.
-	o.w2 = o.ring(2*4+4, -1)
-	o.w3 = o.ring(16, -1)
-	return o
-}
-
-// Arm posts one delete instance. Re-arming models the client rewriting
-// the registered code region over RDMA (§3.5), exactly like sets.
-func (o *DeleteOffload) Arm() {
+// TriggerPayload posts and fires a delete of key in the bucket at bucket
+// with version ver, acking the 8-byte verdict into the client-side
+// ackAddr, and returns the SEND payload that drives it: the context's
+// own buffer, overwritten by its next TriggerPayload. Re-posting models
+// the client rewriting the registered code region over RDMA (§3.5),
+// exactly like sets.
+func (o *DeleteOffload) TriggerPayload(key, bucket, ver, ackAddr uint64) []byte {
 	b := o.B
 	ringSlot := o.Ring.SlotAddr(o.slotBase + o.armed%deleteRingSlots)
 	// unlink copies the bucket's [keyCtrl, valAddr, valLen] onto the ring
@@ -146,18 +140,12 @@ func (o *DeleteOffload) Arm() {
 	s := &in.steps
 	s[dlUnlink] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Dst: ringSlot, Len: 24, Flags: wqe.FlagSignaled})
 	s[dlVerWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 8, Flags: wqe.FlagSignaled})
-	o.claim(&in, o.w2, dlUnlink, dlAck)
+	o.claim(&in, o.w2, dlUnlink)
 	s[dlVerRead] = b.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Src: s[dlUnlink].FieldAddr(wqe.OffCtrl),
 		Dst: s[dlVerWr].FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
 	s[dlTomb] = b.cond(o.w2, 0, 0, 0, 0)
+	o.ack(&in, dlAck, dlUnlink, key, ackAddr)
 	o.fire(deleteLayout, &in, s[:dlAck+1])
-}
-
-// TriggerPayload builds the client SEND payload for a delete of key in
-// the bucket at bucket with version ver, acking the 8-byte verdict into
-// the client-side ackAddr. The result is the context's own buffer,
-// overwritten by its next TriggerPayload.
-func (o *DeleteOffload) TriggerPayload(key, bucket, ver, ackAddr uint64) []byte {
 	return o.payload(deleteLayout, key, operands{opNew: hopscotch.PendingCtrl(key), opBucket: bucket,
-		opVerAddr: bucket + hopscotch.OffVersion, opVer: ver, opResp: ackAddr})
+		opVerAddr: bucket + hopscotch.OffVersion, opVer: ver})
 }

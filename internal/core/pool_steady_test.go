@@ -87,12 +87,14 @@ func newPoolRig(t testing.TB) *poolRig {
 		}
 		return c, s
 	}
-	pool := func() (cliQP, srvQP *rnic.QP, resp []*rnic.QP) {
+	// A get's response QPs are managed, a set's not: its ack is final
+	// when posted.
+	pool := func(managedResp bool) (cliQP, srvQP *rnic.QP, resp []*rnic.QP) {
 		cliQP, srvQP = connect(rnic.QPConfig{SQDepth: 64, RQDepth: 8},
 			rnic.QPConfig{SQDepth: 64, RQDepth: 64, Managed: true})
 		for i := 0; i < rigDepth; i++ {
 			_, r := connect(rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: true, PU: -1})
+				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: managedResp, PU: -1})
 			resp = append(resp, r)
 		}
 		return
@@ -100,7 +102,7 @@ func newPoolRig(t testing.TB) *poolRig {
 
 	var resp []*rnic.QP
 	var srvQP *rnic.QP
-	g.getQP, srvQP, resp = pool()
+	g.getQP, srvQP, resp = pool(true)
 	g.gets = NewLookupPool(b, srvQP, resp, nil, table, LookupSeq)
 	for i := range resp {
 		seen := 0
@@ -115,7 +117,7 @@ func newPoolRig(t testing.TB) *poolRig {
 			}
 		})
 	}
-	g.setQP, srvQP, resp = pool()
+	g.setQP, srvQP, resp = pool(false)
 	g.sets = NewSetPool(b, srvQP, resp, rigValLen, g.arena)
 	for i := range resp {
 		slot := i

@@ -63,34 +63,25 @@ var probeLayout = []slot{
 // connection; resp carry the version responses.
 func NewProbePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*ProbeOffload] {
 	return newPool(b, trig, resp, func(_ int, cb *Builder, r *rnic.QP) *ProbeOffload {
-		return newProbeOffload(cb, trig, r)
+		o := &ProbeOffload{chain: newChain(cb, trig, r)}
+		o.w2 = o.ring(2*2+4, -1) // READ + CAS per instance; ring wrap needs 2x
+		return o
 	})
 }
 
-func newProbeOffload(b *Builder, trig, resp *rnic.QP) *ProbeOffload {
-	o := &ProbeOffload{chain: newChain(b, trig, resp)}
-	o.w2 = o.ring(2*2+4, -1) // READ + CAS per instance; ring wrap needs 2x
-	return o
-}
-
-// Arm posts one probe instance. Re-arming models the client rewriting
-// the registered code region over RDMA (§3.5), exactly like the other
-// chains — so probes, too, survive host failures that leave the NIC
-// alive.
-func (o *ProbeOffload) Arm() {
+// TriggerPayload posts and fires a probe of key in the bucket at bucket,
+// answering 8 bytes (the bucket's version word) into the client-side
+// respAddr, and returns the SEND payload that drives it: the context's
+// own buffer, overwritten by its next TriggerPayload. Re-posting models
+// the client rewriting the registered code region over RDMA (§3.5), so
+// probes, too, survive host failures that leave the NIC alive. The
+// coordinator computes the bucket from its view of the replica's table,
+// as set and delete claims are computed; a stale view fails the CAS
+// harmlessly and the probe times out.
+func (o *ProbeOffload) TriggerPayload(key, bucket, respAddr uint64) []byte {
 	var in instance
 	o.inject(&in, pRead, o.w2, o.Resp, 8, 8)
 	o.fire(probeLayout, &in, in.steps[:probe2])
-}
-
-// TriggerPayload builds the client SEND payload for a probe of key in
-// the bucket at bucket, answering 8 bytes (the bucket's version word)
-// into the client-side respAddr. The coordinator computes the bucket
-// from its view of the replica's table, exactly as set and delete
-// claims are computed; a stale view fails the CAS harmlessly and the
-// probe times out. The result is the context's own buffer, overwritten
-// by its next TriggerPayload.
-func (o *ProbeOffload) TriggerPayload(key, bucket, respAddr uint64) []byte {
 	return o.payload(probeLayout, key, operands{opBucket: bucket, opVerAddr: bucket + hopscotch.OffVersion,
 		opResp: respAddr})
 }

@@ -17,7 +17,7 @@ func newProbeHarness(t *testing.T) (*harness, *hopscotch.Table, *ProbeOffload, *
 	table := hopscotch.New(h.srv.Mem(), 256, 0)
 	cliQP, srvQP := h.connect(64)
 	_, respQP := h.connect(16)
-	o := newProbeOffload(h.b, srvQP, respQP)
+	o := NewProbePool(h.b, srvQP, []*rnic.QP{respQP}).Ctxs[0]
 	srvQP.RecvCQ().SetAutoDrain(true)
 	srvQP.SendCQ().SetAutoDrain(true)
 	respQP.SendCQ().SetAutoDrain(true)
@@ -30,8 +30,6 @@ func doProbe(t *testing.T, h *harness, o *ProbeOffload, cliQP *rnic.QP, key, buc
 	t.Helper()
 	respAddr := h.cli.Mem().Alloc(8, 8)
 	h.cli.Mem().PutU64(respAddr, 0xDEAD)
-	o.Arm()
-	o.B.Run()
 	payload := o.TriggerPayload(key, bucketAddr, respAddr)
 	buf := h.cli.Mem().Alloc(uint64(len(payload)), 8)
 	h.cli.Mem().Write(buf, payload)

@@ -29,6 +29,7 @@ import (
 //	valWr     WRITE [stagingAddr, valLen, version]
 //	          -> bucket.[valAddr, valLen, version]
 //	pubCAS    bucket.keyCtrl: New -> NOOP|key    (fresh claims only)
+//	WAIT      valWr, or pubCAS when posted       (on the ack's queue)
 //	ack       WRITE valWr.ctrl -> client ack buffer (the verdict)
 //
 // The claim's result buffer is valWr's control word, so the claim
@@ -40,8 +41,9 @@ import (
 // control word, safe only because every word a bucket can hold — zero,
 // tombstone, pending, resident NOOP|key — has the NOOP opcode
 // (hopscotch's "inert under injection" rule): valWr runs as a NOOP. The
-// ack WRITEs valWr's control word as it stands last: WRITE|key for an
-// applied set, else the word that refused the claim.
+// ack, posted whole behind its own WAIT (so the RECV carries none of its
+// operands), WRITEs valWr's control word as it stands last: WRITE|key
+// for an applied set, else the word that refused the claim.
 //
 // The claim word New decides the shape. An overwrite of a resident key
 // claims NOOP|key -> NOOP|key: the bucket stays readable throughout (a
@@ -125,7 +127,6 @@ var setLayout = []slot{
 	// valWr's destination, the bucket's pointer words, and the value
 	// length and version that follow the staging address in args.
 	{stValWr, wqe.OffDst, opValAddr}, {argsWord, 8, opLen}, {argsWord, 16, opVer},
-	{stAck, wqe.OffCtrl, opWrite}, {stAck, wqe.OffDst, opResp}, {stAck, wqe.OffLen, opAckLen},
 	{stPub, wqe.OffCmp, opNew}, {stPub, wqe.OffSwap, opNoop}, {stPub, wqe.OffDst, opBucket},
 }
 
@@ -134,18 +135,14 @@ var setLayout = []slot{
 // every context (nil: bump allocation).
 func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena *extent.Arena) *Pool[*SetOffload] {
 	return newPool(b, trig, resp, func(_ int, cb *Builder, r *rnic.QP) *SetOffload {
-		return newSetOffload(cb, trig, r, maxVal, arena)
+		o := &SetOffload{chain: newChain(cb, trig, r), MaxVal: maxVal, Arena: arena}
+		o.args = o.newArgs(24)
+		// Rings hold one in-flight instance (ring wrap needs 2x); w2 is
+		// the busiest, with three WQEs per instance.
+		o.w2 = o.ring(2*3+4, -1)
+		o.w3 = o.ring(8, -1)
+		return o
 	})
-}
-
-func newSetOffload(b *Builder, trig, resp *rnic.QP, maxVal uint64, arena *extent.Arena) *SetOffload {
-	o := &SetOffload{chain: newChain(b, trig, resp), MaxVal: maxVal, Arena: arena}
-	o.args = o.newArgs(24)
-	// Rings hold one in-flight instance (ring wrap needs 2x); w2 is the
-	// busiest, with three WQEs per instance.
-	o.w2 = o.ring(2*3+4, -1)
-	o.w3 = o.ring(8, -1)
-	return o
 }
 
 // Arm reserves the staging extent of one set instance, the target of the
@@ -165,21 +162,22 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 }
 
 // post posts and fires the armed instance, with the publish CAS iff
-// fresh. Its args buffer holds the 24 bytes valWr copies over the
-// bucket's [valAddr, valLen, version]: the staging address plus the
-// value length and the write's version, both scattered in by the
-// trigger. Landing the version in the same WRITE as the repoint keeps
-// [pointer, length, version] a single atomic publication — a probe
-// chain can never observe the new version with the old extent.
-func (o *SetOffload) post(fresh bool) {
+// fresh, acking into ackAddr. Its args buffer holds the 24 bytes valWr
+// copies over the bucket's [valAddr, valLen, version]: the staging
+// address plus the value length and the write's version, both scattered
+// in by the trigger. Landing the version in the same WRITE as the
+// repoint keeps [pointer, length, version] a single atomic publication —
+// a probe chain can never observe the new version with the old extent.
+func (o *SetOffload) post(fresh bool, ackAddr uint64) {
 	b := o.B
 	in := instance{args: o.argsBuf(o.args, 24)}
 	b.Dev.Mem().PutU64(in.args, o.staging)
 	in.steps[stValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 24, Flags: wqe.FlagSignaled})
-	o.claim(&in, o.w2, stValWr, stAck)
+	o.claim(&in, o.w2, stValWr)
 	if fresh {
 		in.steps[stPub] = b.cond(o.w2, 0, 0, 0, 0)
 	}
+	o.ack(&in, stAck, stValWr, o.key, ackAddr)
 	o.fire(setLayout, &in, in.steps[:stAck+1])
 }
 
@@ -218,7 +216,7 @@ func (o *SetOffload) landed() bool {
 // overwritten by the next call.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	o.key, o.claimed = key, claim
-	o.post(claim.New != ClaimCtrl(key))
+	o.post(claim.New != ClaimCtrl(key), ackAddr)
 	return o.payload(setLayout, key, operands{opExpect: claim.Expect, opNew: claim.New, opBucket: claim.BucketAddr,
-		opValAddr: claim.BucketAddr + hopscotch.OffValAddr, opLen: valLen, opVer: ver, opResp: ackAddr})
+		opValAddr: claim.BucketAddr + hopscotch.OffValAddr, opLen: valLen, opVer: ver})
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // writeHarness arms one set context and one delete context against a
-// hopscotch table, each on its own trigger connection.
+// hopscotch table, each on its own trigger connection, their acks on
+// response queues of one kind.
 type writeHarness struct {
 	*harness
 	table        *hopscotch.Table
@@ -22,13 +23,22 @@ type writeHarness struct {
 
 const writeValLen = 64
 
-func newWriteHarness(t *testing.T) *writeHarness {
+// ackQueues are the two kinds of response queue a write's ack can sit
+// on, each naming the subtests it runs: unmanaged, as the client wires
+// it, where a WAIT of its own gates it, and managed, where its control
+// lane's ENABLE does.
+var ackQueues = []struct {
+	prefix  string
+	managed bool
+}{{"", false}, {"managed ack/", true}}
+
+func newWriteHarness(t *testing.T, managedAck bool) *writeHarness {
 	t.Helper()
 	h := &writeHarness{harness: newHarness(t)}
 	h.table = hopscotch.New(h.srv.Mem(), 256, 0)
 	wire := func() (cliQP, srvQP, respQP *rnic.QP) {
 		cliQP, srvQP = h.connect(64)
-		_, respQP = h.connect(16)
+		_, respQP = h.connectAs(16, managedAck)
 		srvQP.RecvCQ().SetAutoDrain(true)
 		srvQP.SendCQ().SetAutoDrain(true)
 		respQP.SendCQ().SetAutoDrain(true)
@@ -36,7 +46,7 @@ func newWriteHarness(t *testing.T) *writeHarness {
 	}
 	var srvQP, respQP *rnic.QP
 	h.setQP, srvQP, respQP = wire()
-	h.set = newSetOffload(h.b, srvQP, respQP, writeValLen, nil)
+	h.set = NewSetPool(h.b, srvQP, []*rnic.QP{respQP}, writeValLen, nil).Ctxs[0]
 	h.delQP, srvQP, respQP = wire()
 	h.del = NewDeletePool(h.b, srvQP, []*rnic.QP{respQP}).Ctxs[0]
 	h.trig, h.ack = h.cli.Mem().Alloc(128, 8), h.cli.Mem().Alloc(8, 8)
@@ -88,7 +98,6 @@ func (h *writeHarness) doSet(t *testing.T, key, expect, install, ver uint64) (ru
 // bucket and runs it.
 func (h *writeHarness) doDelete(t *testing.T, key, ver uint64) chainRun {
 	t.Helper()
-	h.del.Arm()
 	return h.fire(t, h.delQP, h.del.Resp, h.del.w3, key,
 		h.del.TriggerPayload(key, h.bucket(key), ver, h.ack))
 }
@@ -132,7 +141,8 @@ func bucketStates(key uint64) map[string][4]uint64 {
 // the way and the pointer words untouched. Every bucket word meets both
 // shapes: an overwrite (no pubCAS) and a fresh claim. A refused
 // overwrite posts nothing that could write the bucket, so it must leave
-// all four words as they were.
+// all four words as they were. Every case runs once per kind of ack
+// queue, to the same verdict and exactly one ack.
 func TestSetChainVerdicts(t *testing.T) {
 	const key = 42
 	pending, resident := ClaimPendingCtrl(key), ClaimCtrl(key)
@@ -158,44 +168,53 @@ func TestSetChainVerdicts(t *testing.T) {
 		{"overwrite of a taken bucket", "foreign", resident, resident, false},
 		{"fresh claim of a resident key", "resident", 0, pending, false},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			h := newWriteHarness(t)
-			before := bucketStates(key)[c.state]
-			h.put(h.bucket(key), before)
-			run, staging := h.doSet(t, key, c.expect, c.install, 17)
-			if run.acks != 1 {
-				t.Fatalf("%d acks, want exactly one — the chain always answers", run.acks)
-			}
-			if run.at >= 20*sim.Microsecond {
-				t.Fatalf("answered after %v, want one fabric round trip", run.at)
-			}
-			after := h.words(h.bucket(key))
-			if c.applied {
-				if run.verdict != applied {
-					t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
+	for _, q := range ackQueues {
+		for _, c := range cases {
+			t.Run(q.prefix+c.name, func(t *testing.T) {
+				h := newWriteHarness(t, q.managed)
+				before := bucketStates(key)[c.state]
+				h.put(h.bucket(key), before)
+				run, staging := h.doSet(t, key, c.expect, c.install, 17)
+				checkAnswered(t, run)
+				after := h.words(h.bucket(key))
+				if c.applied {
+					if run.verdict != applied {
+						t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
+					}
+					if want := [4]uint64{resident, staging, writeValLen, 17}; after != want {
+						t.Fatalf("bucket %#x, want %#x", after, want)
+					}
+					if len(run.conds) != 1 || run.conds[0] != wqe.OpWrite {
+						t.Fatalf("valWr executed as %v, want one WRITE", run.conds)
+					}
+					return
 				}
-				if want := [4]uint64{resident, staging, writeValLen, 17}; after != want {
-					t.Fatalf("bucket %#x, want %#x", after, want)
+				if run.verdict != before[0] {
+					t.Fatalf("verdict %#x, want the word that refused the claim %#x", run.verdict, before[0])
 				}
-				if len(run.conds) != 1 || run.conds[0] != wqe.OpWrite {
-					t.Fatalf("valWr executed as %v, want one WRITE", run.conds)
+				if after[1] != before[1] || after[2] != before[2] || after[3] != before[3] {
+					t.Fatalf("refused claim moved the bucket's pointer words: %#x -> %#x", before, after)
 				}
-				return
-			}
-			if run.verdict != before[0] {
-				t.Fatalf("verdict %#x, want the word that refused the claim %#x", run.verdict, before[0])
-			}
-			if after[1] != before[1] || after[2] != before[2] || after[3] != before[3] {
-				t.Fatalf("refused claim moved the bucket's pointer words: %#x -> %#x", before, after)
-			}
-			if c.install == resident && after != before {
-				t.Fatalf("refused overwrite changed the bucket: %#x -> %#x", before, after)
-			}
-			if len(run.conds) != 1 || run.conds[0] != wqe.OpNoop {
-				t.Fatalf("valWr executed as %v under bucket word %#x, want one NOOP", run.conds, before[0])
-			}
-		})
+				if c.install == resident && after != before {
+					t.Fatalf("refused overwrite changed the bucket: %#x -> %#x", before, after)
+				}
+				if len(run.conds) != 1 || run.conds[0] != wqe.OpNoop {
+					t.Fatalf("valWr executed as %v under bucket word %#x, want one NOOP", run.conds, before[0])
+				}
+			})
+		}
+	}
+}
+
+// checkAnswered checks that a write chain acked exactly once, within
+// one fabric round trip of its trigger.
+func checkAnswered(t *testing.T, run chainRun) {
+	t.Helper()
+	if run.acks != 1 {
+		t.Fatalf("%d acks, want exactly one — the chain always answers", run.acks)
+	}
+	if run.at >= 20*sim.Microsecond {
+		t.Fatalf("answered after %v, want one fabric round trip", run.at)
 	}
 }
 
@@ -203,51 +222,49 @@ func TestSetChainVerdicts(t *testing.T) {
 // held the live occupant NOOP|key — the bucket ends a tombstone stamped
 // with the delete's version and its extent is on the to-free ring.
 // Every other word refuses, deposits nothing and stamps nothing, and
-// executes as a NOOP on both conditional WQEs.
+// executes as a NOOP on both conditional WQEs. Every state runs once
+// per kind of ack queue.
 func TestDeleteChainVerdicts(t *testing.T) {
 	const key = 42
 	applied := wqe.MakeCtrl(wqe.OpWrite, key)
-	for state, before := range bucketStates(key) {
-		t.Run(state, func(t *testing.T) {
-			h := newWriteHarness(t)
-			h.put(h.bucket(key), before)
-			run := h.doDelete(t, key, 23)
-			if run.acks != 1 {
-				t.Fatalf("%d acks, want exactly one — the chain always answers", run.acks)
-			}
-			if run.at >= 20*sim.Microsecond {
-				t.Fatalf("answered after %v, want one fabric round trip", run.at)
-			}
-			after := h.words(h.bucket(key))
-			var freed [][3]uint64
-			h.del.Ring.Drain(func(tag, addr, size uint64) { freed = append(freed, [3]uint64{tag, addr, size}) })
-			if state == "resident" {
-				if run.verdict != applied {
-					t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
+	for _, q := range ackQueues {
+		for state, before := range bucketStates(key) {
+			t.Run(q.prefix+state, func(t *testing.T) {
+				h := newWriteHarness(t, q.managed)
+				h.put(h.bucket(key), before)
+				run := h.doDelete(t, key, 23)
+				checkAnswered(t, run)
+				after := h.words(h.bucket(key))
+				var freed [][3]uint64
+				h.del.Ring.Drain(func(tag, addr, size uint64) { freed = append(freed, [3]uint64{tag, addr, size}) })
+				if state == "resident" {
+					if run.verdict != applied {
+						t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
+					}
+					if after[0] != hopscotch.Tombstone || after[3] != 23 {
+						t.Fatalf("bucket %#x, want a tombstone at version 23", after)
+					}
+					if want := [3]uint64{hopscotch.PendingCtrl(key), before[1], before[2]}; len(freed) != 1 || freed[0] != want {
+						t.Fatalf("to-free ring holds %#x, want one deposit %#x", freed, want)
+					}
+					if len(run.conds) != 2 || run.conds[0] != wqe.OpWrite || run.conds[1] != wqe.OpWrite {
+						t.Fatalf("unlink, verWr executed as %v, want two WRITEs", run.conds)
+					}
+					return
 				}
-				if after[0] != hopscotch.Tombstone || after[3] != 23 {
-					t.Fatalf("bucket %#x, want a tombstone at version 23", after)
+				if run.verdict != before[0] {
+					t.Fatalf("verdict %#x, want the word that refused the claim %#x", run.verdict, before[0])
 				}
-				if want := [3]uint64{hopscotch.PendingCtrl(key), before[1], before[2]}; len(freed) != 1 || freed[0] != want {
-					t.Fatalf("to-free ring holds %#x, want one deposit %#x", freed, want)
+				if after[1] != before[1] || after[2] != before[2] || after[3] != before[3] {
+					t.Fatalf("refused delete moved the bucket's pointer words: %#x -> %#x", before, after)
 				}
-				if len(run.conds) != 2 || run.conds[0] != wqe.OpWrite || run.conds[1] != wqe.OpWrite {
-					t.Fatalf("unlink, verWr executed as %v, want two WRITEs", run.conds)
+				if len(freed) != 0 {
+					t.Fatalf("refused delete deposited %#x on the to-free ring", freed)
 				}
-				return
-			}
-			if run.verdict != before[0] {
-				t.Fatalf("verdict %#x, want the word that refused the claim %#x", run.verdict, before[0])
-			}
-			if after[1] != before[1] || after[2] != before[2] || after[3] != before[3] {
-				t.Fatalf("refused delete moved the bucket's pointer words: %#x -> %#x", before, after)
-			}
-			if len(freed) != 0 {
-				t.Fatalf("refused delete deposited %#x on the to-free ring", freed)
-			}
-			if len(run.conds) != 2 || run.conds[0] != wqe.OpNoop || run.conds[1] != wqe.OpNoop {
-				t.Fatalf("unlink, verWr executed as %v under bucket word %#x, want two NOOPs", run.conds, before[0])
-			}
-		})
+				if len(run.conds) != 2 || run.conds[0] != wqe.OpNoop || run.conds[1] != wqe.OpNoop {
+					t.Fatalf("unlink, verWr executed as %v under bucket word %#x, want two NOOPs", run.conds, before[0])
+				}
+			})
+		}
 	}
 }

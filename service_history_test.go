@@ -16,7 +16,7 @@ import (
 // history below: op, key, verdict and virtual completion time. Virtual
 // time is deterministic for a seed, so any change that moves one WR,
 // one QP's PU placement or one event's order moves this value.
-const exactHistoryHash = 0xd80b4fea9e97805b
+const exactHistoryHash = 0xa185c36ef3f19366
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {

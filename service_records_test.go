@@ -579,8 +579,16 @@ func TestHintDrainIsBounded(t *testing.T) {
 	if busy == 0 || busy > lanes {
 		t.Fatalf("at most %d drain lanes were busy at once, want 1 to %d", busy, lanes)
 	}
-	if s.runs.made > lanes+3*users {
-		t.Fatalf("the recovery made %d owner-apply records: more than %d lanes and %d users need",
+	// A busy lane holds one owner-apply record and a user's write three,
+	// one per leg. One record more can be live: finish returns a record
+	// only after its done has run, and a leg's done can complete its
+	// write, whose user then starts the next write's three legs (a
+	// lane's done, its next replay) before the record is back. No done
+	// finishes another record synchronously (every apply completes from
+	// an engine event), so only one record at a time is in that
+	// hand-off.
+	if s.runs.made > lanes+3*users+1 {
+		t.Fatalf("the recovery made %d owner-apply records: more than %d lanes, %d users and one hand-off need",
 			s.runs.made, lanes, users)
 	}
 	if held > lanes+users {
