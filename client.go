@@ -108,9 +108,9 @@ type Client struct {
 	maxVal  uint64
 	getVals []byte // depth × maxVal: a get slot's piece lends its callback the value
 
-	// The four pipelines behind GetAsync/SetAsync/DeleteAsync/probeAsync
-	// — one implementation, per-op hooks. pipes indexes them by pipeOp in
-	// doorbell order (get, set, del, probe).
+	// The four pipelines behind GetAsync, SetAsync and the delete and
+	// probe claim entry points — one implementation, per-op hooks. pipes
+	// indexes them by pipeOp in doorbell order (get, set, del, probe).
 	get, set, del, prb *opPipeline
 	pipes              [4]*opPipeline
 
@@ -119,12 +119,13 @@ type Client struct {
 	// when the NEXT same-key ack supersedes it. Closure-captured
 	// "old value" snapshots cannot do this: two pipelined same-key
 	// overwrites would capture the same extent and free it twice.
-	// Only the SetAsync/DeleteAsync lifecycle path populates it; the
-	// Service drives setAsyncClaim and owns extent lifecycle itself.
+	// Only the SetAsync lifecycle path populates it (a delete's ack
+	// clears its key); the Service drives setAsyncClaim and owns extent
+	// lifecycle itself.
 	prevVal map[uint64]uint64
 
-	// nextVer issues versions for the standalone SetAsync/DeleteAsync
-	// lifecycle path (a per-client monotone counter standing in for the
+	// nextVer issues versions for the standalone SetAsync lifecycle
+	// path (a per-client monotone counter standing in for the
 	// coordinator's quorum sequence). Service writes pass explicit
 	// versions through the *Claim entry points.
 	nextVer map[uint64]uint64
@@ -754,19 +755,15 @@ type ClientStats struct {
 	MaxInFlight        int // pipeline high-water, get path
 
 	Sets, SetAcks, SetFails uint64
-	MaxSetsInFlight         int
-
 	Dels, DelAcks, DelFails uint64
-	MaxDelsInFlight         int
-
-	Probes, ProbeAcks, ProbeFails uint64
+	Probes                  uint64
 
 	// GCFreed/GCStale count to-free ring drains: extents returned to
 	// the arena vs entries whose extent was already gone.
 	GCFreed, GCStale uint64
 
 	// Quarantined slots per path (armed chain never executed).
-	Wedged, SetsWedged, DelsWedged, ProbesWedged int
+	Wedged, SetsWedged, DelsWedged int
 
 	// WindowCuts/EcnCuts total the multiplicative decreases across all
 	// four windows (EcnCuts the subset taken on ECN marks rather than
@@ -782,16 +779,11 @@ func (c *Client) Stats() ClientStats {
 		ecnCuts += p.win.ecnCuts
 	}
 	return ClientStats{
-		Gets: c.get.issued, Hits: c.get.acks, Misses: c.get.fails,
-		MaxInFlight: c.get.maxInFlight,
-		Sets:        c.set.issued, SetAcks: c.set.acks, SetFails: c.set.fails,
-		MaxSetsInFlight: c.set.maxInFlight,
-		Dels:            c.del.issued, DelAcks: c.del.acks, DelFails: c.del.fails,
-		MaxDelsInFlight: c.del.maxInFlight,
-		Probes:          c.prb.issued, ProbeAcks: c.prb.acks, ProbeFails: c.prb.fails,
-		GCFreed: c.gcFreed, GCStale: c.gcStale,
-		Wedged: c.get.nWedged, SetsWedged: c.set.nWedged,
-		DelsWedged: c.del.nWedged, ProbesWedged: c.prb.nWedged,
+		Gets: c.get.issued, Hits: c.get.acks, Misses: c.get.fails, MaxInFlight: c.get.maxInFlight,
+		Sets: c.set.issued, SetAcks: c.set.acks, SetFails: c.set.fails,
+		Dels: c.del.issued, DelAcks: c.del.acks, DelFails: c.del.fails,
+		Probes: c.prb.issued, GCFreed: c.gcFreed, GCStale: c.gcStale,
+		Wedged: c.get.nWedged, SetsWedged: c.set.nWedged, DelsWedged: c.del.nWedged,
 		WindowCuts: cuts, EcnCuts: ecnCuts,
 	}
 }
@@ -978,8 +970,8 @@ func (c *Client) wireHooks() {
 	c.del.release = func(req *pipeReq, ok, executed bool) {
 		if ok {
 			// The unlink just retired the bucket's extent through the
-			// ring; the standalone lifecycle chain must not free it
-			// again on the next same-key set ack.
+			// ring; the standalone set lifecycle must not free it again
+			// on the next same-key set ack.
 			delete(c.prevVal, req.key)
 		}
 		// Drain on every completion, not just acks: a straggler chain
@@ -1194,16 +1186,6 @@ func reservedKey(key uint64) bool {
 	return key&hopscotch.PendingBit != 0 || key&hopscotch.KeyMask == 0
 }
 
-// refuse fails a write the client cannot claim from here after a
-// zero-cost hop: callbacks never run synchronously.
-func (c *Client) refuse(cb func(lat Duration, ok bool)) {
-	c.tb.clu.Eng.After(0, func() {
-		if cb != nil {
-			cb(0, false)
-		}
-	})
-}
-
 // SetAsync issues one offloaded set of value under key, computing the
 // bucket claim from the bound table, and returns immediately; cb runs
 // when the NIC's ack lands (ok is its verdict: false for a refused
@@ -1218,7 +1200,12 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 	}
 	claim, ok := c.setClaim(key)
 	if !ok || reservedKey(key) {
-		c.refuse(cb)
+		// Callbacks never run synchronously.
+		c.tb.clu.Eng.After(0, func() {
+			if cb != nil {
+				cb(0, false)
+			}
+		})
 		return
 	}
 	// An acknowledged overwrite repoints the bucket at the new staging
@@ -1260,15 +1247,9 @@ func (c *Client) setAsyncReq(key uint64, value []byte, claim core.SetClaim, ver,
 // Set performs one offloaded set, advancing the simulation until the
 // ack lands (or MissTimeout on a dead connection). It returns the
 // observed latency and whether the NIC applied the write.
-func (c *Client) Set(key uint64, value []byte) (Duration, bool) {
-	return c.awaitAck(func(cb func(Duration, bool)) { c.SetAsync(key, value, cb) })
-}
-
-// awaitAck issues one write through issue and advances the simulation
-// until its callback runs.
-func (c *Client) awaitAck(issue func(cb func(lat Duration, ok bool))) (lat Duration, ok bool) {
+func (c *Client) Set(key uint64, value []byte) (lat Duration, ok bool) {
 	done := false
-	issue(func(l Duration, acked bool) { lat, ok, done = l, acked, true })
+	c.SetAsync(key, value, func(l Duration, acked bool) { lat, ok, done = l, acked, true })
 	c.Flush()
 	c.tb.stepUntil(&done)
 	return lat, ok
@@ -1276,37 +1257,13 @@ func (c *Client) awaitAck(issue func(cb func(lat Duration, ok bool))) (lat Durat
 
 // ---- delete path ----
 
-// residentBucket returns the candidate bucket holding key in the
-// client's view of the bound table — the bucket a delete claims and a
-// probe interrogates. Spilled residents only a CPU scan can reach, and
-// keys absent outright, have none.
-func (c *Client) residentBucket(key uint64) (uint64, bool) {
-	return residentBucket(c.table.table, c.mode, key&hopscotch.KeyMask)
-}
-
-// DeleteAsync issues one offloaded delete of key, computing the bucket
-// claim from the bound table, and returns immediately; cb runs when
-// the NIC's ack lands (ok is its verdict: false for a refused claim)
-// or, on a dead connection, MissTimeout expires. Deletes beyond the
-// pipeline window queue client-side; call Flush after posting a batch.
-// A key that is not at a NIC-reachable candidate bucket fails after a
-// zero-cost hop: retiring spilled residents is host work.
-func (c *Client) DeleteAsync(key uint64, cb func(lat Duration, ok bool)) {
-	if c.table == nil {
-		panic("redn: Bind a table before Delete")
-	}
-	bucket, ok := c.residentBucket(key)
-	if !ok || reservedKey(key) {
-		c.refuse(cb)
-		return
-	}
-	c.nextVer[key&hopscotch.KeyMask]++
-	c.deleteAsyncClaim(key, bucket, c.nextVer[key&hopscotch.KeyMask], 0, cb)
-}
-
-// deleteAsyncClaim is DeleteAsync with an explicit, caller-computed
-// bucket and tombstone version and the trace op id its WRs attribute
-// to — the service layer's entry point.
+// deleteAsyncClaim issues one offloaded delete of key at a
+// caller-computed bucket, stamping the tombstone with ver, and returns
+// immediately — the service layer's entry point (its router finds the
+// resident bucket and owns the sequence). cb runs when the NIC's ack
+// lands (ok is its verdict: false for a refused claim) or, on a dead
+// connection, MissTimeout expires. op is the trace op id its WRs
+// attribute to.
 func (c *Client) deleteAsyncClaim(key, bucket, ver, op uint64, cb func(lat Duration, ok bool)) {
 	req := c.del.take()
 	req.key, req.bucket, req.ver, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, ver, cb, op
@@ -1335,64 +1292,16 @@ func (c *Client) drainFreed() int {
 	})
 }
 
-// Delete performs one offloaded delete, advancing the simulation until
-// the ack lands (or MissTimeout on a dead connection). It returns the
-// observed latency and whether the NIC applied the retirement.
-func (c *Client) Delete(key uint64) (Duration, bool) {
-	return c.awaitAck(func(cb func(Duration, bool)) { c.DeleteAsync(key, cb) })
-}
-
 // ---- probe path ----
 
-// probeAsync issues one offloaded version probe of key, computing the
-// target bucket from the bound table, and returns immediately; cb runs
-// with the replica's version word when the NIC's response lands, or
-// ok=false after MissTimeout (key absent at the probed bucket, or dead
-// connection — lastExecuted(pipeProbe) tells them apart). Probes beyond the
-// pipeline window queue client-side; call Flush after posting a batch.
-func (c *Client) probeAsync(key uint64, cb func(ver uint64, lat Duration, ok bool)) {
-	if c.table == nil {
-		panic("redn: Bind a table before Probe")
-	}
-	// Keys not at a NIC-reachable candidate (spilled, tombstoned,
-	// absent) cannot be probed from here — the repair layer's host-side
-	// comparison covers those.
-	bucket, ok := c.residentBucket(key)
-	if !ok {
-		c.tb.clu.Eng.After(0, func() {
-			if cb != nil {
-				cb(0, 0, false)
-			}
-		})
-		return
-	}
-	c.probeAsyncTarget(key, bucket, 0, cb)
-}
-
-// probeAsyncTarget is probeAsync with an explicit, caller-computed
-// bucket and the trace op id its WRs attribute to — the service
-// layer's entry point.
+// probeAsyncTarget issues one offloaded version probe of key at a
+// caller-computed bucket and returns immediately — the service layer's
+// entry point. cb runs with the replica's version word when the NIC's
+// response lands, or ok=false after MissTimeout (key no longer at the
+// bucket, or dead connection — lastExecuted(pipeProbe) tells them
+// apart). op is the trace op id its WRs attribute to.
 func (c *Client) probeAsyncTarget(key, bucket, op uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	req := c.prb.take()
 	req.key, req.bucket, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, cb, op
 	c.prb.submit(req)
-}
-
-// probe performs one offloaded version probe, advancing the simulation
-// until the response lands (or MissTimeout for conditional misses). It
-// returns the replica's version word, the observed latency, and whether
-// the NIC answered.
-func (c *Client) probe(key uint64) (uint64, Duration, bool) {
-	var (
-		ver  uint64
-		lat  Duration
-		ok   bool
-		done bool
-	)
-	c.probeAsync(key, func(v uint64, l Duration, answered bool) {
-		ver, lat, ok, done = v, l, answered, true
-	})
-	c.Flush()
-	c.tb.stepUntil(&done)
-	return ver, lat, ok
 }

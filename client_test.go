@@ -538,6 +538,34 @@ func TestClientSetSingleModeRefusesUnreachableClaim(t *testing.T) {
 	}
 }
 
+// claimResident issues a delete (probe false) or a version probe of key
+// through the claim entry points the Service drives, at the bucket its
+// router would find: residentBucket over the bound table. A delete
+// stamps the client's next per-key version, the counter standalone
+// sets draw from. A key with no NIC-reachable bucket fails after a
+// zero-cost hop with no chain armed.
+func claimResident(cli *Client, key uint64, probe bool, cb func(ver uint64, lat Duration, ok bool)) {
+	bucket, ok := residentBucket(cli.table.Table(), cli.mode, key)
+	switch {
+	case !ok:
+		cli.tb.clu.Eng.After(0, func() { cb(0, 0, false) })
+	case probe:
+		cli.probeAsyncTarget(key, bucket, 0, cb)
+	default:
+		cli.nextVer[key]++
+		cli.deleteAsyncClaim(key, bucket, cli.nextVer[key], 0, func(lat Duration, ok bool) { cb(0, lat, ok) })
+	}
+}
+
+// awaitResident is claimResident run to completion.
+func awaitResident(cli *Client, key uint64, probe bool) (ver uint64, lat Duration, ok bool) {
+	done := false
+	claimResident(cli, key, probe, func(v uint64, l Duration, answered bool) { ver, lat, ok, done = v, l, answered, true })
+	cli.Flush()
+	cli.tb.stepUntil(&done)
+	return ver, lat, ok
+}
+
 // A NIC-claimed delete round-trips: the claim chain tombstones the
 // bucket, a subsequent get misses, the unlinked extent returns to the
 // server arena through the to-free ring, and the delete's latency is a
@@ -556,7 +584,7 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 	}
 	liveBefore := srv.valueArena().Stats().LiveBytes
 	for k := uint64(1); k <= 16; k++ {
-		lat, ok := cli.Delete(k)
+		_, lat, ok := awaitResident(cli, k, false)
 		if !ok {
 			t.Fatalf("delete(%d) not acknowledged", k)
 		}
@@ -605,7 +633,7 @@ func TestClientDeleteRefused(t *testing.T) {
 	cli.Bind(table)
 
 	// Absent key: fails with a zero-cost hop, no chain armed.
-	if _, ok := cli.Delete(404); ok {
+	if _, _, ok := awaitResident(cli, 404, false); ok {
 		t.Fatal("delete of an absent key acknowledged")
 	}
 
@@ -651,10 +679,10 @@ func TestClientDeleteRefused(t *testing.T) {
 	if val, _, ok := cli.Get(key, 64); !ok || !bytes.Equal(val, Value(key, 64)) {
 		t.Fatal("resident corrupted by a refused delete claim")
 	}
-	if _, ok := cli.Delete(key); !ok {
+	if _, _, ok := awaitResident(cli, key, false); !ok {
 		t.Fatal("genuine delete failed")
 	}
-	if _, ok := cli.Delete(key); ok {
+	if _, _, ok := awaitResident(cli, key, false); ok {
 		t.Fatal("second delete of the same key acknowledged")
 	}
 }
@@ -677,7 +705,7 @@ func TestClientDeletePipelineOverlaps(t *testing.T) {
 		var lastDone Duration
 		for k := uint64(1); k <= 32; k++ {
 			key := k
-			cli.DeleteAsync(key, func(_ Duration, ok bool) {
+			claimResident(cli, key, false, func(_ uint64, _ Duration, ok bool) {
 				if !ok {
 					t.Errorf("delete(%d) failed", key)
 				}
@@ -773,7 +801,7 @@ func TestClientWritesTimeOutOnFrozenServer(t *testing.T) {
 		}
 	}
 	cli.SetAsync(key, Value(key+1, 64), check(pipeSet))
-	cli.DeleteAsync(key, check(pipeDelete))
+	claimResident(cli, key, false, func(_ uint64, lat Duration, ok bool) { check(pipeDelete)(lat, ok) })
 	cli.Flush()
 	tb.Run()
 	if st := cli.Stats(); st.SetFails != 1 || st.DelFails != 1 || st.SetsWedged != 1 || st.DelsWedged != 1 {
@@ -854,7 +882,7 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 }
 
 // The probe path end to end: fabric sets publish monotonically
-// increasing versions into their buckets, probeAsync reads them back
+// increasing versions into their buckets, a probe reads them back
 // through the NIC chain in one round trip, and a probe of an absent key
 // times out with its chain executed (a genuine conditional miss, not a
 // dead connection).
@@ -869,7 +897,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {
 		t.Fatal("set failed")
 	}
-	ver, lat, ok := cli.probe(key)
+	ver, lat, ok := awaitResident(cli, key, true)
 	if !ok {
 		t.Fatal("probe of a resident key missed")
 	}
@@ -884,7 +912,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	if _, ok := cli.Set(key, Value(key+1, 64)); !ok {
 		t.Fatal("overwrite failed")
 	}
-	if ver, _, ok = cli.probe(key); !ok || ver != 2 {
+	if ver, _, ok = awaitResident(cli, key, true); !ok || ver != 2 {
 		t.Fatalf("probe after overwrite = %d,%v want 2,true", ver, ok)
 	}
 	// Ground truth: the bucket's version word matches what probes see.
@@ -894,17 +922,17 @@ func TestClientProbeRoundTrip(t *testing.T) {
 
 	// An absent key: the probe target cannot even be computed — the
 	// client fails it after a zero-cost hop.
-	if _, _, ok := cli.probe(9999); ok {
+	if _, _, ok := awaitResident(cli, 9999, true); ok {
 		t.Fatal("probe of an absent key answered")
 	}
 
 	// A stale target (key deleted between computing the target and the
 	// chain running): conditional miss on a live NIC.
-	target, okT := cli.residentBucket(key)
+	target, okT := residentBucket(table.Table(), cli.mode, key)
 	if !okT {
 		t.Fatal("no probe target for a resident key")
 	}
-	if _, delOK := cli.Delete(key); !delOK {
+	if _, _, delOK := awaitResident(cli, key, false); !delOK {
 		t.Fatal("delete failed")
 	}
 	var executed, answered bool
@@ -950,7 +978,7 @@ func TestClientDeleteStampsTombstoneVersion(t *testing.T) {
 	if !found {
 		t.Fatal("key not at a candidate bucket")
 	}
-	if _, ok := cli.Delete(key); !ok {
+	if _, _, ok := awaitResident(cli, key, false); !ok {
 		t.Fatal("delete failed")
 	}
 	if !ht.TombstoneAt(bucket) {

@@ -38,11 +38,6 @@ func churnRun(requests int) *Result {
 		Title:  "Overwrite+delete churn: extent arena versus the leak-forever allocator",
 		Header: []string{"gets/s", "sets/s", "dels/s", "del p50", "foot/live", "(us)"}}
 
-	keys := make([]uint64, churnKeys)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-	}
-
 	run := func(noReclaim bool, deleteEvery int) (workload.LoadReport, redn.ServiceStats) {
 		s := redn.NewServiceWith(redn.ServiceConfig{
 			Shards:          8,
@@ -53,11 +48,7 @@ func churnRun(requests int) *Result {
 			MaxValLen:       256,
 			NoReclaim:       noReclaim,
 		})
-		for _, k := range keys {
-			if err := s.Set(k, redn.Value(k, 64)); err != nil {
-				panic(err)
-			}
-		}
+		keys := preloadKeys(s, churnKeys)
 		rep := workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
 			Requests:    requests,
 			Window:      8 * 2 * 16,

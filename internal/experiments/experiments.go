@@ -10,6 +10,7 @@ import (
 	"io"
 	"strings"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/rnic"
@@ -86,6 +87,19 @@ func sum(xs []int) int {
 		t += x
 	}
 	return t
+}
+
+// preloadKeys stores keys 1..n in s through the host path, each under
+// redn.Value(k, 64), and returns them; a refused set panics.
+func preloadKeys(s *redn.Service, n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+		if err := s.Set(keys[i], redn.Value(keys[i], 64)); err != nil {
+			panic(err)
+		}
+	}
+	return keys
 }
 
 // us formats a virtual duration in microseconds.

@@ -64,13 +64,7 @@ func failoverRun(duration, bucket, gap, crashAt sim.Time) *Result {
 			Buckets:         1 << 16,
 			MaxValLen:       256,
 		})
-		keys := make([]uint64, nKeys)
-		for i := range keys {
-			keys[i] = uint64(i + 1)
-			if err := s.Set(keys[i], redn.Value(keys[i], 64)); err != nil {
-				panic(err)
-			}
-		}
+		keys := preloadKeys(s, nKeys)
 		crashed := s.ShardID(0)
 		s.CrashShard(0, c.kind, crashAt)
 		rep := workload.RunOpenLoop(s.Testbed().Engine(), s, workload.OpenLoopConfig{

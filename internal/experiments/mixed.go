@@ -36,11 +36,6 @@ func mixedRun(requests int, duration, bucket, gap, crashAt sim.Time) *Result {
 		Title:  "Mixed get/set through the fabric write path: scaling, then a crash under W-of-N quorums",
 		Header: []string{"gets/s", "sets/s", "set p50", "set p99", "w-outage", "(us)"}}
 
-	keys := make([]uint64, mixedKeys)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-	}
-
 	// ---- Part 1: mixed-throughput scaling, 10% writes ----
 
 	var sets1, sets8 float64
@@ -53,11 +48,7 @@ func mixedRun(requests int, duration, bucket, gap, crashAt sim.Time) *Result {
 			Buckets:         1 << 16,
 			MaxValLen:       256,
 		})
-		for _, k := range keys {
-			if err := s.Set(k, redn.Value(k, 64)); err != nil {
-				panic(err)
-			}
-		}
+		keys := preloadKeys(s, mixedKeys)
 		rep := workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
 			Requests:   requests,
 			Window:     nShards * 2 * 16,
@@ -116,13 +107,7 @@ func mixedRun(requests int, duration, bucket, gap, crashAt sim.Time) *Result {
 			Buckets:         1 << 16,
 			MaxValLen:       256,
 		})
-		akeys := make([]uint64, availKeys)
-		for i := range akeys {
-			akeys[i] = uint64(i + 1)
-			if err := s.Set(akeys[i], redn.Value(akeys[i], 64)); err != nil {
-				panic(err)
-			}
-		}
+		akeys := preloadKeys(s, availKeys)
 		crashed := s.ShardID(0)
 		s.CrashShard(0, failure.ProcessCrash, crashAt)
 		rep := workload.RunOpenLoop(s.Testbed().Engine(), s, workload.OpenLoopConfig{

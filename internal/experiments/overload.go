@@ -77,11 +77,7 @@ func overloadRun(requests int) *Result {
 			AdaptiveWindow:  p.adaptive,
 			Admission:       p.admit,
 		})
-		for _, k := range keys {
-			if err := s.Set(k, redn.Value(k, 64)); err != nil {
-				panic(err)
-			}
-		}
+		preloadKeys(s, len(keys))
 		return s
 	}
 

@@ -35,13 +35,7 @@ func ProfileMixed() (*telemetry.Profiler, *telemetry.Provenance, redn.ServiceSta
 		Provenance:      true,
 		Profile:         true,
 	})
-	keys := make([]uint64, 512)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		if err := s.Set(keys[i], redn.Value(keys[i], 64)); err != nil {
-			panic(err)
-		}
-	}
+	keys := preloadKeys(s, 512)
 	workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
 		Requests:    2000,
 		Window:      2 * 2 * 8,

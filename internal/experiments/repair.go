@@ -204,11 +204,7 @@ func repairRun(requests int) *Result {
 			ReadPolicy: redn.ReadRoundRobin, Buckets: 1 << 12, MaxValLen: 64,
 			ReadRepair: readRepair, ProbeEvery: probeEvery,
 		})
-		keys := make([]uint64, 2000)
-		for i := range keys {
-			keys[i] = uint64(i + 1)
-			sp.Set(keys[i], redn.Value(keys[i], 64))
-		}
+		keys := preloadKeys(sp, 2000)
 		return workload.RunClosedLoop(sp.Testbed().Engine(), sp, workload.ClosedLoopConfig{
 			Requests: requests,
 			Window:   repairShards * 2 * 16,

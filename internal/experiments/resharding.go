@@ -47,13 +47,7 @@ func reshardingRun(duration, bucket, gap, joinAt, drainAt sim.Time) *Result {
 		AntiEntropyEvery:    sim.Millisecond,
 		AntiEntropySegments: 32,
 	})
-	keys := make([]uint64, reshardKeys)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		if err := s.Set(keys[i], redn.Value(keys[i], 64)); err != nil {
-			panic(err)
-		}
-	}
+	keys := preloadKeys(s, reshardKeys)
 
 	// Ledger of every key whose write the service acknowledged: the
 	// zero-loss acceptance check replays it against the post-migration

@@ -16,19 +16,11 @@ import (
 // throughput in both clocks; the speedup tests keep the floors that
 // sharding, pipelining, replica reads and the hot-key cache must clear.
 func closedLoop(cfg redn.ServiceConfig, zipf bool, requests int) (workload.LoadReport, redn.ServiceStats) {
-	keys := make([]uint64, 10000)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-	}
 	cfg.Mode = redn.LookupSeq
 	cfg.Buckets = 1 << 16
 	cfg.MaxValLen = 256
 	s := redn.NewServiceWith(cfg)
-	for _, k := range keys {
-		if err := s.Set(k, redn.Value(k, 64)); err != nil {
-			panic(err)
-		}
-	}
+	keys := preloadKeys(s, 10000)
 	// Utilization window starts after the host-path preload, so the
 	// bottleneck report reflects the measured workload.
 	s.MarkUtilization()

@@ -156,18 +156,6 @@ func firstBundleBytes(run func() (*redn.Service, workload.OpenLoopReport)) []byt
 	return buf.Bytes()
 }
 
-// sentinelKeys preloads each scenario's service.
-func sentinelKeys(s *redn.Service, n int) []uint64 {
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		if err := s.Set(keys[i], redn.Value(keys[i], 64)); err != nil {
-			panic(err)
-		}
-	}
-	return keys
-}
-
 // sentinelLoad paces a bucketed open loop with the sentinel's workload
 // feed wired in.
 func sentinelLoad(s *redn.Service, keys []uint64, dur, gap sim.Time, writeEvery int) workload.OpenLoopReport {
@@ -207,7 +195,7 @@ func sentinelHealthy(sentinel bool) (*redn.Service, workload.OpenLoopReport) {
 		MaxValLen:       256,
 		Sentinel:        sentinel,
 	})
-	keys := sentinelKeys(s, 2000)
+	keys := preloadKeys(s, 2000)
 	rep := sentinelLoad(s, keys, 20*sim.Millisecond, 4*sim.Microsecond, 4)
 	return s, rep
 }
@@ -227,7 +215,7 @@ func sentinelCrashRun() (*redn.Service, workload.OpenLoopReport) {
 		MaxValLen:       256,
 		Sentinel:        true,
 	})
-	keys := sentinelKeys(s, 2000)
+	keys := preloadKeys(s, 2000)
 	s.CrashShard(0, failure.ProcessCrash, 5*sim.Millisecond)
 	rep := sentinelLoad(s, keys, 20*sim.Millisecond, 4*sim.Microsecond, 0)
 	return s, rep
@@ -249,7 +237,7 @@ func sentinelOverloadRun() (*redn.Service, workload.OpenLoopReport) {
 		Admission:       true,
 		Sentinel:        true,
 	})
-	keys := sentinelKeys(s, overloadKeys)
+	keys := preloadKeys(s, overloadKeys)
 	rep := sentinelLoad(s, keys, 8*sim.Millisecond, 250*sim.Nanosecond, 0)
 	return s, rep
 }
@@ -273,7 +261,7 @@ func sentinelMigrationRun() (*redn.Service, workload.OpenLoopReport) {
 		MigrateBatch:    1,
 		Sentinel:        true,
 	})
-	keys := sentinelKeys(s, 2000)
+	keys := preloadKeys(s, 2000)
 	eng := s.Testbed().Engine()
 	eng.At(eng.Now()+3*sim.Millisecond, func() {
 		if err := s.AddShard("shard4"); err != nil {

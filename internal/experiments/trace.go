@@ -31,13 +31,7 @@ func TraceMixed() (*telemetry.Tracer, redn.ServiceStats) {
 		MaxValLen:       256,
 		Trace:           true,
 	})
-	keys := make([]uint64, 512)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		if err := s.Set(keys[i], redn.Value(keys[i], 64)); err != nil {
-			panic(err)
-		}
-	}
+	keys := preloadKeys(s, 512)
 	s.MarkUtilization()
 	workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
 		Requests:    2000,

@@ -46,10 +46,6 @@ type recKey struct {
 type Queue struct {
 	recs  map[recKey]*Record
 	order []recKey // push order; compacted lazily as records pop
-
-	// Counters (cumulative).
-	Pushed     uint64 // records newly created
-	Superseded uint64 // pushes that merged into an existing record
 }
 
 // NewQueue returns an empty repair queue.
@@ -72,12 +68,10 @@ func (q *Queue) Push(owner string, key, seq uint64) bool {
 			r.Attempts = 0
 			r.NotBefore = 0
 		}
-		q.Superseded++
 		return false
 	}
 	q.recs[k] = &Record{Owner: owner, Key: key, Seq: seq}
 	q.order = append(q.order, k)
-	q.Pushed++
 	return true
 }
 
@@ -111,7 +105,6 @@ func (q *Queue) Requeue(r *Record, notBefore sim.Time) {
 		if r.Seq > cur.Seq {
 			cur.Seq = r.Seq
 		}
-		q.Superseded++
 		return
 	}
 	r.NotBefore = notBefore

@@ -27,9 +27,6 @@ func (p *Port) PUs() []*sim.Resource { return p.pus }
 // FetchUnit returns the port's serialized managed-fetch unit.
 func (p *Port) FetchUnit() *sim.Resource { return p.fetchUnit }
 
-// Link returns the port's egress wire.
-func (p *Port) Link() *sim.Bandwidth { return p.link }
-
 // Device is one simulated RNIC attached to a node's memory.
 type Device struct {
 	eng  *sim.Engine
@@ -108,9 +105,6 @@ func (d *Device) Ports() []*Port { return d.ports }
 
 // PCIe returns the shared host-interface bandwidth resource.
 func (d *Device) PCIe() *sim.Bandwidth { return d.pcie }
-
-// AtomicUnit returns the responder-side atomic execution unit.
-func (d *Device) AtomicUnit() *sim.Resource { return d.atomicUnit }
 
 // NewCQ creates a completion queue.
 func (d *Device) NewCQ() *CQ {

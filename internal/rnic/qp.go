@@ -287,9 +287,6 @@ func (w *WorkQueue) Consumer() uint64 { return w.consumer }
 // Producer returns the absolute count of posted WQEs.
 func (w *WorkQueue) Producer() uint64 { return w.producer }
 
-// FetchLimit returns the managed-mode execution bound.
-func (w *WorkQueue) FetchLimit() uint64 { return w.fetchLimit }
-
 // Executed returns the number of WQEs this queue has executed.
 func (w *WorkQueue) Executed() uint64 { return w.executed }
 

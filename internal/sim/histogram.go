@@ -94,29 +94,6 @@ func (h *Histogram) Percentile(p float64) Time {
 	return histLow(histBuckets - 1)
 }
 
-// PercentileWidth returns the width of the bucket the p-th percentile
-// falls in — the error bound of the corresponding Percentile call.
-func (h *Histogram) PercentileWidth(p float64) Time {
-	if h.n == 0 {
-		return 0
-	}
-	rank := uint64(p/100*float64(h.n) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.n {
-		rank = h.n
-	}
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i]
-		if cum >= rank {
-			return histWidth(i)
-		}
-	}
-	return histWidth(histBuckets - 1)
-}
-
 // Merge folds every sample recorded in o into h. Bucket counts add
 // element-wise, so a merged histogram is indistinguishable from one
 // that saw both sample streams directly — the primitive that lets

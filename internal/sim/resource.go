@@ -108,9 +108,6 @@ func (b *Bandwidth) TransferAt(ready Time, bytes int) (start, end Time) {
 	return b.AcquireAt(ready, b.Duration(bytes))
 }
 
-// BytesPerSec returns the configured rate.
-func (b *Bandwidth) BytesPerSec() float64 { return b.bytesPerSec }
-
 // RateLimiter is a token-bucket limiter in virtual time, matching the
 // per-WQ rate limiting ConnectX NICs expose (ibv_modify_qp_rate_limit),
 // which the paper relies on for isolation of misbehaving offloads.

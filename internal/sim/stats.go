@@ -103,6 +103,3 @@ func (s *LatencyStats) Max() Time {
 	}
 	return s.max
 }
-
-// Hist exposes the backing histogram (bucket iteration, error bounds).
-func (s *LatencyStats) Hist() *Histogram { return &s.h }

@@ -182,7 +182,7 @@ func (r *Receipt) AdoptLeg(leg *Receipt) {
 func (r *Receipt) ResView() []ResPhase { return r.Res[:r.NRes] }
 
 // Provenance aggregates finalized receipts per op class: exact phase
-// sums, bounded log2 phase histograms, per-resource wait/exec totals,
+// sums, the total-latency distribution, per-resource wait/exec totals,
 // and a fixed-size top-N-slowest receipt heap (flight-recorder
 // discipline: the tail evidence survives in constant memory).
 type Provenance struct {
@@ -194,7 +194,6 @@ type classProv struct {
 	censored uint64
 	totals   sim.LatencyStats
 	phaseSum [PhaseCount]sim.Time
-	phase    [PhaseCount]sim.Histogram
 	resWait  map[string]sim.Time
 	resExec  map[string]sim.Time
 	tail     tailHeap
@@ -234,7 +233,6 @@ func (pv *Provenance) Record(r *Receipt) {
 	cp.totals.Add(r.Total)
 	for p := 0; p < PhaseCount; p++ {
 		cp.phaseSum[p] += r.Phases[p]
-		cp.phase[p].Add(r.Phases[p])
 	}
 	for _, rp := range r.ResView() {
 		cp.resWait[rp.Name] += rp.Wait
@@ -248,11 +246,6 @@ func (pv *Provenance) Count(class uint8) uint64 { return pv.classes[class].count
 
 // Totals exposes the Total distribution for class.
 func (pv *Provenance) Totals(class uint8) *sim.LatencyStats { return &pv.classes[class].totals }
-
-// PhaseHist exposes the bounded histogram of one phase for class.
-func (pv *Provenance) PhaseHist(class uint8, phase int) *sim.Histogram {
-	return &pv.classes[class].phase[phase]
-}
 
 // Tail returns the retained slowest receipts for class, slowest
 // first; the slice is a sorted copy.

@@ -71,9 +71,9 @@ type LoadReport struct {
 	SetsPerSec float64
 	DelsPerSec float64
 
-	Avg, P50, P99, P999    sim.Time
-	SetAvg, SetP50, SetP99 sim.Time
-	DelAvg, DelP50, DelP99 sim.Time
+	Avg, P50, P99, P999 sim.Time
+	SetP50, SetP99      sim.Time
+	DelP50, DelP99      sim.Time
 
 	// Hit percentiles cover successful gets only. The combined P50/P99
 	// above mix in misses, which report the configured timeout (or the
@@ -81,9 +81,9 @@ type LoadReport struct {
 	// is a timeout-censored observation, not a latency. Censored counts
 	// those samples; Miss percentiles summarize them distinctly so a
 	// miss-heavy run can't masquerade as a slow one.
-	HitAvg, HitP50, HitP99 sim.Time
-	MissP50, MissP99       sim.Time
-	Censored               int
+	HitP50, HitP99   sim.Time
+	MissP50, MissP99 sim.Time
+	Censored         int
 }
 
 func (r LoadReport) String() string {
@@ -391,16 +391,13 @@ func RunClosedLoop(eng *sim.Engine, kv AsyncKV, cfg ClosedLoopConfig) LoadReport
 	rep.P50 = getStats.Percentile(50)
 	rep.P99 = getStats.Percentile(99)
 	rep.P999 = getStats.Percentile(99.9)
-	rep.HitAvg = hitStats.Avg()
 	rep.HitP50 = hitStats.Percentile(50)
 	rep.HitP99 = hitStats.Percentile(99)
 	rep.MissP50 = missStats.Percentile(50)
 	rep.MissP99 = missStats.Percentile(99)
 	rep.Censored = int(missStats.N())
-	rep.SetAvg = setStats.Avg()
 	rep.SetP50 = setStats.Percentile(50)
 	rep.SetP99 = setStats.Percentile(99)
-	rep.DelAvg = delStats.Avg()
 	rep.DelP50 = delStats.Percentile(50)
 	rep.DelP99 = delStats.Percentile(99)
 	return rep

@@ -26,9 +26,6 @@ const (
 	ReadPrimary ReadPolicy = iota
 	// ReadRoundRobin rotates gets across all replica owners.
 	ReadRoundRobin
-	// ReadLeastInflight sends each get to the owner whose client
-	// connections currently hold the fewest outstanding gets.
-	ReadLeastInflight
 	// ReadHotSpread keeps cold keys on their primary (one authoritative
 	// server per key) but rotates the tracked top-k hot keys — those
 	// already tracked when the get is issued — across all owners: skew
@@ -40,8 +37,6 @@ func (p ReadPolicy) String() string {
 	switch p {
 	case ReadRoundRobin:
 		return "round-robin"
-	case ReadLeastInflight:
-		return "least-inflight"
 	case ReadHotSpread:
 		return "hot-spread"
 	}
@@ -112,9 +107,8 @@ type ServiceConfig struct {
 
 	HullParent bool // crashed processes keep their RDMA resources (Fig 16)
 
-	Buckets     uint64 // hopscotch buckets per shard
-	MaxValLen   uint64 // largest value a get can return or a set can store
-	MissTimeout Duration
+	Buckets   uint64 // hopscotch buckets per shard
+	MaxValLen uint64 // largest value a get can return or a set can store
 
 	// NoReclaim puts every shard arena in leak-forever mode: frees
 	// still account (live bytes stay truthful) but memory is never
@@ -229,7 +223,6 @@ func defaultServiceConfig(nShards, clientsPerShard int) ServiceConfig {
 		Replicas:        1,
 		Buckets:         1 << 15,
 		MaxValLen:       4096,
-		MissTimeout:     DefaultMissTimeout,
 	}
 }
 
@@ -315,17 +308,6 @@ func (sh *serviceShard) initMetrics(reg *telemetry.Registry) {
 		}
 	}
 	sh.getLat = reg.Histogram(sh.id + "/get_lat")
-}
-
-// inflight sums outstanding and queued gets across the shard's client
-// connections (the ReadLeastInflight load signal).
-func (sh *serviceShard) inflight() int {
-	n := 0
-	for _, cli := range sh.clients {
-		st := cli.pipelineStats(pipeGet)
-		n += st.InFlight + st.Queued
-	}
-	return n
 }
 
 // down reports whether the shard's circuit breaker is open: it is
@@ -459,13 +441,11 @@ type Service struct {
 	probeCursor       int
 
 	// Live-resharding state (service_reshard.go): the active migration
-	// (nil while membership is stable), its tick arm, the monotonically
-	// increasing ownership epoch, the cache generation that fences the
-	// hot-value cache across ownership changes, and the log of finished
-	// migrations.
+	// (nil while membership is stable), its tick arm, the cache
+	// generation that fences the hot-value cache across ownership
+	// changes, and the log of finished migrations.
 	mig      *migration
 	migArmed bool
-	migEpoch uint64
 	cacheGen uint64
 	migLog   []MigrationSummary
 
@@ -659,9 +639,6 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.MaxValLen == 0 {
 		cfg.MaxValLen = def.MaxValLen
 	}
-	if cfg.MissTimeout == 0 {
-		cfg.MissTimeout = def.MissTimeout
-	}
 	if cfg.HotKeyTrack == 0 && (cfg.ReadPolicy == ReadHotSpread || cfg.HotKeyCache > 0) {
 		cfg.HotKeyTrack = shard.DefaultHotKeys
 	}
@@ -784,7 +761,6 @@ func (s *Service) buildShard(id string) *serviceShard {
 // newShardClient wires one pipelined client connection to sh's server.
 func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node) *Client {
 	cli := newClientOnNode(s.tb, cn, sh.srv, s.cfg.Mode, s.cfg.Pipeline, s.cfg.MaxValLen)
-	cli.MissTimeout = s.cfg.MissTimeout
 	cli.Bind(sh.table)
 	cli.setTracer(s.tr, cn.Name)
 	if s.prov != nil {
@@ -988,19 +964,6 @@ func (s *Service) readOrder(g *getOp) {
 		shs = append(shs, s.ringShards[nodes[(i+rot)%len(nodes)]])
 	}
 	if len(shs) > 1 {
-		if s.cfg.ReadPolicy == ReadLeastInflight {
-			min := 0
-			for i := 1; i < len(shs); i++ {
-				if shs[i].inflight() < shs[min].inflight() {
-					min = i
-				}
-			}
-			if min != 0 {
-				first := shs[min]
-				copy(shs[1:min+1], shs[:min])
-				shs[0] = first
-			}
-		}
 		// Stable-partition live shards ahead of down ones.
 		nLive := 0
 		for _, sh := range shs {
@@ -1053,10 +1016,9 @@ func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 	})
 	s.Flush()
 	eng := s.tb.clu.Eng
-	to := s.cfg.MissTimeout
-	eng.RunUntil(eng.Now() + to)
+	eng.RunUntil(eng.Now() + DefaultMissTimeout)
 	for !done && eng.Pending() > 0 {
-		eng.RunUntil(eng.Now() + to)
+		eng.RunUntil(eng.Now() + DefaultMissTimeout)
 	}
 	return out, lat, ok
 }

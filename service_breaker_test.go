@@ -143,7 +143,7 @@ func runProcessCrash(t *testing.T) processCrashRun {
 			r.probes++
 		}
 		probing = sh.probing
-		if sh.down() && s.Now() > r.tripAt+s.cfg.MissTimeout {
+		if sh.down() && s.Now() > r.tripAt+DefaultMissTimeout {
 			r.maxOpenInFlight = max(r.maxOpenInFlight, getsInFlight(sh))
 		}
 	})
@@ -164,7 +164,7 @@ func runProcessCrash(t *testing.T) processCrashRun {
 // NIC — not when its window lapses either.
 func TestServiceBreakerSparesUserGets(t *testing.T) {
 	r := runProcessCrash(t)
-	to := r.s.cfg.MissTimeout
+	to := DefaultMissTimeout
 	slow, openIssued := 0, 0
 	for i, g := range r.load.gets {
 		if g.openAtIssue {
@@ -203,7 +203,7 @@ func TestServiceBreakerProbesOncePerWindow(t *testing.T) {
 	// Each window re-arms from its probe's timeout, and the probe waits
 	// for the next routing decision: a window lasts up to
 	// defaultSuspectFor + MissTimeout + breakerGap.
-	least := int(outage / (defaultSuspectFor + r.s.cfg.MissTimeout + breakerGap))
+	least := int(outage / (defaultSuspectFor + DefaultMissTimeout + breakerGap))
 	if r.probes < least-1 || r.probes > most {
 		t.Fatalf("%d liveness probes over a %v outage, want %d..%d (one per %v window)",
 			r.probes, outage, least-1, most, defaultSuspectFor)
@@ -254,7 +254,7 @@ func TestServiceBreakerProbeClearsThawedNIC(t *testing.T) {
 	if clearedAt == 0 {
 		t.Fatal("the thawed NIC was never found alive")
 	}
-	if limit := defaultSuspectFor + s.cfg.MissTimeout; clearedAt-thawAt > limit {
+	if limit := defaultSuspectFor + DefaultMissTimeout; clearedAt-thawAt > limit {
 		t.Fatalf("breaker closed %v after the thaw, want within %v", clearedAt-thawAt, limit)
 	}
 	if sh.stats.Gets == gets {

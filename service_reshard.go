@@ -18,10 +18,9 @@ import (
 // keyspace; everything here exists so that window has zero client-
 // visible cost:
 //
-//   - An ownership epoch. Each membership change snapshots the ring
-//     BEFORE the change (shard.Ring.Clone) and bumps the service's
-//     migration epoch. A key's pre-change owners come from the
-//     snapshot, its post-change owners from the live ring; the diff of
+//   - An ownership snapshot. Each membership change snapshots the
+//     ring BEFORE the change (shard.Ring.Clone). A key's pre-change
+//     owners come from the snapshot, its post-change owners from the live ring; the diff of
 //     the two owner sets is exactly the moving keyspace.
 //
 //   - A background migrator. Moving keys are binned into bucket
@@ -93,7 +92,6 @@ var ErrLastShard = errors.New("redn: cannot drain the last shard")
 // ring snapshot, the moving keys binned into bucket segments, and the
 // seal bitmap that retires dual-read/dual-write per segment.
 type migration struct {
-	epoch    uint64
 	join     bool   // true: target is arriving; false: target is leaving
 	target   string // the shard joining or draining
 	oldRing  *shard.Ring
@@ -114,7 +112,6 @@ type migration struct {
 
 // MigrationSummary records one completed resharding.
 type MigrationSummary struct {
-	Epoch    uint64
 	Join     bool
 	Target   string
 	Started  sim.Time
@@ -309,11 +306,10 @@ func (s *Service) DrainShard(id string) error {
 // service holds (resident or tombstoned), bins the movers into bucket
 // segments, and arms the migrator.
 func (s *Service) startMigration(old *shard.Ring, target string, join bool) {
-	s.migEpoch++
 	geom := s.order[0].table.table
 	n := geom.NumBuckets()
 	segs := uint64(migrateSegments)
-	m := &migration{epoch: s.migEpoch, join: join, target: target, oldRing: old,
+	m := &migration{join: join, target: target, oldRing: old,
 		replicas: s.cfg.Replicas, started: s.tb.Now(), geom: geom,
 		segW:    (n + segs - 1) / segs,
 		segKeys: make(map[uint64][]uint64),
@@ -578,7 +574,7 @@ func (s *Service) finishMigration(m *migration) {
 		}
 	}
 	s.mig = nil
-	s.migLog = append(s.migLog, MigrationSummary{Epoch: m.epoch, Join: m.join,
+	s.migLog = append(s.migLog, MigrationSummary{Join: m.join,
 		Target: m.target, Started: m.started, Finished: s.tb.Now(),
 		Segments: m.liveSegs, Keys: m.keyCount})
 	s.bumpCacheGen()
