@@ -92,7 +92,7 @@ func Sentinel() *Result {
 		"overload: 2x2x256-deep adaptive windows at ~4x capacity with admission on; the AIMD cut storm burns (svc/window_cuts) while goodput holds",
 		"migration: a fifth shard joins at t=3ms with a throttled migrator (64 segments, 1 per 200us tick); the backlog level holds past the slow window while steady seals keep the stall rule dormant",
 		"healthy: the same load with no fault fires zero anomalies; with the sentinel off entirely the run completes the identical hit count (parity 1.0)",
-		fmt.Sprintf("rules evaluate fast/slow burn windows of %v/%v over a %v-tick metric ring; bundles snapshot the trace ring, metric timelines and bottleneck report",
+		fmt.Sprintf("rules evaluate fast/slow burn windows of %v/%v over a %v-tick metric ring; bundles snapshot the metric timelines, the bottleneck report and, on a traced run, the trace window the samples cover",
 			redn.DefaultSLOFast, redn.DefaultSLOSlow, redn.DefaultSentinelEvery))
 	return r
 }
@@ -202,8 +202,13 @@ func sentinelHealthy(sentinel bool) (*redn.Service, workload.OpenLoopReport) {
 
 // sentinelCrashRun: shard0 process-crashes mid-run; replicated
 // round-robin gets fail over, and the unexecuted-chain timeouts drive
-// exactly one healthy-to-suspected transition — the crash class.
+// exactly one healthy-to-suspected transition — the crash class. The
+// run is traced, so its bundles carry their whole trace window.
 func sentinelCrashRun() (*redn.Service, workload.OpenLoopReport) {
+	return sentinelCrash(true)
+}
+
+func sentinelCrash(trace bool) (*redn.Service, workload.OpenLoopReport) {
 	s := redn.NewServiceWith(redn.ServiceConfig{
 		Shards:          4,
 		ClientsPerShard: 2,
@@ -214,6 +219,7 @@ func sentinelCrashRun() (*redn.Service, workload.OpenLoopReport) {
 		Buckets:         1 << 14,
 		MaxValLen:       256,
 		Sentinel:        true,
+		Trace:           trace,
 	})
 	keys := preloadKeys(s, 2000)
 	s.CrashShard(0, failure.ProcessCrash, 5*sim.Millisecond)

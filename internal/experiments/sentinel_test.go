@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -105,5 +107,82 @@ func TestSentinelCrashBundle(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("WatchFault wrote invalid JSON")
+	}
+}
+
+// A run is a deterministic function of its config and seed, so the
+// traced run of the crash scenario is the sentinel-only run's replay:
+// the two capture the same bundles byte for byte except the trace,
+// which the untraced run leaves empty and the traced run fills with a
+// balanced window from the oldest retained sample to the anomaly.
+func TestSentinelTracedReplay(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("sentinel fault-injection run")
+	}
+	plain, _ := sentinelCrash(false)
+	traced, _ := sentinelCrash(true)
+	if plain.Tracer() != nil {
+		t.Fatal("sentinel without Trace built a tracer")
+	}
+	pi, ti := plain.Incidents(), traced.Incidents()
+	if len(pi) == 0 || len(pi) != len(ti) {
+		t.Fatalf("untraced run captured %d incidents, traced %d", len(pi), len(ti))
+	}
+	for i := range pi {
+		if string(pi[i].Trace) != `{"traceEvents":[]}` {
+			t.Fatalf("incident %d: untraced bundle trace %.80s, want empty", i, pi[i].Trace)
+		}
+		a, b := *pi[i], *ti[i]
+		a.Trace, b.Trace = nil, nil
+		var ab, bb bytes.Buffer
+		if err := a.WriteJSON(&ab); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.WriteJSON(&bb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
+			t.Fatalf("incident %d: traced and untraced bundles differ outside the trace", i)
+		}
+
+		inc := ti[i]
+		from, to := inc.SampleTimes[0], inc.Anomaly.At
+		var tw struct {
+			Events []struct {
+				Ph  string  `json:"ph"`
+				Cat string  `json:"cat"`
+				ID  string  `json:"id"`
+				Ts  float64 `json:"ts"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(inc.Trace, &tw); err != nil {
+			t.Fatalf("incident %d: trace window does not parse: %v", i, err)
+		}
+		open := map[string]int{}
+		n := 0
+		for _, e := range tw.Events {
+			if e.Ph == "M" {
+				continue
+			}
+			n++
+			if ts := sim.Time(math.Round(e.Ts * 1000)); ts < from || ts > to {
+				t.Fatalf("incident %d: %s event at %v outside the window [%v, %v]", i, e.Ph, ts, from, to)
+			}
+			switch e.Ph {
+			case "b":
+				open[e.Cat+"/"+e.ID]++
+			case "e":
+				open[e.Cat+"/"+e.ID]--
+			}
+		}
+		if n == 0 {
+			t.Fatalf("incident %d: traced bundle has an empty trace window", i)
+		}
+		for k, v := range open {
+			if v != 0 {
+				t.Fatalf("incident %d: span %s unbalanced (%+d) in the trace window", i, k, v)
+			}
+		}
 	}
 }

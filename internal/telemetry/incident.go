@@ -24,9 +24,9 @@ type IncidentSeries struct {
 // recorder at the moment an SLO rule fired: the anomaly and its burn
 // evidence, the full metrics snapshot, every retained sample as a
 // per-metric timeline, the resource-utilization report with its
-// bottleneck, and the balanced Perfetto trace window from the trace
-// ring. Everything is plain structs and sorted slices — two same-seed
-// runs marshal byte-identical bundles.
+// bottleneck, and — when the run is traced — the balanced Perfetto
+// trace window the samples cover. Everything is plain structs and
+// sorted slices — two same-seed runs marshal byte-identical bundles.
 type Incident struct {
 	Schema      string           `json:"schema"`
 	Seq         int              `json:"seq"`
@@ -40,9 +40,11 @@ type Incident struct {
 	// capture time — latency-class incidents answer "which phase is
 	// burning the budget" straight from the bundle. Present only when
 	// the service runs with provenance receipts on.
-	Provenance []ClassDecomp   `json:"provenance,omitempty"`
-	TraceShed  uint64          `json:"trace_shed"`
-	Trace      json.RawMessage `json:"trace"`
+	Provenance []ClassDecomp `json:"provenance,omitempty"`
+	// Trace is the traced run's window from the oldest retained sample
+	// to the anomaly instant, balanced for export; {"traceEvents":[]}
+	// when the run is untraced.
+	Trace json.RawMessage `json:"trace"`
 }
 
 // BuildIncident assembles a bundle from the firing anomaly and the
@@ -78,14 +80,13 @@ func BuildIncident(seq int, a Anomaly, rec *Recorder, tr *Tracer, rs []ResourceU
 	if bn, ok := Bottleneck(inc.Resources); ok {
 		inc.Bottleneck = bn.String()
 	}
-	inc.TraceShed = tr.Shed()
-	var buf bytes.Buffer
-	if tr.Enabled() {
-		tr.WriteBalancedJSON(&buf)
-		inc.Trace = json.RawMessage(bytes.TrimRight(buf.Bytes(), "\n"))
-	} else {
-		inc.Trace = json.RawMessage(`{"traceEvents":[]}`)
+	from := a.At
+	if o := rec.Oldest(); o != nil {
+		from = o.At
 	}
+	var buf bytes.Buffer
+	tr.writeWindowJSON(&buf, from, a.At)
+	inc.Trace = json.RawMessage(bytes.TrimRight(buf.Bytes(), "\n"))
 	return inc
 }
 

@@ -3,7 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -35,74 +35,43 @@ func TestBottleneckTieBreak(t *testing.T) {
 	}
 }
 
-// Satellite: the trace ring keeps exactly the newest-N events in
-// chronological order and counts what it shed.
-func TestRingTracerWrapKeepsNewest(t *testing.T) {
+// An incident's trace window is cut from an unbounded tracer by ts:
+// a span that opened before the window must not export its dangling
+// end, nor a span still in flight at the window's close its dangling
+// begin. The balanced cut always passes the CI trace validator's b/e
+// pairing check, and keeps nothing outside the window.
+func TestTracerWindowExport(t *testing.T) {
 	eng := sim.NewEngine()
-	tr := NewRingTracer(eng, 8)
-	for k := 0; k < 20; k++ {
-		k := k
-		eng.At(sim.Time(k*10), func() { tr.Instant("svc", fmt.Sprintf("ev%02d", k), 0) })
-	}
-	eng.Run()
-	if tr.Len() != 8 || tr.Shed() != 12 {
-		t.Fatalf("len=%d shed=%d, want 8/12", tr.Len(), tr.Shed())
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var env struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	var names []string
-	for _, ev := range env.TraceEvents {
-		if ev["ph"] == "i" {
-			names = append(names, ev["name"].(string))
-		}
-	}
-	want := []string{"ev12", "ev13", "ev14", "ev15", "ev16", "ev17", "ev18", "ev19"}
-	if len(names) != len(want) {
-		t.Fatalf("kept %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("kept %v, want %v (newest-N, oldest-first)", names, want)
-		}
-	}
-}
-
-// A ring that overwrote a span's begin must not export the dangling
-// end (and vice versa for in-flight spans): the balanced exporter's
-// output always passes the CI trace validator's b/e pairing check.
-func TestRingTracerBalancedExport(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := NewRingTracer(eng, 4)
+	tr := NewTracer(eng)
 	eng.At(0, func() { tr.AsyncBegin("op", 1, "doomed", 1) })
 	for k := 1; k <= 4; k++ {
 		k := k
 		eng.At(sim.Time(k*10), func() { tr.Instant("svc", "filler", 0) })
 	}
-	// The begin has been overwritten by now; its end is dangling.
+	// The begin lies before the window; its end is inside it.
 	eng.At(50, func() { tr.AsyncEnd("op", 1, "doomed", 1) })
-	// And a fresh span that never closes inside the window.
+	// And a fresh span that only closes after the window.
 	eng.At(60, func() { tr.AsyncBegin("op", 2, "inflight", 2) })
 	eng.At(70, func() { tr.Exec("svc", "track", "work", 61, 65, 2) })
+	eng.At(80, func() { tr.AsyncEnd("op", 2, "inflight", 2) })
 	eng.Run()
+	const from, to = 10, 70
 
-	check := func(raw []byte, wantBalanced bool) (events int) {
+	type traceEvent map[string]any
+	parse := func(raw []byte) []traceEvent {
 		t.Helper()
 		var env struct {
-			TraceEvents []map[string]any `json:"traceEvents"`
+			TraceEvents []traceEvent `json:"traceEvents"`
 		}
 		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatalf("invalid JSON: %v", err)
 		}
+		return env.TraceEvents
+	}
+	tsNs := func(ev traceEvent) sim.Time { return sim.Time(math.Round(ev["ts"].(float64) * 1000)) }
+	balanced := func(evs []traceEvent) bool {
 		open := map[string]int{}
-		for _, ev := range env.TraceEvents {
+		for _, ev := range evs {
 			switch ev["ph"] {
 			case "b":
 				open[ev["cat"].(string)+"/"+ev["id"].(string)]++
@@ -110,28 +79,44 @@ func TestRingTracerBalancedExport(t *testing.T) {
 				open[ev["cat"].(string)+"/"+ev["id"].(string)]--
 			}
 		}
-		balanced := true
 		for _, v := range open {
 			if v != 0 {
-				balanced = false
+				return false
 			}
 		}
-		if balanced != wantBalanced {
-			t.Fatalf("balanced=%v, want %v (%v)", balanced, wantBalanced, open)
-		}
-		return len(env.TraceEvents)
+		return true
 	}
-	var full, bal bytes.Buffer
+	var full, cut bytes.Buffer
 	if err := tr.WriteJSON(&full); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteBalancedJSON(&bal); err != nil {
+	if err := tr.writeWindowJSON(&cut, from, to); err != nil {
 		t.Fatal(err)
 	}
-	n := check(full.Bytes(), false) // raw window genuinely dangles
-	m := check(bal.Bytes(), true)
-	if m != n-2 {
-		t.Fatalf("balanced export kept %d of %d events, want %d (drop one e + one b)", m, n, n-2)
+	all := parse(full.Bytes())
+	if !balanced(all) {
+		t.Fatal("the whole trace dangles; the test needs it balanced")
+	}
+	var raw []traceEvent // the window by ts alone, metadata kept
+	for _, ev := range all {
+		if ev["ph"] == "M" || (tsNs(ev) >= from && tsNs(ev) <= to) {
+			raw = append(raw, ev)
+		}
+	}
+	if balanced(raw) {
+		t.Fatal("raw window balanced; want it to dangle at both ends")
+	}
+	win := parse(cut.Bytes())
+	if !balanced(win) {
+		t.Fatal("window export dangles")
+	}
+	if len(win) != len(raw)-2 {
+		t.Fatalf("window export kept %d of %d events, want %d (drop one e + one b)", len(win), len(raw), len(raw)-2)
+	}
+	for _, ev := range win {
+		if ev["ph"] != "M" && (tsNs(ev) < from || tsNs(ev) > to) {
+			t.Fatalf("window export kept %v, outside [%d, %d]", ev, from, to)
+		}
 	}
 }
 
@@ -192,7 +177,6 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 		tr.Exec("svc", "track", "work", 0, 10, op)
 		tr.Instant("svc", "hint", op)
 		tr.OpEnd(op, "get")
-		_ = tr.Shed()
 		_ = slo.Evaluate()
 		_ = slo.Anomalies()
 	})
@@ -284,7 +268,7 @@ func TestIncidentBundleDeterministic(t *testing.T) {
 		c := reg.Counter("svc/errs")
 		reg.Gauge("svc/depth", func() float64 { return float64(c.Value() % 3) })
 		reg.Histogram("svc/get_lat").Add(1234)
-		tr := NewRingTracer(eng, 16)
+		tr := NewTracer(eng)
 		rec := NewRecorder(eng, reg, 12)
 		rules := []Rule{{Name: "err-burn", Class: "overload",
 			Metrics: []string{"svc/errs"}, Threshold: 3, Fast: 100, Slow: 400}}

@@ -43,20 +43,12 @@ type event struct {
 
 // Tracer records simulation events for trace-event export. Create one
 // with NewTracer and plumb it through ServiceConfig; a nil Tracer is
-// the disabled state — all methods no-op without allocating.
-//
-// An unbounded tracer (NewTracer) keeps every event — the right shape
-// for exporting a whole run. A ring tracer (NewRingTracer) keeps only
-// the newest cap events in fixed memory, overwriting the oldest — the
-// flight-recorder shape the SLO sentinel runs permanently, so "the
-// last few milliseconds of spans" are always available when an
-// incident fires without tracing ever growing O(ops).
+// the disabled state — all methods no-op without allocating. It keeps
+// every event: a run is deterministic in its config and seed, so an
+// incident's window is cut from a traced run (writeWindowJSON).
 type Tracer struct {
 	eng    *sim.Engine
 	events []event
-	ring   int    // > 0: ring capacity; 0: unbounded
-	head   int    // ring mode: index of the oldest event once wrapped
-	shed   uint64 // ring mode: events overwritten so far
 	nextOp uint64
 
 	procIDs   map[string]int32
@@ -75,61 +67,8 @@ func NewTracer(eng *sim.Engine) *Tracer {
 	}
 }
 
-// DefaultRingEvents is the flight-recorder trace ring capacity used
-// when a caller asks for a ring tracer without sizing it.
-const DefaultRingEvents = 4096
-
-// NewRingTracer returns an enabled tracer that retains only the newest
-// cap events (DefaultRingEvents when cap <= 0) in a fixed-size ring.
-// All recording methods behave identically to an unbounded tracer;
-// only retention differs.
-func NewRingTracer(eng *sim.Engine, cap int) *Tracer {
-	if cap <= 0 {
-		cap = DefaultRingEvents
-	}
-	t := NewTracer(eng)
-	t.ring = cap
-	return t
-}
-
-// add appends one event, overwriting the oldest in ring mode. Every
-// recording method funnels through here so retention policy lives in
-// exactly one place.
-func (t *Tracer) add(e event) {
-	if t.ring > 0 && len(t.events) == t.ring {
-		t.events[t.head] = e
-		t.head++
-		if t.head == t.ring {
-			t.head = 0
-		}
-		t.shed++
-		return
-	}
-	t.events = append(t.events, e)
-}
-
-// each visits the retained events oldest-first (chronological order in
-// both unbounded and ring mode).
-func (t *Tracer) each(fn func(e *event)) {
-	if t == nil {
-		return
-	}
-	for i := t.head; i < len(t.events); i++ {
-		fn(&t.events[i])
-	}
-	for i := 0; i < t.head; i++ {
-		fn(&t.events[i])
-	}
-}
-
-// Shed returns how many events the ring has overwritten (0 for an
-// unbounded tracer).
-func (t *Tracer) Shed() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.shed
-}
+// add appends one event. Every recording method funnels through here.
+func (t *Tracer) add(e event) { t.events = append(t.events, e) }
 
 // Enabled reports whether tracing is on. Guard any span-name
 // formatting with this so the disabled path stays allocation-free.
@@ -280,22 +219,17 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	return t.writeJSON(w, nil)
 }
 
-// WriteBalancedJSON serializes like WriteJSON but drops async
-// begin/end events whose partner is not retained — a ring that
-// overwrote a span's "b" would otherwise export a dangling "e" (and an
-// in-flight span a dangling "b"), which trace validators reject. X, i
-// and metadata events always survive; matching is per (cat,id) in
-// chronological order, so nested spans on one track pair innermost
-// first. This is the exporter incident bundles embed.
-func (t *Tracer) WriteBalancedJSON(w io.Writer) error {
-	return t.writeJSON(w, t.balancedKeep())
-}
-
-// balancedKeep computes, over the chronological event sequence, which
-// events a balanced export keeps. Returns nil when every event is kept.
-func (t *Tracer) balancedKeep() []bool {
+// writeWindowJSON serializes like WriteJSON but keeps only the events
+// whose ts lies in [from, to], and of those drops the async begin/end
+// events whose partner falls outside the window — a span that opened
+// before it would otherwise export a dangling "e" (and a span still in
+// flight a dangling "b"), which trace validators reject. X, i and
+// metadata events inside the window always survive; matching is per
+// (cat,id) in record order, so nested spans on one track pair
+// innermost first. This is the cut incident bundles embed.
+func (t *Tracer) writeWindowJSON(w io.Writer, from, to sim.Time) error {
 	if t == nil {
-		return nil
+		return t.writeJSON(w, nil)
 	}
 	keep := make([]bool, len(t.events))
 	type spanKey struct {
@@ -303,9 +237,11 @@ func (t *Tracer) balancedKeep() []bool {
 		id  uint64
 	}
 	open := make(map[spanKey][]int)
-	balanced := true
-	i := 0
-	t.each(func(e *event) {
+	for i := range t.events {
+		e := &t.events[i]
+		if e.ts < from || e.ts > to {
+			continue
+		}
 		switch e.ph {
 		case phAsyncBegin:
 			k := spanKey{e.cat, e.id}
@@ -316,28 +252,16 @@ func (t *Tracer) balancedKeep() []bool {
 				open[k] = s[:len(s)-1]
 				keep[s[len(s)-1]] = true
 				keep[i] = true
-			} else {
-				balanced = false
 			}
 		default:
 			keep[i] = true
 		}
-		i++
-	})
-	for _, s := range open {
-		if len(s) > 0 {
-			balanced = false
-			break
-		}
 	}
-	if balanced {
-		return nil
-	}
-	return keep
+	return t.writeJSON(w, keep)
 }
 
-// writeJSON is the shared exporter; keep (indexed in chronological
-// order) filters events when non-nil.
+// writeJSON is the shared exporter; keep (indexed like t.events)
+// filters events when non-nil.
 func (t *Tracer) writeJSON(w io.Writer, keep []bool) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[")
@@ -368,12 +292,11 @@ func (t *Tracer) writeJSON(w io.Writer, keep []bool) error {
 			bw.WriteString("}}")
 		}
 		var num []byte
-		i := -1
-		t.each(func(e *event) {
-			i++
+		for i := range t.events {
 			if keep != nil && !keep[i] {
-				return
+				continue
 			}
+			e := &t.events[i]
 			comma()
 			bw.WriteString("{\"ph\":\"")
 			bw.WriteByte(e.ph)
@@ -417,7 +340,7 @@ func (t *Tracer) writeJSON(w io.Writer, keep []bool) error {
 				bw.WriteString("}")
 			}
 			bw.WriteString("}")
-		})
+		}
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()

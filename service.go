@@ -168,18 +168,19 @@ type ServiceConfig struct {
 	// layer (service fan-out, client slots, WRs on NIC PUs) for
 	// trace-event JSON export, on a tracer built on its testbed's engine
 	// (which does not exist until NewServiceWith constructs it).
-	// Retrieve it with Tracer() after construction. Off, tracing costs
-	// nothing.
+	// Retrieve it with Tracer() after construction; the tracer keeps
+	// every event. Off, Tracer() is nil and tracing costs nothing.
 	Trace bool
 
 	// Sentinel enables the always-on SLO sentinel + flight recorder
-	// (service_sentinel.go): a bounded ring tracer replaces the
-	// grow-forever tracer (built automatically when Trace is off),
-	// registry snapshots land in a fixed metric-sample ring on an
-	// activity-armed DefaultSentinelEvery tick, and burn-rate SLO rules
-	// evaluate each tick. A firing rule snapshots a deterministic
-	// incident bundle (at most 16 are kept); read them back with
-	// Incidents() and Stats().Anomalies.
+	// (service_sentinel.go): registry snapshots land in a fixed
+	// metric-sample ring on an activity-armed DefaultSentinelEvery
+	// tick, and burn-rate SLO rules evaluate each tick. A firing rule
+	// snapshots a deterministic incident bundle (at most 16 are kept);
+	// read them back with Incidents() and Stats().Anomalies. With Trace
+	// on, a bundle also carries the trace window its samples cover; the
+	// sentinel builds no tracer of its own, so an untraced incident is
+	// reproduced by re-running the same config and seed with Trace on.
 	Sentinel bool
 
 	// Provenance enables per-op latency receipts: every get/set/delete
@@ -668,11 +669,6 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	s.aeSettleFn = s.aeSettled
 	if cfg.Trace {
 		s.tr = telemetry.NewTracer(s.tb.clu.Eng)
-	} else if cfg.Sentinel {
-		// Free-by-default tracing: the sentinel's trace window is a
-		// fixed-memory ring, so it runs permanently without the
-		// grow-forever cost that made full tracing opt-in.
-		s.tr = telemetry.NewRingTracer(s.tb.clu.Eng, telemetry.DefaultRingEvents)
 	}
 	if cfg.Provenance {
 		s.prov = telemetry.NewProvenance(telemetry.DefaultTailReceipts)

@@ -103,10 +103,11 @@ func TestSteadyStateOpsAllocate(t *testing.T) {
 }
 
 // TestSinksOnOpsAllocate pins what turning every telemetry sink on —
-// the sentinel's ring tracer and flight recorder, provenance receipts,
-// the profiler — adds to an op's host allocations over the same op
-// with sinks off: at most one, which is the flight recorder's sample
-// ring still growing its slots (one tick per op here). Trace track
+// the tracer, the sentinel's flight recorder, provenance receipts, the
+// profiler — adds to an op's host allocations over the same op with
+// sinks off: at most one, which is the flight recorder's sample ring
+// still growing its slots (one tick per op here) or the tracer's event
+// slice doubling (amortized to zero over the runs). Trace track
 // names and histogram sub-metric names are built once, at wiring, and
 // a traced WR's PU name comes from the device's cache, so a traced op
 // builds no strings.
@@ -147,7 +148,7 @@ func TestSinksOnOpsAllocate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			off := allocs(tc.cfg, tc.op)
 			on := tc.cfg
-			on.Sentinel, on.Provenance, on.Profile = true, true, true
+			on.Trace, on.Sentinel, on.Provenance, on.Profile = true, true, true, true
 			if got := allocs(on, tc.op); got > off+1 {
 				t.Errorf("%v allocations per op with every sink on, %v off: want at most one more", got, off)
 			}

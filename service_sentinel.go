@@ -8,15 +8,17 @@ import (
 // The SLO sentinel + flight recorder: the service noticing that it is
 // unhealthy and capturing the evidence before it scrolls away.
 //
-// Three fixed-memory pieces run permanently once ServiceConfig.Sentinel
-// is set: a ring tracer bounding the trace-span history (the same
-// Tracer the whole fabric already plumbs, just with bounded
-// retention), a metric-sample ring snapshotting the registry on an
+// Two fixed-memory pieces run permanently once ServiceConfig.Sentinel
+// is set: a metric-sample ring snapshotting the registry on an
 // activity-armed tick, and an SLO engine evaluating burn-rate rules
 // over those samples. When a rule transitions into firing, the
-// sentinel freezes everything it has — trace window, metric timelines,
-// resource bottleneck report, the rule's burn evidence — into a
-// deterministic incident bundle (telemetry.Incident).
+// sentinel freezes what it has — metric timelines, resource
+// bottleneck report, the rule's burn evidence and, when the service is
+// traced, the trace window those samples cover — into a deterministic
+// incident bundle (telemetry.Incident). It keeps no trace of its own:
+// a run is a deterministic function of its config and seed, so the
+// same run with ServiceConfig.Trace on is the untraced incident's
+// replay.
 //
 // The tick is armed by op arrivals (GetAsync / SetAsync / DeleteAsync
 // / migrator ticks / workload bucket feeds) and re-arms itself only
@@ -207,8 +209,8 @@ func (sen *sentinel) moving() bool {
 }
 
 // captureIncident freezes the flight recorder into a bundle for one
-// firing anomaly: the trace window (balanced for export), the metric
-// timelines, the resource report, and the burn evidence. Bundles are
+// firing anomaly: the metric timelines, the resource report, the burn
+// evidence, and the traced run's window (balanced for export). Bundles are
 // kept in memory (Incidents()).
 func (s *Service) captureIncident(a telemetry.Anomaly) {
 	sen := s.sen
