@@ -9,26 +9,18 @@ import (
 )
 
 // Overload sweeps open-loop offered load from 1x to 10x the measured
-// service capacity and compares three congestion postures:
+// service capacity and compares two congestion postures:
 //
 //  1. fixed-K — the pre-adaptive client: a 256-deep pinned pipeline
 //     per connection. Past the knee, in-flight requests queue on the
 //     NIC PUs until every get's completion lands after the 200us miss
 //     timeout: the chains still burn PU cycles but nothing counts as
 //     a hit, and goodput collapses toward zero (congestion collapse).
-//  2. fixed-K + admission — the same client, but the service sheds
-//     new work whenever a shard's PU backlog watermark is past the
-//     admission threshold. Shedding fails misses fast and caps the
-//     queue, but it cannot rescue an oversized window: the watermark
-//     lags the wire, so each time the queue drains under the
-//     threshold the 256-deep pipelines refill it in one burst whose
-//     completions all land past the timeout again. Admission is a
-//     safety net, not a substitute for client backoff.
-//  3. adaptive — AIMD windows (grow on clean acks, halve on timeout
+//  2. adaptive — AIMD windows (grow on clean acks, halve on timeout
 //     or on the ECN backlog mark the completion path stamps into
-//     acks) with admission left on as the safety net. The window
-//     converges to the knee, excess offered load waits client-side,
-//     and goodput holds at capacity with bounded hit latency.
+//     acks). The window converges to the knee, excess offered load
+//     waits client-side, and goodput holds at capacity with bounded
+//     hit latency.
 //
 // Hit latency is stamped at issue (not submit), so client-side
 // queueing under overload does not inflate the hit p999 — the sweep
@@ -50,8 +42,8 @@ const overloadFixedK = 256
 
 func overloadRun(requests int) *Result {
 	r := &Result{ID: "overload",
-		Title: "Open-loop overload sweep: AIMD windows + admission versus the fixed-K pipeline",
-		Header: []string{"offered", "fixedK", "+admit", "adaptive", "adapt p999",
+		Title: "Open-loop overload sweep: AIMD windows versus the fixed-K pipeline",
+		Header: []string{"offered", "fixedK", "adaptive", "adapt p999",
 			"(Mops/s, us)"}}
 
 	keys := make([]uint64, overloadKeys)
@@ -62,7 +54,6 @@ func overloadRun(requests int) *Result {
 	type posture struct {
 		pipeline int
 		adaptive bool
-		admit    bool
 	}
 	newSvc := func(p posture) *redn.Service {
 		s := redn.NewServiceWith(redn.ServiceConfig{
@@ -75,7 +66,6 @@ func overloadRun(requests int) *Result {
 			Buckets:         1 << 14,
 			MaxValLen:       256,
 			AdaptiveWindow:  p.adaptive,
-			Admission:       p.admit,
 		})
 		preloadKeys(s, len(keys))
 		return s
@@ -109,8 +99,7 @@ func overloadRun(requests int) *Result {
 	multiples := []int{1, 2, 4, 6, 8, 10}
 	postures := []posture{
 		{pipeline: overloadFixedK},
-		{pipeline: overloadFixedK, admit: true},
-		{pipeline: overloadFixedK, adaptive: true, admit: true},
+		{pipeline: overloadFixedK, adaptive: true},
 	}
 
 	type point struct {
@@ -144,12 +133,10 @@ func overloadRun(requests int) *Result {
 				if pt.goodput > adaptPeak {
 					adaptPeak = pt.goodput
 				}
-				st := s.Stats()
 				if m == multiples[len(multiples)-1] {
+					st := s.Stats()
 					r.metric("overload_window_cuts_10x", float64(st.WindowCuts))
 					r.metric("overload_ecn_cuts_10x", float64(st.EcnCuts))
-					r.metric("overload_adapt_shed_gets_10x", float64(st.ShedGets))
-					r.metric("overload_adapt_deferred_gets_10x", float64(st.DeferredGets))
 					for g, name := range rep.GaugeNames {
 						peak := 0.0
 						for _, v := range rep.GaugeSeries[g] {
@@ -165,9 +152,6 @@ func overloadRun(requests int) *Result {
 						}
 					}
 				}
-			} else if p.admit && m == multiples[len(multiples)-1] {
-				st := s.Stats()
-				r.metric("overload_admit_shed_gets_10x", float64(st.ShedGets))
 			}
 		}
 	}
@@ -177,13 +161,12 @@ func overloadRun(requests int) *Result {
 	// multiple, while fixed-K demonstrably falls below it.
 	adaptMin, fixedMin := 1.0, 1.0
 	for mi, m := range multiples {
-		fixed, admit, adapt := results[0][mi], results[1][mi], results[2][mi]
+		fixed, adapt := results[0][mi], results[1][mi]
 		r.Rows = append(r.Rows, Row{
 			Label: fmt.Sprintf("%dx capacity", m),
 			Cells: []string{mops(float64(m) * capacity), mops(fixed.goodput),
-				mops(admit.goodput), mops(adapt.goodput), us(adapt.p999), ""}})
+				mops(adapt.goodput), us(adapt.p999), ""}})
 		r.metric(fmt.Sprintf("overload_fixed_good_%dx", m), fixed.goodput)
-		r.metric(fmt.Sprintf("overload_admit_good_%dx", m), admit.goodput)
 		r.metric(fmt.Sprintf("overload_adapt_good_%dx", m), adapt.goodput)
 		r.metric(fmt.Sprintf("overload_adapt_p999_%dx_us", m), adapt.p999.Micros())
 		if adaptPeak > 0 && m >= 2 {
@@ -200,7 +183,7 @@ func overloadRun(requests int) *Result {
 	r.metric("overload_fixed_min_frac", fixedMin)
 	var p999Max float64
 	for mi := range multiples {
-		if us := results[2][mi].p999.Micros(); us > p999Max {
+		if us := results[1][mi].p999.Micros(); us > p999Max {
 			p999Max = us
 		}
 	}
@@ -212,8 +195,7 @@ func overloadRun(requests int) *Result {
 		fmt.Sprintf("open loop paced at 1-10x capacity for %v per point; goodput counts hits completed inside the window", dur),
 		fmt.Sprintf("fixed-K pins %d-deep windows: past the knee every completion lands after the %v miss timeout and goodput collapses",
 			overloadFixedK, redn.DefaultMissTimeout),
-		"+admit sheds new issues once a shard's PU backlog watermark passes the admission threshold; it fails misses fast but cannot rescue an oversized window — the lagging gate readmits a full 256-deep burst every drain, so goodput stays collapsed",
-		"adaptive halves the window on timeout or ECN backlog mark and grows ~1/w per clean ack; admission stays on as the safety net but AIMD rarely trips it",
+		"adaptive halves the window on timeout or ECN backlog mark and grows ~1/w per clean ack",
 		"hit latency is stamped at issue, not submit: client-side queueing under overload delays issues instead of inflating the hit p999")
 	return r
 }

@@ -89,7 +89,7 @@ func Sentinel() *Result {
 
 	r.Notes = append(r.Notes,
 		"crash: shard0 process-crashes at t=5ms under r=2 round-robin gets; unexecuted-chain timeouts transition it to suspected (svc/suspects)",
-		"overload: 2x2x256-deep adaptive windows at ~4x capacity with admission on; the AIMD cut storm burns (svc/window_cuts) while goodput holds",
+		"overload: 2x2x256-deep adaptive windows at ~4x capacity; the AIMD cut storm burns (svc/window_cuts) while goodput holds",
 		"migration: a fifth shard joins at t=3ms with a throttled migrator (64 segments, 1 per 200us tick); the backlog level holds past the slow window while steady seals keep the stall rule dormant",
 		"healthy: the same load with no fault fires zero anomalies; with the sentinel off entirely the run completes the identical hit count (parity 1.0)",
 		fmt.Sprintf("rules evaluate fast/slow burn windows of %v/%v over a %v-tick metric ring; bundles snapshot the metric timelines, the bottleneck report and, on a traced run, the trace window the samples cover",
@@ -228,9 +228,9 @@ func sentinelCrash(trace bool) (*redn.Service, workload.OpenLoopReport) {
 }
 
 // sentinelOverloadRun: adaptive 256-deep windows at several times
-// capacity with admission on — the sustained AIMD window-cut storm
-// burns (overload class) while goodput holds, so neither the outage
-// nor the crash detector has anything to say.
+// capacity — the sustained AIMD window-cut storm burns (overload class)
+// while goodput holds, so neither the outage nor the crash detector
+// has anything to say.
 func sentinelOverloadRun() (*redn.Service, workload.OpenLoopReport) {
 	s := redn.NewServiceWith(redn.ServiceConfig{
 		Shards:          2,
@@ -240,7 +240,6 @@ func sentinelOverloadRun() (*redn.Service, workload.OpenLoopReport) {
 		Buckets:         1 << 14,
 		MaxValLen:       256,
 		AdaptiveWindow:  true,
-		Admission:       true,
 		Sentinel:        true,
 	})
 	keys := preloadKeys(s, overloadKeys)

@@ -77,14 +77,6 @@ const (
 	defaultSuspectFor   = 25 * sim.Millisecond
 )
 
-// defaultAdmitBacklog is the NIC backlog watermark above which an
-// admission-controlled shard stops accepting new requests. It sits
-// well above defaultEcnBacklog (the AIMD cut point) so window-controlled
-// clients rarely trip it — admission is the safety net for open-loop
-// offered load that outruns what backoff alone can absorb, while
-// staying under DefaultMissTimeout so shedding beats timing out.
-const defaultAdmitBacklog = 100 * sim.Microsecond
-
 // ServiceConfig sizes a sharded RedN KV service.
 type ServiceConfig struct {
 	Shards          int        // server nodes, each with its own NIC and table
@@ -147,14 +139,6 @@ type ServiceConfig struct {
 	// the NIC stamps into completions. Off, windows are pinned to
 	// Pipeline (the pre-adaptive fixed-K behavior).
 	AdaptiveWindow bool
-
-	// Admission enables server-side admission control: a shard whose
-	// NIC backlog watermark exceeds 100us is overloaded —
-	// new gets defer to other replica owners or shed outright, and
-	// writes shed with a typed *ErrOverload when too few owners can
-	// admit them. Clients back off on the signal instead of stacking
-	// more timeouts onto a saturated NIC.
-	Admission bool
 
 	// MigrateEvery is the background migrator's tick period during a
 	// live resharding (AddShard/DrainShard): each tick copies and seals
@@ -364,14 +348,6 @@ func (sh *serviceShard) probed(_ []byte, _ Duration, ok bool) {
 	s.drainHints(sh)
 }
 
-// overloaded reports whether admission control should refuse new work
-// on sh: its NIC's PU backlog watermark is past the admission
-// threshold. Always false with Admission off.
-func (s *Service) overloaded(sh *serviceShard) bool {
-	return s.cfg.Admission &&
-		sh.srv.node.Dev.BacklogWatermark(s.tb.Now()) > defaultAdmitBacklog
-}
-
 // Service is a sharded key-value service served entirely by NICs: a
 // consistent-hash ring routes 48-bit keys across N server nodes, each
 // running a hopscotch table with a pre-armed LookupOffload pool and a
@@ -457,8 +433,7 @@ type Service struct {
 	probes, probeSkews               uint64
 	aePasses, aeSegsDiffed           uint64
 	aeKeysChecked                    uint64
-	deferredGets, shedGets           uint64
-	shedWrites, suspects             uint64
+	suspects                         uint64
 	migKeysMoved, migKeysSkipped     uint64
 	migSegsSealed, migCopyFails      uint64
 	migHintsRedirected               uint64
@@ -504,7 +479,6 @@ func (s *Service) initMetrics() {
 		{"set_ops", &s.setOps}, {"del_ops", &s.delOps}, {"quorum_fails", &s.quorumFails},
 		{"probes", &s.probes}, {"probe_skews", &s.probeSkews},
 		{"ae_passes", &s.aePasses}, {"ae_segs_diffed", &s.aeSegsDiffed}, {"ae_keys_checked", &s.aeKeysChecked},
-		{"deferred_gets", &s.deferredGets}, {"shed_gets", &s.shedGets}, {"shed_writes", &s.shedWrites},
 		{"suspects", &s.suspects},
 		{"mig_keys_moved", &s.migKeysMoved}, {"mig_keys_skipped", &s.migKeysSkipped},
 		{"mig_segs_sealed", &s.migSegsSealed}, {"mig_copy_fails", &s.migCopyFails},
@@ -1108,14 +1082,13 @@ const (
 	getFree     getStage = iota // on the service's free list
 	getRouting                  // taken; being dispatched synchronously
 	getCacheHit                 // the cache-hit latency is elapsing
-	getShed                     // the zero-cost hop that delivers a shed
 	getAttempt                  // a client get is in flight on order[i]
 	getProbe                    // answered; a read-repair probe is in flight
 )
 
 // getOp is one service-level get from GetAsync to its last
 // continuation: what tryGet's per-attempt closures and the read-repair
-// probe's callback would capture, in one pooled record. Its four
+// probe's callback would capture, in one pooled record. Its three
 // continuations are method values bound once, when the record is made;
 // next names the single one outstanding, so a continuation reaching a
 // record that was released — or released and taken again — panics. The
@@ -1159,9 +1132,9 @@ type getOp struct {
 	servedVer uint64
 	pop       uint64
 
-	cacheHitFn, shedFn func()
-	attemptFn          func(val []byte, lat Duration, ok bool)
-	probeFn            func(ver uint64, lat Duration, ok bool)
+	cacheHitFn func()
+	attemptFn  func(val []byte, lat Duration, ok bool)
+	probeFn    func(ver uint64, lat Duration, ok bool)
 }
 
 // takeGet hands out a get record in the routing stage.
@@ -1169,7 +1142,7 @@ func (s *Service) takeGet(key, valLen, op uint64, cb func(val []byte, lat Durati
 	g, fresh := s.gets.take()
 	if fresh {
 		g.s = s
-		g.cacheHitFn, g.shedFn, g.attemptFn, g.probeFn = g.cacheHit, g.shed, g.attempted, g.probed
+		g.cacheHitFn, g.attemptFn, g.probeFn = g.cacheHit, g.attempted, g.probed
 	}
 	g.next = getRouting
 	g.key, g.valLen, g.op, g.cb = key, valLen, op, cb
@@ -1216,39 +1189,12 @@ func (g *getOp) cacheHit() {
 	cb(val, cacheHitLat, true)
 }
 
-// shed delivers a get every owner was too loaded to admit.
-func (g *getOp) shed() {
-	g.enter(getShed)
-	cb, spent := g.cb, g.spent
-	g.release()
-	cb(nil, spent, false)
-}
-
-// tryGet issues attempt g.i of a get against its policy-ordered owners,
-// skipping owners admission control has closed.
+// tryGet issues attempt g.i of a get against its policy-ordered owners.
 func (s *Service) tryGet(g *getOp) {
 	if g.next != getRouting {
 		panic(fmt.Sprintf("redn: get record routed in stage %d", g.next))
 	}
 	sh := g.order[g.i]
-	for s.overloaded(sh) {
-		if g.i+1 == len(g.order) {
-			// Every owner is saturated: shed instead of stacking a request
-			// that would only time out and burn more PU cycles re-running.
-			s.shedGets++
-			if s.tr.Enabled() {
-				s.tr.Instant(sh.id, "shed:get", g.op)
-			}
-			s.tr.OpEnd(g.op, "get")
-			g.next = getShed
-			s.tb.clu.Eng.After(0, g.shedFn)
-			return
-		}
-		// Defer: some other replica owner may still have headroom.
-		s.deferredGets++
-		g.i++
-		sh = g.order[g.i]
-	}
 	sh.stats.Gets++
 	g.cli = sh.clients[sh.rr%len(sh.clients)]
 	sh.rr++
@@ -1478,10 +1424,7 @@ type ServiceStats struct {
 	CacheHits   uint64 // gets served from the client-side hot-key cache
 	MaxInFlight int    // high-water mark of overlapping gets, any client
 
-	DeferredGets uint64 // gets routed past an overloaded owner (admission)
-	ShedGets     uint64 // gets refused: every owner overloaded
-	ShedWrites   uint64 // writes/deletes refused with ErrOverload
-	Suspects     uint64 // healthy-to-suspected transitions: breaker openings, the sentinel's crash signal
+	Suspects uint64 // healthy-to-suspected transitions: breaker openings, the sentinel's crash signal
 
 	SetOps      uint64 // client-visible writes issued (before replication fan-out)
 	DelOps      uint64 // client-visible deletes issued
@@ -1546,8 +1489,7 @@ func (s *Service) MarkUtilization() {
 // rows into the fleet row.
 func (s *Service) Stats() ServiceStats {
 	out := ServiceStats{Hits: s.hits, Misses: s.misses, Retries: s.retries, CacheHits: s.cacheHits,
-		DeferredGets: s.deferredGets, ShedGets: s.shedGets, ShedWrites: s.shedWrites, Suspects: s.suspects,
-		SetOps: s.setOps, DelOps: s.delOps, QuorumFails: s.quorumFails,
+		Suspects: s.suspects, SetOps: s.setOps, DelOps: s.delOps, QuorumFails: s.quorumFails,
 		Migrations: len(s.migLog), MigratingBuckets: s.migratingBuckets(),
 		MigKeysMoved: s.migKeysMoved, MigKeysSkipped: s.migKeysSkipped,
 		MigSegsSealed: s.migSegsSealed, MigCopyFails: s.migCopyFails, MigHintsRedirected: s.migHintsRedirected,

@@ -208,7 +208,7 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 		checked++
 		total += m.Value
 	}
-	if want := 21 + 17*len(st.Shards); checked != want || total == 0 {
+	if want := 18 + 17*len(st.Shards); checked != want || total == 0 {
 		t.Fatalf("checked %d counters summing to %v, want %d and a nonzero sum", checked, total, want)
 	}
 

@@ -43,21 +43,18 @@ const (
 
 // defaultSLORules is the anomaly taxonomy the sentinel watches out of
 // the box. Classes: "crash" (suspicion transitions from timeout
-// bursts), "overload" (admission sheds/deferrals and AIMD window-cut
-// storms), "write-availability" (quorum failures), "outage" (workload
-// buckets with zero hits, via FeedWorkloadBucket), "migration" (a
-// resharding backlog sustained past the slow window), "migration-stall"
-// (backlog with no segments sealing — stuck, not busy), "latency"
-// (fleet-wide slow-get burn over the merged per-shard histograms), and
-// "repair-backlog" (hint + repair queues sustained deep).
+// bursts), "overload" (AIMD window-cut storms), "write-availability"
+// (quorum failures), "outage" (workload buckets with zero hits, via
+// FeedWorkloadBucket), "migration" (a resharding backlog sustained
+// past the slow window), "migration-stall" (backlog with no segments
+// sealing — stuck, not busy), "latency" (fleet-wide slow-get burn over
+// the merged per-shard histograms), and "repair-backlog" (hint +
+// repair queues sustained deep).
 func defaultSLORules() []telemetry.Rule {
 	return []telemetry.Rule{
 		{Name: "crash-suspects", Class: "crash",
 			Metrics:   []string{"svc/suspects"},
 			Threshold: 1, Fast: DefaultSLOFast, Slow: DefaultSLOSlow},
-		{Name: "overload-shed", Class: "overload",
-			Metrics:   []string{"svc/shed_gets", "svc/shed_writes", "svc/deferred_gets"},
-			Threshold: 20, Fast: DefaultSLOFast, Slow: DefaultSLOSlow},
 		{Name: "window-cut-storm", Class: "overload",
 			Metrics:   []string{"svc/window_cuts"},
 			Threshold: 10, Fast: DefaultSLOFast, Slow: DefaultSLOSlow},

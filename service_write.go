@@ -89,44 +89,6 @@ func (e *QuorumError) Error() string {
 		e.Key, e.Acks, e.Owners, e.Need)
 }
 
-// ErrOverload reports a write or delete shed by admission control:
-// too few replica owners' NICs had queue headroom to admit it while
-// still reaching the W-of-N quorum. Nothing was applied anywhere — no
-// sequence number was issued and no owner saw the op — so the caller
-// can safely back off and retry the identical request.
-type ErrOverload struct {
-	Key   uint64
-	Admit int // owners that could have admitted the op
-	Need  int // W, the configured write quorum
-}
-
-func (e *ErrOverload) Error() string {
-	return fmt.Sprintf("redn: overload: key %#x shed, %d of %d required owners can admit",
-		e.Key, e.Admit, e.Need)
-}
-
-// admitWrite counts owners with admission headroom and sheds the op
-// when a quorum cannot be formed from them. Returns true when the
-// write may proceed; on false the typed *ErrOverload has already been
-// scheduled onto cb and no coordinator state was touched.
-func (s *Service) admitWrite(key uint64, cb func(lat Duration, err error)) bool {
-	if !s.cfg.Admission {
-		return true
-	}
-	admit := 0
-	for _, id := range s.owners(key) {
-		if !s.overloaded(s.shards[id]) {
-			admit++
-		}
-	}
-	if admit >= s.cfg.WriteQuorum {
-		return true
-	}
-	s.shedWrites++
-	s.rejectWrite(cb, &ErrOverload{Key: key, Admit: admit, Need: s.cfg.WriteQuorum})
-	return false
-}
-
 // rejectWrite schedules a refused write's typed error onto cb — from
 // the simulation, never synchronously, like every other completion.
 func (s *Service) rejectWrite(cb func(lat Duration, err error), err error) {
@@ -380,14 +342,14 @@ func (s *Service) DeleteAsync(key uint64, cb func(lat Duration, err error)) {
 }
 
 // writeAsync is the one W-of-N write state machine behind SetAsync and
-// DeleteAsync: admit, issue the key's next sequence, update the cache,
+// DeleteAsync: validate, issue the key's next sequence, update the cache,
 // then fan the mutation out over the key's owners.
 func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Duration, err error)) {
 	key &= hopscotch.KeyMask
 	s.sentinelKick()
-	// Admission: every refusal is scheduled onto cb before any
-	// coordinator state is touched, so a refused write leaves no
-	// sequence number, unsettled count or cache entry behind.
+	// A refused write is scheduled onto cb before any coordinator state
+	// is touched, so it leaves no sequence number, unsettled count or
+	// cache entry behind.
 	if key&hopscotch.PendingBit != 0 || key == 0 {
 		// The reserved id space (pending/tombstone words) would void the
 		// claim chain's published/unpublished distinction, and key 0's
@@ -398,9 +360,6 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 	}
 	if uint64(len(value)) > s.cfg.MaxValLen {
 		s.rejectWrite(cb, ErrValueTooLarge)
-		return
-	}
-	if !s.admitWrite(key, cb) {
 		return
 	}
 	ops, class := &s.setOps, uint8(telemetry.ClassSet)
