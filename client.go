@@ -26,12 +26,18 @@ const defaultMaxValLen = 1 << 17
 
 // defaultEcnBacklog is the completion-stamped PU backlog above which an
 // ack counts as a congestion signal: far enough under MissTimeout that
-// an adaptive window cuts on marks long before requests start dying.
+// a window cuts on marks long before requests start dying.
 const defaultEcnBacklog = 25 * sim.Microsecond
 
-// defaultWindowBeta is the multiplicative-decrease factor an adaptive
-// window applies on timeout or ECN mark.
+// defaultWindowBeta is the multiplicative-decrease factor a window
+// applies on a lost request or an ECN mark.
 const defaultWindowBeta = 0.5
+
+// windowStart is the window a pipeline opens at (capped at its depth).
+// Opening a deep pipeline at full depth would start with a thundering
+// herd the AIMD loop then has to pay for in timeouts; starting modestly
+// lets additive increase probe up to the knee.
+const windowStart = 16
 
 // pipeOp names one of the client's four offload pipelines.
 type pipeOp uint8
@@ -66,7 +72,7 @@ type pipelineStats struct {
 	InFlight int // slots occupied by live requests
 	Queued   int // requests waiting client-side for a slot or window
 	Wedged   int // quarantined slots (armed chain never executed)
-	Window   int // current congestion window (== Depth when pinned)
+	Window   int // current congestion window
 }
 
 // Client is a remote node issuing offloaded gets and sets against a
@@ -84,11 +90,11 @@ type pipelineStats struct {
 // doorbell-less and kicked in batches by Flush.
 //
 // How many of the depth slots a pipeline may occupy at once is its
-// congestion window. Pinned (the default) it equals depth — the fixed-K
-// pipeline. Under ServiceConfig.AdaptiveWindow it is AIMD: grow by 1/w
-// per clean ack, cut multiplicatively on timeout and on the ECN-like
-// backlog watermark the NIC stamps into completions, floor 1, one cut
-// per window epoch.
+// congestion window, an AIMD loop: open at min(16, depth), grow by 1/w
+// per clean answer, cut multiplicatively on a lost request (one whose
+// chain never ran before its deadline) and on the ECN-like backlog
+// watermark the NIC stamps into completions, floor 1, one cut per
+// window epoch. A miss is an answer, not a loss.
 type Client struct {
 	tb    *Testbed
 	node  *fabric.Node
@@ -189,38 +195,27 @@ type reqState struct {
 	lifecycle bool   // set: standalone path, client manages extent retirement
 }
 
-// aimdWindow is one pipeline's congestion window. Pinned (adaptive
-// false) it is the fixed-depth pipeline: size() == depth always, and
-// ack/cut signals are ignored. Adaptive, it is textbook AIMD —
-// additive increase 1/w per clean ack, multiplicative decrease by beta
-// on timeout or ECN mark, floored at one slot, capped at depth, and at
-// most one cut per window epoch (requests issued before the last cut
-// cannot cut again; their losses are consequences of the same
-// congestion event).
+// aimdWindow is one pipeline's congestion window, textbook AIMD:
+// additive increase 1/w per clean answer, multiplicative decrease by
+// beta on a lost request or an ECN mark, floored at one slot, capped at
+// depth, and at most one cut per window epoch (requests issued before
+// the last cut cannot cut again; their losses are consequences of the
+// same congestion event).
 type aimdWindow struct {
-	adaptive bool
-	w        float64
-	start    float64 // the window a pipeline opens (and reopens after a reset) at
-	depth    float64
-	beta     float64
-	ecn      sim.Time // ack backlog above this marks congestion; <0 disables
-	lastCut  uint64   // issue seq the last cut charged; older reqs can't re-cut
+	w       float64
+	start   float64 // the window a pipeline opens (and reopens after a reset) at
+	depth   float64
+	beta    float64
+	ecn     sim.Time // ack backlog above this marks congestion; <0 disables
+	lastCut uint64   // issue seq the last cut charged; older reqs can't re-cut
 
 	cuts, ecnCuts uint64 // total cuts / cuts taken on ECN marks
 }
 
-func (a *aimdWindow) size() int {
-	if !a.adaptive {
-		return int(a.depth)
-	}
-	return int(a.w)
-}
+func (a *aimdWindow) size() int { return int(a.w) }
 
-// onAck grows the window additively on a clean (unmarked) ack.
+// onAck grows the window additively on a clean (unmarked) answer.
 func (a *aimdWindow) onAck() {
-	if !a.adaptive {
-		return
-	}
 	a.w += 1 / a.w
 	if a.w > a.depth {
 		a.w = a.depth
@@ -230,9 +225,9 @@ func (a *aimdWindow) onAck() {
 // cut applies one multiplicative decrease if reqSeq postdates the last
 // cut, charging the cut to curSeq (the newest issued request) so every
 // loss from the same congestion event is absorbed by one decrease.
-// ecn attributes the cut to an ECN mark rather than a timeout.
+// ecn attributes the cut to an ECN mark rather than a lost request.
 func (a *aimdWindow) cut(reqSeq, curSeq uint64, ecn bool) bool {
-	if !a.adaptive || reqSeq <= a.lastCut {
+	if reqSeq <= a.lastCut {
 		return false
 	}
 	a.lastCut = curSeq
@@ -250,7 +245,7 @@ func (a *aimdWindow) cut(reqSeq, curSeq uint64, ecn bool) bool {
 // marked reports whether an ack's completion-stamped backlog counts as
 // an ECN congestion mark.
 func (a *aimdWindow) marked(backlog sim.Time) bool {
-	return a.adaptive && a.ecn > 0 && backlog > a.ecn
+	return a.ecn > 0 && backlog > a.ecn
 }
 
 // opPipeline is the one pipeline implementation behind all four async
@@ -340,6 +335,7 @@ type opPipeline struct {
 // newPipeline builds the op-agnostic skeleton; the caller wires the
 // connection, the slots and the hooks.
 func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
+	start := min(windowStart, depth)
 	p := &opPipeline{
 		c: c, op: op, name: name, depth: depth, respPer: 1,
 		slots:    make([]*pipeReq, depth),
@@ -347,7 +343,7 @@ func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
 		execSeen: make([]uint64, depth),
 		wedged:   make([]bool, depth),
 		win: aimdWindow{
-			w: float64(depth), start: float64(depth), depth: float64(depth),
+			w: float64(start), start: float64(start), depth: float64(depth),
 			beta: defaultWindowBeta, ecn: defaultEcnBacklog,
 		},
 	}
@@ -564,11 +560,14 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 	} else {
 		p.free = append(p.free, req.slot)
 	}
-	// Window control: a timeout (req.timed: only the deadline's call sets
-	// it) is a loss, an ECN-marked answer congestion news one RTT earlier;
-	// either cuts once per epoch. A clean answer, ack or refusal, grows it.
-	if req.timed || p.win.marked(backlog) {
-		if p.win.cut(req.seq, p.seq, !req.timed) && c.tr.Enabled() {
+	// Window control: a loss — the deadline ran (req.timed: only its call
+	// sets it) before the chain did — cuts, and so does an ECN-marked
+	// answer, congestion news one RTT earlier; either cuts once per epoch.
+	// A clean answer grows it: an ack, a refusal, or a miss, whose chain
+	// ran and answered by silence.
+	lost := req.timed && !executed
+	if lost || p.win.marked(backlog) {
+		if p.win.cut(req.seq, p.seq, !lost) && c.tr.Enabled() {
 			c.tr.Instant(c.trLabel, p.trCut, req.op)
 		}
 	} else {
@@ -691,44 +690,6 @@ func (p *opPipeline) subscribe(slot int, respQP *rnic.QP) {
 	})
 }
 
-// windowConfig tunes the pipelines' AIMD congestion windows.
-type windowConfig struct {
-	// Adaptive enables AIMD; false pins every window to the pipeline
-	// depth (the fixed-K behavior).
-	Adaptive bool
-	// Start is the initial window in slots (0 or out of range = depth).
-	Start int
-	// Beta is the multiplicative-decrease factor (0 = defaultWindowBeta).
-	Beta float64
-	// EcnBacklog marks acks whose completion-stamped backlog exceeds it
-	// as congestion (0 = defaultEcnBacklog; negative disables ECN cuts,
-	// leaving timeouts as the only loss signal).
-	EcnBacklog Duration
-}
-
-// configureWindow applies cfg to all four pipelines. The default is
-// pinned: a window fixed at the pipeline depth.
-func (c *Client) configureWindow(cfg windowConfig) {
-	beta := cfg.Beta
-	if beta == 0 {
-		beta = defaultWindowBeta
-	}
-	ecn := cfg.EcnBacklog
-	if ecn == 0 {
-		ecn = defaultEcnBacklog
-	}
-	start := cfg.Start
-	if start <= 0 || start > c.depth {
-		start = c.depth
-	}
-	for _, p := range c.pipes {
-		p.win.adaptive = cfg.Adaptive
-		p.win.w, p.win.start = float64(start), float64(start)
-		p.win.beta = beta
-		p.win.ecn = ecn
-	}
-}
-
 // setTracer attaches a tracer for slot-occupancy spans, doorbell and
 // window-cut instants, labeling this client's tracks (typically the
 // node name).
@@ -767,7 +728,7 @@ type ClientStats struct {
 
 	// WindowCuts/EcnCuts total the multiplicative decreases across all
 	// four windows (EcnCuts the subset taken on ECN marks rather than
-	// timeouts). Zero while windows are pinned.
+	// lost requests).
 	WindowCuts, EcnCuts uint64
 }
 

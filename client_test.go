@@ -732,7 +732,7 @@ func TestClientDeletePipelineOverlaps(t *testing.T) {
 
 // A refused set claim hands its staging extent straight back to the
 // arena; churning refusals must not grow the arena. Nor do they shrink
-// an adaptive window: a refusal is an answer that says nothing about
+// the window: a refusal is an answer that says nothing about
 // load, and counts toward additive increase like an ack.
 func TestClientRefusedSetReleasesStaging(t *testing.T) {
 	tb := NewTestbed()
@@ -740,7 +740,7 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 	table := srv.NewHashTable(1024)
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
-	cli.configureWindow(windowConfig{Adaptive: true, Start: 2, EcnBacklog: -1})
+	openWindow(cli, 2, -1)
 
 	const key = 5
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {

@@ -11,7 +11,7 @@ import (
 // From w=1 the cap is reached after ~(depth^2-1)/2 acks — the quadratic
 // ramp that makes AIMD gentle near its operating point.
 func TestAIMDWindowGrowth(t *testing.T) {
-	a := aimdWindow{adaptive: true, w: 1, depth: 16, beta: defaultWindowBeta, ecn: defaultEcnBacklog}
+	a := aimdWindow{w: 1, depth: 16, beta: defaultWindowBeta, ecn: defaultEcnBacklog}
 	prev := a.w
 	acks := 0
 	for a.size() < 16 {
@@ -42,7 +42,7 @@ func TestAIMDWindowGrowth(t *testing.T) {
 // cannot re-cut), beta per cut, floor at one slot, and ECN-vs-timeout
 // attribution in the counters.
 func TestAIMDWindowCutEpochAndFloor(t *testing.T) {
-	a := aimdWindow{adaptive: true, w: 16, depth: 16, beta: 0.5, ecn: defaultEcnBacklog}
+	a := aimdWindow{w: 16, depth: 16, beta: 0.5, ecn: defaultEcnBacklog}
 	if !a.cut(1, 10, false) {
 		t.Fatal("first loss did not cut")
 	}
@@ -79,32 +79,10 @@ func TestAIMDWindowCutEpochAndFloor(t *testing.T) {
 	}
 }
 
-// A pinned window (the default) is the fixed-K pipeline: size is always
-// depth and every congestion signal is ignored.
-func TestPinnedWindowIgnoresSignals(t *testing.T) {
-	a := aimdWindow{w: 16, depth: 16, beta: 0.5, ecn: defaultEcnBacklog}
-	if a.size() != 16 {
-		t.Fatalf("pinned size %d, want depth 16", a.size())
-	}
-	a.onAck()
-	if a.w != 16 {
-		t.Fatalf("pinned window moved on ack: %.3f", a.w)
-	}
-	if a.cut(1, 2, false) {
-		t.Fatal("pinned window took a cut")
-	}
-	if a.size() != 16 || a.cuts != 0 {
-		t.Fatalf("pinned window changed state: size=%d cuts=%d", a.size(), a.cuts)
-	}
-	if a.marked(sim.Second) {
-		t.Fatal("pinned window reported an ECN mark")
-	}
-}
-
 // The ECN mark is a strict threshold on the completion-stamped backlog;
 // a negative threshold disables marking entirely.
 func TestAIMDWindowEcnMark(t *testing.T) {
-	a := aimdWindow{adaptive: true, w: 4, depth: 16, beta: 0.5, ecn: 25 * sim.Microsecond}
+	a := aimdWindow{w: 4, depth: 16, beta: 0.5, ecn: 25 * sim.Microsecond}
 	if a.marked(25 * sim.Microsecond) {
 		t.Fatal("backlog equal to the threshold marked")
 	}
@@ -117,7 +95,15 @@ func TestAIMDWindowEcnMark(t *testing.T) {
 	}
 }
 
-// An under-sized adaptive window converges up: on an uncongested
+// openWindow reopens every pipeline's window of cli at start slots with
+// ECN threshold ecn (negative disables ECN cuts).
+func openWindow(cli *Client, start int, ecn Duration) {
+	for _, p := range cli.pipes {
+		p.win.w, p.win.start, p.win.ecn = float64(start), float64(start), ecn
+	}
+}
+
+// An under-sized window converges up: on an uncongested
 // connection clean acks grow it from one slot to the full depth, with
 // no cuts along the way.
 func TestWindowConvergesFromUndersizedStart(t *testing.T) {
@@ -131,10 +117,10 @@ func TestWindowConvergesFromUndersizedStart(t *testing.T) {
 	}
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 16)
 	cli.Bind(table)
-	// Negative EcnBacklog isolates additive increase from this run's
-	// incidental fetch-unit backlog; only timeouts could cut, and every
-	// key is present.
-	cli.configureWindow(windowConfig{Adaptive: true, Start: 1, EcnBacklog: -1})
+	// A negative ECN threshold isolates additive increase from this
+	// run's incidental fetch-unit backlog; only losses could cut, and the
+	// NIC is live.
+	openWindow(cli, 1, -1)
 
 	hits := 0
 	for i := 0; i < 400; i++ {
@@ -158,11 +144,60 @@ func TestWindowConvergesFromUndersizedStart(t *testing.T) {
 	}
 }
 
-// An over-sized adaptive window converges down: a stream of timeouts
-// (absent keys execute their chains but never ack) cuts it epoch by
-// epoch to the one-slot floor — and the connection still serves hits
-// afterwards, since genuine misses never wedge slots.
+// An over-sized window converges down: a stream of losses (a frozen
+// NIC drops every trigger, so no chain runs before its deadline) cuts
+// it epoch by epoch to the one-slot floor, each cut attributed to a
+// timeout. Each loss wedges its slot, so the pipeline is 16 deep under
+// a window of 8: the slots beyond the window carry the later epochs.
 func TestWindowConvergesFromOversizedStart(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(1024)
+	if err := table.Set(1, Value(1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 16)
+	cli.Bind(table)
+	cli.MissTimeout = 50 * sim.Microsecond
+	openWindow(cli, 8, -1)
+
+	srv.node.Dev.Freeze()
+	fails := 0
+	for i := 0; i < 60; i++ {
+		cli.GetAsync(1, 64, func(_ []byte, _ Duration, ok bool) {
+			if !ok {
+				fails++
+			}
+		})
+	}
+	cli.Flush()
+	tb.Run()
+
+	if fails != 60 {
+		t.Fatalf("%d of 60 gets to a frozen NIC failed", fails)
+	}
+	st := cli.pipelineStats(pipeGet)
+	if st.Window != 1 {
+		t.Fatalf("window %d after sustained losses from start 8, want the floor 1", st.Window)
+	}
+	cs := cli.Stats()
+	if cs.WindowCuts < 3 {
+		t.Fatalf("%d cuts while converging 8 -> 1 at beta %.1f, want >= 3", cs.WindowCuts, defaultWindowBeta)
+	}
+	if cs.EcnCuts != 0 {
+		t.Fatalf("%d ECN cuts with ECN disabled; cuts must be timeout-attributed", cs.EcnCuts)
+	}
+	srv.node.Dev.Unfreeze()
+	cli.reset()
+	if _, _, ok := cli.Get(1, 64); !ok {
+		t.Fatal("hit failed after the NIC thawed and the connection reset")
+	}
+}
+
+// A miss is an answer, not a loss: an absent key's chain runs and
+// answers by silence, so a stream of misses leaves a window at its
+// opening size, takes no cut and wedges no slot.
+func TestAIMDWindowHoldsAcrossMisses(t *testing.T) {
 	tb := NewTestbed()
 	srv := tb.NewServer()
 	table := srv.NewHashTable(1024)
@@ -172,7 +207,6 @@ func TestWindowConvergesFromOversizedStart(t *testing.T) {
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 8)
 	cli.Bind(table)
 	cli.MissTimeout = 50 * sim.Microsecond
-	cli.configureWindow(windowConfig{Adaptive: true, Start: 8, EcnBacklog: -1})
 
 	misses := 0
 	for i := 0; i < 60; i++ {
@@ -188,22 +222,14 @@ func TestWindowConvergesFromOversizedStart(t *testing.T) {
 	if misses != 60 {
 		t.Fatalf("%d of 60 absent-key gets missed", misses)
 	}
-	st := cli.pipelineStats(pipeGet)
-	if st.Window != 1 {
-		t.Fatalf("window %d after sustained timeouts from start 8, want the floor 1", st.Window)
+	if st := cli.pipelineStats(pipeGet); st.Window != 8 || st.Wedged != 0 {
+		t.Fatalf("window %d, %d wedged after 60 misses; want the opening 8 and none", st.Window, st.Wedged)
 	}
-	cs := cli.Stats()
-	if cs.WindowCuts < 3 {
-		t.Fatalf("%d cuts while converging 8 -> 1 at beta %.1f, want >= 3", cs.WindowCuts, defaultWindowBeta)
-	}
-	if cs.EcnCuts != 0 {
-		t.Fatalf("%d ECN cuts with ECN disabled; cuts must be timeout-attributed", cs.EcnCuts)
-	}
-	if cs.Wedged != 0 {
-		t.Fatalf("%d slots wedged by ordinary misses", cs.Wedged)
+	if cs := cli.Stats(); cs.WindowCuts != 0 {
+		t.Fatalf("%d window cuts on a miss-only stream", cs.WindowCuts)
 	}
 	if _, _, ok := cli.Get(1, 64); !ok {
-		t.Fatal("hit failed after the window floored")
+		t.Fatal("hit failed after the misses")
 	}
 }
 
@@ -258,61 +284,6 @@ func TestPipelineStatsDisjointAccounting(t *testing.T) {
 	}
 }
 
-// Refactor safety for the unified pipeline: with the window pinned
-// (explicitly or by default, knobs ignored either way) the same seeded
-// workload is bit-identical run to run — counters and summed hit
-// latency alike.
-func TestPinnedWindowDeterminism(t *testing.T) {
-	run := func(cfg *windowConfig) (ClientStats, Duration) {
-		tb := NewTestbed()
-		srv := tb.NewServer()
-		table := srv.NewHashTable(1024)
-		for k := uint64(1); k <= 32; k++ {
-			if err := table.Set(k, Value(k, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cli := tb.NewPipelinedClient(srv, LookupSeq, 8)
-		cli.Bind(table)
-		if cfg != nil {
-			cli.configureWindow(*cfg)
-		}
-		var total Duration
-		for i := 0; i < 200; i++ {
-			// Every third key absent: exercise hit and timeout paths.
-			key := uint64(i%48 + 1)
-			cli.GetAsync(key, 64, func(_ []byte, lat Duration, ok bool) {
-				if ok {
-					total += lat
-				}
-			})
-		}
-		cli.Flush()
-		tb.Run()
-		if st := cli.pipelineStats(pipeGet); st.Window != 8 {
-			t.Fatalf("pinned window %d, want depth 8", st.Window)
-		}
-		return cli.Stats(), total
-	}
-
-	base, latBase := run(nil)
-	explicit, latExplicit := run(&windowConfig{})
-	// Start/Beta are window-shape knobs; pinned windows ignore them.
-	knobs, latKnobs := run(&windowConfig{Adaptive: false, Start: 3, Beta: 0.9})
-
-	if base != explicit || latBase != latExplicit {
-		t.Fatalf("explicit pinned config diverged from default:\n%+v lat %v\n%+v lat %v",
-			base, latBase, explicit, latExplicit)
-	}
-	if base != knobs || latBase != latKnobs {
-		t.Fatalf("pinned window honored AIMD knobs:\n%+v lat %v\n%+v lat %v",
-			base, latBase, knobs, latKnobs)
-	}
-	if base.WindowCuts != 0 || base.EcnCuts != 0 {
-		t.Fatalf("pinned run recorded cuts: %d/%d", base.WindowCuts, base.EcnCuts)
-	}
-}
-
 // A reset — the reconnect after a server restart — fails each request
 // in flight exactly once, at once, as never executed; frees every slot
 // the dead NIC wedged; and restarts the window at its start value with
@@ -329,7 +300,7 @@ func TestClientResetRestartsPipelines(t *testing.T) {
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
 	cli.MissTimeout = 50 * sim.Microsecond
-	cli.configureWindow(windowConfig{Adaptive: true, Start: 4, EcnBacklog: -1})
+	openWindow(cli, 4, -1)
 	fails, ran := 0, 0
 	cb := func(_ []byte, _ Duration, ok bool) {
 		if ok {

@@ -3,10 +3,10 @@ package experiments
 import "testing"
 
 // The overload acceptance gate: under open-loop offered load swept to
-// 10x capacity, AIMD windows hold goodput within 10% of the sweep's
-// peak at every point with hit p999 bounded, while the fixed-K client
-// demonstrably collapses — and the congestion machinery (ECN marks,
-// window cuts) actually engaged and held the NIC backlog down.
+// 10x capacity, AIMD windows on 256-deep pipelines hold goodput within
+// 10% of the sweep's peak at every point with hit p999 bounded — and
+// the congestion machinery (ECN marks, window cuts) actually engaged
+// and held the NIC backlog down.
 func TestOverloadGate(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -14,18 +14,10 @@ func TestOverloadGate(t *testing.T) {
 	}
 	r := overloadRun(3000)
 
-	// The tentpole claim: adaptive goodput >= 90% of its own peak at
+	// The headline claim: goodput >= 90% of its own peak at
 	// every offered multiple from 2x to 10x capacity.
 	if f := r.Metrics["overload_adapt_min_frac"]; f < 0.9 {
 		t.Fatalf("adaptive goodput dropped to %.2fx of peak under overload, want >= 0.9", f)
-	}
-	// The counterfactual: the fixed-K pipeline falls below that bar —
-	// past the knee its completions land after the miss timeout.
-	if f := r.Metrics["overload_fixed_min_frac"]; f >= 0.9 {
-		t.Fatalf("fixed-K goodput held %.2fx of peak — no congestion collapse to defend against", f)
-	}
-	if a, f := r.Metrics["overload_adapt_min_frac"], r.Metrics["overload_fixed_min_frac"]; a < f+0.5 {
-		t.Fatalf("adaptive %.2fx vs fixed-K %.2fx of peak — no meaningful separation", a, f)
 	}
 	// Hit p999 stays bounded: stamped at issue, a hit is at worst one
 	// timed-out attempt plus one clean retry.
@@ -45,8 +37,8 @@ func TestOverloadGate(t *testing.T) {
 	if b := r.Metrics["overload_peak_backlog_10x_us"]; b <= 0 || b > 50 {
 		t.Fatalf("peak NIC backlog %.1fus at 10x offered load, want (0, 50]", b)
 	}
-	// The window actually converged below the pinned depth.
-	if w := r.Metrics["overload_peak_window_10x"]; w <= 0 || w >= 4*overloadFixedK {
-		t.Fatalf("peak summed window %.0f implausible for 4 connections of depth %d", w, overloadFixedK)
+	// The window actually converged below the pipeline depth.
+	if w := r.Metrics["overload_peak_window_10x"]; w <= 0 || w >= 4*overloadDepth {
+		t.Fatalf("peak summed window %.0f implausible for 4 connections of depth %d", w, overloadDepth)
 	}
 }

@@ -227,7 +227,7 @@ func sentinelCrash(trace bool) (*redn.Service, workload.OpenLoopReport) {
 	return s, rep
 }
 
-// sentinelOverloadRun: adaptive 256-deep windows at several times
+// sentinelOverloadRun: 256-deep AIMD windows at several times
 // capacity — the sustained AIMD window-cut storm burns (overload class)
 // while goodput holds, so neither the outage nor the crash detector
 // has anything to say.
@@ -235,11 +235,10 @@ func sentinelOverloadRun() (*redn.Service, workload.OpenLoopReport) {
 	s := redn.NewServiceWith(redn.ServiceConfig{
 		Shards:          2,
 		ClientsPerShard: 2,
-		Pipeline:        overloadFixedK,
+		Pipeline:        overloadDepth,
 		Mode:            redn.LookupSeq,
 		Buckets:         1 << 14,
 		MaxValLen:       256,
-		AdaptiveWindow:  true,
 		Sentinel:        true,
 	})
 	keys := preloadKeys(s, overloadKeys)

@@ -81,7 +81,7 @@ const (
 type ServiceConfig struct {
 	Shards          int        // server nodes, each with its own NIC and table
 	ClientsPerShard int        // client nodes connected to each shard
-	Pipeline        int        // gets in flight per client connection
+	Pipeline        int        // slots per client pipeline; its AIMD window opens at min(16, Pipeline)
 	Mode            LookupMode // probe strategy of every offload context
 	Replicas        int        // ring owners written per Set (>=1)
 
@@ -131,14 +131,6 @@ type ServiceConfig struct {
 	// sweeps. The pre-repair behavior, kept for the repair experiment's
 	// divergence baseline.
 	NoRepair bool
-
-	// AdaptiveWindow puts every client pipeline under AIMD congestion
-	// control instead of the fixed Pipeline-deep window: start at 16
-	// slots (at most Pipeline), grow additively on clean acks, halve on
-	// timeout and on the ECN-like backlog watermark (25us of PU backlog)
-	// the NIC stamps into completions. Off, windows are pinned to
-	// Pipeline (the pre-adaptive fixed-K behavior).
-	AdaptiveWindow bool
 
 	// MigrateEvery is the background migrator's tick period during a
 	// live resharding (AddShard/DrainShard): each tick copies and seals
@@ -218,12 +210,6 @@ const (
 	serviceServerMem = 1 << 27
 	serviceClientMem = 1 << 23
 )
-
-// adaptiveWindowStart is an adaptive window's initial size (capped at
-// Pipeline). Starting at the full Pipeline depth would open with a
-// thundering herd the AIMD loop then has to pay for in timeouts;
-// starting modestly lets additive increase probe up to the knee.
-const adaptiveWindowStart = 16
 
 // serviceShard is one server node: a hash table plus its connected
 // pipelined clients.
@@ -735,9 +721,6 @@ func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node) *Client {
 	cli.setTracer(s.tr, cn.Name)
 	if s.prov != nil {
 		cli.enableProvenance()
-	}
-	if s.cfg.AdaptiveWindow {
-		cli.configureWindow(windowConfig{Adaptive: true, Start: adaptiveWindowStart})
 	}
 	return cli
 }
