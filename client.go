@@ -66,13 +66,15 @@ func (o pipeOp) String() string {
 }
 
 // pipelineStats is a point-in-time snapshot of one pipeline's
-// occupancy. InFlight and Wedged are disjoint: a quarantined slot is
-// neither free nor carrying a live request.
+// occupancy, window and answers. InFlight and Wedged are disjoint: a
+// quarantined slot is neither free nor carrying a live request.
 type pipelineStats struct {
 	InFlight int // slots occupied by live requests
 	Queued   int // requests waiting client-side for a slot or window
 	Wedged   int // quarantined slots (armed chain never executed)
 	Window   int // current congestion window
+
+	Acks, Fails uint64 // requests answered / failed (misses, refusals, timeouts)
 }
 
 // Client is a remote node issuing offloaded gets and sets against a
@@ -708,45 +710,14 @@ func (c *Client) setTracer(tr *telemetry.Tracer, label string) {
 	}
 }
 
-// ClientStats is a point-in-time snapshot of the client's counters
-// across all four paths — the single surface Service.Stats and tests
-// read instead of poking one-off accessors.
-type ClientStats struct {
-	Gets, Hits, Misses uint64
-	MaxInFlight        int // pipeline high-water, get path
-
-	Sets, SetAcks, SetFails uint64
-	Dels, DelAcks, DelFails uint64
-	Probes                  uint64
-
-	// GCFreed/GCStale count to-free ring drains: extents returned to
-	// the arena vs entries whose extent was already gone.
-	GCFreed, GCStale uint64
-
-	// Quarantined slots per path (armed chain never executed).
-	Wedged, SetsWedged, DelsWedged int
-
-	// WindowCuts/EcnCuts total the multiplicative decreases across all
-	// four windows (EcnCuts the subset taken on ECN marks rather than
-	// lost requests).
-	WindowCuts, EcnCuts uint64
-}
-
-// Stats snapshots every per-client counter.
-func (c *Client) Stats() ClientStats {
-	var cuts, ecnCuts uint64
+// cuts totals the multiplicative decreases across all four windows,
+// and the subset taken on ECN marks rather than lost requests.
+func (c *Client) cuts() (cuts, ecnCuts uint64) {
 	for _, p := range c.pipes {
 		cuts += p.win.cuts
 		ecnCuts += p.win.ecnCuts
 	}
-	return ClientStats{
-		Gets: c.get.issued, Hits: c.get.acks, Misses: c.get.fails, MaxInFlight: c.get.maxInFlight,
-		Sets: c.set.issued, SetAcks: c.set.acks, SetFails: c.set.fails,
-		Dels: c.del.issued, DelAcks: c.del.acks, DelFails: c.del.fails,
-		Probes: c.prb.issued, GCFreed: c.gcFreed, GCStale: c.gcStale,
-		Wedged: c.get.nWedged, SetsWedged: c.set.nWedged, DelsWedged: c.del.nWedged,
-		WindowCuts: cuts, EcnCuts: ecnCuts,
-	}
+	return cuts, ecnCuts
 }
 
 // NewClient adds a client node connected back-to-back to srv, keeping
@@ -1019,6 +990,8 @@ func (c *Client) pipelineStats(op pipeOp) pipelineStats {
 		Queued:   p.waiting.Len(),
 		Wedged:   p.nWedged,
 		Window:   p.win.size(),
+		Acks:     p.acks,
+		Fails:    p.fails,
 	}
 }
 

@@ -454,8 +454,8 @@ func TestClientSetClaimRefused(t *testing.T) {
 	if refusedLat <= 0 || refusedLat >= 20*sim.Microsecond {
 		t.Fatalf("refusal took %v, want one fabric round trip", refusedLat)
 	}
-	if st := cli.Stats(); st.SetFails != 1 || st.SetsWedged != 0 {
-		t.Fatalf("refusal counted as %d fails, %d wedged slots; want 1, 0", st.SetFails, st.SetsWedged)
+	if st := cli.pipelineStats(pipeSet); st.Fails != 1 || st.Wedged != 0 {
+		t.Fatalf("refusal counted as %d fails, %d wedged slots; want 1, 0", st.Fails, st.Wedged)
 	}
 	// The resident survived the refused claim, bit-exact.
 	val, _, ok := cli.Get(key, 64)
@@ -614,8 +614,8 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 		t.Fatalf("%d tombstoned buckets after 16 NIC deletes", tombs)
 	}
 	// Every deleted value extent came back to the arena.
-	if st := cli.Stats(); st.GCFreed != 16 || st.GCStale != 0 {
-		t.Fatalf("gc freed=%d stale=%d, want 16/0", st.GCFreed, st.GCStale)
+	if cli.gcFreed != 16 || cli.gcStale != 0 {
+		t.Fatalf("gc freed=%d stale=%d, want 16/0", cli.gcFreed, cli.gcStale)
 	}
 	if live := srv.valueArena().Stats().LiveBytes; live >= liveBefore {
 		t.Fatalf("arena live bytes %d did not drop from %d after deletes", live, liveBefore)
@@ -772,7 +772,8 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 	if got := srv.valueArena().Stats().LiveBytes; got != live {
 		t.Fatalf("arena grew %d -> %d live bytes across 20 refused claims", live, got)
 	}
-	if cuts, w := cli.Stats().WindowCuts, cli.pipelineStats(pipeSet).Window; cuts != 0 || w != 4 {
+	cuts, _ := cli.cuts()
+	if w := cli.pipelineStats(pipeSet).Window; cuts != 0 || w != 4 {
 		t.Fatalf("%d window cuts, window %d after 20 refusals from start 2; want 0 cuts and the full depth 4", cuts, w)
 	}
 }
@@ -804,8 +805,8 @@ func TestClientWritesTimeOutOnFrozenServer(t *testing.T) {
 	claimResident(cli, key, false, func(_ uint64, lat Duration, ok bool) { check(pipeDelete)(lat, ok) })
 	cli.Flush()
 	tb.Run()
-	if st := cli.Stats(); st.SetFails != 1 || st.DelFails != 1 || st.SetsWedged != 1 || st.DelsWedged != 1 {
-		t.Fatalf("fails %d/%d wedged %d/%d (set/del), want 1/1 and 1/1", st.SetFails, st.DelFails, st.SetsWedged, st.DelsWedged)
+	if set, del := cli.pipelineStats(pipeSet), cli.pipelineStats(pipeDelete); set.Fails != 1 || del.Fails != 1 || set.Wedged != 1 || del.Wedged != 1 {
+		t.Fatalf("fails %d/%d wedged %d/%d (set/del), want 1/1 and 1/1", set.Fails, del.Fails, set.Wedged, del.Wedged)
 	}
 }
 
@@ -833,16 +834,16 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	})
 	cli.Flush()
 	tb.RunFor(4 * sim.Microsecond)
-	if results[1] != 1 || cli.Stats().SetsWedged != 1 {
-		t.Fatalf("short-deadline set: %d callbacks, %d wedged slots; want 1 and 1", results[1], cli.Stats().SetsWedged)
+	if w := cli.pipelineStats(pipeSet).Wedged; results[1] != 1 || w != 1 {
+		t.Fatalf("short-deadline set: %d callbacks, %d wedged slots; want 1 and 1", results[1], w)
 	}
 	// The straggler's ack lands: nothing completes, the slot is back in
 	// service with the straggler's verdict still in its ack buffer, and
 	// the next request on it gets its own answer.
 	cli.MissTimeout = DefaultMissTimeout
 	tb.RunFor(20 * sim.Microsecond)
-	if w, _ := cli.node.Mem.U64(cli.set.resp[0]); w != wqe.MakeCtrl(wqe.OpWrite, 1) || cli.Stats().SetsWedged != 0 {
-		t.Fatalf("after the straggler: ack buffer %#x, %d wedged slots; want WRITE|1 and 0", w, cli.Stats().SetsWedged)
+	if w, _ := cli.node.Mem.U64(cli.set.resp[0]); w != wqe.MakeCtrl(wqe.OpWrite, 1) || cli.set.nWedged != 0 {
+		t.Fatalf("after the straggler: ack buffer %#x, %d wedged slots; want WRITE|1 and 0", w, cli.set.nWedged)
 	}
 	cli.SetAsync(2, Value(2, 64), func(_ Duration, ok bool) {
 		results[2]++
@@ -855,8 +856,8 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	if results[1] != 1 || results[2] != 1 {
 		t.Fatalf("callbacks per key %v, want one each", results)
 	}
-	if st := cli.Stats(); st.SetAcks != 1 || st.SetFails != 1 || st.SetsWedged != 0 {
-		t.Fatalf("acks %d fails %d wedged %d, want 1/1/0", st.SetAcks, st.SetFails, st.SetsWedged)
+	if st := cli.pipelineStats(pipeSet); st.Acks != 1 || st.Fails != 1 || st.Wedged != 0 {
+		t.Fatalf("acks %d fails %d wedged %d, want 1/1/0", st.Acks, st.Fails, st.Wedged)
 	}
 	// The straggler ran to the end: both keys are installed.
 	for _, k := range []uint64{1, 2} {

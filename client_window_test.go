@@ -139,8 +139,8 @@ func TestWindowConvergesFromUndersizedStart(t *testing.T) {
 	if st := cli.pipelineStats(pipeGet); st.Window != 16 {
 		t.Fatalf("window %d after 400 clean acks from start 1, want the depth 16", st.Window)
 	}
-	if cs := cli.Stats(); cs.WindowCuts != 0 {
-		t.Fatalf("%d cuts on an uncongested hit-only run", cs.WindowCuts)
+	if cuts, _ := cli.cuts(); cuts != 0 {
+		t.Fatalf("%d cuts on an uncongested hit-only run", cuts)
 	}
 }
 
@@ -180,12 +180,12 @@ func TestWindowConvergesFromOversizedStart(t *testing.T) {
 	if st.Window != 1 {
 		t.Fatalf("window %d after sustained losses from start 8, want the floor 1", st.Window)
 	}
-	cs := cli.Stats()
-	if cs.WindowCuts < 3 {
-		t.Fatalf("%d cuts while converging 8 -> 1 at beta %.1f, want >= 3", cs.WindowCuts, defaultWindowBeta)
+	cuts, ecnCuts := cli.cuts()
+	if cuts < 3 {
+		t.Fatalf("%d cuts while converging 8 -> 1 at beta %.1f, want >= 3", cuts, defaultWindowBeta)
 	}
-	if cs.EcnCuts != 0 {
-		t.Fatalf("%d ECN cuts with ECN disabled; cuts must be timeout-attributed", cs.EcnCuts)
+	if ecnCuts != 0 {
+		t.Fatalf("%d ECN cuts with ECN disabled; cuts must be timeout-attributed", ecnCuts)
 	}
 	srv.node.Dev.Unfreeze()
 	cli.reset()
@@ -225,8 +225,8 @@ func TestAIMDWindowHoldsAcrossMisses(t *testing.T) {
 	if st := cli.pipelineStats(pipeGet); st.Window != 8 || st.Wedged != 0 {
 		t.Fatalf("window %d, %d wedged after 60 misses; want the opening 8 and none", st.Window, st.Wedged)
 	}
-	if cs := cli.Stats(); cs.WindowCuts != 0 {
-		t.Fatalf("%d window cuts on a miss-only stream", cs.WindowCuts)
+	if cuts, _ := cli.cuts(); cuts != 0 {
+		t.Fatalf("%d window cuts on a miss-only stream", cuts)
 	}
 	if _, _, ok := cli.Get(1, 64); !ok {
 		t.Fatal("hit failed after the misses")
@@ -324,7 +324,7 @@ func TestClientResetRestartsPipelines(t *testing.T) {
 	get(2) // in flight at the reset
 	tb.RunFor(10 * sim.Microsecond)
 	st := cli.pipelineStats(pipeGet)
-	cuts := cli.Stats().WindowCuts
+	cuts, _ := cli.cuts()
 	if fails != 2 || st.Wedged != 2 || st.InFlight != 2 || cuts == 0 {
 		t.Fatalf("setup: %d failed, %d wedged, %d in flight, %d cuts", fails, st.Wedged, st.InFlight, cuts)
 	}
@@ -334,9 +334,9 @@ func TestClientResetRestartsPipelines(t *testing.T) {
 	if fails != 4 || ran != 0 {
 		t.Fatalf("the reset failed %d of the 2 requests in flight (%d as executed)", fails-2, ran)
 	}
-	if st.Wedged != 0 || st.InFlight != 0 || len(cli.get.free) != 4 || st.Window != 4 || cli.Stats().WindowCuts != cuts {
+	if after, _ := cli.cuts(); st.Wedged != 0 || st.InFlight != 0 || len(cli.get.free) != 4 || st.Window != 4 || after != cuts {
 		t.Fatalf("after the reset: %d wedged, %d in flight, %d free, window %d, %d cuts (%d before)",
-			st.Wedged, st.InFlight, len(cli.get.free), st.Window, cli.Stats().WindowCuts, cuts)
+			st.Wedged, st.InFlight, len(cli.get.free), st.Window, after, cuts)
 	}
 	tb.Run() // the flushed requests' deadlines complete nothing twice
 	if fails != 4 {

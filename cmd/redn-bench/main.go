@@ -18,11 +18,36 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"repro"
 	"repro/internal/experiments"
+	"repro/internal/telemetry"
 )
+
+// artifact creates path and runs write into it, timing the run on
+// stderr as "<what> ... done in Ns -> path". Any error, the close's
+// included, is reported under the flag's name and exits 1.
+func artifact(flagName, path, what string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "%s ...", what)
+	start := time.Now()
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "\n%s: %v\n", flagName, err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, " done in %.1fs -> %s\n", time.Since(start).Seconds(), path)
+}
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
@@ -33,78 +58,39 @@ func main() {
 	args := flag.Args()
 
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tracing mixed workload ...")
-		start := time.Now()
-		st, err := experiments.WriteTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "\ntrace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, " done in %.1fs -> %s\n", time.Since(start).Seconds(), *tracePath)
+		var st redn.ServiceStats
+		artifact("trace", *tracePath, "tracing mixed workload", func(w io.Writer) (err error) {
+			st, err = experiments.WriteTrace(w)
+			return err
+		})
 		fmt.Println(experiments.UtilizationSummary(st, 5))
-		if len(args) == 0 && *watchPath == "" && *profilePath == "" {
-			return
-		}
 	}
-
 	if *profilePath != "" {
-		f, err := os.Create(*profilePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "profiling mixed workload ...")
-		start := time.Now()
-		p, prov, st, err := experiments.WriteProfile(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "\nprofile: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, " done in %.1fs -> %s\n", time.Since(start).Seconds(), *profilePath)
+		var p *telemetry.Profiler
+		var prov *telemetry.Provenance
+		var st redn.ServiceStats
+		artifact("profile", *profilePath, "profiling mixed workload", func(w io.Writer) (err error) {
+			p, prov, st, err = experiments.WriteProfile(w)
+			return err
+		})
 		// The reconciliation line first (CI asserts exec-total-ns ==
 		// resource-busy-ns and cross-checks the folded file's sum),
 		// then the latency decomposition by op class.
 		fmt.Println(experiments.ProfileSummary(p, st))
 		fmt.Println(prov.Report())
-		if len(args) == 0 && *watchPath == "" {
-			return
-		}
 	}
-
 	if *watchPath != "" {
-		f, err := os.Create(*watchPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "watch: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "watching a crash under the SLO sentinel ...")
-		start := time.Now()
-		st, err := experiments.WatchFault(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "\nwatch: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, " done in %.1fs -> %s\n", time.Since(start).Seconds(), *watchPath)
+		var st redn.ServiceStats
+		artifact("watch", *watchPath, "watching a crash under the SLO sentinel", func(w io.Writer) (err error) {
+			st, err = experiments.WatchFault(w)
+			return err
+		})
 		for _, a := range st.Anomalies {
 			fmt.Printf("anomaly: %s (%s) at t=%v\n", a.Rule, a.Class, a.At)
 		}
-		if len(args) == 0 {
-			return
-		}
+	}
+	if len(args) == 0 && (*tracePath != "" || *profilePath != "" || *watchPath != "") {
+		return
 	}
 
 	if len(args) == 1 && args[0] == "list" {

@@ -68,7 +68,7 @@ func churnRun(requests int) *Result {
 		if st.ArenaPeakLive == 0 {
 			return 0
 		}
-		return float64(st.ArenaFoot) / float64(st.ArenaPeakLive)
+		return float64(st.ArenaPeak) / float64(st.ArenaPeakLive)
 	}
 
 	// Delete-free mixed baseline: what gets/sets cost WITHOUT the

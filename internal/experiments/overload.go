@@ -115,13 +115,20 @@ func overloadRun(requests int) *Result {
 			r.metric("overload_window_cuts_10x", float64(st.WindowCuts))
 			r.metric("overload_ecn_cuts_10x", float64(st.EcnCuts))
 			for g, name := range rep.GaugeNames {
-				gpeak := 0.0
-				for _, v := range rep.GaugeSeries[g] {
+				// drop is the largest fall between consecutive samples,
+				// as a fraction of the earlier one: the window's
+				// multiplicative decrease seen on the timeline.
+				series, gpeak, drop := rep.GaugeSeries[g], 0.0, 0.0
+				for i, v := range series {
 					gpeak = max(gpeak, v)
+					if i > 0 && series[i-1] > 0 {
+						drop = max(drop, (series[i-1]-v)/series[i-1])
+					}
 				}
 				switch name {
 				case "svc/get_window":
 					r.metric("overload_peak_window_10x", gpeak)
+					r.metric("overload_window_drop_10x", drop)
 				case "svc/nic_backlog_us":
 					r.metric("overload_peak_backlog_10x_us", gpeak)
 				}

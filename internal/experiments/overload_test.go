@@ -37,6 +37,13 @@ func TestOverloadGate(t *testing.T) {
 	if b := r.Metrics["overload_peak_backlog_10x_us"]; b <= 0 || b > 50 {
 		t.Fatalf("peak NIC backlog %.1fus at 10x offered load, want (0, 50]", b)
 	}
+	// The window's decrease engaged: the summed get window fell by at
+	// least a tenth between two samples. Goodput alone cannot show it:
+	// with the decrease removed (beta 1) the additive increase from 16
+	// still holds goodput, but the window only ever grows.
+	if d := r.Metrics["overload_window_drop_10x"]; d < 0.1 {
+		t.Fatalf("summed get window fell by at most %.2f between samples at 10x offered load, want >= 0.1", d)
+	}
 	// The window actually converged below the pipeline depth.
 	if w := r.Metrics["overload_peak_window_10x"]; w <= 0 || w >= 4*overloadDepth {
 		t.Fatalf("peak summed window %.0f implausible for 4 connections of depth %d", w, overloadDepth)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-// ProfileMixed runs the TraceMixed workload shape — replicated gets,
+// profileMixed runs the TraceMixed workload shape — replicated gets,
 // sets, deletes, and the read-repair probes replication triggers —
 // with latency provenance and the virtual-time profiler on instead of
 // the tracer. It returns the profiler (every resource-busy nanosecond
@@ -19,7 +19,7 @@ import (
 // attributes from t=0, so leaving the resource report unwindowed keeps
 // the invariant checkable that the profiler's exec total equals the
 // summed resource busy time exactly.
-func ProfileMixed() (*telemetry.Profiler, *telemetry.Provenance, redn.ServiceStats) {
+func profileMixed() (*telemetry.Profiler, *telemetry.Provenance, redn.ServiceStats) {
 	s := redn.NewServiceWith(redn.ServiceConfig{
 		Shards:          2,
 		ClientsPerShard: 2,
@@ -47,23 +47,20 @@ func ProfileMixed() (*telemetry.Profiler, *telemetry.Provenance, redn.ServiceSta
 	return s.Profiler(), s.Provenance(), s.Stats()
 }
 
-// WriteProfile runs ProfileMixed and streams its folded-stack profile
+// WriteProfile runs profileMixed and streams its folded-stack profile
 // ("class;shard;resource;exec|wait <ns>" lines, flamegraph-loadable)
 // to w, returning the profiler and stats for the reconciliation line
 // redn-bench prints next to the artifact, and the provenance
 // aggregator for the decomposition report.
 func WriteProfile(w io.Writer) (*telemetry.Profiler, *telemetry.Provenance, redn.ServiceStats, error) {
-	p, prov, st := ProfileMixed()
-	if err := p.WriteFolded(w); err != nil {
-		return p, prov, st, err
-	}
-	return p, prov, st, nil
+	p, prov, st := profileMixed()
+	return p, prov, st, p.WriteFolded(w)
 }
 
-// ResourceBusyTotal sums the busy time of every resource in a stats'
+// resourceBusyTotal sums the busy time of every resource in a stats'
 // report — the quantity the profiler's exec total must reconcile with
 // when the report is unwindowed (no MarkUtilization).
-func ResourceBusyTotal(st redn.ServiceStats) int64 {
+func resourceBusyTotal(st redn.ServiceStats) int64 {
 	var n int64
 	for _, r := range st.Resources {
 		n += int64(r.Busy)
@@ -77,5 +74,5 @@ func ResourceBusyTotal(st redn.ServiceStats) int64 {
 // can assert it from the artifact alone.
 func ProfileSummary(p *telemetry.Profiler, st redn.ServiceStats) string {
 	return fmt.Sprintf("profile: frames=%d exec-total-ns=%d resource-busy-ns=%d",
-		p.Frames(), int64(p.ExecTotal()), ResourceBusyTotal(st))
+		p.Frames(), int64(p.ExecTotal()), resourceBusyTotal(st))
 }

@@ -63,20 +63,10 @@ func UtilizationSummary(st redn.ServiceStats, top int) string {
 		return "bottleneck: none (no resource activity)"
 	}
 	out := "bottleneck: " + st.Bottleneck.String()
-	rs := append([]telemetry.ResourceUtil(nil), st.Resources...)
 	// Highest utilization first; name breaks ties for determinism.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && (rs[j].Util > rs[j-1].Util ||
-			(rs[j].Util == rs[j-1].Util && rs[j].Name < rs[j-1].Name)); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-	if top > len(rs) {
-		top = len(rs)
-	}
-	for i := 0; i < top; i++ {
+	for _, r := range telemetry.TopUtil(st.Resources, top) {
 		out += fmt.Sprintf("\n  %-28s %5.1f%% busy  (%d grants)",
-			rs[i].Name, rs[i].Util*100, rs[i].Grants)
+			r.Name, r.Util*100, r.Grants)
 	}
 	return out
 }

@@ -7,26 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Counter is a monotonically increasing uint64. A nil *Counter is a
-// valid no-op sink. Any uint64 word converts to one, so a subsystem can
-// keep its counters as plain fields of its own stats struct and
-// register their addresses (Registry.Bind): the registry reads the very
-// words the subsystem increments.
+// Counter is a monotonically increasing uint64 its owner stores and
+// increments itself. Any uint64 word converts to one, so a subsystem
+// keeps its counters as plain fields of its own stats struct and
+// registers their addresses (Registry.Bind): the registry reads the
+// very words the subsystem increments.
 type Counter uint64
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		*c++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		*c += Counter(n)
-	}
-}
 
 // Value returns the current count (0 for nil).
 func (c *Counter) Value() uint64 {
@@ -61,20 +47,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*sim.LatencyStats),
 	}
-}
-
-// Counter returns the counter registered under name, creating it on
-// first use. A nil registry returns nil — a valid no-op counter.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := new(Counter)
-	r.Bind(name, c)
-	return c
 }
 
 // Bind registers the word c under name, so the registry snapshots a

@@ -125,11 +125,12 @@ func TestTracerWindowExport(t *testing.T) {
 func TestRecorderRingWrap(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := NewRegistry()
-	c := reg.Counter("svc/ops")
+	var c Counter
+	reg.Bind("svc/ops", &c)
 	rec := NewRecorder(eng, reg, 4)
 	for k := 0; k < 10; k++ {
 		eng.At(sim.Time(k*100), func() {
-			c.Inc()
+			c++
 			rec.Record()
 		})
 	}
@@ -193,10 +194,11 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 func TestSLOEngineWindows(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := NewRegistry()
-	errs := reg.Counter("svc/errs")
+	var errs, sealed Counter
+	reg.Bind("svc/errs", &errs)
 	backlog := 0.0
 	reg.Gauge("svc/backlog", func() float64 { return backlog })
-	sealed := reg.Counter("svc/sealed")
+	reg.Bind("svc/sealed", &sealed)
 	rec := NewRecorder(eng, reg, 0)
 	rules := []Rule{
 		{Name: "err-burn", Class: "overload", Metrics: []string{"svc/errs"},
@@ -215,14 +217,14 @@ func TestSLOEngineWindows(t *testing.T) {
 	// Two error bursts, well separated so the burn clears in between.
 	for _, base := range []sim.Time{1001, 2001} {
 		for j := 0; j < 5; j++ {
-			eng.At(base+sim.Time(j*50), func() { errs.Add(2) })
+			eng.At(base+sim.Time(j*50), func() { errs += 2 })
 		}
 	}
 	// Migration backlog rises at 899 and holds; seals make progress
 	// until 1401, then the drain wedges; backlog clears at 2499.
 	eng.At(899, func() { backlog = 1 })
 	for j := 0; j <= 5; j++ {
-		eng.At(901+sim.Time(j*100), func() { sealed.Inc() })
+		eng.At(901+sim.Time(j*100), func() { sealed++ })
 	}
 	eng.At(2499, func() { backlog = 0 })
 	eng.Run()
@@ -265,7 +267,8 @@ func TestIncidentBundleDeterministic(t *testing.T) {
 	run := func() []byte {
 		eng := sim.NewEngine()
 		reg := NewRegistry()
-		c := reg.Counter("svc/errs")
+		var c Counter
+		reg.Bind("svc/errs", &c)
 		reg.Gauge("svc/depth", func() float64 { return float64(c.Value() % 3) })
 		reg.Histogram("svc/get_lat").Add(1234)
 		tr := NewTracer(eng)
@@ -289,7 +292,7 @@ func TestIncidentBundleDeterministic(t *testing.T) {
 		}
 		for j := 0; j < 6; j++ {
 			eng.At(sim.Time(801+j*40), func() {
-				c.Inc()
+				c++
 				op := tr.OpBegin("get", uint64(j))
 				tr.Exec("svc", "pu0", "READ", eng.Now(), eng.Now()+7, op)
 				tr.OpEnd(op, "get")

@@ -132,15 +132,9 @@ func TestTracerDeterministicBytes(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("svc/hits")
-	c.Inc()
-	c.Add(4)
-	if r.Counter("svc/hits") != c {
-		t.Fatal("Counter not idempotent")
-	}
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
+	var c Counter
+	r.Bind("svc/hits", &c)
+	c += 5
 	depth := 3.0
 	r.Gauge("svc/hints_pending", func() float64 { return depth })
 	h := r.Histogram("svc/get_lat")
@@ -158,11 +152,11 @@ func TestRegistry(t *testing.T) {
 			t.Fatal("snapshot not sorted by name")
 		}
 	}
-	// Nil registry and nil counter are safe sinks.
+	// A nil registry is a safe sink.
 	var nr *Registry
-	nr.Counter("x").Inc()
+	nr.Bind("x", &c)
 	nr.Gauge("g", nil)
-	if nr.Counter("x").Value() != 0 || nr.Snapshot() != nil {
+	if nr.Histogram("h") != nil || nr.Snapshot() != nil || c != 5 {
 		t.Fatal("nil registry leaked state")
 	}
 }

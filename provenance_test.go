@@ -219,8 +219,8 @@ func TestProvenanceZeroCostDeterminism(t *testing.T) {
 
 // Under a read-saturated fleet the provenance layer and the
 // utilization report must agree on the story: the get class's dominant
-// resource is the fleet bottleneck, and Stats' TopResources ranks it
-// first with the second-order bottleneck behind it.
+// resource is the fleet bottleneck, and TopUtil over Stats' Resources
+// ranks it first with the second-order bottleneck behind it.
 func TestProvenanceDominantMatchesBottleneck(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 1, ClientsPerShard: 2, Pipeline: 16, Mode: LookupSeq,
@@ -240,15 +240,15 @@ func TestProvenanceDominantMatchesBottleneck(t *testing.T) {
 		ValLen:   64,
 	})
 	st := s.Stats()
-	if len(st.TopResources) == 0 {
-		t.Fatal("no TopResources in stats")
+	top := telemetry.TopUtil(st.Resources, 3)
+	if len(top) == 0 {
+		t.Fatal("no resources in stats")
 	}
-	if st.TopResources[0] != st.Bottleneck {
-		t.Fatalf("TopResources[0] %v != Bottleneck %v", st.TopResources[0], st.Bottleneck)
+	if top[0] != st.Bottleneck {
+		t.Fatalf("TopUtil[0] %v != Bottleneck %v", top[0], st.Bottleneck)
 	}
-	if len(st.TopResources) > 1 &&
-		st.TopResources[0].Util < st.TopResources[1].Util {
-		t.Fatalf("TopResources out of order: %v before %v", st.TopResources[0], st.TopResources[1])
+	if len(top) > 1 && top[0].Util < top[1].Util {
+		t.Fatalf("TopUtil out of order: %v before %v", top[0], top[1])
 	}
 	dom, domT := s.Provenance().DominantResource(telemetry.ClassGet)
 	if domT == 0 {

@@ -269,16 +269,23 @@ type serviceShard struct {
 	getLat *sim.LatencyStats
 }
 
-// initMetrics registers the shard's counters under its id: each
-// ShardStats field tagged `metric`, by address.
+// initMetrics registers the shard's counters under its id and its get
+// latency histogram.
 func (sh *serviceShard) initMetrics(reg *telemetry.Registry) {
-	v := reflect.ValueOf(&sh.stats).Elem()
+	bindCounters(reg, sh.id+"/", &sh.stats)
+	sh.getLat = reg.Histogram(sh.id + "/get_lat")
+}
+
+// bindCounters registers each field of the struct ptr points to that
+// carries a `metric` tag as prefix+tag, by address: the registry reads
+// the very words their owner increments.
+func bindCounters(reg *telemetry.Registry, prefix string, ptr any) {
+	v := reflect.ValueOf(ptr).Elem()
 	for i := range v.NumField() {
 		if name, ok := v.Type().Field(i).Tag.Lookup("metric"); ok {
-			reg.Bind(sh.id+"/"+name, (*telemetry.Counter)(v.Field(i).Addr().Interface().(*uint64)))
+			reg.Bind(prefix+name, (*telemetry.Counter)(v.Field(i).Addr().Interface().(*uint64)))
 		}
 	}
-	sh.getLat = reg.Histogram(sh.id + "/get_lat")
 }
 
 // down reports whether the shard's circuit breaker is open: it is
@@ -299,7 +306,7 @@ func (s *Service) noteOwnerMiss(sh *serviceShard) {
 	sh.consecMiss++
 	if sh.consecMiss >= defaultSuspectAfter {
 		if !sh.down() {
-			s.suspects++
+			s.stats.Suspects++
 		}
 		sh.suspectUntil = s.tb.Now() + defaultSuspectFor
 	}
@@ -412,17 +419,10 @@ type Service struct {
 	cacheGen uint64
 	migLog   []MigrationSummary
 
-	// Service-level counters, which reg reads in place as "svc/<name>"
-	// (initMetrics) and Stats copies out; ServiceStats documents each.
-	hits, misses, retries, cacheHits uint64
-	setOps, delOps, quorumFails      uint64
-	probes, probeSkews               uint64
-	aePasses, aeSegsDiffed           uint64
-	aeKeysChecked                    uint64
-	suspects                         uint64
-	migKeysMoved, migKeysSkipped     uint64
-	migSegsSealed, migCopyFails      uint64
-	migHintsRedirected               uint64
+	// stats holds the service-level counters (the ServiceStats fields
+	// tagged `metric`), which reg reads in place as "svc/<tag>"; Stats()
+	// starts from it and fills in the rest.
+	stats ServiceStats
 
 	reg *telemetry.Registry // metrics registry (counters, queue-depth gauges)
 	tr  *telemetry.Tracer   // nil = tracing disabled
@@ -457,21 +457,7 @@ type Service struct {
 // gauges.
 func (s *Service) initMetrics() {
 	s.reg = telemetry.NewRegistry()
-	for _, c := range []struct {
-		name string
-		word *uint64
-	}{
-		{"hits", &s.hits}, {"misses", &s.misses}, {"retries", &s.retries}, {"cache_hits", &s.cacheHits},
-		{"set_ops", &s.setOps}, {"del_ops", &s.delOps}, {"quorum_fails", &s.quorumFails},
-		{"probes", &s.probes}, {"probe_skews", &s.probeSkews},
-		{"ae_passes", &s.aePasses}, {"ae_segs_diffed", &s.aeSegsDiffed}, {"ae_keys_checked", &s.aeKeysChecked},
-		{"suspects", &s.suspects},
-		{"mig_keys_moved", &s.migKeysMoved}, {"mig_keys_skipped", &s.migKeysSkipped},
-		{"mig_segs_sealed", &s.migSegsSealed}, {"mig_copy_fails", &s.migCopyFails},
-		{"mig_hints_redirected", &s.migHintsRedirected},
-	} {
-		s.reg.Bind("svc/"+c.name, (*telemetry.Counter)(c.word))
-	}
+	bindCounters(s.reg, "svc/", &s.stats)
 
 	s.reg.Gauge("svc/hints_pending", func() float64 {
 		n := 0
@@ -536,7 +522,8 @@ func (s *Service) initMetrics() {
 		var n uint64
 		for _, sh := range s.order {
 			for _, cli := range sh.clients {
-				n += cli.Stats().WindowCuts
+				cuts, _ := cli.cuts()
+				n += cuts
 			}
 		}
 		return float64(n)
@@ -545,7 +532,8 @@ func (s *Service) initMetrics() {
 		var n uint64
 		for _, sh := range s.order {
 			for _, cli := range sh.clients {
-				n += cli.Stats().EcnCuts
+				_, ecn := cli.cuts()
+				n += ecn
 			}
 		}
 		return float64(n)
@@ -1004,8 +992,8 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 	g.hot = hot
 	if s.cache != nil {
 		if v, ok := s.cache[key]; ok && uint64(len(v)) >= valLen {
-			s.cacheHits++
-			s.hits++
+			s.stats.CacheHits++
+			s.stats.Hits++
 			g.val = v[:valLen]
 			g.next = getCacheHit
 			s.tb.clu.Eng.After(cacheHitLat, g.cacheHitFn)
@@ -1020,7 +1008,7 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 	if len(g.order) == 0 {
 		// Empty ring: nothing owns the key. Unreachable while DrainShard
 		// refuses to drain the last shard; kept as a miss, not a panic.
-		s.misses++
+		s.stats.Misses++
 		s.tr.OpEnd(g.op, "get")
 		g.release()
 		s.tb.clu.Eng.After(0, func() { cb(nil, 0, false) })
@@ -1204,7 +1192,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	}
 	if ok {
 		sh.markLive()
-		s.hits++
+		s.stats.Hits++
 		sh.getLat.Add(lat)
 		s.maybeCache(g, val)
 		// A hit proves the shard live: if handoff hints piled up
@@ -1234,13 +1222,13 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		s.noteOwnerMiss(sh)
 	}
 	if g.i+1 < len(g.order) {
-		s.retries++
+		s.stats.Retries++
 		g.i++
 		g.spent = lat
 		s.tryGet(g)
 		return
 	}
-	s.misses++
+	s.stats.Misses++
 	s.tr.OpEnd(g.op, "get")
 	s.recordGetReceipt(cli, g.began)
 	// Miss-path read-repair: a miss on every owner is itself a
@@ -1377,7 +1365,6 @@ type ShardStats struct {
 	EcnCuts       uint64 // the subset triggered by ECN backlog marks
 	ArenaLive     uint64 // live extent bytes in the shard's arena
 	ArenaPeakLive uint64 // high-water live bytes (working-set size)
-	ArenaFoot     uint64 // bytes of server memory the arena holds
 	ArenaPeak     uint64 // high-water arena footprint (the footprint: the arena never returns memory)
 
 	// CompactMoves is always 0: the arena reuses each extent in place,
@@ -1401,42 +1388,40 @@ type ServiceStats struct {
 	ShardStats
 	Shards []ShardStats
 
-	Hits        uint64
-	Misses      uint64
-	Retries     uint64 // failover attempts beyond each get's first owner
-	CacheHits   uint64 // gets served from the client-side hot-key cache
+	// The service counts the `metric`-tagged fields itself; the
+	// registry reads each in place as "svc/<tag>".
+	Hits        uint64 `metric:"hits"`
+	Misses      uint64 `metric:"misses"`
+	Retries     uint64 `metric:"retries"`    // failover attempts beyond each get's first owner
+	CacheHits   uint64 `metric:"cache_hits"` // gets served from the client-side hot-key cache
 	MaxInFlight int    // high-water mark of overlapping gets, any client
 
-	Suspects uint64 // healthy-to-suspected transitions: breaker openings, the sentinel's crash signal
+	Suspects uint64 `metric:"suspects"` // healthy-to-suspected transitions: breaker openings, the sentinel's crash signal
 
-	SetOps      uint64 // client-visible writes issued (before replication fan-out)
-	DelOps      uint64 // client-visible deletes issued
-	QuorumFails uint64 // writes/deletes that failed their W-of-N quorum
+	SetOps      uint64 `metric:"set_ops"`      // client-visible writes issued (before replication fan-out)
+	DelOps      uint64 `metric:"del_ops"`      // client-visible deletes issued
+	QuorumFails uint64 `metric:"quorum_fails"` // writes/deletes that failed their W-of-N quorum
 
 	Migrations         int    // completed reshardings (joins + drains)
 	MigratingBuckets   int    // unsealed bucket segments of the active migration
-	MigKeysMoved       uint64 // owner copies the resharding migrator applied
-	MigKeysSkipped     uint64 // moving keys already converged when their turn came
-	MigSegsSealed      uint64 // bucket segments sealed across all migrations
-	MigCopyFails       uint64 // migrator copies abandoned to the repair queue
-	MigHintsRedirected uint64 // hints redirected off a draining shard
+	MigKeysMoved       uint64 `metric:"mig_keys_moved"`       // owner copies the resharding migrator applied
+	MigKeysSkipped     uint64 `metric:"mig_keys_skipped"`     // moving keys already converged when their turn came
+	MigSegsSealed      uint64 `metric:"mig_segs_sealed"`      // bucket segments sealed across all migrations
+	MigCopyFails       uint64 `metric:"mig_copy_fails"`       // migrator copies abandoned to the repair queue
+	MigHintsRedirected uint64 `metric:"mig_hints_redirected"` // hints redirected off a draining shard
 
-	Probes         uint64 // version probes issued on replicated hits
-	ProbeSkews     uint64 // probes (and host fallbacks) that found version skew
+	Probes         uint64 `metric:"probes"`      // version probes issued on replicated hits
+	ProbeSkews     uint64 `metric:"probe_skews"` // probes (and host fallbacks) that found version skew
 	RepairsPending uint64 // records still in the queue
-	AEPasses       uint64 // anti-entropy sweep ticks that ran
-	AESegsDiffed   uint64 // segments whose digests disagreed
-	AEKeysChecked  uint64 // per-key comparisons inside flagged segments
+	AEPasses       uint64 `metric:"ae_passes"`       // anti-entropy sweep ticks that ran
+	AESegsDiffed   uint64 `metric:"ae_segs_diffed"`  // segments whose digests disagreed
+	AEKeysChecked  uint64 `metric:"ae_keys_checked"` // per-key comparisons inside flagged segments
 
 	// Resources lists every serialized NIC unit across the shard
 	// fleet (PUs, fetch units, links, PCIe, atomic units) with its
 	// busy fraction of the run so far; Bottleneck is the busiest.
-	// TopResources ranks the k busiest (k=3, deterministic name
-	// tie-break) — TopResources[1] is the second-order bottleneck, the
-	// unit that would saturate next if the first were relieved.
-	Resources    []telemetry.ResourceUtil
-	Bottleneck   telemetry.ResourceUtil
-	TopResources []telemetry.ResourceUtil
+	Resources  []telemetry.ResourceUtil
+	Bottleneck telemetry.ResourceUtil
 
 	// Provenance decomposes each op class's latency into its phase
 	// ledger (percentiles, phase shares, per-resource wait/exec, worst
@@ -1471,27 +1456,22 @@ func (s *Service) MarkUtilization() {
 // each shard's stored counters, derives the rest, and sums the shard
 // rows into the fleet row.
 func (s *Service) Stats() ServiceStats {
-	out := ServiceStats{Hits: s.hits, Misses: s.misses, Retries: s.retries, CacheHits: s.cacheHits,
-		Suspects: s.suspects, SetOps: s.setOps, DelOps: s.delOps, QuorumFails: s.quorumFails,
-		Migrations: len(s.migLog), MigratingBuckets: s.migratingBuckets(),
-		MigKeysMoved: s.migKeysMoved, MigKeysSkipped: s.migKeysSkipped,
-		MigSegsSealed: s.migSegsSealed, MigCopyFails: s.migCopyFails, MigHintsRedirected: s.migHintsRedirected,
-		Probes: s.probes, ProbeSkews: s.probeSkews, RepairsPending: uint64(s.repq.Len()),
-		AEPasses: s.aePasses, AESegsDiffed: s.aeSegsDiffed, AEKeysChecked: s.aeKeysChecked}
+	out := s.stats
+	out.Migrations, out.MigratingBuckets = len(s.migLog), s.migratingBuckets()
+	out.RepairsPending = uint64(s.repq.Len())
 	for _, sh := range s.order {
 		ss := sh.stats
 		ss.HintsPending = uint64(len(sh.hints))
 		for _, cli := range sh.clients {
-			cs := cli.Stats()
-			ss.GCFreed += cs.GCFreed
-			ss.GCStale += cs.GCStale
-			ss.WindowCuts += cs.WindowCuts
-			ss.EcnCuts += cs.EcnCuts
-			out.MaxInFlight = max(out.MaxInFlight, cs.MaxInFlight)
+			cuts, ecn := cli.cuts()
+			ss.GCFreed += cli.gcFreed
+			ss.GCStale += cli.gcStale
+			ss.WindowCuts += cuts
+			ss.EcnCuts += ecn
+			out.MaxInFlight = max(out.MaxInFlight, cli.get.maxInFlight)
 		}
 		ast := sh.srv.arena.Stats()
-		ss.ArenaLive, ss.ArenaPeakLive = ast.LiveBytes, ast.PeakLive
-		ss.ArenaFoot, ss.ArenaPeak = ast.Footprint, ast.Footprint
+		ss.ArenaLive, ss.ArenaPeakLive, ss.ArenaPeak = ast.LiveBytes, ast.PeakLive, ast.Footprint
 		out.Shards = append(out.Shards, ss)
 		out.add(&ss)
 	}
@@ -1499,7 +1479,6 @@ func (s *Service) Stats() ServiceStats {
 	if bn, ok := telemetry.Bottleneck(out.Resources); ok {
 		out.Bottleneck = bn
 	}
-	out.TopResources = telemetry.TopUtil(out.Resources, 3)
 	if s.prov != nil {
 		out.Provenance = s.prov.DecomposeAll()
 	}

@@ -212,7 +212,7 @@ func TestReconnectAllocates(t *testing.T) {
 	outage()
 	s.Run() // one whole recovery first: what it grows, it grows once
 	outage()
-	if wedged := sh.clients[0].Stats().SetsWedged; wedged == 0 {
+	if wedged := sh.clients[0].pipelineStats(pipeSet).Wedged; wedged == 0 {
 		t.Fatal("setup: no set slot wedged on the frozen NIC")
 	}
 	sh.srv.node.Dev.Unfreeze()

@@ -211,7 +211,7 @@ func TestServiceBreakerProbesOncePerWindow(t *testing.T) {
 	if r.maxOpenInFlight > 1 {
 		t.Fatalf("%d gets in flight on the down shard, want at most its one probe", r.maxOpenInFlight)
 	}
-	if n := r.s.suspects; n != 1 {
+	if n := r.s.stats.Suspects; n != 1 {
 		t.Fatalf("svc/suspects = %d after one outage, want 1", n)
 	}
 }
@@ -238,7 +238,7 @@ func TestServiceBreakerProbeClearsThawedNIC(t *testing.T) {
 	if !sh.down() {
 		t.Fatal("breaker closed while the NIC was still frozen")
 	}
-	if next := sh.clients[sh.rr%len(sh.clients)]; next.Stats().Wedged != 0 {
+	if next := sh.clients[sh.rr%len(sh.clients)]; next.pipelineStats(pipeGet).Wedged != 0 {
 		t.Fatal("setup: the freeze spoiled the connection the next probe takes")
 	}
 	dev.Unfreeze()
@@ -281,7 +281,7 @@ func TestServiceBreakerWritesHint(t *testing.T) {
 	}
 	wedged := func() (n int) {
 		for _, cli := range sh.clients {
-			n += cli.Stats().SetsWedged
+			n += cli.pipelineStats(pipeSet).Wedged
 		}
 		return n
 	}

@@ -168,9 +168,11 @@ func TestServiceExactHistory(t *testing.T) {
 
 // The service stores each counter once: the registry and Stats() read
 // the same words. After a faulted history every svc/* and shardN/*
-// registry counter equals its ServiceStats or ShardStats field, and the
-// fleet row equals the sum of the shard rows. Both checks walk the
-// structs by reflection, so a field added later is covered.
+// registry counter equals the ServiceStats or ShardStats field its
+// `metric` tag names, the gauges that mirror a Stats() figure equal the
+// fleet row, and the fleet row equals the sum of the shard rows. The
+// checks walk the structs by reflection, so a field added later is
+// covered.
 func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 	s := runServiceHistory(t, 2, func(historyOp) {})
 	st := s.Stats()
@@ -178,13 +180,11 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 	for _, ss := range st.Shards {
 		rows[ss.ID] = reflect.ValueOf(ss)
 	}
-	// field finds the counter name's field in row: the one tagged
-	// `metric:"name"`, else the one named name in camel case.
+	// field finds the field of row tagged `metric:"name"`.
 	field := func(row reflect.Value, name string) (reflect.Value, bool) {
 		typ := row.Type()
 		for i := range typ.NumField() {
-			f := typ.Field(i)
-			if f.Tag.Get("metric") == name || strings.EqualFold(f.Name, strings.ReplaceAll(name, "_", "")) {
+			if typ.Field(i).Tag.Get("metric") == name {
 				return row.Field(i), true
 			}
 		}
@@ -192,7 +192,11 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 	}
 	var checked int
 	var total float64
+	gauges := map[string]float64{}
 	for _, m := range s.Metrics().Snapshot() {
+		if m.Kind == "gauge" {
+			gauges[m.Name] = m.Value
+		}
 		if m.Kind != "counter" {
 			continue
 		}
@@ -203,7 +207,7 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 		}
 		f, ok := field(row, name)
 		if !ok {
-			t.Fatalf("counter %s: no stats field", m.Name)
+			t.Fatalf("counter %s: no stats field tagged %q", m.Name, name)
 		}
 		if got := float64(f.Uint()); got != m.Value {
 			t.Errorf("counter %s = %v, stats field %d", m.Name, m.Value, f.Uint())
@@ -213,6 +217,18 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 	}
 	if want := 18 + 17*len(st.Shards); checked != want || total == 0 {
 		t.Fatalf("checked %d counters summing to %v, want %d and a nonzero sum", checked, total, want)
+	}
+	for name, want := range map[string]uint64{
+		"svc/hints_pending":     st.HintsPending,
+		"svc/repairs_pending":   st.RepairsPending,
+		"svc/window_cuts":       st.WindowCuts,
+		"svc/ecn_cuts":          st.EcnCuts,
+		"svc/arena_live_bytes":  st.ArenaLive,
+		"svc/migrating_buckets": uint64(st.MigratingBuckets),
+	} {
+		if got, ok := gauges[name]; !ok || got != float64(want) {
+			t.Errorf("gauge %s = %v (registered %v), stats %d", name, got, ok, want)
+		}
 	}
 
 	fleet, typ := reflect.ValueOf(st.ShardStats), reflect.TypeOf(st.ShardStats)

@@ -248,7 +248,7 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 		s.compareVersions(partner, key, servedVer)
 		return false
 	}
-	s.probes++
+	s.stats.Probes++
 	g.partner, g.pcli, g.servedVer = partner, partner.setClient(key), servedVer
 	g.pop = s.tr.OpBegin("probe", key)
 	g.next = getProbe
@@ -273,7 +273,7 @@ func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 	case ok:
 		partner.markLive()
 		if ver != g.servedVer {
-			s.probeSkews++
+			s.stats.ProbeSkews++
 			s.scheduleSkewRepair(key)
 		}
 	case g.pcli.lastExecuted(pipeProbe):
@@ -294,7 +294,7 @@ func (s *Service) compareVersions(partner *serviceShard, key, servedVer uint64) 
 		return // neither side holds versioned state
 	}
 	if !ok || pv != servedVer {
-		s.probeSkews++
+		s.stats.ProbeSkews++
 		s.scheduleSkewRepair(key)
 	}
 }
@@ -614,7 +614,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 		}
 		return
 	}
-	s.aePasses++
+	s.stats.AEPasses++
 	segs := s.cfg.AntiEntropySegments
 	segsCompared := 0
 	// The findings wait out the digest charge in the service's scratch;
@@ -641,7 +641,7 @@ func (s *Service) sweepShard(sh *serviceShard) {
 			if root.dig[base+g] == part.dig[g] {
 				continue
 			}
-			s.aeSegsDiffed++
+			s.stats.AESegsDiffed++
 			// Per-key walk of the flagged segment: the root's keys then
 			// the partner's, dedup, compare owner states.
 			clear(s.aeSeen)
@@ -672,7 +672,7 @@ func (s *Service) aeWalk(sh, partner *serviceShard, b *aeBins, at int32, found [
 		if s.unsettled[key] > 0 {
 			continue // an in-flight write explains the skew
 		}
-		s.aeKeysChecked++
+		s.stats.AEKeysChecked++
 		va, _, aok := s.ownerState(sh, key)
 		vb, _, bok := s.ownerState(partner, key)
 		switch {

@@ -461,7 +461,7 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 	var lagging []*serviceShard
 	s.laggingOwners(key, func(sh *serviceShard, _ uint64) { lagging = append(lagging, sh) })
 	if len(lagging) == 0 {
-		s.migKeysSkipped++
+		s.stats.MigKeysSkipped++
 		done()
 		return
 	}
@@ -486,7 +486,7 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 			})
 			return
 		}
-		s.migCopyFails++
+		s.stats.MigCopyFails++
 		s.repairLagging(key)
 		done()
 	}
@@ -503,7 +503,7 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) {
 	s.converge(sh, key, func(out convergeOutcome) {
 		if out == convergeApplied {
-			s.migKeysMoved++
+			s.stats.MigKeysMoved++
 		}
 		done(out != convergeFailed)
 	})
@@ -522,7 +522,7 @@ func (s *Service) sealSegment(m *migration, seg uint64) {
 	m.inFlight--
 	m.sealed[seg] = true
 	m.sealedN++
-	s.migSegsSealed++
+	s.stats.MigSegsSealed++
 	for _, key := range m.segKeys[seg] {
 		if s.unsettled[key] > 0 {
 			continue
@@ -616,7 +616,7 @@ func (s *Service) redirectHints(from *serviceShard) {
 		}
 		to.hints[k] = &hint{mutation: h.mutation, op: h.op, queued: queued}
 		to.stats.HintsQueued++
-		s.migHintsRedirected++
+		s.stats.MigHintsRedirected++
 		touched[to.id] = true
 	}
 	for _, sh := range s.order {

@@ -560,8 +560,8 @@ func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
 		t.Fatalf("refusals moved the crash detector: consecMiss=%d suspectUntil=%v", sh.consecMiss, sh.suspectUntil)
 	}
 	for _, c := range sh.clients {
-		if cs := c.Stats(); cs.SetAcks != 0 || cs.DelAcks != 0 || cs.SetsWedged+cs.DelsWedged != 0 {
-			t.Fatalf("client saw %d set acks, %d delete acks, %d wedged slots; want none", cs.SetAcks, cs.DelAcks, cs.SetsWedged+cs.DelsWedged)
+		if set, del := c.pipelineStats(pipeSet), c.pipelineStats(pipeDelete); set.Acks != 0 || del.Acks != 0 || set.Wedged+del.Wedged != 0 {
+			t.Fatalf("client saw %d set acks, %d delete acks, %d wedged slots; want none", set.Acks, del.Acks, set.Wedged+del.Wedged)
 		}
 	}
 }
@@ -1385,13 +1385,13 @@ func TestServiceDeleteRoundTrip(t *testing.T) {
 	// Deleted keys' space is reusable: re-setting the same keys after
 	// the purge (same per-shard load) must not grow the arena past its
 	// previous footprint.
-	foot := st.ArenaFoot
+	foot := st.ArenaPeak
 	for k := uint64(1); k <= nKeys; k++ {
 		if err := s.Set(k, Value(k+1, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Stats().ArenaFoot; got > foot {
+	if got := s.Stats().ArenaPeak; got > foot {
 		t.Fatalf("arena footprint grew %d -> %d refilling freed space", foot, got)
 	}
 }

@@ -243,7 +243,7 @@ func (op *setOp) fail(s *Service) {
 	if !op.done && op.fails > op.owners-op.need {
 		op.done = true
 		s.tr.OpEnd(op.traceOp, op.traceName())
-		s.quorumFails++
+		s.stats.QuorumFails++
 		now := s.tb.Now()
 		if op.rcpt != nil {
 			// Quorum dead: no critical leg to adopt — the whole span
@@ -362,9 +362,9 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 		s.rejectWrite(cb, ErrValueTooLarge)
 		return
 	}
-	ops, class := &s.setOps, uint8(telemetry.ClassSet)
+	ops, class := &s.stats.SetOps, uint8(telemetry.ClassSet)
 	if del {
-		ops, class = &s.delOps, telemetry.ClassDel
+		ops, class = &s.stats.DelOps, telemetry.ClassDel
 	}
 	*ops++
 	s.nextSeq[key]++
@@ -861,7 +861,7 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 	// them, and an acked write must survive its departure.
 	if s.draining(sh.id) {
 		if to := s.redirectTarget(op.key, sh); to != nil {
-			s.migHintsRedirected++
+			s.stats.MigHintsRedirected++
 			s.queueHint(to, op)
 			return
 		}
