@@ -236,26 +236,18 @@ type serviceShard struct {
 	probeCli     *Client
 	probeFn      func(val []byte, lat Duration, ok bool) // probed, bound once
 
-	// Write-path state: hints hold the newest value (or tombstone) each
-	// down owner is missing (hinted handoff), inflightSet serializes
-	// same-key writes AND deletes so per-key order survives the
-	// pipelined fabric.
-	hints       map[uint64]*hint
-	inflightSet map[uint64]ring.Queue[func()]
+	// keys is this owner's per-key write state (ownerKey: write slot,
+	// hint, tombstone version), an entry only while one is held; nHints
+	// counts the entries whose hint stands.
+	keys   map[uint64]ownerKey
+	nHints int
+	slots  recordPool[ring.Queue[func()]] // queues of held write slots
 
 	// Hint drain: hinted keys wait in drainQ, front first, for one of
 	// the shard's drain lanes — one per write slot of its clients —
 	// and idle is the stack of lanes free to take one.
 	drainQ []uint64
 	idle   []*drainLane
-
-	// tombVer records the newest delete sequence THIS owner applied per
-	// key — coordinator metadata standing in for scanning tombstoned
-	// buckets, whose version words lose their key identity once the
-	// bucket is reclaimed by another key. ownerState consults it so the
-	// repair subsystem can order "deleted at seq v" against a live
-	// replica instead of conflating deletion with a missed write.
-	tombVer map[uint64]uint64
 
 	// stats holds the shard's counters (the ShardStats fields tagged
 	// `metric`), which the registry reads in place; Stats() copies the
@@ -368,19 +360,11 @@ type Service struct {
 
 	hot      *shard.HotKeys    // top-k access tracker (hot routing / cache admission)
 	cache    map[uint64][]byte // client-side hot-value cache
-	setEpoch map[uint64]uint64 // per-key write counter guarding cache admission
 	rrSpread int               // rotation cursor for spreading policies
 
-	// nextSeq issues per-key write sequence numbers: the coordinator
-	// serializes same-key writes, and hints carry their sequence so a
-	// drain can never resurrect a superseded value.
-	nextSeq map[uint64]uint64
-	// unsettled counts writes per key that some owner has not yet
-	// resolved (applied, drained, or superseded). While nonzero, a
-	// lagging replica may legally serve an older value — so the cache
-	// must not admit reads of the key (a stale admission would outlive
-	// the lag it came from).
-	unsettled map[uint64]int
+	// keys is the coordinator's per-key write state (keyRec: sequence,
+	// unsettled count, cache epoch), born at a key's first write.
+	keys map[uint64]keyRec
 
 	// settleHook, when set (tests), runs once per write when every
 	// owner has resolved it: applied, drained, or superseded by a newer
@@ -462,7 +446,7 @@ func (s *Service) initMetrics() {
 	s.reg.Gauge("svc/hints_pending", func() float64 {
 		n := 0
 		for _, sh := range s.order {
-			n += len(sh.hints)
+			n += sh.nHints
 		}
 		return float64(n)
 	})
@@ -611,9 +595,8 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	}
 
 	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(shard.DefaultVirtualNodes),
-		shards: make(map[string]*serviceShard), nextSeq: make(map[uint64]uint64),
-		unsettled: make(map[uint64]int), repq: repair.NewQueue(),
-		aeSeen: make(map[uint64]struct{})}
+		shards: make(map[string]*serviceShard), keys: make(map[uint64]keyRec),
+		repq: repair.NewQueue(), aeSeen: make(map[uint64]struct{})}
 	s.aeSettleFn = s.aeSettled
 	if cfg.Trace {
 		s.tr = telemetry.NewTracer(s.tb.clu.Eng)
@@ -630,7 +613,6 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	}
 	if cfg.HotKeyCache > 0 {
 		s.cache = make(map[uint64][]byte, cfg.HotKeyCache)
-		s.setEpoch = make(map[uint64]uint64)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		id := fmt.Sprintf("shard%d", i)
@@ -678,10 +660,8 @@ func (s *Service) buildShard(id string) *serviceShard {
 	srv := &Server{tb: s.tb, node: node, builder: core.NewBuilder(node.Dev, 1<<16)}
 	srv.valueArena().SetNoReclaim(cfg.NoReclaim)
 	sh := &serviceShard{id: id, stats: ShardStats{ID: id}, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
-		ringIdx: -1,
-		hints:   make(map[uint64]*hint), inflightSet: make(map[uint64]ring.Queue[func()]),
-		tombVer: make(map[uint64]uint64),
-		trTry:   "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
+		ringIdx: -1, keys: make(map[uint64]ownerKey),
+		trTry: "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
 		trHint: "hint:" + id, trRepair: "repair:" + id}
 	sh.probeFn = sh.probed
 	lanes := make([]drainLane, cfg.ClientsPerShard*cfg.Pipeline)
@@ -999,10 +979,11 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 			s.tb.clu.Eng.After(cacheHitLat, g.cacheHitFn)
 			return
 		}
-		g.epoch = s.setEpoch[key]
+		rec := s.keys[key]
+		g.epoch = rec.epoch
 		// Issued behind an unsettled write, this read may hit an owner
 		// that has not applied it and answer after it settles: no admission.
-		g.admit = s.unsettled[key] == 0
+		g.admit = rec.unsettled == 0
 	}
 	s.readOrder(g)
 	if len(g.order) == 0 {
@@ -1257,7 +1238,7 @@ func (s *Service) maybeCache(g *getOp, val []byte) {
 	if s.cache == nil || s.hot == nil || uint64(len(val)) < g.valLen {
 		return
 	}
-	if !g.admit || s.setEpoch[key] != g.epoch {
+	if !g.admit || s.keys[key].epoch != g.epoch {
 		return
 	}
 	// A resharding started (or finished) while this get was in flight:
@@ -1461,7 +1442,7 @@ func (s *Service) Stats() ServiceStats {
 	out.RepairsPending = uint64(s.repq.Len())
 	for _, sh := range s.order {
 		ss := sh.stats
-		ss.HintsPending = uint64(len(sh.hints))
+		ss.HintsPending = uint64(sh.nHints)
 		for _, cli := range sh.clients {
 			cuts, ecn := cli.cuts()
 			ss.GCFreed += cli.gcFreed

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/failure"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // recordsHome fails unless every op record the service — and every
@@ -36,7 +37,8 @@ func recordsHome(t *testing.T, s *Service, old ...*Client) {
 	}
 	if len(s.runs.free) != s.runs.made {
 		for _, sh := range s.order {
-			t.Logf("%s inflightSet %d hostDown %v down %v", sh.id, len(sh.inflightSet), sh.hostDown, sh.down())
+			busy, queued := keySlots(sh)
+			t.Logf("%s key slots busy %d queued %d hostDown %v down %v", sh.id, busy, queued, sh.hostDown, sh.down())
 			for _, c := range sh.clients {
 				st := c.pipelineStats(pipeSet)
 				t.Logf("  %+v", st)
@@ -47,6 +49,21 @@ func recordsHome(t *testing.T, s *Service, old ...*Client) {
 	for _, r := range s.runs.free {
 		if r.next != runFree {
 			t.Fatalf("free list holds an owner-apply record at stage %d", r.next)
+		}
+	}
+	// Every shard's records obey their lifetime rule, and its hint count
+	// is the one its records hold.
+	for _, sh := range s.order {
+		for key, k := range sh.keys {
+			if k.slot != nil || k.hint == nil && k.tomb == 0 {
+				t.Fatalf("%s key %d: record at quiesce %+v, want a hint or tombstone and a free slot", sh.id, key, k)
+			}
+		}
+		if len(sh.slots.free) != sh.slots.made {
+			t.Fatalf("%s: %d of %d write-slot queues back in the pool", sh.id, len(sh.slots.free), sh.slots.made)
+		}
+		if n := hintsOn(sh); n != sh.nHints {
+			t.Fatalf("%s: %d hints stand in its records, its count says %d", sh.id, n, sh.nHints)
 		}
 	}
 	clients := old
@@ -66,6 +83,150 @@ func recordsHome(t *testing.T, s *Service, old ...*Client) {
 			}
 		}
 	}
+}
+
+// keySlots counts the (owner, key) write slots held on sh and the work
+// queued behind them.
+func keySlots(sh *serviceShard) (busy, queued int) {
+	for _, k := range sh.keys {
+		if k.slot != nil {
+			busy++
+			queued += k.slot.Len()
+		}
+	}
+	return busy, queued
+}
+
+// hintsOn counts the hints standing on sh by walking its records.
+func hintsOn(sh *serviceShard) int {
+	n := 0
+	for _, k := range sh.keys {
+		if k.hint != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// The per-key records are whole at the quorum_write shape (4 shards x 2
+// clients x 16 deep, r=3 W=2, 128 closed-loop users, half of them sets,
+// uniform over 10 000 keys), through 50 000 ops. Between events every
+// owner-apply record is either holding its (owner, key) write slot or
+// queued on one, and every held slot is one request in its owner's set
+// pipeline, in flight or waiting; the unsettled counts add up to the
+// live write records. After quiesce no owner keeps a record and no key
+// is unsettled. The backlog the W < N trailing legs leave when the last
+// op is issued is logged: set legs waiting in the pipelines, writes
+// waiting on key slots, and unsettled keys.
+func TestKeyRecordsWholeAtQuorumWriteShape(t *testing.T) {
+	const nKeys, users, total, valLen = 10_000, 128, 50_000, 64
+	s := NewServiceWith(ServiceConfig{
+		Shards: 4, ClientsPerShard: 2, Pipeline: 16, Mode: LookupSeq,
+		Replicas: 3, WriteQuorum: 2, ReadPolicy: ReadPrimary,
+		Buckets: 1 << 16, MaxValLen: valLen})
+	for k := uint64(1); k <= nKeys; k++ {
+		if err := s.Set(k, Value(k, valLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	preload := s.Stats()
+	rng := workload.Rng(1)
+	issued := 0
+	var user func()
+	user = func() {
+		if issued == total {
+			return
+		}
+		issued++
+		k := uint64(rng.Intn(nKeys) + 1)
+		if rng.Intn(2) == 0 {
+			s.SetAsync(k, Value(k+uint64(issued), valLen), func(_ Duration, err error) {
+				if err != nil {
+					t.Errorf("set %d: %v", k, err)
+				}
+				user()
+				s.Flush()
+			})
+			return
+		}
+		s.GetAsync(k, valLen, func(_ []byte, _ Duration, ok bool) {
+			if !ok {
+				t.Errorf("get %d missed", k)
+			}
+			user()
+			s.Flush()
+		})
+	}
+	for u := 0; u < users; u++ {
+		user()
+	}
+	s.Flush()
+
+	// backlog reads the slots and pipelines: held slots, work queued on
+	// them, and set requests in flight and waiting in the pipelines.
+	backlog := func() (busy, slotQueued, inFlight, waiting int) {
+		for _, sh := range s.order {
+			b, q := keySlots(sh)
+			busy, slotQueued = busy+b, slotQueued+q
+			for _, cli := range sh.clients {
+				st := cli.pipelineStats(pipeSet)
+				inFlight, waiting = inFlight+st.InFlight, waiting+st.Queued
+			}
+		}
+		return
+	}
+	unsettled := func() (sum, keys int) {
+		for _, rec := range s.keys {
+			sum += rec.unsettled
+			if rec.unsettled != 0 {
+				keys++
+			}
+		}
+		return
+	}
+	eng := s.Testbed().Engine()
+	checks, peakLegs := 0, 0
+	logged := false
+	for eng.Pending() > 0 {
+		eng.RunUntil(eng.Now() + 20*sim.Microsecond)
+		busy, slotQueued, inFlight, waiting := backlog()
+		if runs := s.runs.made - len(s.runs.free); busy+slotQueued != runs {
+			t.Fatalf("at %v: %d slots held and %d runs queued on them, %d owner-apply records out",
+				s.Now(), busy, slotQueued, runs)
+		}
+		if busy != inFlight+waiting {
+			t.Fatalf("at %v: %d slots held, the set pipelines carry %d in flight and %d waiting",
+				s.Now(), busy, inFlight, waiting)
+		}
+		sum, keys := unsettled()
+		if live := s.sets.made - len(s.sets.free); sum != live || keys > live {
+			t.Fatalf("at %v: %d writes unsettled over %d keys, %d write records live", s.Now(), sum, keys, live)
+		}
+		peakLegs = max(peakLegs, waiting)
+		if issued == total && !logged {
+			logged = true
+			t.Logf("backlog at op %d: %d set legs waiting in the pipelines, %d writes on key slots, %d keys unsettled",
+				total, waiting, slotQueued, keys)
+		}
+		checks++
+	}
+	t.Logf("%d checks; at most %d set legs waited in the pipelines", checks, peakLegs)
+	if st := s.Stats(); st.SetOps-preload.SetOps < total/3 || st.HostSets != preload.HostSets || st.QuorumFails != 0 {
+		t.Fatalf("setup: %d sets, %d legs on the host path, %d quorum failures",
+			st.SetOps-preload.SetOps, st.HostSets-preload.HostSets, st.QuorumFails)
+	}
+	for _, sh := range s.order {
+		if len(sh.keys) != 0 || sh.nHints != 0 {
+			t.Fatalf("%s keeps %d owner records (%d hints) after quiesce", sh.id, len(sh.keys), sh.nHints)
+		}
+	}
+	for k, rec := range s.keys {
+		if rec.unsettled != 0 {
+			t.Fatalf("key %d: %d writes unsettled after quiesce", k, rec.unsettled)
+		}
+	}
+	recordsHome(t, s)
 }
 
 // churn keeps users closed loops of mixed gets (present and absent
@@ -189,7 +350,7 @@ func TestOpRecordsReturnAcrossCrashAndHints(t *testing.T) {
 	}
 	s.Flush()
 	s.Testbed().RunFor(20 * sim.Millisecond)
-	if len(victim.hints) == 0 {
+	if hintsOn(victim) == 0 {
 		t.Fatal("setup: no hints queued on the crashed owner")
 	}
 	// Step to the recovery, then drop every hint the moment the replays
@@ -201,8 +362,8 @@ func TestOpRecordsReturnAcrossCrashAndHints(t *testing.T) {
 	replaying := map[apply]bool{}
 	for len(replaying) == 0 && eng.Pending() > 0 {
 		eng.RunUntil(eng.Now() + 10*sim.Microsecond)
-		for _, h := range victim.hints {
-			if h.draining {
+		for _, k := range victim.keys {
+			if h := k.hint; h != nil && h.draining {
 				replaying[apply{h.key, h.seq}] = true
 			}
 		}
@@ -280,7 +441,7 @@ func TestWriteRecordOutlivesItsOwnLastSettle(t *testing.T) {
 	s.SetAsync(key, Value(key+2, 48), func(_ Duration, err error) { errs[1] = err })
 	s.Flush()
 	s.Testbed().RunFor(20 * sim.Microsecond)
-	if h := staying.hints[key]; h == nil || h.seq != s.nextSeq[key] {
+	if h := staying.hintAt(key); h == nil || h.seq != s.keys[key].seq {
 		t.Fatal("setup: the newer write's hint does not stand on the staying owner")
 	}
 	if err := s.DrainShard(leaving.id); err != nil {
@@ -420,13 +581,13 @@ func TestWaitingQueuesDropPoppedRequests(t *testing.T) {
 	if p.waiting.Len() != 62 {
 		t.Fatalf("%d gets queued behind a 2-deep pipeline, want 62", p.waiting.Len())
 	}
-	if q := sh.inflightSet[keys[0]]; q.Len() != 63 {
+	if q := sh.keys[keys[0]].slot; q.Len() != 63 {
 		t.Fatalf("%d writes queued behind the key's slot, want 63", q.Len())
 	}
 	s.Flush()
 	s.Run()
-	if p.waiting.Len() != 0 || len(sh.inflightSet) != 0 {
-		t.Fatalf("after quiesce %d gets wait and %d key slots are held", p.waiting.Len(), len(sh.inflightSet))
+	if busy, _ := keySlots(sh); p.waiting.Len() != 0 || busy != 0 {
+		t.Fatalf("after quiesce %d gets wait and %d key slots are held", p.waiting.Len(), busy)
 	}
 	recordsHome(t, s)
 }
@@ -526,8 +687,8 @@ func hintedOutage(t *testing.T, n, users int) (*Service, *serviceShard, sim.Time
 	victim.suspectUntil = s.Now() + 10*sim.Second
 	rewriteKeys(s, keys, users, 1)
 	s.Testbed().RunFor(sim.Second)
-	if len(victim.hints) != n || !victim.hostDown {
-		t.Fatalf("setup: %d of %d hints wait for the owner (down: %v)", len(victim.hints), n, victim.hostDown)
+	if hintsOn(victim) != n || !victim.hostDown {
+		t.Fatalf("setup: %d of %d hints wait for the owner (down: %v)", hintsOn(victim), n, victim.hostDown)
 	}
 	return s, victim, crashAt + failure.BootstrapTime + failure.RebuildTime
 }
@@ -556,8 +717,8 @@ func TestHintDrainIsBounded(t *testing.T) {
 	s.runs = recordPool[ownerRun]{}
 	eng := s.Testbed().Engine()
 	eng.RunUntil(up)
-	if victim.hostDown || len(victim.hints) == 0 {
-		t.Fatalf("setup: at recovery the owner is down=%v with %d hints", victim.hostDown, len(victim.hints))
+	if victim.hostDown || hintsOn(victim) == 0 {
+		t.Fatalf("setup: at recovery the owner is down=%v with %d hints", victim.hostDown, hintsOn(victim))
 	}
 	keys := make([]uint64, n)
 	for i := range keys {
@@ -596,9 +757,9 @@ func TestHintDrainIsBounded(t *testing.T) {
 			held, lanes, users)
 	}
 	if st.HintsApplied == 0 || st.HintsDropped == 0 || st.HintsQueued != st.HintsApplied+st.HintsDropped ||
-		len(victim.hints) != 0 {
+		hintsOn(victim) != 0 {
 		t.Fatalf("hints: %d queued, %d applied, %d dropped, %d pending", st.HintsQueued, st.HintsApplied,
-			st.HintsDropped, len(victim.hints))
+			st.HintsDropped, hintsOn(victim))
 	}
 	for _, k := range keys {
 		if v, ok := ownerValue(t, s, victim.id, k); !ok || !bytes.Equal(v, Value(k+2, 48)) {
@@ -627,9 +788,9 @@ func TestHintDrainSurvivesSecondCrash(t *testing.T) {
 	}
 	s.CrashShard(0, failure.ProcessCrash, s.Now())
 	eng.RunUntil(s.Now() + sim.Microsecond)
-	if !victim.hostDown || len(victim.hints) < 100 {
+	if !victim.hostDown || hintsOn(victim) < 100 {
 		t.Fatalf("setup: the second crash found %d hints queued (down: %v), want >= 100",
-			len(victim.hints), victim.hostDown)
+			hintsOn(victim), victim.hostDown)
 	}
 	// Through the second outage: the replays in flight fail, and nothing
 	// else starts.
@@ -638,20 +799,20 @@ func TestHintDrainSurvivesSecondCrash(t *testing.T) {
 	if len(victim.idle) != s.cfg.ClientsPerShard*s.cfg.Pipeline {
 		t.Fatalf("%d drain lanes still busy with the owner down", s.cfg.ClientsPerShard*s.cfg.Pipeline-len(victim.idle))
 	}
-	if int(st.HintsApplied)+len(victim.hints) != n || st.HintsDropped != 0 {
+	if int(st.HintsApplied)+hintsOn(victim) != n || st.HintsDropped != 0 {
 		t.Fatalf("mid-outage: %d applied + %d pending of %d hints (%d dropped)",
-			st.HintsApplied, len(victim.hints), n, st.HintsDropped)
+			st.HintsApplied, hintsOn(victim), n, st.HintsDropped)
 	}
 	for k, c := range applied {
-		if c != 1 || victim.hints[k] != nil {
-			t.Fatalf("key %d: applied %d times, still pending: %v", k, c, victim.hints[k] != nil)
+		if c != 1 || victim.hintAt(k) != nil {
+			t.Fatalf("key %d: applied %d times, still pending: %v", k, c, victim.hintAt(k) != nil)
 		}
 	}
 	s.Run()
 	st = s.Stats().Shards[0]
-	if st.Rebuilds != 2 || st.HintsApplied != n || len(victim.hints) != 0 || len(applied) != n {
+	if st.Rebuilds != 2 || st.HintsApplied != n || hintsOn(victim) != 0 || len(applied) != n {
 		t.Fatalf("after the second recovery: %d rebuilds, %d of %d hints applied to %d keys, %d pending",
-			st.Rebuilds, st.HintsApplied, n, len(applied), len(victim.hints))
+			st.Rebuilds, st.HintsApplied, n, len(applied), hintsOn(victim))
 	}
 	for k, c := range applied {
 		if c != 1 {

@@ -95,38 +95,17 @@ func (s *Service) repairBackoff(n int) Duration {
 // do: divergence needs at least two replicas.
 func (s *Service) repairEnabled() bool { return s.cfg.Replicas > 1 && !s.cfg.NoRepair }
 
-// noteApplied records a value apply at seq on this owner: any tombstone
-// version at or below it is superseded.
-func (sh *serviceShard) noteApplied(key, seq uint64) {
-	if tv, ok := sh.tombVer[key]; ok && seq >= tv {
-		delete(sh.tombVer, key)
-	}
-}
-
-// noteDeleted records a delete apply at seq — the owner's newest
-// tombstone version for key.
-func (sh *serviceShard) noteDeleted(key, seq uint64) {
-	if tv, ok := sh.tombVer[key]; !ok || seq > tv {
-		sh.tombVer[key] = seq
-	}
-}
-
 // ownerState reports the newest versioned state owner holds for key:
 // the resident bucket's version word, or the newest tombstone the
 // coordinator recorded for it (del=true), whichever is newer. ok=false
 // means the owner holds no versioned state at all — it missed every
 // write to the key.
 func (s *Service) ownerState(sh *serviceShard, key uint64) (ver uint64, del, ok bool) {
-	if v, resident := sh.table.table.VersionOf(key); resident {
-		if tv, has := sh.tombVer[key]; has && tv > v {
-			return tv, true, true
-		}
+	tv := sh.keys[key].tomb
+	if v, resident := sh.table.table.VersionOf(key); resident && v >= tv {
 		return v, false, true
 	}
-	if tv, has := sh.tombVer[key]; has {
-		return tv, true, true
-	}
-	return 0, false, false
+	return tv, tv != 0, tv != 0
 }
 
 // winningState finds the newest versioned state any owner holds for
@@ -190,8 +169,8 @@ func (s *Service) StaleOwners(keys []uint64) int {
 func (s *Service) DropHints() int {
 	n := 0
 	for _, sh := range s.order {
-		for _, k := range sortedHintKeys(nil, sh.hints, false) {
-			s.retireHint(sh, sh.hints[k], &sh.stats.HintsDropped)
+		for _, k := range sh.sortedHintKeys(nil, false) {
+			s.retireHint(sh, sh.hintAt(k), &sh.stats.HintsDropped)
 			n++
 		}
 	}
@@ -304,7 +283,7 @@ func (s *Service) compareVersions(partner *serviceShard, key, servedVer uint64) 
 // the write's own fan-out (or its hint) is already converging them,
 // and a mid-flight "skew" is just replication lag.
 func (s *Service) scheduleSkewRepair(key uint64) {
-	if s.unsettled[key] > 0 {
+	if !s.settled(key) {
 		return
 	}
 	s.repairLagging(key)
@@ -387,7 +366,7 @@ func (s *Service) applyRepair(r *repair.Record) {
 	if !ok {
 		return
 	}
-	if s.unsettled[r.Key] > 0 {
+	if !s.settled(r.Key) {
 		// A write is in flight: its own fan-out converges the owners
 		// (or queues hints/repairs of its own). Try again later.
 		s.requeueRepair(sh, r)
@@ -428,10 +407,10 @@ const (
 // modeled cost and all). done runs exactly once, before the slot is
 // released.
 func (s *Service) converge(sh *serviceShard, key uint64, done func(convergeOutcome)) {
-	s.withKeySlot(sh, key, func() {
+	sh.withKeySlot(key, func() {
 		finish := func(out convergeOutcome) {
 			done(out)
-			s.setNext(sh, key)
+			sh.setNext(key)
 		}
 		winVer, winDel, winner, has := s.winningState(key)
 		cur, _, curOK := s.ownerState(sh, key)
@@ -470,7 +449,9 @@ func (s *Service) converge(sh *serviceShard, key uint64, done func(convergeOutco
 			// owner) must not outlive convergence — bump the epoch so
 			// in-flight gets cannot re-admit it either.
 			if s.cache != nil {
-				s.setEpoch[key]++
+				rec := s.keys[key]
+				rec.epoch++
+				s.keys[key] = rec
 				delete(s.cache, key)
 			}
 			finish(convergeApplied)
@@ -669,7 +650,7 @@ func (s *Service) aeWalk(sh, partner *serviceShard, b *aeBins, at int32, found [
 			continue
 		}
 		s.aeSeen[key] = struct{}{}
-		if s.unsettled[key] > 0 {
+		if !s.settled(key) {
 			continue // an in-flight write explains the skew
 		}
 		s.stats.AEKeysChecked++

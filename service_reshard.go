@@ -188,17 +188,7 @@ func (s *Service) stateOwners(key uint64) []string {
 	}
 	out := append([]string(nil), ids...)
 	for _, id := range m.oldOwners(key) {
-		dup := false
-		for _, have := range out {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if _, ok := s.shards[id]; ok {
+		if _, ok := s.shards[id]; ok && !slices.Contains(out, id) {
 			out = append(out, id)
 		}
 	}
@@ -338,9 +328,11 @@ func (s *Service) startMigration(old *shard.Ring, target string, join bool) {
 		// Tombstone-only state moves too: a key deleted at seq v must
 		// arrive at its new owners AS deleted, or a stale replica could
 		// resurrect it after the old tombstone holder leaves.
-		tks := make([]uint64, 0, len(sh.tombVer))
-		for k := range sh.tombVer {
-			tks = append(tks, k)
+		var tks []uint64
+		for k, rec := range sh.keys {
+			if rec.tomb != 0 {
+				tks = append(tks, k)
+			}
 		}
 		sort.Slice(tks, func(i, j int) bool { return tks[i] < tks[j] })
 		for _, k := range tks {
@@ -376,14 +368,7 @@ func (s *Service) ownershipChanged(m *migration, key uint64) bool {
 		return true
 	}
 	for _, id := range newIDs {
-		found := false
-		for _, o := range oldIDs {
-			if o == id {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(oldIDs, id) {
 			return true
 		}
 	}
@@ -524,31 +509,20 @@ func (s *Service) sealSegment(m *migration, seg uint64) {
 	m.sealedN++
 	s.stats.MigSegsSealed++
 	for _, key := range m.segKeys[seg] {
-		if s.unsettled[key] > 0 {
+		if !s.settled(key) {
 			continue
 		}
 		owners := s.owners(key)
 		for _, sh := range s.order {
-			if !m.join && sh.id == m.target {
-				continue
-			}
-			isCur := false
-			for _, id := range owners {
-				if id == sh.id {
-					isCur = true
-					break
-				}
-			}
-			if isCur {
-				continue
-			}
-			if _, busy := sh.inflightSet[key]; busy {
+			if !m.join && sh.id == m.target || slices.Contains(owners, sh.id) || sh.keys[key].slot != nil {
 				continue
 			}
 			if _, _, resident := sh.table.table.Lookup(key); resident {
 				sh.del(key, 0)
 			}
-			delete(sh.tombVer, key)
+			k := sh.keys[key]
+			k.tomb = 0
+			sh.put(key, k)
 		}
 	}
 	if len(m.pending) == 0 && m.inFlight == 0 {
@@ -586,38 +560,27 @@ func (s *Service) finishMigration(m *migration) {
 // redirectHints moves every hint parked on from to each key's new
 // primary. Each redirected hint is a FRESH struct carrying the same
 // op, key, sequence and payload: the original may be mid-drain on
-// from, and a drain lane's identity checks key off from's map — moving
-// the struct itself would wedge its callbacks. Settlement transfers
-// with the op pointer: the new hint settles the originating write when
-// it drains or is superseded, exactly once.
+// from, and a drain lane's identity checks key off from's records —
+// moving the struct itself would wedge its callbacks. Settlement
+// transfers with the op pointer: the new hint settles the originating
+// write when it drains or is superseded, exactly once.
 func (s *Service) redirectHints(from *serviceShard) {
-	if len(from.hints) == 0 {
+	if from.nHints == 0 {
 		return
 	}
 	touched := make(map[string]bool)
-	for _, k := range sortedHintKeys(nil, from.hints, false) {
-		h := from.hints[k]
-		delete(from.hints, k)
+	for _, k := range from.sortedHintKeys(nil, false) {
+		h := from.hintAt(k)
+		from.setHint(k, nil)
 		to := s.redirectTarget(k, from)
 		if to == nil {
 			s.settleHint(h)
 			continue
 		}
-		queued := false
-		if cur, ok := to.hints[k]; ok {
-			if cur.seq >= h.seq {
-				to.stats.HintsDropped++
-				s.settleHint(h)
-				continue
-			}
-			to.stats.HintsDropped++
-			s.settleHint(cur)
-			queued = cur.queued
+		if s.standHint(to, h.op) {
+			s.stats.MigHintsRedirected++
+			touched[to.id] = true
 		}
-		to.hints[k] = &hint{mutation: h.mutation, op: h.op, queued: queued}
-		to.stats.HintsQueued++
-		s.stats.MigHintsRedirected++
-		touched[to.id] = true
 	}
 	for _, sh := range s.order {
 		if touched[sh.id] && !sh.down() {

@@ -213,7 +213,7 @@ func TestServiceReshardHintRedirection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(sh0.hints) == 0 {
+	if hintsOn(sh0) == 0 {
 		t.Fatal("setup failed: no hints accumulated on the suspect shard")
 	}
 	if err := s.DrainShard("shard0"); err != nil {

@@ -479,8 +479,8 @@ func TestServiceAbsentDeleteAppliesUnderSuspicion(t *testing.T) {
 		t.Fatalf("%d hints queued for a delete the owner had nothing to do for", st.HintsQueued)
 	}
 	for _, id := range owners {
-		if v, del, ok := s.ownerState(s.shards[id], key); !ok || !del || v != s.nextSeq[key] {
-			t.Fatalf("owner %s holds version %d (tombstone=%v, any=%v), want the tombstone at %d", id, v, del, ok, s.nextSeq[key])
+		if v, del, ok := s.ownerState(s.shards[id], key); !ok || !del || v != s.keys[key].seq {
+			t.Fatalf("owner %s holds version %d (tombstone=%v, any=%v), want the tombstone at %d", id, v, del, ok, s.keys[key].seq)
 		}
 	}
 }
@@ -657,8 +657,8 @@ func TestServiceSetRejectsOversizedValue(t *testing.T) {
 	if err := s.Set(key, make([]byte, 65)); !errors.Is(err, ErrValueTooLarge) {
 		t.Fatalf("oversized set returned %v, want ErrValueTooLarge", err)
 	}
-	if len(s.unsettled) != 0 || len(s.nextSeq) != 0 {
-		t.Fatalf("refused set touched coordinator state: unsettled=%v nextSeq=%v", s.unsettled, s.nextSeq)
+	if len(s.keys) != 0 {
+		t.Fatalf("refused set touched coordinator state: key records %v", s.keys)
 	}
 	if st := s.Stats(); st.SetOps != 0 || st.FabricSets+st.HostSets != 0 {
 		t.Fatalf("refused set reached the fan-out: %d ops, %d owner writes", st.SetOps, st.FabricSets+st.HostSets)
@@ -670,8 +670,10 @@ func TestServiceSetRejectsOversizedValue(t *testing.T) {
 	if v, _, ok := s.Get(key, 64); !ok || !bytes.Equal(v, Value(key, 64)) {
 		t.Fatal("in-range set after a refusal did not read back")
 	}
-	if len(s.unsettled) != 0 {
-		t.Fatalf("key left unsettled: %v", s.unsettled)
+	for k, rec := range s.keys {
+		if rec.unsettled != 0 {
+			t.Fatalf("key %d left unsettled: %+v", k, rec)
+		}
 	}
 }
 
@@ -715,20 +717,22 @@ func TestServiceConvergeNeverRollsBack(t *testing.T) {
 	// Seq 3 holds the (owner, key) slot, in flight on the fabric; the
 	// repair and the copy queue behind it still believing seq 2 wins.
 	newer := &mutation{key: key, seq: 3, val: Value(key+3, 64)}
-	s.nextSeq[key] = newer.seq
-	s.withKeySlot(lag, key, func() {
+	rec := s.keys[key]
+	rec.seq = newer.seq
+	s.keys[key] = rec
+	lag.withKeySlot(key, func() {
 		s.ownerApplyNow(lag, newer, 0, func(st ownerWriteStatus) {
 			if st != ownerApplied {
 				t.Errorf("newer write on the lagging owner: status %d", st)
 			}
 			s.noteOwnerApplied(lag, newer)
-			s.setNext(lag, key)
+			lag.setNext(key)
 		})
 	})
 	s.applyRepair(&repair.Record{Owner: lagID, Key: key, Seq: 2})
 	copied, copyOK := false, false
 	s.migrateCopy(key, lag, func(ok bool) { copied, copyOK = true, ok })
-	if q := lag.inflightSet[key]; q.Len() != 2 {
+	if q := lag.keys[key].slot; q.Len() != 2 {
 		t.Fatalf("%d converges parked behind the in-flight write, want 2", q.Len())
 	}
 	s.Run()
@@ -747,7 +751,7 @@ func TestServiceConvergeNeverRollsBack(t *testing.T) {
 		t.Fatalf("repairs superseded/applied %d/%d, copies moved %d; want 1/0/0",
 			st.RepairsSuperseded, st.RepairsApplied, st.MigKeysMoved)
 	}
-	if _, busy := lag.inflightSet[key]; busy {
+	if lag.keys[key].slot != nil {
 		t.Fatal("the per-key slot was never released")
 	}
 }
@@ -1466,8 +1470,8 @@ func TestServiceDeleteHintSupersedesValueHint(t *testing.T) {
 	}
 	s.Testbed().RunFor(sim.Millisecond)
 	sh := s.shards[victim]
-	h, ok := sh.hints[key]
-	if !ok || !h.del {
+	h := sh.hintAt(key)
+	if ok := h != nil; !ok || !h.del {
 		t.Fatalf("pending hint is not the tombstone (ok=%v del=%v)", ok, ok && h.del)
 	}
 	// Recovery drains the tombstone: the key must be gone EVERYWHERE —

@@ -46,8 +46,8 @@ import (
 // place and the missing ones rolled forward via hints — never rolled
 // back.
 //
-// Same-key writes are serialized per owner (inflightSet): the
-// coordinator is the single write path, so per-key order is issue
+// Same-key writes are serialized per owner (the ownerKey write slot):
+// the coordinator is the single write path, so per-key order is issue
 // order everywhere, which is what the sequence numbers certify.
 
 // hostSetLat models the cost of a write that must involve the owner's
@@ -307,9 +307,9 @@ func (op *setOp) settleOne(s *Service) {
 	if op.settleLeft != 0 {
 		return
 	}
-	if s.unsettled[op.key]--; s.unsettled[op.key] <= 0 {
-		delete(s.unsettled, op.key)
-	}
+	rec := s.keys[op.key]
+	rec.unsettled--
+	s.keys[op.key] = rec
 	if s.settleHook != nil {
 		s.settleHook(op.key, op.seq)
 	}
@@ -367,10 +367,12 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 		ops, class = &s.stats.DelOps, telemetry.ClassDel
 	}
 	*ops++
-	s.nextSeq[key]++
-	s.unsettled[key]++
+	rec := s.keys[key]
+	rec.seq++
+	rec.unsettled++
+	rec.epoch++
+	s.keys[key] = rec
 	if s.cache != nil {
-		s.setEpoch[key]++
 		if del {
 			delete(s.cache, key)
 		} else if _, ok := s.cache[key]; ok {
@@ -378,7 +380,7 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 		}
 	}
 	op := s.takeSet()
-	op.key, op.seq, op.del = key, s.nextSeq[key], del
+	op.key, op.seq, op.del = key, rec.seq, del
 	op.val = append(op.val, value...)
 	op.need, op.start, op.cb = s.cfg.WriteQuorum, s.tb.Now(), cb
 	op.traceOp = s.tr.OpBegin(op.traceName(), key)
@@ -417,7 +419,7 @@ func (s *Service) startLeg(op *setOp, sh *serviceShard, idx int, votes bool) {
 	r.op, r.idx, r.votes, r.slotted = op, idx, votes, true
 	s.armAntiEntropy()
 	r.next = runSlot
-	s.withKeySlot(sh, op.key, r.slotFn)
+	sh.withKeySlot(op.key, r.slotFn)
 }
 
 // legTrack is the shard's trace track for a voting or auxiliary leg.
@@ -465,45 +467,110 @@ func (r *ownerRun) legDone(st ownerWriteStatus) {
 	op.unpin(s)
 }
 
-// noteOwnerApplied is the bookkeeping every successful owner apply —
-// fan-out leg, drained hint, repair or migration copy — owes: the
-// per-replica apply log (tests), the owner's tombstone version, and
-// retiring any pending hint the apply made redundant.
-func (s *Service) noteOwnerApplied(sh *serviceShard, m *mutation) {
-	if s.applyHook != nil {
-		s.applyHook(sh.id, m.key, m.seq)
+// keyRec is the coordinator's write state for one key: its newest
+// write's sequence, how many of its writes some owner has not resolved
+// yet (applied, drained or superseded), and the write epoch guarding
+// cache admission. Born at the key's first write, never deleted.
+type keyRec struct {
+	seq       uint64
+	unsettled int
+	epoch     uint64
+}
+
+// settled reports whether every owner has resolved every write to key:
+// until then a lagging replica may legally serve an older value, so the
+// cache admits no read of it and repair reads no skew as divergence.
+func (s *Service) settled(key uint64) bool { return s.keys[key].unsettled == 0 }
+
+// ownerKey is one owner's write state for one key, kept on its shard:
+// the (owner, key) write slot (while held, the queue of work behind it,
+// from the shard's pool), the hint standing for the newest mutation the
+// owner is missing, and the newest delete sequence it applied (tomb, 0
+// for none): the version a tombstoned bucket loses once another key
+// reclaims it. An entry lives only while it holds one of the three.
+type ownerKey struct {
+	slot *ring.Queue[func()]
+	hint *hint
+	tomb uint64
+}
+
+// put stores k as sh's state for key, deleting the entry once it is
+// idle: slot free, no hint, no tombstone.
+func (sh *serviceShard) put(key uint64, k ownerKey) {
+	if k.slot == nil && k.hint == nil && k.tomb == 0 {
+		delete(sh.keys, key)
+		return
 	}
-	if m.del {
-		sh.noteDeleted(m.key, m.seq)
-	} else {
-		sh.noteApplied(m.key, m.seq)
-	}
-	s.dropHint(sh, m.key, m.seq)
+	sh.keys[key] = k
 }
 
 // withKeySlot serializes same-key work on one owner: run executes
 // immediately if the (owner, key) write slot is free, else it queues
 // behind the in-flight write. Every run must end by calling setNext.
-func (s *Service) withKeySlot(sh *serviceShard, key uint64, run func()) {
-	if q, busy := sh.inflightSet[key]; busy {
-		*q.Push() = run
-		sh.inflightSet[key] = q
+func (sh *serviceShard) withKeySlot(key uint64, run func()) {
+	k := sh.keys[key]
+	if k.slot != nil {
+		*k.slot.Push() = run
 		return
 	}
-	sh.inflightSet[key] = ring.Queue[func()]{}
+	k.slot, _ = sh.slots.take()
+	sh.keys[key] = k
 	run()
 }
 
-// setNext releases the per-(owner,key) write slot and issues the next
-// queued same-key write, if any.
-func (s *Service) setNext(sh *serviceShard, key uint64) {
-	if q := sh.inflightSet[key]; q.Len() > 0 {
-		next := q.Pop()
-		sh.inflightSet[key] = q
-		next()
+// setNext releases the (owner, key) write slot and issues the next
+// queued same-key work, if any.
+func (sh *serviceShard) setNext(key uint64) {
+	k := sh.keys[key]
+	if k.slot.Len() > 0 {
+		k.slot.Pop()()
 		return
 	}
-	delete(sh.inflightSet, key)
+	sh.slots.put(k.slot)
+	k.slot = nil
+	sh.put(key, k)
+}
+
+// hintAt returns the hint standing for key on sh, nil for none.
+func (sh *serviceShard) hintAt(key uint64) *hint { return sh.keys[key].hint }
+
+// setHint makes h the hint standing for key on sh (nil: none), keeping
+// the shard's count of pending hints.
+func (sh *serviceShard) setHint(key uint64, h *hint) {
+	k := sh.keys[key]
+	switch {
+	case k.hint == nil && h != nil:
+		sh.nHints++
+	case k.hint != nil && h == nil:
+		sh.nHints--
+	}
+	k.hint = h
+	sh.put(key, k)
+}
+
+// noteOwnerApplied is the bookkeeping every successful owner apply —
+// fan-out leg, drained hint, repair or migration copy — owes: the
+// per-replica apply log (tests), the owner's tombstone version (a
+// delete raises it, a value at or past it clears it), and retiring any
+// pending hint the apply made redundant.
+func (s *Service) noteOwnerApplied(sh *serviceShard, m *mutation) {
+	if s.applyHook != nil {
+		s.applyHook(sh.id, m.key, m.seq)
+	}
+	k := sh.keys[m.key]
+	tomb := k.tomb
+	if m.del {
+		tomb = max(tomb, m.seq)
+	} else if m.seq >= tomb {
+		tomb = 0
+	}
+	if tomb != k.tomb {
+		k.tomb = tomb
+		sh.put(m.key, k)
+	}
+	if k.hint != nil && k.hint.seq <= m.seq {
+		s.retireHint(sh, k.hint, &sh.stats.HintsDropped)
+	}
 }
 
 // ownerWriteStatus classifies one owner write's outcome. The
@@ -599,7 +666,7 @@ func (r *ownerRun) finish(st ownerWriteStatus) {
 	r.sh, r.m, r.done, r.cli, r.op = nil, nil, nil, nil, nil
 	s.runs.put(r)
 	if slotted {
-		s.setNext(sh, key)
+		sh.setNext(key)
 	}
 }
 
@@ -866,39 +933,37 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 			return
 		}
 	}
-	queued := false
-	if cur, ok := sh.hints[op.key]; ok {
-		if cur.seq >= op.seq {
-			sh.stats.HintsDropped++
-			op.settleOne(s)
-			return
-		}
-		sh.stats.HintsDropped++
-		s.settleHint(cur)
-		queued = cur.queued // the key keeps its place in the drain
-	}
-	sh.hints[op.key] = &hint{mutation: &op.mutation, op: op, queued: queued}
-	sh.stats.HintsQueued++
-	if s.tr.Enabled() {
+	if s.standHint(sh, op) && s.tr.Enabled() {
 		s.tr.Instant("coordinator", sh.trHint, op.traceOp)
 	}
 }
 
-// dropHint discards a pending hint made redundant by a successful
-// newer (or equal) write to the same owner.
-func (s *Service) dropHint(sh *serviceShard, key, seq uint64) {
-	if cur, ok := sh.hints[key]; ok && cur.seq <= seq {
-		s.retireHint(sh, cur, &sh.stats.HintsDropped)
+// standHint makes op's mutation the hint standing for its key on sh,
+// superseding an older one, and reports whether it stands: against a
+// hint as new or newer, op settles here instead.
+func (s *Service) standHint(sh *serviceShard, op *setOp) bool {
+	queued := false
+	if cur := sh.hintAt(op.key); cur != nil {
+		sh.stats.HintsDropped++
+		if cur.seq >= op.seq {
+			op.settleOne(s)
+			return false
+		}
+		s.settleHint(cur)
+		queued = cur.queued // the key keeps its place in the drain
 	}
+	sh.setHint(op.key, &hint{mutation: &op.mutation, op: op, queued: queued})
+	sh.stats.HintsQueued++
+	return true
 }
 
 // retireHint takes h off sh's queue — if it still stands there —
 // counting it on c (applied or dropped) and settling its write.
 func (s *Service) retireHint(sh *serviceShard, h *hint, c *uint64) {
-	if sh.hints[h.key] != h {
+	if sh.hintAt(h.key) != h {
 		return
 	}
-	delete(sh.hints, h.key)
+	sh.setHint(h.key, nil)
 	*c++
 	s.settleHint(h)
 }
@@ -912,17 +977,17 @@ func (s *Service) settleHint(h *hint) {
 	h.op.settleOne(s)
 }
 
-// sortedHintKeys appends the keys of hints — only those not yet
+// sortedHintKeys appends the keys of sh's hints — only those not yet
 // queued for a drain, when fresh — to keys in key order, growing keys
 // at most once.
-func sortedHintKeys(keys []uint64, hints map[uint64]*hint, fresh bool) []uint64 {
+func (sh *serviceShard) sortedHintKeys(keys []uint64, fresh bool) []uint64 {
 	start := len(keys)
-	for k, h := range hints {
-		if fresh && h.queued {
+	for k, rec := range sh.keys {
+		if rec.hint == nil || fresh && rec.hint.queued {
 			continue
 		}
 		if len(keys) == cap(keys) {
-			keys = slices.Grow(keys, len(hints))
+			keys = slices.Grow(keys, sh.nHints)
 		}
 		keys = append(keys, k)
 	}
@@ -934,13 +999,13 @@ func sortedHintKeys(keys []uint64, hints map[uint64]*hint, fresh bool) []uint64 
 // ones not yet queued join the shard's drain queue in key order, and
 // idle drain lanes take keys off its front.
 func (s *Service) drainHints(sh *serviceShard) {
-	if len(sh.hints) == 0 || sh.hostDown {
+	if sh.nHints == 0 || sh.hostDown {
 		return
 	}
 	start := len(sh.drainQ)
-	sh.drainQ = sortedHintKeys(sh.drainQ, sh.hints, true)
+	sh.drainQ = sh.sortedHintKeys(sh.drainQ, true)
 	for _, k := range sh.drainQ[start:] {
-		sh.hints[k].queued = true
+		sh.hintAt(k).queued = true
 	}
 	s.pumpDrain(sh)
 }
@@ -950,7 +1015,7 @@ func (s *Service) drainHints(sh *serviceShard) {
 // already replaying on another lane is skipped.
 func (s *Service) pumpDrain(sh *serviceShard) {
 	for len(sh.idle) > 0 && len(sh.drainQ) > 0 && !sh.hostDown {
-		h := sh.hints[sh.drainQ[0]]
+		h := sh.hintAt(sh.drainQ[0])
 		sh.drainQ = sh.drainQ[1:]
 		if h != nil && !h.draining {
 			l := sh.idle[len(sh.idle)-1]
@@ -981,7 +1046,7 @@ func (l *drainLane) replay(h *hint) {
 	l.h = h
 	h.queued, h.draining = true, true
 	h.op.pins++
-	l.sh.svc.withKeySlot(l.sh, h.key, l.slotFn)
+	l.sh.withKeySlot(h.key, l.slotFn)
 }
 
 // granted runs with the write slot held. Staleness is re-checked here:
@@ -990,7 +1055,7 @@ func (l *drainLane) replay(h *hint) {
 // never runs an old value over a newer write.
 func (l *drainLane) granted() {
 	s, sh, h := l.sh.svc, l.sh, l.h
-	if sh.hints[h.key] != h {
+	if sh.hintAt(h.key) != h {
 		l.release(true)
 		return
 	}
@@ -1024,8 +1089,8 @@ func (l *drainLane) release(reachable bool) {
 	s, sh, h, key := l.sh.svc, l.sh, l.h, l.h.key
 	h.draining, l.h = false, nil
 	h.op.unpin(s)
-	s.setNext(sh, key)
-	if next := sh.hints[key]; next != nil && !next.draining {
+	sh.setNext(key)
+	if next := sh.hintAt(key); next != nil && !next.draining {
 		if reachable {
 			l.replay(next)
 			return
