@@ -36,8 +36,9 @@ const defaultWindowBeta = 0.5
 // windowStart is the window a pipeline opens at (capped at its depth).
 // Opening a deep pipeline at full depth would start with a thundering
 // herd the AIMD loop then has to pay for in timeouts; starting modestly
-// lets additive increase probe up to the knee.
-const windowStart = 16
+// lets additive increase probe up to the knee — for single-probe gets
+// ~40 per connection, ~W²/2 answers up from the start.
+const windowStart = 32
 
 // pipeOp names one of the client's four offload pipelines.
 type pipeOp uint8
@@ -92,7 +93,7 @@ type pipelineStats struct {
 // doorbell-less and kicked in batches by Flush.
 //
 // How many of the depth slots a pipeline may occupy at once is its
-// congestion window, an AIMD loop: open at min(16, depth), grow by 1/w
+// congestion window, an AIMD loop: open at min(32, depth), grow by 1/w
 // per clean answer, cut multiplicatively on a lost request (one whose
 // chain never ran before its deadline) and on the ECN-like backlog
 // watermark the NIC stamps into completions, floor 1, one cut per
@@ -176,6 +177,7 @@ type reqState struct {
 	done  bool
 	op    uint64 // trace op id (0 = untraced)
 	mark  uint64 // get: its issue mark in the server's retire queue
+	fn    int    // get: 1 + the candidate a hinted get probes alone; 0 probes both
 
 	// Provenance stamps: when the request entered the pipeline and
 	// whether it queued for window headroom (vs a free slot). The
@@ -211,17 +213,15 @@ type aimdWindow struct {
 	ecn     sim.Time // ack backlog above this marks congestion; <0 disables
 	lastCut uint64   // issue seq the last cut charged; older reqs can't re-cut
 
-	cuts, ecnCuts uint64 // total cuts / cuts taken on ECN marks
+	cuts, ecnCuts uint64  // total cuts / cuts taken on ECN marks
+	ecnShed       float64 // window slots the ECN cuts gave up
 }
 
 func (a *aimdWindow) size() int { return int(a.w) }
 
 // onAck grows the window additively on a clean (unmarked) answer.
 func (a *aimdWindow) onAck() {
-	a.w += 1 / a.w
-	if a.w > a.depth {
-		a.w = a.depth
-	}
+	a.w = min(a.depth, a.w+1/a.w)
 }
 
 // cut applies one multiplicative decrease if reqSeq postdates the last
@@ -233,13 +233,12 @@ func (a *aimdWindow) cut(reqSeq, curSeq uint64, ecn bool) bool {
 		return false
 	}
 	a.lastCut = curSeq
-	a.w *= a.beta
-	if a.w < 1 {
-		a.w = 1
-	}
+	w := a.w
+	a.w = max(1, a.w*a.beta)
 	a.cuts++
 	if ecn {
 		a.ecnCuts++
+		a.ecnShed += w - a.w
 	}
 	return true
 }
@@ -261,7 +260,7 @@ type opPipeline struct {
 	name string // trace and profiler class names: "get", "set", "del", "probe"
 
 	depth   int
-	respPer uint64 // signaled response completions per executed instance
+	respPer uint64 // signaled response completions per executed instance (a hinted get's: 1)
 	qp      *rnic.QP
 
 	// The op contexts of the server-side offload contexts, one per slot,
@@ -279,14 +278,16 @@ type opPipeline struct {
 	reqs recordPool[pipeReq]
 
 	// Chain-execution accounting: every response WQE is signaled, so
-	// each executed instance delivers exactly respPer completions on
-	// its slot's response QP(s) — answer (WRITE) or miss (NOOP) alike.
-	// armCount-vs-execSeen is how the client detects a dead server NIC
-	// (a frozen device drops trigger SENDs; the armed chain never runs)
-	// without any out-of-band signal: a timed-out slot whose instance
-	// never executed is quarantined instead of re-armed, since stacking
-	// instances on an unresponsive context would overflow its rings.
-	armCount []uint64
+	// each executed instance delivers exactly one completion per
+	// response it posted on its slot's response QP(s) — answer (WRITE)
+	// or miss (NOOP) alike. owed-vs-execSeen is how the client detects
+	// a dead server NIC (a frozen device drops trigger SENDs; the armed
+	// chain never runs) without any out-of-band signal: a timed-out
+	// slot whose instance never executed is quarantined instead of
+	// re-armed, since stacking instances on an unresponsive context
+	// would overflow its rings.
+	owed     []uint64 // completions the slot's armed instances owe in all
+	last     []uint64 // completions the slot's last armed instance owes
 	execSeen []uint64
 	wedged   []bool
 	nWedged  int
@@ -341,7 +342,8 @@ func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
 	p := &opPipeline{
 		c: c, op: op, name: name, depth: depth, respPer: 1,
 		slots:    make([]*pipeReq, depth),
-		armCount: make([]uint64, depth),
+		owed:     make([]uint64, depth),
+		last:     make([]uint64, depth),
 		execSeen: make([]uint64, depth),
 		wedged:   make([]bool, depth),
 		win: aimdWindow{
@@ -407,10 +409,11 @@ func (req *pipeReq) mustBeLive() {
 	}
 }
 
-// pending returns how many signaled response completions the slot's
-// armed instances still owe.
-func (p *opPipeline) pending(slot int) uint64 {
-	return p.armCount[slot]*p.respPer - p.execSeen[slot]
+// started reports whether the instance armed last on slot has begun
+// executing: response completions are delivered in order, so the
+// completions still owed fell below that instance's own.
+func (p *opPipeline) started(slot int) bool {
+	return p.owed[slot]-p.execSeen[slot] < p.last[slot]
 }
 
 // submit routes one request into the pipeline: issue if a slot and
@@ -464,7 +467,11 @@ func (p *opPipeline) issue(req *pipeReq) {
 	p.free = p.free[:len(p.free)-1]
 	req.slot = slot
 	p.slots[slot] = req
-	p.armCount[slot]++
+	p.last[slot] = p.respPer
+	if req.fn != 0 {
+		p.last[slot] = 1 // a hinted get probes one bucket
+	}
+	p.owed[slot] += p.last[slot]
 	p.issued++
 	p.inFlight++
 	p.seq++
@@ -542,7 +549,7 @@ func (req *pipeReq) timeout() {
 func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Time) {
 	c := p.c
 	p.vacate(req)
-	executed := p.pending(req.slot) < p.respPer
+	executed := p.started(req.slot)
 	if ok {
 		p.acks++
 	} else {
@@ -622,7 +629,7 @@ func (p *opPipeline) conclude(req *pipeReq, lat Duration, ok, executed bool) {
 func (p *opPipeline) restart() {
 	p.free = p.free[:0]
 	for slot, req := range p.slots {
-		p.armCount[slot], p.execSeen[slot], p.wedged[slot] = 0, 0, false
+		p.owed[slot], p.execSeen[slot], p.wedged[slot] = 0, 0, false
 		if req == nil {
 			p.free = append(p.free, slot)
 		}
@@ -657,7 +664,7 @@ func (p *opPipeline) flush(cut uint64) {
 // falling below one instance's worth means the last armed chain has
 // begun executing on a live NIC.
 func (p *opPipeline) reclaim(slot int) {
-	if !p.wedged[slot] || p.pending(slot) >= p.respPer {
+	if !p.wedged[slot] || !p.started(slot) {
 		return
 	}
 	p.wedged[slot] = false
@@ -711,13 +718,13 @@ func (c *Client) setTracer(tr *telemetry.Tracer, label string) {
 }
 
 // cuts totals the multiplicative decreases across all four windows,
-// and the subset taken on ECN marks rather than lost requests.
-func (c *Client) cuts() (cuts, ecnCuts uint64) {
+// the subset taken on ECN marks rather than lost requests, and the
+// window slots those ECN cuts gave up.
+func (c *Client) cuts() (cuts, ecnCuts uint64, ecnShed float64) {
 	for _, p := range c.pipes {
-		cuts += p.win.cuts
-		ecnCuts += p.win.ecnCuts
+		cuts, ecnCuts, ecnShed = cuts+p.win.cuts, ecnCuts+p.win.ecnCuts, ecnShed+p.win.ecnShed
 	}
-	return cuts, ecnCuts
+	return cuts, ecnCuts, ecnShed
 }
 
 // NewClient adds a client node connected back-to-back to srv, keeping
@@ -837,8 +844,13 @@ func (c *Client) wireHooks() {
 	// arming to its release, so no extent it may gather from is reused.
 	c.get.arm = func(req *pipeReq, resp uint64) []byte {
 		req.mark = c.srv.retire.enter()
-		c.gets.Ctxs[req.slot].Arm()
-		return c.gets.Ctxs[req.slot].TriggerPayload(req.key, req.valLen, resp)
+		ctx := c.gets.Ctxs[req.slot]
+		if req.fn != 0 {
+			ctx.ArmProbe(req.fn - 1)
+		} else {
+			ctx.Arm()
+		}
+		return ctx.TriggerPayload(req.key, req.valLen, resp)
 	}
 	c.get.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		if req.getCB == nil {
@@ -950,7 +962,7 @@ func (c *Client) reset() {
 	c.dels.Reset()
 	c.prbs.Reset()
 	for slot, ctx := range c.sets.Ctxs {
-		if c.set.pending(slot) >= c.set.respPer {
+		if !c.set.started(slot) {
 			ctx.ReleaseStaging()
 		}
 	}
@@ -1057,12 +1069,14 @@ func (c *Client) Flush() {
 // pipeline window queue client-side until a slot frees. Call Flush to
 // ring the doorbell after posting a batch.
 func (c *Client) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
-	c.getAsync(key, valLen, 0, cb)
+	c.getAsync(key, valLen, 0, 0, cb)
 }
 
 // getAsync is GetAsync with the trace op id the get's WRs attribute to
-// — the service layer's entry point (0 = unattributed).
-func (c *Client) getAsync(key, valLen, op uint64, cb func(val []byte, lat Duration, ok bool)) {
+// (0 = unattributed) and fn, 1 + the candidate bucket the caller knows
+// holds key, probed alone (0 = unknown: both probes) — the service
+// layer's entry point.
+func (c *Client) getAsync(key, valLen, op uint64, fn int, cb func(val []byte, lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Get")
 	}
@@ -1070,7 +1084,7 @@ func (c *Client) getAsync(key, valLen, op uint64, cb func(val []byte, lat Durati
 		panic(fmt.Sprintf("redn: valLen %d exceeds client max %d", valLen, c.maxVal))
 	}
 	req := c.get.take()
-	req.key, req.valLen, req.getCB, req.op = key&hopscotch.KeyMask, valLen, cb, op
+	req.key, req.valLen, req.getCB, req.op, req.fn = key&hopscotch.KeyMask, valLen, cb, op, fn
 	c.get.submit(req)
 }
 

@@ -772,7 +772,7 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 	if got := srv.valueArena().Stats().LiveBytes; got != live {
 		t.Fatalf("arena grew %d -> %d live bytes across 20 refused claims", live, got)
 	}
-	cuts, _ := cli.cuts()
+	cuts, _, _ := cli.cuts()
 	if w := cli.pipelineStats(pipeSet).Window; cuts != 0 || w != 4 {
 		t.Fatalf("%d window cuts, window %d after 20 refusals from start 2; want 0 cuts and the full depth 4", cuts, w)
 	}

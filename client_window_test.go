@@ -139,7 +139,7 @@ func TestWindowConvergesFromUndersizedStart(t *testing.T) {
 	if st := cli.pipelineStats(pipeGet); st.Window != 16 {
 		t.Fatalf("window %d after 400 clean acks from start 1, want the depth 16", st.Window)
 	}
-	if cuts, _ := cli.cuts(); cuts != 0 {
+	if cuts, _, _ := cli.cuts(); cuts != 0 {
 		t.Fatalf("%d cuts on an uncongested hit-only run", cuts)
 	}
 }
@@ -180,7 +180,7 @@ func TestWindowConvergesFromOversizedStart(t *testing.T) {
 	if st.Window != 1 {
 		t.Fatalf("window %d after sustained losses from start 8, want the floor 1", st.Window)
 	}
-	cuts, ecnCuts := cli.cuts()
+	cuts, ecnCuts, _ := cli.cuts()
 	if cuts < 3 {
 		t.Fatalf("%d cuts while converging 8 -> 1 at beta %.1f, want >= 3", cuts, defaultWindowBeta)
 	}
@@ -225,7 +225,7 @@ func TestAIMDWindowHoldsAcrossMisses(t *testing.T) {
 	if st := cli.pipelineStats(pipeGet); st.Window != 8 || st.Wedged != 0 {
 		t.Fatalf("window %d, %d wedged after 60 misses; want the opening 8 and none", st.Window, st.Wedged)
 	}
-	if cuts, _ := cli.cuts(); cuts != 0 {
+	if cuts, _, _ := cli.cuts(); cuts != 0 {
 		t.Fatalf("%d window cuts on a miss-only stream", cuts)
 	}
 	if _, _, ok := cli.Get(1, 64); !ok {
@@ -324,7 +324,7 @@ func TestClientResetRestartsPipelines(t *testing.T) {
 	get(2) // in flight at the reset
 	tb.RunFor(10 * sim.Microsecond)
 	st := cli.pipelineStats(pipeGet)
-	cuts, _ := cli.cuts()
+	cuts, _, _ := cli.cuts()
 	if fails != 2 || st.Wedged != 2 || st.InFlight != 2 || cuts == 0 {
 		t.Fatalf("setup: %d failed, %d wedged, %d in flight, %d cuts", fails, st.Wedged, st.InFlight, cuts)
 	}
@@ -334,7 +334,7 @@ func TestClientResetRestartsPipelines(t *testing.T) {
 	if fails != 4 || ran != 0 {
 		t.Fatalf("the reset failed %d of the 2 requests in flight (%d as executed)", fails-2, ran)
 	}
-	if after, _ := cli.cuts(); st.Wedged != 0 || st.InFlight != 0 || len(cli.get.free) != 4 || st.Window != 4 || after != cuts {
+	if after, _, _ := cli.cuts(); st.Wedged != 0 || st.InFlight != 0 || len(cli.get.free) != 4 || st.Window != 4 || after != cuts {
 		t.Fatalf("after the reset: %d wedged, %d in flight, %d free, window %d, %d cuts (%d before)",
 			st.Wedged, st.InFlight, len(cli.get.free), st.Window, after, cuts)
 	}

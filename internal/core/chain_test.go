@@ -41,6 +41,9 @@ var programShapes = []struct {
 }{
 	{"get single", 4, 6, 4, lookupShape(LookupSingle)},
 	{"get seq", 7, 11, 7, lookupShape(LookupSeq)},
+	// ArmProbe on a seq context: one probe, at the candidate named.
+	{"get hinted H1", 4, 6, 4, hintedShape(0)},
+	{"get hinted H2", 4, 6, 4, hintedShape(1)},
 	// Each of the two control queues WAITs on the trigger.
 	{"get parallel", 7, 12, 7, lookupShape(LookupParallel)},
 	// An overwrite's claim installs the published word itself: no
@@ -164,6 +167,23 @@ func lookupShape(mode LookupMode) shapeBuild {
 		o := NewLookupPool(h.b, h.trig, h.resp(true), resp2, h.table, mode).Ctxs[0]
 		return &o.chain, func() []byte {
 			o.Arm()
+			return o.TriggerPayload(1, 64, h.buf)
+		}
+	}
+}
+
+// hintedShape builds one pooled LookupSeq get context and arms it with
+// a single probe of candidate fn, where key 1 is moved first.
+func hintedShape(fn int) shapeBuild {
+	return func(h *shapeRig) (*chain, func() []byte) {
+		va, vl, _ := h.table.Lookup(1)
+		h.table.Remove(1)
+		if err := h.table.InsertAt(1, va, vl, fn, 0); err != nil {
+			panic(err)
+		}
+		o := NewLookupPool(h.b, h.trig, h.resp(true), nil, h.table, LookupSeq).Ctxs[0]
+		return &o.chain, func() []byte {
+			o.ArmProbe(fn)
 			return o.TriggerPayload(1, 64, h.buf)
 		}
 	}

@@ -219,6 +219,32 @@ func TestLookupSeqFindsSecondBucket(t *testing.T) {
 	t.Logf("seq second-bucket latency: %v", lat)
 }
 
+// A single-probe instance reads only the candidate it was aimed at: a
+// key at H2 answers a probe of H2, is missed by a probe of H1, and a
+// two-probe instance armed after them probes H1 first again.
+func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
+	h, o, cliQP, table := setupLookup(t, LookupSeq)
+	val := []byte("hinted-second-bucket")
+	addr := h.srv.Mem().Alloc(uint64(len(val)), 8)
+	h.srv.Mem().Write(addr, val)
+	if err := table.InsertAt(77, addr, uint64(len(val)), 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	o.ArmProbe(1)
+	o.Run()
+	if got, _ := doGet(t, h, o, cliQP, 77, uint64(len(val))); string(got) != string(val) {
+		t.Fatalf("probe of H2: value %q, want %q", got, val)
+	}
+	o.ArmProbe(0)
+	if got, lat := doGet(t, h, o, cliQP, 77, uint64(len(val))); lat < 100*sim.Microsecond {
+		t.Fatalf("probe of H1 answered %q after %v; want a miss", got, lat)
+	}
+	o.Arm()
+	if got, _ := doGet(t, h, o, cliQP, 77, uint64(len(val))); string(got) != string(val) {
+		t.Fatalf("both probes after a single one: value %q, want %q", got, val)
+	}
+}
+
 func TestLookupParallelFindsSecondBucketFaster(t *testing.T) {
 	val := []byte("parallel-bucket-value-64-bytes!!")
 	run := func(mode LookupMode) sim.Time {

@@ -27,10 +27,17 @@ const (
 	// LookupSingle probes only H1(x) — the no-collision case (Fig 10).
 	LookupSingle LookupMode = iota
 	// LookupSeq probes H1 then H2 sequentially in one chain (RedN-Seq).
-	// Both probes always run: an early exit after a probe-1 hit was sized
-	// and rejected (CHANGES.md, PR 21) — a run-time decision costs >= 2
-	// managed WQEs (the prefetched control queue's ENABLEs cannot be
-	// rewritten) and a stalled WAIT, to save <= 1 fetch on hits only.
+	// An instance Arm posts runs both probes: an early exit after a
+	// probe-1 hit was sized and rejected (CHANGES.md, PR 21) — a run-time
+	// decision costs >= 2 managed WQEs (the prefetched control queue's
+	// ENABLEs cannot be rewritten) and a stalled WAIT, to save <= 1 fetch
+	// on hits only. The choice is the client's instead, made before the
+	// trigger is sent: a client that knows which candidate holds the key
+	// arms ArmProbe's single probe at it (4 managed fetches, not 7), and
+	// re-arms both probes if that probe misses. The service knows from
+	// its own fabric claims (the candidate each owner's last applied
+	// claim named), and forgets when a host write, a kick walk, a delete
+	// or a ring change may have moved the key (DESIGN.md §2).
 	LookupSeq
 	// LookupParallel probes H1 and H2 on independent WQs pinned to
 	// different NIC PUs (RedN-Parallel); costs an extra response QP,
@@ -62,6 +69,8 @@ type LookupOffload struct {
 
 	w2  *rnic.QP // managed chain queue, bucket 1
 	w2b *rnic.QP // managed chain queue, bucket 2 (LookupSeq: w2 itself)
+
+	fn int // the candidate the instance armed last probes first
 }
 
 // NewLookupOffload builds a standalone offload, answering on trig's SQ.
@@ -140,17 +149,24 @@ var lookupLayout = []slot{
 // re-arm from completion callbacks (unrolled mode) or pre-arm many
 // instances ahead of time — pre-arming is what lets the offload keep
 // serving across host crashes (§5.6).
-func (o *LookupOffload) Arm() {
+func (o *LookupOffload) Arm() { o.arm(0, o.Mode == LookupSingle) }
+
+// ArmProbe posts an instance in LookupSingle's shape on a context of
+// any mode, its one probe aimed at candidate fn (0: H1, 1: H2).
+func (o *LookupOffload) ArmProbe(fn int) { o.arm(fn, true) }
+
+func (o *LookupOffload) arm(fn int, single bool) {
 	resp := o.Resp
 	if resp == nil {
 		resp = o.Trig
 	}
+	o.fn = fn
 	var in instance
 	o.inject(&in, pRead, o.w2, resp, 16, 0)
-	switch o.Mode {
-	case LookupSingle:
+	switch {
+	case single:
 		o.fire(lookupLayout, &in, in.steps[:probe2])
-	case LookupSeq:
+	case o.Mode == LookupSeq:
 		o.inject(&in, probe2, o.w2b, resp, 16, 0)
 		o.fire(lookupLayout, &in, in.steps[:2*probe2])
 	default:
@@ -169,10 +185,11 @@ func (o *LookupOffload) Run() {
 }
 
 // TriggerPayload builds the client SEND payload for a get of key,
-// requesting length valLen into the client-side buffer respAddr. The
-// result is the context's own buffer, overwritten by its next
+// requesting length valLen into the client-side buffer respAddr, its
+// first probe at the candidate the last Arm or ArmProbe aimed it at.
+// The result is the context's own buffer, overwritten by its next
 // TriggerPayload.
 func (o *LookupOffload) TriggerPayload(key, valLen, respAddr uint64) []byte {
-	return o.payload(lookupLayout, key, operands{opBucket: o.Table.HashAddr(key, 0), opBucket2: o.Table.HashAddr(key, 1),
+	return o.payload(lookupLayout, key, operands{opBucket: o.Table.HashAddr(key, o.fn), opBucket2: o.Table.HashAddr(key, 1),
 		opLen: valLen, opResp: respAddr})
 }

@@ -45,7 +45,7 @@ func tombstoneBucket(tbl *hopscotch.Table, key uint64) uint64 {
 
 func TestInsertLookupDelete(t *testing.T) {
 	tbl, _ := newTable(256)
-	if _, err := tbl.Place(42, 0x1000, 64, 0); err != nil {
+	if _, _, err := tbl.Place(42, 0x1000, 64, 0); err != nil {
 		t.Fatal(err)
 	}
 	va, vl, ok := tbl.Lookup(42)
@@ -80,7 +80,7 @@ func TestDisplacement(t *testing.T) {
 	tbl, _ := newTable(32)
 	var keys []uint64
 	for k := uint64(1); k <= 200; k++ {
-		spilled, err := tbl.Place(k, k*8, 8, 0)
+		spilled, _, err := tbl.Place(k, k*8, 8, 0)
 		if err != nil {
 			break
 		}
@@ -104,7 +104,7 @@ func TestFullTable(t *testing.T) {
 	tbl, _ := newTable(2)
 	sawFull := false
 	for k := uint64(1); k <= 100; k++ {
-		if _, err := tbl.Place(k, k, 8, 0); errors.Is(err, hopscotch.ErrFull) {
+		if _, _, err := tbl.Place(k, k, 8, 0); errors.Is(err, hopscotch.ErrFull) {
 			sawFull = true
 			break
 		}
@@ -132,7 +132,7 @@ func TestBucketABIMatchesHopscotch(t *testing.T) {
 
 func TestWideKeyRejected(t *testing.T) {
 	tbl, _ := newTable(64)
-	if _, err := tbl.Place(1<<48, 1, 1, 0); err == nil {
+	if _, _, err := tbl.Place(1<<48, 1, 1, 0); err == nil {
 		t.Fatal("49-bit key accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestCuckooProperty(t *testing.T) {
 			if _, ok := seen[k]; ok {
 				err = tbl.Insert(k, v, 8)
 			} else {
-				_, err = tbl.Place(k, v, 8, 0)
+				_, _, err = tbl.Place(k, v, 8, 0)
 			}
 			if err != nil {
 				return true
@@ -213,7 +213,7 @@ func TestCuckooPropertyRandomOps(t *testing.T) {
 			if kicks(tbl, key) {
 				kicked++
 			}
-			if _, err := tbl.Place(key, va, vl, 0); err == nil {
+			if _, _, err := tbl.Place(key, va, vl, 0); err == nil {
 				model[key] = ent{va, vl}
 			} else {
 				if !errors.Is(err, hopscotch.ErrFull) {
@@ -249,7 +249,7 @@ func TestCuckooPropertyRandomOps(t *testing.T) {
 // new key whose candidate is the tombstoned bucket reclaims it.
 func TestTombstoneReclaim(t *testing.T) {
 	tbl, _ := newTable(64)
-	if _, err := tbl.Place(1, 0x1000, 8, 0); err != nil {
+	if _, _, err := tbl.Place(1, 0x1000, 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !tbl.Delete(1) {
@@ -269,7 +269,7 @@ func TestTombstoneReclaim(t *testing.T) {
 	var k uint64
 	for k = 100; tbl.Hash(k, 0) != b; k++ {
 	}
-	if _, err := tbl.Place(k, 0x2000, 8, 0); err != nil {
+	if _, _, err := tbl.Place(k, 0x2000, 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, _, _ := tbl.EntryAt(b); got != k || tbl.Tombstones() != 0 {
@@ -286,7 +286,7 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 	// Saturate until full.
 	var resident []uint64
 	for k := uint64(1); uint64(len(resident)) < n && k < 100000; k++ {
-		if _, err := tbl.Place(k, k*16, 8, 0); err == nil {
+		if _, _, err := tbl.Place(k, k*16, 8, 0); err == nil {
 			resident = append(resident, k)
 		}
 	}
@@ -310,7 +310,7 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 	// collisions can strand a few).
 	placed := 0
 	for k := uint64(200000); k < 300000 && placed < deleted; k++ {
-		if _, err := tbl.Place(k, k*16, 8, 0); err == nil {
+		if _, _, err := tbl.Place(k, k*16, 8, 0); err == nil {
 			placed++
 		}
 	}
@@ -325,7 +325,7 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 // The reserved tombstone id is not a usable key.
 func TestTombstoneIDRejected(t *testing.T) {
 	tbl, _ := newTable(16)
-	if _, err := tbl.Place(hopscotch.TombstoneID, 0x1000, 8, 0); err == nil {
+	if _, _, err := tbl.Place(hopscotch.TombstoneID, 0x1000, 8, 0); err == nil {
 		t.Fatal("insert of the reserved tombstone id succeeded")
 	}
 }
@@ -338,7 +338,7 @@ func TestVersionRidesKicks(t *testing.T) {
 	stored, kicked := uint64(0), false
 	for k := uint64(1); k <= 40; k++ {
 		kicked = kicked || kicks(tbl, k)
-		if _, err := tbl.Place(k, 0x1000+k*64, 64, k*10); err != nil {
+		if _, _, err := tbl.Place(k, 0x1000+k*64, 64, k*10); err != nil {
 			break // table full: versions of everything placed so far still hold
 		}
 		stored = k
@@ -364,7 +364,7 @@ func TestVersionRidesKicks(t *testing.T) {
 // version a versioned path already published.
 func TestVersionPreservedByUnversionedOps(t *testing.T) {
 	tbl, _ := newTable(256)
-	if _, err := tbl.Place(42, 0x1000, 64, 7); err != nil {
+	if _, _, err := tbl.Place(42, 0x1000, 64, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Insert(42, 0x2000, 64); err != nil {

@@ -45,7 +45,7 @@ func sharded() redn.ServiceConfig {
 // The scale-out acceptance property: 8 shards of 16-deep pipelined
 // clients must sustain at least 4x the aggregate gets/virtual-second of
 // the single-server blocking path on the same workload. (Measured
-// headroom is ~16x; 4x is the floor.)
+// headroom is ~27x; 4x is the floor.)
 func TestScaleOutSpeedup(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {

@@ -80,6 +80,9 @@ var Tombstone = wqe.MakeCtrl(wqe.OpNoop, TombstoneID)
 // ErrFull reports that neither candidate neighborhood has room.
 var ErrFull = errors.New("hopscotch: table full (both neighborhoods exhausted)")
 
+// ErrClaimed reports a kick walk that reached a bucket a claim holds.
+var ErrClaimed = errors.New("hopscotch: kick walk reached a bucket a claim in flight holds")
+
 // Table is a Hopscotch hash table resident in simulated memory.
 type Table struct {
 	mem          *mem.Memory
@@ -337,14 +340,18 @@ const maxKicks = 16
 // residents cuckoo-style (each moves to its other candidate) up to
 // maxKicks deep, then spills the last evictee into a neighborhood slot:
 // spilled reports that entry, which host Lookup finds but a NIC's
-// exact-bucket probes miss. A key already resident anywhere, a spilled
-// one included, is overwritten in its own slot and reports no new
-// spill. With a neighborhood of 1 nothing can spill, so Place is
-// two-choice cuckoo placement. An error rolls the walk back: no
-// resident is lost.
-func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, err error) {
+// exact-bucket probes miss. moved lists the residents the walk
+// displaced, in walk order, so a caller that remembers where keys sit
+// can forget theirs. A key already resident anywhere, a spilled one
+// included, is overwritten in its own slot and reports no new spill.
+// With a neighborhood of 1 nothing can spill, so Place is two-choice
+// cuckoo placement. An error rolls the walk back: no resident is lost,
+// and none is reported moved. A walk that reaches a bucket a fabric
+// claim holds mid-flight (its PENDING word names no key to re-place)
+// fails with ErrClaimed.
+func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, moved []uint64, err error) {
 	if _, _, ok := t.find(key); ok {
-		return false, t.InsertV(key, valAddr, valLen, ver) // overwrites where it lives
+		return false, nil, t.InsertV(key, valAddr, valLen, ver) // overwrites where it lives
 	}
 	// The kick walk records every displacement so a failed spill can be
 	// rolled back: without the trail, an exhausted walk whose final
@@ -357,13 +364,26 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, err error
 		kk, va, vl, ver uint64
 	}
 	var trail []move
+	// undo puts each kicked resident back in exactly the bucket it was
+	// taken from, newest first (by recorded index, not by hash: an
+	// evictee may have been a spilled resident living at neither of its
+	// candidate buckets), and fails with err without losing anyone.
+	undo := func(err error) (bool, []uint64, error) {
+		for i := len(trail) - 1; i >= 0; i-- {
+			m := trail[i]
+			if rerr := t.writeBucketV(m.bucket, m.kk, m.va, m.vl, m.ver); rerr != nil {
+				return false, nil, rerr
+			}
+		}
+		return false, nil, err
+	}
 	curKey, curVa, curVl, curVer := key, valAddr, valLen, ver
 	fn := 0
 	for kick := 0; ; kick++ {
 		// A free candidate bucket ends the walk.
 		for _, f := range []int{0, 1} {
 			if _, _, _, ok := t.EntryAt(t.Hash(curKey, f)); !ok {
-				return false, t.InsertAtV(curKey, curVa, curVl, curVer, f, 0)
+				return false, moved, t.InsertAtV(curKey, curVa, curVl, curVer, f, 0)
 			}
 		}
 		if kick == maxKicks {
@@ -373,11 +393,15 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, err error
 		// its own alternate candidate on the next iteration.
 		b := t.Hash(curKey, fn)
 		vk, vva, vvl, _ := t.EntryAt(b)
+		if vk&PendingBit != 0 {
+			return undo(ErrClaimed)
+		}
 		vver := t.VersionAt(b)
 		trail = append(trail, move{bucket: b, kk: vk, va: vva, vl: vvl, ver: vver})
 		if err := t.InsertAtV(curKey, curVa, curVl, curVer, fn, 0); err != nil {
-			return false, err
+			return undo(err)
 		}
+		moved = append(moved, vk)
 		curKey, curVa, curVl, curVer = vk, vva, vvl, vver
 		if t.Hash(curKey, 0) == b {
 			fn = 1
@@ -387,20 +411,9 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, err error
 	}
 	// Walk exhausted: spill the last evictee into a neighborhood slot.
 	if err := t.InsertV(curKey, curVa, curVl, curVer); err != nil {
-		// No room even in the neighborhoods: undo the walk — each
-		// kicked resident goes back to exactly the bucket it was taken
-		// from (by recorded index, not by hash: an evictee may have
-		// been a spilled resident living at neither of its candidate
-		// buckets) — and fail without losing anyone.
-		for i := len(trail) - 1; i >= 0; i-- {
-			m := trail[i]
-			if rerr := t.writeBucketV(m.bucket, m.kk, m.va, m.vl, m.ver); rerr != nil {
-				return false, rerr
-			}
-		}
-		return false, err
+		return undo(err) // no room even in the neighborhoods
 	}
-	return true, nil
+	return true, moved, nil
 }
 
 // EntryAt reports the entry stored in bucket i (ok=false when empty or

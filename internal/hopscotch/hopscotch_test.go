@@ -1,6 +1,7 @@
 package hopscotch
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"slices"
@@ -410,7 +411,7 @@ func TestPlaceDisplacement(t *testing.T) {
 	kicked := false
 	for k := uint64(1); k <= 200; k++ {
 		taken := bothTaken(tbl, k)
-		if spilled, err := tbl.Place(k, k*8, 8, k*10); err != nil {
+		if spilled, _, err := tbl.Place(k, k*8, 8, k*10); err != nil {
 			break
 		} else if spilled {
 			t.Fatalf("key %d spilled with a neighborhood of 1", k)
@@ -436,7 +437,7 @@ func TestPlaceDisplacement(t *testing.T) {
 	}
 	k := keys[len(keys)-1]
 	before := tbl.LookupBucket(k)
-	if _, err := tbl.Place(k, 0x9000, 16, 1); err != nil {
+	if _, _, err := tbl.Place(k, 0x9000, 16, 1); err != nil {
 		t.Fatal(err)
 	}
 	if va, vl, _ := tbl.Lookup(k); va != 0x9000 || vl != 16 || tbl.LookupBucket(k) != before {
@@ -478,7 +479,7 @@ func TestPlaceFullTableRollsBack(t *testing.T) {
 			model[key] = ent{va, ver}
 		default:
 			before := words()
-			if _, err := tbl.Place(key, va, 8, ver); err == nil {
+			if _, _, err := tbl.Place(key, va, 8, ver); err == nil {
 				model[key] = ent{va, ver}
 			} else if !errors.Is(err, ErrFull) {
 				t.Fatalf("step %d: %v", i, err)
@@ -504,7 +505,7 @@ func TestPlaceFullTableRollsBack(t *testing.T) {
 func TestPlaceReclaimsTombstones(t *testing.T) {
 	tbl, _ := newCuckoo(t, 64)
 	for k := uint64(1); k <= 24; k++ {
-		if _, err := tbl.Place(k, k*8, 8, 0); err != nil {
+		if _, _, err := tbl.Place(k, k*8, 8, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -527,8 +528,8 @@ func TestPlaceReclaimsTombstones(t *testing.T) {
 		if _, _, ok := tbl.Remove(a); !ok || tbl.Tombstones() != 1 {
 			t.Fatalf("remove(%d) = %v, tombstones %d", a, ok, tbl.Tombstones())
 		}
-		if spilled, err := tbl.Place(x, 0x5000, 8, 0); err != nil || spilled {
-			t.Fatalf("place: spilled=%v err=%v", spilled, err)
+		if spilled, moved, err := tbl.Place(x, 0x5000, 8, 0); err != nil || spilled || !slices.Equal(moved, []uint64{r}) {
+			t.Fatalf("place: spilled=%v moved=%v err=%v; want %d moved", spilled, moved, err, r)
 		}
 		if k, _, _, _ := tbl.EntryAt(alt); k != r || tbl.Tombstones() != 0 {
 			t.Fatalf("bucket %d holds %d with %d tombstones, want %d reclaimed", alt, k, tbl.Tombstones(), r)
@@ -541,6 +542,48 @@ func TestPlaceReclaimsTombstones(t *testing.T) {
 	t.Fatal("no key's walk reaches a removable resident")
 }
 
+// A kick walk that reaches a bucket a fabric claim holds mid-flight
+// stops there and rolls back: the PENDING word names no key to re-place,
+// so the walk used to fail half done, leaving the new key placed while
+// reporting an error (its caller then freed the extent it points at).
+func TestPlaceStopsAtClaimedBucket(t *testing.T) {
+	tbl, m := newCuckoo(t, 64)
+	for k := uint64(1); k <= 24; k++ {
+		if _, _, err := tbl.Place(k, k*8, 8, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// x's first candidate holds r, whose other candidate (not one of
+	// x's) holds a: a claim of a's bucket is in flight.
+	for x := uint64(1000); x < 100000; x++ {
+		if !bothTaken(tbl, x) {
+			continue
+		}
+		b0 := tbl.Hash(x, 0)
+		r, _, _, _ := tbl.EntryAt(b0)
+		alt := tbl.Hash(r, 0)
+		if alt == b0 {
+			alt = tbl.Hash(r, 1)
+		}
+		a, _, _, ok := tbl.EntryAt(alt)
+		if alt == b0 || alt == tbl.Hash(x, 1) || !ok {
+			continue
+		}
+		if err := m.PutU64(tbl.BucketAddr(alt)+OffKeyCtrl, PendingCtrl(a)); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := m.Read(tbl.Base(), tbl.Size())
+		if _, moved, err := tbl.Place(x, 0x5000, 8, 0); !errors.Is(err, ErrClaimed) || moved != nil {
+			t.Fatalf("place: moved=%v err=%v; want ErrClaimed, none moved", moved, err)
+		}
+		if after, _ := m.Read(tbl.Base(), tbl.Size()); !bytes.Equal(after, before) {
+			t.Fatal("a failed walk left the table changed")
+		}
+		return
+	}
+	t.Fatal("no key's walk reaches a second resident")
+}
+
 // A key spilled into a neighborhood slot is overwritten where it lives:
 // Place must not take a free candidate bucket for a second copy and
 // leave the spilled one pointing at the extent the caller retires.
@@ -550,7 +593,7 @@ func TestPlaceOverwritesSpilledResident(t *testing.T) {
 	if err := tbl.InsertAtV(key, 0x1000, 8, 1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	spilled, err := tbl.Place(key, 0x2000, 16, 2)
+	spilled, _, err := tbl.Place(key, 0x2000, 16, 2)
 	if err != nil || spilled {
 		t.Fatalf("place: spilled=%v err=%v", spilled, err)
 	}

@@ -81,7 +81,7 @@ const (
 type ServiceConfig struct {
 	Shards          int        // server nodes, each with its own NIC and table
 	ClientsPerShard int        // client nodes connected to each shard
-	Pipeline        int        // slots per client pipeline; its AIMD window opens at min(16, Pipeline)
+	Pipeline        int        // slots per client pipeline; its AIMD window opens at min(32, Pipeline)
 	Mode            LookupMode // probe strategy of every offload context
 	Replicas        int        // ring owners written per Set (>=1)
 
@@ -500,28 +500,23 @@ func (s *Service) initMetrics() {
 	s.reg.Gauge("svc/ring_nodes", func() float64 { return float64(s.ring.Len()) })
 	s.reg.Gauge("svc/migrating_buckets", func() float64 { return float64(s.migratingBuckets()) })
 	// window_cuts / ecn_cuts surface the AIMD cut totals the client
-	// pipelines already account; a reconnect keeps them, so both are
-	// monotone.
-	s.reg.Gauge("svc/window_cuts", func() float64 {
-		var n uint64
-		for _, sh := range s.order {
-			for _, cli := range sh.clients {
-				cuts, _ := cli.cuts()
-				n += cuts
-			}
+	// pipelines already account; ecn_shed, the window slots the ECN cuts
+	// gave up, is what the overload rule counts (DESIGN.md §3.12).
+	s.reg.Gauge("svc/window_cuts", func() float64 { c, _, _ := s.cutTotals(); return float64(c) })
+	s.reg.Gauge("svc/ecn_cuts", func() float64 { _, e, _ := s.cutTotals(); return float64(e) })
+	s.reg.Gauge("svc/ecn_shed", func() float64 { _, _, sl := s.cutTotals(); return sl })
+}
+
+// cutTotals sums every connection's window cut counters; a reconnect
+// keeps them, so all three are monotone.
+func (s *Service) cutTotals() (cuts, ecn uint64, shed float64) {
+	for _, sh := range s.order {
+		for _, cli := range sh.clients {
+			c, e, sl := cli.cuts()
+			cuts, ecn, shed = cuts+c, ecn+e, shed+sl
 		}
-		return float64(n)
-	})
-	s.reg.Gauge("svc/ecn_cuts", func() float64 {
-		var n uint64
-		for _, sh := range s.order {
-			for _, cli := range sh.clients {
-				_, ecn := cli.cuts()
-				n += ecn
-			}
-		}
-		return float64(n)
-	})
+	}
+	return cuts, ecn, shed
 }
 
 // Metrics exposes the service's registry (counters, gauges) for
@@ -823,6 +818,7 @@ func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 // ver stamps the tombstone's version word (the delete's quorum
 // sequence).
 func (sh *serviceShard) del(key, ver uint64) bool {
+	sh.svc.dropPlaced(key)
 	va, _, ok := sh.table.table.RemoveV(key, ver)
 	if !ok {
 		return false
@@ -832,7 +828,8 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 }
 
 // place stores key at one of its candidate buckets through the
-// table's kick walk (hopscotch.Table.Place).
+// table's kick walk (hopscotch.Table.Place), dropping the placement
+// hints of key and of every resident the walk moved.
 //
 // LookupSingle offloads probe only H1, so single-mode shards place at
 // the first candidate or spill — relocation is impossible when a key
@@ -841,6 +838,7 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 // sooner.
 func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 	t := sh.table.table
+	sh.svc.dropPlaced(key)
 	if sh.mode == LookupSingle {
 		// A resident key, spilled or not, is overwritten where it lives.
 		if _, _, resident := t.Lookup(key); resident {
@@ -852,9 +850,12 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 		sh.stats.Spills++
 		return t.InsertV(key, valAddr, valLen, ver)
 	}
-	spilled, err := t.Place(key, valAddr, valLen, ver)
+	spilled, moved, err := t.Place(key, valAddr, valLen, ver)
 	if spilled {
 		sh.stats.Spills++
+	}
+	for _, k := range moved {
+		sh.svc.dropPlaced(k)
 	}
 	return err
 }
@@ -1075,6 +1076,7 @@ type getOp struct {
 	i            int
 	cli          *Client
 	spent        Duration
+	fn           int // 1 + the candidate attempt g.i probes alone (placedAt), 0 for both
 
 	// The read-repair probe a hit started: the owner asked, over which
 	// connection, the version the serving owner holds, the probe's trace
@@ -1154,7 +1156,8 @@ func (s *Service) tryGet(g *getOp) {
 		s.tr.AsyncBegin("attempt", g.op<<4|uint64(g.i), sh.trTry, g.op)
 	}
 	g.next = getAttempt
-	g.cli.getAsync(g.key, g.valLen, g.op, g.attemptFn)
+	g.fn = s.placedAt(g.key, sh)
+	g.cli.getAsync(g.key, g.valLen, g.op, g.fn, g.attemptFn)
 	if g.i > 0 {
 		// Retries run outside the caller's batch; kick them directly.
 		g.cli.Flush()
@@ -1199,6 +1202,17 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		// The chain ran and found nothing: the key is absent, the
 		// NIC is alive. Liveness proof, not a crash symptom.
 		sh.markLive()
+		if g.fn != 0 && !s.keys[g.key].del {
+			// Only the placed bucket was read, the key was not there,
+			// and no delete of it is its newest write: the hint is
+			// stale. Drop it; ask the same owner again, both probes.
+			sh.stats.PlacedMisses++
+			s.dropPlaced(g.key)
+			g.spent = lat
+			s.tryGet(g)
+			g.cli.Flush() // outside the caller's batch, like a failover
+			return
+		}
 	} else {
 		s.noteOwnerMiss(sh)
 	}
@@ -1322,6 +1336,7 @@ type ShardStats struct {
 	Sets              uint64 `metric:"sets"`               // owner writes applied (fabric acks + host path + drained hints)
 	Spills            uint64 `metric:"spills"`             // keys resident but NIC-unreachable
 	Gets              uint64 `metric:"gets"`               // get attempts routed here (failover retries included)
+	PlacedMisses      uint64 `metric:"placed_misses"`      // single-probe gets that missed the placed bucket and re-armed both probes
 	Rebuilds          uint64 `metric:"rebuilds"`           // client reconnects after process crashes
 	FabricSets        uint64 `metric:"fabric_sets"`        // owner writes attempted through the NIC claim chain
 	HostSets          uint64 `metric:"host_sets"`          // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)
@@ -1444,7 +1459,7 @@ func (s *Service) Stats() ServiceStats {
 		ss := sh.stats
 		ss.HintsPending = uint64(sh.nHints)
 		for _, cli := range sh.clients {
-			cuts, ecn := cli.cuts()
+			cuts, ecn, _ := cli.cuts()
 			ss.GCFreed += cli.gcFreed
 			ss.GCStale += cli.gcStale
 			ss.WindowCuts += cuts

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/workload"
+	"repro/internal/wqe"
 )
 
 // exactHistoryHash is the FNV-64a fold of every completion of the seeded
@@ -18,8 +20,11 @@ import (
 // one QP's PU placement or one event's order moves this value. It moved
 // when every client window became AIMD: the frozen NIC's and the
 // crashed shard's unexecuted timeouts now cut the affected clients'
-// windows, which reorders their later issues.
-const exactHistoryHash = 0xd460123d542654de
+// windows, which reorders their later issues. It moved again when a
+// get of a key whose owner's last fabric claim placed it began arming
+// one probe of that bucket instead of two: those gets answer sooner
+// and their WRs leave the fetch units earlier.
+const exactHistoryHash = 0x22127061cf64a43d
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {
@@ -175,8 +180,11 @@ func TestServiceExactHistory(t *testing.T) {
 // (its segments seal within a few dozen), and at the end, so the
 // freeze's and the crash's hint backlog, the repairs and the migration
 // are compared while they stand, not only once they have drained to
-// zero. The checks walk the structs by reflection,
-// so a field added later is covered.
+// zero. The history marks no completion with the ECN backlog watermark,
+// so a last phase bursts gets at the quiesced service until the NIC's
+// backlog crosses it and svc/ecn_cuts is compared nonzero too. The
+// checks walk the structs by reflection, so a field added later is
+// covered.
 func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 	mirrors := func(st ServiceStats) map[string]uint64 {
 		return map[string]uint64{
@@ -188,9 +196,6 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 			"svc/migrating_buckets": uint64(st.MigratingBuckets),
 		}
 	}
-	// The history marks no completion with the ECN backlog watermark, so
-	// svc/ecn_cuts stays 0 throughout; it is compared, and must stay 0.
-	unmoved := map[string]bool{"svc/ecn_cuts": true}
 	moved := map[string]bool{}
 	checks := 0
 	compare := func(s *Service) {
@@ -218,9 +223,29 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 		}
 	})
 	compare(s)
+	if st := s.Stats(); st.EcnCuts != 0 {
+		t.Fatalf("the history took %d ECN cuts; the burst below is to be the first", st.EcnCuts)
+	}
+	// The ECN phase. The history's 8-deep windows never back a fetch
+	// unit up 25 us, so a SEND waits on the first shard's NIC as a
+	// receiver-not-ready arrival instead: its age is part of the
+	// backlog watermark, and past 25 us every answer from that NIC is
+	// marked. A burst of gets then collects the marks.
+	sh := s.order[0]
+	node := sh.clients[0].node
+	cliQP, _ := s.tb.clu.Connect(node, sh.srv.node, rnic.QPConfig{SQDepth: 8, RQDepth: 8}, rnic.QPConfig{SQDepth: 8, RQDepth: 8})
+	cliQP.PostSend(wqe.WQE{Op: wqe.OpSend, Src: node.Mem.Alloc(8, 8), Len: 8})
+	cliQP.RingSQ()
+	s.tb.clu.Eng.RunUntil(s.Now() + 2*defaultEcnBacklog)
+	for i := range uint64(256) {
+		s.GetAsync(1+i%32, 48, func([]byte, Duration, bool) {})
+	}
+	s.Flush()
+	s.Run()
+	compare(s)
 	for name := range mirrors(ServiceStats{}) {
-		if moved[name] == unmoved[name] {
-			t.Errorf("gauge %s: nonzero at one of %d checks = %v, want %v", name, checks, moved[name], !unmoved[name])
+		if !moved[name] {
+			t.Errorf("gauge %s: zero at all %d checks", name, checks)
 		}
 	}
 	st := s.Stats()
@@ -259,7 +284,7 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 		checked++
 		total += m.Value
 	}
-	if want := 18 + 17*len(st.Shards); checked != want || total == 0 {
+	if want := 18 + 18*len(st.Shards); checked != want || total == 0 {
 		t.Fatalf("checked %d counters summing to %v, want %d and a nonzero sum", checked, total, want)
 	}
 

@@ -1,0 +1,285 @@
+package redn
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/hopscotch"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// A get probes only the bucket the coordinator's last fabric claim
+// placed its key at. A host-path set whose kick walk moves a hinted
+// resident to its other candidate must drop that resident's hint: a
+// kept one would aim every later get at the bucket the key left, and
+// each would pay a miss before probing both candidates. After the walk,
+// every key answers on its first probe.
+func TestPlacementHintDroppedByKickWalk(t *testing.T) {
+	const valLen = 64
+	s := NewServiceWith(ServiceConfig{
+		Shards: 1, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
+		Replicas: 1, Buckets: 64, MaxValLen: valLen,
+	})
+	sh := s.order[0]
+	tb := sh.table.table
+	var keys []uint64
+	for k := uint64(1); k <= 24; k++ {
+		if err := s.Set(k, Value(k, valLen)); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	// fnOf is the candidate key sits at, -1 for neither (spilled).
+	fnOf := func(key uint64) int {
+		for fn := range 2 {
+			if k, _, _, ok := tb.EntryAt(tb.Hash(key, fn)); ok && k == key {
+				return fn
+			}
+		}
+		return -1
+	}
+	hinted := 0
+	for _, k := range keys {
+		if p := s.placedAt(k, sh); p != 0 {
+			hinted++
+			if p-1 != fnOf(k) {
+				t.Fatalf("key %d: hint names candidate %d, key sits at %d", k, p-1, fnOf(k))
+			}
+		}
+	}
+	if hinted < len(keys)*3/4 {
+		t.Fatalf("%d of %d keys hinted after their fabric sets", hinted, len(keys))
+	}
+
+	// x's candidates both hold keys, so its set takes the host path; the
+	// walk kicks the hinted resident r of x's first candidate to r's
+	// other candidate, which is free.
+	var x, r uint64
+	for c := uint64(1000); x == 0; c++ {
+		ka, _, _, okA := tb.EntryAt(tb.Hash(c, 0))
+		_, _, _, okB := tb.EntryAt(tb.Hash(c, 1))
+		if !okA || !okB || s.placedAt(ka, sh) == 0 {
+			continue
+		}
+		other := tb.Hash(ka, 1-fnOf(ka))
+		if _, _, _, taken := tb.EntryAt(other); !taken && other != tb.Hash(c, 1) {
+			x, r = c, ka
+		}
+	}
+	from := fnOf(r)
+	host := s.Stats().HostSets
+	if err := s.Set(x, Value(x, valLen)); err != nil {
+		t.Fatal(err)
+	}
+	keys = append(keys, x)
+	if s.Stats().HostSets != host+1 || fnOf(r) != 1-from {
+		t.Fatalf("set of %d: host sets %d -> %d, resident %d at candidate %d -> %d; want a host-path walk moving it",
+			x, host, s.Stats().HostSets, r, from, fnOf(r))
+	}
+
+	for _, k := range keys {
+		if got, _, ok := s.Get(k, valLen); !ok || string(got) != string(Value(k, valLen)) {
+			t.Fatalf("key %d read back %x (hit %v)", k, got, ok)
+		}
+	}
+	if st := s.Stats(); st.Misses != 0 || st.PlacedMisses != 0 {
+		t.Fatalf("%d misses, %d single-probe gets missed their placed bucket; want 0 and 0", st.Misses, st.PlacedMisses)
+	}
+}
+
+// Correctness never rests on a hint: a get aimed at the candidate a
+// stale hint names misses there, asks the same owner again with both
+// probes, and answers the hit, with the hint dropped.
+func TestStaleHintFallsBackToBothProbes(t *testing.T) {
+	const valLen = 64
+	s := NewServiceWith(ServiceConfig{
+		Shards: 2, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
+		Replicas: 2, WriteQuorum: 2, Buckets: 1 << 10, MaxValLen: valLen,
+	})
+	const key = 7
+	if err := s.Set(key, Value(key, valLen)); err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[s.Owners(key)[0]]
+	p := s.placedAt(key, sh)
+	if p == 0 {
+		t.Fatal("no hint after a fabric set")
+	}
+	rec := s.keys[key]
+	rec.placed[0] = uint8(3 - p) // the other candidate
+	s.keys[key] = rec
+	got, lat, ok := s.Get(key, valLen)
+	if !ok || string(got) != string(Value(key, valLen)) {
+		t.Fatalf("get after a stale hint: %x (hit %v)", got, ok)
+	}
+	st := s.Stats()
+	if st.PlacedMisses != 1 || st.Misses != 0 || st.Retries != 0 || s.placedAt(key, sh) != 0 {
+		t.Fatalf("placed misses %d, misses %d, failovers %d, hint %d; want 1, 0, 0 and dropped",
+			st.PlacedMisses, st.Misses, st.Retries, s.placedAt(key, sh))
+	}
+	if lat < DefaultMissTimeout {
+		t.Fatalf("latency %v: the stale probe's miss costs its timeout, %v", lat, DefaultMissTimeout)
+	}
+}
+
+// Item 11's get law: a closed loop at saturation runs the busiest
+// shard's managed-fetch unit flat out, 1 / FetchManaged fetches per
+// second, so ops/s = that rate ÷ (the busiest shard's share of the ops
+// × the managed fetches an op costs). Here, at read_uniform's shape
+// scaled down (4 shards × 2 clients × 16 deep, 128 users, r=1, 98 %
+// gets of uniform keys), a get is a single hinted probe and a set an
+// overwrite claim, 4 fetches each (TestProgramShapes). The measured
+// rate must sit within ±3 % of the law's.
+func TestGetThroughputLaw(t *testing.T) {
+	const (
+		nKeys   = 2000
+		valLen  = 64
+		fetches = 4 // "get hinted H1/H2" and "set overwrite" in TestProgramShapes
+	)
+	s := NewServiceWith(ServiceConfig{
+		Shards: 4, ClientsPerShard: 2, Pipeline: 16, Mode: LookupSeq,
+		Replicas: 1, Buckets: 1 << 14, MaxValLen: valLen,
+	})
+	keys := make([]uint64, nKeys)
+	owned := map[string]int{}
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+		if err := s.Set(keys[i], Value(keys[i], valLen)); err != nil {
+			t.Fatal(err)
+		}
+		owned[s.Owners(keys[i])[0]]++
+	}
+	busiest := 0
+	for _, n := range owned {
+		busiest = max(busiest, n)
+	}
+	share := float64(busiest) / nKeys
+	fetchRate := float64(sim.Second) / float64(s.order[0].srv.node.Dev.Profile().FetchManaged)
+	law := fetchRate / (share * fetches)
+
+	rep := workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
+		Requests:   40000,
+		Window:     128,
+		Keys:       &workload.Uniform{Keys: keys, Rng: workload.Rng(1)},
+		ValLen:     valLen,
+		WriteEvery: 50,
+	})
+	if rep.Misses != 0 || rep.SetErrs != 0 {
+		t.Fatalf("%d misses, %d failed sets", rep.Misses, rep.SetErrs)
+	}
+	measured := rep.GetsPerSec + rep.SetsPerSec
+	t.Logf("busiest shard holds %.2f %% of the keys: law %.4g ops/s, measured %.4g (%+.2f %%)",
+		100*share, law, measured, 100*(measured/law-1))
+	if math.Abs(measured/law-1) > 0.03 {
+		t.Fatalf("measured %.4g ops/s, law %.4g: off by %+.2f %%, beyond ±3 %%", measured, law, 100*(measured/law-1))
+	}
+}
+
+// A host-path set whose kick walk reaches a bucket another key's fabric
+// claim holds (its PENDING word) waits the claim out and walks again:
+// the claim resolves within microseconds, so the set succeeds instead
+// of failing its leg as if the table were full.
+func TestHostWalkWaitsOutAClaim(t *testing.T) {
+	const valLen = 64
+	s := NewServiceWith(ServiceConfig{
+		Shards: 1, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
+		Replicas: 1, Buckets: 64, MaxValLen: valLen,
+	})
+	sh := s.order[0]
+	tb, m := sh.table.table, sh.srv.node.Mem
+	keys := []uint64{}
+	for k := uint64(1); k <= 24; k++ {
+		if err := s.Set(k, Value(k, valLen)); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	// x's candidates both hold keys, so its set takes the host path; the
+	// walk kicks the resident r of x's first candidate toward r's other
+	// bucket, which holds a, whose claim is in flight until claimEnds.
+	for x := uint64(1000); x < 100000; x++ {
+		b0, b1 := tb.Hash(x, 0), tb.Hash(x, 1)
+		r, _, _, okA := tb.EntryAt(b0)
+		_, _, _, okB := tb.EntryAt(b1)
+		alt := tb.Hash(r, 0)
+		if alt == b0 {
+			alt = tb.Hash(r, 1)
+		}
+		a, _, _, ok := tb.EntryAt(alt)
+		if !okA || !okB || !ok || alt == b0 || alt == b1 {
+			continue
+		}
+		word := tb.BucketAddr(alt) + hopscotch.OffKeyCtrl
+		resident, err := m.U64(word)
+		if err == nil {
+			err = m.PutU64(word, hopscotch.PendingCtrl(a))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := s.Testbed().Engine()
+		claimEnds := eng.Now() + 10*sim.Microsecond
+		eng.At(claimEnds, func() {
+			if err := m.PutU64(word, resident); err != nil {
+				t.Error(err)
+			}
+		})
+		before := s.Stats()
+		if err := s.Set(x, Value(x, valLen)); err != nil {
+			t.Fatalf("set of %d, whose walk met a's claim: %v", x, err)
+		}
+		st := s.Stats()
+		if st.HostSets != before.HostSets+1 || st.Sets != before.Sets+1 || s.Now() < claimEnds {
+			t.Fatalf("host sets %d -> %d, owner sets %d -> %d, done at %v (claim ends %v); want one host leg, one set, after the claim",
+				before.HostSets, st.HostSets, before.Sets, st.Sets, s.Now(), claimEnds)
+		}
+		for _, k := range append(keys, x) {
+			if got, _, ok := s.Get(k, valLen); !ok || string(got) != string(Value(k, valLen)) {
+				t.Fatalf("key %d read back %x (hit %v)", k, got, ok)
+			}
+		}
+		return
+	}
+	t.Fatal("no key's walk reaches a second resident")
+}
+
+// A get whose hint was read before a delete of its key was issued may
+// find the key gone at the placed bucket. That miss is the delete's and
+// stands: the get pays one MissTimeout, not a second one re-probing
+// both candidates.
+func TestHintedGetRacingDeleteMissesOnce(t *testing.T) {
+	const valLen = 64
+	s := NewServiceWith(ServiceConfig{
+		Shards: 1, ClientsPerShard: 1, Pipeline: 1, Mode: LookupSeq,
+		Replicas: 1, Buckets: 1 << 10, MaxValLen: valLen,
+	})
+	const key = 7
+	if err := s.Set(key, Value(key, valLen)); err != nil {
+		t.Fatal(err)
+	}
+	if s.placedAt(key, s.order[0]) == 0 {
+		t.Fatal("no hint after a fabric set")
+	}
+	// A get of an absent key holds the one get slot for a MissTimeout;
+	// the get of key reads its hint now and waits behind it, and the
+	// delete lands meanwhile.
+	var (
+		hit  bool
+		lat  Duration
+		done bool
+	)
+	s.GetAsync(key+1, valLen, func([]byte, Duration, bool) {})
+	s.GetAsync(key, valLen, func(_ []byte, l Duration, ok bool) { hit, lat, done = ok, l, true })
+	s.DeleteAsync(key, func(Duration, error) {})
+	s.Flush()
+	s.Run()
+	st := s.Stats()
+	if !done || hit || st.PlacedMisses != 0 {
+		t.Fatalf("get done %v hit %v, %d placed misses; want a miss with none", done, hit, st.PlacedMisses)
+	}
+	t.Logf("get latency %v", lat)
+	if lat >= 2*DefaultMissTimeout {
+		t.Fatalf("get latency %v: the miss paid a second MissTimeout", lat)
+	}
+}

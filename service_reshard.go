@@ -228,11 +228,15 @@ func (s *Service) redirectTarget(key uint64, from *serviceShard) *serviceShard {
 
 // bumpCacheGen fences the hot-value cache across an ownership change:
 // everything cached is dropped and in-flight gets lose their admission
-// rights (maybeCache compares generations).
+// rights (maybeCache compares generations). Every placement hint goes
+// too: a replica rank may name another shard now.
 func (s *Service) bumpCacheGen() {
 	s.cacheGen++
 	for k := range s.cache {
 		delete(s.cache, k)
+	}
+	for k := range s.keys {
+		s.dropPlaced(k)
 	}
 }
 

@@ -43,21 +43,21 @@ const (
 
 // defaultSLORules is the anomaly taxonomy the sentinel watches out of
 // the box. Classes: "crash" (suspicion transitions from timeout
-// bursts), "overload" (AIMD window-cut storms), "write-availability"
-// (quorum failures), "outage" (workload buckets with zero hits, via
-// FeedWorkloadBucket), "migration" (a resharding backlog sustained
-// past the slow window), "migration-stall" (backlog with no segments
-// sealing — stuck, not busy), "latency" (fleet-wide slow-get burn over
-// the merged per-shard histograms), and "repair-backlog" (hint +
-// repair queues sustained deep).
+// bursts), "overload" (AIMD windows shedding slots to ECN cuts),
+// "write-availability" (quorum failures), "outage" (workload buckets
+// with zero hits, via FeedWorkloadBucket), "migration" (a resharding
+// backlog sustained past the slow window), "migration-stall" (backlog
+// with no segments sealing — stuck, not busy), "latency" (fleet-wide
+// slow-get burn over the merged per-shard histograms), and
+// "repair-backlog" (hint + repair queues sustained deep).
 func defaultSLORules() []telemetry.Rule {
 	return []telemetry.Rule{
 		{Name: "crash-suspects", Class: "crash",
 			Metrics:   []string{"svc/suspects"},
 			Threshold: 1, Fast: DefaultSLOFast, Slow: DefaultSLOSlow},
 		{Name: "window-cut-storm", Class: "overload",
-			Metrics:   []string{"svc/window_cuts"},
-			Threshold: 10, Fast: DefaultSLOFast, Slow: DefaultSLOSlow},
+			Metrics:   []string{"svc/ecn_shed"},
+			Threshold: 64, Fast: DefaultSLOFast, Slow: DefaultSLOSlow},
 		{Name: "quorum-errors", Class: "write-availability",
 			Metrics:   []string{"svc/quorum_fails"},
 			Threshold: 4, Fast: DefaultSLOFast, Slow: DefaultSLOSlow},

@@ -371,6 +371,7 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 	rec.seq++
 	rec.unsettled++
 	rec.epoch++
+	rec.del = del
 	s.keys[key] = rec
 	if s.cache != nil {
 		if del {
@@ -441,6 +442,9 @@ func (r *ownerRun) legDone(st ownerWriteStatus) {
 	}
 	if st == ownerApplied {
 		s.noteOwnerApplied(sh, &op.mutation)
+		if r.claimAt != 0 {
+			s.learnPlaced(op.key, sh, r.claimAt)
+		}
 	}
 	switch {
 	case !r.votes:
@@ -468,13 +472,53 @@ func (r *ownerRun) legDone(st ownerWriteStatus) {
 }
 
 // keyRec is the coordinator's write state for one key: its newest
-// write's sequence, how many of its writes some owner has not resolved
-// yet (applied, drained or superseded), and the write epoch guarding
-// cache admission. Born at the key's first write, never deleted.
+// write's sequence and whether it deletes, how many of its writes some
+// owner has not resolved yet (applied, drained or superseded), the
+// write epoch guarding cache admission, and its placement hints. Born
+// at the key's first write, never deleted.
 type keyRec struct {
 	seq       uint64
 	unsettled int
 	epoch     uint64
+	del       bool // the newest write issued is a delete
+	// placed holds, per replica rank (the first four), 1 + the
+	// candidate bucket (H1 or H2) the rank's last applied fabric claim
+	// named; 0 is no hint.
+	placed [4]uint8
+}
+
+// placedAt returns 1 + the candidate holding key on sh, as the last
+// fabric claim sh applied for it placed it, or 0 when no hint stands:
+// the fn a get's single probe reads. It reads the coordinator's own
+// record only, never the owner's table.
+func (s *Service) placedAt(key uint64, sh *serviceShard) int {
+	rec := s.keys[key]
+	if r := slices.Index(s.ownerNodes(key), sh.ringIdx); r >= 0 && r < len(rec.placed) {
+		return int(rec.placed[r])
+	}
+	return 0
+}
+
+// learnPlaced records that sh applied a fabric claim of key's bucket
+// at addr, one of its two candidates (H1 when they coincide).
+func (s *Service) learnPlaced(key uint64, sh *serviceShard, addr uint64) {
+	rec := s.keys[key]
+	if r := slices.Index(s.ownerNodes(key), sh.ringIdx); r >= 0 && r < len(rec.placed) {
+		rec.placed[r] = 2
+		if addr == sh.table.table.HashAddr(key, 0) {
+			rec.placed[r] = 1
+		}
+		s.keys[key] = rec
+	}
+}
+
+// dropPlaced forgets key's placement hints: a host-path place, a kick
+// walk or a delete may have moved it on some owner.
+func (s *Service) dropPlaced(key uint64) {
+	if rec, ok := s.keys[key]; ok && rec.placed != [4]uint8{} {
+		rec.placed = [4]uint8{}
+		s.keys[key] = rec
+	}
 }
 
 // settled reports whether every owner has resolved every write to key:
@@ -618,6 +662,7 @@ type ownerRun struct {
 	slotted bool
 
 	cli      *Client          // connection the NIC chain is on
+	claimAt  uint64           // the bucket a fabric set claims (0: none, or it fell back to the host)
 	oldVa    uint64           // the key's extent before this apply
 	resident bool             // oldVa is valid
 	st       ownerWriteStatus // runHop: the outcome to deliver
@@ -644,7 +689,7 @@ func (s *Service) takeRun(sh *serviceShard, m *mutation, top uint64) *ownerRun {
 	}
 	r.next = runExec
 	r.sh, r.m, r.top = sh, m, top
-	r.slotted, r.absent = false, false
+	r.slotted, r.absent, r.claimAt = false, false, 0
 	return r
 }
 
@@ -698,6 +743,7 @@ func (r *ownerRun) apply() {
 		fabric bool
 	)
 	if m.del {
+		s.dropPlaced(m.key)
 		claim.BucketAddr, fabric = residentBucket(t, sh.mode, m.key)
 	} else {
 		claim, fabric = claimForTable(t, sh.mode, m.key)
@@ -738,6 +784,7 @@ func (r *ownerRun) apply() {
 		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.top, r.ackFn)
 	} else {
 		sh.stats.FabricSets++
+		r.claimAt = claim.BucketAddr
 		r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.top, r.ackFn)
 	}
 	// Writes issued from completion callbacks run outside the caller's
@@ -800,7 +847,7 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 // roll-forward path for refused claims. Deleting an absent key is still
 // applied — the owner is at the end state either way.
 func (r *ownerRun) host() {
-	r.hostLat = hostSetLat
+	r.hostLat, r.claimAt = hostSetLat, 0
 	if r.m.del {
 		r.hostLat = hostDeleteLat
 		r.sh.stats.HostDeletes++
@@ -823,8 +870,17 @@ func (r *ownerRun) hosted() {
 		sh.del(m.key, m.seq)
 		sh.stats.Deletes++
 	} else if err := sh.set(m.key, m.val, m.seq); err != nil {
-		// The table itself refused (kick walk and neighborhoods
-		// exhausted): a definitive rejection, not unavailability.
+		if errors.Is(err, hopscotch.ErrClaimed) && r.hostLat < DefaultMissTimeout {
+			// The walk met another key's claim, which its chain ends
+			// within MissTimeout: walk again one RPC later.
+			sh.stats.Sets-- // set counted the attempt; the walk applied nothing
+			r.hostLat += hostSetLat
+			r.next = runHost
+			r.s.tb.clu.Eng.After(hostSetLat, r.hostFn)
+			return
+		}
+		// The table itself refused (neighborhoods exhausted, or a claim
+		// held past MissTimeout): a definitive rejection, not unavailability.
 		r.finish(ownerRejected)
 		return
 	}
