@@ -241,13 +241,13 @@ type serviceShard struct {
 	// counts the entries whose hint stands.
 	keys   map[uint64]ownerKey
 	nHints int
-	slots  recordPool[ring.Queue[func()]] // queues of held write slots
+	slots  recordPool[ring.Queue[*ownerRun]] // queues of held write slots
 
 	// Hint drain: hinted keys wait in drainQ, front first, for one of
 	// the shard's drain lanes — one per write slot of its clients —
-	// and idle is the stack of lanes free to take one.
+	// and lanes counts the idle ones.
 	drainQ []uint64
-	idle   []*drainLane
+	lanes  int
 
 	// stats holds the shard's counters (the ShardStats fields tagged
 	// `metric`), which the registry reads in place; Stats() copies the
@@ -655,17 +655,10 @@ func (s *Service) buildShard(id string) *serviceShard {
 	srv := &Server{tb: s.tb, node: node, builder: core.NewBuilder(node.Dev, 1<<16)}
 	srv.valueArena().SetNoReclaim(cfg.NoReclaim)
 	sh := &serviceShard{id: id, stats: ShardStats{ID: id}, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
-		ringIdx: -1, keys: make(map[uint64]ownerKey),
+		ringIdx: -1, keys: make(map[uint64]ownerKey), lanes: cfg.ClientsPerShard * cfg.Pipeline,
 		trTry: "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
 		trHint: "hint:" + id, trRepair: "repair:" + id}
 	sh.probeFn = sh.probed
-	lanes := make([]drainLane, cfg.ClientsPerShard*cfg.Pipeline)
-	sh.idle = make([]*drainLane, len(lanes))
-	for i := range lanes {
-		l := &lanes[i]
-		l.sh, l.slotFn, l.doneFn = sh, l.granted, l.done
-		sh.idle[i] = l
-	}
 	sh.initMetrics(s.reg)
 	for c := 0; c < cfg.ClientsPerShard; c++ {
 		cc := fabric.DefaultNodeConfig(fmt.Sprintf("%s-client%d", id, c))
@@ -829,7 +822,8 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 
 // place stores key at one of its candidate buckets through the
 // table's kick walk (hopscotch.Table.Place), dropping the placement
-// hints of key and of every resident the walk moved.
+// hints of key and of every resident the walk moved — and the claim of
+// a moved resident's own write, whose ack may land after the walk.
 //
 // LookupSingle offloads probe only H1, so single-mode shards place at
 // the first candidate or spill — relocation is impossible when a key
@@ -856,6 +850,9 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 	}
 	for _, k := range moved {
 		sh.svc.dropPlaced(k)
+		if q := sh.keys[k].slot; q != nil {
+			(*q.Peek()).claimAt = 0 // the holder's ack must not learn the bucket k left
+		}
 	}
 	return err
 }

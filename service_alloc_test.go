@@ -158,11 +158,12 @@ func TestSinksOnOpsAllocate(t *testing.T) {
 
 // TestHintDrainAllocatesNothingPerHint pins what a recovery's hint
 // drain costs the host: the same objects for 1 024 hints as for 256.
-// The drain lanes and their continuations are made with the shard, and
-// the owner-apply and request records they borrow are bounded by the
-// owner's write slots. (A drain of fewer hints than one MissTimeout's
-// worth of replays ends before the set pipelines, whose request records
-// stay pinned until their deadline, have made their full count.)
+// A drain lane is a count kept with the shard, and the owner-apply
+// record each replay is, and the request records its apply borrows,
+// are bounded by the owner's write slots. (A drain of fewer hints than
+// one MissTimeout's worth of replays ends before the set pipelines,
+// whose request records stay pinned until their deadline, have made
+// their full count.)
 func TestHintDrainAllocatesNothingPerHint(t *testing.T) {
 	mallocs := func(n int) uint64 {
 		s, _, up := hintedOutage(t, n, 4)

@@ -88,6 +88,71 @@ func TestPlacementHintDroppedByKickWalk(t *testing.T) {
 	}
 }
 
+// A kick walk can move a key whose own fabric set has published but
+// whose ack has not landed yet. The ack must not learn the bucket the
+// key left: the next get would aim its single probe there and pay a
+// MissTimeout as a placed miss.
+func TestPlacementHintNotLearnedAfterAKickWalk(t *testing.T) {
+	const valLen = 64
+	s := NewServiceWith(ServiceConfig{
+		Shards: 1, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
+		Replicas: 1, Buckets: 64, MaxValLen: valLen,
+	})
+	sh := s.order[0]
+	tb := sh.table.table
+	for k := uint64(1); k <= 24; k++ {
+		if err := s.Set(k, Value(k, valLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	taken := func(b uint64) bool { _, _, _, ok := tb.EntryAt(b); return ok }
+	// k's candidates are distinct and both free, so its fabric set claims
+	// the first and a walk can kick it to the second. j's first candidate
+	// is k's first and its second holds a key, so j's host-path set walks
+	// and kicks k.
+	var k, j uint64
+	for c := uint64(1000); k == 0; c++ {
+		if h1, h2 := tb.Hash(c, 0), tb.Hash(c, 1); h1 != h2 && !taken(h1) && !taken(h2) {
+			k = c
+		}
+	}
+	h1, h2 := tb.Hash(k, 0), tb.Hash(k, 1)
+	for c := k + 1; j == 0; c++ {
+		if tb.Hash(c, 0) == h1 && tb.Hash(c, 1) != h2 && taken(tb.Hash(c, 1)) {
+			j = c
+		}
+	}
+	acked := false
+	s.SetAsync(k, Value(k, valLen), func(_ Duration, err error) {
+		if err != nil {
+			t.Errorf("set of %d: %v", k, err)
+		}
+		acked = true
+	})
+	s.Flush()
+	// Step to the publish: k's word is in its bucket, its ack in flight.
+	eng := s.Testbed().Engine()
+	for key, _, _, _ := tb.EntryAt(h1); key != k && !acked; key, _, _, _ = tb.EntryAt(h1) {
+		eng.RunUntil(eng.Now() + 10*sim.Nanosecond)
+	}
+	if acked {
+		t.Fatal("setup: the ack landed before the publish was seen")
+	}
+	if err := sh.set(j, Value(j, valLen), 1); err != nil {
+		t.Fatal(err)
+	}
+	if key, _, _, _ := tb.EntryAt(h2); key != k || acked {
+		t.Fatalf("setup: the walk for %d left %d out of its second candidate (acked %v)", j, k, acked)
+	}
+	s.Run()
+	if got, _, ok := s.Get(k, valLen); !ok || string(got) != string(Value(k, valLen)) {
+		t.Fatalf("key %d read back %x (hit %v)", k, got, ok)
+	}
+	if st := s.Stats(); st.Misses != 0 || st.PlacedMisses != 0 {
+		t.Fatalf("%d misses, %d placed misses; want 0 and 0", st.Misses, st.PlacedMisses)
+	}
+}
+
 // Correctness never rests on a hint: a get aimed at the candidate a
 // stale hint names misses there, asks the same owner again with both
 // probes, and answers the hit, with the hint dropped.

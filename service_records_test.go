@@ -2,10 +2,13 @@ package redn
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -85,16 +88,64 @@ func recordsHome(t *testing.T, s *Service, old ...*Client) {
 	}
 }
 
-// keySlots counts the (owner, key) write slots held on sh and the work
+// keySlots counts the (owner, key) write slots held on sh and the runs
 // queued behind them.
 func keySlots(sh *serviceShard) (busy, queued int) {
 	for _, k := range sh.keys {
 		if k.slot != nil {
 			busy++
-			queued += k.slot.Len()
+			queued += k.slot.Len() - 1
 		}
 	}
 	return busy, queued
+}
+
+// slotsWhole checks the write slots of s's shards, and of the shards in
+// gone that left it, against the owner-apply records out: every record
+// out holds one slot or waits in its queue, each holder (the queue's
+// head) is a run past its grant on that shard and key, and each waiter
+// a run in the slot stage on that shard and key.
+func slotsWhole(s *Service, gone ...*serviceShard) error {
+	held, queued := 0, 0
+	shards := slices.Clone(s.order)
+	for _, sh := range gone {
+		if !slices.Contains(shards, sh) {
+			shards = append(shards, sh)
+		}
+	}
+	for _, sh := range shards {
+		for key, k := range sh.keys {
+			for i, r := range slotRuns(k.slot) {
+				if r.sh != sh || r.m.key != key {
+					return fmt.Errorf("%s key %d: entry %d is a run for %s key %d", sh.id, key, i, r.sh.id, r.m.key)
+				}
+				if i == 0 && (r.next == runFree || r.next == runSlot) || i > 0 && r.next != runSlot {
+					return fmt.Errorf("%s key %d: entry %d is at stage %d", sh.id, key, i, r.next)
+				}
+			}
+			if k.slot != nil {
+				held, queued = held+1, queued+k.slot.Len()-1
+			}
+		}
+	}
+	if out := s.runs.made - len(s.runs.free); held+queued != out {
+		return fmt.Errorf("%d slots held and %d runs queued on them, %d owner-apply records out", held, queued, out)
+	}
+	return nil
+}
+
+// slotRuns lists the runs of a write slot, the holder first; nil for a
+// free slot.
+func slotRuns(q *ring.Queue[*ownerRun]) []*ownerRun {
+	if q == nil {
+		return nil
+	}
+	runs := make([]*ownerRun, q.Len())
+	for i := range runs {
+		runs[i] = q.Pop()
+		*q.Push() = runs[i]
+	}
+	return runs
 }
 
 // hintsOn counts the hints standing on sh by walking its records.
@@ -112,12 +163,13 @@ func hintsOn(sh *serviceShard) int {
 // clients x 16 deep, r=3 W=2, 128 closed-loop users, half of them sets,
 // uniform over 10 000 keys), through 50 000 ops. Between events every
 // owner-apply record is either holding its (owner, key) write slot or
-// queued on one, and every held slot is one request in its owner's set
-// pipeline, in flight or waiting; the unsettled counts add up to the
-// live write records. After quiesce no owner keeps a record and no key
-// is unsettled. The backlog the W < N trailing legs leave when the last
-// op is issued is logged: set legs waiting in the pipelines, writes
-// waiting on key slots, and unsettled keys.
+// queued on one (slotsWhole), and every held slot is one request in its
+// owner's set pipeline, in flight or waiting; the unsettled counts add
+// up to the live write records. After quiesce no owner keeps a record
+// and no key is unsettled. The backlog the W < N trailing legs leave
+// when the last op is issued is logged: set legs waiting in the
+// pipelines, writes waiting on key slots, unsettled keys, and the legs
+// of writes already past quorum, queued on a slot or holding one.
 func TestKeyRecordsWholeAtQuorumWriteShape(t *testing.T) {
 	const nKeys, users, total, valLen = 10_000, 128, 50_000, 64
 	s := NewServiceWith(ServiceConfig{
@@ -191,9 +243,8 @@ func TestKeyRecordsWholeAtQuorumWriteShape(t *testing.T) {
 	for eng.Pending() > 0 {
 		eng.RunUntil(eng.Now() + 20*sim.Microsecond)
 		busy, slotQueued, inFlight, waiting := backlog()
-		if runs := s.runs.made - len(s.runs.free); busy+slotQueued != runs {
-			t.Fatalf("at %v: %d slots held and %d runs queued on them, %d owner-apply records out",
-				s.Now(), busy, slotQueued, runs)
+		if err := slotsWhole(s); err != nil {
+			t.Fatalf("at %v: %v", s.Now(), err)
 		}
 		if busy != inFlight+waiting {
 			t.Fatalf("at %v: %d slots held, the set pipelines carry %d in flight and %d waiting",
@@ -208,6 +259,8 @@ func TestKeyRecordsWholeAtQuorumWriteShape(t *testing.T) {
 			logged = true
 			t.Logf("backlog at op %d: %d set legs waiting in the pipelines, %d writes on key slots, %d keys unsettled",
 				total, waiting, slotQueued, keys)
+			queued, holding := pastQuorumLegs(s)
+			t.Logf("legs of writes past quorum at op %d: %d queued on key slots, %d holding one", total, queued, holding)
 		}
 		checks++
 	}
@@ -229,11 +282,32 @@ func TestKeyRecordsWholeAtQuorumWriteShape(t *testing.T) {
 	recordsHome(t, s)
 }
 
+// pastQuorumLegs counts the owner runs that are legs of writes already
+// past quorum (setOp.done): those queued on a key slot, and those
+// holding one.
+func pastQuorumLegs(s *Service) (queued, holding int) {
+	for _, sh := range s.order {
+		for _, k := range sh.keys {
+			for i, r := range slotRuns(k.slot) {
+				switch {
+				case r.op == nil || !r.op.done:
+				case i == 0:
+					holding++
+				default:
+					queued++
+				}
+			}
+		}
+	}
+	return queued, holding
+}
+
 // churn keeps users closed loops of mixed gets (present and absent
 // keys), sets and deletes running over keys until total ops have
 // completed, same-key writes back to back included, and returns how
-// many completed.
-func churn(s *Service, keys []uint64, users, total int) int {
+// many completed. A non-nil check runs between events, every
+// microsecond of virtual time.
+func churn(s *Service, keys []uint64, users, total int, check func()) int {
 	issued, done := 0, 0
 	var user func()
 	user = func() {
@@ -267,7 +341,14 @@ func churn(s *Service, keys []uint64, users, total int) int {
 		user()
 	}
 	s.Flush()
-	s.Run()
+	if check == nil {
+		s.Run()
+		return done
+	}
+	for eng := s.Testbed().Engine(); eng.Pending() > 0; {
+		eng.RunUntil(eng.Now() + sim.Microsecond)
+		check()
+	}
 	return done
 }
 
@@ -291,7 +372,7 @@ func TestOpRecordsReturnAtQuiesce(t *testing.T) {
 		Buckets: 1 << 12, MaxValLen: 64})
 	keys := preloadKeys(t, s, 64)
 	const total = 4000
-	if done := churn(s, keys, 24, total); done != total {
+	if done := churn(s, keys, 24, total, nil); done != total {
 		t.Fatalf("%d of %d ops completed", done, total)
 	}
 	recordsHome(t, s)
@@ -467,7 +548,8 @@ func TestWriteRecordOutlivesItsOwnLastSettle(t *testing.T) {
 // Through a join and a drain with load on: dual writes add auxiliary
 // legs, the migrator's copies and the load's writes queue on the same
 // (owner, key) slots, and the drained shard leaves with its
-// connections.
+// connections. Between events the write slots account for every
+// owner-apply record out (slotsWhole), the drained shard's included.
 func TestOpRecordsReturnAcrossMigration(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 3, ClientsPerShard: 2, Pipeline: 4, Mode: LookupSeq,
@@ -481,7 +563,16 @@ func TestOpRecordsReturnAcrossMigration(t *testing.T) {
 		t.Fatal("setup: the join finished before any load")
 	}
 	made := s.runs.made
-	if done := churn(s, keys, 16, 2000); done != 2000 {
+	checks := 0
+	whole := func(gone ...*serviceShard) func() {
+		return func() {
+			if err := slotsWhole(s, gone...); err != nil {
+				t.Fatalf("at %v: %v", s.Now(), err)
+			}
+			checks++
+		}
+	}
+	if done := churn(s, keys, 16, 2000, whole()); done != 2000 {
 		t.Fatalf("%d of 2000 ops completed across the join", done)
 	}
 	if s.resharding() {
@@ -495,9 +586,10 @@ func TestOpRecordsReturnAcrossMigration(t *testing.T) {
 	if err := s.DrainShard("shard0"); err != nil {
 		t.Fatal(err)
 	}
-	if done := churn(s, keys, 16, 2000); done != 2000 {
+	if done := churn(s, keys, 16, 2000, whole(gone)); done != 2000 {
 		t.Fatalf("%d of 2000 ops completed across the drain", done)
 	}
+	t.Logf("%d checks of the write slots", checks)
 	if s.resharding() || s.NumShards() != 3 {
 		t.Fatal("drain never finished")
 	}
@@ -581,7 +673,7 @@ func TestWaitingQueuesDropPoppedRequests(t *testing.T) {
 	if p.waiting.Len() != 62 {
 		t.Fatalf("%d gets queued behind a 2-deep pipeline, want 62", p.waiting.Len())
 	}
-	if q := sh.keys[keys[0]].slot; q.Len() != 63 {
+	if q := sh.keys[keys[0]].slot; q.Len()-1 != 63 {
 		t.Fatalf("%d writes queued behind the key's slot, want 63", q.Len())
 	}
 	s.Flush()
@@ -626,7 +718,7 @@ func TestReleasedOpRecordsPanic(t *testing.T) {
 	mustPanic("settling a released write record", "write record used after", func() { op.settleOne(s) })
 	mustPanic("acking a released write record", "write record used after", func() { op.ack(s) })
 	r := s.runs.free[0]
-	mustPanic("a slot grant on a released owner-apply record", "owner-apply continuation", r.slotFn)
+	mustPanic("a slot grant on a released owner-apply record", "owner-apply continuation", r.granted)
 	mustPanic("an ack on a released owner-apply record", "owner-apply continuation", func() { r.ackFn(0, true) })
 
 	// A record taken again is not its previous user's either: the old
@@ -697,16 +789,18 @@ func hintedOutage(t *testing.T, n, users int) (*Service, *serviceShard, sim.Time
 // per write slot of its clients — not all at once: however many hints
 // the outage left, the drain holds no more owner applies, and puts no
 // more requests in the reset set pipelines, than the owner has write
-// slots, beside what the users themselves have in flight. The users
-// rewrite the hinted keys during the drain, so some hints are
+// slots, beside what the users themselves have in flight. Each replay
+// is an owner run that waits for or holds its key's write slot, so
+// between events the slots account for every run out (slotsWhole). The
+// users rewrite the hinted keys during the drain, so some hints are
 // superseded in the queue and some replays meet a newer write at the
 // key's write slot; every key still ends at its newest value.
 func TestHintDrainIsBounded(t *testing.T) {
 	const n, users = 256, 4
 	s, victim, up := hintedOutage(t, n, users)
 	lanes := s.cfg.ClientsPerShard * s.cfg.Pipeline
-	if len(victim.idle) != lanes || lanes != 8 {
-		t.Fatalf("setup: %d idle drain lanes, want all %d of 8", len(victim.idle), lanes)
+	if victim.lanes != lanes || lanes != 8 {
+		t.Fatalf("setup: %d idle drain lanes, want all %d of 8", victim.lanes, lanes)
 	}
 	// Count the owner-apply records the recovery makes. The outage's
 	// writes failed while their live legs still ran, so its users grew
@@ -727,7 +821,10 @@ func TestHintDrainIsBounded(t *testing.T) {
 	rewriteKeys(s, keys, users, 2)
 	busy, held := 0, 0
 	for eng.Pending() > 0 {
-		busy = max(busy, lanes-len(victim.idle))
+		if err := slotsWhole(s); err != nil {
+			t.Fatalf("at %v: %v", s.Now(), err)
+		}
+		busy = max(busy, lanes-victim.lanes)
 		h := 0
 		for _, cli := range victim.clients {
 			st := cli.pipelineStats(pipeSet)
@@ -740,14 +837,15 @@ func TestHintDrainIsBounded(t *testing.T) {
 	if busy == 0 || busy > lanes {
 		t.Fatalf("at most %d drain lanes were busy at once, want 1 to %d", busy, lanes)
 	}
-	// A busy lane holds one owner-apply record and a user's write three,
-	// one per leg. One record more can be live: finish returns a record
-	// only after its done has run, and a leg's done can complete its
-	// write, whose user then starts the next write's three legs (a
-	// lane's done, its next replay) before the record is back. No done
-	// finishes another record synchronously (every apply completes from
-	// an engine event), so only one record at a time is in that
-	// hand-off.
+	// A busy lane holds one owner-apply record, its replay's run, and a
+	// user's write three, one per leg. One record more can be live: a
+	// leg's finish returns its record only after its done has run, and
+	// that done can complete its write, whose user then starts the next
+	// write's three legs before the record is back. A replay's record is
+	// back before its lane moves on, and no done finishes another record
+	// synchronously (every apply completes from an engine event, and the
+	// next run is granted the slot only after the put), so only one
+	// record at a time is in that hand-off.
 	if s.runs.made > lanes+3*users+1 {
 		t.Fatalf("the recovery made %d owner-apply records: more than %d lanes, %d users and one hand-off need",
 			s.runs.made, lanes, users)
@@ -796,8 +894,8 @@ func TestHintDrainSurvivesSecondCrash(t *testing.T) {
 	// else starts.
 	eng.RunUntil(s.Now() + 100*sim.Millisecond)
 	st := s.Stats().Shards[0]
-	if len(victim.idle) != s.cfg.ClientsPerShard*s.cfg.Pipeline {
-		t.Fatalf("%d drain lanes still busy with the owner down", s.cfg.ClientsPerShard*s.cfg.Pipeline-len(victim.idle))
+	if victim.lanes != s.cfg.ClientsPerShard*s.cfg.Pipeline {
+		t.Fatalf("%d drain lanes still busy with the owner down", s.cfg.ClientsPerShard*s.cfg.Pipeline-victim.lanes)
 	}
 	if int(st.HintsApplied)+hintsOn(victim) != n || st.HintsDropped != 0 {
 		t.Fatalf("mid-outage: %d applied + %d pending of %d hints (%d dropped)",

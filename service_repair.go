@@ -372,11 +372,11 @@ func (s *Service) applyRepair(r *repair.Record) {
 		s.requeueRepair(sh, r)
 		return
 	}
-	s.converge(sh, r.Key, func(out convergeOutcome) {
-		switch out {
-		case convergeCaughtUp:
+	s.converge(sh, r.Key, func(st ownerWriteStatus) {
+		switch st {
+		case ownerCaughtUp:
 			sh.stats.RepairsSuperseded++
-		case convergeApplied:
+		case ownerApplied:
 			sh.stats.RepairsApplied++
 		default:
 			s.requeueRepair(sh, r)
@@ -384,79 +384,67 @@ func (s *Service) applyRepair(r *repair.Record) {
 	})
 }
 
-// convergeOutcome is how one converge call resolved.
-type convergeOutcome int
-
-const (
-	// convergeCaughtUp: nothing to do — the owner already holds the
-	// winning state (a newer write, a drained hint, or an earlier
-	// converge landed first), or the winner's copy vanished under a
-	// racing delete whose tombstone will win the next derivation.
-	convergeCaughtUp convergeOutcome = iota
-	convergeApplied                  // the owner was rolled forward
-	convergeFailed                   // unreachable, rejecting, or unreadable: the caller's retry policy decides
-)
-
 // converge rolls owner sh forward to the winning state of key — the one
-// loop behind the repair queue and the resharding migrator. The winning
-// state is re-derived under the owner's per-key write slot, not taken
-// from whatever evidence prompted the call, so a converge can never
-// undo a write that landed while it was queued: roll forward, never
-// roll back. The winner's bytes are read at that moment and applied
-// through the ordinary owner apply path (fabric chain or host RPC,
-// modeled cost and all). done runs exactly once, before the slot is
-// released.
-func (s *Service) converge(sh *serviceShard, key uint64, done func(convergeOutcome)) {
-	sh.withKeySlot(key, func() {
-		finish := func(out convergeOutcome) {
-			done(out)
-			sh.setNext(key)
+// loop behind the repair queue and the resharding migrator. It is an
+// owner run that re-derives the winning state when it is granted the
+// owner's per-key write slot, not from whatever evidence prompted the
+// call, so it can never undo a write that landed while it was queued:
+// roll forward, never roll back. The winner's bytes are read then and
+// applied through the ordinary owner apply path (fabric chain or host
+// RPC, modeled cost and all). done runs once, before the slot passes
+// on: caught up, applied, or a failure whose retry is the caller's.
+func (s *Service) converge(sh *serviceShard, key uint64, done func(ownerWriteStatus)) {
+	r := s.takeRun(sh, nil, 0)
+	r.mut.key, r.m, r.done = key, &r.mut, done
+	sh.withKeySlot(r)
+}
+
+// derive re-derives a converge's winning state into its own mutation,
+// the run holding the slot, and reports whether there is anything to
+// apply; when there is not, end is how the run ends.
+func (r *ownerRun) derive() (end ownerWriteStatus, apply bool) {
+	s, sh, key := r.s, r.sh, r.mut.key
+	winVer, winDel, winner, has := s.winningState(key)
+	cur, _, curOK := s.ownerState(sh, key)
+	if !has || winVer == 0 || (curOK && cur >= winVer) {
+		return ownerCaughtUp, false
+	}
+	r.mut.seq, r.mut.del, r.mut.val = winVer, winDel, r.mut.val[:0]
+	if winDel {
+		return 0, true
+	}
+	// Capture the winning bytes under the slot. Only a winner that IS
+	// this shard cannot be repointed meanwhile; for cross-owner reads
+	// the callers keep racing writes out (the repair queue defers while
+	// the key is unsettled; a migration copy losing the race re-derives
+	// a newer winner next time).
+	va, vl, live := winner.table.table.Lookup(key)
+	if !live {
+		return ownerCaughtUp, false
+	}
+	r.mut.val = slices.Grow(r.mut.val, int(vl))[:vl]
+	if err := winner.srv.node.Mem.ReadInto(va, r.mut.val); err != nil {
+		return ownerUnreachable, false
+	}
+	return 0, true
+}
+
+// converged resolves a converge for its caller. Applied, a value cached
+// from the stale owner before it (legal while the write settled, or
+// read from a pre-change owner) must not outlive convergence — the
+// epoch bump keeps in-flight gets from re-admitting it either.
+func (r *ownerRun) converged(st ownerWriteStatus) {
+	s, key := r.s, r.m.key
+	if st == ownerApplied {
+		s.noteOwnerApplied(r.sh, r.m)
+		if s.cache != nil {
+			rec := s.keys[key]
+			rec.epoch++
+			s.keys[key] = rec
+			delete(s.cache, key)
 		}
-		winVer, winDel, winner, has := s.winningState(key)
-		cur, _, curOK := s.ownerState(sh, key)
-		if !has || winVer == 0 || (curOK && cur >= winVer) {
-			finish(convergeCaughtUp)
-			return
-		}
-		m := &mutation{key: key, seq: winVer, del: winDel}
-		if !winDel {
-			// Capture the winning bytes under the slot: the winner's table
-			// cannot be repointed for this key while we hold it only if the
-			// winner IS this shard — for cross-owner reads the callers keep
-			// racing writes out (the repair queue defers while the key is
-			// unsettled; a migration copy losing the race re-derives a
-			// newer winner next time).
-			va, vl, live := winner.table.table.Lookup(key)
-			if !live {
-				finish(convergeCaughtUp)
-				return
-			}
-			val, err := winner.srv.node.Mem.Read(va, vl)
-			if err != nil {
-				finish(convergeFailed)
-				return
-			}
-			m.val = val
-		}
-		s.ownerApplyNow(sh, m, 0, func(st ownerWriteStatus) {
-			if st != ownerApplied {
-				finish(convergeFailed)
-				return
-			}
-			s.noteOwnerApplied(sh, m)
-			// A value cached from the stale owner before this converge
-			// (legal while the write settled, or read from a pre-change
-			// owner) must not outlive convergence — bump the epoch so
-			// in-flight gets cannot re-admit it either.
-			if s.cache != nil {
-				rec := s.keys[key]
-				rec.epoch++
-				s.keys[key] = rec
-				delete(s.cache, key)
-			}
-			finish(convergeApplied)
-		})
-	})
+	}
+	r.done(st)
 }
 
 // ---- anti-entropy ----

@@ -490,11 +490,11 @@ func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func())
 // while it was queued. Caught up while queued (a dual write, a drained
 // hint, or a repair landed first) is success, not a failure.
 func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) {
-	s.converge(sh, key, func(out convergeOutcome) {
-		if out == convergeApplied {
+	s.converge(sh, key, func(st ownerWriteStatus) {
+		if st == ownerApplied {
 			s.stats.MigKeysMoved++
 		}
-		done(out != convergeFailed)
+		done(st == ownerApplied || st == ownerCaughtUp)
 	})
 }
 
@@ -564,8 +564,8 @@ func (s *Service) finishMigration(m *migration) {
 // redirectHints moves every hint parked on from to each key's new
 // primary. Each redirected hint is a FRESH struct carrying the same
 // op, key, sequence and payload: the original may be mid-drain on
-// from, and a drain lane's identity checks key off from's records —
-// moving the struct itself would wedge its callbacks. Settlement
+// from, and its replay run's identity check keys off from's records —
+// moving the struct itself would wedge the replay. Settlement
 // transfers with the op pointer: the new hint settles the originating
 // write when it drains or is superseded, exactly once.
 func (s *Service) redirectHints(from *serviceShard) {

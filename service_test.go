@@ -680,8 +680,9 @@ func TestServiceSetRejectsOversizedValue(t *testing.T) {
 // Roll forward, never back: converge re-derives the winning state when
 // it reaches the owner's per-key slot, not when it was queued. A repair
 // AND a migration copy are parked on a lagging owner's slot behind an
-// in-flight newer write; when their turn comes the owner is already
-// past the state they were queued to deliver, and neither may touch it.
+// in-flight converge to a newer write; when their turn comes the owner
+// is already past the state they were queued to deliver, and neither
+// may touch it.
 func TestServiceConvergeNeverRollsBack(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
@@ -714,34 +715,40 @@ func TestServiceConvergeNeverRollsBack(t *testing.T) {
 		}
 	}
 
-	// Seq 3 holds the (owner, key) slot, in flight on the fabric; the
+	// Seq 3 lands on the primary; a converge carrying it to the lagging
+	// owner holds the (owner, key) slot, in flight on the fabric. The
 	// repair and the copy queue behind it still believing seq 2 wins.
-	newer := &mutation{key: key, seq: 3, val: Value(key+3, 64)}
+	newer := Value(key+3, 64)
 	rec := s.keys[key]
-	rec.seq = newer.seq
+	rec.seq = 3
 	s.keys[key] = rec
-	lag.withKeySlot(key, func() {
-		s.ownerApplyNow(lag, newer, 0, func(st ownerWriteStatus) {
-			if st != ownerApplied {
-				t.Errorf("newer write on the lagging owner: status %d", st)
-			}
-			s.noteOwnerApplied(lag, newer)
-			lag.setNext(key)
-		})
-	})
+	if err := s.shards[s.Owners(key)[0]].set(key, newer, rec.seq); err != nil {
+		t.Fatal(err)
+	}
+	var first ownerWriteStatus = -1
+	s.converge(lag, key, func(st ownerWriteStatus) { first = st })
+	q := lag.keys[key].slot
+	if r := *q.Peek(); q.Len() != 1 || r.next != runAck || r.m.seq != rec.seq {
+		t.Fatal("setup: the converge to seq 3 does not hold the slot in flight")
+	}
 	s.applyRepair(&repair.Record{Owner: lagID, Key: key, Seq: 2})
 	copied, copyOK := false, false
 	s.migrateCopy(key, lag, func(ok bool) { copied, copyOK = true, ok })
-	if q := lag.keys[key].slot; q.Len() != 2 {
-		t.Fatalf("%d converges parked behind the in-flight write, want 2", q.Len())
+	if q.Len() != 3 {
+		t.Fatalf("%d converges parked behind the in-flight one, want 2", q.Len()-1)
+	}
+	for i, r := range slotRuns(q)[1:] {
+		if r.next != runSlot || r.op != nil || r.h != nil || r.done == nil || r.m != &r.mut {
+			t.Fatalf("parked entry %d is not a converge run waiting for the slot", i+1)
+		}
 	}
 	s.Run()
 
-	if v, ok := ownerValue(t, s, lagID, key); !ok || !bytes.Equal(v, newer.val) {
+	if v, ok := ownerValue(t, s, lagID, key); !ok || !bytes.Equal(v, newer) {
 		t.Fatal("a parked converge rolled the owner back off the newer write")
 	}
-	if len(applied) != 1 || applied[0] != newer.seq {
-		t.Fatalf("owner applied seqs %v, want only the newer write's [3]", applied)
+	if len(applied) != 1 || applied[0] != rec.seq || first != ownerApplied {
+		t.Fatalf("owner applied seqs %v (first converge %d), want only the newer write's [3]", applied, first)
 	}
 	if !copied || !copyOK {
 		t.Fatalf("migration copy done=%v ok=%v, want caught-up success", copied, copyOK)

@@ -114,8 +114,8 @@ type mutation struct {
 // owner is missing. Tombstones and values share the per-key slot and
 // its sequence order, so a delete hint supersedes any older value hint
 // and a drain replays it as a delete. queued: the key waits in the
-// shard's drain queue or a drain lane holds it; draining: a lane is
-// replaying this hint.
+// shard's drain queue or a replay holds it; draining: a replay run
+// carries this hint.
 type hint struct {
 	*mutation
 	op       *setOp
@@ -416,11 +416,9 @@ func (s *Service) startLeg(op *setOp, sh *serviceShard, idx int, votes bool) {
 		s.tr.AsyncBegin("leg", op.traceOp<<4|uint64(idx), sh.legTrack(votes), op.traceOp)
 	}
 	r := s.takeRun(sh, &op.mutation, op.traceOp)
-	r.done = r.legFn
-	r.op, r.idx, r.votes, r.slotted = op, idx, votes, true
+	r.op, r.idx, r.votes = op, idx, votes
 	s.armAntiEntropy()
-	r.next = runSlot
-	sh.withKeySlot(op.key, r.slotFn)
+	sh.withKeySlot(r)
 }
 
 // legTrack is the shard's trace track for a voting or auxiliary leg.
@@ -527,13 +525,14 @@ func (s *Service) dropPlaced(key uint64) {
 func (s *Service) settled(key uint64) bool { return s.keys[key].unsettled == 0 }
 
 // ownerKey is one owner's write state for one key, kept on its shard:
-// the (owner, key) write slot (while held, the queue of work behind it,
-// from the shard's pool), the hint standing for the newest mutation the
-// owner is missing, and the newest delete sequence it applied (tomb, 0
-// for none): the version a tombstoned bucket loses once another key
-// reclaims it. An entry lives only while it holds one of the three.
+// the (owner, key) write slot (while held, the queue of owner runs
+// whose head holds it, from the shard's pool), the hint standing for
+// the newest mutation the owner is missing, and the newest delete
+// sequence it applied (tomb, 0 for none): the version a tombstoned
+// bucket loses once another key reclaims it. An entry lives only while
+// it holds one of the three.
 type ownerKey struct {
-	slot *ring.Queue[func()]
+	slot *ring.Queue[*ownerRun]
 	hint *hint
 	tomb uint64
 }
@@ -548,26 +547,29 @@ func (sh *serviceShard) put(key uint64, k ownerKey) {
 	sh.keys[key] = k
 }
 
-// withKeySlot serializes same-key work on one owner: run executes
-// immediately if the (owner, key) write slot is free, else it queues
-// behind the in-flight write. Every run must end by calling setNext.
-func (sh *serviceShard) withKeySlot(key uint64, run func()) {
-	k := sh.keys[key]
-	if k.slot != nil {
-		*k.slot.Push() = run
-		return
+// withKeySlot serializes same-key work on one owner: r is granted the
+// (owner, key) write slot at once if it is free, else it queues behind
+// the run holding it. A run passes the slot on when it finishes.
+func (sh *serviceShard) withKeySlot(r *ownerRun) {
+	r.next = runSlot
+	k := sh.keys[r.m.key]
+	if k.slot == nil {
+		k.slot, _ = sh.slots.take()
+		sh.keys[r.m.key] = k
 	}
-	k.slot, _ = sh.slots.take()
-	sh.keys[key] = k
-	run()
+	*k.slot.Push() = r
+	if k.slot.Len() == 1 {
+		r.granted()
+	}
 }
 
-// setNext releases the (owner, key) write slot and issues the next
-// queued same-key work, if any.
+// setNext drops the finished run at the head of the (owner, key) write
+// slot and grants the slot to the next run queued for it, or frees it.
 func (sh *serviceShard) setNext(key uint64) {
 	k := sh.keys[key]
+	k.slot.Pop()
 	if k.slot.Len() > 0 {
-		k.slot.Pop()()
+		(*k.slot.Peek()).granted()
 		return
 	}
 	sh.slots.put(k.slot)
@@ -617,7 +619,7 @@ func (s *Service) noteOwnerApplied(sh *serviceShard, m *mutation) {
 	}
 }
 
-// ownerWriteStatus classifies one owner write's outcome. The
+// ownerWriteStatus classifies one owner apply's outcome. The
 // distinction matters for handoff: an unreachable owner gets a hint
 // (the write applies at recovery), a definitive rejection — the table
 // refused the insert — does not: deferring a capacity failure would
@@ -628,6 +630,10 @@ const (
 	ownerApplied ownerWriteStatus = iota
 	ownerUnreachable
 	ownerRejected
+	// ownerCaughtUp: nothing left to apply when the run was granted the
+	// slot — a replay's hint no longer stands, or a converge finds the
+	// owner at the winning state already (or the winner's copy deleted).
+	ownerCaughtUp
 )
 
 // runStage names the one continuation an owner-apply record has
@@ -643,26 +649,23 @@ const (
 	runHost                 // the host RPC's modeled latency is elapsing
 )
 
-// ownerRun is one owner-level apply in flight — a fan-out leg, a hint
-// drain or a converge: what ownerApplyNow's continuations would capture,
-// in one pooled record. The continuations are method values bound once,
-// when the record is made; next names the single one outstanding, so a
-// continuation reaching a record that was released — or released and
-// taken again — panics. The record goes back when done has run.
+// ownerRun is one owner-level apply, from the moment it asks for its
+// (owner, key) write slot until it passes the slot on: a fan-out leg
+// (op set), a hint replay (h set) or a converge (neither): the only
+// record of its apply, and a pooled one. The continuations are method
+// values bound once, when the record is made; next names the single
+// one outstanding, so a continuation reaching a record that was
+// released — or released and taken again — panics.
 type ownerRun struct {
 	s    *Service
 	next runStage
 
-	sh   *serviceShard
-	m    *mutation
-	top  uint64 // trace op id the apply's WRs attribute to
-	done func(ownerWriteStatus)
-	// slotted: the run holds the (owner, key) write slot and releases
-	// it after done. (Drains and converges release it themselves.)
-	slotted bool
+	sh  *serviceShard
+	m   *mutation
+	top uint64 // trace op id the apply's WRs attribute to
 
 	cli      *Client          // connection the NIC chain is on
-	claimAt  uint64           // the bucket a fabric set claims (0: none, or it fell back to the host)
+	claimAt  uint64           // the bucket a fabric set claims (0: none, it fell back to the host, or a kick walk moved the key)
 	oldVa    uint64           // the key's extent before this apply
 	resident bool             // oldVa is valid
 	st       ownerWriteStatus // runHop: the outcome to deliver
@@ -670,14 +673,18 @@ type ownerRun struct {
 	hostLat  Duration         // runHost: the RPC's modeled latency
 
 	// A fan-out leg: the write it is a leg of, its position, whether it
-	// votes in the quorum.
+	// votes in the quorum. A hint replay: the hint (m is its mutation).
+	// A converge: the winning state it derives into mut (m points at it)
+	// when granted the slot, and its caller's done.
 	op    *setOp
 	idx   int
 	votes bool
+	h     *hint
+	mut   mutation
+	done  func(ownerWriteStatus)
 
-	slotFn, hopFn, hostFn func()
-	ackFn                 func(lat Duration, ok bool)
-	legFn                 func(ownerWriteStatus)
+	hopFn, hostFn func()
+	ackFn         func(lat Duration, ok bool)
 }
 
 // takeRun hands out an owner-apply record in the dispatch stage.
@@ -685,11 +692,11 @@ func (s *Service) takeRun(sh *serviceShard, m *mutation, top uint64) *ownerRun {
 	r, fresh := s.runs.take()
 	if fresh {
 		r.s = s
-		r.slotFn, r.hopFn, r.hostFn, r.ackFn, r.legFn = r.granted, r.hopped, r.hosted, r.acked, r.legDone
+		r.hopFn, r.hostFn, r.ackFn = r.hopped, r.hosted, r.acked
 	}
 	r.next = runExec
 	r.sh, r.m, r.top = sh, m, top
-	r.slotted, r.absent, r.claimAt = false, false, 0
+	r.absent, r.claimAt = false, 0
 	return r
 }
 
@@ -702,39 +709,56 @@ func (r *ownerRun) enter(stage runStage) {
 	r.next = runExec
 }
 
-// finish reports the apply's outcome, returns the record and, for a run
-// that holds the (owner, key) slot, passes the slot on.
+// granted runs when the (owner, key) write slot is the run's. A replay
+// re-checks its hint here: one dropped or replaced while the run queued
+// — a newer write reached this owner, or superseded the hint — is
+// skipped, so a replay never runs an old value over a newer write. A
+// converge derives what it applies here.
+func (r *ownerRun) granted() {
+	r.enter(runSlot)
+	switch {
+	case r.h != nil && r.sh.hintAt(r.m.key) != r.h:
+		r.finish(ownerCaughtUp)
+		return
+	case r.op == nil && r.h == nil:
+		if st, ok := r.derive(); !ok {
+			r.finish(st)
+			return
+		}
+	}
+	r.apply()
+}
+
+// finish resolves the run — a leg into its write's quorum accounting, a
+// replay into its hint, a converge into its caller's done — returns the
+// record and passes the slot on. A replay's lane moves on only then.
 func (r *ownerRun) finish(st ownerWriteStatus) {
-	s, sh, key, slotted := r.s, r.sh, r.m.key, r.slotted
-	r.done(st)
+	s, sh, key, h := r.s, r.sh, r.m.key, r.h
+	switch {
+	case r.op != nil:
+		r.legDone(st)
+	case h != nil:
+		s.replayDone(sh, h, st)
+	default:
+		r.converged(st)
+	}
 	r.next = runFree
-	r.sh, r.m, r.done, r.cli, r.op = nil, nil, nil, nil, nil
+	r.sh, r.m, r.done, r.cli, r.op, r.h = nil, nil, nil, nil, nil, nil
 	s.runs.put(r)
-	if slotted {
-		sh.setNext(key)
+	sh.setNext(key)
+	if h != nil {
+		s.replayed(sh, key, st != ownerUnreachable)
 	}
 }
 
-// granted runs when the (owner, key) write slot is the run's.
-func (r *ownerRun) granted() {
-	r.enter(runSlot)
-	r.apply()
-}
-
-// ownerApplyNow routes one owner apply, the caller holding the (owner,
-// key) slot: the NIC chain when the fabric can carry it — the CAS-claim
-// set chain at a claimable candidate bucket for a value, the tombstone
-// chain at the key's resident bucket for a delete — the host CPU
-// otherwise, a trivial ack for a delete the owner never had the key
-// for, handoff failure when neither can run. m.seq is published into
-// the bucket's version word by whichever path applies. done always runs
+// apply routes one owner apply, the run holding the (owner, key) slot:
+// the NIC chain when the fabric can carry it — the CAS-claim set chain
+// at a claimable candidate bucket for a value, the tombstone chain at
+// the key's resident bucket for a delete — the host CPU otherwise, a
+// trivial ack for a delete the owner never had the key for, handoff
+// failure when neither can run. m.seq is published into the bucket's
+// version word by whichever path applies. The run finishes
 // asynchronously (from the simulation).
-func (s *Service) ownerApplyNow(sh *serviceShard, m *mutation, top uint64, done func(st ownerWriteStatus)) {
-	r := s.takeRun(sh, m, top)
-	r.done = done
-	r.apply()
-}
-
 func (r *ownerRun) apply() {
 	s, sh, m := r.s, r.sh, r.m
 	t := sh.table.table
@@ -1070,62 +1094,42 @@ func (s *Service) drainHints(sh *serviceShard) {
 // is up. A key whose hint is gone (applied, dropped, redirected) or
 // already replaying on another lane is skipped.
 func (s *Service) pumpDrain(sh *serviceShard) {
-	for len(sh.idle) > 0 && len(sh.drainQ) > 0 && !sh.hostDown {
+	for sh.lanes > 0 && len(sh.drainQ) > 0 && !sh.hostDown {
 		h := sh.hintAt(sh.drainQ[0])
 		sh.drainQ = sh.drainQ[1:]
 		if h != nil && !h.draining {
-			l := sh.idle[len(sh.idle)-1]
-			sh.idle = sh.idle[:len(sh.idle)-1]
-			l.replay(h)
+			sh.lanes--
+			s.replay(sh, h)
 		}
 	}
 }
 
-// drainLane replays handoff hints to a recovered owner, one at a time,
-// through the ordinary owner apply path. A shard has one lane per write
-// slot of its clients, so a recovery holds as many owner applies as
-// its set pipelines carry at once, however long the outage was, and a
-// user write to the owner queues behind them, not behind the backlog.
-// The continuations are bound once, at wiring.
-type drainLane struct {
-	sh     *serviceShard
-	h      *hint // the hint being replayed; nil while idle
-	slotFn func()
-	doneFn func(ownerWriteStatus)
-}
-
-// replay takes h and queues for its (owner, key) write slot. The
-// replay reads the write's mutation until it resolves — its bytes are
-// the only copy when the quorum failed — whatever happens to the hint
-// meanwhile (DropHints, a redirect).
-func (l *drainLane) replay(h *hint) {
-	l.h = h
+// replay starts one hint replay on a drain lane: a run carrying h that
+// queues for its (owner, key) write slot and applies the hint through
+// the ordinary owner apply path. A shard has one lane per write slot
+// of its clients (sh.lanes counts the idle ones), so a recovery holds
+// as many owner applies as its set pipelines carry at once, however
+// long the outage was, and a user write to the owner queues behind
+// them, not behind the backlog. The replay reads the write's mutation
+// until it resolves — its bytes are the only copy when the quorum
+// failed — whatever happens to the hint meanwhile (DropHints, a
+// redirect).
+func (s *Service) replay(sh *serviceShard, h *hint) {
 	h.queued, h.draining = true, true
 	h.op.pins++
-	l.sh.withKeySlot(h.key, l.slotFn)
+	r := s.takeRun(sh, h.mutation, 0)
+	r.h = h
+	sh.withKeySlot(r)
 }
 
-// granted runs with the write slot held. Staleness is re-checked here:
-// a hint dropped or replaced while the lane queued — a newer write
-// reached this owner, or superseded the hint — is skipped, so a replay
-// never runs an old value over a newer write.
-func (l *drainLane) granted() {
-	s, sh, h := l.sh.svc, l.sh, l.h
-	if sh.hintAt(h.key) != h {
-		l.release(true)
-		return
-	}
-	s.ownerApplyNow(sh, h.mutation, 0, l.doneFn)
-}
-
-// done resolves the replay. Applied, the hint retires as applied first
-// — left in place, the shared bookkeeping's dropHint would count it
-// superseded. Rejected (the recovered table refused it for capacity),
-// it retires as dropped: retrying forever would spin. Unreachable (the
-// owner died again mid-drain), it stays queued for the next recovery
-// and is applied exactly once, when a replay finally succeeds.
-func (l *drainLane) done(st ownerWriteStatus) {
-	s, sh, h := l.sh.svc, l.sh, l.h
+// replayDone resolves a replay into its hint. Applied, the hint retires
+// as applied first — left in place, the shared bookkeeping would count
+// it superseded. Rejected (the recovered table refused it for
+// capacity), it retires as dropped: retrying forever would spin.
+// Unreachable (the owner died again mid-drain), it stays queued for the
+// next recovery and is applied exactly once, when a replay finally
+// succeeds.
+func (s *Service) replayDone(sh *serviceShard, h *hint, st ownerWriteStatus) {
 	switch st {
 	case ownerApplied:
 		s.retireHint(sh, h, &sh.stats.HintsApplied)
@@ -1133,27 +1137,24 @@ func (l *drainLane) done(st ownerWriteStatus) {
 	case ownerRejected:
 		s.retireHint(sh, h, &sh.stats.HintsDropped)
 	}
-	l.release(st != ownerUnreachable)
+	h.draining = false
+	h.op.unpin(s)
 }
 
-// release ends the lane's replay and passes the write slot on. With
-// the owner reachable the lane moves on to the key's next hint — one
+// replayed moves a replay's lane on once the write slot has passed on.
+// With the owner reachable the lane takes the key's next hint — one
 // queued while this replay was in flight — or goes idle and pumps the
 // queue. With it unreachable the lane goes idle and the key's hint
 // waits for the next drainHints, as does the rest of the queue.
-func (l *drainLane) release(reachable bool) {
-	s, sh, h, key := l.sh.svc, l.sh, l.h, l.h.key
-	h.draining, l.h = false, nil
-	h.op.unpin(s)
-	sh.setNext(key)
+func (s *Service) replayed(sh *serviceShard, key uint64, reachable bool) {
 	if next := sh.hintAt(key); next != nil && !next.draining {
 		if reachable {
-			l.replay(next)
+			s.replay(sh, next)
 			return
 		}
 		next.queued = false
 	}
-	sh.idle = append(sh.idle, l)
+	sh.lanes++
 	if reachable {
 		s.pumpDrain(sh)
 	}
