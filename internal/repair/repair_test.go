@@ -1,64 +1,6 @@
 package repair
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
-
-// One record per (owner, key); newer sequences merge in and reset the
-// backoff clock; pops come out in push order.
-func TestQueueSupersession(t *testing.T) {
-	q := NewQueue()
-	if !q.Push("s0", 1, 5) {
-		t.Fatal("first push did not create a record")
-	}
-	if q.Push("s0", 1, 7) {
-		t.Fatal("same-pair push created a duplicate record")
-	}
-	if q.Push("s1", 1, 7) != true || q.Push("s0", 2, 3) != true {
-		t.Fatal("distinct pairs must create records")
-	}
-	if q.Len() != 3 {
-		t.Fatalf("len %d, want 3", q.Len())
-	}
-	recs := q.Due(0, 10)
-	if len(recs) != 3 {
-		t.Fatalf("popped %d, want 3", len(recs))
-	}
-	if recs[0].Owner != "s0" || recs[0].Key != 1 || recs[0].Seq != 7 {
-		t.Fatalf("first record %+v did not merge to seq 7", recs[0])
-	}
-	if q.Len() != 0 {
-		t.Fatal("pops left records behind")
-	}
-}
-
-// Requeued records honor their NotBefore gate, and a newer push racing
-// the retry wins.
-func TestQueueBackoff(t *testing.T) {
-	q := NewQueue()
-	q.Push("s0", 1, 5)
-	r := q.Due(0, 1)[0]
-	q.Requeue(r, 100*sim.Microsecond)
-	if got := q.Due(50*sim.Microsecond, 10); len(got) != 0 {
-		t.Fatalf("record came due %d early", len(got))
-	}
-	if next, ok := q.NextDue(); !ok || next != 100*sim.Microsecond {
-		t.Fatalf("NextDue = %v,%v", next, ok)
-	}
-	got := q.Due(100*sim.Microsecond, 10)
-	if len(got) != 1 || got[0].Seq != 5 {
-		t.Fatalf("due after gate: %+v", got)
-	}
-	// Retry racing a newer push: the pending record keeps the max seq.
-	q.Push("s0", 1, 9)
-	q.Requeue(got[0], 200*sim.Microsecond)
-	recs := q.Due(0, 10)
-	if len(recs) != 1 || recs[0].Seq != 9 {
-		t.Fatalf("requeue-after-push records: %+v", recs)
-	}
-}
+import "testing"
 
 // Digests are order-independent and sensitive to any version change.
 func TestDigest(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/failure"
 	"repro/internal/hopscotch"
-	"repro/internal/repair"
 	"repro/internal/ring"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -375,10 +374,14 @@ type Service struct {
 	// linearizability checker's per-replica visibility signal.
 	applyHook func(shardID string, key, seq uint64)
 
-	// Repair subsystem state (service_repair.go): the pending-record
-	// queue, its activity-armed tick, the anti-entropy sweeper's arm
-	// and rotating shard cursor, and the read-repair probe rotation.
-	repq        *repair.Queue
+	// Repair subsystem state (service_repair.go): the pending records
+	// in push order (each also its owner's ownerKey.rep), their pool,
+	// the batch a tick pops, the queue's activity-armed tick, the
+	// anti-entropy sweeper's arm and rotating shard cursor, and the
+	// read-repair probe rotation.
+	repairs     []*repairRec
+	reps        recordPool[repairRec]
+	repairDue   []*repairRec
 	repairArmed bool
 	aeArmed     bool
 	aeCursor    int
@@ -450,7 +453,7 @@ func (s *Service) initMetrics() {
 		}
 		return float64(n)
 	})
-	s.reg.Gauge("svc/repairs_pending", func() float64 { return float64(s.repq.Len()) })
+	s.reg.Gauge("svc/repairs_pending", func() float64 { return float64(len(s.repairs)) })
 	s.reg.Gauge("svc/client_inflight", func() float64 {
 		n := 0
 		for _, sh := range s.order {
@@ -591,7 +594,7 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 
 	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(shard.DefaultVirtualNodes),
 		shards: make(map[string]*serviceShard), keys: make(map[uint64]keyRec),
-		repq: repair.NewQueue(), aeSeen: make(map[uint64]struct{})}
+		aeSeen: make(map[uint64]struct{})}
 	s.aeSettleFn = s.aeSettled
 	if cfg.Trace {
 		s.tr = telemetry.NewTracer(s.tb.clu.Eng)
@@ -1451,7 +1454,7 @@ func (s *Service) MarkUtilization() {
 func (s *Service) Stats() ServiceStats {
 	out := s.stats
 	out.Migrations, out.MigratingBuckets = len(s.migLog), s.migratingBuckets()
-	out.RepairsPending = uint64(s.repq.Len())
+	out.RepairsPending = uint64(len(s.repairs))
 	for _, sh := range s.order {
 		ss := sh.stats
 		ss.HintsPending = uint64(sh.nHints)

@@ -186,6 +186,44 @@ func TestHintDrainAllocatesNothingPerHint(t *testing.T) {
 	}
 }
 
+// TestRepairAllocatesNothingPerRecord pins what a repair costs the host
+// once warm: a record comes from the service's pool and hangs on its
+// owner's per-key record, a tick pops its batch into a reused slice,
+// and the converge takes a continuation bound once per record. 256
+// repairs of caught-up owners allocate well under one object per ten
+// (what is left is a tick's arming, one per 32 records).
+func TestRepairAllocatesNothingPerRecord(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+		Replicas: 2, WriteQuorum: 1, Buckets: 1 << 12, MaxValLen: 64})
+	keys := preloadKeys(t, s, 128)
+	round := func() {
+		for _, k := range keys {
+			for _, id := range s.owners(k) {
+				s.queueRepair(s.shards[id], k, 1)
+			}
+		}
+		s.Run()
+	}
+	round() // grows the pool, the queue, the batch and the maps once
+	n := 2 * len(keys)
+	before := s.Stats().RepairsSuperseded
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	round()
+	runtime.ReadMemStats(&m1)
+	if got := s.Stats().RepairsSuperseded - before; got != uint64(n) {
+		t.Fatalf("%d of %d repairs of caught-up owners superseded", got, n)
+	}
+	per := float64(m1.Mallocs-m0.Mallocs) / float64(n)
+	t.Logf("%.3f objects per repair", per)
+	if per > 0.1 {
+		t.Errorf("%.2f objects per repair, want <= 0.1", per)
+	}
+	recordsHome(t, s)
+}
+
 // TestReconnectAllocates pins what re-establishing a restarted shard's
 // connections costs the host: its two 16-deep clients' queues, buffers
 // and completion subscriptions are reset in place, not rebuilt (which

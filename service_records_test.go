@@ -54,12 +54,22 @@ func recordsHome(t *testing.T, s *Service, old ...*Client) {
 			t.Fatalf("free list holds an owner-apply record at stage %d", r.next)
 		}
 	}
+	// No repair is pending, and every repair record is back in the pool.
+	if len(s.repairs) != 0 || len(s.reps.free) != s.reps.made {
+		t.Fatalf("%d repairs queued at quiesce, %d of %d repair records back in the pool",
+			len(s.repairs), len(s.reps.free), s.reps.made)
+	}
+	for _, r := range s.reps.free {
+		if r.sh != nil || r.seq != 0 || r.attempts != 0 || r.notBefore != 0 {
+			t.Fatalf("repair pool holds a record still naming %+v", *r)
+		}
+	}
 	// Every shard's records obey their lifetime rule, and its hint count
 	// is the one its records hold.
 	for _, sh := range s.order {
 		for key, k := range sh.keys {
-			if k.slot != nil || k.hint == nil && k.tomb == 0 {
-				t.Fatalf("%s key %d: record at quiesce %+v, want a hint or tombstone and a free slot", sh.id, key, k)
+			if k.slot != nil || k.rep != nil || k.hint == nil && k.tomb == 0 {
+				t.Fatalf("%s key %d: record at quiesce %+v, want a hint or tombstone, a free slot and no repair", sh.id, key, k)
 			}
 		}
 		if len(sh.slots.free) != sh.slots.made {
@@ -104,16 +114,11 @@ func keySlots(sh *serviceShard) (busy, queued int) {
 // gone that left it, against the owner-apply records out: every record
 // out holds one slot or waits in its queue, each holder (the queue's
 // head) is a run past its grant on that shard and key, and each waiter
-// a run in the slot stage on that shard and key.
+// a run in the slot stage on that shard and key. The pending repairs
+// must be whole too (repairsWhole).
 func slotsWhole(s *Service, gone ...*serviceShard) error {
 	held, queued := 0, 0
-	shards := slices.Clone(s.order)
-	for _, sh := range gone {
-		if !slices.Contains(shards, sh) {
-			shards = append(shards, sh)
-		}
-	}
-	for _, sh := range shards {
+	for _, sh := range withGone(s, gone) {
 		for key, k := range sh.keys {
 			for i, r := range slotRuns(k.slot) {
 				if r.sh != sh || r.m.key != key {
@@ -131,7 +136,70 @@ func slotsWhole(s *Service, gone ...*serviceShard) error {
 	if out := s.runs.made - len(s.runs.free); held+queued != out {
 		return fmt.Errorf("%d slots held and %d runs queued on them, %d owner-apply records out", held, queued, out)
 	}
+	return repairsWhole(s, gone...)
+}
+
+// withGone lists s's shards, then those in gone that left it.
+func withGone(s *Service, gone []*serviceShard) []*serviceShard {
+	shards := slices.Clone(s.order)
+	for _, sh := range gone {
+		if !slices.Contains(shards, sh) {
+			shards = append(shards, sh)
+		}
+	}
+	return shards
+}
+
+// repairsWhole checks the pending repairs of s against the per-key
+// records of its shards, and of the shards in gone that left it: every
+// record in s.repairs is its owner's rep for its key, every rep is
+// queued exactly once, the queue holds no more records than are out of
+// the pool, and no per-key entry is idle.
+func repairsWhole(s *Service, gone ...*serviceShard) error {
+	queued := make(map[*repairRec]bool, len(s.repairs))
+	for i, r := range s.repairs {
+		if queued[r] {
+			return fmt.Errorf("repair %d (%s key %d) is queued twice", i, r.sh.id, r.key)
+		}
+		queued[r] = true
+		if r.sh.keys[r.key].rep != r {
+			return fmt.Errorf("repair %d (%s key %d) is not its owner's record for the key", i, r.sh.id, r.key)
+		}
+	}
+	if out := s.reps.made - len(s.reps.free); len(s.repairs) > out {
+		return fmt.Errorf("%d repairs queued, %d repair records out of the pool", len(s.repairs), out)
+	}
+	for _, sh := range withGone(s, gone) {
+		for key, k := range sh.keys {
+			if k == (ownerKey{}) {
+				return fmt.Errorf("%s key %d: idle per-key entry", sh.id, key)
+			}
+			if k.rep != nil && !queued[k.rep] {
+				return fmt.Errorf("%s key %d: its repair record is not queued", sh.id, key)
+			}
+		}
+	}
 	return nil
+}
+
+// runWhole runs s for d, checking its per-key records (slotsWhole)
+// every step of virtual time while events are pending, and returns how
+// many checks found a repair queued.
+func runWhole(t *testing.T, s *Service, d, step Duration) int {
+	t.Helper()
+	eng := s.Testbed().Engine()
+	end, withRepairs := eng.Now()+d, 0
+	for eng.Now() < end && eng.Pending() > 0 {
+		eng.RunUntil(min(eng.Now()+step, end))
+		if err := slotsWhole(s); err != nil {
+			t.Fatalf("at %v: %v", s.Now(), err)
+		}
+		if len(s.repairs) > 0 {
+			withRepairs++
+		}
+	}
+	eng.RunUntil(end)
+	return withRepairs
 }
 
 // slotRuns lists the runs of a write slot, the holder first; nil for a
@@ -563,13 +631,16 @@ func TestOpRecordsReturnAcrossMigration(t *testing.T) {
 		t.Fatal("setup: the join finished before any load")
 	}
 	made := s.runs.made
-	checks := 0
+	checks, withRepairs := 0, 0
 	whole := func(gone ...*serviceShard) func() {
 		return func() {
 			if err := slotsWhole(s, gone...); err != nil {
 				t.Fatalf("at %v: %v", s.Now(), err)
 			}
 			checks++
+			if len(s.repairs) > 0 {
+				withRepairs++
+			}
 		}
 	}
 	if done := churn(s, keys, 16, 2000, whole()); done != 2000 {
@@ -589,7 +660,7 @@ func TestOpRecordsReturnAcrossMigration(t *testing.T) {
 	if done := churn(s, keys, 16, 2000, whole(gone)); done != 2000 {
 		t.Fatalf("%d of 2000 ops completed across the drain", done)
 	}
-	t.Logf("%d checks of the write slots", checks)
+	t.Logf("%d checks of the write slots, %d with repairs queued", checks, withRepairs)
 	if s.resharding() || s.NumShards() != 3 {
 		t.Fatal("drain never finished")
 	}
@@ -1041,4 +1112,176 @@ func TestServiceReconnectReusesConnections(t *testing.T) {
 		t.Fatalf("%d reconnects for %d crashes, %d hints applied", st.Shards[0].Rebuilds, cycles, st.HintsApplied)
 	}
 	recordsHome(t, s)
+}
+
+// pendingRepair is one queued repair record as a test sees it.
+type pendingRepair struct {
+	owner     string
+	key, seq  uint64
+	attempts  int
+	notBefore sim.Time
+}
+
+// pendingRepairs lists the repairs queued on s by (owner, key).
+func pendingRepairs(s *Service) map[string]pendingRepair {
+	out := make(map[string]pendingRepair, len(s.repairs))
+	for _, r := range s.repairs {
+		out[fmt.Sprint(r.sh.id, "/", r.key)] = pendingRepair{r.sh.id, r.key, r.seq, r.attempts, r.notBefore}
+	}
+	return out
+}
+
+// The repair queue's rules, at the service: one record per (owner, key)
+// with a newer seq merging in; pops in push order across shards, at
+// most repairBatch a tick; a requeued record held by its backoff gate
+// until a newer push resets it; a push racing a requeue keeps the max
+// seq; a record dropped, and counted, after repairMaxAttempts; and a
+// record whose owner left the service dropped without a count. The
+// records stay whole (repairsWhole) after every step.
+func TestRepairRecordsMergeAndBackOff(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+		Replicas: 2, WriteQuorum: 1, Buckets: 1 << 12, MaxValLen: 64,
+		// The armed tick stays out of the steps below, which tick by
+		// hand; the backoff is one period at any attempt.
+		repairEvery: sim.Second})
+	keys := preloadKeys(t, s, 48)
+	whole := func(step string) {
+		t.Helper()
+		if err := repairsWhole(s); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	owner := func(key uint64, rank int) *serviceShard { return s.shards[s.owners(key)[rank]] }
+	name := func(sh *serviceShard, key uint64) string { return fmt.Sprint(sh.id, "/", key) }
+	superseded := func() uint64 { return s.Stats().RepairsSuperseded }
+
+	// One record per (owner, key): a newer seq merges in, an older one
+	// does not.
+	a := owner(keys[0], 1)
+	if !s.queueRepair(a, keys[0], 5) || s.queueRepair(a, keys[0], 7) || s.queueRepair(a, keys[0], 6) {
+		t.Fatal("a second push for the pair created a record, or the first did not")
+	}
+	whole("merge")
+	if p := pendingRepairs(s); len(p) != 1 || p[name(a, keys[0])].seq != 7 || a.stats.RepairsQueued != 1 {
+		t.Fatalf("pending %v, %d queued on %s: want one record at seq 7", p, a.stats.RepairsQueued, a.id)
+	}
+
+	// Push order across shards, repairBatch a tick: 41 records of
+	// caught-up owners, primaries and backups in turn; the first tick
+	// supersedes the first 32 pushed, the next the other 9.
+	for i, k := range keys[1:41] {
+		s.queueRepair(owner(k, i%2), k, 1)
+	}
+	before := superseded()
+	s.repairTick()
+	whole("first tick")
+	p := pendingRepairs(s)
+	if got := superseded() - before; got != repairBatch || len(p) != 41-repairBatch {
+		t.Fatalf("a tick superseded %d and left %d, want %d and %d", got, len(p), repairBatch, 41-repairBatch)
+	}
+	for i, k := range keys[repairBatch:41] {
+		if _, ok := p[name(owner(k, (i+repairBatch-1)%2), k)]; !ok {
+			t.Fatalf("pushed #%d (key %d) was popped ahead of an earlier push", i+repairBatch, k)
+		}
+	}
+	s.repairTick()
+	if got := superseded() - before; got != 41 || len(s.repairs) != 0 {
+		t.Fatalf("two ticks superseded %d, %d left", got, len(s.repairs))
+	}
+
+	// The backoff gate: a record whose key is unsettled goes back
+	// behind it, and a newer push resets its attempts and its gate.
+	b, kb := owner(keys[41], 0), keys[41]
+	unsettle := func(key uint64, d int) {
+		rec := s.keys[key]
+		rec.unsettled += d
+		s.keys[key] = rec
+	}
+	unsettle(kb, 1)
+	s.queueRepair(b, kb, 3)
+	s.repairTick()
+	whole("requeue")
+	gate := s.Now() + s.repairBackoff(1)
+	if r := pendingRepairs(s)[name(b, kb)]; r.attempts != 1 || r.notBefore != gate {
+		t.Fatalf("requeued record %+v, want attempt 1 gated to %v", r, gate)
+	}
+	s.Testbed().RunFor(gate - s.Now() - 1)
+	s.repairTick()
+	if r := pendingRepairs(s)[name(b, kb)]; r.attempts != 1 {
+		t.Fatalf("a tick before the gate took the record: %+v", r)
+	}
+	s.queueRepair(b, kb, 4)
+	if r := pendingRepairs(s)[name(b, kb)]; r.seq != 4 || r.attempts != 0 || r.notBefore != 0 {
+		t.Fatalf("a newer push left %+v, want seq 4 due at once with no attempts", r)
+	}
+
+	// Dropped after repairMaxAttempts, counted: the armed ticks retry
+	// it behind its gate until it runs out.
+	dropped := s.Stats().RepairsDropped
+	s.Testbed().RunFor(Duration(repairMaxAttempts+1) * s.repairBackoff(1))
+	whole("drop")
+	if len(s.repairs) != 0 || s.Stats().RepairsDropped != dropped+1 {
+		t.Fatalf("%d left, %d dropped, want the record dropped once", len(s.repairs), s.Stats().RepairsDropped-dropped)
+	}
+	unsettle(kb, -1)
+
+	// A push racing a requeue: the lagging owner's breaker is open, so
+	// the popped record's apply fails a hop later; a push at a lower
+	// seq meanwhile makes a new record, which the failed one merges
+	// into at the max seq.
+	kr := keys[42]
+	lag := owner(kr, 1)
+	rec := s.keys[kr]
+	rec.seq = 2
+	s.keys[kr] = rec
+	if err := owner(kr, 0).set(kr, Value(kr+2, 48), 2); err != nil {
+		t.Fatal(err)
+	}
+	lag.suspectUntil = s.Now() + 100*sim.Second
+	s.queueRepair(lag, kr, 2)
+	s.repairTick()
+	if len(s.repairs) != 0 {
+		t.Fatal("setup: the lagging owner's record was not popped")
+	}
+	if !s.queueRepair(lag, kr, 1) {
+		t.Fatal("a push while the record was out merged into nothing")
+	}
+	s.Testbed().RunFor(sim.Microsecond)
+	whole("race")
+	if r := pendingRepairs(s)[name(lag, kr)]; len(s.repairs) != 1 || r.seq != 2 || r.attempts != 0 {
+		t.Fatalf("after the race %v, want one record at seq 2", pendingRepairs(s))
+	}
+	lag.markLive()
+	applied := s.Stats().RepairsApplied
+	s.Run()
+	if v, ok := ownerValue(t, s, lag.id, kr); !ok || !bytes.Equal(v, Value(kr+2, 48)) || s.Stats().RepairsApplied != applied+1 {
+		t.Fatal("the merged record did not roll the owner forward")
+	}
+
+	// A record whose owner leaves before it pops is dropped uncounted.
+	x := owner(keys[43], 0)
+	s.queueRepair(x, keys[43], 1)
+	due := s.Now() + s.repairBackoff(0)
+	if err := s.DrainShard(x.id); err != nil {
+		t.Fatal(err)
+	}
+	for s.resharding() {
+		s.Testbed().RunFor(sim.Millisecond)
+	}
+	if s.Now() >= due || s.shards[x.id] != nil || len(s.repairs) != 1 {
+		t.Fatalf("setup: at %v (tick at %v) %d repairs queued, shard member %v", s.Now(), due, len(s.repairs), s.shards[x.id] != nil)
+	}
+	if err := repairsWhole(s, x); err != nil {
+		t.Fatal(err)
+	}
+	counted := x.stats
+	s.Run()
+	if err := repairsWhole(s, x); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.repairs) != 0 || x.stats != counted || len(x.keys) != 0 {
+		t.Fatalf("%d left; the gone owner's counts moved (%v) or it kept %d per-key entries", len(s.repairs), x.stats != counted, len(x.keys))
+	}
+	recordsHome(t, s, x.clients...)
 }

@@ -32,8 +32,10 @@ import (
 //     partner's table) enqueues a repair. The common no-skew case costs
 //     the host nothing at all.
 //
-//  2. The repair queue (repairTick/applyRepair): pending records,
-//     activity-armed on repairEvery ticks. Applying a record re-derives
+//  2. The repair queue (repairTick/applyRepair): pending records, one
+//     per (owner, key) and hung on the owner's per-key record
+//     (ownerKey.rep), wait in push order in Service.repairs, popped on
+//     activity-armed repairEvery ticks. Applying a record re-derives
 //     the winning state among the key's owners at apply time — newest
 //     version wins, value or tombstone — and rolls the laggard FORWARD
 //     through the ordinary owner write path (fabric claim chain or host
@@ -297,21 +299,45 @@ func (s *Service) repairLagging(key uint64) {
 
 // ---- the repair queue ----
 
+// repairRec is one pending repair, a pooled record: sh's replica of
+// key lagged seq when the record was pushed. seq is a floor, not the
+// payload — the apply re-derives the winning state — so a record only
+// ever rolls a replica forward. Queued, it is sh's ownerKey.rep and
+// waits in Service.repairs; popped for an apply, it is on neither.
+type repairRec struct {
+	sh        *serviceShard
+	key, seq  uint64
+	attempts  int                    // delivery attempts, bounded by repairMaxAttempts
+	notBefore sim.Time               // retry gate
+	doneFn    func(ownerWriteStatus) // done, bound once per record
+}
+
 // queueRepair records that sh's replica of key lags seq and arms the
-// queue's tick, reporting whether a new record was created (a push for
-// an already-pending pair merges instead). The write path calls it on
-// capacity rejections — the fix for rejected owners silently staying
-// stale — and the probe and sweep paths on observed skew.
+// queue's tick, reporting whether a new record was created (one queued
+// for the pair merges instead: a newer seq stands and resets its
+// attempts and backoff). The write path calls it on capacity rejections
+// — the fix for rejected owners silently staying stale — and the probe
+// and sweep paths on observed skew.
 func (s *Service) queueRepair(sh *serviceShard, key, seq uint64) bool {
 	if !s.repairEnabled() {
 		return false
 	}
-	fresh := s.repq.Push(sh.id, key, seq)
-	if fresh {
+	r := sh.keys[key].rep
+	fresh := r == nil
+	switch {
+	case fresh:
+		r, _ = s.reps.take()
+		if r.doneFn == nil {
+			r.doneFn = r.done
+		}
+		r.sh, r.key, r.seq = sh, key, seq
+		s.pushRepair(r)
 		sh.stats.RepairsQueued++
 		if s.tr.Enabled() {
 			s.tr.Instant("coordinator", sh.trRepair, 0)
 		}
+	case seq > r.seq:
+		r.seq, r.attempts, r.notBefore = seq, 0, 0
 	}
 	// Fresh evidence of divergence: make the sweeper run a full clean
 	// rotation before going back to sleep.
@@ -321,11 +347,27 @@ func (s *Service) queueRepair(sh *serviceShard, key, seq uint64) bool {
 	return fresh
 }
 
+// pushRepair queues r at the back of the service's repairs and hangs it
+// on its owner's per-key record.
+func (s *Service) pushRepair(r *repairRec) {
+	k := r.sh.keys[r.key]
+	k.rep = r
+	r.sh.keys[r.key] = k
+	s.repairs = append(s.repairs, r)
+}
+
+// releaseRepair returns a record that is on neither its owner's key nor
+// the queue to the pool.
+func (s *Service) releaseRepair(r *repairRec) {
+	*r = repairRec{doneFn: r.doneFn}
+	s.reps.put(r)
+}
+
 // armRepair schedules the next repair tick unless one is pending or
 // the queue is empty — activity-armed like the migrator, so an idle
 // converged service leaves the engine drainable.
 func (s *Service) armRepair() {
-	if s.repairArmed || s.repq.Len() == 0 {
+	if s.repairArmed || len(s.repairs) == 0 {
 		return
 	}
 	s.repairArmed = true
@@ -335,53 +377,81 @@ func (s *Service) armRepair() {
 	})
 }
 
-// repairTick applies a batch of due records and re-arms while work
+// repairTick pops up to repairBatch due records in push order, taking
+// each off its owner's key, then applies them, and re-arms while work
 // remains (records under backoff keep the tick alive until they retry
 // or exhaust their attempts).
 func (s *Service) repairTick() {
-	for _, r := range s.repq.Due(s.tb.Now(), repairBatch) {
+	now, due, kept := s.tb.Now(), s.repairDue[:0], s.repairs[:0]
+	for _, r := range s.repairs {
+		if len(due) == repairBatch || r.notBefore > now {
+			kept = append(kept, r)
+			continue
+		}
+		due = append(due, r)
+		k := r.sh.keys[r.key]
+		k.rep = nil
+		r.sh.put(r.key, k)
+	}
+	s.repairs, s.repairDue = kept, due
+	for _, r := range due {
 		s.applyRepair(r)
 	}
 	s.armRepair()
 }
 
 // requeueRepair puts a failed record back under exponential backoff,
-// dropping it after repairMaxAttempts.
-func (s *Service) requeueRepair(sh *serviceShard, r *repair.Record) {
-	r.Attempts++
-	if r.Attempts >= repairMaxAttempts {
+// dropping it after repairMaxAttempts; a record pushed for the pair
+// while it was out stands, and takes its seq if that is newer.
+func (s *Service) requeueRepair(r *repairRec) {
+	sh := r.sh
+	r.attempts++
+	if r.attempts >= repairMaxAttempts {
 		sh.stats.RepairsDropped++
+		s.releaseRepair(r)
 		return
 	}
-	s.repq.Requeue(r, s.tb.Now()+s.repairBackoff(r.Attempts))
+	if cur := sh.keys[r.key].rep; cur != nil {
+		cur.seq = max(cur.seq, r.seq)
+		s.releaseRepair(r)
+	} else {
+		r.notBefore = s.tb.Now() + s.repairBackoff(r.attempts)
+		s.pushRepair(r)
+	}
 	s.armRepair()
 }
 
 // applyRepair rolls one owner forward to the winning state of its key
 // through converge — the record is a claim that someone lags, not a
 // payload — keeping only the repair queue's own counters and retry
-// policy.
-func (s *Service) applyRepair(r *repair.Record) {
-	sh, ok := s.shards[r.Owner]
-	if !ok {
+// policy. An owner that left the service took its records with it.
+func (s *Service) applyRepair(r *repairRec) {
+	if s.shards[r.sh.id] != r.sh {
+		s.releaseRepair(r)
 		return
 	}
-	if !s.settled(r.Key) {
+	if !s.settled(r.key) {
 		// A write is in flight: its own fan-out converges the owners
 		// (or queues hints/repairs of its own). Try again later.
-		s.requeueRepair(sh, r)
+		s.requeueRepair(r)
 		return
 	}
-	s.converge(sh, r.Key, func(st ownerWriteStatus) {
-		switch st {
-		case ownerCaughtUp:
-			sh.stats.RepairsSuperseded++
-		case ownerApplied:
-			sh.stats.RepairsApplied++
-		default:
-			s.requeueRepair(sh, r)
-		}
-	})
+	s.converge(r.sh, r.key, r.doneFn)
+}
+
+// done is a repair's converge outcome: counted, or retried.
+func (r *repairRec) done(st ownerWriteStatus) {
+	s, sh := r.sh.svc, r.sh
+	switch st {
+	case ownerCaughtUp:
+		sh.stats.RepairsSuperseded++
+	case ownerApplied:
+		sh.stats.RepairsApplied++
+	default:
+		s.requeueRepair(r)
+		return
+	}
+	s.releaseRepair(r)
 }
 
 // converge rolls owner sh forward to the winning state of key — the one

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/failure"
-	"repro/internal/repair"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -731,7 +730,8 @@ func TestServiceConvergeNeverRollsBack(t *testing.T) {
 	if r := *q.Peek(); q.Len() != 1 || r.next != runAck || r.m.seq != rec.seq {
 		t.Fatal("setup: the converge to seq 3 does not hold the slot in flight")
 	}
-	s.applyRepair(&repair.Record{Owner: lagID, Key: key, Seq: 2})
+	s.queueRepair(lag, key, 2)
+	s.repairTick()
 	copied, copyOK := false, false
 	s.migrateCopy(key, lag, func(ok bool) { copied, copyOK = true, ok })
 	if q.Len() != 3 {
@@ -1623,7 +1623,9 @@ func TestServiceRejectedOwnerConverges(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		bt.Delete(500001 + i)
 	}
-	s.Testbed().RunFor(100 * sim.Millisecond)
+	if runWhole(t, s, 100*sim.Millisecond, sim.Microsecond) == 0 {
+		t.Fatal("no check saw the repair queued")
+	}
 	if v, ok := ownerValue(t, s, owners[1], key); !ok || !bytes.Equal(v, Value(key, 64)) {
 		t.Fatal("rejected backup never converged without client traffic")
 	}
@@ -1803,8 +1805,11 @@ func TestServiceAntiEntropyConvergesWithoutReads(t *testing.T) {
 	}
 
 	// ZERO further client operations: recovery arms the sweeper, the
-	// sweeper finds the divergent segments, the queue repairs them.
-	s.Testbed().RunFor(6 * sim.Second)
+	// sweeper finds the divergent segments, the queue repairs them; the
+	// per-key records stay whole throughout.
+	if runWhole(t, s, 6*sim.Second, 10*sim.Microsecond) == 0 {
+		t.Fatal("no check saw a repair queued")
+	}
 	if got := s.StaleOwners(keys); got != 0 {
 		t.Fatalf("%d stale replicas after anti-entropy alone, want 0", got)
 	}

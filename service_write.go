@@ -527,20 +527,22 @@ func (s *Service) settled(key uint64) bool { return s.keys[key].unsettled == 0 }
 // ownerKey is one owner's write state for one key, kept on its shard:
 // the (owner, key) write slot (while held, the queue of owner runs
 // whose head holds it, from the shard's pool), the hint standing for
-// the newest mutation the owner is missing, and the newest delete
+// the newest mutation the owner is missing, the repair record queued
+// for it (rep, waiting in Service.repairs), and the newest delete
 // sequence it applied (tomb, 0 for none): the version a tombstoned
 // bucket loses once another key reclaims it. An entry lives only while
-// it holds one of the three.
+// it holds one of the four.
 type ownerKey struct {
 	slot *ring.Queue[*ownerRun]
 	hint *hint
+	rep  *repairRec
 	tomb uint64
 }
 
 // put stores k as sh's state for key, deleting the entry once it is
-// idle: slot free, no hint, no tombstone.
+// idle: slot free, no hint, no repair queued, no tombstone.
 func (sh *serviceShard) put(key uint64, k ownerKey) {
-	if k.slot == nil && k.hint == nil && k.tomb == 0 {
+	if k.slot == nil && k.hint == nil && k.rep == nil && k.tomb == 0 {
 		delete(sh.keys, key)
 		return
 	}
