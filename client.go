@@ -35,10 +35,12 @@ const defaultWindowBeta = 0.5
 
 // windowStart is the window a pipeline opens at (capped at its depth).
 // Opening a deep pipeline at full depth would start with a thundering
-// herd the AIMD loop then has to pay for in timeouts; starting modestly
-// lets additive increase probe up to the knee — for single-probe gets
-// ~40 per connection, ~W²/2 answers up from the start.
-const windowStart = 32
+// herd the AIMD loop then has to pay for in timeouts; starting just
+// under the knee lets additive increase probe up to it, ~W²/2 answers
+// up from the start. For single-probe gets the knee is ~80 chains per
+// port fetch unit (the 25 µs ECN mark over ~0.31 µs a fetch), and a
+// shard's connections alternate between its NIC's two ports.
+const windowStart = 72
 
 // pipeOp names one of the client's four offload pipelines.
 type pipeOp uint8
@@ -177,7 +179,9 @@ type reqState struct {
 	done  bool
 	op    uint64 // trace op id (0 = untraced)
 	mark  uint64 // get: its issue mark in the server's retire queue
-	fn    int    // get: 1 + the candidate a hinted get probes alone; 0 probes both
+	// marked: the get still holds mark (wireHooks' unmark gives it back)
+	marked bool
+	fn     int // get: 1 + the candidate a hinted get probes alone; 0 probes both
 
 	// Provenance stamps: when the request entered the pipeline and
 	// whether it queued for window headroom (vs a free slot). The
@@ -328,11 +332,15 @@ type opPipeline struct {
 	// the trigger payload; verdict reads whether the answer that just
 	// landed says applied (nil = every answer does); deliver runs the
 	// typed callback with an answer's payload read from client memory;
-	// release runs op lifecycle once the slot is decided (executed = chain ran).
+	// release runs op lifecycle once the slot is decided (executed = chain
+	// ran); silent (nil = none) runs when every instance armed on an
+	// undecided request's slot has run without answering it — a get's
+	// miss, which waits out its deadline but reads nothing more.
 	arm     func(req *pipeReq, resp uint64) []byte
 	verdict func(req *pipeReq) bool
 	deliver func(req *pipeReq, lat Duration, ok bool)
 	release func(req *pipeReq, ok, executed bool)
+	silent  func(req *pipeReq)
 }
 
 // newPipeline builds the op-agnostic skeleton; the caller wires the
@@ -692,8 +700,11 @@ func (p *opPipeline) subscribe(slot int, respQP *rnic.QP) {
 	respQP.SendCQ().SetAutoDrain(true)
 	respQP.SendCQ().OnDeliver(func(e rnic.CQE) {
 		p.execSeen[slot]++
-		if e.Op == wqe.OpWrite {
+		switch req := p.slots[slot]; {
+		case e.Op == wqe.OpWrite:
 			p.onAck(slot, e.WRID, e.At, e.Backlog)
+		case req != nil && p.silent != nil && p.execSeen[slot] == p.owed[slot]:
+			p.silent(req)
 		}
 		p.reclaim(slot)
 	})
@@ -742,14 +753,16 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 	}
 	t.n++
 	node := t.clu.AddNode(fabric.DefaultNodeConfig(fmt.Sprintf("client%d", t.n)))
-	return newClientOnNode(t, node, srv, mode, depth, defaultMaxValLen)
+	return newClientOnNode(t, node, srv, srv.builders[0], mode, depth, defaultMaxValLen)
 }
 
 // newClientOnNode wires the four connections, the offload context pools
 // and the demultiplexers; the Service uses it to place clients on its
-// own nodes. The server's arena supplies (and reclaims) the value
-// extents this connection's writes stage into.
-func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode, depth int, maxVal uint64) *Client {
+// own nodes. The server's queues of the connection — trigger, response,
+// control and chain rings — sit on b's port. The server's arena
+// supplies (and reclaims) the value extents this connection's writes
+// stage into.
+func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder, mode LookupMode, depth int, maxVal uint64) *Client {
 	// Trigger connections: client SQ paces SENDs, server RQ holds one
 	// pre-posted RECV per armed instance.
 	srvRQ := max(2048, 4*depth)
@@ -777,20 +790,22 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 		// arrival counter sequences its pool alone.
 		cliQP, srvQP := t.clu.Connect(node, srv.node,
 			rnic.QPConfig{SQDepth: cliSQ, RQDepth: 8},
-			rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true})
+			rnic.QPConfig{SQDepth: 64, RQDepth: srvRQ, Managed: true, Port: b.Port})
 		srvQP.RecvCQ().SetAutoDrain(true)
 		srvQP.SendCQ().SetAutoDrain(true)
 		p.qp = cliQP
 		// Per-slot buffers and per-context response QPs. A get answers
-		// with the value; the others with 8 bytes: the write verdict or
-		// the probed version. A get's or probe's READ rewrites its
-		// answer, so its queue is managed; a write's ack is final.
+		// with the value, a probe with the probed bucket, a write with
+		// its 8-byte verdict. A get's READ and a probe's trigger rewrite
+		// the answer, so their queues are managed; a write's ack is final.
 		resp := make([]*rnic.QP, depth)
 		for i := range resp {
 			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
 			switch p.op {
 			case pipeGet:
 				p.resp = append(p.resp, node.Mem.Alloc(maxVal, 64))
+			case pipeProbe:
+				p.resp = append(p.resp, node.Mem.Alloc(hopscotch.BucketSize, 8))
 			case pipeSet:
 				p.val = append(p.val, node.Mem.Alloc(maxVal, 64))
 				fallthrough
@@ -799,21 +814,21 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 			}
 			_, resp[i] = t.clu.Connect(node, srv.node,
 				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: p.op == pipeGet || p.op == pipeProbe, PU: -1})
+				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: p.op == pipeGet || p.op == pipeProbe, Port: b.Port, PU: -1})
 		}
 		var slotCtx func(slot int) *telemetry.OpContext
 		switch p.op {
 		case pipeGet:
-			c.gets = core.NewLookupPool(srv.builder, srvQP, resp, nil, nil, mode)
+			c.gets = core.NewLookupPool(b, srvQP, resp, nil, nil, mode)
 			slotCtx = c.gets.Context
 		case pipeSet:
-			c.sets = core.NewSetPool(srv.builder, srvQP, resp, maxVal, srv.valueArena())
+			c.sets = core.NewSetPool(b, srvQP, resp, maxVal, srv.valueArena())
 			slotCtx = c.sets.Context
 		case pipeDelete:
-			c.dels = core.NewDeletePool(srv.builder, srvQP, resp)
+			c.dels = core.NewDeletePool(b, srvQP, resp)
 			slotCtx = c.dels.Context
 		case pipeProbe:
-			c.prbs = core.NewProbePool(srv.builder, srvQP, resp)
+			c.prbs = core.NewProbePool(b, srvQP, resp)
 			slotCtx = c.prbs.Context
 		}
 		// Profiler attribution: each pool's contexts serve exactly one
@@ -841,9 +856,12 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, mode LookupMode
 func (c *Client) wireHooks() {
 	// ---- get ----
 	// A get holds an issue mark of the server's retire queue from its
-	// arming to its release, so no extent it may gather from is reused.
+	// arming until its chain can gather no more: its release, or its
+	// miss, which runs long before the deadline that decides it. So no
+	// extent it may gather from is reused, and a miss does not hold
+	// every extent retired behind it for a whole MissTimeout.
 	c.get.arm = func(req *pipeReq, resp uint64) []byte {
-		req.mark = c.srv.retire.enter()
+		req.mark, req.marked = c.srv.retire.enter(), true
 		ctx := c.gets.Ctxs[req.slot]
 		if req.fn != 0 {
 			ctx.ArmProbe(req.fn - 1)
@@ -863,7 +881,14 @@ func (c *Client) wireHooks() {
 		}
 		req.getCB(val, lat, ok)
 	}
-	c.get.release = func(req *pipeReq, _, _ bool) { c.srv.retire.exit(req.mark) }
+	unmark := func(req *pipeReq) {
+		if req.marked {
+			req.marked = false
+			c.srv.retire.exit(req.mark)
+		}
+	}
+	c.get.silent = unmark
+	c.get.release = func(req *pipeReq, _, _ bool) { unmark(req) }
 
 	// ---- set ----
 	c.set.arm = func(req *pipeReq, ack uint64) []byte {
@@ -927,8 +952,12 @@ func (c *Client) wireHooks() {
 
 	// ---- probe ----
 	c.prb.arm = func(req *pipeReq, resp uint64) []byte {
-		c.node.Mem.PutU64(resp, 0)
 		return c.prbs.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, resp)
+	}
+	// A probe's answer is the bucket: a hit iff it holds the key.
+	c.prb.verdict = func(req *pipeReq) bool {
+		v, _ := c.node.Mem.U64(c.prb.resp[req.slot] + hopscotch.OffKeyCtrl)
+		return v == core.ClaimCtrl(req.key)
 	}
 	c.prb.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		if req.prbCB == nil {
@@ -936,7 +965,7 @@ func (c *Client) wireHooks() {
 		}
 		var ver uint64
 		if ok {
-			ver, _ = c.node.Mem.U64(c.prb.resp[req.slot])
+			ver, _ = c.node.Mem.U64(c.prb.resp[req.slot] + hopscotch.OffVersion)
 		}
 		req.prbCB(ver, lat, ok)
 	}
@@ -1245,9 +1274,10 @@ func (c *Client) drainFreed() int {
 // probeAsyncTarget issues one offloaded version probe of key at a
 // caller-computed bucket and returns immediately — the service layer's
 // entry point. cb runs with the replica's version word when the NIC's
-// response lands, or ok=false after MissTimeout (key no longer at the
-// bucket, or dead connection — lastExecuted(pipeProbe) tells them
-// apart). op is the trace op id its WRs attribute to.
+// answer holds key, or ok=false: at once when the bucket holds another
+// word (key no longer there), or after MissTimeout on a dead connection
+// — lastExecuted(pipeProbe) tells them apart. op is the trace op id its
+// WRs attribute to.
 func (c *Client) probeAsyncTarget(key, bucket, op uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	req := c.prb.take()
 	req.key, req.bucket, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, cb, op

@@ -57,7 +57,8 @@ var programShapes = []struct {
 		o := NewDeletePool(h.b, h.trig, h.resp(false)).Ctxs[0]
 		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, 1, h.buf) }
 	}},
-	{"probe", 4, 6, 4, func(h *shapeRig) (*chain, func() []byte) {
+	// One WRITE returns the bucket; the client checks its key word.
+	{"probe", 2, 2, 2, func(h *shapeRig) (*chain, func() []byte) {
 		o := NewProbePool(h.b, h.trig, h.resp(true)).Ctxs[0]
 		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, h.buf) }
 	}},

@@ -132,6 +132,15 @@ func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table *hopscotch.T
 	return o
 }
 
+// A probe's steps, in sequencing order (see chain.inject); a get's
+// second probe follows its first at probe2.
+const (
+	pRead = iota
+	pCAS
+	pResp
+	probe2
+)
+
 // lookupLayout is the get's trigger layout: each probe's conditional
 // operands and bucket, then each response's length and destination. A
 // LookupSingle instance posts no second probe, so its trigger is the

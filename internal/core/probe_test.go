@@ -24,17 +24,16 @@ func newProbeHarness(t *testing.T) (*harness, *hopscotch.Table, *ProbeOffload, *
 	return h, table, o, cliQP
 }
 
-// doProbe arms one instance, sends the trigger, and reports the version
-// landed client-side plus whether the response WRITE completed.
-func doProbe(t *testing.T, h *harness, o *ProbeOffload, cliQP *rnic.QP, key, bucketAddr uint64) (uint64, bool) {
+// doProbe arms one instance, sends the trigger, and reports the bucket
+// words landed client-side plus whether the response WRITE completed.
+func doProbe(t *testing.T, h *harness, o *ProbeOffload, cliQP *rnic.QP, key, bucketAddr uint64) (ctrl, ver uint64, answered bool) {
 	t.Helper()
-	respAddr := h.cli.Mem().Alloc(8, 8)
-	h.cli.Mem().PutU64(respAddr, 0xDEAD)
+	respAddr := h.cli.Mem().Alloc(hopscotch.BucketSize, 8)
+	h.cli.Mem().PutU64(respAddr+hopscotch.OffVersion, 0xDEAD)
 	payload := o.TriggerPayload(key, bucketAddr, respAddr)
 	buf := h.cli.Mem().Alloc(uint64(len(payload)), 8)
 	h.cli.Mem().Write(buf, payload)
 
-	answered := false
 	o.Resp.SendCQ().OnDeliver(func(e rnic.CQE) {
 		if e.Op == wqe.OpWrite && e.WRID == key&hopscotch.KeyMask {
 			answered = true
@@ -44,12 +43,13 @@ func doProbe(t *testing.T, h *harness, o *ProbeOffload, cliQP *rnic.QP, key, buc
 		Flags: wqe.FlagSignaled})
 	cliQP.RingSQ()
 	h.eng.RunUntil(h.eng.Now() + 400*sim.Microsecond)
-	ver, _ := h.cli.Mem().U64(respAddr)
-	return ver, answered
+	ctrl, _ = h.cli.Mem().U64(respAddr + hopscotch.OffKeyCtrl)
+	ver, _ = h.cli.Mem().U64(respAddr + hopscotch.OffVersion)
+	return ctrl, ver, answered
 }
 
-// A probe of a resident key returns its bucket's version word in one
-// NIC round trip; the conditional rejects every other bucket state.
+// A probe of a resident key returns its bucket, key word and version
+// word, in one NIC round trip.
 func TestProbeOffloadRoundTrip(t *testing.T) {
 	h, table, o, cliQP := newProbeHarness(t)
 	const key = 42
@@ -60,17 +60,18 @@ func TestProbeOffloadRoundTrip(t *testing.T) {
 	if k, _, _, ok := table.EntryAt(b); !ok || k != key {
 		t.Fatal("key not at its first candidate — test shape is wrong")
 	}
-	ver, answered := doProbe(t, h, o, cliQP, key, table.BucketAddr(b))
+	ctrl, ver, answered := doProbe(t, h, o, cliQP, key, table.BucketAddr(b))
 	if !answered {
 		t.Fatal("probe of a resident key went unanswered")
 	}
-	if ver != 17 {
-		t.Fatalf("probe returned version %d, want 17", ver)
+	if ctrl != ClaimCtrl(key) || ver != 17 {
+		t.Fatalf("probe returned key word %#x, version %d; want %#x and 17", ctrl, ver, ClaimCtrl(key))
 	}
 }
 
-// A probe whose conditional misses — wrong key, tombstone, empty bucket
-// — must fall through silently: no response WRITE, client times out.
+// A probe of a bucket that does not hold the key — another key, a
+// tombstone — answers at once too, with a key word that is not the
+// key's: the client reads the miss in one round trip.
 func TestProbeOffloadConditionalMiss(t *testing.T) {
 	h, table, o, cliQP := newProbeHarness(t)
 	const key = 42
@@ -79,21 +80,22 @@ func TestProbeOffloadConditionalMiss(t *testing.T) {
 	}
 	b := table.Hash(key, 0)
 
-	// Probing the right bucket for the WRONG key: conditional miss.
-	ver, answered := doProbe(t, h, o, cliQP, key+1, table.BucketAddr(b))
-	if answered {
-		t.Fatal("probe for an absent key was answered")
+	// Probing the right bucket for the WRONG key.
+	ctrl, _, answered := doProbe(t, h, o, cliQP, key+1, table.BucketAddr(b))
+	if !answered {
+		t.Fatal("probe for an absent key went unanswered")
 	}
-	if ver == 17 {
-		t.Fatal("conditional miss leaked the version word")
+	if ctrl == ClaimCtrl(key+1) {
+		t.Fatal("another key's bucket answered the probed key's word")
 	}
 
-	// A tombstoned bucket must miss too (the tombstone word is not
+	// A tombstoned bucket misses too (the tombstone word is not
 	// NOOP|key), even though its version word carries the delete seq.
 	if _, _, ok := table.RemoveV(key, 23); !ok {
 		t.Fatal("remove failed")
 	}
-	if _, answered = doProbe(t, h, o, cliQP, key, table.BucketAddr(b)); answered {
-		t.Fatal("probe of a tombstoned bucket was answered")
+	if ctrl, ver, answered := doProbe(t, h, o, cliQP, key, table.BucketAddr(b)); !answered || ctrl != hopscotch.Tombstone || ver != 23 {
+		t.Fatalf("probe of a tombstoned bucket: answered %v, key word %#x, version %d; want the tombstone at 23",
+			answered, ctrl, ver)
 	}
 }

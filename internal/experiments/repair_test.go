@@ -63,7 +63,8 @@ func TestRepairGate(t *testing.T) {
 
 	// Probes enabled (sampled every 8th hit, the production shape) cost
 	// < 10% of get throughput; even probing EVERY hit must stay within
-	// the NIC-work ratio a 4+6-WR chain implies (sanity floor).
+	// the fetch ratio a 2-fetch probe beside a 4-fetch get implies (2/3;
+	// the floor is a sanity bound).
 	if ratio := r.Metrics["repair_get_ratio"]; ratio < 0.9 {
 		t.Fatalf("gets with sampled probes at %.3fx the probe-free baseline, want >= 0.9", ratio)
 	}

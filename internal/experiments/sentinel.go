@@ -89,7 +89,7 @@ func Sentinel() *Result {
 
 	r.Notes = append(r.Notes,
 		"crash: shard0 process-crashes at t=5ms under r=2 round-robin gets; unexecuted-chain timeouts transition it to suspected (svc/suspects)",
-		"overload: 2x2x256-deep adaptive windows at ~4x capacity; the windows shed slots to ECN cuts (svc/ecn_shed) while goodput holds",
+		"overload: 2x2x256-deep adaptive windows past capacity (4 M offered gets/s); the windows shed slots to ECN cuts (svc/ecn_shed) while goodput holds",
 		"migration: a fifth shard joins at t=3ms with a throttled migrator (64 segments, 1 per 200us tick); the backlog level holds past the slow window while steady seals keep the stall rule dormant",
 		"healthy: the same load with no fault fires zero anomalies; with the sentinel off entirely the run completes the identical hit count (parity 1.0)",
 		fmt.Sprintf("rules evaluate fast/slow burn windows of %v/%v over a %v-tick metric ring; bundles snapshot the metric timelines, the bottleneck report and, on a traced run, the trace window the samples cover",
@@ -227,7 +227,7 @@ func sentinelCrash(trace bool) (*redn.Service, workload.OpenLoopReport) {
 	return s, rep
 }
 
-// sentinelOverloadRun: 256-deep AIMD windows at several times
+// sentinelOverloadRun: 256-deep AIMD windows past
 // capacity — the sustained AIMD window-cut storm burns (overload class)
 // while goodput holds, so neither the outage nor the crash detector
 // has anything to say.

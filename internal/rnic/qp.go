@@ -69,6 +69,9 @@ func (q *QP) QPN() uint32 { return q.qpn }
 // Device returns the owning device.
 func (q *QP) Device() *Device { return q.dev }
 
+// Port returns the device port q executes on.
+func (q *QP) Port() *Port { return q.port }
+
 // SendCQ returns the CQ receiving send-side completions.
 func (q *QP) SendCQ() *CQ { return q.scq }
 

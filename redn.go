@@ -103,18 +103,31 @@ func (t *Testbed) stepUntil(done *bool) bool {
 
 // Server is a node hosting RedN offloads.
 type Server struct {
-	tb      *Testbed
-	node    *fabric.Node
-	builder *core.Builder
-	arena   *extent.Arena
-	retire  retireQueue // the arena's retired extents, waiting out their readers
+	tb   *Testbed
+	node *fabric.Node
+	// builders holds one builder per NIC port: a connection's pools
+	// post through its port's, so its chains run on that port's PUs and
+	// fetch unit.
+	builders []*core.Builder
+	arena    *extent.Arena
+	retire   retireQueue // the arena's retired extents, waiting out their readers
 }
 
 // NewServer adds a server node (ConnectX-5, one port by default).
 func (t *Testbed) NewServer() *Server {
 	t.n++
-	node := t.clu.AddNode(fabric.DefaultNodeConfig(fmt.Sprintf("server%d", t.n)))
-	return &Server{tb: t, node: node, builder: core.NewBuilder(node.Dev, 1<<16)}
+	return newServer(t, t.clu.AddNode(fabric.DefaultNodeConfig(fmt.Sprintf("server%d", t.n))))
+}
+
+// newServer serves from node with one builder per NIC port. Nothing
+// posts on a builder's own control queue (every pool context sequences
+// on a sub-builder of its own), so it is one WQE deep.
+func newServer(t *Testbed, node *fabric.Node) *Server {
+	srv := &Server{tb: t, node: node}
+	for port := range node.Dev.Ports() {
+		srv.builders = append(srv.builders, core.NewBuilderOnPort(node.Dev, 1, port))
+	}
+	return srv
 }
 
 // valueArena returns the server's value-extent arena, created on first

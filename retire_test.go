@@ -133,3 +133,42 @@ func TestRetiredExtentOutlivesItsReaders(t *testing.T) {
 		t.Fatalf("%d of %d hits served bytes no reader may see", bad, hits)
 	}
 }
+
+// A get that misses gives its retire mark back as soon as its chain has
+// run, not at the deadline that decides it: an extent retired while the
+// miss waits out its MissTimeout is freed at once.
+func TestRetiredExtentFreedBehindAMissWhoseChainRan(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(256)
+	if err := table.Set(1, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
+	cli.Bind(table)
+	decided := false
+	cli.GetAsync(2, 64, func(_ []byte, lat Duration, ok bool) {
+		if ok || lat != cli.MissTimeout {
+			t.Errorf("get of an absent key: hit %v after %v, want a miss at %v", ok, lat, cli.MissTimeout)
+		}
+		decided = true
+	})
+	cli.Flush()
+	rq := &srv.retire
+	if rq.issued-rq.oldest != 1 {
+		t.Fatalf("%d marks held after one get issued, want 1", rq.issued-rq.oldest)
+	}
+	tb.RunFor(cli.MissTimeout / 4)
+	if decided || rq.issued != rq.oldest {
+		t.Fatalf("a quarter deadline in: decided %v, %d marks held; want undecided, none held", decided, rq.issued-rq.oldest)
+	}
+	x := srv.valueArena().Alloc(64, 1)
+	rq.push(x)
+	if _, live := srv.valueArena().Size(x); live {
+		t.Fatal("an extent retired behind a miss whose chain ran was not freed at once")
+	}
+	tb.Run()
+	if !decided || rq.issued != rq.oldest {
+		t.Fatalf("after the deadline: decided %v, %d marks held", decided, rq.issued-rq.oldest)
+	}
+}

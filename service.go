@@ -210,6 +210,12 @@ const (
 	serviceClientMem = 1 << 23
 )
 
+// shardPorts is a shard NIC's port count: the modelled ConnectX-5 is
+// dual-port. A shard's client connection c runs its chains on port
+// c % shardPorts, so each port's fetch unit serves half the
+// connections; a shard with one connection keeps one port.
+const shardPorts = 2
+
 // serviceShard is one server node: a hash table plus its connected
 // pipelined clients.
 type serviceShard struct {
@@ -394,8 +400,11 @@ type Service struct {
 	aeFound           []aeFound
 	aeSettling        bool
 	aeSettleFn        func()
-	probeTick         uint64
-	probeCursor       int
+	// The repair and anti-entropy ticks' continuations, bound once so
+	// arming either allocates nothing.
+	repairTickFn, aeTickFn func()
+	probeTick              uint64
+	probeCursor            int
 
 	// Live-resharding state (service_reshard.go): the active migration
 	// (nil while membership is stable), its tick arm, the cache
@@ -595,7 +604,11 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(shard.DefaultVirtualNodes),
 		shards: make(map[string]*serviceShard), keys: make(map[uint64]keyRec),
 		aeSeen: make(map[uint64]struct{})}
-	s.aeSettleFn = s.aeSettled
+	s.aeSettleFn, s.aeTickFn = s.aeSettled, s.aeTick
+	s.repairTickFn = func() {
+		s.repairArmed = false
+		s.repairTick()
+	}
 	if cfg.Trace {
 		s.tr = telemetry.NewTracer(s.tb.clu.Eng)
 	}
@@ -648,6 +661,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 	cfg := s.cfg
 	nc := fabric.DefaultNodeConfig(id)
 	nc.MemSize = serviceServerMem
+	nc.Ports = min(shardPorts, cfg.ClientsPerShard)
 	node := s.tb.clu.AddNode(nc)
 	node.Dev.SetTracer(s.tr)
 	if s.profiler != nil {
@@ -655,7 +669,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 		// exactly with resourceReport, which also scopes to the shards.
 		node.Dev.SetProfiler(s.profiler)
 	}
-	srv := &Server{tb: s.tb, node: node, builder: core.NewBuilder(node.Dev, 1<<16)}
+	srv := newServer(s.tb, node)
 	srv.valueArena().SetNoReclaim(cfg.NoReclaim)
 	sh := &serviceShard{id: id, stats: ShardStats{ID: id}, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
 		ringIdx: -1, keys: make(map[uint64]ownerKey), lanes: cfg.ClientsPerShard * cfg.Pipeline,
@@ -668,14 +682,15 @@ func (s *Service) buildShard(id string) *serviceShard {
 		cc.MemSize = serviceClientMem
 		cn := s.tb.clu.AddNode(cc)
 		cn.Dev.SetTracer(s.tr)
-		sh.clients = append(sh.clients, s.newShardClient(sh, cn))
+		sh.clients = append(sh.clients, s.newShardClient(sh, cn, srv.builders[c%len(srv.builders)]))
 	}
 	return sh
 }
 
-// newShardClient wires one pipelined client connection to sh's server.
-func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node) *Client {
-	cli := newClientOnNode(s.tb, cn, sh.srv, s.cfg.Mode, s.cfg.Pipeline, s.cfg.MaxValLen)
+// newShardClient wires one pipelined client connection to sh's server,
+// its server-side queues on b's port.
+func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node, b *core.Builder) *Client {
+	cli := newClientOnNode(s.tb, cn, sh.srv, b, s.cfg.Mode, s.cfg.Pipeline, s.cfg.MaxValLen)
 	cli.Bind(sh.table)
 	cli.setTracer(s.tr, cn.Name)
 	if s.prov != nil {

@@ -23,8 +23,12 @@ import (
 // windows, which reorders their later issues. It moved again when a
 // get of a key whose owner's last fabric claim placed it began arming
 // one probe of that bucket instead of two: those gets answer sooner
-// and their WRs leave the fetch units earlier.
-const exactHistoryHash = 0x22127061cf64a43d
+// and their WRs leave the fetch units earlier. It moved again when each
+// shard began serving its second client connection on its NIC's second
+// port (its own PUs and fetch unit), a version probe became one WRITE
+// of the whole bucket (two managed fetches, and a probe miss answers
+// at once), and windows began opening at 72.
+const exactHistoryHash = 0xf12899e081c96faf
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hopscotch"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -189,13 +190,15 @@ func TestStaleHintFallsBackToBothProbes(t *testing.T) {
 }
 
 // Item 11's get law: a closed loop at saturation runs the busiest
-// shard's managed-fetch unit flat out, 1 / FetchManaged fetches per
-// second, so ops/s = that rate ÷ (the busiest shard's share of the ops
-// × the managed fetches an op costs). Here, at read_uniform's shape
-// scaled down (4 shards × 2 clients × 16 deep, 128 users, r=1, 98 %
-// gets of uniform keys), a get is a single hinted probe and a set an
-// overwrite claim, 4 fetches each (TestProgramShapes). The measured
-// rate must sit within ±3 % of the law's.
+// shard's managed-fetch units flat out, one per NIC port at
+// 1 / FetchManaged fetches per second each, so ops/s = ports × that
+// rate ÷ (the busiest shard's share of the ops × the managed fetches an
+// op costs). Here, at read_uniform's shape scaled down (4 shards × 2
+// clients × 16 deep, 128 users, r=1, 98 % gets of uniform keys), each
+// shard serves its two connections on its NIC's two ports, and a get is
+// a single hinted probe and a set an overwrite claim, 4 fetches each
+// (TestProgramShapes). The measured rate must sit within ±3 % of the
+// law's.
 func TestGetThroughputLaw(t *testing.T) {
 	const (
 		nKeys   = 2000
@@ -220,8 +223,9 @@ func TestGetThroughputLaw(t *testing.T) {
 		busiest = max(busiest, n)
 	}
 	share := float64(busiest) / nKeys
-	fetchRate := float64(sim.Second) / float64(s.order[0].srv.node.Dev.Profile().FetchManaged)
-	law := fetchRate / (share * fetches)
+	dev := s.order[0].srv.node.Dev
+	fetchRate := float64(sim.Second) / float64(dev.Profile().FetchManaged)
+	law := float64(len(dev.Ports())) * fetchRate / (share * fetches)
 
 	rep := workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
 		Requests:   40000,
@@ -234,10 +238,102 @@ func TestGetThroughputLaw(t *testing.T) {
 		t.Fatalf("%d misses, %d failed sets", rep.Misses, rep.SetErrs)
 	}
 	measured := rep.GetsPerSec + rep.SetsPerSec
-	t.Logf("busiest shard holds %.2f %% of the keys: law %.4g ops/s, measured %.4g (%+.2f %%)",
-		100*share, law, measured, 100*(measured/law-1))
+	t.Logf("busiest shard holds %.2f %% of the keys on %d ports: law %.4g ops/s, measured %.4g (%+.2f %%)",
+		100*share, len(dev.Ports()), law, measured, 100*(measured/law-1))
 	if math.Abs(measured/law-1) > 0.03 {
 		t.Fatalf("measured %.4g ops/s, law %.4g: off by %+.2f %%, beyond ±3 %%", measured, law, 100*(measured/law-1))
+	}
+}
+
+// A shard serves its client connection c on its NIC's port c % 2: every
+// server-side queue of the connection — its four trigger QPs, each
+// slot's response QP, and the control queues and chain rings of its
+// pool contexts, and the loopback peers of the last two — sits on that
+// port, and nothing else is on the NIC but the two builders' own control
+// queues and their peers. Under a closed get loop the two
+// ports' fetch units are then busy within 10 % of each other.
+func TestShardServesOnBothPorts(t *testing.T) {
+	const (
+		nKeys  = 2000
+		valLen = 64
+	)
+	s := NewServiceWith(ServiceConfig{
+		Shards: 2, ClientsPerShard: 4, Pipeline: 8, Mode: LookupSeq,
+		Replicas: 1, Buckets: 1 << 14, MaxValLen: valLen,
+	})
+	for _, sh := range s.order {
+		dev := sh.srv.node.Dev
+		if len(dev.Ports()) != 2 {
+			t.Fatalf("%s: %d NIC ports, want 2", sh.id, len(dev.Ports()))
+		}
+		// conn names the connection each op context belongs to: its
+		// trigger QPs' and its slots' contexts.
+		conn := map[*telemetry.OpContext]int{}
+		for c, cli := range sh.clients {
+			for _, p := range cli.pipes {
+				conn[p.qp.Context()] = c
+				for _, ctx := range p.ctxs {
+					conn[ctx] = c
+				}
+			}
+		}
+		queues, other := make([]int, len(sh.clients)), 0
+		for n := uint32(0); dev.QPByNum(n) != nil; n++ {
+			q := dev.QPByNum(n)
+			c, ok := conn[q.Context()]
+			if r := q.Remote(); !ok && r != nil && r.Device() == dev {
+				c, ok = conn[r.Context()] // a loopback queue's peer
+			}
+			if !ok {
+				other++
+				continue
+			}
+			queues[c]++
+			if q.Port() != dev.Ports()[c%2] {
+				t.Errorf("%s: QP %d of connection %d is not on port %d", sh.id, n, c, c%2)
+			}
+		}
+		// Per connection: 4 trigger QPs, and per slot a response QP and
+		// a control queue on each of the four paths, plus a get's, a
+		// set's and a delete's chain ring; each loopback queue has a peer.
+		if want := 4 + 8*(4+2*(4+3)); other != 2*len(dev.Ports()) || queues[0] < want {
+			t.Fatalf("%s: %d queues outside every connection, connection 0 has %d; want 4 and >= %d",
+				sh.id, other, queues[0], want)
+		}
+		for c := range queues {
+			if queues[c] != queues[0] {
+				t.Fatalf("%s: connection %d has %d queues, connection 0 %d", sh.id, c, queues[c], queues[0])
+			}
+		}
+	}
+
+	keys := make([]uint64, nKeys)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+		if err := s.Set(keys[i], Value(keys[i], valLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy := func(sh *serviceShard, port int) sim.Time { return sh.srv.node.Dev.Ports()[port].FetchUnit().Busy() }
+	before := map[*serviceShard][2]sim.Time{}
+	for _, sh := range s.order {
+		before[sh] = [2]sim.Time{busy(sh, 0), busy(sh, 1)}
+	}
+	rep := workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
+		Requests: 20000,
+		Window:   64,
+		Keys:     &workload.Uniform{Keys: keys, Rng: workload.Rng(1)},
+		ValLen:   valLen,
+	})
+	if rep.Misses != 0 {
+		t.Fatalf("%d misses", rep.Misses)
+	}
+	for _, sh := range s.order {
+		b0, b1 := busy(sh, 0)-before[sh][0], busy(sh, 1)-before[sh][1]
+		t.Logf("%s: fetch units busy %v on port 0, %v on port 1", sh.id, b0, b1)
+		if b0 == 0 || b1 == 0 || math.Abs(float64(b0-b1)) > 0.1*float64(max(b0, b1)) {
+			t.Errorf("%s: fetch units busy %v on port 0 and %v on port 1, want within 10 %%", sh.id, b0, b1)
+		}
 	}
 }
 

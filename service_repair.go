@@ -24,10 +24,9 @@ import (
 // Three mechanisms converge on those versions:
 //
 //  1. Read-repair (maybeReadRepair): every ProbeEvery-th replicated hit
-//     issues a core.ProbeOffload chain — READ of the partner's bucket
-//     word injected into the response WQE, CAS flipping NOOP to WRITE
-//     iff the bucket holds the key, WRITE returning the version word
-//     (4 data + 6 sync WRs, no host RPC) — against one rotating other
+//     issues a core.ProbeOffload chain — one WRITE returning the
+//     partner's whole bucket, whose key word the client checks
+//     (2 data + 2 sync WRs, no host RPC) — against one rotating other
 //     owner. A version mismatch (or a probe miss explained by the
 //     partner's table) enqueues a repair. The common no-skew case costs
 //     the host nothing at all.
@@ -258,7 +257,7 @@ func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 			s.scheduleSkewRepair(key)
 		}
 	case g.pcli.lastExecuted(pipeProbe):
-		// The chain ran and the conditional missed: the bucket moved
+		// The chain ran and the bucket held another word: it moved
 		// between computing the target and the probe landing (a
 		// racing write or relocation). Fall back to the host view.
 		s.compareVersions(partner, key, g.servedVer)
@@ -371,10 +370,7 @@ func (s *Service) armRepair() {
 		return
 	}
 	s.repairArmed = true
-	s.tb.clu.Eng.After(s.cfg.repairEvery, func() {
-		s.repairArmed = false
-		s.repairTick()
-	})
+	s.tb.clu.Eng.After(s.cfg.repairEvery, s.repairTickFn)
 }
 
 // repairTick pops up to repairBatch due records in push order, taking
@@ -530,12 +526,16 @@ func (s *Service) armAntiEntropy() {
 		return
 	}
 	s.aeArmed = true
-	s.tb.clu.Eng.After(s.cfg.AntiEntropyEvery, func() {
-		s.aeArmed = false
-		sh := s.order[s.aeCursor%len(s.order)]
-		s.aeCursor++
-		s.sweepShard(sh)
-	})
+	s.tb.clu.Eng.After(s.cfg.AntiEntropyEvery, s.aeTickFn)
+}
+
+// aeTick is an armed anti-entropy tick: it sweeps the next shard in
+// rotation.
+func (s *Service) aeTick() {
+	s.aeArmed = false
+	sh := s.order[s.aeCursor%len(s.order)]
+	s.aeCursor++
+	s.sweepShard(sh)
 }
 
 // aeBins is one table scan's residents binned for a sweep: per bin an
