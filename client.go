@@ -95,7 +95,7 @@ type pipelineStats struct {
 // doorbell-less and kicked in batches by Flush.
 //
 // How many of the depth slots a pipeline may occupy at once is its
-// congestion window, an AIMD loop: open at min(32, depth), grow by 1/w
+// congestion window, an AIMD loop: open at min(72, depth), grow by 1/w
 // per clean answer, cut multiplicatively on a lost request (one whose
 // chain never ran before its deadline) and on the ECN-like backlog
 // watermark the NIC stamps into completions, floor 1, one cut per

@@ -1,8 +1,8 @@
 package shard
 
 // HotKeys is a space-saving top-k frequency sketch (Metwally et al.)
-// over the client's recent key accesses — the tracker behind hot-key
-// read spreading and the client-side hot-value cache. It keeps at most
+// over the client's recent key accesses — the client-side hot-value
+// cache's admission sketch. It keeps at most
 // k counters: a tracked key's access increments its counter; an
 // untracked key replaces the minimum-count entry, inheriting its count
 // plus one (the classic overestimate that guarantees every key with
@@ -31,8 +31,8 @@ type hotEntry struct {
 	at         int // index in heap
 }
 
-// DefaultHotKeys is the tracker capacity the service uses when hot-key
-// routing or caching is enabled without an explicit size.
+// DefaultHotKeys is the least tracker capacity the service gives its
+// cache when no explicit size is set.
 const DefaultHotKeys = 64
 
 // NewHotKeys returns an empty tracker of capacity k (<= 0 selects
@@ -115,13 +115,6 @@ func (h *HotKeys) down(i int) {
 	}
 	h.heap[i] = s
 	h.ents[s].at = i
-}
-
-// Tracked reports whether key currently holds one of the k counters —
-// the top-k candidate set.
-func (h *HotKeys) Tracked(key uint64) bool {
-	_, ok := h.slot[key]
-	return ok
 }
 
 // Count returns key's (over-)estimated access count, 0 if untracked.

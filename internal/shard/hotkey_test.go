@@ -21,7 +21,7 @@ func TestHotKeysTracksSkew(t *testing.T) {
 		h.Touch(uint64(1000 + round)) // cold, never repeats
 	}
 	for _, hot := range []uint64{1, 2, 3} {
-		if !h.Tracked(hot) {
+		if h.Count(hot) == 0 {
 			t.Fatalf("hot key %d not tracked", hot)
 		}
 	}
@@ -56,7 +56,7 @@ func TestHotKeysEviction(t *testing.T) {
 	if h.Count(30) != 2 {
 		t.Fatalf("count(30) = %d, want min+1 = 2", h.Count(30))
 	}
-	if h.Tracked(20) {
+	if h.Count(20) != 0 {
 		t.Fatal("evicted key still tracked")
 	}
 }
@@ -186,7 +186,7 @@ func TestHotKeysSizedForTopC(t *testing.T) {
 		}
 		n := 0
 		for _, key := range ranked[:top] {
-			if h.Tracked(key) {
+			if h.Count(key) != 0 {
 				n++
 			}
 		}

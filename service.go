@@ -25,10 +25,10 @@ const (
 	ReadPrimary ReadPolicy = iota
 	// ReadRoundRobin rotates gets across all replica owners.
 	ReadRoundRobin
-	// ReadHotSpread keeps cold keys on their primary (one authoritative
-	// server per key) but rotates the tracked top-k hot keys — those
-	// already tracked when the get is issued — across all owners: skew
-	// relief without giving up primary locality.
+	// ReadHotSpread joins the shortest queue: each get goes to the owner
+	// with the fewest gets outstanding on the service's own connections
+	// to it, ties to ring order (primary first), so the owners' fetch
+	// units fill evenly however the keys' primaries are skewed.
 	ReadHotSpread
 )
 
@@ -80,7 +80,7 @@ const (
 type ServiceConfig struct {
 	Shards          int        // server nodes, each with its own NIC and table
 	ClientsPerShard int        // client nodes connected to each shard
-	Pipeline        int        // slots per client pipeline; its AIMD window opens at min(32, Pipeline)
+	Pipeline        int        // slots per client pipeline; its AIMD window opens at min(72, Pipeline)
 	Mode            LookupMode // probe strategy of every offload context
 	Replicas        int        // ring owners written per Set (>=1)
 
@@ -93,7 +93,7 @@ type ServiceConfig struct {
 	WriteQuorum int
 
 	ReadPolicy  ReadPolicy // which replica owner serves a get
-	HotKeyTrack int        // least top-k tracker size (0 = 64 when hot routing/caching is on); the tracker keeps max(HotKeyTrack, 4*HotKeyCache) counters
+	HotKeyTrack int        // floor on the cache's admission sketch (0 = 64): it keeps max(HotKeyTrack, 4*HotKeyCache) counters
 	HotKeyCache int        // client-side hot-value cache entries (0 = disabled)
 
 	HullParent bool // crashed processes keep their RDMA resources (Fig 16)
@@ -363,9 +363,9 @@ type Service struct {
 	sets recordPool[setOp]
 	runs recordPool[ownerRun]
 
-	hot      *shard.HotKeys    // top-k access tracker (hot routing / cache admission)
+	hot      *shard.HotKeys    // the cache's admission sketch (nil without a cache)
 	cache    map[uint64][]byte // client-side hot-value cache
-	rrSpread int               // rotation cursor for spreading policies
+	rrSpread int               // round-robin's rotation cursor
 
 	// keys is the coordinator's per-key write state (keyRec: sequence,
 	// unsettled count, cache epoch), born at a key's first write.
@@ -579,7 +579,7 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.MaxValLen == 0 {
 		cfg.MaxValLen = def.MaxValLen
 	}
-	if cfg.HotKeyTrack == 0 && (cfg.ReadPolicy == ReadHotSpread || cfg.HotKeyCache > 0) {
+	if cfg.HotKeyTrack == 0 {
 		cfg.HotKeyTrack = shard.DefaultHotKeys
 	}
 	if cfg.ProbeEvery < 1 {
@@ -619,10 +619,8 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 		s.profiler = telemetry.NewProfiler()
 	}
 	s.initMetrics()
-	if cfg.HotKeyTrack > 0 {
-		s.hot = shard.NewHotKeys(max(cfg.HotKeyTrack, hotTrackPerEntry*cfg.HotKeyCache))
-	}
 	if cfg.HotKeyCache > 0 {
+		s.hot = shard.NewHotKeys(max(cfg.HotKeyTrack, hotTrackPerEntry*cfg.HotKeyCache))
 		s.cache = make(map[uint64][]byte, cfg.HotKeyCache)
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -875,30 +873,46 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 	return err
 }
 
+// getLoad is the gets outstanding at sh on the service's own
+// connections: in flight, in quarantined slots and waiting client-side.
+// A frozen owner's quarantined slots count, so it looks full, not idle.
+func (sh *serviceShard) getLoad() int {
+	n := 0
+	for _, c := range sh.clients {
+		n += c.get.inFlight + c.get.nWedged + c.get.waiting.Len()
+	}
+	return n
+}
+
 // readOrder fills g.order with key's replica owners in the order the
 // get should try them: the configured read policy picks the preferred
-// owner, then down shards are moved to the back (they remain last-resort
-// failover targets) and, their suspect window lapsed, sent a liveness
-// probe. When every owner is down the get itself is the probe.
+// owner (hot-spread: the least-loaded live one, ties to ring order) and
+// the rest follow in ring order, then down shards are moved to the back
+// (they remain last-resort failover targets) and, their suspect window
+// lapsed, sent a liveness probe. When every owner is down the get itself
+// is the probe.
 func (s *Service) readOrder(g *getOp) {
 	key := g.key
 	nodes := s.ownerNodes(key)
 	rot := 0
-	if len(nodes) > 1 {
-		switch s.cfg.ReadPolicy {
-		case ReadRoundRobin:
-			rot = s.rrSpread % len(nodes)
-			s.rrSpread++
-		case ReadHotSpread:
-			if g.hot {
-				rot = s.rrSpread % len(nodes)
-				s.rrSpread++
-			}
-		}
+	if len(nodes) > 1 && s.cfg.ReadPolicy == ReadRoundRobin {
+		rot = s.rrSpread % len(nodes)
+		s.rrSpread++
 	}
 	shs := g.order[:0]
 	for i := range nodes {
 		shs = append(shs, s.ringShards[nodes[(i+rot)%len(nodes)]])
+	}
+	if len(shs) > 1 && s.cfg.ReadPolicy == ReadHotSpread {
+		best, load := 0, -1
+		for i, sh := range shs {
+			if l := sh.getLoad(); !sh.down() && (load < 0 || l < load) {
+				best, load = i, l
+			}
+		}
+		first := shs[best]
+		copy(shs[1:best+1], shs[:best])
+		shs[0] = first
 	}
 	if len(shs) > 1 {
 		// Stable-partition live shards ahead of down ones.
@@ -966,7 +980,7 @@ func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 // next owner (counting toward that shard's suspect threshold), so with
 // Replicas > 1 a crashed shard costs the gets that reach it before its
 // circuit breaker opens one extra MissTimeout rather than their answers,
-// and the gets after that nothing. Tracked hot keys may be answered from
+// and the gets after that nothing. Hot keys may be answered from
 // the client-side cache with no NIC involvement at all. val is valid
 // until cb returns; copy it to keep it. A cache hit hands out the
 // cache's own slice, which must not be modified. Gets beyond a
@@ -975,18 +989,11 @@ func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
 	key &= hopscotch.KeyMask
 	s.sentinelKick()
-	hot := false
-	if s.hot != nil {
-		// Hotness is judged before this access counts: once touched,
-		// every key is tracked.
-		hot = s.hot.Tracked(key)
+	g := s.takeGet(key, valLen, s.tr.OpBegin("get", key), cb)
+	if s.cache != nil {
 		if evicted, ok := s.hot.Touch(key); ok {
 			delete(s.cache, evicted)
 		}
-	}
-	g := s.takeGet(key, valLen, s.tr.OpBegin("get", key), cb)
-	g.hot = hot
-	if s.cache != nil {
 		if v, ok := s.cache[key]; ok && uint64(len(v)) >= valLen {
 			s.stats.CacheHits++
 			s.stats.Hits++
@@ -1077,10 +1084,9 @@ type getOp struct {
 	// cache generation at issue time; it gates admission against
 	// ownership changes that raced the read (a resharding started
 	// mid-flight). admit is false when a write to the key was unsettled
-	// at issue time. hot is whether the key was tracked before this
-	// get's own access, the hot-spread policy's test.
+	// at issue time.
 	epoch, gen uint64
-	admit, hot bool
+	admit      bool
 
 	// order is the policy-ordered owners to try (spare is readOrder's
 	// scratch for reordering them), i the attempt in flight, cli the
@@ -1264,7 +1270,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 // a write bumps the epoch in the same step that counts it unsettled.
 func (s *Service) maybeCache(g *getOp, val []byte) {
 	key := g.key
-	if s.cache == nil || s.hot == nil || uint64(len(val)) < g.valLen {
+	if s.cache == nil || uint64(len(val)) < g.valLen {
 		return
 	}
 	if !g.admit || s.keys[key].epoch != g.epoch {

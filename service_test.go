@@ -3,6 +3,7 @@ package redn
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/failure"
@@ -211,72 +212,182 @@ func TestServiceReadSpreading(t *testing.T) {
 	}
 }
 
-// Hot-spread routes only tracked-hot keys off their primary; a
-// once-touched cold key stays put. Hotness is judged before the get's
-// own access: judged after it, every key would be tracked and
-// hot-spread would be round-robin.
-func TestServiceHotSpreadColdStaysPrimary(t *testing.T) {
-	s := NewServiceWith(ServiceConfig{
-		Shards: 4, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
-		Replicas: 3, ReadPolicy: ReadHotSpread, HotKeyTrack: 4,
-	})
-	// 40 cold keys cycle through a 4-entry tracker: none stays hot long
-	// enough to matter, but one repeated key does.
-	keys := make([]uint64, 40)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		if err := s.Set(keys[i], Value(keys[i], 64)); err != nil {
-			t.Fatal(err)
+// Hot-spread joins the shortest queue: a get goes to the owner with the
+// fewest gets outstanding on the service's own connections to it (in
+// flight, quarantined and waiting), ties to ring order, primary first,
+// and the other owners follow in ring order. Hotness plays no part. (a)
+// On an idle service every get goes to its key's primary. (b) Loaded
+// owners lose the get to a less-loaded one. (c) A batch over keys with
+// the same two owners, a tracked hot key among them, splits within one
+// get between the two, each get to the owner less loaded when it is
+// issued. (d) An owner whose get slots are all quarantined (a frozen NIC
+// the breaker has not yet caught) is passed over while another owner
+// has room.
+func TestServiceHotSpreadJoinsShortestQueue(t *testing.T) {
+	const valLen = 64
+	newSvc := func(replicas int) (*Service, []uint64) {
+		s := NewServiceWith(ServiceConfig{
+			Shards: 4, ClientsPerShard: 2, Pipeline: 8, Mode: LookupSeq,
+			Replicas: replicas, ReadPolicy: ReadHotSpread, HotKeyCache: 8,
+		})
+		keys := make([]uint64, 200)
+		for i := range keys {
+			keys[i] = uint64(i + 1)
+			if err := s.Set(keys[i], Value(keys[i], valLen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, keys
+	}
+	noop := func([]byte, Duration, bool) {}
+	// load puts n gets of key on sh's connections, past the service's
+	// routing.
+	load := func(sh *serviceShard, key uint64, n int) {
+		for i := 0; i < n; i++ {
+			sh.clients[i%len(sh.clients)].GetAsync(key, valLen, noop)
 		}
 	}
-	const hot = 7
-	gets := map[uint64]uint64{}
-	for i := 0; i < 400; i++ {
-		k := keys[i%len(keys)]
-		if i%2 == 1 {
-			k = hot
+	gets := func(s *Service) map[string]uint64 {
+		m := map[string]uint64{}
+		for _, sh := range s.order {
+			m[sh.id] = sh.stats.Gets
 		}
-		gets[k]++
-		s.GetAsync(k, 64, func(_ []byte, _ Duration, _ bool) {})
+		return m
+	}
+
+	s, keys := newSvc(3)
+	// (a) Every load is 0: every get ties, and the primary takes it.
+	before := gets(s)
+	want := map[string]uint64{}
+	for _, k := range keys[:40] {
+		want[s.Owners(k)[0]]++
+		if _, _, ok := s.Get(k, valLen); !ok {
+			t.Fatalf("get %d missed", k)
+		}
+	}
+	for id, n := range gets(s) {
+		if n-before[id] != want[id] {
+			t.Fatalf("(a) idle: %s served %d gets, primary of %d", id, n-before[id], want[id])
+		}
+	}
+
+	// (b) The owners of key hold 3, 1 and 2 outstanding gets: the middle
+	// one goes first, the rest in ring order. Loading it to 3 leaves the
+	// last owner least loaded, and 3, 3, 3 ties back to ring order.
+	key := keys[0]
+	own := s.Owners(key)
+	sh := func(i int) *serviceShard { return s.shards[own[i]] }
+	order := func() []string {
+		g := s.takeGet(key, valLen, 0, noop)
+		s.readOrder(g)
+		ids := make([]string, len(g.order))
+		for i, o := range g.order {
+			ids[i] = o.id
+		}
+		g.release()
+		return ids
+	}
+	load(sh(0), key, 3)
+	load(sh(1), key, 1)
+	load(sh(2), key, 2)
+	for _, step := range []struct {
+		more, n int
+		want    []int
+	}{{0, 0, []int{1, 0, 2}}, {1, 2, []int{2, 0, 1}}, {2, 1, []int{0, 1, 2}}} {
+		load(sh(step.more), key, step.n)
+		got := order()
+		for i, o := range step.want {
+			if got[i] != own[o] {
+				t.Fatalf("(b) loads %d/%d/%d: order %v, want owners %v of %v",
+					sh(0).getLoad(), sh(1).getLoad(), sh(2).getLoad(), got, step.want, own)
+			}
+		}
 	}
 	s.Flush()
 	s.Run()
-	// Primary routing predicts each shard's cold gets exactly; whatever
-	// a shard served beyond that is the hot key's.
-	cold := map[string]uint64{}
-	for k, n := range gets {
-		if k != hot {
-			cold[s.Owners(k)[0]] += n
+	// A real get follows the order: with 2, 2 and 0 outstanding it goes
+	// to the idle third owner.
+	load(sh(0), key, 2)
+	load(sh(1), key, 2)
+	before = gets(s)
+	s.GetAsync(key, valLen, noop)
+	if got := gets(s); got[own[2]] != before[own[2]]+1 {
+		t.Fatalf("(b) the get went elsewhere than the idle owner %s: gets %v -> %v", own[2], before, got)
+	}
+	s.Flush()
+	s.Run()
+
+	// (c) Keys sharing the hot key's two owners, hot and cold alternating
+	// in one batch.
+	s, keys = newSvc(2)
+	const hot = 7
+	for i := 0; i < 5; i++ {
+		if _, _, ok := s.Get(hot, valLen); !ok {
+			t.Fatal("hot get missed")
 		}
 	}
-	hotOwners := map[string]bool{}
-	for _, id := range s.Owners(hot) {
-		hotOwners[id] = true
+	if s.hot.Count(hot) == 0 || len(s.cache) != 0 {
+		t.Fatalf("setup: hot key counted %d, %d cached values; want tracked and none", s.hot.Count(hot), len(s.cache))
 	}
-	if len(hotOwners) != 3 {
-		t.Fatalf("hot key has %d owners, want 3", len(hotOwners))
-	}
-	var hotServed uint64
-	for _, sh := range s.Stats().Shards {
-		if sh.Gets < cold[sh.ID] {
-			t.Fatalf("%s served %d gets, fewer than the %d cold gets it is primary for; cold keys left their primary",
-				sh.ID, sh.Gets, cold[sh.ID])
+	pair := s.Owners(hot)
+	var cold []uint64
+	for _, k := range keys {
+		if o := s.Owners(k); k != hot && slices.Contains(o, pair[0]) && slices.Contains(o, pair[1]) {
+			cold = append(cold, k)
 		}
-		extra := sh.Gets - cold[sh.ID]
-		if !hotOwners[sh.ID] && extra != 0 {
-			t.Fatalf("%s owns no replica of the hot key but served %d gets beyond its %d cold ones",
-				sh.ID, extra, cold[sh.ID])
-		}
-		// The hot key's gets split about evenly over its three owners.
-		if hotOwners[sh.ID] && (extra < gets[hot]/3-5 || extra > gets[hot]/3+5) {
-			t.Fatalf("hot owner %s served %d of the hot key's %d gets, want about a third (cold %d)",
-				sh.ID, extra, gets[hot], cold[sh.ID])
-		}
-		hotServed += extra
 	}
-	if hotServed != gets[hot] {
-		t.Fatalf("shards served %d gets beyond their cold ones, want the hot key's %d", hotServed, gets[hot])
+	if len(cold) < 20 {
+		t.Fatalf("setup: %d keys share the hot key's owners %v, want 20", len(cold), pair)
 	}
+	before = gets(s)
+	for i := 0; i < 40; i++ {
+		k := uint64(hot)
+		if i%2 == 0 {
+			k = cold[i/2]
+		}
+		o := s.Owners(k)
+		exp := o[0]
+		if s.shards[o[1]].getLoad() < s.shards[o[0]].getLoad() {
+			exp = o[1]
+		}
+		was := gets(s)
+		s.GetAsync(k, valLen, noop)
+		if got := gets(s); got[exp] != was[exp]+1 {
+			t.Fatalf("(c) get %d of key %d (hot %v): owners %v, want the less-loaded %s; gets %v -> %v",
+				i, k, k == hot, o, exp, was, got)
+		}
+	}
+	a, b := gets(s)[pair[0]]-before[pair[0]], gets(s)[pair[1]]-before[pair[1]]
+	if a+b != 40 || max(a, b)-min(a, b) > 1 {
+		t.Fatalf("(c) a batch of 40 split %d / %d over its two owners, want within one", a, b)
+	}
+	s.Flush()
+	s.Run()
+
+	// (d) Freeze the pair's first owner and quarantine every get slot on
+	// both its connections; the breaker never hears of it.
+	frozen, live := s.shards[pair[0]], s.shards[pair[1]]
+	frozen.srv.node.Dev.Freeze()
+	load(frozen, hot, 2*8)
+	s.Flush()
+	s.Run()
+	for _, c := range frozen.clients {
+		if st := c.pipelineStats(pipeGet); st.Wedged != 8 || st.InFlight != 0 || frozen.down() {
+			t.Fatalf("setup: frozen owner's connection has %d of 8 get slots quarantined, %d in flight (down %v); want 8, 0 and the breaker closed",
+				st.Wedged, st.InFlight, frozen.down())
+		}
+	}
+	// The live owner holds 4 of its 16 slots: 11 more gets leave it room.
+	load(live, hot, 4)
+	before = gets(s)
+	for _, k := range cold[:11] {
+		s.GetAsync(k, valLen, noop)
+	}
+	if got := gets(s); got[frozen.id] != before[frozen.id] {
+		t.Fatalf("(d) the quarantined owner was chosen while %s had room: gets %v -> %v", live.id, before, got)
+	}
+	s.Flush()
+	s.Run()
 }
 
 // The client-side cache serves tracked-hot keys without touching the
