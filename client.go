@@ -111,9 +111,9 @@ type Client struct {
 	table *HashTable
 	srv   *Server // its arena supplies staging extents; its retire queue takes superseded ones
 
-	// MissTimeout is the per-request deadline after which an unanswered
-	// request completes as a miss/failure. Mutable between requests.
-	MissTimeout Duration
+	// missTimeout is how long an unanswered request waits before it fails,
+	// fixed for the client's life: a deadline queue needs issue order.
+	missTimeout Duration
 
 	depth   int
 	maxVal  uint64
@@ -151,32 +151,19 @@ type Client struct {
 
 // pipeReq is one queued or in-flight request on any pipeline: a pooled
 // record, taken from its pipeline's free list by the issuing shim
-// (opPipeline.take) and returned once the request has been delivered
-// AND its deadline event has run. The deadline pins the record because
-// the engine cannot cancel an event: a get acked after 5 us still has
-// its MissTimeout event queued 195 us out, and a record handed to the
-// next request before then would have that request failed by this
-// one's deadline. The two deadline continuations are method values
-// bound once, when the record is made, so arming one allocates nothing.
+// (opPipeline.take) and returned, zeroed, once the request has been
+// delivered. Its deadline does not pin it: the deadline queue's entry
+// holds the issue sequence it was made for, and one whose record has
+// moved on is dropped. The per-op payload fields are a union; only the
+// issuing shim's are set.
 type pipeReq struct {
-	reqState
-
-	p         *opPipeline
-	timeoutFn func() // an issued request's deadline
-	expireFn  func() // failLater's deadline: the request never got a slot
-}
-
-// reqState is what one request's life writes; take zeroes it. The
-// per-op payload fields are a union; only the issuing shim's are set.
-type reqState struct {
-	live  bool // taken from the free list and not yet returned
-	timed bool // the deadline event has run
+	p    *opPipeline
+	live bool // taken from the free list and not yet returned
 
 	key   uint64
 	slot  int
-	seq   uint64 // issue sequence (window-epoch guard for AIMD cuts)
+	seq   uint64 // issue sequence (window-epoch guard for AIMD cuts; 0 = never issued)
 	start sim.Time
-	done  bool
 	op    uint64 // trace op id (0 = untraced)
 	mark  uint64 // get: its issue mark in the server's retire queue
 	// marked: the get still holds mark (wireHooks' unmark gives it back)
@@ -281,6 +268,13 @@ type opPipeline struct {
 
 	reqs recordPool[pipeReq]
 
+	// Deadlines fall due in issue order, so one engine event, armed for
+	// the oldest outstanding entry, serves them all: an RC requester
+	// keeps one ACK timer per QP, not one per WR.
+	deadlines ring.Queue[deadline]
+	armed     bool
+	fireFn    func() // fire, bound once
+
 	// Chain-execution accounting: every response WQE is signaled, so
 	// each executed instance delivers exactly one completion per
 	// response it posted on its slot's response QP(s) — answer (WRITE)
@@ -343,6 +337,14 @@ type opPipeline struct {
 	silent  func(req *pipeReq)
 }
 
+// deadline is a deadline queue entry: a request, its issue sequence
+// when queued (0 = slotless), its reserved engine place and due time.
+type deadline struct {
+	req        *pipeReq
+	seq, place uint64
+	at         sim.Time
+}
+
 // newPipeline builds the op-agnostic skeleton; the caller wires the
 // connection, the slots and the hooks.
 func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
@@ -362,6 +364,7 @@ func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
 	for i := 0; i < depth; i++ {
 		p.free = append(p.free, i)
 	}
+	p.fireFn = p.fire
 	return p
 }
 
@@ -391,20 +394,16 @@ func (p *recordPool[T]) put(r *T) { p.free = append(p.free, r) }
 // take hands out a zeroed request record for the issuing shim to fill
 // and submit.
 func (p *opPipeline) take() *pipeReq {
-	req, fresh := p.reqs.take()
-	if fresh {
-		req.p = p
-		req.timeoutFn, req.expireFn = req.timeout, req.expire
-	}
-	req.live = true
+	req, _ := p.reqs.take()
+	req.p, req.live = p, true
 	return req
 }
 
-// release zeroes the request's state — dropping the callbacks and value
-// it referenced — and returns the record to its pipeline.
+// release zeroes the request but for its pipeline — dropping the
+// callbacks and value it referenced — and returns the record.
 func (req *pipeReq) release() {
 	req.mustBeLive()
-	req.reqState = reqState{}
+	*req = pipeReq{p: req.p}
 	req.p.reqs.put(req)
 }
 
@@ -436,7 +435,7 @@ func (p *opPipeline) submit(req *pipeReq) {
 		req.winFull = p.inFlight >= p.win.size()
 		if p.nWedged == p.depth {
 			p.issued++
-			p.failLater(req)
+			p.await(req) // no slot will free: its deadline fails it
 			return
 		}
 		*p.waiting.Push() = req
@@ -445,25 +444,47 @@ func (p *opPipeline) submit(req *pipeReq) {
 	p.issue(req)
 }
 
-// failLater completes req as failed one MissTimeout from now. Only a
-// request that is in no queue gets here (submit found every slot
-// quarantined, or finish emptied the waiting queue into it), so it can
-// neither issue nor complete in the meantime and this deadline is the
-// only event it will ever have.
-func (p *opPipeline) failLater(req *pipeReq) {
-	p.c.tb.clu.Eng.After(p.c.MissTimeout, req.expireFn)
+// await queues req's deadline one missTimeout out, at the engine place
+// After would have given an event of its own, and arms the pipeline's
+// event if none is. A request in no queue (submit found every slot
+// quarantined, or finish emptied the waiting queue into it) can neither
+// issue nor complete meanwhile: its deadline, of sequence 0, fails it.
+func (p *opPipeline) await(req *pipeReq) {
+	eng := p.c.tb.clu.Eng
+	*p.deadlines.Push() = deadline{req, req.seq, eng.Reserve(), eng.Now() + p.c.missTimeout}
+	p.rearm()
 }
 
-// expire is failLater's deadline.
-func (req *pipeReq) expire() {
-	req.mustBeLive()
-	p := req.p
-	req.done = true
-	p.fails++
-	p.lastRan = false // never even reached a slot
-	p.lastRcpt = nil  // never issued: no receipt
-	p.deliver(req, p.c.MissTimeout, false)
-	req.release()
+// rearm drops the head entries whose request has moved on and, unless
+// the event is armed, arms it at the oldest outstanding entry's place.
+func (p *opPipeline) rearm() {
+	for !p.armed && p.deadlines.Len() > 0 {
+		if d := p.deadlines.Peek(); d.req.seq == d.seq {
+			p.armed = true
+			p.c.tb.clu.Eng.AtReserved(d.at, d.place, p.fireFn)
+			return
+		}
+		p.deadlines.Pop()
+	}
+}
+
+// fire is the deadline event: it fails the head entry's request if
+// outstanding, at exactly missTimeout (what a real client would have
+// waited before giving up), and arms for the next entry.
+func (p *opPipeline) fire() {
+	p.armed = false
+	switch d := p.deadlines.Pop(); {
+	case d.req.seq != d.seq: // answered: its record may serve another request by now
+	case d.seq == 0: // a request that never got a slot
+		p.fails++
+		p.lastRan = false // never even reached a slot
+		p.lastRcpt = nil  // never issued: no receipt
+		p.deliver(d.req, p.c.missTimeout, false)
+		d.req.release()
+	default:
+		p.finish(d.req, p.c.missTimeout, false, true, 0)
+	}
+	p.rearm()
 }
 
 // issue arms one offload instance on a free slot and posts its WRs
@@ -503,7 +524,7 @@ func (p *opPipeline) issue(req *pipeReq) {
 	}
 	p.post(req)
 	p.dirty = true
-	c.tb.clu.Eng.After(c.MissTimeout, req.timeoutFn)
+	p.await(req)
 }
 
 // post retags the slot's op context with the op for tracing, arms it
@@ -528,33 +549,19 @@ func (p *opPipeline) onAck(slot int, key uint64, at, backlog sim.Time) {
 	if req == nil || req.key != key {
 		return
 	}
-	p.finish(req, at-req.start, p.verdict == nil || p.verdict(req), backlog)
-}
-
-// timeout is an issued request's deadline: it completes the request as
-// failed if it is still outstanding — the reported latency is exactly
-// the configured timeout, the elapsed time a real client would have
-// waited before giving up — and otherwise only unpins the record.
-func (req *pipeReq) timeout() {
-	req.mustBeLive()
-	req.timed = true
-	if req.done {
-		req.release()
-		return
-	}
-	req.p.finish(req, req.p.c.MissTimeout, false, 0)
+	p.finish(req, at-req.start, p.verdict == nil || p.verdict(req), false, backlog)
 }
 
 // finish releases req's slot, feeds the congestion window, runs the
-// op's release hook and callback, and refills the pipeline from the
-// waiting queue (self-flushing: the driver may never call Flush
-// again). A slot timing out with its armed instance still unexecuted
-// (no response completions delivered, answer or miss) is quarantined
-// rather than re-armed: the server NIC dropped the trigger, and
-// stacking fresh instances on the dead context would overflow its
+// op's release hook and callback, refills the pipeline from the waiting
+// queue (self-flushing: the driver may never call Flush again) and
+// returns req's record. A slot timing out (timedOut) with its armed
+// instance unexecuted (no response completions, answer or miss) is
+// quarantined rather than re-armed: the server NIC dropped the trigger,
+// and stacking fresh instances on the dead context would overflow its
 // chain rings. A confirmed answer always frees the slot — the WRITE
 // proves the chain ran.
-func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Time) {
+func (p *opPipeline) finish(req *pipeReq, lat Duration, ok, timedOut bool, backlog sim.Time) {
 	c := p.c
 	p.vacate(req)
 	executed := p.started(req.slot)
@@ -571,18 +578,17 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 			// Nothing will ever free a slot: fail the queue rather
 			// than strand it.
 			for p.waiting.Len() > 0 {
-				p.failLater(p.waiting.Pop())
+				p.await(p.waiting.Pop())
 			}
 		}
 	} else {
 		p.free = append(p.free, req.slot)
 	}
-	// Window control: a loss — the deadline ran (req.timed: only its call
-	// sets it) before the chain did — cuts, and so does an ECN-marked
-	// answer, congestion news one RTT earlier; either cuts once per epoch.
-	// A clean answer grows it: an ack, a refusal, or a miss, whose chain
-	// ran and answered by silence.
-	lost := req.timed && !executed
+	// Window control: a loss — the deadline ran before the chain did —
+	// cuts, and so does an ECN-marked answer, congestion news one RTT
+	// earlier; either cuts once per epoch. A clean answer grows it: an
+	// ack, a refusal, or a miss, whose chain ran and answered by silence.
+	lost := timedOut && !executed
 	if lost || p.win.marked(backlog) {
 		if p.win.cut(req.seq, p.seq, !lost) && c.tr.Enabled() {
 			c.tr.Instant(c.trLabel, p.trCut, req.op)
@@ -590,18 +596,15 @@ func (p *opPipeline) finish(req *pipeReq, lat Duration, ok bool, backlog sim.Tim
 	} else {
 		p.win.onAck()
 	}
-	p.conclude(req, lat, ok, executed)
+	p.conclude(req, lat, ok, executed, timedOut)
 	p.pump()
 	c.Flush()
-	if req.timed {
-		req.release()
-	}
+	req.release()
 }
 
 // vacate takes the decided req off its slot.
 func (p *opPipeline) vacate(req *pipeReq) {
 	req.mustBeLive()
-	req.done = true
 	c := p.c
 	if c.tr.Enabled() {
 		c.tr.Exec(c.trLabel, p.trTracks[req.slot], "slot", req.start, c.tb.clu.Eng.Now(), req.op)
@@ -610,15 +613,15 @@ func (p *opPipeline) vacate(req *pipeReq) {
 	p.inFlight--
 }
 
-// conclude finalizes the vacated req's receipt, then runs the op's
-// release hook and its callback.
-func (p *opPipeline) conclude(req *pipeReq, lat Duration, ok, executed bool) {
+// conclude finalizes the vacated req's receipt (censored: its deadline
+// decided it), then runs the op's release hook and its callback.
+func (p *opPipeline) conclude(req *pipeReq, lat Duration, ok, executed, censored bool) {
 	if p.rcpts != nil {
 		// Finalize the receipt: the fabric phase is the post->completion
 		// span minus the doorbell-batching delay Flush stamped, so the
 		// phases partition submit->finish exactly.
 		r := &p.rcpts[req.slot]
-		r.Censored = req.timed
+		r.Censored = censored
 		r.AddPhase(telemetry.PhaseFabric, lat-r.Phases[telemetry.PhaseDoorbell])
 		r.Total = r.PhaseSum()
 		p.lastRcpt = r
@@ -662,7 +665,8 @@ func (p *opPipeline) flush(cut uint64) {
 		p.fails++
 		p.lastRan = false
 		p.free = append(p.free, req.slot)
-		p.conclude(req, now-req.start, false, false)
+		p.conclude(req, now-req.start, false, false, false)
+		req.release()
 	}
 	p.pump()
 }
@@ -768,7 +772,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 	srvRQ := max(2048, 4*depth)
 	cliSQ := max(1024, 4*depth)
 	c := &Client{tb: t, node: node, mode: mode,
-		MissTimeout: DefaultMissTimeout,
+		missTimeout: DefaultMissTimeout,
 		depth:       depth,
 		maxVal:      maxVal,
 		getVals:     make([]byte, uint64(depth)*maxVal),
@@ -1077,7 +1081,7 @@ func (c *Client) Flush() {
 			if len(p.posted) > 0 {
 				now := c.tb.clu.Eng.Now()
 				for _, req := range p.posted {
-					if !req.done {
+					if p.slots[req.slot] == req {
 						p.rcpts[req.slot].AddPhase(telemetry.PhaseDoorbell, now-req.start)
 					}
 				}
@@ -1135,11 +1139,11 @@ func (c *Client) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 	})
 	c.Flush()
 	eng := c.tb.clu.Eng
-	eng.RunUntil(eng.Now() + c.MissTimeout)
+	eng.RunUntil(eng.Now() + c.missTimeout)
 	// Queued behind a busy pipeline: the request may not even have
 	// issued yet. Its own timeout (armed at issue) bounds every pass.
 	for !done && eng.Pending() > 0 {
-		eng.RunUntil(eng.Now() + c.MissTimeout)
+		eng.RunUntil(eng.Now() + c.missTimeout)
 	}
 	return out, lat, ok
 }

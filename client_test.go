@@ -213,7 +213,7 @@ func TestMissTimeoutConfigurable(t *testing.T) {
 	cli := tb.NewClient(srv, LookupSingle)
 	cli.Bind(table)
 
-	cli.MissTimeout = 50 * sim.Microsecond
+	cli.missTimeout = 50 * sim.Microsecond
 	before := tb.Now()
 	_, lat, ok := cli.Get(999, 64)
 	if ok {
@@ -246,7 +246,7 @@ func TestMissDoesNotStallPipeline(t *testing.T) {
 	}
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 8)
 	cli.Bind(table)
-	cli.MissTimeout = 30 * sim.Microsecond
+	cli.missTimeout = 30 * sim.Microsecond
 
 	hits, misses := 0, 0
 	for i := 0; i < 24; i++ {
@@ -283,7 +283,7 @@ func TestClientWedgesOnFrozenServer(t *testing.T) {
 	}
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
-	cli.MissTimeout = 50 * sim.Microsecond
+	cli.missTimeout = 50 * sim.Microsecond
 
 	// Sanity: hits flow while the NIC is alive.
 	if _, _, ok := cli.Get(1, 64); !ok {
@@ -301,8 +301,8 @@ func TestClientWedgesOnFrozenServer(t *testing.T) {
 			if ok {
 				t.Error("hit from a frozen NIC")
 			}
-			if lat != cli.MissTimeout {
-				t.Errorf("miss latency %v, want the %v timeout", lat, cli.MissTimeout)
+			if lat != cli.missTimeout {
+				t.Errorf("miss latency %v, want the %v timeout", lat, cli.missTimeout)
 			}
 		})
 	}
@@ -329,7 +329,7 @@ func TestClientMissesDoNotWedge(t *testing.T) {
 	table.Set(1, Value(1, 64))
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
-	cli.MissTimeout = 50 * sim.Microsecond
+	cli.missTimeout = 50 * sim.Microsecond
 
 	for i := 0; i < 20; i++ {
 		if _, _, ok := cli.Get(5000+uint64(i), 64); ok {
@@ -787,7 +787,7 @@ func TestClientWritesTimeOutOnFrozenServer(t *testing.T) {
 	table := srv.NewHashTable(1024)
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 2)
 	cli.Bind(table)
-	cli.MissTimeout = 50 * sim.Microsecond
+	cli.missTimeout = 50 * sim.Microsecond
 	const key = 5
 	if _, ok := cli.Set(key, Value(key, 64)); !ok {
 		t.Fatal("setup set failed")
@@ -795,9 +795,9 @@ func TestClientWritesTimeOutOnFrozenServer(t *testing.T) {
 	srv.node.Dev.Freeze()
 	check := func(op pipeOp) func(Duration, bool) {
 		return func(lat Duration, ok bool) {
-			if ok || lat != cli.MissTimeout || cli.lastExecuted(op) {
+			if ok || lat != cli.missTimeout || cli.lastExecuted(op) {
 				t.Errorf("op %d on a frozen NIC: ok=%v lat=%v executed=%v, want a %v timeout of an unexecuted chain",
-					op, ok, lat, cli.lastExecuted(op), cli.MissTimeout)
+					op, ok, lat, cli.lastExecuted(op), cli.missTimeout)
 			}
 		}
 	}
@@ -824,7 +824,7 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	cli.Bind(table)
 
 	// A deadline shorter than the chain: the set times out unexecuted.
-	cli.MissTimeout = 3 * sim.Microsecond
+	cli.missTimeout = 3 * sim.Microsecond
 	results := make(map[uint64]int)
 	cli.SetAsync(1, Value(1, 64), func(lat Duration, ok bool) {
 		results[1]++
@@ -839,8 +839,16 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	}
 	// The straggler's ack lands: nothing completes, the slot is back in
 	// service with the straggler's verdict still in its ack buffer, and
-	// the next request on it gets its own answer.
-	cli.MissTimeout = DefaultMissTimeout
+	// the next request on it gets its own answer. The deadline changes
+	// only with every deadline queue empty: a queue relies on its
+	// deadlines falling due in issue order.
+	for _, p := range cli.pipes {
+		if p.deadlines.Len() != 0 || p.armed {
+			t.Fatalf("%s pipeline: %d deadlines queued (event armed: %v) where the deadline changes",
+				p.name, p.deadlines.Len(), p.armed)
+		}
+	}
+	cli.missTimeout = DefaultMissTimeout
 	tb.RunFor(20 * sim.Microsecond)
 	if w, _ := cli.node.Mem.U64(cli.set.resp[0]); w != wqe.MakeCtrl(wqe.OpWrite, 1) || cli.set.nWedged != 0 {
 		t.Fatalf("after the straggler: ack buffer %#x, %d wedged slots; want WRITE|1 and 0", w, cli.set.nWedged)
@@ -905,7 +913,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	if ver != 1 {
 		t.Fatalf("probe returned version %d after the first set, want 1", ver)
 	}
-	if lat <= 0 || lat >= cli.MissTimeout {
+	if lat <= 0 || lat >= cli.missTimeout {
 		t.Fatalf("probe latency %v not fabric-real", lat)
 	}
 	// The version word advances with every overwrite — written by the

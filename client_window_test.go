@@ -158,7 +158,7 @@ func TestWindowConvergesFromOversizedStart(t *testing.T) {
 	}
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 16)
 	cli.Bind(table)
-	cli.MissTimeout = 50 * sim.Microsecond
+	cli.missTimeout = 50 * sim.Microsecond
 	openWindow(cli, 8, -1)
 
 	srv.node.Dev.Freeze()
@@ -206,7 +206,7 @@ func TestAIMDWindowHoldsAcrossMisses(t *testing.T) {
 	}
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 8)
 	cli.Bind(table)
-	cli.MissTimeout = 50 * sim.Microsecond
+	cli.missTimeout = 50 * sim.Microsecond
 
 	misses := 0
 	for i := 0; i < 60; i++ {
@@ -247,7 +247,7 @@ func TestPipelineStatsDisjointAccounting(t *testing.T) {
 	}
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
-	cli.MissTimeout = 50 * sim.Microsecond
+	cli.missTimeout = 50 * sim.Microsecond
 
 	if _, _, ok := cli.Get(1, 64); !ok {
 		t.Fatal("get missed on a healthy server")
@@ -299,7 +299,7 @@ func TestClientResetRestartsPipelines(t *testing.T) {
 	}
 	cli := tb.NewPipelinedClient(srv, LookupSeq, 4)
 	cli.Bind(table)
-	cli.MissTimeout = 50 * sim.Microsecond
+	cli.missTimeout = 50 * sim.Microsecond
 	openWindow(cli, 4, -1)
 	fails, ran := 0, 0
 	cb := func(_ []byte, _ Duration, ok bool) {

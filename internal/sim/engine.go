@@ -134,6 +134,17 @@ func (e *Engine) At(t Time, fn func()) {
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
+// Reserve takes the next place in schedule order for an event that
+// AtReserved may put there later, or never.
+func (e *Engine) Reserve() uint64 { e.seq++; return e.seq }
+
+// AtReserved schedules fn at t in the place r, among the heap's events:
+// where At put it at the reservation if t was a horizon or more ahead,
+// ahead of the wheel's and the lane's events at t.
+func (e *Engine) AtReserved(t Time, r uint64, fn func()) {
+	e.pushHeap(event{at: max(t, e.now), seq: r, fn: fn})
+}
+
 // pushWheel appends fn to the list of t's slot.
 func (e *Engine) pushWheel(t Time, fn func()) {
 	i := e.free

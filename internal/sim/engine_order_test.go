@@ -266,6 +266,53 @@ func TestEngineWheelSeams(t *testing.T) {
 	}
 }
 
+// TestEngineOrderReservedPlace puts an event at a place reserved a
+// horizon or more before its time. It runs where At would have run it,
+// scheduled at the reservation: after the same-instant heap events
+// scheduled before the reservation, ahead of those scheduled after it
+// and ahead of the wheel's and the lane's, whether it is put there
+// before its instant or at it. A reservation never used leaves the
+// order of the rest as it was.
+func TestEngineOrderReservedPlace(t *testing.T) {
+	const h = wheelSlots
+	for _, how := range []string{"at", "early", "late"} {
+		s := &seamScript{t: t, e: NewEngine()}
+		e := s.e
+		e.RunUntil(100)
+		T := e.Now() + 3*h
+		var r uint64
+		place := func() {
+			e.AtReserved(T, r, func() {
+				if e.Now() != T {
+					t.Errorf("%s: placed ran at %v, due %v", how, e.Now(), T)
+				}
+				s.got = append(s.got, "placed")
+			})
+		}
+		s.at(T, "heap1", func() {
+			s.at(T, "lane")
+			if how == "late" {
+				place()
+			}
+		})
+		if how == "at" {
+			s.at(T, "placed")
+		} else {
+			r = e.Reserve()
+		}
+		s.at(T, "heap2")
+		e.Reserve() // never used
+		s.at(T, "heap3")
+		e.RunUntil(T - 10)
+		s.at(T, "wheel")
+		if how == "early" {
+			place()
+		}
+		e.Run()
+		s.ran(T, "heap1", "placed", "heap2", "heap3", "wheel", "lane")
+	}
+}
+
 // TestEnginePendingCountsAllQueues checks Pending against the three
 // structures an event can wait in.
 func TestEnginePendingCountsAllQueues(t *testing.T) {

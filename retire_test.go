@@ -148,8 +148,8 @@ func TestRetiredExtentFreedBehindAMissWhoseChainRan(t *testing.T) {
 	cli.Bind(table)
 	decided := false
 	cli.GetAsync(2, 64, func(_ []byte, lat Duration, ok bool) {
-		if ok || lat != cli.MissTimeout {
-			t.Errorf("get of an absent key: hit %v after %v, want a miss at %v", ok, lat, cli.MissTimeout)
+		if ok || lat != cli.missTimeout {
+			t.Errorf("get of an absent key: hit %v after %v, want a miss at %v", ok, lat, cli.missTimeout)
 		}
 		decided = true
 	})
@@ -158,7 +158,7 @@ func TestRetiredExtentFreedBehindAMissWhoseChainRan(t *testing.T) {
 	if rq.issued-rq.oldest != 1 {
 		t.Fatalf("%d marks held after one get issued, want 1", rq.issued-rq.oldest)
 	}
-	tb.RunFor(cli.MissTimeout / 4)
+	tb.RunFor(cli.missTimeout / 4)
 	if decided || rq.issued != rq.oldest {
 		t.Fatalf("a quarter deadline in: decided %v, %d marks held; want undecided, none held", decided, rq.issued-rq.oldest)
 	}

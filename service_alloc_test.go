@@ -160,10 +160,8 @@ func TestSinksOnOpsAllocate(t *testing.T) {
 // drain costs the host: the same objects for 1 024 hints as for 256.
 // A drain lane is a count kept with the shard, and the owner-apply
 // record each replay is, and the request records its apply borrows,
-// are bounded by the owner's write slots. (A drain of fewer hints than
-// one MissTimeout's worth of replays ends before the set pipelines,
-// whose request records stay pinned until their deadline, have made
-// their full count.)
+// are bounded by the owner's write slots: a request record goes home
+// at its answer.
 func TestHintDrainAllocatesNothingPerHint(t *testing.T) {
 	mallocs := func(n int) uint64 {
 		s, _, up := hintedOutage(t, n, 4)
