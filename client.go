@@ -38,8 +38,10 @@ const defaultWindowBeta = 0.5
 // herd the AIMD loop then has to pay for in timeouts; starting just
 // under the knee lets additive increase probe up to it, ~W²/2 answers
 // up from the start. For single-probe gets the knee is ~80 chains per
-// port fetch unit (the 25 µs ECN mark over ~0.31 µs a fetch), and a
-// shard's connections alternate between its NIC's two ports.
+// port fetch unit (the 25 µs ECN mark over ~0.31 µs a fetch) whether a
+// chain takes 3 fetches or 4 — the overload sweep's windows peak at ~82
+// a connection at 10x capacity — and a shard's connections alternate
+// between its NIC's two ports.
 const windowStart = 72
 
 // pipeOp names one of the client's four offload pipelines.
@@ -807,7 +809,8 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
 			switch p.op {
 			case pipeGet:
-				p.resp = append(p.resp, node.Mem.Alloc(maxVal, 64))
+				// A hinted get's value is followed by its bucket's key word.
+				p.resp = append(p.resp, node.Mem.Alloc(maxVal+8, 64))
 			case pipeProbe:
 				p.resp = append(p.resp, node.Mem.Alloc(hopscotch.BucketSize, 8))
 			case pipeSet:
@@ -873,6 +876,12 @@ func (c *Client) wireHooks() {
 			ctx.Arm()
 		}
 		return ctx.TriggerPayload(req.key, req.valLen, resp)
+	}
+	// A two-probe get answers only a hit; a hinted one answers its
+	// bucket's key word after the value: a hit iff it is the key's.
+	c.get.verdict = func(req *pipeReq) bool {
+		v, _ := c.node.Mem.U64(c.get.resp[req.slot] + req.valLen)
+		return req.fn == 0 || v == core.ClaimCtrl(req.key)
 	}
 	c.get.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		if req.getCB == nil {

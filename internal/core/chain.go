@@ -93,8 +93,10 @@ const (
 type operands [numOps]uint64
 
 func newChain(b *Builder, trig, resp *rnic.QP) chain {
-	// A context has four queues but for a parallel lookup's six.
-	c := chain{B: b, Trig: trig, Resp: resp, op: &telemetry.OpContext{}, qps: make([]*rnic.QP, 0, 4)}
+	// A context has four queues but for a parallel lookup's six, and a
+	// trigger at most one word per scatter entry of its RECV.
+	c := chain{B: b, Trig: trig, Resp: resp, op: &telemetry.OpContext{}, qps: make([]*rnic.QP, 0, 4),
+		trig: make([]byte, 0, 8*wqe.MaxScatter)}
 	c.tag(b.Ctrl)
 	if resp != nil {
 		c.tag(resp)

@@ -116,6 +116,14 @@ func TestIfChainWideOperand(t *testing.T) {
 // a miss reports the full deadline).
 func doGet(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, valLen uint64) ([]byte, sim.Time) {
 	t.Helper()
+	got, _, lat := doGetWord(t, h, o, cliQP, key, valLen)
+	return got, lat
+}
+
+// doGetWord is doGet also returning the word after the value, where a
+// hinted probe's answer puts its bucket's key word.
+func doGetWord(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, valLen uint64) ([]byte, uint64, sim.Time) {
+	t.Helper()
 	respAddr := h.cli.Mem().Alloc(valLen+8, 8)
 	payload := o.TriggerPayload(key, valLen, respAddr)
 	buf := h.cli.Mem().Alloc(uint64(len(payload)), 8)
@@ -136,10 +144,11 @@ func doGet(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, valL
 	cliQP.RingSQ()
 	h.eng.RunUntil(start + 100*sim.Microsecond)
 	got, _ := h.cli.Mem().Read(respAddr, valLen)
+	word, _ := h.cli.Mem().U64(respAddr + valLen)
 	if hitAt < 0 {
-		return got, h.eng.Now() - start
+		return got, word, h.eng.Now() - start
 	}
-	return got, hitAt - start
+	return got, word, hitAt - start
 }
 
 func setupLookup(t *testing.T, mode LookupMode) (*harness, *LookupOffload, *rnic.QP, *hopscotch.Table) {
@@ -220,10 +229,14 @@ func TestLookupSeqFindsSecondBucket(t *testing.T) {
 }
 
 // A single-probe instance reads only the candidate it was aimed at: a
-// key at H2 answers a probe of H2, is missed by a probe of H1, and a
-// two-probe instance armed after them probes H1 first again.
+// key at H2 answers a probe of H2 with its value and its own key word;
+// a probe of H1, whose bucket is empty, answers at once too, with the
+// empty bucket's word and its null extent's bytes; and a two-probe
+// instance armed after them probes H1 first again.
 func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
 	h, o, cliQP, table := setupLookup(t, LookupSeq)
+	const n = 20
+	table.SetEmptyValue(h.srv.Mem().Alloc(n, 8))
 	val := []byte("hinted-second-bucket")
 	addr := h.srv.Mem().Alloc(uint64(len(val)), 8)
 	h.srv.Mem().Write(addr, val)
@@ -232,15 +245,17 @@ func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
 	}
 	o.ArmProbe(1)
 	o.Run()
-	if got, _ := doGet(t, h, o, cliQP, 77, uint64(len(val))); string(got) != string(val) {
-		t.Fatalf("probe of H2: value %q, want %q", got, val)
+	if got, word, _ := doGetWord(t, h, o, cliQP, 77, n); string(got) != string(val) || word != ClaimCtrl(77) {
+		t.Fatalf("probe of H2: value %q, key word %#x; want %q, %#x", got, word, val, ClaimCtrl(77))
 	}
 	o.ArmProbe(0)
-	if got, lat := doGet(t, h, o, cliQP, 77, uint64(len(val))); lat < 100*sim.Microsecond {
-		t.Fatalf("probe of H1 answered %q after %v; want a miss", got, lat)
+	got, word, lat := doGetWord(t, h, o, cliQP, 77, n)
+	if word != 0 || string(got) != string(make([]byte, n)) || lat > 10*sim.Microsecond {
+		t.Fatalf("probe of H1 answered %q, key word %#x after %v; want the empty bucket's word 0 and null bytes in one round trip",
+			got, word, lat)
 	}
 	o.Arm()
-	if got, _ := doGet(t, h, o, cliQP, 77, uint64(len(val))); string(got) != string(val) {
+	if got, _ := doGet(t, h, o, cliQP, 77, n); string(got) != string(val) {
 		t.Fatalf("both probes after a single one: value %q, want %q", got, val)
 	}
 }

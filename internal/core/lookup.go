@@ -33,8 +33,8 @@ const (
 	// ENABLEs cannot be rewritten) and a stalled WAIT, to save <= 1 fetch
 	// on hits only. The choice is the client's instead, made before the
 	// trigger is sent: a client that knows which candidate holds the key
-	// arms ArmProbe's single probe at it (4 managed fetches, not 7), and
-	// re-arms both probes if that probe misses. The service knows from
+	// arms ArmProbe's single probe at it (3 managed fetches, not 7), and
+	// re-arms both probes if it answers another word. The service knows from
 	// its own fabric claims (the candidate each owner's last applied
 	// claim named), and forgets when a host write, a kick walk, a delete
 	// or a ring change may have moved the key (DESIGN.md §2).
@@ -70,7 +70,9 @@ type LookupOffload struct {
 	w2  *rnic.QP // managed chain queue, bucket 1
 	w2b *rnic.QP // managed chain queue, bucket 2 (LookupSeq: w2 itself)
 
-	fn int // the candidate the instance armed last probes first
+	fn     int    // the candidate the instance armed last probes first
+	layout []slot // the trigger layout of the instance armed last
+	ans    uint64 // the hinted probes' answer lists (chain.argsBuf)
 }
 
 // NewLookupOffload builds a standalone offload, answering on trig's SQ.
@@ -113,8 +115,13 @@ func NewLookupPool(b *Builder, trig *rnic.QP, resp, resp2 []*rnic.QP, table *hop
 // newLookupOffload places the chain rings (and, for LookupParallel, the
 // second control queue) on PU pu, -1 round-robining.
 func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table *hopscotch.Table, mode LookupMode, chainDepth, ctrlDepth, pu int) *LookupOffload {
-	o := &LookupOffload{chain: newChain(b, trig, resp), Mode: mode, Table: table, Resp2: resp2}
+	o := &LookupOffload{chain: newChain(b, trig, resp), Mode: mode, Table: table, Resp2: resp2, layout: lookupLayout}
 	o.w2 = o.ring(chainDepth, pu)
+	o.ans = o.newArgs(ansBytes)
+	for list := o.ans; list < o.ans+argsRing*ansBytes; list += ansBytes {
+		b.Dev.Mem().PutU64(list+24, list) // the key word's gather entry
+		b.Dev.Mem().PutU64(list+32, 8)
+	}
 	switch mode {
 	case LookupSeq:
 		o.w2b = o.w2
@@ -158,22 +165,16 @@ var lookupLayout = []slot{
 // re-arm from completion callbacks (unrolled mode) or pre-arm many
 // instances ahead of time — pre-arming is what lets the offload keep
 // serving across host crashes (§5.6).
-func (o *LookupOffload) Arm() { o.arm(0, o.Mode == LookupSingle) }
-
-// ArmProbe posts an instance in LookupSingle's shape on a context of
-// any mode, its one probe aimed at candidate fn (0: H1, 1: H2).
-func (o *LookupOffload) ArmProbe(fn int) { o.arm(fn, true) }
-
-func (o *LookupOffload) arm(fn int, single bool) {
+func (o *LookupOffload) Arm() {
 	resp := o.Resp
 	if resp == nil {
 		resp = o.Trig
 	}
-	o.fn = fn
+	o.fn, o.layout = 0, lookupLayout
 	var in instance
 	o.inject(&in, pRead, o.w2, resp, 16, 0)
 	switch {
-	case single:
+	case o.Mode == LookupSingle:
 		o.fire(lookupLayout, &in, in.steps[:probe2])
 	case o.Mode == LookupSeq:
 		o.inject(&in, probe2, o.w2b, resp, 16, 0)
@@ -183,6 +184,38 @@ func (o *LookupOffload) arm(fn int, single bool) {
 		o.inject(&in, probe2, o.w2b, o.Resp2, 16, 0)
 		o.fire(lookupLayout, &in, in.steps[:probe2], in.steps[probe2:2*probe2])
 	}
+}
+
+// A hinted probe's answer list is five words an instance: its READ
+// lands the bucket's [keyCtrl, valAddr] on the first two, and its WRITE
+// gathers the last four, {valAddr, valLen} then {&keyCtrl, 8}.
+const ansBytes = 40
+
+// hintLayout is a hinted probe's trigger layout: the bucket it reads,
+// the key that stamps its answer, the answer's destination, and the
+// value's length, onto the answer list.
+var hintLayout = []slot{
+	{pRead, wqe.OffSrc, opBucket}, {pResp, wqe.OffCtrl, opWrite}, {pResp, wqe.OffDst, opResp},
+	{argsWord, 16, opLen},
+}
+
+// ArmProbe posts an instance with one probe, aimed at candidate fn (0:
+// H1, 1: H2), on a context of any mode. It decides nothing on the NIC:
+// its WRITE, stamped with the key, gathers [value | the bucket's key
+// word] whatever the bucket holds, and the client compares that word
+// with ClaimCtrl(key), as a version probe's does. The READ rewrites the
+// gather list, so the WRITE stays on a managed queue.
+func (o *LookupOffload) ArmProbe(fn int) {
+	resp := o.Resp
+	if resp == nil {
+		resp = o.Trig
+	}
+	o.fn, o.layout = fn, hintLayout
+	in := instance{args: o.argsBuf(o.ans, ansBytes)}
+	in.steps[pRead] = o.B.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Dst: in.args, Len: 16, Flags: wqe.FlagSignaled})
+	in.steps[pResp] = o.B.Post(resp, wqe.WQE{Op: wqe.OpWrite, Src: in.args + 8, Count: 2,
+		Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
+	o.fire(hintLayout, &in, in.steps[:probe2])
 }
 
 // Run starts the control queue(s). Call once after the first Arm.
@@ -199,6 +232,6 @@ func (o *LookupOffload) Run() {
 // The result is the context's own buffer, overwritten by its next
 // TriggerPayload.
 func (o *LookupOffload) TriggerPayload(key, valLen, respAddr uint64) []byte {
-	return o.payload(lookupLayout, key, operands{opBucket: o.Table.HashAddr(key, o.fn), opBucket2: o.Table.HashAddr(key, 1),
+	return o.payload(o.layout, key, operands{opBucket: o.Table.HashAddr(key, o.fn), opBucket2: o.Table.HashAddr(key, 1),
 		opLen: valLen, opResp: respAddr})
 }

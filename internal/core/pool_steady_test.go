@@ -31,10 +31,11 @@ type poolRig struct {
 	arena    *extent.Arena
 	keys     []uint64 // keys resident in one of their candidate buckets
 	buckets  []uint64 // bucket address holding keys[i]
+	fns      []int    // the candidate holding keys[i]
 
 	gets    *Pool[*LookupOffload]
 	getQP   *rnic.QP
-	getDone int
+	getCQEs int // response completions, two per two-probe get
 	getHits int
 
 	sets      *Pool[*SetOffload]
@@ -74,6 +75,7 @@ func newPoolRig(t testing.TB) *poolRig {
 			if got, _, _, ok := table.EntryAt(bk); ok && got == k {
 				g.keys = append(g.keys, k)
 				g.buckets = append(g.buckets, table.BucketAddr(bk))
+				g.fns = append(g.fns, fn)
 				break
 			}
 		}
@@ -105,16 +107,14 @@ func newPoolRig(t testing.TB) *poolRig {
 	g.getQP, srvQP, resp = pool(true)
 	g.gets = NewLookupPool(b, srvQP, resp, nil, table, LookupSeq)
 	for i := range resp {
-		seen := 0
 		// A LookupSeq instance completes two response WQEs, one per
-		// probed bucket; the one that found the key runs as a WRITE.
+		// probed bucket; the one that found the key runs as a WRITE. A
+		// hinted one completes its one WRITE.
 		resp[i].SendCQ().OnDeliver(func(e rnic.CQE) {
 			if e.Op == wqe.OpWrite {
 				g.getHits++
 			}
-			if seen++; seen%2 == 0 {
-				g.getDone++
-			}
+			g.getCQEs++
 		})
 	}
 	g.setQP, srvQP, resp = pool(false)
@@ -139,7 +139,7 @@ func newPoolRig(t testing.TB) *poolRig {
 	}
 	for i := 0; i < rigDepth; i++ {
 		m := g.cli.Mem()
-		g.trig[i], g.buf[i] = m.Alloc(128, 8), m.Alloc(rigValLen, 64)
+		g.trig[i], g.buf[i] = m.Alloc(128, 8), m.Alloc(rigValLen+8, 64)
 		g.val[i], g.ack[i] = m.Alloc(rigValLen, 64), m.Alloc(8, 8)
 	}
 	return g
@@ -152,20 +152,34 @@ func (g *poolRig) send(qp *rnic.QP, slot int, payload []byte) {
 	qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: g.trig[slot], Len: uint64(len(payload))})
 }
 
-// getRound arms n get chains, triggers them in arm order and runs them
-// to completion.
-func (g *poolRig) getRound(t testing.TB, n int) {
-	done, hits := g.getDone, g.getHits
+// getRound arms n get chains, two-probe or hinted at the candidate
+// holding their key, triggers them in arm order and runs them to
+// completion.
+func (g *poolRig) getRound(t testing.TB, n int, hinted bool) {
+	cqes, hits, per := g.getCQEs, g.getHits, 2
+	var keys [rigDepth]uint64
 	for slot := 0; slot < n; slot++ {
 		ctx := g.gets.Ctxs[slot]
-		ctx.Arm()
 		g.next++
-		g.send(g.getQP, slot, ctx.TriggerPayload(g.keys[g.next%len(g.keys)], rigValLen, g.buf[slot]))
+		ki := g.next % len(g.keys)
+		if hinted {
+			ctx.ArmProbe(g.fns[ki])
+			per = 1
+		} else {
+			ctx.Arm()
+		}
+		keys[slot] = g.keys[ki]
+		g.send(g.getQP, slot, ctx.TriggerPayload(keys[slot], rigValLen, g.buf[slot]))
 	}
 	g.getQP.RingSQ()
 	g.eng.Run()
-	if g.getDone-done != n || g.getHits-hits != n {
-		t.Fatalf("get round: %d of %d chains completed, %d hits", g.getDone-done, n, g.getHits-hits)
+	if g.getCQEs-cqes != per*n || g.getHits-hits != n {
+		t.Fatalf("get round: %d of %d completions, %d hits of %d", g.getCQEs-cqes, per*n, g.getHits-hits, n)
+	}
+	for slot := 0; hinted && slot < n; slot++ {
+		if w, _ := g.cli.Mem().U64(g.buf[slot] + rigValLen); w != ClaimCtrl(keys[slot]) {
+			t.Fatalf("hinted get of %d answered key word %#x", keys[slot], w)
+		}
 	}
 }
 
@@ -197,7 +211,8 @@ func TestPooledChainsStopGrowingServerMemory(t *testing.T) {
 	g := newPoolRig(t)
 	cursor := func() uint64 { return g.srv.Mem().Alloc(0, 1) }
 	round := func() {
-		g.getRound(t, rigDepth)
+		g.getRound(t, rigDepth, false)
+		g.getRound(t, rigDepth, true)
 		g.setRound(t, rigDepth)
 	}
 	// Laps the trigger RQs (64 deep) and the args rings many times over
@@ -206,7 +221,7 @@ func TestPooledChainsStopGrowingServerMemory(t *testing.T) {
 		round()
 	}
 	settled := cursor()
-	for ops := 0; ops < 200000; ops += 2 * rigDepth {
+	for ops := 0; ops < 200000; ops += 3 * rigDepth {
 		round()
 	}
 	if got := cursor(); got != settled {
@@ -219,11 +234,25 @@ func TestPooledChainsStopGrowingServerMemory(t *testing.T) {
 func TestArmedGetChainAllocs(t *testing.T) {
 	g := newPoolRig(t)
 	for i := 0; i < 50; i++ {
-		g.getRound(t, rigDepth)
+		g.getRound(t, rigDepth, false)
 	}
-	perGet := testing.AllocsPerRun(100, func() { g.getRound(t, rigDepth) }) / rigDepth
+	perGet := testing.AllocsPerRun(100, func() { g.getRound(t, rigDepth, false) }) / rigDepth
 	if perGet > 32 {
 		t.Fatalf("%.1f allocations per armed get chain, want <= 32", perGet)
 	}
 	t.Logf("%.2f allocations per armed get chain", perGet)
+}
+
+// TestHintedGetArmAllocatesNothing pins a hinted get's arming and its
+// whole chain, trigger SEND to answer WRITE, at no Go allocation: its
+// answer lists are carved once per context, like the write programs'
+// args buffers, and its gather reuses the run record's buffers.
+func TestHintedGetArmAllocatesNothing(t *testing.T) {
+	g := newPoolRig(t)
+	for i := 0; i < 50; i++ {
+		g.getRound(t, rigDepth, true)
+	}
+	if got := testing.AllocsPerRun(100, func() { g.getRound(t, rigDepth, true) }); got != 0 {
+		t.Fatalf("%.2f allocations per round of %d hinted gets, want 0", got, rigDepth)
+	}
 }

@@ -36,6 +36,24 @@ const overloadKeys = 1024
 // remove.
 const overloadDepth = 256
 
+// overloadCapacity measures s's get capacity over keys with a closed
+// loop of requests gets, its concurrency matched to the production
+// shape's 2 shards x 2 connections x 16-deep pipelines: the knee an
+// overload scenario's offered multiples are measured against. A cheaper
+// chain moves the knee, and the offered load moves with it.
+func overloadCapacity(s *redn.Service, keys []uint64, requests int) float64 {
+	rep := workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
+		Requests: requests,
+		Window:   2 * 2 * 16,
+		Keys:     &workload.Uniform{Keys: keys, Rng: workload.Rng(1)},
+		ValLen:   64,
+	})
+	if rep.GetsPerSec <= 0 {
+		panic("experiments: overload calibration measured zero capacity")
+	}
+	return rep.GetsPerSec
+}
+
 func overloadRun(requests int) *Result {
 	r := &Result{ID: "overload",
 		Title:  "Open-loop overload sweep: AIMD windows on 256-deep pipelines",
@@ -61,20 +79,7 @@ func overloadRun(requests int) *Result {
 		return s
 	}
 
-	// Calibrate capacity with the production-shaped closed loop (16-deep
-	// pipelines, concurrency matched to them): the knee the open-loop
-	// sweep's multiples are measured against.
-	calib := newSvc(16)
-	crep := workload.RunClosedLoop(calib.Testbed().Engine(), calib, workload.ClosedLoopConfig{
-		Requests: requests,
-		Window:   2 * 2 * 16,
-		Keys:     &workload.Uniform{Keys: keys, Rng: workload.Rng(1)},
-		ValLen:   64,
-	})
-	capacity := crep.GetsPerSec
-	if capacity <= 0 {
-		panic("experiments: overload calibration measured zero capacity")
-	}
+	capacity := overloadCapacity(newSvc(16), keys, requests)
 
 	// The issue window: long enough to hold the per-point request budget
 	// at 1x, and never shorter than several miss timeouts so AIMD's

@@ -89,7 +89,7 @@ func Sentinel() *Result {
 
 	r.Notes = append(r.Notes,
 		"crash: shard0 process-crashes at t=5ms under r=2 round-robin gets; unexecuted-chain timeouts transition it to suspected (svc/suspects)",
-		"overload: 2x2x256-deep adaptive windows past capacity (4 M offered gets/s); the windows shed slots to ECN cuts (svc/ecn_shed) while goodput holds",
+		fmt.Sprintf("overload: 2x2x256-deep adaptive windows past capacity (%gx the measured capacity offered); the windows shed slots to ECN cuts (svc/ecn_shed) while goodput holds", sentinelOverload),
 		"migration: a fifth shard joins at t=3ms with a throttled migrator (64 segments, 1 per 200us tick); the backlog level holds past the slow window while steady seals keep the stall rule dormant",
 		"healthy: the same load with no fault fires zero anomalies; with the sentinel off entirely the run completes the identical hit count (parity 1.0)",
 		fmt.Sprintf("rules evaluate fast/slow burn windows of %v/%v over a %v-tick metric ring; bundles snapshot the metric timelines, the bottleneck report and, on a traced run, the trace window the samples cover",
@@ -227,24 +227,33 @@ func sentinelCrash(trace bool) (*redn.Service, workload.OpenLoopReport) {
 	return s, rep
 }
 
-// sentinelOverloadRun: 256-deep AIMD windows past
-// capacity — the sustained AIMD window-cut storm burns (overload class)
-// while goodput holds, so neither the outage nor the crash detector
-// has anything to say.
+// sentinelOverloadRun: 256-deep AIMD windows at sentinelOverload times
+// the service's measured capacity — the sustained AIMD window-cut storm
+// burns (overload class) while goodput holds, so neither the outage nor
+// the crash detector has anything to say.
 func sentinelOverloadRun() (*redn.Service, workload.OpenLoopReport) {
-	s := redn.NewServiceWith(redn.ServiceConfig{
+	cfg := redn.ServiceConfig{
 		Shards:          2,
 		ClientsPerShard: 2,
-		Pipeline:        overloadDepth,
+		Pipeline:        16,
 		Mode:            redn.LookupSeq,
 		Buckets:         1 << 14,
 		MaxValLen:       256,
-		Sentinel:        true,
-	})
+	}
+	calib := redn.NewServiceWith(cfg)
+	capacity := overloadCapacity(calib, preloadKeys(calib, overloadKeys), 6000)
+	cfg.Pipeline, cfg.Sentinel = overloadDepth, true
+	s := redn.NewServiceWith(cfg)
 	keys := preloadKeys(s, overloadKeys)
-	rep := sentinelLoad(s, keys, 8*sim.Millisecond, 250*sim.Nanosecond, 0)
+	gap := sim.Time(float64(sim.Second) / (sentinelOverload * capacity))
+	rep := sentinelLoad(s, keys, 8*sim.Millisecond, gap, 0)
 	return s, rep
 }
+
+// sentinelOverload is the overload scenario's offered load, as a
+// multiple of its measured capacity, so a cheaper chain cannot leave
+// the scenario under capacity.
+const sentinelOverload = 2.0
 
 // sentinelMigrationRun: a fifth shard joins mid-run with a throttled
 // migrator, holding the migration backlog level past the slow window

@@ -30,6 +30,8 @@ func TestSteadyStateWRsAllocateNothing(t *testing.T) {
 		{"READ", wqe.WQE{Op: wqe.OpRead, Src: dst, Dst: src, Len: 64, Flags: wqe.FlagSignaled}, false},
 		{"READ scatter", wqe.WQE{Op: wqe.OpRead, Src: dst, Dst: slist, Len: 64, Count: 2,
 			Flags: wqe.FlagSignaled | wqe.FlagScatterDst}, false},
+		{"WRITE gather", wqe.WQE{Op: wqe.OpWrite, Src: slist, Dst: dst, Count: 2,
+			Flags: wqe.FlagSignaled | wqe.FlagGatherSrc}, false},
 		{"CAS", wqe.WQE{Op: wqe.OpCAS, Dst: dst, Src: src, Cmp: 1, Swap: 1, Flags: wqe.FlagSignaled}, false},
 		{"inline SEND -> RECV", wqe.WQE{Op: wqe.OpSend, Len: 8, Cmp: 5,
 			Flags: wqe.FlagSignaled | wqe.FlagInline}, true},

@@ -295,10 +295,16 @@ func (w *WorkQueue) issueData(r *wrRun, occ sim.Time) {
 			}
 			r.loadInline(r.n)
 		} else {
+			var err error
+			if v.Flags&wqe.FlagGatherSrc != 0 {
+				err = r.gather(dev.mem)
+			} else {
+				err = r.load(dev.mem, v.Src, v.Len)
+			}
 			gs, ge := dev.pcie.TransferAt(t, r.n)
 			q.grant(dev, &dev.pcie.Resource, t, gs, ge)
 			t = ge + prof.GatherLatency
-			if err := r.load(dev.mem, v.Src, v.Len); err != nil {
+			if err != nil {
 				r.st = StatusLocalProtErr
 				r.sched(t, stageFailed)
 				return

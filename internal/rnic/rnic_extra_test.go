@@ -42,6 +42,46 @@ func TestScatterReadSplitsResponse(t *testing.T) {
 	}
 }
 
+// A gather WRITE (FlagGatherSrc, the mirror of the scatter READ above)
+// sends its list's entries in list order, one payload as long as their
+// sum, and the requester's PCIe moves exactly those bytes. A nil or
+// out-of-memory entry fails the WR and errors the QP.
+func TestGatherWriteSendsEntriesInOrder(t *testing.T) {
+	eng, cli, srv, qp, _ := testPair(t)
+	m := cli.Mem()
+	a, b := m.Alloc(24, 8), m.Alloc(8, 8)
+	m.Write(a, []byte("abcdefghijklmnopqrstuvwx"))
+	m.Write(b, []byte("ABCDEFGH"))
+	list := putScatter(m, wqe.ScatterEntry{Addr: b, Len: 8}, wqe.ScatterEntry{Addr: a, Len: 24})
+	dst := srv.Mem().Alloc(32, 8)
+	busy := cli.PCIe().Busy()
+	qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: list, Count: 2, Dst: dst, Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
+	qp.RingSQ()
+	if e := runAndLastCQE(t, eng, qp.SendCQ()); e.Status != StatusOK {
+		t.Fatalf("gather WRITE completed %v", e.Status)
+	}
+	if got, _ := srv.Mem().Read(dst, 32); string(got) != "ABCDEFGHabcdefghijklmnopqrstuvwx" {
+		t.Fatalf("gather WRITE landed %q", got)
+	}
+	if got, want := cli.PCIe().Busy()-busy, cli.PCIe().Duration(32); got != want {
+		t.Fatalf("gather moved %v over the requester's PCIe, want %v (32 B)", got, want)
+	}
+
+	for _, bad := range []wqe.ScatterEntry{{Addr: 0, Len: 8}, {Addr: m.Size() - 4, Len: 8}} {
+		q := cli.NewQP(QPConfig{})
+		q.Connect(srv.NewQP(QPConfig{}), cli.Profile().OneWay)
+		bl := putScatter(m, wqe.ScatterEntry{Addr: a, Len: 8}, bad)
+		q.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: bl, Count: 2, Dst: dst, Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
+		q.RingSQ()
+		eng.Run()
+		if es := q.SendCQ().Poll(10); len(es) != 1 || es[0].Status != StatusLocalProtErr || !q.SQ().Errored() {
+			t.Fatalf("entry %+v: completions %+v, errored %v; want one local protection error and an errored QP",
+				bad, es, q.SQ().Errored())
+		}
+	}
+	runsHome(t, cli)
+}
+
 func TestDualPortIndependentResources(t *testing.T) {
 	// Two ports double the PU pool: floods on separate ports finish in
 	// about the time of one port's flood.

@@ -3,6 +3,7 @@ package rnic
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -191,6 +192,24 @@ func (r *wrRun) loadInline(n int) {
 	b := r.buf[:8]
 	binary.BigEndian.PutUint64(b, r.v.Cmp)
 	r.payload = b[8-n:]
+}
+
+// gather makes the entries of the WQE's Count-entry gather list at Src,
+// in list order, the record's payload. An entry the memory cannot serve,
+// address 0 included, fails it.
+func (r *wrRun) gather(m *mem.Memory) error {
+	r.payload = r.buf[:0]
+	err := r.loadList(m, r.v.Src, r.v.Count)
+	for e := r.list; err == nil && len(e) >= wqe.ScatterEntrySize; e = e[wqe.ScatterEntrySize:] {
+		addr, k, n := binary.BigEndian.Uint64(e), binary.BigEndian.Uint64(e[8:]), len(r.payload)
+		if k > m.Size()-uint64(n) {
+			return &mem.AccessError{Addr: addr, Len: k, Op: "gather", Why: "out of bounds"}
+		}
+		r.payload = slices.Grow(r.payload, int(k))[:n+int(k)]
+		err = m.ReadInto(addr, r.payload[n:])
+	}
+	r.buf, r.n = r.payload, len(r.payload)
+	return err
 }
 
 // loadList snapshots the n-entry scatter list at addr.

@@ -93,6 +93,12 @@ const (
 	// verbs provide, which Fig 12's R2 uses to feed both the response
 	// WQE and the next iteration's READ from a single node fetch.
 	FlagScatterDst
+	// FlagGatherSrc makes a WRITE take its payload from a gather list
+	// (Src = list address, Count = entry count), the entries' bytes in
+	// list order, instead of Len contiguous bytes at Src — the
+	// WRITE-side mirror of FlagScatterDst, as multi-SGE sends on real
+	// verbs; Len is unused.
+	FlagGatherSrc
 )
 
 // PeerShift positions the peer queue number in the flags word.

@@ -673,6 +673,10 @@ func (s *Service) buildShard(id string) *serviceShard {
 		ringIdx: -1, keys: make(map[uint64]ownerKey), lanes: cfg.ClientsPerShard * cfg.Pipeline,
 		trTry: "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
 		trHint: "hint:" + id, trRepair: "repair:" + id}
+	// A hinted get gathers its bucket's value before its client reads
+	// the key word, so no bucket's value address is ever 0: an empty one
+	// points at the shard's null extent.
+	sh.table.table.SetEmptyValue(node.Mem.Alloc(cfg.MaxValLen, 64))
 	sh.probeFn = sh.probed
 	sh.initMetrics(s.reg)
 	for c := 0; c < cfg.ClientsPerShard; c++ {

@@ -1831,7 +1831,10 @@ func TestServiceRepairInvalidatesStaleCache(t *testing.T) {
 // issue-time state can refuse the admission: admitted, the old value
 // would serve every later get until the next write. Each delay issues
 // the get at a different point of the write's fan-out; at least one
-// must reproduce the late stale answer.
+// must reproduce the late stale answer. The get probes both candidates
+// (its placement hint dropped): a hinted get answers its READ with one
+// WRITE, and at this unloaded shape that lands before the write's last
+// ack, while the CAS-gated answer of a two-probe get lands after it.
 func TestServiceCacheRefusesReadsIssuedMidWrite(t *testing.T) {
 	const key, valLen = 7, 48
 	v1, v2 := Value(1, valLen), Value(2, valLen)
@@ -1857,6 +1860,7 @@ func TestServiceCacheRefusesReadsIssuedMidWrite(t *testing.T) {
 		s.SetAsync(key, v2, func(Duration, error) {})
 		s.Flush()
 		s.tb.clu.Eng.After(d, func() {
+			s.dropPlaced(key) // a two-probe get, as the comment above says
 			s.GetAsync(key, valLen, func(val []byte, _ Duration, _ bool) {
 				got, answered = append([]byte(nil), val...), s.Now()
 			})
