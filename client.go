@@ -44,6 +44,10 @@ const defaultWindowBeta = 0.5
 // between its NIC's two ports.
 const windowStart = 72
 
+// hintHead is the head of a get slot's answer buffer, where a hinted
+// get's bucket [keyCtrl, valAddr] lands ahead of the value.
+const hintHead = 16
+
 // pipeOp names one of the client's four offload pipelines.
 type pipeOp uint8
 
@@ -145,6 +149,10 @@ type Client struct {
 
 	gcFreed, gcStale uint64 // to-free ring drains: extents returned / already gone
 
+	// Read from a callback, like lastExecuted: the extent the set's ack
+	// installed, and the one a refused hinted get's bucket named (pipeReq).
+	staged, moved uint64
+
 	// ---- telemetry (nil tracer = disabled, zero cost) ----
 
 	tr      *telemetry.Tracer
@@ -170,7 +178,9 @@ type pipeReq struct {
 	mark  uint64 // get: its issue mark in the server's retire queue
 	// marked: the get still holds mark (wireHooks' unmark gives it back)
 	marked bool
-	fn     int // get: 1 + the candidate a hinted get probes alone; 0 probes both
+	fn     int    // get: 1 + the candidate a hinted get probes alone; 0 probes both
+	ext    uint64 // get: the extent a hinted get expects its bucket to name
+	moved  uint64 // get: the extent its answer named instead, with the key's word
 
 	// Provenance stamps: when the request entered the pipeline and
 	// whether it queued for window headroom (vs a free slot). The
@@ -809,8 +819,8 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
 			switch p.op {
 			case pipeGet:
-				// A hinted get's value is followed by its bucket's key word.
-				p.resp = append(p.resp, node.Mem.Alloc(maxVal+8, 64))
+				// A hinted get's value follows its bucket's [keyCtrl, valAddr].
+				p.resp = append(p.resp, node.Mem.Alloc(hintHead+maxVal, 64))
 			case pipeProbe:
 				p.resp = append(p.resp, node.Mem.Alloc(hopscotch.BucketSize, 8))
 			case pipeSet:
@@ -871,17 +881,22 @@ func (c *Client) wireHooks() {
 		req.mark, req.marked = c.srv.retire.enter(), true
 		ctx := c.gets.Ctxs[req.slot]
 		if req.fn != 0 {
-			ctx.ArmProbe(req.fn - 1)
-		} else {
-			ctx.Arm()
+			ctx.ArmProbe(req.fn-1, req.ext)
+			return ctx.TriggerPayload(req.key, req.valLen, resp)
 		}
-		return ctx.TriggerPayload(req.key, req.valLen, resp)
+		ctx.Arm()
+		return ctx.TriggerPayload(req.key, req.valLen, resp+hintHead)
 	}
 	// A two-probe get answers only a hit; a hinted one answers its
-	// bucket's key word after the value: a hit iff it is the key's.
+	// bucket's [keyCtrl, valAddr] before the value: a hit iff they are
+	// the key's word and the extent the get gathered.
 	c.get.verdict = func(req *pipeReq) bool {
-		v, _ := c.node.Mem.U64(c.get.resp[req.slot] + req.valLen)
-		return req.fn == 0 || v == core.ClaimCtrl(req.key)
+		word, _ := c.node.Mem.U64(c.get.resp[req.slot])
+		va, _ := c.node.Mem.U64(c.get.resp[req.slot] + 8)
+		if req.fn != 0 && word == core.ClaimCtrl(req.key) && va != req.ext {
+			req.moved = va
+		}
+		return req.fn == 0 || word == core.ClaimCtrl(req.key) && va == req.ext
 	}
 	c.get.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		if req.getCB == nil {
@@ -890,8 +905,9 @@ func (c *Client) wireHooks() {
 		var val []byte // a miss has no value
 		if ok {
 			val = c.getVals[uint64(req.slot)*c.maxVal:][:req.valLen:req.valLen]
-			c.node.Mem.ReadInto(c.get.resp[req.slot], val)
+			c.node.Mem.ReadInto(c.get.resp[req.slot]+hintHead, val)
 		}
+		c.moved = req.moved
 		req.getCB(val, lat, ok)
 	}
 	unmark := func(req *pipeReq) {
@@ -920,6 +936,7 @@ func (c *Client) wireHooks() {
 		return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
 	}
 	acked := func(req *pipeReq, lat Duration, ok bool) {
+		c.staged = req.staging // a set's: the extent its ack installed
 		if req.ackCB != nil {
 			req.ackCB(lat, ok)
 		}
@@ -1111,14 +1128,14 @@ func (c *Client) Flush() {
 // pipeline window queue client-side until a slot frees. Call Flush to
 // ring the doorbell after posting a batch.
 func (c *Client) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, ok bool)) {
-	c.getAsync(key, valLen, 0, 0, cb)
+	c.getAsync(key, valLen, 0, 0, 0, cb)
 }
 
 // getAsync is GetAsync with the trace op id the get's WRs attribute to
-// (0 = unattributed) and fn, 1 + the candidate bucket the caller knows
-// holds key, probed alone (0 = unknown: both probes) — the service
-// layer's entry point.
-func (c *Client) getAsync(key, valLen, op uint64, fn int, cb func(val []byte, lat Duration, ok bool)) {
+// (0 = unattributed) and a hint: fn, 1 + the candidate bucket the caller
+// knows holds key, and ext, the extent it names, probed alone (fn 0 =
+// unknown: both probes) — the service layer's entry point.
+func (c *Client) getAsync(key, valLen, op uint64, fn int, ext uint64, cb func(val []byte, lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Get")
 	}
@@ -1126,7 +1143,7 @@ func (c *Client) getAsync(key, valLen, op uint64, fn int, cb func(val []byte, la
 		panic(fmt.Sprintf("redn: valLen %d exceeds client max %d", valLen, c.maxVal))
 	}
 	req := c.get.take()
-	req.key, req.valLen, req.getCB, req.op, req.fn = key&hopscotch.KeyMask, valLen, cb, op, fn
+	req.key, req.valLen, req.getCB, req.op, req.fn, req.ext = key&hopscotch.KeyMask, valLen, cb, op, fn, ext
 	c.get.submit(req)
 }
 

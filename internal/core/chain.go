@@ -82,6 +82,7 @@ const (
 	opNew            // the word a claim installs
 	opBucket         // the bucket's address (a lookup's first candidate; a list's head)
 	opBucket2        // a lookup's second candidate bucket
+	opExtent         // the value extent a hinted lookup gathers
 	opValAddr        // the bucket's [valAddr, valLen, version] words
 	opVerAddr        // the bucket's version word
 	opLen            // the value's length

@@ -41,11 +41,11 @@ var programShapes = []struct {
 }{
 	{"get single", 4, 6, 4, lookupShape(LookupSingle)},
 	{"get seq", 7, 11, 7, lookupShape(LookupSeq)},
-	// ArmProbe on a seq context: one probe, at the candidate named, and
-	// no CAS: the READ lands the bucket's words on the answer list the
-	// WRITE gathers, and the client checks the key word.
-	{"get hinted H1", 3, 4, 3, hintedShape(0)},
-	{"get hinted H2", 3, 4, 3, hintedShape(1)},
+	// ArmProbe on a seq context: the probe row's shape. One WRITE
+	// gathers the candidate named and the extent given, no READ or CAS
+	// first, and the client checks the key word and the address.
+	{"get hinted H1", 2, 2, 2, hintedShape(0)},
+	{"get hinted H2", 2, 2, 2, hintedShape(1)},
 	// Each of the two control queues WAITs on the trigger.
 	{"get parallel", 7, 12, 7, lookupShape(LookupParallel)},
 	// An overwrite's claim installs the published word itself: no
@@ -97,7 +97,7 @@ func checkShapes(t *testing.T, prefixes ...string) {
 				t.Fatal(err)
 			}
 			h.bucket = h.table.BucketAddr(h.table.Hash(1, 0))
-			h.buf = h.cli.Mem().Alloc(64+8, 8) // a hinted get's key word follows the value
+			h.buf = h.cli.Mem().Alloc(16+64, 8) // a hinted get's bucket words precede the value
 			c, arm := sh.build(h)
 
 			var qps []*rnic.QP
@@ -176,7 +176,8 @@ func lookupShape(mode LookupMode) shapeBuild {
 }
 
 // hintedShape builds one pooled LookupSeq get context and arms it with
-// a single probe of candidate fn, where key 1 is moved first.
+// a single probe of candidate fn and key 1's extent, where key 1 is
+// moved first.
 func hintedShape(fn int) shapeBuild {
 	return func(h *shapeRig) (*chain, func() []byte) {
 		va, vl, _ := h.table.Lookup(1)
@@ -186,7 +187,7 @@ func hintedShape(fn int) shapeBuild {
 		}
 		o := NewLookupPool(h.b, h.trig, h.resp(true), nil, h.table, LookupSeq).Ctxs[0]
 		return &o.chain, func() []byte {
-			o.ArmProbe(fn)
+			o.ArmProbe(fn, va)
 			return o.TriggerPayload(1, 64, h.buf)
 		}
 	}

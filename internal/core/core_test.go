@@ -116,15 +116,23 @@ func TestIfChainWideOperand(t *testing.T) {
 // a miss reports the full deadline).
 func doGet(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, valLen uint64) ([]byte, sim.Time) {
 	t.Helper()
-	got, _, lat := doGetWord(t, h, o, cliQP, key, valLen)
+	got, _, lat := doGetAt(t, h, o, cliQP, key, valLen, 0)
 	return got, lat
 }
 
-// doGetWord is doGet also returning the word after the value, where a
-// hinted probe's answer puts its bucket's key word.
-func doGetWord(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, valLen uint64) ([]byte, uint64, sim.Time) {
+// doHintedGet is doGet for an ArmProbe instance, whose answer is its
+// bucket's [keyCtrl, valAddr] words followed by the value.
+func doHintedGet(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, valLen uint64) (val []byte, word, va uint64, lat sim.Time) {
 	t.Helper()
-	respAddr := h.cli.Mem().Alloc(valLen+8, 8)
+	val, head, lat := doGetAt(t, h, o, cliQP, key, valLen, 16)
+	return val, head[0], head[1], lat
+}
+
+// doGetAt runs one get answering into a fresh client buffer whose
+// first head bytes (0 or 16) hold answer words ahead of the value.
+func doGetAt(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, valLen, head uint64) ([]byte, [2]uint64, sim.Time) {
+	t.Helper()
+	respAddr := h.cli.Mem().Alloc(head+valLen, 8)
 	payload := o.TriggerPayload(key, valLen, respAddr)
 	buf := h.cli.Mem().Alloc(uint64(len(payload)), 8)
 	h.cli.Mem().Write(buf, payload)
@@ -143,12 +151,15 @@ func doGetWord(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, 
 	cliQP.PostSend(wqe.WQE{Op: wqe.OpSend, Src: buf, Len: uint64(len(payload)), Flags: wqe.FlagSignaled})
 	cliQP.RingSQ()
 	h.eng.RunUntil(start + 100*sim.Microsecond)
-	got, _ := h.cli.Mem().Read(respAddr, valLen)
-	word, _ := h.cli.Mem().U64(respAddr + valLen)
-	if hitAt < 0 {
-		return got, word, h.eng.Now() - start
+	got, _ := h.cli.Mem().Read(respAddr+head, valLen)
+	var words [2]uint64
+	for i := uint64(0); i < head/8; i++ {
+		words[i], _ = h.cli.Mem().U64(respAddr + 8*i)
 	}
-	return got, word, hitAt - start
+	if hitAt < 0 {
+		return got, words, h.eng.Now() - start
+	}
+	return got, words, hitAt - start
 }
 
 func setupLookup(t *testing.T, mode LookupMode) (*harness, *LookupOffload, *rnic.QP, *hopscotch.Table) {
@@ -228,31 +239,32 @@ func TestLookupSeqFindsSecondBucket(t *testing.T) {
 	t.Logf("seq second-bucket latency: %v", lat)
 }
 
-// A single-probe instance reads only the candidate it was aimed at: a
-// key at H2 answers a probe of H2 with its value and its own key word;
-// a probe of H1, whose bucket is empty, answers at once too, with the
-// empty bucket's word and its null extent's bytes; and a two-probe
-// instance armed after them probes H1 first again.
+// A single-probe instance reads only the candidate it was aimed at and
+// gathers only the extent it was given: a key at H2 answers a probe of
+// H2 at its extent with its key word, that extent and its value; a
+// probe of H1, whose bucket is empty, answers at once too, with the
+// empty bucket's words [0, 0] and the bytes at the extent it was given,
+// which the client discards; and a two-probe instance armed after them
+// probes H1 first again.
 func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
 	h, o, cliQP, table := setupLookup(t, LookupSeq)
-	const n = 20
-	table.SetEmptyValue(h.srv.Mem().Alloc(n, 8))
 	val := []byte("hinted-second-bucket")
-	addr := h.srv.Mem().Alloc(uint64(len(val)), 8)
+	n := uint64(len(val))
+	addr := h.srv.Mem().Alloc(n, 8)
 	h.srv.Mem().Write(addr, val)
-	if err := table.InsertAt(77, addr, uint64(len(val)), 1, 0); err != nil {
+	if err := table.InsertAt(77, addr, n, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	o.ArmProbe(1)
+	o.ArmProbe(1, addr)
 	o.Run()
-	if got, word, _ := doGetWord(t, h, o, cliQP, 77, n); string(got) != string(val) || word != ClaimCtrl(77) {
-		t.Fatalf("probe of H2: value %q, key word %#x; want %q, %#x", got, word, val, ClaimCtrl(77))
+	if got, word, va, _ := doHintedGet(t, h, o, cliQP, 77, n); string(got) != string(val) || word != ClaimCtrl(77) || va != addr {
+		t.Fatalf("probe of H2: value %q, words [%#x, %#x]; want %q, [%#x, %#x]", got, word, va, val, ClaimCtrl(77), addr)
 	}
-	o.ArmProbe(0)
-	got, word, lat := doGetWord(t, h, o, cliQP, 77, n)
-	if word != 0 || string(got) != string(make([]byte, n)) || lat > 10*sim.Microsecond {
-		t.Fatalf("probe of H1 answered %q, key word %#x after %v; want the empty bucket's word 0 and null bytes in one round trip",
-			got, word, lat)
+	o.ArmProbe(0, addr)
+	got, word, va, lat := doHintedGet(t, h, o, cliQP, 77, n)
+	if word != 0 || va != 0 || string(got) != string(val) || lat > 10*sim.Microsecond {
+		t.Fatalf("probe of H1 answered %q, words [%#x, %#x] after %v; want the empty bucket's [0, 0] and the given extent's bytes in one round trip",
+			got, word, va, lat)
 	}
 	o.Arm()
 	if got, _ := doGet(t, h, o, cliQP, 77, n); string(got) != string(val) {

@@ -33,11 +33,13 @@ const (
 	// ENABLEs cannot be rewritten) and a stalled WAIT, to save <= 1 fetch
 	// on hits only. The choice is the client's instead, made before the
 	// trigger is sent: a client that knows which candidate holds the key
-	// arms ArmProbe's single probe at it (3 managed fetches, not 7), and
-	// re-arms both probes if it answers another word. The service knows from
-	// its own fabric claims (the candidate each owner's last applied
-	// claim named), and forgets when a host write, a kick walk, a delete
-	// or a ring change may have moved the key (DESIGN.md §2).
+	// arms ArmProbe's single probe at it and at the extent the bucket
+	// names (2 managed fetches, not 7), re-aims once at another extent
+	// its bucket names beside the key's word, and re-arms both probes on
+	// any other word. The service knows from its own fabric applies (the
+	// candidate and staging extent each owner's last applied claim
+	// installed), and forgets when a host write, a kick walk, a delete or
+	// a ring change may have moved the key (DESIGN.md §2).
 	LookupSeq
 	// LookupParallel probes H1 and H2 on independent WQs pinned to
 	// different NIC PUs (RedN-Parallel); costs an extra response QP,
@@ -71,8 +73,9 @@ type LookupOffload struct {
 	w2b *rnic.QP // managed chain queue, bucket 2 (LookupSeq: w2 itself)
 
 	fn     int    // the candidate the instance armed last probes first
+	ext    uint64 // the extent the instance armed last gathers (ArmProbe)
 	layout []slot // the trigger layout of the instance armed last
-	ans    uint64 // the hinted probes' answer lists (chain.argsBuf)
+	ans    uint64 // the hinted probes' gather lists (chain.argsBuf)
 }
 
 // NewLookupOffload builds a standalone offload, answering on trig's SQ.
@@ -119,8 +122,7 @@ func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table *hopscotch.T
 	o.w2 = o.ring(chainDepth, pu)
 	o.ans = o.newArgs(ansBytes)
 	for list := o.ans; list < o.ans+argsRing*ansBytes; list += ansBytes {
-		b.Dev.Mem().PutU64(list+24, list) // the key word's gather entry
-		b.Dev.Mem().PutU64(list+32, 8)
+		b.Dev.Mem().PutU64(list+8, 16) // the bucket's [keyCtrl, valAddr]
 	}
 	switch mode {
 	case LookupSeq:
@@ -186,34 +188,40 @@ func (o *LookupOffload) Arm() {
 	}
 }
 
-// A hinted probe's answer list is five words an instance: its READ
-// lands the bucket's [keyCtrl, valAddr] on the first two, and its WRITE
-// gathers the last four, {valAddr, valLen} then {&keyCtrl, 8}.
-const ansBytes = 40
+// A hinted probe's gather list is four words an instance, two entries:
+// {bucket, 16}, the bucket's [keyCtrl, valAddr], then {extent, valLen}.
+// The trigger scatters both addresses and the length; the bucket
+// entry's length is carved in.
+const ansBytes = 32
 
-// hintLayout is a hinted probe's trigger layout: the bucket it reads,
-// the key that stamps its answer, the answer's destination, and the
-// value's length, onto the answer list.
+// hintLayout is a hinted probe's trigger layout: the key that stamps its
+// answer, the answer's destination, and its gather list's bucket,
+// extent and value length.
 var hintLayout = []slot{
-	{pRead, wqe.OffSrc, opBucket}, {pResp, wqe.OffCtrl, opWrite}, {pResp, wqe.OffDst, opResp},
-	{argsWord, 16, opLen},
+	{pResp, wqe.OffCtrl, opWrite}, {pResp, wqe.OffDst, opResp},
+	{argsWord, 0, opBucket}, {argsWord, 16, opExtent}, {argsWord, 24, opLen},
 }
 
 // ArmProbe posts an instance with one probe, aimed at candidate fn (0:
-// H1, 1: H2), on a context of any mode. It decides nothing on the NIC:
-// its WRITE, stamped with the key, gathers [value | the bucket's key
-// word] whatever the bucket holds, and the client compares that word
-// with ClaimCtrl(key), as a version probe's does. The READ rewrites the
-// gather list, so the WRITE stays on a managed queue.
-func (o *LookupOffload) ArmProbe(fn int) {
+// H1, 1: H2) and the value extent ext its caller expects the bucket to
+// name, on a context of any mode. It decides nothing on the NIC and
+// reads nothing first: its one WRITE, stamped with the key, gathers
+// [keyCtrl, valAddr | valLen bytes at ext] whatever the bucket holds —
+// 2 managed fetches, the RECV's and the WRITE's. The client accepts the
+// value iff the key word is ClaimCtrl(key) and valAddr is ext. The
+// bucket is gathered first, so a bucket that names ext names it before
+// the value is read: an extent is retired only once no bucket names
+// it, and freed only after every get armed before its retire, this one
+// included, so the accepted bytes cannot be another key's. The trigger
+// rewrites the gather list, so the WRITE stays on a managed queue.
+func (o *LookupOffload) ArmProbe(fn int, ext uint64) {
 	resp := o.Resp
 	if resp == nil {
 		resp = o.Trig
 	}
-	o.fn, o.layout = fn, hintLayout
+	o.fn, o.ext, o.layout = fn, ext, hintLayout
 	in := instance{args: o.argsBuf(o.ans, ansBytes)}
-	in.steps[pRead] = o.B.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Dst: in.args, Len: 16, Flags: wqe.FlagSignaled})
-	in.steps[pResp] = o.B.Post(resp, wqe.WQE{Op: wqe.OpWrite, Src: in.args + 8, Count: 2,
+	in.steps[pResp] = o.B.Post(resp, wqe.WQE{Op: wqe.OpWrite, Src: in.args, Count: 2,
 		Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
 	o.fire(hintLayout, &in, in.steps[:probe2])
 }
@@ -233,5 +241,5 @@ func (o *LookupOffload) Run() {
 // TriggerPayload.
 func (o *LookupOffload) TriggerPayload(key, valLen, respAddr uint64) []byte {
 	return o.payload(o.layout, key, operands{opBucket: o.Table.HashAddr(key, o.fn), opBucket2: o.Table.HashAddr(key, 1),
-		opLen: valLen, opResp: respAddr})
+		opExtent: o.ext, opLen: valLen, opResp: respAddr})
 }

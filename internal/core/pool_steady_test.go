@@ -32,19 +32,19 @@ type poolRig struct {
 	keys     []uint64 // keys resident in one of their candidate buckets
 	buckets  []uint64 // bucket address holding keys[i]
 	fns      []int    // the candidate holding keys[i]
+	exts     []uint64 // the extent bucket i names: a set's ack moves it
 
 	gets    *Pool[*LookupOffload]
 	getQP   *rnic.QP
 	getCQEs int // response completions, two per two-probe get
 	getHits int
 
-	sets      *Pool[*SetOffload]
-	setQP     *rnic.QP
-	setDone   int
-	setAcks   int
-	staged    [rigDepth]uint64
-	keyOf     [rigDepth]int
-	installed map[int]uint64 // key index -> extent an earlier set installed
+	sets    *Pool[*SetOffload]
+	setQP   *rnic.QP
+	setDone int
+	setAcks int
+	staged  [rigDepth]uint64
+	keyOf   [rigDepth]int
 
 	trig, buf, val, ack [rigDepth]uint64 // client-side buffers per slot
 	next                int
@@ -54,7 +54,7 @@ func newPoolRig(t testing.TB) *poolRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	prof := rnic.ConnectX5()
-	g := &poolRig{eng: eng, installed: make(map[int]uint64),
+	g := &poolRig{eng: eng,
 		cli: rnic.New(eng, mem.New(1<<22), prof, 1),
 		srv: rnic.New(eng, mem.New(1<<23), prof, 1)}
 	b := NewBuilder(g.srv, 1<<10)
@@ -72,8 +72,9 @@ func newPoolRig(t testing.TB) *poolRig {
 		}
 		for fn := 0; fn < 2; fn++ {
 			bk := table.Hash(k, fn)
-			if got, _, _, ok := table.EntryAt(bk); ok && got == k {
+			if got, va, _, ok := table.EntryAt(bk); ok && got == k {
 				g.keys = append(g.keys, k)
+				g.exts = append(g.exts, va)
 				g.buckets = append(g.buckets, table.BucketAddr(bk))
 				g.fns = append(g.fns, fn)
 				break
@@ -126,20 +127,18 @@ func newPoolRig(t testing.TB) *poolRig {
 			if v, _ := g.cli.Mem().U64(g.ack[slot]); v == wqe.MakeCtrl(wqe.OpWrite, g.keys[ki]) {
 				g.setAcks++
 				// The bucket points at this set's staging extent now;
-				// retire the one an earlier set left there.
-				if old, ok := g.installed[ki]; ok {
-					if err := g.arena.Free(old); err != nil {
-						t.Fatal(err)
-					}
+				// retire the one it named before.
+				if err := g.arena.Free(g.exts[ki]); err != nil {
+					t.Fatal(err)
 				}
-				g.installed[ki] = g.staged[slot]
+				g.exts[ki] = g.staged[slot]
 			}
 			g.setDone++
 		})
 	}
 	for i := 0; i < rigDepth; i++ {
 		m := g.cli.Mem()
-		g.trig[i], g.buf[i] = m.Alloc(128, 8), m.Alloc(rigValLen+8, 64)
+		g.trig[i], g.buf[i] = m.Alloc(128, 8), m.Alloc(16+rigValLen, 64)
 		g.val[i], g.ack[i] = m.Alloc(rigValLen, 64), m.Alloc(8, 8)
 	}
 	return g
@@ -153,22 +152,22 @@ func (g *poolRig) send(qp *rnic.QP, slot int, payload []byte) {
 }
 
 // getRound arms n get chains, two-probe or hinted at the candidate
-// holding their key, triggers them in arm order and runs them to
-// completion.
+// holding their key and the extent it names, triggers them in arm order
+// and runs them to completion.
 func (g *poolRig) getRound(t testing.TB, n int, hinted bool) {
 	cqes, hits, per := g.getCQEs, g.getHits, 2
-	var keys [rigDepth]uint64
+	var keys, exts [rigDepth]uint64
 	for slot := 0; slot < n; slot++ {
 		ctx := g.gets.Ctxs[slot]
 		g.next++
 		ki := g.next % len(g.keys)
 		if hinted {
-			ctx.ArmProbe(g.fns[ki])
+			ctx.ArmProbe(g.fns[ki], g.exts[ki])
 			per = 1
 		} else {
 			ctx.Arm()
 		}
-		keys[slot] = g.keys[ki]
+		keys[slot], exts[slot] = g.keys[ki], g.exts[ki]
 		g.send(g.getQP, slot, ctx.TriggerPayload(keys[slot], rigValLen, g.buf[slot]))
 	}
 	g.getQP.RingSQ()
@@ -177,8 +176,10 @@ func (g *poolRig) getRound(t testing.TB, n int, hinted bool) {
 		t.Fatalf("get round: %d of %d completions, %d hits of %d", g.getCQEs-cqes, per*n, g.getHits-hits, n)
 	}
 	for slot := 0; hinted && slot < n; slot++ {
-		if w, _ := g.cli.Mem().U64(g.buf[slot] + rigValLen); w != ClaimCtrl(keys[slot]) {
-			t.Fatalf("hinted get of %d answered key word %#x", keys[slot], w)
+		w, _ := g.cli.Mem().U64(g.buf[slot])
+		va, _ := g.cli.Mem().U64(g.buf[slot] + 8)
+		if w != ClaimCtrl(keys[slot]) || va != exts[slot] {
+			t.Fatalf("hinted get of %d answered [%#x, %#x], want [%#x, %#x]", keys[slot], w, va, ClaimCtrl(keys[slot]), exts[slot])
 		}
 	}
 }

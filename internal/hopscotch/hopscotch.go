@@ -92,7 +92,6 @@ type Table struct {
 	neighborhood int
 	entries      int
 	tombstones   int
-	empty        uint64 // the value address of a bucket without a resident
 }
 
 // New allocates a table with nBuckets (rounded up to a power of two)
@@ -108,20 +107,6 @@ func New(m *mem.Memory, nBuckets uint64, neighborhood int) *Table {
 	}
 	base := m.Alloc(n*BucketSize, 64)
 	return &Table{mem: m, base: base, nBuckets: n, hashes: 2, neighborhood: neighborhood}
-}
-
-// SetEmptyValue points every bucket value address that is 0 at addr,
-// and Remove leaves addr there instead of 0: a reader that gathers a
-// bucket's value before it checks the bucket's key word reads addr's
-// bytes, never address 0. addr must hold as many bytes as any reader
-// asks for.
-func (t *Table) SetEmptyValue(addr uint64) {
-	t.empty = addr
-	for va := t.base + OffValAddr; va < t.base+t.Size(); va += BucketSize {
-		if v, _ := t.mem.U64(va); v == 0 {
-			t.mem.PutU64(va, addr)
-		}
-	}
 }
 
 // Base returns the address of bucket 0.
@@ -481,7 +466,7 @@ func (t *Table) remove(key, ver uint64, stamp bool) (valAddr, valLen uint64, ok 
 	valAddr, _ = t.mem.U64(addr + OffValAddr)
 	valLen, _ = t.mem.U64(addr + OffValLen)
 	t.mem.PutU64(addr+OffKeyCtrl, Tombstone)
-	t.mem.PutU64(addr+OffValAddr, t.empty)
+	t.mem.PutU64(addr+OffValAddr, 0)
 	t.mem.PutU64(addr+OffValLen, 0)
 	if stamp {
 		t.mem.PutU64(addr+OffVersion, ver)

@@ -144,8 +144,8 @@ func (s *Server) valueArena() *extent.Arena {
 }
 
 // retireQueue returns a server's superseded and deleted value extents
-// to its arena once no get can still read them. A get's chain reads the
-// bucket's value pointer and gathers the value through it later, so an
+// to its arena once no get can still read them. A get's chain gathers
+// the value through the pointer its bucket or its hint gave it, so an
 // extent unlinked at some instant may still be read by any get issued
 // on the server's clients before that instant, and by none issued
 // after: every retire follows its repoint (the ack of a fabric write,

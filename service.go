@@ -673,10 +673,6 @@ func (s *Service) buildShard(id string) *serviceShard {
 		ringIdx: -1, keys: make(map[uint64]ownerKey), lanes: cfg.ClientsPerShard * cfg.Pipeline,
 		trTry: "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
 		trHint: "hint:" + id, trRepair: "repair:" + id}
-	// A hinted get gathers its bucket's value before its client reads
-	// the key word, so no bucket's value address is ever 0: an empty one
-	// points at the shard's null extent.
-	sh.table.table.SetEmptyValue(node.Mem.Alloc(cfg.MaxValLen, 64))
 	sh.probeFn = sh.probed
 	sh.initMetrics(s.reg)
 	for c := 0; c < cfg.ClientsPerShard; c++ {
@@ -1101,7 +1097,9 @@ type getOp struct {
 	i            int
 	cli          *Client
 	spent        Duration
-	fn           int // 1 + the candidate attempt g.i probes alone (placedAt), 0 for both
+	fn           int    // 1 + the candidate attempt g.i probes alone (placedAt), 0 for both
+	ext          uint64 // the extent attempt g.i expects that candidate to name
+	reaimed      bool   // attempt g.i is a re-aim at the extent its bucket named
 
 	// The read-repair probe a hit started: the owner asked, over which
 	// connection, the version the serving owner holds, the probe's trace
@@ -1126,7 +1124,7 @@ func (s *Service) takeGet(key, valLen, op uint64, cb func(val []byte, lat Durati
 	g.next = getRouting
 	g.key, g.valLen, g.op, g.cb = key, valLen, op, cb
 	g.began, g.epoch, g.gen, g.admit = s.tb.Now(), 0, s.cacheGen, false
-	g.i, g.spent = 0, 0
+	g.i, g.spent, g.reaimed = 0, 0, false
 	return g
 }
 
@@ -1181,8 +1179,10 @@ func (s *Service) tryGet(g *getOp) {
 		s.tr.AsyncBegin("attempt", g.op<<4|uint64(g.i), sh.trTry, g.op)
 	}
 	g.next = getAttempt
-	g.fn = s.placedAt(g.key, sh)
-	g.cli.getAsync(g.key, g.valLen, g.op, g.fn, g.attemptFn)
+	if !g.reaimed {
+		g.fn, g.ext = s.placedAt(g.key, sh)
+	}
+	g.cli.getAsync(g.key, g.valLen, g.op, g.fn, g.ext, g.attemptFn)
 	if g.i > 0 {
 		// Retries run outside the caller's batch; kick them directly.
 		g.cli.Flush()
@@ -1195,6 +1195,8 @@ func (s *Service) tryGet(g *getOp) {
 func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	g.enter(getAttempt)
 	s, sh, cli := g.s, g.order[g.i], g.cli
+	reaimed := g.reaimed
+	g.reaimed = false
 	lat += g.spent
 	if s.tr.Enabled() {
 		s.tr.AsyncEnd("attempt", g.op<<4|uint64(g.i), sh.trTry, g.op)
@@ -1228,11 +1230,18 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		// NIC is alive. Liveness proof, not a crash symptom.
 		sh.markLive()
 		if g.fn != 0 && !s.keys[g.key].del {
-			// Only the placed bucket was read, the key was not there,
-			// and no delete of it is its newest write: the hint is
-			// stale. Drop it; ask the same owner again, both probes.
+			// Only the placed bucket was read, it did not hold the key at
+			// the hinted extent, and no delete of it is its newest write:
+			// the hint is stale. The key's own word beside another extent
+			// (a write the hint has not learned yet) re-aims the probe
+			// once at that extent; any other answer drops the hint and
+			// asks the same owner again, both probes.
 			sh.stats.PlacedMisses++
-			s.dropPlaced(g.key)
+			if cli.moved != 0 && !reaimed {
+				g.ext, g.reaimed = cli.moved, true
+			} else {
+				s.dropPlaced(g.key)
+			}
 			g.spent = lat
 			s.tryGet(g)
 			g.cli.Flush() // outside the caller's batch, like a failover
@@ -1361,7 +1370,7 @@ type ShardStats struct {
 	Sets              uint64 `metric:"sets"`               // owner writes applied (fabric acks + host path + drained hints)
 	Spills            uint64 `metric:"spills"`             // keys resident but NIC-unreachable
 	Gets              uint64 `metric:"gets"`               // get attempts routed here (failover retries included)
-	PlacedMisses      uint64 `metric:"placed_misses"`      // single-probe gets that missed the placed bucket and re-armed both probes
+	PlacedMisses      uint64 `metric:"placed_misses"`      // single-probe gets whose hint did not hold: re-aimed at the extent their bucket named, or re-armed with both probes
 	Rebuilds          uint64 `metric:"rebuilds"`           // client reconnects after process crashes
 	FabricSets        uint64 `metric:"fabric_sets"`        // owner writes attempted through the NIC claim chain
 	HostSets          uint64 `metric:"host_sets"`          // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)

@@ -30,7 +30,11 @@ import (
 // at once), and windows began opening at 72. It moved again when a
 // hinted get stopped deciding on the NIC: its chain lost the CAS (three
 // managed fetches, not four), and a stale hint's miss answers at once.
-const exactHistoryHash = 0x5e08eb441ced027c
+// It moved again when a hinted get began gathering the extent its
+// writer installed instead of READing the bucket's pointer first: its
+// chain lost the READ (two managed fetches, not three), and a get whose
+// bucket names another extent re-aims there.
+const exactHistoryHash = 0xe66622a03c0bdc50
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {

@@ -440,9 +440,6 @@ func (r *ownerRun) legDone(st ownerWriteStatus) {
 	}
 	if st == ownerApplied {
 		s.noteOwnerApplied(sh, &op.mutation)
-		if r.claimAt != 0 {
-			s.learnPlaced(op.key, sh, r.claimAt)
-		}
 	}
 	switch {
 	case !r.votes:
@@ -481,28 +478,31 @@ type keyRec struct {
 	del       bool // the newest write issued is a delete
 	// placed holds, per replica rank (the first four), 1 + the
 	// candidate bucket (H1 or H2) the rank's last applied fabric claim
-	// named; 0 is no hint.
+	// named, and ext the staging extent it installed there; 0 is no
+	// hint.
 	placed [4]uint8
+	ext    [4]uint64
 }
 
-// placedAt returns 1 + the candidate holding key on sh, as the last
-// fabric claim sh applied for it placed it, or 0 when no hint stands:
-// the fn a get's single probe reads. It reads the coordinator's own
-// record only, never the owner's table.
-func (s *Service) placedAt(key uint64, sh *serviceShard) int {
+// placedAt returns 1 + the candidate holding key on sh and the extent
+// it names, as the last fabric claim sh applied for it installed them,
+// or 0 when no hint stands: where a get's single probe reads. It reads
+// the coordinator's own record only, never the owner's table.
+func (s *Service) placedAt(key uint64, sh *serviceShard) (fn int, ext uint64) {
 	rec := s.keys[key]
 	if r := slices.Index(s.ownerNodes(key), sh.ringIdx); r >= 0 && r < len(rec.placed) {
-		return int(rec.placed[r])
+		return int(rec.placed[r]), rec.ext[r]
 	}
-	return 0
+	return 0, 0
 }
 
 // learnPlaced records that sh applied a fabric claim of key's bucket
-// at addr, one of its two candidates (H1 when they coincide).
-func (s *Service) learnPlaced(key uint64, sh *serviceShard, addr uint64) {
+// at addr, one of its two candidates (H1 when they coincide), which
+// installed the extent ext.
+func (s *Service) learnPlaced(key uint64, sh *serviceShard, addr, ext uint64) {
 	rec := s.keys[key]
 	if r := slices.Index(s.ownerNodes(key), sh.ringIdx); r >= 0 && r < len(rec.placed) {
-		rec.placed[r] = 2
+		rec.placed[r], rec.ext[r] = 2, ext
 		if addr == sh.table.table.HashAddr(key, 0) {
 			rec.placed[r] = 1
 		}
@@ -514,7 +514,7 @@ func (s *Service) learnPlaced(key uint64, sh *serviceShard, addr uint64) {
 // walk or a delete may have moved it on some owner.
 func (s *Service) dropPlaced(key uint64) {
 	if rec, ok := s.keys[key]; ok && rec.placed != [4]uint8{} {
-		rec.placed = [4]uint8{}
+		rec.placed, rec.ext = [4]uint8{}, [4]uint64{}
 		s.keys[key] = rec
 	}
 }
@@ -849,6 +849,12 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 		*applied++
 		if !m.del && r.resident {
 			sh.srv.retire.push(r.oldVa)
+		}
+		// Every apply teaches the hint, a replay's and a converge's as
+		// well as a leg's: a get after a crash's hint drain reads the
+		// extent the drain installed.
+		if r.claimAt != 0 {
+			s.learnPlaced(m.key, sh, r.claimAt, cli.staged)
 		}
 		s.noteLegReceipt(cli.lastReceipt(op))
 		r.finish(ownerApplied)
