@@ -14,10 +14,10 @@ import (
 )
 
 // DefaultMissTimeout is how long a get waits for the NIC's response
-// WRITE before declaring a miss. The offload has no negative
-// acknowledgement — a failed key compare leaves the response WQE a
-// NOOP — so absence of data is the only miss signal, exactly as in the
-// paper's client.
+// WRITE before declaring a miss. A two-probe get has no negative ack (a
+// failed key compare leaves its response WQE a NOOP), so absence of data
+// is its only miss signal, as in the paper's client; hinted gets, probes
+// and write chains answer every time, so their deadline means a dead NIC.
 const DefaultMissTimeout = 200 * sim.Microsecond
 
 // defaultMaxValLen bounds the value size one get can return; it sizes
@@ -95,9 +95,9 @@ type pipelineStats struct {
 // one offload context of the server-side pool (the request slot) and
 // the per-slot buffers its chain reads and writes. Responses
 // demultiplex exactly: a context's response QP completes only its own
-// WRITEs, so a completion identifies its slot, and the 48-bit key the
-// conditional CAS stamps into the WRITE's id field guards against
-// stragglers from timed-out instances. Trigger SENDs are posted
+// WRITEs, so a completion identifies its slot, and the 48-bit key in the
+// WRITE's id field (a two-probe get's CAS stamps it, a hinted get's
+// trigger) guards against timed-out stragglers. Trigger SENDs are posted
 // doorbell-less and kicked in batches by Flush.
 //
 // How many of the depth slots a pipeline may occupy at once is its

@@ -20,12 +20,12 @@ import (
 //  2. Convergence — the same injected divergence driven to ZERO stale
 //     replicas two independent ways: by read-repair alone (NIC version
 //     probes on every replicated hit under a read-only workload, with
-//     the queue rolling laggards forward) and by anti-entropy alone
+//     repair records rolling laggards forward) and by anti-entropy alone
 //     (zero reads; segment-digest sweeps find the divergent keys). The
 //     pre-repair baseline (NoRepair) demonstrably does neither.
 //  3. Cost — get throughput with a probe chain on every 8th replicated
 //     hit stays within 10% of the probe-free baseline (a probe is 2
-//     managed fetches against a hinted get's 3, on its own connection).
+//     managed fetches, as many as a hinted get's, on its own connection).
 func Repair() *Result {
 	return repairRun(12000)
 }
@@ -259,6 +259,6 @@ func repairRun(requests int) *Result {
 		fmt.Sprintf("read-repair: %d NIC probes (2+2 WRs each), %d skews detected, %d repairs applied", rrStats.Probes, rrStats.ProbeSkews, rrStats.RepairsApplied),
 		fmt.Sprintf("anti-entropy: %d sweep passes, %d segment digests disagreed, %d keys repaired — with zero reads and zero probes", aeStats.AEPasses, aeStats.AESegsDiffed, aeStats.RepairsApplied),
 		"the pre-repair baseline (NoRepair) holds its stale replicas forever: rejected owners heal only by accidental overwrite",
-		"probe cost: a probe is 2 managed fetches against a hinted get's 3, so probing EVERY hit costs NIC throughput; sampling every 8th hit (the parity row) bounds the tax under 10% while misses still repair on every attempt")
+		"probe cost: a probe is 2 managed fetches, as many as the hinted get it rides on, so probing EVERY hit costs NIC throughput; sampling every 8th hit (the parity row) bounds the tax under 10% while misses still repair on every attempt")
 	return r
 }

@@ -120,7 +120,7 @@ type ServiceConfig struct {
 	// sweeper: each tick scans one shard (rotating), diffs Merkle-style
 	// segment digests against every co-owner, and enqueues repairs for
 	// divergent keys — bounding staleness even for keys no client ever
-	// reads. Activity-armed like the repair queue.
+	// reads. Activity-armed, like the migrator.
 	AntiEntropyEvery Duration
 	// AntiEntropySegments is the per-shard digest segment count over
 	// which sweeps summarize bucket versions (0 = 64).
@@ -174,15 +174,10 @@ type ServiceConfig struct {
 	Profile bool
 
 	// Test hooks, each left at its default outside the package's tests.
-	// repairEvery is the repair queue's service tick: pending records
-	// are applied in batches on this period, activity-armed like the
-	// anti-entropy sweeper (0 = defaultRepairEvery). The queue is live
-	// whenever Replicas > 1 — capacity-rejected owners land in it even
-	// with ReadRepair off. sentinelRules overrides the sentinel's rule set
-	// (nil = defaultSLORules()), and slowGetLat its fleet latency-burn
+	// sentinelRules overrides the sentinel's rule set (nil =
+	// defaultSLORules()), and slowGetLat its fleet latency-burn
 	// threshold: gets slower than this count toward the "latency" SLO
 	// (0 = defaultSlowGetLat).
-	repairEvery   Duration
 	sentinelRules []telemetry.Rule
 	slowGetLat    Duration
 }
@@ -242,17 +237,19 @@ type serviceShard struct {
 	probeFn      func(val []byte, lat Duration, ok bool) // probed, bound once
 
 	// keys is this owner's per-key write state (ownerKey: write slot,
-	// hint, tombstone version), an entry only while one is held; nHints
-	// counts the entries whose hint stands.
-	keys   map[uint64]ownerKey
-	nHints int
-	slots  recordPool[ring.Queue[*ownerRun]] // queues of held write slots
+	// missing-write record, tombstone version), an entry only while one
+	// is held; nHints and nRepairs count the entries whose record stands,
+	// by kind.
+	keys             map[uint64]ownerKey
+	nHints, nRepairs int
+	slots            recordPool[ring.Queue[*ownerRun]] // queues of held write slots
 
-	// Hint drain: hinted keys wait in drainQ, front first, for one of
-	// the shard's drain lanes — one per write slot of its clients —
-	// and lanes counts the idle ones.
-	drainQ []uint64
-	lanes  int
+	// Drain: keys whose record waits for a replay sit in drainQ from
+	// drainAt on, front first, for one of the shard's drain lanes — one
+	// per write slot of its clients — and lanes counts the idle ones.
+	drainQ  []uint64
+	drainAt int
+	lanes   int
 
 	// stats holds the shard's counters (the ShardStats fields tagged
 	// `metric`), which the registry reads in place; Stats() copies the
@@ -335,7 +332,7 @@ func (sh *serviceShard) probed(_ []byte, _ Duration, ok bool) {
 		return
 	}
 	sh.markLive()
-	s.drainHints(sh)
+	s.drainHints(sh, false)
 }
 
 // Service is a sharded key-value service served entirely by NICs: a
@@ -359,9 +356,10 @@ type Service struct {
 	ringShards []*serviceShard
 
 	// Pooled op records (DESIGN.md §4, "Op records").
-	gets recordPool[getOp]
-	sets recordPool[setOp]
-	runs recordPool[ownerRun]
+	gets  recordPool[getOp]
+	sets  recordPool[setOp]
+	runs  recordPool[ownerRun]
+	lacks recordPool[lack]
 
 	hot      *shard.HotKeys    // the cache's admission sketch (nil without a cache)
 	cache    map[uint64][]byte // client-side hot-value cache
@@ -380,18 +378,12 @@ type Service struct {
 	// linearizability checker's per-replica visibility signal.
 	applyHook func(shardID string, key, seq uint64)
 
-	// Repair subsystem state (service_repair.go): the pending records
-	// in push order (each also its owner's ownerKey.rep), their pool,
-	// the batch a tick pops, the queue's activity-armed tick, the
-	// anti-entropy sweeper's arm and rotating shard cursor, and the
-	// read-repair probe rotation.
-	repairs     []*repairRec
-	reps        recordPool[repairRec]
-	repairDue   []*repairRec
-	repairArmed bool
-	aeArmed     bool
-	aeCursor    int
-	aeCleanRun  int // consecutive sweeps that found no divergence
+	// Repair subsystem state (service_repair.go): the anti-entropy
+	// sweeper's arm and rotating shard cursor, and the read-repair probe
+	// rotation.
+	aeArmed    bool
+	aeCursor   int
+	aeCleanRun int // consecutive sweeps that found no divergence
 	// Sweep scratch, reused by every sweep: the root's and the partner's
 	// binned scans, the per-segment dedup set, and the findings of the
 	// sweep whose digest charge is elapsing (aeSettling).
@@ -400,11 +392,14 @@ type Service struct {
 	aeFound           []aeFound
 	aeSettling        bool
 	aeSettleFn        func()
-	// The repair and anti-entropy ticks' continuations, bound once so
-	// arming either allocates nothing.
-	repairTickFn, aeTickFn func()
-	probeTick              uint64
-	probeCursor            int
+	// The anti-entropy tick's continuation, bound once so arming it
+	// allocates nothing.
+	aeTickFn func()
+	// The repair retry tick's arm and continuation (bound once).
+	retryArmed  bool
+	retryFn     func()
+	probeTick   uint64
+	probeCursor int
 
 	// Live-resharding state (service_reshard.go): the active migration
 	// (nil while membership is stable), its tick arm, the cache
@@ -455,14 +450,8 @@ func (s *Service) initMetrics() {
 	s.reg = telemetry.NewRegistry()
 	bindCounters(s.reg, "svc/", &s.stats)
 
-	s.reg.Gauge("svc/hints_pending", func() float64 {
-		n := 0
-		for _, sh := range s.order {
-			n += sh.nHints
-		}
-		return float64(n)
-	})
-	s.reg.Gauge("svc/repairs_pending", func() float64 { return float64(len(s.repairs)) })
+	s.reg.Gauge("svc/hints_pending", func() float64 { n, _ := s.pendingRecords(); return float64(n) })
+	s.reg.Gauge("svc/repairs_pending", func() float64 { _, n := s.pendingRecords(); return float64(n) })
 	s.reg.Gauge("svc/client_inflight", func() float64 {
 		n := 0
 		for _, sh := range s.order {
@@ -585,9 +574,6 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	if cfg.ProbeEvery < 1 {
 		cfg.ProbeEvery = 1
 	}
-	if cfg.repairEvery == 0 {
-		cfg.repairEvery = defaultRepairEvery
-	}
 	if cfg.AntiEntropySegments == 0 {
 		cfg.AntiEntropySegments = defaultAntiEntropySegments
 	}
@@ -604,11 +590,7 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	s := &Service{cfg: cfg, tb: NewTestbed(), ring: shard.NewRing(shard.DefaultVirtualNodes),
 		shards: make(map[string]*serviceShard), keys: make(map[uint64]keyRec),
 		aeSeen: make(map[uint64]struct{})}
-	s.aeSettleFn, s.aeTickFn = s.aeSettled, s.aeTick
-	s.repairTickFn = func() {
-		s.repairArmed = false
-		s.repairTick()
-	}
+	s.aeSettleFn, s.aeTickFn, s.retryFn = s.aeSettled, s.aeTick, s.retryTick
 	if cfg.Trace {
 		s.tr = telemetry.NewTracer(s.tb.clu.Eng)
 	}
@@ -1208,7 +1190,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		s.maybeCache(g, val)
 		// A hit proves the shard live: if handoff hints piled up
 		// behind a false suspicion, deliver them now.
-		s.drainHints(sh)
+		s.drainHints(sh, false)
 		// Read-repair: a replicated hit also interrogates one other
 		// owner's version word through the NIC probe chain; skew
 		// enqueues a roll-forward (service_repair.go). The probe keeps
@@ -1325,13 +1307,12 @@ func (s *Service) CrashShard(i int, k failure.Kind, at Duration) {
 				s.reconnect(sh)
 			}
 			// The owner is reachable again: hand off the writes it
-			// missed while down, wake any repairs parked in backoff,
-			// and schedule an anti-entropy rotation — recovery is
-			// exactly when divergence (lost hints, crash-era misses)
-			// is worth hunting.
-			s.drainHints(sh)
+			// missed while down, hints and repairs alike, and schedule
+			// an anti-entropy rotation — recovery is exactly when
+			// divergence (lost hints, crash-era misses) is worth
+			// hunting.
+			s.drainHints(sh, false)
 			s.aeCleanRun = 0
-			s.armRepair()
 			s.armAntiEntropy()
 		},
 	}.InjectAt(s.tb.clu.Eng, at)
@@ -1382,8 +1363,8 @@ type ShardStats struct {
 	HostDeletes       uint64 `metric:"host_dels"`          // owner deletes that fell back to the host CPU
 	RepairsQueued     uint64 `metric:"repairs_queued"`     // repair records enqueued for this owner
 	RepairsApplied    uint64 `metric:"repairs_applied"`    // repairs that rolled this owner forward
-	RepairsSuperseded uint64 `metric:"repairs_superseded"` // repairs satisfied before applying (owner caught up)
-	RepairsDropped    uint64 `metric:"repairs_dropped"`    // repairs abandoned after bounded retries
+	RepairsSuperseded uint64 `metric:"repairs_superseded"` // repairs satisfied before applying (owner caught up, a newer record, or a write in flight)
+	RepairsDropped    uint64 `metric:"repairs_dropped"`    // repairs dropped on a capacity rejection, or with their owner leaving
 	AERepairs         uint64 `metric:"ae_repairs"`         // repairs the anti-entropy sweeper found for this owner
 
 	// Stats reads these off the shard's hints, client connections and
@@ -1437,12 +1418,12 @@ type ServiceStats struct {
 	MigKeysMoved       uint64 `metric:"mig_keys_moved"`       // owner copies the resharding migrator applied
 	MigKeysSkipped     uint64 `metric:"mig_keys_skipped"`     // moving keys already converged when their turn came
 	MigSegsSealed      uint64 `metric:"mig_segs_sealed"`      // bucket segments sealed across all migrations
-	MigCopyFails       uint64 `metric:"mig_copy_fails"`       // migrator copies abandoned to the repair queue
+	MigCopyFails       uint64 `metric:"mig_copy_fails"`       // migrator copies abandoned to repair records
 	MigHintsRedirected uint64 `metric:"mig_hints_redirected"` // hints redirected off a draining shard
 
 	Probes         uint64 `metric:"probes"`      // version probes issued on replicated hits
 	ProbeSkews     uint64 `metric:"probe_skews"` // probes (and host fallbacks) that found version skew
-	RepairsPending uint64 // records still in the queue
+	RepairsPending uint64 // repair records still standing
 	AEPasses       uint64 `metric:"ae_passes"`       // anti-entropy sweep ticks that ran
 	AESegsDiffed   uint64 `metric:"ae_segs_diffed"`  // segments whose digests disagreed
 	AEKeysChecked  uint64 `metric:"ae_keys_checked"` // per-key comparisons inside flagged segments
@@ -1488,8 +1469,8 @@ func (s *Service) MarkUtilization() {
 func (s *Service) Stats() ServiceStats {
 	out := s.stats
 	out.Migrations, out.MigratingBuckets = len(s.migLog), s.migratingBuckets()
-	out.RepairsPending = uint64(len(s.repairs))
 	for _, sh := range s.order {
+		out.RepairsPending += uint64(sh.nRepairs)
 		ss := sh.stats
 		ss.HintsPending = uint64(sh.nHints)
 		for _, cli := range sh.clients {

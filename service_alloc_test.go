@@ -184,20 +184,24 @@ func TestHintDrainAllocatesNothingPerHint(t *testing.T) {
 	}
 }
 
-// TestRepairAllocatesNothingPerRecord pins what a repair costs the host
-// once warm: a record comes from the service's pool and hangs on its
-// owner's per-key record, a tick pops its batch into a reused slice
-// and arms through a continuation bound once per service, and the
-// converge takes a continuation bound once per record. 256 repairs of
-// caught-up owners allocate nothing (0.031 objects per repair while a
-// tick's arming built a closure, one per 32 records); the bound leaves
-// two objects of slack for the runtime's own.
+// TestRepairAllocatesNothingPerRecord pins what an owner's missing
+// write costs the host once warm, a repair and a hint alike: the record
+// comes from the service's free list and hangs on its owner's per-key
+// record, the drain lanes replay it, and a repair's converge derives in
+// the run the replay is. 256 repairs of caught-up owners, and 256 hints
+// queued by writes to owners whose breaker is open and drained once
+// they prove live, allocate nothing; the bound leaves two objects of
+// slack for the runtime's own. Known flake: about one run in 150 counts
+// 5 objects in the repair round, as the repair-only version of this
+// test did; the source is not yet traced.
 func TestRepairAllocatesNothingPerRecord(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
 		Replicas: 2, WriteQuorum: 1, Buckets: 1 << 12, MaxValLen: 64})
-	keys := preloadKeys(t, s, 128)
-	round := func() {
+	wide := preloadKeys(t, s, 512)
+	keys := wide[:128]
+	val := Value(1, 48)
+	repairs := func() {
 		for _, k := range keys {
 			for _, id := range s.owners(k) {
 				s.queueRepair(s.shards[id], k, 1)
@@ -205,21 +209,53 @@ func TestRepairAllocatesNothingPerRecord(t *testing.T) {
 		}
 		s.Run()
 	}
-	round() // grows the pool, the queue, the batch and the maps once
+	hints := func(keys []uint64) {
+		for _, sh := range s.order {
+			sh.suspectUntil = s.Now() + sim.Second
+		}
+		for _, k := range keys {
+			s.SetAsync(k, val, nil)
+		}
+		s.Flush()
+		s.Run()
+		for _, sh := range s.order {
+			sh.markLive()
+			s.drainHints(sh, false)
+		}
+		s.Run()
+	}
 	n := 2 * len(keys)
-	before := s.Stats().RepairsSuperseded
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	round()
-	runtime.ReadMemStats(&m1)
-	if got := s.Stats().RepairsSuperseded - before; got != uint64(n) {
+	perRecord := func(round func()) float64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		round()
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs-m0.Mallocs) / float64(n)
+	}
+	// Warm: the rounds grow the pools, the queues and the maps, and the
+	// first drain's replays the NIC's own work lists. The first burst
+	// is four times a measured one, so each owner's per-key map grows to
+	// a size the measured bursts fill a sixth of: at the size a measured
+	// burst alone grows it to, the tombstones its deletes leave in full
+	// groups make the map grow again (two objects) in one round in five.
+	hints(wide)
+	for range 2 {
+		repairs()
+		hints(keys)
+	}
+	st := s.Stats()
+	perRepair, perHint := perRecord(repairs), perRecord(func() { hints(keys) })
+	now := s.Stats()
+	if got := now.RepairsSuperseded - st.RepairsSuperseded; got != uint64(n) {
 		t.Fatalf("%d of %d repairs of caught-up owners superseded", got, n)
 	}
-	per := float64(m1.Mallocs-m0.Mallocs) / float64(n)
-	t.Logf("%.3f objects per repair", per)
-	if per > 0.01 {
-		t.Errorf("%.3f objects per repair, want <= 0.01", per)
+	if got := now.HintsApplied - st.HintsApplied; got != uint64(n) || now.HintsQueued-st.HintsQueued != uint64(n) {
+		t.Fatalf("%d of %d hints queued, %d applied", now.HintsQueued-st.HintsQueued, n, got)
+	}
+	t.Logf("%.3f objects per repair, %.3f per hint", perRepair, perHint)
+	if perRepair > 0.01 || perHint > 0.01 {
+		t.Errorf("%.3f objects per repair, %.3f per hint, want <= 0.01 each", perRepair, perHint)
 	}
 	recordsHome(t, s)
 }

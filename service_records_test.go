@@ -54,21 +54,27 @@ func recordsHome(t *testing.T, s *Service, old ...*Client) {
 			t.Fatalf("free list holds an owner-apply record at stage %d", r.next)
 		}
 	}
-	// No repair is pending, and every repair record is back in the pool.
-	if len(s.repairs) != 0 || len(s.reps.free) != s.reps.made {
-		t.Fatalf("%d repairs queued at quiesce, %d of %d repair records back in the pool",
-			len(s.repairs), len(s.reps.free), s.reps.made)
+	// No repair stands, and every missing-write record but the hints
+	// standing for down owners is back in the pool.
+	hints := 0
+	for _, sh := range s.order {
+		hints += sh.nHints
 	}
-	for _, r := range s.reps.free {
-		if r.sh != nil || r.seq != 0 || r.attempts != 0 || r.notBefore != 0 {
-			t.Fatalf("repair pool holds a record still naming %+v", *r)
+	free := s.lacks.free
+	if _, pending := s.pendingRecords(); pending != 0 || s.lacks.made-len(free) != hints {
+		t.Fatalf("%d repairs pending at quiesce, %d of %d records back on the free list beside %d hints",
+			pending, len(free), s.lacks.made, hints)
+	}
+	for _, l := range free {
+		if *l != (lack{}) {
+			t.Fatalf("free list holds a record still naming %+v", *l)
 		}
 	}
 	// Every shard's records obey their lifetime rule, and its hint count
 	// is the one its records hold.
 	for _, sh := range s.order {
 		for key, k := range sh.keys {
-			if k.slot != nil || k.rep != nil || k.hint == nil && k.tomb == 0 {
+			if k.slot != nil || k.lack != nil && k.lack.op == nil || k.lack == nil && k.tomb == 0 {
 				t.Fatalf("%s key %d: record at quiesce %+v, want a hint or tombstone, a free slot and no repair", sh.id, key, k)
 			}
 		}
@@ -156,9 +162,9 @@ func keySlots(sh *serviceShard) (busy, queued int) {
 // gone that left it, against the owner-apply records out: every record
 // out holds one slot or waits in its queue, each holder (the queue's
 // head) is a run past its grant on that shard and key, and each waiter
-// a run in the slot stage on that shard and key. The pending repairs
-// and those shards' client pipelines must be whole too (repairsWhole,
-// requestsWhole).
+// a run in the slot stage on that shard and key. The missing-write
+// records and those shards' client pipelines must be whole too
+// (repairsWhole, requestsWhole).
 func slotsWhole(s *Service, gone ...*serviceShard) error {
 	held, queued := 0, 0
 	var clients []*Client
@@ -198,34 +204,70 @@ func withGone(s *Service, gone []*serviceShard) []*serviceShard {
 	return shards
 }
 
-// repairsWhole checks the pending repairs of s against the per-key
-// records of its shards, and of the shards in gone that left it: every
-// record in s.repairs is its owner's rep for its key, every rep is
-// queued exactly once, the queue holds no more records than are out of
-// the pool, and no per-key entry is idle.
+// repairsWhole checks the missing-write records of s's shards, and of
+// the shards in gone that left it: each standing hint's write is live
+// and its key's at the record's seq, each
+// shard's counts are the records its keys hold, a record a replay
+// carries is on a run in its key's slot, a queued record no replay
+// carries waits in the drain queue or behind its key's replay, a parked
+// repair waits for an armed retry tick, the records out of the pool are
+// those standing and those replays carry, and no per-key entry is idle.
 func repairsWhole(s *Service, gone ...*serviceShard) error {
-	queued := make(map[*repairRec]bool, len(s.repairs))
-	for i, r := range s.repairs {
-		if queued[r] {
-			return fmt.Errorf("repair %d (%s key %d) is queued twice", i, r.sh.id, r.key)
-		}
-		queued[r] = true
-		if r.sh.keys[r.key].rep != r {
-			return fmt.Errorf("repair %d (%s key %d) is not its owner's record for the key", i, r.sh.id, r.key)
-		}
+	type at struct {
+		sh  *serviceShard
+		key uint64
 	}
-	if out := s.reps.made - len(s.reps.free); len(s.repairs) > out {
-		return fmt.Errorf("%d repairs queued, %d repair records out of the pool", len(s.repairs), out)
-	}
+	standing, carried := 0, map[*lack]at{}
 	for _, sh := range withGone(s, gone) {
+		hints, repairs := 0, 0
 		for key, k := range sh.keys {
 			if k == (ownerKey{}) {
 				return fmt.Errorf("%s key %d: idle per-key entry", sh.id, key)
 			}
-			if k.rep != nil && !queued[k.rep] {
-				return fmt.Errorf("%s key %d: its repair record is not queued", sh.id, key)
+			replaying := false
+			for _, r := range slotRuns(k.slot) {
+				if r.h != nil {
+					carried[r.h], replaying = at{sh, key}, true
+				}
+			}
+			l := k.lack
+			if l == nil {
+				continue
+			}
+			standing++
+			switch {
+			case l.op == nil:
+				repairs++
+			case l.op.live && l.op.key == key && l.op.seq == l.seq && l.tries == 0:
+				hints++
+			default:
+				return fmt.Errorf("%s key %d: a record neither a hint of a live write nor a repair: %+v", sh.id, key, *l)
+			}
+			if _, ok := carried[l]; l.draining && !ok {
+				return fmt.Errorf("%s key %d: a draining record no replay carries", sh.id, key)
+			}
+			if l.queued && !l.draining && !replaying && !slices.Contains(sh.drainQ[sh.drainAt:], key) {
+				return fmt.Errorf("%s key %d: a queued record waits for no lane", sh.id, key)
+			}
+			if l.tries > 0 && !l.queued && !s.retryArmed {
+				return fmt.Errorf("%s key %d: a parked repair waits for no retry tick", sh.id, key)
 			}
 		}
+		if hints != sh.nHints || repairs != sh.nRepairs {
+			return fmt.Errorf("%s: %d hints and %d repairs stand, its counts say %d and %d",
+				sh.id, hints, repairs, sh.nHints, sh.nRepairs)
+		}
+	}
+	for l, at := range carried {
+		if !l.draining {
+			return fmt.Errorf("%s key %d: a replay carries a record not marked draining", at.sh.id, at.key)
+		}
+		if at.sh.lackAt(at.key) != l {
+			standing++ // out of the pool until its replay ends
+		}
+	}
+	if out := s.lacks.made - len(s.lacks.free); out != standing {
+		return fmt.Errorf("%d records out of the pool, %d standing or carried by a replay", out, standing)
 	}
 	return nil
 }
@@ -242,7 +284,7 @@ func runWhole(t *testing.T, s *Service, d, step Duration) int {
 		if err := slotsWhole(s); err != nil {
 			t.Fatalf("at %v: %v", s.Now(), err)
 		}
-		if len(s.repairs) > 0 {
+		if _, n := s.pendingRecords(); n > 0 {
 			withRepairs++
 		}
 	}
@@ -268,7 +310,7 @@ func slotRuns(q *ring.Queue[*ownerRun]) []*ownerRun {
 func hintsOn(sh *serviceShard) int {
 	n := 0
 	for _, k := range sh.keys {
-		if k.hint != nil {
+		if k.lack != nil && k.lack.op != nil {
 			n++
 		}
 	}
@@ -559,9 +601,9 @@ func TestOpRecordsReturnAcrossCrashAndHints(t *testing.T) {
 	replaying := map[apply]bool{}
 	for len(replaying) == 0 && eng.Pending() > 0 {
 		eng.RunUntil(eng.Now() + 10*sim.Microsecond)
-		for _, k := range victim.keys {
-			if h := k.hint; h != nil && h.draining {
-				replaying[apply{h.key, h.seq}] = true
+		for key, k := range victim.keys {
+			if h := k.lack; h != nil && h.draining {
+				replaying[apply{key, h.seq}] = true
 			}
 		}
 	}
@@ -638,7 +680,7 @@ func TestWriteRecordOutlivesItsOwnLastSettle(t *testing.T) {
 	s.SetAsync(key, Value(key+2, 48), func(_ Duration, err error) { errs[1] = err })
 	s.Flush()
 	s.Testbed().RunFor(20 * sim.Microsecond)
-	if h := staying.hintAt(key); h == nil || h.seq != s.keys[key].seq {
+	if h := staying.lackAt(key); h == nil || h.op == nil || h.seq != s.keys[key].seq {
 		t.Fatal("setup: the newer write's hint does not stand on the staying owner")
 	}
 	if err := s.DrainShard(leaving.id); err != nil {
@@ -653,7 +695,7 @@ func TestWriteRecordOutlivesItsOwnLastSettle(t *testing.T) {
 	}
 	// Let the staying owner take its hint, and everything settle.
 	staying.suspectUntil = 0
-	s.drainHints(staying)
+	s.drainHints(staying, false)
 	s.Run()
 	if v, ok := ownerValue(t, s, staying.id, key); !ok || !bytes.Equal(v, Value(key+2, 48)) {
 		t.Fatal("the newest write did not reach the staying owner")
@@ -686,7 +728,7 @@ func TestOpRecordsReturnAcrossMigration(t *testing.T) {
 				t.Fatalf("at %v: %v", s.Now(), err)
 			}
 			checks++
-			if len(s.repairs) > 0 {
+			if _, n := s.pendingRecords(); n > 0 {
 				withRepairs++
 			}
 		}
@@ -1097,8 +1139,8 @@ func TestHintDrainSurvivesSecondCrash(t *testing.T) {
 			st.HintsApplied, hintsOn(victim), n, st.HintsDropped)
 	}
 	for k, c := range applied {
-		if c != 1 || victim.hintAt(k) != nil {
-			t.Fatalf("key %d: applied %d times, still pending: %v", k, c, victim.hintAt(k) != nil)
+		if c != 1 || victim.lackAt(k) != nil {
+			t.Fatalf("key %d: applied %d times, still pending: %v", k, c, victim.lackAt(k) != nil)
 		}
 	}
 	s.Run()
@@ -1238,37 +1280,24 @@ func TestServiceReconnectReusesConnections(t *testing.T) {
 	recordsHome(t, s)
 }
 
-// pendingRepair is one queued repair record as a test sees it.
-type pendingRepair struct {
-	owner     string
-	key, seq  uint64
-	attempts  int
-	notBefore sim.Time
-}
-
-// pendingRepairs lists the repairs queued on s by (owner, key).
-func pendingRepairs(s *Service) map[string]pendingRepair {
-	out := make(map[string]pendingRepair, len(s.repairs))
-	for _, r := range s.repairs {
-		out[fmt.Sprint(r.sh.id, "/", r.key)] = pendingRepair{r.sh.id, r.key, r.seq, r.attempts, r.notBefore}
-	}
-	return out
-}
-
-// The repair queue's rules, at the service: one record per (owner, key)
-// with a newer seq merging in; pops in push order across shards, at
-// most repairBatch a tick; a requeued record held by its backoff gate
-// until a newer push resets it; a push racing a requeue keeps the max
-// seq; a record dropped, and counted, after repairMaxAttempts; and a
-// record whose owner left the service dropped without a count. The
-// records stay whole (repairsWhole) after every step.
-func TestRepairRecordsMergeAndBackOff(t *testing.T) {
+// An owner's missing write is one record per (owner, key), a hint or a
+// repair, and these are its rules at the service. Merge: the newer seq
+// stands and a tie goes to the record with bytes — two repairs merge in
+// place, a newer hint supersedes a repair and takes its place in the
+// drain, an older hint loses to a repair and its write settles, a repair
+// newer than a hint drops it. The owner-live gate: a record whose replay
+// finds the owner's breaker open stays, with no retry of its own, until
+// the owner proves live (drainHints, what a hit, a probe's answer or a
+// recovery calls). A repair that cannot land yet — a capacity rejection,
+// or a write to its key still in flight — parks for the retry tick,
+// which retries it under backoff until it lands or, after
+// repairMaxTries, drops it, counted; and a leaving owner's repairs are
+// dropped.
+// The records stay whole (repairsWhole) after every step.
+func TestMissingWriteRecordMergesGatesAndDrops(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
-		Replicas: 2, WriteQuorum: 1, Buckets: 1 << 12, MaxValLen: 64,
-		// The armed tick stays out of the steps below, which tick by
-		// hand; the backoff is one period at any attempt.
-		repairEvery: sim.Second})
+		Replicas: 2, WriteQuorum: 1, Buckets: 1 << 12, MaxValLen: 64})
 	keys := preloadKeys(t, s, 48)
 	whole := func(step string) {
 		t.Helper()
@@ -1276,136 +1305,216 @@ func TestRepairRecordsMergeAndBackOff(t *testing.T) {
 			t.Fatalf("%s: %v", step, err)
 		}
 	}
-	owner := func(key uint64, rank int) *serviceShard { return s.shards[s.owners(key)[rank]] }
-	name := func(sh *serviceShard, key uint64) string { return fmt.Sprint(sh.id, "/", key) }
-	superseded := func() uint64 { return s.Stats().RepairsSuperseded }
-
-	// One record per (owner, key): a newer seq merges in, an older one
-	// does not.
-	a := owner(keys[0], 1)
-	if !s.queueRepair(a, keys[0], 5) || s.queueRepair(a, keys[0], 7) || s.queueRepair(a, keys[0], 6) {
-		t.Fatal("a second push for the pair created a record, or the first did not")
-	}
-	whole("merge")
-	if p := pendingRepairs(s); len(p) != 1 || p[name(a, keys[0])].seq != 7 || a.stats.RepairsQueued != 1 {
-		t.Fatalf("pending %v, %d queued on %s: want one record at seq 7", p, a.stats.RepairsQueued, a.id)
-	}
-
-	// Push order across shards, repairBatch a tick: 41 records of
-	// caught-up owners, primaries and backups in turn; the first tick
-	// supersedes the first 32 pushed, the next the other 9.
-	for i, k := range keys[1:41] {
-		s.queueRepair(owner(k, i%2), k, 1)
-	}
-	before := superseded()
-	s.repairTick()
-	whole("first tick")
-	p := pendingRepairs(s)
-	if got := superseded() - before; got != repairBatch || len(p) != 41-repairBatch {
-		t.Fatalf("a tick superseded %d and left %d, want %d and %d", got, len(p), repairBatch, 41-repairBatch)
-	}
-	for i, k := range keys[repairBatch:41] {
-		if _, ok := p[name(owner(k, (i+repairBatch-1)%2), k)]; !ok {
-			t.Fatalf("pushed #%d (key %d) was popped ahead of an earlier push", i+repairBatch, k)
+	a := s.shards[s.owners(keys[0])[1]]
+	var mine []uint64 // keys a owns
+	for _, k := range keys {
+		if s.isOwner(a.id, k) {
+			mine = append(mine, k)
 		}
 	}
-	s.repairTick()
-	if got := superseded() - before; got != 41 || len(s.repairs) != 0 {
-		t.Fatalf("two ticks superseded %d, %d left", got, len(s.repairs))
+	k0, k1 := mine[0], mine[1]
+	stat := func() ShardStats { return a.stats }
+	record := func(key uint64) (seq uint64, hint bool) {
+		t.Helper()
+		l := a.lackAt(key)
+		if l == nil {
+			t.Fatalf("no record stands for key %d", key)
+		}
+		return l.seq, l.op != nil
 	}
 
-	// The backoff gate: a record whose key is unsettled goes back
-	// behind it, and a newer push resets its attempts and its gate.
-	b, kb := owner(keys[41], 0), keys[41]
-	unsettle := func(key uint64, d int) {
-		rec := s.keys[key]
-		rec.unsettled += d
-		s.keys[key] = rec
+	// Merge, with every drain lane of a busy so the records stand.
+	lanes := a.lanes
+	a.lanes = 0
+	if !s.queueRepair(a, k0, 5) || s.queueRepair(a, k0, 7) || s.queueRepair(a, k0, 6) {
+		t.Fatal("a second repair for the pair made a record, or the first did not")
 	}
-	unsettle(kb, 1)
-	s.queueRepair(b, kb, 3)
-	s.repairTick()
-	whole("requeue")
-	gate := s.Now() + s.repairBackoff(1)
-	if r := pendingRepairs(s)[name(b, kb)]; r.attempts != 1 || r.notBefore != gate {
-		t.Fatalf("requeued record %+v, want attempt 1 gated to %v", r, gate)
+	whole("two repairs")
+	if seq, hint := record(k0); seq != 7 || hint || stat().RepairsQueued != 1 {
+		t.Fatalf("record at seq %d (hint %v), %d queued: want one repair at seq 7", seq, hint, stat().RepairsQueued)
 	}
-	s.Testbed().RunFor(gate - s.Now() - 1)
-	s.repairTick()
-	if r := pendingRepairs(s)[name(b, kb)]; r.attempts != 1 {
-		t.Fatalf("a tick before the gate took the record: %+v", r)
+	// a's breaker opens: its write legs fail into hints at the key's
+	// next seq, 2. On k0 the hint is older than the repair and loses; on
+	// k1 it supersedes a repair at seq 1 and keeps its drain place.
+	s.queueRepair(a, k1, 1)
+	a.suspectUntil = s.Now() + 100*sim.Second
+	before := stat()
+	for _, k := range []uint64{k0, k1} {
+		s.SetAsync(k, Value(k+2, 48), nil)
 	}
-	s.queueRepair(b, kb, 4)
-	if r := pendingRepairs(s)[name(b, kb)]; r.seq != 4 || r.attempts != 0 || r.notBefore != 0 {
-		t.Fatalf("a newer push left %+v, want seq 4 due at once with no attempts", r)
+	s.Flush()
+	s.Testbed().RunFor(100 * sim.Microsecond)
+	whole("hints against repairs")
+	now := stat()
+	if seq, hint := record(k0); seq != 7 || hint || !s.settled(k0) {
+		t.Fatalf("k0: record at seq %d (hint %v), write settled %v: want the repair standing, the hint's write settled",
+			seq, hint, s.settled(k0))
+	}
+	if seq, hint := record(k1); seq != 2 || !hint || !a.lackAt(k1).queued || s.settled(k1) {
+		t.Fatalf("k1: record at seq %d (hint %v, queued %v): want the queued hint at seq 2", seq, hint, a.lackAt(k1).queued)
+	}
+	if now.HintsQueued-before.HintsQueued != 1 || now.HintsDropped-before.HintsDropped != 1 ||
+		now.RepairsSuperseded-before.RepairsSuperseded != 1 {
+		t.Fatalf("%d hints queued, %d dropped, %d repairs superseded: want 1, 1, 1", now.HintsQueued-before.HintsQueued,
+			now.HintsDropped-before.HintsDropped, now.RepairsSuperseded-before.RepairsSuperseded)
+	}
+	// A repair at the hint's seq merges into it; a newer one drops it,
+	// settling its write.
+	if s.queueRepair(a, k1, 2) {
+		t.Fatal("a repair tied with a hint made a record")
+	}
+	if !s.queueRepair(a, k1, 3) {
+		t.Fatal("a repair newer than the hint made no record")
+	}
+	whole("a repair against a hint")
+	if seq, hint := record(k1); seq != 3 || hint || !s.settled(k1) || stat().HintsDropped-now.HintsDropped != 1 {
+		t.Fatal("a repair newer than the hint did not replace it and settle its write")
 	}
 
-	// Dropped after repairMaxAttempts, counted: the armed ticks retry
-	// it behind its gate until it runs out.
-	dropped := s.Stats().RepairsDropped
-	s.Testbed().RunFor(Duration(repairMaxAttempts+1) * s.repairBackoff(1))
-	whole("drop")
-	if len(s.repairs) != 0 || s.Stats().RepairsDropped != dropped+1 {
-		t.Fatalf("%d left, %d dropped, want the record dropped once", len(s.repairs), s.Stats().RepairsDropped-dropped)
+	// The owner-live gate: lanes free, breaker open. Each replay finds
+	// the owner unreachable and its record stays, queued for nothing,
+	// through any stretch of time.
+	a.lanes = lanes
+	s.pumpDrain(a)
+	s.Testbed().RunFor(50 * sim.Millisecond)
+	whole("gated")
+	for _, k := range []uint64{k0, k1} {
+		if l := a.lackAt(k); l == nil || l.queued || l.draining {
+			t.Fatalf("key %d: the record of an unreachable owner did not wait for it", k)
+		}
 	}
-	unsettle(kb, -1)
-
-	// A push racing a requeue: the lagging owner's breaker is open, so
-	// the popped record's apply fails a hop later; a push at a lower
-	// seq meanwhile makes a new record, which the failed one merges
-	// into at the max seq.
-	kr := keys[42]
-	lag := owner(kr, 1)
-	rec := s.keys[kr]
-	rec.seq = 2
-	s.keys[kr] = rec
-	if err := owner(kr, 0).set(kr, Value(kr+2, 48), 2); err != nil {
-		t.Fatal(err)
+	if a.nRepairs != 2 || stat().RepairsApplied != now.RepairsApplied {
+		t.Fatalf("%d repairs pending, %d applied while the owner was unreachable", a.nRepairs, stat().RepairsApplied-now.RepairsApplied)
 	}
-	lag.suspectUntil = s.Now() + 100*sim.Second
-	s.queueRepair(lag, kr, 2)
-	s.repairTick()
-	if len(s.repairs) != 0 {
-		t.Fatal("setup: the lagging owner's record was not popped")
-	}
-	if !s.queueRepair(lag, kr, 1) {
-		t.Fatal("a push while the record was out merged into nothing")
-	}
-	s.Testbed().RunFor(sim.Microsecond)
-	whole("race")
-	if r := pendingRepairs(s)[name(lag, kr)]; len(s.repairs) != 1 || r.seq != 2 || r.attempts != 0 {
-		t.Fatalf("after the race %v, want one record at seq 2", pendingRepairs(s))
-	}
-	lag.markLive()
-	applied := s.Stats().RepairsApplied
+	a.markLive()
+	s.drainHints(a, false)
 	s.Run()
-	if v, ok := ownerValue(t, s, lag.id, kr); !ok || !bytes.Equal(v, Value(kr+2, 48)) || s.Stats().RepairsApplied != applied+1 {
-		t.Fatal("the merged record did not roll the owner forward")
+	whole("live")
+	for _, k := range []uint64{k0, k1} {
+		if v, ok := ownerValue(t, s, a.id, k); !ok || !bytes.Equal(v, Value(k+2, 48)) {
+			t.Fatalf("key %d: the owner proved live and was not rolled forward", k)
+		}
+	}
+	if a.nRepairs != 0 || stat().RepairsApplied-now.RepairsApplied != 2 {
+		t.Fatalf("%d repairs pending, %d applied once the owner proved live: want 0 and 2",
+			a.nRepairs, stat().RepairsApplied-now.RepairsApplied)
 	}
 
-	// A record whose owner leaves before it pops is dropped uncounted.
-	x := owner(keys[43], 0)
-	s.queueRepair(x, keys[43], 1)
-	due := s.Now() + s.repairBackoff(0)
-	if err := s.DrainShard(x.id); err != nil {
-		t.Fatal(err)
+	// A repair that meets a write in flight parks for the retry tick,
+	// and the retry after the write settles finds the owner caught up.
+	kb := mine[2]
+	rec := s.keys[kb]
+	rec.unsettled++
+	s.keys[kb] = rec
+	superseded := stat().RepairsSuperseded
+	s.queueRepair(a, kb, 3)
+	if l := a.lackAt(kb); l == nil || l.tries != 1 || l.queued || !s.retryArmed {
+		t.Fatal("a repair of an unsettled key did not park for the retry tick")
 	}
-	for s.resharding() {
-		s.Testbed().RunFor(sim.Millisecond)
-	}
-	if s.Now() >= due || s.shards[x.id] != nil || len(s.repairs) != 1 {
-		t.Fatalf("setup: at %v (tick at %v) %d repairs queued, shard member %v", s.Now(), due, len(s.repairs), s.shards[x.id] != nil)
-	}
-	if err := repairsWhole(s, x); err != nil {
-		t.Fatal(err)
-	}
-	counted := x.stats
+	whole("parked")
+	rec.unsettled--
+	s.keys[kb] = rec
 	s.Run()
-	if err := repairsWhole(s, x); err != nil {
+	if a.lackAt(kb) != nil || stat().RepairsSuperseded != superseded+1 {
+		t.Fatal("a parked repair was not retried once its key settled")
+	}
+
+	// A capacity rejection parks the repair too: a probe or sweep that
+	// finds the divergence again merges into it, and the retry tick tries
+	// it under backoff until it lands once capacity frees. diverge
+	// returns a new key a owns that only its other owner holds, at seq 2,
+	// with a's table full.
+	kr := uint64(10_000)
+	diverge := func() []uint64 {
+		t.Helper()
+		for kr++; !s.isOwner(a.id, kr); kr++ {
+		}
+		other := s.shards[s.owners(kr)[0]]
+		if other == a {
+			other = s.shards[s.owners(kr)[1]]
+		}
+		rec := s.keys[kr]
+		rec.seq = 2
+		s.keys[kr] = rec
+		if err := other.set(kr, Value(kr+2, 48), 2); err != nil {
+			t.Fatal(err)
+		}
+		return fillTable(t, a)
+	}
+	full := diverge()
+	queued, applied := stat().RepairsQueued, stat().RepairsApplied
+	s.queueRepair(a, kr, 2)
+	if runWhole(t, s, sim.Millisecond, sim.Microsecond) == 0 {
+		t.Fatal("no check saw the refused repair standing")
+	}
+	if l := a.lackAt(kr); l == nil || l.tries < 2 || s.queueRepair(a, kr, 2) || stat().RepairsQueued != queued+1 {
+		t.Fatal("a refused repair did not stand through its retries")
+	}
+	for _, k := range full {
+		a.table.table.Delete(k)
+	}
+	runWhole(t, s, 20*sim.Millisecond, sim.Microsecond)
+	if v, ok := ownerValue(t, s, a.id, kr); !ok || !bytes.Equal(v, Value(kr+2, 48)) || stat().RepairsApplied != applied+1 {
+		t.Fatal("a refused repair did not roll the owner forward once capacity freed")
+	}
+	// A table that stays full drops it, counted, after repairMaxTries,
+	// and nothing retries it further: the engine drains.
+	full = diverge()
+	dropped := stat().RepairsDropped
+	s.queueRepair(a, kr, 2)
+	s.Run()
+	whole("dropped")
+	if a.lackAt(kr) != nil || stat().RepairsDropped != dropped+1 {
+		t.Fatalf("a repair refused %d times: still standing %v, %d dropped", repairMaxTries,
+			a.lackAt(kr) != nil, stat().RepairsDropped-dropped)
+	}
+	for _, k := range full {
+		a.table.table.Delete(k)
+	}
+
+	// A leaving owner's repairs are dropped, counted, when its drain
+	// starts.
+	a.lanes = 0
+	s.queueRepair(a, mine[4], 1)
+	dropped = stat().RepairsDropped
+	if err := s.DrainShard(a.id); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.repairs) != 0 || x.stats != counted || len(x.keys) != 0 {
-		t.Fatalf("%d left; the gone owner's counts moved (%v) or it kept %d per-key entries", len(s.repairs), x.stats != counted, len(x.keys))
+	if a.nRepairs != 0 || stat().RepairsDropped != dropped+1 {
+		t.Fatalf("%d repairs left on the leaving owner, %d dropped", a.nRepairs, stat().RepairsDropped-dropped)
 	}
-	recordsHome(t, s, x.clients...)
+	s.Run()
+	if err := repairsWhole(s, a); err != nil {
+		t.Fatal(err)
+	}
+	recordsHome(t, s, a.clients...)
+}
+
+// fillTable fills every empty bucket of sh's table with filler keys, so
+// an insert there is rejected, and returns the fillers. Each lands in
+// its first candidate's neighborhood, where Delete finds it.
+func fillTable(t *testing.T, sh *serviceShard) []uint64 {
+	t.Helper()
+	tb := sh.table.table
+	n, empty := tb.NumBuckets(), 0
+	for i := range n {
+		if _, _, _, ok := tb.EntryAt(i); !ok {
+			empty++
+		}
+	}
+	var fill []uint64
+	for k := uint64(500_000); len(fill) < empty; k++ {
+		for d := range uint64(tb.Neighborhood()) {
+			i := (tb.Hash(k, 0) + d) % n
+			if _, _, _, ok := tb.EntryAt(i); ok {
+				continue
+			}
+			if err := tb.WriteBucket(i, k, 0x2000+i*8, 8); err != nil {
+				t.Fatal(err)
+			}
+			fill = append(fill, k)
+			break
+		}
+	}
+	return fill
 }

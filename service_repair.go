@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/hopscotch"
-	"repro/internal/repair"
 	"repro/internal/sim"
 )
 
@@ -31,24 +30,24 @@ import (
 //     partner's table) enqueues a repair. The common no-skew case costs
 //     the host nothing at all.
 //
-//  2. The repair queue (repairTick/applyRepair): pending records, one
-//     per (owner, key) and hung on the owner's per-key record
-//     (ownerKey.rep), wait in push order in Service.repairs, popped on
-//     activity-armed repairEvery ticks. Applying a record re-derives
-//     the winning state among the key's owners at apply time — newest
-//     version wins, value or tombstone — and rolls the laggard FORWARD
-//     through the ordinary owner write path (fabric claim chain or host
-//     RPC, modeled cost and all), never backward: a record is a claim
-//     that someone lags, not a payload. Unreachable or still-rejecting
-//     owners retry under exponential backoff, bounded by
-//     repairMaxAttempts so a permanently full owner cannot spin the
-//     queue (a later sweep or probe re-enqueues when the world
-//     changes).
+//  2. Repair records (queueRepair): a repair is the floor-only kind of
+//     the one record an owner's missing write has (lack, on its
+//     ownerKey), so it merges with the key's hint by seq and waits in
+//     the shard's drain queue for the same drain lanes. Its replay
+//     re-derives the winning state among the key's owners at apply
+//     time — newest version wins, value or tombstone — and rolls the
+//     laggard FORWARD through the ordinary owner write path (fabric
+//     claim chain or host RPC, modeled cost and all), never backward: a
+//     floor is a claim that someone lags, not a payload. An unreachable
+//     owner keeps it until the owner proves live again. One that cannot
+//     land yet (refused, or its key's write in flight) parks for the
+//     retry tick, under backoff; its last try drops it, and a later
+//     sweep or probe re-creates it when the world changes.
 //
 //  3. Anti-entropy (sweepShard): ticks rotate across shards. A sweep
 //     scans the shard's table once, bins resident (key, version) pairs
 //     into AntiEntropySegments Merkle-style leaf digests per co-owner
-//     (order-independent sums — see internal/repair), scans each
+//     (order-independent sums, see digest), scans each
 //     partner for the residents it co-owns with the root, and walks
 //     keys only inside segments whose digests disagree, at a modeled
 //     per-segment digest cost. Divergent keys — including keys one side
@@ -61,36 +60,13 @@ import (
 // from the stale owner (legal while the write was settling) must not
 // outlive convergence.
 
-// defaultRepairEvery is the repair queue's activity-armed tick period.
-const defaultRepairEvery = 50 * sim.Microsecond
-
 // defaultAntiEntropySegments is the per-shard digest segment count.
 const defaultAntiEntropySegments = 64
-
-// repairMaxAttempts bounds delivery attempts per repair record; a
-// record that keeps failing (owner down, capacity still exhausted) is
-// dropped — and re-created by the next probe or sweep that still sees
-// the divergence, with a fresh attempt budget.
-const repairMaxAttempts = 8
-
-// repairBatch is how many due records one tick applies.
-const repairBatch = 32
 
 // aeSegmentDigestLat models computing and comparing one segment digest
 // pair during an anti-entropy sweep (a linear scan of the segment's
 // buckets on both hosts, amortized).
 const aeSegmentDigestLat = 300 * sim.Nanosecond
-
-// repairBackoff returns the retry gate for a record's n-th failure:
-// exponential from the configured tick period, so retries always span
-// multiple ticks no matter how repairEvery is tuned.
-func (s *Service) repairBackoff(n int) Duration {
-	d := s.cfg.repairEvery
-	for i := 0; i < n && d < 10*sim.Millisecond; i++ {
-		d *= 2
-	}
-	return d
-}
 
 // repairEnabled reports whether the repair subsystem has anything to
 // do: divergence needs at least two replicas.
@@ -164,15 +140,18 @@ func (s *Service) StaleOwners(keys []uint64) int {
 // settling their originating writes — the operator-visible model of a
 // bounded hint queue overflowing (Dynamo-style stores cap hinted
 // handoff; anti-entropy is the backstop for what dropped hints miss).
-// Hints are dropped WITHOUT leaving repair records: the point of the
-// model is that the repair subsystem must rediscover the divergence on
-// its own, through probes or sweeps. Returns the number dropped.
+// Hints are dropped WITHOUT leaving repair records, and repair records
+// stand: the point of the model is that the repair subsystem must
+// rediscover the divergence on its own, through probes or sweeps.
+// Returns the number dropped.
 func (s *Service) DropHints() int {
 	n := 0
 	for _, sh := range s.order {
-		for _, k := range sh.sortedHintKeys(nil, false) {
-			s.retireHint(sh, sh.hintAt(k), &sh.stats.HintsDropped)
-			n++
+		for _, k := range sh.sortedLackKeys(nil, false, false) {
+			if l := sh.lackAt(k); l.op != nil {
+				s.retire(sh, k, l, ownerRejected)
+				n++
+			}
 		}
 	}
 	return n
@@ -296,162 +275,79 @@ func (s *Service) repairLagging(key uint64) {
 	s.laggingOwners(key, func(sh *serviceShard, winVer uint64) { s.queueRepair(sh, key, winVer) })
 }
 
-// ---- the repair queue ----
+// ---- repair records ----
 
-// repairRec is one pending repair, a pooled record: sh's replica of
-// key lagged seq when the record was pushed. seq is a floor, not the
-// payload — the apply re-derives the winning state — so a record only
-// ever rolls a replica forward. Queued, it is sh's ownerKey.rep and
-// waits in Service.repairs; popped for an apply, it is on neither.
-type repairRec struct {
-	sh        *serviceShard
-	key, seq  uint64
-	attempts  int                    // delivery attempts, bounded by repairMaxAttempts
-	notBefore sim.Time               // retry gate
-	doneFn    func(ownerWriteStatus) // done, bound once per record
+// pendingRecords counts the hints and the repairs standing on the
+// service's shards.
+func (s *Service) pendingRecords() (hints, repairs int) {
+	for _, sh := range s.order {
+		hints, repairs = hints+sh.nHints, repairs+sh.nRepairs
+	}
+	return hints, repairs
 }
 
-// queueRepair records that sh's replica of key lags seq and arms the
-// queue's tick, reporting whether a new record was created (one queued
-// for the pair merges instead: a newer seq stands and resets its
-// attempts and backoff). The write path calls it on capacity rejections
-// — the fix for rejected owners silently staying stale — and the probe
-// and sweep paths on observed skew.
+// queueRepair records that sh's replica of key lags seq (stand), reporting
+// whether a new record stands. A new one joins the shard's drain queue
+// at once, so it is applied while the owner is reachable. The write path
+// calls it on capacity rejections — the fix for rejected owners silently
+// staying stale — and the probe and sweep paths on observed skew.
 func (s *Service) queueRepair(sh *serviceShard, key, seq uint64) bool {
-	if !s.repairEnabled() {
+	if !s.repairEnabled() || s.shards[sh.id] != sh {
 		return false
 	}
-	r := sh.keys[key].rep
-	fresh := r == nil
-	switch {
-	case fresh:
-		r, _ = s.reps.take()
-		if r.doneFn == nil {
-			r.doneFn = r.done
-		}
-		r.sh, r.key, r.seq = sh, key, seq
-		s.pushRepair(r)
-		sh.stats.RepairsQueued++
+	fresh := s.stand(sh, key, seq, nil)
+	if fresh {
 		if s.tr.Enabled() {
 			s.tr.Instant("coordinator", sh.trRepair, 0)
 		}
-	case seq > r.seq:
-		r.seq, r.attempts, r.notBefore = seq, 0, 0
+		if l := sh.lackAt(key); !l.queued {
+			l.queued = true
+			sh.drainQ = append(sh.drainQ, key)
+		}
+		s.pumpDrain(sh)
 	}
 	// Fresh evidence of divergence: make the sweeper run a full clean
 	// rotation before going back to sleep.
 	s.aeCleanRun = 0
-	s.armRepair()
 	s.armAntiEntropy()
 	return fresh
 }
 
-// pushRepair queues r at the back of the service's repairs and hangs it
-// on its owner's per-key record.
-func (s *Service) pushRepair(r *repairRec) {
-	k := r.sh.keys[r.key]
-	k.rep = r
-	r.sh.keys[r.key] = k
-	s.repairs = append(s.repairs, r)
-}
+// A parked repair waits repairRetry for the retry tick, doubled by each
+// further try, and at most repairMaxTries tries, so a permanently full
+// owner cannot keep the tick alive.
+const (
+	repairRetry    = 100 * sim.Microsecond
+	repairMaxTries = 8
+)
 
-// releaseRepair returns a record that is on neither its owner's key nor
-// the queue to the pool.
-func (s *Service) releaseRepair(r *repairRec) {
-	*r = repairRec{doneFn: r.doneFn}
-	s.reps.put(r)
-}
-
-// armRepair schedules the next repair tick unless one is pending or
-// the queue is empty — activity-armed like the migrator, so an idle
-// converged service leaves the engine drainable.
-func (s *Service) armRepair() {
-	if s.repairArmed || len(s.repairs) == 0 {
+// park holds key's repair l, whose replay could not land, for the retry
+// tick: it stands off the drain queue, where queueRepair merges into it
+// and drainHints passes it over. Its last try drops it, counted.
+func (s *Service) park(sh *serviceShard, key uint64, l *lack) {
+	if sh.lackAt(key) != l {
 		return
 	}
-	s.repairArmed = true
-	s.tb.clu.Eng.After(s.cfg.repairEvery, s.repairTickFn)
+	l.tries++
+	switch {
+	case l.tries == repairMaxTries:
+		s.retire(sh, key, l, ownerRejected)
+	case !s.retryArmed:
+		s.retryArmed = true
+		s.tb.clu.Eng.After(repairRetry<<(l.tries-1), s.retryFn)
+	}
 }
 
-// repairTick pops up to repairBatch due records in push order, taking
-// each off its owner's key, then applies them, and re-arms while work
-// remains (records under backoff keep the tick alive until they retry
-// or exhaust their attempts).
-func (s *Service) repairTick() {
-	now, due, kept := s.tb.Now(), s.repairDue[:0], s.repairs[:0]
-	for _, r := range s.repairs {
-		if len(due) == repairBatch || r.notBefore > now {
-			kept = append(kept, r)
-			continue
-		}
-		due = append(due, r)
-		k := r.sh.keys[r.key]
-		k.rep = nil
-		r.sh.put(r.key, k)
+// retryTick puts every shard's parked repairs back on its drain queue.
+func (s *Service) retryTick() {
+	s.retryArmed = false
+	for _, sh := range s.order {
+		s.drainHints(sh, true)
 	}
-	s.repairs, s.repairDue = kept, due
-	for _, r := range due {
-		s.applyRepair(r)
-	}
-	s.armRepair()
-}
-
-// requeueRepair puts a failed record back under exponential backoff,
-// dropping it after repairMaxAttempts; a record pushed for the pair
-// while it was out stands, and takes its seq if that is newer.
-func (s *Service) requeueRepair(r *repairRec) {
-	sh := r.sh
-	r.attempts++
-	if r.attempts >= repairMaxAttempts {
-		sh.stats.RepairsDropped++
-		s.releaseRepair(r)
-		return
-	}
-	if cur := sh.keys[r.key].rep; cur != nil {
-		cur.seq = max(cur.seq, r.seq)
-		s.releaseRepair(r)
-	} else {
-		r.notBefore = s.tb.Now() + s.repairBackoff(r.attempts)
-		s.pushRepair(r)
-	}
-	s.armRepair()
-}
-
-// applyRepair rolls one owner forward to the winning state of its key
-// through converge — the record is a claim that someone lags, not a
-// payload — keeping only the repair queue's own counters and retry
-// policy. An owner that left the service took its records with it.
-func (s *Service) applyRepair(r *repairRec) {
-	if s.shards[r.sh.id] != r.sh {
-		s.releaseRepair(r)
-		return
-	}
-	if !s.settled(r.key) {
-		// A write is in flight: its own fan-out converges the owners
-		// (or queues hints/repairs of its own). Try again later.
-		s.requeueRepair(r)
-		return
-	}
-	s.converge(r.sh, r.key, r.doneFn)
-}
-
-// done is a repair's converge outcome: counted, or retried.
-func (r *repairRec) done(st ownerWriteStatus) {
-	s, sh := r.sh.svc, r.sh
-	switch st {
-	case ownerCaughtUp:
-		sh.stats.RepairsSuperseded++
-	case ownerApplied:
-		sh.stats.RepairsApplied++
-	default:
-		s.requeueRepair(r)
-		return
-	}
-	s.releaseRepair(r)
 }
 
 // converge rolls owner sh forward to the winning state of key — the one
-// loop behind the repair queue and the resharding migrator. It is an
+// loop behind repair records and the resharding migrator. It is an
 // owner run that re-derives the winning state when it is granted the
 // owner's per-key write slot, not from whatever evidence prompted the
 // call, so it can never undo a write that landed while it was queued:
@@ -481,9 +377,9 @@ func (r *ownerRun) derive() (end ownerWriteStatus, apply bool) {
 	}
 	// Capture the winning bytes under the slot. Only a winner that IS
 	// this shard cannot be repointed meanwhile; for cross-owner reads
-	// the callers keep racing writes out (the repair queue defers while
-	// the key is unsettled; a migration copy losing the race re-derives
-	// a newer winner next time).
+	// the callers keep racing writes out (a repair that meets an
+	// unsettled key is superseded; a migration copy losing the race
+	// re-derives a newer winner next time).
 	va, vl, live := winner.table.table.Lookup(key)
 	if !live {
 		return ownerCaughtUp, false
@@ -495,30 +391,35 @@ func (r *ownerRun) derive() (end ownerWriteStatus, apply bool) {
 	return 0, true
 }
 
-// converged resolves a converge for its caller. Applied, a value cached
-// from the stale owner before it (legal while the write settled, or
-// read from a pre-change owner) must not outlive convergence — the
-// epoch bump keeps in-flight gets from re-admitting it either.
+// converged resolves a converge for its caller.
 func (r *ownerRun) converged(st ownerWriteStatus) {
-	s, key := r.s, r.m.key
 	if st == ownerApplied {
-		s.noteOwnerApplied(r.sh, r.m)
-		if s.cache != nil {
-			rec := s.keys[key]
-			rec.epoch++
-			s.keys[key] = rec
-			delete(s.cache, key)
-		}
+		r.s.rolledForward(r.sh, r.m)
 	}
 	r.done(st)
+}
+
+// rolledForward is the bookkeeping a converge that applied m owes. A
+// value cached from the stale owner before it (legal while the write
+// settled, or read from a pre-change owner) must not outlive
+// convergence — the epoch bump keeps in-flight gets from re-admitting
+// it either.
+func (s *Service) rolledForward(sh *serviceShard, m *mutation) {
+	s.noteOwnerApplied(sh, m)
+	if s.cache != nil {
+		rec := s.keys[m.key]
+		rec.epoch++
+		s.keys[m.key] = rec
+		delete(s.cache, m.key)
+	}
 }
 
 // ---- anti-entropy ----
 
 // armAntiEntropy schedules one sweep tick AntiEntropyEvery from now,
 // unless one is already pending — armed by write, delete, repair and
-// recovery activity rather than free-running, exactly like the
-// repair queue, so an idle service leaves the simulation drainable. Once
+// recovery activity rather than free-running, so an idle service
+// leaves the simulation drainable. Once
 // armed, sweeps keep rotating until a full clean rotation (every shard
 // swept with no divergence found) and then go back to sleep.
 func (s *Service) armAntiEntropy() {
@@ -538,6 +439,28 @@ func (s *Service) aeTick() {
 	s.sweepShard(sh)
 }
 
+// digest is an order-independent accumulator over (key, version) pairs,
+// the leaf level of a Merkle tree — one digest per bucket segment — and
+// all the sweeper needs: equal digests skip the segment, unequal ones
+// fall back to a per-key walk. Contributions sum modulo 2^64, so two
+// replicas scanning their tables in different bucket orders produce
+// identical digests exactly when they hold identical (key, version)
+// sets.
+type digest uint64
+
+// add folds one (key, version) pair into the digest, hashed by a
+// splitmix64-style avalanche over both words, so a single changed
+// version flips about half the digest bits.
+func (d *digest) add(key, ver uint64) {
+	x := key*0x9E3779B97F4A7C15 ^ ver
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	*d += digest(x)
+}
+
 // aeBins is one table scan's residents binned for a sweep: per bin an
 // order-independent digest and the bin's (key, version) entries in
 // bucket order, as a list threaded through one flat slice. The service
@@ -545,7 +468,7 @@ func (s *Service) aeTick() {
 // scan, so a sweep allocates only while a scan is larger than any
 // before it.
 type aeBins struct {
-	dig        []repair.Digest
+	dig        []digest
 	head, tail []int32 // per bin: first and last entry (-1: the bin is empty)
 	ents       []aeEntry
 }
@@ -560,7 +483,7 @@ type aeEntry struct {
 // reset empties the bins and sizes them for n.
 func (b *aeBins) reset(n int) {
 	if cap(b.dig) < n {
-		b.dig, b.head, b.tail = make([]repair.Digest, n), make([]int32, n), make([]int32, n)
+		b.dig, b.head, b.tail = make([]digest, n), make([]int32, n), make([]int32, n)
 	}
 	b.dig, b.head, b.tail = b.dig[:n], b.head[:n], b.tail[:n]
 	clear(b.dig)
@@ -571,7 +494,7 @@ func (b *aeBins) reset(n int) {
 }
 
 func (b *aeBins) add(bin int, key, ver uint64) {
-	b.dig[bin].Add(key, ver)
+	b.dig[bin].add(key, ver)
 	at := int32(len(b.ents))
 	b.ents = append(b.ents, aeEntry{key: key, ver: ver, next: -1})
 	if last := b.tail[bin]; last >= 0 {
@@ -639,7 +562,7 @@ func (s *Service) aeScan(sh *serviceShard, segs int, only *serviceShard, b *aeBi
 // scanned once per sweep, each partner's once for the pair. The pass is
 // charged aeSegmentDigestLat per digest pair compared by deferring its
 // enqueues, modeling the host scan time; the repairs themselves then
-// pay the ordinary owner write costs through the queue.
+// pay the ordinary owner write costs on the drain lanes.
 func (s *Service) sweepShard(sh *serviceShard) {
 	if sh.hostDown || s.draining(sh.id) {
 		// No CPU to scan this shard — but a down shard must not halt
@@ -743,8 +666,8 @@ func (s *Service) aeSettle(found []aeFound) {
 	}
 	for _, f := range found {
 		// Count only records this sweep actually created: re-finding
-		// a key whose repair is already queued (in backoff, say) is
-		// not a new discovery.
+		// a key whose record already stands (waiting for its owner,
+		// say) is not a new discovery.
 		if s.queueRepair(f.owner, f.key, f.seq) {
 			f.owner.stats.AERepairs++
 		}

@@ -57,8 +57,8 @@ import (
 //
 //   - The repair subsystem as safety net. winningState widens to the
 //     union of old and new owners during a migration, so a copy the
-//     migrator abandons (migrateMaxAttempts of transient failure hands
-//     it to the repair queue) still converges through the same
+//     migrator abandons (migrateMaxAttempts of transient failure leaves
+//     a repair record) still converges through the same
 //     roll-forward machinery that heals crash divergence.
 
 // defaultMigrateEvery is the migrator's tick period.
@@ -74,7 +74,7 @@ const defaultMigrateBatch = 4
 const migrateSegments = 64
 
 // migrateMaxAttempts bounds per-key copy attempts before the migrator
-// hands the key to the repair queue and seals over it.
+// leaves the key a repair record per lagging owner and seals over it.
 const migrateMaxAttempts = 3
 
 // ErrMigrationInProgress reports an AddShard/DrainShard while an
@@ -380,7 +380,7 @@ func (s *Service) ownershipChanged(m *migration, key uint64) bool {
 }
 
 // armMigration schedules the next migrator tick unless one is pending
-// or no segments remain — activity-armed like the repair queue, so
+// or no segments remain — activity-armed like the anti-entropy sweeper, so
 // the engine stays drainable once sealing completes.
 func (s *Service) armMigration() {
 	m := s.mig
@@ -433,9 +433,10 @@ func (s *Service) migrateSegment(m *migration, seg uint64) {
 // migrateKey converges one moving key onto its post-change owners:
 // the winning state (newest version across old and new owners, value
 // or tombstone) is copied to every new owner that lacks it. Transient
-// failures retry up to migrateMaxAttempts; after that the key is
-// handed to the repair queue — the convergence safety net, which keeps
-// retrying under backoff long after the segment seals.
+// failures retry up to migrateMaxAttempts; after that each lagging
+// owner gets a repair record — the convergence safety net, which its
+// owner's drain lanes apply, and probes and sweeps re-create, long
+// after the segment seals.
 func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func()) {
 	if s.mig != m {
 		done()
@@ -557,38 +558,44 @@ func (s *Service) finishMigration(m *migration) {
 		Segments: m.liveSegs, Keys: m.keyCount})
 	s.bumpCacheGen()
 	s.aeCleanRun = 0
-	s.armRepair()
 	s.armAntiEntropy()
 }
 
 // redirectHints moves every hint parked on from to each key's new
-// primary. Each redirected hint is a FRESH struct carrying the same
-// op, key, sequence and payload: the original may be mid-drain on
-// from, and its replay run's identity check keys off from's records —
-// moving the struct itself would wedge the replay. Settlement
-// transfers with the op pointer: the new hint settles the originating
-// write when it drains or is superseded, exactly once.
+// primary, and drops (counted) the repairs of from, which is leaving.
+// Each redirected hint is a FRESH record carrying the same write: the
+// original may be mid-drain on from, and its replay run's identity
+// check keys off from's records — moving the record itself would wedge
+// the replay. Settlement transfers with the op pointer: the new hint
+// settles the originating write when it drains or is superseded,
+// exactly once.
 func (s *Service) redirectHints(from *serviceShard) {
-	if from.nHints == 0 {
+	if from.nHints+from.nRepairs == 0 {
 		return
 	}
 	touched := make(map[string]bool)
-	for _, k := range from.sortedHintKeys(nil, false) {
-		h := from.hintAt(k)
-		from.setHint(k, nil)
-		to := s.redirectTarget(k, from)
-		if to == nil {
-			s.settleHint(h)
+	for _, k := range from.sortedLackKeys(nil, false, false) {
+		l := from.lackAt(k)
+		op := l.op
+		if op == nil {
+			s.retire(from, k, l, ownerRejected)
 			continue
 		}
-		if s.standHint(to, h.op) {
+		from.setLack(k, nil)
+		s.freeLack(l)
+		to := s.redirectTarget(k, from)
+		if to == nil {
+			op.settleOne(s)
+			continue
+		}
+		if s.stand(to, k, op.seq, op) {
 			s.stats.MigHintsRedirected++
 			touched[to.id] = true
 		}
 	}
 	for _, sh := range s.order {
 		if touched[sh.id] && !sh.down() {
-			s.drainHints(sh)
+			s.drainHints(sh, false)
 		}
 	}
 }

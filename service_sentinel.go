@@ -23,7 +23,7 @@ import (
 // The tick is armed by op arrivals (GetAsync / SetAsync / DeleteAsync
 // / migrator ticks / workload bucket feeds) and re-arms itself only
 // while the metrics are still moving, mirroring armMigration and
-// armRepair: an idle service leaves the simulation engine
+// armAntiEntropy: an idle service leaves the simulation engine
 // drainable, under sustained load the effect is a periodic sampler.
 
 // Sentinel timing defaults: sample every DefaultSentinelEvery; rules
@@ -49,7 +49,7 @@ const (
 // backlog sustained past the slow window), "migration-stall" (backlog
 // with no segments sealing — stuck, not busy), "latency" (fleet-wide
 // slow-get burn over the merged per-shard histograms), and
-// "repair-backlog" (hint + repair queues sustained deep).
+// "repair-backlog" (hint + repair records sustained deep).
 func defaultSLORules() []telemetry.Rule {
 	return []telemetry.Rule{
 		{Name: "crash-suspects", Class: "crash",
@@ -157,7 +157,7 @@ func (s *Service) fleetGetLat() *sim.LatencyStats {
 
 // sentinelKick arms one sentinel tick DefaultSentinelEvery from now unless
 // one is already pending — the activity-armed pattern shared with
-// armMigration/armRepair. Called from the op entry points; cheap
+// armMigration/armAntiEntropy. Called from the op entry points; cheap
 // enough (two loads and a branch) for every hot path, and a no-op
 // with the sentinel off.
 func (s *Service) sentinelKick() {

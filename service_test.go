@@ -842,14 +842,14 @@ func TestServiceConvergeNeverRollsBack(t *testing.T) {
 		t.Fatal("setup: the converge to seq 3 does not hold the slot in flight")
 	}
 	s.queueRepair(lag, key, 2)
-	s.repairTick()
 	copied, copyOK := false, false
 	s.migrateCopy(key, lag, func(ok bool) { copied, copyOK = true, ok })
 	if q.Len() != 3 {
 		t.Fatalf("%d converges parked behind the in-flight one, want 2", q.Len()-1)
 	}
 	for i, r := range slotRuns(q)[1:] {
-		if r.next != runSlot || r.op != nil || r.h != nil || r.done == nil || r.m != &r.mut {
+		// The repair's replay first, then the copy.
+		if r.next != runSlot || r.op != nil || r.m != &r.mut || (r.h != nil) != (i == 0) || (r.done != nil) != (i == 1) {
 			t.Fatalf("parked entry %d is not a converge run waiting for the slot", i+1)
 		}
 	}
@@ -1588,9 +1588,9 @@ func TestServiceDeleteHintSupersedesValueHint(t *testing.T) {
 	}
 	s.Testbed().RunFor(sim.Millisecond)
 	sh := s.shards[victim]
-	h := sh.hintAt(key)
-	if ok := h != nil; !ok || !h.del {
-		t.Fatalf("pending hint is not the tombstone (ok=%v del=%v)", ok, ok && h.del)
+	h := sh.lackAt(key)
+	if ok := h != nil && h.op != nil; !ok || !h.op.del {
+		t.Fatalf("pending hint is not the tombstone (ok=%v del=%v)", ok, ok && h.op.del)
 	}
 	// Recovery drains the tombstone: the key must be gone EVERYWHERE —
 	// in particular the recovered owner must not serve the hinted value.
@@ -1685,9 +1685,10 @@ func crashIdx(t *testing.T, s *Service, id string) int {
 
 // Satellite regression: a capacity-rejected owner used to stay stale
 // forever (the write path deliberately dropped rejections from
-// handoff). Now the rejection lands in the repair queue, and once the
-// owner's table has room again the queue rolls it forward — with NO
-// client traffic after the capacity frees.
+// handoff). Now the rejection leaves a repair record, which the full
+// table parks for the retry tick, and once the owner's table has room
+// again a retry rolls it forward — with NO client traffic after the
+// capacity frees.
 func TestServiceRejectedOwnerConverges(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 2, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
@@ -1762,10 +1763,6 @@ func TestServiceRepairInvalidatesStaleCache(t *testing.T) {
 		Shards: 2, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
 		Replicas: 2, WriteQuorum: 1, HotKeyCache: 8,
 		ReadRepair: true, Buckets: 1 << 12,
-		// A slow repair tick guarantees the stale value is admitted to
-		// the cache BEFORE the repair converges the owner — the exact
-		// ordering the epoch bump exists for.
-		repairEvery: 5 * sim.Millisecond,
 	})
 	const key = 99
 	if err := s.Set(key, Value(key, 64)); err != nil {
@@ -1791,17 +1788,28 @@ func TestServiceRepairInvalidatesStaleCache(t *testing.T) {
 	// Heat the key well past the admission threshold. Early gets serve
 	// the stale v1 from the primary (and may admit it to the cache);
 	// every hit probes the backup, whose newer version word flags the
-	// skew and queues the repair.
+	// skew and queues the repair. The primary's drain lanes are held
+	// busy meanwhile, so the stale value is admitted to the cache BEFORE
+	// the repair converges the owner — the exact ordering the epoch bump
+	// exists for.
+	primary := s.shards[owners[0]]
+	lanes := primary.lanes
+	primary.lanes = 0
 	for i := 0; i < 3*cacheAdmitCount; i++ {
 		s.Get(key, 64)
 	}
 	// The stale v1 must actually be cache-resident now (admitted from
-	// the stale primary, with the repair still queued behind its tick):
+	// the stale primary, with the repair still waiting for a lane):
 	// that is the hazard under test.
 	if v, cached := s.cache[key]; !cached || !bytes.Equal(v, Value(key, 64)) {
 		t.Fatal("stale value not cache-resident before the repair — test lost its race")
 	}
-	s.Testbed().RunFor(50 * sim.Millisecond) // repair queue drains
+	if s.Stats().RepairsPending == 0 {
+		t.Fatal("no repair waiting for the stale primary")
+	}
+	primary.lanes = lanes
+	s.pumpDrain(primary)
+	s.Testbed().RunFor(50 * sim.Millisecond) // the repair drains
 
 	// The repaired primary AND the cache must now serve v2: without the
 	// epoch bump the cache would pin the pre-repair v1 forever.
@@ -1879,6 +1887,35 @@ func TestServiceCacheRefusesReadsIssuedMidWrite(t *testing.T) {
 	}
 	if raced == 0 {
 		t.Fatal("no get read the old value and answered after the write settled — test lost its race")
+	}
+}
+
+// The sweeper's segment digests are order-independent and sensitive to
+// any version change.
+func TestDigest(t *testing.T) {
+	var a, b digest
+	pairs := [][2]uint64{{1, 10}, {2, 20}, {3, 30}}
+	for _, p := range pairs {
+		a.add(p[0], p[1])
+	}
+	for i := len(pairs) - 1; i >= 0; i-- {
+		b.add(pairs[i][0], pairs[i][1])
+	}
+	if a != b {
+		t.Fatal("digest depends on scan order")
+	}
+	var c digest
+	c.add(1, 10)
+	c.add(2, 21) // one version off
+	c.add(3, 30)
+	if c == a {
+		t.Fatal("digest blind to a version change")
+	}
+	var d digest
+	d.add(1, 10)
+	d.add(2, 20)
+	if d == a {
+		t.Fatal("digest blind to a missing key")
 	}
 }
 

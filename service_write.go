@@ -110,18 +110,23 @@ type mutation struct {
 	del      bool
 }
 
-// hint is one queued handoff write: the newest mutation an unreachable
-// owner is missing. Tombstones and values share the per-key slot and
-// its sequence order, so a delete hint supersedes any older value hint
-// and a drain replays it as a delete. queued: the key waits in the
-// shard's drain queue or a replay holds it; draining: a replay run
-// carries this hint.
-type hint struct {
-	*mutation
+// lack is one owner's missing write for one key — the owner lacks the
+// key up to seq — a pooled record hung on the key's ownerKey. A hint carries the
+// write itself (op, which it settles when it retires) and its replay
+// applies op's mutation; a repair (op nil) carries only the floor seq,
+// and its replay rolls the owner forward to whatever the winning
+// replica holds then (converge). Tombstones and values share
+// the per-key slot and its sequence order, so a delete hint supersedes
+// any older value hint and a drain replays it as a delete. queued: the
+// key waits in the shard's drain queue or a replay holds it; draining:
+// a replay run carries this record; tries: the replays of a repair that
+// could not land yet (park).
+type lack struct {
 	op       *setOp
+	seq      uint64
 	queued   bool
 	draining bool
-	settled  bool
+	tries    uint8
 }
 
 // setOp tracks one client-visible write — its mutation and the quorum
@@ -455,10 +460,10 @@ func (r *ownerRun) legDone(st ownerWriteStatus) {
 		op.fail(s)
 	default:
 		// ownerRejected: a definitive refusal — but not a silent
-		// divergence: the repair queue records the laggard so
-		// read-repair or anti-entropy rolls it forward once
-		// capacity frees. (Deletes have no capacity to run out of;
-		// they never land here.)
+		// divergence: a repair records the laggard, and it or the
+		// next probe or sweep rolls it forward once capacity frees.
+		// (Deletes have no capacity to run out of; they never land
+		// here.)
 		s.queueRepair(sh, op.key, op.seq)
 		op.fail(s)
 		op.settleOne(s)
@@ -526,23 +531,21 @@ func (s *Service) settled(key uint64) bool { return s.keys[key].unsettled == 0 }
 
 // ownerKey is one owner's write state for one key, kept on its shard:
 // the (owner, key) write slot (while held, the queue of owner runs
-// whose head holds it, from the shard's pool), the hint standing for
-// the newest mutation the owner is missing, the repair record queued
-// for it (rep, waiting in Service.repairs), and the newest delete
+// whose head holds it, from the shard's pool), the record of the write
+// the owner is missing (a hint or a repair), and the newest delete
 // sequence it applied (tomb, 0 for none): the version a tombstoned
 // bucket loses once another key reclaims it. An entry lives only while
-// it holds one of the four.
+// it holds one of the three.
 type ownerKey struct {
 	slot *ring.Queue[*ownerRun]
-	hint *hint
-	rep  *repairRec
+	lack *lack
 	tomb uint64
 }
 
 // put stores k as sh's state for key, deleting the entry once it is
-// idle: slot free, no hint, no repair queued, no tombstone.
+// idle: slot free, no record, no tombstone.
 func (sh *serviceShard) put(key uint64, k ownerKey) {
-	if k.slot == nil && k.hint == nil && k.rep == nil && k.tomb == 0 {
+	if k.slot == nil && k.lack == nil && k.tomb == 0 {
 		delete(sh.keys, key)
 		return
 	}
@@ -579,28 +582,36 @@ func (sh *serviceShard) setNext(key uint64) {
 	sh.put(key, k)
 }
 
-// hintAt returns the hint standing for key on sh, nil for none.
-func (sh *serviceShard) hintAt(key uint64) *hint { return sh.keys[key].hint }
+// lackAt returns the record standing for key on sh, nil for none.
+func (sh *serviceShard) lackAt(key uint64) *lack { return sh.keys[key].lack }
 
-// setHint makes h the hint standing for key on sh (nil: none), keeping
-// the shard's count of pending hints.
-func (sh *serviceShard) setHint(key uint64, h *hint) {
+// setLack makes l the record standing for key on sh (nil: none),
+// keeping the shard's counts of pending hints and repairs.
+func (sh *serviceShard) setLack(key uint64, l *lack) {
 	k := sh.keys[key]
-	switch {
-	case k.hint == nil && h != nil:
-		sh.nHints++
-	case k.hint != nil && h == nil:
-		sh.nHints--
+	if k.lack != nil {
+		*sh.pending(k.lack)--
 	}
-	k.hint = h
+	if l != nil {
+		*sh.pending(l)++
+	}
+	k.lack = l
 	sh.put(key, k)
+}
+
+// pending is sh's count of the standing records of l's kind.
+func (sh *serviceShard) pending(l *lack) *int {
+	if l.op != nil {
+		return &sh.nHints
+	}
+	return &sh.nRepairs
 }
 
 // noteOwnerApplied is the bookkeeping every successful owner apply —
 // fan-out leg, drained hint, repair or migration copy — owes: the
 // per-replica apply log (tests), the owner's tombstone version (a
 // delete raises it, a value at or past it clears it), and retiring any
-// pending hint the apply made redundant.
+// pending record the apply made redundant.
 func (s *Service) noteOwnerApplied(sh *serviceShard, m *mutation) {
 	if s.applyHook != nil {
 		s.applyHook(sh.id, m.key, m.seq)
@@ -616,8 +627,8 @@ func (s *Service) noteOwnerApplied(sh *serviceShard, m *mutation) {
 		k.tomb = tomb
 		sh.put(m.key, k)
 	}
-	if k.hint != nil && k.hint.seq <= m.seq {
-		s.retireHint(sh, k.hint, &sh.stats.HintsDropped)
+	if l := k.lack; l != nil && l.seq <= m.seq {
+		s.retire(sh, m.key, l, ownerCaughtUp)
 	}
 }
 
@@ -633,8 +644,9 @@ const (
 	ownerUnreachable
 	ownerRejected
 	// ownerCaughtUp: nothing left to apply when the run was granted the
-	// slot — a replay's hint no longer stands, or a converge finds the
-	// owner at the winning state already (or the winner's copy deleted).
+	// slot — a replay's record no longer stands, a repair meets a write
+	// still in flight, or a converge finds the owner at the winning state
+	// already (or the winner's copy deleted).
 	ownerCaughtUp
 )
 
@@ -653,7 +665,7 @@ const (
 
 // ownerRun is one owner-level apply, from the moment it asks for its
 // (owner, key) write slot until it passes the slot on: a fan-out leg
-// (op set), a hint replay (h set) or a converge (neither): the only
+// (op set), a replay (h set) or a converge (neither): the only
 // record of its apply, and a pooled one. The continuations are method
 // values bound once, when the record is made; next names the single
 // one outstanding, so a continuation reaching a record that was
@@ -675,13 +687,14 @@ type ownerRun struct {
 	hostLat  Duration         // runHost: the RPC's modeled latency
 
 	// A fan-out leg: the write it is a leg of, its position, whether it
-	// votes in the quorum. A hint replay: the hint (m is its mutation).
-	// A converge: the winning state it derives into mut (m points at it)
-	// when granted the slot, and its caller's done.
+	// votes in the quorum. A replay: the record (m is a hint's write's).
+	// A converge (a repair's replay, or a caller's with done): the
+	// winning state it derives into mut (m points at it) when granted the
+	// slot.
 	op    *setOp
 	idx   int
 	votes bool
-	h     *hint
+	h     *lack
 	mut   mutation
 	done  func(ownerWriteStatus)
 
@@ -712,17 +725,23 @@ func (r *ownerRun) enter(stage runStage) {
 }
 
 // granted runs when the (owner, key) write slot is the run's. A replay
-// re-checks its hint here: one dropped or replaced while the run queued
-// — a newer write reached this owner, or superseded the hint — is
-// skipped, so a replay never runs an old value over a newer write. A
-// converge derives what it applies here.
+// re-checks its record here: one dropped or replaced while the run
+// queued — a newer write reached this owner, or superseded the record —
+// is skipped, so a replay never runs an old value over a newer write. A
+// repair that meets a write still in flight parks like a refused one:
+// converge must not read a winner a racing write can repoint, and the
+// write's own fan-out may not reach this owner (one issued before an
+// ownership change). A converge derives what it applies here.
 func (r *ownerRun) granted() {
 	r.enter(runSlot)
 	switch {
-	case r.h != nil && r.sh.hintAt(r.m.key) != r.h:
+	case r.h != nil && r.sh.lackAt(r.m.key) != r.h:
 		r.finish(ownerCaughtUp)
 		return
-	case r.op == nil && r.h == nil:
+	case r.h != nil && r.h.op == nil && !r.s.settled(r.m.key):
+		r.finish(ownerRejected)
+		return
+	case r.m == &r.mut:
 		if st, ok := r.derive(); !ok {
 			r.finish(st)
 			return
@@ -732,7 +751,7 @@ func (r *ownerRun) granted() {
 }
 
 // finish resolves the run — a leg into its write's quorum accounting, a
-// replay into its hint, a converge into its caller's done — returns the
+// replay into its record, a converge into its caller's done — returns the
 // record and passes the slot on. A replay's lane moves on only then.
 func (r *ownerRun) finish(st ownerWriteStatus) {
 	s, sh, key, h := r.s, r.sh, r.m.key, r.h
@@ -740,7 +759,7 @@ func (r *ownerRun) finish(st ownerWriteStatus) {
 	case r.op != nil:
 		r.legDone(st)
 	case h != nil:
-		s.replayDone(sh, h, st)
+		s.replayDone(sh, key, h, r.m, st)
 	default:
 		r.converged(st)
 	}
@@ -995,13 +1014,10 @@ func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetCla
 }
 
 // queueHint records op's mutation as the newest state an unreachable
-// owner is missing. An older pending hint for the same key is
-// superseded (its write is settled — a newer value stands in for it);
-// an incoming write older than the pending hint settles immediately.
-// Because supersession is purely by sequence number, a tombstone hint
-// replaces any older value hint — and a value hint newer than a pending
-// tombstone replaces it just as correctly (the delete happened-before
-// the new write).
+// owner is missing (stand). Because supersession is purely by sequence
+// number, a tombstone hint replaces any older value hint — and a value
+// hint newer than a pending tombstone replaces it just as correctly
+// (the delete happened-before the new write).
 func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 	// A leg can resolve after its target left the service entirely (a
 	// drain completed while the write was in flight): there is no owner
@@ -1021,61 +1037,98 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 			return
 		}
 	}
-	if s.standHint(sh, op) && s.tr.Enabled() {
+	if s.stand(sh, op.key, op.seq, op) && s.tr.Enabled() {
 		s.tr.Instant("coordinator", sh.trHint, op.traceOp)
 	}
 }
 
-// standHint makes op's mutation the hint standing for its key on sh,
-// superseding an older one, and reports whether it stands: against a
-// hint as new or newer, op settles here instead.
-func (s *Service) standHint(sh *serviceShard, op *setOp) bool {
-	queued := false
-	if cur := sh.hintAt(op.key); cur != nil {
-		sh.stats.HintsDropped++
-		if cur.seq >= op.seq {
+// stand records that sh lacks key up to seq — a hint carrying op's
+// mutation when op is set, a repair floor otherwise — under the one
+// merge rule: the newer seq stands (on a tie, the record with bytes),
+// a hint that loses settles its write, and a new record takes the old
+// one's place in the drain. Two floors merge in place. It reports
+// whether a new record stands.
+func (s *Service) stand(sh *serviceShard, key, seq uint64, op *setOp) bool {
+	cur := sh.lackAt(key)
+	queued := cur != nil && cur.queued
+	switch {
+	case cur == nil:
+	case cur.op == nil && op == nil:
+		cur.seq = max(cur.seq, seq)
+		return false
+	case cur.seq > seq || cur.seq == seq && cur.op != nil:
+		if op != nil {
+			sh.stats.HintsDropped++
 			op.settleOne(s)
-			return false
 		}
-		s.settleHint(cur)
-		queued = cur.queued // the key keeps its place in the drain
+		return false
+	default:
+		s.retire(sh, key, cur, ownerCaughtUp)
 	}
-	sh.setHint(op.key, &hint{mutation: &op.mutation, op: op, queued: queued})
-	sh.stats.HintsQueued++
+	l, _ := s.lacks.take()
+	l.seq, l.op, l.queued = seq, op, queued
+	if op != nil {
+		sh.stats.HintsQueued++
+	} else {
+		sh.stats.RepairsQueued++
+	}
+	sh.setLack(key, l)
 	return true
 }
 
-// retireHint takes h off sh's queue — if it still stands there —
-// counting it on c (applied or dropped) and settling its write.
-func (s *Service) retireHint(sh *serviceShard, h *hint, c *uint64) {
-	if sh.hintAt(h.key) != h {
+// retire takes l off sh's key — if it still stands there — counting
+// how it ended (applied, rejected or superseded) and settling a hint's
+// write; a record no replay carries goes back to the pool.
+func (s *Service) retire(sh *serviceShard, key uint64, l *lack, st ownerWriteStatus) {
+	if sh.lackAt(key) != l {
 		return
 	}
-	sh.setHint(h.key, nil)
-	*c++
-	s.settleHint(h)
-}
-
-// settleHint settles a hint's originating write exactly once.
-func (s *Service) settleHint(h *hint) {
-	if h.settled {
-		return
+	sh.setLack(key, nil)
+	*sh.ended(l, st)++
+	if l.op != nil {
+		l.op.settleOne(s)
 	}
-	h.settled = true
-	h.op.settleOne(s)
+	s.freeLack(l)
 }
 
-// sortedHintKeys appends the keys of sh's hints — only those not yet
-// queued for a drain, when fresh — to keys in key order, growing keys
-// at most once.
-func (sh *serviceShard) sortedHintKeys(keys []uint64, fresh bool) []uint64 {
+// ended is the counter a record of l's kind that ends in st bumps: a
+// hint is applied or dropped, a repair applied, dropped on a rejection,
+// or superseded.
+func (sh *serviceShard) ended(l *lack, st ownerWriteStatus) *uint64 {
+	switch {
+	case st == ownerApplied && l.op != nil:
+		return &sh.stats.HintsApplied
+	case st == ownerApplied:
+		return &sh.stats.RepairsApplied
+	case l.op != nil:
+		return &sh.stats.HintsDropped
+	case st == ownerRejected:
+		return &sh.stats.RepairsDropped
+	}
+	return &sh.stats.RepairsSuperseded
+}
+
+// freeLack returns a record that no longer stands to the pool, unless a
+// replay still carries it: the replay's end returns it.
+func (s *Service) freeLack(l *lack) {
+	if !l.draining {
+		*l = lack{}
+		s.lacks.put(l)
+	}
+}
+
+// sortedLackKeys appends the keys of sh's records — when fresh, only
+// those off the drain queue that wait for the retry tick (parked) or,
+// when not, for the owner to prove live — to keys in key order, growing
+// keys at most once.
+func (sh *serviceShard) sortedLackKeys(keys []uint64, fresh, parked bool) []uint64 {
 	start := len(keys)
 	for k, rec := range sh.keys {
-		if rec.hint == nil || fresh && rec.hint.queued {
+		if l := rec.lack; l == nil || fresh && (l.queued || (l.tries > 0) != parked) {
 			continue
 		}
 		if len(keys) == cap(keys) {
-			keys = slices.Grow(keys, sh.nHints)
+			keys = slices.Grow(keys, sh.nHints+sh.nRepairs)
 		}
 		keys = append(keys, k)
 	}
@@ -1083,81 +1136,104 @@ func (sh *serviceShard) sortedHintKeys(keys []uint64, fresh bool) []uint64 {
 	return keys
 }
 
-// drainHints hands off sh's pending hints once its host is up: the
-// ones not yet queued join the shard's drain queue in key order, and
-// idle drain lanes take keys off its front.
-func (s *Service) drainHints(sh *serviceShard) {
-	if sh.nHints == 0 || sh.hostDown {
+// drainHints puts sh's records that wait for a gate on its drain queue
+// in key order, and idle drain lanes take keys off its front. The gate
+// is the owner proving live once its host is up (recovery, a hit
+// through it, its probe's answer) or, parked, the retry tick.
+func (s *Service) drainHints(sh *serviceShard, parked bool) {
+	if sh.nHints+sh.nRepairs == 0 || sh.hostDown && !parked {
 		return
 	}
 	start := len(sh.drainQ)
-	sh.drainQ = sh.sortedHintKeys(sh.drainQ, true)
+	sh.drainQ = sh.sortedLackKeys(sh.drainQ, true, parked)
 	for _, k := range sh.drainQ[start:] {
-		sh.hintAt(k).queued = true
+		sh.lackAt(k).queued = true
 	}
 	s.pumpDrain(sh)
 }
 
 // pumpDrain sets idle lanes to work on the drain queue while sh's host
-// is up. A key whose hint is gone (applied, dropped, redirected) or
+// is up. A key whose record is gone (applied, dropped, redirected) or
 // already replaying on another lane is skipped.
 func (s *Service) pumpDrain(sh *serviceShard) {
-	for sh.lanes > 0 && len(sh.drainQ) > 0 && !sh.hostDown {
-		h := sh.hintAt(sh.drainQ[0])
-		sh.drainQ = sh.drainQ[1:]
-		if h != nil && !h.draining {
+	for sh.lanes > 0 && sh.drainAt < len(sh.drainQ) && !sh.hostDown {
+		key := sh.drainQ[sh.drainAt]
+		if sh.drainAt++; sh.drainAt == len(sh.drainQ) {
+			sh.drainQ, sh.drainAt = sh.drainQ[:0], 0 // emptied: its space is reused
+		}
+		if l := sh.lackAt(key); l != nil && !l.draining {
 			sh.lanes--
-			s.replay(sh, h)
+			s.replay(sh, key, l)
 		}
 	}
 }
 
-// replay starts one hint replay on a drain lane: a run carrying h that
-// queues for its (owner, key) write slot and applies the hint through
-// the ordinary owner apply path. A shard has one lane per write slot
-// of its clients (sh.lanes counts the idle ones), so a recovery holds
-// as many owner applies as its set pipelines carry at once, however
-// long the outage was, and a user write to the owner queues behind
-// them, not behind the backlog. The replay reads the write's mutation
-// until it resolves — its bytes are the only copy when the quorum
-// failed — whatever happens to the hint meanwhile (DropHints, a
-// redirect).
-func (s *Service) replay(sh *serviceShard, h *hint) {
-	h.queued, h.draining = true, true
-	h.op.pins++
-	r := s.takeRun(sh, h.mutation, 0)
-	r.h = h
+// replay starts one record's replay on a drain lane: a run carrying l
+// that queues for its (owner, key) write slot and applies a hint's
+// bytes, or a repair's converge, through the ordinary owner apply path.
+// A shard has one lane per write slot of its clients (sh.lanes counts
+// the idle ones), so a recovery holds as many owner applies as its set
+// pipelines carry at once, however long the outage was, and a user
+// write to the owner queues behind them, not behind the backlog. A
+// hint's replay reads the write's mutation until it resolves — its
+// bytes are the only copy when the quorum failed — whatever happens to
+// the hint meanwhile (DropHints, a redirect).
+func (s *Service) replay(sh *serviceShard, key uint64, l *lack) {
+	l.queued, l.draining = true, true
+	r := s.takeRun(sh, nil, 0)
+	if l.op != nil {
+		l.op.pins++
+		r.m = &l.op.mutation
+	} else {
+		r.mut.key, r.m = key, &r.mut
+	}
+	r.h = l
 	sh.withKeySlot(r)
 }
 
-// replayDone resolves a replay into its hint. Applied, the hint retires
-// as applied first — left in place, the shared bookkeeping would count
-// it superseded. Rejected (the recovered table refused it for
-// capacity), it retires as dropped: retrying forever would spin.
-// Unreachable (the owner died again mid-drain), it stays queued for the
-// next recovery and is applied exactly once, when a replay finally
-// succeeds.
-func (s *Service) replayDone(sh *serviceShard, h *hint, st ownerWriteStatus) {
-	switch st {
-	case ownerApplied:
-		s.retireHint(sh, h, &sh.stats.HintsApplied)
-		s.noteOwnerApplied(sh, h.mutation)
-	case ownerRejected:
-		s.retireHint(sh, h, &sh.stats.HintsDropped)
+// replayDone resolves a replay of key's record l, whose run applied m.
+// Applied, the record retires as applied first — left in place, the
+// shared bookkeeping would count it superseded. Rejected, a hint (the
+// table refused it for capacity) retires as dropped and a repair parks
+// for the retry tick. Unreachable (the owner died again mid-drain), it
+// stays for the owner's next recovery, and a hint is applied exactly
+// once, when a replay finally succeeds.
+func (s *Service) replayDone(sh *serviceShard, key uint64, l *lack, m *mutation, st ownerWriteStatus) {
+	op := l.op
+	switch {
+	case st == ownerUnreachable:
+		l.tries = 0
+	case st == ownerRejected && op == nil:
+		s.park(sh, key, l)
+	default:
+		s.retire(sh, key, l, st)
 	}
-	h.draining = false
-	h.op.unpin(s)
+	switch {
+	case st != ownerApplied:
+	case op != nil:
+		s.noteOwnerApplied(sh, m)
+	default:
+		s.rolledForward(sh, m)
+	}
+	l.draining = false
+	if sh.lackAt(key) != l {
+		s.freeLack(l)
+	}
+	if op != nil {
+		op.unpin(s)
+	}
 }
 
 // replayed moves a replay's lane on once the write slot has passed on.
-// With the owner reachable the lane takes the key's next hint — one
+// With the owner reachable the lane takes the key's next record — one
 // queued while this replay was in flight — or goes idle and pumps the
-// queue. With it unreachable the lane goes idle and the key's hint
-// waits for the next drainHints, as does the rest of the queue.
+// queue. With it unreachable the lane goes idle and the key's record
+// waits for the next drainHints, as does the rest of the queue; a
+// parked record waits for the retry tick.
 func (s *Service) replayed(sh *serviceShard, key uint64, reachable bool) {
-	if next := sh.hintAt(key); next != nil && !next.draining {
-		if reachable {
-			s.replay(sh, next)
+	if next := sh.lackAt(key); next != nil && !next.draining {
+		if reachable && next.tries == 0 {
+			s.replay(sh, key, next)
 			return
 		}
 		next.queued = false
