@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/extent"
 	"repro/internal/fabric"
 	"repro/internal/hopscotch"
 	"repro/internal/ring"
@@ -175,12 +176,9 @@ type pipeReq struct {
 	seq   uint64 // issue sequence (window-epoch guard for AIMD cuts; 0 = never issued)
 	start sim.Time
 	op    uint64 // trace op id (0 = untraced)
-	mark  uint64 // get: its issue mark in the server's retire queue
-	// marked: the get still holds mark (wireHooks' unmark gives it back)
-	marked bool
-	fn     int    // get: 1 + the candidate a hinted get probes alone; 0 probes both
-	ext    uint64 // get: the extent a hinted get expects its bucket to name
-	moved  uint64 // get: the extent its answer named instead, with the key's word
+	fn    int    // get: 1 + the candidate a hinted get probes alone; 0 probes both
+	ext   uint64 // get/probe: the extent a hinted get or a probe expects its bucket to name
+	moved uint64 // get: the extent its answer named instead, with the key's word
 
 	// Provenance stamps: when the request entered the pipeline and
 	// whether it queued for window headroom (vs a free slot). The
@@ -302,6 +300,11 @@ type opPipeline struct {
 	wedged   []bool
 	nWedged  int
 
+	// marks holds, per slot, 1 + the server retire queue's issue mark
+	// the slot's armed instance holds (hold), 0 for none: no extent
+	// retired after it is freed until the mark is let go (letGo).
+	marks []uint64
+
 	// inFlight counts slots occupied by live requests — maintained
 	// directly at issue/finish so it stays disjoint from both the free
 	// list and the quarantine (inFlight + len(free) + nWedged == depth).
@@ -368,6 +371,7 @@ func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
 		last:     make([]uint64, depth),
 		execSeen: make([]uint64, depth),
 		wedged:   make([]bool, depth),
+		marks:    make([]uint64, depth),
 		win: aimdWindow{
 			w: float64(start), start: float64(start), depth: float64(depth),
 			beta: defaultWindowBeta, ecn: defaultEcnBacklog,
@@ -433,6 +437,18 @@ func (req *pipeReq) mustBeLive() {
 // completions still owed fell below that instance's own.
 func (p *opPipeline) started(slot int) bool {
 	return p.owed[slot]-p.execSeen[slot] < p.last[slot]
+}
+
+// hold makes slot's armed instance hold the next issue mark of the
+// server's retire queue.
+func (p *opPipeline) hold(slot int) { p.marks[slot] = p.c.srv.retire.enter() + 1 }
+
+// letGo gives back the mark slot holds, if any.
+func (p *opPipeline) letGo(slot int) {
+	if m := p.marks[slot]; m != 0 {
+		p.marks[slot] = 0
+		p.c.srv.retire.exit(m - 1)
+	}
 }
 
 // submit routes one request into the pipeline: issue if a slot and
@@ -653,6 +669,7 @@ func (p *opPipeline) restart() {
 	p.free = p.free[:0]
 	for slot, req := range p.slots {
 		p.owed[slot], p.execSeen[slot], p.wedged[slot] = 0, 0, false
+		p.letGo(slot)
 		if req == nil {
 			p.free = append(p.free, slot)
 		}
@@ -693,6 +710,7 @@ func (p *opPipeline) reclaim(slot int) {
 	}
 	p.wedged[slot] = false
 	p.nWedged--
+	p.letGo(slot)
 	p.free = append(p.free, slot)
 	p.pump()
 	p.c.Flush()
@@ -822,9 +840,11 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 				// A hinted get's value follows its bucket's [keyCtrl, valAddr].
 				p.resp = append(p.resp, node.Mem.Alloc(hintHead+maxVal, 64))
 			case pipeProbe:
-				p.resp = append(p.resp, node.Mem.Alloc(hopscotch.BucketSize, 8))
+				// [keyCtrl, valAddr] of the bucket, then the extent's header.
+				p.resp = append(p.resp, node.Mem.Alloc(16+extent.HeadBytes, 8))
 			case pipeSet:
-				p.val = append(p.val, node.Mem.Alloc(maxVal, 64))
+				// A staged value's header precedes its bytes.
+				p.val = append(p.val, node.Mem.Alloc(extent.HeadBytes+maxVal, 64))
 				fallthrough
 			default:
 				p.resp = append(p.resp, node.Mem.Alloc(8, 8))
@@ -878,7 +898,7 @@ func (c *Client) wireHooks() {
 	// extent it may gather from is reused, and a miss does not hold
 	// every extent retired behind it for a whole MissTimeout.
 	c.get.arm = func(req *pipeReq, resp uint64) []byte {
-		req.mark, req.marked = c.srv.retire.enter(), true
+		c.get.hold(req.slot)
 		ctx := c.gets.Ctxs[req.slot]
 		if req.fn != 0 {
 			ctx.ArmProbe(req.fn-1, req.ext)
@@ -910,30 +930,44 @@ func (c *Client) wireHooks() {
 		c.moved = req.moved
 		req.getCB(val, lat, ok)
 	}
-	unmark := func(req *pipeReq) {
-		if req.marked {
-			req.marked = false
-			c.srv.retire.exit(req.mark)
-		}
-	}
-	c.get.silent = unmark
-	c.get.release = func(req *pipeReq, _, _ bool) { unmark(req) }
+	c.get.silent = func(req *pipeReq) { c.get.letGo(req.slot) }
+	c.get.release = func(req *pipeReq, _, _ bool) { c.get.letGo(req.slot) }
 
 	// ---- set ----
+	// A hinted overwrite holds a mark too, from its arming until its
+	// chain has run — past its deadline if it has not run by then: its
+	// CAS expects an extent the key's next write retires, and that
+	// extent must not come back, as this key's staging or another's,
+	// while the CAS can still find it (ABA).
 	c.set.arm = func(req *pipeReq, ack uint64) []byte {
 		ctx, val := c.sets.Ctxs[req.slot], c.set.val[req.slot]
+		if e := req.sclaim.Extent; e != 0 && e != hopscotch.FreePtr {
+			c.set.hold(req.slot)
+		}
 		req.staging = ctx.Arm(req.key)
-		c.node.Mem.Write(val, req.val)
-		// Same QP, in order: the value lands in staging before the
-		// trigger SEND fires the claim chain.
-		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: val, Dst: req.staging,
-			Len: uint64(len(req.val))})
-		return ctx.TriggerPayload(req.key, req.sclaim, uint64(len(req.val)), req.ver, ack)
+		n := uint64(len(req.val))
+		c.node.Mem.PutU64(val, req.ver)
+		c.node.Mem.PutU64(val+8, n)
+		c.node.Mem.Write(val+extent.HeadBytes, req.val)
+		// Same QP, in order: the value and its header land in staging
+		// before the trigger SEND fires the claim chain.
+		c.set.qp.PostSend(wqe.WQE{Op: wqe.OpWrite, Src: val, Dst: req.staging - extent.HeadBytes,
+			Len: extent.HeadBytes + n})
+		return ctx.TriggerPayload(req.key, req.sclaim, n, req.ver, ack)
 	}
-	// A write chain's ack carries the verdict: WRITE|key iff it applied.
+	// A write chain's ack carries the verdict: WRITE|key iff it applied;
+	// for a hinted overwrite, the pointer its CAS found, the extent it
+	// expected iff it applied; for a fresh claim, the same CAS's word,
+	// the free pointer iff it published.
 	applied := func(req *pipeReq) bool {
 		v, _ := c.node.Mem.U64(req.p.resp[req.slot])
-		return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
+		switch req.sclaim.Extent {
+		case 0:
+			return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
+		case hopscotch.FreePtr:
+			return v == hopscotch.FreePtr
+		}
+		return v == req.sclaim.Extent
 	}
 	acked := func(req *pipeReq, lat Duration, ok bool) {
 		c.staged = req.staging // a set's: the extent its ack installed
@@ -943,11 +977,14 @@ func (c *Client) wireHooks() {
 	}
 	c.set.verdict, c.set.deliver = applied, acked
 	c.set.release = func(req *pipeReq, ok, executed bool) {
+		// An unexecuted chain keeps its mark and its staging: the
+		// quarantined slot is a straggler that could still run.
+		if executed {
+			c.set.letGo(req.slot)
+		}
 		if !ok && executed {
 			// The chain ran and refused the claim: the staged bytes can
 			// never become the bucket's value, so retire the extent.
-			// (An unexecuted chain keeps its staging — a straggler could
-			// still repoint the bucket at it.)
 			c.sets.Ctxs[req.slot].ReleaseStaging()
 		}
 		if ok && req.lifecycle {
@@ -982,12 +1019,16 @@ func (c *Client) wireHooks() {
 
 	// ---- probe ----
 	c.prb.arm = func(req *pipeReq, resp uint64) []byte {
-		return c.prbs.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, resp)
+		ctx := c.prbs.Ctxs[req.slot]
+		ctx.Extent = req.ext
+		return ctx.TriggerPayload(req.key, req.bucket, resp)
 	}
-	// A probe's answer is the bucket: a hit iff it holds the key.
+	// A probe's answer is the bucket's [keyCtrl, valAddr] and a header: a
+	// hit iff the bucket holds the key and names the extent probed.
 	c.prb.verdict = func(req *pipeReq) bool {
-		v, _ := c.node.Mem.U64(c.prb.resp[req.slot] + hopscotch.OffKeyCtrl)
-		return v == core.ClaimCtrl(req.key)
+		word, _ := c.node.Mem.U64(c.prb.resp[req.slot])
+		va, _ := c.node.Mem.U64(c.prb.resp[req.slot] + 8)
+		return word == core.ClaimCtrl(req.key) && va == req.ext
 	}
 	c.prb.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		if req.prbCB == nil {
@@ -995,7 +1036,7 @@ func (c *Client) wireHooks() {
 		}
 		var ver uint64
 		if ok {
-			ver, _ = c.node.Mem.U64(c.prb.resp[req.slot] + hopscotch.OffVersion)
+			ver, _ = c.node.Mem.U64(c.prb.resp[req.slot] + 16)
 		}
 		req.prbCB(ver, lat, ok)
 	}
@@ -1008,7 +1049,8 @@ func (c *Client) wireHooks() {
 // (core Pool.Reset) are reset — the client ends of the response
 // connections only take one-sided WRITEs — and every pipeline restarts.
 // No instance armed before survives it, so the staging extent of every
-// set slot whose instance never ran goes back to the arena, and every
+// set slot whose instance never ran goes back to the arena (one that
+// landed its pointer retires the extent it replaced instead), and every
 // request in flight fails at once as never executed. Queues, buffers,
 // CQ subscriptions and PU placement are kept: a reset allocates nothing.
 func (c *Client) reset() {
@@ -1022,7 +1064,12 @@ func (c *Client) reset() {
 	c.prbs.Reset()
 	for slot, ctx := range c.sets.Ctxs {
 		if !c.set.started(slot) {
-			ctx.ReleaseStaging()
+			// A hinted overwrite whose pointer landed before the reset
+			// applied: the extent it replaced retires, as its ack would
+			// have retired it.
+			if old := ctx.ReleaseStaging(); old != 0 {
+				c.srv.retire.push(old)
+			}
 		}
 	}
 	for i, p := range c.pipes {
@@ -1302,14 +1349,15 @@ func (c *Client) drainFreed() int {
 // ---- probe path ----
 
 // probeAsyncTarget issues one offloaded version probe of key at a
-// caller-computed bucket and returns immediately — the service layer's
-// entry point. cb runs with the replica's version word when the NIC's
-// answer holds key, or ok=false: at once when the bucket holds another
-// word (key no longer there), or after MissTimeout on a dead connection
-// — lastExecuted(pipeProbe) tells them apart. op is the trace op id its
-// WRs attribute to.
-func (c *Client) probeAsyncTarget(key, bucket, op uint64, cb func(ver uint64, lat Duration, ok bool)) {
+// caller-computed bucket, expected to name the value extent ext, and
+// returns immediately — the service layer's entry point. cb runs with
+// the version ext's header carries when the NIC's answer shows the
+// bucket holding key at ext, or ok=false: at once when the bucket holds
+// another word or extent (the key moved or was rewritten), or after
+// MissTimeout on a dead connection — lastExecuted(pipeProbe) tells them
+// apart. op is the trace op id its WRs attribute to.
+func (c *Client) probeAsyncTarget(key, bucket, ext, op uint64, cb func(ver uint64, lat Duration, ok bool)) {
 	req := c.prb.take()
-	req.key, req.bucket, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, cb, op
+	req.key, req.bucket, req.ext, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, ext, cb, op
 	c.prb.submit(req)
 }

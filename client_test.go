@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hopscotch"
 	"repro/internal/sim"
 	"repro/internal/wqe"
 )
@@ -545,12 +546,12 @@ func TestClientSetSingleModeRefusesUnreachableClaim(t *testing.T) {
 // sets draw from. A key with no NIC-reachable bucket fails after a
 // zero-cost hop with no chain armed.
 func claimResident(cli *Client, key uint64, probe bool, cb func(ver uint64, lat Duration, ok bool)) {
-	bucket, ok := residentBucket(cli.table.Table(), cli.mode, key)
+	bucket, ext, ok := residentBucket(cli.table.Table(), cli.mode, key)
 	switch {
 	case !ok:
 		cli.tb.clu.Eng.After(0, func() { cb(0, 0, false) })
 	case probe:
-		cli.probeAsyncTarget(key, bucket, 0, cb)
+		cli.probeAsyncTarget(key, bucket, ext, 0, cb)
 	default:
 		cli.nextVer[key]++
 		cli.deleteAsyncClaim(key, bucket, cli.nextVer[key], 0, func(lat Duration, ok bool) { cb(0, lat, ok) })
@@ -850,8 +851,12 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 	}
 	cli.missTimeout = DefaultMissTimeout
 	tb.RunFor(20 * sim.Microsecond)
-	if w, _ := cli.node.Mem.U64(cli.set.resp[0]); w != wqe.MakeCtrl(wqe.OpWrite, 1) || cli.set.nWedged != 0 {
-		t.Fatalf("after the straggler: ack buffer %#x, %d wedged slots; want WRITE|1 and 0", w, cli.set.nWedged)
+	// A fresh claim's applied verdict is the free pointer its pointer CAS
+	// found, in the bucket where the key now is.
+	_, _, landed := table.Table().Lookup(1)
+	if w, _ := cli.node.Mem.U64(cli.set.resp[0]); w != hopscotch.FreePtr || !landed || cli.set.nWedged != 0 {
+		t.Fatalf("after the straggler: ack buffer %#x, key landed %v, %d wedged slots; want the free pointer, true and 0",
+			w, landed, cli.set.nWedged)
 	}
 	cli.SetAsync(2, Value(2, 64), func(_ Duration, ok bool) {
 		results[2]++
@@ -937,7 +942,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 
 	// A stale target (key deleted between computing the target and the
 	// chain running): conditional miss on a live NIC.
-	target, okT := residentBucket(table.Table(), cli.mode, key)
+	target, ext, okT := residentBucket(table.Table(), cli.mode, key)
 	if !okT {
 		t.Fatal("no probe target for a resident key")
 	}
@@ -946,7 +951,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	}
 	var executed, answered bool
 	done := false
-	cli.probeAsyncTarget(key, target, 0, func(_ uint64, _ Duration, ok bool) {
+	cli.probeAsyncTarget(key, target, ext, 0, func(_ uint64, _ Duration, ok bool) {
 		answered, executed, done = ok, cli.lastExecuted(pipeProbe), true
 	})
 	cli.Flush()

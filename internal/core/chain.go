@@ -82,9 +82,8 @@ const (
 	opNew            // the word a claim installs
 	opBucket         // the bucket's address (a lookup's first candidate; a list's head)
 	opBucket2        // a lookup's second candidate bucket
-	opExtent         // the value extent a hinted lookup gathers
+	opExtent         // the value extent a hinted lookup gathers or a hinted overwrite expects (a probe: its header)
 	opValAddr        // the bucket's [valAddr, valLen, version] words
-	opVerAddr        // the bucket's version word
 	opLen            // the value's length
 	opVer            // the write's version
 	opResp           // the client-side answer buffer

@@ -48,20 +48,25 @@ var programShapes = []struct {
 	{"get hinted H2", 2, 2, 2, hintedShape(1)},
 	// Each of the two control queues WAITs on the trigger.
 	{"get parallel", 7, 12, 7, lookupShape(LookupParallel)},
-	// An overwrite's claim installs the published word itself: no
-	// pubCAS. The ack is fetched from an unmanaged queue behind its own
-	// WAIT, so of the five data WRs four are managed fetches.
-	{"set overwrite", 5, 8, 4, setShape(true)},
-	{"set fresh", 6, 10, 5, setShape(false)},
-	// Two verbs past the set chain: the price of stamping a
-	// tombstone's version conditionally.
-	{"delete", 8, 14, 7, func(h *shapeRig) (*chain, func() []byte) {
+	// The key claim (no extent named) swaps NOOP|key for itself and
+	// flips valWr. The ack is fetched from an unmanaged queue behind its
+	// own WAIT, so of the five data WRs four are managed fetches.
+	{"set overwrite", 5, 8, 4, setShape(0)},
+	// One CAS of the bucket's pointer: the RECV's fetch and the CAS's.
+	{"set hinted overwrite", 3, 4, 2, setShape(1)},
+	// The pointer CAS, then the publishing WRITE its result arms.
+	{"set fresh", 4, 6, 3, setShape(hopscotch.FreePtr)},
+	// The key claim's three steps, then the conditional version and
+	// free-pointer WRITE and the copy of the verdict that arms it.
+	{"delete", 7, 12, 6, func(h *shapeRig) (*chain, func() []byte) {
 		o := NewDeletePool(h.b, h.trig, h.resp(false)).Ctxs[0]
 		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, 1, h.buf) }
 	}},
-	// One WRITE returns the bucket; the client checks its key word.
+	// One WRITE gathers the bucket's [keyCtrl, valAddr] and the header of
+	// the extent named; the client checks the key word and the address.
 	{"probe", 2, 2, 2, func(h *shapeRig) (*chain, func() []byte) {
 		o := NewProbePool(h.b, h.trig, h.resp(true)).Ctxs[0]
+		o.Extent, _, _ = h.table.Lookup(1)
 		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, h.buf) }
 	}},
 }
@@ -195,13 +200,15 @@ func hintedShape(fn int) shapeBuild {
 
 // setShape builds one pooled set context. Arm only reserves the staging
 // extent; TriggerPayload posts the instance in the shape its claim
-// selects: an overwrite of the resident key 1, or a fresh claim.
-func setShape(overwrite bool) shapeBuild {
+// selects: the key claim of the resident key 1 (extent 0), its hinted
+// overwrite (1: at the extent the table names), or a fresh claim
+// (hopscotch.FreePtr).
+func setShape(ext uint64) shapeBuild {
 	return func(h *shapeRig) (*chain, func() []byte) {
 		o := NewSetPool(h.b, h.trig, h.resp(false), 64, nil).Ctxs[0]
-		claim := SetClaim{BucketAddr: h.bucket, New: ClaimPendingCtrl(1)}
-		if overwrite {
-			claim.Expect, claim.New = ClaimCtrl(1), ClaimCtrl(1)
+		claim := SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: ClaimCtrl(1), Extent: ext}
+		if ext == 1 {
+			claim.Extent, _, _ = h.table.Lookup(1)
 		}
 		return &o.chain, func() []byte {
 			o.Arm(1)

@@ -243,7 +243,7 @@ func TestLookupSeqFindsSecondBucket(t *testing.T) {
 // gathers only the extent it was given: a key at H2 answers a probe of
 // H2 at its extent with its key word, that extent and its value; a
 // probe of H1, whose bucket is empty, answers at once too, with the
-// empty bucket's words [0, 0] and the bytes at the extent it was given,
+// empty bucket's words [0, FreePtr] and the bytes at the extent it was given,
 // which the client discards; and a two-probe instance armed after them
 // probes H1 first again.
 func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
@@ -262,8 +262,8 @@ func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
 	}
 	o.ArmProbe(0, addr)
 	got, word, va, lat := doHintedGet(t, h, o, cliQP, 77, n)
-	if word != 0 || va != 0 || string(got) != string(val) || lat > 10*sim.Microsecond {
-		t.Fatalf("probe of H1 answered %q, words [%#x, %#x] after %v; want the empty bucket's [0, 0] and the given extent's bytes in one round trip",
+	if word != 0 || va != hopscotch.FreePtr || string(got) != string(val) || lat > 10*sim.Microsecond {
+		t.Fatalf("probe of H1 answered %q, words [%#x, %#x] after %v; want the empty bucket's [0, FreePtr] and the given extent's bytes in one round trip",
 			got, word, va, lat)
 	}
 	o.Arm()

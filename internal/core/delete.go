@@ -15,49 +15,49 @@ import (
 // machinery covers all three without the host CPU. A client delete is
 // one SEND whose payload is scattered into a chain posted for it:
 //
-//	RECV      scatter claim/cond operands + bucket addr + version
-//	claimCAS  bucket.keyCtrl: NOOP|key -> PENDING|key (the delete claim)
+//	RECV      scatter claim/cond operands + bucket addrs + version
+//	claimCAS  bucket.keyCtrl: NOOP|key -> TOMBSTONE   (the delete claim)
 //	          old bucket word -> unlink.ctrl          (the CAS's own result)
 //	condCAS   unlink.ctrl: NOOP|key -> WRITE|key      (arm iff claimed)
-//	unlink    WRITE bucket.[keyCtrl,valAddr,valLen] -> to-free ring slot
+//	unlink    WRITE [PENDING|key | bucket.[valAddr, valLen]] -> to-free ring slot
 //	verRead   READ unlink.ctrl -> verWr.ctrl          (copy the verdict)
-//	verWr     WRITE 8B version -> bucket.version      (iff claimed)
-//	tombCAS   bucket.keyCtrl: PENDING|key -> TOMBSTONE (finalize)
-//	WAIT      tombCAS                                 (on the ack's queue)
+//	verWr     WRITE [FreePtr, 0, version]
+//	          -> bucket.[valAddr, valLen, version]    (iff claimed)
+//	WAIT      verWr                                   (on the ack's queue)
 //	ack       WRITE unlink.ctrl -> client ack buffer  (the verdict)
 //
-// The claim parks the bucket on the per-key PENDING word
-// (hopscotch.PendingCtrl) — the same claimed-but-unpublished marker
-// fresh set claims use, and for the same reason: a lookup chain's
-// probe READ injects bucket words verbatim into its response WQE, so
-// the parked word must stay an inert NOOP or a concurrent get would
-// execute it and serve the extent being retired. The claim's result
-// buffer is the unlink WQE's control word, so the bucket's OLD word
-// lands there, and condCAS flips it to an executable WRITE exactly when
-// it is the live occupant NOOP|key — when the claim succeeded — the set
-// chain's conditional idiom, safe for the same reason: every word a
-// bucket can hold has the NOOP opcode (hopscotch's "inert under
-// injection" rule). A failed claim (key absent, already tombstoned, or
-// a racing writer) leaves that inert word in place and the chain falls
-// through to its ack: no unlink, no version stamp, a refusal the client
-// reads one round trip later. Gets during the pending window miss —
-// they linearize after the delete.
+// The claim tombstones the bucket at once, so gets miss from then on —
+// they linearize after the delete. Its result buffer is the unlink
+// WQE's control word, so the bucket's OLD word lands there, and condCAS
+// flips it to an executable WRITE exactly when it is the live occupant
+// NOOP|key — when the claim succeeded — the set chain's conditional
+// idiom, safe for the same reason: every key word a bucket can hold has
+// the NOOP opcode (hopscotch's "inert under injection" rule). A failed
+// claim (key absent, already tombstoned, or a racing writer) leaves
+// that inert word in place and the chain falls through to its ack: no
+// unlink, no version stamp, a refusal the client reads one round trip
+// later. Until verWr lands, the tombstone still names the deleted
+// extent, not hopscotch.FreePtr, which holds the bucket as a claim in
+// flight would: no fresh claim's pointer CAS can take it, and no host
+// write places into it.
 //
-// The unlink WRITE copies the bucket's first three words — the claimed
-// (pending) key word plus [valAddr, valLen] — onto a slot of the
-// server's to-free ring before tombCAS retires the bucket; the host GC
-// drains the ring into the extent arena at its leisure, using the key
-// word to verify the extent still belongs to the deleted key before
-// freeing. So a straggling chain from a timed-out delete that deposits
-// an extent a newer chain already deposited is a counted stale no-op —
-// whether the address is already gone or recycled to another key.
+// The unlink WRITE gathers the deleted key's pending word (a tag the
+// instance's args carry) and the bucket's [valAddr, valLen] onto a slot
+// of the server's to-free ring; the host GC drains the ring into the
+// extent arena at its leisure, using the tag to verify the extent still
+// belongs to the deleted key before freeing. So a straggling chain from
+// a timed-out delete that deposits an extent a newer chain already
+// deposited is a counted stale no-op — whether the address is already
+// gone or recycled to another key.
 //
 // verRead/verWr stamp the delete's version (the coordinator's quorum
 // sequence, scattered into a per-instance args word) onto the bucket's
 // version word, so a tombstone is ordered against live replicas: the
 // repair subsystem compares versions to decide whether an absent key
-// means "deleted at seq v" or "never saw the write". The WRITE is
-// conditionally armed exactly like the unlink — verRead copies
+// means "deleted at seq v" or "never saw the write". The same WRITE
+// points the bucket at FreePtr, as every free bucket, after the unlink
+// has copied the old pointer out: the bucket is free from then on. The
+// WRITE is conditionally armed exactly like the unlink — verRead copies
 // unlink.ctrl (WRITE|key iff the claim succeeded, an inert NOOP-family
 // word otherwise) onto verWr's control word — so a failed claim stamps
 // nothing. The ack is the set chain's: an unconditional WRITE of
@@ -78,10 +78,10 @@ type DeleteOffload struct {
 	Ring     *extent.FreeRing
 	slotBase uint64
 
-	w2 *rnic.QP // managed chain ring: claim, conditional arm, verdict copy, tombstone
+	w2 *rnic.QP // managed chain ring: claim, conditional arm, verdict copy
 	w3 *rnic.QP // managed ring for the unlink + version WRITEs
 
-	args uint64 // the instances' version words (chain.argsBuf)
+	args uint64 // the instances' args buffers (chain.argsBuf, delArgs)
 }
 
 // A delete's steps after the claim and its conditional, in sequencing
@@ -90,20 +90,26 @@ const (
 	dlUnlink = iota + wCond + 1
 	dlVerRead
 	dlVerWr
-	dlTomb
 	dlAck
 )
 
+// A delete instance's args buffer: verWr's source [FreePtr, 0, version],
+// the unlink's tag, and the unlink's gather list, {tag, 8} then the
+// bucket's {[valAddr, valLen], 16}.
+const (
+	delTag   = 24
+	delList  = 32
+	delArgs  = 64
+	delValAt = delList + 16 // the gather entry the trigger aims at the bucket
+)
+
 // deleteLayout is the delete's trigger layout. The claim expects
-// NOOP|key (the live occupant) and installs the per-key pending word
-// (opNew), which the tombstone CAS then retires.
+// NOOP|key (the live occupant) and installs the tombstone.
 var deleteLayout = []slot{
-	{wClaim, wqe.OffCmp, opNoop}, {wClaim, wqe.OffSwap, opNew}, {wClaim, wqe.OffDst, opBucket},
+	{wClaim, wqe.OffCmp, opNoop}, {wClaim, wqe.OffSwap, opTomb}, {wClaim, wqe.OffDst, opBucket},
 	// The conditional arm compares against the word a successful claim REPLACED.
 	{wCond, wqe.OffCmp, opNoop}, {wCond, wqe.OffSwap, opWrite},
-	{dlUnlink, wqe.OffSrc, opBucket}, // [keyCtrl, valAddr, valLen]
-	{argsWord, 0, opVer}, {dlVerWr, wqe.OffDst, opVerAddr},
-	{dlTomb, wqe.OffCmp, opNew}, {dlTomb, wqe.OffSwap, opTomb}, {dlTomb, wqe.OffDst, opBucket},
+	{argsWord, delValAt, opValAddr}, {argsWord, 16, opVer}, {dlVerWr, wqe.OffDst, opValAddr},
 }
 
 // NewDeletePool builds K = len(resp) delete contexts over the trig
@@ -113,10 +119,17 @@ func NewDeletePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*DeleteOffl
 	ring := extent.NewFreeRing(b.Dev.Mem(), deleteRingSlots*len(resp))
 	return newPool(b, trig, resp, func(i int, cb *Builder, r *rnic.QP) *DeleteOffload {
 		o := &DeleteOffload{chain: newChain(cb, trig, r), Ring: ring, slotBase: uint64(i) * deleteRingSlots}
-		o.args = o.newArgs(8)
-		// w2 holds claim, conditional arm, verdict copy and tombstone,
-		// w3 unlink and verWr; ring wrap needs 2x.
-		o.w2 = o.ring(2*4+4, -1)
+		o.args = o.newArgs(delArgs)
+		m := cb.Dev.Mem()
+		for a := o.args; a < o.args+argsRing*delArgs; a += delArgs {
+			m.PutU64(a, hopscotch.FreePtr)
+			m.PutU64(a+delList, a+delTag)
+			m.PutU64(a+delList+8, 8)
+			m.PutU64(a+delValAt+8, 16)
+		}
+		// w2 holds claim, conditional arm and verdict copy, w3 unlink and
+		// verWr; ring wrap needs 2x.
+		o.w2 = o.ring(2*3+4, -1)
 		o.w3 = o.ring(16, -1)
 		return o
 	})
@@ -131,21 +144,21 @@ func NewDeletePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*DeleteOffl
 func (o *DeleteOffload) TriggerPayload(key, bucket, ver, ackAddr uint64) []byte {
 	b := o.B
 	ringSlot := o.Ring.SlotAddr(o.slotBase + o.armed%deleteRingSlots)
-	// unlink copies the bucket's [keyCtrl, valAddr, valLen] onto the ring
-	// slot; its control word is the verdict (see claim). verWr stamps the
-	// delete's version (scattered into args) onto the bucket's version
-	// word; verRead arms it with the verdict, so it fires only on a
-	// successful claim.
-	in := instance{args: o.argsBuf(o.args, 8)}
+	// unlink gathers the key's tag and the bucket's [valAddr, valLen]
+	// onto the ring slot; its control word is the verdict (see claim).
+	// verWr lands the free pointer and the delete's version (scattered
+	// into args) over the bucket's pointer words; verRead arms it with
+	// the verdict, so it fires only on a successful claim.
+	in := instance{args: o.argsBuf(o.args, delArgs)}
+	b.Dev.Mem().PutU64(in.args+delTag, hopscotch.PendingCtrl(key))
 	s := &in.steps
-	s[dlUnlink] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Dst: ringSlot, Len: 24, Flags: wqe.FlagSignaled})
-	s[dlVerWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 8, Flags: wqe.FlagSignaled})
+	s[dlUnlink] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args + delList, Count: 2, Dst: ringSlot,
+		Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
+	s[dlVerWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 24, Flags: wqe.FlagSignaled})
 	o.claim(&in, o.w2, dlUnlink)
 	s[dlVerRead] = b.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Src: s[dlUnlink].FieldAddr(wqe.OffCtrl),
 		Dst: s[dlVerWr].FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
-	s[dlTomb] = b.cond(o.w2, 0, 0, 0, 0)
 	o.ack(&in, dlAck, dlUnlink, key, ackAddr)
 	o.fire(deleteLayout, &in, s[:dlAck+1])
-	return o.payload(deleteLayout, key, operands{opNew: hopscotch.PendingCtrl(key), opBucket: bucket,
-		opVerAddr: bucket + hopscotch.OffVersion, opVer: ver})
+	return o.payload(deleteLayout, key, operands{opBucket: bucket, opValAddr: bucket + hopscotch.OffValAddr, opVer: ver})
 }

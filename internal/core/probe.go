@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
 	"repro/internal/wqe"
@@ -14,21 +15,25 @@ import (
 // question — the whole point of RedN is that the NIC can answer. A
 // probe is one SEND scattered into a pre-armed one-verb chain:
 //
-//	RECV  scatter bucket addr + response addr onto the WRITE
-//	resp  WRITE 32B bucket -> client   ([keyCtrl, valAddr, valLen, version])
+//	RECV  scatter bucket addr + header addr + response addr onto the WRITE
+//	resp  WRITE [bucket 16B | header 16B] -> client
+//	      ([keyCtrl, valAddr, version, valLen])
 //
-// The NIC decides nothing: the WRITE returns the whole bucket, stamped
-// with the probed key in its id field for client-side demultiplexing,
-// and the client compares the bucket's key/control word with
-// ClaimCtrl(key) itself. A bucket that holds another key, a tombstone
-// or a pending word answers too, so a probe miss is known in one round
-// trip instead of at the client's deadline. A 32 B read is not atomic
-// against a racing write, so the key word and the version may come from
-// two writes; the version is a hint, which the coordinator re-checks
-// against its own view before it repairs anything.
+// The NIC decides nothing: the WRITE gathers the bucket's key word and
+// value pointer, then the [version, length] header stored just before
+// the value extent the coordinator expects the bucket to name (Extent),
+// stamped with the probed key in its id field for client-side
+// demultiplexing. The client accepts the version iff the key word is
+// ClaimCtrl(key) and the pointer is Extent: the bucket is gathered
+// first, so a bucket that names Extent named it before the header was
+// read. A bucket that holds another key, a tombstone, a pending word or
+// another extent answers too, so a probe miss is known in one round
+// trip instead of at the client's deadline. The version is a hint,
+// which the coordinator re-checks against its own view before it
+// repairs anything.
 //
 // Cost per armed probe: 2 data WRs (RECV, WRITE), both managed fetches,
-// and 2 sync WRs (WAIT on the trigger, ENABLE of the response) — half a
+// and 2 sync WRs (WAIT on the trigger, ENABLE of the response) — a
 // hinted get's fetches, and no host involvement at all, which is what
 // makes read-repair affordable on replicated gets.
 
@@ -36,34 +41,51 @@ import (
 // of a client connection's probe path; its Resp carries the answer.
 type ProbeOffload struct {
 	chain
+	// Extent is the value extent the next TriggerPayload expects the
+	// probed bucket to name: the probe gathers the header before it.
+	Extent uint64
+	lists  uint64 // the instances' gather lists (chain.argsBuf)
 }
 
-// probeLayout is the version probe's trigger layout: the one step's
-// source (the bucket) and destination (the client's answer buffer).
-var probeLayout = []slot{{0, wqe.OffSrc, opBucket}, {0, wqe.OffDst, opResp}}
+// A probe's gather list is two entries: {bucket, 16}, the bucket's
+// [keyCtrl, valAddr], then {header, 16}. The trigger scatters both
+// addresses; the lengths are carved in.
+const probeListBytes = 32
+
+// probeLayout is the version probe's trigger layout: the two addresses
+// its one step gathers and its destination (the client's answer buffer).
+var probeLayout = []slot{{argsWord, 0, opBucket}, {argsWord, 16, opExtent}, {0, wqe.OffDst, opResp}}
 
 // NewProbePool builds K = len(resp) probe contexts over the trig
 // connection; resp carry the answers, and must be managed: the trigger
 // rewrites the WRITE they hold.
 func NewProbePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*ProbeOffload] {
 	return newPool(b, trig, resp, func(_ int, cb *Builder, r *rnic.QP) *ProbeOffload {
-		return &ProbeOffload{chain: newChain(cb, trig, r)}
+		o := &ProbeOffload{chain: newChain(cb, trig, r)}
+		o.lists = o.newArgs(probeListBytes)
+		for list := o.lists; list < o.lists+argsRing*probeListBytes; list += probeListBytes {
+			cb.Dev.Mem().PutU64(list+8, 16)
+			cb.Dev.Mem().PutU64(list+24, extent.HeadBytes)
+		}
+		return o
 	})
 }
 
 // TriggerPayload posts and fires a probe of key in the bucket at bucket,
-// answering the whole bucket into the client-side respAddr,
-// and returns the SEND payload that drives it: the context's own
-// buffer, overwritten by its next TriggerPayload. Re-posting models the
-// client rewriting the registered code region over RDMA (§3.5), so
+// answering [keyCtrl, valAddr, version, valLen] — the bucket's first two
+// words and the header of the value at Extent — into the client-side
+// respAddr, and returns the SEND payload that drives it: the context's
+// own buffer, overwritten by its next TriggerPayload. Re-posting models
+// the client rewriting the registered code region over RDMA (§3.5), so
 // probes, too, survive host failures that leave the NIC alive. The
-// coordinator computes the bucket from its view of the replica's table,
-// as set and delete claims are computed; a stale view answers a bucket
-// whose key word is not the key's.
+// coordinator computes the bucket and its extent from its view of the
+// replica's table, as set and delete claims are computed; a stale view
+// answers a bucket whose key word is not the key's or that names
+// another extent.
 func (o *ProbeOffload) TriggerPayload(key, bucket, respAddr uint64) []byte {
-	var in instance
-	in.steps[0] = o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask, Len: hopscotch.BucketSize,
-		Flags: wqe.FlagSignaled})
+	in := instance{args: o.argsBuf(o.lists, probeListBytes)}
+	in.steps[0] = o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask, Src: in.args, Count: 2,
+		Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
 	o.fire(probeLayout, &in, in.steps[:1])
-	return o.payload(probeLayout, key, operands{opBucket: bucket, opResp: respAddr})
+	return o.payload(probeLayout, key, operands{opBucket: bucket, opExtent: o.Extent - extent.HeadBytes, opResp: respAddr})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hopscotch"
@@ -83,12 +84,12 @@ func (h *writeHarness) fire(t *testing.T, qp, resp, cond *rnic.QP, key uint64, p
 	return run
 }
 
-// doSet arms one set instance claiming key's first candidate bucket
-// under claim's operands and runs it.
-func (h *writeHarness) doSet(t *testing.T, key, expect, install, ver uint64) (run chainRun, staging uint64) {
+// doSet arms one set instance under claim, aimed at key's first
+// candidate bucket, and runs it.
+func (h *writeHarness) doSet(t *testing.T, key uint64, claim SetClaim, ver uint64) (run chainRun, staging uint64) {
 	t.Helper()
 	staging = h.set.Arm(key)
-	claim := SetClaim{BucketAddr: h.bucket(key), Expect: expect, New: install}
+	claim.BucketAddr = h.bucket(key)
 	run = h.fire(t, h.setQP, h.set.Resp, h.set.w3, key,
 		h.set.TriggerPayload(key, claim, writeValLen, ver, h.ack))
 	return run, staging
@@ -123,83 +124,105 @@ func (h *writeHarness) put(addr uint64, w [4]uint64) {
 }
 
 // bucketStates are the kinds of word a bucket can hold (a resident twice:
-// this key and another), with the pointer words an earlier occupant left.
+// this key and another, a delete's claim in flight), with the pointer
+// words an occupant left: a free bucket names the free pointer.
 func bucketStates(key uint64) map[string][4]uint64 {
 	return map[string][4]uint64{
-		"empty":     {0, 0, 0, 0},
-		"tombstone": {hopscotch.Tombstone, 0x5000, 32, 9},
+		"empty":     {0, hopscotch.FreePtr, 0, 0},
+		"tombstone": {hopscotch.Tombstone, hopscotch.FreePtr, 0, 9},
 		"pending":   {hopscotch.PendingCtrl(key), 0x5000, 32, 9},
 		"resident":  {ClaimCtrl(key), 0x5000, 32, 9},
 		"foreign":   {ClaimCtrl(key + 1), 0x5000, 32, 9},
 	}
 }
 
-// The set chain's verdict is the claim CAS's own result: applied exactly
-// when the bucket held claim.Expect, in which case the bucket ends
-// published and repointed at the staging extent and the ack carries
-// WRITE|key; refused otherwise, the ack carrying the word that was in
-// the way and the pointer words untouched. Every bucket word meets both
-// shapes: an overwrite (no pubCAS) and a fresh claim. A refused
-// overwrite posts nothing that could write the bucket, so it must leave
-// all four words as they were. Every case runs once per kind of ack
-// queue, to the same verdict and exactly one ack.
+// The set chain's verdict is its deciding CAS's own result, in each of
+// the three shapes a claim selects, against every word a bucket can
+// hold. The key claim (no extent) applies exactly when the bucket holds
+// NOOP|key: the bucket ends repointed, with the length and version, and
+// the ack carries WRITE|key. The hinted overwrite applies exactly when
+// the bucket names the expected extent: only the pointer moves, and the
+// ack carries the pointer found. The fresh claim takes the free
+// pointer, which arms its publishing WRITE: the ack carries the word its
+// pointer CAS found, the free pointer iff it published. A refusal
+// changes no bucket word. Every case runs once per kind of ack queue, to
+// the same verdict and exactly one ack.
 func TestSetChainVerdicts(t *testing.T) {
 	const key = 42
-	pending, resident := ClaimPendingCtrl(key), ClaimCtrl(key)
+	resident, free := ClaimCtrl(key), hopscotch.FreePtr
 	applied := wqe.MakeCtrl(wqe.OpWrite, key)
+	keyClaim := SetClaim{Expect: resident, New: resident}
+	hinted := SetClaim{Extent: 0x5000}
+	fresh := SetClaim{Extent: free}
+	const staged = 1 // stands for the staging extent in want
 	cases := []struct {
-		name, state     string
-		expect, install uint64
-		applied         bool
+		name    string
+		before  [4]uint64
+		claim   SetClaim
+		verdict uint64
+		after   [4]uint64 // staged: the instance's staging extent
+		conds   []wqe.Opcode
+		applied bool
 	}{
-		// Expect == 0 is the one claim whose success value is also what
-		// valWr's control word was posted as: the CAS must have written it.
-		{"fresh claim of an empty bucket", "empty", 0, pending, true},
-		{"fresh claim of a tombstone", "tombstone", hopscotch.Tombstone, pending, true},
-		{"overwrite of the resident", "resident", resident, resident, true},
-		// A straggler's leftover claim: the bucket holds the very word this
-		// claim would install, and a check of the bucket afterwards could
-		// not tell that this chain did not put it there.
-		{"fresh claim against a leftover pending word", "pending", 0, pending, false},
-		{"fresh claim of a taken bucket", "foreign", 0, pending, false},
-		{"overwrite of a deleted key", "tombstone", resident, resident, false},
-		{"overwrite of a vanished key", "empty", resident, resident, false},
-		{"overwrite of a key mid-claim", "pending", resident, resident, false},
-		{"overwrite of a taken bucket", "foreign", resident, resident, false},
-		{"fresh claim of a resident key", "resident", 0, pending, false},
+		{name: "overwrite of the resident", before: bucketStates(key)["resident"], claim: keyClaim, verdict: applied,
+			after: [4]uint64{resident, staged, writeValLen, 17}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
+		{name: "overwrite of a deleted key", before: bucketStates(key)["tombstone"], claim: keyClaim,
+			verdict: hopscotch.Tombstone, conds: []wqe.Opcode{wqe.OpNoop}},
+		{name: "overwrite of a vanished key", before: bucketStates(key)["empty"], claim: keyClaim,
+			verdict: 0, conds: []wqe.Opcode{wqe.OpNoop}},
+		{name: "overwrite of a key mid-claim", before: bucketStates(key)["pending"], claim: keyClaim,
+			verdict: hopscotch.PendingCtrl(key), conds: []wqe.Opcode{wqe.OpNoop}},
+		{name: "overwrite of a taken bucket", before: bucketStates(key)["foreign"], claim: keyClaim,
+			verdict: resident + 1, conds: []wqe.Opcode{wqe.OpNoop}},
+
+		{name: "hinted overwrite of the resident", before: bucketStates(key)["resident"], claim: hinted, verdict: 0x5000,
+			after: [4]uint64{resident, staged, 32, 9}, applied: true},
+		{name: "a late overwrite after a newer write is refused and changes no bucket word",
+			before: [4]uint64{resident, 0x6000, 32, 10}, claim: hinted, verdict: 0x6000},
+		{name: "hinted overwrite of a deleted key", before: bucketStates(key)["tombstone"], claim: hinted, verdict: free},
+		{name: "hinted overwrite of a vanished key", before: bucketStates(key)["empty"], claim: hinted, verdict: free},
+
+		{name: "fresh claim of an empty bucket", before: bucketStates(key)["empty"], claim: fresh, verdict: free,
+			after: [4]uint64{resident, staged, 0, 0}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
+		{name: "fresh claim of a tombstone", before: bucketStates(key)["tombstone"], claim: fresh,
+			verdict: free, after: [4]uint64{resident, staged, 0, 9}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
+		// The pointer CAS lost to the occupant's pointer, an address: the
+		// publish stays a NOOP, and the verdict is that address.
+		{name: "fresh claim of a taken bucket", before: bucketStates(key)["foreign"], claim: fresh,
+			verdict: 0x5000, conds: []wqe.Opcode{wqe.OpNoop}},
+		{name: "fresh claim of a resident key", before: bucketStates(key)["resident"], claim: fresh,
+			verdict: 0x5000, conds: []wqe.Opcode{wqe.OpNoop}},
+		{name: "fresh claim of a bucket another claim's pointer took", before: [4]uint64{0, 0x7000, 0, 0}, claim: fresh,
+			verdict: 0x7000, conds: []wqe.Opcode{wqe.OpNoop}},
+		// A straggler's leftover claim names its own pointer, not the free
+		// one: the pointer CAS refuses it.
+		{name: "fresh claim against a leftover pending word", before: bucketStates(key)["pending"], claim: fresh,
+			verdict: 0x5000, conds: []wqe.Opcode{wqe.OpNoop}},
+		{name: "fresh claim of a bucket a delete still holds", before: [4]uint64{hopscotch.Tombstone, 0x5000, 32, 9},
+			claim: fresh, verdict: 0x5000, conds: []wqe.Opcode{wqe.OpNoop}},
 	}
 	for _, q := range ackQueues {
 		for _, c := range cases {
 			t.Run(q.prefix+c.name, func(t *testing.T) {
 				h := newWriteHarness(t, q.managed)
-				before := bucketStates(key)[c.state]
-				h.put(h.bucket(key), before)
-				run, staging := h.doSet(t, key, c.expect, c.install, 17)
+				h.put(h.bucket(key), c.before)
+				run, staging := h.doSet(t, key, c.claim, 17)
 				checkAnswered(t, run)
-				after := h.words(h.bucket(key))
+				if run.verdict != c.verdict {
+					t.Fatalf("verdict %#x, want %#x", run.verdict, c.verdict)
+				}
+				want := c.before
 				if c.applied {
-					if run.verdict != applied {
-						t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
-					}
-					if want := [4]uint64{resident, staging, writeValLen, 17}; after != want {
-						t.Fatalf("bucket %#x, want %#x", after, want)
-					}
-					if len(run.conds) != 1 || run.conds[0] != wqe.OpWrite {
-						t.Fatalf("valWr executed as %v, want one WRITE", run.conds)
-					}
-					return
+					want = c.after
 				}
-				if run.verdict != before[0] {
-					t.Fatalf("verdict %#x, want the word that refused the claim %#x", run.verdict, before[0])
+				if want[1] == staged {
+					want[1] = staging
 				}
-				if after[1] != before[1] || after[2] != before[2] || after[3] != before[3] {
-					t.Fatalf("refused claim moved the bucket's pointer words: %#x -> %#x", before, after)
+				if after := h.words(h.bucket(key)); after != want {
+					t.Fatalf("bucket %#x -> %#x, want %#x", c.before, after, want)
 				}
-				if c.install == resident && after != before {
-					t.Fatalf("refused overwrite changed the bucket: %#x -> %#x", before, after)
-				}
-				if len(run.conds) != 1 || run.conds[0] != wqe.OpNoop {
-					t.Fatalf("valWr executed as %v under bucket word %#x, want one NOOP", run.conds, before[0])
+				if !slices.Equal(run.conds, c.conds) {
+					t.Fatalf("the conditional ring executed %v, want %v", run.conds, c.conds)
 				}
 			})
 		}
@@ -220,7 +243,8 @@ func checkAnswered(t *testing.T, run chainRun) {
 
 // The delete chain's verdict, likewise: applied exactly when the bucket
 // held the live occupant NOOP|key — the bucket ends a tombstone stamped
-// with the delete's version and its extent is on the to-free ring.
+// with the delete's version, naming the free pointer, and its extent is
+// on the to-free ring under the key's pending word.
 // Every other word refuses, deposits nothing and stamps nothing, and
 // executes as a NOOP on both conditional WQEs. Every state runs once
 // per kind of ack queue.
@@ -241,8 +265,8 @@ func TestDeleteChainVerdicts(t *testing.T) {
 					if run.verdict != applied {
 						t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
 					}
-					if after[0] != hopscotch.Tombstone || after[3] != 23 {
-						t.Fatalf("bucket %#x, want a tombstone at version 23", after)
+					if after[0] != hopscotch.Tombstone || after[1] != hopscotch.FreePtr || after[3] != 23 {
+						t.Fatalf("bucket %#x, want a tombstone naming the free pointer at version 23", after)
 					}
 					if want := [3]uint64{hopscotch.PendingCtrl(key), before[1], before[2]}; len(freed) != 1 || freed[0] != want {
 						t.Fatalf("to-free ring holds %#x, want one deposit %#x", freed, want)

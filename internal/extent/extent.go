@@ -14,6 +14,11 @@
 // freed — no reader still holding its pointer — is the caller's
 // business (the root package's retire queue).
 //
+// A value arena (NewValueArena) reserves HeadBytes before every extent
+// for the value's [version, length] header, so a value is
+// self-describing: whoever stores it writes the header with its bytes,
+// and a reader holding only the pointer reads both.
+//
 // Everything runs in virtual time on the single-threaded simulation
 // engine; the arena needs no locking, only exact accounting — which
 // the property tests in this package pin down.
@@ -30,7 +35,26 @@ import (
 // back little memory.
 const defaultChunk = 4 << 10
 
-// record is one extent: live, or free on its size's stack.
+// HeadBytes is the header a value arena's extent carries just before
+// its value: the value's version, then its length, one word each.
+const HeadBytes = 16
+
+// Head reads the [version, length] header of the value at va.
+func Head(m *mem.Memory, va uint64) (ver, n uint64) {
+	ver, _ = m.U64(va - HeadBytes)
+	n, _ = m.U64(va - 8)
+	return ver, n
+}
+
+// PutHead writes the [version, length] header of the value at va.
+func PutHead(m *mem.Memory, va, ver, n uint64) {
+	m.PutU64(va-HeadBytes, ver)
+	m.PutU64(va-8, n)
+}
+
+// record is one extent: live, or free on its size's stack. addr is
+// the address Alloc returned, past the extent's head; size is what the
+// value may hold.
 type record struct {
 	addr   uint64
 	size   uint64
@@ -51,6 +75,7 @@ type class struct {
 type Arena struct {
 	mem   *mem.Memory
 	chunk uint64
+	head  uint64 // bytes each extent reserves before its address
 
 	byAddr  map[uint64]*record // every extent carved (live or free), indexed once
 	classes map[uint64]*class  // by extent size
@@ -77,16 +102,25 @@ func NewArena(m *mem.Memory, chunk uint64) *Arena {
 	return &Arena{mem: m, chunk: chunk, byAddr: make(map[uint64]*record), classes: make(map[uint64]*class)}
 }
 
+// NewValueArena builds an arena whose extents each reserve HeadBytes
+// for a value header before the address Alloc returns: the arena of a
+// server's stored values.
+func NewValueArena(m *mem.Memory, chunk uint64) *Arena {
+	a := NewArena(m, chunk)
+	a.head = HeadBytes
+	return a
+}
+
 // SetNoReclaim switches the arena into leak-forever mode: frees still
 // account (live bytes stay truthful) but a freed extent is forgotten,
 // never reused, so the footprint tracks cumulative allocation — the
 // pre-lifecycle behavior the churn experiment baselines against.
 func (a *Arena) SetNoReclaim(v bool) { a.noReclaim = v }
 
-// Alloc reserves size bytes (8-aligned) for a value extent and returns
-// its base address: the most recently freed extent of that size, or a
-// fresh one from the size's chunk. cookie is an opaque owner tag (the
-// service stores the key).
+// Alloc reserves size bytes (8-aligned) for a value extent, past the
+// arena's head, and returns their address: the most recently freed
+// extent of that size, or a fresh one from the size's chunk. cookie is
+// an opaque owner tag (the service stores the key).
 func (a *Arena) Alloc(size, cookie uint64) uint64 {
 	if size == 0 {
 		size = 8
@@ -104,7 +138,7 @@ func (a *Arena) Alloc(size, cookie uint64) uint64 {
 		r = a.carve(c, size)
 	}
 	r.cookie, r.live = cookie, true
-	a.liveBytes += size
+	a.liveBytes += size + a.head
 	if a.liveBytes > a.peakLive {
 		a.peakLive = a.liveBytes
 	}
@@ -115,30 +149,31 @@ func (a *Arena) Alloc(size, cookie uint64) uint64 {
 // carve makes the next extent of c's chunk, carving a fresh chunk (and
 // its records, one Go object) when the current one is used up.
 func (a *Arena) carve(c *class, size uint64) *record {
+	stride := size + a.head
 	if len(c.recs) == 0 {
-		n := max(1, a.chunk/size)
-		c.next = a.mem.Alloc(n*size, 8)
+		n := max(1, a.chunk/stride)
+		c.next = a.mem.Alloc(n*stride, 8)
 		c.recs = make([]record, n)
-		a.footprint += n * size
+		a.footprint += n * stride
 	}
 	r := &c.recs[0]
 	c.recs = c.recs[1:]
-	*r = record{addr: c.next, size: size}
-	c.next += size
+	*r = record{addr: c.next + a.head, size: size}
+	c.next += stride
 	a.byAddr[r.addr] = r
 	return r
 }
 
 // Free returns the extent at addr to the arena. Freeing an address
-// that is not a live extent base is an error — the double-free/bad-free
-// signal the property tests assert on.
+// Alloc did not return for a live extent is an error — the
+// double-free/bad-free signal the property tests assert on.
 func (a *Arena) Free(addr uint64) error {
 	r, ok := a.live(addr)
 	if !ok {
 		return fmt.Errorf("extent: free of %#x: not a live extent", addr)
 	}
 	r.live = false
-	a.liveBytes -= r.size
+	a.liveBytes -= r.size + a.head
 	a.frees++
 	if a.noReclaim {
 		delete(a.byAddr, addr)
@@ -156,7 +191,7 @@ func (a *Arena) live(addr uint64) (*record, bool) {
 }
 
 // Size returns the allocated capacity of the live extent at addr (its
-// rounded Alloc size, not the value length stored in it).
+// rounded Alloc size, not the value length stored in it, nor its head).
 func (a *Arena) Size(addr uint64) (uint64, bool) {
 	if r, ok := a.live(addr); ok {
 		return r.size, true
@@ -175,7 +210,7 @@ func (a *Arena) Cookie(addr uint64) (uint64, bool) {
 // Stats is an arena accounting snapshot.
 type Stats struct {
 	LiveExtents int    // live extent count
-	LiveBytes   uint64 // bytes in live extents (allocated capacity)
+	LiveBytes   uint64 // bytes in live extents (allocated capacity and head)
 	PeakLive    uint64 // high-water live bytes — the working-set size
 	Footprint   uint64 // bytes carved from node memory (its own high water: never returned)
 }

@@ -77,6 +77,19 @@ func PendingCtrl(key uint64) uint64 {
 // NOOP anywhere self-modifying machinery copies it.
 var Tombstone = wqe.MakeCtrl(wqe.OpNoop, TombstoneID)
 
+// FreePtr is the value pointer every free bucket — empty or tombstoned —
+// holds, and no resident's can: its opcode bits are a WRITE, and every
+// address is below them. A fabric fresh claim (internal/core) swaps it
+// for its staging extent with one CAS, whose returned word lands on the
+// control field of the claim's publishing WRITE: the free pointer arms
+// that WRITE, any address (the bucket was taken first) leaves it a
+// NOOP. Where a bucket word is inert under injection, this pointer is
+// executable on purpose. A bucket whose key word is free but whose
+// pointer is not is held by a fabric claim or delete in flight: the
+// host neither places into it nor walks through it (FreeAt), as with a
+// pending word.
+var FreePtr = wqe.MakeCtrl(wqe.OpWrite, 0)
+
 // ErrFull reports that neither candidate neighborhood has room.
 var ErrFull = errors.New("hopscotch: table full (both neighborhoods exhausted)")
 
@@ -96,7 +109,8 @@ type Table struct {
 
 // New allocates a table with nBuckets (rounded up to a power of two)
 // in m, using two hash functions and the given neighborhood size
-// (0 selects DefaultNeighborhood).
+// (0 selects DefaultNeighborhood). Every bucket starts empty, naming
+// FreePtr.
 func New(m *mem.Memory, nBuckets uint64, neighborhood int) *Table {
 	n := uint64(1)
 	for n < nBuckets {
@@ -106,6 +120,9 @@ func New(m *mem.Memory, nBuckets uint64, neighborhood int) *Table {
 		neighborhood = DefaultNeighborhood
 	}
 	base := m.Alloc(n*BucketSize, 64)
+	for addr := base; addr < base+n*BucketSize; addr += BucketSize {
+		m.PutU64(addr+OffValAddr, FreePtr)
+	}
 	return &Table{mem: m, base: base, nBuckets: n, hashes: 2, neighborhood: neighborhood}
 }
 
@@ -175,7 +192,7 @@ func (t *Table) slotFor(key uint64) (uint64, error) {
 				return 0, err
 			}
 			if ctrl == 0 || ctrl == Tombstone {
-				if free == 0 {
+				if free == 0 && t.free(addr) {
 					free = addr
 				}
 				continue
@@ -382,7 +399,7 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, moved []u
 	for kick := 0; ; kick++ {
 		// A free candidate bucket ends the walk.
 		for _, f := range []int{0, 1} {
-			if _, _, _, ok := t.EntryAt(t.Hash(curKey, f)); !ok {
+			if t.FreeAt(t.Hash(curKey, f)) {
 				return false, moved, t.InsertAtV(curKey, curVa, curVl, curVer, f, 0)
 			}
 		}
@@ -392,9 +409,9 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, moved []u
 		// Evict the resident of the fn-th candidate and re-place it at
 		// its own alternate candidate on the next iteration.
 		b := t.Hash(curKey, fn)
-		vk, vva, vvl, _ := t.EntryAt(b)
-		if vk&PendingBit != 0 {
-			return undo(ErrClaimed)
+		vk, vva, vvl, ok := t.EntryAt(b)
+		if !ok || vk&PendingBit != 0 {
+			return undo(ErrClaimed) // neither free nor a resident: a claim holds it
 		}
 		vver := t.VersionAt(b)
 		trail = append(trail, move{bucket: b, kk: vk, va: vva, vl: vvl, ver: vver})
@@ -432,6 +449,19 @@ func (t *Table) EntryAt(i uint64) (key, valAddr, valLen uint64, ok bool) {
 	return key, valAddr, valLen, true
 }
 
+// FreeAt reports whether a new key may take bucket i: its key word is
+// empty or a tombstone, and it names FreePtr. A free key word beside
+// another pointer is held by a fabric claim or delete in flight.
+func (t *Table) FreeAt(i uint64) bool {
+	return t.free(t.BucketAddr(i))
+}
+
+func (t *Table) free(addr uint64) bool {
+	ctrl, _ := t.mem.U64(addr + OffKeyCtrl)
+	va, _ := t.mem.U64(addr + OffValAddr)
+	return (ctrl == 0 || ctrl == Tombstone) && va == FreePtr
+}
+
 // TombstoneAt reports whether bucket i holds a delete tombstone. The
 // write router needs the distinction: claiming a tombstoned bucket
 // CASes against the tombstone word, claiming an empty one against
@@ -466,7 +496,7 @@ func (t *Table) remove(key, ver uint64, stamp bool) (valAddr, valLen uint64, ok 
 	valAddr, _ = t.mem.U64(addr + OffValAddr)
 	valLen, _ = t.mem.U64(addr + OffValLen)
 	t.mem.PutU64(addr+OffKeyCtrl, Tombstone)
-	t.mem.PutU64(addr+OffValAddr, 0)
+	t.mem.PutU64(addr+OffValAddr, FreePtr)
 	t.mem.PutU64(addr+OffValLen, 0)
 	if stamp {
 		t.mem.PutU64(addr+OffVersion, ver)

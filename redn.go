@@ -134,10 +134,11 @@ func newServer(t *Testbed, node *fabric.Node) *Server {
 // use. Every value the server stores — preloads, host-path writes, and
 // the staging extents fabric set chains repoint buckets at — is carved
 // from it, so overwrites and deletes can retire their old extents
-// instead of leaking them.
+// instead of leaking them. Every extent carries the value's
+// [version, length] header just before the address a bucket names.
 func (s *Server) valueArena() *extent.Arena {
 	if s.arena == nil {
-		s.arena = extent.NewArena(s.node.Mem, 0)
+		s.arena = extent.NewValueArena(s.node.Mem, 0)
 		s.retire.arena = s.arena
 	}
 	return s.arena
@@ -219,9 +220,9 @@ func (s *Server) NewHashTable(nBuckets uint64) *HashTable {
 	return &HashTable{srv: s, table: hopscotch.New(s.node.Mem, nBuckets, 0)}
 }
 
-// Set stores key (48-bit) -> value, retiring the key's old extent on
-// overwrite (unless the new bytes fit its allocated capacity in
-// place).
+// Set stores key (48-bit) -> value at version 0, retiring the key's old
+// extent on overwrite (unless the new bytes fit its allocated capacity
+// in place).
 func (h *HashTable) Set(key uint64, value []byte) error {
 	m := h.srv.node.Mem
 	a := h.srv.valueArena()
@@ -232,10 +233,12 @@ func (h *HashTable) Set(key uint64, value []byte) error {
 			if err := m.Write(oldVa, value); err != nil {
 				return err
 			}
+			extent.PutHead(m, oldVa, 0, n)
 			return h.table.Insert(key, oldVa, n)
 		}
 	}
 	addr := a.Alloc(n, key)
+	extent.PutHead(m, addr, 0, n)
 	if err := m.Write(addr, value); err != nil {
 		return err
 	}

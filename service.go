@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/extent"
 	"repro/internal/fabric"
 	"repro/internal/failure"
 	"repro/internal/hopscotch"
@@ -220,8 +221,9 @@ type serviceShard struct {
 	table   *HashTable
 	mode    LookupMode
 	clients []*Client
-	rr      int   // round-robin client cursor
-	ringIdx int32 // position in the ring's node table (-1: not on the ring)
+	rr      int    // round-robin client cursor
+	ringIdx int32  // position in the ring's node table (-1: not on the ring)
+	null    uint64 // MaxValLen bytes no value occupies: what a deleted key's hint gathers
 
 	// The shard's coordinator-side trace track names, built once at
 	// wiring so a traced op concatenates nothing: get attempts, voting
@@ -653,6 +655,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 	srv.valueArena().SetNoReclaim(cfg.NoReclaim)
 	sh := &serviceShard{id: id, stats: ShardStats{ID: id}, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
 		ringIdx: -1, keys: make(map[uint64]ownerKey), lanes: cfg.ClientsPerShard * cfg.Pipeline,
+		null:  srv.node.Mem.Alloc(cfg.MaxValLen, 64),
 		trTry: "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
 		trHint: "hint:" + id, trRepair: "repair:" + id}
 	sh.probeFn = sh.probed
@@ -762,30 +765,18 @@ func (s *Service) Delete(key uint64) bool {
 	return existed && derr == nil
 }
 
+// set stores key -> value at version ver on the host CPU: the bytes and
+// their [version, length] header go to a fresh extent, which the table
+// then names, and the key's old extent retires, as a fabric overwrite's
+// ack retires it. Never in place: a hinted overwrite armed before this
+// one still expects the old extent, and must find it gone.
 func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 	sh.stats.Sets++
-	t := sh.table.table
 	m := sh.srv.node.Mem
 	n := uint64(len(value))
-
-	oldVa, oldVl, hadOld := t.Lookup(key)
-	// Overwrite in place when the key is already stored and the new
-	// bytes fit the extent's allocated capacity (falling back to the
-	// bucket length for extents the arena does not own).
-	if hadOld {
-		fit := oldVl
-		if cap, live := sh.srv.arena.Size(oldVa); live {
-			fit = cap
-		}
-		if n <= fit {
-			if err := m.Write(oldVa, value); err != nil {
-				return err
-			}
-			return t.InsertV(key, oldVa, n, ver)
-		}
-	}
-
+	oldVa, _, hadOld := sh.table.table.Lookup(key)
 	addr := sh.srv.arena.Alloc(n, key)
+	extent.PutHead(m, addr, ver, n)
 	if err := m.Write(addr, value); err != nil {
 		return err
 	}
@@ -800,6 +791,15 @@ func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 		sh.srv.retire.push(oldVa)
 	}
 	return nil
+}
+
+// stored reports key's resident value on sh: the extent its bucket
+// names and the [version, length] header stored with it.
+func (sh *serviceShard) stored(key uint64) (va, ver, n uint64, ok bool) {
+	if va, _, ok = sh.table.table.Lookup(key); ok {
+		ver, n = extent.Head(sh.srv.node.Mem, va)
+	}
+	return va, ver, n, ok
 }
 
 // del removes key on the host CPU — the retirement path for spilled
@@ -836,7 +836,7 @@ func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 		if _, _, resident := t.Lookup(key); resident {
 			return t.InsertV(key, valAddr, valLen, ver)
 		}
-		if _, _, _, ok := t.EntryAt(t.Hash(key, 0)); !ok {
+		if t.FreeAt(t.Hash(key, 0)) {
 			return t.InsertAtV(key, valAddr, valLen, ver, 0, 0)
 		}
 		sh.stats.Spills++

@@ -33,8 +33,17 @@ import (
 // It moved again when a hinted get began gathering the extent its
 // writer installed instead of READing the bucket's pointer first: its
 // chain lost the READ (two managed fetches, not three), and a get whose
-// bucket names another extent re-aims there.
-const exactHistoryHash = 0xe66622a03c0bdc50
+// bucket names another extent re-aims there. It moved again for two
+// changes, each of which moves it alone: a fabric delete began keeping
+// its key's placement hint, so a get of a deleted key reads the
+// tombstone in one round trip instead of two probes and a silent miss
+// (alone, on the previous tree: 0xbc849837c8ce3b07); and writes began
+// publishing by one pointer CAS — an overwrite is RECV + CAS (two
+// managed fetches, not four), a fresh claim's CAS arms its publishing
+// WRITE (three, not five), a delete tombstones at its claim (six, not
+// seven) and values carry their [version, length] header (alone, with
+// every delete still dropping its key's hint: 0x41a91baf1cd9a1f8).
+const exactHistoryHash = 0x2d119bc160a00bdb
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {

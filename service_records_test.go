@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/extent"
 	"repro/internal/failure"
 	"repro/internal/ring"
 	"repro/internal/sim"
@@ -1160,15 +1161,16 @@ func TestHintDrainSurvivesSecondCrash(t *testing.T) {
 	recordsHome(t, s)
 }
 
-// residentBytes sums the arena extents sh's table names: what its arena
-// holds live once a quiesce has returned every retired extent.
+// residentBytes sums the arena extents sh's table names, their headers
+// included: what its arena holds live once a quiesce has returned every
+// retired extent.
 func residentBytes(sh *serviceShard) uint64 {
 	t := sh.table.Table()
 	var n uint64
 	for i := uint64(0); i < t.NumBuckets(); i++ {
 		if _, va, _, ok := t.EntryAt(i); ok {
 			size, _ := sh.srv.arena.Size(va)
-			n += size
+			n += extent.HeadBytes + size
 		}
 	}
 	return n

@@ -3,6 +3,7 @@ package redn
 import (
 	"slices"
 
+	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/sim"
 )
@@ -73,13 +74,13 @@ const aeSegmentDigestLat = 300 * sim.Nanosecond
 func (s *Service) repairEnabled() bool { return s.cfg.Replicas > 1 && !s.cfg.NoRepair }
 
 // ownerState reports the newest versioned state owner holds for key:
-// the resident bucket's version word, or the newest tombstone the
-// coordinator recorded for it (del=true), whichever is newer. ok=false
-// means the owner holds no versioned state at all — it missed every
-// write to the key.
+// the version its resident value's header carries, or the newest
+// tombstone the coordinator recorded for it (del=true), whichever is
+// newer. ok=false means the owner holds no versioned state at all — it
+// missed every write to the key.
 func (s *Service) ownerState(sh *serviceShard, key uint64) (ver uint64, del, ok bool) {
 	tv := sh.keys[key].tomb
-	if v, resident := sh.table.table.VersionOf(key); resident && v >= tv {
+	if _, v, _, resident := sh.stored(key); resident && v >= tv {
 		return v, false, true
 	}
 	return tv, tv != 0, tv != 0
@@ -198,7 +199,7 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 		return false
 	}
 	servedVer, _, _ := s.ownerState(served, key)
-	bucket, fabricOK := residentBucket(partner.table.table, partner.mode, key)
+	bucket, ext, fabricOK := residentBucket(partner.table.table, partner.mode, key)
 	if !fabricOK {
 		// The key is not at a NIC-addressable bucket on the partner
 		// (absent, tombstoned, or spilled): the probe chain cannot ask,
@@ -211,7 +212,7 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 	g.partner, g.pcli, g.servedVer = partner, partner.setClient(key), servedVer
 	g.pop = s.tr.OpBegin("probe", key)
 	g.next = getProbe
-	g.pcli.probeAsyncTarget(key, bucket, g.pop, g.probeFn)
+	g.pcli.probeAsyncTarget(key, bucket, ext, g.pop, g.probeFn)
 	g.pcli.Flush()
 	return true
 }
@@ -380,7 +381,7 @@ func (r *ownerRun) derive() (end ownerWriteStatus, apply bool) {
 	// the callers keep racing writes out (a repair that meets an
 	// unsettled key is superseded; a migration copy losing the race
 	// re-derives a newer winner next time).
-	va, vl, live := winner.table.table.Lookup(key)
+	va, _, vl, live := winner.stored(key)
 	if !live {
 		return ownerCaughtUp, false
 	}
@@ -532,7 +533,7 @@ func (s *Service) aeScan(sh *serviceShard, segs int, only *serviceShard, b *aeBi
 		b.reset(segs)
 	}
 	for i := uint64(0); i < n; i++ {
-		key, _, _, ok := t.EntryAt(i)
+		key, va, _, ok := t.EntryAt(i)
 		if !ok {
 			continue
 		}
@@ -540,11 +541,12 @@ func (s *Service) aeScan(sh *serviceShard, segs int, only *serviceShard, b *aeBi
 		owners := s.ownerNodes(key)
 		if only != nil {
 			if slices.Contains(owners, only.ringIdx) {
-				b.add(seg, key, t.VersionAt(i))
+				ver, _ := extent.Head(sh.srv.node.Mem, va)
+				b.add(seg, key, ver)
 			}
 			continue
 		}
-		ver := t.VersionAt(i)
+		ver, _ := extent.Head(sh.srv.node.Mem, va)
 		for _, ni := range owners {
 			if ni != sh.ringIdx {
 				b.add(int(ni)*segs+seg, key, ver)

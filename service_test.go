@@ -651,7 +651,7 @@ func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
 	}
 	for i := uint64(0); i < n; i++ {
 		key := 1000 + i
-		if _, fabric := residentBucket(ht, sh.mode, key); !fabric {
+		if _, _, fabric := residentBucket(ht, sh.mode, key); !fabric {
 			continue // spilled by the race above: a host delete from the start
 		}
 		write(key, true, func() { sh.del(key, 1) })
@@ -681,7 +681,7 @@ func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
 func ownerValue(t *testing.T, s *Service, id string, key uint64) ([]byte, bool) {
 	t.Helper()
 	sh := s.shards[id]
-	va, vl, ok := sh.table.Table().Lookup(key)
+	va, _, vl, ok := sh.stored(key)
 	if !ok {
 		return nil, false
 	}
@@ -1301,7 +1301,7 @@ func TestServicePlacementProperty(t *testing.T) {
 	checkModel := func(step int) {
 		table := sh.table.Table()
 		for k, want := range model {
-			va, vl, ok := table.Lookup(k)
+			va, _, vl, ok := sh.stored(k)
 			if !ok {
 				t.Fatalf("step %d: acked key %d lost", step, k)
 			}
@@ -1453,7 +1453,7 @@ func TestServiceSetGrowsSpilledResidentInPlace(t *testing.T) {
 				copies++
 			}
 		}
-		va, vl, _ := tb.Lookup(key)
+		va, _, vl, _ := sh.stored(key)
 		got, _ := sh.srv.node.Mem.Read(va, vl)
 		if copies != 1 || !bytes.Equal(got, want) || s.Stats().Spills != 0 {
 			t.Fatalf("mode %v: %d copies, value ok %v, %d spills; want 1 copy, the new value, 0 spills",
@@ -1748,8 +1748,8 @@ func TestServiceRejectedOwnerConverges(t *testing.T) {
 	if st.RepairsApplied == 0 {
 		t.Fatal("no repair recorded as applied")
 	}
-	// And the repaired bucket carries the write's version.
-	if v, ok := bt.VersionOf(key); !ok || v != 1 {
+	// And the repaired value carries the write's version.
+	if _, v, _, ok := s.shards[owners[1]].stored(key); !ok || v != 1 {
 		t.Fatalf("repaired backup version = %d,%v want 1,true", v, ok)
 	}
 }

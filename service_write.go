@@ -503,7 +503,7 @@ func (s *Service) placedAt(key uint64, sh *serviceShard) (fn int, ext uint64) {
 
 // learnPlaced records that sh applied a fabric claim of key's bucket
 // at addr, one of its two candidates (H1 when they coincide), which
-// installed the extent ext.
+// installed the extent ext (a delete: sh's null extent).
 func (s *Service) learnPlaced(key uint64, sh *serviceShard, addr, ext uint64) {
 	rec := s.keys[key]
 	if r := slices.Index(s.ownerNodes(key), sh.ringIdx); r >= 0 && r < len(rec.placed) {
@@ -679,7 +679,7 @@ type ownerRun struct {
 	top uint64 // trace op id the apply's WRs attribute to
 
 	cli      *Client          // connection the NIC chain is on
-	claimAt  uint64           // the bucket a fabric set claims (0: none, it fell back to the host, or a kick walk moved the key)
+	claimAt  uint64           // the bucket a fabric write claims (0: none, it fell back to the host, or a kick walk moved the key)
 	oldVa    uint64           // the key's extent before this apply
 	resident bool             // oldVa is valid
 	st       ownerWriteStatus // runHop: the outcome to deliver
@@ -773,13 +773,16 @@ func (r *ownerRun) finish(st ownerWriteStatus) {
 }
 
 // apply routes one owner apply, the run holding the (owner, key) slot:
-// the NIC chain when the fabric can carry it — the CAS-claim set chain
-// at a claimable candidate bucket for a value, the tombstone chain at
-// the key's resident bucket for a delete — the host CPU otherwise, a
-// trivial ack for a delete the owner never had the key for, handoff
-// failure when neither can run. m.seq is published into the bucket's
-// version word by whichever path applies. The run finishes
-// asynchronously (from the simulation).
+// the NIC chain when the fabric can carry it — for a value, the hinted
+// overwrite's pointer CAS when the key is resident at a candidate
+// bucket, else the CAS-claim set chain at a claimable candidate; the
+// tombstone chain at the key's resident bucket for a delete — the host
+// CPU otherwise, a trivial ack for a delete the owner never had the key
+// for, handoff failure when neither can run. m.seq is published by
+// whichever path applies: in the value's header, or a tombstone's
+// bucket word. A delete keeps the key's placement hint: a hinted get
+// then meets the tombstone, and answers the miss at once. The run
+// finishes asynchronously (from the simulation).
 func (r *ownerRun) apply() {
 	s, sh, m := r.s, r.sh, r.m
 	t := sh.table.table
@@ -788,17 +791,20 @@ func (r *ownerRun) apply() {
 		fabric bool
 	)
 	if m.del {
-		s.dropPlaced(m.key)
-		claim.BucketAddr, fabric = residentBucket(t, sh.mode, m.key)
+		claim.BucketAddr, _, fabric = residentBucket(t, sh.mode, m.key)
 	} else {
 		claim, fabric = claimForTable(t, sh.mode, m.key)
 	}
-	// The key's current extent, captured under the per-key write slot.
-	// An acked fabric set repoints the bucket at the chain's staging
-	// extent and retires this one on the ack, to be freed once no get
-	// can still read it; a delete that finds nothing resident has
-	// nothing to do.
+	// The key's current extent, captured under the per-key write slot,
+	// which orders the key's writes on this owner: what an overwrite's
+	// pointer CAS expects. An acked fabric set repoints the bucket at the
+	// chain's staging extent and retires this one on the ack, to be
+	// freed once no get can still read it; a delete that finds nothing
+	// resident has nothing to do.
 	r.oldVa, _, r.resident = t.Lookup(m.key)
+	if fabric && !m.del && claim.Extent == 0 {
+		claim.Extent = r.oldVa // a resident overwrite: the hinted one
+	}
 	if m.del && !r.resident {
 		// Nothing to retire here: the owner is already at the delete's
 		// end state. Applied, at a zero-cost hop.
@@ -824,12 +830,12 @@ func (r *ownerRun) apply() {
 	}
 	r.cli = sh.setClient(m.key)
 	r.next = runAck
+	r.claimAt = claim.BucketAddr
 	if m.del {
 		sh.stats.FabricDeletes++
 		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.top, r.ackFn)
 	} else {
 		sh.stats.FabricSets++
-		r.claimAt = claim.BucketAddr
 		r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.top, r.ackFn)
 	}
 	// Writes issued from completion callbacks run outside the caller's
@@ -871,9 +877,15 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 		}
 		// Every apply teaches the hint, a replay's and a converge's as
 		// well as a leg's: a get after a crash's hint drain reads the
-		// extent the drain installed.
+		// extent the drain installed, and a get after a delete reads the
+		// tombstone beside the shard's null extent, never the extent the
+		// delete retired, which may come back as the key's next value.
 		if r.claimAt != 0 {
-			s.learnPlaced(m.key, sh, r.claimAt, cli.staged)
+			ext := cli.staged
+			if m.del {
+				ext = sh.null
+			}
+			s.learnPlaced(m.key, sh, r.claimAt, ext)
 		}
 		s.noteLegReceipt(cli.lastReceipt(op))
 		r.finish(ownerApplied)
@@ -956,21 +968,21 @@ func probeReach(mode LookupMode) int {
 	return 2
 }
 
-// residentBucket finds the NIC-addressable bucket holding key: the
+// residentBucket finds the NIC-addressable bucket holding key — the
 // candidate bucket, within the lookup mode's probe reach, whose entry is
-// key. It is the only bucket an overwrite claim, a delete chain or a
-// version probe can target; ok=false means the key is absent,
-// tombstoned, or spilled into a neighborhood slot only the host's scan
-// reaches. Shared by the service router and the standalone client so
-// the two views cannot drift.
-func residentBucket(t *hopscotch.Table, mode LookupMode, key uint64) (addr uint64, ok bool) {
+// key — and the value extent it names. It is the only bucket an
+// overwrite claim, a delete chain or a version probe can target;
+// ok=false means the key is absent, tombstoned, or spilled into a
+// neighborhood slot only the host's scan reaches. Shared by the service
+// router and the standalone client so the two views cannot drift.
+func residentBucket(t *hopscotch.Table, mode LookupMode, key uint64) (addr, va uint64, ok bool) {
 	for fn := 0; fn < probeReach(mode); fn++ {
 		b := t.Hash(key, fn)
-		if k, _, _, ok := t.EntryAt(b); ok && k == key {
-			return t.BucketAddr(b), true
+		if k, va, _, ok := t.EntryAt(b); ok && k == key {
+			return t.BucketAddr(b), va, true
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // claimForTable computes key's bucket claim against a table, honoring
@@ -982,7 +994,7 @@ func residentBucket(t *hopscotch.Table, mode LookupMode, key uint64) (addr uint6
 // router and the standalone client, like residentBucket.
 func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetClaim, bool) {
 	kc := core.ClaimCtrl(key)
-	if addr, ok := residentBucket(t, mode, key); ok {
+	if addr, _, ok := residentBucket(t, mode, key); ok {
 		return core.SetClaim{BucketAddr: addr, Expect: kc, New: kc}, true
 	}
 	if _, _, ok := t.Lookup(key); ok {
@@ -992,22 +1004,15 @@ func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetCla
 	}
 	for fn := 0; fn < probeReach(mode); fn++ {
 		b := t.Hash(key, fn)
-		if _, _, _, ok := t.EntryAt(b); !ok {
-			// A free candidate is either genuinely empty (CAS against
-			// zero) or tombstoned by an earlier delete — the claim CAS
-			// reclaims the tombstone in place, keeping delete churn on
-			// the fabric instead of bouncing every reinsert to the host.
-			// Fresh claims install the PENDING word: the bucket still
-			// carries its previous occupant's stale [valAddr, valLen],
-			// so the chain publishes NOOP|key only after the repoint —
-			// otherwise a concurrent lookup could resurrect the old
-			// extent through the stale pointer.
-			claim := core.SetClaim{BucketAddr: t.BucketAddr(b),
-				New: core.ClaimPendingCtrl(key)}
-			if t.TombstoneAt(b) {
-				claim.Expect = hopscotch.Tombstone
-			}
-			return claim, true
+		if t.FreeAt(b) {
+			// A free candidate is either genuinely empty or tombstoned by
+			// an earlier delete — the claim reclaims the tombstone in
+			// place, keeping delete churn on the fabric instead of
+			// bouncing every reinsert to the host. Either way the bucket
+			// names the free pointer, which the claim's pointer CAS takes
+			// first, so the key is never published beside the previous
+			// occupant's pointer.
+			return core.SetClaim{BucketAddr: t.BucketAddr(b), Extent: hopscotch.FreePtr}, true
 		}
 	}
 	return core.SetClaim{}, false
