@@ -151,8 +151,8 @@ type Client struct {
 	gcFreed, gcStale uint64 // to-free ring drains: extents returned / already gone
 
 	// Read from a callback, like lastExecuted: the extent the set's ack
-	// installed, and the one a refused hinted get's bucket named (pipeReq).
-	staged, moved uint64
+	// installed, and where a get's miss showed the key's word (pipeReq).
+	staged, moved, movedFn uint64
 
 	// ---- telemetry (nil tracer = disabled, zero cost) ----
 
@@ -171,14 +171,14 @@ type pipeReq struct {
 	p    *opPipeline
 	live bool // taken from the free list and not yet returned
 
-	key   uint64
-	slot  int
-	seq   uint64 // issue sequence (window-epoch guard for AIMD cuts; 0 = never issued)
-	start sim.Time
-	op    uint64 // trace op id (0 = untraced)
-	fn    int    // get: 1 + the candidate a hinted get probes alone; 0 probes both
-	ext   uint64 // get/probe: the extent a hinted get or a probe expects its bucket to name
-	moved uint64 // get: the extent its answer named instead, with the key's word
+	key            uint64
+	slot           int
+	seq            uint64 // issue sequence (window-epoch guard for AIMD cuts; 0 = never issued)
+	start          sim.Time
+	op             uint64 // trace op id (0 = untraced)
+	fn             int    // get: 1 + the candidate a hinted get probes alone; 0 probes both
+	ext            uint64 // get/probe: the extent a hinted get or a probe expects its bucket to name
+	moved, movedFn uint64 // get: a miss's find of the key's word: the extent beside it, 1 + its candidate (0: none)
 
 	// Provenance stamps: when the request entered the pipeline and
 	// whether it queued for window headroom (vs a free slot). The
@@ -830,8 +830,8 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 		p.qp = cliQP
 		// Per-slot buffers and per-context response QPs. A get answers
 		// with the value, a probe with the probed bucket, a write with
-		// its 8-byte verdict. A get's READ and a probe's trigger rewrite
-		// the answer, so their queues are managed; a write's ack is final.
+		// its 8-byte verdict. A get's trigger rewrites its answer, so its
+		// queue is managed; a probe's answer and a write's ack are final.
 		resp := make([]*rnic.QP, depth)
 		for i := range resp {
 			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
@@ -851,7 +851,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 			}
 			_, resp[i] = t.clu.Connect(node, srv.node,
 				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: p.op == pipeGet || p.op == pipeProbe, Port: b.Port, PU: -1})
+				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: p.op == pipeGet, Port: b.Port, PU: -1})
 		}
 		var slotCtx func(slot int) *telemetry.OpContext
 		switch p.op {
@@ -909,14 +909,25 @@ func (c *Client) wireHooks() {
 	}
 	// A two-probe get answers only a hit; a hinted one answers its
 	// bucket's [keyCtrl, valAddr] before the value: a hit iff they are
-	// the key's word and the extent the get gathered.
+	// the key's word and the extent gathered. A miss reports where the
+	// key's word stands: in that bucket, or a locate's H2 bucket.
 	c.get.verdict = func(req *pipeReq) bool {
-		word, _ := c.node.Mem.U64(c.get.resp[req.slot])
-		va, _ := c.node.Mem.U64(c.get.resp[req.slot] + 8)
-		if req.fn != 0 && word == core.ClaimCtrl(req.key) && va != req.ext {
-			req.moved = va
+		at, kc := c.get.resp[req.slot], core.ClaimCtrl(req.key)
+		word, _ := c.node.Mem.U64(at)
+		va, _ := c.node.Mem.U64(at + 8)
+		if req.fn == 0 || word == kc && va == req.ext {
+			return true
 		}
-		return req.fn == 0 || word == core.ClaimCtrl(req.key) && va == req.ext
+		req.movedFn, req.moved = uint64(req.fn), va
+		if word != kc && req.ext == c.table.table.HashAddr(req.key, 1) {
+			req.movedFn = 2
+			word, _ = c.node.Mem.U64(at + hintHead)
+			req.moved, _ = c.node.Mem.U64(at + hintHead + 8)
+		}
+		if word != kc {
+			req.movedFn, req.moved = 0, 0
+		}
+		return false
 	}
 	c.get.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		if req.getCB == nil {
@@ -927,7 +938,7 @@ func (c *Client) wireHooks() {
 			val = c.getVals[uint64(req.slot)*c.maxVal:][:req.valLen:req.valLen]
 			c.node.Mem.ReadInto(c.get.resp[req.slot]+hintHead, val)
 		}
-		c.moved = req.moved
+		c.moved, c.movedFn = req.moved, req.movedFn
 		req.getCB(val, lat, ok)
 	}
 	c.get.silent = func(req *pipeReq) { c.get.letGo(req.slot) }
@@ -1181,7 +1192,7 @@ func (c *Client) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration, 
 // getAsync is GetAsync with the trace op id the get's WRs attribute to
 // (0 = unattributed) and a hint: fn, 1 + the candidate bucket the caller
 // knows holds key, and ext, the extent it names, probed alone (fn 0 =
-// unknown: both probes) — the service layer's entry point.
+// unknown: both probes).
 func (c *Client) getAsync(key, valLen, op uint64, fn int, ext uint64, cb func(val []byte, lat Duration, ok bool)) {
 	if c.table == nil {
 		panic("redn: Bind a table before Get")
@@ -1192,6 +1203,12 @@ func (c *Client) getAsync(key, valLen, op uint64, fn int, ext uint64, cb func(va
 	req := c.get.take()
 	req.key, req.valLen, req.getCB, req.op, req.fn, req.ext = key&hopscotch.KeyMask, valLen, cb, op, fn, ext
 	c.get.submit(req)
+}
+
+// locateAsync issues a get at H1 that gathers H2's bucket words: it
+// never hits, and its miss reports where the key's word stands.
+func (c *Client) locateAsync(key, op uint64, cb func(val []byte, lat Duration, ok bool)) {
+	c.getAsync(key, hintHead, op, 1, c.table.table.HashAddr(key&hopscotch.KeyMask, 1), cb)
 }
 
 // Get performs one offloaded get of up to valLen bytes, advancing the

@@ -41,11 +41,21 @@ var programShapes = []struct {
 }{
 	{"get single", 4, 6, 4, lookupShape(LookupSingle)},
 	{"get seq", 7, 11, 7, lookupShape(LookupSeq)},
-	// ArmProbe on a seq context: the probe row's shape. One WRITE
-	// gathers the candidate named and the extent given, no READ or CAS
-	// first, and the client checks the key word and the address.
+	// ArmProbe on a seq context. One WRITE gathers the candidate named
+	// and the extent given, no READ or CAS first, and the client checks
+	// the key word and the address.
 	{"get hinted H1", 2, 2, 2, hintedShape(0)},
 	{"get hinted H2", 2, 2, 2, hintedShape(1)},
+	// A locate: the hinted shape at H1 gathering H2's bucket words (16
+	// B) where a get gathers its extent, so one WRITE answers both
+	// candidates' [keyCtrl, valAddr].
+	{"get locate", 2, 2, 2, func(h *shapeRig) (*chain, func() []byte) {
+		o := NewLookupPool(h.b, h.trig, h.resp(true), nil, h.table, LookupSeq).Ctxs[0]
+		return &o.chain, func() []byte {
+			o.ArmProbe(0, h.table.HashAddr(1, 1))
+			return o.TriggerPayload(1, 16, h.buf)
+		}
+	}},
 	// Each of the two control queues WAITs on the trigger.
 	{"get parallel", 7, 12, 7, lookupShape(LookupParallel)},
 	// The key claim (no extent named) swaps NOOP|key for itself and
@@ -64,8 +74,10 @@ var programShapes = []struct {
 	}},
 	// One WRITE gathers the bucket's [keyCtrl, valAddr] and the header of
 	// the extent named; the client checks the key word and the address.
-	{"probe", 2, 2, 2, func(h *shapeRig) (*chain, func() []byte) {
-		o := NewProbePool(h.b, h.trig, h.resp(true)).Ctxs[0]
+	// Final when posted, it runs from an unmanaged queue behind its own
+	// WAIT on the trigger: the RECV is the one managed fetch.
+	{"probe", 2, 1, 1, func(h *shapeRig) (*chain, func() []byte) {
+		o := NewProbePool(h.b, h.trig, h.resp(false)).Ctxs[0]
 		o.Extent, _, _ = h.table.Lookup(1)
 		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, h.buf) }
 	}},

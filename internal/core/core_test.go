@@ -31,8 +31,8 @@ func newHarness(t testing.TB) *harness {
 func (h *harness) connect(depth int) (cliQP, srvQP *rnic.QP) { return h.connectAs(depth, true) }
 
 // connectAs is connect with the server SQ managed or not. The client
-// wires a get's or probe's response queue managed and a set's or
-// delete's, whose ack is final when posted, unmanaged.
+// wires a get's response queue managed and a probe's, set's or
+// delete's, whose answer is final when posted, unmanaged.
 func (h *harness) connectAs(depth int, managed bool) (cliQP, srvQP *rnic.QP) {
 	cliQP = h.cli.NewQP(rnic.QPConfig{SQDepth: depth, RQDepth: depth})
 	srvQP = h.srv.NewQP(rnic.QPConfig{SQDepth: depth, RQDepth: depth, Managed: managed})

@@ -34,12 +34,8 @@ const (
 	// on hits only. The choice is the client's instead, made before the
 	// trigger is sent: a client that knows which candidate holds the key
 	// arms ArmProbe's single probe at it and at the extent the bucket
-	// names (2 managed fetches, not 7), re-aims once at another extent
-	// its bucket names beside the key's word, and re-arms both probes on
-	// any other word. The service knows from its own fabric applies (the
-	// candidate and staging extent each owner's last applied claim
-	// installed), and forgets when a host write, a kick walk, a delete or
-	// a ring change may have moved the key (DESIGN.md §2).
+	// names (2 managed fetches, not 7); one that does not locates it
+	// first with ArmProbe at H1 gathering H2's bucket words (DESIGN.md §2).
 	LookupSeq
 	// LookupParallel probes H1 and H2 on independent WQs pinned to
 	// different NIC PUs (RedN-Parallel); costs an extra response QP,

@@ -15,8 +15,9 @@ import (
 // question — the whole point of RedN is that the NIC can answer. A
 // probe is one SEND scattered into a pre-armed one-verb chain:
 //
-//	RECV  scatter bucket addr + header addr + response addr onto the WRITE
-//	resp  WRITE [bucket 16B | header 16B] -> client
+//	RECV  scatter bucket addr + header addr onto the WRITE's gather list
+//	resp  WAIT for the trigger's arrival
+//	      WRITE [bucket 16B | header 16B] -> client
 //	      ([keyCtrl, valAddr, version, valLen])
 //
 // The NIC decides nothing: the WRITE gathers the bucket's key word and
@@ -32,10 +33,10 @@ import (
 // which the coordinator re-checks against its own view before it
 // repairs anything.
 //
-// Cost per armed probe: 2 data WRs (RECV, WRITE), both managed fetches,
-// and 2 sync WRs (WAIT on the trigger, ENABLE of the response) — a
-// hinted get's fetches, and no host involvement at all, which is what
-// makes read-repair affordable on replicated gets.
+// The WRITE is final when posted, so it waits for its trigger on its
+// own unmanaged queue: 2 data WRs (RECV, WRITE), only the RECV a managed
+// fetch, and 1 sync WR — half a hinted get's fetches and no host
+// involvement, which is what makes read-repair affordable.
 
 // ProbeOffload is an armed version-probe offload for one request slot
 // of a client connection's probe path; its Resp carries the answer.
@@ -53,12 +54,12 @@ type ProbeOffload struct {
 const probeListBytes = 32
 
 // probeLayout is the version probe's trigger layout: the two addresses
-// its one step gathers and its destination (the client's answer buffer).
-var probeLayout = []slot{{argsWord, 0, opBucket}, {argsWord, 16, opExtent}, {0, wqe.OffDst, opResp}}
+// its one step gathers.
+var probeLayout = []slot{{argsWord, 0, opBucket}, {argsWord, 16, opExtent}}
 
 // NewProbePool builds K = len(resp) probe contexts over the trig
-// connection; resp carry the answers, and must be managed: the trigger
-// rewrites the WRITE they hold.
+// connection; resp carry the answers, and must be unmanaged: each WRITE
+// they hold is final when posted and waits for its trigger itself.
 func NewProbePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*ProbeOffload] {
 	return newPool(b, trig, resp, func(_ int, cb *Builder, r *rnic.QP) *ProbeOffload {
 		o := &ProbeOffload{chain: newChain(cb, trig, r)}
@@ -84,8 +85,11 @@ func NewProbePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*ProbeOffloa
 // another extent.
 func (o *ProbeOffload) TriggerPayload(key, bucket, respAddr uint64) []byte {
 	in := instance{args: o.argsBuf(o.lists, probeListBytes)}
+	arrival := o.Trig.RecvCQ() // the WAIT targets the RECV posted next
+	o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWait, Peer: arrival.CQN(), Count: o.B.Expected(arrival) + 1})
 	in.steps[0] = o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask, Src: in.args, Count: 2,
-		Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
-	o.fire(probeLayout, &in, in.steps[:1])
-	return o.payload(probeLayout, key, operands{opBucket: bucket, opExtent: o.Extent - extent.HeadBytes, opResp: respAddr})
+		Dst: respAddr, Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
+	o.recv(probeLayout, &in)
+	o.Resp.RingSQ()
+	return o.payload(probeLayout, key, operands{opBucket: bucket, opExtent: o.Extent - extent.HeadBytes})
 }

@@ -17,7 +17,7 @@ func newProbeHarness(t *testing.T) (*harness, *hopscotch.Table, *ProbeOffload, *
 	h := newHarness(t)
 	table := hopscotch.New(h.srv.Mem(), 256, 0)
 	cliQP, srvQP := h.connect(64)
-	_, respQP := h.connect(16)
+	_, respQP := h.connectAs(16, false)
 	o := NewProbePool(h.b, srvQP, []*rnic.QP{respQP}).Ctxs[0]
 	srvQP.RecvCQ().SetAutoDrain(true)
 	srvQP.SendCQ().SetAutoDrain(true)

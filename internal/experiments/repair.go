@@ -256,7 +256,7 @@ func repairRun(requests int) *Result {
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("divergence injected for real: %d-shard R=2 W=1 ring at 512 buckets/shard filled past capacity (owner rejections), plus a process crash whose %d handoff hints were dropped before recovery", repairShards, repairCrashHi-repairCrashLo+1),
 		"stale = (owner, key) replicas whose bucket version word lags the newest any owner holds; converge = virtual ms from workload start to the first zero-stale sample",
-		fmt.Sprintf("read-repair: %d NIC probes (2+2 WRs each), %d skews detected, %d repairs applied", rrStats.Probes, rrStats.ProbeSkews, rrStats.RepairsApplied),
+		fmt.Sprintf("read-repair: %d NIC probes (2+1 WRs each), %d skews detected, %d repairs applied", rrStats.Probes, rrStats.ProbeSkews, rrStats.RepairsApplied),
 		fmt.Sprintf("anti-entropy: %d sweep passes, %d segment digests disagreed, %d keys repaired — with zero reads and zero probes", aeStats.AEPasses, aeStats.AESegsDiffed, aeStats.RepairsApplied),
 		"the pre-repair baseline (NoRepair) holds its stale replicas forever: rejected owners heal only by accidental overwrite",
 		"probe cost: a probe is 2 managed fetches, as many as the hinted get it rides on, so probing EVERY hit costs NIC throughput; sampling every 8th hit (the parity row) bounds the tax under 10% while misses still repair on every attempt")

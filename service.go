@@ -82,7 +82,7 @@ type ServiceConfig struct {
 	Shards          int        // server nodes, each with its own NIC and table
 	ClientsPerShard int        // client nodes connected to each shard
 	Pipeline        int        // slots per client pipeline; its AIMD window opens at min(72, Pipeline)
-	Mode            LookupMode // probe strategy of every offload context
+	Mode            LookupMode // read by nothing: every service get is hinted or a locate (Client.locateAsync)
 	Replicas        int        // ring owners written per Set (>=1)
 
 	// WriteQuorum is W of the W-of-N write quorum: a set acknowledges
@@ -184,14 +184,12 @@ type ServiceConfig struct {
 }
 
 // defaultServiceConfig returns the production-shaped defaults: 16-deep
-// pipelines, sequential two-bucket probing (writes may place keys in
-// either candidate bucket), 4 KiB values.
+// pipelines, 4 KiB values.
 func defaultServiceConfig(nShards, clientsPerShard int) ServiceConfig {
 	return ServiceConfig{
 		Shards:          nShards,
 		ClientsPerShard: clientsPerShard,
 		Pipeline:        16,
-		Mode:            LookupSeq,
 		Replicas:        1,
 		Buckets:         1 << 15,
 		MaxValLen:       4096,
@@ -219,7 +217,6 @@ type serviceShard struct {
 	svc     *Service // the owning service, for callbacks bound to the shard
 	srv     *Server
 	table   *HashTable
-	mode    LookupMode
 	clients []*Client
 	rr      int    // round-robin client cursor
 	ringIdx int32  // position in the ring's node table (-1: not on the ring)
@@ -310,7 +307,7 @@ func (s *Service) noteOwnerMiss(sh *serviceShard) {
 
 // probeLapsed runs where an op is steered around a down shard: once the
 // suspect window has lapsed, and unless a probe is already in flight, it
-// sends the shard's liveness probe — an 8-byte get of key on the next
+// sends the shard's liveness probe — a locate of key on the next
 // connection. The op that asked stays on live owners.
 func (s *Service) probeLapsed(sh *serviceShard, key uint64) {
 	if sh.probing || s.tb.Now() < sh.suspectUntil {
@@ -319,17 +316,17 @@ func (s *Service) probeLapsed(sh *serviceShard, key uint64) {
 	sh.probing = true
 	sh.probeCli = sh.clients[sh.rr%len(sh.clients)]
 	sh.rr++
-	sh.probeCli.GetAsync(key, 8, sh.probeFn)
+	sh.probeCli.locateAsync(key, 0, sh.probeFn)
 	sh.probeCli.Flush()
 }
 
-// probed is the liveness probe's answer: a hit or an executed miss
-// closes the breaker and hands off the hints that piled up behind it;
-// silence re-arms the window.
-func (sh *serviceShard) probed(_ []byte, _ Duration, ok bool) {
+// probed is the liveness probe's answer: an answer closes the breaker
+// and hands off the hints that piled up behind it; silence re-arms the
+// window.
+func (sh *serviceShard) probed([]byte, Duration, bool) {
 	s, cli := sh.svc, sh.probeCli
 	sh.probing, sh.probeCli = false, nil
-	if !ok && !cli.lastExecuted(pipeGet) {
+	if !cli.lastExecuted(pipeGet) {
 		s.noteOwnerMiss(sh)
 		return
 	}
@@ -653,7 +650,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 	}
 	srv := newServer(s.tb, node)
 	srv.valueArena().SetNoReclaim(cfg.NoReclaim)
-	sh := &serviceShard{id: id, stats: ShardStats{ID: id}, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets), mode: cfg.Mode,
+	sh := &serviceShard{id: id, stats: ShardStats{ID: id}, svc: s, srv: srv, table: srv.NewHashTable(cfg.Buckets),
 		ringIdx: -1, keys: make(map[uint64]ownerKey), lanes: cfg.ClientsPerShard * cfg.Pipeline,
 		null:  srv.node.Mem.Alloc(cfg.MaxValLen, 64),
 		trTry: "try:" + id, trLeg: "leg:" + id, trAux: "aux:" + id,
@@ -671,9 +668,9 @@ func (s *Service) buildShard(id string) *serviceShard {
 }
 
 // newShardClient wires one pipelined client connection to sh's server,
-// its server-side queues on b's port.
+// its server-side queues on b's port; no get it serves arms Arm's probes.
 func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node, b *core.Builder) *Client {
-	cli := newClientOnNode(s.tb, cn, sh.srv, b, s.cfg.Mode, s.cfg.Pipeline, s.cfg.MaxValLen)
+	cli := newClientOnNode(s.tb, cn, sh.srv, b, LookupSeq, s.cfg.Pipeline, s.cfg.MaxValLen)
 	cli.Bind(sh.table)
 	cli.setTracer(s.tr, cn.Name)
 	if s.prov != nil {
@@ -822,26 +819,9 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 // table's kick walk (hopscotch.Table.Place), dropping the placement
 // hints of key and of every resident the walk moved — and the claim of
 // a moved resident's own write, whose ack may land after the walk.
-//
-// LookupSingle offloads probe only H1, so single-mode shards place at
-// the first candidate or spill — relocation is impossible when a key
-// has one reachable home. The capacity cost is the latency trade-off
-// of §5.2: single-probe gets are cheaper but the table saturates
-// sooner.
 func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
 	t := sh.table.table
 	sh.svc.dropPlaced(key)
-	if sh.mode == LookupSingle {
-		// A resident key, spilled or not, is overwritten where it lives.
-		if _, _, resident := t.Lookup(key); resident {
-			return t.InsertV(key, valAddr, valLen, ver)
-		}
-		if t.FreeAt(t.Hash(key, 0)) {
-			return t.InsertAtV(key, valAddr, valLen, ver, 0, 0)
-		}
-		sh.stats.Spills++
-		return t.InsertV(key, valAddr, valLen, ver)
-	}
 	spilled, moved, err := t.Place(key, valAddr, valLen, ver)
 	if spilled {
 		sh.stats.Spills++
@@ -956,9 +936,9 @@ func (s *Service) Get(key uint64, valLen uint64) ([]byte, Duration, bool) {
 	return out, lat, ok
 }
 
-// GetAsync issues one pipelined offloaded get; cb runs when a response
-// lands or every candidate owner has timed out. The read policy picks
-// which replica owner serves it; a timeout fails the get over to the
+// GetAsync issues one pipelined offloaded get; cb runs on a hit, or
+// once every owner has answered a miss or timed out. The read policy
+// picks which replica owner serves it; a timeout fails the get over to the
 // next owner (counting toward that shard's suspect threshold), so with
 // Replicas > 1 a crashed shard costs the gets that reach it before its
 // circuit breaker opens one extra MissTimeout rather than their answers,
@@ -984,12 +964,11 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 			s.tb.clu.Eng.After(cacheHitLat, g.cacheHitFn)
 			return
 		}
-		rec := s.keys[key]
-		g.epoch = rec.epoch
-		// Issued behind an unsettled write, this read may hit an owner
-		// that has not applied it and answer after it settles: no admission.
-		g.admit = rec.unsettled == 0
 	}
+	// Issued behind an unsettled write, this read may hit an owner that
+	// has not applied it and answer after it settles: no admission.
+	rec := s.keys[key]
+	g.epoch, g.admit = rec.epoch, rec.unsettled == 0
 	s.readOrder(g)
 	if len(g.order) == 0 {
 		// Empty ring: nothing owns the key. Unreachable while DrainShard
@@ -1000,6 +979,7 @@ func (s *Service) GetAsync(key, valLen uint64, cb func(val []byte, lat Duration,
 		s.tb.clu.Eng.After(0, func() { cb(nil, 0, false) })
 		return
 	}
+	g.fn, g.ext = s.placedAt(key, g.order[0])
 	s.tryGet(g)
 }
 
@@ -1062,11 +1042,11 @@ type getOp struct {
 	val         []byte   // cache hit: the cached bytes to deliver
 
 	// epoch is the key's write epoch at issue time; it gates cache
-	// admission against sets that raced the read. gen is the service
-	// cache generation at issue time; it gates admission against
-	// ownership changes that raced the read (a resharding started
-	// mid-flight). admit is false when a write to the key was unsettled
-	// at issue time.
+	// admission and hint learning against sets that raced the read. gen
+	// is the service cache generation at issue time; it gates admission
+	// against ownership changes that raced the read (a resharding
+	// started mid-flight). admit is false when a write to the key was
+	// unsettled at issue time.
 	epoch, gen uint64
 	admit      bool
 
@@ -1079,9 +1059,9 @@ type getOp struct {
 	i            int
 	cli          *Client
 	spent        Duration
-	fn           int    // 1 + the candidate attempt g.i probes alone (placedAt), 0 for both
+	fn           int    // 1 + the candidate attempt g.i probes alone, 0: it locates the key
 	ext          uint64 // the extent attempt g.i expects that candidate to name
-	reaimed      bool   // attempt g.i is a re-aim at the extent its bucket named
+	located      bool   // a locate has answered on order[g.i]
 
 	// The read-repair probe a hit started: the owner asked, over which
 	// connection, the version the serving owner holds, the probe's trace
@@ -1106,7 +1086,7 @@ func (s *Service) takeGet(key, valLen, op uint64, cb func(val []byte, lat Durati
 	g.next = getRouting
 	g.key, g.valLen, g.op, g.cb = key, valLen, op, cb
 	g.began, g.epoch, g.gen, g.admit = s.tb.Now(), 0, s.cacheGen, false
-	g.i, g.spent, g.reaimed = 0, 0, false
+	g.i, g.spent, g.located = 0, 0, false
 	return g
 }
 
@@ -1148,7 +1128,8 @@ func (g *getOp) cacheHit() {
 	cb(val, cacheHitLat, true)
 }
 
-// tryGet issues attempt g.i of a get against its policy-ordered owners.
+// tryGet issues attempt g.i of a get against its policy-ordered owners:
+// hinted at g.fn and g.ext, or with fn 0 a locate.
 func (s *Service) tryGet(g *getOp) {
 	if g.next != getRouting {
 		panic(fmt.Sprintf("redn: get record routed in stage %d", g.next))
@@ -1161,10 +1142,11 @@ func (s *Service) tryGet(g *getOp) {
 		s.tr.AsyncBegin("attempt", g.op<<4|uint64(g.i), sh.trTry, g.op)
 	}
 	g.next = getAttempt
-	if !g.reaimed {
-		g.fn, g.ext = s.placedAt(g.key, sh)
+	if g.fn == 0 {
+		g.cli.locateAsync(g.key, g.op, g.attemptFn)
+	} else {
+		g.cli.getAsync(g.key, g.valLen, g.op, g.fn, g.ext, g.attemptFn)
 	}
-	g.cli.getAsync(g.key, g.valLen, g.op, g.fn, g.ext, g.attemptFn)
 	if g.i > 0 {
 		// Retries run outside the caller's batch; kick them directly.
 		g.cli.Flush()
@@ -1172,13 +1154,12 @@ func (s *Service) tryGet(g *getOp) {
 }
 
 // attempted is the client callback of attempt g.i: a hit answers the
-// caller (and may start a read-repair probe), a miss fails over to the
+// caller (and may start a read-repair probe); a miss aims again on the
+// same owner while its answer says where to, then fails over to the
 // next owner or, on the last one, answers with the miss.
 func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	g.enter(getAttempt)
 	s, sh, cli := g.s, g.order[g.i], g.cli
-	reaimed := g.reaimed
-	g.reaimed = false
 	lat += g.spent
 	if s.tr.Enabled() {
 		s.tr.AsyncEnd("attempt", g.op<<4|uint64(g.i), sh.trTry, g.op)
@@ -1186,6 +1167,10 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	if ok {
 		sh.markLive()
 		s.stats.Hits++
+		if g.located && s.keys[g.key].epoch == g.epoch {
+			// Reached through a locate, and no write issued since.
+			s.learnPlaced(g.key, sh, sh.table.table.HashAddr(g.key, g.fn-1), g.ext)
+		}
 		sh.getLat.Add(lat)
 		s.maybeCache(g, val)
 		// A hit proves the shard live: if handoff hints piled up
@@ -1208,23 +1193,18 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		return
 	}
 	if cli.lastExecuted(pipeGet) {
-		// The chain ran and found nothing: the key is absent, the
-		// NIC is alive. Liveness proof, not a crash symptom.
+		// The chain ran and answered: the NIC is alive, not a crash
+		// symptom. The next get aims where the answer showed the key's
+		// word; shown nowhere, the get locates once unless a delete is
+		// the key's newest write; else this owner has answered the miss.
 		sh.markLive()
-		if g.fn != 0 && !s.keys[g.key].del {
-			// Only the placed bucket was read, it did not hold the key at
-			// the hinted extent, and no delete of it is its newest write:
-			// the hint is stale. The key's own word beside another extent
-			// (a write the hint has not learned yet) re-aims the probe
-			// once at that extent; any other answer drops the hint and
-			// asks the same owner again, both probes.
-			sh.stats.PlacedMisses++
-			if cli.moved != 0 && !reaimed {
-				g.ext, g.reaimed = cli.moved, true
-			} else {
-				s.dropPlaced(g.key)
+		hinted := g.fn != 0
+		g.located = g.located || !hinted
+		if cli.movedFn != 0 || !g.located && !s.keys[g.key].del {
+			if hinted {
+				sh.stats.PlacedMisses++
 			}
-			g.spent = lat
+			g.fn, g.ext, g.spent = int(cli.movedFn), cli.moved, lat
 			s.tryGet(g)
 			g.cli.Flush() // outside the caller's batch, like a failover
 			return
@@ -1234,8 +1214,8 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 	}
 	if g.i+1 < len(g.order) {
 		s.stats.Retries++
-		g.i++
-		g.spent = lat
+		g.i, g.spent, g.located = g.i+1, lat, false
+		g.fn, g.ext = s.placedAt(g.key, g.order[g.i])
 		s.tryGet(g)
 		return
 	}
@@ -1351,7 +1331,7 @@ type ShardStats struct {
 	Sets              uint64 `metric:"sets"`               // owner writes applied (fabric acks + host path + drained hints)
 	Spills            uint64 `metric:"spills"`             // keys resident but NIC-unreachable
 	Gets              uint64 `metric:"gets"`               // get attempts routed here (failover retries included)
-	PlacedMisses      uint64 `metric:"placed_misses"`      // single-probe gets whose hint did not hold: re-aimed at the extent their bucket named, or re-armed with both probes
+	PlacedMisses      uint64 `metric:"placed_misses"`      // hinted gets whose aim did not hold: aimed again where their answer showed the key, or located
 	Rebuilds          uint64 `metric:"rebuilds"`           // client reconnects after process crashes
 	FabricSets        uint64 `metric:"fabric_sets"`        // owner writes attempted through the NIC claim chain
 	HostSets          uint64 `metric:"host_sets"`          // owner writes that fell back to the host CPU (kicks, spilled residents, claim races)

@@ -42,8 +42,15 @@ import (
 // managed fetches, not four), a fresh claim's CAS arms its publishing
 // WRITE (three, not five), a delete tombstones at its claim (six, not
 // seven) and values carry their [version, length] header (alone, with
-// every delete still dropping its key's hint: 0x41a91baf1cd9a1f8).
-const exactHistoryHash = 0x2d119bc160a00bdb
+// every delete still dropping its key's hint: 0x41a91baf1cd9a1f8). It
+// moved again for two changes: a get with no standing hint began
+// locating its key (one hinted-shape WRITE answering both candidates'
+// words) instead of probing both buckets, so a get of an absent or
+// unhinted key, and the breaker's liveness probe, answer in round trips
+// instead of a silent MissTimeout (alone: 0x606f704fdfede3d7); and a
+// version probe's WRITE began running from an unmanaged queue behind
+// its own WAIT, one managed fetch instead of two.
+const exactHistoryHash = 0x30cd10fbcea4b00e
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {
@@ -96,7 +103,7 @@ func runServiceHistory(t *testing.T, seed int64, done func(*Service, historyOp))
 		key := 1000 + i
 		sh := s.shards[s.Owners(key)[0]]
 		ht := sh.table.Table()
-		claim, fabric := claimForTable(ht, sh.mode, key)
+		claim, fabric := claimForTable(ht, LookupSeq, key)
 		if !fabric {
 			t.Fatalf("key %d: no fabric claim on an idle table", key)
 		}

@@ -89,49 +89,75 @@ func TestHintedGetAfterFabricDeleteReturnsNoBytes(t *testing.T) {
 }
 
 // A get that races its key's re-insert returns the new value or a
-// miss, never other bytes. One get is issued with the re-insert; the
-// other reads the deleted key's hint, waits behind a get that holds the
-// one get slot, and arms after the re-insert has landed: it finds the
-// key's word beside the new extent, re-aims there once, and answers the
-// new value.
+// miss, never other bytes. In the first round the get is issued with the
+// re-insert. In the second it reads the deleted key's hint, waits behind
+// a get that holds the one get slot, and arms after the re-insert has
+// landed: it finds the key's word beside the new extent, re-aims there
+// once, and answers the new value. In the third the re-insert queues
+// behind three sets of another key and the get is issued after it: the
+// hint finds the tombstone, the delete is no longer the key's newest
+// write, so the get locates the key: the re-insert has not landed, and
+// the get answers the miss in two round trips (two requests, under three
+// idle round trips with the sets' fetches beside them), not a
+// MissTimeout.
 func TestHintedGetRacingReinsert(t *testing.T) {
-	const key, absent = 7, 9
+	const key, other, absent = 7, 8, 9
 	s := NewServiceWith(ServiceConfig{
 		Shards: 1, ClientsPerShard: 1, Pipeline: 1, Mode: LookupSeq,
 		Replicas: 1, Buckets: 1 << 10, MaxValLen: 64,
 	})
-	for gen := uint64(1); gen <= 3; gen++ {
-		val := Value(key<<8|gen, 64)
-		if gen == 1 {
-			if err := s.Set(key, val); err != nil {
-				t.Fatal(err)
-			}
-			continue
+	for _, k := range []uint64{key, other} {
+		if err := s.Set(k, Value(k<<8, 64)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	_, rt, _ := s.Get(other, 64) // one idle round trip: a hinted hit
+	set := func(k uint64, val []byte) {
+		s.SetAsync(k, val, func(_ Duration, err error) {
+			if err != nil {
+				t.Errorf("set of %d: %v", k, err)
+			}
+		})
+	}
+	for round := uint64(1); round <= 3; round++ {
+		val := Value(key<<8|round, 64)
 		if !s.Delete(key) {
 			t.Fatal("setup: delete failed")
 		}
 		var got []byte
+		var lat Duration
 		var ok, done bool
-		if gen == 3 {
-			s.GetAsync(absent, 64, func([]byte, Duration, bool) {})
+		get := func() {
+			s.GetAsync(key, 64, func(v []byte, l Duration, o bool) { got, lat, ok, done = append([]byte(nil), v...), l, o, true })
 		}
-		s.GetAsync(key, 64, func(v []byte, _ Duration, o bool) { got, ok, done = append([]byte(nil), v...), o, true })
-		s.SetAsync(key, val, func(_ Duration, err error) {
-			if err != nil {
-				t.Errorf("re-insert: %v", err)
+		before, issued := s.Stats().PlacedMisses, s.order[0].clients[0].get.issued
+		switch round {
+		case 1:
+			get()
+			set(key, val)
+		case 2:
+			holdGetSlot(s.order[0], absent)
+			get()
+			set(key, val)
+		case 3:
+			for i := range uint64(3) {
+				set(other, Value(other<<8|i, 64))
 			}
-		})
-		before := s.Stats().PlacedMisses
+			set(key, val)
+			get()
+		}
 		s.Flush()
 		s.Run()
 		switch {
 		case !done:
-			t.Fatalf("round %d: the get never answered", gen)
+			t.Fatalf("round %d: the get never answered", round)
 		case ok && !bytes.Equal(got, val):
-			t.Fatalf("round %d: the get returned %x, want the re-inserted %x or a miss", gen, got, val)
-		case gen == 3 && (!ok || s.Stats().PlacedMisses != before+1):
+			t.Fatalf("round %d: the get returned %x, want the re-inserted %x or a miss", round, got, val)
+		case round == 2 && (!ok || s.Stats().PlacedMisses != before+1):
 			t.Fatalf("the parked get: hit %v after %d re-aims; want the new value after one", ok, s.Stats().PlacedMisses-before)
+		case round == 3 && (ok || s.order[0].clients[0].get.issued-issued != 2 || lat > 3*rt):
+			t.Fatalf("the get behind the queued re-insert: hit %v after %d requests and %v (round trip %v); want a miss after 2",
+				ok, s.order[0].clients[0].get.issued-issued, lat, rt)
 		}
 	}
 }
@@ -142,7 +168,7 @@ func TestHintedGetRacingReinsert(t *testing.T) {
 func TestHostOverwriteRefusesAnArmedHintedOverwrite(t *testing.T) {
 	const key = 7
 	s, sh := oneShard(t, key)
-	bucket, ext, ok := residentBucket(sh.table.table, sh.mode, key)
+	bucket, ext, ok := residentBucket(sh.table.table, LookupSeq, key)
 	if !ok {
 		t.Fatal("setup: key not at a candidate bucket")
 	}
@@ -181,7 +207,7 @@ func TestHostOverwriteRefusesAnArmedHintedOverwrite(t *testing.T) {
 func TestArmedHintedOverwriteHoldsItsExtent(t *testing.T) {
 	const key = 7
 	s, sh := oneShard(t, key)
-	bucket, ext, _ := residentBucket(sh.table.table, sh.mode, key)
+	bucket, ext, _ := residentBucket(sh.table.table, LookupSeq, key)
 	cli := sh.setClient(key)
 	s.Run() // every deadline queue empties: a deadline change needs that
 	cli.missTimeout = 500 * sim.Nanosecond

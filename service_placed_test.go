@@ -158,11 +158,11 @@ func TestPlacementHintNotLearnedAfterAKickWalk(t *testing.T) {
 }
 
 // Correctness never rests on a hint: a get aimed at the candidate a
-// stale hint names misses there, asks the same owner again with both
-// probes, and answers the hit, with the hint dropped. The stale probe
-// answers its bucket's word at once, so the miss costs one round trip,
-// not a MissTimeout, and no failover.
-func TestStaleHintFallsBackToBothProbes(t *testing.T) {
+// stale hint names misses there, locates its key on the same owner and
+// aims where the locate found it, answering the hit with no failover in
+// three round trips, not a MissTimeout. The located hit re-learns the
+// hint at the candidate the key sits at.
+func TestStaleHintLocatesItsKey(t *testing.T) {
 	const valLen = 64
 	s := NewServiceWith(ServiceConfig{
 		Shards: 2, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
@@ -177,6 +177,7 @@ func TestStaleHintFallsBackToBothProbes(t *testing.T) {
 	if p == 0 {
 		t.Fatal("no hint after a fabric set")
 	}
+	_, rt, _ := s.Get(key, valLen) // one idle round trip: a hinted hit
 	rec := s.keys[key]
 	rec.placed[0] = uint8(3 - p) // the other candidate
 	s.keys[key] = rec
@@ -185,13 +186,53 @@ func TestStaleHintFallsBackToBothProbes(t *testing.T) {
 		t.Fatalf("get after a stale hint: %x (hit %v)", got, ok)
 	}
 	st := s.Stats()
-	if st.PlacedMisses != 1 || st.Misses != 0 || st.Retries != 0 || placedFn(s, key, sh) != 0 {
-		t.Fatalf("placed misses %d, misses %d, failovers %d, hint %d; want 1, 0, 0 and dropped",
-			st.PlacedMisses, st.Misses, st.Retries, placedFn(s, key, sh))
+	if st.PlacedMisses != 1 || st.Misses != 0 || st.Retries != 0 || placedFn(s, key, sh) != p {
+		t.Fatalf("placed misses %d, misses %d, failovers %d, hint %d; want 1, 0, 0 and %d",
+			st.PlacedMisses, st.Misses, st.Retries, placedFn(s, key, sh), p)
 	}
-	if lat > 20*sim.Microsecond {
-		t.Fatalf("latency %v: the stale probe's miss should cost one round trip, not its %v timeout", lat, DefaultMissTimeout)
+	if lat > 3*rt {
+		t.Fatalf("latency %v: the stale hint's miss, the locate and the located get should cost three round trips of %v", lat, rt)
 	}
+}
+
+// A hit reached through a locate learns no hint when a write to its key
+// was issued after the get began: what it read may already be the
+// write's past. The write's own ack learns where it put the key; the
+// test drops that hint as the ack lands, ahead of the get's answer, so
+// a learned hint could only be the get's.
+func TestLocatedHitRacingAWriteLearnsNoHint(t *testing.T) {
+	const key, valLen = 7, 64
+	s, sh := oneShard(t, key)
+	s.dropPlaced(key)
+	var acked, answered sim.Time
+	s.GetAsync(key, valLen, func(_ []byte, _ Duration, ok bool) {
+		if !ok {
+			t.Error("the located get missed")
+		}
+		answered = s.Now()
+	})
+	s.SetAsync(key, Value(key+1, valLen), func(_ Duration, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		acked = s.Now()
+		s.dropPlaced(key)
+	})
+	s.Flush()
+	s.Run()
+	if acked == 0 || answered <= acked {
+		t.Fatalf("setup: the set acked at %v, the get answered at %v; want the ack first", acked, answered)
+	}
+	if fn := placedFn(s, key, sh); fn != 0 {
+		t.Fatalf("the located hit learned candidate %d across a write issued after it began", fn)
+	}
+}
+
+// holdGetSlot occupies the get slot of sh's first connection for a
+// MissTimeout: the client's own two-probe get of an absent key, whose
+// miss is silence. A service get on that connection queues behind it.
+func holdGetSlot(sh *serviceShard, absent uint64) {
+	sh.clients[0].GetAsync(absent, 8, func([]byte, Duration, bool) {})
 }
 
 // placedFn is the candidate half of key's hint on sh (placedAt).
@@ -304,7 +345,7 @@ func TestHintedGetRejectsAMovedExtent(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, ok = new([]byte), new(bool)
-		s.GetAsync(absent, valLen, func([]byte, Duration, bool) {})
+		holdGetSlot(s.order[0], absent)
 		s.GetAsync(key, valLen, func(v []byte, _ Duration, o bool) { *got, *ok = append([]byte(nil), v...), o })
 		s.Flush()
 		s.Testbed().RunFor(30 * sim.Microsecond)
@@ -762,15 +803,15 @@ func TestHintedGetRacingDeleteMissesOnce(t *testing.T) {
 	if placedFn(s, key, s.order[0]) == 0 {
 		t.Fatal("no hint after a fabric set")
 	}
-	// A get of an absent key holds the one get slot for a MissTimeout;
-	// the get of key reads its hint now and waits behind it, and the
-	// delete lands meanwhile.
+	// A two-probe get of an absent key holds the one get slot for a
+	// MissTimeout; the get of key reads its hint now and waits behind it,
+	// and the delete lands meanwhile.
 	var (
 		hit  bool
 		lat  Duration
 		done bool
 	)
-	s.GetAsync(key+1, valLen, func([]byte, Duration, bool) {})
+	holdGetSlot(s.order[0], key+1)
 	s.GetAsync(key, valLen, func(_ []byte, l Duration, ok bool) { hit, lat, done = ok, l, true })
 	s.DeleteAsync(key, func(Duration, error) {})
 	s.Flush()

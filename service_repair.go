@@ -199,7 +199,7 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 		return false
 	}
 	servedVer, _, _ := s.ownerState(served, key)
-	bucket, ext, fabricOK := residentBucket(partner.table.table, partner.mode, key)
+	bucket, ext, fabricOK := residentBucket(partner.table.table, LookupSeq, key)
 	if !fabricOK {
 		// The key is not at a NIC-addressable bucket on the partner
 		// (absent, tombstoned, or spilled): the probe chain cannot ask,

@@ -534,26 +534,35 @@ func TestServiceCrashNoReplicaRecovers(t *testing.T) {
 
 // Absent-key misses execute their chains on a live NIC and must not
 // advance the crash detector: a healthy shard never gets suspected by
-// workload misses.
+// workload misses. Each owner answers an absent key's locate in one
+// round trip, so the miss takes one round trip per replica, not a
+// MissTimeout per replica.
 func TestServiceAbsentKeysDoNotSuspect(t *testing.T) {
-	s := NewServiceWith(ServiceConfig{
-		Shards: 2, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq, Replicas: 2,
-	})
-	if err := s.Set(1, Value(1, 64)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3*defaultSuspectAfter; i++ {
-		if _, _, ok := s.Get(100000+uint64(i), 64); ok {
-			t.Fatal("absent key found")
+	for r := 1; r <= 3; r++ {
+		s := NewServiceWith(ServiceConfig{
+			Shards: max(r, 2), ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq, Replicas: r,
+		})
+		if err := s.Set(1, Value(1, 64)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, sh := range s.order {
-		if sh.consecMiss != 0 || sh.suspectUntil != 0 {
-			t.Fatalf("shard %s suspected by genuine misses (consecMiss=%d)", sh.id, sh.consecMiss)
+		_, rt, _ := s.Get(1, 64) // one idle round trip: a hinted hit
+		for i := 0; i < 3*defaultSuspectAfter; i++ {
+			_, lat, ok := s.Get(100000+uint64(i), 64)
+			if ok {
+				t.Fatal("absent key found")
+			}
+			if lat > Duration(r)*rt {
+				t.Fatalf("r=%d: an absent key's miss took %v, over %d round trips of %v", r, lat, r, rt)
+			}
 		}
-	}
-	if _, _, ok := s.Get(1, 64); !ok {
-		t.Fatal("present key missed after absent-key run")
+		for _, sh := range s.order {
+			if sh.consecMiss != 0 || sh.suspectUntil != 0 {
+				t.Fatalf("shard %s suspected by genuine misses (consecMiss=%d)", sh.id, sh.consecMiss)
+			}
+		}
+		if _, _, ok := s.Get(1, 64); !ok {
+			t.Fatal("present key missed after absent-key run")
+		}
 	}
 }
 
@@ -631,7 +640,7 @@ func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
 	foreign := uint64(1) << 32
 	for i := uint64(0); i < n; i++ {
 		key := 1000 + i
-		claim, fabric := claimForTable(ht, sh.mode, key)
+		claim, fabric := claimForTable(ht, LookupSeq, key)
 		if !fabric || claim.Expect != 0 {
 			t.Fatalf("key %d: want a fresh fabric claim of an empty bucket, got %+v fabric=%v", key, claim, fabric)
 		}
@@ -651,7 +660,7 @@ func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
 	}
 	for i := uint64(0); i < n; i++ {
 		key := 1000 + i
-		if _, _, fabric := residentBucket(ht, sh.mode, key); !fabric {
+		if _, _, fabric := residentBucket(ht, LookupSeq, key); !fabric {
 			continue // spilled by the race above: a host delete from the start
 		}
 		write(key, true, func() { sh.del(key, 1) })
@@ -1430,35 +1439,33 @@ func TestServicePlaceRollbackRestoresSpilledEvictee(t *testing.T) {
 }
 
 // A host set that grows a spilled resident past its extent overwrites
-// the resident where it lives, in either lookup mode: taking a free
-// candidate would leave a second copy behind, the spilled one pointing
-// at the extent the set retires.
+// the resident where it lives: taking a free candidate would leave a
+// second copy behind, the spilled one pointing at the extent the set
+// retires.
 func TestServiceSetGrowsSpilledResidentInPlace(t *testing.T) {
-	for _, mode := range []LookupMode{LookupSeq, LookupSingle} {
-		s := NewServiceWith(ServiceConfig{Shards: 1, ClientsPerShard: 1, Mode: mode, Buckets: 64, MaxValLen: 64})
-		sh := s.order[0]
-		tb := sh.table.Table()
-		const key = 42
-		if err := tb.InsertAtV(key, sh.srv.arena.Alloc(8, key), 8, 1, 0, 2); err != nil {
-			t.Fatal(err)
+	s := NewServiceWith(ServiceConfig{Shards: 1, ClientsPerShard: 1, Buckets: 64, MaxValLen: 64})
+	sh := s.order[0]
+	tb := sh.table.Table()
+	const key = 42
+	if err := tb.InsertAtV(key, sh.srv.arena.Alloc(8, key), 8, 1, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := Value(key, 48)
+	if err := sh.set(key, want, 2); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	copies := 0
+	for i := range tb.NumBuckets() {
+		if k, _, _, ok := tb.EntryAt(i); ok && k == key {
+			copies++
 		}
-		want := Value(key, 48)
-		if err := sh.set(key, want, 2); err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		copies := 0
-		for i := range tb.NumBuckets() {
-			if k, _, _, ok := tb.EntryAt(i); ok && k == key {
-				copies++
-			}
-		}
-		va, _, vl, _ := sh.stored(key)
-		got, _ := sh.srv.node.Mem.Read(va, vl)
-		if copies != 1 || !bytes.Equal(got, want) || s.Stats().Spills != 0 {
-			t.Fatalf("mode %v: %d copies, value ok %v, %d spills; want 1 copy, the new value, 0 spills",
-				mode, copies, bytes.Equal(got, want), s.Stats().Spills)
-		}
+	}
+	va, _, vl, _ := sh.stored(key)
+	got, _ := sh.srv.node.Mem.Read(va, vl)
+	if copies != 1 || !bytes.Equal(got, want) || s.Stats().Spills != 0 {
+		t.Fatalf("%d copies, value ok %v, %d spills; want 1 copy, the new value, 0 spills",
+			copies, bytes.Equal(got, want), s.Stats().Spills)
 	}
 }
 
@@ -1839,19 +1846,21 @@ func TestServiceRepairInvalidatesStaleCache(t *testing.T) {
 // issue-time state can refuse the admission: admitted, the old value
 // would serve every later get until the next write. Each delay issues
 // the get at a different point of the write's fan-out; at least one
-// must reproduce the late stale answer. The get probes both candidates
-// (its placement hint dropped): a hinted get answers its READ with one
-// WRITE, and at this unloaded shape that lands before the write's last
-// ack, while the CAS-gated answer of a two-probe get lands after it.
+// must reproduce the late stale answer. A get's answer is one WRITE
+// gathering the bucket and the value, which on the write's own
+// connection lands ahead of the write's ack on the same link; so the
+// shards take two connections, one per NIC port, and the value is 4
+// KiB: the get gathers the old value, and its answer is still on the
+// wire of one port when the write's last ack lands on the other.
 func TestServiceCacheRefusesReadsIssuedMidWrite(t *testing.T) {
-	const key, valLen = 7, 48
+	const key, valLen = 7, 4096
 	v1, v2 := Value(1, valLen), Value(2, valLen)
 	raced := 0
-	for d := Duration(0); d <= 4*sim.Microsecond; d += 250 * sim.Nanosecond {
+	for d := Duration(0); d <= sim.Microsecond; d += 20 * sim.Nanosecond {
 		s := NewServiceWith(ServiceConfig{
-			Shards: 3, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
+			Shards: 3, ClientsPerShard: 2, Pipeline: 8,
 			Replicas: 3, WriteQuorum: 2, ReadPolicy: ReadPrimary, HotKeyCache: 8,
-			Buckets: 1 << 12, MaxValLen: 64,
+			Buckets: 1 << 12, MaxValLen: valLen,
 		})
 		if err := s.Set(key, v1); err != nil {
 			t.Fatal(err)
@@ -1868,7 +1877,6 @@ func TestServiceCacheRefusesReadsIssuedMidWrite(t *testing.T) {
 		s.SetAsync(key, v2, func(Duration, error) {})
 		s.Flush()
 		s.tb.clu.Eng.After(d, func() {
-			s.dropPlaced(key) // a two-probe get, as the comment above says
 			s.GetAsync(key, valLen, func(val []byte, _ Duration, _ bool) {
 				got, answered = append([]byte(nil), val...), s.Now()
 			})

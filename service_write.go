@@ -474,7 +474,8 @@ func (r *ownerRun) legDone(st ownerWriteStatus) {
 // keyRec is the coordinator's write state for one key: its newest
 // write's sequence and whether it deletes, how many of its writes some
 // owner has not resolved yet (applied, drained or superseded), the
-// write epoch guarding cache admission, and its placement hints. Born
+// write epoch guarding cache admission and hint learning, and its
+// placement hints. Born
 // at the key's first write, never deleted.
 type keyRec struct {
 	seq       uint64
@@ -482,16 +483,15 @@ type keyRec struct {
 	epoch     uint64
 	del       bool // the newest write issued is a delete
 	// placed holds, per replica rank (the first four), 1 + the
-	// candidate bucket (H1 or H2) the rank's last applied fabric claim
-	// named, and ext the staging extent it installed there; 0 is no
-	// hint.
+	// candidate bucket (H1 or H2) the rank's last applied fabric claim or
+	// located hit named, and ext the extent there; 0 is no hint.
 	placed [4]uint8
 	ext    [4]uint64
 }
 
 // placedAt returns 1 + the candidate holding key on sh and the extent
-// it names, as the last fabric claim sh applied for it installed them,
-// or 0 when no hint stands: where a get's single probe reads. It reads
+// it names, as the last fabric claim sh applied or located hit found
+// them, or 0 when no hint stands and a get locates the key. It reads
 // the coordinator's own record only, never the owner's table.
 func (s *Service) placedAt(key uint64, sh *serviceShard) (fn int, ext uint64) {
 	rec := s.keys[key]
@@ -503,7 +503,8 @@ func (s *Service) placedAt(key uint64, sh *serviceShard) (fn int, ext uint64) {
 
 // learnPlaced records that sh applied a fabric claim of key's bucket
 // at addr, one of its two candidates (H1 when they coincide), which
-// installed the extent ext (a delete: sh's null extent).
+// installed the extent ext (a delete: sh's null extent), or a located
+// hit found the key there.
 func (s *Service) learnPlaced(key uint64, sh *serviceShard, addr, ext uint64) {
 	rec := s.keys[key]
 	if r := slices.Index(s.ownerNodes(key), sh.ringIdx); r >= 0 && r < len(rec.placed) {
@@ -791,9 +792,9 @@ func (r *ownerRun) apply() {
 		fabric bool
 	)
 	if m.del {
-		claim.BucketAddr, _, fabric = residentBucket(t, sh.mode, m.key)
+		claim.BucketAddr, _, fabric = residentBucket(t, LookupSeq, m.key)
 	} else {
-		claim, fabric = claimForTable(t, sh.mode, m.key)
+		claim, fabric = claimForTable(t, LookupSeq, m.key)
 	}
 	// The key's current extent, captured under the per-key write slot,
 	// which orders the key's writes on this owner: what an overwrite's
