@@ -147,7 +147,6 @@ func reshardingRun(duration, bucket, gap, joinAt, drainAt sim.Time) *Result {
 	r.metric("stale_after", float64(stale))
 	r.metric("mig_keys_moved", float64(st.MigKeysMoved))
 	r.metric("mig_segs_sealed", float64(st.MigSegsSealed))
-	r.metric("mig_copy_fails", float64(st.MigCopyFails))
 	r.metric("hints_redirected", float64(st.MigHintsRedirected))
 	r.metric("shards_final", float64(s.NumShards()))
 

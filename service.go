@@ -126,15 +126,16 @@ type ServiceConfig struct {
 	// AntiEntropySegments is the per-shard digest segment count over
 	// which sweeps summarize bucket versions (0 = 64).
 	AntiEntropySegments int
-	// NoRepair disables the repair subsystem entirely — capacity
+	// NoRepair turns off the repair subsystem's discoverers — capacity
 	// rejections are dropped on the floor again and nothing probes or
-	// sweeps. The pre-repair behavior, kept for the repair experiment's
-	// divergence baseline.
+	// sweeps — the pre-repair behavior, kept for the repair experiment's
+	// divergence baseline. Records still stand where an owner is known
+	// to lag (a resharding's moving keys), as they do at Replicas: 1.
 	NoRepair bool
 
 	// MigrateEvery is the background migrator's tick period during a
-	// live resharding (AddShard/DrainShard): each tick copies and seals
-	// a batch of moving bucket segments (0 = 20us).
+	// live resharding (AddShard/DrainShard): each tick stands the repair
+	// records of a batch of moving bucket segments (0 = 20us).
 	MigrateEvery Duration
 	// MigrateBatch is how many bucket segments one migrator tick starts
 	// (0 = 4).
@@ -1395,10 +1396,8 @@ type ServiceStats struct {
 
 	Migrations         int    // completed reshardings (joins + drains)
 	MigratingBuckets   int    // unsealed bucket segments of the active migration
-	MigKeysMoved       uint64 `metric:"mig_keys_moved"`       // owner copies the resharding migrator applied
-	MigKeysSkipped     uint64 `metric:"mig_keys_skipped"`     // moving keys already converged when their turn came
+	MigKeysMoved       uint64 `metric:"mig_keys_moved"`       // repair records the resharding migrator stood on lagging owners
 	MigSegsSealed      uint64 `metric:"mig_segs_sealed"`      // bucket segments sealed across all migrations
-	MigCopyFails       uint64 `metric:"mig_copy_fails"`       // migrator copies abandoned to repair records
 	MigHintsRedirected uint64 `metric:"mig_hints_redirected"` // hints redirected off a draining shard
 
 	Probes         uint64 `metric:"probes"`      // version probes issued on replicated hits

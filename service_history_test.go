@@ -49,8 +49,13 @@ import (
 // unhinted key, and the breaker's liveness probe, answer in round trips
 // instead of a silent MissTimeout (alone: 0x606f704fdfede3d7); and a
 // version probe's WRITE began running from an unmanaged queue behind
-// its own WAIT, one managed fetch instead of two.
-const exactHistoryHash = 0x30cd10fbcea4b00e
+// its own WAIT, one managed fetch instead of two. It moved again when
+// the resharding migrator stopped copying keys itself and began
+// standing repair records on the lagging new owners: the history's
+// join now moves its keys on the owners' drain lanes, where a key with
+// a write in flight parks like any repair, instead of as one converge
+// per key started at the migrator's tick.
+const exactHistoryHash = 0x80c74d9e10d3ac95
 
 // historyOp is one completed operation of a history run.
 type historyOp struct {
@@ -310,7 +315,9 @@ func TestServiceStatsOneStoreTwoViews(t *testing.T) {
 		checked++
 		total += m.Value
 	}
-	if want := 18 + 18*len(st.Shards); checked != want || total == 0 {
+	// 16 service counters: the migrator's copy-failure and skipped-key
+	// counters left with its own copy loop.
+	if want := 16 + 18*len(st.Shards); checked != want || total == 0 {
 		t.Fatalf("checked %d counters summing to %v, want %d and a nonzero sum", checked, total, want)
 	}
 

@@ -43,7 +43,12 @@ import (
 //     owner keeps it until the owner proves live again. One that cannot
 //     land yet (refused, or its key's write in flight) parks for the
 //     retry tick, under backoff; its last try drops it, and a later
-//     sweep or probe re-creates it when the world changes.
+//     sweep or probe re-creates it when the world changes. The
+//     resharding migrator's copies are such records too
+//     (service_reshard.go): one stands wherever an owner lags, whatever
+//     the replica count; Replicas > 1 && !NoRepair gates only the
+//     discoverers — probes, sweeps and the write path's capacity
+//     rejections.
 //
 //  3. Anti-entropy (sweepShard): ticks rotate across shards. A sweep
 //     scans the shard's table once, bins resident (key, version) pairs
@@ -69,8 +74,9 @@ const defaultAntiEntropySegments = 64
 // buckets on both hosts, amortized).
 const aeSegmentDigestLat = 300 * sim.Nanosecond
 
-// repairEnabled reports whether the repair subsystem has anything to
-// do: divergence needs at least two replicas.
+// repairEnabled reports whether the repair subsystem's discoverers —
+// read-repair, anti-entropy and the write path's capacity-rejection
+// floor — run: divergence between replicas needs at least two.
 func (s *Service) repairEnabled() bool { return s.cfg.Replicas > 1 && !s.cfg.NoRepair }
 
 // ownerState reports the newest versioned state owner holds for key:
@@ -267,12 +273,6 @@ func (s *Service) scheduleSkewRepair(key uint64) {
 	if !s.settled(key) {
 		return
 	}
-	s.repairLagging(key)
-}
-
-// repairLagging enqueues a repair for every owner of key lagging the
-// winning version.
-func (s *Service) repairLagging(key uint64) {
 	s.laggingOwners(key, func(sh *serviceShard, winVer uint64) { s.queueRepair(sh, key, winVer) })
 }
 
@@ -291,9 +291,10 @@ func (s *Service) pendingRecords() (hints, repairs int) {
 // whether a new record stands. A new one joins the shard's drain queue
 // at once, so it is applied while the owner is reachable. The write path
 // calls it on capacity rejections — the fix for rejected owners silently
-// staying stale — and the probe and sweep paths on observed skew.
+// staying stale — the probe and sweep paths on observed skew, and the
+// resharding migrator for every lagging post-change owner.
 func (s *Service) queueRepair(sh *serviceShard, key, seq uint64) bool {
-	if !s.repairEnabled() || s.shards[sh.id] != sh {
+	if s.shards[sh.id] != sh {
 		return false
 	}
 	fresh := s.stand(sh, key, seq, nil)
@@ -347,24 +348,12 @@ func (s *Service) retryTick() {
 	}
 }
 
-// converge rolls owner sh forward to the winning state of key — the one
-// loop behind repair records and the resharding migrator. It is an
-// owner run that re-derives the winning state when it is granted the
-// owner's per-key write slot, not from whatever evidence prompted the
-// call, so it can never undo a write that landed while it was queued:
-// roll forward, never roll back. The winner's bytes are read then and
-// applied through the ordinary owner apply path (fabric chain or host
-// RPC, modeled cost and all). done runs once, before the slot passes
-// on: caught up, applied, or a failure whose retry is the caller's.
-func (s *Service) converge(sh *serviceShard, key uint64, done func(ownerWriteStatus)) {
-	r := s.takeRun(sh, nil, 0)
-	r.mut.key, r.m, r.done = key, &r.mut, done
-	sh.withKeySlot(r)
-}
-
-// derive re-derives a converge's winning state into its own mutation,
-// the run holding the slot, and reports whether there is anything to
-// apply; when there is not, end is how the run ends.
+// derive re-derives a repair replay's winning state into its own
+// mutation when the run holds the owner's per-key write slot — not from
+// whatever evidence stood the record, so a replay can never undo a
+// write that landed while it was queued: roll forward, never roll back.
+// It reports whether there is anything to apply; when there is not, end
+// is how the run ends.
 func (r *ownerRun) derive() (end ownerWriteStatus, apply bool) {
 	s, sh, key := r.s, r.sh, r.mut.key
 	winVer, winDel, winner, has := s.winningState(key)
@@ -378,9 +367,8 @@ func (r *ownerRun) derive() (end ownerWriteStatus, apply bool) {
 	}
 	// Capture the winning bytes under the slot. Only a winner that IS
 	// this shard cannot be repointed meanwhile; for cross-owner reads
-	// the callers keep racing writes out (a repair that meets an
-	// unsettled key is superseded; a migration copy losing the race
-	// re-derives a newer winner next time).
+	// granted keeps racing writes out: a repair that meets an unsettled
+	// key parks.
 	va, _, vl, live := winner.stored(key)
 	if !live {
 		return ownerCaughtUp, false
@@ -392,15 +380,7 @@ func (r *ownerRun) derive() (end ownerWriteStatus, apply bool) {
 	return 0, true
 }
 
-// converged resolves a converge for its caller.
-func (r *ownerRun) converged(st ownerWriteStatus) {
-	if st == ownerApplied {
-		r.s.rolledForward(r.sh, r.m)
-	}
-	r.done(st)
-}
-
-// rolledForward is the bookkeeping a converge that applied m owes. A
+// rolledForward is the bookkeeping a repair replay that applied m owes. A
 // value cached from the stale owner before it (legal while the write
 // settled, or read from a pre-change owner) must not outlive
 // convergence — the epoch bump keeps in-flight gets from re-admitting

@@ -26,13 +26,16 @@ import (
 //   - A background migrator. Moving keys are binned into bucket
 //     segments (the anti-entropy sweeper's geometry: the key's primary
 //     hash bucket divided into migrateSegments ranges — identical on
-//     every shard). Each MigrateEvery tick copies a batch of segments:
-//     for each moving key the winning state — newest version across
-//     old AND new owners, value or tombstone — is written to every
-//     lagging post-change owner through the ordinary owner write path,
-//     i.e. the same core.SetOffload claim chains and host RPC
-//     fallbacks every client write pays. Migration traffic has real
-//     modeled fabric cost; nothing teleports.
+//     every shard). Each MigrateEvery tick opens a batch of segments:
+//     for each moving key a repair record stands at the winning version
+//     — newest across old AND new owners, value or tombstone — on every
+//     lagging post-change owner. The migrator copies nothing itself:
+//     the owner's drain lanes replay the record like any repair
+//     (service_repair.go), through the same core.SetOffload claim chains
+//     and host RPC fallbacks every client write pays, parking while the
+//     key has a write in flight and waiting while the owner is
+//     unreachable. Migration traffic has real modeled fabric cost;
+//     nothing teleports.
 //
 //   - Dual-read / dual-write during handover. While a key's segment is
 //     unsealed, reads try the post-change owners first and fall back
@@ -55,11 +58,11 @@ import (
 //     was in flight across either boundary cannot admit what it read
 //     under the old routing (maybeCache checks the generation).
 //
-//   - The repair subsystem as safety net. winningState widens to the
-//     union of old and new owners during a migration, so a copy the
-//     migrator abandons (migrateMaxAttempts of transient failure leaves
-//     a repair record) still converges through the same
-//     roll-forward machinery that heals crash divergence.
+//   - Seal on caught-up owners. A segment seals once its records have
+//     all stood and no current owner of its keys holds one (a record
+//     retiring rechecks its key's segment), so a down new owner holds
+//     its segments open — and its keys readable on the pre-change
+//     owners — until it has replayed them.
 
 // defaultMigrateEvery is the migrator's tick period.
 const defaultMigrateEvery = 20 * sim.Microsecond
@@ -72,10 +75,6 @@ const defaultMigrateBatch = 4
 // migration sealing: dual-read/dual-write stops per segment as it
 // seals, not in one global flag flip at the end.
 const migrateSegments = 64
-
-// migrateMaxAttempts bounds per-key copy attempts before the migrator
-// leaves the key a repair record per lagging owner and seals over it.
-const migrateMaxAttempts = 3
 
 // ErrMigrationInProgress reports an AddShard/DrainShard while an
 // earlier resharding is still migrating: one membership change at a
@@ -103,7 +102,7 @@ type migration struct {
 
 	segKeys  map[uint64][]uint64 // segment -> moving keys, each list sorted
 	pending  []uint64            // unstarted segments, sorted
-	inFlight int                 // segments copying but not yet sealed
+	open     map[uint64]bool     // started segments whose records all stand
 	sealed   map[uint64]bool
 	sealedN  int
 	liveSegs int // segments that had keys to move
@@ -307,6 +306,7 @@ func (s *Service) startMigration(old *shard.Ring, target string, join bool) {
 		replicas: s.cfg.Replicas, started: s.tb.Now(), geom: geom,
 		segW:    (n + segs - 1) / segs,
 		segKeys: make(map[uint64][]uint64),
+		open:    make(map[uint64]bool),
 		sealed:  make(map[uint64]bool)}
 	seen := make(map[uint64]bool)
 	collect := func(key uint64) {
@@ -394,7 +394,7 @@ func (s *Service) armMigration() {
 	})
 }
 
-// migrateTick starts copying a batch of segments.
+// migrateTick opens a batch of segments.
 func (s *Service) migrateTick() {
 	m := s.mig
 	if m == nil {
@@ -404,99 +404,44 @@ func (s *Service) migrateTick() {
 	for i := 0; i < s.cfg.MigrateBatch && len(m.pending) > 0; i++ {
 		seg := m.pending[0]
 		m.pending = m.pending[1:]
-		m.inFlight++
 		s.migrateSegment(m, seg)
 	}
 	s.armMigration()
 }
 
-// migrateSegment copies every moving key in one segment, sealing it
-// when the last copy resolves.
+// migrateSegment stands a repair record at the winning version on
+// every lagging post-change owner of each moving key in one segment,
+// then opens the segment for sealing. The records replay on their
+// owners' drain lanes under the ordinary record rules.
 func (s *Service) migrateSegment(m *migration, seg uint64) {
-	keys := m.segKeys[seg]
-	left := len(keys)
-	if left == 0 {
-		s.sealSegment(m, seg)
-		return
+	for _, key := range m.segKeys[seg] {
+		s.laggingOwners(key, func(sh *serviceShard, winVer uint64) {
+			if s.queueRepair(sh, key, winVer) {
+				s.stats.MigKeysMoved++
+			}
+		})
 	}
-	done := func() {
-		left--
-		if left == 0 {
-			s.sealSegment(m, seg)
-		}
-	}
-	for _, key := range keys {
-		s.migrateKey(m, key, 0, done)
-	}
+	// A replay can retire while the records are still being stood; the
+	// segment may seal only now that they all stand.
+	m.open[seg] = true
+	s.sealIfCaughtUp(m, seg)
 }
 
-// migrateKey converges one moving key onto its post-change owners:
-// the winning state (newest version across old and new owners, value
-// or tombstone) is copied to every new owner that lacks it. Transient
-// failures retry up to migrateMaxAttempts; after that each lagging
-// owner gets a repair record — the convergence safety net, which its
-// owner's drain lanes apply, and probes and sweeps re-create, long
-// after the segment seals.
-func (s *Service) migrateKey(m *migration, key uint64, attempt int, done func()) {
-	if s.mig != m {
-		done()
+// sealIfCaughtUp seals seg once it is open and no current owner of its
+// keys holds a record: every moving key has its winning state on its
+// post-change owners.
+func (s *Service) sealIfCaughtUp(m *migration, seg uint64) {
+	if !m.open[seg] {
 		return
 	}
-	// A key may still be unsettled here — a write mid-fan-out, or an op
-	// wedged on a hint queued before the ownership change. Dual-write
-	// only covers ops issued after the migration started; older fan-outs
-	// never targeted the replacement owners, so the copy must proceed.
-	// That is safe: converge re-derives the winning state under the
-	// owner's per-key slot and never rolls a replica backward.
-	var lagging []*serviceShard
-	s.laggingOwners(key, func(sh *serviceShard, _ uint64) { lagging = append(lagging, sh) })
-	if len(lagging) == 0 {
-		s.stats.MigKeysSkipped++
-		done()
-		return
+	for _, key := range m.segKeys[seg] {
+		for _, ni := range s.ownerNodes(key) {
+			if s.ringShards[ni].lackAt(key) != nil {
+				return
+			}
+		}
 	}
-	left := len(lagging)
-	failed := false
-	sub := func(ok bool) {
-		if !ok {
-			failed = true
-		}
-		if left--; left > 0 {
-			return
-		}
-		if !failed {
-			done()
-			return
-		}
-		if attempt+1 < migrateMaxAttempts {
-			// Transient trouble (a suspect window, a racing relocation):
-			// retry the whole key after a tick.
-			s.tb.clu.Eng.After(s.cfg.MigrateEvery, func() {
-				s.migrateKey(m, key, attempt+1, done)
-			})
-			return
-		}
-		s.stats.MigCopyFails++
-		s.repairLagging(key)
-		done()
-	}
-	for _, sh := range lagging {
-		s.migrateCopy(key, sh, sub)
-	}
-}
-
-// migrateCopy rolls one post-change owner forward to its key's winning
-// state through converge, at modeled fabric cost; re-derived under the
-// owner's per-key slot, a copy can never undo a dual write that landed
-// while it was queued. Caught up while queued (a dual write, a drained
-// hint, or a repair landed first) is success, not a failure.
-func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) {
-	s.converge(sh, key, func(st ownerWriteStatus) {
-		if st == ownerApplied {
-			s.stats.MigKeysMoved++
-		}
-		done(st == ownerApplied || st == ownerCaughtUp)
-	})
+	s.sealSegment(m, seg)
 }
 
 // sealSegment closes one bucket segment: every moving key in it has
@@ -506,10 +451,7 @@ func (s *Service) migrateCopy(key uint64, sh *serviceShard, done func(ok bool)) 
 // keys with in-flight work keep their ghosts, which the next
 // anti-entropy rotation retires.
 func (s *Service) sealSegment(m *migration, seg uint64) {
-	if s.mig != m {
-		return
-	}
-	m.inFlight--
+	delete(m.open, seg)
 	m.sealed[seg] = true
 	m.sealedN++
 	s.stats.MigSegsSealed++
@@ -530,7 +472,7 @@ func (s *Service) sealSegment(m *migration, seg uint64) {
 			sh.put(key, k)
 		}
 	}
-	if len(m.pending) == 0 && m.inFlight == 0 {
+	if m.sealedN == m.liveSegs {
 		s.finishMigration(m)
 	}
 }

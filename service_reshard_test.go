@@ -3,8 +3,11 @@ package redn
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/failure"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -135,6 +138,171 @@ func TestServiceDrainShardZeroLoss(t *testing.T) {
 	}
 	if st := s.Stats(); st.Migrations != 1 {
 		t.Fatalf("migration log has %d entries, want 1", st.Migrations)
+	}
+}
+
+// A join whose new shard crashes as it joins: the migration waits for
+// it. While the shard is down the migrator's records stand on it, so
+// its segments stay unsealed and every acked key stays readable on its
+// pre-change owners through the dual-read fallback — at r=1 too, where
+// no other replica could rebuild a key. An overwrite's hint for the
+// down shard supersedes its record without sealing over it. Once it
+// recovers the records drain, the migration finishes, and every key
+// reads back with no replica stale.
+func TestMigrationWaitsForADownNewOwner(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
+			s := NewServiceWith(ServiceConfig{
+				Shards: 3, ClientsPerShard: 2, Pipeline: 8, Mode: LookupSeq,
+				Replicas: r, WriteQuorum: 1, Buckets: 1 << 12, MaxValLen: 64})
+			const n = 300
+			const valLen = 48
+			keys := make([]uint64, 0, n)
+			for k := uint64(1); k <= n; k++ {
+				if err := s.Set(k, Value(k, valLen)); err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, k)
+			}
+			if err := s.AddShard("shard3"); err != nil {
+				t.Fatal(err)
+			}
+			s.CrashShard(crashIdx(t, s, "shard3"), failure.ProcessCrash, s.Now())
+			s.Testbed().RunFor(10 * sim.Millisecond)
+
+			if !s.shards["shard3"].hostDown {
+				t.Fatal("setup: the new shard is not down")
+			}
+			if !s.resharding() {
+				t.Fatal("the migration finished while a new owner was down")
+			}
+			var moved []uint64
+			for _, k := range keys {
+				if slices.Contains(s.Owners(k), "shard3") {
+					moved = append(moved, k)
+				}
+			}
+			if len(moved) < 10 {
+				t.Fatalf("setup: the join moved %d keys onto the new shard", len(moved))
+			}
+			// Overwrite some moving keys: each leg to the down shard
+			// hints, superseding the migrator's record there. At r=1 the
+			// write fails its quorum, but its dual-write leg lands on the
+			// pre-change owner and its hint stands.
+			for _, k := range moved[:10] {
+				if err := s.Set(k, Value(k+1000, valLen)); (err == nil) != (r > 1) {
+					t.Fatalf("overwrite of key %d at r=%d: %v", k, r, err)
+				}
+			}
+			want := func(k uint64) []byte {
+				if slices.Contains(moved[:10], k) {
+					return Value(k+1000, valLen)
+				}
+				return Value(k, valLen)
+			}
+			for _, k := range moved {
+				if !s.mig.keyUnsealed(k) {
+					t.Fatalf("key %d's segment sealed over its down new owner", k)
+				}
+			}
+			missing := 0
+			for _, k := range keys {
+				if v, _, ok := s.Get(k, valLen); !ok || !bytes.Equal(v, want(k)) {
+					missing++
+				}
+			}
+			if missing != 0 {
+				t.Fatalf("%d of %d acked keys unreadable while the new owner is down", missing, n)
+			}
+
+			s.Run()
+			if s.resharding() {
+				t.Fatal("the migration never finished after the new owner recovered")
+			}
+			for _, k := range keys {
+				if v, _, ok := s.Get(k, valLen); !ok || !bytes.Equal(v, want(k)) {
+					missing++
+				}
+			}
+			if missing != 0 {
+				t.Fatalf("%d of %d acked keys unreadable after recovery", missing, n)
+			}
+			if stale := s.StaleOwners(keys); stale != 0 {
+				t.Fatalf("%d stale replicas after recovery", stale)
+			}
+			if st := s.Stats(); st.RepairsPending != 0 || st.MigKeysMoved == 0 {
+				t.Fatalf("%d records still pending, %d stood by the migrator", st.RepairsPending, st.MigKeysMoved)
+			}
+		})
+	}
+}
+
+// A join that moves keys off a down shard whose writes are wedged on
+// hints: each write failed its r=1 quorum and stays in flight until the
+// shard recovers, so the migrator's records meet unsettled keys and
+// park. On a moving key's last try the record applies anyway, so the
+// new owner gets the value the down shard holds and the segment does
+// not seal over a new owner that never got it.
+func TestMigrationCopiesAKeyWedgedOnADownOldOwner(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 3, ClientsPerShard: 2, Pipeline: 8, Mode: LookupSeq,
+		Replicas: 1, WriteQuorum: 1, Buckets: 1 << 12, MaxValLen: 64})
+	const n = 300
+	const valLen = 48
+	for k := uint64(1); k <= n; k++ {
+		if err := s.Set(k, Value(k, valLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.CrashShard(crashIdx(t, s, "shard0"), failure.ProcessCrash, s.Now())
+	s.Testbed().RunFor(sim.Millisecond)
+	var wedged []uint64
+	for k := uint64(1); k <= n; k++ {
+		if s.Owners(k)[0] == "shard0" {
+			wedged = append(wedged, k)
+			s.SetAsync(k, Value(k+1000, valLen), func(_ Duration, err error) {
+				if err == nil {
+					t.Errorf("key %d: a write to its down only owner acked", k)
+				}
+			})
+		}
+	}
+	s.Flush()
+	s.Testbed().RunFor(5 * sim.Millisecond)
+	if err := s.AddShard("shard3"); err != nil {
+		t.Fatal(err)
+	}
+	var moved []uint64
+	for _, k := range wedged {
+		if s.Owners(k)[0] == "shard3" {
+			moved = append(moved, k)
+		}
+	}
+	if len(moved) == 0 || s.settled(moved[0]) {
+		t.Fatal("setup: no moving key has a write wedged on the down shard")
+	}
+	// Either value is legal: the newer write failed its quorum.
+	reads := func(k uint64) bool {
+		v, _, ok := s.Get(k, valLen)
+		return ok && (bytes.Equal(v, Value(k, valLen)) || bytes.Equal(v, Value(k+1000, valLen)))
+	}
+	s.Testbed().RunFor(100 * sim.Millisecond)
+	if !s.shards["shard0"].hostDown || s.resharding() {
+		t.Fatal("the migration did not finish while the old owner was down")
+	}
+	for _, k := range moved {
+		if !reads(k) {
+			t.Fatalf("moved key %d unreadable on its new owner while its old owner is down", k)
+		}
+	}
+	s.Run()
+	for _, k := range wedged {
+		if !reads(k) {
+			t.Fatalf("key %d unreadable after recovery", k)
+		}
+	}
+	if stale := s.StaleOwners(wedged); stale != 0 {
+		t.Fatalf("%d stale replicas after recovery", stale)
 	}
 }
 

@@ -796,12 +796,11 @@ func TestServiceSetRejectsOversizedValue(t *testing.T) {
 	}
 }
 
-// Roll forward, never back: converge re-derives the winning state when
-// it reaches the owner's per-key slot, not when it was queued. A repair
-// AND a migration copy are parked on a lagging owner's slot behind an
-// in-flight converge to a newer write; when their turn comes the owner
-// is already past the state they were queued to deliver, and neither
-// may touch it.
+// Roll forward, never back: a repair's replay re-derives the winning
+// state when it reaches the owner's per-key slot, not when it was
+// queued. A repair is parked on a lagging owner's slot behind a newer
+// write's leg in flight to it; when its turn comes the owner is already
+// past the state it was queued to deliver, and it may not touch it.
 func TestServiceConvergeNeverRollsBack(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
@@ -834,49 +833,38 @@ func TestServiceConvergeNeverRollsBack(t *testing.T) {
 		}
 	}
 
-	// Seq 3 lands on the primary; a converge carrying it to the lagging
-	// owner holds the (owner, key) slot, in flight on the fabric. The
-	// repair and the copy queue behind it still believing seq 2 wins.
+	// Seq 3's leg to the lagging owner holds the (owner, key) slot, in
+	// flight on the fabric. The repair queues behind it still believing
+	// seq 2 wins.
 	newer := Value(key+3, 64)
-	rec := s.keys[key]
-	rec.seq = 3
-	s.keys[key] = rec
-	if err := s.shards[s.Owners(key)[0]].set(key, newer, rec.seq); err != nil {
-		t.Fatal(err)
-	}
-	var first ownerWriteStatus = -1
-	s.converge(lag, key, func(st ownerWriteStatus) { first = st })
+	var setErr error = errors.New("unacked")
+	s.SetAsync(key, newer, func(_ Duration, err error) { setErr = err })
 	q := lag.keys[key].slot
-	if r := *q.Peek(); q.Len() != 1 || r.next != runAck || r.m.seq != rec.seq {
-		t.Fatal("setup: the converge to seq 3 does not hold the slot in flight")
+	if r := *q.Peek(); q.Len() != 1 || r.next != runAck || r.op == nil || r.m.seq != 3 {
+		t.Fatal("setup: seq 3's leg does not hold the slot in flight")
 	}
 	s.queueRepair(lag, key, 2)
-	copied, copyOK := false, false
-	s.migrateCopy(key, lag, func(ok bool) { copied, copyOK = true, ok })
-	if q.Len() != 3 {
-		t.Fatalf("%d converges parked behind the in-flight one, want 2", q.Len()-1)
+	if q.Len() != 2 {
+		t.Fatalf("%d runs parked behind the in-flight leg, want 1", q.Len()-1)
 	}
-	for i, r := range slotRuns(q)[1:] {
-		// The repair's replay first, then the copy.
-		if r.next != runSlot || r.op != nil || r.m != &r.mut || (r.h != nil) != (i == 0) || (r.done != nil) != (i == 1) {
-			t.Fatalf("parked entry %d is not a converge run waiting for the slot", i+1)
-		}
+	if r := slotRuns(q)[1]; r.next != runSlot || r.op != nil || r.h == nil || r.m != &r.mut {
+		t.Fatal("the parked run is not the repair's replay waiting for the slot")
 	}
 	s.Run()
 
+	if setErr != nil {
+		t.Fatalf("seq 3: %v", setErr)
+	}
 	if v, ok := ownerValue(t, s, lagID, key); !ok || !bytes.Equal(v, newer) {
-		t.Fatal("a parked converge rolled the owner back off the newer write")
+		t.Fatal("a parked repair rolled the owner back off the newer write")
 	}
-	if len(applied) != 1 || applied[0] != rec.seq || first != ownerApplied {
-		t.Fatalf("owner applied seqs %v (first converge %d), want only the newer write's [3]", applied, first)
-	}
-	if !copied || !copyOK {
-		t.Fatalf("migration copy done=%v ok=%v, want caught-up success", copied, copyOK)
+	if len(applied) != 1 || applied[0] != 3 {
+		t.Fatalf("owner applied seqs %v, want only the newer write's [3]", applied)
 	}
 	st := s.Stats()
-	if st.RepairsSuperseded != 1 || st.RepairsApplied != 0 || st.MigKeysMoved != 0 {
-		t.Fatalf("repairs superseded/applied %d/%d, copies moved %d; want 1/0/0",
-			st.RepairsSuperseded, st.RepairsApplied, st.MigKeysMoved)
+	if st.RepairsSuperseded != 1 || st.RepairsApplied != 0 || st.RepairsDropped != 0 {
+		t.Fatalf("repairs superseded/applied/dropped %d/%d/%d; want 1/0/0",
+			st.RepairsSuperseded, st.RepairsApplied, st.RepairsDropped)
 	}
 	if lag.keys[key].slot != nil {
 		t.Fatal("the per-key slot was never released")

@@ -115,7 +115,7 @@ type mutation struct {
 // write itself (op, which it settles when it retires) and its replay
 // applies op's mutation; a repair (op nil) carries only the floor seq,
 // and its replay rolls the owner forward to whatever the winning
-// replica holds then (converge). Tombstones and values share
+// replica holds then (derive). Tombstones and values share
 // the per-key slot and its sequence order, so a delete hint supersedes
 // any older value hint and a drain replays it as a delete. queued: the
 // key waits in the shard's drain queue or a replay holds it; draining:
@@ -460,11 +460,13 @@ func (r *ownerRun) legDone(st ownerWriteStatus) {
 		op.fail(s)
 	default:
 		// ownerRejected: a definitive refusal — but not a silent
-		// divergence: a repair records the laggard, and it or the
-		// next probe or sweep rolls it forward once capacity frees.
-		// (Deletes have no capacity to run out of; they never land
-		// here.)
-		s.queueRepair(sh, op.key, op.seq)
+		// divergence: with the repair subsystem on, a repair records
+		// the laggard, and it or the next probe or sweep rolls it
+		// forward once capacity frees. (Deletes have no capacity to
+		// run out of; they never land here.)
+		if s.repairEnabled() {
+			s.queueRepair(sh, op.key, op.seq)
+		}
 		op.fail(s)
 		op.settleOne(s)
 	}
@@ -609,10 +611,10 @@ func (sh *serviceShard) pending(l *lack) *int {
 }
 
 // noteOwnerApplied is the bookkeeping every successful owner apply —
-// fan-out leg, drained hint, repair or migration copy — owes: the
-// per-replica apply log (tests), the owner's tombstone version (a
-// delete raises it, a value at or past it clears it), and retiring any
-// pending record the apply made redundant.
+// fan-out leg, drained hint or repair — owes: the per-replica apply log
+// (tests), the owner's tombstone version (a delete raises it, a value
+// at or past it clears it), and retiring any pending record the apply
+// made redundant.
 func (s *Service) noteOwnerApplied(sh *serviceShard, m *mutation) {
 	if s.applyHook != nil {
 		s.applyHook(sh.id, m.key, m.seq)
@@ -645,9 +647,9 @@ const (
 	ownerUnreachable
 	ownerRejected
 	// ownerCaughtUp: nothing left to apply when the run was granted the
-	// slot — a replay's record no longer stands, a repair meets a write
-	// still in flight, or a converge finds the owner at the winning state
-	// already (or the winner's copy deleted).
+	// slot — a replay's record no longer stands, or a repair's derive
+	// finds the owner at the winning state already (or the winner's copy
+	// deleted).
 	ownerCaughtUp
 )
 
@@ -666,11 +668,11 @@ const (
 
 // ownerRun is one owner-level apply, from the moment it asks for its
 // (owner, key) write slot until it passes the slot on: a fan-out leg
-// (op set), a replay (h set) or a converge (neither): the only
-// record of its apply, and a pooled one. The continuations are method
-// values bound once, when the record is made; next names the single
-// one outstanding, so a continuation reaching a record that was
-// released — or released and taken again — panics.
+// (op set) or a replay (h set): the only record of its apply, and a
+// pooled one. The continuations are method values bound once, when the
+// record is made; next names the single one outstanding, so a
+// continuation reaching a record that was released — or released and
+// taken again — panics.
 type ownerRun struct {
 	s    *Service
 	next runStage
@@ -688,16 +690,14 @@ type ownerRun struct {
 	hostLat  Duration         // runHost: the RPC's modeled latency
 
 	// A fan-out leg: the write it is a leg of, its position, whether it
-	// votes in the quorum. A replay: the record (m is a hint's write's).
-	// A converge (a repair's replay, or a caller's with done): the
-	// winning state it derives into mut (m points at it) when granted the
-	// slot.
+	// votes in the quorum. A replay: the record (m is a hint's write's);
+	// a repair's replay derives the winning state into mut (m points at
+	// it) when granted the slot.
 	op    *setOp
 	idx   int
 	votes bool
 	h     *lack
 	mut   mutation
-	done  func(ownerWriteStatus)
 
 	hopFn, hostFn func()
 	ackFn         func(lat Duration, ok bool)
@@ -730,16 +730,21 @@ func (r *ownerRun) enter(stage runStage) {
 // queued — a newer write reached this owner, or superseded the record —
 // is skipped, so a replay never runs an old value over a newer write. A
 // repair that meets a write still in flight parks like a refused one:
-// converge must not read a winner a racing write can repoint, and the
+// derive must not read a winner a racing write can repoint, and the
 // write's own fan-out may not reach this owner (one issued before an
-// ownership change). A converge derives what it applies here.
+// ownership change). A moving key's last try applies all the same: a
+// write wedged on a down pre-change owner's hint stays in flight for the
+// whole outage, and dropping the record would seal its segment over the
+// lagging new owner. A repair derives what it applies here.
 func (r *ownerRun) granted() {
 	r.enter(runSlot)
+	s, key := r.s, r.m.key
 	switch {
-	case r.h != nil && r.sh.lackAt(r.m.key) != r.h:
+	case r.h != nil && r.sh.lackAt(key) != r.h:
 		r.finish(ownerCaughtUp)
 		return
-	case r.h != nil && r.h.op == nil && !r.s.settled(r.m.key):
+	case r.h != nil && r.h.op == nil && !s.settled(key) &&
+		(r.h.tries+1 < repairMaxTries || s.mig == nil || !s.mig.keyUnsealed(key)):
 		r.finish(ownerRejected)
 		return
 	case r.m == &r.mut:
@@ -752,20 +757,17 @@ func (r *ownerRun) granted() {
 }
 
 // finish resolves the run — a leg into its write's quorum accounting, a
-// replay into its record, a converge into its caller's done — returns the
-// record and passes the slot on. A replay's lane moves on only then.
+// replay into its record — returns the record and passes the slot on. A
+// replay's lane moves on only then.
 func (r *ownerRun) finish(st ownerWriteStatus) {
 	s, sh, key, h := r.s, r.sh, r.m.key, r.h
-	switch {
-	case r.op != nil:
+	if r.op != nil {
 		r.legDone(st)
-	case h != nil:
+	} else {
 		s.replayDone(sh, key, h, r.m, st)
-	default:
-		r.converged(st)
 	}
 	r.next = runFree
-	r.sh, r.m, r.done, r.cli, r.op, r.h = nil, nil, nil, nil, nil, nil
+	r.sh, r.m, r.cli, r.op, r.h = nil, nil, nil, nil, nil
 	s.runs.put(r)
 	sh.setNext(key)
 	if h != nil {
@@ -876,11 +878,11 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 		if !m.del && r.resident {
 			sh.srv.retire.push(r.oldVa)
 		}
-		// Every apply teaches the hint, a replay's and a converge's as
-		// well as a leg's: a get after a crash's hint drain reads the
-		// extent the drain installed, and a get after a delete reads the
-		// tombstone beside the shard's null extent, never the extent the
-		// delete retired, which may come back as the key's next value.
+		// Every apply teaches the hint, a replay's as well as a leg's: a
+		// get after a crash's hint drain reads the extent the drain
+		// installed, and a get after a delete reads the tombstone beside
+		// the shard's null extent, never the extent the delete retired,
+		// which may come back as the key's next value.
 		if r.claimAt != 0 {
 			ext := cli.staged
 			if m.del {
@@ -1069,7 +1071,7 @@ func (s *Service) stand(sh *serviceShard, key, seq uint64, op *setOp) bool {
 		}
 		return false
 	default:
-		s.retire(sh, key, cur, ownerCaughtUp)
+		s.unstand(sh, key, cur, ownerCaughtUp)
 	}
 	l, _ := s.lacks.take()
 	l.seq, l.op, l.queued = seq, op, queued
@@ -1082,13 +1084,24 @@ func (s *Service) stand(sh *serviceShard, key, seq uint64, op *setOp) bool {
 	return true
 }
 
-// retire takes l off sh's key — if it still stands there — counting
-// how it ended (applied, rejected or superseded) and settling a hint's
-// write; a record no replay carries goes back to the pool.
+// retire takes l off sh's key — if it still stands there — and, during
+// a resharding, seals the key's segment if that was the last record its
+// current owners held.
 func (s *Service) retire(sh *serviceShard, key uint64, l *lack, st ownerWriteStatus) {
 	if sh.lackAt(key) != l {
 		return
 	}
+	s.unstand(sh, key, l, st)
+	if m := s.mig; m != nil {
+		s.sealIfCaughtUp(m, m.segOf(key))
+	}
+}
+
+// unstand takes the standing record l off sh's key, counting how it
+// ended (applied, rejected or superseded) and settling a hint's write;
+// a record no replay carries goes back to the pool. A record stand
+// supersedes goes this way, never sealing: its successor stands at once.
+func (s *Service) unstand(sh *serviceShard, key uint64, l *lack, st ownerWriteStatus) {
 	sh.setLack(key, nil)
 	*sh.ended(l, st)++
 	if l.op != nil {
@@ -1176,14 +1189,14 @@ func (s *Service) pumpDrain(sh *serviceShard) {
 
 // replay starts one record's replay on a drain lane: a run carrying l
 // that queues for its (owner, key) write slot and applies a hint's
-// bytes, or a repair's converge, through the ordinary owner apply path.
-// A shard has one lane per write slot of its clients (sh.lanes counts
-// the idle ones), so a recovery holds as many owner applies as its set
-// pipelines carry at once, however long the outage was, and a user
-// write to the owner queues behind them, not behind the backlog. A
-// hint's replay reads the write's mutation until it resolves — its
-// bytes are the only copy when the quorum failed — whatever happens to
-// the hint meanwhile (DropHints, a redirect).
+// bytes, or a repair's derived winning state, through the ordinary
+// owner apply path. A shard has one lane per write slot of its clients
+// (sh.lanes counts the idle ones), so a recovery holds as many owner
+// applies as its set pipelines carry at once, however long the outage
+// was, and a user write to the owner queues behind them, not behind the
+// backlog. A hint's replay reads the write's mutation until it resolves
+// — its bytes are the only copy when the quorum failed — whatever
+// happens to the hint meanwhile (DropHints, a redirect).
 func (s *Service) replay(sh *serviceShard, key uint64, l *lack) {
 	l.queued, l.draining = true, true
 	r := s.takeRun(sh, nil, 0)
