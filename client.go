@@ -192,7 +192,7 @@ type pipeReq struct {
 	val    []byte                                  // set
 	sclaim core.SetClaim                           // set
 	bucket uint64                                  // delete/probe: the bucket claimed or probed
-	ver    uint64                                  // set/delete version
+	ver    uint64                                  // set version
 	prbCB  func(ver uint64, lat Duration, ok bool) // probe
 	ackCB  func(lat Duration, ok bool)             // set/delete
 
@@ -1011,7 +1011,7 @@ func (c *Client) wireHooks() {
 
 	// ---- delete ----
 	c.del.arm = func(req *pipeReq, ack uint64) []byte {
-		return c.dels.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, req.ver, ack)
+		return c.dels.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, ack)
 	}
 	c.del.verdict, c.del.deliver = applied, acked
 	c.del.release = func(req *pipeReq, ok, executed bool) {
@@ -1329,15 +1329,14 @@ func (c *Client) Set(key uint64, value []byte) (lat Duration, ok bool) {
 // ---- delete path ----
 
 // deleteAsyncClaim issues one offloaded delete of key at a
-// caller-computed bucket, stamping the tombstone with ver, and returns
-// immediately — the service layer's entry point (its router finds the
-// resident bucket and owns the sequence). cb runs when the NIC's ack
-// lands (ok is its verdict: false for a refused claim) or, on a dead
-// connection, MissTimeout expires. op is the trace op id its WRs
+// caller-computed bucket and returns immediately — the service layer's
+// entry point (its router finds the resident bucket). cb runs when the
+// NIC's ack lands (ok is its verdict: false for a refused claim) or, on
+// a dead connection, MissTimeout expires. op is the trace op id its WRs
 // attribute to.
-func (c *Client) deleteAsyncClaim(key, bucket, ver, op uint64, cb func(lat Duration, ok bool)) {
+func (c *Client) deleteAsyncClaim(key, bucket, op uint64, cb func(lat Duration, ok bool)) {
 	req := c.del.take()
-	req.key, req.bucket, req.ver, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, ver, cb, op
+	req.key, req.bucket, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, cb, op
 	c.del.submit(req)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/sim"
 	"repro/internal/wqe"
@@ -541,10 +542,8 @@ func TestClientSetSingleModeRefusesUnreachableClaim(t *testing.T) {
 
 // claimResident issues a delete (probe false) or a version probe of key
 // through the claim entry points the Service drives, at the bucket its
-// router would find: residentBucket over the bound table. A delete
-// stamps the client's next per-key version, the counter standalone
-// sets draw from. A key with no NIC-reachable bucket fails after a
-// zero-cost hop with no chain armed.
+// router would find: residentBucket over the bound table. A key with no
+// NIC-reachable bucket fails after a zero-cost hop with no chain armed.
 func claimResident(cli *Client, key uint64, probe bool, cb func(ver uint64, lat Duration, ok bool)) {
 	bucket, ext, ok := residentBucket(cli.table.Table(), cli.mode, key)
 	switch {
@@ -553,8 +552,7 @@ func claimResident(cli *Client, key uint64, probe bool, cb func(ver uint64, lat 
 	case probe:
 		cli.probeAsyncTarget(key, bucket, ext, 0, cb)
 	default:
-		cli.nextVer[key]++
-		cli.deleteAsyncClaim(key, bucket, cli.nextVer[key], 0, func(lat Duration, ok bool) { cb(0, lat, ok) })
+		cli.deleteAsyncClaim(key, bucket, 0, func(lat Duration, ok bool) { cb(0, lat, ok) })
 	}
 }
 
@@ -657,7 +655,7 @@ func TestClientDeleteRefused(t *testing.T) {
 	var executed, acked bool
 	var refusedLat Duration
 	done := false
-	cli.deleteAsyncClaim(777, bucket, 1, 0,
+	cli.deleteAsyncClaim(777, bucket, 0,
 		func(lat Duration, ok bool) {
 			acked, executed, done, refusedLat = ok, cli.lastExecuted(pipeDelete), true, lat
 		})
@@ -896,7 +894,7 @@ func TestClientStragglerAckCompletesNothing(t *testing.T) {
 }
 
 // The probe path end to end: fabric sets publish monotonically
-// increasing versions into their buckets, a probe reads them back
+// increasing versions in their values' headers, a probe reads them back
 // through the NIC chain in one round trip, and a probe of an absent key
 // times out with its chain executed (a genuine conditional miss, not a
 // dead connection).
@@ -921,17 +919,19 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	if lat <= 0 || lat >= cli.missTimeout {
 		t.Fatalf("probe latency %v not fabric-real", lat)
 	}
-	// The version word advances with every overwrite — written by the
-	// set chain's repoint WRITE, read back by the probe chain.
+	// The version advances with every overwrite — staged in the value's
+	// header by the set's WRITE, read back by the probe chain.
 	if _, ok := cli.Set(key, Value(key+1, 64)); !ok {
 		t.Fatal("overwrite failed")
 	}
 	if ver, _, ok = awaitResident(cli, key, true); !ok || ver != 2 {
 		t.Fatalf("probe after overwrite = %d,%v want 2,true", ver, ok)
 	}
-	// Ground truth: the bucket's version word matches what probes see.
-	if v, resident := table.Table().VersionOf(key); !resident || v != 2 {
-		t.Fatalf("bucket version word = %d,%v want 2,true", v, resident)
+	// Ground truth: the header of the value the bucket names matches
+	// what probes see.
+	va, _, resident := table.Table().Lookup(key)
+	if v, _ := extent.Head(srv.node.Mem, va); !resident || v != 2 {
+		t.Fatalf("value header version = %d,%v want 2,true", v, resident)
 	}
 
 	// An absent key: the probe target cannot even be computed — the
@@ -967,10 +967,10 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	}
 }
 
-// The delete chain stamps the tombstone's version word: after a
-// fabric delete, the bucket carries the delete's sequence — the
-// ordering evidence the repair subsystem reads.
-func TestClientDeleteStampsTombstoneVersion(t *testing.T) {
+// A fabric delete leaves its bucket the words a host Remove leaves, a
+// tombstone naming the free pointer with a zero length, and writes
+// nothing past them.
+func TestClientDeleteLeavesAFreeTombstone(t *testing.T) {
 	tb := NewTestbed()
 	srv := tb.NewServer()
 	table := srv.NewHashTable(1 << 10)
@@ -995,12 +995,14 @@ func TestClientDeleteStampsTombstoneVersion(t *testing.T) {
 	if _, _, ok := awaitResident(cli, key, false); !ok {
 		t.Fatal("delete failed")
 	}
-	if !ht.TombstoneAt(bucket) {
-		t.Fatal("no tombstone after fabric delete")
+	if !ht.TombstoneAt(bucket) || !ht.FreeAt(bucket) {
+		t.Fatal("no free tombstone after fabric delete")
 	}
-	// Set was seq 1, delete seq 2 on the client's per-key counter.
-	if v := ht.VersionAt(bucket); v != 2 {
-		t.Fatalf("tombstone version = %d, want 2", v)
+	m := srv.node.Mem
+	for off, want := range []uint64{hopscotch.Tombstone, hopscotch.FreePtr, 0, 0} {
+		if w, _ := m.U64(ht.BucketAddr(bucket) + uint64(8*off)); w != want {
+			t.Fatalf("bucket word %d = %#x, want %#x", off, w, want)
+		}
 	}
 }
 

@@ -83,9 +83,8 @@ const (
 	opBucket         // the bucket's address (a lookup's first candidate; a list's head)
 	opBucket2        // a lookup's second candidate bucket
 	opExtent         // the value extent a hinted lookup gathers or a hinted overwrite expects (a probe: its header)
-	opValAddr        // the bucket's [valAddr, valLen, version] words
+	opValAddr        // the bucket's [valAddr, valLen] words
 	opLen            // the value's length
-	opVer            // the write's version
 	opResp           // the client-side answer buffer
 	numOps
 )

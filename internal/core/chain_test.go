@@ -66,11 +66,11 @@ var programShapes = []struct {
 	{"set hinted overwrite", 3, 4, 2, setShape(1)},
 	// The pointer CAS, then the publishing WRITE its result arms.
 	{"set fresh", 4, 6, 3, setShape(hopscotch.FreePtr)},
-	// The key claim's three steps, then the conditional version and
-	// free-pointer WRITE and the copy of the verdict that arms it.
+	// The key claim's three steps, then the conditional free-pointer
+	// WRITE and the copy of the verdict that arms it.
 	{"delete", 7, 12, 6, func(h *shapeRig) (*chain, func() []byte) {
 		o := NewDeletePool(h.b, h.trig, h.resp(false)).Ctxs[0]
-		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, 1, h.buf) }
+		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, h.buf) }
 	}},
 	// One WRITE gathers the bucket's [keyCtrl, valAddr] and the header of
 	// the extent named; the client checks the key word and the address.

@@ -15,15 +15,14 @@ import (
 // machinery covers all three without the host CPU. A client delete is
 // one SEND whose payload is scattered into a chain posted for it:
 //
-//	RECV      scatter claim/cond operands + bucket addrs + version
+//	RECV      scatter claim/cond operands + bucket addrs
 //	claimCAS  bucket.keyCtrl: NOOP|key -> TOMBSTONE   (the delete claim)
 //	          old bucket word -> unlink.ctrl          (the CAS's own result)
 //	condCAS   unlink.ctrl: NOOP|key -> WRITE|key      (arm iff claimed)
 //	unlink    WRITE [PENDING|key | bucket.[valAddr, valLen]] -> to-free ring slot
-//	verRead   READ unlink.ctrl -> verWr.ctrl          (copy the verdict)
-//	verWr     WRITE [FreePtr, 0, version]
-//	          -> bucket.[valAddr, valLen, version]    (iff claimed)
-//	WAIT      verWr                                   (on the ack's queue)
+//	freeRead  READ unlink.ctrl -> freeWr.ctrl         (copy the verdict)
+//	freeWr    WRITE [FreePtr, 0] -> bucket.[valAddr, valLen] (iff claimed)
+//	WAIT      freeWr                                  (on the ack's queue)
 //	ack       WRITE unlink.ctrl -> client ack buffer  (the verdict)
 //
 // The claim tombstones the bucket at once, so gets miss from then on —
@@ -35,8 +34,8 @@ import (
 // the NOOP opcode (hopscotch's "inert under injection" rule). A failed
 // claim (key absent, already tombstoned, or a racing writer) leaves
 // that inert word in place and the chain falls through to its ack: no
-// unlink, no version stamp, a refusal the client reads one round trip
-// later. Until verWr lands, the tombstone still names the deleted
+// unlink, no free pointer, a refusal the client reads one round trip
+// later. Until freeWr lands, the tombstone still names the deleted
 // extent, not hopscotch.FreePtr, which holds the bucket as a claim in
 // flight would: no fresh claim's pointer CAS can take it, and no host
 // write places into it.
@@ -50,19 +49,13 @@ import (
 // deposited is a counted stale no-op — whether the address is already
 // gone or recycled to another key.
 //
-// verRead/verWr stamp the delete's version (the coordinator's quorum
-// sequence, scattered into a per-instance args word) onto the bucket's
-// version word, so a tombstone is ordered against live replicas: the
-// repair subsystem compares versions to decide whether an absent key
-// means "deleted at seq v" or "never saw the write". The same WRITE
-// points the bucket at FreePtr, as every free bucket, after the unlink
-// has copied the old pointer out: the bucket is free from then on. The
-// WRITE is conditionally armed exactly like the unlink — verRead copies
-// unlink.ctrl (WRITE|key iff the claim succeeded, an inert NOOP-family
-// word otherwise) onto verWr's control word — so a failed claim stamps
-// nothing. The ack is the set chain's: an unconditional WRITE of
-// unlink's control word — WRITE|key, or the word that refused the claim
-// — posted whole, so TriggerPayload posts the instance, as the set's.
+// freeWr leaves the bucket the words hopscotch.Table.Remove leaves,
+// [FreePtr, 0], once the unlink has copied the old pointer out, armed
+// like the unlink: freeRead copies unlink.ctrl onto its control word.
+// A delete carries no version (its caller records the sequence). The
+// ack is the set chain's: an unconditional WRITE of unlink's control
+// word — WRITE|key, or the word that refused the claim — posted whole,
+// so TriggerPayload posts the instance, as the set's.
 
 // deleteRingSlots is the per-context depth of the to-free ring: one
 // delete is in flight per context, so a few slots absorb stragglers
@@ -79,7 +72,7 @@ type DeleteOffload struct {
 	slotBase uint64
 
 	w2 *rnic.QP // managed chain ring: claim, conditional arm, verdict copy
-	w3 *rnic.QP // managed ring for the unlink + version WRITEs
+	w3 *rnic.QP // managed ring for the unlink + free WRITEs
 
 	args uint64 // the instances' args buffers (chain.argsBuf, delArgs)
 }
@@ -88,18 +81,18 @@ type DeleteOffload struct {
 // order.
 const (
 	dlUnlink = iota + wCond + 1
-	dlVerRead
-	dlVerWr
+	dlFreeRead
+	dlFreeWr
 	dlAck
 )
 
-// A delete instance's args buffer: verWr's source [FreePtr, 0, version],
-// the unlink's tag, and the unlink's gather list, {tag, 8} then the
+// A delete instance's args buffer: freeWr's source [FreePtr, 0], the
+// unlink's tag, and the unlink's gather list, {tag, 8} then the
 // bucket's {[valAddr, valLen], 16}.
 const (
-	delTag   = 24
-	delList  = 32
-	delArgs  = 64
+	delTag   = 16
+	delList  = 24
+	delArgs  = 56
 	delValAt = delList + 16 // the gather entry the trigger aims at the bucket
 )
 
@@ -109,7 +102,7 @@ var deleteLayout = []slot{
 	{wClaim, wqe.OffCmp, opNoop}, {wClaim, wqe.OffSwap, opTomb}, {wClaim, wqe.OffDst, opBucket},
 	// The conditional arm compares against the word a successful claim REPLACED.
 	{wCond, wqe.OffCmp, opNoop}, {wCond, wqe.OffSwap, opWrite},
-	{argsWord, delValAt, opValAddr}, {argsWord, 16, opVer}, {dlVerWr, wqe.OffDst, opValAddr},
+	{argsWord, delValAt, opValAddr}, {dlFreeWr, wqe.OffDst, opValAddr},
 }
 
 // NewDeletePool builds K = len(resp) delete contexts over the trig
@@ -128,37 +121,34 @@ func NewDeletePool(b *Builder, trig *rnic.QP, resp []*rnic.QP) *Pool[*DeleteOffl
 			m.PutU64(a+delValAt+8, 16)
 		}
 		// w2 holds claim, conditional arm and verdict copy, w3 unlink and
-		// verWr; ring wrap needs 2x.
+		// freeWr; ring wrap needs 2x.
 		o.w2 = o.ring(2*3+4, -1)
 		o.w3 = o.ring(16, -1)
 		return o
 	})
 }
 
-// TriggerPayload posts and fires a delete of key in the bucket at bucket
-// with version ver, acking the 8-byte verdict into the client-side
-// ackAddr, and returns the SEND payload that drives it: the context's
+// TriggerPayload posts and fires a delete of key in the bucket at
+// bucket, acking the 8-byte verdict into the client-side ackAddr, and returns the SEND payload that drives it: the context's
 // own buffer, overwritten by its next TriggerPayload. Re-posting models
 // the client rewriting the registered code region over RDMA (§3.5),
 // exactly like sets.
-func (o *DeleteOffload) TriggerPayload(key, bucket, ver, ackAddr uint64) []byte {
+func (o *DeleteOffload) TriggerPayload(key, bucket, ackAddr uint64) []byte {
 	b := o.B
 	ringSlot := o.Ring.SlotAddr(o.slotBase + o.armed%deleteRingSlots)
 	// unlink gathers the key's tag and the bucket's [valAddr, valLen]
-	// onto the ring slot; its control word is the verdict (see claim).
-	// verWr lands the free pointer and the delete's version (scattered
-	// into args) over the bucket's pointer words; verRead arms it with
-	// the verdict, so it fires only on a successful claim.
+	// onto the ring slot; its control word is the verdict (see claim),
+	// which freeRead copies onto freeWr, the bucket's free words.
 	in := instance{args: o.argsBuf(o.args, delArgs)}
 	b.Dev.Mem().PutU64(in.args+delTag, hopscotch.PendingCtrl(key))
 	s := &in.steps
 	s[dlUnlink] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args + delList, Count: 2, Dst: ringSlot,
 		Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
-	s[dlVerWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 24, Flags: wqe.FlagSignaled})
+	s[dlFreeWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 16, Flags: wqe.FlagSignaled})
 	o.claim(&in, o.w2, dlUnlink)
-	s[dlVerRead] = b.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Src: s[dlUnlink].FieldAddr(wqe.OffCtrl),
-		Dst: s[dlVerWr].FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
+	s[dlFreeRead] = b.Post(o.w2, wqe.WQE{Op: wqe.OpRead, Src: s[dlUnlink].FieldAddr(wqe.OffCtrl),
+		Dst: s[dlFreeWr].FieldAddr(wqe.OffCtrl), Len: 8, Flags: wqe.FlagSignaled})
 	o.ack(&in, dlAck, dlUnlink, key, ackAddr)
 	o.fire(deleteLayout, &in, s[:dlAck+1])
-	return o.payload(deleteLayout, key, operands{opBucket: bucket, opValAddr: bucket + hopscotch.OffValAddr, opVer: ver})
+	return o.payload(deleteLayout, key, operands{opBucket: bucket, opValAddr: bucket + hopscotch.OffValAddr})
 }

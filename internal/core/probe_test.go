@@ -59,7 +59,7 @@ func storeHeaded(t *testing.T, h *harness, table *hopscotch.Table, key, ver uint
 	t.Helper()
 	va = h.srv.Mem().Alloc(extent.HeadBytes+64, 8) + extent.HeadBytes
 	extent.PutHead(h.srv.Mem(), va, ver, 64)
-	if err := table.InsertV(key, va, 64, ver); err != nil {
+	if err := table.Insert(key, va, 64); err != nil {
 		t.Fatal(err)
 	}
 	return va
@@ -105,7 +105,7 @@ func TestProbeOffloadConditionalMiss(t *testing.T) {
 
 	// A tombstoned bucket misses too: its key word is not NOOP|key, and
 	// it names the free pointer, not the extent.
-	if _, _, ok := table.RemoveV(key, 23); !ok {
+	if _, _, ok := table.Remove(key); !ok {
 		t.Fatal("remove failed")
 	}
 	if ctrl, got, _, answered := doProbe(t, h, o, cliQP, key, table.BucketAddr(b), va); !answered ||

@@ -60,8 +60,7 @@ import (
 //	claimCAS  bucket.keyCtrl: Expect -> New      (NOOP|key -> NOOP|key)
 //	          old bucket word -> valWr.ctrl      (the CAS's own result)
 //	condCAS   valWr.ctrl: Expect -> WRITE|key    (flip iff claimed)
-//	valWr     WRITE [stagingAddr, valLen, version]
-//	          -> bucket.[valAddr, valLen, version]
+//	valWr     WRITE [stagingAddr, valLen] -> bucket.[valAddr, valLen]
 //	WAIT      valWr                              (on the ack's queue)
 //	ack       WRITE valWr.ctrl -> client ack buffer (the verdict)
 //
@@ -136,8 +135,8 @@ var setLayout = []slot{
 	// REPLACED (the CAS returned it onto valWr) and arms the WRITE.
 	{wCond, wqe.OffCmp, opExpect}, {wCond, wqe.OffSwap, opWrite},
 	// valWr's destination, the bucket's pointer words, and the value
-	// length and version that follow the staging address in args.
-	{stValWr, wqe.OffDst, opValAddr}, {argsWord, 8, opLen}, {argsWord, 16, opVer},
+	// length that follows the staging address in args.
+	{stValWr, wqe.OffDst, opValAddr}, {argsWord, 8, opLen},
 }
 
 // A pointer-CAS set's steps: the pointer CAS, a fresh claim's publish,
@@ -159,7 +158,7 @@ var ptrLayout = []slot{{ptCAS, wqe.OffCmp, opExtent}, {ptCAS, wqe.OffDst, opValA
 func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena *extent.Arena) *Pool[*SetOffload] {
 	return newPool(b, trig, resp, func(_ int, cb *Builder, r *rnic.QP) *SetOffload {
 		o := &SetOffload{chain: newChain(cb, trig, r), MaxVal: maxVal, Arena: arena}
-		o.args = o.newArgs(24)
+		o.args = o.newArgs(16)
 		// Rings hold one in-flight instance (ring wrap needs 2x); w2 is
 		// the busiest, with two WQEs per instance.
 		o.w2 = o.ring(2*2+4, -1)
@@ -187,15 +186,14 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 }
 
 // post posts and fires the armed instance as a key claim, acking into
-// ackAddr. Its args buffer holds the 24 bytes valWr copies over the
-// bucket's [valAddr, valLen, version]: the staging address plus the
-// value length and the write's version, both scattered in by the
-// trigger.
+// ackAddr. Its args buffer holds the 16 bytes valWr copies over the
+// bucket's [valAddr, valLen]: the staging address and the value length
+// the trigger scatters in.
 func (o *SetOffload) post(ackAddr uint64) {
 	b := o.B
-	in := instance{args: o.argsBuf(o.args, 24)}
+	in := instance{args: o.argsBuf(o.args, 16)}
 	b.Dev.Mem().PutU64(in.args, o.staging)
-	in.steps[stValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 24, Flags: wqe.FlagSignaled})
+	in.steps[stValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 16, Flags: wqe.FlagSignaled})
 	o.claim(&in, o.w2, stValWr)
 	o.ack(&in, stAck, stValWr, o.key, ackAddr)
 	o.fire(setLayout, &in, in.steps[:stAck+1])
@@ -207,7 +205,7 @@ func (o *SetOffload) post(ackAddr uint64) {
 // the args buffer holds.
 func (o *SetOffload) postPtr(fresh bool, ackAddr uint64) {
 	b := o.B
-	in := instance{args: o.argsBuf(o.args, 24)}
+	in := instance{args: o.argsBuf(o.args, 16)}
 	found, prev := in.args, &in.steps[ptCAS]
 	if fresh {
 		b.Dev.Mem().PutU64(in.args, ClaimCtrl(o.key))
@@ -260,14 +258,14 @@ func (o *SetOffload) ReleaseStaging() (replaced uint64) {
 // under claim, acking the verdict into the client-side ackAddr — and
 // returns the SEND payload that drives it. A claim naming an Extent runs
 // a pointer CAS (the hinted overwrite, or the fresh claim of a bucket
-// naming hopscotch.FreePtr), and valLen and ver travel in the staged
-// header; a key claim lands them in the bucket with the pointer, in one
-// WRITE. The result is the context's own buffer, overwritten by the next
-// call.
+// naming hopscotch.FreePtr), and valLen travels in the staged header; a
+// key claim lands it in the bucket with the pointer, in one WRITE. ver
+// is unused: the staged header carries the write's version. The result
+// is the context's own buffer, overwritten by the next call.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	o.key, o.claimed = key, claim
 	v := operands{opExpect: claim.Expect, opNew: claim.New, opBucket: claim.BucketAddr,
-		opValAddr: claim.BucketAddr + hopscotch.OffValAddr, opExtent: claim.Extent, opLen: valLen, opVer: ver}
+		opValAddr: claim.BucketAddr + hopscotch.OffValAddr, opExtent: claim.Extent, opLen: valLen}
 	if claim.Extent != 0 {
 		o.postPtr(claim.Extent == hopscotch.FreePtr, ackAddr)
 		return o.payload(ptrLayout, key, v)

@@ -59,7 +59,7 @@ type chainRun struct {
 	verdict uint64       // the word the ack landed in the client's buffer
 	acks    int          // ack completions carrying WRITE|key
 	at      sim.Time     // when the ack completed, from the trigger's doorbell
-	conds   []wqe.Opcode // what the conditional WQEs (valWr; unlink, verWr) executed as
+	conds   []wqe.Opcode // what the conditional WQEs (valWr; unlink, freeWr) executed as
 }
 
 // fire sends payload on qp and runs the chain behind resp to completion,
@@ -97,17 +97,18 @@ func (h *writeHarness) doSet(t *testing.T, key uint64, claim SetClaim, ver uint6
 
 // doDelete arms one delete instance against key's first candidate
 // bucket and runs it.
-func (h *writeHarness) doDelete(t *testing.T, key, ver uint64) chainRun {
+func (h *writeHarness) doDelete(t *testing.T, key uint64) chainRun {
 	t.Helper()
 	return h.fire(t, h.delQP, h.del.Resp, h.del.w3, key,
-		h.del.TriggerPayload(key, h.bucket(key), ver, h.ack))
+		h.del.TriggerPayload(key, h.bucket(key), h.ack))
 }
 
 func (h *writeHarness) bucket(key uint64) uint64 {
 	return h.table.BucketAddr(h.table.Hash(key, 0))
 }
 
-// words reads a bucket's [keyCtrl, valAddr, valLen, version].
+// words reads a bucket's [keyCtrl, valAddr, valLen] and its fourth
+// word, padding no chain may write.
 func (h *writeHarness) words(addr uint64) (w [4]uint64) {
 	for i := range w {
 		w[i], _ = h.srv.Mem().U64(addr + uint64(8*i))
@@ -115,8 +116,9 @@ func (h *writeHarness) words(addr uint64) (w [4]uint64) {
 	return w
 }
 
-// put writes a bucket's [keyCtrl, valAddr, valLen, version] behind the
-// table's back: the state some other writer left there.
+// put writes a bucket's four words behind the table's back: the state
+// some other writer left there, with a nonzero fourth word a chain that
+// wrote past valLen would change.
 func (h *writeHarness) put(addr uint64, w [4]uint64) {
 	for i, v := range w {
 		h.srv.Mem().PutU64(addr+uint64(8*i), v)
@@ -139,13 +141,14 @@ func bucketStates(key uint64) map[string][4]uint64 {
 // The set chain's verdict is its deciding CAS's own result, in each of
 // the three shapes a claim selects, against every word a bucket can
 // hold. The key claim (no extent) applies exactly when the bucket holds
-// NOOP|key: the bucket ends repointed, with the length and version, and
-// the ack carries WRITE|key. The hinted overwrite applies exactly when
+// NOOP|key: the bucket ends repointed, with the length, and the ack
+// carries WRITE|key. The hinted overwrite applies exactly when
 // the bucket names the expected extent: only the pointer moves, and the
 // ack carries the pointer found. The fresh claim takes the free
 // pointer, which arms its publishing WRITE: the ack carries the word its
 // pointer CAS found, the free pointer iff it published. A refusal
-// changes no bucket word. Every case runs once per kind of ack queue, to
+// changes no bucket word. No chain, refused or applied, writes the
+// bucket's fourth word. Every case runs once per kind of ack queue, to
 // the same verdict and exactly one ack.
 func TestSetChainVerdicts(t *testing.T) {
 	const key = 42
@@ -165,7 +168,7 @@ func TestSetChainVerdicts(t *testing.T) {
 		applied bool
 	}{
 		{name: "overwrite of the resident", before: bucketStates(key)["resident"], claim: keyClaim, verdict: applied,
-			after: [4]uint64{resident, staged, writeValLen, 17}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
+			after: [4]uint64{resident, staged, writeValLen, 9}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
 		{name: "overwrite of a deleted key", before: bucketStates(key)["tombstone"], claim: keyClaim,
 			verdict: hopscotch.Tombstone, conds: []wqe.Opcode{wqe.OpNoop}},
 		{name: "overwrite of a vanished key", before: bucketStates(key)["empty"], claim: keyClaim,
@@ -218,7 +221,11 @@ func TestSetChainVerdicts(t *testing.T) {
 				if want[1] == staged {
 					want[1] = staging
 				}
-				if after := h.words(h.bucket(key)); after != want {
+				after := h.words(h.bucket(key))
+				if after[3] != c.before[3] {
+					t.Fatalf("the chain wrote the bucket's fourth word: %#x -> %#x", c.before[3], after[3])
+				}
+				if after != want {
 					t.Fatalf("bucket %#x -> %#x, want %#x", c.before, after, want)
 				}
 				if !slices.Equal(run.conds, c.conds) {
@@ -242,12 +249,13 @@ func checkAnswered(t *testing.T, run chainRun) {
 }
 
 // The delete chain's verdict, likewise: applied exactly when the bucket
-// held the live occupant NOOP|key — the bucket ends a tombstone stamped
-// with the delete's version, naming the free pointer, and its extent is
-// on the to-free ring under the key's pending word.
-// Every other word refuses, deposits nothing and stamps nothing, and
-// executes as a NOOP on both conditional WQEs. Every state runs once
-// per kind of ack queue.
+// held the live occupant NOOP|key — the bucket ends [Tombstone,
+// FreePtr, 0], the words hopscotch.Table.Remove leaves, so host and
+// fabric deletes agree, and its extent is on the to-free ring under the
+// key's pending word. Every other word refuses, deposits nothing and
+// writes nothing, and executes as a NOOP on both conditional WQEs.
+// Neither writes the bucket's fourth word. Every state runs once per
+// kind of ack queue.
 func TestDeleteChainVerdicts(t *testing.T) {
 	const key = 42
 	applied := wqe.MakeCtrl(wqe.OpWrite, key)
@@ -256,37 +264,44 @@ func TestDeleteChainVerdicts(t *testing.T) {
 			t.Run(q.prefix+state, func(t *testing.T) {
 				h := newWriteHarness(t, q.managed)
 				h.put(h.bucket(key), before)
-				run := h.doDelete(t, key, 23)
+				run := h.doDelete(t, key)
 				checkAnswered(t, run)
 				after := h.words(h.bucket(key))
+				if after[3] != before[3] {
+					t.Fatalf("the chain wrote the bucket's fourth word: %#x -> %#x", before[3], after[3])
+				}
 				var freed [][3]uint64
 				h.del.Ring.Drain(func(tag, addr, size uint64) { freed = append(freed, [3]uint64{tag, addr, size}) })
 				if state == "resident" {
 					if run.verdict != applied {
 						t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
 					}
-					if after[0] != hopscotch.Tombstone || after[1] != hopscotch.FreePtr || after[3] != 23 {
-						t.Fatalf("bucket %#x, want a tombstone naming the free pointer at version 23", after)
+					host := hopscotch.New(h.srv.Mem(), 16, 0)
+					host.Insert(key, before[1], before[2])
+					host.Remove(key)
+					removed := h.words(host.BucketAddr(host.Hash(key, 0)))
+					if want := [3]uint64{hopscotch.Tombstone, hopscotch.FreePtr, 0}; [3]uint64(after[:3]) != want || [3]uint64(removed[:3]) != want {
+						t.Fatalf("bucket %#x, host Remove left %#x; want both %#x", after[:3], removed[:3], want)
 					}
 					if want := [3]uint64{hopscotch.PendingCtrl(key), before[1], before[2]}; len(freed) != 1 || freed[0] != want {
 						t.Fatalf("to-free ring holds %#x, want one deposit %#x", freed, want)
 					}
 					if len(run.conds) != 2 || run.conds[0] != wqe.OpWrite || run.conds[1] != wqe.OpWrite {
-						t.Fatalf("unlink, verWr executed as %v, want two WRITEs", run.conds)
+						t.Fatalf("unlink, freeWr executed as %v, want two WRITEs", run.conds)
 					}
 					return
 				}
 				if run.verdict != before[0] {
 					t.Fatalf("verdict %#x, want the word that refused the claim %#x", run.verdict, before[0])
 				}
-				if after[1] != before[1] || after[2] != before[2] || after[3] != before[3] {
+				if after[1] != before[1] || after[2] != before[2] {
 					t.Fatalf("refused delete moved the bucket's pointer words: %#x -> %#x", before, after)
 				}
 				if len(freed) != 0 {
 					t.Fatalf("refused delete deposited %#x on the to-free ring", freed)
 				}
 				if len(run.conds) != 2 || run.conds[0] != wqe.OpNoop || run.conds[1] != wqe.OpNoop {
-					t.Fatalf("unlink, verWr executed as %v under bucket word %#x, want two NOOPs", run.conds, before[0])
+					t.Fatalf("unlink, freeWr executed as %v under bucket word %#x, want two NOOPs", run.conds, before[0])
 				}
 			})
 		}

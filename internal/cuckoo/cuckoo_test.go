@@ -45,7 +45,7 @@ func tombstoneBucket(tbl *hopscotch.Table, key uint64) uint64 {
 
 func TestInsertLookupDelete(t *testing.T) {
 	tbl, _ := newTable(256)
-	if _, _, err := tbl.Place(42, 0x1000, 64, 0); err != nil {
+	if _, _, err := tbl.Place(42, 0x1000, 64); err != nil {
 		t.Fatal(err)
 	}
 	va, vl, ok := tbl.Lookup(42)
@@ -62,7 +62,7 @@ func TestInsertLookupDelete(t *testing.T) {
 
 func TestOverwriteInPlace(t *testing.T) {
 	tbl, _ := newTable(64)
-	tbl.Place(7, 0x1000, 8, 0)
+	tbl.Place(7, 0x1000, 8)
 	before := tbl.LookupBucket(7)
 	tbl.Insert(7, 0x2000, 16)
 	va, vl, _ := tbl.Lookup(7)
@@ -80,7 +80,7 @@ func TestDisplacement(t *testing.T) {
 	tbl, _ := newTable(32)
 	var keys []uint64
 	for k := uint64(1); k <= 200; k++ {
-		spilled, _, err := tbl.Place(k, k*8, 8, 0)
+		spilled, _, err := tbl.Place(k, k*8, 8)
 		if err != nil {
 			break
 		}
@@ -104,7 +104,7 @@ func TestFullTable(t *testing.T) {
 	tbl, _ := newTable(2)
 	sawFull := false
 	for k := uint64(1); k <= 100; k++ {
-		if _, _, err := tbl.Place(k, k, 8, 0); errors.Is(err, hopscotch.ErrFull) {
+		if _, _, err := tbl.Place(k, k, 8); errors.Is(err, hopscotch.ErrFull) {
 			sawFull = true
 			break
 		}
@@ -118,7 +118,7 @@ func TestFullTable(t *testing.T) {
 // in a NOOP control word and the value pointer in the src field.
 func TestBucketABIMatchesHopscotch(t *testing.T) {
 	tbl, m := newTable(64)
-	tbl.Place(9, 0x500, 32, 0)
+	tbl.Place(9, 0x500, 32)
 	addr := tbl.HashAddr(9, tbl.LookupBucket(9))
 	kc, _ := m.U64(addr + hopscotch.OffKeyCtrl)
 	if kc != wqe.MakeCtrl(wqe.OpNoop, 9) {
@@ -132,7 +132,7 @@ func TestBucketABIMatchesHopscotch(t *testing.T) {
 
 func TestWideKeyRejected(t *testing.T) {
 	tbl, _ := newTable(64)
-	if _, _, err := tbl.Place(1<<48, 1, 1, 0); err == nil {
+	if _, _, err := tbl.Place(1<<48, 1, 1); err == nil {
 		t.Fatal("49-bit key accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestCuckooProperty(t *testing.T) {
 			if _, ok := seen[k]; ok {
 				err = tbl.Insert(k, v, 8)
 			} else {
-				_, _, err = tbl.Place(k, v, 8, 0)
+				_, _, err = tbl.Place(k, v, 8)
 			}
 			if err != nil {
 				return true
@@ -213,7 +213,7 @@ func TestCuckooPropertyRandomOps(t *testing.T) {
 			if kicks(tbl, key) {
 				kicked++
 			}
-			if _, _, err := tbl.Place(key, va, vl, 0); err == nil {
+			if _, _, err := tbl.Place(key, va, vl); err == nil {
 				model[key] = ent{va, vl}
 			} else {
 				if !errors.Is(err, hopscotch.ErrFull) {
@@ -249,7 +249,7 @@ func TestCuckooPropertyRandomOps(t *testing.T) {
 // new key whose candidate is the tombstoned bucket reclaims it.
 func TestTombstoneReclaim(t *testing.T) {
 	tbl, _ := newTable(64)
-	if _, _, err := tbl.Place(1, 0x1000, 8, 0); err != nil {
+	if _, _, err := tbl.Place(1, 0x1000, 8); err != nil {
 		t.Fatal(err)
 	}
 	if !tbl.Delete(1) {
@@ -269,7 +269,7 @@ func TestTombstoneReclaim(t *testing.T) {
 	var k uint64
 	for k = 100; tbl.Hash(k, 0) != b; k++ {
 	}
-	if _, _, err := tbl.Place(k, 0x2000, 8, 0); err != nil {
+	if _, _, err := tbl.Place(k, 0x2000, 8); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, _, _ := tbl.EntryAt(b); got != k || tbl.Tombstones() != 0 {
@@ -286,7 +286,7 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 	// Saturate until full.
 	var resident []uint64
 	for k := uint64(1); uint64(len(resident)) < n && k < 100000; k++ {
-		if _, _, err := tbl.Place(k, k*16, 8, 0); err == nil {
+		if _, _, err := tbl.Place(k, k*16, 8); err == nil {
 			resident = append(resident, k)
 		}
 	}
@@ -310,7 +310,7 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 	// collisions can strand a few).
 	placed := 0
 	for k := uint64(200000); k < 300000 && placed < deleted; k++ {
-		if _, _, err := tbl.Place(k, k*16, 8, 0); err == nil {
+		if _, _, err := tbl.Place(k, k*16, 8); err == nil {
 			placed++
 		}
 	}
@@ -325,58 +325,7 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 // The reserved tombstone id is not a usable key.
 func TestTombstoneIDRejected(t *testing.T) {
 	tbl, _ := newTable(16)
-	if _, _, err := tbl.Place(hopscotch.TombstoneID, 0x1000, 8, 0); err == nil {
+	if _, _, err := tbl.Place(hopscotch.TombstoneID, 0x1000, 8); err == nil {
 		t.Fatal("insert of the reserved tombstone id succeeded")
-	}
-}
-
-// Versions move with their entries: a kick walk that displaces a
-// resident carries its version to the new bucket, and RemoveV stamps
-// the tombstone.
-func TestVersionRidesKicks(t *testing.T) {
-	tbl, _ := newTable(64)
-	stored, kicked := uint64(0), false
-	for k := uint64(1); k <= 40; k++ {
-		kicked = kicked || kicks(tbl, k)
-		if _, _, err := tbl.Place(k, 0x1000+k*64, 64, k*10); err != nil {
-			break // table full: versions of everything placed so far still hold
-		}
-		stored = k
-	}
-	if !kicked {
-		t.Fatal("load produced no kicks — test shape is wrong")
-	}
-	for k := uint64(1); k <= stored; k++ {
-		if v, ok := tbl.VersionOf(k); !ok || v != k*10 {
-			t.Fatalf("key %d version = %d,%v want %d", k, v, ok, k*10)
-		}
-	}
-	if _, _, ok := tbl.RemoveV(7, 99); !ok {
-		t.Fatal("delete failed")
-	}
-	if v := tbl.VersionAt(tombstoneBucket(tbl, 7)); v != 99 {
-		t.Fatalf("tombstone version = %d, want 99", v)
-	}
-}
-
-// Plain (unversioned) Insert and Delete must preserve the bucket's
-// version word: an unversioned overwrite or delete can never regress a
-// version a versioned path already published.
-func TestVersionPreservedByUnversionedOps(t *testing.T) {
-	tbl, _ := newTable(256)
-	if _, _, err := tbl.Place(42, 0x1000, 64, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert(42, 0x2000, 64); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := tbl.VersionOf(42); !ok || v != 7 {
-		t.Fatalf("plain Insert clobbered the version: %d,%v want 7,true", v, ok)
-	}
-	if !tbl.Delete(42) {
-		t.Fatal("delete failed")
-	}
-	if v := tbl.VersionAt(tombstoneBucket(tbl, 42)); v != 7 {
-		t.Fatalf("plain Delete clobbered the tombstone version: %d, want 7", v)
 	}
 }

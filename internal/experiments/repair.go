@@ -15,8 +15,8 @@ import (
 //     a near-full ring apply on one owner and are refused by the
 //     other) plus genuine crash-era divergence (overwrites during a
 //     process crash whose handoff hints are then lost), counted as
-//     stale (owner, key) replicas against the per-bucket version
-//     words.
+//     stale (owner, key) replicas against the versions the owners
+//     hold (a value's header, or the delete an owner recorded).
 //  2. Convergence — the same injected divergence driven to ZERO stale
 //     replicas two independent ways: by read-repair alone (NIC version
 //     probes on every replicated hit under a read-only workload, with
@@ -255,7 +255,7 @@ func repairRun(requests int) *Result {
 
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("divergence injected for real: %d-shard R=2 W=1 ring at 512 buckets/shard filled past capacity (owner rejections), plus a process crash whose %d handoff hints were dropped before recovery", repairShards, repairCrashHi-repairCrashLo+1),
-		"stale = (owner, key) replicas whose bucket version word lags the newest any owner holds; converge = virtual ms from workload start to the first zero-stale sample",
+		"stale = (owner, key) replicas whose version (a value header, or a recorded delete) lags the newest any owner holds; converge = virtual ms from workload start to the first zero-stale sample",
 		fmt.Sprintf("read-repair: %d NIC probes (2+1 WRs each), %d skews detected, %d repairs applied", rrStats.Probes, rrStats.ProbeSkews, rrStats.RepairsApplied),
 		fmt.Sprintf("anti-entropy: %d sweep passes, %d segment digests disagreed, %d keys repaired — with zero reads and zero probes", aeStats.AEPasses, aeStats.AESegsDiffed, aeStats.RepairsApplied),
 		"the pre-repair baseline (NoRepair) holds its stale replicas forever: rejected owners heal only by accidental overwrite",

@@ -10,7 +10,10 @@
 // WQE's id field and the value pointer in its src field, readying it
 // for the conditional CAS. Values are referenced by pointer (not
 // inlined) to support dynamic value sizes. All fields are big-endian,
-// as the paper requires of Memcached's buckets.
+// as the paper requires of Memcached's buckets. The third word, valLen,
+// is host-written: the fabric's pointer-CAS writes never update it, so
+// a service table's lengths live in its values' [version, length]
+// headers (internal/extent), read through serviceShard.stored.
 package hopscotch
 
 import (
@@ -21,15 +24,16 @@ import (
 	"repro/internal/wqe"
 )
 
-// BucketSize is the on-memory size of a bucket in bytes.
+// BucketSize is the on-memory size of a bucket in bytes: three words
+// and a fourth of padding no path writes, kept because FaRM-KV's
+// neighborhood READ spans whole buckets.
 const BucketSize = 32
 
 // Bucket field offsets.
 const (
 	OffKeyCtrl = 0  // MakeCtrl(OpNoop, key48); zero means empty
 	OffValAddr = 8  // address of the value bytes
-	OffValLen  = 16 // value length in bytes
-	OffVersion = 24 // per-key write version (the coordinator's quorum sequence)
+	OffValLen  = 16 // value length in bytes, as the host path wrote it
 )
 
 // DefaultNeighborhood is FaRM's default neighborhood size (§5.2: "the
@@ -208,40 +212,17 @@ func (t *Table) slotFor(key uint64) (uint64, error) {
 	return 0, ErrFull
 }
 
-// VersionAt returns the version word of bucket i. The version is the
-// coordinator's per-key quorum sequence, stamped by every versioned
-// write and delete; replicas compare it to detect divergence (probe
-// chains read it over RDMA, the repair subsystem rolls laggards
-// forward). It lives in the bucket's fourth word — outside the 16 bytes
-// a lookup probe READ injects — so carrying it costs the inert-under-
-// injection invariant nothing.
-func (t *Table) VersionAt(i uint64) uint64 {
-	v, _ := t.mem.U64(t.BucketAddr(i) + OffVersion)
-	return v
-}
-
-// setVersionAt stamps bucket i's version word.
-func (t *Table) setVersionAt(i, ver uint64) error {
-	return t.mem.PutU64(t.BucketAddr(i)+OffVersion, ver)
-}
-
-// VersionOf returns the version word of key's bucket (ok=false when
-// absent).
-func (t *Table) VersionOf(key uint64) (uint64, bool) {
-	addr, _, ok := t.find(key)
-	if !ok {
-		return 0, false
-	}
-	v, _ := t.mem.U64(addr + OffVersion)
-	return v, true
-}
-
 // storeBucket writes key -> (valAddr, valLen) at addr, maintaining the
 // entry and tombstone accounting against the slot's previous state.
-// The version word is left untouched: unversioned writes (standalone
-// host sets, raw test plumbing) must not regress a version a fabric
-// chain already published — versioned paths go through the *V variants.
+// Keys wider than 48 bits, and the reserved ids, are rejected rather
+// than silently truncated.
 func (t *Table) storeBucket(addr, key, valAddr, valLen uint64) error {
+	if key&^KeyMask != 0 {
+		return fmt.Errorf("hopscotch: key %#x exceeds 48 bits", key)
+	}
+	if key&PendingBit != 0 {
+		return fmt.Errorf("hopscotch: key %#x uses the reserved pending/tombstone id space", key)
+	}
 	prev, _ := t.mem.U64(addr + OffKeyCtrl)
 	if err := t.mem.PutU64(addr+OffKeyCtrl, wqe.MakeCtrl(wqe.OpNoop, key)); err != nil {
 		return err
@@ -266,16 +247,8 @@ func (t *Table) storeBucket(addr, key, valAddr, valLen uint64) error {
 	return nil
 }
 
-// Insert stores key -> (valAddr, valLen). Keys wider than 48 bits —
-// and the reserved tombstone id — are rejected rather than silently
-// truncated.
+// Insert stores key -> (valAddr, valLen).
 func (t *Table) Insert(key, valAddr, valLen uint64) error {
-	if key&^KeyMask != 0 {
-		return fmt.Errorf("hopscotch: key %#x exceeds 48 bits", key)
-	}
-	if key&PendingBit != 0 {
-		return fmt.Errorf("hopscotch: key %#x uses the reserved pending/tombstone id space", key)
-	}
 	addr, err := t.slotFor(key)
 	if err != nil {
 		return err
@@ -283,47 +256,12 @@ func (t *Table) Insert(key, valAddr, valLen uint64) error {
 	return t.storeBucket(addr, key, valAddr, valLen)
 }
 
-// InsertV is Insert stamping ver into the stored bucket's version word
-// — the host-path sibling of the fabric set chain's version WRITE.
-func (t *Table) InsertV(key, valAddr, valLen, ver uint64) error {
-	if key&^KeyMask != 0 {
-		return fmt.Errorf("hopscotch: key %#x exceeds 48 bits", key)
-	}
-	if key&PendingBit != 0 {
-		return fmt.Errorf("hopscotch: key %#x uses the reserved pending/tombstone id space", key)
-	}
-	addr, err := t.slotFor(key)
-	if err != nil {
-		return err
-	}
-	if err := t.storeBucket(addr, key, valAddr, valLen); err != nil {
-		return err
-	}
-	return t.mem.PutU64(addr+OffVersion, ver)
-}
-
 // InsertAt places key directly into the d-th slot of its fn-th
 // neighborhood, overwriting any occupant — for experiments that force
 // collisions (Fig 11 places every key in the second bucket) and for
 // the service layer's offload-reachable placement.
 func (t *Table) InsertAt(key, valAddr, valLen uint64, fn, d int) error {
-	if key&^KeyMask != 0 {
-		return fmt.Errorf("hopscotch: key %#x exceeds 48 bits", key)
-	}
-	if key&PendingBit != 0 {
-		return fmt.Errorf("hopscotch: key %#x uses the reserved pending/tombstone id space", key)
-	}
 	return t.storeBucket(t.BucketAddr(t.hash(key, fn)+uint64(d)), key, valAddr, valLen)
-}
-
-// InsertAtV is InsertAt stamping ver into the bucket's version word —
-// the service layer's versioned placement (kick walks carry each
-// evictee's version along with its entry).
-func (t *Table) InsertAtV(key, valAddr, valLen, ver uint64, fn, d int) error {
-	if err := t.InsertAt(key, valAddr, valLen, fn, d); err != nil {
-		return err
-	}
-	return t.setVersionAt(t.hash(key, fn)+uint64(d), ver)
 }
 
 // WriteBucket stores key -> (valAddr, valLen) directly into bucket i,
@@ -332,22 +270,7 @@ func (t *Table) InsertAtV(key, valAddr, valLen, ver uint64, fn, d int) error {
 // at neither of its candidate buckets) must go back to exactly the
 // bucket it was taken from.
 func (t *Table) WriteBucket(i, key, valAddr, valLen uint64) error {
-	if key&^KeyMask != 0 {
-		return fmt.Errorf("hopscotch: key %#x exceeds 48 bits", key)
-	}
-	if key&PendingBit != 0 {
-		return fmt.Errorf("hopscotch: key %#x uses the reserved pending/tombstone id space", key)
-	}
 	return t.storeBucket(t.BucketAddr(i), key, valAddr, valLen)
-}
-
-// writeBucketV is WriteBucket stamping ver into the bucket's version
-// word — the restore primitive for Place's versioned rollback.
-func (t *Table) writeBucketV(i, key, valAddr, valLen, ver uint64) error {
-	if err := t.WriteBucket(i, key, valAddr, valLen); err != nil {
-		return err
-	}
-	return t.setVersionAt(i, ver)
 }
 
 // maxKicks bounds Place's cuckoo relocation walk.
@@ -366,19 +289,17 @@ const maxKicks = 16
 // and none is reported moved. A walk that reaches a bucket a fabric
 // claim holds mid-flight (its PENDING word names no key to re-place)
 // fails with ErrClaimed.
-func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, moved []uint64, err error) {
+func (t *Table) Place(key, valAddr, valLen uint64) (spilled bool, moved []uint64, err error) {
 	if _, _, ok := t.find(key); ok {
-		return false, nil, t.InsertV(key, valAddr, valLen, ver) // overwrites where it lives
+		return false, nil, t.Insert(key, valAddr, valLen) // overwrites where it lives
 	}
 	// The kick walk records every displacement so a failed spill can be
 	// rolled back: without the trail, an exhausted walk whose final
 	// neighborhood insert also fails would lose the last evictee — a
-	// previously acknowledged resident — forever. Versions travel with
-	// their entries: an evictee's version moves (and rolls back) along
-	// with its key and extent pointer.
+	// previously acknowledged resident — forever.
 	type move struct {
-		bucket          uint64 // bucket index the evictee was taken from
-		kk, va, vl, ver uint64
+		bucket     uint64 // bucket index the evictee was taken from
+		kk, va, vl uint64
 	}
 	var trail []move
 	// undo puts each kicked resident back in exactly the bucket it was
@@ -388,19 +309,19 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, moved []u
 	undo := func(err error) (bool, []uint64, error) {
 		for i := len(trail) - 1; i >= 0; i-- {
 			m := trail[i]
-			if rerr := t.writeBucketV(m.bucket, m.kk, m.va, m.vl, m.ver); rerr != nil {
+			if rerr := t.WriteBucket(m.bucket, m.kk, m.va, m.vl); rerr != nil {
 				return false, nil, rerr
 			}
 		}
 		return false, nil, err
 	}
-	curKey, curVa, curVl, curVer := key, valAddr, valLen, ver
+	curKey, curVa, curVl := key, valAddr, valLen
 	fn := 0
 	for kick := 0; ; kick++ {
 		// A free candidate bucket ends the walk.
 		for _, f := range []int{0, 1} {
 			if t.FreeAt(t.Hash(curKey, f)) {
-				return false, moved, t.InsertAtV(curKey, curVa, curVl, curVer, f, 0)
+				return false, moved, t.InsertAt(curKey, curVa, curVl, f, 0)
 			}
 		}
 		if kick == maxKicks {
@@ -413,13 +334,12 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, moved []u
 		if !ok || vk&PendingBit != 0 {
 			return undo(ErrClaimed) // neither free nor a resident: a claim holds it
 		}
-		vver := t.VersionAt(b)
-		trail = append(trail, move{bucket: b, kk: vk, va: vva, vl: vvl, ver: vver})
-		if err := t.InsertAtV(curKey, curVa, curVl, curVer, fn, 0); err != nil {
+		trail = append(trail, move{bucket: b, kk: vk, va: vva, vl: vvl})
+		if err := t.InsertAt(curKey, curVa, curVl, fn, 0); err != nil {
 			return undo(err)
 		}
 		moved = append(moved, vk)
-		curKey, curVa, curVl, curVer = vk, vva, vvl, vver
+		curKey, curVa, curVl = vk, vva, vvl
 		if t.Hash(curKey, 0) == b {
 			fn = 1
 		} else {
@@ -427,7 +347,7 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, moved []u
 		}
 	}
 	// Walk exhausted: spill the last evictee into a neighborhood slot.
-	if err := t.InsertV(curKey, curVa, curVl, curVer); err != nil {
+	if err := t.Insert(curKey, curVa, curVl); err != nil {
 		return undo(err) // no room even in the neighborhoods
 	}
 	return true, moved, nil
@@ -436,7 +356,7 @@ func (t *Table) Place(key, valAddr, valLen, ver uint64) (spilled bool, moved []u
 // EntryAt reports the entry stored in bucket i (ok=false when empty or
 // tombstoned). The service layer's placement uses it to find
 // cuckoo-kick victims — a tombstoned bucket is a reclaimable slot, not
-// a resident.
+// a resident. valLen is the host-written word (see the package doc).
 func (t *Table) EntryAt(i uint64) (key, valAddr, valLen uint64, ok bool) {
 	addr := t.BucketAddr(i)
 	ctrl, err := t.mem.U64(addr + OffKeyCtrl)
@@ -477,18 +397,6 @@ func (t *Table) TombstoneAt(i uint64) bool {
 // cannot reach — and crash-recovery housekeeping both run through
 // here.
 func (t *Table) Remove(key uint64) (valAddr, valLen uint64, ok bool) {
-	return t.remove(key, 0, false)
-}
-
-// RemoveV is Remove stamping ver into the tombstoned bucket's version
-// word — the host-path sibling of the fabric delete chain's version
-// WRITE, so a tombstone carries the delete's quorum sequence and the
-// repair subsystem can order it against live replicas.
-func (t *Table) RemoveV(key, ver uint64) (valAddr, valLen uint64, ok bool) {
-	return t.remove(key, ver, true)
-}
-
-func (t *Table) remove(key, ver uint64, stamp bool) (valAddr, valLen uint64, ok bool) {
 	addr, _, ok := t.find(key)
 	if !ok {
 		return 0, 0, false
@@ -498,9 +406,6 @@ func (t *Table) remove(key, ver uint64, stamp bool) (valAddr, valLen uint64, ok 
 	t.mem.PutU64(addr+OffKeyCtrl, Tombstone)
 	t.mem.PutU64(addr+OffValAddr, FreePtr)
 	t.mem.PutU64(addr+OffValLen, 0)
-	if stamp {
-		t.mem.PutU64(addr+OffVersion, ver)
-	}
 	t.entries--
 	t.tombstones++
 	return valAddr, valLen, true
@@ -538,7 +443,8 @@ func (t *Table) find(key uint64) (addr uint64, fn int, ok bool) {
 }
 
 // Lookup is the host-CPU lookup used by two-sided baselines: scan both
-// candidate neighborhoods for key.
+// candidate neighborhoods for key. valLen is host-written (see the
+// package doc).
 func (t *Table) Lookup(key uint64) (valAddr, valLen uint64, ok bool) {
 	addr, _, ok := t.find(key)
 	if !ok {

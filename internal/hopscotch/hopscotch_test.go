@@ -269,73 +269,6 @@ func TestTombstoneIDRejectedEverywhere(t *testing.T) {
 	}
 }
 
-// Version words ride every versioned mutation: InsertV stamps, plain
-// Insert (the standalone host path) preserves, RemoveV carries the
-// delete's sequence onto the tombstone, and direct-placement variants
-// stamp their buckets.
-func TestVersionWord(t *testing.T) {
-	tbl, _ := newTable(t, 256)
-	if err := tbl.InsertV(42, 0x1000, 64, 7); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := tbl.VersionOf(42); !ok || v != 7 {
-		t.Fatalf("VersionOf = %d,%v want 7,true", v, ok)
-	}
-	// An unversioned overwrite (a standalone host set) must not regress
-	// the version.
-	if err := tbl.Insert(42, 0x2000, 64); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := tbl.VersionOf(42); v != 7 {
-		t.Fatalf("plain Insert clobbered the version: %d", v)
-	}
-	// A newer versioned overwrite advances it.
-	if err := tbl.InsertV(42, 0x3000, 64, 9); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := tbl.VersionOf(42); v != 9 {
-		t.Fatalf("version after overwrite = %d, want 9", v)
-	}
-	// RemoveV stamps the tombstoned bucket with the delete's sequence.
-	b := tbl.Hash(42, 0)
-	var home uint64
-	for fn := 0; fn < 2; fn++ {
-		if k, _, _, ok := tbl.EntryAt(tbl.Hash(42, fn)); ok && k == 42 {
-			home = tbl.Hash(42, fn)
-		}
-	}
-	_ = b
-	if _, _, ok := tbl.RemoveV(42, 10); !ok {
-		t.Fatal("RemoveV missed a resident key")
-	}
-	if !tbl.TombstoneAt(home) {
-		t.Fatal("RemoveV left no tombstone")
-	}
-	if v := tbl.VersionAt(home); v != 10 {
-		t.Fatalf("tombstone version = %d, want 10", v)
-	}
-	if _, ok := tbl.VersionOf(42); ok {
-		t.Fatal("VersionOf matched a tombstone")
-	}
-}
-
-// InsertAtV / writeBucketV stamp the exact bucket they place into.
-func TestVersionDirectPlacement(t *testing.T) {
-	tbl, _ := newTable(t, 64)
-	if err := tbl.InsertAtV(5, 0x100, 8, 3, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v := tbl.VersionAt(tbl.Hash(5, 1)); v != 3 {
-		t.Fatalf("InsertAtV version = %d, want 3", v)
-	}
-	if err := tbl.writeBucketV(17, 9, 0x200, 8, 4); err != nil {
-		t.Fatal(err)
-	}
-	if v := tbl.VersionAt(17); v != 4 {
-		t.Fatalf("writeBucketV version = %d, want 4", v)
-	}
-}
-
 // Keys in the reserved id space miss on every host lookup. On a bucket
 // holding the tombstone word (NOOP|TombstoneID) or a pending word
 // (NOOP|(key|PendingBit)), comparing a reserved key's id would hit.
@@ -348,9 +281,6 @@ func TestReservedKeysMiss(t *testing.T) {
 		}
 		if fn := tbl.LookupBucket(key); fn != -1 {
 			t.Fatalf("LookupBucket(%#x) = %d, want -1", key, fn)
-		}
-		if _, ok := tbl.VersionOf(key); ok {
-			t.Fatalf("VersionOf(%#x) hit", key)
 		}
 	}
 	// A tombstone in the tombstone id's own first candidate bucket.
@@ -403,7 +333,7 @@ func bothTaken(tbl *Table, key uint64) bool {
 }
 
 // Place relocates residents where plain two-choice insertion fails.
-// Every placed key keeps its extent and its version through the kicks,
+// Every placed key keeps its extent and its length through the kicks,
 // and an overwrite stays in the key's bucket.
 func TestPlaceDisplacement(t *testing.T) {
 	tbl, _ := newCuckoo(t, 32)
@@ -411,7 +341,7 @@ func TestPlaceDisplacement(t *testing.T) {
 	kicked := false
 	for k := uint64(1); k <= 200; k++ {
 		taken := bothTaken(tbl, k)
-		if spilled, _, err := tbl.Place(k, k*8, 8, k*10); err != nil {
+		if spilled, _, err := tbl.Place(k, k*8, k*10); err != nil {
 			break
 		} else if spilled {
 			t.Fatalf("key %d spilled with a neighborhood of 1", k)
@@ -426,10 +356,9 @@ func TestPlaceDisplacement(t *testing.T) {
 		t.Fatalf("only %d keys before full", len(keys))
 	}
 	for _, k := range keys {
-		va, _, ok := tbl.Lookup(k)
-		ver, _ := tbl.VersionOf(k)
-		if !ok || va != k*8 || ver != k*10 {
-			t.Fatalf("key %d: (%#x, v%d, %v), want (%#x, v%d)", k, va, ver, ok, k*8, k*10)
+		va, vl, ok := tbl.Lookup(k)
+		if !ok || va != k*8 || vl != k*10 {
+			t.Fatalf("key %d: (%#x, %d, %v), want (%#x, %d)", k, va, vl, ok, k*8, k*10)
 		}
 	}
 	if tbl.Len() != len(keys) {
@@ -437,7 +366,7 @@ func TestPlaceDisplacement(t *testing.T) {
 	}
 	k := keys[len(keys)-1]
 	before := tbl.LookupBucket(k)
-	if _, _, err := tbl.Place(k, 0x9000, 16, 1); err != nil {
+	if _, _, err := tbl.Place(k, 0x9000, 16); err != nil {
 		t.Fatal(err)
 	}
 	if va, vl, _ := tbl.Lookup(k); va != 0x9000 || vl != 16 || tbl.LookupBucket(k) != before {
@@ -447,7 +376,7 @@ func TestPlaceDisplacement(t *testing.T) {
 
 // Random sets and deletes on a small table: an acknowledged key is
 // never lost, and a Place that finds the table full rolls its walk
-// back — every bucket word, versions included, is as it was.
+// back — every bucket word, lengths included, is as it was.
 func TestPlaceFullTableRollsBack(t *testing.T) {
 	tbl, m := newCuckoo(t, 32)
 	words := func() []uint64 {
@@ -458,13 +387,13 @@ func TestPlaceFullTableRollsBack(t *testing.T) {
 		}
 		return w
 	}
-	type ent struct{ va, ver uint64 }
+	type ent struct{ va, vl uint64 }
 	model := map[uint64]ent{}
 	rng := rand.New(rand.NewSource(11))
 	fulls := 0
 	for i := 0; i < 4000; i++ {
 		key := uint64(rng.Intn(64) + 1)
-		va, ver := uint64(0x1000+i*8), uint64(i+1)
+		va, vl := uint64(0x1000+i*8), uint64(i+1)
 		_, present := model[key]
 		switch {
 		case rng.Intn(10) >= 7:
@@ -473,14 +402,14 @@ func TestPlaceFullTableRollsBack(t *testing.T) {
 			}
 			delete(model, key)
 		case present:
-			if err := tbl.InsertV(key, va, 8, ver); err != nil {
+			if err := tbl.Insert(key, va, vl); err != nil {
 				t.Fatalf("step %d: overwrite: %v", i, err)
 			}
-			model[key] = ent{va, ver}
+			model[key] = ent{va, vl}
 		default:
 			before := words()
-			if _, _, err := tbl.Place(key, va, 8, ver); err == nil {
-				model[key] = ent{va, ver}
+			if _, _, err := tbl.Place(key, va, vl); err == nil {
+				model[key] = ent{va, vl}
 			} else if !errors.Is(err, ErrFull) {
 				t.Fatalf("step %d: %v", i, err)
 			} else if fulls++; !slices.Equal(before, words()) {
@@ -488,10 +417,9 @@ func TestPlaceFullTableRollsBack(t *testing.T) {
 			}
 		}
 		for k, e := range model {
-			va, _, ok := tbl.Lookup(k)
-			ver, _ := tbl.VersionOf(k)
-			if !ok || va != e.va || ver != e.ver {
-				t.Fatalf("step %d: key %d is (%#x, v%d, %v), want (%#x, v%d)", i, k, va, ver, ok, e.va, e.ver)
+			va, vl, ok := tbl.Lookup(k)
+			if !ok || va != e.va || vl != e.vl {
+				t.Fatalf("step %d: key %d is (%#x, %d, %v), want (%#x, %d)", i, k, va, vl, ok, e.va, e.vl)
 			}
 		}
 	}
@@ -505,7 +433,7 @@ func TestPlaceFullTableRollsBack(t *testing.T) {
 func TestPlaceReclaimsTombstones(t *testing.T) {
 	tbl, _ := newCuckoo(t, 64)
 	for k := uint64(1); k <= 24; k++ {
-		if _, _, err := tbl.Place(k, k*8, 8, 0); err != nil {
+		if _, _, err := tbl.Place(k, k*8, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -528,7 +456,7 @@ func TestPlaceReclaimsTombstones(t *testing.T) {
 		if _, _, ok := tbl.Remove(a); !ok || tbl.Tombstones() != 1 {
 			t.Fatalf("remove(%d) = %v, tombstones %d", a, ok, tbl.Tombstones())
 		}
-		if spilled, moved, err := tbl.Place(x, 0x5000, 8, 0); err != nil || spilled || !slices.Equal(moved, []uint64{r}) {
+		if spilled, moved, err := tbl.Place(x, 0x5000, 8); err != nil || spilled || !slices.Equal(moved, []uint64{r}) {
 			t.Fatalf("place: spilled=%v moved=%v err=%v; want %d moved", spilled, moved, err, r)
 		}
 		if k, _, _, _ := tbl.EntryAt(alt); k != r || tbl.Tombstones() != 0 {
@@ -549,7 +477,7 @@ func TestPlaceReclaimsTombstones(t *testing.T) {
 func TestPlaceStopsAtClaimedBucket(t *testing.T) {
 	tbl, m := newCuckoo(t, 64)
 	for k := uint64(1); k <= 24; k++ {
-		if _, _, err := tbl.Place(k, k*8, 8, 0); err != nil {
+		if _, _, err := tbl.Place(k, k*8, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -573,7 +501,7 @@ func TestPlaceStopsAtClaimedBucket(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, _ := m.Read(tbl.Base(), tbl.Size())
-		if _, moved, err := tbl.Place(x, 0x5000, 8, 0); !errors.Is(err, ErrClaimed) || moved != nil {
+		if _, moved, err := tbl.Place(x, 0x5000, 8); !errors.Is(err, ErrClaimed) || moved != nil {
 			t.Fatalf("place: moved=%v err=%v; want ErrClaimed, none moved", moved, err)
 		}
 		if after, _ := m.Read(tbl.Base(), tbl.Size()); !bytes.Equal(after, before) {
@@ -590,10 +518,10 @@ func TestPlaceStopsAtClaimedBucket(t *testing.T) {
 func TestPlaceOverwritesSpilledResident(t *testing.T) {
 	tbl, _ := newTable(t, 64)
 	const key = 42
-	if err := tbl.InsertAtV(key, 0x1000, 8, 1, 0, 2); err != nil {
+	if err := tbl.InsertAt(key, 0x1000, 8, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	spilled, _, err := tbl.Place(key, 0x2000, 16, 2)
+	spilled, _, err := tbl.Place(key, 0x2000, 16)
 	if err != nil || spilled {
 		t.Fatalf("place: spilled=%v err=%v", spilled, err)
 	}
@@ -606,8 +534,7 @@ func TestPlaceOverwritesSpilledResident(t *testing.T) {
 	if want := (tbl.Hash(key, 0) + 2) % tbl.NumBuckets(); len(holders) != 1 || holders[0] != want {
 		t.Fatalf("key held by buckets %v, want only %d", holders, want)
 	}
-	va, vl, _ := tbl.Lookup(key)
-	if ver, _ := tbl.VersionOf(key); va != 0x2000 || vl != 16 || ver != 2 || tbl.Len() != 1 {
-		t.Fatalf("entry (%#x, %d, v%d), len %d; want (0x2000, 16, v2), len 1", va, vl, ver, tbl.Len())
+	if va, vl, _ := tbl.Lookup(key); va != 0x2000 || vl != 16 || tbl.Len() != 1 {
+		t.Fatalf("entry (%#x, %d), len %d; want (0x2000, 16), len 1", va, vl, tbl.Len())
 	}
 }

@@ -37,7 +37,7 @@ func (s *Store) Set(key uint64, value []byte) error {
 	if ok {
 		return s.Table.Insert(key, va, n)
 	}
-	_, _, err := s.Table.Place(key, va, n, 0)
+	_, _, err := s.Table.Place(key, va, n)
 	return err
 }
 

@@ -110,8 +110,8 @@ type ServiceConfig struct {
 	NoReclaim bool
 
 	// ReadRepair enables version probes on replicated gets: every
-	// ProbeEvery-th hit also interrogates one other owner's version
-	// word through the NIC probe chain (core.ProbeOffload), and any
+	// ProbeEvery-th hit also interrogates one other owner's value
+	// header through the NIC probe chain (core.ProbeOffload), and any
 	// skew enqueues a repair that rolls the laggard forward. Requires
 	// Replicas > 1 to do anything.
 	ReadRepair bool
@@ -778,7 +778,7 @@ func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 	if err := m.Write(addr, value); err != nil {
 		return err
 	}
-	if err := sh.place(key, addr, n, ver); err != nil {
+	if err := sh.place(key, addr, n); err != nil {
 		// The table refused: the key keeps its old extent (or stays
 		// absent); the orphaned new one was never published — free it
 		// directly, no reader can hold it.
@@ -804,11 +804,9 @@ func (sh *serviceShard) stored(key uint64) (va, ver, n uint64, ok bool) {
 // residents the NIC delete chain cannot address, and the roll-forward
 // for refused delete claims. The freed extent goes to the retire queue
 // directly (no to-free ring hop: the CPU already holds the pointer).
-// ver stamps the tombstone's version word (the delete's quorum
-// sequence).
-func (sh *serviceShard) del(key, ver uint64) bool {
+func (sh *serviceShard) del(key uint64) bool {
 	sh.svc.dropPlaced(key)
-	va, _, ok := sh.table.table.RemoveV(key, ver)
+	va, _, ok := sh.table.table.Remove(key)
 	if !ok {
 		return false
 	}
@@ -820,10 +818,10 @@ func (sh *serviceShard) del(key, ver uint64) bool {
 // table's kick walk (hopscotch.Table.Place), dropping the placement
 // hints of key and of every resident the walk moved — and the claim of
 // a moved resident's own write, whose ack may land after the walk.
-func (sh *serviceShard) place(key, valAddr, valLen, ver uint64) error {
+func (sh *serviceShard) place(key, valAddr, valLen uint64) error {
 	t := sh.table.table
 	sh.svc.dropPlaced(key)
-	spilled, moved, err := t.Place(key, valAddr, valLen, ver)
+	spilled, moved, err := t.Place(key, valAddr, valLen)
 	if spilled {
 		sh.stats.Spills++
 	}
@@ -1178,7 +1176,7 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		// behind a false suspicion, deliver them now.
 		s.drainHints(sh, false)
 		// Read-repair: a replicated hit also interrogates one other
-		// owner's version word through the NIC probe chain; skew
+		// owner's value header through the NIC probe chain; skew
 		// enqueues a roll-forward (service_repair.go). The probe keeps
 		// the record until it answers.
 		probing := s.maybeReadRepair(g, sh)

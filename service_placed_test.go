@@ -506,7 +506,7 @@ func TestHintedGetOfAnUnoccupiedBucketMisses(t *testing.T) {
 	}
 	probe("a kick walk")
 
-	if !sh.del(x, 1) {
+	if !sh.del(x) {
 		t.Fatalf("setup: host delete of %d found nothing", x)
 	}
 	probe("a host delete")

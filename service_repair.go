@@ -14,12 +14,12 @@ import (
 // capacity rejections (an owner's table refused the insert — the old
 // handoff machinery deliberately dropped those), lost hints (bounded
 // hint queues overflow in any Dynamo-style system; DropHints models
-// it), and crash windows that outlive the hint's owner. Per-bucket
-// version words close the gap: every set and delete publishes the
-// coordinator's quorum sequence into its bucket (the fabric chains
-// write it directly, host paths through the tables' *V variants), so
-// "which replica is newest" becomes an 8-byte comparison any chain can
-// make.
+// it), and crash windows that outlive the hint's owner. Versions close
+// the gap: every set stages the coordinator's quorum sequence in its
+// value's [version, length] header (internal/extent), which the bucket's
+// pointer reaches, and every owner records the newest delete sequence
+// it applied (ownerKey.tomb), so "which replica is newest" becomes an
+// 8-byte comparison (ownerState) any chain can make.
 //
 // Three mechanisms converge on those versions:
 //
@@ -167,7 +167,7 @@ func (s *Service) DropHints() int {
 // ---- read-repair ----
 
 // maybeReadRepair runs on every replicated hit: every ProbeEvery-th
-// one interrogates one rotating other owner's version word through the
+// one interrogates one rotating other owner's value header through the
 // NIC probe chain and enqueues a repair on skew. g is the get that hit,
 // served the owner that answered it. It reports whether a probe went
 // out: the probe's callback is g's, so g must outlive it.

@@ -214,6 +214,15 @@ func (s *Service) dualWriteExtras(cur []int32, key uint64) []*serviceShard {
 	return extra
 }
 
+// lostKey reports whether a hint for key must not stand on sh: sh is a
+// drain's target, which leaves, or no longer owns key and key's
+// segment has sealed, so dual writes no longer reach it and a hint
+// drained there would make a ghost resident that nothing purges.
+func (s *Service) lostKey(sh *serviceShard, key uint64) bool {
+	sealed := s.mig == nil || !s.mig.keyUnsealed(key)
+	return s.draining(sh.id) || sealed && !slices.Contains(s.ownerNodes(key), sh.ringIdx)
+}
+
 // redirectTarget picks the shard a hint bound for from should go to
 // instead: the key's first current owner that is not from.
 func (s *Service) redirectTarget(key uint64, from *serviceShard) *serviceShard {
@@ -446,30 +455,41 @@ func (s *Service) sealIfCaughtUp(m *migration, seg uint64) {
 
 // sealSegment closes one bucket segment: every moving key in it has
 // its winning state on the post-change owners, so dual routing stops
-// for these keys. Ghost residents on owners that lost a key are
-// purged (the drain target is exempt — it leaves wholesale at finish);
-// keys with in-flight work keep their ghosts, which the next
-// anti-entropy rotation retires.
+// for these keys. A hint standing on an owner that lost a key goes to
+// the key's current owner (lostKey), and ghost residents there are
+// purged unless the owner still holds work for the key (the drain
+// target is exempt — it leaves wholesale at finish).
 func (s *Service) sealSegment(m *migration, seg uint64) {
 	delete(m.open, seg)
 	m.sealed[seg] = true
 	m.sealedN++
 	s.stats.MigSegsSealed++
+	var touched []*serviceShard
 	for _, key := range m.segKeys[seg] {
-		if !s.settled(key) {
-			continue
-		}
 		owners := s.owners(key)
 		for _, sh := range s.order {
-			if !m.join && sh.id == m.target || slices.Contains(owners, sh.id) || sh.keys[key].slot != nil {
+			if slices.Contains(owners, sh.id) {
+				continue
+			}
+			if l := sh.lackAt(key); l != nil && l.op != nil {
+				if to := s.redirectHint(sh, key, l); to != nil && !slices.Contains(touched, to) {
+					touched = append(touched, to)
+				}
+			}
+			if k := sh.keys[key]; !m.join && sh.id == m.target || k.slot != nil || k.lack != nil {
 				continue
 			}
 			if _, _, resident := sh.table.table.Lookup(key); resident {
-				sh.del(key, 0)
+				sh.del(key)
 			}
 			k := sh.keys[key]
 			k.tomb = 0
 			sh.put(key, k)
+		}
+	}
+	for _, sh := range touched {
+		if !sh.down() {
+			s.drainHints(sh, false)
 		}
 	}
 	if m.sealedN == m.liveSegs {
@@ -518,20 +538,9 @@ func (s *Service) redirectHints(from *serviceShard) {
 	touched := make(map[string]bool)
 	for _, k := range from.sortedLackKeys(nil, false, false) {
 		l := from.lackAt(k)
-		op := l.op
-		if op == nil {
+		if l.op == nil {
 			s.retire(from, k, l, ownerRejected)
-			continue
-		}
-		from.setLack(k, nil)
-		s.freeLack(l)
-		to := s.redirectTarget(k, from)
-		if to == nil {
-			op.settleOne(s)
-			continue
-		}
-		if s.stand(to, k, op.seq, op) {
-			s.stats.MigHintsRedirected++
+		} else if to := s.redirectHint(from, k, l); to != nil {
 			touched[to.id] = true
 		}
 	}
@@ -540,4 +549,24 @@ func (s *Service) redirectHints(from *serviceShard) {
 			s.drainHints(sh, false)
 		}
 	}
+}
+
+// redirectHint moves the hint l standing on from for key to
+// redirectTarget, as a fresh record (see redirectHints), and returns
+// the shard it now stands on, or nil: with no other owner the write
+// settles, and a newer record there keeps its place.
+func (s *Service) redirectHint(from *serviceShard, key uint64, l *lack) *serviceShard {
+	op := l.op
+	from.setLack(key, nil)
+	s.freeLack(l)
+	to := s.redirectTarget(key, from)
+	if to == nil {
+		op.settleOne(s)
+		return nil
+	}
+	if !s.stand(to, key, op.seq, op) {
+		return nil
+	}
+	s.stats.MigHintsRedirected++
+	return to
 }

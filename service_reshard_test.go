@@ -304,6 +304,36 @@ func TestMigrationCopiesAKeyWedgedOnADownOldOwner(t *testing.T) {
 	if stale := s.StaleOwners(wedged); stale != 0 {
 		t.Fatalf("%d stale replicas after recovery", stale)
 	}
+	// The wedged hints went to the new owner when their segments
+	// sealed: none drained onto shard0, which no longer owns the keys.
+	ghosts := 0
+	for _, k := range moved {
+		if _, _, resident := s.shards["shard0"].table.table.Lookup(k); resident {
+			ghosts++
+		}
+	}
+	if ghosts != 0 {
+		t.Fatalf("%d of %d moved keys resident on their former owner after recovery", ghosts, len(moved))
+	}
+	// A hint queued for shard0 after the seal goes to the key's owner
+	// too, and applies there.
+	k := moved[0]
+	rec := s.keys[k]
+	rec.seq++
+	rec.unsettled++
+	s.keys[k] = rec
+	op := s.takeSet()
+	op.key, op.seq, op.settleLeft = k, rec.seq, 1
+	op.val = append(op.val, Value(k+2000, valLen)...)
+	s.queueHint(s.shards["shard0"], op)
+	if s.shards["shard0"].lackAt(k) != nil || s.shards["shard3"].lackAt(k) == nil {
+		t.Fatal("a hint for a key shard0 no longer owns did not go to its owner")
+	}
+	s.drainHints(s.shards["shard3"], false)
+	s.Run()
+	if _, ver, _, ok := s.shards["shard3"].stored(k); !ok || ver != rec.seq || !s.settled(k) {
+		t.Fatalf("key %d on its owner: version %d, resident %v, settled %v; want version %d, settled", k, ver, ok, s.settled(k), rec.seq)
+	}
 }
 
 // The membership guardrails are typed: draining the last shard, a

@@ -663,7 +663,7 @@ func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
 		if _, _, fabric := residentBucket(ht, LookupSeq, key); !fabric {
 			continue // spilled by the race above: a host delete from the start
 		}
-		write(key, true, func() { sh.del(key, 1) })
+		write(key, true, func() { sh.del(key) })
 		if _, ok := ownerValue(t, s, sh.id, key); ok {
 			t.Fatalf("key %d survived its delete", key)
 		}
@@ -1414,7 +1414,7 @@ func TestServicePlaceRollbackRestoresSpilledEvictee(t *testing.T) {
 			break
 		}
 	}
-	if err := sh.place(newKey, 0x9000, 8, 1); err == nil {
+	if err := sh.place(newKey, 0x9000, 8); err == nil {
 		t.Fatal("place succeeded on a completely full table")
 	}
 	for i := uint64(0); i < n; i++ {
@@ -1435,7 +1435,7 @@ func TestServiceSetGrowsSpilledResidentInPlace(t *testing.T) {
 	sh := s.order[0]
 	tb := sh.table.Table()
 	const key = 42
-	if err := tb.InsertAtV(key, sh.srv.arena.Alloc(8, key), 8, 1, 0, 2); err != nil {
+	if err := tb.InsertAt(key, sh.srv.arena.Alloc(8, key), 8, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	want := Value(key, 48)
@@ -1782,7 +1782,7 @@ func TestServiceRepairInvalidatesStaleCache(t *testing.T) {
 
 	// Heat the key well past the admission threshold. Early gets serve
 	// the stale v1 from the primary (and may admit it to the cache);
-	// every hit probes the backup, whose newer version word flags the
+	// every hit probes the backup, whose newer value header flags the
 	// skew and queues the repair. The primary's drain lanes are held
 	// busy meanwhile, so the stale value is admitted to the cache BEFORE
 	// the repair converges the owner — the exact ordering the epoch bump

@@ -536,9 +536,9 @@ func (s *Service) settled(key uint64) bool { return s.keys[key].unsettled == 0 }
 // the (owner, key) write slot (while held, the queue of owner runs
 // whose head holds it, from the shard's pool), the record of the write
 // the owner is missing (a hint or a repair), and the newest delete
-// sequence it applied (tomb, 0 for none): the version a tombstoned
-// bucket loses once another key reclaims it. An entry lives only while
-// it holds one of the three.
+// sequence it applied (tomb, 0 for none): the only record of a delete's
+// version, since a tombstoned bucket carries none. An entry lives only
+// while it holds one of the three.
 type ownerKey struct {
 	slot *ring.Queue[*ownerRun]
 	lack *lack
@@ -836,7 +836,7 @@ func (r *ownerRun) apply() {
 	r.claimAt = claim.BucketAddr
 	if m.del {
 		sh.stats.FabricDeletes++
-		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, m.seq, r.top, r.ackFn)
+		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, r.top, r.ackFn)
 	} else {
 		sh.stats.FabricSets++
 		r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.top, r.ackFn)
@@ -933,7 +933,7 @@ func (r *ownerRun) hosted() {
 		return
 	}
 	if m.del {
-		sh.del(m.key, m.seq)
+		sh.del(m.key)
 		sh.stats.Deletes++
 	} else if err := sh.set(m.key, m.val, m.seq); err != nil {
 		if errors.Is(err, hopscotch.ErrClaimed) && r.hostLat < DefaultMissTimeout {
@@ -1035,10 +1035,11 @@ func (s *Service) queueHint(sh *serviceShard, op *setOp) {
 		op.settleOne(s)
 		return
 	}
-	// Hints aimed at a shard mid-drain redirect to the key's new
-	// primary: the draining owner will be gone before it could drain
-	// them, and an acked write must survive its departure.
-	if s.draining(sh.id) {
+	// Hints aimed at a shard that lost the key redirect to its current
+	// owner: a draining owner will be gone before it could drain them,
+	// and an acked write must survive its departure; a former owner past
+	// its seal would only make a ghost resident.
+	if s.lostKey(sh, op.key) {
 		if to := s.redirectTarget(op.key, sh); to != nil {
 			s.stats.MigHintsRedirected++
 			s.queueHint(to, op)
