@@ -113,7 +113,7 @@ type Client struct {
 	mode  LookupMode
 	gets  *core.Pool[*core.LookupOffload]
 	sets  *core.Pool[*core.SetOffload]
-	dels  *core.Pool[*core.DeleteOffload]
+	dels  *core.Pool[*core.SetOffload] // a delete is the key claim installing the tombstone
 	prbs  *core.Pool[*core.ProbeOffload]
 	table *HashTable
 	srv   *Server // its arena supplies staging extents; its retire queue takes superseded ones
@@ -138,8 +138,8 @@ type Client struct {
 	// "old value" snapshots cannot do this: two pipelined same-key
 	// overwrites would capture the same extent and free it twice.
 	// Only the SetAsync lifecycle path populates it (a delete's ack
-	// clears its key); the Service drives setAsyncClaim and owns extent
-	// lifecycle itself.
+	// retires its key's entry); the Service drives setAsyncClaim and owns
+	// extent lifecycle itself.
 	prevVal map[uint64]uint64
 
 	// nextVer issues versions for the standalone SetAsync lifecycle
@@ -147,8 +147,6 @@ type Client struct {
 	// coordinator's quorum sequence). Service writes pass explicit
 	// versions through the *Claim entry points.
 	nextVer map[uint64]uint64
-
-	gcFreed, gcStale uint64 // to-free ring drains: extents returned / already gone
 
 	// Read from a callback, like lastExecuted: the extent the set's ack
 	// installed, and where a get's miss showed the key's word (pipeReq).
@@ -862,7 +860,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 			c.sets = core.NewSetPool(b, srvQP, resp, maxVal, srv.valueArena())
 			slotCtx = c.sets.Context
 		case pipeDelete:
-			c.dels = core.NewDeletePool(b, srvQP, resp)
+			c.dels = core.NewSetPool(b, srvQP, resp, 0, nil)
 			slotCtx = c.dels.Context
 		case pipeProbe:
 			c.prbs = core.NewProbePool(b, srvQP, resp)
@@ -1010,22 +1008,21 @@ func (c *Client) wireHooks() {
 	}
 
 	// ---- delete ----
+	// A delete is the key claim installing the tombstone: its valWr
+	// frees the bucket's pointer words, and its ack is a set's.
 	c.del.arm = func(req *pipeReq, ack uint64) []byte {
-		return c.dels.Ctxs[req.slot].TriggerPayload(req.key, req.bucket, ack)
+		claim := core.SetClaim{BucketAddr: req.bucket, Expect: core.ClaimCtrl(req.key), New: hopscotch.Tombstone}
+		return c.dels.Ctxs[req.slot].TriggerPayload(req.key, claim, 0, 0, ack)
 	}
 	c.del.verdict, c.del.deliver = applied, acked
-	c.del.release = func(req *pipeReq, ok, executed bool) {
-		if ok {
-			// The unlink just retired the bucket's extent through the
-			// ring; the standalone set lifecycle must not free it again
-			// on the next same-key set ack.
+	c.del.release = func(req *pipeReq, ok, _ bool) {
+		// The standalone lifecycle: the extent the key's last acked set
+		// installed is the one the delete unlinked — retire it (a get in
+		// flight may hold its pointer).
+		if prev, tracked := c.prevVal[req.key]; ok && tracked {
+			c.srv.retire.push(prev)
 			delete(c.prevVal, req.key)
 		}
-		// Drain on every completion, not just acks: a straggler chain
-		// from a timed-out delete deposits into a ring slot that a later
-		// re-arm of the same context would otherwise overwrite, losing
-		// the extent.
-		c.drainFreed()
 	}
 
 	// ---- probe ----
@@ -1338,28 +1335,6 @@ func (c *Client) deleteAsyncClaim(key, bucket, op uint64, cb func(lat Duration, 
 	req := c.del.take()
 	req.key, req.bucket, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, cb, op
 	c.del.submit(req)
-}
-
-// drainFreed drains this connection's to-free ring into the server's
-// retire queue: each entry a delete chain unlinked is retired exactly
-// once (a get that probed the bucket just before the tombstone may
-// still hold the pointer); entries whose extent is already gone (a
-// straggling chain double-unlinked during its claim window) are counted
-// and skipped.
-func (c *Client) drainFreed() int {
-	return c.dels.Ctxs[0].Ring.Drain(func(tag, addr, size uint64) {
-		// The tag is the pending word the delete chain claimed; the
-		// extent is freed only while the arena still attributes the
-		// address to that key — a straggler's double-deposit of an
-		// address recycled to another key is stale, not a free.
-		key := tag & hopscotch.KeyMask &^ hopscotch.PendingBit
-		if cookie, live := c.srv.arena.Cookie(addr); live && cookie == key {
-			c.gcFreed++
-			c.srv.retire.push(addr)
-			return
-		}
-		c.gcStale++
-	})
 }
 
 // ---- probe path ----

@@ -566,9 +566,10 @@ func awaitResident(cli *Client, key uint64, probe bool) (ver uint64, lat Duratio
 }
 
 // A NIC-claimed delete round-trips: the claim chain tombstones the
-// bucket, a subsequent get misses, the unlinked extent returns to the
-// server arena through the to-free ring, and the delete's latency is a
-// real fabric round trip — never zero.
+// bucket, a subsequent get misses, the delete's release retires exactly
+// the extent the key's last set installed (its prevVal entry) back to
+// the server arena, and the delete's latency is a real fabric round
+// trip — never zero.
 func TestClientDeleteRoundTrip(t *testing.T) {
 	tb := NewTestbed()
 	srv := tb.NewServer()
@@ -581,7 +582,7 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 			t.Fatalf("set(%d) failed", k)
 		}
 	}
-	liveBefore := srv.valueArena().Stats().LiveBytes
+	before := srv.valueArena().Stats()
 	for k := uint64(1); k <= 16; k++ {
 		_, lat, ok := awaitResident(cli, k, false)
 		if !ok {
@@ -612,12 +613,11 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 	if tombs != 16 {
 		t.Fatalf("%d tombstoned buckets after 16 NIC deletes", tombs)
 	}
-	// Every deleted value extent came back to the arena.
-	if cli.gcFreed != 16 || cli.gcStale != 0 {
-		t.Fatalf("gc freed=%d stale=%d, want 16/0", cli.gcFreed, cli.gcStale)
-	}
-	if live := srv.valueArena().Stats().LiveBytes; live >= liveBefore {
-		t.Fatalf("arena live bytes %d did not drop from %d after deletes", live, liveBefore)
+	// Every deleted value extent came back to the arena, exactly once.
+	after := srv.valueArena().Stats()
+	if before.LiveExtents-after.LiveExtents != 16 || len(cli.prevVal) != 0 {
+		t.Fatalf("live extents %d -> %d, %d keys still tracked; want 16 fewer and none",
+			before.LiveExtents, after.LiveExtents, len(cli.prevVal))
 	}
 }
 
@@ -1057,10 +1057,10 @@ func TestClientResetReturnsUnlandedStaging(t *testing.T) {
 	srv.node.Dev.Unfreeze()
 	cli.reset()
 	arena := srv.valueArena()
-	if _, live := arena.Cookie(landed); !live || failed != 2 {
+	if _, live := arena.Size(landed); !live || failed != 2 {
 		t.Fatalf("the landed set's extent live=%v, %d of 2 sets failed at the reset", live, failed)
 	}
-	if _, live := arena.Cookie(dropped); live {
+	if _, live := arena.Size(dropped); live {
 		t.Fatal("the dropped set's staging extent was not returned")
 	}
 	tb.Run()

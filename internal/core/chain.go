@@ -9,12 +9,13 @@ import (
 	"repro/internal/wqe"
 )
 
-// A Program is one of the four trigger-driven offloads — lookup, set,
-// delete, probe — each a RedN program run by the chain it embeds (the
-// list walk embeds one too). A program states its trigger layout once,
-// as an ordered list of slots, and posts each instance's steps in
-// sequencing order; the chain derives the RECV's scatter list, the
-// control lanes and the SEND's payload from the two.
+// A Program is one of the three trigger-driven offloads — lookup, set
+// (a delete is the set's key claim installing the tombstone), probe —
+// each a RedN program run by the chain it embeds (the list walk embeds
+// one too). A program states its trigger layout once, as an ordered
+// list of slots, and posts each instance's steps in sequencing order;
+// the chain derives the RECV's scatter list, the control lanes and the
+// SEND's payload from the two.
 type Program interface{ base() *chain }
 
 // chain is the generic arm/trigger path every Program shares: the
@@ -55,10 +56,10 @@ type chain struct {
 
 // An instance is one armed instance as its program posts it: the steps
 // in sequencing order, a step its shape leaves out being the zero
-// StepRef (the longest program, the delete, has seven), and its args
-// buffer.
+// StepRef (the longest program, the two-probe get, has six), and its
+// args buffer.
 type instance struct {
-	steps [7]StepRef
+	steps [6]StepRef
 	args  uint64
 }
 
@@ -72,12 +73,11 @@ type slot struct{ step, off, op uint8 }
 const argsWord = 0xff
 
 // The operands a trigger carries, named once for all the programs.
-// payload fills the key's two words and the constants; each
-// TriggerPayload the rest its layout names.
+// payload fills the key's two words; each TriggerPayload the rest its
+// layout names.
 const (
 	opNoop    = iota // NOOP|key: the resident word a conditional expects
 	opWrite          // WRITE|key: the verb it arms, and an applied write's verdict
-	opTomb           // hopscotch.Tombstone: the word a delete leaves
 	opExpect         // the bucket word a set claim expects
 	opNew            // the word a claim installs
 	opBucket         // the bucket's address (a lookup's first candidate; a list's head)
@@ -242,15 +242,13 @@ func (c *chain) fire(layout []slot, in *instance, lanes ...[]StepRef) {
 }
 
 // payload builds the SEND that drives the instance armed last: v's
-// operands in layout order, with key's NOOP and WRITE words and the
-// constants filled in. The result is the context's own buffer — a
-// context serves one request at a time and its client copies the
-// payload into registered memory before asking for the next — so it is
-// overwritten by the next call.
+// operands in layout order, with key's NOOP and WRITE words filled in.
+// The result is the context's own buffer — a context serves one request
+// at a time and its client copies the payload into registered memory
+// before asking for the next — so it is overwritten by the next call.
 func (c *chain) payload(layout []slot, key uint64, v operands) []byte {
 	k := key & hopscotch.KeyMask
 	v[opNoop], v[opWrite] = wqe.MakeCtrl(wqe.OpNoop, k), wqe.MakeCtrl(wqe.OpWrite, k)
-	v[opTomb] = hopscotch.Tombstone
 	buf := c.trig[:0]
 	for _, s := range layout {
 		if c.fills(s) {

@@ -66,11 +66,12 @@ var programShapes = []struct {
 	{"set hinted overwrite", 3, 4, 2, setShape(1)},
 	// The pointer CAS, then the publishing WRITE its result arms.
 	{"set fresh", 4, 6, 3, setShape(hopscotch.FreePtr)},
-	// The key claim's three steps, then the conditional free-pointer
-	// WRITE and the copy of the verdict that arms it.
-	{"delete", 7, 12, 6, func(h *shapeRig) (*chain, func() []byte) {
-		o := NewDeletePool(h.b, h.trig, h.resp(false)).Ctxs[0]
-		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, h.buf) }
+	// The key claim installing the tombstone: set overwrite's shape, its
+	// valWr writing the free pointer where a set's writes its staging.
+	{"delete", 5, 8, 4, func(h *shapeRig) (*chain, func() []byte) {
+		o := NewSetPool(h.b, h.trig, h.resp(false), 0, nil).Ctxs[0]
+		claim := SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: hopscotch.Tombstone}
+		return &o.chain, func() []byte { return o.TriggerPayload(1, claim, 0, 0, h.buf) }
 	}},
 	// One WRITE gathers the bucket's [keyCtrl, valAddr] and the header of
 	// the extent named; the client checks the key word and the address.

@@ -54,13 +54,15 @@ import (
 // was published. Three managed fetches, one of them atomic.
 //
 // A zero Extent runs the key claim, which needs no pointer knowledge
-// (bench's ladder and the standalone client's overwrites):
+// (a delete, bench's ladder and the standalone client's overwrites):
 //
 //	RECV      scatter claim/cond operands + bucket addrs + value len
-//	claimCAS  bucket.keyCtrl: Expect -> New      (NOOP|key -> NOOP|key)
+//	claimCAS  bucket.keyCtrl: Expect -> New      (NOOP|key -> NOOP|key,
+//	                                              or -> TOMBSTONE)
 //	          old bucket word -> valWr.ctrl      (the CAS's own result)
 //	condCAS   valWr.ctrl: Expect -> WRITE|key    (flip iff claimed)
 //	valWr     WRITE [stagingAddr, valLen] -> bucket.[valAddr, valLen]
+//	          (a delete's: [FreePtr, 0])
 //	WAIT      valWr                              (on the ack's queue)
 //	ack       WRITE valWr.ctrl -> client ack buffer (the verdict)
 //
@@ -75,18 +77,31 @@ import (
 // valWr's control word as it stands last: WRITE|key for an applied set,
 // else the word that refused the claim. The bucket stays readable
 // throughout (a lookup landing mid-chain serves the old value,
-// linearizing before the overwrite).
+// linearizing before the overwrite). Four managed fetches.
+//
+// A delete is the key claim whose New is hopscotch.Tombstone: its valWr
+// writes [hopscotch.FreePtr, 0], the words hopscotch.Table.Remove
+// leaves, where a set's writes [stagingAddr, valLen]. The claim
+// tombstones the bucket at once, so gets miss from then on — they
+// linearize after the delete. Until valWr lands the tombstone still
+// names the deleted extent, not FreePtr, which holds the bucket as a
+// claim in flight would: no fresh claim's pointer CAS can take it, and
+// no host write places into it. The chain hands nobody the extent it
+// unlinked: its caller captured it under the key's write slot and
+// retires it on the applied ack, as it retires an overwritten one. A
+// delete carries no version (its caller records the sequence).
 //
 // Values live in staging extents from the server's extent arena (see
-// internal/extent and delete.go); without one, the raw bump allocator
-// leaks every overwrite — kept for standalone core tests.
+// internal/extent); without one, the raw bump allocator leaks every
+// overwrite — kept for standalone core tests.
 
 // SetClaim names the bucket a set claims and the operands that claim
 // it. A nonzero Extent is the pointer the bucket must hold: the key's
 // current extent (a hinted overwrite), or hopscotch.FreePtr (a fresh
 // claim, which then publishes NOOP|key). A zero Extent runs the key
 // claim: Expect is the bucket's current key/control word and New the
-// word installed on success, both NOOP|key for an overwrite. The caller
+// word installed on success, both NOOP|key for an overwrite, New
+// hopscotch.Tombstone for a delete (which stages nothing). The caller
 // computes it from its view of the table; a stale view fails the CAS
 // and the ack says so.
 type SetClaim struct {
@@ -169,12 +184,11 @@ func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena
 
 // Arm reserves the staging extent of one set instance, the target of the
 // client's value WRITE, and returns the address of its value bytes (the
-// WRITE lands the [version, length] header before them); cookie tags it
-// in the arena (the service passes the key, which the to-free ring's
-// drain checks). TriggerPayload, the first call that sees the claim,
-// posts the instance. Re-arming models the client rewriting the
-// registered code region over RDMA (§3.5), so sets survive host
-// failures that leave the NIC alive.
+// WRITE lands the [version, length] header before them). cookie is
+// unused (bench's ladder passes one). TriggerPayload, the first call
+// that sees the claim, posts the instance. Re-arming models the client
+// rewriting the registered code region over RDMA (§3.5), so sets
+// survive host failures that leave the NIC alive.
 func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 	if o.Arena != nil {
 		staging = o.Arena.Alloc(o.MaxVal, cookie)
@@ -187,12 +201,16 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 
 // post posts and fires the armed instance as a key claim, acking into
 // ackAddr. Its args buffer holds the 16 bytes valWr copies over the
-// bucket's [valAddr, valLen]: the staging address and the value length
-// the trigger scatters in.
+// bucket's [valAddr, valLen]: the staging address, or a delete's free
+// pointer, and the value length the trigger scatters in.
 func (o *SetOffload) post(ackAddr uint64) {
 	b := o.B
 	in := instance{args: o.argsBuf(o.args, 16)}
-	b.Dev.Mem().PutU64(in.args, o.staging)
+	va := o.staging
+	if o.claimed.New == hopscotch.Tombstone {
+		va = hopscotch.FreePtr
+	}
+	b.Dev.Mem().PutU64(in.args, va)
 	in.steps[stValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 16, Flags: wqe.FlagSignaled})
 	o.claim(&in, o.w2, stValWr)
 	o.ack(&in, stAck, stValWr, o.key, ackAddr)
@@ -259,9 +277,11 @@ func (o *SetOffload) ReleaseStaging() (replaced uint64) {
 // returns the SEND payload that drives it. A claim naming an Extent runs
 // a pointer CAS (the hinted overwrite, or the fresh claim of a bucket
 // naming hopscotch.FreePtr), and valLen travels in the staged header; a
-// key claim lands it in the bucket with the pointer, in one WRITE. ver
-// is unused: the staged header carries the write's version. The result
-// is the context's own buffer, overwritten by the next call.
+// key claim lands it in the bucket with the pointer, in one WRITE (a
+// delete, claiming with hopscotch.Tombstone, arms nothing first and
+// passes valLen 0). ver is unused: the staged header carries the
+// write's version. The result is the context's own buffer, overwritten
+// by the next call.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	o.key, o.claimed = key, claim
 	v := operands{opExpect: claim.Expect, opNew: claim.New, opBucket: claim.BucketAddr,

@@ -10,14 +10,15 @@ import (
 	"repro/internal/wqe"
 )
 
-// writeHarness arms one set context and one delete context against a
-// hopscotch table, each on its own trigger connection, their acks on
-// response queues of one kind.
+// writeHarness arms one set context and one delete context (a set
+// context whose key claims install the tombstone) against a hopscotch
+// table, each on its own trigger connection, their acks on response
+// queues of one kind.
 type writeHarness struct {
 	*harness
 	table        *hopscotch.Table
 	set          *SetOffload
-	del          *DeleteOffload
+	del          *SetOffload
 	setQP, delQP *rnic.QP
 	trig, ack    uint64 // client-side trigger and ack buffers
 }
@@ -49,7 +50,7 @@ func newWriteHarness(t *testing.T, managedAck bool) *writeHarness {
 	h.setQP, srvQP, respQP = wire()
 	h.set = NewSetPool(h.b, srvQP, []*rnic.QP{respQP}, writeValLen, nil).Ctxs[0]
 	h.delQP, srvQP, respQP = wire()
-	h.del = NewDeletePool(h.b, srvQP, []*rnic.QP{respQP}).Ctxs[0]
+	h.del = NewSetPool(h.b, srvQP, []*rnic.QP{respQP}, 0, nil).Ctxs[0]
 	h.trig, h.ack = h.cli.Mem().Alloc(128, 8), h.cli.Mem().Alloc(8, 8)
 	return h
 }
@@ -59,7 +60,7 @@ type chainRun struct {
 	verdict uint64       // the word the ack landed in the client's buffer
 	acks    int          // ack completions carrying WRITE|key
 	at      sim.Time     // when the ack completed, from the trigger's doorbell
-	conds   []wqe.Opcode // what the conditional WQEs (valWr; unlink, freeWr) executed as
+	conds   []wqe.Opcode // what the conditional WQEs (valWr, a fresh claim's publish) executed as
 }
 
 // fire sends payload on qp and runs the chain behind resp to completion,
@@ -95,12 +96,13 @@ func (h *writeHarness) doSet(t *testing.T, key uint64, claim SetClaim, ver uint6
 	return run, staging
 }
 
-// doDelete arms one delete instance against key's first candidate
-// bucket and runs it.
+// doDelete arms one delete instance — the key claim installing the
+// tombstone — against key's first candidate bucket and runs it.
 func (h *writeHarness) doDelete(t *testing.T, key uint64) chainRun {
 	t.Helper()
+	claim := SetClaim{BucketAddr: h.bucket(key), Expect: ClaimCtrl(key), New: hopscotch.Tombstone}
 	return h.fire(t, h.delQP, h.del.Resp, h.del.w3, key,
-		h.del.TriggerPayload(key, h.bucket(key), h.ack))
+		h.del.TriggerPayload(key, claim, 0, 0, h.ack))
 }
 
 func (h *writeHarness) bucket(key uint64) uint64 {
@@ -251,11 +253,10 @@ func checkAnswered(t *testing.T, run chainRun) {
 // The delete chain's verdict, likewise: applied exactly when the bucket
 // held the live occupant NOOP|key — the bucket ends [Tombstone,
 // FreePtr, 0], the words hopscotch.Table.Remove leaves, so host and
-// fabric deletes agree, and its extent is on the to-free ring under the
-// key's pending word. Every other word refuses, deposits nothing and
-// writes nothing, and executes as a NOOP on both conditional WQEs.
-// Neither writes the bucket's fourth word. Every state runs once per
-// kind of ack queue.
+// fabric deletes agree, and exactly one conditional WRITE ran. Every
+// other word refuses, writes nothing, and its one conditional WQE
+// executes as a NOOP. Neither writes the bucket's fourth word. Every
+// state runs once per kind of ack queue.
 func TestDeleteChainVerdicts(t *testing.T) {
 	const key = 42
 	applied := wqe.MakeCtrl(wqe.OpWrite, key)
@@ -270,8 +271,6 @@ func TestDeleteChainVerdicts(t *testing.T) {
 				if after[3] != before[3] {
 					t.Fatalf("the chain wrote the bucket's fourth word: %#x -> %#x", before[3], after[3])
 				}
-				var freed [][3]uint64
-				h.del.Ring.Drain(func(tag, addr, size uint64) { freed = append(freed, [3]uint64{tag, addr, size}) })
 				if state == "resident" {
 					if run.verdict != applied {
 						t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
@@ -283,11 +282,8 @@ func TestDeleteChainVerdicts(t *testing.T) {
 					if want := [3]uint64{hopscotch.Tombstone, hopscotch.FreePtr, 0}; [3]uint64(after[:3]) != want || [3]uint64(removed[:3]) != want {
 						t.Fatalf("bucket %#x, host Remove left %#x; want both %#x", after[:3], removed[:3], want)
 					}
-					if want := [3]uint64{hopscotch.PendingCtrl(key), before[1], before[2]}; len(freed) != 1 || freed[0] != want {
-						t.Fatalf("to-free ring holds %#x, want one deposit %#x", freed, want)
-					}
-					if len(run.conds) != 2 || run.conds[0] != wqe.OpWrite || run.conds[1] != wqe.OpWrite {
-						t.Fatalf("unlink, freeWr executed as %v, want two WRITEs", run.conds)
+					if !slices.Equal(run.conds, []wqe.Opcode{wqe.OpWrite}) {
+						t.Fatalf("the conditional ring executed %v, want one WRITE", run.conds)
 					}
 					return
 				}
@@ -297,11 +293,8 @@ func TestDeleteChainVerdicts(t *testing.T) {
 				if after[1] != before[1] || after[2] != before[2] {
 					t.Fatalf("refused delete moved the bucket's pointer words: %#x -> %#x", before, after)
 				}
-				if len(freed) != 0 {
-					t.Fatalf("refused delete deposited %#x on the to-free ring", freed)
-				}
-				if len(run.conds) != 2 || run.conds[0] != wqe.OpNoop || run.conds[1] != wqe.OpNoop {
-					t.Fatalf("unlink, freeWr executed as %v under bucket word %#x, want two NOOPs", run.conds, before[0])
+				if !slices.Equal(run.conds, []wqe.Opcode{wqe.OpNoop}) {
+					t.Fatalf("the conditional ring executed %v under bucket word %#x, want one NOOP", run.conds, before[0])
 				}
 			})
 		}

@@ -9,8 +9,9 @@ import (
 
 // Churn measures the extent lifecycle subsystem end to end: a
 // sustained overwrite + delete workload over a fixed live set, where
-// every set stages a fresh extent and every delete retires one through
-// the NIC tombstone chain and the to-free ring.
+// every set stages a fresh extent and every delete retires one: the NIC
+// key claim tombstones the bucket, and its applied ack retires the
+// extent, as an overwrite's ack retires the one it replaced.
 //
 //  1. Footprint — with the extent arena (each retired extent reused
 //     as soon as no get can still read it) the server-side memory
@@ -105,7 +106,6 @@ func churnRun(requests int) *Result {
 	r.metric("leak_footprint_ratio", ratio(lst))
 	r.metric("leak_peak_arena_bytes", float64(lst.ArenaPeak))
 	r.metric("gc_freed", float64(st.GCFreed))
-	r.metric("gc_stale", float64(st.GCStale))
 	r.metric("fabric_deletes", float64(st.FabricDeletes))
 	r.metric("host_deletes", float64(st.HostDeletes))
 	opsPerSec := func(rep workload.LoadReport) float64 {
@@ -144,7 +144,7 @@ func churnRun(requests int) *Result {
 		"foot/live = arena footprint over peak live bytes (the working set); the arena bounds it by reusing each retired extent once no get can still read it",
 		fmt.Sprintf("arena: peak %d KiB vs %d KiB live; leak-forever peak %d KiB and still growing linearly with writes",
 			st.ArenaPeak/1024, st.ArenaLive/1024, lst.ArenaPeak/1024),
-		fmt.Sprintf("to-free ring returned %d extents (%d stale)", st.GCFreed, st.GCStale),
-		"deletes travel the NIC tombstone chain (claim CAS -> conditional unlink -> tombstone -> verdict ack); del p50 is fabric-real, asserted like set p50")
+		fmt.Sprintf("applied fabric deletes retired %d extents", st.GCFreed),
+		"deletes travel the NIC key claim (tombstone CAS -> conditional free-pointer WRITE -> verdict ack); del p50 is fabric-real, asserted like set p50")
 	return r
 }

@@ -1,7 +1,6 @@
 // Package extent is the value-extent lifecycle layer under the fabric
 // write path: an allocator of value extents over a node's simulated
-// memory, plus the to-free ring NIC delete chains unlink retired
-// extents onto.
+// memory.
 //
 // The raw mem.Memory bump allocator can only grow, so every overwrite
 // and every delete used to leak its old value extent — fine for the
@@ -12,7 +11,8 @@
 // The memory an arena holds is therefore each size's peak live bytes
 // rounded up to a chunk, not the write volume. When an extent may be
 // freed — no reader still holding its pointer — is the caller's
-// business (the root package's retire queue).
+// business (the root package's retire queue, which the writer that
+// replaced or deleted an extent pushes it onto).
 //
 // A value arena (NewValueArena) reserves HeadBytes before every extent
 // for the value's [version, length] header, so a value is
@@ -56,10 +56,9 @@ func PutHead(m *mem.Memory, va, ver, n uint64) {
 // the address Alloc returned, past the extent's head; size is what the
 // value may hold.
 type record struct {
-	addr   uint64
-	size   uint64
-	cookie uint64
-	live   bool
+	addr uint64
+	size uint64
+	live bool
 }
 
 // class is the extents of one size: the freed ones, most recently
@@ -120,7 +119,7 @@ func (a *Arena) SetNoReclaim(v bool) { a.noReclaim = v }
 // Alloc reserves size bytes (8-aligned) for a value extent, past the
 // arena's head, and returns their address: the most recently freed
 // extent of that size, or a fresh one from the size's chunk. cookie is
-// an opaque owner tag (the service stores the key).
+// unused (bench's ladder passes one).
 func (a *Arena) Alloc(size, cookie uint64) uint64 {
 	if size == 0 {
 		size = 8
@@ -137,7 +136,7 @@ func (a *Arena) Alloc(size, cookie uint64) uint64 {
 	} else {
 		r = a.carve(c, size)
 	}
-	r.cookie, r.live = cookie, true
+	r.live = true
 	a.liveBytes += size + a.head
 	if a.liveBytes > a.peakLive {
 		a.peakLive = a.liveBytes
@@ -199,14 +198,6 @@ func (a *Arena) Size(addr uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Cookie returns the owner tag of the live extent at addr.
-func (a *Arena) Cookie(addr uint64) (uint64, bool) {
-	if r, ok := a.live(addr); ok {
-		return r.cookie, true
-	}
-	return 0, false
-}
-
 // Stats is an arena accounting snapshot.
 type Stats struct {
 	LiveExtents int    // live extent count
@@ -223,63 +214,4 @@ func (a *Arena) Stats() Stats {
 		PeakLive:    a.peakLive,
 		Footprint:   a.footprint,
 	}
-}
-
-// FreeRing is the to-free ring a NIC delete chain unlinks value
-// extents onto: N slots of [tag, addr, len] triples in server memory.
-// The chain's conditional WRITE deposits the deleted bucket's first
-// three words — the claimed key/control word, the value pointer and
-// its length — into a slot; the host drains slots (Drain) and returns
-// the extents to the arena, using the tag to verify the extent still
-// belongs to the deleted key (a straggler chain can double-deposit an
-// address that has since been recycled to another key). Slots are
-// identified by nonzero tag — rings start zeroed and Drain re-zeroes
-// each slot it consumes, so late stragglers from timed-out deletes are
-// collected on a later pass rather than lost.
-type FreeRing struct {
-	mem  *mem.Memory
-	base uint64
-	n    uint64
-}
-
-// SlotBytes is the on-memory size of one ring slot: the 24-byte
-// deposit rounded up for alignment.
-const SlotBytes = 32
-
-// NewFreeRing allocates an n-slot ring (memory starts zeroed).
-func NewFreeRing(m *mem.Memory, n int) *FreeRing {
-	if n < 1 {
-		n = 1
-	}
-	return &FreeRing{mem: m, base: m.Alloc(uint64(n)*SlotBytes, 8), n: uint64(n)}
-}
-
-// Len returns the slot count.
-func (r *FreeRing) Len() int { return int(r.n) }
-
-// SlotAddr returns the address of slot i (mod the ring length) — the
-// Dst a delete chain's unlink WRITE targets.
-func (r *FreeRing) SlotAddr(i uint64) uint64 { return r.base + (i%r.n)*SlotBytes }
-
-// Drain consumes every filled slot: cb runs once per deposited
-// [tag, addr, len] triple and the slot is re-zeroed. tag is the raw
-// bucket control word the delete chain claimed (the pending word of
-// the deleted key — never zero).
-func (r *FreeRing) Drain(cb func(tag, addr, size uint64)) int {
-	drained := 0
-	for i := uint64(0); i < r.n; i++ {
-		slot := r.base + i*SlotBytes
-		tag, _ := r.mem.U64(slot)
-		if tag == 0 {
-			continue
-		}
-		addr, _ := r.mem.U64(slot + 8)
-		size, _ := r.mem.U64(slot + 16)
-		r.mem.PutU64(slot, 0)
-		r.mem.PutU64(slot+8, 0)
-		r.mem.PutU64(slot+16, 0)
-		cb(tag, addr, size)
-		drained++
-	}
-	return drained
 }

@@ -803,7 +803,7 @@ func (sh *serviceShard) stored(key uint64) (va, ver, n uint64, ok bool) {
 // del removes key on the host CPU — the retirement path for spilled
 // residents the NIC delete chain cannot address, and the roll-forward
 // for refused delete claims. The freed extent goes to the retire queue
-// directly (no to-free ring hop: the CPU already holds the pointer).
+// at once, as an applied fabric delete's goes on its ack.
 func (sh *serviceShard) del(key uint64) bool {
 	sh.svc.dropPlaced(key)
 	va, _, ok := sh.table.table.Remove(key)
@@ -1340,6 +1340,7 @@ type ShardStats struct {
 	Deletes           uint64 `metric:"dels"`               // owner deletes applied (fabric + host + trivial absents)
 	FabricDeletes     uint64 `metric:"fabric_dels"`        // owner deletes attempted through the NIC tombstone chain
 	HostDeletes       uint64 `metric:"host_dels"`          // owner deletes that fell back to the host CPU
+	GCFreed           uint64 `metric:"gc_freed"`           // extents applied fabric deletes retired to the arena
 	RepairsQueued     uint64 `metric:"repairs_queued"`     // repair records enqueued for this owner
 	RepairsApplied    uint64 `metric:"repairs_applied"`    // repairs that rolled this owner forward
 	RepairsSuperseded uint64 `metric:"repairs_superseded"` // repairs satisfied before applying (owner caught up, a newer record, or a write in flight)
@@ -1349,8 +1350,6 @@ type ShardStats struct {
 	// Stats reads these off the shard's hints, client connections and
 	// arena.
 	HintsPending  uint64 // handoff hints currently queued for this owner
-	GCFreed       uint64 // to-free ring extents returned to the arena
-	GCStale       uint64 // ring entries whose extent was already gone
 	WindowCuts    uint64 // AIMD multiplicative decreases on the shard's client pipelines
 	EcnCuts       uint64 // the subset triggered by ECN backlog marks
 	ArenaLive     uint64 // live extent bytes in the shard's arena
@@ -1452,8 +1451,6 @@ func (s *Service) Stats() ServiceStats {
 		ss.HintsPending = uint64(sh.nHints)
 		for _, cli := range sh.clients {
 			cuts, ecn, _ := cli.cuts()
-			ss.GCFreed += cli.gcFreed
-			ss.GCStale += cli.gcStale
 			ss.WindowCuts += cuts
 			ss.EcnCuts += ecn
 			out.MaxInFlight = max(out.MaxInFlight, cli.get.maxInFlight)

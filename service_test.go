@@ -1460,8 +1460,8 @@ func TestServiceSetGrowsSpilledResidentInPlace(t *testing.T) {
 // ---- extent lifecycle / delete suite ----
 
 // Fabric deletes round-trip end to end: quorum-acked with real
-// latency, gets miss afterward, and every retired value extent returns
-// to the shard arenas through the to-free rings.
+// latency, gets miss afterward, and every delete returns exactly the
+// value extent it deleted to its shard's arena.
 func TestServiceDeleteRoundTrip(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 4, ClientsPerShard: 2, Pipeline: 8, Mode: LookupSeq,
@@ -1472,10 +1472,17 @@ func TestServiceDeleteRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	liveBefore := s.Stats().ArenaLive
-	if liveBefore == 0 {
+	before := s.Stats()
+	if before.ArenaLive == 0 {
 		t.Fatal("arena tracked no live bytes after the preload")
 	}
+	liveExtents := func() (n int) {
+		for _, sh := range s.order {
+			n += sh.srv.arena.Stats().LiveExtents
+		}
+		return n
+	}
+	extentsBefore := liveExtents()
 	for k := uint64(1); k <= nKeys; k++ {
 		if !s.Delete(k) {
 			t.Fatalf("delete(%d) reported the key absent", k)
@@ -1493,11 +1500,15 @@ func TestServiceDeleteRoundTrip(t *testing.T) {
 	if st.FabricDeletes == 0 {
 		t.Fatal("no delete ever traveled the NIC tombstone chain")
 	}
-	if st.GCFreed == 0 {
-		t.Fatal("no extent came back through the to-free ring")
+	// Each delete retired exactly one extent: an applied fabric delete's
+	// ack the one the key's bucket named, a host delete the one it
+	// removed.
+	if freed := extentsBefore - liveExtents(); freed != nKeys || st.GCFreed+st.HostDeletes != nKeys {
+		t.Fatalf("%d extents freed, %d by fabric deletes + %d host deletes; want %d each way",
+			freed, st.GCFreed, st.HostDeletes, nKeys)
 	}
-	if st.ArenaLive >= liveBefore {
-		t.Fatalf("arena live bytes %d did not drop from %d", st.ArenaLive, liveBefore)
+	if st.ArenaLive >= before.ArenaLive {
+		t.Fatalf("arena live bytes %d did not drop from %d", st.ArenaLive, before.ArenaLive)
 	}
 	// Deleted keys' space is reusable: re-setting the same keys after
 	// the purge (same per-shard load) must not grow the arena past its

@@ -24,9 +24,10 @@ import (
 // otherwise — and issues it through the owner's Client.SetAsync
 // pipeline, where the NIC's CAS-claim chain (core.SetOffload) installs
 // the key and repoints the bucket at the staged value. For a tombstone
-// it claims the key's resident bucket with the NIC delete chain
-// (core.DeleteOffload — CAS tombstone, conditional unlink of the value
-// extent onto the owner's to-free ring, ack). Keys that need cuckoo-kick
+// it claims the key's resident bucket with the same chain's key claim,
+// installing the tombstone and freeing the bucket's pointer words; the
+// applied ack retires the extent the coordinator captured under the
+// key's write slot, as an overwrite's does. Keys that need cuckoo-kick
 // relocation (both candidates taken) or that live in spilled
 // neighborhood slots fall back to the host CPU at a modeled two-sided
 // RPC cost; a claim refused by the CAS (a racing writer won the bucket)
@@ -779,13 +780,14 @@ func (r *ownerRun) finish(st ownerWriteStatus) {
 // the NIC chain when the fabric can carry it — for a value, the hinted
 // overwrite's pointer CAS when the key is resident at a candidate
 // bucket, else the CAS-claim set chain at a claimable candidate; the
-// tombstone chain at the key's resident bucket for a delete — the host
-// CPU otherwise, a trivial ack for a delete the owner never had the key
-// for, handoff failure when neither can run. m.seq is published by
-// whichever path applies: in the value's header, or a tombstone's
-// bucket word. A delete keeps the key's placement hint: a hinted get
-// then meets the tombstone, and answers the miss at once. The run
-// finishes asynchronously (from the simulation).
+// key claim installing the tombstone at the key's resident bucket for a
+// delete — the host CPU otherwise, a trivial ack for a delete the owner
+// never had the key for, handoff failure when neither can run. A
+// value's m.seq is published in its header by whichever path applies; a
+// tombstone's lives in the owner's key record (ownerKey.tomb). A delete
+// keeps the key's placement hint: a hinted get then meets the
+// tombstone, and answers the miss at once. The run finishes
+// asynchronously (from the simulation).
 func (r *ownerRun) apply() {
 	s, sh, m := r.s, r.sh, r.m
 	t := sh.table.table
@@ -800,10 +802,10 @@ func (r *ownerRun) apply() {
 	}
 	// The key's current extent, captured under the per-key write slot,
 	// which orders the key's writes on this owner: what an overwrite's
-	// pointer CAS expects. An acked fabric set repoints the bucket at the
-	// chain's staging extent and retires this one on the ack, to be
-	// freed once no get can still read it; a delete that finds nothing
-	// resident has nothing to do.
+	// pointer CAS expects. An acked fabric write — a set repointing the
+	// bucket at its staging extent, or a delete freeing its pointer —
+	// retires this one on the ack, to be freed once no get can still
+	// read it; a delete that finds nothing resident has nothing to do.
 	r.oldVa, _, r.resident = t.Lookup(m.key)
 	if fabric && !m.del && claim.Extent == 0 {
 		claim.Extent = r.oldVa // a resident overwrite: the hinted one
@@ -875,8 +877,11 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 	if ok {
 		sh.markLive()
 		*applied++
-		if !m.del && r.resident {
+		if r.resident {
 			sh.srv.retire.push(r.oldVa)
+			if m.del {
+				sh.stats.GCFreed++
+			}
 		}
 		// Every apply teaches the hint, a replay's as well as a leg's: a
 		// get after a crash's hint drain reads the extent the drain
