@@ -49,31 +49,16 @@ const windowStart = 72
 // get's bucket [keyCtrl, valAddr] lands ahead of the value.
 const hintHead = 16
 
-// pipeOp names one of the client's four offload pipelines.
+// pipeOp names one of the client's three offload pipelines.
 type pipeOp uint8
 
-// The client's offload pipelines.
+// The client's offload pipelines. A delete is a request on the set
+// pipeline: the key claim installing the tombstone.
 const (
 	pipeGet pipeOp = iota
 	pipeSet
-	pipeDelete
 	pipeProbe
 )
-
-func (o pipeOp) String() string {
-	switch o {
-	case pipeGet:
-		return "get"
-	case pipeSet:
-		return "set"
-	case pipeDelete:
-		return "del"
-	case pipeProbe:
-		return "probe"
-	default:
-		return fmt.Sprintf("pipeOp(%d)", uint8(o))
-	}
-}
 
 // pipelineStats is a point-in-time snapshot of one pipeline's
 // occupancy, window and answers. InFlight and Wedged are disjoint: a
@@ -90,9 +75,10 @@ type pipelineStats struct {
 // Client is a remote node issuing offloaded gets and sets against a
 // server's hash table, entirely served by the server's NIC.
 //
-// A client keeps up to depth requests in flight per op on one
-// connection per op (get/set/delete/probe), all four driven by the
-// same pipeline machinery (opPipeline): each in-flight request owns
+// A client keeps up to depth requests in flight per pipeline on one
+// connection per pipeline (get, set, probe; a delete is a set request
+// whose claim installs the tombstone), all three driven by the same
+// pipeline machinery (opPipeline): each in-flight request owns
 // one offload context of the server-side pool (the request slot) and
 // the per-slot buffers its chain reads and writes. Responses
 // demultiplex exactly: a context's response QP completes only its own
@@ -112,8 +98,7 @@ type Client struct {
 	node  *fabric.Node
 	mode  LookupMode
 	gets  *core.Pool[*core.LookupOffload]
-	sets  *core.Pool[*core.SetOffload]
-	dels  *core.Pool[*core.SetOffload] // a delete is the key claim installing the tombstone
+	sets  *core.Pool[*core.SetOffload] // sets and deletes
 	prbs  *core.Pool[*core.ProbeOffload]
 	table *HashTable
 	srv   *Server // its arena supplies staging extents; its retire queue takes superseded ones
@@ -126,11 +111,12 @@ type Client struct {
 	maxVal  uint64
 	getVals []byte // depth × maxVal: a get slot's piece lends its callback the value
 
-	// The four pipelines behind GetAsync, SetAsync and the delete and
-	// probe claim entry points — one implementation, per-op hooks. pipes
-	// indexes them by pipeOp in doorbell order (get, set, del, probe).
-	get, set, del, prb *opPipeline
-	pipes              [4]*opPipeline
+	// The three pipelines behind GetAsync, SetAsync (and the set and
+	// delete claims) and the probe claim entry point — one
+	// implementation, per-op hooks. pipes indexes them by pipeOp in
+	// doorbell order (get, set, probe).
+	get, set, prb *opPipeline
+	pipes         [3]*opPipeline
 
 	// prevVal tracks, per key, the extent the bucket held after this
 	// client's last acknowledged standalone set — freed exactly once
@@ -188,11 +174,11 @@ type pipeReq struct {
 	valLen uint64                                  // get
 	getCB  func(val []byte, lat Duration, ok bool) // get
 	val    []byte                                  // set
-	sclaim core.SetClaim                           // set
-	bucket uint64                                  // delete/probe: the bucket claimed or probed
+	sclaim core.SetClaim                           // set (a delete's installs hopscotch.Tombstone)
+	bucket uint64                                  // probe: the bucket probed
 	ver    uint64                                  // set version
 	prbCB  func(ver uint64, lat Duration, ok bool) // probe
-	ackCB  func(lat Duration, ok bool)             // set/delete
+	ackCB  func(lat Duration, ok bool)             // set
 
 	staging   uint64 // set: server staging extent this chain targets
 	lifecycle bool   // set: standalone path, client manages extent retirement
@@ -248,15 +234,16 @@ func (a *aimdWindow) marked(backlog sim.Time) bool {
 	return a.ecn > 0 && backlog > a.ecn
 }
 
-// opPipeline is the one pipeline implementation behind all four async
+// opPipeline is the one pipeline implementation behind all three async
 // paths: slot free list, client-side waiting queue, doorbell batching,
 // per-slot armed-vs-executed wedge accounting, and the congestion
 // window. Per-op behavior — arming the chain, completion payload,
 // post-release lifecycle — lives in the hook closures.
 type opPipeline struct {
-	c    *Client
-	op   pipeOp
-	name string // trace and profiler class names: "get", "set", "del", "probe"
+	c     *Client
+	op    pipeOp
+	class uint8  // telemetry class of its requests (a delete's is telemetry.ClassDel)
+	name  string // trace track prefix: its class's name
 
 	depth   int
 	respPer uint64 // signaled response completions per executed instance (a hinted get's: 1)
@@ -360,10 +347,10 @@ type deadline struct {
 
 // newPipeline builds the op-agnostic skeleton; the caller wires the
 // connection, the slots and the hooks.
-func newPipeline(c *Client, op pipeOp, name string, depth int) *opPipeline {
+func newPipeline(c *Client, op pipeOp, class uint8, depth int) *opPipeline {
 	start := min(windowStart, depth)
 	p := &opPipeline{
-		c: c, op: op, name: name, depth: depth, respPer: 1,
+		c: c, op: op, class: class, name: telemetry.ClassNames[class], depth: depth, respPer: 1,
 		slots:    make([]*pipeReq, depth),
 		owed:     make([]uint64, depth),
 		last:     make([]uint64, depth),
@@ -428,6 +415,15 @@ func (req *pipeReq) mustBeLive() {
 	if !req.live {
 		panic("redn: " + req.p.name + " request record used after its release")
 	}
+}
+
+// class is req's telemetry op class: its pipeline's, but a delete's on
+// the set pipeline.
+func (req *pipeReq) class() uint8 {
+	if req.sclaim.New == hopscotch.Tombstone {
+		return telemetry.ClassDel
+	}
+	return req.p.class
 }
 
 // started reports whether the instance armed last on slot has begun
@@ -538,7 +534,7 @@ func (p *opPipeline) issue(req *pipeReq) {
 	req.start = c.tb.clu.Eng.Now()
 	if p.rcpts != nil {
 		r := &p.rcpts[slot]
-		r.Reset(req.op, uint8(p.op), req.submit)
+		r.Reset(req.op, req.class(), req.submit)
 		if wait := req.start - req.submit; wait > 0 {
 			if req.winFull {
 				r.AddPhase(telemetry.PhaseWindow, wait)
@@ -553,10 +549,12 @@ func (p *opPipeline) issue(req *pipeReq) {
 	p.await(req)
 }
 
-// post retags the slot's op context with the op for tracing, arms it
-// through the op's hook, and posts the trigger SEND (doorbell-less).
+// post retags the slot's op context with the op and its class for
+// tracing and the profiler, arms it through the op's hook, and posts
+// the trigger SEND (doorbell-less).
 func (p *opPipeline) post(req *pipeReq) {
-	p.ctxs[req.slot].Op = req.op
+	ctx := p.ctxs[req.slot]
+	ctx.Op, ctx.Class = req.op, telemetry.ClassNames[req.class()]
 	payload := p.arm(req, p.resp[req.slot])
 	trig := p.trig[req.slot]
 	p.c.node.Mem.Write(trig, payload)
@@ -760,7 +758,7 @@ func (c *Client) setTracer(tr *telemetry.Tracer, label string) {
 	}
 }
 
-// cuts totals the multiplicative decreases across all four windows,
+// cuts totals the multiplicative decreases across all three windows,
 // the subset taken on ECN marks rather than lost requests, and the
 // window slots those ECN cuts gave up.
 func (c *Client) cuts() (cuts, ecnCuts uint64, ecnShed float64) {
@@ -788,7 +786,7 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 	return newClientOnNode(t, node, srv, srv.builders[0], mode, depth, defaultMaxValLen)
 }
 
-// newClientOnNode wires the four connections, the offload context pools
+// newClientOnNode wires the three connections, the offload context pools
 // and the demultiplexers; the Service uses it to place clients on its
 // own nodes. The server's queues of the connection — trigger, response,
 // control and chain rings — sit on b's port. The server's arena
@@ -808,11 +806,10 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 		prevVal:     make(map[uint64]uint64),
 		nextVer:     make(map[uint64]uint64),
 	}
-	c.get = newPipeline(c, pipeGet, "get", depth)
-	c.set = newPipeline(c, pipeSet, "set", depth)
-	c.del = newPipeline(c, pipeDelete, "del", depth)
-	c.prb = newPipeline(c, pipeProbe, "probe", depth)
-	c.pipes = [4]*opPipeline{c.get, c.set, c.del, c.prb}
+	c.get = newPipeline(c, pipeGet, telemetry.ClassGet, depth)
+	c.set = newPipeline(c, pipeSet, telemetry.ClassSet, depth)
+	c.prb = newPipeline(c, pipeProbe, telemetry.ClassProbe, depth)
+	c.pipes = [3]*opPipeline{c.get, c.set, c.prb}
 	if mode != LookupSingle {
 		c.get.respPer = 2 // seq probes two buckets
 	}
@@ -843,8 +840,6 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 			case pipeSet:
 				// A staged value's header precedes its bytes.
 				p.val = append(p.val, node.Mem.Alloc(extent.HeadBytes+maxVal, 64))
-				fallthrough
-			default:
 				p.resp = append(p.resp, node.Mem.Alloc(8, 8))
 			}
 			_, resp[i] = t.clu.Connect(node, srv.node,
@@ -859,19 +854,16 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 		case pipeSet:
 			c.sets = core.NewSetPool(b, srvQP, resp, maxVal, srv.valueArena())
 			slotCtx = c.sets.Context
-		case pipeDelete:
-			c.dels = core.NewSetPool(b, srvQP, resp, 0, nil)
-			slotCtx = c.dels.Context
 		case pipeProbe:
 			c.prbs = core.NewProbePool(b, srvQP, resp)
 			slotCtx = c.prbs.Context
 		}
-		// Profiler attribution: each pool's contexts serve exactly one
-		// op class, so the class is static; post retags the op. The
+		// Profiler attribution: post retags a slot's context with its
+		// request's op and class (the set pool's serve deletes too). The
 		// shared server trigger QP and the client-side one (which
 		// executes the staging WRITEs and SENDs whose remote grants, on
-		// server PCIe, count too) carry the class alone: their batched
-		// SENDs interleave ops.
+		// server PCIe, count too) carry the pipeline's class alone: their
+		// batched SENDs interleave ops, a delete's under "set".
 		for i, q := range resp {
 			p.subscribe(i, q)
 			ctx := slotCtx(i)
@@ -942,14 +934,18 @@ func (c *Client) wireHooks() {
 	c.get.silent = func(req *pipeReq) { c.get.letGo(req.slot) }
 	c.get.release = func(req *pipeReq, _, _ bool) { c.get.letGo(req.slot) }
 
-	// ---- set ----
+	// ---- set (and delete) ----
 	// A hinted overwrite holds a mark too, from its arming until its
 	// chain has run — past its deadline if it has not run by then: its
 	// CAS expects an extent the key's next write retires, and that
 	// extent must not come back, as this key's staging or another's,
-	// while the CAS can still find it (ABA).
+	// while the CAS can still find it (ABA). A delete, the key claim
+	// installing the tombstone, stages nothing and expects no extent.
 	c.set.arm = func(req *pipeReq, ack uint64) []byte {
 		ctx, val := c.sets.Ctxs[req.slot], c.set.val[req.slot]
+		if req.sclaim.New == hopscotch.Tombstone {
+			return ctx.TriggerPayload(req.key, req.sclaim, 0, 0, ack)
+		}
 		if e := req.sclaim.Extent; e != 0 && e != hopscotch.FreePtr {
 			c.set.hold(req.slot)
 		}
@@ -968,8 +964,8 @@ func (c *Client) wireHooks() {
 	// for a hinted overwrite, the pointer its CAS found, the extent it
 	// expected iff it applied; for a fresh claim, the same CAS's word,
 	// the free pointer iff it published.
-	applied := func(req *pipeReq) bool {
-		v, _ := c.node.Mem.U64(req.p.resp[req.slot])
+	c.set.verdict = func(req *pipeReq) bool {
+		v, _ := c.node.Mem.U64(c.set.resp[req.slot])
 		switch req.sclaim.Extent {
 		case 0:
 			return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
@@ -978,13 +974,12 @@ func (c *Client) wireHooks() {
 		}
 		return v == req.sclaim.Extent
 	}
-	acked := func(req *pipeReq, lat Duration, ok bool) {
+	c.set.deliver = func(req *pipeReq, lat Duration, ok bool) {
 		c.staged = req.staging // a set's: the extent its ack installed
 		if req.ackCB != nil {
 			req.ackCB(lat, ok)
 		}
 	}
-	c.set.verdict, c.set.deliver = applied, acked
 	c.set.release = func(req *pipeReq, ok, executed bool) {
 		// An unexecuted chain keeps its mark and its staging: the
 		// quarantined slot is a straggler that could still run.
@@ -993,10 +988,21 @@ func (c *Client) wireHooks() {
 		}
 		if !ok && executed {
 			// The chain ran and refused the claim: the staged bytes can
-			// never become the bucket's value, so retire the extent.
+			// never become the bucket's value, so retire the extent (a
+			// delete staged none).
 			c.sets.Ctxs[req.slot].ReleaseStaging()
 		}
-		if ok && req.lifecycle {
+		switch {
+		case !ok:
+		case req.sclaim.New == hopscotch.Tombstone:
+			// The standalone lifecycle: the extent the key's last acked
+			// set installed is the one the delete unlinked — retire it (a
+			// get in flight may hold its pointer).
+			if prev, tracked := c.prevVal[req.key]; tracked {
+				c.srv.retire.push(prev)
+				delete(c.prevVal, req.key)
+			}
+		case req.lifecycle:
 			// This ack's staging is the bucket's value now; the extent
 			// the previous same-key ack installed is superseded — retire
 			// it (a get in flight may hold its pointer).
@@ -1004,24 +1010,6 @@ func (c *Client) wireHooks() {
 				c.srv.retire.push(prev)
 			}
 			c.prevVal[req.key] = req.staging
-		}
-	}
-
-	// ---- delete ----
-	// A delete is the key claim installing the tombstone: its valWr
-	// frees the bucket's pointer words, and its ack is a set's.
-	c.del.arm = func(req *pipeReq, ack uint64) []byte {
-		claim := core.SetClaim{BucketAddr: req.bucket, Expect: core.ClaimCtrl(req.key), New: hopscotch.Tombstone}
-		return c.dels.Ctxs[req.slot].TriggerPayload(req.key, claim, 0, 0, ack)
-	}
-	c.del.verdict, c.del.deliver = applied, acked
-	c.del.release = func(req *pipeReq, ok, _ bool) {
-		// The standalone lifecycle: the extent the key's last acked set
-		// installed is the one the delete unlinked — retire it (a get in
-		// flight may hold its pointer).
-		if prev, tracked := c.prevVal[req.key]; ok && tracked {
-			c.srv.retire.push(prev)
-			delete(c.prevVal, req.key)
 		}
 	}
 
@@ -1068,7 +1056,6 @@ func (c *Client) reset() {
 	}
 	c.gets.Reset()
 	c.sets.Reset()
-	c.dels.Reset()
 	c.prbs.Reset()
 	for slot, ctx := range c.sets.Ctxs {
 		if !c.set.started(slot) {
@@ -1099,13 +1086,8 @@ func (c *Client) Bind(h *HashTable) {
 	c.table = h
 }
 
-// pipe maps a pipeOp to its pipeline (pipeGet for unknown values).
-func (c *Client) pipe(op pipeOp) *opPipeline {
-	if int(op) < len(c.pipes) {
-		return c.pipes[op]
-	}
-	return c.get
-}
+// pipe maps a pipeOp to its pipeline.
+func (c *Client) pipe(op pipeOp) *opPipeline { return c.pipes[op] }
 
 // pipelineStats snapshots one pipeline's occupancy and window, counting
 // in-flight and wedged slots disjointly from explicit counters.
@@ -1123,8 +1105,8 @@ func (c *Client) pipelineStats(op pipeOp) pipelineStats {
 
 // lastExecuted reports whether the most recent failed request on op's
 // pipeline had its offload chain execute on the server NIC — a genuine
-// miss (get: key absent), claim refusal (set: bucket taken; delete: key
-// absent or already tombstoned) or conditional miss (probe: the bucket
+// miss (get: key absent), claim refusal (set: bucket taken; a delete:
+// key absent or already tombstoned) or conditional miss (probe: the bucket
 // does not hold the key) — as opposed to never running (dead
 // connection). Meaningful when read from within the failure callback.
 func (c *Client) lastExecuted(op pipeOp) bool { return c.pipe(op).lastRan }
@@ -1295,7 +1277,10 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 // setAsyncClaim is SetAsync with an explicit, caller-computed bucket
 // claim and version and the trace op id its WRs attribute to — the
 // service layer's entry point (its router owns placement and the
-// quorum sequence the version publishes).
+// quorum sequence the version publishes). A claim whose New is
+// hopscotch.Tombstone is a delete of key at its resident bucket: it
+// stages nothing (value and ver are unused) and its ack says whether
+// it unlinked the key.
 func (c *Client) setAsyncClaim(key uint64, value []byte, claim core.SetClaim, ver, op uint64, cb func(lat Duration, ok bool)) {
 	c.setAsyncReq(key&hopscotch.KeyMask, value, claim, ver, op, cb, false)
 }
@@ -1321,20 +1306,6 @@ func (c *Client) Set(key uint64, value []byte) (lat Duration, ok bool) {
 	c.Flush()
 	c.tb.stepUntil(&done)
 	return lat, ok
-}
-
-// ---- delete path ----
-
-// deleteAsyncClaim issues one offloaded delete of key at a
-// caller-computed bucket and returns immediately — the service layer's
-// entry point (its router finds the resident bucket). cb runs when the
-// NIC's ack lands (ok is its verdict: false for a refused claim) or, on
-// a dead connection, MissTimeout expires. op is the trace op id its WRs
-// attribute to.
-func (c *Client) deleteAsyncClaim(key, bucket, op uint64, cb func(lat Duration, ok bool)) {
-	req := c.del.take()
-	req.key, req.bucket, req.ackCB, req.op = key&hopscotch.KeyMask, bucket, cb, op
-	c.del.submit(req)
 }
 
 // ---- probe path ----

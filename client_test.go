@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/extent"
+	"repro/internal/failure"
 	"repro/internal/hopscotch"
 	"repro/internal/sim"
 	"repro/internal/wqe"
@@ -510,6 +511,14 @@ func coreSetClaim(bucket, expect, key uint64) core.SetClaim {
 	return core.SetClaim{BucketAddr: bucket, Expect: expect, New: core.ClaimCtrl(key)}
 }
 
+// deleteAt issues a delete of key at bucket through the set pipeline:
+// the key claim installing the tombstone, as the Service's router
+// issues it.
+func deleteAt(cli *Client, key, bucket uint64, cb func(lat Duration, ok bool)) {
+	claim := core.SetClaim{BucketAddr: bucket, Expect: core.ClaimCtrl(key), New: hopscotch.Tombstone}
+	cli.setAsyncClaim(key, nil, claim, 0, 0, cb)
+}
+
 // Regression: a single-probe client's gets only ever read H1, so its
 // set path must refuse a key whose H1 is taken rather than claim H2 —
 // an acknowledged write the client could never read back.
@@ -552,7 +561,7 @@ func claimResident(cli *Client, key uint64, probe bool, cb func(ver uint64, lat 
 	case probe:
 		cli.probeAsyncTarget(key, bucket, ext, 0, cb)
 	default:
-		cli.deleteAsyncClaim(key, bucket, 0, func(lat Duration, ok bool) { cb(0, lat, ok) })
+		deleteAt(cli, key, bucket, func(lat Duration, ok bool) { cb(0, lat, ok) })
 	}
 }
 
@@ -655,9 +664,9 @@ func TestClientDeleteRefused(t *testing.T) {
 	var executed, acked bool
 	var refusedLat Duration
 	done := false
-	cli.deleteAsyncClaim(777, bucket, 0,
+	deleteAt(cli, 777, bucket,
 		func(lat Duration, ok bool) {
-			acked, executed, done, refusedLat = ok, cli.lastExecuted(pipeDelete), true, lat
+			acked, executed, done, refusedLat = ok, cli.lastExecuted(pipeSet), true, lat
 		})
 	cli.Flush()
 	tb.Run()
@@ -684,6 +693,85 @@ func TestClientDeleteRefused(t *testing.T) {
 	if _, _, ok := awaitResident(cli, key, false); ok {
 		t.Fatal("second delete of the same key acknowledged")
 	}
+}
+
+// A delete on the set pipeline stages nothing, so the slot it runs on
+// forgets the extent the slot's last set staged: that extent is
+// decided (here it is the key's value, which the delete unlinks and
+// retires), and neither a connection reset that finds the slot's next
+// delete unexecuted nor a refused delete on the slot may free it again.
+// Each round a second client on the same server takes the freed extent
+// for another key's value, so a second free would take that key's live
+// value: the arena would hold less than the table names.
+func TestClientDeleteDropsTheSlotsStaging(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(1024)
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 1) // one slot
+	other := tb.NewPipelinedClient(srv, LookupSeq, 1)
+	cli.Bind(table)
+	other.Bind(table)
+	arena, ht := srv.valueArena(), table.Table()
+
+	// round runs an applied set of key on cli's slot, an applied delete
+	// of it, and other's set of reuser into the extent the delete freed;
+	// it returns key's bucket and that extent.
+	round := func(key, reuser uint64) (bucket, ext uint64) {
+		t.Helper()
+		if _, ok := cli.Set(key, Value(key, 64)); !ok {
+			t.Fatalf("set(%d) failed", key)
+		}
+		bucket, ext, _ = residentBucket(ht, LookupSeq, key)
+		if _, _, ok := awaitResident(cli, key, false); !ok {
+			t.Fatalf("delete(%d) not acknowledged", key)
+		}
+		if _, live := arena.Size(ext); live {
+			t.Fatalf("delete(%d) left its extent %#x live", key, ext)
+		}
+		if _, ok := other.Set(reuser, Value(reuser, 64)); !ok || other.staged != ext {
+			t.Fatalf("set(%d) staged %#x, want the freed %#x", reuser, other.staged, ext)
+		}
+		return bucket, ext
+	}
+	check := func(after string, ext uint64) {
+		t.Helper()
+		var named uint64
+		for i := uint64(0); i < ht.NumBuckets(); i++ {
+			if _, va, _, ok := ht.EntryAt(i); ok {
+				size, _ := arena.Size(va)
+				named += extent.HeadBytes + size
+			}
+		}
+		if _, live := arena.Size(ext); !live || arena.Stats().LiveBytes != named {
+			t.Fatalf("after %s: extent %#x live=%v, arena holds %d live bytes, the table names %d",
+				after, ext, live, arena.Stats().LiveBytes, named)
+		}
+	}
+	deleted := func(what string, executed bool) func(Duration, bool) {
+		return func(_ Duration, ok bool) {
+			if ok || cli.lastExecuted(pipeSet) != executed {
+				t.Errorf("%s: ok=%v executed=%v, want a failure with executed=%v", what, ok, cli.lastExecuted(pipeSet), executed)
+			}
+		}
+	}
+
+	// A process crash freezes the NIC; a delete issued meanwhile never
+	// runs, and the reconnect finds it armed on the slot.
+	bucket, ext := round(1, 2)
+	failure.NodeCrash{Node: srv.node, Kind: failure.ProcessCrash,
+		OnUp: func() { cli.reset(); other.reset() }}.InjectAt(tb.clu.Eng, tb.Now())
+	tb.RunFor(sim.Microsecond)
+	deleteAt(cli, 1, bucket, deleted("delete on a frozen NIC", false))
+	cli.Flush()
+	tb.Run()
+	check("a reset", ext)
+
+	// A second delete of a deleted key: the chain runs and refuses.
+	bucket, ext = round(3, 4)
+	deleteAt(cli, 3, bucket, deleted("second delete", true))
+	cli.Flush()
+	tb.Run()
+	check("a refused delete", ext)
 }
 
 // Pipelined deletes overlap on the fabric like sets and gets.
@@ -717,8 +805,8 @@ func TestClientDeletePipelineOverlaps(t *testing.T) {
 		if done != 32 {
 			t.Fatalf("completed %d of 32 deletes", done)
 		}
-		if depth > 1 && cli.del.maxInFlight < depth {
-			t.Fatalf("delete pipeline never filled: high-water %d of %d", cli.del.maxInFlight, depth)
+		if depth > 1 && cli.set.maxInFlight < depth {
+			t.Fatalf("set pipeline never filled with deletes: high-water %d of %d", cli.set.maxInFlight, depth)
 		}
 		return lastDone - start
 	}
@@ -779,7 +867,8 @@ func TestClientRefusedSetReleasesStaging(t *testing.T) {
 
 // Silence still means a dead NIC: a frozen server drops the trigger, no
 // ack ever comes, and a set or delete fails at exactly the miss
-// deadline with its chain unexecuted and its slot quarantined.
+// deadline with its chain unexecuted and its slot quarantined — both
+// slots of the set pipeline the two share.
 func TestClientWritesTimeOutOnFrozenServer(t *testing.T) {
 	tb := NewTestbed()
 	srv := tb.NewServer()
@@ -792,20 +881,20 @@ func TestClientWritesTimeOutOnFrozenServer(t *testing.T) {
 		t.Fatal("setup set failed")
 	}
 	srv.node.Dev.Freeze()
-	check := func(op pipeOp) func(Duration, bool) {
+	check := func(what string) func(Duration, bool) {
 		return func(lat Duration, ok bool) {
-			if ok || lat != cli.missTimeout || cli.lastExecuted(op) {
-				t.Errorf("op %d on a frozen NIC: ok=%v lat=%v executed=%v, want a %v timeout of an unexecuted chain",
-					op, ok, lat, cli.lastExecuted(op), cli.missTimeout)
+			if ok || lat != cli.missTimeout || cli.lastExecuted(pipeSet) {
+				t.Errorf("%s on a frozen NIC: ok=%v lat=%v executed=%v, want a %v timeout of an unexecuted chain",
+					what, ok, lat, cli.lastExecuted(pipeSet), cli.missTimeout)
 			}
 		}
 	}
-	cli.SetAsync(key, Value(key+1, 64), check(pipeSet))
-	claimResident(cli, key, false, func(_ uint64, lat Duration, ok bool) { check(pipeDelete)(lat, ok) })
+	cli.SetAsync(key, Value(key+1, 64), check("set"))
+	claimResident(cli, key, false, func(_ uint64, lat Duration, ok bool) { check("delete")(lat, ok) })
 	cli.Flush()
 	tb.Run()
-	if set, del := cli.pipelineStats(pipeSet), cli.pipelineStats(pipeDelete); set.Fails != 1 || del.Fails != 1 || set.Wedged != 1 || del.Wedged != 1 {
-		t.Fatalf("fails %d/%d wedged %d/%d (set/del), want 1/1 and 1/1", set.Fails, del.Fails, set.Wedged, del.Wedged)
+	if set := cli.pipelineStats(pipeSet); set.Fails != 2 || set.Wedged != 2 {
+		t.Fatalf("set pipeline: %d fails, %d wedged; want 2 and 2", set.Fails, set.Wedged)
 	}
 }
 

@@ -282,8 +282,15 @@ func (o *SetOffload) ReleaseStaging() (replaced uint64) {
 // passes valLen 0). ver is unused: the staged header carries the
 // write's version. The result is the context's own buffer, overwritten
 // by the next call.
+//
+// A delete stages nothing, so it drops the staging extent a set armed
+// on this context before: that set's verdict already decided the
+// extent, and ReleaseStaging after a delete must free nothing.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	o.key, o.claimed = key, claim
+	if claim.New == hopscotch.Tombstone {
+		o.staging = 0
+	}
 	v := operands{opExpect: claim.Expect, opNew: claim.New, opBucket: claim.BucketAddr,
 		opValAddr: claim.BucketAddr + hopscotch.OffValAddr, opExtent: claim.Extent, opLen: valLen}
 	if claim.Extent != 0 {

@@ -10,17 +10,15 @@ import (
 	"repro/internal/wqe"
 )
 
-// writeHarness arms one set context and one delete context (a set
-// context whose key claims install the tombstone) against a hopscotch
-// table, each on its own trigger connection, their acks on response
-// queues of one kind.
+// writeHarness arms one set context against a hopscotch table, its
+// ack on a response queue of either kind; a delete runs on it as the
+// key claim installing the tombstone, as on a client's set pipeline.
 type writeHarness struct {
 	*harness
-	table        *hopscotch.Table
-	set          *SetOffload
-	del          *SetOffload
-	setQP, delQP *rnic.QP
-	trig, ack    uint64 // client-side trigger and ack buffers
+	table     *hopscotch.Table
+	set       *SetOffload
+	setQP     *rnic.QP
+	trig, ack uint64 // client-side trigger and ack buffers
 }
 
 const writeValLen = 64
@@ -38,19 +36,13 @@ func newWriteHarness(t *testing.T, managedAck bool) *writeHarness {
 	t.Helper()
 	h := &writeHarness{harness: newHarness(t)}
 	h.table = hopscotch.New(h.srv.Mem(), 256, 0)
-	wire := func() (cliQP, srvQP, respQP *rnic.QP) {
-		cliQP, srvQP = h.connect(64)
-		_, respQP = h.connectAs(16, managedAck)
-		srvQP.RecvCQ().SetAutoDrain(true)
-		srvQP.SendCQ().SetAutoDrain(true)
-		respQP.SendCQ().SetAutoDrain(true)
-		return
-	}
 	var srvQP, respQP *rnic.QP
-	h.setQP, srvQP, respQP = wire()
+	h.setQP, srvQP = h.connect(64)
+	_, respQP = h.connectAs(16, managedAck)
+	srvQP.RecvCQ().SetAutoDrain(true)
+	srvQP.SendCQ().SetAutoDrain(true)
+	respQP.SendCQ().SetAutoDrain(true)
 	h.set = NewSetPool(h.b, srvQP, []*rnic.QP{respQP}, writeValLen, nil).Ctxs[0]
-	h.delQP, srvQP, respQP = wire()
-	h.del = NewSetPool(h.b, srvQP, []*rnic.QP{respQP}, 0, nil).Ctxs[0]
 	h.trig, h.ack = h.cli.Mem().Alloc(128, 8), h.cli.Mem().Alloc(8, 8)
 	return h
 }
@@ -101,8 +93,8 @@ func (h *writeHarness) doSet(t *testing.T, key uint64, claim SetClaim, ver uint6
 func (h *writeHarness) doDelete(t *testing.T, key uint64) chainRun {
 	t.Helper()
 	claim := SetClaim{BucketAddr: h.bucket(key), Expect: ClaimCtrl(key), New: hopscotch.Tombstone}
-	return h.fire(t, h.delQP, h.del.Resp, h.del.w3, key,
-		h.del.TriggerPayload(key, claim, 0, 0, h.ack))
+	return h.fire(t, h.setQP, h.set.Resp, h.set.w3, key,
+		h.set.TriggerPayload(key, claim, 0, 0, h.ack))
 }
 
 func (h *writeHarness) bucket(key uint64) uint64 {

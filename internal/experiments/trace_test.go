@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -49,7 +50,9 @@ func TestTraceDeterministicBytes(t *testing.T) {
 // The mixed-workload trace must contain complete span trees for all
 // four op types: an op-level b/e pair, client slot spans, WR execution
 // spans on NIC PUs attributed to real op ids, quorum legs for writes,
-// and balanced async begin/end events throughout.
+// and balanced async begin/end events throughout. A delete is a request
+// on the client's set pipeline, so its slot spans sit on set/ tracks,
+// told from a set's by the op they carry.
 func TestTraceSpanTreesComplete(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -78,6 +81,7 @@ func TestTraceSpanTreesComplete(t *testing.T) {
 	asyncOpen := map[string]int{}            // cat+id balance
 	wrOps := map[uint64]bool{}               // op ids seen on PU WR spans
 	slotTracks := map[string]bool{}          // slot-span track names
+	slotOps := map[uint64]string{}           // op id -> a track one of its slot spans sits on
 	legs := 0
 	for _, e := range tr.TraceEvents {
 		switch e.Ph {
@@ -102,6 +106,7 @@ func TestTraceSpanTreesComplete(t *testing.T) {
 			track := threads[tkey{e.Pid, e.Tid}]
 			if e.Name == "slot" {
 				slotTracks[track] = true
+				slotOps[e.Args.Op] = track
 			} else if e.Args.Op != 0 {
 				wrOps[e.Args.Op] = true
 			}
@@ -136,11 +141,12 @@ func TestTraceSpanTreesComplete(t *testing.T) {
 	if legs == 0 {
 		t.Error("no quorum leg spans")
 	}
-	// Client slot spans for every pipelined path.
-	for _, prefix := range []string{"get/", "set/", "del/", "probe/"} {
+	// Client slot spans for every pipeline, and for a delete on the set
+	// pipeline's.
+	for _, prefix := range []string{"get/", "set/", "probe/"} {
 		found := false
 		for track := range slotTracks {
-			if len(track) > len(prefix) && track[:len(prefix)] == prefix {
+			if strings.HasPrefix(track, prefix) {
 				found = true
 				break
 			}
@@ -148,6 +154,16 @@ func TestTraceSpanTreesComplete(t *testing.T) {
 		if !found {
 			t.Errorf("no client slot spans on %s* tracks", prefix)
 		}
+	}
+	delSlot := false
+	for id := range opBegins["del"] {
+		if strings.HasPrefix(slotOps[id], "set/") {
+			delSlot = true
+			break
+		}
+	}
+	if !delSlot {
+		t.Error("no client slot span of a del op on set/* tracks")
 	}
 }
 

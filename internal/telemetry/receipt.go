@@ -59,8 +59,9 @@ var PhaseNames = [PhaseCount]string{
 	"window", "queue", "doorbell", "fabric", "coord", "retry", "host", "cache",
 }
 
-// Op classes a receipt can belong to. Values match redn.Op ordinals
-// (get, set, delete, probe) without importing the root package.
+// Op classes a receipt can belong to: one per kind of client request.
+// A delete is a request on the client's set pipeline; its receipt,
+// trace op and profiler grants are still classed ClassDel.
 const (
 	ClassGet = iota
 	ClassSet

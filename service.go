@@ -81,7 +81,7 @@ const (
 type ServiceConfig struct {
 	Shards          int        // server nodes, each with its own NIC and table
 	ClientsPerShard int        // client nodes connected to each shard
-	Pipeline        int        // slots per client pipeline; its AIMD window opens at min(72, Pipeline)
+	Pipeline        int        // slots per client pipeline (deletes share the sets' slots and window); its AIMD window opens at min(72, Pipeline)
 	Mode            LookupMode // read by nothing: every service get is hinted or a locate (Client.locateAsync)
 	Replicas        int        // ring owners written per Set (>=1)
 
@@ -456,8 +456,8 @@ func (s *Service) initMetrics() {
 		n := 0
 		for _, sh := range s.order {
 			for _, cli := range sh.clients {
-				for _, op := range []pipeOp{pipeGet, pipeSet, pipeDelete, pipeProbe} {
-					n += cli.pipelineStats(op).InFlight
+				for _, p := range cli.pipes {
+					n += p.inFlight
 				}
 			}
 		}

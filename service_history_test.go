@@ -10,6 +10,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/rnic"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/wqe"
 )
@@ -65,12 +66,17 @@ import (
 // set chain's key claim installing the tombstone: the delete chain's
 // unlink to a to-free ring and the READ that armed its free WRITE went,
 // so a delete is four managed fetches, not six, and its extent retires
-// on the applied ack instead of from a ring drain.
-const exactHistoryHash = 0x954dee9f90276f72
+// on the applied ack instead of from a ring drain (0x954dee9f90276f72).
+// It moved again when a delete became a request on the client's set
+// pipeline: deletes and sets now share one connection's slots and AIMD
+// window, so a delete waits behind the sets in flight (and they behind
+// it), and each client's doorbell rings one trigger QP fewer.
+const exactHistoryHash = 0x730a3be386a816d3
 
-// historyOp is one completed operation of a history run.
+// historyOp is one completed operation of a history run; op is its
+// telemetry class (get, set or del).
 type historyOp struct {
-	op  pipeOp
+	op  uint8
 	key uint64
 	ok  bool
 	at  sim.Time
@@ -104,7 +110,7 @@ func runServiceHistory(t *testing.T, seed int64, done func(*Service, historyOp))
 	)
 	rng := workload.Rng(seed)
 	val := func(key uint64) []byte { return Value(key*1_000_000+uint64(rng.Intn(1000)), valLen) }
-	record := func(op pipeOp, key uint64, ok bool) { done(s, historyOp{op, key, ok, s.Now()}) }
+	record := func(op uint8, key uint64, ok bool) { done(s, historyOp{op, key, ok, s.Now()}) }
 
 	for k := uint64(1); k <= nKeys; k++ {
 		if err := s.Set(k, val(k)); err != nil {
@@ -124,7 +130,7 @@ func runServiceHistory(t *testing.T, seed int64, done func(*Service, historyOp))
 			t.Fatalf("key %d: no fabric claim on an idle table", key)
 		}
 		fin := false
-		s.SetAsync(key, val(key), func(_ Duration, err error) { record(pipeSet, key, err == nil); fin = true })
+		s.SetAsync(key, val(key), func(_ Duration, err error) { record(telemetry.ClassSet, key, err == nil); fin = true })
 		s.Flush()
 		for ; ht.BucketAddr(ht.Hash(foreign, 0)) != claim.BucketAddr; foreign++ {
 		}
@@ -135,7 +141,7 @@ func runServiceHistory(t *testing.T, seed int64, done func(*Service, historyOp))
 		s.tb.stepUntil(&fin)
 
 		fin = false
-		s.DeleteAsync(key, func(_ Duration, err error) { record(pipeDelete, key, err == nil); fin = true })
+		s.DeleteAsync(key, func(_ Duration, err error) { record(telemetry.ClassDel, key, err == nil); fin = true })
 		s.Flush()
 		sh.del(key)
 		s.tb.stepUntil(&fin)
@@ -164,11 +170,11 @@ func runServiceHistory(t *testing.T, seed int64, done func(*Service, historyOp))
 		key := uint64(rng.Intn(nKeys+nAbsent) + 1)
 		switch r := rng.Intn(10); {
 		case r == 0 && key <= nKeys:
-			s.DeleteAsync(key, func(_ Duration, err error) { record(pipeDelete, key, err == nil); worker(); s.Flush() })
+			s.DeleteAsync(key, func(_ Duration, err error) { record(telemetry.ClassDel, key, err == nil); worker(); s.Flush() })
 		case r <= 3 && key <= nKeys:
-			s.SetAsync(key, val(key), func(_ Duration, err error) { record(pipeSet, key, err == nil); worker(); s.Flush() })
+			s.SetAsync(key, val(key), func(_ Duration, err error) { record(telemetry.ClassSet, key, err == nil); worker(); s.Flush() })
 		default:
-			s.GetAsync(key, valLen, func(_ []byte, _ Duration, ok bool) { record(pipeGet, key, ok); worker(); s.Flush() })
+			s.GetAsync(key, valLen, func(_ []byte, _ Duration, ok bool) { record(telemetry.ClassGet, key, ok); worker(); s.Flush() })
 		}
 	}
 	for i := 0; i < workers; i++ {

@@ -626,7 +626,7 @@ func TestGetThroughputLaw(t *testing.T) {
 }
 
 // A shard serves its client connection c on its NIC's port c % 2: every
-// server-side queue of the connection — its four trigger QPs, each
+// server-side queue of the connection — its three trigger QPs, each
 // slot's response QP, and the control queues and chain rings of its
 // pool contexts, and the loopback peers of the last two — sits on that
 // port, and nothing else is on the NIC but the two builders' own control
@@ -673,11 +673,11 @@ func TestShardServesOnBothPorts(t *testing.T) {
 				t.Errorf("%s: QP %d of connection %d is not on port %d", sh.id, n, c, c%2)
 			}
 		}
-		// Per connection: 4 trigger QPs, and per slot a response QP and
-		// a control queue on each of the four paths, plus a get's, a
-		// set's and a delete's chain ring; each loopback queue has a peer.
-		if want := 4 + 8*(4+2*(4+3)); other != 2*len(dev.Ports()) || queues[0] < want {
-			t.Fatalf("%s: %d queues outside every connection, connection 0 has %d; want 4 and >= %d",
+		// Per connection: 3 trigger QPs, and per slot a response QP and
+		// a control queue on each of the three paths, plus a get's chain
+		// ring and a set's two; each loopback queue has a peer.
+		if want := 3 + 8*(3+2*(3+1+2)); other != 2*len(dev.Ports()) || queues[0] != want {
+			t.Fatalf("%s: %d queues outside every connection, connection 0 has %d; want 4 and %d",
 				sh.id, other, queues[0], want)
 		}
 		for c := range queues {

@@ -679,8 +679,8 @@ func TestServiceRefusedClaimsRollForwardWithoutSuspicion(t *testing.T) {
 		t.Fatalf("refusals moved the crash detector: consecMiss=%d suspectUntil=%v", sh.consecMiss, sh.suspectUntil)
 	}
 	for _, c := range sh.clients {
-		if set, del := c.pipelineStats(pipeSet), c.pipelineStats(pipeDelete); set.Acks != 0 || del.Acks != 0 || set.Wedged+del.Wedged != 0 {
-			t.Fatalf("client saw %d set acks, %d delete acks, %d wedged slots; want none", set.Acks, del.Acks, set.Wedged+del.Wedged)
+		if set := c.pipelineStats(pipeSet); set.Acks != 0 || set.Wedged != 0 {
+			t.Fatalf("client saw %d set or delete acks, %d wedged slots; want none", set.Acks, set.Wedged)
 		}
 	}
 }

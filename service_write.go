@@ -792,11 +792,12 @@ func (r *ownerRun) apply() {
 	s, sh, m := r.s, r.sh, r.m
 	t := sh.table.table
 	var (
-		claim  core.SetClaim // a tombstone claims by BucketAddr alone
+		claim  core.SetClaim
 		fabric bool
 	)
 	if m.del {
 		claim.BucketAddr, _, fabric = residentBucket(t, LookupSeq, m.key)
+		claim.Expect, claim.New = core.ClaimCtrl(m.key), hopscotch.Tombstone
 	} else {
 		claim, fabric = claimForTable(t, LookupSeq, m.key)
 	}
@@ -838,11 +839,10 @@ func (r *ownerRun) apply() {
 	r.claimAt = claim.BucketAddr
 	if m.del {
 		sh.stats.FabricDeletes++
-		r.cli.deleteAsyncClaim(m.key, claim.BucketAddr, r.top, r.ackFn)
 	} else {
 		sh.stats.FabricSets++
-		r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.top, r.ackFn)
 	}
+	r.cli.setAsyncClaim(m.key, m.val, claim, m.seq, r.top, r.ackFn)
 	// Writes issued from completion callbacks run outside the caller's
 	// batch; kick them directly, like get retries.
 	r.cli.Flush()
@@ -870,9 +870,9 @@ func (r *ownerRun) hopped() {
 func (r *ownerRun) acked(_ Duration, ok bool) {
 	r.enter(runAck)
 	s, sh, m, cli := r.s, r.sh, r.m, r.cli
-	op, applied := pipeSet, &sh.stats.Sets
+	applied := &sh.stats.Sets
 	if m.del {
-		op, applied = pipeDelete, &sh.stats.Deletes
+		applied = &sh.stats.Deletes
 	}
 	if ok {
 		sh.markLive()
@@ -895,11 +895,11 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 			}
 			s.learnPlaced(m.key, sh, r.claimAt, ext)
 		}
-		s.noteLegReceipt(cli.lastReceipt(op))
+		s.noteLegReceipt(cli.lastReceipt(pipeSet))
 		r.finish(ownerApplied)
 		return
 	}
-	if !cli.lastExecuted(op) {
+	if !cli.lastExecuted(pipeSet) {
 		// The chain never ran: dead NIC, count toward suspicion.
 		s.noteOwnerMiss(sh)
 	}
