@@ -49,15 +49,15 @@ const windowStart = 72
 // get's bucket [keyCtrl, valAddr] lands ahead of the value.
 const hintHead = 16
 
-// pipeOp names one of the client's three offload pipelines.
+// pipeOp names one of the client's two offload pipelines.
 type pipeOp uint8
 
-// The client's offload pipelines. A delete is a request on the set
-// pipeline: the key claim installing the tombstone.
+// The client's offload pipelines. A delete and a version probe are
+// requests on the set pipeline: the key claim installing the tombstone,
+// and the set context's probe shape.
 const (
 	pipeGet pipeOp = iota
 	pipeSet
-	pipeProbe
 )
 
 // pipelineStats is a point-in-time snapshot of one pipeline's
@@ -76,9 +76,10 @@ type pipelineStats struct {
 // server's hash table, entirely served by the server's NIC.
 //
 // A client keeps up to depth requests in flight per pipeline on one
-// connection per pipeline (get, set, probe; a delete is a set request
-// whose claim installs the tombstone), all three driven by the same
-// pipeline machinery (opPipeline): each in-flight request owns
+// connection per pipeline: gets, on managed answer queues, and sets,
+// deletes (the claim installing the tombstone) and version probes, on
+// unmanaged ones. Both are driven by the same pipeline machinery
+// (opPipeline): each in-flight request owns
 // one offload context of the server-side pool (the request slot) and
 // the per-slot buffers its chain reads and writes. Responses
 // demultiplex exactly: a context's response QP completes only its own
@@ -98,8 +99,7 @@ type Client struct {
 	node  *fabric.Node
 	mode  LookupMode
 	gets  *core.Pool[*core.LookupOffload]
-	sets  *core.Pool[*core.SetOffload] // sets and deletes
-	prbs  *core.Pool[*core.ProbeOffload]
+	sets  *core.Pool[*core.SetOffload] // sets, deletes and probes
 	table *HashTable
 	srv   *Server // its arena supplies staging extents; its retire queue takes superseded ones
 
@@ -111,12 +111,12 @@ type Client struct {
 	maxVal  uint64
 	getVals []byte // depth × maxVal: a get slot's piece lends its callback the value
 
-	// The three pipelines behind GetAsync, SetAsync (and the set and
-	// delete claims) and the probe claim entry point — one
-	// implementation, per-op hooks. pipes indexes them by pipeOp in
-	// doorbell order (get, set, probe).
-	get, set, prb *opPipeline
-	pipes         [3]*opPipeline
+	// The two pipelines behind GetAsync and SetAsync (and the set and
+	// delete claims and the probe entry point) — one implementation,
+	// per-op hooks. pipes indexes them by pipeOp in doorbell order
+	// (get, set).
+	get, set *opPipeline
+	pipes    [2]*opPipeline
 
 	// prevVal tracks, per key, the extent the bucket held after this
 	// client's last acknowledged standalone set — freed exactly once
@@ -177,7 +177,7 @@ type pipeReq struct {
 	sclaim core.SetClaim                           // set (a delete's installs hopscotch.Tombstone)
 	bucket uint64                                  // probe: the bucket probed
 	ver    uint64                                  // set version
-	prbCB  func(ver uint64, lat Duration, ok bool) // probe
+	prbCB  func(ver uint64, lat Duration, ok bool) // probe (set pipeline; non-nil marks a probe)
 	ackCB  func(lat Duration, ok bool)             // set
 
 	staging   uint64 // set: server staging extent this chain targets
@@ -234,7 +234,7 @@ func (a *aimdWindow) marked(backlog sim.Time) bool {
 	return a.ecn > 0 && backlog > a.ecn
 }
 
-// opPipeline is the one pipeline implementation behind all three async
+// opPipeline is the one pipeline implementation behind both async
 // paths: slot free list, client-side waiting queue, doorbell batching,
 // per-slot armed-vs-executed wedge accounting, and the congestion
 // window. Per-op behavior — arming the chain, completion payload,
@@ -242,7 +242,7 @@ func (a *aimdWindow) marked(backlog sim.Time) bool {
 type opPipeline struct {
 	c     *Client
 	op    pipeOp
-	class uint8  // telemetry class of its requests (a delete's is telemetry.ClassDel)
+	class uint8  // telemetry class of its requests (but pipeReq.class: a delete's or a probe's)
 	name  string // trace track prefix: its class's name
 
 	depth   int
@@ -417,10 +417,16 @@ func (req *pipeReq) mustBeLive() {
 	}
 }
 
-// class is req's telemetry op class: its pipeline's, but a delete's on
-// the set pipeline.
+// probe reports whether req is a version probe, on the set pipeline.
+func (req *pipeReq) probe() bool { return req.prbCB != nil }
+
+// class is req's telemetry op class: its pipeline's, but a delete's or
+// a probe's on the set pipeline.
 func (req *pipeReq) class() uint8 {
-	if req.sclaim.New == hopscotch.Tombstone {
+	switch {
+	case req.probe():
+		return telemetry.ClassProbe
+	case req.sclaim.New == hopscotch.Tombstone:
 		return telemetry.ClassDel
 	}
 	return req.p.class
@@ -758,7 +764,7 @@ func (c *Client) setTracer(tr *telemetry.Tracer, label string) {
 	}
 }
 
-// cuts totals the multiplicative decreases across all three windows,
+// cuts totals the multiplicative decreases across both windows,
 // the subset taken on ECN marks rather than lost requests, and the
 // window slots those ECN cuts gave up.
 func (c *Client) cuts() (cuts, ecnCuts uint64, ecnShed float64) {
@@ -786,7 +792,7 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 	return newClientOnNode(t, node, srv, srv.builders[0], mode, depth, defaultMaxValLen)
 }
 
-// newClientOnNode wires the three connections, the offload context pools
+// newClientOnNode wires the two connections, the offload context pools
 // and the demultiplexers; the Service uses it to place clients on its
 // own nodes. The server's queues of the connection — trigger, response,
 // control and chain rings — sit on b's port. The server's arena
@@ -808,8 +814,7 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 	}
 	c.get = newPipeline(c, pipeGet, telemetry.ClassGet, depth)
 	c.set = newPipeline(c, pipeSet, telemetry.ClassSet, depth)
-	c.prb = newPipeline(c, pipeProbe, telemetry.ClassProbe, depth)
-	c.pipes = [3]*opPipeline{c.get, c.set, c.prb}
+	c.pipes = [2]*opPipeline{c.get, c.set}
 	if mode != LookupSingle {
 		c.get.respPer = 2 // seq probes two buckets
 	}
@@ -824,9 +829,10 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 		srvQP.SendCQ().SetAutoDrain(true)
 		p.qp = cliQP
 		// Per-slot buffers and per-context response QPs. A get answers
-		// with the value, a probe with the probed bucket, a write with
-		// its 8-byte verdict. A get's trigger rewrites its answer, so its
-		// queue is managed; a probe's answer and a write's ack are final.
+		// with the value, a write with its 8-byte verdict, a probe with
+		// the probed bucket's [keyCtrl, valAddr], then the extent's
+		// header. A get's trigger rewrites its answer, so its queue is
+		// managed; a write's ack and a probe's answer are final.
 		resp := make([]*rnic.QP, depth)
 		for i := range resp {
 			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
@@ -834,13 +840,10 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 			case pipeGet:
 				// A hinted get's value follows its bucket's [keyCtrl, valAddr].
 				p.resp = append(p.resp, node.Mem.Alloc(hintHead+maxVal, 64))
-			case pipeProbe:
-				// [keyCtrl, valAddr] of the bucket, then the extent's header.
-				p.resp = append(p.resp, node.Mem.Alloc(16+extent.HeadBytes, 8))
 			case pipeSet:
 				// A staged value's header precedes its bytes.
 				p.val = append(p.val, node.Mem.Alloc(extent.HeadBytes+maxVal, 64))
-				p.resp = append(p.resp, node.Mem.Alloc(8, 8))
+				p.resp = append(p.resp, node.Mem.Alloc(16+extent.HeadBytes, 8))
 			}
 			_, resp[i] = t.clu.Connect(node, srv.node,
 				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
@@ -854,16 +857,14 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 		case pipeSet:
 			c.sets = core.NewSetPool(b, srvQP, resp, maxVal, srv.valueArena())
 			slotCtx = c.sets.Context
-		case pipeProbe:
-			c.prbs = core.NewProbePool(b, srvQP, resp)
-			slotCtx = c.prbs.Context
 		}
 		// Profiler attribution: post retags a slot's context with its
-		// request's op and class (the set pool's serve deletes too). The
-		// shared server trigger QP and the client-side one (which
-		// executes the staging WRITEs and SENDs whose remote grants, on
-		// server PCIe, count too) carry the pipeline's class alone: their
-		// batched SENDs interleave ops, a delete's under "set".
+		// request's op and class (the set pool's serve deletes and probes
+		// too). The shared server trigger QP and the client-side one
+		// (which executes the staging WRITEs and SENDs whose remote
+		// grants, on server PCIe, count too) carry the pipeline's class
+		// alone: their batched SENDs interleave ops, a delete's and a
+		// probe's under "set".
 		for i, q := range resp {
 			p.subscribe(i, q)
 			ctx := slotCtx(i)
@@ -934,16 +935,20 @@ func (c *Client) wireHooks() {
 	c.get.silent = func(req *pipeReq) { c.get.letGo(req.slot) }
 	c.get.release = func(req *pipeReq, _, _ bool) { c.get.letGo(req.slot) }
 
-	// ---- set (and delete) ----
+	// ---- set (and delete, and probe) ----
 	// A hinted overwrite holds a mark too, from its arming until its
 	// chain has run — past its deadline if it has not run by then: its
 	// CAS expects an extent the key's next write retires, and that
 	// extent must not come back, as this key's staging or another's,
 	// while the CAS can still find it (ABA). A delete, the key claim
-	// installing the tombstone, stages nothing and expects no extent.
+	// installing the tombstone, stages nothing and expects no extent; a
+	// probe stages nothing and claims nothing.
 	c.set.arm = func(req *pipeReq, ack uint64) []byte {
 		ctx, val := c.sets.Ctxs[req.slot], c.set.val[req.slot]
-		if req.sclaim.New == hopscotch.Tombstone {
+		switch {
+		case req.probe():
+			return ctx.Probe(req.key, req.bucket, req.ext, ack)
+		case req.sclaim.New == hopscotch.Tombstone:
 			return ctx.TriggerPayload(req.key, req.sclaim, 0, 0, ack)
 		}
 		if e := req.sclaim.Extent; e != 0 && e != hopscotch.FreePtr {
@@ -963,9 +968,16 @@ func (c *Client) wireHooks() {
 	// A write chain's ack carries the verdict: WRITE|key iff it applied;
 	// for a hinted overwrite, the pointer its CAS found, the extent it
 	// expected iff it applied; for a fresh claim, the same CAS's word,
-	// the free pointer iff it published.
+	// the free pointer iff it published. A probe's answer is the
+	// bucket's [keyCtrl, valAddr] and a header: a hit iff the bucket
+	// holds the key and names the extent probed.
 	c.set.verdict = func(req *pipeReq) bool {
-		v, _ := c.node.Mem.U64(c.set.resp[req.slot])
+		at := c.set.resp[req.slot]
+		v, _ := c.node.Mem.U64(at)
+		if req.probe() {
+			va, _ := c.node.Mem.U64(at + 8)
+			return v == core.ClaimCtrl(req.key) && va == req.ext
+		}
 		switch req.sclaim.Extent {
 		case 0:
 			return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
@@ -975,6 +987,14 @@ func (c *Client) wireHooks() {
 		return v == req.sclaim.Extent
 	}
 	c.set.deliver = func(req *pipeReq, lat Duration, ok bool) {
+		if req.probe() {
+			var ver uint64
+			if ok {
+				ver, _ = c.node.Mem.U64(c.set.resp[req.slot] + 16)
+			}
+			req.prbCB(ver, lat, ok)
+			return
+		}
 		c.staged = req.staging // a set's: the extent its ack installed
 		if req.ackCB != nil {
 			req.ackCB(lat, ok)
@@ -989,7 +1009,7 @@ func (c *Client) wireHooks() {
 		if !ok && executed {
 			// The chain ran and refused the claim: the staged bytes can
 			// never become the bucket's value, so retire the extent (a
-			// delete staged none).
+			// delete or a probe staged none).
 			c.sets.Ctxs[req.slot].ReleaseStaging()
 		}
 		switch {
@@ -1012,30 +1032,6 @@ func (c *Client) wireHooks() {
 			c.prevVal[req.key] = req.staging
 		}
 	}
-
-	// ---- probe ----
-	c.prb.arm = func(req *pipeReq, resp uint64) []byte {
-		ctx := c.prbs.Ctxs[req.slot]
-		ctx.Extent = req.ext
-		return ctx.TriggerPayload(req.key, req.bucket, resp)
-	}
-	// A probe's answer is the bucket's [keyCtrl, valAddr] and a header: a
-	// hit iff the bucket holds the key and names the extent probed.
-	c.prb.verdict = func(req *pipeReq) bool {
-		word, _ := c.node.Mem.U64(c.prb.resp[req.slot])
-		va, _ := c.node.Mem.U64(c.prb.resp[req.slot] + 8)
-		return word == core.ClaimCtrl(req.key) && va == req.ext
-	}
-	c.prb.deliver = func(req *pipeReq, lat Duration, ok bool) {
-		if req.prbCB == nil {
-			return
-		}
-		var ver uint64
-		if ok {
-			ver, _ = c.node.Mem.U64(c.prb.resp[req.slot] + 16)
-		}
-		req.prbCB(ver, lat, ok)
-	}
 }
 
 // reset re-establishes the client's connections in place after the
@@ -1056,7 +1052,6 @@ func (c *Client) reset() {
 	}
 	c.gets.Reset()
 	c.sets.Reset()
-	c.prbs.Reset()
 	for slot, ctx := range c.sets.Ctxs {
 		if !c.set.started(slot) {
 			// A hinted overwrite whose pointer landed before the reset
@@ -1106,8 +1101,8 @@ func (c *Client) pipelineStats(op pipeOp) pipelineStats {
 // lastExecuted reports whether the most recent failed request on op's
 // pipeline had its offload chain execute on the server NIC — a genuine
 // miss (get: key absent), claim refusal (set: bucket taken; a delete:
-// key absent or already tombstoned) or conditional miss (probe: the bucket
-// does not hold the key) — as opposed to never running (dead
+// key absent or already tombstoned; a probe: the bucket does not hold
+// the key at the extent probed) — as opposed to never running (dead
 // connection). Meaningful when read from within the failure callback.
 func (c *Client) lastExecuted(op pipeOp) bool { return c.pipe(op).lastRan }
 
@@ -1308,18 +1303,17 @@ func (c *Client) Set(key uint64, value []byte) (lat Duration, ok bool) {
 	return lat, ok
 }
 
-// ---- probe path ----
-
 // probeAsyncTarget issues one offloaded version probe of key at a
-// caller-computed bucket, expected to name the value extent ext, and
-// returns immediately — the service layer's entry point. cb runs with
-// the version ext's header carries when the NIC's answer shows the
-// bucket holding key at ext, or ok=false: at once when the bucket holds
-// another word or extent (the key moved or was rewritten), or after
-// MissTimeout on a dead connection — lastExecuted(pipeProbe) tells them
-// apart. op is the trace op id its WRs attribute to.
+// caller-computed bucket, expected to name the value extent ext, as a
+// request on the set pipeline, and returns immediately — the service
+// layer's entry point. cb, which must not be nil, runs with the version
+// ext's header carries when the NIC's answer shows the bucket holding
+// key at ext, or ok=false: at once when the bucket holds another word
+// or extent (the key moved or was rewritten), or after MissTimeout on a
+// dead connection — lastExecuted(pipeSet) tells them apart. op is the
+// trace op id its WRs attribute to.
 func (c *Client) probeAsyncTarget(key, bucket, ext, op uint64, cb func(ver uint64, lat Duration, ok bool)) {
-	req := c.prb.take()
+	req := c.set.take()
 	req.key, req.bucket, req.ext, req.prbCB, req.op = key&hopscotch.KeyMask, bucket, ext, cb, op
-	c.prb.submit(req)
+	c.set.submit(req)
 }

@@ -733,20 +733,6 @@ func TestClientDeleteDropsTheSlotsStaging(t *testing.T) {
 		}
 		return bucket, ext
 	}
-	check := func(after string, ext uint64) {
-		t.Helper()
-		var named uint64
-		for i := uint64(0); i < ht.NumBuckets(); i++ {
-			if _, va, _, ok := ht.EntryAt(i); ok {
-				size, _ := arena.Size(va)
-				named += extent.HeadBytes + size
-			}
-		}
-		if _, live := arena.Size(ext); !live || arena.Stats().LiveBytes != named {
-			t.Fatalf("after %s: extent %#x live=%v, arena holds %d live bytes, the table names %d",
-				after, ext, live, arena.Stats().LiveBytes, named)
-		}
-	}
 	deleted := func(what string, executed bool) func(Duration, bool) {
 		return func(_ Duration, ok bool) {
 			if ok || cli.lastExecuted(pipeSet) != executed {
@@ -764,14 +750,98 @@ func TestClientDeleteDropsTheSlotsStaging(t *testing.T) {
 	deleteAt(cli, 1, bucket, deleted("delete on a frozen NIC", false))
 	cli.Flush()
 	tb.Run()
-	check("a reset", ext)
+	checkArenaNamesTable(t, srv, table, "a reset", ext)
 
 	// A second delete of a deleted key: the chain runs and refuses.
 	bucket, ext = round(3, 4)
 	deleteAt(cli, 3, bucket, deleted("second delete", true))
 	cli.Flush()
 	tb.Run()
-	check("a refused delete", ext)
+	checkArenaNamesTable(t, srv, table, "a refused delete", ext)
+}
+
+// checkArenaNamesTable checks that the extent ext is live and that the
+// server's arena holds exactly the live bytes the table names.
+func checkArenaNamesTable(t *testing.T, srv *Server, table *HashTable, after string, ext uint64) {
+	t.Helper()
+	arena, ht := srv.valueArena(), table.Table()
+	var named uint64
+	for i := uint64(0); i < ht.NumBuckets(); i++ {
+		if _, va, _, ok := ht.EntryAt(i); ok {
+			size, _ := arena.Size(va)
+			named += extent.HeadBytes + size
+		}
+	}
+	if _, live := arena.Size(ext); !live || arena.Stats().LiveBytes != named {
+		t.Fatalf("after %s: extent %#x live=%v, arena holds %d live bytes, the table names %d",
+			after, ext, live, arena.Stats().LiveBytes, named)
+	}
+}
+
+// A version probe on the set pipeline stages nothing either, so the
+// slot it runs on forgets the extent the slot's last set staged, as a
+// delete does. Each round one slot runs an applied set of key, a second
+// client overwrites key — retiring that extent — and takes the freed
+// extent for another key's value; then the slot's probe of key is
+// reset unexecuted by a reconnect, or runs and misses at the retired
+// extent. Neither may free the extent again: the arena would hold less
+// than the table names.
+func TestClientProbeDropsTheSlotsStaging(t *testing.T) {
+	tb := NewTestbed()
+	srv := tb.NewServer()
+	table := srv.NewHashTable(1024)
+	cli := tb.NewPipelinedClient(srv, LookupSeq, 1) // one slot
+	other := tb.NewPipelinedClient(srv, LookupSeq, 1)
+	cli.Bind(table)
+	other.Bind(table)
+	ht := table.Table()
+
+	// round runs the applied set of key on cli's slot, a probe that hits
+	// it, and other's overwrite of key and set of reuser into the extent
+	// the overwrite retired; it returns key's bucket and that extent.
+	round := func(key, reuser uint64) (bucket, ext uint64) {
+		t.Helper()
+		if _, ok := cli.Set(key, Value(key, 64)); !ok {
+			t.Fatalf("set(%d) failed", key)
+		}
+		bucket, ext, _ = residentBucket(ht, LookupSeq, key)
+		if ver, _, ok := awaitResident(cli, key, true); !ok || ver != 1 {
+			t.Fatalf("probe(%d) = %d,%v, want 1,true", key, ver, ok)
+		}
+		if _, ok := other.Set(key, Value(key+1, 64)); !ok {
+			t.Fatalf("overwrite(%d) failed", key)
+		}
+		if _, ok := other.Set(reuser, Value(reuser, 64)); !ok || other.staged != ext {
+			t.Fatalf("set(%d) staged %#x, want the retired %#x", reuser, other.staged, ext)
+		}
+		return bucket, ext
+	}
+	probed := func(what string, executed bool) func(uint64, Duration, bool) {
+		return func(_ uint64, _ Duration, ok bool) {
+			if ok || cli.lastExecuted(pipeSet) != executed {
+				t.Errorf("%s: ok=%v executed=%v, want a failure with executed=%v", what, ok, cli.lastExecuted(pipeSet), executed)
+			}
+		}
+	}
+
+	// A process crash freezes the NIC; a probe issued meanwhile never
+	// runs, and the reconnect finds it armed on the slot.
+	_, ext := round(1, 2)
+	failure.NodeCrash{Node: srv.node, Kind: failure.ProcessCrash,
+		OnUp: func() { cli.reset(); other.reset() }}.InjectAt(tb.clu.Eng, tb.Now())
+	tb.RunFor(sim.Microsecond)
+	claimResident(cli, 1, true, probed("probe on a frozen NIC", false))
+	cli.Flush()
+	tb.Run()
+	checkArenaNamesTable(t, srv, table, "a reset", ext)
+
+	// A probe at the extent the overwrite retired: the chain runs and
+	// misses.
+	bucket, ext := round(3, 4)
+	cli.probeAsyncTarget(3, bucket, ext, 0, probed("stale probe", true))
+	cli.Flush()
+	tb.Run()
+	checkArenaNamesTable(t, srv, table, "a missed probe", ext)
 }
 
 // Pipelined deletes overlap on the fabric like sets and gets.
@@ -1041,7 +1111,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	var executed, answered bool
 	done := false
 	cli.probeAsyncTarget(key, target, ext, 0, func(_ uint64, _ Duration, ok bool) {
-		answered, executed, done = ok, cli.lastExecuted(pipeProbe), true
+		answered, executed, done = ok, cli.lastExecuted(pipeSet), true
 	})
 	cli.Flush()
 	tb.Run()

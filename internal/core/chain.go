@@ -9,13 +9,13 @@ import (
 	"repro/internal/wqe"
 )
 
-// A Program is one of the three trigger-driven offloads — lookup, set
-// (a delete is the set's key claim installing the tombstone), probe —
-// each a RedN program run by the chain it embeds (the list walk embeds
-// one too). A program states its trigger layout once, as an ordered
-// list of slots, and posts each instance's steps in sequencing order;
-// the chain derives the RECV's scatter list, the control lanes and the
-// SEND's payload from the two.
+// A Program is one of the two trigger-driven offloads — lookup and set
+// (a delete is the set's key claim installing the tombstone, a version
+// probe its third shape) — each a RedN program run by the chain it
+// embeds (the list walk embeds one too). A program states its trigger
+// layout once, as an ordered list of slots, and posts each instance's
+// steps in sequencing order; the chain derives the RECV's scatter list,
+// the control lanes and the SEND's payload from the two.
 type Program interface{ base() *chain }
 
 // chain is the generic arm/trigger path every Program shares: the

@@ -73,14 +73,15 @@ var programShapes = []struct {
 		claim := SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: hopscotch.Tombstone}
 		return &o.chain, func() []byte { return o.TriggerPayload(1, claim, 0, 0, h.buf) }
 	}},
-	// One WRITE gathers the bucket's [keyCtrl, valAddr] and the header of
-	// the extent named; the client checks the key word and the address.
-	// Final when posted, it runs from an unmanaged queue behind its own
-	// WAIT on the trigger: the RECV is the one managed fetch.
+	// A set context's third shape: one WRITE gathers the bucket's
+	// [keyCtrl, valAddr] and the header of the extent named; the client
+	// checks the key word and the address. Final when posted, it runs
+	// from the unmanaged ack queue behind its own WAIT on the trigger:
+	// the RECV is the one managed fetch.
 	{"probe", 2, 1, 1, func(h *shapeRig) (*chain, func() []byte) {
-		o := NewProbePool(h.b, h.trig, h.resp(false)).Ctxs[0]
-		o.Extent, _, _ = h.table.Lookup(1)
-		return &o.chain, func() []byte { return o.TriggerPayload(1, h.bucket, h.buf) }
+		o := NewSetPool(h.b, h.trig, h.resp(false), 0, nil).Ctxs[0]
+		ext, _, _ := h.table.Lookup(1)
+		return &o.chain, func() []byte { return o.Probe(1, h.bucket, ext, h.buf) }
 	}},
 }
 

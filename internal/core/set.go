@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
@@ -91,6 +93,22 @@ import (
 // retires it on the applied ack, as it retires an overwritten one. A
 // delete carries no version (its caller records the sequence).
 //
+// A version probe (Probe), the repair subsystem's "what version of key
+// x does this replica hold?", is the third shape, and decides nothing:
+//
+//	RECV      scatter bucket addr + header addr onto the ack's gather list
+//	WAIT      the trigger's arrival                (on the ack's queue)
+//	ack       WRITE [bucket 16B | header 16B] -> client
+//	          ([keyCtrl, valAddr, version, valLen])
+//
+// The header is the one before the extent the caller expects the bucket
+// to name, and the client accepts the version iff the key word is
+// ClaimCtrl(key) and the pointer is that extent: the bucket is gathered
+// first, so one that names the extent named it before the header was
+// read. Any other bucket answers too, a miss in one round trip. Final
+// when posted, the WRITE waits for its trigger on the ack's unmanaged
+// queue: 2 data WRs, the RECV the one managed fetch, and 1 sync WR.
+//
 // Values live in staging extents from the server's extent arena (see
 // internal/extent); without one, the raw bump allocator leaks every
 // overwrite — kept for standalone core tests.
@@ -130,7 +148,7 @@ type SetOffload struct {
 	w2 *rnic.QP // managed chain ring: claim and conditional flip, or the pointer CAS
 	w3 *rnic.QP // managed ring for the bucket-pointer WRITE, or a fresh claim's publishing WRITE
 
-	args    uint64 // the instances' args buffers (chain.argsBuf)
+	args    uint64 // the instances' args buffers (chain.argsBuf), argsBytes each
 	staging uint64 // staging extent of the most recently armed instance
 	key     uint64 // that instance's key and claim
 	claimed SetClaim
@@ -154,6 +172,14 @@ var setLayout = []slot{
 	{stValWr, wqe.OffDst, opValAddr}, {argsWord, 8, opLen},
 }
 
+// argsBytes is a set context's args buffer: a probe's gather list,
+// {bucket, 16} then {header, HeadBytes}; a set uses its first 16 bytes.
+const argsBytes = 32
+
+// probeLayout is the version probe's trigger layout: the two addresses
+// its ack gathers.
+var probeLayout = []slot{{argsWord, 0, opBucket}, {argsWord, 16, opExtent}}
+
 // A pointer-CAS set's steps: the pointer CAS, a fresh claim's publish,
 // then the ack.
 const (
@@ -173,7 +199,7 @@ var ptrLayout = []slot{{ptCAS, wqe.OffCmp, opExtent}, {ptCAS, wqe.OffDst, opValA
 func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena *extent.Arena) *Pool[*SetOffload] {
 	return newPool(b, trig, resp, func(_ int, cb *Builder, r *rnic.QP) *SetOffload {
 		o := &SetOffload{chain: newChain(cb, trig, r), MaxVal: maxVal, Arena: arena}
-		o.args = o.newArgs(16)
+		o.args = o.newArgs(argsBytes)
 		// Rings hold one in-flight instance (ring wrap needs 2x); w2 is
 		// the busiest, with two WQEs per instance.
 		o.w2 = o.ring(2*2+4, -1)
@@ -205,7 +231,7 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 // pointer, and the value length the trigger scatters in.
 func (o *SetOffload) post(ackAddr uint64) {
 	b := o.B
-	in := instance{args: o.argsBuf(o.args, 16)}
+	in := instance{args: o.argsBuf(o.args, argsBytes)}
 	va := o.staging
 	if o.claimed.New == hopscotch.Tombstone {
 		va = hopscotch.FreePtr
@@ -223,7 +249,7 @@ func (o *SetOffload) post(ackAddr uint64) {
 // the args buffer holds.
 func (o *SetOffload) postPtr(fresh bool, ackAddr uint64) {
 	b := o.B
-	in := instance{args: o.argsBuf(o.args, 16)}
+	in := instance{args: o.argsBuf(o.args, argsBytes)}
 	found, prev := in.args, &in.steps[ptCAS]
 	if fresh {
 		b.Dev.Mem().PutU64(in.args, ClaimCtrl(o.key))
@@ -265,7 +291,9 @@ func (o *SetOffload) ReleaseStaging() (replaced uint64) {
 			m.PutU64(b+hopscotch.OffValAddr, hopscotch.FreePtr)
 		}
 		if o.Arena != nil {
-			o.Arena.Free(o.staging)
+			if err := o.Arena.Free(o.staging); errors.Is(err, extent.ErrDoubleFree) {
+				panic(err)
+			}
 		}
 	}
 	o.staging = 0
@@ -285,7 +313,8 @@ func (o *SetOffload) ReleaseStaging() (replaced uint64) {
 //
 // A delete stages nothing, so it drops the staging extent a set armed
 // on this context before: that set's verdict already decided the
-// extent, and ReleaseStaging after a delete must free nothing.
+// extent, and ReleaseStaging after a delete must free nothing. Probe
+// drops it too.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	o.key, o.claimed = key, claim
 	if claim.New == hopscotch.Tombstone {
@@ -299,4 +328,24 @@ func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ack
 	}
 	o.post(ackAddr)
 	return o.payload(setLayout, key, v)
+}
+
+// Probe posts and fires a version probe of key in the bucket at bucket,
+// which the caller's view of the table says names the extent ext,
+// answering [keyCtrl, valAddr, version, valLen] into the client-side
+// respAddr, and returns the SEND payload that drives it, as
+// TriggerPayload does. It stages nothing, so it drops the staging
+// extent a set armed here before, as a delete does.
+func (o *SetOffload) Probe(key, bucket, ext, respAddr uint64) []byte {
+	o.staging = 0
+	in := instance{args: o.argsBuf(o.args, argsBytes)}
+	o.B.Dev.Mem().PutU64(in.args+8, 16)
+	o.B.Dev.Mem().PutU64(in.args+24, extent.HeadBytes)
+	arrival := o.Trig.RecvCQ() // the WAIT targets the RECV posted next
+	o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWait, Peer: arrival.CQN(), Count: o.B.Expected(arrival) + 1})
+	in.steps[0] = o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask, Src: in.args, Count: 2,
+		Dst: respAddr, Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
+	o.recv(probeLayout, &in)
+	o.Resp.RingSQ()
+	return o.payload(probeLayout, key, operands{opBucket: bucket, opExtent: ext - extent.HeadBytes})
 }

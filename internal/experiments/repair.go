@@ -259,6 +259,6 @@ func repairRun(requests int) *Result {
 		fmt.Sprintf("read-repair: %d NIC probes (2+1 WRs each), %d skews detected, %d repairs applied", rrStats.Probes, rrStats.ProbeSkews, rrStats.RepairsApplied),
 		fmt.Sprintf("anti-entropy: %d sweep passes, %d segment digests disagreed, %d keys repaired — with zero reads and zero probes", aeStats.AEPasses, aeStats.AESegsDiffed, aeStats.RepairsApplied),
 		"the pre-repair baseline (NoRepair) holds its stale replicas forever: rejected owners heal only by accidental overwrite",
-		"probe cost: a probe is 2 managed fetches, as many as the hinted get it rides on, so probing EVERY hit costs NIC throughput; sampling every 8th hit (the parity row) bounds the tax under 10% while misses still repair on every attempt")
+		"probe cost: a probe is 1 managed fetch, half the hinted get it rides on, so probing EVERY hit costs about a third of NIC throughput; sampling every 8th hit (the parity row) bounds the tax under 10% while misses still repair on every attempt")
 	return r
 }

@@ -141,9 +141,9 @@ func TestTraceSpanTreesComplete(t *testing.T) {
 	if legs == 0 {
 		t.Error("no quorum leg spans")
 	}
-	// Client slot spans for every pipeline, and for a delete on the set
-	// pipeline's.
-	for _, prefix := range []string{"get/", "set/", "probe/"} {
+	// Client slot spans for every pipeline, and for a delete and a
+	// version probe on the set pipeline's.
+	for _, prefix := range []string{"get/", "set/"} {
 		found := false
 		for track := range slotTracks {
 			if strings.HasPrefix(track, prefix) {
@@ -155,15 +155,17 @@ func TestTraceSpanTreesComplete(t *testing.T) {
 			t.Errorf("no client slot spans on %s* tracks", prefix)
 		}
 	}
-	delSlot := false
-	for id := range opBegins["del"] {
-		if strings.HasPrefix(slotOps[id], "set/") {
-			delSlot = true
-			break
+	for _, op := range []string{"del", "probe"} {
+		onSet := false
+		for id := range opBegins[op] {
+			if strings.HasPrefix(slotOps[id], "set/") {
+				onSet = true
+				break
+			}
 		}
-	}
-	if !delSlot {
-		t.Error("no client slot span of a del op on set/* tracks")
+		if !onSet {
+			t.Errorf("no client slot span of a %s op on set/* tracks", op)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@
 package extent
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/mem"
@@ -163,13 +164,23 @@ func (a *Arena) carve(c *class, size uint64) *record {
 	return r
 }
 
+// ErrDoubleFree is Free's error for an extent the arena issued and
+// has freed since: two owners were handed it.
+var ErrDoubleFree = errors.New("extent: double free")
+
 // Free returns the extent at addr to the arena. Freeing an address
 // Alloc did not return for a live extent is an error — the
-// double-free/bad-free signal the property tests assert on.
+// double-free/bad-free signal the property tests assert on: one
+// wrapping ErrDoubleFree when the extent is already free, another for
+// an address the arena never issued. A leak-forever arena forgets the
+// extents it frees, so its double free reads as the second kind.
 func (a *Arena) Free(addr uint64) error {
-	r, ok := a.live(addr)
-	if !ok {
-		return fmt.Errorf("extent: free of %#x: not a live extent", addr)
+	r, ok := a.byAddr[addr]
+	switch {
+	case !ok:
+		return fmt.Errorf("extent: free of %#x: not an extent of this arena", addr)
+	case !r.live:
+		return fmt.Errorf("%w of %#x", ErrDoubleFree, addr)
 	}
 	r.live = false
 	a.liveBytes -= r.size + a.head
@@ -183,16 +194,10 @@ func (a *Arena) Free(addr uint64) error {
 	return nil
 }
 
-// live returns the record of the live extent at addr.
-func (a *Arena) live(addr uint64) (*record, bool) {
-	r, ok := a.byAddr[addr]
-	return r, ok && r.live
-}
-
 // Size returns the allocated capacity of the live extent at addr (its
 // rounded Alloc size, not the value length stored in it, nor its head).
 func (a *Arena) Size(addr uint64) (uint64, bool) {
-	if r, ok := a.live(addr); ok {
+	if r, ok := a.byAddr[addr]; ok && r.live {
 		return r.size, true
 	}
 	return 0, false

@@ -1,6 +1,7 @@
 package extent
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -180,5 +181,21 @@ func TestArenaPropertyRandomized(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Free tells a double free from a bad free: only an extent the arena
+// issued and has freed since is ErrDoubleFree.
+func TestArenaFreeNamesADoubleFree(t *testing.T) {
+	a := NewArena(mem.New(1<<20), 512)
+	ad := a.Alloc(64, 1)
+	if err := a.Free(ad); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Free(ad); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("second free: %v, want ErrDoubleFree", err)
+	}
+	if err := a.Free(0xdead0); err == nil || errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("free of a never-issued address: %v, want a bad free that is not ErrDoubleFree", err)
 	}
 }

@@ -40,6 +40,7 @@
 package redn
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -192,20 +193,29 @@ func (rq *retireQueue) exit(mark uint64) {
 		rq.oldest++
 	}
 	for rq.q.Len() > 0 && rq.q.Peek().mark <= rq.oldest {
-		rq.arena.Free(rq.q.Pop().addr)
+		freeExtent(rq.arena, rq.q.Pop().addr)
 	}
 }
 
 // push retires the extent at addr: freed now when no get is in flight,
 // otherwise once every get in flight now has finished. An address the
-// arena does not hold as live (tests plant extents it never issued) is
-// dropped when its turn comes.
+// arena never issued (tests plant such extents) is dropped when its
+// turn comes; one it has freed already panics (freeExtent).
 func (rq *retireQueue) push(addr uint64) {
 	if rq.oldest == rq.issued {
-		rq.arena.Free(addr)
+		freeExtent(rq.arena, addr)
 		return
 	}
 	*rq.q.Push() = retiree{rq.issued, addr}
+}
+
+// freeExtent returns addr to a, dropping an address a never issued and
+// panicking on a double free: an extent freed twice was handed to two
+// owners, whose values would overwrite each other.
+func freeExtent(a *extent.Arena, addr uint64) {
+	if err := a.Free(addr); errors.Is(err, extent.ErrDoubleFree) {
+		panic(err)
+	}
 }
 
 // HashTable is a Hopscotch table in server memory, the value store
@@ -243,7 +253,7 @@ func (h *HashTable) Set(key uint64, value []byte) error {
 		return err
 	}
 	if err := h.table.Insert(key, addr, n); err != nil {
-		a.Free(addr) // never published: no reader can hold it
+		freeExtent(a, addr) // never published: no reader can hold it
 		return err
 	}
 	if hadOld {

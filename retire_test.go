@@ -2,6 +2,7 @@ package redn
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"repro/internal/extent"
@@ -48,6 +49,30 @@ func TestRetiredExtentWaitsForEarlierGets(t *testing.T) {
 	if live(z) || rq.q.Len() != 0 {
 		t.Fatalf("live %v, %d still queued after every get finished", live(z), rq.q.Len())
 	}
+}
+
+// Retiring an extent the arena has freed already panics, whether the
+// retire frees it at once or behind a get in flight: two owners were
+// handed it. An address the arena never issued is dropped.
+func TestRetireOfAFreedExtentPanics(t *testing.T) {
+	a := extent.NewArena(mem.New(1<<20), 0)
+	rq := retireQueue{arena: a}
+	x := a.Alloc(64, 1)
+	rq.push(x)
+	rq.push(0xdead0) // never issued: dropped
+	mustPanic := func(what string, retire func()) {
+		t.Helper()
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, extent.ErrDoubleFree) {
+				t.Fatalf("%s: recovered %v, want a panic with ErrDoubleFree", what, err)
+			}
+		}()
+		retire()
+	}
+	mustPanic("a retire with no get in flight", func() { rq.push(x) })
+	m := rq.enter()
+	rq.push(x)
+	mustPanic("a retire behind a get", func() { rq.exit(m) })
 }
 
 // A closed loop of 128 users over 64 hot keys at r=1, half of them

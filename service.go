@@ -110,10 +110,11 @@ type ServiceConfig struct {
 	NoReclaim bool
 
 	// ReadRepair enables version probes on replicated gets: every
-	// ProbeEvery-th hit also interrogates one other owner's value
-	// header through the NIC probe chain (core.ProbeOffload), and any
-	// skew enqueues a repair that rolls the laggard forward. Requires
-	// Replicas > 1 to do anything.
+	// ProbeEvery-th hit also reads one other owner's value header with
+	// a NIC version probe (core.SetOffload.Probe, a request on the set
+	// pipeline of that owner's next connection), and any skew enqueues
+	// a repair that rolls the laggard forward.
+	// Requires Replicas > 1 to do anything.
 	ReadRepair bool
 	// ProbeEvery probes every n-th replicated hit (0 or 1 = every hit).
 	ProbeEvery int
@@ -782,7 +783,7 @@ func (sh *serviceShard) set(key uint64, value []byte, ver uint64) error {
 		// The table refused: the key keeps its old extent (or stays
 		// absent); the orphaned new one was never published — free it
 		// directly, no reader can hold it.
-		sh.srv.arena.Free(addr)
+		freeExtent(sh.srv.arena, addr)
 		return err
 	}
 	if hadOld {

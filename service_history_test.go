@@ -70,8 +70,15 @@ import (
 // It moved again when a delete became a request on the client's set
 // pipeline: deletes and sets now share one connection's slots and AIMD
 // window, so a delete waits behind the sets in flight (and they behind
-// it), and each client's doorbell rings one trigger QP fewer.
-const exactHistoryHash = 0x730a3be386a816d3
+// it), and each client's doorbell rings one trigger QP fewer
+// (0x730a3be386a816d3). It moved again when a version probe became a
+// request on the client's set pipeline: the history's read-repair
+// probes now share the sets' trigger QP, slots and window, so a probe
+// waits behind the writes in flight (and they behind it), and its
+// WRITE runs on a set context's answer queue, on that queue's PU; and
+// a probe takes the partner's next connection, as a get attempt does,
+// advancing the rotation the gets share.
+const exactHistoryHash = 0x8d6a2cbd3647f32e
 
 // historyOp is one completed operation of a history run; op is its
 // telemetry class (get, set or del).

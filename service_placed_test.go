@@ -673,10 +673,10 @@ func TestShardServesOnBothPorts(t *testing.T) {
 				t.Errorf("%s: QP %d of connection %d is not on port %d", sh.id, n, c, c%2)
 			}
 		}
-		// Per connection: 3 trigger QPs, and per slot a response QP and
-		// a control queue on each of the three paths, plus a get's chain
+		// Per connection: 2 trigger QPs, and per slot a response QP and
+		// a control queue on each of the two paths, plus a get's chain
 		// ring and a set's two; each loopback queue has a peer.
-		if want := 3 + 8*(3+2*(3+1+2)); other != 2*len(dev.Ports()) || queues[0] != want {
+		if want := 2 + 8*(2+2*(2+1+2)); other != 2*len(dev.Ports()) || queues[0] != want {
 			t.Fatalf("%s: %d queues outside every connection, connection 0 has %d; want 4 and %d",
 				sh.id, other, queues[0], want)
 		}

@@ -24,12 +24,14 @@ import (
 // Three mechanisms converge on those versions:
 //
 //  1. Read-repair (maybeReadRepair): every ProbeEvery-th replicated hit
-//     issues a core.ProbeOffload chain — one WRITE returning the
-//     partner's whole bucket, whose key word the client checks
-//     (2 data + 2 sync WRs, no host RPC) — against one rotating other
-//     owner. A version mismatch (or a probe miss explained by the
-//     partner's table) enqueues a repair. The common no-skew case costs
-//     the host nothing at all.
+//     issues a version probe (core.SetOffload.Probe, on the set
+//     pipeline of the partner's next connection) — one WRITE returning
+//     the bucket's key word and pointer and the value header before the
+//     extent the coordinator expects it to name, which the client
+//     checks (2 data + 1 sync WRs, 1 managed fetch, no host RPC) —
+//     against one rotating other owner. A version mismatch (or a probe
+//     miss explained by the partner's table) enqueues a repair. The
+//     common no-skew case costs the host nothing at all.
 //
 //  2. Repair records (queueRepair): a repair is the floor-only kind of
 //     the one record an owner's missing write has (lack, on its
@@ -215,7 +217,11 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 		return false
 	}
 	s.stats.Probes++
-	g.partner, g.pcli, g.servedVer = partner, partner.setClient(key), servedVer
+	// The probe takes the partner's next connection, as a get attempt
+	// does: it rides that connection's set pipeline, and aimed at the
+	// one the key's writes use it would queue behind them.
+	g.partner, g.pcli, g.servedVer = partner, partner.clients[partner.rr%len(partner.clients)], servedVer
+	partner.rr++
 	g.pop = s.tr.OpBegin("probe", key)
 	g.next = getProbe
 	g.pcli.probeAsyncTarget(key, bucket, ext, g.pop, g.probeFn)
@@ -231,7 +237,7 @@ func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 	// A probe finalizes at the client (no coordinator stitching), so its
 	// receipt (nil with provenance off) records as it stands; get and
 	// write receipts fold at the coordinator with retry and quorum legs.
-	if r := g.pcli.lastReceipt(pipeProbe); r != nil {
+	if r := g.pcli.lastReceipt(pipeSet); r != nil {
 		s.prov.Record(r)
 	}
 	s.tr.OpEnd(g.pop, "probe")
@@ -242,7 +248,7 @@ func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 			s.stats.ProbeSkews++
 			s.scheduleSkewRepair(key)
 		}
-	case g.pcli.lastExecuted(pipeProbe):
+	case g.pcli.lastExecuted(pipeSet):
 		// The chain ran and the bucket held another word: it moved
 		// between computing the target and the probe landing (a
 		// racing write or relocation). Fall back to the host view.
