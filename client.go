@@ -54,7 +54,7 @@ type pipeOp uint8
 
 // The client's offload pipelines. A delete and a version probe are
 // requests on the set pipeline: the key claim installing the tombstone,
-// and the set context's probe shape.
+// and two READs on the client end of the slot's response connection.
 const (
 	pipeGet pipeOp = iota
 	pipeSet
@@ -76,17 +76,17 @@ type pipelineStats struct {
 // server's hash table, entirely served by the server's NIC.
 //
 // A client keeps up to depth requests in flight per pipeline on one
-// connection per pipeline: gets, on managed answer queues, and sets,
-// deletes (the claim installing the tombstone) and version probes, on
-// unmanaged ones. Both are driven by the same pipeline machinery
-// (opPipeline): each in-flight request owns
+// connection per pipeline: gets, on managed answer queues (unmanaged for
+// the service's hinted gets), and sets, deletes (the claim installing the
+// tombstone) and version probes, on unmanaged ones. Both are driven by
+// the same pipeline machinery (opPipeline): each in-flight request owns
 // one offload context of the server-side pool (the request slot) and
 // the per-slot buffers its chain reads and writes. Responses
 // demultiplex exactly: a context's response QP completes only its own
-// WRITEs, so a completion identifies its slot, and the 48-bit key in the
-// WRITE's id field (a two-probe get's CAS stamps it, a hinted get's
-// trigger) guards against timed-out stragglers. Trigger SENDs are posted
-// doorbell-less and kicked in batches by Flush.
+// WRITEs (and its client end a probe's READs), so a completion identifies
+// its slot, and the 48-bit key in its id field (a two-probe get's CAS
+// stamps it) guards against timed-out stragglers. Trigger SENDs are
+// posted doorbell-less and kicked in batches by Flush.
 //
 // How many of the depth slots a pipeline may occupy at once is its
 // congestion window, an AIMD loop: open at min(72, depth), grow by 1/w
@@ -99,7 +99,7 @@ type Client struct {
 	node  *fabric.Node
 	mode  LookupMode
 	gets  *core.Pool[*core.LookupOffload]
-	sets  *core.Pool[*core.SetOffload] // sets, deletes and probes
+	sets  *core.Pool[*core.SetOffload] // sets and deletes
 	table *HashTable
 	srv   *Server // its arena supplies staging extents; its retire queue takes superseded ones
 
@@ -248,6 +248,7 @@ type opPipeline struct {
 	depth   int
 	respPer uint64 // signaled response completions per executed instance (a hinted get's: 1)
 	qp      *rnic.QP
+	reads   []*rnic.QP // per slot, the client end of its response connection (a probe's READs)
 
 	// The op contexts of the server-side offload contexts, one per slot,
 	// and per slot the client buffers its chain reads and writes — the
@@ -548,20 +549,25 @@ func (p *opPipeline) issue(req *pipeReq) {
 				r.AddPhase(telemetry.PhaseQueue, wait)
 			}
 		}
-		p.posted = append(p.posted, req)
 	}
 	p.post(req)
-	p.dirty = true
 	p.await(req)
 }
 
 // post retags the slot's op context with the op and its class for
 // tracing and the profiler, arms it through the op's hook, and posts
-// the trigger SEND (doorbell-less).
+// the trigger SEND (doorbell-less), if the op has one.
 func (p *opPipeline) post(req *pipeReq) {
 	ctx := p.ctxs[req.slot]
 	ctx.Op, ctx.Class = req.op, telemetry.ClassNames[req.class()]
 	payload := p.arm(req, p.resp[req.slot])
+	if payload == nil {
+		return // a probe, whose READs rang their own doorbell
+	}
+	if p.rcpts != nil {
+		p.posted = append(p.posted, req)
+	}
+	p.dirty = true
 	trig := p.trig[req.slot]
 	p.c.node.Mem.Write(trig, payload)
 	p.qp.PostSend(wqe.WQE{Op: wqe.OpSend, Src: trig, Len: uint64(len(payload))})
@@ -737,7 +743,7 @@ func (p *opPipeline) subscribe(slot int, respQP *rnic.QP) {
 	respQP.SendCQ().OnDeliver(func(e rnic.CQE) {
 		p.execSeen[slot]++
 		switch req := p.slots[slot]; {
-		case e.Op == wqe.OpWrite:
+		case e.Op == wqe.OpWrite || e.Op == wqe.OpRead:
 			p.onAck(slot, e.WRID, e.At, e.Backlog)
 		case req != nil && p.silent != nil && p.execSeen[slot] == p.owed[slot]:
 			p.silent(req)
@@ -789,7 +795,7 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 	}
 	t.n++
 	node := t.clu.AddNode(fabric.DefaultNodeConfig(fmt.Sprintf("client%d", t.n)))
-	return newClientOnNode(t, node, srv, srv.builders[0], mode, depth, defaultMaxValLen)
+	return newClientOnNode(t, node, srv, srv.builders[0], mode, depth, defaultMaxValLen, false)
 }
 
 // newClientOnNode wires the two connections, the offload context pools
@@ -797,8 +803,9 @@ func (t *Testbed) NewPipelinedClient(srv *Server, mode LookupMode, depth int) *C
 // own nodes. The server's queues of the connection — trigger, response,
 // control and chain rings — sit on b's port. The server's arena
 // supplies (and reclaims) the value extents this connection's writes
-// stage into.
-func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder, mode LookupMode, depth int, maxVal uint64) *Client {
+// stage into. A hinted client's gets (the service's) are all hinted gets
+// and locates, whose answers are final when posted: unmanaged queues.
+func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder, mode LookupMode, depth int, maxVal uint64, hinted bool) *Client {
 	// Trigger connections: client SQ paces SENDs, server RQ holds one
 	// pre-posted RECV per armed instance.
 	srvRQ := max(2048, 4*depth)
@@ -829,11 +836,12 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 		srvQP.SendCQ().SetAutoDrain(true)
 		p.qp = cliQP
 		// Per-slot buffers and per-context response QPs. A get answers
-		// with the value, a write with its 8-byte verdict, a probe with
+		// with the value, a write with its 8-byte verdict, a probe reads
 		// the probed bucket's [keyCtrl, valAddr], then the extent's
-		// header. A get's trigger rewrites its answer, so its queue is
-		// managed; a write's ack and a probe's answer are final.
+		// header. A two-probe get's chain rewrites its answer, so its
+		// queue is managed; every other answer is final when posted.
 		resp := make([]*rnic.QP, depth)
+		p.reads = make([]*rnic.QP, depth)
 		for i := range resp {
 			p.trig = append(p.trig, node.Mem.Alloc(128, 8))
 			switch p.op {
@@ -845,9 +853,9 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 				p.val = append(p.val, node.Mem.Alloc(extent.HeadBytes+maxVal, 64))
 				p.resp = append(p.resp, node.Mem.Alloc(16+extent.HeadBytes, 8))
 			}
-			_, resp[i] = t.clu.Connect(node, srv.node,
-				rnic.QPConfig{SQDepth: 8, RQDepth: 8},
-				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: p.op == pipeGet, Port: b.Port, PU: -1})
+			p.reads[i], resp[i] = t.clu.Connect(node, srv.node,
+				rnic.QPConfig{SQDepth: 8, RQDepth: 8, PU: -1},
+				rnic.QPConfig{SQDepth: 16, RQDepth: 8, Managed: p.op == pipeGet && !hinted, Port: b.Port, PU: -1})
 		}
 		var slotCtx func(slot int) *telemetry.OpContext
 		switch p.op {
@@ -860,16 +868,18 @@ func newClientOnNode(t *Testbed, node *fabric.Node, srv *Server, b *core.Builder
 		}
 		// Profiler attribution: post retags a slot's context with its
 		// request's op and class (the set pool's serve deletes and probes
-		// too). The shared server trigger QP and the client-side one
-		// (which executes the staging WRITEs and SENDs whose remote
-		// grants, on server PCIe, count too) carry the pipeline's class
-		// alone: their batched SENDs interleave ops, a delete's and a
-		// probe's under "set".
+		// too), which the slot's response QPs, both ends, carry. The
+		// shared server trigger QP and the client-side one (which executes
+		// the staging WRITEs and SENDs whose remote grants, on server PCIe,
+		// count too) carry the pipeline's class alone: their batched SENDs
+		// interleave ops, a delete's under "set"; each RECV's is its slot's.
 		for i, q := range resp {
-			p.subscribe(i, q)
 			ctx := slotCtx(i)
 			ctx.Class = p.name
 			p.ctxs = append(p.ctxs, ctx)
+			p.reads[i].SetContext(ctx)
+			p.subscribe(i, q)
+			p.subscribe(i, p.reads[i])
 		}
 		trigCtx := &telemetry.OpContext{Class: p.name}
 		srvQP.SetContext(trigCtx)
@@ -941,13 +951,21 @@ func (c *Client) wireHooks() {
 	// CAS expects an extent the key's next write retires, and that
 	// extent must not come back, as this key's staging or another's,
 	// while the CAS can still find it (ABA). A delete, the key claim
-	// installing the tombstone, stages nothing and expects no extent; a
-	// probe stages nothing and claims nothing.
+	// installing the tombstone, stages nothing and expects no extent. A
+	// probe decides nothing and knows both addresses it reads: two READs,
+	// in order on one RC connection, land the bucket's words, then the
+	// header of the extent it names, with no chain on the server.
 	c.set.arm = func(req *pipeReq, ack uint64) []byte {
 		ctx, val := c.sets.Ctxs[req.slot], c.set.val[req.slot]
 		switch {
 		case req.probe():
-			return ctx.Probe(req.key, req.bucket, req.ext, ack)
+			ctx.Unstage()
+			q := c.set.reads[req.slot]
+			q.PostSend(wqe.WQE{Op: wqe.OpRead, Src: req.bucket, Dst: ack, Len: 16})
+			q.PostSend(wqe.WQE{Op: wqe.OpRead, ID: req.key, Src: req.ext - extent.HeadBytes, Dst: ack + 16,
+				Len: extent.HeadBytes, Flags: wqe.FlagSignaled})
+			q.RingSQ()
+			return nil
 		case req.sclaim.New == hopscotch.Tombstone:
 			return ctx.TriggerPayload(req.key, req.sclaim, 0, 0, ack)
 		}
@@ -1037,9 +1055,9 @@ func (c *Client) wireHooks() {
 // reset re-establishes the client's connections in place after the
 // server restarted with its NIC state reclaimed (a ProcessCrash without
 // a hull parent), the way an RC client moves its QPs through RESET back
-// to ready to send: the client's trigger QPs and the server's queues
-// (core Pool.Reset) are reset — the client ends of the response
-// connections only take one-sided WRITEs — and every pipeline restarts.
+// to ready to send: the client's QPs (a probe's READs run on its end of
+// a set slot's response connection) and the server's queues (core
+// Pool.Reset) are reset, and every pipeline restarts.
 // No instance armed before survives it, so the staging extent of every
 // set slot whose instance never ran goes back to the arena (one that
 // landed its pointer retires the extent it replaced instead), and every
@@ -1049,6 +1067,9 @@ func (c *Client) reset() {
 	var cut [len(c.pipes)]uint64
 	for _, p := range c.pipes {
 		p.qp.Reset()
+		for _, q := range p.reads {
+			q.Reset()
+		}
 	}
 	c.gets.Reset()
 	c.sets.Reset()

@@ -1126,6 +1126,69 @@ func TestClientProbeRoundTrip(t *testing.T) {
 	}
 }
 
+// A version probe runs no program: the server's NIC posts nothing and
+// fetches no managed WQE for it, and the client posts its two READs —
+// bucket, then header — on its set slot's response connection, the
+// signaled second one stamped with the key. This is the probe's row of
+// the offload shape tables (core's TestProgramShapes), 0 + 0 WRs and 0
+// managed fetches on the server.
+func TestProbeWRBudget(t *testing.T) {
+	t.Run("probe", func(t *testing.T) {
+		tb := NewTestbed()
+		srv := tb.NewServer()
+		table := srv.NewHashTable(1 << 10)
+		cli := tb.NewPipelinedClient(srv, LookupSeq, 1)
+		cli.Bind(table)
+		const key = 42
+		if _, ok := cli.Set(key, Value(key, 64)); !ok {
+			t.Fatal("set failed")
+		}
+		tb.Run()
+		dev := srv.node.Dev
+		var posted []uint64
+		for n := uint32(0); dev.QPByNum(n) != nil; n++ {
+			posted = append(posted, dev.QPByNum(n).SQ().Producer())
+		}
+		var fetches uint64
+		for _, p := range dev.Ports() {
+			fetches += p.FetchUnit().Grants()
+		}
+		bucket, ext, _ := residentBucket(table.Table(), cli.mode, key)
+		reads := cli.set.reads[0].SQ().Producer()
+		if ver, _, ok := awaitResident(cli, key, true); !ok || ver != 1 {
+			t.Fatalf("probe = %d,%v, want 1,true", ver, ok)
+		}
+		for n, before := range posted {
+			if q := dev.QPByNum(uint32(n)); q.SQ().Producer() != before {
+				t.Errorf("the probe posted %d WRs on server QP %d", q.SQ().Producer()-before, n)
+			}
+		}
+		for _, p := range dev.Ports() {
+			fetches -= p.FetchUnit().Grants()
+		}
+		if fetches != 0 {
+			t.Errorf("the probe took %d managed fetches on the server", -fetches)
+		}
+		q := cli.set.reads[0]
+		if got := q.SQ().Producer() - reads; got != 2 {
+			t.Fatalf("the probe posted %d WRs on its READ queue, want 2", got)
+		}
+		for i, want := range []struct {
+			src     uint64
+			id      uint64
+			signals bool
+		}{{bucket, 0, false}, {ext - extent.HeadBytes, key, true}} {
+			var w wqe.WQE
+			buf, _ := cli.node.Mem.Read(q.SQSlotAddr(reads+uint64(i)), wqe.Size)
+			w.Decode(buf)
+			if w.Op != wqe.OpRead || w.Src != want.src || w.Len != 16 || w.ID != want.id || w.Signaled() != want.signals {
+				t.Errorf("READ %d: %v of %d B at %#x, id %d, signaled %v; want 16 B at %#x, id %d, signaled %v",
+					i, w.Op, w.Len, w.Src, w.ID, w.Signaled(), want.src, want.id, want.signals)
+			}
+		}
+	})
+}
+
 // A fabric delete leaves its bucket the words a host Remove leaves, a
 // tombstone naming the free pointer with a zero length, and writes
 // nothing past them.

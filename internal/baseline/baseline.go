@@ -225,7 +225,7 @@ func (s *TwoSidedServer) Start(maxRequests int) {
 	wqe.EncodeScatter(raw, []wqe.ScatterEntry{{Addr: s.reqBuf, Len: requestSize}})
 	m.Write(slist, raw)
 	for i := 0; i < maxRequests; i++ {
-		s.QP.PostRecv(uint64(i), slist, 1, true)
+		s.QP.PostRecv(uint64(i), slist, 1, true, nil)
 	}
 	s.CPU.HandleCQ(s.QP.RecvCQ(), s.Mode, 0, func(e rnic.CQE) {
 		s.handle(e.Len)

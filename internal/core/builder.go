@@ -30,6 +30,7 @@ package core
 import (
 	"repro/internal/mem"
 	"repro/internal/rnic"
+	"repro/internal/telemetry"
 	"repro/internal/wqe"
 )
 
@@ -206,9 +207,10 @@ func (b *Builder) after(prev StepRef, q *rnic.QP, w wqe.WQE) StepRef {
 }
 
 // ExpectRecv posts a RECV on qp with the given scatter entries (encoded
-// into the queue's list ring) and returns the WAIT target for its
-// arrival. RedN triggers chains with WaitRecv after this.
-func (b *Builder) ExpectRecv(qp *rnic.QP, id uint64, entries []wqe.ScatterEntry) uint64 {
+// into the queue's list ring), for the instance of op context ctx, and
+// returns the WAIT target for its arrival. RedN triggers chains with
+// WaitRecv after this.
+func (b *Builder) ExpectRecv(qp *rnic.QP, id uint64, entries []wqe.ScatterEntry, ctx *telemetry.OpContext) uint64 {
 	cq := qp.RecvCQ()
 	b.expect[cq.CQN()]++
 	target := b.expect[cq.CQN()]
@@ -222,7 +224,7 @@ func (b *Builder) ExpectRecv(qp *rnic.QP, id uint64, entries []wqe.ScatterEntry)
 			panic(err) // listSlot addresses come from Alloc
 		}
 	}
-	qp.PostRecv(id, addr, len(entries), true)
+	qp.PostRecv(id, addr, len(entries), true, ctx)
 	return target
 }
 

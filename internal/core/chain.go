@@ -10,9 +10,9 @@ import (
 )
 
 // A Program is one of the two trigger-driven offloads — lookup and set
-// (a delete is the set's key claim installing the tombstone, a version
-// probe its third shape) — each a RedN program run by the chain it
-// embeds (the list walk embeds one too). A program states its trigger
+// (a delete is the set's key claim installing the tombstone) — each a
+// RedN program run by the chain it embeds (the list walk embeds one
+// too). A program states its trigger
 // layout once, as an ordered list of slots, and posts each instance's
 // steps in sequencing order; the chain derives the RECV's scatter list,
 // the control lanes and the SEND's payload from the two.
@@ -41,9 +41,9 @@ type chain struct {
 	trig  []byte // the trigger payload, rebuilt by every TriggerPayload
 
 	// op is the op context of every QP whose WRs belong to this
-	// context alone — control queues, chain rings, response QPs. The
-	// shared trigger QP is not among them: its batched SENDs interleave
-	// ops. Allocated once by newChain, so its address survives the
+	// context alone — control queues, chain rings, response QPs — and
+	// of each RECV it posts. The shared trigger QP is not among them: its
+	// batched SENDs interleave ops. Allocated once by newChain, so its address survives the
 	// chain's copy into the program that embeds it. qps lists those
 	// queues, for a reset.
 	op  *telemetry.OpContext
@@ -82,7 +82,7 @@ const (
 	opNew            // the word a claim installs
 	opBucket         // the bucket's address (a lookup's first candidate; a list's head)
 	opBucket2        // a lookup's second candidate bucket
-	opExtent         // the value extent a hinted lookup gathers or a hinted overwrite expects (a probe: its header)
+	opExtent         // the value extent a hinted lookup gathers or a hinted overwrite expects
 	opValAddr        // the bucket's [valAddr, valLen] words
 	opLen            // the value's length
 	opResp           // the client-side answer buffer
@@ -203,7 +203,7 @@ func (c *chain) recv(layout []slot, in *instance) uint64 {
 		n++
 	}
 	c.armed++
-	return c.B.ExpectRecv(c.Trig, c.armed, scatter[:n])
+	return c.B.ExpectRecv(c.Trig, c.armed, scatter[:n], c.op)
 }
 
 // fills reports whether the trigger of the instance armed last fills s.

@@ -27,7 +27,6 @@ func TestProgramShapes(t *testing.T) { checkShapes(t, "") }
 // The per-class budgets, each its own rows of the same measured table.
 func TestLookupWRBudget(t *testing.T) { checkShapes(t, "get") }
 func TestWriteWRBudgets(t *testing.T) { checkShapes(t, "set", "delete") }
-func TestProbeWRBudget(t *testing.T)  { checkShapes(t, "probe") }
 
 // A shape's build wires one pooled context of its program, its response
 // QPs as the client wires them, and returns the context and a func that
@@ -43,14 +42,16 @@ var programShapes = []struct {
 	{"get seq", 7, 11, 7, lookupShape(LookupSeq)},
 	// ArmProbe on a seq context. One WRITE gathers the candidate named
 	// and the extent given, no READ or CAS first, and the client checks
-	// the key word and the address.
-	{"get hinted H1", 2, 2, 2, hintedShape(0)},
-	{"get hinted H2", 2, 2, 2, hintedShape(1)},
+	// the key word and the address. Final when posted, it runs from the
+	// unmanaged response queue behind its own WAIT on the trigger: the
+	// RECV is the one managed fetch.
+	{"get hinted H1", 2, 1, 1, hintedShape(0)},
+	{"get hinted H2", 2, 1, 1, hintedShape(1)},
 	// A locate: the hinted shape at H1 gathering H2's bucket words (16
 	// B) where a get gathers its extent, so one WRITE answers both
 	// candidates' [keyCtrl, valAddr].
-	{"get locate", 2, 2, 2, func(h *shapeRig) (*chain, func() []byte) {
-		o := NewLookupPool(h.b, h.trig, h.resp(true), nil, h.table, LookupSeq).Ctxs[0]
+	{"get locate", 2, 1, 1, func(h *shapeRig) (*chain, func() []byte) {
+		o := NewLookupPool(h.b, h.trig, h.resp(false), nil, h.table, LookupSeq).Ctxs[0]
 		return &o.chain, func() []byte {
 			o.ArmProbe(0, h.table.HashAddr(1, 1))
 			return o.TriggerPayload(1, 16, h.buf)
@@ -72,16 +73,6 @@ var programShapes = []struct {
 		o := NewSetPool(h.b, h.trig, h.resp(false), 0, nil).Ctxs[0]
 		claim := SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: hopscotch.Tombstone}
 		return &o.chain, func() []byte { return o.TriggerPayload(1, claim, 0, 0, h.buf) }
-	}},
-	// A set context's third shape: one WRITE gathers the bucket's
-	// [keyCtrl, valAddr] and the header of the extent named; the client
-	// checks the key word and the address. Final when posted, it runs
-	// from the unmanaged ack queue behind its own WAIT on the trigger:
-	// the RECV is the one managed fetch.
-	{"probe", 2, 1, 1, func(h *shapeRig) (*chain, func() []byte) {
-		o := NewSetPool(h.b, h.trig, h.resp(false), 0, nil).Ctxs[0]
-		ext, _, _ := h.table.Lookup(1)
-		return &o.chain, func() []byte { return o.Probe(1, h.bucket, ext, h.buf) }
 	}},
 }
 
@@ -194,9 +185,9 @@ func lookupShape(mode LookupMode) shapeBuild {
 	}
 }
 
-// hintedShape builds one pooled LookupSeq get context and arms it with
-// a single probe of candidate fn and key 1's extent, where key 1 is
-// moved first.
+// hintedShape builds one pooled LookupSeq get context, its response
+// queue unmanaged, and arms it with a single probe of candidate fn and
+// key 1's extent, where key 1 is moved first.
 func hintedShape(fn int) shapeBuild {
 	return func(h *shapeRig) (*chain, func() []byte) {
 		va, vl, _ := h.table.Lookup(1)
@@ -204,7 +195,7 @@ func hintedShape(fn int) shapeBuild {
 		if err := h.table.InsertAt(1, va, vl, fn, 0); err != nil {
 			panic(err)
 		}
-		o := NewLookupPool(h.b, h.trig, h.resp(true), nil, h.table, LookupSeq).Ctxs[0]
+		o := NewLookupPool(h.b, h.trig, h.resp(false), nil, h.table, LookupSeq).Ctxs[0]
 		return &o.chain, func() []byte {
 			o.ArmProbe(fn, va)
 			return o.TriggerPayload(1, 64, h.buf)

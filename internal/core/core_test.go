@@ -144,9 +144,10 @@ func doGetAt(t *testing.T, h *harness, o *LookupOffload, cliQP *rnic.QP, key, va
 			hitAt = e.At
 		}
 	}
-	o.Trig.SendCQ().OnDeliver(record)
-	if o.Resp2 != nil {
-		o.Resp2.SendCQ().OnDeliver(record)
+	for _, q := range []*rnic.QP{o.Trig, o.Resp, o.Resp2} {
+		if q != nil {
+			q.SendCQ().OnDeliver(record)
+		}
 	}
 	cliQP.PostSend(wqe.WQE{Op: wqe.OpSend, Src: buf, Len: uint64(len(payload)), Flags: wqe.FlagSignaled})
 	cliQP.RingSQ()
@@ -243,11 +244,16 @@ func TestLookupSeqFindsSecondBucket(t *testing.T) {
 // gathers only the extent it was given: a key at H2 answers a probe of
 // H2 at its extent with its key word, that extent and its value; a
 // probe of H1, whose bucket is empty, answers at once too, with the
-// empty bucket's words [0, FreePtr] and the bytes at the extent it was given,
-// which the client discards; and a two-probe instance armed after them
-// probes H1 first again.
+// empty bucket's words [0, FreePtr] and the bytes at the extent it was
+// given, which the client discards. Its WRITE is final when posted, so
+// it answers on a pooled context's unmanaged response queue, and a
+// context answering on a managed one refuses it.
 func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
-	h, o, cliQP, table := setupLookup(t, LookupSeq)
+	h := newHarness(t)
+	table := hopscotch.New(h.srv.Mem(), 1024, 0)
+	cliQP, srvQP := h.connect(512)
+	_, resp := h.connectAs(512, false)
+	o := NewLookupPool(h.b, srvQP, []*rnic.QP{resp}, nil, table, LookupSeq).Ctxs[0]
 	val := []byte("hinted-second-bucket")
 	n := uint64(len(val))
 	addr := h.srv.Mem().Alloc(n, 8)
@@ -256,7 +262,6 @@ func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.ArmProbe(1, addr)
-	o.Run()
 	if got, word, va, _ := doHintedGet(t, h, o, cliQP, 77, n); string(got) != string(val) || word != ClaimCtrl(77) || va != addr {
 		t.Fatalf("probe of H2: value %q, words [%#x, %#x]; want %q, [%#x, %#x]", got, word, va, val, ClaimCtrl(77), addr)
 	}
@@ -266,10 +271,13 @@ func TestArmProbeReadsOnlyItsCandidate(t *testing.T) {
 		t.Fatalf("probe of H1 answered %q, words [%#x, %#x] after %v; want the empty bucket's [0, FreePtr] and the given extent's bytes in one round trip",
 			got, word, va, lat)
 	}
-	o.Arm()
-	if got, _ := doGet(t, h, o, cliQP, 77, n); string(got) != string(val) {
-		t.Fatalf("both probes after a single one: value %q, want %q", got, val)
-	}
+	_, standalone, _, _ := setupLookup(t, LookupSeq)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ArmProbe on a managed response queue did not panic")
+		}
+	}()
+	standalone.ArmProbe(0, addr)
 }
 
 func TestLookupParallelFindsSecondBucketFaster(t *testing.T) {

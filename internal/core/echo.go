@@ -39,7 +39,7 @@ func (o *EchoOffload) Arm() {
 		Flags: wqe.FlagSignaled | wqe.FlagInline})
 	recvTarget := b.ExpectRecv(o.Trig, o.armed, []wqe.ScatterEntry{
 		{Addr: resp.FieldAddr(wqe.OffCmp), Len: 8},
-	})
+	}, nil)
 	b.WaitRecv(o.Trig, recvTarget)
 	b.Enable(resp)
 	b.Ctrl.RingSQ()
@@ -98,7 +98,7 @@ func NewRecycledEchoOffload(b *Builder, trig *rnic.QP, respAddr uint64, maxReque
 	slist := dev.Mem().Alloc(uint64(len(raw)), 8)
 	dev.Mem().Write(slist, raw)
 	for i := 0; i < maxRequests; i++ {
-		trig.PostRecv(uint64(i), slist, 1, true)
+		trig.PostRecv(uint64(i), slist, 1, true, nil)
 	}
 
 	c := dev.NewLoopbackQP(rnic.QPConfig{SQDepth: 8, RQDepth: 1, Managed: true})

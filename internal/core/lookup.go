@@ -34,7 +34,7 @@ const (
 	// on hits only. The choice is the client's instead, made before the
 	// trigger is sent: a client that knows which candidate holds the key
 	// arms ArmProbe's single probe at it and at the extent the bucket
-	// names (2 managed fetches, not 7); one that does not locates it
+	// names (1 managed fetch, not 7); one that does not locates it
 	// first with ArmProbe at H1 gathering H2's bucket words (DESIGN.md §2).
 	LookupSeq
 	// LookupParallel probes H1 and H2 on independent WQs pinned to
@@ -68,10 +68,9 @@ type LookupOffload struct {
 	w2  *rnic.QP // managed chain queue, bucket 1
 	w2b *rnic.QP // managed chain queue, bucket 2 (LookupSeq: w2 itself)
 
-	fn     int    // the candidate the instance armed last probes first
-	ext    uint64 // the extent the instance armed last gathers (ArmProbe)
-	layout []slot // the trigger layout of the instance armed last
-	ans    uint64 // the hinted probes' gather lists (chain.argsBuf)
+	fn  int    // the candidate the instance armed last probes first
+	ext uint64 // the extent the instance ArmProbe aimed gathers (0 on a context Arm serves)
+	ans uint64 // the hinted probes' gather lists (chain.argsBuf)
 }
 
 // NewLookupOffload builds a standalone offload, answering on trig's SQ.
@@ -89,8 +88,9 @@ func NewLookupOffload(b *Builder, trig *rnic.QP, resp2 *rnic.QP, table *hopscotc
 }
 
 // NewLookupPool builds K = len(resp) get contexts over the trig
-// connection. resp (and resp2, parallel mode only) are server-side
-// managed QPs, each connected back to the client, one per context.
+// connection. resp (and resp2, parallel mode only) are server-side QPs,
+// one per context connected back to the client: managed for Arm's
+// probes, unmanaged for ArmProbe's.
 func NewLookupPool(b *Builder, trig *rnic.QP, resp, resp2 []*rnic.QP, table *hopscotch.Table, mode LookupMode) *Pool[*LookupOffload] {
 	if mode == LookupParallel && len(resp2) != len(resp) {
 		panic(fmt.Sprintf("core: parallel pool needs resp2 per context (%d != %d)", len(resp2), len(resp)))
@@ -114,7 +114,7 @@ func NewLookupPool(b *Builder, trig *rnic.QP, resp, resp2 []*rnic.QP, table *hop
 // newLookupOffload places the chain rings (and, for LookupParallel, the
 // second control queue) on PU pu, -1 round-robining.
 func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table *hopscotch.Table, mode LookupMode, chainDepth, ctrlDepth, pu int) *LookupOffload {
-	o := &LookupOffload{chain: newChain(b, trig, resp), Mode: mode, Table: table, Resp2: resp2, layout: lookupLayout}
+	o := &LookupOffload{chain: newChain(b, trig, resp), Mode: mode, Table: table, Resp2: resp2}
 	o.w2 = o.ring(chainDepth, pu)
 	o.ans = o.newArgs(ansBytes)
 	for list := o.ans; list < o.ans+argsRing*ansBytes; list += ansBytes {
@@ -168,7 +168,6 @@ func (o *LookupOffload) Arm() {
 	if resp == nil {
 		resp = o.Trig
 	}
-	o.fn, o.layout = 0, lookupLayout
 	var in instance
 	o.inject(&in, pRead, o.w2, resp, 16, 0)
 	switch {
@@ -190,36 +189,27 @@ func (o *LookupOffload) Arm() {
 // entry's length is carved in.
 const ansBytes = 32
 
-// hintLayout is a hinted probe's trigger layout: the key that stamps its
-// answer, the answer's destination, and its gather list's bucket,
-// extent and value length.
-var hintLayout = []slot{
-	{pResp, wqe.OffCtrl, opWrite}, {pResp, wqe.OffDst, opResp},
-	{argsWord, 0, opBucket}, {argsWord, 16, opExtent}, {argsWord, 24, opLen},
-}
+// hintLayout is a hinted probe's trigger layout: its gather list's
+// bucket, extent and value length.
+var hintLayout = []slot{{argsWord, 0, opBucket}, {argsWord, 16, opExtent}, {argsWord, 24, opLen}}
 
-// ArmProbe posts an instance with one probe, aimed at candidate fn (0:
-// H1, 1: H2) and the value extent ext its caller expects the bucket to
-// name, on a context of any mode. It decides nothing on the NIC and
-// reads nothing first: its one WRITE, stamped with the key, gathers
-// [keyCtrl, valAddr | valLen bytes at ext] whatever the bucket holds —
-// 2 managed fetches, the RECV's and the WRITE's. The client accepts the
-// value iff the key word is ClaimCtrl(key) and valAddr is ext. The
-// bucket is gathered first, so a bucket that names ext names it before
-// the value is read: an extent is retired only once no bucket names
-// it, and freed only after every get armed before its retire, this one
-// included, so the accepted bytes cannot be another key's. The trigger
-// rewrites the gather list, so the WRITE stays on a managed queue.
+// ArmProbe aims the context's next instance, which TriggerPayload posts,
+// at candidate fn (0: H1, 1: H2) and the value extent ext its caller
+// expects the bucket to name. It decides nothing on the NIC and reads
+// nothing first: its one WRITE, stamped with the key, gathers
+// [keyCtrl, valAddr | valLen bytes at ext] whatever the bucket holds.
+// Final when posted, it waits for the trigger on the context's
+// unmanaged response queue, and the RECV, which scatters only the gather
+// list, is the one managed fetch. The client accepts the value iff the
+// key word is ClaimCtrl(key) and valAddr is ext. The bucket is gathered
+// first, so a bucket that names ext names it before the value is read:
+// an extent is retired only once no bucket names it, and freed only
+// after every get armed before its retire, this one included.
 func (o *LookupOffload) ArmProbe(fn int, ext uint64) {
-	resp := o.Resp
-	if resp == nil {
-		resp = o.Trig
+	if o.Resp == nil || o.Resp.SQ().Managed() {
+		panic("core: a hinted get answers on an unmanaged response queue")
 	}
-	o.fn, o.ext, o.layout = fn, ext, hintLayout
-	in := instance{args: o.argsBuf(o.ans, ansBytes)}
-	in.steps[pResp] = o.B.Post(resp, wqe.WQE{Op: wqe.OpWrite, Src: in.args, Count: 2,
-		Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
-	o.fire(hintLayout, &in, in.steps[:probe2])
+	o.fn, o.ext = fn, ext
 }
 
 // Run starts the control queue(s). Call once after the first Arm.
@@ -232,10 +222,22 @@ func (o *LookupOffload) Run() {
 
 // TriggerPayload builds the client SEND payload for a get of key,
 // requesting length valLen into the client-side buffer respAddr, its
-// first probe at the candidate the last Arm or ArmProbe aimed it at.
-// The result is the context's own buffer, overwritten by its next
-// TriggerPayload.
+// first probe at the candidate the last Arm or ArmProbe aimed it at; an
+// ArmProbe instance is posted here, its WRITE stamped with key and aimed
+// at respAddr. The result is the context's own buffer, overwritten by
+// its next TriggerPayload.
 func (o *LookupOffload) TriggerPayload(key, valLen, respAddr uint64) []byte {
-	return o.payload(o.layout, key, operands{opBucket: o.Table.HashAddr(key, o.fn), opBucket2: o.Table.HashAddr(key, 1),
+	layout := lookupLayout
+	if o.ext != 0 {
+		layout = hintLayout
+		in := instance{args: o.argsBuf(o.ans, ansBytes)}
+		arrival := o.Trig.RecvCQ() // the WAIT targets the RECV posted next
+		o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWait, Peer: arrival.CQN(), Count: o.B.Expected(arrival) + 1})
+		o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask, Src: in.args, Count: 2,
+			Dst: respAddr, Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
+		o.recv(hintLayout, &in)
+		o.Resp.RingSQ()
+	}
+	return o.payload(layout, key, operands{opBucket: o.Table.HashAddr(key, o.fn), opBucket2: o.Table.HashAddr(key, 1),
 		opExtent: o.ext, opLen: valLen, opResp: respAddr})
 }

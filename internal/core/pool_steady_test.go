@@ -34,10 +34,10 @@ type poolRig struct {
 	fns      []int    // the candidate holding keys[i]
 	exts     []uint64 // the extent bucket i names: a set's ack moves it
 
-	gets    *Pool[*LookupOffload]
-	getQP   *rnic.QP
-	getCQEs int // response completions, two per two-probe get
-	getHits int
+	gets, hints   *Pool[*LookupOffload] // two-probe gets; hinted ones, on unmanaged answer queues
+	getQP, hintQP *rnic.QP
+	getCQEs       int // response completions, two per two-probe get
+	getHits       int
 
 	sets    *Pool[*SetOffload]
 	setQP   *rnic.QP
@@ -90,8 +90,8 @@ func newPoolRig(t testing.TB) *poolRig {
 		}
 		return c, s
 	}
-	// A get's response QPs are managed, a set's not: its ack is final
-	// when posted.
+	// A two-probe get's response QPs are managed, a hinted get's and a
+	// set's not: their answers are final when posted.
 	pool := func(managedResp bool) (cliQP, srvQP *rnic.QP, resp []*rnic.QP) {
 		cliQP, srvQP = connect(rnic.QPConfig{SQDepth: 64, RQDepth: 8},
 			rnic.QPConfig{SQDepth: 64, RQDepth: 64, Managed: true})
@@ -105,18 +105,25 @@ func newPoolRig(t testing.TB) *poolRig {
 
 	var resp []*rnic.QP
 	var srvQP *rnic.QP
-	g.getQP, srvQP, resp = pool(true)
-	g.gets = NewLookupPool(b, srvQP, resp, nil, table, LookupSeq)
-	for i := range resp {
-		// A LookupSeq instance completes two response WQEs, one per
-		// probed bucket; the one that found the key runs as a WRITE. A
-		// hinted one completes its one WRITE.
-		resp[i].SendCQ().OnDeliver(func(e rnic.CQE) {
-			if e.Op == wqe.OpWrite {
-				g.getHits++
-			}
-			g.getCQEs++
-		})
+	for _, hinted := range []bool{false, true} {
+		cliQP, srvQP, resp := pool(!hinted)
+		p := NewLookupPool(b, srvQP, resp, nil, table, LookupSeq)
+		if hinted {
+			g.hintQP, g.hints = cliQP, p
+		} else {
+			g.getQP, g.gets = cliQP, p
+		}
+		for i := range resp {
+			// A LookupSeq instance completes two response WQEs, one per
+			// probed bucket; the one that found the key runs as a WRITE.
+			// A hinted one completes its one WRITE.
+			resp[i].SendCQ().OnDeliver(func(e rnic.CQE) {
+				if e.Op == wqe.OpWrite {
+					g.getHits++
+				}
+				g.getCQEs++
+			})
+		}
 	}
 	g.setQP, srvQP, resp = pool(false)
 	g.sets = NewSetPool(b, srvQP, resp, rigValLen, g.arena)
@@ -155,22 +162,24 @@ func (g *poolRig) send(qp *rnic.QP, slot int, payload []byte) {
 // holding their key and the extent it names, triggers them in arm order
 // and runs them to completion.
 func (g *poolRig) getRound(t testing.TB, n int, hinted bool) {
-	cqes, hits, per := g.getCQEs, g.getHits, 2
+	cqes, hits, per, pool, qp := g.getCQEs, g.getHits, 2, g.gets, g.getQP
+	if hinted {
+		per, pool, qp = 1, g.hints, g.hintQP
+	}
 	var keys, exts [rigDepth]uint64
 	for slot := 0; slot < n; slot++ {
-		ctx := g.gets.Ctxs[slot]
+		ctx := pool.Ctxs[slot]
 		g.next++
 		ki := g.next % len(g.keys)
 		if hinted {
 			ctx.ArmProbe(g.fns[ki], g.exts[ki])
-			per = 1
 		} else {
 			ctx.Arm()
 		}
 		keys[slot], exts[slot] = g.keys[ki], g.exts[ki]
-		g.send(g.getQP, slot, ctx.TriggerPayload(keys[slot], rigValLen, g.buf[slot]))
+		g.send(qp, slot, ctx.TriggerPayload(keys[slot], rigValLen, g.buf[slot]))
 	}
-	g.getQP.RingSQ()
+	qp.RingSQ()
 	g.eng.Run()
 	if g.getCQEs-cqes != per*n || g.getHits-hits != n {
 		t.Fatalf("get round: %d of %d completions, %d hits of %d", g.getCQEs-cqes, per*n, g.getHits-hits, n)

@@ -93,22 +93,6 @@ import (
 // retires it on the applied ack, as it retires an overwritten one. A
 // delete carries no version (its caller records the sequence).
 //
-// A version probe (Probe), the repair subsystem's "what version of key
-// x does this replica hold?", is the third shape, and decides nothing:
-//
-//	RECV      scatter bucket addr + header addr onto the ack's gather list
-//	WAIT      the trigger's arrival                (on the ack's queue)
-//	ack       WRITE [bucket 16B | header 16B] -> client
-//	          ([keyCtrl, valAddr, version, valLen])
-//
-// The header is the one before the extent the caller expects the bucket
-// to name, and the client accepts the version iff the key word is
-// ClaimCtrl(key) and the pointer is that extent: the bucket is gathered
-// first, so one that names the extent named it before the header was
-// read. Any other bucket answers too, a miss in one round trip. Final
-// when posted, the WRITE waits for its trigger on the ack's unmanaged
-// queue: 2 data WRs, the RECV the one managed fetch, and 1 sync WR.
-//
 // Values live in staging extents from the server's extent arena (see
 // internal/extent); without one, the raw bump allocator leaks every
 // overwrite — kept for standalone core tests.
@@ -172,13 +156,9 @@ var setLayout = []slot{
 	{stValWr, wqe.OffDst, opValAddr}, {argsWord, 8, opLen},
 }
 
-// argsBytes is a set context's args buffer: a probe's gather list,
-// {bucket, 16} then {header, HeadBytes}; a set uses its first 16 bytes.
-const argsBytes = 32
-
-// probeLayout is the version probe's trigger layout: the two addresses
-// its ack gathers.
-var probeLayout = []slot{{argsWord, 0, opBucket}, {argsWord, 16, opExtent}}
+// argsBytes is a set context's args buffer: the pointer words valWr
+// copies, or the NOOP|key a fresh claim publishes.
+const argsBytes = 16
 
 // A pointer-CAS set's steps: the pointer CAS, a fresh claim's publish,
 // then the ack.
@@ -313,8 +293,7 @@ func (o *SetOffload) ReleaseStaging() (replaced uint64) {
 //
 // A delete stages nothing, so it drops the staging extent a set armed
 // on this context before: that set's verdict already decided the
-// extent, and ReleaseStaging after a delete must free nothing. Probe
-// drops it too.
+// extent, and ReleaseStaging after a delete must free nothing.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	o.key, o.claimed = key, claim
 	if claim.New == hopscotch.Tombstone {
@@ -330,22 +309,7 @@ func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ack
 	return o.payload(setLayout, key, v)
 }
 
-// Probe posts and fires a version probe of key in the bucket at bucket,
-// which the caller's view of the table says names the extent ext,
-// answering [keyCtrl, valAddr, version, valLen] into the client-side
-// respAddr, and returns the SEND payload that drives it, as
-// TriggerPayload does. It stages nothing, so it drops the staging
-// extent a set armed here before, as a delete does.
-func (o *SetOffload) Probe(key, bucket, ext, respAddr uint64) []byte {
-	o.staging = 0
-	in := instance{args: o.argsBuf(o.args, argsBytes)}
-	o.B.Dev.Mem().PutU64(in.args+8, 16)
-	o.B.Dev.Mem().PutU64(in.args+24, extent.HeadBytes)
-	arrival := o.Trig.RecvCQ() // the WAIT targets the RECV posted next
-	o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWait, Peer: arrival.CQN(), Count: o.B.Expected(arrival) + 1})
-	in.steps[0] = o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask, Src: in.args, Count: 2,
-		Dst: respAddr, Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
-	o.recv(probeLayout, &in)
-	o.Resp.RingSQ()
-	return o.payload(probeLayout, key, operands{opBucket: bucket, opExtent: ext - extent.HeadBytes})
-}
+// Unstage drops the staging extent a set armed on this context before,
+// as a delete does, for a request of its slot that runs no chain here
+// (a version probe, two client READs): ReleaseStaging then frees nothing.
+func (o *SetOffload) Unstage() { o.staging = 0 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
 	"repro/internal/sim"
@@ -291,80 +290,5 @@ func TestDeleteChainVerdicts(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// doProbe runs one version probe of key at bucketAddr, expecting the
-// bucket to name ext, and reports the answer landed client-side — the
-// bucket's key word and pointer, and the version in the header at ext
-// — plus whether the answer WRITE completed.
-func (h *writeHarness) doProbe(t *testing.T, key, bucketAddr, ext uint64) (ctrl, va, ver uint64, answered bool) {
-	t.Helper()
-	resp := h.cli.Mem().Alloc(16+extent.HeadBytes, 8)
-	h.cli.Mem().PutU64(resp+16, 0xDEAD)
-	run := h.fire(t, h.setQP, h.set.Resp, h.set.w3, key, h.set.Probe(key, bucketAddr, ext, resp))
-	ctrl, _ = h.cli.Mem().U64(resp)
-	va, _ = h.cli.Mem().U64(resp + 8)
-	ver, _ = h.cli.Mem().U64(resp + 16)
-	return ctrl, va, ver, run.acks == 1
-}
-
-// storeHeaded stores key's 64-byte value at version ver the way a host
-// store does: its header before the bytes, the bucket naming the value.
-func storeHeaded(t *testing.T, h *writeHarness, key, ver uint64) (va uint64) {
-	t.Helper()
-	va = h.srv.Mem().Alloc(extent.HeadBytes+64, 8) + extent.HeadBytes
-	extent.PutHead(h.srv.Mem(), va, ver, 64)
-	if err := h.table.Insert(key, va, 64); err != nil {
-		t.Fatal(err)
-	}
-	return va
-}
-
-// A probe of a resident key returns its bucket's key word and pointer
-// and the version its value's header carries, in one NIC round trip.
-func TestProbeOffloadRoundTrip(t *testing.T) {
-	h := newWriteHarness(t, false)
-	const key = 42
-	va := storeHeaded(t, h, key, 17)
-	if k, _, _, ok := h.table.EntryAt(h.table.Hash(key, 0)); !ok || k != key {
-		t.Fatal("key not at its first candidate — test shape is wrong")
-	}
-	ctrl, got, ver, answered := h.doProbe(t, key, h.bucket(key), va)
-	if !answered {
-		t.Fatal("probe of a resident key went unanswered")
-	}
-	if ctrl != ClaimCtrl(key) || got != va || ver != 17 {
-		t.Fatalf("probe returned [%#x, %#x], version %d; want [%#x, %#x] and 17", ctrl, got, ver, ClaimCtrl(key), va)
-	}
-}
-
-// A probe of a bucket that does not hold the key at the extent named —
-// another key, a tombstone — answers at once too, with a key word or a
-// pointer that is not the one expected: the client reads the miss in
-// one round trip.
-func TestProbeOffloadConditionalMiss(t *testing.T) {
-	h := newWriteHarness(t, false)
-	const key = 42
-	va := storeHeaded(t, h, key, 17)
-
-	// Probing the right bucket for the WRONG key.
-	ctrl, _, _, answered := h.doProbe(t, key+1, h.bucket(key), va)
-	if !answered {
-		t.Fatal("probe for an absent key went unanswered")
-	}
-	if ctrl == ClaimCtrl(key+1) {
-		t.Fatal("another key's bucket answered the probed key's word")
-	}
-
-	// A tombstoned bucket misses too: its key word is not NOOP|key, and
-	// it names the free pointer, not the extent.
-	if _, _, ok := h.table.Remove(key); !ok {
-		t.Fatal("remove failed")
-	}
-	if ctrl, got, _, answered := h.doProbe(t, key, h.bucket(key), va); !answered ||
-		ctrl != hopscotch.Tombstone || got != hopscotch.FreePtr {
-		t.Fatalf("probe of a tombstoned bucket: answered %v, words [%#x, %#x]; want the tombstone and the free pointer",
-			answered, ctrl, got)
 	}
 }

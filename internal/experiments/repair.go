@@ -23,9 +23,9 @@ import (
 //     repair records rolling laggards forward) and by anti-entropy alone
 //     (zero reads; segment-digest sweeps find the divergent keys). The
 //     pre-repair baseline (NoRepair) demonstrably does neither.
-//  3. Cost — get throughput with a probe chain on every 8th replicated
-//     hit stays within 10% of the probe-free baseline (a probe is 2
-//     managed fetches, as many as a hinted get's, on its own connection).
+//  3. Cost — get throughput with a probe on every 8th replicated hit
+//     stays within 10% of the probe-free baseline (a probe is two
+//     client READs, no managed fetch on the partner's NIC).
 func Repair() *Result {
 	return repairRun(12000)
 }
@@ -256,9 +256,9 @@ func repairRun(requests int) *Result {
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("divergence injected for real: %d-shard R=2 W=1 ring at 512 buckets/shard filled past capacity (owner rejections), plus a process crash whose %d handoff hints were dropped before recovery", repairShards, repairCrashHi-repairCrashLo+1),
 		"stale = (owner, key) replicas whose version (a value header, or a recorded delete) lags the newest any owner holds; converge = virtual ms from workload start to the first zero-stale sample",
-		fmt.Sprintf("read-repair: %d NIC probes (2+1 WRs each), %d skews detected, %d repairs applied", rrStats.Probes, rrStats.ProbeSkews, rrStats.RepairsApplied),
+		fmt.Sprintf("read-repair: %d version probes (2 client READs each), %d skews detected, %d repairs applied", rrStats.Probes, rrStats.ProbeSkews, rrStats.RepairsApplied),
 		fmt.Sprintf("anti-entropy: %d sweep passes, %d segment digests disagreed, %d keys repaired — with zero reads and zero probes", aeStats.AEPasses, aeStats.AESegsDiffed, aeStats.RepairsApplied),
 		"the pre-repair baseline (NoRepair) holds its stale replicas forever: rejected owners heal only by accidental overwrite",
-		"probe cost: a probe is 1 managed fetch, half the hinted get it rides on, so probing EVERY hit costs about a third of NIC throughput; sampling every 8th hit (the parity row) bounds the tax under 10% while misses still repair on every attempt")
+		"probe cost: a probe is two client READs, no managed fetch on the partner's NIC, so even probing EVERY hit leaves get throughput within a few percent; sampling every 8th hit (the parity row) bounds the tax under 10% while misses still repair on every attempt")
 	return r
 }

@@ -39,7 +39,7 @@ func TestSteadyStateWRsAllocateNothing(t *testing.T) {
 		run := func() {
 			for i := 0; i < batch; i++ {
 				if tc.recv {
-					sqp.PostRecv(uint64(i), rlist, 1, true)
+					sqp.PostRecv(uint64(i), rlist, 1, true, nil)
 				}
 				qp.PostSend(tc.v)
 			}

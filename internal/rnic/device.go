@@ -164,7 +164,7 @@ func (d *Device) NewQP(cfg QPConfig) *QP {
 		lastFetchDone: coldFetch}
 	w.stepFn, w.advanceFn, w.kickFn, w.hostEnableFn = w.step, w.advance, w.kick, w.hostEnable
 	q.sq = w
-	q.rq = &recvQueue{qp: q, base: rqBase, capacity: uint64(cfg.RQDepth)}
+	q.rq = &recvQueue{qp: q, base: rqBase, capacity: uint64(cfg.RQDepth), ctxs: make([]*telemetry.OpContext, cfg.RQDepth)}
 	d.qps = append(d.qps, q)
 	return q
 }

@@ -68,7 +68,7 @@ func (w *WorkQueue) step() {
 		// One serialized on-demand fetch through the port's shared
 		// fetch unit; the WR's run record carries it from here.
 		fs, end := w.qp.port.fetchUnit.Acquire(dev.prof.FetchManaged)
-		w.qp.grant(dev, w.qp.port.fetchUnit, dev.eng.Now(), fs, end)
+		grant(w.qp.ctx, dev, w.qp.port.fetchUnit, dev.eng.Now(), fs, end)
 		dev.takeRun(w.qp, w.consumer).sched(end, stageFetched)
 		return
 	}
@@ -179,30 +179,11 @@ func (w *WorkQueue) traceWR(op wqe.Opcode, start, end sim.Time) {
 	}
 }
 
-// grant attributes one resource acquisition — wait behind the
-// reservation horizon [ready, start), execution [start, end) — to the
-// profiler of the device owning the resource, under the class of this
-// QP's context, and to the receipt riding that context. owner may
-// differ from q's device: one-sided verbs acquire the responder's PCIe
-// and atomic units. The disabled path is three loads and a branch, no
-// allocation.
-func (q *QP) grant(owner *Device, r *sim.Resource, ready, start, end sim.Time) {
-	c := q.ctx
-	if owner.profiler == nil && c.Receipt == nil {
-		return
-	}
-	name := owner.resName(r)
-	if owner.profiler != nil {
-		owner.profiler.Grant(c.Class, name, start-ready, end-start)
-	}
-	c.Receipt.AddRes(name, start-ready, end-start)
-}
-
 // puSpan traces one WR's PU occupancy and attributes the grant. The
 // ready floor is now: PU acquisition happens synchronously at issue.
 func (w *WorkQueue) puSpan(op wqe.Opcode, start, end sim.Time) {
 	w.traceWR(op, start, end)
-	w.qp.grant(w.qp.dev, w.qp.pu, w.qp.dev.eng.Now(), start, end)
+	grant(w.qp.ctx, w.qp.dev, w.qp.pu, w.qp.dev.eng.Now(), start, end)
 }
 
 // exec dispatches one fetched WQE. The queue advances to the next WQE
@@ -302,7 +283,7 @@ func (w *WorkQueue) issueData(r *wrRun, occ sim.Time) {
 				err = r.load(dev.mem, v.Src, v.Len)
 			}
 			gs, ge := dev.pcie.TransferAt(t, r.n)
-			q.grant(dev, &dev.pcie.Resource, t, gs, ge)
+			grant(q.ctx, dev, &dev.pcie.Resource, t, gs, ge)
 			t = ge + prof.GatherLatency
 			if err != nil {
 				r.st = StatusLocalProtErr
@@ -331,7 +312,7 @@ func (q *QP) wireDelay(t sim.Time, n int) sim.Time {
 		return t
 	}
 	ls, end := q.port.link.TransferAt(t, n)
-	q.grant(q.dev, &q.port.link.Resource, t, ls, end)
+	grant(q.ctx, q.dev, &q.port.link.Resource, t, ls, end)
 	return end + q.oneWay
 }
 

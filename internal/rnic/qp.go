@@ -135,8 +135,9 @@ func (q *QP) EnableSQFromHost(limit uint64) {
 // PostRecv posts a receive WQE whose scatter list (count entries of
 // wqe.ScatterEntry) lives at scatterAddr in host memory. The paper's
 // offloads use RECV scatter entries aimed at posted WQEs to inject
-// client arguments into RDMA programs.
-func (q *QP) PostRecv(id uint64, scatterAddr uint64, count int, signaled bool) uint64 {
+// client arguments into RDMA programs. Its fetch attributes to op
+// context c, the instance its arrival triggers (nil: the QP's own).
+func (q *QP) PostRecv(id uint64, scatterAddr uint64, count int, signaled bool, c *telemetry.OpContext) uint64 {
 	if count < 0 || count > wqe.MaxScatter {
 		panic(fmt.Sprintf("rnic: RECV scatter count %d exceeds hardware limit %d", count, wqe.MaxScatter))
 	}
@@ -157,6 +158,7 @@ func (q *QP) PostRecv(id uint64, scatterAddr uint64, count int, signaled bool) u
 		panic(fmt.Sprintf("rnic: RQ ring write failed: %v", err))
 	}
 	q.rq.producer++
+	q.rq.ctxs[idx%q.rq.capacity] = c
 	// A newly posted RECV may satisfy queued arrivals.
 	if q.pendingArrivals.Len() > 0 {
 		q.consumeRecv(q.popArrival(), true)
@@ -216,6 +218,24 @@ func (q *QP) Reset() {
 	for q.pendingArrivals.Len() > 0 {
 		q.popArrival().release()
 	}
+}
+
+// grant attributes one resource acquisition — wait behind the
+// reservation horizon [ready, start), execution [start, end) — to the
+// profiler of the device owning the resource, under the class of op
+// context c (the acquiring QP's, or a RECV's own), and to the receipt
+// riding c. owner may differ from the QP's device: one-sided verbs
+// acquire the responder's PCIe and atomic units. The disabled path is
+// three loads and a branch, no allocation.
+func grant(c *telemetry.OpContext, owner *Device, r *sim.Resource, ready, start, end sim.Time) {
+	if owner.profiler == nil && c.Receipt == nil {
+		return
+	}
+	name := owner.resName(r)
+	if owner.profiler != nil {
+		owner.profiler.Grant(c.Class, name, start-ready, end-start)
+	}
+	c.Receipt.AddRes(name, start-ready, end-start)
 }
 
 // SQSlotAddr returns the host-memory address of the SQ WQE at the given
@@ -305,6 +325,7 @@ type recvQueue struct {
 	capacity uint64
 	producer uint64
 	consumer uint64
+	ctxs     []*telemetry.OpContext // per slot, its RECV's (PostRecv)
 }
 
 func (r *recvQueue) SlotAddr(idx uint64) uint64 {

@@ -185,7 +185,7 @@ func TestSendRecvScatter(t *testing.T) {
 	raw := make([]byte, wqe.ScatterEntrySize*2)
 	wqe.EncodeScatter(raw, []wqe.ScatterEntry{{Addr: d1, Len: 8}, {Addr: d2, Len: 8}})
 	srv.Mem().Write(slist, raw)
-	sqp.PostRecv(7, slist, 2, true)
+	sqp.PostRecv(7, slist, 2, true, nil)
 
 	// Client sends 16 bytes.
 	src := cli.Mem().Alloc(16, 8)
@@ -223,7 +223,7 @@ func TestSendBeforeRecvQueues(t *testing.T) {
 	raw := make([]byte, wqe.ScatterEntrySize)
 	wqe.EncodeScatter(raw, []wqe.ScatterEntry{{Addr: dst, Len: 8}})
 	srv.Mem().Write(slist, raw)
-	sqp.PostRecv(1, slist, 1, true)
+	sqp.PostRecv(1, slist, 1, true, nil)
 	eng.Run()
 	if v, _ := srv.Mem().U64(dst); v != 0x42 {
 		t.Fatalf("queued send not delivered: %#x", v)

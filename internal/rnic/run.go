@@ -305,14 +305,18 @@ func (r *wrRun) atResponder() {
 	case wqe.OpWrite, wqe.OpWriteImm:
 		rdev := q.remoteDev()
 		ws, we := rdev.pcie.TransferAt(now, r.n)
-		q.grant(rdev, &rdev.pcie.Resource, now, ws, we)
+		grant(q.ctx, rdev, &rdev.pcie.Resource, now, ws, we)
 		r.sched(we+prof.RemoteWriteLatency, stageApplied)
 
 	case wqe.OpRead:
-		// Responder DMA-reads the payload.
+		// Responder DMA-reads the payload; a frozen one drops it, as a SEND.
 		rdev := q.remoteDev()
+		if rdev.frozen {
+			r.release()
+			return
+		}
 		rs, re := rdev.pcie.TransferAt(now, r.n)
-		q.grant(rdev, &rdev.pcie.Resource, now, rs, re)
+		grant(q.ctx, rdev, &rdev.pcie.Resource, now, rs, re)
 		r.sched(re+prof.RemoteReadLatency, stageApplied)
 
 	default:
@@ -325,7 +329,7 @@ func (r *wrRun) atResponder() {
 		}
 		rdev := q.remoteDev()
 		as, ao := rdev.atomicUnit.Acquire(prof.AtomicUnitOccupancy)
-		q.grant(rdev, rdev.atomicUnit, now, as, ao)
+		grant(q.ctx, rdev, rdev.atomicUnit, now, as, ao)
 		r.sched(ao+(prof.AtomicUnitLatency-prof.AtomicUnitOccupancy), stageApplied)
 	}
 }
@@ -394,7 +398,7 @@ func (r *wrRun) acked() {
 	case wqe.OpRead:
 		now := dev.eng.Now()
 		ss, se := dev.pcie.TransferAt(now, r.n)
-		q.grant(dev, &dev.pcie.Resource, now, ss, se)
+		grant(q.ctx, dev, &dev.pcie.Resource, now, ss, se)
 		r.sched(se+dev.prof.ScatterLatency, stageLanded)
 		return
 	case wqe.OpCAS, wqe.OpAdd, wqe.OpMax, wqe.OpMin:
@@ -487,7 +491,11 @@ func (r *wrRun) recvStart() {
 	r.idx = q.rq.consumer
 	q.rq.consumer++
 	fs, fe := q.port.fetchUnit.Acquire(dev.prof.FetchManaged)
-	q.grant(dev, q.port.fetchUnit, dev.eng.Now(), fs, fe)
+	c := q.rq.ctxs[r.idx%q.rq.capacity]
+	if c == nil {
+		c = q.ctx
+	}
+	grant(c, dev, q.port.fetchUnit, dev.eng.Now(), fs, fe)
 	r.sched(fe, stageRecvFetched)
 }
 
@@ -515,7 +523,7 @@ func (r *wrRun) recvFetched() {
 	r.n = len(r.from.payload)
 	now := dev.eng.Now()
 	ws, we := dev.pcie.TransferAt(now, r.n)
-	q.grant(dev, &dev.pcie.Resource, now, ws, we)
+	grant(q.ctx, dev, &dev.pcie.Resource, now, ws, we)
 	r.sched(we+dev.prof.RemoteWriteLatency, stageRecvApplied)
 }
 

@@ -42,7 +42,7 @@ func putScatter(m *mem.Memory, entries ...wqe.ScatterEntry) uint64 {
 
 // postRecvList posts a one-entry RECV on q scattering into dst.
 func postRecvList(q *QP, id, dst uint64) {
-	q.PostRecv(id, putScatter(q.dev.mem, wqe.ScatterEntry{Addr: dst, Len: 8}), 1, true)
+	q.PostRecv(id, putScatter(q.dev.mem, wqe.ScatterEntry{Addr: dst, Len: 8}), 1, true, nil)
 }
 
 func TestRunRecordsReturnAtQuiesce(t *testing.T) {
@@ -205,6 +205,33 @@ func TestFreezeMidChainStrandsRecordsSafely(t *testing.T) {
 	}
 }
 
+// A READ at a frozen responder hangs, as a SEND does: the frozen NIC
+// drops the request, so the requester sees no completion and its
+// destination stays untouched, and the run record goes home. After the
+// thaw the same QP reads again.
+func TestReadAtFrozenResponderHangs(t *testing.T) {
+	eng, cli, srv, qp, _ := testPair(t)
+	src, dst := srv.Mem().Alloc(8, 8), cli.Mem().Alloc(8, 8)
+	srv.Mem().PutU64(src, 0xfeed)
+	read := func() {
+		qp.PostSend(wqe.WQE{Op: wqe.OpRead, Src: src, Dst: dst, Len: 8, Flags: wqe.FlagSignaled})
+		qp.RingSQ()
+		eng.Run()
+	}
+	srv.Freeze()
+	read()
+	if v, _ := cli.Mem().U64(dst); v != 0 || qp.SendCQ().Count() != 0 {
+		t.Fatalf("a READ of a frozen NIC landed %#x with %d completions, want nothing", v, qp.SendCQ().Count())
+	}
+	runsHome(t, cli)
+	srv.Unfreeze()
+	read()
+	if v, _ := cli.Mem().U64(dst); v != 0xfeed || qp.SendCQ().Count() != 1 {
+		t.Fatalf("after the thaw the READ landed %#x with %d completions, want 0xfeed and 1", v, qp.SendCQ().Count())
+	}
+	runsHome(t, cli)
+}
+
 func TestStageOnReleasedRecordPanics(t *testing.T) {
 	mustPanic := func(want string, fn func()) {
 		t.Helper()
@@ -243,7 +270,7 @@ func TestRecvRingOverflowPanics(t *testing.T) {
 	dev := New(sim.NewEngine(), mem.New(1<<20), ConnectX5(), 1)
 	qp := dev.NewQP(QPConfig{RQDepth: 4})
 	for i := 0; i < 5; i++ {
-		qp.PostRecv(uint64(i), 0, 0, true)
+		qp.PostRecv(uint64(i), 0, 0, true, nil)
 	}
 }
 

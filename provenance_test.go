@@ -283,12 +283,17 @@ func TestLatencyIncidentCarriesProvenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
-		Requests: 4000,
-		Window:   8,
-		Keys:     &workload.Uniform{Keys: keys, Rng: workload.Rng(3)},
-		ValLen:   64,
-	})
+	// Sized by virtual time, not by op count: the burn rule needs its
+	// slow window covered, whatever a get costs.
+	stream := &workload.Uniform{Keys: keys, Rng: workload.Rng(3)}
+	for start := s.Now(); s.Now()-start < 2*DefaultSLOSlow; {
+		workload.RunClosedLoop(s.Testbed().Engine(), s, workload.ClosedLoopConfig{
+			Requests: 1000,
+			Window:   8,
+			Keys:     stream,
+			ValLen:   64,
+		})
+	}
 	var inc *telemetry.Incident
 	for _, i := range s.Incidents() {
 		if i.Anomaly.Class == "latency" {

@@ -111,7 +111,7 @@ type ServiceConfig struct {
 
 	// ReadRepair enables version probes on replicated gets: every
 	// ProbeEvery-th hit also reads one other owner's value header with
-	// a NIC version probe (core.SetOffload.Probe, a request on the set
+	// a version probe (two one-sided READs, a request on the set
 	// pipeline of that owner's next connection), and any skew enqueues
 	// a repair that rolls the laggard forward.
 	// Requires Replicas > 1 to do anything.
@@ -672,7 +672,7 @@ func (s *Service) buildShard(id string) *serviceShard {
 // newShardClient wires one pipelined client connection to sh's server,
 // its server-side queues on b's port; no get it serves arms Arm's probes.
 func (s *Service) newShardClient(sh *serviceShard, cn *fabric.Node, b *core.Builder) *Client {
-	cli := newClientOnNode(s.tb, cn, sh.srv, b, LookupSeq, s.cfg.Pipeline, s.cfg.MaxValLen)
+	cli := newClientOnNode(s.tb, cn, sh.srv, b, LookupSeq, s.cfg.Pipeline, s.cfg.MaxValLen, true)
 	cli.Bind(sh.table)
 	cli.setTracer(s.tr, cn.Name)
 	if s.prov != nil {
@@ -1176,8 +1176,8 @@ func (g *getOp) attempted(val []byte, lat Duration, ok bool) {
 		// A hit proves the shard live: if handoff hints piled up
 		// behind a false suspicion, deliver them now.
 		s.drainHints(sh, false)
-		// Read-repair: a replicated hit also interrogates one other
-		// owner's value header through the NIC probe chain; skew
+		// Read-repair: a replicated hit also reads one other owner's
+		// value header with a version probe (two READs); skew
 		// enqueues a roll-forward (service_repair.go). The probe keeps
 		// the record until it answers.
 		probing := s.maybeReadRepair(g, sh)

@@ -77,8 +77,12 @@ import (
 // waits behind the writes in flight (and they behind it), and its
 // WRITE runs on a set context's answer queue, on that queue's PU; and
 // a probe takes the partner's next connection, as a get attempt does,
-// advancing the rotation the gets share.
-const exactHistoryHash = 0x8d6a2cbd3647f32e
+// advancing the rotation the gets share (0x8d6a2cbd3647f32e). It moved
+// again when a service get's answer WRITE became final when posted, one
+// managed fetch instead of two, and a version probe became two READs
+// on the client end of its set slot's response connection, no managed
+// fetch on the partner's NIC.
+const exactHistoryHash = 0x4201692cb62362b8
 
 // historyOp is one completed operation of a history run; op is its
 // telemetry class (get, set or del).

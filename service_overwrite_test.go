@@ -101,7 +101,7 @@ func TestHintedGetAfterFabricDeleteReturnsNoBytes(t *testing.T) {
 // idle round trips with the sets' fetches beside them), not a
 // MissTimeout.
 func TestHintedGetRacingReinsert(t *testing.T) {
-	const key, other, absent = 7, 8, 9
+	const key, other = 7, 8
 	s := NewServiceWith(ServiceConfig{
 		Shards: 1, ClientsPerShard: 1, Pipeline: 1, Mode: LookupSeq,
 		Replicas: 1, Buckets: 1 << 10, MaxValLen: 64,
@@ -136,7 +136,7 @@ func TestHintedGetRacingReinsert(t *testing.T) {
 			get()
 			set(key, val)
 		case 2:
-			holdGetSlot(s.order[0], absent)
+			holdGetSlot(s.order[0])
 			get()
 			set(key, val)
 		case 3:

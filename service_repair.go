@@ -24,11 +24,11 @@ import (
 // Three mechanisms converge on those versions:
 //
 //  1. Read-repair (maybeReadRepair): every ProbeEvery-th replicated hit
-//     issues a version probe (core.SetOffload.Probe, on the set
-//     pipeline of the partner's next connection) — one WRITE returning
-//     the bucket's key word and pointer and the value header before the
-//     extent the coordinator expects it to name, which the client
-//     checks (2 data + 1 sync WRs, 1 managed fetch, no host RPC) —
+//     issues a version probe (Client.probeAsyncTarget, on the set
+//     pipeline of the partner's next connection) — two one-sided READs
+//     of the bucket's key word and pointer and the value header before
+//     the extent the coordinator expects it to name, which the client
+//     checks (no managed fetch on the partner, no host RPC) —
 //     against one rotating other owner. A version mismatch (or a probe
 //     miss explained by the partner's table) enqueues a repair. The
 //     common no-skew case costs the host nothing at all.
@@ -169,9 +169,9 @@ func (s *Service) DropHints() int {
 // ---- read-repair ----
 
 // maybeReadRepair runs on every replicated hit: every ProbeEvery-th
-// one interrogates one rotating other owner's value header through the
-// NIC probe chain and enqueues a repair on skew. g is the get that hit,
-// served the owner that answered it. It reports whether a probe went
+// one reads one rotating other owner's value header with a version
+// probe and enqueues a repair on skew. g is the get that hit, served
+// the owner that answered it. It reports whether a probe went
 // out: the probe's callback is g's, so g must outlive it.
 func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 	order, key := g.order, g.key
@@ -210,7 +210,7 @@ func (s *Service) maybeReadRepair(g *getOp, served *serviceShard) bool {
 	bucket, ext, fabricOK := residentBucket(partner.table.table, LookupSeq, key)
 	if !fabricOK {
 		// The key is not at a NIC-addressable bucket on the partner
-		// (absent, tombstoned, or spilled): the probe chain cannot ask,
+		// (absent, tombstoned, or spilled): the probe cannot ask,
 		// so compare coordinator-side — the same view the write router
 		// computes claims from.
 		s.compareVersions(partner, key, servedVer)
@@ -259,7 +259,7 @@ func (g *getOp) probed(ver uint64, _ Duration, ok bool) {
 }
 
 // compareVersions is the host-side fallback comparison for keys the
-// probe chain cannot interrogate on the partner.
+// probe cannot interrogate on the partner.
 func (s *Service) compareVersions(partner *serviceShard, key, servedVer uint64) {
 	pv, _, ok := s.ownerState(partner, key)
 	if !ok && servedVer == 0 {

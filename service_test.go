@@ -241,10 +241,10 @@ func TestServiceHotSpreadJoinsShortestQueue(t *testing.T) {
 	}
 	noop := func([]byte, Duration, bool) {}
 	// load puts n gets of key on sh's connections, past the service's
-	// routing.
+	// routing: locates, which need no hint.
 	load := func(sh *serviceShard, key uint64, n int) {
 		for i := 0; i < n; i++ {
-			sh.clients[i%len(sh.clients)].GetAsync(key, valLen, noop)
+			sh.clients[i%len(sh.clients)].locateAsync(key, 0, noop)
 		}
 	}
 	gets := func(s *Service) map[string]uint64 {
