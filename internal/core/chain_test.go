@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/extent"
 	"repro/internal/hopscotch"
 	"repro/internal/rnic"
 	"repro/internal/sim"
@@ -27,10 +28,13 @@ func TestProgramShapes(t *testing.T) { checkShapes(t, "") }
 // The per-class budgets, each its own rows of the same measured table.
 func TestLookupWRBudget(t *testing.T) { checkShapes(t, "get") }
 func TestWriteWRBudgets(t *testing.T) { checkShapes(t, "set", "delete") }
+func TestProbeWRBudget(t *testing.T)  { checkShapes(t, "probe") }
 
 // A shape's build wires one pooled context of its program, its response
 // QPs as the client wires them, and returns the context and a func that
-// arms one instance and returns its trigger payload.
+// arms one instance and returns its trigger payload. A shape that runs
+// no program returns no context, and its func posts the client's verbs
+// and returns no payload.
 type shapeBuild func(h *shapeRig) (*chain, func() []byte)
 
 var programShapes = []struct {
@@ -73,6 +77,20 @@ var programShapes = []struct {
 		o := NewSetPool(h.b, h.trig, h.resp(false), 0, nil).Ctxs[0]
 		claim := SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: hopscotch.Tombstone}
 		return &o.chain, func() []byte { return o.TriggerPayload(1, claim, 0, 0, h.buf) }
+	}},
+	// A version probe runs no program: the client's two READs, in order
+	// on one connection, of the bucket's [keyCtrl, valAddr] and the
+	// header of the extent it expects there. The server posts nothing
+	// and its NIC fetches no managed WQE.
+	{"probe", 0, 0, 0, func(h *shapeRig) (*chain, func() []byte) {
+		va, _, _ := h.table.Lookup(1)
+		return nil, func() []byte {
+			h.cliTrig.PostSend(wqe.WQE{Op: wqe.OpRead, Src: h.bucket, Dst: h.buf, Len: 16})
+			h.cliTrig.PostSend(wqe.WQE{Op: wqe.OpRead, ID: 1, Src: va - extent.HeadBytes, Dst: h.buf + 16,
+				Len: extent.HeadBytes, Flags: wqe.FlagSignaled})
+			h.cliTrig.RingSQ()
+			return nil
+		}
 	}},
 }
 
@@ -118,16 +136,22 @@ func checkShapes(t *testing.T, prefixes ...string) {
 			for i, q := range qps {
 				before[i] = q.SQ().Producer()
 			}
-			recvs := c.B.Expected(h.trig.RecvCQ())
+			var recvs uint64
+			if c != nil {
+				recvs = c.B.Expected(h.trig.RecvCQ())
+			}
 			payload := arm()
 
-			data, sync := int(c.B.Expected(h.trig.RecvCQ())-recvs), 0
+			data, sync := 0, 0
+			if c != nil {
+				data = int(c.B.Expected(h.trig.RecvCQ()) - recvs)
+			}
 			for i, q := range qps {
 				moved := q.SQ().Producer() - before[i]
 				if moved == 0 {
 					continue
 				}
-				if q.Context() != c.op {
+				if c == nil || q.Context() != c.op {
 					t.Errorf("arming posted %d WRs on QP %d, which does not carry the context's op context", moved, q.QPN())
 				}
 				for idx := before[i]; idx < q.SQ().Producer(); idx++ {
@@ -141,12 +165,14 @@ func checkShapes(t *testing.T, prefixes ...string) {
 
 			fetch := h.srv.Ports()[0].FetchUnit()
 			grants := fetch.Grants()
-			src := h.cli.Mem().Alloc(uint64(len(payload)), 8)
-			if err := h.cli.Mem().Write(src, payload); err != nil {
-				t.Fatal(err)
+			if payload != nil {
+				src := h.cli.Mem().Alloc(uint64(len(payload)), 8)
+				if err := h.cli.Mem().Write(src, payload); err != nil {
+					t.Fatal(err)
+				}
+				h.cliTrig.PostSend(wqe.WQE{Op: wqe.OpSend, Src: src, Len: uint64(len(payload))})
+				h.cliTrig.RingSQ()
 			}
-			h.cliTrig.PostSend(wqe.WQE{Op: wqe.OpSend, Src: src, Len: uint64(len(payload))})
-			h.cliTrig.RingSQ()
 			h.eng.RunUntil(h.eng.Now() + 400*sim.Microsecond)
 			fetches := int(fetch.Grants() - grants)
 

@@ -30,9 +30,9 @@ func newHarness(t testing.TB) *harness {
 // so response WQEs can be rewritten.
 func (h *harness) connect(depth int) (cliQP, srvQP *rnic.QP) { return h.connectAs(depth, true) }
 
-// connectAs is connect with the server SQ managed or not. The client
-// wires a get's response queue managed and a probe's, set's or
-// delete's, whose answer is final when posted, unmanaged.
+// connectAs is connect with the server SQ managed or not. A two-probe
+// get's response queue is managed; a hinted get's, a set's or a
+// delete's, whose answer is final when posted, is unmanaged.
 func (h *harness) connectAs(depth int, managed bool) (cliQP, srvQP *rnic.QP) {
 	cliQP = h.cli.NewQP(rnic.QPConfig{SQDepth: depth, RQDepth: depth})
 	srvQP = h.srv.NewQP(rnic.QPConfig{SQDepth: depth, RQDepth: depth, Managed: managed})
