@@ -6,12 +6,13 @@
 //
 //   - a control queue (unmanaged) executing WAIT and ENABLE verbs that
 //     sequence the program (completion and doorbell ordering, §3.1);
-//   - managed queues holding the data-path verbs (READ, CAS, WRITE...)
-//     whose WQE bytes may be rewritten by earlier verbs or by client
-//     arguments scattered in by RECV (§3.2);
+//   - managed queues holding only the data-path verbs (READ, CAS,
+//     WRITE...) whose WQE bytes a verb rewrites at run time (§3.2): an
+//     earlier verb of the chain, or the RECV scattering client
+//     arguments in. A verb final when posted runs unmanaged instead;
 //   - a trigger queue connected to the client: an incoming SEND both
-//     delivers arguments into posted WQEs and fires the WAIT that
-//     starts the chain (Fig 3).
+//     delivers arguments into posted WQEs (or args buffers) and fires
+//     the WAIT that starts the chain (Fig 3).
 //
 // Conditionals are compare-and-swap verbs aimed at the control word of
 // a later WQE (Fig 4): the 48-bit operand lives in the WQE id field,

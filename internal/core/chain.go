@@ -77,13 +77,10 @@ const argsWord = 0xff
 // layout names.
 const (
 	opNoop    = iota // NOOP|key: the resident word a conditional expects
-	opWrite          // WRITE|key: the verb it arms, and an applied write's verdict
-	opExpect         // the bucket word a set claim expects
-	opNew            // the word a claim installs
+	opWrite          // WRITE|key: the verb it arms
 	opBucket         // the bucket's address (a lookup's first candidate; a list's head)
 	opBucket2        // a lookup's second candidate bucket
-	opExtent         // the value extent a hinted lookup gathers or a hinted overwrite expects
-	opValAddr        // the bucket's [valAddr, valLen] words
+	opExtent         // the value extent a hinted lookup gathers
 	opLen            // the value's length
 	opResp           // the client-side answer buffer
 	numOps
@@ -112,13 +109,13 @@ func (c *chain) tag(q *rnic.QP) {
 	c.qps = append(c.qps, q)
 }
 
-// ring allocates a managed chain ring on PU pu and tags it. A pool
-// context passes -1, round-robining its rings over the port's PUs (the
-// Table 3/4 throughput-scaling idiom). Its verbs are posted signaled to
-// gate the WAITs, and nothing polls their completions, so it drains at
-// delivery.
-func (c *chain) ring(depth, pu int) *rnic.QP {
-	q := c.B.Dev.NewLoopbackQP(rnic.QPConfig{SQDepth: depth, RQDepth: 1, Managed: true, Port: c.B.Port, PU: pu})
+// ring allocates a chain ring on PU pu, managed or not, and tags it. A
+// pool context passes -1, round-robining its rings over the port's PUs
+// (the Table 3/4 throughput-scaling idiom). Its verbs are posted
+// signaled to gate the WAITs, and nothing polls their completions, so it
+// drains at delivery.
+func (c *chain) ring(depth int, managed bool, pu int) *rnic.QP {
+	q := c.B.Dev.NewLoopbackQP(rnic.QPConfig{SQDepth: depth, RQDepth: 1, Managed: managed, Port: c.B.Port, PU: pu})
 	q.SendCQ().SetAutoDrain(true)
 	c.tag(q)
 	return q
@@ -152,32 +149,22 @@ func (c *chain) inject(in *instance, at int, q, resp *rnic.QP, n, respLen uint64
 	in.steps[at+2] = r
 }
 
-// The write programs' first two steps (see claim).
-const (
-	wClaim = iota
-	wCond
-)
-
-// claim posts the write programs' shared core around in's step v, whose
-// control word is the verdict: the claim CAS on q, whose result buffer
-// it is (the bucket's old word, a NOOP whatever it held), and the
-// conditional that arms v iff the claim replaced the word it expected.
-// Every operand but the verdict's address is the trigger's.
-func (c *chain) claim(in *instance, q *rnic.QP, v int) {
-	verdict := in.steps[v].FieldAddr(wqe.OffCtrl)
-	in.steps[wClaim] = c.B.cond(q, 0, 0, 0, verdict)
-	in.steps[wCond] = c.B.cond(q, verdict, 0, 0, 0)
-}
-
 // ack posts in's last step, at: the ack on Resp, WRITEing the verdict
-// (step v's control word) to ackAddr under id key, after the step before.
-func (c *chain) ack(in *instance, at, v int, key, ackAddr uint64) {
+// word at verdict to ackAddr under id key, after the step before.
+func (c *chain) ack(in *instance, at int, key, verdict, ackAddr uint64) {
 	prev := at - 1
 	for in.steps[prev].QP == nil {
 		prev--
 	}
 	in.steps[at] = c.B.after(in.steps[prev], c.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask,
-		Src: in.steps[v].FieldAddr(wqe.OffCtrl), Dst: ackAddr, Len: 8, Flags: wqe.FlagSignaled})
+		Src: verdict, Dst: ackAddr, Len: 8, Flags: wqe.FlagSignaled})
+}
+
+// waitArrival posts a WAIT on unmanaged queue q for the arrival of the
+// trigger whose RECV is posted next, gating the steps posted after it.
+func (c *chain) waitArrival(q *rnic.QP) {
+	arrival := c.Trig.RecvCQ()
+	c.B.Post(q, wqe.WQE{Op: wqe.OpWait, Peer: arrival.CQN(), Count: c.B.Expected(arrival) + 1})
 }
 
 // recv posts the RECV that scatters the next trigger's payload onto in,
@@ -213,10 +200,11 @@ func (c *chain) fills(s slot) bool {
 
 // fire triggers in, just posted: it posts in's RECV, then runs each lane
 // on its own control queue (B's, then b2's): a WAIT on the trigger's
-// arrival and an ENABLE+WAIT per posted managed step — an ENABLE only for
-// a response, which nothing on the NIC waits for. Last it rings the
-// doorbells (an unmanaged step's queue's first): newly posted verbs need
-// one if the queue has gone idle (kicking an active queue is a no-op).
+// arrival, then per posted step an ENABLE if it is managed (an unmanaged
+// one waits on its own queue), and a WAIT for it unless it is a response,
+// which nothing on the NIC waits for. Last it rings the doorbells (an
+// unmanaged step's queue's first): newly posted verbs need one if the
+// queue has gone idle (kicking an active queue is a no-op).
 func (c *chain) fire(layout []slot, in *instance, lanes ...[]StepRef) {
 	recv := c.recv(layout, in)
 	ctrls := [2]*Builder{c.B, c.b2}
@@ -226,13 +214,14 @@ func (c *chain) fire(layout []slot, in *instance, lanes ...[]StepRef) {
 		for _, s := range steps {
 			switch {
 			case s.QP == nil:
-			case !s.QP.SQ().Managed():
-				s.QP.RingSQ() // it waits on its own queue (Builder.after)
-			default:
+				continue
+			case s.QP.SQ().Managed():
 				b.Enable(s)
-				if s.QP.Remote().Device() == b.Dev {
-					b.WaitStep(s)
-				}
+			default:
+				s.QP.RingSQ()
+			}
+			if s.QP.Remote().Device() == b.Dev {
+				b.WaitStep(s)
 			}
 		}
 	}

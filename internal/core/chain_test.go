@@ -64,16 +64,20 @@ var programShapes = []struct {
 	// Each of the two control queues WAITs on the trigger.
 	{"get parallel", 7, 12, 7, lookupShape(LookupParallel)},
 	// The key claim (no extent named) swaps NOOP|key for itself and
-	// flips valWr. The ack is fetched from an unmanaged queue behind its
-	// own WAIT, so of the five data WRs four are managed fetches.
-	{"set overwrite", 5, 8, 4, setShape(0)},
-	// One CAS of the bucket's pointer: the RECV's fetch and the CAS's.
-	{"set hinted overwrite", 3, 4, 2, setShape(1)},
-	// The pointer CAS, then the publishing WRITE its result arms.
-	{"set fresh", 4, 6, 3, setShape(hopscotch.FreePtr)},
+	// flips valWr. Both CASes are final when posted and run from an
+	// unmanaged ring behind WAITs, as the ack does from its queue: of the
+	// five data WRs only the RECV and valWr, which the CASes rewrite, are
+	// managed fetches.
+	{"set overwrite", 5, 8, 2, setShape(0)},
+	// One CAS of the bucket's pointer, final when posted: the RECV's
+	// fetch alone.
+	{"set hinted overwrite", 3, 4, 1, setShape(1)},
+	// The pointer CAS, then the publishing WRITE its result arms: the
+	// RECV's fetch and the WRITE's.
+	{"set fresh", 4, 6, 2, setShape(hopscotch.FreePtr)},
 	// The key claim installing the tombstone: set overwrite's shape, its
 	// valWr writing the free pointer where a set's writes its staging.
-	{"delete", 5, 8, 4, func(h *shapeRig) (*chain, func() []byte) {
+	{"delete", 5, 8, 2, func(h *shapeRig) (*chain, func() []byte) {
 		o := NewSetPool(h.b, h.trig, h.resp(false), 0, nil).Ctxs[0]
 		claim := SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: hopscotch.Tombstone}
 		return &o.chain, func() []byte { return o.TriggerPayload(1, claim, 0, 0, h.buf) }
@@ -104,6 +108,19 @@ type shapeRig struct {
 	buf           uint64 // client-side answer buffer
 }
 
+// newShapeRig connects the rig and makes key 1 resident in its table.
+func newShapeRig(t *testing.T) *shapeRig {
+	h := &shapeRig{harness: newHarness(t)}
+	h.cliTrig, h.trig = h.connect(64)
+	h.table = hopscotch.New(h.srv.Mem(), 256, 0)
+	if err := h.table.InsertAt(1, h.srv.Mem().Alloc(64, 8), 64, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	h.bucket = h.table.BucketAddr(h.table.Hash(1, 0))
+	h.buf = h.cli.Mem().Alloc(16+64, 8) // a hinted get's bucket words precede the value
+	return h
+}
+
 // resp connects one response QP, managed or not, as a pool's list.
 func (h *shapeRig) resp(managed bool) []*rnic.QP {
 	_, q := h.connectAs(16, managed)
@@ -118,14 +135,7 @@ func checkShapes(t *testing.T, prefixes ...string) {
 			continue
 		}
 		t.Run(sh.name, func(t *testing.T) {
-			h := &shapeRig{harness: newHarness(t)}
-			h.cliTrig, h.trig = h.connect(64)
-			h.table = hopscotch.New(h.srv.Mem(), 256, 0)
-			if err := h.table.InsertAt(1, h.srv.Mem().Alloc(64, 8), 64, 0, 0); err != nil {
-				t.Fatal(err)
-			}
-			h.bucket = h.table.BucketAddr(h.table.Hash(1, 0))
-			h.buf = h.cli.Mem().Alloc(16+64, 8) // a hinted get's bucket words precede the value
+			h := newShapeRig(t)
 			c, arm := sh.build(h)
 
 			var qps []*rnic.QP
@@ -245,5 +255,60 @@ func setShape(ext uint64) shapeBuild {
 			o.Arm(1)
 			return o.TriggerPayload(1, claim, 8, 1, h.buf)
 		}
+	}
+}
+
+// A set context's trigger RECV scatters into its args ring alone, in
+// every shape. Each CAS runs from an unmanaged ring, and the NIC
+// snapshots an unmanaged WQE when it prefetches it, so a scatter into
+// one — the pointer CAS's compare field, say — would be lost without a
+// trace. The chain's trigger carries one 8-byte word per scatter entry,
+// so the payload's length gives the RECV's list.
+func TestSetTriggerScattersOnlyArgs(t *testing.T) {
+	for _, sh := range []struct {
+		name  string
+		claim func(h *shapeRig) SetClaim
+	}{
+		{"overwrite", func(h *shapeRig) SetClaim {
+			return SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: ClaimCtrl(1)}
+		}},
+		{"hinted overwrite", func(h *shapeRig) SetClaim {
+			va, _, _ := h.table.Lookup(1)
+			return SetClaim{BucketAddr: h.bucket, Extent: va}
+		}},
+		{"fresh", func(h *shapeRig) SetClaim { return SetClaim{BucketAddr: h.bucket, Extent: hopscotch.FreePtr} }},
+		{"delete", func(h *shapeRig) SetClaim {
+			return SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: hopscotch.Tombstone}
+		}},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			h := newShapeRig(t)
+			o := NewSetPool(h.b, h.trig, h.resp(false), 64, nil).Ctxs[0]
+			lo, hi := o.args, o.args+argsRing*argsBytes
+			claim := sh.claim(h)
+			src := h.cli.Mem().Alloc(8*wqe.MaxScatter, 8)
+			// Every args buffer of the ring, and the first again, each
+			// instance run before the next is armed.
+			for range argsRing + 1 {
+				o.Arm(1)
+				payload := o.TriggerPayload(1, claim, 8, 1, h.buf)
+				cq := h.trig.RecvCQ()
+				var list [recvListBytes]byte
+				if err := h.srv.Mem().ReadInto(h.b.listSlot(cq, h.b.Expected(cq)), list[:]); err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range wqe.DecodeScatter(list[:], len(payload)/8) {
+					if e.Len != 8 || e.Addr < lo || e.Addr+e.Len > hi {
+						t.Fatalf("the trigger scatters %d bytes at %#x, outside the args ring [%#x, %#x)", e.Len, e.Addr, lo, hi)
+					}
+				}
+				if err := h.cli.Mem().Write(src, payload); err != nil {
+					t.Fatal(err)
+				}
+				h.cliTrig.PostSend(wqe.WQE{Op: wqe.OpSend, Src: src, Len: uint64(len(payload))})
+				h.cliTrig.RingSQ()
+				h.eng.RunUntil(h.eng.Now() + 100*sim.Microsecond)
+			}
+		})
 	}
 }

@@ -115,7 +115,7 @@ func NewLookupPool(b *Builder, trig *rnic.QP, resp, resp2 []*rnic.QP, table *hop
 // second control queue) on PU pu, -1 round-robining.
 func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table *hopscotch.Table, mode LookupMode, chainDepth, ctrlDepth, pu int) *LookupOffload {
 	o := &LookupOffload{chain: newChain(b, trig, resp), Mode: mode, Table: table, Resp2: resp2}
-	o.w2 = o.ring(chainDepth, pu)
+	o.w2 = o.ring(chainDepth, true, pu)
 	o.ans = o.newArgs(ansBytes)
 	for list := o.ans; list < o.ans+argsRing*ansBytes; list += ansBytes {
 		b.Dev.Mem().PutU64(list+8, 16) // the bucket's [keyCtrl, valAddr]
@@ -127,7 +127,7 @@ func newLookupOffload(b *Builder, trig, resp, resp2 *rnic.QP, table *hopscotch.T
 		if resp2 == nil {
 			panic("core: parallel lookup needs a second response QP")
 		}
-		o.w2b = o.ring(chainDepth, pu)
+		o.w2b = o.ring(chainDepth, true, pu)
 		o.b2 = b.subBuilder(ctrlDepth, pu)
 		o.tag(o.b2.Ctrl)
 	}
@@ -231,8 +231,7 @@ func (o *LookupOffload) TriggerPayload(key, valLen, respAddr uint64) []byte {
 	if o.ext != 0 {
 		layout = hintLayout
 		in := instance{args: o.argsBuf(o.ans, ansBytes)}
-		arrival := o.Trig.RecvCQ() // the WAIT targets the RECV posted next
-		o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWait, Peer: arrival.CQN(), Count: o.B.Expected(arrival) + 1})
+		o.waitArrival(o.Resp)
 		o.B.Post(o.Resp, wqe.WQE{Op: wqe.OpWrite, ID: key & hopscotch.KeyMask, Src: in.args, Count: 2,
 			Dst: respAddr, Flags: wqe.FlagSignaled | wqe.FlagGatherSrc})
 		o.recv(hintLayout, &in)

@@ -15,31 +15,40 @@ import (
 // same self-modifying machinery runs a conditional *put*. A client set
 // is two work requests on one connection: an RDMA WRITE landing the
 // value bytes in a server-side staging extent, headed by the value's
-// [version, length] words (extent.HeadBytes), then a SEND whose payload
-// is scattered into the armed chain. A value is self-describing, so a
+// [version, length] words (extent.HeadBytes), then a SEND that triggers
+// the chain posted for it. A value is self-describing, so a
 // set publishes it by swapping one 8-byte pointer word: the bucket's
 // valAddr. The host CPU never runs, and the chain always answers: a
 // refusal costs a round trip, not a timeout.
 //
-// A claim that names the extent the bucket should hold (SetClaim.Extent)
-// runs one of two pointer-CAS shapes (managed rings, ctrl-sequenced):
+// Every CAS a set runs is final when posted — its operands are the
+// claim's — so it runs from an unmanaged ring behind a WAIT on the
+// trigger's arrival, with no managed fetch (WQ order, §3.1 and Fig 8).
+// Only a WRITE whose control word a CAS rewrites is managed, fetched once
+// the control lane has waited for that CAS. The RECV scatters only into
+// the args buffer: the NIC snapshots an unmanaged WQE when it prefetches
+// it, so a scatter into one would be lost.
 //
-//	RECV      scatter the expected pointer + the bucket's addresses
-//	ptrCAS    bucket.valAddr: Extent -> stagingAddr
+// A claim that names the extent the bucket should hold (SetClaim.Extent)
+// runs one of two pointer-CAS shapes:
+//
+//	RECV      scatters nothing
+//	WAIT      the trigger's arrival                 (on the CAS's queue)
+//	ptrCAS    bucket.valAddr: Extent -> stagingAddr (unmanaged)
 //	          old pointer -> args, or -> pubWr.ctrl (a fresh claim)
 //	pubWr     WRITE NOOP|key -> bucket.keyCtrl      (a fresh claim only;
-//	          posted a NOOP, armed by the word ptrCAS found)
+//	          managed, posted a NOOP, armed by the word ptrCAS found)
 //	WAIT      the last step                         (on the ack's queue)
 //	ack       WRITE the word ptrCAS found -> client ack buffer (the verdict)
 //
 // The hinted overwrite: the caller knows the extent the key's bucket
 // names — the service, whose per-key write slot orders a key's writes
-// on an owner — and the one CAS is the whole write: two managed
-// fetches, the RECV's and the CAS's, and the ack carries the pointer the
-// CAS found, the expected extent iff it applied. The compared word names
-// one write, not just the key: a straggler armed before a newer write of
-// the key finds the newer extent and is refused, changing nothing. Its
-// extent cannot come back meanwhile (ABA) while the straggler is armed,
+// on an owner — and the one CAS is the whole write: one managed fetch,
+// the RECV's, and the ack carries the pointer the CAS found, the
+// expected extent iff it applied. The compared word names one write,
+// not just the key: a straggler armed before a newer write of the key
+// finds the newer extent and is refused, changing nothing. Its extent
+// cannot come back meanwhile (ABA) while the straggler is armed,
 // because an armed hinted overwrite holds a mark of the server's retire
 // queue, as a get does, until its chain has run.
 //
@@ -53,18 +62,20 @@ import (
 // CAS whose returned word decides what runs next. A loser's CAS returns
 // the pointer that beat it, an address, whose opcode is a NOOP: its
 // pubWr does nothing. The ack carries that word: FreePtr iff the key
-// was published. Three managed fetches, one of them atomic.
+// was published. Two managed fetches, the RECV's and pubWr's.
 //
 // A zero Extent runs the key claim, which needs no pointer knowledge
 // (a delete, bench's ladder and the standalone client's overwrites):
 //
-//	RECV      scatter claim/cond operands + bucket addrs + value len
-//	claimCAS  bucket.keyCtrl: Expect -> New      (NOOP|key -> NOOP|key,
-//	                                              or -> TOMBSTONE)
+//	RECV      scatter the value length -> args
+//	WAIT      the trigger's arrival              (on the CASes' queue)
+//	claimCAS  bucket.keyCtrl: Expect -> New      (unmanaged; NOOP|key ->
+//	                                              NOOP|key, or -> TOMBSTONE)
 //	          old bucket word -> valWr.ctrl      (the CAS's own result)
-//	condCAS   valWr.ctrl: Expect -> WRITE|key    (flip iff claimed)
+//	WAIT      claimCAS
+//	condCAS   valWr.ctrl: Expect -> WRITE|key    (unmanaged; flip iff claimed)
 //	valWr     WRITE [stagingAddr, valLen] -> bucket.[valAddr, valLen]
-//	          (a delete's: [FreePtr, 0])
+//	          (managed; a delete's: [FreePtr, 0])
 //	WAIT      valWr                              (on the ack's queue)
 //	ack       WRITE valWr.ctrl -> client ack buffer (the verdict)
 //
@@ -75,11 +86,11 @@ import (
 // because every word a bucket can hold — zero, tombstone, pending,
 // resident NOOP|key — has the NOOP opcode (hopscotch's "inert under
 // injection" rule): valWr runs as a NOOP. The ack, posted whole behind
-// its own WAIT (so the RECV carries none of its operands), WRITEs
-// valWr's control word as it stands last: WRITE|key for an applied set,
-// else the word that refused the claim. The bucket stays readable
-// throughout (a lookup landing mid-chain serves the old value,
-// linearizing before the overwrite). Four managed fetches.
+// its own WAIT, WRITEs valWr's control word as it stands last:
+// WRITE|key for an applied set, else the word that refused the claim.
+// The bucket stays readable throughout (a lookup landing mid-chain
+// serves the old value, linearizing before the overwrite). Two managed
+// fetches, the RECV's and valWr's.
 //
 // A delete is the key claim whose New is hopscotch.Tombstone: its valWr
 // writes [hopscotch.FreePtr, 0], the words hopscotch.Table.Remove
@@ -129,8 +140,8 @@ type SetOffload struct {
 	// falls back to leak-forever bump allocation.
 	Arena *extent.Arena
 
-	w2 *rnic.QP // managed chain ring: claim and conditional flip, or the pointer CAS
-	w3 *rnic.QP // managed ring for the bucket-pointer WRITE, or a fresh claim's publishing WRITE
+	w2 *rnic.QP // unmanaged ring: every CAS, each behind its WAITs
+	w3 *rnic.QP // managed ring: the WRITE a CAS arms (valWr, or a fresh claim's publish)
 
 	args    uint64 // the instances' args buffers (chain.argsBuf), argsBytes each
 	staging uint64 // staging extent of the most recently armed instance
@@ -138,40 +149,30 @@ type SetOffload struct {
 	claimed SetClaim
 }
 
-// A key claim's steps after the claim and its conditional, in
-// sequencing order.
+// A key claim's steps, in sequencing order.
 const (
-	stValWr = iota + wCond + 1
-	stAck
+	kClaim = iota
+	kCond
+	kValWr
+	kAck
 )
 
-// setLayout is the key claim's trigger layout.
-var setLayout = []slot{
-	{wClaim, wqe.OffCmp, opExpect}, {wClaim, wqe.OffSwap, opNew}, {wClaim, wqe.OffDst, opBucket},
-	// The conditional flip compares against the word a successful claim
-	// REPLACED (the CAS returned it onto valWr) and arms the WRITE.
-	{wCond, wqe.OffCmp, opExpect}, {wCond, wqe.OffSwap, opWrite},
-	// valWr's destination, the bucket's pointer words, and the value
-	// length that follows the staging address in args.
-	{stValWr, wqe.OffDst, opValAddr}, {argsWord, 8, opLen},
-}
+// setLayout is the key claim's trigger layout: the value length that
+// follows the pointer valWr copies in args.
+var setLayout = []slot{{argsWord, 8, opLen}}
 
 // argsBytes is a set context's args buffer: the pointer words valWr
-// copies, or the NOOP|key a fresh claim publishes.
+// copies, the NOOP|key a fresh claim publishes, or the pointer a hinted
+// overwrite's CAS found.
 const argsBytes = 16
 
 // A pointer-CAS set's steps: the pointer CAS, a fresh claim's publish,
-// then the ack.
+// then the ack. Its trigger fills nothing.
 const (
 	ptCAS = iota
 	ptPub
 	ptAck
 )
-
-// ptrLayout is the pointer-CAS shapes' trigger layout: the pointer the
-// CAS expects and the bucket's pointer word it swaps, then the bucket
-// the publish writes (an overwrite posts no publish).
-var ptrLayout = []slot{{ptCAS, wqe.OffCmp, opExtent}, {ptCAS, wqe.OffDst, opValAddr}, {ptPub, wqe.OffDst, opBucket}}
 
 // NewSetPool builds K = len(resp) set contexts over the trig
 // connection; resp carry the acks. arena supplies staging extents for
@@ -181,9 +182,9 @@ func NewSetPool(b *Builder, trig *rnic.QP, resp []*rnic.QP, maxVal uint64, arena
 		o := &SetOffload{chain: newChain(cb, trig, r), MaxVal: maxVal, Arena: arena}
 		o.args = o.newArgs(argsBytes)
 		// Rings hold one in-flight instance (ring wrap needs 2x); w2 is
-		// the busiest, with two WQEs per instance.
-		o.w2 = o.ring(2*2+4, -1)
-		o.w3 = o.ring(8, -1)
+		// the busiest, with a key claim's four WQEs.
+		o.w2 = o.ring(2*4+4, false, -1)
+		o.w3 = o.ring(8, true, -1)
 		return o
 	})
 }
@@ -210,17 +211,22 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 // bucket's [valAddr, valLen]: the staging address, or a delete's free
 // pointer, and the value length the trigger scatters in.
 func (o *SetOffload) post(ackAddr uint64) {
-	b := o.B
+	b, c := o.B, o.claimed
 	in := instance{args: o.argsBuf(o.args, argsBytes)}
 	va := o.staging
-	if o.claimed.New == hopscotch.Tombstone {
+	if c.New == hopscotch.Tombstone {
 		va = hopscotch.FreePtr
 	}
 	b.Dev.Mem().PutU64(in.args, va)
-	in.steps[stValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 16, Flags: wqe.FlagSignaled})
-	o.claim(&in, o.w2, stValWr)
-	o.ack(&in, stAck, stValWr, o.key, ackAddr)
-	o.fire(setLayout, &in, in.steps[:stAck+1])
+	in.steps[kValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Dst: c.BucketAddr + hopscotch.OffValAddr,
+		Len: 16, Flags: wqe.FlagSignaled})
+	verdict := in.steps[kValWr].FieldAddr(wqe.OffCtrl)
+	o.waitArrival(o.w2)
+	in.steps[kClaim] = b.cond(o.w2, c.BucketAddr, c.Expect, c.New, verdict)
+	in.steps[kCond] = b.after(in.steps[kClaim], o.w2, wqe.WQE{Op: wqe.OpCAS, Dst: verdict, Cmp: c.Expect,
+		Swap: wqe.MakeCtrl(wqe.OpWrite, o.key&hopscotch.KeyMask), Flags: wqe.FlagSignaled})
+	o.ack(&in, kAck, o.key, verdict, ackAddr)
+	o.fire(setLayout, &in, in.steps[:kAck+1])
 }
 
 // postPtr posts and fires the armed instance as a pointer CAS, with the
@@ -228,18 +234,18 @@ func (o *SetOffload) post(ackAddr uint64) {
 // args buffer, or on the publish's control word, whose NOOP|key source
 // the args buffer holds.
 func (o *SetOffload) postPtr(fresh bool, ackAddr uint64) {
-	b := o.B
+	b, c := o.B, o.claimed
 	in := instance{args: o.argsBuf(o.args, argsBytes)}
-	found, prev := in.args, &in.steps[ptCAS]
+	found := in.args
 	if fresh {
 		b.Dev.Mem().PutU64(in.args, ClaimCtrl(o.key))
-		in.steps[ptPub] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Len: 8, Flags: wqe.FlagSignaled})
-		found, prev = in.steps[ptPub].FieldAddr(wqe.OffCtrl), &in.steps[ptPub]
+		in.steps[ptPub] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Dst: c.BucketAddr, Len: 8, Flags: wqe.FlagSignaled})
+		found = in.steps[ptPub].FieldAddr(wqe.OffCtrl)
 	}
-	in.steps[ptCAS] = b.cond(o.w2, 0, 0, o.staging, found)
-	in.steps[ptAck] = b.after(*prev, o.Resp, wqe.WQE{Op: wqe.OpWrite, ID: o.key & hopscotch.KeyMask,
-		Src: found, Dst: ackAddr, Len: 8, Flags: wqe.FlagSignaled})
-	o.fire(ptrLayout, &in, in.steps[:ptAck+1])
+	o.waitArrival(o.w2)
+	in.steps[ptCAS] = b.cond(o.w2, c.BucketAddr+hopscotch.OffValAddr, c.Extent, o.staging, found)
+	o.ack(&in, ptAck, o.key, found, ackAddr)
+	o.fire(nil, &in, in.steps[:ptAck+1])
 }
 
 // ReleaseStaging retires the most recently armed instance's staging
@@ -284,12 +290,12 @@ func (o *SetOffload) ReleaseStaging() (replaced uint64) {
 // under claim, acking the verdict into the client-side ackAddr — and
 // returns the SEND payload that drives it. A claim naming an Extent runs
 // a pointer CAS (the hinted overwrite, or the fresh claim of a bucket
-// naming hopscotch.FreePtr), and valLen travels in the staged header; a
-// key claim lands it in the bucket with the pointer, in one WRITE (a
-// delete, claiming with hopscotch.Tombstone, arms nothing first and
-// passes valLen 0). ver is unused: the staged header carries the
-// write's version. The result is the context's own buffer, overwritten
-// by the next call.
+// naming hopscotch.FreePtr), whose trigger is empty, and valLen travels
+// in the staged header; a key claim lands it in the bucket with the
+// pointer, in one WRITE (a delete, claiming with hopscotch.Tombstone,
+// arms nothing first and passes valLen 0). ver is unused: the staged
+// header carries the write's version. The result is the context's own
+// buffer, overwritten by the next call.
 //
 // A delete stages nothing, so it drops the staging extent a set armed
 // on this context before: that set's verdict already decided the
@@ -299,14 +305,12 @@ func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ack
 	if claim.New == hopscotch.Tombstone {
 		o.staging = 0
 	}
-	v := operands{opExpect: claim.Expect, opNew: claim.New, opBucket: claim.BucketAddr,
-		opValAddr: claim.BucketAddr + hopscotch.OffValAddr, opExtent: claim.Extent, opLen: valLen}
 	if claim.Extent != 0 {
 		o.postPtr(claim.Extent == hopscotch.FreePtr, ackAddr)
-		return o.payload(ptrLayout, key, v)
+		return o.payload(nil, key, operands{})
 	}
 	o.post(ackAddr)
-	return o.payload(setLayout, key, v)
+	return o.payload(setLayout, key, operands{opLen: valLen})
 }
 
 // Unstage drops the staging extent a set armed on this context before,

@@ -60,7 +60,8 @@ type wrRun struct {
 
 	n       int    // payload bytes on the wire
 	payload []byte // the bytes in flight, a view of buf
-	buf     []byte // reusable backing store for payload
+	buf     []byte // reusable backing store for payload, small's until a longer one
+	small   [16]byte
 	list    []byte // the scatter list as fetched; its array is reused
 	old     uint64 // atomics: the value found at the target
 	st      Status // completion status
@@ -69,8 +70,11 @@ type wrRun struct {
 	fns [numStages]func()
 }
 
+// newRun makes a record whose payloads of up to 16 bytes (an ack, an
+// atomic's operand) never allocate, whatever WRs it served before.
 func newRun() *wrRun {
 	r := &wrRun{}
+	r.buf = r.small[:0]
 	r.fns = [numStages]func(){
 		stageFetched:     r.fetched,
 		stageIssued:      r.issued,
@@ -186,9 +190,6 @@ func (r *wrRun) load(m *mem.Memory, addr, n uint64) error {
 // loadInline makes the low n bytes of the WQE's big-endian Cmp field
 // the payload.
 func (r *wrRun) loadInline(n int) {
-	if cap(r.buf) < 8 {
-		r.buf = make([]byte, 8)
-	}
 	b := r.buf[:8]
 	binary.BigEndian.PutUint64(b, r.v.Cmp)
 	r.payload = b[8-n:]
