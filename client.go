@@ -174,7 +174,7 @@ type pipeReq struct {
 	valLen uint64                                  // get
 	getCB  func(val []byte, lat Duration, ok bool) // get
 	val    []byte                                  // set
-	sclaim core.SetClaim                           // set (a delete's installs hopscotch.Tombstone)
+	sclaim core.SetClaim                           // set (a delete's installs hopscotch.FreedPtr(key))
 	bucket uint64                                  // probe: the bucket probed
 	ver    uint64                                  // set version
 	prbCB  func(ver uint64, lat Duration, ok bool) // probe (set pipeline; non-nil marks a probe)
@@ -421,13 +421,16 @@ func (req *pipeReq) mustBeLive() {
 // probe reports whether req is a version probe, on the set pipeline.
 func (req *pipeReq) probe() bool { return req.prbCB != nil }
 
+// del reports whether req is a delete, which frees its key's pointer.
+func (req *pipeReq) del() bool { return req.sclaim.New == hopscotch.FreedPtr(req.key) }
+
 // class is req's telemetry op class: its pipeline's, but a delete's or
 // a probe's on the set pipeline.
 func (req *pipeReq) class() uint8 {
 	switch {
 	case req.probe():
 		return telemetry.ClassProbe
-	case req.sclaim.New == hopscotch.Tombstone:
+	case req.del():
 		return telemetry.ClassDel
 	}
 	return req.p.class
@@ -911,21 +914,22 @@ func (c *Client) wireHooks() {
 	// A two-probe get answers only a hit; a hinted one answers its
 	// bucket's [keyCtrl, valAddr] before the value: a hit iff they are
 	// the key's word and the extent gathered. A miss reports where the
-	// key's word stands: in that bucket, or a locate's H2 bucket.
+	// key is resident: in that bucket, or a locate's H2 bucket. The
+	// key's word beside its freed pointer is its delete's, not the key.
 	c.get.verdict = func(req *pipeReq) bool {
-		at, kc := c.get.resp[req.slot], core.ClaimCtrl(req.key)
+		at, kc, freed := c.get.resp[req.slot], core.ClaimCtrl(req.key), hopscotch.FreedPtr(req.key)
 		word, _ := c.node.Mem.U64(at)
 		va, _ := c.node.Mem.U64(at + 8)
 		if req.fn == 0 || word == kc && va == req.ext {
 			return true
 		}
 		req.movedFn, req.moved = uint64(req.fn), va
-		if word != kc && req.ext == c.table.table.HashAddr(req.key, 1) {
+		if (word != kc || va == freed) && req.ext == c.table.table.HashAddr(req.key, 1) {
 			req.movedFn = 2
 			word, _ = c.node.Mem.U64(at + hintHead)
 			req.moved, _ = c.node.Mem.U64(at + hintHead + 8)
 		}
-		if word != kc {
+		if word != kc || req.moved == freed {
 			req.movedFn, req.moved = 0, 0
 		}
 		return false
@@ -946,12 +950,12 @@ func (c *Client) wireHooks() {
 	c.get.release = func(req *pipeReq, _, _ bool) { c.get.letGo(req.slot) }
 
 	// ---- set (and delete, and probe) ----
-	// A hinted overwrite holds a mark too, from its arming until its
-	// chain has run — past its deadline if it has not run by then: its
-	// CAS expects an extent the key's next write retires, and that
-	// extent must not come back, as this key's staging or another's,
-	// while the CAS can still find it (ABA). A delete, the key claim
-	// installing the tombstone, stages nothing and expects no extent. A
+	// A hinted overwrite or a delete holds a mark too, from its arming
+	// until its chain has run — past its deadline if it has not run by
+	// then: its CAS expects an extent the key's next write retires, and
+	// that extent must not come back, as this key's staging or another's,
+	// while the CAS can still find it (ABA). A fresh claim or a re-insert
+	// expects a free pointer, no extent. A delete stages nothing. A
 	// probe decides nothing and knows both addresses it reads: two READs,
 	// in order on one RC connection, land the bucket's words, then the
 	// header of the extent it names, with no chain on the server.
@@ -966,11 +970,12 @@ func (c *Client) wireHooks() {
 				Len: extent.HeadBytes, Flags: wqe.FlagSignaled})
 			q.RingSQ()
 			return nil
-		case req.sclaim.New == hopscotch.Tombstone:
-			return ctx.TriggerPayload(req.key, req.sclaim, 0, 0, ack)
 		}
-		if e := req.sclaim.Extent; e != 0 && e != hopscotch.FreePtr {
+		if e := req.sclaim.Extent; e != 0 && e != hopscotch.FreePtr && e != hopscotch.FreedPtr(req.key) {
 			c.set.hold(req.slot)
+		}
+		if req.del() {
+			return ctx.TriggerPayload(req.key, req.sclaim, 0, 0, ack)
 		}
 		req.staging = ctx.Arm(req.key)
 		n := uint64(len(req.val))
@@ -983,12 +988,11 @@ func (c *Client) wireHooks() {
 			Len: extent.HeadBytes + n})
 		return ctx.TriggerPayload(req.key, req.sclaim, n, req.ver, ack)
 	}
-	// A write chain's ack carries the verdict: WRITE|key iff it applied;
-	// for a hinted overwrite, the pointer its CAS found, the extent it
-	// expected iff it applied; for a fresh claim, the same CAS's word,
-	// the free pointer iff it published. A probe's answer is the
-	// bucket's [keyCtrl, valAddr] and a header: a hit iff the bucket
-	// holds the key and names the extent probed.
+	// A key claim's ack carries the verdict, WRITE|key iff it applied;
+	// a pointer CAS's, the pointer it found: the one it expected iff it
+	// applied (for a fresh claim, the free pointer iff it published). A
+	// probe's answer is the bucket's [keyCtrl, valAddr] and a header: a
+	// hit iff the bucket holds the key and names the extent probed.
 	c.set.verdict = func(req *pipeReq) bool {
 		at := c.set.resp[req.slot]
 		v, _ := c.node.Mem.U64(at)
@@ -996,11 +1000,8 @@ func (c *Client) wireHooks() {
 			va, _ := c.node.Mem.U64(at + 8)
 			return v == core.ClaimCtrl(req.key) && va == req.ext
 		}
-		switch req.sclaim.Extent {
-		case 0:
+		if req.sclaim.Extent == 0 {
 			return v == wqe.MakeCtrl(wqe.OpWrite, req.key)
-		case hopscotch.FreePtr:
-			return v == hopscotch.FreePtr
 		}
 		return v == req.sclaim.Extent
 	}
@@ -1032,7 +1033,7 @@ func (c *Client) wireHooks() {
 		}
 		switch {
 		case !ok:
-		case req.sclaim.New == hopscotch.Tombstone:
+		case req.del():
 			// The standalone lifecycle: the extent the key's last acked
 			// set installed is the one the delete unlinked — retire it (a
 			// get in flight may hold its pointer).
@@ -1245,9 +1246,8 @@ func (c *Client) setClaim(key uint64) (core.SetClaim, bool) {
 	return claimForTable(c.table.table, c.mode, key&hopscotch.KeyMask)
 }
 
-// reservedKey reports keys in the reserved id space: pending and
-// tombstone words must never be resident keys, and key 0's control word
-// IS the empty-bucket marker.
+// reservedKey reports keys in the reserved id space, which the tables
+// reject, and key 0, whose control word IS the empty-bucket marker.
 func reservedKey(key uint64) bool {
 	return key&hopscotch.PendingBit != 0 || key&hopscotch.KeyMask == 0
 }
@@ -1294,9 +1294,9 @@ func (c *Client) SetAsync(key uint64, value []byte, cb func(lat Duration, ok boo
 // claim and version and the trace op id its WRs attribute to — the
 // service layer's entry point (its router owns placement and the
 // quorum sequence the version publishes). A claim whose New is
-// hopscotch.Tombstone is a delete of key at its resident bucket: it
-// stages nothing (value and ver are unused) and its ack says whether
-// it unlinked the key.
+// hopscotch.FreedPtr(key) is a delete of key's extent at its resident
+// bucket: it stages nothing (value and ver are unused) and its ack says
+// whether it unlinked that extent.
 func (c *Client) setAsyncClaim(key uint64, value []byte, claim core.SetClaim, ver, op uint64, cb func(lat Duration, ok bool)) {
 	c.setAsyncReq(key&hopscotch.KeyMask, value, claim, ver, op, cb, false)
 }

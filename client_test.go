@@ -511,11 +511,11 @@ func coreSetClaim(bucket, expect, key uint64) core.SetClaim {
 	return core.SetClaim{BucketAddr: bucket, Expect: expect, New: core.ClaimCtrl(key)}
 }
 
-// deleteAt issues a delete of key at bucket through the set pipeline:
-// the key claim installing the tombstone, as the Service's router
-// issues it.
-func deleteAt(cli *Client, key, bucket uint64, cb func(lat Duration, ok bool)) {
-	claim := core.SetClaim{BucketAddr: bucket, Expect: core.ClaimCtrl(key), New: hopscotch.Tombstone}
+// deleteAt issues a delete of key's extent ext at bucket through the set
+// pipeline: the pointer CAS swapping ext for the key's freed pointer, as
+// the Service's router issues it.
+func deleteAt(cli *Client, key, bucket, ext uint64, cb func(lat Duration, ok bool)) {
+	claim := core.SetClaim{BucketAddr: bucket, Extent: ext, New: hopscotch.FreedPtr(key)}
 	cli.setAsyncClaim(key, nil, claim, 0, 0, cb)
 }
 
@@ -561,7 +561,7 @@ func claimResident(cli *Client, key uint64, probe bool, cb func(ver uint64, lat 
 	case probe:
 		cli.probeAsyncTarget(key, bucket, ext, 0, cb)
 	default:
-		deleteAt(cli, key, bucket, func(lat Duration, ok bool) { cb(0, lat, ok) })
+		deleteAt(cli, key, bucket, ext, func(lat Duration, ok bool) { cb(0, lat, ok) })
 	}
 }
 
@@ -574,8 +574,8 @@ func awaitResident(cli *Client, key uint64, probe bool) (ver uint64, lat Duratio
 	return ver, lat, ok
 }
 
-// A NIC-claimed delete round-trips: the claim chain tombstones the
-// bucket, a subsequent get misses, the delete's release retires exactly
+// A NIC-claimed delete round-trips: the pointer CAS frees the bucket,
+// the key is no longer resident, the delete's release retires exactly
 // the extent the key's last set installed (its prevVal entry) back to
 // the server arena, and the delete's latency is a real fabric round
 // trip — never zero.
@@ -601,26 +601,30 @@ func TestClientDeleteRoundTrip(t *testing.T) {
 			t.Fatalf("delete(%d) completed in zero virtual time — not a fabric delete", k)
 		}
 	}
+	// A two-probe get never meets a fabric-deleted key outside a test:
+	// the service posts none, and the standalone client has no delete.
+	// Its claim would gather from the freed pointer, so the host's view
+	// checks the miss: no key is resident beside a freed pointer.
+	ht := table.Table()
 	for k := uint64(1); k <= 16; k++ {
-		if _, _, ok := cli.Get(k, 64); ok {
-			t.Fatalf("get(%d) hit after NIC delete", k)
+		if _, _, ok := ht.Lookup(k); ok {
+			t.Fatalf("key %d resident after NIC delete", k)
 		}
 	}
-	// The chain installs tombstone words directly in bucket memory (the
-	// host-side Len/Tombstones counters only see CPU-path mutations):
-	// every deleted key's bucket must now hold the tombstone.
-	ht := table.Table()
-	tombs := 0
+	// The chain frees the pointer directly in bucket memory (the
+	// host-side Len counter only sees CPU-path mutations): every deleted
+	// key's bucket must now hold the key's word beside its freed pointer.
+	freed := 0
 	for k := uint64(1); k <= 16; k++ {
 		for fn := 0; fn < 2; fn++ {
-			if ht.TombstoneAt(ht.Hash(k, fn)) {
-				tombs++
+			if kk, va, _, _ := ht.EntryAt(ht.Hash(k, fn)); kk == k && va == hopscotch.FreedPtr(k) {
+				freed++
 				break
 			}
 		}
 	}
-	if tombs != 16 {
-		t.Fatalf("%d tombstoned buckets after 16 NIC deletes", tombs)
+	if freed != 16 {
+		t.Fatalf("%d freed buckets after 16 NIC deletes", freed)
 	}
 	// Every deleted value extent came back to the arena, exactly once.
 	after := srv.valueArena().Stats()
@@ -650,21 +654,16 @@ func TestClientDeleteRefused(t *testing.T) {
 		t.Fatal("setup set failed")
 	}
 	ht := table.Table()
-	var bucket uint64
-	for fn := 0; fn < 2; fn++ {
-		if k, _, _, ok := ht.EntryAt(ht.Hash(key, fn)); ok && k == key {
-			bucket = ht.BucketAddr(ht.Hash(key, fn))
-		}
-	}
-	if bucket == 0 {
+	bucket, _, ok := residentBucket(ht, LookupSeq, key)
+	if !ok {
 		t.Fatal("key not at a candidate bucket")
 	}
-	// A delete claim for key 777 against key 5's bucket: the claim CAS
-	// expects NOOP|777 and must fail against NOOP|5.
+	// A delete claim for key 777 against key 5's bucket: the pointer CAS
+	// expects an extent the bucket does not name and must fail.
 	var executed, acked bool
 	var refusedLat Duration
 	done := false
-	deleteAt(cli, 777, bucket,
+	deleteAt(cli, 777, bucket, 0x777000,
 		func(lat Duration, ok bool) {
 			acked, executed, done, refusedLat = ok, cli.lastExecuted(pipeSet), true, lat
 		})
@@ -683,7 +682,7 @@ func TestClientDeleteRefused(t *testing.T) {
 		t.Fatalf("refusal took %v, want one fabric round trip", refusedLat)
 	}
 	// The resident survived, bit-exact, and a double delete of the now
-	// genuinely-deleted key is refused by the tombstone.
+	// genuinely-deleted key is refused: nothing is resident to delete.
 	if val, _, ok := cli.Get(key, 64); !ok || !bytes.Equal(val, Value(key, 64)) {
 		t.Fatal("resident corrupted by a refused delete claim")
 	}
@@ -747,14 +746,14 @@ func TestClientDeleteDropsTheSlotsStaging(t *testing.T) {
 	failure.NodeCrash{Node: srv.node, Kind: failure.ProcessCrash,
 		OnUp: func() { cli.reset(); other.reset() }}.InjectAt(tb.clu.Eng, tb.Now())
 	tb.RunFor(sim.Microsecond)
-	deleteAt(cli, 1, bucket, deleted("delete on a frozen NIC", false))
+	deleteAt(cli, 1, bucket, ext, deleted("delete on a frozen NIC", false))
 	cli.Flush()
 	tb.Run()
 	checkArenaNamesTable(t, srv, table, "a reset", ext)
 
 	// A second delete of a deleted key: the chain runs and refuses.
 	bucket, ext = round(3, 4)
-	deleteAt(cli, 3, bucket, deleted("second delete", true))
+	deleteAt(cli, 3, bucket, ext, deleted("second delete", true))
 	cli.Flush()
 	tb.Run()
 	checkArenaNamesTable(t, srv, table, "a refused delete", ext)
@@ -1189,9 +1188,11 @@ func TestProbeWRBudget(t *testing.T) {
 	})
 }
 
-// A fabric delete leaves its bucket the words a host Remove leaves, a
-// tombstone naming the free pointer with a zero length, and writes
-// nothing past them.
+// A fabric delete changes one word of its bucket: the pointer, from the
+// key's extent to the key's freed pointer. The key word stays, so the
+// bucket reads as free and as no resident, and the key's next write is
+// the one-CAS re-insert; the length word and the fourth stay as they
+// were.
 func TestClientDeleteLeavesAFreeTombstone(t *testing.T) {
 	tb := NewTestbed()
 	srv := tb.NewServer()
@@ -1204,27 +1205,31 @@ func TestClientDeleteLeavesAFreeTombstone(t *testing.T) {
 		t.Fatal("set failed")
 	}
 	ht := table.Table()
-	var bucket uint64
-	found := false
-	for fn := 0; fn < 2; fn++ {
-		if k, _, _, ok := ht.EntryAt(ht.Hash(key, fn)); ok && k == key {
-			bucket, found = ht.Hash(key, fn), true
-		}
-	}
-	if !found {
+	addr, _, ok := residentBucket(ht, LookupSeq, key)
+	if !ok {
 		t.Fatal("key not at a candidate bucket")
+	}
+	bucket := (addr - ht.Base()) / hopscotch.BucketSize
+	m := srv.node.Mem
+	var before [4]uint64
+	for i := range before {
+		before[i], _ = m.U64(addr + uint64(8*i))
 	}
 	if _, _, ok := awaitResident(cli, key, false); !ok {
 		t.Fatal("delete failed")
 	}
-	if !ht.TombstoneAt(bucket) || !ht.FreeAt(bucket) {
-		t.Fatal("no free tombstone after fabric delete")
+	if _, _, _, resident := ht.EntryAt(bucket); resident || !ht.FreeAt(bucket) {
+		t.Fatal("no free bucket after fabric delete")
 	}
-	m := srv.node.Mem
-	for off, want := range []uint64{hopscotch.Tombstone, hopscotch.FreePtr, 0, 0} {
-		if w, _ := m.U64(ht.BucketAddr(bucket) + uint64(8*off)); w != want {
-			t.Fatalf("bucket word %d = %#x, want %#x", off, w, want)
+	want := before
+	want[1] = hopscotch.FreedPtr(key)
+	for off := range want {
+		if w, _ := m.U64(addr + uint64(8*off)); w != want[off] {
+			t.Fatalf("bucket word %d = %#x, want %#x", off, w, want[off])
 		}
+	}
+	if claim, ok := cli.setClaim(key); !ok || claim.BucketAddr != addr || claim.Extent != hopscotch.FreedPtr(key) {
+		t.Fatalf("next write of the key claims %+v (%v), want the re-insert at %#x", claim, ok, addr)
 	}
 }
 

@@ -75,11 +75,19 @@ var programShapes = []struct {
 	// The pointer CAS, then the publishing WRITE its result arms: the
 	// RECV's fetch and the WRITE's.
 	{"set fresh", 4, 6, 2, setShape(hopscotch.FreePtr)},
-	// The key claim installing the tombstone: set overwrite's shape, its
-	// valWr writing the free pointer where a set's writes its staging.
-	{"delete", 5, 8, 2, func(h *shapeRig) (*chain, func() []byte) {
+	// The deleted key's re-insert at its own bucket: the hinted
+	// overwrite's one CAS, expecting the key's freed pointer beside the
+	// key word its delete kept, with no publish.
+	{"set re-insert", 3, 4, 1, func(h *shapeRig) (*chain, func() []byte) {
+		h.srv.Mem().PutU64(h.bucket+hopscotch.OffValAddr, hopscotch.FreedPtr(1))
+		return setShape(hopscotch.FreedPtr(1))(h)
+	}},
+	// The hinted overwrite's shape, its CAS swapping the key's extent
+	// for its freed pointer where a set's swaps in its staging.
+	{"delete", 3, 4, 1, func(h *shapeRig) (*chain, func() []byte) {
 		o := NewSetPool(h.b, h.trig, h.resp(false), 0, nil).Ctxs[0]
-		claim := SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: hopscotch.Tombstone}
+		va, _, _ := h.table.Lookup(1)
+		claim := SetClaim{BucketAddr: h.bucket, Extent: va, New: hopscotch.FreedPtr(1)}
 		return &o.chain, func() []byte { return o.TriggerPayload(1, claim, 0, 0, h.buf) }
 	}},
 	// A version probe runs no program: the client's two READs, in order
@@ -242,8 +250,8 @@ func hintedShape(fn int) shapeBuild {
 // setShape builds one pooled set context. Arm only reserves the staging
 // extent; TriggerPayload posts the instance in the shape its claim
 // selects: the key claim of the resident key 1 (extent 0), its hinted
-// overwrite (1: at the extent the table names), or a fresh claim
-// (hopscotch.FreePtr).
+// overwrite (1: at the extent the table names), a fresh claim
+// (hopscotch.FreePtr) or a re-insert (hopscotch.FreedPtr(1)).
 func setShape(ext uint64) shapeBuild {
 	return func(h *shapeRig) (*chain, func() []byte) {
 		o := NewSetPool(h.b, h.trig, h.resp(false), 64, nil).Ctxs[0]
@@ -277,8 +285,10 @@ func TestSetTriggerScattersOnlyArgs(t *testing.T) {
 			return SetClaim{BucketAddr: h.bucket, Extent: va}
 		}},
 		{"fresh", func(h *shapeRig) SetClaim { return SetClaim{BucketAddr: h.bucket, Extent: hopscotch.FreePtr} }},
+		{"re-insert", func(h *shapeRig) SetClaim { return SetClaim{BucketAddr: h.bucket, Extent: hopscotch.FreedPtr(1)} }},
 		{"delete", func(h *shapeRig) SetClaim {
-			return SetClaim{BucketAddr: h.bucket, Expect: ClaimCtrl(1), New: hopscotch.Tombstone}
+			va, _, _ := h.table.Lookup(1)
+			return SetClaim{BucketAddr: h.bucket, Extent: va, New: hopscotch.FreedPtr(1)}
 		}},
 	} {
 		t.Run(sh.name, func(t *testing.T) {

@@ -162,11 +162,15 @@ var lookupLayout = []slot{
 // [ctrl, src]. Each armed instance serves exactly one get; servers
 // re-arm from completion callbacks (unrolled mode) or pre-arm many
 // instances ahead of time — pre-arming is what lets the offload keep
-// serving across host crashes (§5.6).
+// serving across host crashes (§5.6). A probe gathers from the pointer
+// beside a matching key word, freed or not: the service arms none.
 func (o *LookupOffload) Arm() {
 	resp := o.Resp
 	if resp == nil {
 		resp = o.Trig
+	}
+	if !resp.SQ().Managed() {
+		panic("core: a two-probe get rewrites its answer on a managed response queue")
 	}
 	var in instance
 	o.inject(&in, pRead, o.w2, resp, 16, 0)

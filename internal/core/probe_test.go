@@ -111,14 +111,14 @@ func TestProbeOffloadConditionalMiss(t *testing.T) {
 		t.Fatalf("probe of the retired extent: answered %v, pointer %#x; want the new extent %#x", answered, got, staging)
 	}
 
-	// A tombstoned bucket misses too: the delete chain leaves a key word
-	// that is not NOOP|key, and the free pointer, not the extent.
-	if run := h.doDelete(t, key); run.verdict != wqe.MakeCtrl(wqe.OpWrite, key) {
-		t.Fatalf("delete verdict %#x, want WRITE|key", run.verdict)
+	// A deleted bucket misses too: the delete keeps the key word, but
+	// its pointer is the key's freed one, not the extent.
+	if run := h.doDelete(t, key, staging); run.verdict != staging {
+		t.Fatalf("delete verdict %#x, want the extent it freed %#x", run.verdict, staging)
 	}
 	if ctrl, got, _, answered := doProbe(t, h.harness, key, h.bucket(key), staging); !answered ||
-		ctrl != hopscotch.Tombstone || got != hopscotch.FreePtr {
-		t.Fatalf("probe of a tombstoned bucket: answered %v, words [%#x, %#x]; want the tombstone and the free pointer",
+		ctrl != ClaimCtrl(key) || got != hopscotch.FreedPtr(key) {
+		t.Fatalf("probe of a deleted bucket: answered %v, words [%#x, %#x]; want the key's word and its freed pointer",
 			answered, ctrl, got)
 	}
 }

@@ -29,12 +29,13 @@ import (
 // the args buffer: the NIC snapshots an unmanaged WQE when it prefetches
 // it, so a scatter into one would be lost.
 //
-// A claim that names the extent the bucket should hold (SetClaim.Extent)
-// runs one of two pointer-CAS shapes:
+// A claim that names the pointer the bucket should hold
+// (SetClaim.Extent) runs one of two pointer-CAS shapes:
 //
 //	RECV      scatters nothing
 //	WAIT      the trigger's arrival                 (on the CAS's queue)
-//	ptrCAS    bucket.valAddr: Extent -> stagingAddr (unmanaged)
+//	ptrCAS    bucket.valAddr: Extent -> stagingAddr (unmanaged; a
+//	          delete's: -> FreedPtr(key))
 //	          old pointer -> args, or -> pubWr.ctrl (a fresh claim)
 //	pubWr     WRITE NOOP|key -> bucket.keyCtrl      (a fresh claim only;
 //	          managed, posted a NOOP, armed by the word ptrCAS found)
@@ -52,30 +53,39 @@ import (
 // because an armed hinted overwrite holds a mark of the server's retire
 // queue, as a get does, until its chain has run.
 //
-// The fresh claim, of an empty or tombstoned bucket, expects
-// hopscotch.FreePtr, the pointer every free bucket holds. The pointer
-// CAS is the claim: of the chains that expect a bucket free, one wins
-// it, and no host write or other claim touches a bucket whose pointer
-// is not free. Its result lands on pubWr's control word, posted a NOOP:
-// the free pointer's opcode is a WRITE, so the winner's pubWr runs and
-// publishes NOOP|key, after the pointer landed — the Fig 9 idiom, a
-// CAS whose returned word decides what runs next. A loser's CAS returns
-// the pointer that beat it, an address, whose opcode is a NOOP: its
-// pubWr does nothing. The ack carries that word: FreePtr iff the key
-// was published. Two managed fetches, the RECV's and pubWr's.
+// A delete is the same one CAS, swapping the extent for
+// hopscotch.FreedPtr(key) and staging nothing. It names the write it
+// deletes: a straggler delete armed before a newer write of the key is
+// refused and changes no word. The bucket keeps its key word, and gets
+// miss from then on. The caller captured the unlinked extent under the
+// key's write slot and retires it on the applied ack. The deleted key's
+// re-insert is that CAS again, expecting FreedPtr(key) beside the key
+// word the delete kept: one managed fetch, with no publish.
+//
+// The fresh claim, of an empty bucket (key word 0), expects
+// hopscotch.FreePtr. The pointer CAS is the claim: of the chains that
+// expect a bucket free, one wins it, and no host write or other claim
+// touches a bucket whose pointer is an address. Its result lands on
+// pubWr's control word, posted a NOOP: the free pointer's opcode is a
+// WRITE, so the winner's pubWr runs and publishes NOOP|key, after the
+// pointer landed — the Fig 9 idiom, a CAS whose returned word decides
+// what runs next. A loser's CAS returns an address, a NOOP, or another
+// key's freed pointer, a MAX of zero: its pubWr changes no word. The
+// ack carries that word: FreePtr iff the key was published. Two managed
+// fetches, the RECV's and pubWr's.
 //
 // A zero Extent runs the key claim, which needs no pointer knowledge
-// (a delete, bench's ladder and the standalone client's overwrites):
+// (bench's ladder and the standalone client's overwrites):
 //
 //	RECV      scatter the value length -> args
 //	WAIT      the trigger's arrival              (on the CASes' queue)
 //	claimCAS  bucket.keyCtrl: Expect -> New      (unmanaged; NOOP|key ->
-//	                                              NOOP|key, or -> TOMBSTONE)
+//	                                              NOOP|key)
 //	          old bucket word -> valWr.ctrl      (the CAS's own result)
 //	WAIT      claimCAS
 //	condCAS   valWr.ctrl: Expect -> WRITE|key    (unmanaged; flip iff claimed)
 //	valWr     WRITE [stagingAddr, valLen] -> bucket.[valAddr, valLen]
-//	          (managed; a delete's: [FreePtr, 0])
+//	          (managed)
 //	WAIT      valWr                              (on the ack's queue)
 //	ack       WRITE valWr.ctrl -> client ack buffer (the verdict)
 //
@@ -83,26 +93,13 @@ import (
 // succeeded exactly when that word is now claim.Expect, and condCAS
 // compares against Expect to flip valWr into a WRITE. A refused claim
 // leaves the bucket's old word as valWr's control word, safe only
-// because every word a bucket can hold — zero, tombstone, pending,
-// resident NOOP|key — has the NOOP opcode (hopscotch's "inert under
-// injection" rule): valWr runs as a NOOP. The ack, posted whole behind
-// its own WAIT, WRITEs valWr's control word as it stands last:
-// WRITE|key for an applied set, else the word that refused the claim.
-// The bucket stays readable throughout (a lookup landing mid-chain
-// serves the old value, linearizing before the overwrite). Two managed
-// fetches, the RECV's and valWr's.
-//
-// A delete is the key claim whose New is hopscotch.Tombstone: its valWr
-// writes [hopscotch.FreePtr, 0], the words hopscotch.Table.Remove
-// leaves, where a set's writes [stagingAddr, valLen]. The claim
-// tombstones the bucket at once, so gets miss from then on — they
-// linearize after the delete. Until valWr lands the tombstone still
-// names the deleted extent, not FreePtr, which holds the bucket as a
-// claim in flight would: no fresh claim's pointer CAS can take it, and
-// no host write places into it. The chain hands nobody the extent it
-// unlinked: its caller captured it under the key's write slot and
-// retires it on the applied ack, as it retires an overwritten one. A
-// delete carries no version (its caller records the sequence).
+// because every key word a bucket can hold — zero or NOOP|key — has the
+// NOOP opcode (hopscotch's "inert under injection" rule): valWr runs as
+// a NOOP. The ack, posted whole behind its own WAIT, WRITEs valWr's
+// control word as it stands last: WRITE|key for an applied set, else
+// the word that refused the claim. The bucket stays readable throughout
+// (a lookup landing mid-chain serves the old value, linearizing before
+// the overwrite). Two managed fetches, the RECV's and valWr's.
 //
 // Values live in staging extents from the server's extent arena (see
 // internal/extent); without one, the raw bump allocator leaks every
@@ -110,11 +107,11 @@ import (
 
 // SetClaim names the bucket a set claims and the operands that claim
 // it. A nonzero Extent is the pointer the bucket must hold: the key's
-// current extent (a hinted overwrite), or hopscotch.FreePtr (a fresh
-// claim, which then publishes NOOP|key). A zero Extent runs the key
-// claim: Expect is the bucket's current key/control word and New the
-// word installed on success, both NOOP|key for an overwrite, New
-// hopscotch.Tombstone for a delete (which stages nothing). The caller
+// current extent (a hinted overwrite or a delete), hopscotch.FreePtr (a
+// fresh claim) or hopscotch.FreedPtr(key) (a re-insert). New
+// hopscotch.FreedPtr(key) makes it a delete; any other New is unused. A
+// zero Extent runs the key claim: Expect is the bucket's current key
+// word and New the word installed on success, both NOOP|key. The caller
 // computes it from its view of the table; a stale view fails the CAS
 // and the ack says so.
 type SetClaim struct {
@@ -208,16 +205,12 @@ func (o *SetOffload) Arm(cookie uint64) (staging uint64) {
 
 // post posts and fires the armed instance as a key claim, acking into
 // ackAddr. Its args buffer holds the 16 bytes valWr copies over the
-// bucket's [valAddr, valLen]: the staging address, or a delete's free
-// pointer, and the value length the trigger scatters in.
+// bucket's [valAddr, valLen]: the staging address and the value length
+// the trigger scatters in.
 func (o *SetOffload) post(ackAddr uint64) {
 	b, c := o.B, o.claimed
 	in := instance{args: o.argsBuf(o.args, argsBytes)}
-	va := o.staging
-	if c.New == hopscotch.Tombstone {
-		va = hopscotch.FreePtr
-	}
-	b.Dev.Mem().PutU64(in.args, va)
+	b.Dev.Mem().PutU64(in.args, o.staging)
 	in.steps[kValWr] = b.Post(o.w3, wqe.WQE{Op: wqe.OpNoop, Src: in.args, Dst: c.BucketAddr + hopscotch.OffValAddr,
 		Len: 16, Flags: wqe.FlagSignaled})
 	verdict := in.steps[kValWr].FieldAddr(wqe.OffCtrl)
@@ -229,11 +222,11 @@ func (o *SetOffload) post(ackAddr uint64) {
 	o.fire(setLayout, &in, in.steps[:kAck+1])
 }
 
-// postPtr posts and fires the armed instance as a pointer CAS, with the
-// publish iff fresh, acking into ackAddr the word the CAS found: in the
-// args buffer, or on the publish's control word, whose NOOP|key source
-// the args buffer holds.
-func (o *SetOffload) postPtr(fresh bool, ackAddr uint64) {
+// postPtr posts and fires the armed instance as a pointer CAS installing
+// swap, with the publish iff fresh, acking into ackAddr the word the CAS
+// found: in the args buffer, or on the publish's control word, whose
+// NOOP|key source the args buffer holds.
+func (o *SetOffload) postPtr(fresh bool, swap, ackAddr uint64) {
 	b, c := o.B, o.claimed
 	in := instance{args: o.argsBuf(o.args, argsBytes)}
 	found := in.args
@@ -243,7 +236,7 @@ func (o *SetOffload) postPtr(fresh bool, ackAddr uint64) {
 		found = in.steps[ptPub].FieldAddr(wqe.OffCtrl)
 	}
 	o.waitArrival(o.w2)
-	in.steps[ptCAS] = b.cond(o.w2, c.BucketAddr+hopscotch.OffValAddr, c.Extent, o.staging, found)
+	in.steps[ptCAS] = b.cond(o.w2, c.BucketAddr+hopscotch.OffValAddr, c.Extent, swap, found)
 	o.ack(&in, ptAck, o.key, found, ackAddr)
 	o.fire(nil, &in, in.steps[:ptAck+1])
 }
@@ -256,19 +249,20 @@ func (o *SetOffload) postPtr(fresh bool, ackAddr uint64) {
 // already made the extent the bucket's value, so an extent the claimed
 // bucket names under the key's word stays; if it was a hinted
 // overwrite, the extent it replaced is returned, for the caller to
-// retire (0 otherwise). A fresh claim cut short before its publish
-// gives the bucket its free pointer back. Slots that merely time out
-// WITHOUT executing keep their extent: a straggling chain could still
-// repoint the bucket at it.
+// retire (0 otherwise: a fresh claim or a re-insert replaced a free
+// pointer). A fresh claim cut short before its publish gives the bucket
+// its free pointer back. Slots that merely time out WITHOUT executing
+// keep their extent: a straggling chain could still repoint the bucket
+// at it.
 func (o *SetOffload) ReleaseStaging() (replaced uint64) {
-	m, b := o.B.Dev.Mem(), o.claimed.BucketAddr
+	m, b, e := o.B.Dev.Mem(), o.claimed.BucketAddr, o.claimed.Extent
 	ctrl, _ := m.U64(b + hopscotch.OffKeyCtrl)
 	va, _ := m.U64(b + hopscotch.OffValAddr)
 	switch {
 	case o.staging == 0:
 	case va == o.staging && ctrl == ClaimCtrl(o.key):
-		if o.claimed.Extent != hopscotch.FreePtr {
-			replaced = o.claimed.Extent
+		if e != hopscotch.FreePtr && e != hopscotch.FreedPtr(o.key) {
+			replaced = e
 		}
 	default:
 		if va == o.staging {
@@ -289,28 +283,29 @@ func (o *SetOffload) ReleaseStaging() (replaced uint64) {
 // TriggerPayload posts and fires the instance Arm reserved — a set of key
 // under claim, acking the verdict into the client-side ackAddr — and
 // returns the SEND payload that drives it. A claim naming an Extent runs
-// a pointer CAS (the hinted overwrite, or the fresh claim of a bucket
-// naming hopscotch.FreePtr), whose trigger is empty, and valLen travels
-// in the staged header; a key claim lands it in the bucket with the
-// pointer, in one WRITE (a delete, claiming with hopscotch.Tombstone,
-// arms nothing first and passes valLen 0). ver is unused: the staged
-// header carries the write's version. The result is the context's own
-// buffer, overwritten by the next call.
+// a pointer CAS (the hinted overwrite, a delete, the re-insert at the
+// key's freed bucket, or the fresh claim of a bucket naming
+// hopscotch.FreePtr), whose trigger is empty, and valLen travels in the
+// staged header; a key claim lands it in the bucket with the pointer,
+// in one WRITE. ver is unused: the staged header carries the write's
+// version. The result is the context's own buffer, overwritten by the
+// next call.
 //
 // A delete stages nothing, so it drops the staging extent a set armed
 // on this context before: that set's verdict already decided the
 // extent, and ReleaseStaging after a delete must free nothing.
 func (o *SetOffload) TriggerPayload(key uint64, claim SetClaim, valLen, ver, ackAddr uint64) []byte {
 	o.key, o.claimed = key, claim
-	if claim.New == hopscotch.Tombstone {
-		o.staging = 0
+	if claim.Extent == 0 {
+		o.post(ackAddr)
+		return o.payload(setLayout, key, operands{opLen: valLen})
 	}
-	if claim.Extent != 0 {
-		o.postPtr(claim.Extent == hopscotch.FreePtr, ackAddr)
-		return o.payload(nil, key, operands{})
+	swap := o.staging
+	if claim.New == hopscotch.FreedPtr(key) {
+		o.staging, swap = 0, claim.New
 	}
-	o.post(ackAddr)
-	return o.payload(setLayout, key, operands{opLen: valLen})
+	o.postPtr(claim.Extent == hopscotch.FreePtr, swap, ackAddr)
+	return o.payload(nil, key, operands{})
 }
 
 // Unstage drops the staging extent a set armed on this context before,

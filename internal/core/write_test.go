@@ -12,7 +12,7 @@ import (
 
 // writeHarness arms one set context against a hopscotch table, its
 // ack on a response queue of either kind; a delete runs on it as the
-// key claim installing the tombstone, as on a client's set pipeline.
+// pointer CAS freeing the key's extent, as on a client's set pipeline.
 type writeHarness struct {
 	*harness
 	table     *hopscotch.Table
@@ -88,11 +88,12 @@ func (h *writeHarness) doSet(t *testing.T, key uint64, claim SetClaim, ver uint6
 	return run, staging
 }
 
-// doDelete arms one delete instance — the key claim installing the
-// tombstone — against key's first candidate bucket and runs it.
-func (h *writeHarness) doDelete(t *testing.T, key uint64) chainRun {
+// doDelete arms one delete instance — the pointer CAS swapping the
+// extent ext for the key's freed pointer — against key's first
+// candidate bucket and runs it.
+func (h *writeHarness) doDelete(t *testing.T, key, ext uint64) chainRun {
 	t.Helper()
-	claim := SetClaim{BucketAddr: h.bucket(key), Expect: ClaimCtrl(key), New: hopscotch.Tombstone}
+	claim := SetClaim{BucketAddr: h.bucket(key), Extent: ext, New: hopscotch.FreedPtr(key)}
 	return h.fire(t, h.setQP, h.set.Resp, h.set.w3, key,
 		h.set.TriggerPayload(key, claim, 0, 0, h.ack))
 }
@@ -119,38 +120,44 @@ func (h *writeHarness) put(addr uint64, w [4]uint64) {
 	}
 }
 
-// bucketStates are the kinds of word a bucket can hold (a resident twice:
-// this key and another, a delete's claim in flight), with the pointer
-// words an occupant left: a free bucket names the free pointer.
+// bucketStates are the states a bucket can be in, as its four words:
+// empty; deleted, by this key ("tombstone": the key's word beside its
+// freed pointer, as its fabric delete leaves it) or by another; held
+// by a fresh claim in flight ("pending": key word 0 beside the staging
+// pointer its CAS landed); resident, this key (at 0x5000) or another.
 func bucketStates(key uint64) map[string][4]uint64 {
 	return map[string][4]uint64{
-		"empty":     {0, hopscotch.FreePtr, 0, 0},
-		"tombstone": {hopscotch.Tombstone, hopscotch.FreePtr, 0, 9},
-		"pending":   {hopscotch.PendingCtrl(key), 0x5000, 32, 9},
-		"resident":  {ClaimCtrl(key), 0x5000, 32, 9},
-		"foreign":   {ClaimCtrl(key + 1), 0x5000, 32, 9},
+		"empty":             {0, hopscotch.FreePtr, 0, 0},
+		"tombstone":         {ClaimCtrl(key), hopscotch.FreedPtr(key), 32, 9},
+		"foreign tombstone": {ClaimCtrl(key + 1), hopscotch.FreedPtr(key + 1), 32, 9},
+		"pending":           {0, 0x7000, 0, 9},
+		"resident":          {ClaimCtrl(key), 0x5000, 32, 9},
+		"foreign":           {ClaimCtrl(key + 1), 0x6000, 32, 9},
 	}
 }
 
 // The set chain's verdict is its deciding CAS's own result, in each of
-// the three shapes a claim selects, against every word a bucket can
-// hold. The key claim (no extent) applies exactly when the bucket holds
-// NOOP|key: the bucket ends repointed, with the length, and the ack
-// carries WRITE|key. The hinted overwrite applies exactly when
-// the bucket names the expected extent: only the pointer moves, and the
-// ack carries the pointer found. The fresh claim takes the free
-// pointer, which arms its publishing WRITE: the ack carries the word its
-// pointer CAS found, the free pointer iff it published. A refusal
-// changes no bucket word. No chain, refused or applied, writes the
-// bucket's fourth word. Every case runs once per kind of ack queue, to
-// the same verdict and exactly one ack.
+// the four shapes a claim selects, against every state a bucket can be
+// in. The key claim (no extent) applies exactly when the bucket holds
+// NOOP|key — beside the key's freed pointer too, which it re-inserts
+// over: it names the key, not a write — and the bucket ends repointed,
+// with the length, and the ack carries WRITE|key. The hinted overwrite
+// applies exactly when the bucket names the expected extent, and the
+// re-insert when it names the key's own freed pointer: only the pointer
+// moves, and the ack carries the pointer found. The fresh claim takes
+// the free pointer, which arms its publishing WRITE: the ack carries
+// the word its pointer CAS found, the free pointer iff it published.
+// A refusal changes no bucket word. No chain, refused or applied, writes
+// the bucket's fourth word. Every case runs once per kind of ack queue,
+// to the same verdict and exactly one ack.
 func TestSetChainVerdicts(t *testing.T) {
 	const key = 42
-	resident, free := ClaimCtrl(key), hopscotch.FreePtr
+	resident, free, freed := ClaimCtrl(key), hopscotch.FreePtr, hopscotch.FreedPtr(key)
 	applied := wqe.MakeCtrl(wqe.OpWrite, key)
 	keyClaim := SetClaim{Expect: resident, New: resident}
 	hinted := SetClaim{Extent: 0x5000}
 	fresh := SetClaim{Extent: free}
+	reinsert := SetClaim{Extent: freed}
 	const staged = 1 // stands for the staging extent in want
 	cases := []struct {
 		name    string
@@ -163,12 +170,12 @@ func TestSetChainVerdicts(t *testing.T) {
 	}{
 		{name: "overwrite of the resident", before: bucketStates(key)["resident"], claim: keyClaim, verdict: applied,
 			after: [4]uint64{resident, staged, writeValLen, 9}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
-		{name: "overwrite of a deleted key", before: bucketStates(key)["tombstone"], claim: keyClaim,
-			verdict: hopscotch.Tombstone, conds: []wqe.Opcode{wqe.OpNoop}},
+		{name: "overwrite of a deleted key", before: bucketStates(key)["tombstone"], claim: keyClaim, verdict: applied,
+			after: [4]uint64{resident, staged, writeValLen, 9}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
 		{name: "overwrite of a vanished key", before: bucketStates(key)["empty"], claim: keyClaim,
 			verdict: 0, conds: []wqe.Opcode{wqe.OpNoop}},
 		{name: "overwrite of a key mid-claim", before: bucketStates(key)["pending"], claim: keyClaim,
-			verdict: hopscotch.PendingCtrl(key), conds: []wqe.Opcode{wqe.OpNoop}},
+			verdict: 0, conds: []wqe.Opcode{wqe.OpNoop}},
 		{name: "overwrite of a taken bucket", before: bucketStates(key)["foreign"], claim: keyClaim,
 			verdict: resident + 1, conds: []wqe.Opcode{wqe.OpNoop}},
 
@@ -176,17 +183,26 @@ func TestSetChainVerdicts(t *testing.T) {
 			after: [4]uint64{resident, staged, 32, 9}, applied: true},
 		{name: "a late overwrite after a newer write is refused and changes no bucket word",
 			before: [4]uint64{resident, 0x6000, 32, 10}, claim: hinted, verdict: 0x6000},
-		{name: "hinted overwrite of a deleted key", before: bucketStates(key)["tombstone"], claim: hinted, verdict: free},
+		{name: "hinted overwrite of a deleted key", before: bucketStates(key)["tombstone"], claim: hinted, verdict: freed},
 		{name: "hinted overwrite of a vanished key", before: bucketStates(key)["empty"], claim: hinted, verdict: free},
+
+		{name: "re-insert at the key's freed bucket", before: bucketStates(key)["tombstone"], claim: reinsert, verdict: freed,
+			after: [4]uint64{resident, staged, 32, 9}, applied: true},
+		{name: "re-insert at a bucket another key's delete freed", before: bucketStates(key)["foreign tombstone"],
+			claim: reinsert, verdict: hopscotch.FreedPtr(key + 1)},
+		{name: "re-insert at a bucket reused since", before: bucketStates(key)["foreign"], claim: reinsert, verdict: 0x6000},
+		{name: "re-insert at an emptied bucket", before: bucketStates(key)["empty"], claim: reinsert, verdict: free},
 
 		{name: "fresh claim of an empty bucket", before: bucketStates(key)["empty"], claim: fresh, verdict: free,
 			after: [4]uint64{resident, staged, 0, 0}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
+		// The key's own freed bucket is its re-insert's: a fresh claim
+		// finds the freed pointer, whose MAX of zero writes nothing.
 		{name: "fresh claim of a tombstone", before: bucketStates(key)["tombstone"], claim: fresh,
-			verdict: free, after: [4]uint64{resident, staged, 0, 9}, conds: []wqe.Opcode{wqe.OpWrite}, applied: true},
+			verdict: freed, conds: []wqe.Opcode{wqe.OpMax}},
 		// The pointer CAS lost to the occupant's pointer, an address: the
 		// publish stays a NOOP, and the verdict is that address.
 		{name: "fresh claim of a taken bucket", before: bucketStates(key)["foreign"], claim: fresh,
-			verdict: 0x5000, conds: []wqe.Opcode{wqe.OpNoop}},
+			verdict: 0x6000, conds: []wqe.Opcode{wqe.OpNoop}},
 		{name: "fresh claim of a resident key", before: bucketStates(key)["resident"], claim: fresh,
 			verdict: 0x5000, conds: []wqe.Opcode{wqe.OpNoop}},
 		{name: "fresh claim of a bucket another claim's pointer took", before: [4]uint64{0, 0x7000, 0, 0}, claim: fresh,
@@ -194,9 +210,13 @@ func TestSetChainVerdicts(t *testing.T) {
 		// A straggler's leftover claim names its own pointer, not the free
 		// one: the pointer CAS refuses it.
 		{name: "fresh claim against a leftover pending word", before: bucketStates(key)["pending"], claim: fresh,
-			verdict: 0x5000, conds: []wqe.Opcode{wqe.OpNoop}},
-		{name: "fresh claim of a bucket a delete still holds", before: [4]uint64{hopscotch.Tombstone, 0x5000, 32, 9},
-			claim: fresh, verdict: 0x5000, conds: []wqe.Opcode{wqe.OpNoop}},
+			verdict: 0x7000, conds: []wqe.Opcode{wqe.OpNoop}},
+		// Armed while its bucket was empty, run after another key was
+		// published there and deleted: the freed pointer names that key,
+		// so the CAS is refused, and the publish it lands on runs as a
+		// MAX of zero, leaving the other key's word in place.
+		{name: "fresh claim of a bucket a delete still holds", before: bucketStates(key)["foreign tombstone"],
+			claim: fresh, verdict: hopscotch.FreedPtr(key + 1), conds: []wqe.Opcode{wqe.OpMax}},
 	}
 	for _, q := range ackQueues {
 		for _, c := range cases {
@@ -242,53 +262,56 @@ func checkAnswered(t *testing.T, run chainRun) {
 	}
 }
 
-// The delete chain's verdict, likewise: applied exactly when the bucket
-// held the live occupant NOOP|key — the bucket ends [Tombstone,
-// FreePtr, 0], the words hopscotch.Table.Remove leaves, so host and
-// fabric deletes agree, and exactly one conditional WRITE ran. Every
-// other word refuses, writes nothing, and its one conditional WQE
-// executes as a NOOP. Neither writes the bucket's fourth word. Every
-// state runs once per kind of ack queue.
+// The delete chain's verdict, likewise: its one CAS applies exactly
+// when the bucket names the extent the delete expects, and the ack
+// carries the pointer found. An applied delete keeps the key's word
+// beside the key's freed pointer, which frees the bucket; a host Remove
+// empties it instead, key word 0 beside the free pointer and length 0.
+// Every other state refuses and changes no word, and a straggler delete
+// armed before a newer write of the key finds the newer extent and is
+// refused too. No delete posts a conditional WQE or writes the bucket's
+// fourth word. Every state runs once per kind of ack queue.
 func TestDeleteChainVerdicts(t *testing.T) {
 	const key = 42
-	applied := wqe.MakeCtrl(wqe.OpWrite, key)
+	states := bucketStates(key)
+	states["straggler"] = [4]uint64{ClaimCtrl(key), 0x6000, 32, 10}
 	for _, q := range ackQueues {
-		for state, before := range bucketStates(key) {
+		for state, before := range states {
 			t.Run(q.prefix+state, func(t *testing.T) {
 				h := newWriteHarness(t, q.managed)
 				h.put(h.bucket(key), before)
-				run := h.doDelete(t, key)
+				run := h.doDelete(t, key, 0x5000)
 				checkAnswered(t, run)
 				after := h.words(h.bucket(key))
 				if after[3] != before[3] {
 					t.Fatalf("the chain wrote the bucket's fourth word: %#x -> %#x", before[3], after[3])
 				}
+				if len(run.conds) != 0 {
+					t.Fatalf("the conditional ring executed %v, want nothing", run.conds)
+				}
+				if run.verdict != before[1] {
+					t.Fatalf("verdict %#x, want the pointer the CAS found %#x", run.verdict, before[1])
+				}
+				want := before
 				if state == "resident" {
-					if run.verdict != applied {
-						t.Fatalf("verdict %#x, want WRITE|key %#x", run.verdict, applied)
-					}
-					host := hopscotch.New(h.srv.Mem(), 16, 0)
-					host.Insert(key, before[1], before[2])
-					host.Remove(key)
-					removed := h.words(host.BucketAddr(host.Hash(key, 0)))
-					if want := [3]uint64{hopscotch.Tombstone, hopscotch.FreePtr, 0}; [3]uint64(after[:3]) != want || [3]uint64(removed[:3]) != want {
-						t.Fatalf("bucket %#x, host Remove left %#x; want both %#x", after[:3], removed[:3], want)
-					}
-					if !slices.Equal(run.conds, []wqe.Opcode{wqe.OpWrite}) {
-						t.Fatalf("the conditional ring executed %v, want one WRITE", run.conds)
-					}
-					return
+					want[1] = hopscotch.FreedPtr(key)
 				}
-				if run.verdict != before[0] {
-					t.Fatalf("verdict %#x, want the word that refused the claim %#x", run.verdict, before[0])
-				}
-				if after[1] != before[1] || after[2] != before[2] {
-					t.Fatalf("refused delete moved the bucket's pointer words: %#x -> %#x", before, after)
-				}
-				if !slices.Equal(run.conds, []wqe.Opcode{wqe.OpNoop}) {
-					t.Fatalf("the conditional ring executed %v under bucket word %#x, want one NOOP", run.conds, before[0])
+				if after != want {
+					t.Fatalf("bucket %#x -> %#x, want %#x", before, after, want)
 				}
 			})
 		}
 	}
+	t.Run("host Remove", func(t *testing.T) {
+		h := newWriteHarness(t, false)
+		if err := h.table.Insert(key, 0x5000, 32); err != nil {
+			t.Fatal(err)
+		}
+		if va, _, ok := h.table.Remove(key); !ok || va != 0x5000 {
+			t.Fatalf("Remove returned %#x, %v", va, ok)
+		}
+		if got := h.words(h.bucket(key)); [3]uint64(got[:3]) != [3]uint64{0, hopscotch.FreePtr, 0} {
+			t.Fatalf("host Remove left %#x, want [0, FreePtr, 0]", got[:3])
+		}
+	})
 }

@@ -32,15 +32,45 @@ func kicks(tbl *hopscotch.Table, key uint64) bool {
 	return true
 }
 
-// tombstoneBucket finds which candidate bucket of key holds a
-// tombstone (exactly one after the key's delete).
+// fabricDelete does to key's bucket what a fabric delete's one CAS
+// does: it swaps the key's extent for hopscotch.FreedPtr(key), keeping
+// the key word.
+func fabricDelete(t *testing.T, tbl *hopscotch.Table, m *mem.Memory, key uint64) {
+	t.Helper()
+	for fn := 0; fn < 2; fn++ {
+		b := tbl.Hash(key, fn)
+		if k, _, _, ok := tbl.EntryAt(b); ok && k == key {
+			if err := m.PutU64(tbl.BucketAddr(b)+hopscotch.OffValAddr, hopscotch.FreedPtr(key)); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("fabric delete of %d: not at a candidate bucket", key)
+}
+
+// tombstoneBucket finds which candidate bucket of key holds the key's
+// freed pointer (exactly one after the key's fabric delete).
 func tombstoneBucket(tbl *hopscotch.Table, key uint64) uint64 {
 	for fn := 0; fn < 2; fn++ {
-		if b := tbl.Hash(key, fn); tbl.TombstoneAt(b) {
+		b := tbl.Hash(key, fn)
+		if _, va, _, _ := tbl.EntryAt(b); va == hopscotch.FreedPtr(key) {
 			return b
 		}
 	}
 	return tbl.Hash(key, 0)
+}
+
+// freedBuckets counts the buckets whose pointer is some key's freed
+// pointer: the deleted buckets no insert has reclaimed.
+func freedBuckets(tbl *hopscotch.Table) int {
+	n := 0
+	for i := uint64(0); i < tbl.NumBuckets(); i++ {
+		if k, va, _, _ := tbl.EntryAt(i); k != 0 && va == hopscotch.FreedPtr(k) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestInsertLookupDelete(t *testing.T) {
@@ -245,26 +275,25 @@ func TestCuckooPropertyRandomOps(t *testing.T) {
 	}
 }
 
-// Deletes leave tombstones that no longer count toward occupancy: a
-// new key whose candidate is the tombstoned bucket reclaims it.
+// A fabric delete leaves its key's word beside its freed pointer, which
+// no longer counts toward occupancy: a new key whose candidate is that
+// bucket reclaims it, writing both words.
 func TestTombstoneReclaim(t *testing.T) {
-	tbl, _ := newTable(64)
+	tbl, m := newTable(64)
 	if _, _, err := tbl.Place(1, 0x1000, 8); err != nil {
 		t.Fatal(err)
 	}
-	if !tbl.Delete(1) {
-		t.Fatal("delete of resident failed")
+	fabricDelete(t, tbl, m, 1)
+	if freedBuckets(tbl) != 1 {
+		t.Fatalf("after delete: %d freed buckets, want 1", freedBuckets(tbl))
 	}
-	if tbl.Tombstones() != 1 || tbl.Len() != 0 {
-		t.Fatalf("after delete: %d tombstones / %d entries, want 1 / 0", tbl.Tombstones(), tbl.Len())
-	}
-	// Lookup must not see through the tombstone.
+	// Lookup must not see the key word beside the freed pointer.
 	if _, _, ok := tbl.Lookup(1); ok {
-		t.Fatal("lookup found a tombstoned key")
+		t.Fatal("lookup found a deleted key")
 	}
-	// A new key whose first candidate is exactly the tombstoned bucket
-	// reclaims it (Place put key 1 at its first candidate, and Delete
-	// tombstoned it there).
+	// A new key whose first candidate is exactly the deleted bucket
+	// reclaims it (Place put key 1 at its first candidate, and the
+	// delete freed it there).
 	b := tombstoneBucket(tbl, 1)
 	var k uint64
 	for k = 100; tbl.Hash(k, 0) != b; k++ {
@@ -272,16 +301,16 @@ func TestTombstoneReclaim(t *testing.T) {
 	if _, _, err := tbl.Place(k, 0x2000, 8); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _, _ := tbl.EntryAt(b); got != k || tbl.Tombstones() != 0 {
-		t.Fatalf("after reinsert: bucket holds %d with %d tombstones, want %d reclaimed", got, tbl.Tombstones(), k)
+	if got, va, _, ok := tbl.EntryAt(b); got != k || va != 0x2000 || !ok || freedBuckets(tbl) != 0 {
+		t.Fatalf("after reinsert: bucket holds %d at %#x with %d freed buckets, want %d reclaimed", got, va, freedBuckets(tbl), k)
 	}
 }
 
-// A full table whose only slack is tombstones must still place new
-// keys: the kick walk treats tombstoned buckets as free instead of
+// A full table whose only slack is deleted buckets must still place new
+// keys: the kick walk treats freed buckets as free instead of
 // displacing through them forever.
 func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
-	tbl, _ := newTable(32)
+	tbl, m := newTable(32)
 	n := tbl.NumBuckets()
 	// Saturate until full.
 	var resident []uint64
@@ -296,18 +325,16 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 	// Delete half the residents: occupancy must drop accordingly.
 	for i, k := range resident {
 		if i%2 == 0 {
-			if !tbl.Delete(k) {
-				t.Fatalf("delete(%d) failed", k)
-			}
+			fabricDelete(t, tbl, m, k)
 		}
 	}
 	deleted := (len(resident) + 1) / 2
-	if got := tbl.Tombstones(); got != deleted {
-		t.Fatalf("tombstones %d, want %d", got, deleted)
+	if got := freedBuckets(tbl); got != deleted {
+		t.Fatalf("freed buckets %d, want %d", got, deleted)
 	}
-	// New keys reclaim the tombstone slack; at least half of the
-	// deleted capacity must be reusable (both-candidates-tombstoned
-	// collisions can strand a few).
+	// New keys reclaim the deleted slack; at least half of the deleted
+	// capacity must be reusable (both-candidates-deleted collisions can
+	// strand a few).
 	placed := 0
 	for k := uint64(200000); k < 300000 && placed < deleted; k++ {
 		if _, _, err := tbl.Place(k, k*16, 8); err == nil {
@@ -315,17 +342,17 @@ func TestTombstonesDoNotCountTowardOccupancy(t *testing.T) {
 		}
 	}
 	if placed < deleted/2 {
-		t.Fatalf("reclaimed only %d of %d tombstoned slots", placed, deleted)
+		t.Fatalf("reclaimed only %d of %d deleted slots", placed, deleted)
 	}
-	if tbl.Tombstones() >= deleted {
-		t.Fatal("no tombstone was reclaimed")
+	if freedBuckets(tbl) >= deleted {
+		t.Fatal("no deleted bucket was reclaimed")
 	}
 }
 
-// The reserved tombstone id is not a usable key.
+// The reserved id space is not a usable key: its top id is rejected.
 func TestTombstoneIDRejected(t *testing.T) {
 	tbl, _ := newTable(16)
-	if _, _, err := tbl.Place(hopscotch.TombstoneID, 0x1000, 8); err == nil {
-		t.Fatal("insert of the reserved tombstone id succeeded")
+	if _, _, err := tbl.Place(hopscotch.KeyMask, 0x1000, 8); err == nil {
+		t.Fatal("insert of a reserved id succeeded")
 	}
 }

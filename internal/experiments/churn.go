@@ -10,8 +10,9 @@ import (
 // Churn measures the extent lifecycle subsystem end to end: a
 // sustained overwrite + delete workload over a fixed live set, where
 // every set stages a fresh extent and every delete retires one: the NIC
-// key claim tombstones the bucket, and its applied ack retires the
-// extent, as an overwrite's ack retires the one it replaced.
+// pointer CAS swaps the key's extent for its freed pointer, and its
+// applied ack retires the extent, as an overwrite's ack retires the one
+// it replaced.
 //
 //  1. Footprint — with the extent arena (each retired extent reused
 //     as soon as no get can still read it) the server-side memory
@@ -145,6 +146,6 @@ func churnRun(requests int) *Result {
 		fmt.Sprintf("arena: peak %d KiB vs %d KiB live; leak-forever peak %d KiB and still growing linearly with writes",
 			st.ArenaPeak/1024, st.ArenaLive/1024, lst.ArenaPeak/1024),
 		fmt.Sprintf("applied fabric deletes retired %d extents", st.GCFreed),
-		"deletes travel the NIC key claim (tombstone CAS -> conditional free-pointer WRITE -> verdict ack); del p50 is fabric-real, asserted like set p50")
+		"deletes travel the NIC pointer CAS (extent -> the key's freed pointer; the ack carries the pointer found); del p50 is fabric-real, asserted like set p50")
 	return r
 }

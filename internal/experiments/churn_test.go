@@ -36,7 +36,7 @@ func TestChurnGate(t *testing.T) {
 		t.Fatalf("delete p50 %.3fus outside the plausible fabric window", p50)
 	}
 	if fd := r.Metrics["fabric_deletes"]; fd == 0 {
-		t.Fatal("no delete traveled the NIC tombstone chain")
+		t.Fatal("no delete traveled the NIC pointer CAS")
 	}
 	if de := r.Metrics["churn_del_errs"]; de != 0 {
 		t.Fatalf("%.0f deletes failed their quorum on a healthy cluster", de)

@@ -14,6 +14,16 @@
 // is host-written: the fabric's pointer-CAS writes never update it, so
 // a service table's lengths live in its values' [version, length]
 // headers (internal/extent), read through serviceShard.stored.
+//
+// Every read of a bucket goes by its pointer. A key is resident only
+// while its pointer is an address (opcode bits zero). A bucket is free
+// iff its pointer is not: FreePtr beside key word 0 if no key is there,
+// FreedPtr(k) beside NOOP|k once k's fabric delete swapped k's extent
+// out. A delete keeps the key word, so the pointer alone names the
+// bucket's state, and the key word beside an address is the resident.
+// An address beside key word 0 is a fabric fresh claim in flight, which
+// holds the bucket: the host neither places into it nor walks through
+// it (FreeAt).
 package hopscotch
 
 import (
@@ -45,54 +55,42 @@ const DefaultNeighborhood = 6
 const KeyMask = wqe.IDMask
 
 // PendingBit is the reserved top bit of the 48-bit id space: keys must
-// keep it clear (Insert rejects violators), so NOOP|(key|PendingBit) is
-// a per-key bucket word that can never be a resident entry. Fabric
-// write and delete chains park a bucket on it between claiming and
-// publishing. The whole family of special bucket words — zero,
-// tombstone, pending — shares the NOOP opcode deliberately: a lookup
-// chain's probe READ copies the bucket word VERBATIM onto its response
-// WQE's control field, so any non-NOOP opcode in a bucket would arm
-// the response and serve whatever stale pointer the bucket carries.
-// Write chains inject too: a claim CAS returns the bucket's old word onto
-// the WQE the claim guards, where a refused claim leaves it to execute.
-// Inert-under-injection is the safety invariant of every bucket word.
+// keep it clear (Insert rejects violators). Every key word a bucket can
+// hold — zero, or a key's NOOP|key — shares the NOOP opcode
+// deliberately: a lookup chain's probe READ copies the bucket word
+// VERBATIM onto its response WQE's control field, so any non-NOOP
+// opcode in a bucket's key word would arm the response and serve
+// whatever pointer the bucket carries. Write chains inject too: a claim
+// CAS returns the bucket's old word onto the WQE the claim guards,
+// where a refused claim leaves it to execute. Inert-under-injection is
+// the safety invariant of every key word.
 const PendingBit = uint64(1) << 47
 
-// TombstoneID is the reserved 48-bit id marking a deleted bucket; keys
-// of this value are rejected by Insert (it has PendingBit set, so the
-// general reservation already excludes it). The tombstone control word
-// is a NOOP — inert under probe injection, and the conditional CAS
-// compares against NOOP|key which can never match the reserved id —
-// so a tombstoned bucket misses on the NIC path with no special
-// casing.
-const TombstoneID = wqe.IDMask
-
-// PendingCtrl returns the claimed-but-unpublished bucket word for key:
-// inert under probe injection (NOOP opcode), matching no lookup's
-// conditional (reserved id bit), yet key-specific so only the claiming
-// chain's follow-up CAS can advance it.
-func PendingCtrl(key uint64) uint64 {
-	return wqe.MakeCtrl(wqe.OpNoop, (key&KeyMask)|PendingBit)
-}
-
-// Tombstone is the bucket control word of a deleted entry:
-// NOOP | TombstoneID. Distinct from zero so a delete chain's CAS can
-// tell "deleted" from "never present", yet executable as a harmless
-// NOOP anywhere self-modifying machinery copies it.
-var Tombstone = wqe.MakeCtrl(wqe.OpNoop, TombstoneID)
-
-// FreePtr is the value pointer every free bucket — empty or tombstoned —
-// holds, and no resident's can: its opcode bits are a WRITE, and every
-// address is below them. A fabric fresh claim (internal/core) swaps it
-// for its staging extent with one CAS, whose returned word lands on the
-// control field of the claim's publishing WRITE: the free pointer arms
-// that WRITE, any address (the bucket was taken first) leaves it a
-// NOOP. Where a bucket word is inert under injection, this pointer is
-// executable on purpose. A bucket whose key word is free but whose
-// pointer is not is held by a fabric claim or delete in flight: the
-// host neither places into it nor walks through it (FreeAt), as with a
-// pending word.
+// FreePtr is the pointer of a bucket no key holds or left: beside key
+// word 0, from New, or after a host Remove. Its opcode bits are a WRITE,
+// and every address is below them. A fabric fresh claim (internal/core)
+// swaps it for its staging extent with one CAS, whose returned word
+// lands on the control field of the claim's publishing WRITE: the free
+// pointer arms that WRITE, an address (the bucket was taken first)
+// leaves it a NOOP, and a freed pointer (FreedPtr) a MAX of zero, which
+// writes nothing. Where a key word is inert under injection, this
+// pointer is executable on purpose.
 var FreePtr = wqe.MakeCtrl(wqe.OpWrite, 0)
+
+// FreedPtr returns the pointer a bucket holds once key's fabric delete
+// swapped key's extent out: MAX|key, free and naming the key that left.
+// A CAS that expects it names that key's delete, not just a free
+// bucket: the key's re-insert takes the bucket back with one CAS beside
+// the key word the delete kept, and a fresh claim armed while the
+// bucket was empty is refused, writing nothing, once another key was
+// published there and deleted. Its MAX opcode is what keeps that
+// refused claim's publish from running: landed on the publish's control
+// word, it maxes the bucket's key word with zero.
+func FreedPtr(key uint64) uint64 { return wqe.MakeCtrl(wqe.OpMax, key&KeyMask) }
+
+// address reports whether va, a bucket's pointer, is a value's address
+// rather than a free pointer.
+func address(va uint64) bool { return va <= wqe.IDMask }
 
 // ErrFull reports that neither candidate neighborhood has room.
 var ErrFull = errors.New("hopscotch: table full (both neighborhoods exhausted)")
@@ -108,7 +106,6 @@ type Table struct {
 	hashes       int    // H
 	neighborhood int
 	entries      int
-	tombstones   int
 }
 
 // New allocates a table with nBuckets (rounded up to a power of two)
@@ -142,16 +139,10 @@ func (t *Table) NumBuckets() uint64 { return t.nBuckets }
 // Neighborhood returns the neighborhood size.
 func (t *Table) Neighborhood() int { return t.neighborhood }
 
-// Len returns the number of stored entries.
+// Len returns the number of stored entries. It tracks HOST-path
+// mutations only: fabric chains write bucket memory directly, so under
+// fabric traffic it is an approximation (scan EntryAt for ground truth).
 func (t *Table) Len() int { return t.entries }
-
-// Tombstones returns the number of buckets currently holding delete
-// tombstones. Tombstoned buckets are reclaimed by the next insert (or
-// kick walk) that reaches them, so the count falls as churn reuses the
-// slots. Like Len, this tracks HOST-path mutations only: fabric chains
-// write bucket memory directly, so under mixed fabric/host traffic the
-// counters are an approximation (scan TombstoneAt for ground truth).
-func (t *Table) Tombstones() int { return t.tombstones }
 
 // BucketAddr returns the address of bucket i.
 func (t *Table) BucketAddr(i uint64) uint64 { return t.base + (i%t.nBuckets)*BucketSize }
@@ -184,25 +175,19 @@ func (t *Table) HashAddr(key uint64, fn int) uint64 { return t.BucketAddr(t.hash
 // existing bucket when resident (overwrite — checked across BOTH
 // neighborhoods before any free slot is taken, so a hole opened by an
 // earlier delete can never shadow the live entry with a duplicate),
-// else the first empty or tombstoned slot (inserts reclaim tombstones).
+// else the first free slot (inserts reclaim deleted buckets).
 func (t *Table) slotFor(key uint64) (uint64, error) {
 	free := uint64(0)
 	for fn := 0; fn < t.hashes; fn++ {
 		h := t.hash(key, fn)
 		for d := 0; d < t.neighborhood; d++ {
 			addr := t.BucketAddr(h + uint64(d))
-			ctrl, err := t.mem.U64(addr + OffKeyCtrl)
-			if err != nil {
-				return 0, err
-			}
-			if ctrl == 0 || ctrl == Tombstone {
-				if free == 0 && t.free(addr) {
-					free = addr
-				}
-				continue
-			}
-			if _, k := wqe.SplitCtrl(ctrl); k == key&KeyMask {
+			k, va, ok := t.entry(addr)
+			switch {
+			case ok && k == key&KeyMask:
 				return addr, nil // overwrite existing
+			case !address(va) && free == 0:
+				free = addr
 			}
 		}
 	}
@@ -212,39 +197,46 @@ func (t *Table) slotFor(key uint64) (uint64, error) {
 	return 0, ErrFull
 }
 
+// entry reads the bucket at addr by its pointer: a free one's names the
+// key that left it (0 for FreePtr) with no read of its key word, and
+// beside an address the key word is the resident's, ok unless it is 0
+// (a fresh claim in flight). A bucket past the table reads as a claim,
+// neither free nor resident.
+func (t *Table) entry(addr uint64) (key, va uint64, ok bool) {
+	va, err := t.mem.U64(addr + OffValAddr)
+	if err != nil {
+		return 0, 0, false
+	}
+	if !address(va) {
+		_, key = wqe.SplitCtrl(va)
+		return key, va, false
+	}
+	ctrl, _ := t.mem.U64(addr + OffKeyCtrl)
+	_, key = wqe.SplitCtrl(ctrl)
+	return key, va, key != 0
+}
+
 // storeBucket writes key -> (valAddr, valLen) at addr, maintaining the
-// entry and tombstone accounting against the slot's previous state.
-// Keys wider than 48 bits, and the reserved ids, are rejected rather
-// than silently truncated.
+// entry count against the slot's previous state. Keys wider than 48
+// bits, and the reserved ids, are rejected rather than silently
+// truncated.
 func (t *Table) storeBucket(addr, key, valAddr, valLen uint64) error {
 	if key&^KeyMask != 0 {
 		return fmt.Errorf("hopscotch: key %#x exceeds 48 bits", key)
 	}
 	if key&PendingBit != 0 {
-		return fmt.Errorf("hopscotch: key %#x uses the reserved pending/tombstone id space", key)
+		return fmt.Errorf("hopscotch: key %#x uses the reserved id space", key)
 	}
-	prev, _ := t.mem.U64(addr + OffKeyCtrl)
+	if _, _, resident := t.entry(addr); !resident {
+		t.entries++
+	}
 	if err := t.mem.PutU64(addr+OffKeyCtrl, wqe.MakeCtrl(wqe.OpNoop, key)); err != nil {
 		return err
 	}
 	if err := t.mem.PutU64(addr+OffValAddr, valAddr); err != nil {
 		return err
 	}
-	if err := t.mem.PutU64(addr+OffValLen, valLen); err != nil {
-		return err
-	}
-	if prev == Tombstone {
-		// Clamped: fabric chains install tombstones directly in bucket
-		// memory without touching these host-side counters, so a host
-		// insert can reclaim a tombstone the counter never saw.
-		if t.tombstones > 0 {
-			t.tombstones--
-		}
-		t.entries++
-	} else if prev == 0 {
-		t.entries++
-	}
-	return nil
+	return t.mem.PutU64(addr+OffValLen, valLen)
 }
 
 // Insert stores key -> (valAddr, valLen).
@@ -287,8 +279,8 @@ const maxKicks = 16
 // With a neighborhood of 1 nothing can spill, so Place is two-choice
 // cuckoo placement. An error rolls the walk back: no resident is lost,
 // and none is reported moved. A walk that reaches a bucket a fabric
-// claim holds mid-flight (its PENDING word names no key to re-place)
-// fails with ErrClaimed.
+// fresh claim holds mid-flight (an address beside key word 0: no key
+// to re-place) fails with ErrClaimed.
 func (t *Table) Place(key, valAddr, valLen uint64) (spilled bool, moved []uint64, err error) {
 	if _, _, ok := t.find(key); ok {
 		return false, nil, t.Insert(key, valAddr, valLen) // overwrites where it lives
@@ -331,7 +323,7 @@ func (t *Table) Place(key, valAddr, valLen uint64) (spilled bool, moved []uint64
 		// its own alternate candidate on the next iteration.
 		b := t.Hash(curKey, fn)
 		vk, vva, vvl, ok := t.EntryAt(b)
-		if !ok || vk&PendingBit != 0 {
+		if !ok {
 			return undo(ErrClaimed) // neither free nor a resident: a claim holds it
 		}
 		trail = append(trail, move{bucket: b, kk: vk, va: vva, vl: vvl})
@@ -353,49 +345,34 @@ func (t *Table) Place(key, valAddr, valLen uint64) (spilled bool, moved []uint64
 	return true, moved, nil
 }
 
-// EntryAt reports the entry stored in bucket i (ok=false when empty or
-// tombstoned). The service layer's placement uses it to find
-// cuckoo-kick victims — a tombstoned bucket is a reclaimable slot, not
-// a resident. valLen is the host-written word (see the package doc).
+// EntryAt reports bucket i's key and pointer whatever it holds, and a
+// resident's host-written length; ok reports a resident, a key beside
+// an address. The service layer's placement uses it to find cuckoo-kick
+// victims — a deleted bucket is a reclaimable slot, not a resident —
+// and its write router to read a free bucket's pointer: FreePtr, or the
+// FreedPtr of the key that left it. valLen is the host-written word
+// (see the package doc).
 func (t *Table) EntryAt(i uint64) (key, valAddr, valLen uint64, ok bool) {
 	addr := t.BucketAddr(i)
-	ctrl, err := t.mem.U64(addr + OffKeyCtrl)
-	if err != nil || ctrl == 0 || ctrl == Tombstone {
-		return 0, 0, 0, false
+	if key, valAddr, ok = t.entry(addr); ok {
+		valLen, _ = t.mem.U64(addr + OffValLen)
 	}
-	_, key = wqe.SplitCtrl(ctrl)
-	valAddr, _ = t.mem.U64(addr + OffValAddr)
-	valLen, _ = t.mem.U64(addr + OffValLen)
-	return key, valAddr, valLen, true
+	return key, valAddr, valLen, ok
 }
 
-// FreeAt reports whether a new key may take bucket i: its key word is
-// empty or a tombstone, and it names FreePtr. A free key word beside
-// another pointer is held by a fabric claim or delete in flight.
+// FreeAt reports whether a new key may take bucket i: its pointer is
+// not an address. An address beside key word 0 is held by a fabric
+// fresh claim in flight.
 func (t *Table) FreeAt(i uint64) bool {
-	return t.free(t.BucketAddr(i))
+	va, err := t.mem.U64(t.BucketAddr(i) + OffValAddr)
+	return err == nil && !address(va)
 }
 
-func (t *Table) free(addr uint64) bool {
-	ctrl, _ := t.mem.U64(addr + OffKeyCtrl)
-	va, _ := t.mem.U64(addr + OffValAddr)
-	return (ctrl == 0 || ctrl == Tombstone) && va == FreePtr
-}
-
-// TombstoneAt reports whether bucket i holds a delete tombstone. The
-// write router needs the distinction: claiming a tombstoned bucket
-// CASes against the tombstone word, claiming an empty one against
-// zero.
-func (t *Table) TombstoneAt(i uint64) bool {
-	ctrl, _ := t.mem.U64(t.BucketAddr(i) + OffKeyCtrl)
-	return ctrl == Tombstone
-}
-
-// Remove tombstones key's bucket if present and returns the value
-// extent it referenced, so the caller can retire it. The host-CPU
-// delete path — the spilled-resident fallback the NIC delete chain
-// cannot reach — and crash-recovery housekeeping both run through
-// here.
+// Remove empties key's bucket if present — key word 0 beside FreePtr,
+// length 0 — and returns the value extent it referenced, so the caller
+// can retire it. The host-CPU delete path — the spilled-resident
+// fallback the NIC delete chain cannot reach — and crash-recovery
+// housekeeping both run through here.
 func (t *Table) Remove(key uint64) (valAddr, valLen uint64, ok bool) {
 	addr, _, ok := t.find(key)
 	if !ok {
@@ -403,15 +380,14 @@ func (t *Table) Remove(key uint64) (valAddr, valLen uint64, ok bool) {
 	}
 	valAddr, _ = t.mem.U64(addr + OffValAddr)
 	valLen, _ = t.mem.U64(addr + OffValLen)
-	t.mem.PutU64(addr+OffKeyCtrl, Tombstone)
+	t.mem.PutU64(addr+OffKeyCtrl, 0)
 	t.mem.PutU64(addr+OffValAddr, FreePtr)
 	t.mem.PutU64(addr+OffValLen, 0)
 	t.entries--
-	t.tombstones++
 	return valAddr, valLen, true
 }
 
-// Delete removes key if present (tombstoning its bucket).
+// Delete removes key if present (emptying its bucket).
 func (t *Table) Delete(key uint64) bool {
 	_, _, ok := t.Remove(key)
 	return ok
@@ -419,22 +395,18 @@ func (t *Table) Delete(key uint64) bool {
 
 // find returns the address of key's bucket and which candidate (0 or
 // 1) holds it, scanning both candidate neighborhoods; fn is -1 when
-// the key is absent. Keys in the reserved id space never match: their
-// control words are the tombstone and pending markers, so comparing
-// them would phantom-hit a deleted or claimed bucket.
+// the key is absent. A key word beside a free pointer is no resident:
+// the key's own delete left it there.
 func (t *Table) find(key uint64) (addr uint64, fn int, ok bool) {
-	if key&PendingBit != 0 {
-		return 0, -1, false
-	}
 	for fn := 0; fn < t.hashes; fn++ {
 		h := t.hash(key, fn)
 		for d := 0; d < t.neighborhood; d++ {
 			addr := t.BucketAddr(h + uint64(d))
 			ctrl, err := t.mem.U64(addr + OffKeyCtrl)
-			if err != nil || ctrl == 0 {
+			if _, k := wqe.SplitCtrl(ctrl); err != nil || k == 0 || k != key&KeyMask {
 				continue
 			}
-			if _, k := wqe.SplitCtrl(ctrl); k == key&KeyMask {
+			if va, _ := t.mem.U64(addr + OffValAddr); address(va) {
 				return addr, fn, true
 			}
 		}

@@ -145,35 +145,115 @@ func TestInsertLookupProperty(t *testing.T) {
 	}
 }
 
-// Deletes tombstone buckets; inserts reclaim them, and an overwrite of
-// a key that sits beyond an earlier hole must update the resident
-// entry, never shadow it with a duplicate in the hole.
+// fabricDelete does to key's bucket what a fabric delete's one CAS
+// does: it swaps the key's extent for FreedPtr(key), keeping the key
+// word. It returns the bucket's index.
+func fabricDelete(t testing.TB, tbl *Table, m *mem.Memory, key uint64) uint64 {
+	t.Helper()
+	addr, _, ok := tbl.find(key)
+	if !ok {
+		t.Fatalf("fabric delete of absent key %d", key)
+	}
+	if err := m.PutU64(addr+OffValAddr, FreedPtr(key)); err != nil {
+		t.Fatal(err)
+	}
+	return (addr - tbl.Base()) / BucketSize
+}
+
+// A host Remove empties its bucket, key word 0 beside FreePtr; a fabric
+// delete leaves the key's word beside its freed pointer. Either way the
+// key misses, the bucket is free and no resident, and an insert reclaims
+// it; an overwrite of a key that sits beyond an earlier hole must update
+// the resident entry, never shadow it with a duplicate in the hole.
 func TestTombstoneLifecycle(t *testing.T) {
-	tbl, _ := newTable(t, 64)
+	tbl, m := newTable(t, 64)
 	if err := tbl.Insert(5, 0x1000, 16); err != nil {
 		t.Fatal(err)
 	}
 	if va, vl, ok := tbl.Remove(5); !ok || va != 0x1000 || vl != 16 {
 		t.Fatalf("remove returned (%#x,%d,%v), want the extent", va, vl, ok)
 	}
-	if tbl.Tombstones() != 1 || tbl.Len() != 0 {
-		t.Fatalf("tombstones=%d len=%d after remove", tbl.Tombstones(), tbl.Len())
+	b := tbl.Hash(5, 0)
+	if k, va, vl, ok := tbl.EntryAt(b); k != 0 || va != FreePtr || vl != 0 || ok || tbl.Len() != 0 {
+		t.Fatalf("after remove: bucket (%d, %#x, %d, resident %v), len %d; want (0, FreePtr, 0), none", k, va, vl, ok, tbl.Len())
 	}
-	if _, _, ok := tbl.Lookup(5); ok {
-		t.Fatal("lookup found a tombstoned key")
-	}
-	if !tbl.TombstoneAt(tbl.Hash(5, 0)) {
-		t.Fatal("TombstoneAt missed the tombstoned bucket")
-	}
-	if _, _, _, ok := tbl.EntryAt(tbl.Hash(5, 0)); ok {
-		t.Fatal("EntryAt reported a tombstone as a resident")
-	}
-	// Reinsert reclaims the tombstone.
+	// Reinsert reclaims the bucket.
 	if err := tbl.Insert(5, 0x2000, 16); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Tombstones() != 0 || tbl.Len() != 1 {
-		t.Fatalf("tombstones=%d len=%d after reinsert", tbl.Tombstones(), tbl.Len())
+	if tbl.Len() != 1 {
+		t.Fatalf("len=%d after reinsert", tbl.Len())
+	}
+	b = fabricDelete(t, tbl, m, 5)
+	if _, _, ok := tbl.Lookup(5); ok || tbl.LookupBucket(5) != -1 {
+		t.Fatal("lookup found a fabric-deleted key")
+	}
+	if k, va, _, ok := tbl.EntryAt(b); k != 5 || va != FreedPtr(5) || ok || !tbl.FreeAt(b) {
+		t.Fatalf("after a fabric delete: bucket (%d, %#x, resident %v), free %v; want (5, FreedPtr(5)), free", k, va, ok, tbl.FreeAt(b))
+	}
+	if _, _, ok := tbl.Remove(5); ok {
+		t.Fatal("host Remove found a fabric-deleted key")
+	}
+	if err := tbl.Insert(5, 0x3000, 16); err != nil {
+		t.Fatal(err)
+	}
+	if va, _, ok := tbl.Lookup(5); !ok || va != 0x3000 || tbl.LookupBucket(5) != 0 {
+		t.Fatalf("reinsert after a fabric delete: lookup (%#x, %v), bucket %d", va, ok, tbl.LookupBucket(5))
+	}
+}
+
+// The pointer rule, bucket by bucket: a key is resident only while its
+// pointer is an address, and a bucket is free iff its pointer is not.
+// Host lookups, EntryAt and FreeAt agree on every state a bucket can
+// be in: empty, resident, emptied by a host Remove, freed by a fabric
+// delete, reused by another key, and held by a fresh claim in flight
+// (an address beside key word 0). Placed as control words, the free
+// pointer is a WRITE, a freed one a MAX and an address a NOOP.
+func TestFreedPointerRule(t *testing.T) {
+	tbl, m := newTable(t, 64)
+	const a, b = 5, 6
+	bucket := tbl.Hash(a, 0)
+	addr := tbl.BucketAddr(bucket)
+	check := func(state string, key, va uint64, resident, free bool) {
+		t.Helper()
+		k, v, _, ok := tbl.EntryAt(bucket)
+		if k != key || v != va || ok != resident || tbl.FreeAt(bucket) != free {
+			t.Fatalf("%s: EntryAt (%d, %#x, resident %v), free %v; want (%d, %#x, resident %v), free %v",
+				state, k, v, ok, tbl.FreeAt(bucket), key, va, resident, free)
+		}
+		if _, _, found := tbl.Lookup(key); key != 0 && found != resident {
+			t.Fatalf("%s: Lookup(%d) found %v, want %v", state, key, found, resident)
+		}
+	}
+	check("empty", 0, FreePtr, false, true)
+	if err := tbl.InsertAt(a, 0x1000, 8, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("resident", a, 0x1000, true, false)
+	tbl.Remove(a)
+	check("emptied", 0, FreePtr, false, true)
+	tbl.InsertAt(a, 0x1000, 8, 0, 0)
+	fabricDelete(t, tbl, m, a)
+	check("freed", a, FreedPtr(a), false, true)
+	if tbl.Len() != 1 {
+		t.Fatalf("len %d: a fabric delete is no host mutation", tbl.Len())
+	}
+	if err := tbl.WriteBucket(bucket, b, 0x2000, 8); err != nil {
+		t.Fatal(err)
+	}
+	check("reused", b, 0x2000, true, false)
+	if _, _, ok := tbl.Lookup(a); ok {
+		t.Fatal("the deleted key is resident again")
+	}
+	m.PutU64(addr+OffKeyCtrl, 0)
+	check("claimed", 0, 0x2000, false, false)
+	for _, c := range []struct {
+		ptr uint64
+		op  wqe.Opcode
+	}{{FreePtr, wqe.OpWrite}, {FreedPtr(a), wqe.OpMax}, {FreedPtr(KeyMask), wqe.OpMax}, {0x2000, wqe.OpNoop}} {
+		if op, _ := wqe.SplitCtrl(c.ptr); op != c.op {
+			t.Fatalf("pointer %#x decodes as %v, want %v", c.ptr, op, c.op)
+		}
 	}
 }
 
@@ -202,8 +282,8 @@ func TestOverwriteSkipsEarlierHole(t *testing.T) {
 	if err := tbl.InsertAt(key, 0x300, 8, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	// Open a hole ahead of key (tombstone via Remove of the first
-	// filler), then overwrite key.
+	// Open a hole ahead of key (Remove of the first filler), then
+	// overwrite key.
 	if _, _, ok := tbl.Remove(fillers[0]); !ok {
 		t.Fatal("remove of filler failed")
 	}
@@ -227,9 +307,9 @@ func TestOverwriteSkipsEarlierHole(t *testing.T) {
 }
 
 // Inert under injection: whatever a table leaves in a bucket's key slot
-// — never written, resident, tombstoned — and the word a fabric chain
-// parks there decode as NOOPs. Lookup probes and write-chain claims
-// both drop these words onto WQE control fields and let them execute.
+// — never written, resident, emptied by a host Remove, kept by a fabric
+// delete — decodes as a NOOP. Lookup probes and write-chain claims both
+// drop these words onto WQE control fields and let them execute.
 func TestBucketWordsAreNoops(t *testing.T) {
 	tbl, m := newTable(t, 64)
 	for k := uint64(1); k <= 40; k++ {
@@ -240,7 +320,10 @@ func TestBucketWordsAreNoops(t *testing.T) {
 	for k := uint64(1); k <= 40; k += 3 {
 		tbl.Remove(k)
 	}
-	words := []uint64{Tombstone, PendingCtrl(7), PendingCtrl(KeyMask)}
+	for k := uint64(2); k <= 40; k += 3 {
+		fabricDelete(t, tbl, m, k)
+	}
+	var words []uint64
 	for i := uint64(0); i < tbl.NumBuckets(); i++ {
 		w, err := m.U64(tbl.BucketAddr(i) + OffKeyCtrl)
 		if err != nil {
@@ -255,23 +338,24 @@ func TestBucketWordsAreNoops(t *testing.T) {
 	}
 }
 
-// The reserved tombstone id is not a usable key anywhere keys enter.
+// The reserved id space is not a usable key anywhere keys enter: its
+// top id (KeyMask) is rejected as every PendingBit key is.
 func TestTombstoneIDRejectedEverywhere(t *testing.T) {
 	tbl, _ := newTable(t, 16)
-	if err := tbl.Insert(TombstoneID, 0x1000, 8); err == nil {
-		t.Fatal("Insert accepted the tombstone id")
+	if err := tbl.Insert(KeyMask, 0x1000, 8); err == nil {
+		t.Fatal("Insert accepted a reserved id")
 	}
-	if err := tbl.InsertAt(TombstoneID, 0x1000, 8, 0, 0); err == nil {
-		t.Fatal("InsertAt accepted the tombstone id")
+	if err := tbl.InsertAt(KeyMask, 0x1000, 8, 0, 0); err == nil {
+		t.Fatal("InsertAt accepted a reserved id")
 	}
-	if err := tbl.WriteBucket(0, TombstoneID, 0x1000, 8); err == nil {
-		t.Fatal("WriteBucket accepted the tombstone id")
+	if err := tbl.WriteBucket(0, KeyMask, 0x1000, 8); err == nil {
+		t.Fatal("WriteBucket accepted a reserved id")
 	}
 }
 
-// Keys in the reserved id space miss on every host lookup. On a bucket
-// holding the tombstone word (NOOP|TombstoneID) or a pending word
-// (NOOP|(key|PendingBit)), comparing a reserved key's id would hit.
+// Key 0 and the reserved ids miss on every host lookup, and so does a
+// fabric-deleted key, whose word its bucket kept: key 0's word is an
+// empty bucket's, and a key word beside a free pointer is no resident.
 func TestReservedKeysMiss(t *testing.T) {
 	tbl, m := newTable(t, 64)
 	miss := func(key uint64) {
@@ -283,34 +367,18 @@ func TestReservedKeysMiss(t *testing.T) {
 			t.Fatalf("LookupBucket(%#x) = %d, want -1", key, fn)
 		}
 	}
-	// A tombstone in the tombstone id's own first candidate bucket.
-	h := tbl.Hash(TombstoneID, 0)
-	k := uint64(1)
-	for tbl.Hash(k, 0) != h {
-		k++
-	}
-	if err := tbl.InsertAt(k, 0x1000, 8, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := tbl.Remove(k); !ok {
-		t.Fatal("remove failed")
-	}
-	miss(TombstoneID)
-
-	// A claimed-but-unpublished bucket where k|PendingBit hashes.
+	miss(0)
+	miss(KeyMask)
 	const key = 9
-	b := tbl.Hash(key|PendingBit, 0)
-	if err := m.PutU64(tbl.BucketAddr(b)+OffKeyCtrl, PendingCtrl(key)); err != nil {
-		t.Fatal(err)
-	}
-	miss(key | PendingBit)
-
 	if err := tbl.Insert(key, 0x2000, 8); err != nil {
 		t.Fatal(err)
 	}
 	if va, _, ok := tbl.Lookup(key); !ok || va != 0x2000 {
 		t.Fatalf("valid key: Lookup = %#x,%v", va, ok)
 	}
+	miss(key | PendingBit)
+	fabricDelete(t, tbl, m, key)
+	miss(key)
 }
 
 // newCuckoo is a two-choice cuckoo table: with a neighborhood of 1,
@@ -428,17 +496,24 @@ func TestPlaceFullTableRollsBack(t *testing.T) {
 	}
 }
 
-// A kick walk that reaches a tombstoned bucket reclaims it: the evictee
-// lands there instead of displacing further.
+// A kick walk that reaches a deleted bucket reclaims it, whether a host
+// Remove emptied it or a fabric delete freed it beside its key's word:
+// the evictee lands there instead of displacing further.
 func TestPlaceReclaimsTombstones(t *testing.T) {
-	tbl, _ := newCuckoo(t, 64)
+	for _, fabric := range []bool{false, true} {
+		placeReclaims(t, fabric)
+	}
+}
+
+func placeReclaims(t *testing.T, fabric bool) {
+	tbl, m := newCuckoo(t, 64)
 	for k := uint64(1); k <= 24; k++ {
 		if _, _, err := tbl.Place(k, k*8, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// x's first candidate holds r, whose other candidate (not one of
-	// x's) holds a: tombstone a, and x's walk kicks r into its slot.
+	// x's) holds a: delete a, and x's walk kicks r into its slot.
 	for x := uint64(1000); x < 100000; x++ {
 		if !bothTaken(tbl, x) {
 			continue
@@ -453,27 +528,36 @@ func TestPlaceReclaimsTombstones(t *testing.T) {
 		if alt == b0 || alt == tbl.Hash(x, 1) || !ok {
 			continue
 		}
-		if _, _, ok := tbl.Remove(a); !ok || tbl.Tombstones() != 1 {
-			t.Fatalf("remove(%d) = %v, tombstones %d", a, ok, tbl.Tombstones())
+		live := 23
+		if fabric {
+			fabricDelete(t, tbl, m, a)
+			live = 24 // a fabric delete is no host mutation
+		} else if _, _, ok := tbl.Remove(a); !ok {
+			t.Fatalf("remove(%d) failed", a)
 		}
 		if spilled, moved, err := tbl.Place(x, 0x5000, 8); err != nil || spilled || !slices.Equal(moved, []uint64{r}) {
 			t.Fatalf("place: spilled=%v moved=%v err=%v; want %d moved", spilled, moved, err, r)
 		}
-		if k, _, _, _ := tbl.EntryAt(alt); k != r || tbl.Tombstones() != 0 {
-			t.Fatalf("bucket %d holds %d with %d tombstones, want %d reclaimed", alt, k, tbl.Tombstones(), r)
+		if k, _, _, ok := tbl.EntryAt(alt); k != r || !ok {
+			t.Fatalf("bucket %d holds %d (resident %v), want %d reclaimed", alt, k, ok, r)
 		}
-		if k, _, _, _ := tbl.EntryAt(b0); k != x || tbl.Len() != 24 {
-			t.Fatalf("bucket %d holds %d, len %d; want %d, 24", b0, k, tbl.Len(), x)
+		if k, _, _, _ := tbl.EntryAt(b0); k != x || tbl.Len() != live+1 {
+			t.Fatalf("bucket %d holds %d, len %d; want %d, %d", b0, k, tbl.Len(), x, live+1)
+		}
+		if _, _, ok := tbl.Lookup(a); ok {
+			t.Fatalf("deleted key %d resident after the walk", a)
 		}
 		return
 	}
 	t.Fatal("no key's walk reaches a removable resident")
 }
 
-// A kick walk that reaches a bucket a fabric claim holds mid-flight
-// stops there and rolls back: the PENDING word names no key to re-place,
-// so the walk used to fail half done, leaving the new key placed while
-// reporting an error (its caller then freed the extent it points at).
+// A kick walk that reaches a bucket a fabric fresh claim holds
+// mid-flight stops there and rolls back: its pointer landed and its
+// publish has not, so key word 0 beside an address names no key to
+// re-place, and the walk used to fail half done, leaving the new key
+// placed while reporting an error (its caller then freed the extent it
+// points at).
 func TestPlaceStopsAtClaimedBucket(t *testing.T) {
 	tbl, m := newCuckoo(t, 64)
 	for k := uint64(1); k <= 24; k++ {
@@ -493,11 +577,11 @@ func TestPlaceStopsAtClaimedBucket(t *testing.T) {
 		if alt == b0 {
 			alt = tbl.Hash(r, 1)
 		}
-		a, _, _, ok := tbl.EntryAt(alt)
+		_, _, _, ok := tbl.EntryAt(alt)
 		if alt == b0 || alt == tbl.Hash(x, 1) || !ok {
 			continue
 		}
-		if err := m.PutU64(tbl.BucketAddr(alt)+OffKeyCtrl, PendingCtrl(a)); err != nil {
+		if err := m.PutU64(tbl.BucketAddr(alt)+OffKeyCtrl, 0); err != nil {
 			t.Fatal(err)
 		}
 		before, _ := m.Read(tbl.Base(), tbl.Size())

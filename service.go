@@ -1339,7 +1339,7 @@ type ShardStats struct {
 	HintsApplied      uint64 `metric:"hints_applied"`      // hints delivered on reconnect (exactly once each)
 	HintsDropped      uint64 `metric:"hints_dropped"`      // hints superseded by a newer write before draining
 	Deletes           uint64 `metric:"dels"`               // owner deletes applied (fabric + host + trivial absents)
-	FabricDeletes     uint64 `metric:"fabric_dels"`        // owner deletes attempted through the NIC tombstone chain
+	FabricDeletes     uint64 `metric:"fabric_dels"`        // owner deletes attempted through the NIC pointer CAS
 	HostDeletes       uint64 `metric:"host_dels"`          // owner deletes that fell back to the host CPU
 	GCFreed           uint64 `metric:"gc_freed"`           // extents applied fabric deletes retired to the arena
 	RepairsQueued     uint64 `metric:"repairs_queued"`     // repair records enqueued for this owner

@@ -4,6 +4,7 @@ package redn
 
 import (
 	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"repro/internal/failure"
@@ -191,9 +192,14 @@ func TestHintDrainAllocatesNothingPerHint(t *testing.T) {
 // the run the replay is. 256 repairs of caught-up owners, and 256 hints
 // queued by writes to owners whose breaker is open and drained once
 // they prove live, allocate nothing; the bound leaves two objects of
-// slack for the runtime's own. Known flake: about one run in 150 counts
-// 5 objects in the repair round, as the repair-only version of this
-// test did; the source is not yet traced.
+// slack for the runtime's own. A round in which the runtime started an
+// OS thread is measured again: the thread's records, 5 objects (its m
+// and two g's among them, sized by runtime/metrics'
+// /gc/heap/allocs-by-size), land on the heap while another goroutine
+// is blocked in a syscall — chiefly the finalizer goroutine unmapping
+// the node memory of services earlier tests left to the round's own
+// runtime.GC() — so they are the runtime's, not the round's. Measured
+// without the retry, 10 of 360 runs (36 per process) counted them.
 func TestRepairAllocatesNothingPerRecord(t *testing.T) {
 	s := NewServiceWith(ServiceConfig{
 		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
@@ -225,13 +231,21 @@ func TestRepairAllocatesNothingPerRecord(t *testing.T) {
 		s.Run()
 	}
 	n := 2 * len(keys)
-	perRecord := func(round func()) float64 {
+	threads := pprof.Lookup("threadcreate")
+	perRecord := func(round func()) (objects float64, rounds int) {
 		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		round()
-		runtime.ReadMemStats(&m1)
-		return float64(m1.Mallocs-m0.Mallocs) / float64(n)
+		for rounds < 3 {
+			before := threads.Count()
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			round()
+			runtime.ReadMemStats(&m1)
+			rounds++
+			if threads.Count() == before {
+				break
+			}
+		}
+		return float64(m1.Mallocs-m0.Mallocs) / float64(n), rounds
 	}
 	// Warm: the rounds grow the pools, the queues and the maps, and the
 	// first drain's replays the NIC's own work lists. The first burst
@@ -245,13 +259,14 @@ func TestRepairAllocatesNothingPerRecord(t *testing.T) {
 		hints(keys)
 	}
 	st := s.Stats()
-	perRepair, perHint := perRecord(repairs), perRecord(func() { hints(keys) })
+	perRepair, repairRounds := perRecord(repairs)
+	perHint, hintRounds := perRecord(func() { hints(keys) })
 	now := s.Stats()
-	if got := now.RepairsSuperseded - st.RepairsSuperseded; got != uint64(n) {
-		t.Fatalf("%d of %d repairs of caught-up owners superseded", got, n)
+	if got, want := now.RepairsSuperseded-st.RepairsSuperseded, uint64(n*repairRounds); got != want {
+		t.Fatalf("%d of %d repairs of caught-up owners superseded", got, want)
 	}
-	if got := now.HintsApplied - st.HintsApplied; got != uint64(n) || now.HintsQueued-st.HintsQueued != uint64(n) {
-		t.Fatalf("%d of %d hints queued, %d applied", now.HintsQueued-st.HintsQueued, n, got)
+	if got, want := now.HintsApplied-st.HintsApplied, uint64(n*hintRounds); got != want || now.HintsQueued-st.HintsQueued != want {
+		t.Fatalf("%d of %d hints queued, %d applied", now.HintsQueued-st.HintsQueued, want, got)
 	}
 	t.Logf("%.3f objects per repair, %.3f per hint", perRepair, perHint)
 	if perRepair > 0.01 || perHint > 0.01 {

@@ -85,8 +85,12 @@ import (
 // every set CAS became final when posted, run from an unmanaged ring
 // behind a WAIT on the trigger: a hinted overwrite takes one managed
 // fetch instead of two, a fresh claim two instead of three, and the
-// history's deletes two instead of four.
-const exactHistoryHash = 0xa5a12fcc53a1fc47
+// history's deletes two instead of four (0xa5a12fcc53a1fc47). It moved
+// again when a delete became the hinted overwrite's one pointer CAS,
+// swapping the key's extent for its freed pointer (3 + 4 WRs and one
+// managed fetch, not 5 + 8 and two), and a deleted key's re-insert at
+// its own bucket the same one CAS, with no publish.
+const exactHistoryHash = 0xec93f8ab605e063c
 
 // historyOp is one completed operation of a history run; op is its
 // telemetry class (get, set or del).

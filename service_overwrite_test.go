@@ -31,11 +31,13 @@ func oneShard(t *testing.T, key uint64) (*Service, *serviceShard) {
 }
 
 // A fabric delete keeps its key's placement hint, and a hinted get of
-// the deleted key never returns bytes: it reads the bucket's word
-// beside the shard's null extent, not the extent the delete retired,
+// the deleted key never returns bytes: it reads the bucket's words
+// against the shard's null extent, not the extent the delete retired,
 // and answers the miss in one round trip, with no re-probe. That holds
-// while the tombstone stands, once another key has claimed the bucket,
-// and once another value has been staged into the retired extent.
+// while the key's word stands beside its freed pointer, once another
+// key has reclaimed the bucket (a host Place, the only write that may
+// reuse a bucket another key's delete freed), and once another value
+// has been staged into the retired extent.
 func TestHintedGetAfterFabricDeleteReturnsNoBytes(t *testing.T) {
 	const key = 7
 	cases := []struct {
@@ -49,7 +51,7 @@ func TestHintedGetAfterFabricDeleteReturnsNoBytes(t *testing.T) {
 			for tb.HashAddr(other, 0) != bucket {
 				other++
 			}
-			if err := s.Set(other, Value(other, 64)); err != nil {
+			if err := sh.set(other, Value(other, 64), 1); err != nil {
 				t.Fatal(err)
 			}
 			if k, _, _, ok := tb.EntryAt((bucket - tb.Base()) / 32); !ok || k != other {

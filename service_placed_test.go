@@ -267,11 +267,13 @@ func hintedGet(s *Service, cli *Client, key, valLen uint64, fn int, ext uint64) 
 // A hinted get decides nothing on the NIC: it answers its bucket's
 // [keyCtrl, valAddr] ahead of the bytes at the extent its hint names,
 // and its client accepts the value iff those words are the key's and
-// that extent. A bucket holding another key, a tombstone or a pending
-// word answers at once, as a miss whose chain ran, and the client
-// delivers no bytes; so does the key's own word beside another extent —
-// the key moved since the hint was learned — which the client reports
-// as moved; the key's own words answer the value.
+// that extent. A bucket holding another key, the key's own word beside
+// its freed pointer (its delete's) or a fresh claim in flight (key word
+// 0 beside an address) answers at once, as a miss whose chain ran, and
+// the client delivers no bytes and reports no move; so does the key's
+// own word beside another extent — the key moved since the hint was
+// learned — which the client reports as moved; the key's own words
+// answer the value.
 func TestHintedGetAnswersItsBucketsWord(t *testing.T) {
 	const valLen, key, other = 64, 7, 8
 	s := NewServiceWith(ServiceConfig{
@@ -294,7 +296,7 @@ func TestHintedGetAnswersItsBucketsWord(t *testing.T) {
 	m, cli := sh.srv.node.Mem, sh.clients[0]
 	resident, _ := m.U64(bucket + hopscotch.OffKeyCtrl)
 	for _, c := range []struct{ word, va uint64 }{
-		{core.ClaimCtrl(other), ext}, {hopscotch.Tombstone, ext}, {hopscotch.PendingCtrl(key), ext},
+		{core.ClaimCtrl(other), ext}, {resident, hopscotch.FreedPtr(key)}, {0, ext},
 		{resident, otherExt}, {resident, ext},
 	} {
 		m.PutU64(bucket+hopscotch.OffKeyCtrl, c.word)
@@ -305,7 +307,7 @@ func TestHintedGetAnswersItsBucketsWord(t *testing.T) {
 		va, _ := cli.node.Mem.U64(cli.get.resp[slot] + 8)
 		hit := c.word == resident && c.va == ext
 		wantMoved := uint64(0)
-		if c.word == resident && !hit {
+		if c.word == resident && !hit && c.va != hopscotch.FreedPtr(key) {
 			wantMoved = c.va
 		}
 		switch {
@@ -432,8 +434,10 @@ func TestHintedGetRejectsAMovedExtent(t *testing.T) {
 // holds, and its client reads the bucket's words first: a hinted get of
 // an empty, tombstoned or pending bucket answers a miss in one round
 // trip, delivers no bytes, and leaves its slot's response QP healthy,
-// whatever the bucket's value address: 0 where no key ever lived or a
-// host delete left it, a retired extent's where a fabric delete did.
+// whatever the bucket's value address: the free pointer where no key
+// ever lived or a host delete left it, the key's freed pointer where a
+// fabric delete did, a staging extent where a fresh claim's pointer
+// landed ahead of its publish.
 // The probes run after the preload, a host-path kick walk, a host and a
 // fabric delete, and a process crash's rebuild.
 func TestHintedGetOfAnUnoccupiedBucketMisses(t *testing.T) {
@@ -460,23 +464,25 @@ func TestHintedGetOfAnUnoccupiedBucketMisses(t *testing.T) {
 		}
 		pending := false
 		for i := uint64(0); i < tb.NumBuckets(); i++ {
-			if _, _, _, ok := tb.EntryAt(i); ok {
+			held, va, _, ok := tb.EntryAt(i)
+			if ok {
 				continue
 			}
 			k, kind := onto(i), "empty"
-			word := tb.BucketAddr(i) + hopscotch.OffKeyCtrl
+			word := tb.BucketAddr(i) + hopscotch.OffValAddr
 			switch {
-			case tb.TombstoneAt(i):
+			case held != 0 && va == hopscotch.FreedPtr(held):
 				kind = "tombstoned"
 			case !pending:
-				// A claim in flight: its pending word, for one get.
+				// A fresh claim in flight: its staging pointer beside key
+				// word 0, for one get.
 				pending, kind = true, "pending"
-				m.PutU64(word, hopscotch.PendingCtrl(k))
+				m.PutU64(word, ext)
 			}
 			slot := cli.get.free[len(cli.get.free)-1]
 			got, lat, ok, _ := hintedGet(s, cli, k, valLen, 1, ext)
 			if kind == "pending" {
-				m.PutU64(word, 0)
+				m.PutU64(word, va)
 			}
 			seen[kind] = true
 			if ok || len(got) != 0 || !cli.lastExecuted(pipeGet) || lat > 20*sim.Microsecond {
@@ -727,9 +733,9 @@ func TestShardServesOnBothPorts(t *testing.T) {
 }
 
 // A host-path set whose kick walk reaches a bucket another key's fabric
-// claim holds (its PENDING word) waits the claim out and walks again:
-// the claim resolves within microseconds, so the set succeeds instead
-// of failing its leg as if the table were full.
+// fresh claim holds (key word 0 beside its pointer) waits the claim out
+// and walks again: the claim resolves within microseconds, so the set
+// succeeds instead of failing its leg as if the table were full.
 func TestHostWalkWaitsOutAClaim(t *testing.T) {
 	const valLen = 64
 	s := NewServiceWith(ServiceConfig{
@@ -747,7 +753,8 @@ func TestHostWalkWaitsOutAClaim(t *testing.T) {
 	}
 	// x's candidates both hold keys, so its set takes the host path; the
 	// walk kicks the resident r of x's first candidate toward r's other
-	// bucket, which holds a, whose claim is in flight until claimEnds.
+	// bucket, which a fresh claim holds in flight until claimEnds: its
+	// pointer landed, its key word is still 0.
 	for x := uint64(1000); x < 100000; x++ {
 		b0, b1 := tb.Hash(x, 0), tb.Hash(x, 1)
 		r, _, _, okA := tb.EntryAt(b0)
@@ -756,14 +763,14 @@ func TestHostWalkWaitsOutAClaim(t *testing.T) {
 		if alt == b0 {
 			alt = tb.Hash(r, 1)
 		}
-		a, _, _, ok := tb.EntryAt(alt)
+		_, _, _, ok := tb.EntryAt(alt)
 		if !okA || !okB || !ok || alt == b0 || alt == b1 {
 			continue
 		}
 		word := tb.BucketAddr(alt) + hopscotch.OffKeyCtrl
 		resident, err := m.U64(word)
 		if err == nil {
-			err = m.PutU64(word, hopscotch.PendingCtrl(a))
+			err = m.PutU64(word, 0)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -777,7 +784,7 @@ func TestHostWalkWaitsOutAClaim(t *testing.T) {
 		})
 		before := s.Stats()
 		if err := s.Set(x, Value(x, valLen)); err != nil {
-			t.Fatalf("set of %d, whose walk met a's claim: %v", x, err)
+			t.Fatalf("set of %d, whose walk met a claim: %v", x, err)
 		}
 		st := s.Stats()
 		if st.HostSets != before.HostSets+1 || st.Sets != before.Sets+1 || s.Now() < claimEnds {

@@ -24,10 +24,10 @@ import (
 // otherwise — and issues it through the owner's Client.SetAsync
 // pipeline, where the NIC's CAS-claim chain (core.SetOffload) installs
 // the key and repoints the bucket at the staged value. For a tombstone
-// it claims the key's resident bucket with the same chain's key claim,
-// installing the tombstone and freeing the bucket's pointer words; the
-// applied ack retires the extent the coordinator captured under the
-// key's write slot, as an overwrite's does. Keys that need cuckoo-kick
+// it runs the hinted overwrite's pointer CAS at the key's resident
+// bucket, swapping the extent the coordinator captured under the key's
+// write slot for the key's freed pointer; the applied ack retires that
+// extent, as an overwrite's does. Keys that need cuckoo-kick
 // relocation (both candidates taken) or that live in spilled
 // neighborhood slots fall back to the host CPU at a modeled two-sided
 // RPC cost; a claim refused by the CAS (a racing writer won the bucket)
@@ -58,16 +58,14 @@ import (
 const hostSetLat = 2500 * sim.Nanosecond
 
 // hostDeleteLat models a delete that must involve the owner's CPU: a
-// two-sided RPC plus the neighborhood scan and tombstone — the same
-// cost shape as hostSetLat.
+// two-sided RPC plus the neighborhood scan and the bucket's emptying —
+// the same cost shape as hostSetLat.
 const hostDeleteLat = hostSetLat
 
-// ErrReservedKey reports a write or delete of a key in the reserved
-// pending/tombstone id space (hopscotch.PendingBit set): the fabric
-// claim machinery depends on those words never being resident keys, so
-// the async paths reject them exactly as the tables' host-side inserts
-// do.
-var ErrReservedKey = errors.New("redn: key uses the reserved pending/tombstone id space")
+// ErrReservedKey reports a write or delete of a key in the reserved id
+// space (hopscotch.PendingBit set): the async paths reject them exactly
+// as the tables' host-side inserts do.
+var ErrReservedKey = errors.New("redn: key uses the reserved id space")
 
 // ErrValueTooLarge reports a set whose value exceeds the service's
 // MaxValLen: the per-slot staging buffers every owner connection stages
@@ -357,10 +355,9 @@ func (s *Service) writeAsync(key uint64, value []byte, del bool, cb func(lat Dur
 	// is touched, so it leaves no sequence number, unsettled count or
 	// cache entry behind.
 	if key&hopscotch.PendingBit != 0 || key == 0 {
-		// The reserved id space (pending/tombstone words) would void the
-		// claim chain's published/unpublished distinction, and key 0's
-		// control word is the empty-bucket marker; reject both on the
-		// fabric path exactly as the tables do on the host path.
+		// The tables reject the reserved id space, and key 0's control
+		// word is the empty-bucket marker; reject both on the fabric
+		// path exactly as the tables do on the host path.
 		s.rejectWrite(cb, ErrReservedKey)
 		return
 	}
@@ -779,15 +776,15 @@ func (r *ownerRun) finish(st ownerWriteStatus) {
 // apply routes one owner apply, the run holding the (owner, key) slot:
 // the NIC chain when the fabric can carry it — for a value, the hinted
 // overwrite's pointer CAS when the key is resident at a candidate
-// bucket, else the CAS-claim set chain at a claimable candidate; the
-// key claim installing the tombstone at the key's resident bucket for a
-// delete — the host CPU otherwise, a trivial ack for a delete the owner
-// never had the key for, handoff failure when neither can run. A
-// value's m.seq is published in its header by whichever path applies; a
-// tombstone's lives in the owner's key record (ownerKey.tomb). A delete
-// keeps the key's placement hint: a hinted get then meets the
-// tombstone, and answers the miss at once. The run finishes
-// asynchronously (from the simulation).
+// bucket, else the CAS-claim set chain at a claimable candidate; for a
+// delete, the same pointer CAS at the key's resident bucket, swapping
+// its extent for the key's freed pointer — the host CPU otherwise, a
+// trivial ack for a delete the owner never had the key for, handoff
+// failure when neither can run. A value's m.seq is published in its
+// header by whichever path applies; a tombstone's lives in the owner's
+// key record (ownerKey.tomb). A delete keeps the key's placement hint:
+// a hinted get then meets the freed pointer, and answers the miss at
+// once. The run finishes asynchronously (from the simulation).
 func (r *ownerRun) apply() {
 	s, sh, m := r.s, r.sh, r.m
 	t := sh.table.table
@@ -797,19 +794,20 @@ func (r *ownerRun) apply() {
 	)
 	if m.del {
 		claim.BucketAddr, _, fabric = residentBucket(t, LookupSeq, m.key)
-		claim.Expect, claim.New = core.ClaimCtrl(m.key), hopscotch.Tombstone
+		claim.New = hopscotch.FreedPtr(m.key)
 	} else {
 		claim, fabric = claimForTable(t, LookupSeq, m.key)
 	}
 	// The key's current extent, captured under the per-key write slot,
 	// which orders the key's writes on this owner: what an overwrite's
-	// pointer CAS expects. An acked fabric write — a set repointing the
-	// bucket at its staging extent, or a delete freeing its pointer —
-	// retires this one on the ack, to be freed once no get can still
-	// read it; a delete that finds nothing resident has nothing to do.
+	// or a delete's pointer CAS expects. An acked fabric write — a set
+	// repointing the bucket at its staging extent, or a delete freeing
+	// its pointer — retires this one on the ack, to be freed once no get
+	// can still read it; a delete that finds nothing resident has
+	// nothing to do.
 	r.oldVa, _, r.resident = t.Lookup(m.key)
-	if fabric && !m.del && claim.Extent == 0 {
-		claim.Extent = r.oldVa // a resident overwrite: the hinted one
+	if fabric && claim.Extent == 0 {
+		claim.Extent = r.oldVa // a resident overwrite, the hinted one, or a delete
 	}
 	if m.del && !r.resident {
 		// Nothing to retire here: the owner is already at the delete's
@@ -885,9 +883,9 @@ func (r *ownerRun) acked(_ Duration, ok bool) {
 		}
 		// Every apply teaches the hint, a replay's as well as a leg's: a
 		// get after a crash's hint drain reads the extent the drain
-		// installed, and a get after a delete reads the tombstone beside
-		// the shard's null extent, never the extent the delete retired,
-		// which may come back as the key's next value.
+		// installed, and a get after a delete reads the freed pointer
+		// against the shard's null extent, never the extent the delete
+		// retired, which may come back as the key's next value.
 		if r.claimAt != 0 {
 			ext := cli.staged
 			if m.del {
@@ -980,7 +978,7 @@ func probeReach(mode LookupMode) int {
 // candidate bucket, within the lookup mode's probe reach, whose entry is
 // key — and the value extent it names. It is the only bucket an
 // overwrite claim, a delete chain or a version probe can target;
-// ok=false means the key is absent, tombstoned, or spilled into a
+// ok=false means the key is absent, deleted, or spilled into a
 // neighborhood slot only the host's scan reaches. Shared by the service
 // router and the standalone client so the two views cannot drift.
 func residentBucket(t *hopscotch.Table, mode LookupMode, key uint64) (addr, va uint64, ok bool) {
@@ -1011,16 +1009,16 @@ func claimForTable(t *hopscotch.Table, mode LookupMode, key uint64) (core.SetCla
 		return core.SetClaim{}, false
 	}
 	for fn := 0; fn < probeReach(mode); fn++ {
+		// A free candidate the fabric may claim: an empty one, whose
+		// fresh claim takes the free pointer first and then publishes
+		// the key, or the key's own deleted bucket, whose re-insert is
+		// the one pointer CAS beside the key word its delete kept. A
+		// bucket another key's delete freed still reads as that key's
+		// word until a write replaces it, so only the host's Place,
+		// which writes both words at once, reuses it.
 		b := t.Hash(key, fn)
-		if t.FreeAt(b) {
-			// A free candidate is either genuinely empty or tombstoned by
-			// an earlier delete — the claim reclaims the tombstone in
-			// place, keeping delete churn on the fabric instead of
-			// bouncing every reinsert to the host. Either way the bucket
-			// names the free pointer, which the claim's pointer CAS takes
-			// first, so the key is never published beside the previous
-			// occupant's pointer.
-			return core.SetClaim{BucketAddr: t.BucketAddr(b), Extent: hopscotch.FreePtr}, true
+		if _, va, _, _ := t.EntryAt(b); va == hopscotch.FreePtr || va == hopscotch.FreedPtr(key) {
+			return core.SetClaim{BucketAddr: t.BucketAddr(b), Extent: va}, true
 		}
 	}
 	return core.SetClaim{}, false
