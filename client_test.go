@@ -1118,7 +1118,7 @@ func TestClientProbeRoundTrip(t *testing.T) {
 		t.Fatal("stale probe never completed")
 	}
 	if answered {
-		t.Fatal("probe of a tombstoned bucket was answered")
+		t.Fatal("probe of a deleted bucket was answered")
 	}
 	if !executed {
 		t.Fatal("conditional miss reported as never-executed (would trip the crash detector)")

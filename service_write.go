@@ -535,7 +535,7 @@ func (s *Service) settled(key uint64) bool { return s.keys[key].unsettled == 0 }
 // whose head holds it, from the shard's pool), the record of the write
 // the owner is missing (a hint or a repair), and the newest delete
 // sequence it applied (tomb, 0 for none): the only record of a delete's
-// version, since a tombstoned bucket carries none. An entry lives only
+// version, since a deleted bucket carries none. An entry lives only
 // while it holds one of the three.
 type ownerKey struct {
 	slot *ring.Queue[*ownerRun]
