@@ -840,3 +840,44 @@ func TestHintedGetRacingDeleteMissesOnce(t *testing.T) {
 		t.Fatalf("get latency %v: the miss paid a second MissTimeout", lat)
 	}
 }
+
+// A locate reads each bucket by its pointer: the key's word beside its
+// freed pointer at H1 is the key's delete's, not the key, so the locate
+// reads on to H2 and reports the key there; with H2 freed too it
+// reports no move. So no hint is ever learned at a free pointer.
+func TestLocateReadsPastAFreedWord(t *testing.T) {
+	const valLen = 64
+	s := NewServiceWith(ServiceConfig{
+		Shards: 1, ClientsPerShard: 1, Pipeline: 8, Mode: LookupSeq,
+		Replicas: 1, Buckets: 1 << 10, MaxValLen: valLen,
+	})
+	sh := s.order[0]
+	tb, m, cli := sh.table.table, sh.srv.node.Mem, sh.clients[0]
+	key := uint64(7)
+	for tb.Hash(key, 0) == tb.Hash(key, 1) {
+		key++
+	}
+	if err := s.Set(key, Value(key, valLen)); err != nil {
+		t.Fatal(err)
+	}
+	h1, h2 := tb.HashAddr(key, 0), tb.HashAddr(key, 1)
+	ext, n, _ := tb.Lookup(key)
+	if tb.LookupBucket(key) != 0 {
+		t.Fatal("setup: the key's set did not claim H1")
+	}
+	m.PutU64(h1+hopscotch.OffValAddr, hopscotch.FreedPtr(key))
+	if err := tb.InsertAt(key, ext, n, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	locate := func() (fn, moved uint64) {
+		hintedGet(s, cli, key, hintHead, 1, h2)
+		return cli.movedFn, cli.moved
+	}
+	if fn, moved := locate(); fn != 2 || moved != ext {
+		t.Fatalf("locate past H1's freed word reported candidate %d at %#x, want H2 (2) at %#x", fn, moved, ext)
+	}
+	m.PutU64(h2+hopscotch.OffValAddr, hopscotch.FreedPtr(key))
+	if fn, moved := locate(); fn != 0 || moved != 0 {
+		t.Fatalf("locate with both candidates freed reported candidate %d at %#x, want none", fn, moved)
+	}
+}
