@@ -548,6 +548,92 @@ func TestOpRecordsReturnAtQuiesce(t *testing.T) {
 	}
 }
 
+// A queued leg of a write already past its quorum is settled unapplied
+// once a newer write to the same key queues its leg to that owner: the
+// owner goes from the older value straight to the newer one, and the
+// write's record goes home without waiting for the slot. A leg whose
+// write still counts acks stays queued and applies.
+func TestQueuedLegPastQuorumCoalesces(t *testing.T) {
+	s := NewServiceWith(ServiceConfig{
+		Shards: 3, ClientsPerShard: 1, Pipeline: 4, Mode: LookupSeq,
+		Replicas: 3, WriteQuorum: 2, Buckets: 1 << 10, MaxValLen: 64})
+	const key = 7
+	owners := s.Owners(key)
+	slow := s.shards[owners[2]]
+	applied := map[string][]uint64{}
+	s.applyHook = func(id string, k, seq uint64) {
+		if k == key {
+			applied[id] = append(applied[id], seq)
+		}
+	}
+	seqs := func() []uint64 {
+		var out []uint64
+		for _, r := range slotRuns(slow.keys[key].slot) {
+			out = append(out, r.m.seq)
+		}
+		return out
+	}
+	live := func() int { return s.sets.made - len(s.sets.free) }
+	acked := 0
+	set := func(i uint64) {
+		s.SetAsync(key, Value(key+i, 48), func(_ Duration, err error) {
+			if err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+			acked++
+		})
+		s.Flush()
+	}
+	awaitAcks := func(n int) {
+		for eng := s.Testbed().Engine(); acked < n; {
+			if eng.Pending() == 0 {
+				t.Fatalf("%d of %d writes acked", acked, n)
+			}
+			eng.RunUntil(eng.Now() + sim.Microsecond)
+		}
+	}
+
+	// The slow owner's NIC stalls: write 1's leg holds its slot there,
+	// write 2's queues behind it, and both reach quorum on the others.
+	slow.srv.node.Dev.Freeze()
+	set(1)
+	set(2)
+	awaitAcks(2)
+	if got := seqs(); !slices.Equal(got, []uint64{1, 2}) || live() != 2 {
+		t.Fatalf("setup: slow owner's slot holds seqs %v with %d write records live, want [1 2] and 2", got, live())
+	}
+	// Write 3 queues behind them: write 2's leg is settled unapplied.
+	set(3)
+	if got := seqs(); !slices.Equal(got, []uint64{1, 3}) || live() != 2 || s.keys[key].unsettled != 2 {
+		t.Fatalf("write 3 queued: slot seqs %v, %d write records live, %d writes unsettled; want [1 3], 2 and 2",
+			got, live(), s.keys[key].unsettled)
+	}
+	// Write 4 queues while write 3 still counts acks: nothing settles.
+	set(4)
+	if got := seqs(); !slices.Equal(got, []uint64{1, 3, 4}) {
+		t.Fatalf("write 4 queued behind a write short of quorum: slot seqs %v, want [1 3 4]", got)
+	}
+	slow.srv.node.Dev.Unfreeze()
+	s.Run()
+	if acked != 4 {
+		t.Fatalf("%d of 4 writes acked", acked)
+	}
+	for _, id := range owners {
+		want := []uint64{1, 2, 3, 4}
+		if id == slow.id {
+			want = []uint64{1, 3, 4}
+		}
+		if !slices.Equal(applied[id], want) {
+			t.Errorf("owner %s applied seqs %v, want %v", id, applied[id], want)
+		}
+		if v, ok := ownerValue(t, s, id, key); !ok || !bytes.Equal(v, Value(key+4, 48)) {
+			t.Errorf("owner %s does not hold the newest write", id)
+		}
+	}
+	s.applyHook = nil
+	recordsHome(t, s)
+}
+
 // Through a crash: writes hint while the owner is down, the hints drain
 // at recovery — one of them dropped by DropHints while its replay is in
 // flight — and the connections the crash desequenced are reset with

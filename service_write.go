@@ -555,7 +555,8 @@ func (sh *serviceShard) put(key uint64, k ownerKey) {
 
 // withKeySlot serializes same-key work on one owner: r is granted the
 // (owner, key) write slot at once if it is free, else it queues behind
-// the run holding it. A run passes the slot on when it finishes.
+// the run holding it, coalescing the queue when it is a fan-out leg. A
+// run passes the slot on when it finishes.
 func (sh *serviceShard) withKeySlot(r *ownerRun) {
 	r.next = runSlot
 	k := sh.keys[r.m.key]
@@ -563,9 +564,32 @@ func (sh *serviceShard) withKeySlot(r *ownerRun) {
 		k.slot, _ = sh.slots.take()
 		sh.keys[r.m.key] = k
 	}
+	if r.op != nil && k.slot.Len() > 1 {
+		sh.coalesce(k.slot)
+	}
 	*k.slot.Push() = r
 	if k.slot.Len() == 1 {
 		r.granted()
+	}
+}
+
+// coalesce settles, unapplied, every queued leg in q of a write already
+// past its quorum: a newer write is queueing its leg behind them, so the
+// owner ends at its value anyway, and each would otherwise keep its
+// write's record until it reached the slot. The holder has issued.
+func (sh *serviceShard) coalesce(q *ring.Queue[*ownerRun]) {
+	holder := q.Pop()
+	*q.Push() = holder // first again once the walk wraps
+	for n := q.Len() - 1; n > 0; n-- {
+		if r := q.Pop(); r.op == nil || !r.op.done {
+			*q.Push() = r
+		} else {
+			s, op := r.s, r.op
+			s.tr.AsyncEnd("leg", op.traceOp<<4|uint64(r.idx), sh.legTrack(r.votes), op.traceOp)
+			r.next, r.sh, r.m, r.op = runFree, nil, nil, nil
+			s.runs.put(r)
+			op.settleOne(s)
+		}
 	}
 }
 
