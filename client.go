@@ -34,17 +34,6 @@ const defaultEcnBacklog = 25 * sim.Microsecond
 // applies on a lost request or an ECN mark.
 const defaultWindowBeta = 0.5
 
-// windowStart is the window a pipeline opens at (capped at its depth).
-// Opening a deep pipeline at full depth would start with a thundering
-// herd the AIMD loop then has to pay for in timeouts; starting just
-// under the knee lets additive increase probe up to it, ~W²/2 answers
-// up from the start. For single-probe gets the knee is ~80 chains per
-// port fetch unit (the 25 µs ECN mark over ~0.31 µs a fetch) whether a
-// chain takes 3 fetches or 4 — the overload sweep's windows peak at ~82
-// a connection at 10x capacity — and a shard's connections alternate
-// between its NIC's two ports.
-const windowStart = 72
-
 // hintHead is the head of a get slot's answer buffer, where a hinted
 // get's bucket [keyCtrl, valAddr] lands ahead of the value.
 const hintHead = 16
@@ -53,7 +42,7 @@ const hintHead = 16
 type pipeOp uint8
 
 // The client's offload pipelines. A delete and a version probe are
-// requests on the set pipeline: the key claim installing the tombstone,
+// requests on the set pipeline: a pointer CAS freeing the key's bucket,
 // and two READs on the client end of the slot's response connection.
 const (
 	pipeGet pipeOp = iota
@@ -77,8 +66,8 @@ type pipelineStats struct {
 //
 // A client keeps up to depth requests in flight per pipeline on one
 // connection per pipeline: gets, on managed answer queues (unmanaged for
-// the service's hinted gets), and sets, deletes (the claim installing the
-// tombstone) and version probes, on unmanaged ones. Both are driven by
+// the service's hinted gets), and sets, deletes (the pointer CAS freeing
+// the key's bucket) and version probes, on unmanaged ones. Both are driven by
 // the same pipeline machinery (opPipeline): each in-flight request owns
 // one offload context of the server-side pool (the request slot) and
 // the per-slot buffers its chain reads and writes. Responses
@@ -89,11 +78,11 @@ type pipelineStats struct {
 // posted doorbell-less and kicked in batches by Flush.
 //
 // How many of the depth slots a pipeline may occupy at once is its
-// congestion window, an AIMD loop: open at min(72, depth), grow by 1/w
-// per clean answer, cut multiplicatively on a lost request (one whose
-// chain never ran before its deadline) and on the ECN-like backlog
-// watermark the NIC stamps into completions, floor 1, one cut per
-// window epoch. A miss is an answer, not a loss.
+// congestion window, an AIMD loop: open at min(depth, ECN mark /
+// FetchManaged), grow by 1/w per clean answer, cut multiplicatively on a
+// lost request (one whose chain never ran before its deadline) and on the
+// ECN-like backlog watermark the NIC stamps into completions, floor 1,
+// one cut per window epoch. A miss is an answer, not a loss.
 type Client struct {
 	tb    *Testbed
 	node  *fabric.Node
@@ -349,7 +338,10 @@ type deadline struct {
 // newPipeline builds the op-agnostic skeleton; the caller wires the
 // connection, the slots and the hooks.
 func newPipeline(c *Client, op pipeOp, class uint8, depth int) *opPipeline {
-	start := min(windowStart, depth)
+	// Every op costs the server one managed fetch, so the port's fetch
+	// unit reaches the ECN mark at ecn/FetchManaged chains in flight:
+	// open there and let AIMD cut on the mark.
+	start := min(depth, int(defaultEcnBacklog/c.srv.node.Dev.Profile().FetchManaged))
 	p := &opPipeline{
 		c: c, op: op, class: class, name: telemetry.ClassNames[class], depth: depth, respPer: 1,
 		slots:    make([]*pipeReq, depth),
@@ -1123,9 +1115,10 @@ func (c *Client) pipelineStats(op pipeOp) pipelineStats {
 // lastExecuted reports whether the most recent failed request on op's
 // pipeline had its offload chain execute on the server NIC — a genuine
 // miss (get: key absent), claim refusal (set: bucket taken; a delete:
-// key absent or already tombstoned; a probe: the bucket does not hold
-// the key at the extent probed) — as opposed to never running (dead
-// connection). Meaningful when read from within the failure callback.
+// its pointer CAS no longer finds the extent it captured; a probe: the
+// bucket does not hold the key at the extent probed) — as opposed to
+// never running (dead connection). Meaningful when read from within the
+// failure callback.
 func (c *Client) lastExecuted(op pipeOp) bool { return c.pipe(op).lastRan }
 
 // enableProvenance allocates the per-slot latency receipts on every

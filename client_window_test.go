@@ -95,6 +95,32 @@ func TestAIMDWindowEcnMark(t *testing.T) {
 	}
 }
 
+// A pipeline opens at the knee its server's fetch unit sets: every op
+// costs one managed fetch, so on the default profile the 25 µs ECN mark
+// is reached at 25 µs / 310 ns = 80 chains in flight. A shallower
+// pipeline opens at its depth, and a reset reopens each at its start.
+func TestAIMDWindowOpensAtFetchKnee(t *testing.T) {
+	for _, tc := range []struct{ depth, want int }{
+		{256, 80},
+		{16, 16},
+	} {
+		tb := NewTestbed()
+		cli := tb.NewPipelinedClient(tb.NewServer(), LookupSeq, tc.depth)
+		for _, p := range cli.pipes {
+			if got := p.win.size(); got != tc.want {
+				t.Errorf("%d-deep %s pipeline opens at %d, want %d", tc.depth, p.name, got, tc.want)
+			}
+			p.win.w = 1
+		}
+		cli.reset()
+		for _, p := range cli.pipes {
+			if got := p.win.size(); got != tc.want {
+				t.Errorf("%d-deep %s pipeline reopens at %d after a reset, want %d", tc.depth, p.name, got, tc.want)
+			}
+		}
+	}
+}
+
 // openWindow reopens every pipeline's window of cli at start slots with
 // ECN threshold ecn (negative disables ECN cuts).
 func openWindow(cli *Client, start int, ecn Duration) {

@@ -81,7 +81,7 @@ const (
 type ServiceConfig struct {
 	Shards          int        // server nodes, each with its own NIC and table
 	ClientsPerShard int        // client nodes connected to each shard
-	Pipeline        int        // slots per client pipeline (deletes share the sets' slots and window); its AIMD window opens at min(72, Pipeline)
+	Pipeline        int        // slots per client pipeline (deletes share the sets' slots and window); its AIMD window opens at min(Pipeline, the ECN mark over FetchManaged)
 	Mode            LookupMode // read by nothing: every service get is hinted or a locate (Client.locateAsync)
 	Replicas        int        // ring owners written per Set (>=1)
 

@@ -333,14 +333,14 @@ func (s *Service) SetAsync(key uint64, value []byte, cb func(lat Duration, err e
 }
 
 // DeleteAsync removes key from its replica owners through the fabric
-// and returns immediately; cb runs when the W-of-N quorum has
-// tombstoned it (err == nil) or can no longer be reached (err is a
-// *QuorumError). Deletes have real modeled latency — a NIC tombstone
-// chain per owner — and pipeline like sets; call Flush after posting a
-// batch. The client-side hot-value cache entry is invalidated and the
-// key's write epoch bumped at issue time, so no reader of this
-// coordinator can see the deleted value from the cache afterward, and
-// no in-flight get can re-admit it.
+// and returns immediately; cb runs when the W-of-N quorum has freed
+// its bucket (err == nil) or can no longer be reached (err is a
+// *QuorumError). Deletes have real modeled latency — a NIC pointer CAS
+// per owner, freeing the key's bucket — and pipeline like sets; call
+// Flush after posting a batch. The client-side hot-value cache entry is
+// invalidated and the key's write epoch bumped at issue time, so no
+// reader of this coordinator can see the deleted value from the cache
+// afterward, and no in-flight get can re-admit it.
 func (s *Service) DeleteAsync(key uint64, cb func(lat Duration, err error)) {
 	s.writeAsync(key, nil, true, cb)
 }
